@@ -1,15 +1,12 @@
-//! Dispatcher-backend ablation: request latency through a FLICK static web
-//! service while 255 other connections sit idle.
-//!
-//! The poll dispatcher re-scans all 256 watched endpoints every
-//! `poll_interval` and adds up to one tick of latency per request hop; the
-//! event dispatcher blocks in `Poller::wait` and reacts immediately, so it
-//! must be at least as fast — that is the acceptance bar of the readiness
-//! layer (ISSUE 2), re-checked in CI by the `bench_guard` binary.
+//! Request latency through a FLICK static web service while 255 other
+//! connections sit idle: the dispatcher blocks in `Poller::wait` and
+//! reacts to the one active connection immediately, so the idle mass must
+//! cost nothing. The throughput twin of this point (`event` @ 256) is
+//! held to its baseline in CI by the `bench_guard` binary.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use flick_net::{Endpoint, SimNetwork, StackModel};
-use flick_runtime::{DeployedService, DispatcherBackend, Platform, PlatformConfig, ServiceSpec};
+use flick_runtime::{DeployedService, Platform, PlatformConfig, ServiceSpec};
 use flick_services::http::StaticWebServerFactory;
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,13 +22,12 @@ struct Setup {
     active: Endpoint,
 }
 
-fn setup(backend: DispatcherBackend) -> Setup {
+fn setup() -> Setup {
     let net = SimNetwork::new(StackModel::Kernel);
     let platform = Platform::with_network(
         PlatformConfig {
             workers: 4,
             stack: StackModel::Kernel,
-            dispatcher: backend,
             ..Default::default()
         },
         Arc::clone(&net),
@@ -75,16 +71,8 @@ fn one_request(conn: &Endpoint) {
 }
 
 fn bench_idle_connections(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dispatcher_backend_idle256");
-    for backend in DispatcherBackend::all() {
-        let setup = setup(backend);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(backend.label()),
-            &setup,
-            |b, setup| b.iter(|| one_request(&setup.active)),
-        );
-    }
-    group.finish();
+    let setup = setup();
+    c.bench_function("idle256/event", |b| b.iter(|| one_request(&setup.active)));
 }
 
 criterion_group! {

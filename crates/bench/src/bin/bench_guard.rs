@@ -3,8 +3,9 @@
 //! Runs reduced versions of the headline experiments and compares them
 //! against the checked-in baseline `crates/bench/benches/baseline.json`:
 //!
-//! * the dispatcher-backend ablation (poll vs. event at 256 mostly-idle
-//!   connections) — the PR 2 acceptance gate;
+//! * the idle-connection point (256 mostly-idle connections) and the
+//!   stalled-peer point (8 peers that never read) — the readiness layer's
+//!   two "waiting costs nothing" claims;
 //! * the sharding ablation (fig5 with `--shards 1` vs `--shards 2`) — the
 //!   sharded-runtime acceptance gate;
 //! * the fig4 runner (FLICK HTTP load balancer, kernel stack) and the
@@ -15,15 +16,14 @@
 //!
 //! Two kinds of checks:
 //!
-//! * **Machine-independent ratios**, computed within this run: the event
-//!   backend must not lose to the poll backend, the sharded runtime must
-//!   not lose to the single-shard runtime (small tolerance for
-//!   single-core hosts, where sharding has no parallel headroom to
-//!   exploit and the expected ratio is ~1.0 rather than >1), and the
-//!   real-socket service must stay within a bounded overhead of its
-//!   simulated twin (the tcp/sim ratio). The sharded run must also show
-//!   balanced per-shard utilization and live steal traffic — the
-//!   structural claims of the sharding PR.
+//! * **Machine-independent gates**, computed within this run: the ratio
+//!   table in `main` (the sharded runtime must not lose to the
+//!   single-shard runtime — small tolerance for single-core hosts, where
+//!   sharding has no parallel headroom to exploit and the expected ratio
+//!   is ~1.0 rather than >1 — the real-socket service must stay within a
+//!   bounded overhead of its simulated twin, and so on), plus structural
+//!   claims: balanced per-shard utilization, live steal traffic, zero
+//!   busy retries against stalled peers, the zero-copy laws under c10k.
 //! * **Absolute baselines** with a generous 30% floor (CI machines are
 //!   noisy): any `req/s` or `Mbps` series dropping below 70% of its
 //!   recorded baseline fails.
@@ -38,12 +38,13 @@
 
 use flick_bench::report::{print_table, rows_from_json, rows_to_json, Row};
 use flick_bench::{
-    max_open_files, run_dispatcher_backend_ablation, run_exec_mode_dispatch_experiment,
-    run_flick_vm_lb_experiment, run_hadoop_experiment, run_hostile_goodput_experiment,
-    run_http_experiment, run_output_mode_ablation, run_sharding_ablation, run_tcp_c10k_experiment,
-    run_tcp_lb_experiment, run_tcp_loopback_experiment, run_tcp_sharding_curve,
-    ExecModeDispatchExperiment, FlickVmLbExperiment, HadoopExperiment, HttpExperiment, HttpSystem,
-    TcpC10kExperiment, TcpLbExperiment, TcpLbResult, TcpLoopbackExperiment, TcpLoopbackResult,
+    max_open_files, run_exec_mode_dispatch_experiment, run_flick_vm_lb_experiment,
+    run_hadoop_experiment, run_hostile_goodput_experiment, run_http_experiment,
+    run_idle_connections_experiment, run_sharding_ablation, run_stalled_peers_experiment,
+    run_tcp_c10k_experiment, run_tcp_lb_experiment, run_tcp_loopback_experiment,
+    run_tcp_sharding_curve, ExecModeDispatchExperiment, FlickVmLbExperiment, HadoopExperiment,
+    HttpExperiment, HttpSystem, IdleConnExperiment, StalledPeersExperiment, TcpC10kExperiment,
+    TcpLbExperiment, TcpLoopbackExperiment,
 };
 use std::time::Duration;
 
@@ -61,8 +62,8 @@ const SHARDING_RATIO_FLOOR: f64 = 0.95;
 /// not fall below this fraction of its simulated twin (kernel cost model)
 /// within the same run. Loopback measurements put the ratio around
 /// 0.8–0.9; the floor leaves generous headroom for loaded CI hosts while
-/// still catching a broken OS transport (a lost-wakeup stall or an
-/// accidental poll regression collapses the ratio to near zero).
+/// still catching a broken OS transport (a lost-wakeup stall collapses
+/// the ratio to near zero).
 const TCP_SIM_RATIO_FLOOR: f64 = 0.25;
 
 /// The all-TCP LB ratio floor: the `client → LB → backend` path crossing
@@ -71,13 +72,6 @@ const TCP_SIM_RATIO_FLOOR: f64 = 0.25;
 /// single-hop loopback point, so the floor is lower; a stalled backend
 /// pool or a lost writable wakeup still collapses it to near zero.
 const TCP_LB_RATIO_FLOOR: f64 = 0.15;
-
-/// The wakeup-vs-busy output ratio floor: with stalled peers pinned
-/// against full pipes, parking output tasks on writable readiness must not
-/// lose to busy retrying them (small noise allowance; on loaded hosts the
-/// wakeup mode typically wins outright because busy retries bleed worker
-/// time).
-const OUTPUT_MODE_RATIO_FLOOR: f64 = 0.95;
 
 /// Share of the fleet's requests replaced by malformed frames in the
 /// hostile-goodput point.
@@ -107,6 +101,78 @@ const EXEC_MODE_RATIO_FLOOR: f64 = 1.0;
 
 fn baseline_path() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/benches/baseline.json")
+}
+
+/// The pass with the highest `score`. Every gate and every guarded row
+/// takes the best of its passes, so a single noisy interval on a loaded
+/// CI host cannot fail the comparison.
+fn best_of<T>(passes: impl IntoIterator<Item = T>, score: impl Fn(&T) -> f64) -> T {
+    passes
+        .into_iter()
+        .max_by(|a, b| score(a).total_cmp(&score(b)))
+        .expect("at least one pass")
+}
+
+/// The highest of `values` ([`best_of`] over plain numbers).
+fn best(values: impl IntoIterator<Item = f64>) -> f64 {
+    best_of(values, |value| *value)
+}
+
+fn ratio((numerator, denominator): (f64, f64)) -> f64 {
+    numerator / denominator.max(1e-9)
+}
+
+/// One machine-independent gate: within this run, the numerator of `name`
+/// over its denominator must reach `floor`. Host speed cancels out, which
+/// the absolute baseline comparison cannot offer.
+struct Gate {
+    /// `"numerator/denominator"`, as printed.
+    name: &'static str,
+    /// The headline of the failure message.
+    lost: &'static str,
+    floor: f64,
+    /// The ratio must exceed the floor, not merely reach it.
+    strict: bool,
+    /// `(numerator, denominator)` of each pass; the best ratio counts.
+    passes: Vec<(f64, f64)>,
+}
+
+impl Gate {
+    fn check(&self) -> Result<String, String> {
+        let best = best_of(self.passes.iter().copied(), |pass| ratio(*pass));
+        let (got, bound) = (ratio(best), self.floor);
+        let (num, den) = self.name.split_once('/').expect("gate names are num/den");
+        let detail = format!(
+            "ratio {got:.2} ({} {bound}; {num} {:.0} vs {den} {:.0})",
+            if self.strict { "must be >" } else { "floor" },
+            best.0,
+            best.1
+        );
+        if got > bound || (!self.strict && got == bound) {
+            Ok(format!("{} {detail}", self.name))
+        } else {
+            Err(format!("{}: {detail}", self.lost))
+        }
+    }
+}
+
+/// The outcome of every gate and baseline comparison of this run.
+#[derive(Default)]
+struct Checks {
+    passed: usize,
+    failures: Vec<String>,
+}
+
+impl Checks {
+    fn record(&mut self, outcome: Result<String, String>) {
+        match outcome {
+            Ok(line) => {
+                println!("ok: {line}");
+                self.passed += 1;
+            }
+            Err(failure) => self.failures.push(failure),
+        }
+    }
 }
 
 /// The reduced fig4 point the guard tracks.
@@ -140,46 +206,68 @@ fn run_fig6_point() -> Row {
     Row::new(params.mappers, "fig6 hadoop", mbps, "Mbps")
 }
 
+/// The idle-connection point: 8 active clients among 256 connections.
+fn run_idle_point() -> Row {
+    let params = IdleConnExperiment::default();
+    let stats = run_idle_connections_experiment(&params);
+    Row::new(
+        params.connections,
+        "event",
+        stats.requests_per_sec(),
+        "req/s",
+    )
+}
+
+/// Back-ends that served at least one request.
+fn backends_hit(requests: &[u64]) -> usize {
+    requests.iter().filter(|served| **served > 0).count()
+}
+
+/// Whether a row is held to the absolute 70% floor.
+fn guarded(row: &Row) -> bool {
+    row.unit == "req/s" || row.unit == "Mbps"
+}
+
 fn main() {
     let record = std::env::args().any(|a| a == "--record");
-    let mut rows = run_dispatcher_backend_ablation(&[256], Duration::from_millis(400));
-    // The writable-interest ablation (wakeup-driven vs busy-retry output
-    // under stalled peers); two passes. Like every other guarded series,
-    // the recorded/checked rows take the best of the two passes (max
-    // req/s, min retries) so a single noisy interval cannot fail CI —
-    // the busy series in particular measures throughput scraps under
-    // spinning peers and is inherently noisy.
-    let output_modes = run_output_mode_ablation(Duration::from_millis(400));
-    let output_modes_second = run_output_mode_ablation(Duration::from_millis(400));
-    rows.extend(output_modes.iter().map(|row| {
-        let second = output_modes_second
-            .iter()
-            .find(|other| other.series == row.series && other.x == row.x)
-            .map(|other| other.value)
-            .unwrap_or(row.value);
-        let best = if row.unit == "retries" {
-            row.value.min(second)
-        } else {
-            row.value.max(second)
-        };
-        Row::new(row.x.clone(), row.series.clone(), best, row.unit.clone())
-    }));
-    // Three passes over the sharding ablation; the ratio gate uses the
-    // best run per configuration so a noisy interval on a loaded CI host
-    // cannot fail the comparison. On a single-core box the ratio gate has
-    // no parallel headroom at all — it measures pure sharding overhead
-    // against a 5% allowance — so it needs the extra pass more than any
-    // other gate here. Baseline rows come from the first pass.
-    let sharding = run_sharding_ablation(&[1, 2], Duration::from_millis(600));
-    let sharding_second = run_sharding_ablation(&[1, 2], Duration::from_millis(600));
-    let sharding_third = run_sharding_ablation(&[1, 2], Duration::from_millis(600));
-    rows.extend(sharding.iter().cloned());
+    let mut rows = vec![run_idle_point()];
+    // The stalled-peer point: active throughput with 8 peers pinned
+    // against full pipes, two passes.
+    let stalled_params = StalledPeersExperiment::default();
+    let stalled = [
+        run_stalled_peers_experiment(&stalled_params),
+        run_stalled_peers_experiment(&stalled_params),
+    ];
+    let stalled_retries = stalled
+        .iter()
+        .map(|pass| pass.busy_retries)
+        .min()
+        .expect("two passes");
+    rows.push(Row::new(
+        stalled_params.stalled,
+        "output wakeup",
+        best(stalled.iter().map(|pass| pass.stats.requests_per_sec())),
+        "req/s",
+    ));
+    rows.push(Row::new(
+        stalled_params.stalled,
+        "output wakeup retries",
+        stalled_retries as f64,
+        "retries",
+    ));
+    // Three passes over the sharding ablation. On a single-core box the
+    // ratio gate has no parallel headroom at all — it measures pure
+    // sharding overhead against a 5% allowance — so it needs the extra
+    // pass more than any other gate here. Baseline rows come from the
+    // first pass.
+    let sharding: [Vec<Row>; 3] =
+        std::array::from_fn(|_| run_sharding_ablation(&[1, 2], Duration::from_millis(600)));
+    rows.extend(sharding[0].iter().cloned());
     rows.push(run_fig4_point());
     rows.push(run_fig6_point());
     // The hostile-goodput point: the same LB shape as fig4, measured
-    // clean and then under a 10% malformed-frame storm (best-of-two per
-    // leg — door-slam shedding on a loaded host is noisy enough to want
-    // the same variance treatment as the other ratio gates).
+    // clean and then under a 10% malformed-frame storm (two passes —
+    // door-slam shedding on a loaded host is noisy).
     let hostile_params = HttpExperiment {
         concurrency: 32,
         persistent: true,
@@ -187,107 +275,82 @@ fn main() {
         workers: 4,
         backends: 4,
     };
-    let hostile_first = run_hostile_goodput_experiment(&hostile_params, HOSTILE_SHARE);
-    let hostile_second = run_hostile_goodput_experiment(&hostile_params, HOSTILE_SHARE);
-    let hostile_clean_best = hostile_first
-        .clean
-        .requests_per_sec()
-        .max(hostile_second.clean.requests_per_sec());
-    let hostile_goodput_best = hostile_first
-        .hostile
-        .requests_per_sec()
-        .max(hostile_second.hostile.requests_per_sec());
+    let hostile = [
+        run_hostile_goodput_experiment(&hostile_params, HOSTILE_SHARE),
+        run_hostile_goodput_experiment(&hostile_params, HOSTILE_SHARE),
+    ];
     rows.push(Row::new(
         hostile_params.concurrency,
         "hostile clean",
-        hostile_clean_best,
+        best(hostile.iter().map(|pass| pass.clean.requests_per_sec())),
         "req/s",
     ));
     rows.push(Row::new(
         hostile_params.concurrency,
         "hostile goodput",
-        hostile_goodput_best,
+        best(hostile.iter().map(|pass| pass.hostile.requests_per_sec())),
         "req/s",
     ));
-    // The e2e loopback TCP point: two passes, best-of-two everywhere
-    // (real sockets on a loaded CI host are noisier than the simulated
-    // substrate — both the ratio gate and the absolute baseline rows use
-    // the better pass so a single noisy interval cannot fail CI).
+    // The e2e loopback TCP point, two passes (real sockets on a loaded CI
+    // host are noisier than the simulated substrate).
     let tcp_params = TcpLoopbackExperiment {
         concurrency: 16,
         duration: Duration::from_millis(400),
         workers: 4,
         shards: 1,
     };
-    let tcp_first = run_tcp_loopback_experiment(&tcp_params);
-    let tcp_second = run_tcp_loopback_experiment(&tcp_params);
+    let tcp = [
+        run_tcp_loopback_experiment(&tcp_params),
+        run_tcp_loopback_experiment(&tcp_params),
+    ];
     rows.push(Row::new(
         tcp_params.concurrency,
         "tcp loopback",
-        tcp_first
-            .tcp
-            .requests_per_sec()
-            .max(tcp_second.tcp.requests_per_sec()),
+        best(tcp.iter().map(|pass| pass.tcp.requests_per_sec())),
         "req/s",
     ));
     rows.push(Row::new(
         tcp_params.concurrency,
         "tcp sim twin",
-        tcp_first
-            .sim
-            .requests_per_sec()
-            .max(tcp_second.sim.requests_per_sec()),
+        best(tcp.iter().map(|pass| pass.sim.requests_per_sec())),
         "req/s",
     ));
-    // The all-TCP LB point (kernel client → LB → kernel backend), same
-    // best-of-two treatment as the loopback point.
+    // The all-TCP LB point (kernel client → LB → kernel backend), two
+    // passes like the loopback point.
     let lb_params = TcpLbExperiment {
         concurrency: 16,
         duration: Duration::from_millis(400),
         workers: 4,
         backends: 4,
     };
-    let lb_first = run_tcp_lb_experiment(&lb_params);
-    let lb_second = run_tcp_lb_experiment(&lb_params);
+    let lb = [
+        run_tcp_lb_experiment(&lb_params),
+        run_tcp_lb_experiment(&lb_params),
+    ];
     rows.push(Row::new(
         lb_params.concurrency,
         "tcp lb e2e",
-        lb_first
-            .tcp
-            .requests_per_sec()
-            .max(lb_second.tcp.requests_per_sec()),
+        best(lb.iter().map(|pass| pass.tcp.requests_per_sec())),
         "req/s",
     ));
     rows.push(Row::new(
         lb_params.concurrency,
         "tcp lb sim twin",
-        lb_first
-            .sim
-            .requests_per_sec()
-            .max(lb_second.sim.requests_per_sec()),
+        best(lb.iter().map(|pass| pass.sim.requests_per_sec())),
         "req/s",
     ));
     // The execution-engine dispatch ablation: the tree-walking
     // interpreter vs the bytecode VM on per-message dispatch of the same
-    // lowered program. Three passes; the gate takes the best VM/interp
-    // ratio. The msg/s unit keeps these rows out of the 70% absolute
-    // floor — the within-run ratio is the machine-independent quantity,
-    // the absolute rates are recorded for context.
+    // lowered program, three passes. The msg/s unit keeps these rows out
+    // of the 70% absolute floor — the within-run ratio is the
+    // machine-independent quantity, the absolute rates are recorded for
+    // context.
     let dispatch_params = ExecModeDispatchExperiment::default();
-    let dispatch_passes = [
-        run_exec_mode_dispatch_experiment(&dispatch_params),
-        run_exec_mode_dispatch_experiment(&dispatch_params),
-        run_exec_mode_dispatch_experiment(&dispatch_params),
-    ];
-    let dispatch_best = dispatch_passes
-        .iter()
-        .max_by(|a, b| {
-            let ratio = |r: &flick_bench::ExecModeDispatchResult| {
-                r.vm_msgs_per_sec / r.interp_msgs_per_sec.max(1e-9)
-            };
-            ratio(a).total_cmp(&ratio(b))
-        })
-        .expect("three passes");
+    let dispatch: [_; 3] =
+        std::array::from_fn(|_| run_exec_mode_dispatch_experiment(&dispatch_params));
+    let dispatch_best = best_of(&dispatch, |pass| {
+        ratio((pass.vm_msgs_per_sec, pass.interp_msgs_per_sec))
+    });
     rows.push(Row::new(
         "dispatch",
         "interp dispatch",
@@ -302,21 +365,18 @@ fn main() {
     ));
     // The end-to-end compiled-LB point: the FLICK-compiled balancer (the
     // full compiler pipeline, not the hand-written factory) over real
-    // kernel sockets in VM mode. Best-of-two like the other TCP points.
+    // kernel sockets in VM mode, two passes like the other TCP points.
     let flick_lb_params = FlickVmLbExperiment {
         concurrency: 16,
         duration: Duration::from_millis(400),
         workers: 4,
         backends: 4,
     };
-    let flick_lb_first = run_flick_vm_lb_experiment(&flick_lb_params);
-    let flick_lb_second = run_flick_vm_lb_experiment(&flick_lb_params);
-    let flick_lb_best =
-        if flick_lb_first.stats.requests_per_sec() >= flick_lb_second.stats.requests_per_sec() {
-            &flick_lb_first
-        } else {
-            &flick_lb_second
-        };
+    let flick_lb = [
+        run_flick_vm_lb_experiment(&flick_lb_params),
+        run_flick_vm_lb_experiment(&flick_lb_params),
+    ];
+    let flick_lb_best = best_of(&flick_lb, |pass| pass.stats.requests_per_sec());
     rows.push(Row::new(
         flick_lb_params.concurrency,
         "flick vm lb e2e",
@@ -325,30 +385,26 @@ fn main() {
     ));
     // The kernel-path sharding curve: the same loopback service at 1 and
     // 2 shards, each shard with its own reactor thread and SO_REUSEPORT
-    // accept socket. Three passes, best-of-three per shard count: like
-    // the runtime sharding gate above, on a single-core host the ratio
-    // measures pure sharding overhead against a 5% allowance, so it gets
-    // the extra variance-reduction pass.
+    // accept socket. Three passes: like the runtime sharding gate above,
+    // on a single-core host the ratio measures pure sharding overhead
+    // against a 5% allowance.
     const TCP_SHARD_MAX: usize = 2;
-    let curve_first = run_tcp_sharding_curve(&tcp_params, TCP_SHARD_MAX);
-    let curve_second = run_tcp_sharding_curve(&tcp_params, TCP_SHARD_MAX);
-    let curve_third = run_tcp_sharding_curve(&tcp_params, TCP_SHARD_MAX);
+    let curve: Vec<_> = (0..3)
+        .flat_map(|_| run_tcp_sharding_curve(&tcp_params, TCP_SHARD_MAX))
+        .collect();
     let curve_best_at = |shards: usize| {
-        curve_first
-            .iter()
-            .chain(curve_second.iter())
-            .chain(curve_third.iter())
-            .filter(|point| point.shards == shards)
-            .map(|point| point.tcp.requests_per_sec())
-            .fold(None, |best: Option<f64>, v| {
-                Some(best.map_or(v, |b| b.max(v)))
-            })
+        best(
+            curve
+                .iter()
+                .filter(|point| point.shards == shards)
+                .map(|point| point.tcp.requests_per_sec()),
+        )
     };
-    for point in &curve_first {
+    for shards in [1, TCP_SHARD_MAX] {
         rows.push(Row::new(
-            point.shards,
+            shards,
             "tcp sharded",
-            curve_best_at(point.shards).unwrap_or(point.tcp.requests_per_sec()),
+            curve_best_at(shards),
             "req/s",
         ));
     }
@@ -391,9 +447,9 @@ fn main() {
     print_table("Bench guard (current run)", &rows);
 
     if record {
-        // Only throughput series are guarded; scan-rate, utilization and
-        // steal rows are recorded for context but never gate on absolute
-        // values (they are asserted structurally within the run instead).
+        // Only throughput series are guarded; utilization and steal rows
+        // are recorded for context but never gate on absolute values
+        // (they are asserted structurally within the run instead).
         std::fs::write(baseline_path(), rows_to_json(&rows) + "\n").expect("write baseline.json");
         println!("recorded baseline to {}", baseline_path());
         return;
@@ -403,121 +459,99 @@ fn main() {
         .unwrap_or_else(|e| panic!("read {}: {e} (seed it with --record)", baseline_path()));
     let baseline = rows_from_json(&baseline_json).expect("parse baseline.json");
 
-    let mut failures = Vec::new();
+    let mut checks = Checks::default();
 
-    // Machine-independent gate 1: within this run, the event backend must
-    // not lose to the poll backend it replaced (the acceptance bar of the
-    // readiness layer). Ratios survive slow or noisy CI hosts that the
-    // absolute baseline comparison below cannot account for.
-    let series = |name: &str| {
-        rows.iter()
-            .find(|row| row.series == name && row.unit == "req/s")
-            .map(|row| row.value)
+    // The sharding gates take the best run *per configuration* across
+    // their three passes, so each is one pair here.
+    let sharded_best_at = |shards: usize| {
+        best(
+            sharding
+                .iter()
+                .flatten()
+                .filter(|row| row.series == "sharded" && row.x == shards.to_string())
+                .map(|row| row.value),
+        )
     };
-    match (series("event"), series("poll")) {
-        (Some(event), Some(poll)) => {
-            if event < poll {
-                failures.push(format!(
-                    "event backend lost to poll within this run: {event:.0} < {poll:.0} req/s"
-                ));
-            } else {
-                println!("ok: event/poll ratio {:.2}x (must be >= 1)", event / poll);
-            }
-        }
-        _ => failures.push("ablation run missing event/poll req/s series".to_string()),
+    let gates = [
+        Gate {
+            name: "sharded/single",
+            lost: "sharded runtime lost to single-shard",
+            floor: SHARDING_RATIO_FLOOR,
+            strict: false,
+            passes: vec![(sharded_best_at(2), sharded_best_at(1))],
+        },
+        Gate {
+            name: "tcp/sim",
+            lost: "real-socket service lost to its simulated twin",
+            floor: TCP_SIM_RATIO_FLOOR,
+            strict: false,
+            passes: tcp
+                .iter()
+                .map(|pass| (pass.tcp.requests_per_sec(), pass.sim.requests_per_sec()))
+                .collect(),
+        },
+        Gate {
+            name: "tcp sharded/single",
+            lost: "kernel-path sharding lost to a single reactor",
+            floor: SHARDING_RATIO_FLOOR,
+            strict: false,
+            passes: vec![(curve_best_at(TCP_SHARD_MAX), curve_best_at(1))],
+        },
+        Gate {
+            name: "all-TCP lb/sim",
+            lost: "all-TCP LB lost to its simulated twin",
+            floor: TCP_LB_RATIO_FLOOR,
+            strict: false,
+            passes: lb
+                .iter()
+                .map(|pass| (pass.tcp.requests_per_sec(), pass.sim.requests_per_sec()))
+                .collect(),
+        },
+        Gate {
+            name: "hostile/clean",
+            lost: "goodput collapsed under 10% malformed traffic",
+            floor: HOSTILE_GOODPUT_RATIO_FLOOR,
+            strict: false,
+            passes: hostile
+                .iter()
+                .map(|pass| {
+                    (
+                        pass.hostile.requests_per_sec(),
+                        pass.clean.requests_per_sec(),
+                    )
+                })
+                .collect(),
+        },
+        Gate {
+            name: "vm/interp",
+            lost: "bytecode VM lost to the tree-walking interpreter",
+            floor: EXEC_MODE_RATIO_FLOOR,
+            strict: true,
+            passes: dispatch
+                .iter()
+                .map(|pass| (pass.vm_msgs_per_sec, pass.interp_msgs_per_sec))
+                .collect(),
+        },
+    ];
+    for gate in &gates {
+        checks.record(gate.check());
     }
 
-    // Machine-independent gate 1b: with stalled peers, the wakeup-driven
-    // output path must not lose to the busy-retry loop it replaced, and it
-    // must not busy-retry at all (the structural claim: a stalled peer
-    // parks its writer). Best-of-two per mode for the ratio; the retry
-    // assertion accepts either pass being clean.
-    let output_series = |pass: &[Row], name: &str| {
-        pass.iter()
-            .find(|row| row.series == name)
-            .map(|row| row.value)
-    };
-    let best_output = |name: &str| {
-        [&output_modes, &output_modes_second]
-            .into_iter()
-            .filter_map(|pass| output_series(pass, name))
-            .fold(None, |best: Option<f64>, v| {
-                Some(best.map_or(v, |b| b.max(v)))
-            })
-    };
-    match (best_output("output wakeup"), best_output("output busy")) {
-        (Some(wakeup), Some(busy)) => {
-            let ratio = wakeup / busy.max(1e-9);
-            if ratio < OUTPUT_MODE_RATIO_FLOOR {
-                failures.push(format!(
-                    "wakeup-driven output lost to busy retry under stalled peers: \
-                     {wakeup:.0} vs {busy:.0} req/s (ratio {ratio:.2}, floor \
-                     {OUTPUT_MODE_RATIO_FLOOR})"
-                ));
-            } else {
-                println!(
-                    "ok: output wakeup/busy ratio {ratio:.2}x (floor {OUTPUT_MODE_RATIO_FLOOR})"
-                );
-            }
-        }
-        _ => failures.push("output-mode ablation missing req/s series".to_string()),
-    }
-    let wakeup_retries = [&output_modes, &output_modes_second]
-        .into_iter()
-        .filter_map(|pass| output_series(pass, "output wakeup retries"))
-        .fold(None, |best: Option<f64>, v| {
-            Some(best.map_or(v, |b| b.min(v)))
-        });
-    match wakeup_retries {
-        Some(retries) => {
-            if retries == 0.0 {
-                println!("ok: wakeup-driven output performed 0 busy retries under stalled peers");
-            } else {
-                failures.push(format!(
-                    "wakeup-driven output busy-retried {retries:.0} times under stalled peers \
-                     (writable parking is broken)"
-                ));
-            }
-        }
-        None => failures.push("output-mode ablation missing retries series".to_string()),
-    }
+    // Structural: a stalled peer parks its writer (either pass being
+    // clean is accepted).
+    checks.record(if stalled_retries == 0 {
+        Ok("wakeup-driven output performed 0 busy retries under stalled peers".to_string())
+    } else {
+        Err(format!(
+            "wakeup-driven output busy-retried {stalled_retries} times under stalled peers \
+             (writable parking is broken)"
+        ))
+    });
 
-    // Machine-independent gate 2: the sharded runtime vs the single-shard
-    // runtime, same workload, same worker budget, within this run
-    // (best-of-three per configuration).
-    let sharded_at = |x: usize| {
-        sharding
-            .iter()
-            .chain(sharding_second.iter())
-            .chain(sharding_third.iter())
-            .filter(|row| row.series == "sharded" && row.x == x.to_string())
-            .map(|row| row.value)
-            .fold(None, |best: Option<f64>, v| {
-                Some(best.map_or(v, |b| b.max(v)))
-            })
-    };
-    match (sharded_at(1), sharded_at(2)) {
-        (Some(single), Some(sharded)) => {
-            let ratio = sharded / single;
-            if ratio < SHARDING_RATIO_FLOOR {
-                failures.push(format!(
-                    "sharded runtime lost to single-shard: {sharded:.0} vs {single:.0} req/s \
-                     (ratio {ratio:.2}, floor {SHARDING_RATIO_FLOOR})"
-                ));
-            } else {
-                println!(
-                    "ok: sharded/single ratio {ratio:.2}x (floor {SHARDING_RATIO_FLOOR}; \
-                     expected > 1 on multi-core hosts)"
-                );
-            }
-        }
-        _ => failures.push("sharding ablation missing req/s series".to_string()),
-    }
     // Structural claims of the sharded run: both shards did comparable
-    // work (placement balance) and the steal path was exercised. Like the
-    // ratio gate, these accept the best of the passes so a single noisy
-    // interval cannot fail CI.
-    let structural = |pass: &[Row]| -> Result<(Vec<f64>, f64), String> {
+    // work (placement balance) and the steal path was exercised; the
+    // first clean pass is accepted.
+    let structural = |pass: &Vec<Row>| -> Result<String, String> {
         let utils: Vec<f64> = pass
             .iter()
             .filter(|row| row.x == "2" && row.unit == "%")
@@ -542,274 +576,159 @@ fn main() {
         if steals <= 0.0 {
             return Err("no cross-shard steals in the 2-shard run".to_string());
         }
-        Ok((utils, steals))
+        Ok(format!(
+            "per-shard utilization balanced ({utils:?}), cross-shard steal path exercised \
+             ({steals:.0} tasks)"
+        ))
     };
-    match structural(&sharding)
-        .or_else(|first| structural(&sharding_second).map_err(|_| first))
-        .or_else(|first| structural(&sharding_third).map_err(|_| first))
-    {
-        Ok((utils, steals)) => {
-            println!("ok: per-shard utilization balanced ({utils:?})");
-            println!("ok: cross-shard steal path exercised ({steals:.0} tasks)");
-        }
-        Err(failure) => failures.push(failure),
-    }
+    let outcomes: Vec<_> = sharding.iter().map(structural).collect();
+    let clean = outcomes.iter().position(Result::is_ok).unwrap_or(0);
+    checks.record(outcomes[clean].clone());
 
-    // Machine-independent gate 3: the OS transport vs its simulated twin,
-    // same platform, same workload shape, within this run (best-of-two).
-    let tcp_best = [&tcp_first, &tcp_second]
-        .into_iter()
-        .max_by(|a, b| {
-            let ratio = |r: &TcpLoopbackResult| {
-                r.tcp.requests_per_sec() / r.sim.requests_per_sec().max(1e-9)
-            };
-            ratio(a).total_cmp(&ratio(b))
-        })
-        .expect("two passes");
-    let tcp_ratio = tcp_best.tcp.requests_per_sec() / tcp_best.sim.requests_per_sec().max(1e-9);
-    if tcp_ratio < TCP_SIM_RATIO_FLOOR {
-        failures.push(format!(
-            "real-socket service lost to its simulated twin: ratio {tcp_ratio:.2} \
-             (floor {TCP_SIM_RATIO_FLOOR}; tcp {:.0} vs sim {:.0} req/s)",
-            tcp_best.tcp.requests_per_sec(),
-            tcp_best.sim.requests_per_sec()
-        ));
-    } else {
-        println!("ok: tcp/sim loopback ratio {tcp_ratio:.2} (floor {TCP_SIM_RATIO_FLOOR})");
-    }
-
-    // Machine-independent gate 3b: sharding the kernel event path
-    // (per-shard reactors + REUSEPORT accept sockets) must not cost
-    // throughput relative to the single-reactor run. On multi-core hosts
-    // it should win outright; on a single core the expected ratio is ~1.
-    match (curve_best_at(1), curve_best_at(TCP_SHARD_MAX)) {
-        (Some(single), Some(sharded)) => {
-            let ratio = sharded / single.max(1e-9);
-            if ratio < SHARDING_RATIO_FLOOR {
-                failures.push(format!(
-                    "kernel-path sharding lost to a single reactor: {sharded:.0} vs \
-                     {single:.0} req/s (ratio {ratio:.2}, floor {SHARDING_RATIO_FLOOR})"
-                ));
-            } else {
-                println!("ok: tcp sharded/single ratio {ratio:.2}x (floor {SHARDING_RATIO_FLOOR})");
-            }
-        }
-        _ => failures.push("tcp sharding curve missing 1-shard or max-shard point".to_string()),
-    }
-
-    // Machine-independent gate 3c: the c10k structural claims. The idle
-    // mass must actually connect and survive the active run, and the
-    // kernel path must hold both zero-copy laws under it.
-    if c10k.idle_connected * 100 < c10k.idle_requested * 99 {
-        failures.push(format!(
+    // The c10k structural claims. The idle mass must actually connect and
+    // survive the active run, and the kernel path must hold both
+    // zero-copy laws under it.
+    checks.record(if c10k.idle_connected * 100 < c10k.idle_requested * 99 {
+        Err(format!(
             "c10k: only {}/{} idle connections established",
             c10k.idle_connected, c10k.idle_requested
-        ));
+        ))
     } else if c10k.idle_survivors < c10k.idle_connected {
-        failures.push(format!(
+        Err(format!(
             "c10k: {} of {} idle connections died during the active run",
             c10k.idle_connected - c10k.idle_survivors,
             c10k.idle_connected
-        ));
+        ))
     } else {
-        println!(
-            "ok: c10k held {} idle connections through the active run \
-             ({:.0} req/s active)",
+        Ok(format!(
+            "c10k held {} idle connections through the active run ({:.0} req/s active)",
             c10k.idle_survivors,
             c10k.active.requests_per_sec()
-        );
-    }
-    if c10k.ingest_copies != 0 {
-        failures.push(format!(
+        ))
+    });
+    checks.record(if c10k.ingest_copies != 0 {
+        Err(format!(
             "c10k: kernel path charged {} ingest copies (zero-copy law broken)",
             c10k.ingest_copies
-        ));
+        ))
     } else {
-        println!("ok: c10k kernel path charged 0 ingest copies");
-    }
-    if c10k.output_busy_retries != 0 {
-        failures.push(format!(
+        Ok("c10k kernel path charged 0 ingest copies".to_string())
+    });
+    checks.record(if c10k.output_busy_retries != 0 {
+        Err(format!(
             "c10k: output tasks busy-retried {} times (writable parking broken)",
             c10k.output_busy_retries
-        ));
+        ))
     } else {
-        println!("ok: c10k output tasks performed 0 busy retries");
-    }
+        Ok("c10k output tasks performed 0 busy retries".to_string())
+    });
 
-    // Machine-independent gate 4: the all-TCP LB path vs its simulated
-    // twin (best-of-two), plus the structural claim that the TCP backend
-    // pool actually spread requests over the kernel-socket back-ends.
-    let lb_best = [&lb_first, &lb_second]
-        .into_iter()
-        .max_by(|a, b| {
-            let ratio =
-                |r: &TcpLbResult| r.tcp.requests_per_sec() / r.sim.requests_per_sec().max(1e-9);
-            ratio(a).total_cmp(&ratio(b))
-        })
-        .expect("two passes");
-    let lb_ratio = lb_best.tcp.requests_per_sec() / lb_best.sim.requests_per_sec().max(1e-9);
-    if lb_ratio < TCP_LB_RATIO_FLOOR {
-        failures.push(format!(
-            "all-TCP LB lost to its simulated twin: ratio {lb_ratio:.2} \
-             (floor {TCP_LB_RATIO_FLOOR}; tcp {:.0} vs sim {:.0} req/s)",
-            lb_best.tcp.requests_per_sec(),
-            lb_best.sim.requests_per_sec()
-        ));
-    } else {
-        println!("ok: all-TCP lb/sim ratio {lb_ratio:.2} (floor {TCP_LB_RATIO_FLOOR})");
-    }
-    let lb_backends_hit = lb_best
-        .backend_requests
-        .iter()
-        .filter(|served| **served > 0)
-        .count();
-    if lb_backends_hit < 2 {
-        failures.push(format!(
+    // Structural, beside the lb/sim gate: the TCP backend pool actually
+    // spread requests over the kernel-socket back-ends.
+    let lb_best = best_of(&lb, |pass| {
+        ratio((pass.tcp.requests_per_sec(), pass.sim.requests_per_sec()))
+    });
+    let lb_backends_hit = backends_hit(&lb_best.backend_requests);
+    checks.record(if lb_backends_hit < 2 {
+        Err(format!(
             "all-TCP LB reached only {lb_backends_hit} TCP back-end(s): {:?}",
             lb_best.backend_requests
-        ));
+        ))
     } else {
-        println!(
-            "ok: all-TCP LB spread requests over {lb_backends_hit} kernel-socket back-ends \
-             ({:?})",
+        Ok(format!(
+            "all-TCP LB spread requests over {lb_backends_hit} kernel-socket back-ends ({:?})",
             lb_best.backend_requests
-        );
-    }
+        ))
+    });
 
-    // Machine-independent gate 5: goodput under hostile traffic. The
-    // ratio compares within a pass (best-of-two passes), so host speed
-    // cancels out; the structural checks pin down that poison actually
-    // flowed and was shed as malformed closes rather than answered.
-    let hostile_best = [&hostile_first, &hostile_second]
-        .into_iter()
-        .max_by(|a, b| {
-            let ratio = |r: &flick_bench::HostileGoodputResult| {
-                r.hostile.requests_per_sec() / r.clean.requests_per_sec().max(1e-9)
-            };
-            ratio(a).total_cmp(&ratio(b))
-        })
-        .expect("two passes");
-    let hostile_ratio =
-        hostile_best.hostile.requests_per_sec() / hostile_best.clean.requests_per_sec().max(1e-9);
-    if hostile_ratio < HOSTILE_GOODPUT_RATIO_FLOOR {
-        failures.push(format!(
-            "goodput collapsed under {}% malformed traffic: ratio {hostile_ratio:.2} \
-             (floor {HOSTILE_GOODPUT_RATIO_FLOOR}; hostile {:.0} vs clean {:.0} req/s)",
-            (HOSTILE_SHARE * 100.0) as u32,
-            hostile_best.hostile.requests_per_sec(),
-            hostile_best.clean.requests_per_sec()
-        ));
-    } else {
-        println!(
-            "ok: hostile/clean goodput ratio {hostile_ratio:.2} under {}% poison \
-             (floor {HOSTILE_GOODPUT_RATIO_FLOOR})",
-            (HOSTILE_SHARE * 100.0) as u32
-        );
-    }
-    if hostile_best.hostile.malformed_sent == 0 {
-        failures.push("hostile run sent no malformed frames (storm misconfigured)".to_string());
+    // Structural, beside the hostile/clean gate: poison actually flowed
+    // and was shed as malformed closes rather than answered.
+    let hostile_best = best_of(&hostile, |pass| {
+        ratio((
+            pass.hostile.requests_per_sec(),
+            pass.clean.requests_per_sec(),
+        ))
+    });
+    checks.record(if hostile_best.hostile.malformed_sent == 0 {
+        Err("hostile run sent no malformed frames (storm misconfigured)".to_string())
     } else if hostile_best.malformed_closes == 0 {
-        failures.push(format!(
+        Err(format!(
             "{} malformed frames sent but zero malformed closes recorded \
              (the parser stopped rejecting poison)",
             hostile_best.hostile.malformed_sent
-        ));
+        ))
     } else {
-        println!(
-            "ok: hostile run shed poison as malformed closes ({} sent, {} closed)",
+        Ok(format!(
+            "hostile run shed poison as malformed closes ({} sent, {} closed)",
             hostile_best.hostile.malformed_sent, hostile_best.malformed_closes
-        );
-    }
+        ))
+    });
 
-    // Machine-independent gate 6: the bytecode VM must beat the
-    // tree-walking interpreter on per-message dispatch of the same
-    // program (best-of-three). Host speed cancels out within the run.
-    let exec_ratio = dispatch_best.vm_msgs_per_sec / dispatch_best.interp_msgs_per_sec.max(1e-9);
-    if exec_ratio <= EXEC_MODE_RATIO_FLOOR {
-        failures.push(format!(
-            "bytecode VM lost to the tree-walking interpreter: ratio {exec_ratio:.2} \
-             (must be > {EXEC_MODE_RATIO_FLOOR}; vm {:.0} vs interp {:.0} msg/s)",
-            dispatch_best.vm_msgs_per_sec, dispatch_best.interp_msgs_per_sec
-        ));
-    } else {
-        println!(
-            "ok: vm/interp dispatch ratio {exec_ratio:.2}x (must be > {EXEC_MODE_RATIO_FLOOR}; \
-             vm {:.0} vs interp {:.0} msg/s)",
-            dispatch_best.vm_msgs_per_sec, dispatch_best.interp_msgs_per_sec
-        );
-    }
-
-    // Structural gate beside it: the compiled balancer in VM mode
-    // actually served traffic end to end and spread it over the kernel
-    // back-ends (its absolute rate is additionally under the 30% floor
-    // through the `flick vm lb e2e` baseline row).
-    let flick_lb_backends_hit = flick_lb_best
-        .backend_requests
-        .iter()
-        .filter(|served| **served > 0)
-        .count();
-    if flick_lb_best.stats.completed == 0 {
-        failures.push("compiled VM-mode LB completed zero requests".to_string());
+    // Structural, beside the vm/interp gate: the compiled balancer in VM
+    // mode actually served traffic end to end and spread it over the
+    // kernel back-ends (its absolute rate is additionally under the 30%
+    // floor through the `flick vm lb e2e` baseline row).
+    let flick_lb_backends_hit = backends_hit(&flick_lb_best.backend_requests);
+    checks.record(if flick_lb_best.stats.completed == 0 {
+        Err("compiled VM-mode LB completed zero requests".to_string())
     } else if flick_lb_backends_hit < 2 {
-        failures.push(format!(
+        Err(format!(
             "compiled VM-mode LB reached only {flick_lb_backends_hit} TCP back-end(s): {:?}",
             flick_lb_best.backend_requests
-        ));
+        ))
     } else {
-        println!(
-            "ok: compiled VM-mode LB spread {} requests over {flick_lb_backends_hit} \
+        Ok(format!(
+            "compiled VM-mode LB spread {} requests over {flick_lb_backends_hit} \
              kernel-socket back-ends ({:?})",
             flick_lb_best.stats.completed, flick_lb_best.backend_requests
-        );
-    }
+        ))
+    });
+    let gates_passed = checks.passed;
 
-    // Absolute baselines, 30% floor, for every throughput series. The
-    // "output busy" series is exempt: it measures throughput scraps under
-    // deliberately spinning peers — inherently noisier than 30% headroom
-    // can absorb — and the property this PR defends is already gated
-    // twice (the wakeup/busy ratio and the retries==0 structural check);
-    // its row is recorded for context only.
-    for expected in baseline
-        .iter()
-        .filter(|row| (row.unit == "req/s" || row.unit == "Mbps") && row.series != "output busy")
-    {
-        let Some(current) = rows
+    // Absolute baselines, 30% floor, for every throughput series.
+    for expected in baseline.iter().filter(|row| guarded(row)) {
+        let current = rows
             .iter()
-            .find(|row| row.x == expected.x && row.series == expected.series)
-        else {
-            failures.push(format!(
+            .find(|row| row.x == expected.x && row.series == expected.series);
+        checks.record(match current {
+            None => Err(format!(
                 "series {:?} at x={} missing from current run",
                 expected.series, expected.x
-            ));
-            continue;
-        };
-        let floor = expected.value * REGRESSION_FLOOR;
-        if current.value < floor {
-            failures.push(format!(
-                "{} @ x={} regressed: {:.0} {} < 70% of baseline {:.0} {}",
-                expected.series,
-                expected.x,
-                current.value,
-                current.unit,
-                expected.value,
-                expected.unit
-            ));
-        } else {
-            println!(
-                "ok: {} @ x={}: {:.0} {} (baseline {:.0}, floor {:.0})",
-                expected.series, expected.x, current.value, current.unit, expected.value, floor
-            );
-        }
+            )),
+            Some(current) => {
+                let floor = expected.value * REGRESSION_FLOOR;
+                if current.value < floor {
+                    Err(format!(
+                        "{} @ x={} regressed: {:.0} {} < 70% of baseline {:.0} {}",
+                        expected.series,
+                        expected.x,
+                        current.value,
+                        current.unit,
+                        expected.value,
+                        expected.unit
+                    ))
+                } else {
+                    Ok(format!(
+                        "{} @ x={}: {:.0} {} (baseline {:.0}, floor {:.0})",
+                        expected.series,
+                        expected.x,
+                        current.value,
+                        current.unit,
+                        expected.value,
+                        floor
+                    ))
+                }
+            }
+        });
     }
-    if !failures.is_empty() {
-        for failure in &failures {
+    if !checks.failures.is_empty() {
+        for failure in &checks.failures {
             eprintln!("REGRESSION: {failure}");
         }
         std::process::exit(1);
     }
-    let checked = baseline
-        .iter()
-        .filter(|row| (row.unit == "req/s" || row.unit == "Mbps") && row.series != "output busy")
-        .count();
-    println!("bench guard passed ({checked} absolute series + 10 ratio/structural gates checked)");
+    println!(
+        "bench guard passed ({} absolute series + {gates_passed} ratio/structural gates checked)",
+        checks.passed - gates_passed
+    );
 }

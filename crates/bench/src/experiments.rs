@@ -6,10 +6,7 @@ use flick_runtime::scheduler::Scheduler;
 use flick_runtime::task::TaskId;
 use flick_runtime::tasks::SyntheticWorkTask;
 use flick_runtime::RuntimeMetrics;
-use flick_runtime::{
-    DispatcherBackend, OutputMode, Platform, PlatformConfig, SchedulingPolicy, ServiceSpec,
-    ShardStatus,
-};
+use flick_runtime::{Platform, PlatformConfig, SchedulingPolicy, ServiceSpec, ShardStatus};
 use flick_services::baselines::{ApacheLikeProxy, MoxiLikeProxy, NginxLikeProxy};
 use flick_services::hadoop::hadoop_aggregator;
 use flick_services::http::{HttpLoadBalancerFactory, StaticWebServerFactory};
@@ -288,9 +285,6 @@ pub struct MemcachedExperiment {
     pub backends: usize,
     /// Measurement duration.
     pub duration: Duration,
-    /// Dispatcher backend for the FLICK systems (the poll-vs-event
-    /// ablation knob; ignored by the Moxi baseline).
-    pub dispatcher: DispatcherBackend,
 }
 
 impl Default for MemcachedExperiment {
@@ -301,7 +295,6 @@ impl Default for MemcachedExperiment {
             clients: 32,
             backends: 4,
             duration: Duration::from_millis(800),
-            dispatcher: DispatcherBackend::default(),
         }
     }
 }
@@ -341,7 +334,6 @@ pub fn run_memcached_experiment_sharded(
                     workers: params.cores,
                     shards: params.shards.max(1),
                     stack,
-                    dispatcher: params.dispatcher,
                     ..Default::default()
                 },
                 Arc::clone(&net),
@@ -492,12 +484,10 @@ pub fn run_hadoop_experiment(params: &HadoopExperiment) -> f64 {
     stats.bytes as f64 * 8.0 / 1_000_000.0 / elapsed.max(1e-9)
 }
 
-/// Parameters of the dispatcher-backend ablation: a static web service
-/// with many connected-but-mostly-idle clients. The poll dispatcher pays
-/// O(connections) endpoint scans per `poll_interval` tick regardless of
-/// activity; the event dispatcher pays only for the active few — the
-/// regime that dominates real middlebox deployments (fig5-style scaling
-/// past the paper's core counts).
+/// Parameters of the idle-connection experiment: a static web service
+/// with many connected-but-mostly-idle clients. The reactor pays only for
+/// the active few — the regime that dominates real middlebox deployments
+/// (fig5-style scaling past the paper's core counts).
 #[derive(Debug, Clone)]
 pub struct IdleConnExperiment {
     /// Total connected clients (idle ones just hold their connection).
@@ -508,8 +498,6 @@ pub struct IdleConnExperiment {
     pub duration: Duration,
     /// Worker threads for the middlebox.
     pub workers: usize,
-    /// Which dispatcher implementation to measure.
-    pub backend: DispatcherBackend,
 }
 
 impl Default for IdleConnExperiment {
@@ -519,33 +507,21 @@ impl Default for IdleConnExperiment {
             active: 8,
             duration: Duration::from_millis(400),
             workers: 4,
-            backend: DispatcherBackend::default(),
         }
     }
 }
 
-/// The outcome of one dispatcher-backend ablation point.
-#[derive(Debug, Clone)]
-pub struct IdleConnResult {
-    /// Request statistics of the active clients.
-    pub stats: RunStats,
-    /// `Endpoint::readable` scans the middlebox issued during the run
-    /// (zero for the event backend, O(connections / poll_interval) for the
-    /// poll backend).
-    pub readable_polls: u64,
-}
-
-/// Runs one dispatcher-backend ablation point: `connections` clients
-/// connect to a FLICK static web server, the first `active` of them issue
-/// closed-loop requests, the rest sit idle for the whole run.
-pub fn run_idle_connections_experiment(params: &IdleConnExperiment) -> IdleConnResult {
+/// Runs one idle-connection point: `connections` clients connect to a
+/// FLICK static web server, the first `active` of them issue closed-loop
+/// requests, the rest sit idle for the whole run. Returns the request
+/// statistics of the active clients.
+pub fn run_idle_connections_experiment(params: &IdleConnExperiment) -> RunStats {
     let net = SimNetwork::new(StackModel::Kernel);
     let service_port = 8080u16;
     let platform = Platform::with_network(
         PlatformConfig {
             workers: params.workers,
             stack: StackModel::Kernel,
-            dispatcher: params.backend,
             ..Default::default()
         },
         Arc::clone(&net),
@@ -565,7 +541,6 @@ pub fn run_idle_connections_experiment(params: &IdleConnExperiment) -> IdleConnR
         .collect();
     // Give the dispatcher a moment to instantiate all idle graphs.
     std::thread::sleep(Duration::from_millis(50));
-    let polls_before = net.stats().snapshot().readable_polls;
 
     let config = HttpLoadConfig {
         port: service_port,
@@ -576,48 +551,10 @@ pub fn run_idle_connections_experiment(params: &IdleConnExperiment) -> IdleConnR
         ..Default::default()
     };
     let stats = run_http_load(&net, &config);
-    let polls_after = net.stats().snapshot().readable_polls;
     for conn in &idle {
         conn.close();
     }
-    IdleConnResult {
-        stats,
-        readable_polls: polls_after.saturating_sub(polls_before),
-    }
-}
-
-/// Runs the poll-vs-event dispatcher ablation at the given connection
-/// counts and returns figure rows (req/s plus endpoint scans per second),
-/// ready for [`crate::print_table`] or the CI baseline file.
-pub fn run_dispatcher_backend_ablation(
-    connection_counts: &[usize],
-    duration: Duration,
-) -> Vec<crate::report::Row> {
-    let mut rows = Vec::new();
-    for &connections in connection_counts {
-        for backend in DispatcherBackend::all() {
-            let params = IdleConnExperiment {
-                connections,
-                backend,
-                duration,
-                ..Default::default()
-            };
-            let result = run_idle_connections_experiment(&params);
-            rows.push(crate::report::Row::new(
-                connections,
-                backend.label(),
-                result.stats.requests_per_sec(),
-                "req/s",
-            ));
-            rows.push(crate::report::Row::new(
-                connections,
-                format!("{} scans", backend.label()),
-                result.readable_polls as f64 / duration.as_secs_f64(),
-                "polls/s",
-            ));
-        }
-    }
-    rows
+    stats
 }
 
 /// Parameters of the e2e loopback TCP experiment: the same static web
@@ -961,16 +898,14 @@ pub fn run_tcp_lb_experiment(params: &TcpLbExperiment) -> TcpLbResult {
     }
 }
 
-/// Parameters of the writable-interest (output-mode) ablation: a static
-/// web service with large responses, a population of *stalled* clients
-/// that send pipelined requests over tiny pipes and never read a byte
-/// back, and a set of active closed-loop clients whose throughput is
-/// measured. Under [`OutputMode::BusyRetry`] every stalled connection's
-/// output task spins runnable against the full pipe and bleeds worker
-/// time; under the default [`OutputMode::Wakeup`] they park on writable
-/// readiness and cost nothing.
+/// Parameters of the stalled-peer experiment: a static web service with
+/// large responses, a population of *stalled* clients that send pipelined
+/// requests over tiny pipes and never read a byte back, and a set of
+/// active closed-loop clients whose throughput is measured. The stalled
+/// connections' output tasks park on writable readiness and cost the
+/// active clients nothing.
 #[derive(Debug, Clone)]
-pub struct OutputModeExperiment {
+pub struct StalledPeersExperiment {
     /// Connections whose clients never read (their output tasks block).
     pub stalled: usize,
     /// Active closed-loop clients (the measured population).
@@ -979,41 +914,37 @@ pub struct OutputModeExperiment {
     pub duration: Duration,
     /// Worker threads for the middlebox.
     pub workers: usize,
-    /// Which output mode to measure.
-    pub mode: OutputMode,
 }
 
-impl Default for OutputModeExperiment {
+impl Default for StalledPeersExperiment {
     fn default() -> Self {
-        OutputModeExperiment {
+        StalledPeersExperiment {
             stalled: 8,
             active: 4,
             duration: Duration::from_millis(400),
             workers: 4,
-            mode: OutputMode::default(),
         }
     }
 }
 
-/// The outcome of one output-mode ablation point.
+/// The outcome of one stalled-peer point.
 #[derive(Debug, Clone)]
-pub struct OutputModeResult {
+pub struct StalledPeersResult {
     /// Request statistics of the active clients.
     pub stats: RunStats,
-    /// Busy retries output tasks performed during the run (0 for the
-    /// wakeup mode: stalled peers park their writers instead of spinning).
+    /// Busy retries output tasks performed during the run (must be 0:
+    /// stalled peers park their writers instead of spinning).
     pub busy_retries: u64,
 }
 
-/// Runs one output-mode ablation point.
-pub fn run_output_mode_experiment(params: &OutputModeExperiment) -> OutputModeResult {
+/// Runs one stalled-peer point.
+pub fn run_stalled_peers_experiment(params: &StalledPeersExperiment) -> StalledPeersResult {
     let net = SimNetwork::new(StackModel::Kernel);
     let service_port = 8080u16;
     let platform = Platform::with_network(
         PlatformConfig {
             workers: params.workers,
             stack: StackModel::Kernel,
-            output_mode: params.mode,
             ..Default::default()
         },
         Arc::clone(&net),
@@ -1070,38 +1001,10 @@ pub fn run_output_mode_experiment(params: &OutputModeExperiment) -> OutputModeRe
     for conn in &stalled {
         conn.close();
     }
-    OutputModeResult {
+    StalledPeersResult {
         stats,
         busy_retries,
     }
-}
-
-/// Runs the busy-vs-wakeup output ablation and returns figure rows
-/// (req/s of the active clients plus the busy-retry counter), ready for
-/// [`crate::print_table`] or the CI baseline file.
-pub fn run_output_mode_ablation(duration: Duration) -> Vec<crate::report::Row> {
-    let mut rows = Vec::new();
-    for mode in OutputMode::all() {
-        let params = OutputModeExperiment {
-            duration,
-            mode,
-            ..Default::default()
-        };
-        let result = run_output_mode_experiment(&params);
-        rows.push(crate::report::Row::new(
-            params.stalled,
-            format!("output {}", mode.label()),
-            result.stats.requests_per_sec(),
-            "req/s",
-        ));
-        rows.push(crate::report::Row::new(
-            params.stalled,
-            format!("output {} retries", mode.label()),
-            result.busy_retries as f64,
-            "retries",
-        ));
-    }
-    rows
 }
 
 /// The result of the §6.4 resource-sharing micro-benchmark (Figure 7).
@@ -1455,37 +1358,14 @@ mod tests {
 
     #[test]
     fn idle_connections_experiment_smoke() {
-        for backend in DispatcherBackend::all() {
-            let params = IdleConnExperiment {
-                connections: 16,
-                active: 2,
-                duration: Duration::from_millis(150),
-                workers: 2,
-                backend,
-            };
-            let result = run_idle_connections_experiment(&params);
-            assert!(
-                result.stats.completed > 0,
-                "{backend:?}: {:?}",
-                result.stats
-            );
-        }
-    }
-
-    #[test]
-    fn event_backend_never_scans_endpoints() {
         let params = IdleConnExperiment {
             connections: 16,
             active: 2,
             duration: Duration::from_millis(150),
             workers: 2,
-            backend: DispatcherBackend::Event,
         };
-        let result = run_idle_connections_experiment(&params);
-        assert_eq!(
-            result.readable_polls, 0,
-            "event dispatcher must not poll endpoints"
-        );
+        let stats = run_idle_connections_experiment(&params);
+        assert!(stats.completed > 0, "{stats:?}");
     }
 
     #[test]
@@ -1560,24 +1440,19 @@ mod tests {
     }
 
     #[test]
-    fn output_mode_experiment_smoke() {
-        for mode in OutputMode::all() {
-            let params = OutputModeExperiment {
-                stalled: 2,
-                active: 2,
-                duration: Duration::from_millis(150),
-                workers: 2,
-                mode,
-            };
-            let result = run_output_mode_experiment(&params);
-            assert!(result.stats.completed > 0, "{mode:?}: {:?}", result.stats);
-            if mode == OutputMode::Wakeup {
-                assert_eq!(
-                    result.busy_retries, 0,
-                    "wakeup mode must not busy-retry against stalled peers"
-                );
-            }
-        }
+    fn stalled_peers_experiment_smoke() {
+        let params = StalledPeersExperiment {
+            stalled: 2,
+            active: 2,
+            duration: Duration::from_millis(150),
+            workers: 2,
+        };
+        let result = run_stalled_peers_experiment(&params);
+        assert!(result.stats.completed > 0, "{:?}", result.stats);
+        assert_eq!(
+            result.busy_retries, 0,
+            "output tasks must not busy-retry against stalled peers"
+        );
     }
 
     #[test]

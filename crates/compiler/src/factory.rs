@@ -261,14 +261,15 @@ impl GraphFactory for CompiledService {
                 if writable {
                     let node = builder.declare_node();
                     let (tx, rx) = builder.channel(node);
-                    let mut out_task = OutputTask::new(
-                        format!("{label}-out"),
-                        endpoint.clone(),
-                        Arc::clone(&plan.codec),
-                        rx,
-                    );
-                    out_task.set_mode(env.output_mode);
-                    installs.push((node, Box::new(out_task)));
+                    installs.push((
+                        node,
+                        Box::new(OutputTask::new(
+                            format!("{label}-out"),
+                            endpoint.clone(),
+                            Arc::clone(&plan.codec),
+                            rx,
+                        )),
+                    ));
                     watchers.push(Watch::writable(node.task_id(), endpoint.clone()));
                     output_idx = Some(compute_outputs.len());
                     compute_outputs.push(tx);

@@ -298,11 +298,7 @@ impl<'a> Interpreter<'a> {
             }
             IrExpr::Unary(op, operand) => {
                 let v = self.eval(operand, frame, sink)?;
-                let v = v.as_value()?;
-                RtVal::Val(match op {
-                    UnOp::Neg => Value::Int(-v.as_int().unwrap_or(0)),
-                    UnOp::Not => Value::Bool(!v.truthy()),
-                })
+                RtVal::Val(unary(*op, v.as_value()?)?)
             }
             IrExpr::Call(call) => self.run_call(call, None, frame, sink)?,
             IrExpr::Builtin(builtin, args) => {
@@ -499,6 +495,15 @@ pub fn hash_value(value: &Value) -> i64 {
     (hash >> 1) as i64
 }
 
+/// The value of an integer operation, or the error FLICK arithmetic
+/// raises when the result does not fit an `i64` — in both build profiles,
+/// so no operand a program can compute (or read off the wire) panics.
+fn checked(result: Option<i64>) -> Result<Value, RuntimeError> {
+    result
+        .map(Value::Int)
+        .ok_or_else(|| RuntimeError::Logic("integer overflow".into()))
+}
+
 /// Applies a binary operator with FLICK's coercion rules (`+` concatenates
 /// strings, arithmetic coerces through [`int_of`]). Shared verbatim by the
 /// interpreter and the bytecode VM so the two execution modes cannot drift.
@@ -507,23 +512,23 @@ pub(crate) fn binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, RuntimeEr
     Ok(match op {
         Add => match (l, r) {
             (Value::Str(a), Value::Str(b)) => Value::Str(format!("{a}{b}")),
-            _ => Value::Int(int_of(l) + int_of(r)),
+            _ => checked(int_of(l).checked_add(int_of(r)))?,
         },
-        Sub => Value::Int(int_of(l) - int_of(r)),
-        Mul => Value::Int(int_of(l) * int_of(r)),
+        Sub => checked(int_of(l).checked_sub(int_of(r)))?,
+        Mul => checked(int_of(l).checked_mul(int_of(r)))?,
         Div => {
             let divisor = int_of(r);
             if divisor == 0 {
                 return Err(RuntimeError::Logic("division by zero".into()));
             }
-            Value::Int(int_of(l) / divisor)
+            checked(int_of(l).checked_div(divisor))?
         }
         Mod => {
             let divisor = int_of(r);
             if divisor == 0 {
                 return Err(RuntimeError::Logic("modulo by zero".into()));
             }
-            Value::Int(int_of(l).rem_euclid(divisor))
+            checked(int_of(l).checked_rem_euclid(divisor))?
         }
         Eq => Value::Bool(values_equal(l, r)),
         Neq => Value::Bool(!values_equal(l, r)),
@@ -534,6 +539,15 @@ pub(crate) fn binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, RuntimeEr
         And => Value::Bool(l.truthy() && r.truthy()),
         Or => Value::Bool(l.truthy() || r.truthy()),
     })
+}
+
+/// Applies a unary operator; like [`binary`], the one implementation both
+/// engines call.
+pub(crate) fn unary(op: UnOp, v: &Value) -> Result<Value, RuntimeError> {
+    match op {
+        UnOp::Neg => checked(v.as_int().unwrap_or(0).checked_neg()),
+        UnOp::Not => Ok(Value::Bool(!v.truthy())),
+    }
 }
 
 pub(crate) fn int_of(v: &Value) -> i64 {
@@ -776,6 +790,53 @@ proc P: (t/t c)
             binary(BinOp::Mod, &Value::Int(-3), &Value::Int(4)).unwrap(),
             Value::Int(1)
         );
+    }
+
+    /// Integer arithmetic is total: at the `i64` edges every operator
+    /// either yields the exact result or raises `integer overflow` — no
+    /// panic, no wrap-around, in either build profile.
+    #[test]
+    fn integer_arithmetic_is_total_at_the_i64_edges() {
+        use BinOp::*;
+        let eval = |op, l: i64, r: i64| {
+            binary(op, &Value::Int(l), &Value::Int(r)).map_err(|e| e.to_string())
+        };
+        let overflow = Err(RuntimeError::Logic("integer overflow".into()).to_string());
+        let (min, max) = (i64::MIN, i64::MAX);
+        for (op, l, r) in [
+            (Add, max, 1),
+            (Add, min, -1),
+            (Sub, min, 1),
+            (Sub, max, -1),
+            (Sub, 0, min),
+            (Mul, max, 2),
+            (Mul, min, -1),
+            (Mul, min, 2),
+            (Div, min, -1),
+            (Mod, min, -1),
+        ] {
+            assert_eq!(eval(op, l, r), overflow, "{l} {op:?} {r}");
+        }
+        for (op, l, r, exact) in [
+            (Add, max, 0, max),
+            (Add, max, min, -1),
+            (Sub, min, -1, min + 1),
+            (Sub, -1, max, min),
+            (Mul, min, 1, min),
+            (Mul, max, -1, min + 1),
+            (Div, min, 1, min),
+            (Div, max, -1, min + 1),
+            (Mod, min, 1, 0),
+            (Mod, min, max, max - 1),
+            (Mod, max, min, max),
+        ] {
+            assert_eq!(eval(op, l, r), Ok(Value::Int(exact)), "{l} {op:?} {r}");
+        }
+        assert_eq!(
+            unary(UnOp::Neg, &Value::Int(min)).map_err(|e| e.to_string()),
+            overflow
+        );
+        assert_eq!(unary(UnOp::Neg, &Value::Int(max)), Ok(Value::Int(min + 1)));
     }
 
     #[test]

@@ -22,10 +22,11 @@
 
 use crate::bytecode::{Chunk, CompiledProgram, Op, NO_OFFSET};
 use crate::error::{locate, locate_frame};
-use crate::interp::{binary, dict_key, eval_builtin, list_items, to_msg_value, EmitSink, RtVal};
+use crate::interp::{
+    binary, dict_key, eval_builtin, list_items, to_msg_value, unary, EmitSink, RtVal,
+};
 use crate::logic::{ChannelBindings, CompiledGlobals, OutputsSink};
 use flick_grammar::{Message, MsgValue};
-use flick_lang::ast::UnOp;
 use flick_runtime::{ComputeLogic, Outputs, RuntimeError, Value};
 use std::sync::Arc;
 
@@ -219,11 +220,8 @@ impl<'p> Vm<'p> {
                 }
                 Op::Unary(op) => {
                     let v = pop(stack);
-                    let v = vmtry!(pc, v.as_value());
-                    stack.push(RtVal::Val(match op {
-                        UnOp::Neg => Value::Int(-v.as_int().unwrap_or(0)),
-                        UnOp::Not => Value::Bool(!v.truthy()),
-                    }));
+                    let value = vmtry!(pc, (|| unary(*op, v.as_value()?))());
+                    stack.push(RtVal::Val(value));
                 }
                 Op::Call { function, argc } => {
                     let result = vmtry!(

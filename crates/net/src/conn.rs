@@ -385,20 +385,6 @@ impl SimEndpoint {
         }
     }
 
-    /// Returns `true` if a read would make progress (data buffered or EOF
-    /// observable).
-    ///
-    /// Each call is counted in [`NetStats::readable_polls`]: the counter is
-    /// how tests prove the event-driven dispatcher performs zero endpoint
-    /// scans while a service is idle.
-    pub fn readable(&self) -> bool {
-        if let Some(stats) = &self.stats {
-            stats.record_readable_poll();
-        }
-        let state = self.in_pipe().state.lock();
-        !state.buf.is_empty() || state.writer_closed
-    }
-
     /// Returns `true` if a write could make progress (buffer space
     /// available, or the write would fail fast because the peer closed).
     ///
@@ -721,13 +707,6 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Returns `true` if a read would make progress (data buffered or EOF
-    /// observable). Counted in [`NetStats::readable_polls`] on both
-    /// transports — the counter behind the idle-scan assertions.
-    pub fn readable(&self) -> bool {
-        dispatch!(EndpointKind, self, ep => ep.readable())
-    }
-
     /// Returns `true` if a write could make progress (buffer space, or a
     /// fail-fast close). Still `true` while a rate limiter is the only
     /// obstacle — see [`SimEndpoint::writable`]. Counted in
@@ -827,7 +806,6 @@ mod tests {
         let (_client, server) = test_pair();
         let mut buf = [0u8; 4];
         assert_eq!(server.read(&mut buf), Err(NetError::WouldBlock));
-        assert!(!server.readable());
     }
 
     #[test]
@@ -835,7 +813,6 @@ mod tests {
         let (client, server) = test_pair();
         client.write(b"bye").unwrap();
         client.close();
-        assert!(server.readable());
         let mut buf = [0u8; 8];
         assert_eq!(server.read(&mut buf).unwrap(), 3);
         assert_eq!(server.read(&mut buf), Err(NetError::Closed));
@@ -1130,15 +1107,6 @@ mod tests {
             assert_eq!(&pinned[..], b"payload");
             let snap = stats.snapshot();
             assert_eq!(snap.ingest_copies, 0, "no carries on this path");
-        }
-
-        #[test]
-        fn readable_polls_are_counted() {
-            let stats = NetStats::new_shared();
-            let (_client, server) = pair(11, StackCosts::free(), Some(Arc::clone(&stats)), 64);
-            assert!(!server.readable());
-            assert!(!server.readable());
-            assert_eq!(stats.snapshot().readable_polls, 2);
         }
     }
 }

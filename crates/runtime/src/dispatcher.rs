@@ -3,11 +3,10 @@
 //! §5 of the paper: the *application dispatcher* owns the listening socket
 //! of a service, maps new connections to the service's program instance and
 //! indicates connection closes; the *graph dispatcher* assigns connections
-//! to task graphs, instantiating a new one when needed. Since the sharding
-//! refactor both run on **one dispatcher thread per shard** (not per
-//! service): a shard's dispatcher multiplexes every service homed on it
-//! plus every graph placed on it, and blocks on the shard's
-//! [`Poller`] — one reactor per shard.
+//! to task graphs, instantiating a new one when needed. Both run on **one
+//! dispatcher thread per shard** (not per service): a shard's
+//! `ShardReactor` multiplexes every service homed on it plus every graph
+//! placed on it, and blocks on the shard's [`Poller`].
 //!
 //! Graphs are *placed*: when a service's home shard has accepted enough
 //! connections for a graph instance, the platform's
@@ -17,17 +16,10 @@
 //! ever registered with the *owning* shard's poller, and registration is
 //! level-triggered, so bytes arriving during the handoff cannot be lost.
 //!
-//! Two implementations exist, selected by [`DispatcherBackend`]:
-//!
-//! * [`DispatcherBackend::Event`] (default) — a wakeup-based reactor.
-//!   Accepts, task wakeups, cross-shard handoffs and graph teardown are
-//!   all event handlers keyed by a [`Token`] → watcher map; between events
-//!   the thread blocks in [`Poller::wait`] and performs **zero** endpoint
-//!   scans, so thousands of idle connections cost nothing.
-//! * [`DispatcherBackend::Poll`] — the historical sleep-poll loop, kept as
-//!   the ablation baseline (`flick_bench`'s `dispatcher_backend`
-//!   ablation): sleep `poll_interval`, then linearly re-scan every watched
-//!   endpoint.
+//! The reactor is wakeup-driven throughout. Accepts, task wakeups,
+//! cross-shard handoffs, drain and teardown are all event handlers keyed
+//! by [`Token`]; between events the thread blocks in [`Poller::wait`] and
+//! touches no endpoint, so thousands of idle connections cost nothing.
 
 use crate::metrics::RuntimeMetrics;
 use crate::platform::{GraphFactory, ServiceEnv, Watch};
@@ -35,47 +27,31 @@ use crate::scheduler::Scheduler;
 use crate::shard::{Shard, ShardCommand, ShardSet, CONTROL_TOKEN};
 use crate::task::TaskId;
 use crate::value::SharedDict;
-use flick_net::{Endpoint, Interest, Listener, NetError, Poller, Token};
+use flick_net::{Endpoint, Listener, NetError, Poller, Token};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which dispatcher implementation a platform runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DispatcherBackend {
-    /// Wakeup-based reactor: the dispatcher blocks on readiness events and
-    /// never scans idle connections. The default.
-    #[default]
-    Event,
-    /// Sleep `poll_interval`, then re-scan every watched endpoint. Kept as
-    /// the ablation baseline for the event backend.
-    Poll,
-}
-
-impl DispatcherBackend {
-    /// Short label used in benchmark output ("event", "poll").
-    pub fn label(self) -> &'static str {
-        match self {
-            DispatcherBackend::Event => "event",
-            DispatcherBackend::Poll => "poll",
-        }
-    }
-
-    /// Both backends, poll first (the ablation's baseline ordering).
-    pub fn all() -> [DispatcherBackend; 2] {
-        [DispatcherBackend::Poll, DispatcherBackend::Event]
-    }
-}
 
 /// How long a non-quiescent draining graph may linger before it is torn
 /// down forcibly.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
+/// How long a dispatcher waits before re-draining a listener whose accept
+/// failed on resource exhaustion (`EMFILE`-class errors). Long enough for
+/// fds to be released by closing connections, short enough that a backlog
+/// stuck behind the burst is picked up promptly.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// The longest the reactor blocks with no drain or accept-retry deadline
+/// armed. Every state change arrives as an event, so this is only the
+/// beat at which an otherwise idle reactor re-checks the stop flag.
+const IDLE_HEARTBEAT: Duration = Duration::from_millis(50);
+
 /// Per-service state shared between the platform, the shard dispatchers
 /// and the service handle.
 pub struct ServiceShared {
-    id: u64,
     name: String,
     /// The service's accept sockets. A single listener (the common case,
     /// and all of the simulated transport) is homed on `home_shard`. With
@@ -102,9 +78,7 @@ pub struct ServiceShared {
 
 impl ServiceShared {
     /// Creates the shared service state (platform-internal).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        id: u64,
         name: String,
         listeners: Vec<Listener>,
         factory: Arc<dyn GraphFactory>,
@@ -116,7 +90,6 @@ impl ServiceShared {
             "a service needs at least one listener"
         );
         ServiceShared {
-            id,
             name,
             listeners,
             factory,
@@ -163,23 +136,6 @@ impl ServiceShared {
         self.stopped.load(Ordering::Acquire)
     }
 }
-
-struct LiveGraph {
-    service: Arc<ServiceShared>,
-    task_ids: Vec<TaskId>,
-    client_tasks: Vec<TaskId>,
-    watchers: Vec<Watch>,
-    /// Set once every client task has finished: the graph is draining. The
-    /// deadline bounds how long a non-quiescent graph may linger before it
-    /// is torn down forcibly.
-    draining_until: Option<Instant>,
-}
-
-/// How long a dispatcher waits before re-draining a listener whose accept
-/// failed on resource exhaustion (`EMFILE`-class errors). Long enough for
-/// fds to be released by closing connections, short enough that a backlog
-/// stuck behind the burst is picked up promptly.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Accepts everything currently pending on one of the service's
 /// listeners.
@@ -230,610 +186,360 @@ fn accept_pending(
     }
 }
 
-/// Graph dispatcher: builds one graph instance over `clients` on `shard`,
-/// registers its tasks with the shard's scheduler and gives input tasks a
-/// first chance to run (data may already be waiting on the connection).
-/// Returns `None` on factory failure (the client connections are dropped,
-/// and closed by the Drop impls of whatever tasks did get built).
-fn build_graph(
-    shard: &Shard,
-    service: &Arc<ServiceShared>,
-    clients: Vec<Endpoint>,
-) -> Option<LiveGraph> {
-    let scheduler = shard.scheduler();
-    match service.factory.build(clients, &service.env) {
-        Ok(built) => {
-            let task_ids = built.graph.task_ids().to_vec();
-            scheduler.register_graph(built.graph, &built.initial);
-            for watch in &built.watchers {
-                scheduler.schedule(watch.task);
-            }
-            service.live_graphs.fetch_add(1, Ordering::Relaxed);
-            shard.note_graph_built();
-            Some(LiveGraph {
-                service: Arc::clone(service),
-                task_ids,
-                client_tasks: built.client_tasks,
-                watchers: built.watchers,
-                draining_until: None,
-            })
-        }
-        Err(_) => None,
-    }
+/// The keys of `deadlines` whose deadline has passed.
+fn due<K: Copy>(deadlines: &HashMap<K, Instant>) -> Vec<K> {
+    let now = Instant::now();
+    deadlines
+        .iter()
+        .filter(|(_, deadline)| now >= **deadline)
+        .map(|(key, _)| *key)
+        .collect()
 }
 
-/// The dispatcher loop of one shard; runs on its own thread until the
-/// platform requests a stop.
-pub(crate) fn run_shard_dispatcher(
-    set: Arc<ShardSet>,
-    shard: Arc<Shard>,
-    backend: DispatcherBackend,
-    poll_interval: Duration,
-) {
-    match backend {
-        DispatcherBackend::Event => run_event_dispatcher(set, shard, poll_interval),
-        DispatcherBackend::Poll => run_poll_dispatcher(set, shard, poll_interval),
-    }
-}
-
-/// A service homed on this shard: its listener is registered with (or, for
-/// the poll backend, scanned by) this shard's dispatcher.
+/// A service with an accept socket on this shard.
 struct HomedService {
     shared: Arc<ServiceShared>,
     /// Connections accepted but not yet grouped into a graph instance.
     pending_clients: Vec<Endpoint>,
 }
 
-/// Groups `pending_clients` into graph instances and places each group:
-/// built locally if the policy picks this shard, handed off through the
-/// target shard's inbox otherwise.
-#[allow(clippy::too_many_arguments)]
-fn place_pending_graphs(
-    set: &ShardSet,
-    shard: &Arc<Shard>,
-    service: &Arc<ServiceShared>,
-    pending_clients: &mut Vec<Endpoint>,
-    mut build_local: impl FnMut(&Arc<ServiceShared>, Vec<Endpoint>),
-) {
-    let per_graph = service.factory.connections_per_graph().max(1);
-    while pending_clients.len() >= per_graph {
-        let clients: Vec<Endpoint> = pending_clients.drain(..per_graph).collect();
-        let target = set.place();
-        if target == shard.id() {
-            build_local(service, clients);
-        } else {
-            set.send(
-                target,
-                ShardCommand::BuildGraph {
-                    service: Arc::clone(service),
-                    clients,
-                },
-            );
-        }
-    }
+/// One graph instance owned by this shard.
+struct Graph {
+    service: Arc<ServiceShared>,
+    task_ids: Vec<TaskId>,
+    /// The input tasks bound to client connections; the graph starts
+    /// draining once all of them have exited.
+    client_tasks: Vec<TaskId>,
+    /// Keys of this graph's entries in [`ShardReactor::watches`]
+    /// (allocated contiguously, right after the graph's own token).
+    watch_tokens: Range<u64>,
 }
 
-/// The sleep-poll dispatcher: the ablation baseline. Every iteration
-/// drains the shard inbox, re-scans all watched endpoints
-/// (`Endpoint::readable`) and all live graphs, then sleeps
-/// `poll_interval`.
-fn run_poll_dispatcher(set: Arc<ShardSet>, shard: Arc<Shard>, poll_interval: Duration) {
-    let mut services: HashMap<u64, HomedService> = HashMap::new();
-    let mut graphs: Vec<LiveGraph> = Vec::new();
-
-    while !set.stopping() {
-        // 0. Shard inbox: new services homed here, graphs handed off here.
-        for command in shard.drain_inbox() {
-            match command {
-                ShardCommand::AddService(shared) => {
-                    services.insert(
-                        shared.id,
-                        HomedService {
-                            shared,
-                            pending_clients: Vec::new(),
-                        },
-                    );
-                }
-                ShardCommand::BuildGraph { service, clients } => {
-                    if !service.stopped() {
-                        if let Some(graph) = build_graph(&shard, &service, clients) {
-                            graphs.push(graph);
-                        }
-                    }
-                }
-            }
-        }
-        // 1. Application dispatcher: accept new connections, then place
-        //    complete connection groups onto shards.
-        for entry in services.values_mut() {
-            if entry.shared.stopped() {
-                continue;
-            }
-            // A Resources backoff needs no bookkeeping here: the poll
-            // backend re-drains every listener each tick anyway.
-            if let Some(listener) = entry.shared.listener_on(shard.id()) {
-                accept_pending(&entry.shared, listener, &mut entry.pending_clients);
-            }
-            place_pending_graphs(
-                &set,
-                &shard,
-                &entry.shared,
-                &mut entry.pending_clients,
-                |service, clients| {
-                    if let Some(graph) = build_graph(&shard, service, clients) {
-                        graphs.push(graph);
-                    }
-                },
-            );
-        }
-        // 2. Stopped services: close their listeners and forcibly tear
-        //    down their graphs on this shard.
-        services.retain(|_, entry| {
-            if entry.shared.stopped() {
-                entry.shared.close_listeners();
-                false
-            } else {
-                true
-            }
-        });
-        graphs.retain_mut(|graph| {
-            if graph.service.stopped() {
-                teardown_graph(shard.scheduler(), graph);
-                false
-            } else {
-                true
-            }
-        });
-        // 3. Poll connections and wake input tasks; tear down graphs whose
-        //    client connections have all finished.
-        let scheduler = shard.scheduler();
-        graphs.retain_mut(|graph| {
-            graph.watchers.retain(|watch| {
-                if !scheduler.is_registered(watch.task) {
-                    return false;
-                }
-                // Only readable watches are scanned: under this backend
-                // output tasks run busy-retry (the platform forces
-                // `OutputMode::BusyRetry`, see `deploy_on_listener`), so a
-                // blocked writer re-schedules itself and a writable scan
-                // would only burn a per-connection no-op task run every
-                // tick. Writable watches stay in the list for the
-                // interest-aware drain close and teardown bookkeeping.
-                if watch.interest.is_readable() && watch.endpoint.readable() {
-                    scheduler.schedule(watch.task);
-                }
-                true
-            });
-            !advance_graph_lifecycle(scheduler, graph)
-        });
-        std::thread::sleep(poll_interval);
-    }
-    // Tear everything down on shutdown.
-    for entry in services.values() {
-        entry.shared.close_listeners();
-    }
-    for mut graph in graphs {
-        teardown_graph(shard.scheduler(), &mut graph);
-    }
-}
-
-/// Forcibly removes a graph's tasks (service stop or shard shutdown) and
-/// settles its counters.
-fn teardown_graph(scheduler: &Scheduler, graph: &mut LiveGraph) {
-    for task in &graph.task_ids {
-        scheduler.remove(*task);
-    }
-    RuntimeMetrics::add(&scheduler.metrics().graphs_destroyed, 1);
-    graph.service.live_graphs.fetch_sub(1, Ordering::Relaxed);
-}
-
-/// Advances one graph's drain/teardown lifecycle; shared by both
-/// dispatcher backends so the ablation compares dispatch mechanisms, not
-/// divergent drain semantics. Once every *client* task has finished the
-/// graph starts draining: the remaining watched connections are closed
-/// (their input tasks observe EOF), every task gets a final chance to
-/// flush, and a grace deadline bounds a non-quiescent graph. Returns
-/// `true` once the graph was torn down (all tasks gone, or the grace
-/// expired).
-fn advance_graph_lifecycle(scheduler: &Scheduler, graph: &mut LiveGraph) -> bool {
-    let clients_done = graph
-        .client_tasks
-        .iter()
-        .all(|task| !scheduler.is_registered(*task));
-    if !clients_done {
-        return false;
-    }
-    if graph.draining_until.is_none() {
-        // Close only the *read* side watches so the remaining input tasks
-        // observe EOF; output watches must stay open — their tasks may
-        // still be flushing (e.g. the aggregate a foldt service emits when
-        // its inputs finish), and each output task closes its own
-        // connection once drained.
-        for watch in &graph.watchers {
-            if watch.interest.is_readable() {
-                watch.endpoint.close();
-            }
-        }
-        for task in &graph.task_ids {
-            scheduler.schedule(*task);
-        }
-        graph.draining_until = Some(Instant::now() + DRAIN_GRACE);
-    }
-    let all_done = graph
-        .task_ids
-        .iter()
-        .all(|task| !scheduler.is_registered(*task));
-    let expired = graph
-        .draining_until
-        .map(|deadline| Instant::now() >= deadline)
-        .unwrap_or(false);
-    if all_done || expired {
-        for task in &graph.task_ids {
-            scheduler.remove(*task);
-        }
-        RuntimeMetrics::add(&scheduler.metrics().graphs_destroyed, 1);
-        graph.service.live_graphs.fetch_sub(1, Ordering::Relaxed);
-        true
-    } else {
-        false
-    }
-}
-
-/// Per-graph bookkeeping of the event dispatcher.
-struct EventGraph {
-    graph: LiveGraph,
-    /// The tokens this graph's watched endpoints are registered under.
-    watch_tokens: Vec<Token>,
-}
-
-/// One entry of the event dispatcher's `Token` → watcher map.
-struct Watcher {
-    graph_id: u64,
-    task: TaskId,
-    endpoint: Endpoint,
-    /// The direction this watcher registered; retiring it must only
-    /// deregister that direction (the same endpoint's other direction may
-    /// belong to a different task's watcher).
-    interest: Interest,
-}
-
-/// The mutable state of one shard's event reactor.
-struct EventState {
-    /// Services homed on this shard, keyed by listener token.
+/// The state of one shard's reactor. The thread blocks in
+/// [`Poller::wait`]; every state transition anywhere on the shard — a new
+/// pending accept, bytes arriving on a watched connection, EOF, a task
+/// exiting the scheduler, a command from another shard — arrives as an
+/// [`flick_net::Event`] and is handled by token.
+///
+/// Listener, graph and watch tokens come from one allocator, so a token
+/// names exactly one of the three maps.
+pub(crate) struct ShardReactor {
+    set: Arc<ShardSet>,
+    shard: Arc<Shard>,
+    poller: Poller,
+    scheduler: Arc<Scheduler>,
+    /// Services accepting on this shard, keyed by listener token.
     services: HashMap<Token, HomedService>,
-    /// Graphs owned by this shard, keyed by the token value their exit
-    /// events post under; watcher tokens share the same allocator so the
-    /// namespaces never collide.
-    graphs: HashMap<u64, EventGraph>,
-    watch_map: HashMap<Token, Watcher>,
-    /// Side index of graphs currently draining (id → deadline): only these
-    /// can expire, so the heartbeat never has to scan the full graph map.
+    /// Graphs owned by this shard, keyed by the token value their task
+    /// exits post under.
+    graphs: HashMap<u64, Graph>,
+    /// Every readiness watch of every graph on this shard. An entry lives
+    /// as long as its graph, even after its task exited: drain still has
+    /// to close its endpoint.
+    watches: HashMap<Token, Watch>,
+    /// Graphs whose client tasks have all exited (id → forced-teardown
+    /// deadline). Only these can expire, so the wait timeout never scans
+    /// the full graph map.
     draining: HashMap<u64, Instant>,
-    /// Listeners whose last drain hit resource exhaustion (token →
-    /// retry deadline). The edge-triggered listener posts no new event
-    /// for backlog entries stranded behind an `EMFILE` burst, so the
-    /// reactor's wait deadline is clamped to the earliest retry and the
-    /// drain is re-run on that timer.
+    /// Listeners whose last drain hit resource exhaustion (token → retry
+    /// deadline). The edge-triggered listener posts no new event for
+    /// backlog entries stranded behind an `EMFILE` burst, so the drain is
+    /// re-run on this timer.
     accept_retry: HashMap<Token, Instant>,
     next_token: u64,
 }
 
-impl EventState {
+impl ShardReactor {
+    /// The dispatcher loop of one shard; runs on its own thread until the
+    /// platform requests a stop.
+    pub(crate) fn run(set: Arc<ShardSet>, shard: Arc<Shard>) {
+        let mut reactor = ShardReactor {
+            poller: shard.poller().clone(),
+            scheduler: Arc::clone(shard.scheduler()),
+            set,
+            shard,
+            services: HashMap::new(),
+            graphs: HashMap::new(),
+            watches: HashMap::new(),
+            draining: HashMap::new(),
+            accept_retry: HashMap::new(),
+            next_token: CONTROL_TOKEN.0 + 1,
+        };
+        while !reactor.set.stopping() {
+            let now = Instant::now();
+            let timeout = reactor
+                .draining
+                .values()
+                .chain(reactor.accept_retry.values())
+                .min()
+                .map_or(IDLE_HEARTBEAT, |deadline| {
+                    deadline.saturating_duration_since(now)
+                });
+            let events = reactor.poller.wait(timeout);
+            if reactor.set.stopping() {
+                break;
+            }
+            reactor.turn(events);
+        }
+        reactor.teardown_where(|_| true);
+    }
+
+    /// One turn of the loop: inbox, the event batch, then the two timers.
+    fn turn(&mut self, events: Vec<flick_net::Event>) {
+        // Shard inbox first: a BuildGraph handoff may concern endpoints
+        // whose readiness events are already queued behind it.
+        for command in self.shard.drain_inbox() {
+            match command {
+                ShardCommand::AddService(shared) => self.add_service(shared),
+                ShardCommand::BuildGraph { service, clients } => {
+                    if !service.stopped() {
+                        self.build_graph(&service, clients);
+                    }
+                }
+            }
+        }
+
+        let mut sweep = false;
+        let mut dirty_graphs: Vec<u64> = Vec::new();
+        for event in events {
+            let token = event.token;
+            if token == CONTROL_TOKEN {
+                // Inbox already drained above; a control event may also
+                // announce a service stop.
+                sweep = true;
+            } else if let Some(entry) = self.services.get(&token) {
+                sweep |= event.readiness.closed || entry.shared.stopped();
+                self.drain_listener(token);
+            } else if let Some(watch) = self.watches.get(&token) {
+                if self.scheduler.is_registered(watch.task) {
+                    self.scheduler.schedule(watch.task);
+                } else {
+                    // The watched task already exited: stop watching this
+                    // direction only — the connection's other direction
+                    // may belong to a live task's watch.
+                    watch
+                        .endpoint
+                        .deregister_interest(&self.poller, watch.interest);
+                }
+            } else if self.graphs.contains_key(&token.0) {
+                // A task of this graph exited.
+                dirty_graphs.push(token.0);
+            }
+        }
+
+        for token in due(&self.accept_retry) {
+            self.drain_listener(token);
+        }
+        if sweep {
+            self.teardown_where(ServiceShared::stopped);
+        }
+        dirty_graphs.extend(due(&self.draining));
+        for graph_id in dirty_graphs {
+            self.advance_graph(graph_id);
+        }
+    }
+
     fn alloc_token(&mut self) -> Token {
         let token = Token(self.next_token);
         self.next_token += 1;
         token
     }
-}
 
-/// Builds a graph on this shard and wires it into the reactor: watched
-/// endpoints are registered with this shard's poller (level-triggered, so
-/// data buffered during a cross-shard handoff posts an event immediately)
-/// and every task exit posts the graph's token.
-fn build_and_track_graph(
-    shard: &Arc<Shard>,
-    poller: &Poller,
-    state: &mut EventState,
-    service: &Arc<ServiceShared>,
-    clients: Vec<Endpoint>,
-) {
-    let Some(graph) = build_graph(shard, service, clients) else {
-        return;
-    };
-    let scheduler = shard.scheduler();
-    let graph_id = state.alloc_token().0;
-    let mut watch_tokens = Vec::with_capacity(graph.watchers.len());
-    for watch in &graph.watchers {
-        let token = state.alloc_token();
-        watch.endpoint.register(poller, token, watch.interest);
-        state.watch_map.insert(
-            token,
-            Watcher {
-                graph_id,
-                task: watch.task,
-                endpoint: watch.endpoint.clone(),
-                interest: watch.interest,
+    /// Homes a newly deployed service: registers this shard's own accept
+    /// socket (the home listener, or this shard's REUSEPORT socket under
+    /// accept sharding). Level-triggered, so accepts that raced the deploy
+    /// are caught by the registration itself.
+    fn add_service(&mut self, shared: Arc<ServiceShared>) {
+        if let Some(listener) = shared.listener_on(self.shard.id()) {
+            let token = self.alloc_token();
+            listener.register(&self.poller, token);
+            self.services.insert(
+                token,
+                HomedService {
+                    shared,
+                    pending_clients: Vec::new(),
+                },
+            );
+        }
+    }
+
+    /// Application dispatcher: accepts everything pending on one listener,
+    /// arms (or clears) its backoff retry, and places every complete
+    /// connection group. Runs on a listener event and on the retry timer.
+    fn drain_listener(&mut self, token: Token) {
+        let Some(entry) = self.services.get_mut(&token) else {
+            return;
+        };
+        let exhausted = entry
+            .shared
+            .listener_on(self.shard.id())
+            .is_some_and(|listener| {
+                accept_pending(&entry.shared, listener, &mut entry.pending_clients)
+            });
+        if exhausted {
+            self.accept_retry
+                .insert(token, Instant::now() + ACCEPT_BACKOFF);
+        } else {
+            self.accept_retry.remove(&token);
+        }
+        if entry.shared.stopped() {
+            return;
+        }
+        let service = Arc::clone(&entry.shared);
+        let per_graph = service.factory.connections_per_graph().max(1);
+        let mut groups: Vec<Vec<Endpoint>> = Vec::new();
+        while entry.pending_clients.len() >= per_graph {
+            groups.push(entry.pending_clients.drain(..per_graph).collect());
+        }
+        for clients in groups {
+            let target = self.set.place();
+            if target == self.shard.id() {
+                self.build_graph(&service, clients);
+            } else {
+                let service = Arc::clone(&service);
+                self.set
+                    .send(target, ShardCommand::BuildGraph { service, clients });
+            }
+        }
+    }
+
+    /// Graph dispatcher: builds one graph instance over `clients` on this
+    /// shard and wires it into the reactor. Its tasks are registered with
+    /// the shard's scheduler, watched tasks get a first chance to run
+    /// (data may already be waiting on the connection), and watched
+    /// endpoints are registered with this shard's poller —
+    /// level-triggered, so bytes that arrived during a cross-shard handoff
+    /// post an event immediately. On factory failure the client
+    /// connections are dropped (and closed by the Drop impls of whatever
+    /// tasks did get built).
+    fn build_graph(&mut self, service: &Arc<ServiceShared>, clients: Vec<Endpoint>) {
+        let Ok(built) = service.factory.build(clients, &service.env) else {
+            return;
+        };
+        let task_ids = built.graph.task_ids().to_vec();
+        self.scheduler.register_graph(built.graph, &built.initial);
+        service.live_graphs.fetch_add(1, Ordering::Relaxed);
+        self.shard.note_graph_built();
+
+        // All first runs are queued before the first registration: a
+        // registration is a syscall on the OS transport, and interleaving
+        // them would wake the workers once per watch instead of once.
+        for watch in &built.watchers {
+            self.scheduler.schedule(watch.task);
+        }
+        let graph_id = self.alloc_token().0;
+        let first_watch = self.next_token;
+        for watch in built.watchers {
+            let token = self.alloc_token();
+            watch.endpoint.register(&self.poller, token, watch.interest);
+            self.watches.insert(token, watch);
+        }
+        // Every task exit posts the graph's token, so client-side
+        // completion (begin draining) and full quiescence (teardown) are
+        // events, not scans.
+        for task in &task_ids {
+            let exit_poller = self.poller.clone();
+            self.scheduler.watch_exit(
+                *task,
+                Box::new(move |_| exit_poller.post(Token(graph_id), Default::default())),
+            );
+        }
+        self.graphs.insert(
+            graph_id,
+            Graph {
+                service: Arc::clone(service),
+                task_ids,
+                client_tasks: built.client_tasks,
+                watch_tokens: first_watch..self.next_token,
             },
         );
-        watch_tokens.push(token);
     }
-    // Every task exit posts the graph's token, so client-side completion
-    // (begin draining) and full quiescence (teardown) are events, not
-    // scans.
-    for task in &graph.task_ids {
-        let exit_poller = poller.clone();
-        scheduler.watch_exit(
-            *task,
-            Box::new(move |_| exit_poller.post(Token(graph_id), Default::default())),
-        );
-    }
-    state.graphs.insert(
-        graph_id,
-        EventGraph {
-            graph,
-            watch_tokens,
-        },
-    );
-}
 
-/// The wakeup-based reactor of one shard. The thread blocks in
-/// [`Poller::wait`]; every state transition anywhere on the shard — a new
-/// pending accept, bytes arriving on a watched connection, EOF, a task
-/// exiting the scheduler, a command from another shard — arrives as an
-/// [`flick_net::Event`] and is handled by token. An idle shard performs
-/// zero endpoint scans between events.
-fn run_event_dispatcher(set: Arc<ShardSet>, shard: Arc<Shard>, poll_interval: Duration) {
-    let poller = shard.poller().clone();
-    let scheduler = Arc::clone(shard.scheduler());
-    let mut state = EventState {
-        services: HashMap::new(),
-        graphs: HashMap::new(),
-        watch_map: HashMap::new(),
-        draining: HashMap::new(),
-        accept_retry: HashMap::new(),
-        next_token: CONTROL_TOKEN.0 + 1,
-    };
-
-    while !set.stopping() {
-        // Block until something happens. `poll_interval` survives only as a
-        // lower bound on the drain/teardown heartbeat: with no graph
-        // draining the reactor sleeps in long beats (woken early by any
-        // event), and with one draining it wakes at the drain deadline.
-        // An armed accept-backoff retry clamps the wait the same way.
-        let now = Instant::now();
-        let timeout = state
-            .draining
-            .values()
-            .chain(state.accept_retry.values())
-            .min()
-            .map(|deadline| deadline.saturating_duration_since(now))
-            .unwrap_or_else(|| poll_interval.max(Duration::from_millis(50)));
-        let events = poller.wait(timeout);
-        if set.stopping() {
-            break;
+    /// Advances one graph's drain/teardown lifecycle, run when one of its
+    /// tasks exited or its drain deadline passed. Once every *client* task
+    /// has finished the graph starts draining: the remaining read-side
+    /// connections are closed (their input tasks observe EOF), every task
+    /// gets a final chance to flush, and [`DRAIN_GRACE`] bounds a
+    /// non-quiescent graph. It is torn down when all tasks are gone or the
+    /// grace expired.
+    fn advance_graph(&mut self, graph_id: u64) {
+        let Some(graph) = self.graphs.get(&graph_id) else {
+            return;
+        };
+        let scheduler = &self.scheduler;
+        let gone = |task: &TaskId| !scheduler.is_registered(*task);
+        if !graph.client_tasks.iter().all(gone) {
+            return;
         }
-
-        // Shard inbox first: a BuildGraph handoff may concern endpoints
-        // whose readiness events are already queued behind it.
-        let mut sweep = false;
-        for command in shard.drain_inbox() {
-            match command {
-                ShardCommand::AddService(shared) => {
-                    // Register only this shard's own accept socket (the
-                    // home listener, or this shard's REUSEPORT socket
-                    // under accept sharding). Level-triggered: accepts
-                    // that raced the deploy are caught by the
-                    // registration itself.
-                    let registered = match shared.listener_on(shard.id()) {
-                        Some(listener) => {
-                            let token = state.alloc_token();
-                            listener.register(&poller, token);
-                            Some(token)
-                        }
-                        None => None,
-                    };
-                    if let Some(token) = registered {
-                        state.services.insert(
-                            token,
-                            HomedService {
-                                shared,
-                                pending_clients: Vec::new(),
-                            },
-                        );
-                    }
-                }
-                ShardCommand::BuildGraph { service, clients } => {
-                    if !service.stopped() {
-                        build_and_track_graph(&shard, &poller, &mut state, &service, clients);
+        let deadline = *self.draining.entry(graph_id).or_insert_with(|| {
+            // Close only the *readable* watches; writable ones must stay
+            // open — their output tasks may still be flushing (e.g. the
+            // aggregate a foldt service emits when its inputs finish), and
+            // each output task closes its own connection once drained.
+            for token in graph.watch_tokens.clone() {
+                if let Some(watch) = self.watches.get(&Token(token)) {
+                    if watch.interest.is_readable() {
+                        watch.endpoint.close();
                     }
                 }
             }
+            for task in &graph.task_ids {
+                scheduler.schedule(*task);
+            }
+            Instant::now() + DRAIN_GRACE
+        });
+        if graph.task_ids.iter().all(gone) || Instant::now() >= deadline {
+            self.teardown_graph(graph_id);
         }
+    }
 
-        let mut dirty_graphs: Vec<u64> = Vec::new();
-        let mut accepted_any = false;
-        for event in events {
-            if event.token == CONTROL_TOKEN {
-                // Inbox already drained above; a control event may also
-                // announce a service stop.
-                sweep = true;
-            } else if let Some(entry) = state.services.get_mut(&event.token) {
-                let needs_retry = match entry.shared.listener_on(shard.id()) {
-                    Some(listener) => {
-                        accept_pending(&entry.shared, listener, &mut entry.pending_clients)
-                    }
-                    None => false,
-                };
-                accepted_any = true;
-                if event.readiness.closed || entry.shared.stopped() {
-                    sweep = true;
-                }
-                if needs_retry {
-                    state
-                        .accept_retry
-                        .insert(event.token, Instant::now() + ACCEPT_BACKOFF);
-                } else {
-                    state.accept_retry.remove(&event.token);
-                }
-            } else if let Some(watcher) = state.watch_map.get(&event.token) {
-                if scheduler.is_registered(watcher.task) {
-                    scheduler.schedule(watcher.task);
-                } else {
-                    // The watched task already exited; stop watching this
-                    // direction (the connection's other direction may still
-                    // have a live watcher). Graph teardown itself is driven
-                    // by the task-exit events.
-                    let watcher = state.watch_map.remove(&event.token).expect("present");
-                    watcher
-                        .endpoint
-                        .deregister_interest(&poller, watcher.interest);
-                }
-            } else if state.graphs.contains_key(&event.token.0) {
-                // A task-exit event: re-evaluate this graph's lifecycle.
-                dirty_graphs.push(event.token.0);
+    /// Removes a graph from the reactor and the scheduler and settles its
+    /// counters — the one teardown path, whether the graph drained, its
+    /// grace expired, its service stopped or the platform is shutting down.
+    fn teardown_graph(&mut self, graph_id: u64) {
+        let Some(graph) = self.graphs.remove(&graph_id) else {
+            return;
+        };
+        self.draining.remove(&graph_id);
+        for token in graph.watch_tokens {
+            if let Some(watch) = self.watches.remove(&Token(token)) {
+                watch
+                    .endpoint
+                    .deregister_interest(&self.poller, watch.interest);
             }
         }
+        for task in &graph.task_ids {
+            self.scheduler.remove(*task);
+        }
+        RuntimeMetrics::add(&self.scheduler.metrics().graphs_destroyed, 1);
+        graph.service.live_graphs.fetch_sub(1, Ordering::Relaxed);
+    }
 
-        // Accept-backoff retries whose deadline has passed: re-drain the
-        // listener (resource exhaustion left its backlog intact and the
-        // edge-triggered registration will not re-fire for it), re-arming
-        // the deadline if the drain hits exhaustion again.
-        let now = Instant::now();
-        let due: Vec<Token> = state
-            .accept_retry
+    /// Drops every service matching `doomed` that accepts on this shard
+    /// (closing its listeners) and tears down its graphs owned here: the
+    /// service-stop sweep, and with an always-true predicate the shutdown
+    /// path.
+    fn teardown_where(&mut self, doomed: impl Fn(&ServiceShared) -> bool) {
+        let shard = self.shard.id();
+        self.services.retain(|token, entry| {
+            if !doomed(&entry.shared) {
+                return true;
+            }
+            self.accept_retry.remove(token);
+            if let Some(listener) = entry.shared.listener_on(shard) {
+                listener.deregister(&self.poller);
+            }
+            entry.shared.close_listeners();
+            false
+        });
+        let graph_ids: Vec<u64> = self
+            .graphs
             .iter()
-            .filter(|(_, deadline)| now >= **deadline)
-            .map(|(token, _)| *token)
+            .filter(|(_, graph)| doomed(&graph.service))
+            .map(|(id, _)| *id)
             .collect();
-        for token in due {
-            state.accept_retry.remove(&token);
-            let Some(entry) = state.services.get_mut(&token) else {
-                continue;
-            };
-            let needs_retry = match entry.shared.listener_on(shard.id()) {
-                Some(listener) => {
-                    accept_pending(&entry.shared, listener, &mut entry.pending_clients)
-                }
-                None => false,
-            };
-            accepted_any = true;
-            if needs_retry {
-                state.accept_retry.insert(token, now + ACCEPT_BACKOFF);
-            }
-        }
-
-        // Graph dispatcher: place complete connection groups.
-        if accepted_any {
-            let tokens: Vec<Token> = state.services.keys().copied().collect();
-            for token in tokens {
-                let entry = state.services.get_mut(&token).expect("present");
-                if entry.shared.stopped() || entry.pending_clients.is_empty() {
-                    continue;
-                }
-                let shared = Arc::clone(&entry.shared);
-                let mut pending = std::mem::take(&mut entry.pending_clients);
-                place_pending_graphs(&set, &shard, &shared, &mut pending, |service, clients| {
-                    build_and_track_graph(&shard, &poller, &mut state, service, clients);
-                });
-                state
-                    .services
-                    .get_mut(&token)
-                    .expect("present")
-                    .pending_clients = pending;
-            }
-        }
-
-        // Service stop sweep: drop stopped services homed here and tear
-        // down their graphs owned here.
-        if sweep {
-            let stopped_services: Vec<Token> = state
-                .services
-                .iter()
-                .filter(|(_, entry)| entry.shared.stopped())
-                .map(|(token, _)| *token)
-                .collect();
-            for token in stopped_services {
-                let entry = state.services.remove(&token).expect("collected above");
-                state.accept_retry.remove(&token);
-                if let Some(listener) = entry.shared.listener_on(shard.id()) {
-                    listener.deregister(&poller);
-                }
-                entry.shared.close_listeners();
-            }
-            let stopped: Vec<u64> = state
-                .graphs
-                .iter()
-                .filter(|(_, entry)| entry.graph.service.stopped())
-                .map(|(id, _)| *id)
-                .collect();
-            for graph_id in stopped {
-                let mut entry = state.graphs.remove(&graph_id).expect("collected above");
-                state.draining.remove(&graph_id);
-                for token in &entry.watch_tokens {
-                    if let Some(watcher) = state.watch_map.remove(token) {
-                        watcher
-                            .endpoint
-                            .deregister_interest(&poller, watcher.interest);
-                    }
-                }
-                teardown_graph(&scheduler, &mut entry.graph);
-            }
-        }
-
-        // Re-evaluate graphs whose tasks exited, plus any whose drain
-        // deadline has passed (the heartbeat case).
-        let now = Instant::now();
-        for (id, deadline) in &state.draining {
-            if now >= *deadline && !dirty_graphs.contains(id) {
-                dirty_graphs.push(*id);
-            }
-        }
-        for graph_id in dirty_graphs {
-            evaluate_graph(&scheduler, &poller, &mut state, graph_id);
-        }
-    }
-
-    // Tear everything down on shutdown.
-    for entry in state.services.values() {
-        if let Some(listener) = entry.shared.listener_on(shard.id()) {
-            listener.deregister(&poller);
-        }
-        entry.shared.close_listeners();
-    }
-    for (_, mut entry) in state.graphs {
-        for watch in &entry.graph.watchers {
-            watch.endpoint.deregister_interest(&poller, watch.interest);
-        }
-        teardown_graph(&scheduler, &mut entry.graph);
-    }
-}
-
-/// Lifecycle check for one graph of the event dispatcher, run only when a
-/// task-exit event (or the drain heartbeat) says something changed: the
-/// shared [`advance_graph_lifecycle`] decides, and this function keeps the
-/// event dispatcher's token and draining indexes consistent with it.
-fn evaluate_graph(scheduler: &Scheduler, poller: &Poller, state: &mut EventState, graph_id: u64) {
-    let Some(entry) = state.graphs.get_mut(&graph_id) else {
-        state.draining.remove(&graph_id);
-        return;
-    };
-    let torn_down = advance_graph_lifecycle(scheduler, &mut entry.graph);
-    if !torn_down {
-        if let Some(deadline) = entry.graph.draining_until {
-            state.draining.insert(graph_id, deadline);
-        }
-        return;
-    }
-    // Torn down (tasks removed and counters updated by the lifecycle
-    // helper): drop the event dispatcher's own bookkeeping.
-    let entry = state.graphs.remove(&graph_id).expect("checked above");
-    state.draining.remove(&graph_id);
-    for token in &entry.watch_tokens {
-        if let Some(watcher) = state.watch_map.remove(token) {
-            debug_assert_eq!(watcher.graph_id, graph_id);
-            watcher
-                .endpoint
-                .deregister_interest(poller, watcher.interest);
+        for graph_id in graph_ids {
+            self.teardown_graph(graph_id);
         }
     }
 }
@@ -983,9 +689,10 @@ mod tests {
                     Box::new(RespondLogic),
                 )),
             );
-            let mut out_task = OutputTask::new("http-out", client.clone(), codec, resp_rx);
-            out_task.set_mode(env.output_mode);
-            builder.install(output_node, Box::new(out_task));
+            builder.install(
+                output_node,
+                Box::new(OutputTask::new("http-out", client.clone(), codec, resp_rx)),
+            );
             Ok(BuiltGraph {
                 graph: builder.build(),
                 watchers: vec![
@@ -1182,15 +889,14 @@ mod tests {
         assert!(platform.net().connect(8082).is_err());
     }
 
-    /// The headline property of the event backend: an idle deployed service
-    /// performs zero endpoint scans between events. The dispatcher blocks
-    /// in `Poller::wait` while a connected-but-silent client sits for
-    /// 100 ms, so neither `Endpoint::readable` nor `Endpoint::read` fires.
+    /// The headline property of the reactor: an idle deployed service
+    /// touches no endpoint between events. The dispatcher blocks in
+    /// `Poller::wait` while a connected-but-silent client sits for 100 ms,
+    /// so no `Endpoint::read` fires.
     #[test]
     fn idle_service_performs_no_endpoint_scans() {
         let platform = Platform::new(PlatformConfig {
             workers: 2,
-            dispatcher: DispatcherBackend::Event,
             ..Default::default()
         });
         let _service = platform
@@ -1213,81 +919,219 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         let after = net.stats().snapshot();
         assert_eq!(
-            after.readable_polls, before.readable_polls,
-            "idle event dispatcher must not call Endpoint::readable"
-        );
-        assert_eq!(
             after.read_calls, before.read_calls,
-            "idle event dispatcher must not issue reads"
+            "idle dispatcher must not issue reads"
         );
     }
 
-    /// The poll backend is kept for the dispatcher_backend ablation; it
-    /// must still serve traffic and, unlike the event backend, it *does*
-    /// scan endpoints while idle.
+    /// `stop` with live traffic: every shard's sweep tears down the
+    /// graphs it owns, each graph settles its counters exactly once, and
+    /// the clients see their connections close.
     #[test]
-    fn poll_backend_still_serves_and_scans() {
-        let platform = Platform::new(PlatformConfig {
-            workers: 2,
-            dispatcher: DispatcherBackend::Poll,
-            ..Default::default()
-        });
-        let service = platform
-            .deploy(ServiceSpec::new("web", 8084, Arc::new(StaticServerFactory)))
-            .unwrap();
-        let net = platform.net();
-        let client = net.connect(8084).unwrap();
-        client
-            .write_all(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n")
-            .unwrap();
-        let mut buf = [0u8; 1024];
-        let n = client
-            .read_timeout(&mut buf, Duration::from_secs(5))
-            .unwrap();
-        assert!(n > 0);
-        let before = net.stats().snapshot();
-        std::thread::sleep(Duration::from_millis(20));
-        let after = net.stats().snapshot();
-        assert!(
-            after.readable_polls > before.readable_polls,
-            "poll dispatcher re-scans idle endpoints"
-        );
-        client.close();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while service.live_graphs() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(service.live_graphs(), 0);
-    }
-
-    #[test]
-    fn poll_backend_serves_across_shards() {
+    fn stop_tears_down_live_graphs_on_every_shard() {
         let platform = Platform::new(PlatformConfig {
             workers: 2,
             shards: 2,
-            dispatcher: DispatcherBackend::Poll,
             ..Default::default()
         });
-        let service = platform
-            .deploy(ServiceSpec::new("web", 8086, Arc::new(StaticServerFactory)))
+        let mut service = platform
+            .deploy(ServiceSpec::new("web", 8088, Arc::new(StaticServerFactory)))
             .unwrap();
         let net = platform.net();
-        let clients: Vec<_> = (0..4).map(|_| net.connect(8086).unwrap()).collect();
+        let clients: Vec<_> = (0..4).map(|_| net.connect(8088).unwrap()).collect();
+        let mut buf = [0u8; 1024];
         for c in &clients {
             c.write_all(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-            let mut buf = [0u8; 1024];
-            let n = c.read_timeout(&mut buf, Duration::from_secs(5)).unwrap();
-            assert!(n > 0);
+            let mut response = Vec::new();
+            while !response.ends_with(b"hello from flick") {
+                let n = c.read_timeout(&mut buf, Duration::from_secs(5)).unwrap();
+                response.extend_from_slice(&buf[..n]);
+            }
         }
-        assert_eq!(service.connections_accepted(), 4);
+        assert_eq!(service.live_graphs(), 4);
         let status = platform.shard_status();
-        assert!(status.iter().all(|s| s.graphs_built >= 1), "{status:?}");
+        assert!(status.iter().all(|s| s.graphs_built == 2), "{status:?}");
+
+        service.stop();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while (service.live_graphs() > 0 || platform.task_count() > 0) && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(service.live_graphs(), 0);
+        assert_eq!(platform.task_count(), 0);
+        let metrics = platform.metrics().snapshot();
+        assert_eq!(metrics.graphs_created, 4);
+        assert_eq!(metrics.graphs_destroyed, metrics.graphs_created);
+        for c in &clients {
+            assert_eq!(
+                c.read_timeout(&mut buf, Duration::from_secs(5)),
+                Err(NetError::Closed),
+                "a stopped service must close its client connections"
+            );
+        }
     }
 
+    const AGGREGATE_LEN: usize = 16 * 1024;
+
+    /// A foldt-shaped service: two client inputs feed one compute task
+    /// that emits a single aggregate once both have finished, written to
+    /// a sink connection whose pipe is a quarter of the aggregate.
+    struct FoldToSinkFactory {
+        sink_port: u16,
+    }
+
+    struct FoldLogic {
+        open_inputs: usize,
+    }
+
+    impl ComputeLogic for FoldLogic {
+        fn on_value(
+            &mut self,
+            _input: usize,
+            _value: Value,
+            _out: &mut Outputs<'_>,
+        ) -> Result<(), RuntimeError> {
+            Ok(())
+        }
+
+        fn on_input_finished(
+            &mut self,
+            _input: usize,
+            out: &mut Outputs<'_>,
+        ) -> Result<(), RuntimeError> {
+            self.open_inputs -= 1;
+            if self.open_inputs == 0 {
+                out.emit(0, Value::Bytes(vec![b'a'; AGGREGATE_LEN].into()));
+            }
+            Ok(())
+        }
+    }
+
+    impl GraphFactory for FoldToSinkFactory {
+        fn connections_per_graph(&self) -> usize {
+            2
+        }
+
+        fn build(
+            &self,
+            clients: Vec<Endpoint>,
+            env: &ServiceEnv,
+        ) -> Result<BuiltGraph, RuntimeError> {
+            let sink = env.net.connect_with(
+                self.sink_port,
+                &flick_net::listener::ConnectOptions {
+                    capacity: Some(AGGREGATE_LEN / 4),
+                    ..Default::default()
+                },
+            )?;
+            let codec = Arc::new(HttpCodec::new());
+            let mut builder = GraphBuilder::new("fold", &env.allocator)
+                .with_channel_capacity(env.channel_capacity);
+            let compute_node = builder.declare_node();
+            let output_node = builder.declare_node();
+            let mut watchers = Vec::new();
+            let mut client_tasks = Vec::new();
+            let mut inputs = Vec::new();
+            for client in clients {
+                let node = builder.declare_node();
+                let (tx, rx) = builder.channel(compute_node);
+                builder.install(
+                    node,
+                    Box::new(InputTask::new(
+                        "fold-in",
+                        client.clone(),
+                        codec.clone(),
+                        None,
+                        tx,
+                    )),
+                );
+                watchers.push(Watch::readable(node.task_id(), client));
+                client_tasks.push(node.task_id());
+                inputs.push(rx);
+            }
+            let (agg_tx, agg_rx) = builder.channel(output_node);
+            let open_inputs = inputs.len();
+            builder.install(
+                compute_node,
+                Box::new(ComputeTask::new(
+                    "fold",
+                    inputs,
+                    vec![agg_tx],
+                    Box::new(FoldLogic { open_inputs }),
+                )),
+            );
+            builder.install(
+                output_node,
+                Box::new(OutputTask::new("fold-out", sink.clone(), codec, agg_rx)),
+            );
+            watchers.push(Watch::writable(output_node.task_id(), sink));
+            Ok(BuiltGraph {
+                graph: builder.build(),
+                watchers,
+                initial: vec![],
+                client_tasks,
+            })
+        }
+    }
+
+    /// Drain closes *readable* watches only. The client inputs finish
+    /// while the sink's peer is stalled against a full pipe, so the graph
+    /// starts draining with its aggregate still unflushed; the sink
+    /// connection has to survive that and deliver every byte once the
+    /// peer reads.
     #[test]
-    fn backend_labels_are_stable() {
-        assert_eq!(DispatcherBackend::Event.label(), "event");
-        assert_eq!(DispatcherBackend::Poll.label(), "poll");
-        assert_eq!(DispatcherBackend::default(), DispatcherBackend::Event);
+    fn draining_graph_still_flushes_to_a_stalled_sink() {
+        let platform = Platform::new(PlatformConfig {
+            workers: 2,
+            ..Default::default()
+        });
+        let net = platform.net();
+        let sink_listener = net.listen(8090).unwrap();
+        let service = platform
+            .deploy(ServiceSpec::new(
+                "fold",
+                8089,
+                Arc::new(FoldToSinkFactory { sink_port: 8090 }),
+            ))
+            .unwrap();
+        for _ in 0..2 {
+            let client = net.connect(8089).unwrap();
+            client
+                .write_all(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n")
+                .unwrap();
+            client.close();
+        }
+        let sink = sink_listener
+            .accept_timeout(Duration::from_secs(5))
+            .unwrap();
+        // Both inputs have finished and the output task has filled the
+        // pipe; nobody reads the sink yet.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while sink.pending() < AGGREGATE_LEN / 4 {
+            assert!(
+                Instant::now() < deadline,
+                "aggregate never reached the sink"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(service.live_graphs(), 1, "the graph is draining, not gone");
+
+        let mut received = 0;
+        let mut buf = [0u8; 4096];
+        loop {
+            match sink.read_timeout(&mut buf, Duration::from_secs(5)) {
+                Ok(n) => received += n,
+                Err(NetError::Closed) => break,
+                Err(e) => panic!("sink read failed after {received} bytes: {e}"),
+            }
+        }
+        assert_eq!(received, AGGREGATE_LEN, "the whole aggregate must arrive");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while service.live_graphs() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(service.live_graphs(), 0);
     }
 }

@@ -44,7 +44,7 @@ pub mod tasks;
 pub mod value;
 
 pub use channel::{ChannelConsumer, ChannelProducer, TaskChannel};
-pub use dispatcher::{DeployedService, DispatcherBackend};
+pub use dispatcher::DeployedService;
 pub use error::RuntimeError;
 pub use graph::{GraphBuilder, GraphInstance, NodeId};
 pub use metrics::{MetricsSnapshot, RuntimeMetrics};
@@ -57,7 +57,5 @@ pub use shard::{
     LeastLoadedPlacement, Placement, PlacementPolicy, RoundRobinPlacement, Shard, ShardStatus,
 };
 pub use task::{SchedulingPolicy, Task, TaskContext, TaskId, TaskStatus};
-pub use tasks::{
-    ComputeLogic, ComputeTask, ExecMode, InputTask, OutputMode, OutputTask, Outputs, SourceTask,
-};
+pub use tasks::{ComputeLogic, ComputeTask, ExecMode, InputTask, OutputTask, Outputs, SourceTask};
 pub use value::{SharedDict, Value};

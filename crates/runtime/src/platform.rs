@@ -12,7 +12,7 @@
 //! from loaded ones through the scheduler's
 //! [`steal`](crate::scheduler::steal) path.
 
-use crate::dispatcher::{run_shard_dispatcher, DeployedService, DispatcherBackend, ServiceShared};
+use crate::dispatcher::{DeployedService, ServiceShared, ShardReactor};
 use crate::error::RuntimeError;
 use crate::graph::{GraphInstance, TaskIdAllocator};
 use crate::metrics::RuntimeMetrics;
@@ -20,13 +20,12 @@ use crate::pool::{BackendPolicy, BackendPool, BackendTarget};
 use crate::scheduler::{Scheduler, StealGroup};
 use crate::shard::{Placement, Shard, ShardCommand, ShardSet, ShardStatus};
 use crate::task::{SchedulingPolicy, TaskId};
-use crate::tasks::{ExecMode, OutputMode};
+use crate::tasks::ExecMode;
 use crate::value::SharedDict;
 use flick_net::{Endpoint, Interest, Listener, SimNetwork, StackModel, TcpStack};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// The default shard count: one per available core, as the paper sizes its
 /// runtime ("the number of worker threads matches the number of cores").
@@ -55,15 +54,6 @@ pub struct PlatformConfig {
     pub policy: SchedulingPolicy,
     /// Transport-stack cost model for every connection.
     pub stack: StackModel,
-    /// Which dispatcher implementation shards run (wakeup-based reactor
-    /// by default; the sleep-poll loop remains available for ablations).
-    pub dispatcher: DispatcherBackend,
-    /// For [`DispatcherBackend::Poll`]: how often the dispatcher re-scans
-    /// connections for readability. For [`DispatcherBackend::Event`] this
-    /// is demoted to a lower bound on the drain/teardown heartbeat — the
-    /// reactor blocks on events and never scans. Kept as a field so
-    /// existing call sites compile unchanged.
-    pub poll_interval: Duration,
     /// Capacity of task channels created by graph factories.
     pub channel_capacity: usize,
     /// Whether backend connections are drawn from a pre-established pool.
@@ -71,12 +61,6 @@ pub struct PlatformConfig {
     /// Backend health/routing policy: candidate ordering, passive
     /// ejection thresholds and the per-checkout retry budget.
     pub backend_policy: BackendPolicy,
-    /// How output tasks behave when a write blocks (wakeup-driven parking
-    /// by default; the busy-retry loop remains available for ablations).
-    pub output_mode: OutputMode,
-    /// How compiled service logic executes (bytecode VM by default; the
-    /// tree-walking interpreter remains available for ablations).
-    pub exec_mode: ExecMode,
 }
 
 impl Default for PlatformConfig {
@@ -87,13 +71,9 @@ impl Default for PlatformConfig {
             placement: Placement::default(),
             policy: SchedulingPolicy::default(),
             stack: StackModel::Free,
-            dispatcher: DispatcherBackend::default(),
-            poll_interval: Duration::from_micros(50),
             channel_capacity: 1024,
             backend_pooling: false,
             backend_policy: BackendPolicy::default(),
-            output_mode: OutputMode::default(),
-            exec_mode: ExecMode::default(),
         }
     }
 }
@@ -144,11 +124,8 @@ pub struct ServiceEnv {
     pub allocator: Arc<TaskIdAllocator>,
     /// Capacity to use for task channels.
     pub channel_capacity: usize,
-    /// Blocked-write behaviour factories should install on the output
-    /// tasks they build ([`crate::tasks::OutputTask::set_mode`]).
-    pub output_mode: OutputMode,
     /// Execution mode compiled-service factories should build their
-    /// compute logic for (bytecode VM or tree-walking interpreter).
+    /// compute logic for ([`ServiceSpec::exec_mode`]).
     pub exec_mode: ExecMode,
 }
 
@@ -234,9 +211,9 @@ pub struct ServiceSpec {
     pub tcp_backends: Vec<String>,
     /// The graph factory.
     pub factory: Arc<dyn GraphFactory>,
-    /// Per-service execution-mode override; `None` inherits
-    /// [`PlatformConfig::exec_mode`].
-    pub exec_mode: Option<ExecMode>,
+    /// How the service's compiled logic executes: the bytecode VM unless
+    /// [`ServiceSpec::with_exec_mode`] selects the interpreter.
+    pub exec_mode: ExecMode,
 }
 
 impl std::fmt::Debug for ServiceSpec {
@@ -259,7 +236,7 @@ impl ServiceSpec {
             backends: Vec::new(),
             tcp_backends: Vec::new(),
             factory,
-            exec_mode: None,
+            exec_mode: ExecMode::default(),
         }
     }
 
@@ -277,11 +254,11 @@ impl ServiceSpec {
         self
     }
 
-    /// Overrides the execution mode for this service only (e.g. pinning
-    /// one deployment to the interpreter while the platform default is the
-    /// bytecode VM).
+    /// Selects the execution mode of this service — the one way to run a
+    /// deployment on the tree-walking interpreter, the differential oracle
+    /// of the bytecode VM.
     pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = Some(mode);
+        self.exec_mode = mode;
         self
     }
 }
@@ -341,11 +318,9 @@ impl Platform {
             .map(|shard| {
                 let set = Arc::clone(&set);
                 let shard = Arc::clone(shard);
-                let backend = config.dispatcher;
-                let poll_interval = config.poll_interval;
                 std::thread::Builder::new()
                     .name(format!("flick-dispatch-{}", shard.id()))
-                    .spawn(move || run_shard_dispatcher(set, shard, backend, poll_interval))
+                    .spawn(move || ShardReactor::run(set, shard))
                     .expect("spawning a shard dispatcher thread")
             })
             .collect();
@@ -498,24 +473,13 @@ impl Platform {
             self.config.backend_policy,
             Some(Arc::clone(&self.metrics)),
         );
-        // The poll backend has no writable-event path (it is the
-        // historical sleep-poll baseline), so its output tasks keep the
-        // historical busy-retry behaviour; parking them would strand a
-        // blocked writer until graph teardown. Wakeup-driven output is an
-        // event-dispatcher capability.
-        let output_mode = if self.config.dispatcher == DispatcherBackend::Poll {
-            OutputMode::BusyRetry
-        } else {
-            self.config.output_mode
-        };
         let env = ServiceEnv {
             net: Arc::clone(&self.net),
             globals: globals.clone(),
             backends,
             allocator: Arc::clone(&self.allocator),
             channel_capacity: self.config.channel_capacity,
-            output_mode,
-            exec_mode: spec.exec_mode.unwrap_or(self.config.exec_mode),
+            exec_mode: spec.exec_mode,
         };
         let id = self.next_service.fetch_add(1, Ordering::Relaxed);
         // Single listeners rotate over the shards so multiple services do
@@ -527,7 +491,6 @@ impl Platform {
             (0..listeners.len().min(self.set.len())).collect()
         };
         let shared = Arc::new(ServiceShared::new(
-            id,
             spec.name.clone(),
             listeners,
             spec.factory,

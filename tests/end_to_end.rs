@@ -6,7 +6,6 @@ use flick::services::hadoop::hadoop_aggregator;
 use flick::services::http::{HttpLoadBalancerFactory, StaticWebServerFactory};
 use flick::services::memcached::{memcached_proxy, memcached_router};
 use flick::{Flick, Platform, PlatformConfig, ServiceSpec};
-use flick_runtime::OutputMode;
 use flick_workload::backends::{start_http_backend, start_memcached_backend, start_sink_backend};
 use flick_workload::hadoop::{run_hadoop_mappers, wait_for_quiescence, HadoopLoadConfig};
 use flick_workload::http::{run_http_load, HttpLoadConfig};
@@ -221,45 +220,6 @@ fn stalled_peer_parks_the_output_task_without_busy_retries() {
         }
     }
     assert!(String::from_utf8_lossy(&response).starts_with("HTTP/1.1 200 OK"));
-    client.close();
-}
-
-/// The ablation baseline still works: under `OutputMode::BusyRetry` the
-/// same stalled peer makes the output task spin runnable (the behaviour
-/// the writable-interest refactor removed from the default path).
-#[test]
-fn busy_retry_mode_spins_against_a_stalled_peer() {
-    let platform = Platform::new(PlatformConfig {
-        workers: 2,
-        output_mode: OutputMode::BusyRetry,
-        ..Default::default()
-    });
-    let net = platform.net();
-    let _svc = platform
-        .deploy(ServiceSpec::new(
-            "busy-web",
-            8711,
-            StaticWebServerFactory::new(vec![b'y'; 16 * 1024]),
-        ))
-        .unwrap();
-    let client = net
-        .connect_with(
-            8711,
-            &ConnectOptions {
-                capacity: Some(4 * 1024),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    client
-        .write_all(b"GET /spin HTTP/1.1\r\nHost: s\r\n\r\n")
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(150));
-    let retries = platform.metrics().snapshot().output_busy_retries;
-    assert!(
-        retries > 0,
-        "the busy-retry ablation baseline must actually busy-retry"
-    );
     client.close();
 }
 

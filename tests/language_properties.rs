@@ -356,9 +356,7 @@ impl ByteGen<'_> {
 }
 
 /// Renders a type-correct integer expression over `vars`, at most `depth`
-/// operator levels deep. Depth is capped at 2 by callers so products of
-/// mod-bounded variables stay far below `i64::MAX` (debug builds panic on
-/// overflow, and both engines use plain arithmetic).
+/// operator levels deep.
 fn gen_int_expr(g: &mut ByteGen, vars: &[&str], depth: usize) -> String {
     let choice = g.next();
     if depth == 0 || choice < 96 {
@@ -400,9 +398,7 @@ fn gen_condition(g: &mut ByteGen, vars: &[&str]) -> String {
 /// Builds a type-correct FLICK program whose `main_f` exercises
 /// let-bindings, local reassignment, statement- and tail-position
 /// `if`/`else`, a `for` accumulation loop, a nested helper call, and the
-/// `/` and `mod` error arms — all shaped by the byte stream. Every
-/// accumulator is re-bounded with `mod` so debug-build arithmetic cannot
-/// overflow regardless of the generated shape.
+/// `/`, `mod` and overflow error arms — all shaped by the byte stream.
 fn gen_differential_program(bytes: &[u8]) -> String {
     let g = &mut ByteGen { bytes, pos: 0 };
     let helper_tail = gen_int_expr(g, &["a", "b"], 2);
@@ -417,21 +413,19 @@ fn gen_differential_program(bytes: &[u8]) -> String {
     format!(
         "type cmd: record\n  key : string\n\n\
          proc P: (cmd/cmd c)\n  c => c\n\n\
-         fun helper: (a0: integer, b0: integer) -> (integer)\n  \
-         let a = a0 mod 9973\n  \
-         let b = b0 mod 97\n  \
+         fun helper: (a: integer, b: integer) -> (integer)\n  \
          if b = 0:\n    \
          a - 1\n  \
          else:\n    \
          (a / b) + {helper_tail}\n\n\
          fun main_f: (x: integer, y: integer, xs: [integer]) -> (integer)\n  \
-         let acc = ({seed}) mod 9973\n  \
+         let acc = {seed}\n  \
          for v in xs:\n    \
-         acc := ((acc + {step}) mod 9973)\n  \
+         acc := (acc + {step})\n  \
          if {cond}:\n    \
-         acc := ((acc + helper({then_arg}, y)) mod 9973)\n  \
+         acc := (acc + helper({then_arg}, y))\n  \
          else:\n    \
-         acc := ((acc - helper(x, {else_arg})) mod 9973)\n  \
+         acc := (acc - helper(x, {else_arg}))\n  \
          if {tail_cond}:\n    \
          (acc * 3) + {tail_then}\n  \
          else:\n    \
@@ -468,21 +462,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Differential: generated integer programs (arithmetic, control flow,
-    /// nested calls, division/modulo error arms) produce identical results
-    /// — or identical errors blaming the same function — under the
-    /// interpreter and the VM.
+    /// nested calls, division/modulo/overflow error arms) produce identical
+    /// results — or identical errors blaming the same function — under the
+    /// interpreter and the VM. Operands are full-range `i64`s shifted
+    /// right by a drawn amount, so every magnitude from 0 to the edges
+    /// turns up and both the exact and the overflowing arms are reached.
     #[test]
     fn interp_and_vm_agree_on_generated_programs(
         bytes in proptest::collection::vec(any::<u8>(), 16..96),
-        x in -1000i64..1000,
-        y in -1000i64..1000,
-        xs in proptest::collection::vec(-100i64..100, 0..12),
+        x in any::<i64>(),
+        y in any::<i64>(),
+        xs in proptest::collection::vec(any::<i64>(), 0..12),
+        shift in 0u32..64,
     ) {
         let src = gen_differential_program(&bytes);
         let args = vec![
-            RtVal::Val(Value::Int(x)),
-            RtVal::Val(Value::Int(y)),
-            RtVal::Val(Value::List(xs.iter().copied().map(Value::Int).collect())),
+            RtVal::Val(Value::Int(x >> shift)),
+            RtVal::Val(Value::Int(y >> (63 - shift))),
+            RtVal::Val(Value::List(xs.iter().map(|v| Value::Int(v >> shift)).collect())),
         ];
         assert_engines_agree(&src, "main_f", args);
     }
@@ -536,5 +533,35 @@ proptest! {
         let src = "type cmd: record\n  key : string\n\nproc P: (cmd/cmd c)\n  c => c\n\n\
                    fun f: (x: integer, y: integer) -> (integer)\n  let d = x / y\n  d + 1\n";
         assert_engines_agree(src, "f", vec![RtVal::Val(Value::Int(x)), RtVal::Val(Value::Int(y))]);
+    }
+}
+
+/// Differential: at the `i64` edges every operator overflows (or not)
+/// identically in both engines, and an overflow is the same
+/// `integer overflow` text blamed on the same function — `i64::MIN / -1`
+/// and `i64::MIN mod -1` included, which used to panic in both.
+#[test]
+fn interp_and_vm_report_the_same_overflow_errors() {
+    let edges = [i64::MIN, -1, 1, i64::MAX];
+    for op in ["+", "-", "*", "/", "mod"] {
+        let src = format!(
+            "type cmd: record\n  key : string\n\nproc P: (cmd/cmd c)\n  c => c\n\n\
+             fun f: (x: integer, y: integer) -> (integer)\n  let r = x {op} y\n  -r\n"
+        );
+        for x in edges {
+            for y in edges {
+                let args = vec![RtVal::Val(Value::Int(x)), RtVal::Val(Value::Int(y))];
+                assert_engines_agree(&src, "f", args);
+            }
+        }
+        if op == "/" || op == "mod" {
+            let args = vec![RtVal::Val(Value::Int(i64::MIN)), RtVal::Val(Value::Int(-1))];
+            let ((interp, _), (vm, _)) = run_differential(&src, "f", args);
+            for error in [interp.unwrap_err(), vm.unwrap_err()] {
+                let (base, location) = split_located(&error);
+                assert_eq!(base, "service logic error: integer overflow");
+                assert_eq!(located_function(location.unwrap()), "fn `f`");
+            }
+        }
     }
 }

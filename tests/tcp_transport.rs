@@ -89,10 +89,6 @@ fn http_request_round_trips_over_a_real_socket() {
     std::thread::sleep(Duration::from_millis(100));
     let after = stats.snapshot();
     assert_eq!(
-        after.readable_polls, before.readable_polls,
-        "idle event dispatcher must not scan OS endpoints"
-    );
-    assert_eq!(
         after.read_calls, before.read_calls,
         "idle event dispatcher must not issue reads on OS endpoints"
     );
