@@ -384,7 +384,7 @@ fn main() {
         "req/s",
     ));
     // The kernel-path sharding curve: the same loopback service at 1 and
-    // 2 shards, each shard with its own reactor thread and SO_REUSEPORT
+    // 2 shards, each shard with its own epoll set and SO_REUSEPORT
     // accept socket. Three passes: like the runtime sharding gate above,
     // on a single-core host the ratio measures pure sharding overhead
     // against a 5% allowance.

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 /// The `--tcp` mode: real kernel sockets versus the simulated kernel cost
 /// model, same platform, increasing client fleets. `--shards N` runs the
-/// kernel path sharded: one reactor thread and one `SO_REUSEPORT` accept
+/// kernel path sharded: one epoll set and one `SO_REUSEPORT` accept
 /// socket per shard.
 fn run_tcp_mode(shards: usize) {
     let mut rows = Vec::new();

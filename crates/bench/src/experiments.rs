@@ -659,7 +659,7 @@ pub struct TcpShardingPoint {
 
 /// Runs the kernel-path sharding curve (the fig5 companion for the OS
 /// transport): the same loopback web service at 1, 2, 4, … shards up to
-/// `max_shards`, each shard owning its own reactor thread and
+/// `max_shards`, each shard owning its own epoll set and
 /// `SO_REUSEPORT` accept socket. On a single-core host the interesting
 /// gate is the *ratio*: sharding the kernel path must not cost throughput
 /// even when it cannot win any.

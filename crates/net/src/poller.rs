@@ -1,13 +1,16 @@
-//! Readiness notification: the substrate's stand-in for epoll.
+//! Readiness notification: the dispatcher's epoll.
 //!
 //! The paper's platform multiplexes thousands of connections through one
-//! dispatcher thread blocked in epoll. This module provides the equivalent
-//! for the simulated substrate (DESIGN.md §3, readiness model): a
-//! [`Poller`] owns a queue of ready [`Token`]s fed by *wakers* that the
-//! event sources ([`crate::Endpoint`] pipes, [`crate::SimListener`] accept
-//! queues) invoke on every state transition — bytes arriving, buffer space
-//! freed, EOF, a new pending accept. Consumers block in [`Poller::wait`]
-//! instead of re-scanning idle connections.
+//! dispatcher thread blocked in epoll. A [`Poller`] is that thread's wait
+//! point (DESIGN.md §3, readiness model): a queue of ready [`Token`]s fed
+//! by *wakers* that the simulated event sources ([`crate::Endpoint`]
+//! pipes, [`crate::SimListener`] accept queues) invoke on every state
+//! transition — bytes arriving, buffer space freed, EOF, a new pending
+//! accept — and, once an OS socket registers, by the kernel: the thread in
+//! [`Poller::wait`] then blocks in `epoll_wait` on the poller's own epoll
+//! set and resolves the batch into the queue itself (DESIGN.md §13).
+//! Consumers block in [`Poller::wait`] instead of re-scanning idle
+//! connections; one thread waits on a poller at a time.
 //!
 //! Invariants:
 //!
@@ -68,8 +71,8 @@ pub struct Token(pub u64);
 /// Which transitions a registration wants to observe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Interest {
-    readable: bool,
-    writable: bool,
+    pub(crate) readable: bool,
+    pub(crate) writable: bool,
 }
 
 impl Interest {
@@ -159,6 +162,12 @@ struct PollState {
     pending: HashMap<Token, Readiness>,
     /// Manual [`Poller::wake`] calls not yet consumed by a `wait`.
     wakeups: u64,
+    /// Set by the waiter, under the lock, for the time it is blocked in
+    /// `epoll_wait`: a cross-thread post that finds it set clears it and
+    /// pokes the reactor's self-pipe instead of the condvar. Written under
+    /// the lock on both sides, so a post lands either before the waiter's
+    /// queue check or after the flag is up — never in between.
+    epoll_waiting: bool,
 }
 
 pub(crate) struct PollerInner {
@@ -166,8 +175,8 @@ pub(crate) struct PollerInner {
     cond: Condvar,
     /// The kernel reactor owned by this poller, created lazily the first
     /// time an OS socket registers here. One reactor per poller means one
-    /// epoll instance + thread per shard — registrations never leave the
-    /// owning shard (DESIGN.md §13).
+    /// epoll set per shard, harvested by the shard's own dispatcher —
+    /// registrations never leave the owning shard (DESIGN.md §13).
     os_reactor: std::sync::OnceLock<Arc<crate::tcp::OsReactor>>,
 }
 
@@ -175,7 +184,7 @@ impl PollerInner {
     pub(crate) fn post(&self, token: Token, readiness: Readiness) {
         let mut state = self.state.lock();
         Self::post_locked(&mut state, token, readiness);
-        self.cond.notify_one();
+        self.notify(&mut state);
     }
 
     fn post_locked(state: &mut PollState, token: Token, readiness: Readiness) {
@@ -186,39 +195,19 @@ impl PollerInner {
             state.queue.push_back(token);
         }
     }
-}
 
-impl Drop for PollerInner {
-    fn drop(&mut self) {
-        // The last reference to this poller is gone: no registration can
-        // post here again, so the shard's reactor thread (if one was ever
-        // started) can exit instead of leaking a thread + epoll fd per
-        // short-lived poller.
-        if let Some(reactor) = self.os_reactor.get() {
-            reactor.initiate_shutdown();
+    /// Unblocks the waiter wherever it sleeps: a poller that owns a reactor
+    /// has its waiter in `epoll_wait` (poked through the self-pipe, once —
+    /// the poke lowers the flag) or awake; a sim-only one parks on the
+    /// condvar.
+    fn notify(&self, state: &mut PollState) {
+        let Some(reactor) = self.os_reactor.get() else {
+            self.cond.notify_all();
+            return;
+        };
+        if std::mem::take(&mut state.epoll_waiting) {
+            reactor.poke();
         }
-    }
-}
-
-/// Delivers one `epoll_wait` batch of wakes with one lock acquisition and
-/// one condvar notify per destination poller, instead of one of each per
-/// event. The batch is grouped by destination in place; relative order
-/// within one poller is preserved (stable sort), which keeps delivery
-/// order deterministic for a single-shard reactor.
-pub(crate) fn wake_batch(mut wakes: Vec<(WakerSlot, Readiness)>) {
-    wakes.sort_by_key(|(slot, _)| Arc::as_ptr(&slot.inner) as usize);
-    let mut idx = 0;
-    while idx < wakes.len() {
-        let inner = Arc::clone(&wakes[idx].0.inner);
-        {
-            let mut state = inner.state.lock();
-            while idx < wakes.len() && Arc::ptr_eq(&wakes[idx].0.inner, &inner) {
-                let (slot, readiness) = &wakes[idx];
-                PollerInner::post_locked(&mut state, slot.token, *readiness);
-                idx += 1;
-            }
-        }
-        inner.cond.notify_one();
     }
 }
 
@@ -277,6 +266,7 @@ impl Poller {
                     queue: VecDeque::new(),
                     pending: HashMap::new(),
                     wakeups: 0,
+                    epoll_waiting: false,
                 }),
                 cond: Condvar::new(),
                 os_reactor: std::sync::OnceLock::new(),
@@ -284,32 +274,51 @@ impl Poller {
         }
     }
 
-    /// The kernel reactor owned by this poller, started on first use. All
+    /// The kernel reactor owned by this poller, created on first use. All
     /// OS-socket registrations made through this poller land in its epoll
-    /// set; the reactor thread shuts down when the poller is dropped.
-    pub(crate) fn os_reactor(&self) -> Arc<crate::tcp::OsReactor> {
-        Arc::clone(
-            self.inner
-                .os_reactor
-                .get_or_init(crate::tcp::OsReactor::start),
-        )
+    /// set, which the thread in [`Poller::wait`] harvests.
+    pub(crate) fn os_reactor(&self) -> &Arc<crate::tcp::OsReactor> {
+        let mut created = false;
+        let reactor = self.inner.os_reactor.get_or_init(|| {
+            created = true;
+            Arc::new(crate::tcp::OsReactor::new())
+        });
+        if created {
+            // A thread already parked on the condvar must move into
+            // `epoll_wait`, or the new set would go unharvested until its
+            // timeout. Under the lock, so it either parked before (and is
+            // notified) or checks after (and sees the reactor).
+            let _state = self.inner.state.lock();
+            self.inner.cond.notify_all();
+        }
+        reactor
+    }
+
+    /// The kernel reactor, if an OS socket ever registered here.
+    pub(crate) fn started_os_reactor(&self) -> Option<&Arc<crate::tcp::OsReactor>> {
+        self.inner.os_reactor.get()
     }
 
     /// Blocks until at least one event (or a manual [`Poller::wake`])
     /// arrives, or `timeout` elapses. Returns every queued event, oldest
     /// first; an empty vector means the wait timed out or was woken.
+    ///
+    /// A poller that owns a kernel reactor blocks in `epoll_wait` on this
+    /// thread; a sim-only poller parks on the condvar.
     pub fn wait(&self, timeout: Duration) -> Vec<Event> {
         let deadline = Instant::now() + timeout;
-        let mut state = self.inner.state.lock();
+        let mut guard = self.inner.state.lock();
         loop {
+            let state = &mut *guard;
             if !state.queue.is_empty() || state.wakeups > 0 {
                 state.wakeups = 0;
-                let tokens: Vec<Token> = state.queue.drain(..).collect();
-                return tokens
-                    .into_iter()
+                let pending = &mut state.pending;
+                return state
+                    .queue
+                    .drain(..)
                     .map(|token| Event {
                         token,
-                        readiness: state.pending.remove(&token).unwrap_or_default(),
+                        readiness: pending.remove(&token).unwrap_or_default(),
                     })
                     .collect();
             }
@@ -317,7 +326,22 @@ impl Poller {
             if now >= deadline {
                 return Vec::new();
             }
-            self.inner.cond.wait_for(&mut state, deadline - now);
+            let Some(reactor) = self.inner.os_reactor.get() else {
+                self.inner.cond.wait_for(&mut guard, deadline - now);
+                continue;
+            };
+            debug_assert!(!state.epoll_waiting, "one waiter per poller");
+            state.epoll_waiting = true;
+            drop(guard);
+            let wakes = reactor.wait(deadline - now);
+            guard = self.inner.state.lock();
+            if !std::mem::take(&mut guard.epoll_waiting) {
+                // A post lowered the flag, so its byte is in the pipe.
+                reactor.drain_wake_pipe();
+            }
+            for (token, readiness) in wakes {
+                PollerInner::post_locked(&mut guard, token, readiness);
+            }
         }
     }
 
@@ -332,7 +356,7 @@ impl Poller {
     pub fn wake(&self) {
         let mut state = self.inner.state.lock();
         state.wakeups += 1;
-        self.inner.cond.notify_all();
+        self.inner.notify(&mut state);
     }
 
     /// Number of events currently queued (diagnostics).
@@ -354,6 +378,13 @@ mod tests {
     use crate::conn::pair;
     use crate::costs::StackCosts;
     use crate::error::NetError;
+
+    impl Poller {
+        /// `true` while the waiter is (about to be) blocked in `epoll_wait`.
+        pub(crate) fn in_epoll_wait(&self) -> bool {
+            self.inner.state.lock().epoll_waiting
+        }
+    }
 
     #[test]
     fn post_then_wait_delivers_in_order() {
@@ -426,27 +457,6 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, Token(3));
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn wake_batch_groups_by_destination_and_coalesces() {
-        let a = Poller::new();
-        let b = Poller::new();
-        wake_batch(vec![
-            (a.slot(Token(1)), Readiness::readable()),
-            (b.slot(Token(2)), Readiness::writable()),
-            (a.slot(Token(1)), Readiness::writable()),
-            (a.slot(Token(3)), Readiness::readable()),
-        ]);
-        let events_a = a.wait(Duration::from_millis(10));
-        assert_eq!(events_a.len(), 2);
-        assert_eq!(events_a[0].token, Token(1));
-        assert!(events_a[0].readiness.readable && events_a[0].readiness.writable);
-        assert_eq!(events_a[1].token, Token(3));
-        let events_b = b.wait(Duration::from_millis(10));
-        assert_eq!(events_b.len(), 1);
-        assert_eq!(events_b[0].token, Token(2));
-        assert!(events_b[0].readiness.writable);
     }
 
     /// The lost-wakeup stress test of the readiness layer: N writer threads

@@ -13,7 +13,7 @@
 //! `socket`/`setsockopt`/`bind`/`listen` (needed because std cannot set
 //! `SO_REUSEPORT` before binding — the accept-sharding path), `writev`
 //! (vectored header+body responses) and a `pipe2` self-pipe per reactor
-//! (clean shutdown of per-shard reactor threads).
+//! (a cross-thread post ends the dispatcher's `epoll_wait` through it).
 
 #![allow(non_camel_case_types)]
 

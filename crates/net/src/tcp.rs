@@ -3,14 +3,13 @@
 //! Everything above the substrate — dispatchers, task graphs, placement —
 //! speaks [`crate::Endpoint`] + [`crate::Poller`]. This module provides the
 //! second implementation of that contract (DESIGN.md §10): nonblocking
-//! `std::net` sockets whose kernel readiness transitions are translated
-//! into [`Poller::post`] calls by a per-poller [`OsReactor`] thread
-//! blocked in `epoll_wait` (bound via the direct syscall bindings in
-//! `crate::sys`; no new crates, per the offline shim policy of §7).
-//! Each shard's poller lazily owns its own reactor (DESIGN.md §13), so
-//! kernel event demultiplexing scales with the shard topology instead of
-//! funnelling every TCP byte through one process-wide thread; a reactor
-//! shuts down (via a self-pipe) when its poller is dropped.
+//! `std::net` sockets registered in a per-poller [`OsReactor`] — an epoll
+//! set (bound via the direct syscall bindings in `crate::sys`; no new
+//! crates, per the offline shim policy of §7) that the thread calling
+//! [`Poller::wait`] blocks on itself. Each shard's poller lazily owns its
+//! own reactor (DESIGN.md §13), so the shard's dispatcher *is* its kernel
+//! reactor: no thread stands between `epoll_wait` and the task wakeup, and
+//! kernel event demultiplexing scales with the shard topology.
 //!
 //! The readiness contract matches the simulated sources exactly:
 //!
@@ -35,7 +34,7 @@
 
 use crate::costs::{StackCosts, StackModel};
 use crate::error::NetError;
-use crate::poller::{Interest, Poller, Readiness, Token, WakerSlot};
+use crate::poller::{Interest, Poller, Readiness, Token};
 use crate::ratelimit::TokenBucket;
 use crate::stats::NetStats;
 use crate::sys;
@@ -114,10 +113,10 @@ fn listen_reuseport(addr: SocketAddr) -> Result<std::net::TcpListener, NetError>
 // ---------------------------------------------------------------------------
 
 /// How many kernel events one `epoll_wait` call drains per pass. The
-/// batched-syscall contract (DESIGN.md §13): under load the reactor
+/// batched-syscall contract (DESIGN.md §13): under load the waiter
 /// amortizes one wait syscall over up to this many readiness transitions,
-/// and the whole batch is delivered with one poller lock acquisition per
-/// destination shard via [`crate::poller::wake_batch`].
+/// and the whole batch enters the poller's queue under one lock
+/// acquisition.
 pub(crate) const MAX_EVENTS: usize = 256;
 
 /// Userdata value reserved for the reactor's self-pipe wake channel; never
@@ -130,12 +129,12 @@ fn pack_userdata(gen: u32, fd: RawFd) -> u64 {
     ((gen as u64) << 32) | (fd as u32 as u64)
 }
 
-/// The wakers one socket's epoll registration fans out to: one slot per
+/// The tokens one socket's epoll registration fans out to: one slot per
 /// direction, because a single connection may be watched by two different
 /// tasks — the input task (readable) and the output task (writable) — each
-/// under its own token, possibly in different pollers. Mirrors the
-/// simulated pipes, which hold a `read_waker` and a `write_waker` per
-/// direction.
+/// under its own token. A bare [`Token`] suffices: every slot of a reactor
+/// posts into the one poller that owns it. Mirrors the simulated pipes,
+/// which hold a `read_waker` and a `write_waker` per direction.
 struct FdSlots {
     /// Registration generation, packed into the epoll userdata. fd numbers
     /// recycle fast under accept churn, so a batch resolved after the fd
@@ -144,8 +143,8 @@ struct FdSlots {
     /// delivered to the new owner (a stale HUP would otherwise tear down a
     /// healthy connection).
     gen: u32,
-    read: Option<WakerSlot>,
-    write: Option<WakerSlot>,
+    read: Option<Token>,
+    write: Option<Token>,
 }
 
 impl FdSlots {
@@ -174,27 +173,25 @@ impl FdSlots {
     }
 }
 
-/// A per-poller epoll reactor.
+/// A per-poller epoll set.
 ///
-/// Each [`Poller`] — one per shard dispatcher — lazily spawns its own
-/// reactor thread blocked in `epoll_wait`, so kernel event demultiplexing
-/// shards with the runtime topology: a registration lives on the reactor
-/// of the poller that watches it and never moves off the owning shard
-/// (re-registering on a different shard's poller migrates it explicitly).
-/// `epoll_ctl` is safe to call concurrently with `epoll_wait`, so
-/// registration changes take effect immediately without waking the thread.
+/// Each [`Poller`] — one per shard dispatcher — lazily creates its own
+/// epoll instance, and the thread in [`Poller::wait`] blocks in
+/// `epoll_wait` on it, so kernel event demultiplexing shards with the
+/// runtime topology: a registration lives on the reactor of the poller
+/// that watches it and never moves off the owning shard (re-registering on
+/// a different shard's poller migrates it explicitly). `epoll_ctl` is safe
+/// to call concurrently with `epoll_wait`, so registration changes take
+/// effect immediately without waking the waiter.
 ///
-/// The reactor shuts down when its poller is dropped: the poller sets the
-/// flag and writes a byte into the self-pipe, the thread observes it on
-/// the next wakeup and exits, and the descriptors close when the last
-/// `Arc` (thread, poller, or a socket that registered here) goes away.
+/// The descriptors close when the last `Arc` (the poller, or a socket
+/// still registered here) goes away.
 pub(crate) struct OsReactor {
     epfd: RawFd,
     /// Read end of the self-pipe, registered under [`WAKE_TOKEN`].
     wake_read: RawFd,
-    /// Write end of the self-pipe; [`OsReactor::initiate_shutdown`] pokes it.
+    /// Write end of the self-pipe; [`OsReactor::poke`] writes it.
     wake_write: RawFd,
-    shutdown: AtomicBool,
     registrations: Mutex<HashMap<RawFd, FdSlots>>,
     /// Source of registration generations (see [`FdSlots::gen`]); per
     /// reactor, because userdata only has to be unique within one epoll
@@ -203,100 +200,85 @@ pub(crate) struct OsReactor {
 }
 
 impl OsReactor {
-    /// Creates the epoll instance + self-pipe and spawns the event thread.
-    pub(crate) fn start() -> Arc<OsReactor> {
+    /// Creates the epoll instance and its self-pipe.
+    pub(crate) fn new() -> OsReactor {
         let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
         assert!(epfd >= 0, "epoll_create1 failed: errno {}", sys::errno());
         let mut pipe = [0 as sys::c_int; 2];
         let rc = unsafe { sys::pipe2(pipe.as_mut_ptr(), sys::O_NONBLOCK | sys::O_CLOEXEC) };
         assert!(rc == 0, "pipe2 failed: errno {}", sys::errno());
-        // Level-triggered on purpose: the wake byte must keep the thread
-        // spinning out of `epoll_wait` until it actually observes the
-        // shutdown flag, with no edge to miss.
+        // Level-triggered on purpose: a poke that lands before the waiter
+        // enters `epoll_wait` must still end that wait, with no edge to
+        // miss.
         let mut event = sys::epoll_event {
             events: sys::EPOLLIN,
             u64: WAKE_TOKEN,
         };
         let rc = unsafe { sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, pipe[0], &mut event) };
         assert!(rc == 0, "registering the wake pipe: errno {}", sys::errno());
-        let reactor = Arc::new(OsReactor {
+        OsReactor {
             epfd,
             wake_read: pipe[0],
             wake_write: pipe[1],
-            shutdown: AtomicBool::new(false),
             registrations: Mutex::new(HashMap::new()),
             next_gen: AtomicU64::new(1),
-        });
-        let runner = Arc::clone(&reactor);
-        std::thread::Builder::new()
-            .name("flick-os-reactor".into())
-            .spawn(move || runner.run())
-            .expect("spawning an OS reactor thread");
-        reactor
+        }
     }
 
-    /// Asks the event thread to exit (called when the owning poller
-    /// drops). Idempotent; the thread drops its `Arc` on the way out.
-    pub(crate) fn initiate_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        let byte = 1u8;
-        unsafe { sys::write(self.wake_write, &byte, 1) };
+    /// Ends the owning poller's current (or next) `epoll_wait`. The poller
+    /// calls this under its state lock, once per raised `epoll_waiting`
+    /// flag, so the pipe never holds more than one byte.
+    pub(crate) fn poke(&self) {
+        // SAFETY: a live one-byte buffer, length 1.
+        unsafe { sys::write(self.wake_write, &1u8, 1) };
     }
 
-    /// Translates kernel events into poller posts until shut down.
-    fn run(&self) {
+    /// Takes the byte of the one [`OsReactor::poke`] that ended a wait.
+    pub(crate) fn drain_wake_pipe(&self) {
+        let mut byte = 0u8;
+        // SAFETY: a live one-byte buffer, length 1.
+        unsafe { sys::read(self.wake_read, &mut byte, 1) };
+    }
+
+    /// Blocks the calling thread in one `epoll_wait` for up to `timeout`
+    /// and resolves the batch into the (token, readiness) posts it implies
+    /// for the owning poller. Empty on a timeout, a poke or `EINTR`; the
+    /// caller re-checks its deadline.
+    pub(crate) fn wait(&self, timeout: Duration) -> Vec<(Token, Readiness)> {
         let mut events = [sys::epoll_event { events: 0, u64: 0 }; MAX_EVENTS];
-        loop {
-            let n = unsafe {
-                sys::epoll_wait(self.epfd, events.as_mut_ptr(), MAX_EVENTS as sys::c_int, -1)
-            };
-            if n < 0 {
-                if sys::errno() == sys::EINTR {
-                    continue;
-                }
-                // The epoll fd itself failed; nothing sensible to do but
-                // stop translating (the process is likely tearing down).
-                return;
-            }
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let batch = &events[..n as usize];
-            if batch.iter().any(|e| {
-                let user = e.u64;
-                user == WAKE_TOKEN
-            }) {
-                self.drain_wake_pipe();
-            }
-            // One batch, one delivery: `wake_batch` takes each destination
-            // poller's lock once for the whole batch instead of once per
-            // event, which is where the per-shard fan-out wins under load.
-            crate::poller::wake_batch(self.resolve_batch(batch));
+        // Rounded *up*: a sub-millisecond remainder must sleep, not turn
+        // into a zero-timeout spin until the deadline passes.
+        let millis = timeout.as_nanos().div_ceil(1_000_000);
+        let millis = millis.min(sys::c_int::MAX as u128) as sys::c_int;
+        // SAFETY: `events` is live and holds the `MAX_EVENTS` slots passed.
+        let n = unsafe {
+            sys::epoll_wait(
+                self.epfd,
+                events.as_mut_ptr(),
+                MAX_EVENTS as sys::c_int,
+                millis,
+            )
+        };
+        if n <= 0 {
+            // Anything but EINTR means the epoll fd itself is broken.
+            let errno = sys::errno();
+            assert!(n == 0 || errno == sys::EINTR, "epoll_wait: errno {errno}");
+            return Vec::new();
         }
+        self.resolve_batch(&events[..n as usize])
     }
 
-    fn drain_wake_pipe(&self) {
-        let mut buf = [0u8; 64];
-        loop {
-            let n = unsafe { sys::read(self.wake_read, buf.as_mut_ptr(), buf.len()) };
-            if n < buf.len() as isize {
-                return; // Empty (EAGAIN), closed, or a partial final read.
-            }
-        }
-    }
-
-    /// Resolves one `epoll_wait` batch into the waker deliveries it
-    /// implies. Slots are resolved under the registration lock, but wakes
-    /// are delivered by the caller outside it: posting into per-shard
-    /// pollers (lock + condvar notify) while holding the map would
-    /// serialize every concurrent register/deregister behind event fan-out.
+    /// Resolves one `epoll_wait` batch into the posts it implies. Slots
+    /// are resolved under the registration lock, but the posts are queued
+    /// by the caller outside it, so a concurrent register/deregister never
+    /// waits behind the poller's state lock.
     ///
     /// Stale entries are dropped here: an event whose packed generation no
     /// longer matches the live registration raced a close — the fd was
     /// forgotten and the number recycled while the batch was in flight —
     /// and must not wake the new owner with the old socket's state.
-    fn resolve_batch(&self, batch: &[sys::epoll_event]) -> Vec<(WakerSlot, Readiness)> {
-        let mut wakes: Vec<(WakerSlot, Readiness)> = Vec::with_capacity(batch.len());
+    fn resolve_batch(&self, batch: &[sys::epoll_event]) -> Vec<(Token, Readiness)> {
+        let mut wakes: Vec<(Token, Readiness)> = Vec::with_capacity(batch.len());
         let registrations = self.registrations.lock();
         for event in batch {
             let user = event.u64;
@@ -317,17 +299,17 @@ impl OsReactor {
             // parked writer must fail fast, a reader must observe
             // EOF), ordinary transitions only their own side.
             if bits & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
-                if let Some(slot) = &slots.read {
+                if let Some(token) = slots.read {
                     let mut readiness = Readiness::readable();
                     readiness.closed = closed;
-                    wakes.push((slot.clone(), readiness));
+                    wakes.push((token, readiness));
                 }
             }
             if bits & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
-                if let Some(slot) = &slots.write {
+                if let Some(token) = slots.write {
                     let mut readiness = Readiness::writable();
                     readiness.closed = closed;
-                    wakes.push((slot.clone(), readiness));
+                    wakes.push((token, readiness));
                 }
             }
         }
@@ -335,12 +317,12 @@ impl OsReactor {
     }
 
     /// Installs (or replaces) the registration for the direction(s) in
-    /// `interest` of `fd`. Matching events will post `token` into `poller`
-    /// until the direction is deregistered or [`OsReactor::forget`] runs.
+    /// `interest` of `fd`. Matching events will post `token` into the
+    /// owning poller until the direction is forgotten.
     /// Each direction holds one slot: registering a direction again (from
     /// any clone) replaces it, while the other direction's slot — possibly
     /// a different task's token — is left alone.
-    fn register(&self, fd: RawFd, poller: &Poller, token: Token, interest: Interest) {
+    fn register(&self, fd: RawFd, token: Token, interest: Interest) {
         let mut registrations = self.registrations.lock();
         let op = if registrations.contains_key(&fd) {
             sys::EPOLL_CTL_MOD
@@ -353,10 +335,10 @@ impl OsReactor {
         };
         let slots = registrations.entry(fd).or_insert_with(|| FdSlots::new(gen));
         if interest.is_readable() {
-            slots.read = Some(poller.slot(token));
+            slots.read = Some(token);
         }
         if interest.is_writable() {
-            slots.write = Some(poller.slot(token));
+            slots.write = Some(token);
         }
         let mut event = sys::epoll_event {
             events: slots.epoll_bits(),
@@ -375,26 +357,8 @@ impl OsReactor {
         );
     }
 
-    /// Removes the direction(s) in `interest` of `fd`'s registration when
-    /// they post into `poller`; drops the epoll entry once no direction is
-    /// left.
-    fn deregister(&self, fd: RawFd, poller: &Poller, interest: Interest) {
-        let mut registrations = self.registrations.lock();
-        let Some(slots) = registrations.get_mut(&fd) else {
-            return;
-        };
-        if interest.is_readable() && slots.read.as_ref().is_some_and(|s| s.belongs_to(poller)) {
-            slots.read = None;
-        }
-        if interest.is_writable() && slots.write.as_ref().is_some_and(|s| s.belongs_to(poller)) {
-            slots.write = None;
-        }
-        Self::apply_slots(self.epfd, &mut registrations, fd);
-    }
-
-    /// Removes the direction(s) in `interest` unconditionally — used when
-    /// a socket migrates to another shard's reactor and the old poller
-    /// handle is gone.
+    /// Removes the direction(s) in `interest` of `fd`'s registration;
+    /// drops the epoll entry once no direction is left.
     fn forget_interest(&self, fd: RawFd, interest: Interest) {
         let mut registrations = self.registrations.lock();
         let Some(slots) = registrations.get_mut(&fd) else {
@@ -429,7 +393,7 @@ impl OsReactor {
 
     /// Removes any registration for `fd` (socket teardown). The kernel
     /// drops the epoll entry itself when the descriptor closes; this keeps
-    /// the slot table from retaining a stale waker into a dead poller, and
+    /// the slot table from retaining a dead socket's tokens, and
     /// removing the entry *before* the descriptor closes is what arms the
     /// generation guard: any in-flight batch now misses the map (or, after
     /// a re-add recycles the fd, mismatches the generation) instead of
@@ -483,13 +447,20 @@ impl ReactorSlots {
         }
     }
 
-    /// Clears the direction(s) in `interest` when they point at `reactor`.
-    fn clear(&mut self, interest: Interest, reactor: &Arc<OsReactor>) {
+    /// Drops the direction(s) in `interest` that are registered on
+    /// `reactor`; another reactor's registration is left alone.
+    fn clear(&mut self, fd: RawFd, interest: Interest, reactor: &Arc<OsReactor>) {
+        let mut owned = Interest::default();
         if interest.is_readable() && self.read.as_ref().is_some_and(|r| Arc::ptr_eq(r, reactor)) {
             self.read = None;
+            owned.readable = true;
         }
         if interest.is_writable() && self.write.as_ref().is_some_and(|r| Arc::ptr_eq(r, reactor)) {
             self.write = None;
+            owned.writable = true;
+        }
+        if owned != Interest::default() {
+            reactor.forget_interest(fd, owned);
         }
     }
 
@@ -749,13 +720,13 @@ impl TcpListener {
             let reactor = poller.os_reactor();
             {
                 let mut tracked = self.inner.reactor.lock();
-                if let Some(old) = tracked.replace(Arc::clone(&reactor)) {
-                    if !Arc::ptr_eq(&old, &reactor) {
+                if let Some(old) = tracked.replace(Arc::clone(reactor)) {
+                    if !Arc::ptr_eq(&old, reactor) {
                         old.forget_interest(fd, Interest::READABLE);
                     }
                 }
             }
-            reactor.register(fd, poller, token, Interest::READABLE);
+            reactor.register(fd, token, Interest::READABLE);
             poller.post(token, Readiness::readable());
         } else {
             poller.post(token, Readiness::readable().with_closed());
@@ -764,12 +735,11 @@ impl TcpListener {
 
     /// Removes this listener's registration in `poller`, if any.
     pub fn deregister(&self, poller: &Poller) {
-        if let Some(fd) = self.raw_fd() {
-            let reactor = poller.os_reactor();
-            reactor.deregister(fd, poller, Interest::READABLE);
+        if let (Some(fd), Some(reactor)) = (self.raw_fd(), poller.started_os_reactor()) {
             let mut tracked = self.inner.reactor.lock();
-            if tracked.as_ref().is_some_and(|r| Arc::ptr_eq(r, &reactor)) {
+            if tracked.as_ref().is_some_and(|r| Arc::ptr_eq(r, reactor)) {
                 *tracked = None;
+                reactor.forget_interest(fd, Interest::READABLE);
             }
         }
     }
@@ -1089,8 +1059,8 @@ impl TcpConn {
         self.inner
             .reactors
             .lock()
-            .migrate(self.fd(), interest, &reactor);
-        reactor.register(self.fd(), poller, token, interest);
+            .migrate(self.fd(), interest, reactor);
+        reactor.register(self.fd(), token, interest);
         // Level-triggered at registration: post the current state so bytes
         // that arrived before (or during) the registration — e.g. across a
         // cross-shard handoff — are observed. Writable interest is posted
@@ -1111,9 +1081,10 @@ impl TcpConn {
     }
 
     pub(crate) fn deregister_interest(&self, poller: &Poller, interest: Interest) {
-        let reactor = poller.os_reactor();
-        reactor.deregister(self.fd(), poller, interest);
-        self.inner.reactors.lock().clear(interest, &reactor);
+        if let Some(reactor) = poller.started_os_reactor() {
+            let mut tracked = self.inner.reactors.lock();
+            tracked.clear(self.fd(), interest, reactor);
+        }
     }
 
     pub(crate) fn close(&self) {
@@ -1366,29 +1337,193 @@ mod tests {
         assert_eq!(snap.vectored_segments, 2);
     }
 
-    /// Dropping a poller shuts its reactor down: the event thread exits
-    /// and later batches stop arriving, while sockets registered there
-    /// keep working through plain reads.
-    #[test]
-    fn dropping_the_poller_stops_its_reactor() {
-        let stack = stack();
-        let (_listener, client, server) = pair(&stack);
-        let poller = Poller::new();
-        server.register(&poller, Token(3), Interest::READABLE);
-        let reactor = poller.os_reactor();
-        // Deregistering drops the reactor's waker back-reference, so the
-        // poller's drop below is the last one and triggers the shutdown.
-        server.deregister(&poller);
-        drop(poller);
-        // The shutdown flag is set synchronously by the poller's drop.
-        assert!(reactor.shutdown.load(Ordering::Acquire));
-        // The socket itself is still alive and readable directly.
-        client.write_all(b"still here").unwrap();
-        let mut buf = [0u8; 16];
-        let n = server
-            .read_timeout(&mut buf, Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(&buf[..n], b"still here");
+    /// The dispatcher-is-the-reactor wake protocol (DESIGN.md §13): each
+    /// test has its waiter blocked in `epoll_wait` inside `Poller::wait`
+    /// and ends that wait from another thread.
+    mod epoll_waiter {
+        use super::*;
+        use std::sync::mpsc;
+
+        const ROUNDS: u64 = 10_000;
+        /// Loose on purpose: a lost wake shows as the full 10 s timeout.
+        const PROMPT: Duration = Duration::from_millis(500);
+
+        /// A connected kernel pair whose server end is registered under
+        /// `Token(1)` on a fresh poller — which therefore owns a reactor —
+        /// with the synthetic level-trigger event already drained.
+        fn kernel_poller(stack: &Arc<TcpStack>) -> (Poller, TcpListener, Endpoint, Endpoint) {
+            let (listener, client, server) = pair(stack);
+            let poller = Poller::new();
+            server.register(&poller, Token(1), Interest::READABLE);
+            assert_eq!(poller.wait(Duration::from_secs(5)).len(), 1);
+            (poller, listener, client, server)
+        }
+
+        /// Returns once the waiter has raised `epoll_waiting`, so the wake
+        /// that follows has to take the self-pipe path.
+        fn until_in_epoll_wait(poller: &Poller) -> Instant {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !poller.in_epoll_wait() {
+                assert!(Instant::now() < deadline, "waiter never reached epoll_wait");
+                std::thread::yield_now();
+            }
+            Instant::now()
+        }
+
+        fn drain_one_byte(endpoint: &Endpoint) {
+            let mut buf = [0u8; 8];
+            assert_eq!(endpoint.read(&mut buf), Ok(1));
+            assert_eq!(endpoint.read(&mut buf), Err(NetError::WouldBlock));
+        }
+
+        #[test]
+        fn post_and_wake_end_an_epoll_wait_promptly() {
+            let stack = stack();
+            let (poller, _listener, _client, _server) = kernel_poller(&stack);
+            for post in [true, false] {
+                std::thread::scope(|scope| {
+                    let waker = scope.spawn(|| {
+                        let sent = until_in_epoll_wait(&poller);
+                        if post {
+                            poller.post(Token(42), Readiness::readable());
+                        } else {
+                            poller.wake();
+                        }
+                        sent
+                    });
+                    let events = poller.wait(Duration::from_secs(10));
+                    let latency = waker.join().unwrap().elapsed();
+                    let tokens: Vec<Token> = events.iter().map(|e| e.token).collect();
+                    assert_eq!(tokens, if post { vec![Token(42)] } else { vec![] });
+                    assert!(latency < PROMPT, "post={post} took {latency:?}");
+                });
+            }
+        }
+
+        /// Ping-pong, so every post races the waiter's way into
+        /// `epoll_wait`: it lands before the queue check, or after the
+        /// flag is up — a post that fell in between would time the round
+        /// out.
+        #[test]
+        fn post_wait_stress_loses_no_round() {
+            let stack = stack();
+            let (poller, _listener, _client, _server) = kernel_poller(&stack);
+            let (ack, acked) = mpsc::channel();
+            std::thread::scope(|scope| {
+                let poller = &poller;
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        poller.post(Token(100 + round), Readiness::readable());
+                        acked.recv().unwrap();
+                    }
+                });
+                for round in 0..ROUNDS {
+                    let events = poller.wait(Duration::from_secs(10));
+                    let tokens: Vec<Token> = events.iter().map(|e| e.token).collect();
+                    assert_eq!(tokens, [Token(100 + round)], "round {round}");
+                    ack.send(()).unwrap();
+                }
+            });
+        }
+
+        /// The mixed-transport LB shape: sim pipes towards the clients,
+        /// kernel sockets towards the back-ends, one poller. A sim waker
+        /// runs on the writer's thread and must get the waiter out of the
+        /// kernel.
+        #[test]
+        fn sim_pipe_wakers_reach_a_waiter_that_also_watches_a_kernel_socket() {
+            let stack = stack();
+            let (poller, _listener, tcp_client, tcp_server) = kernel_poller(&stack);
+            let (sim_client, sim_server) = crate::conn::pair(9, StackCosts::free(), None, 4096);
+            sim_server.register(&poller, Token(2), Interest::READABLE);
+            let _ = poller.wait(Duration::from_millis(50)); // synthetic level-trigger
+
+            std::thread::scope(|scope| {
+                let writer = scope.spawn(|| {
+                    let sent = until_in_epoll_wait(&poller);
+                    sim_client.write(b"s").unwrap();
+                    sent
+                });
+                let events = poller.wait(Duration::from_secs(10));
+                let latency = writer.join().unwrap().elapsed();
+                assert_eq!(events.len(), 1);
+                assert!(events[0].token == Token(2) && events[0].readiness.readable);
+                assert!(latency < PROMPT, "sim wake took {latency:?}");
+                drain_one_byte(&sim_server);
+            });
+
+            let (ack, acked) = mpsc::channel();
+            std::thread::scope(|scope| {
+                let (sim_client, tcp_client) = (&sim_client, &tcp_client);
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        let source = if round % 2 == 0 {
+                            sim_client
+                        } else {
+                            tcp_client
+                        };
+                        source.write(b"x").unwrap();
+                        acked.recv().unwrap();
+                    }
+                });
+                for round in 0..ROUNDS {
+                    let (token, source) = if round % 2 == 0 {
+                        (Token(2), &sim_server)
+                    } else {
+                        (Token(1), &tcp_server)
+                    };
+                    let events = poller.wait(Duration::from_secs(10));
+                    let tokens: Vec<Token> = events.iter().map(|e| e.token).collect();
+                    assert_eq!(tokens, [token], "round {round}");
+                    drain_one_byte(source);
+                    ack.send(()).unwrap();
+                }
+            });
+        }
+
+        /// A thread parked on the condvar when the reactor is created must
+        /// move into `epoll_wait`. The registration below goes straight to
+        /// the reactor, without the synthetic post `TcpConn::register`
+        /// adds, so only the creation notify can move the waiter. (If the
+        /// waiter is slow to park it finds the reactor on its first check
+        /// and the test passes for the plainer reason.)
+        #[test]
+        fn a_waiter_parked_before_the_reactor_exists_moves_into_epoll_wait() {
+            let stack = stack();
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (mut peer, _) = listener.accept().unwrap();
+            let conn = stack.wrap(stream, crate::conn::Side::Client).unwrap();
+            let poller = Poller::new();
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| poller.wait(Duration::from_secs(10)));
+                std::thread::sleep(Duration::from_millis(50));
+                let reactor = poller.os_reactor();
+                reactor.register(conn.fd(), Token(5), Interest::READABLE);
+                let sent = until_in_epoll_wait(&poller);
+                peer.write_all(b"late").unwrap();
+                let events = waiter.join().unwrap();
+                assert!(sent.elapsed() < PROMPT, "took {:?}", sent.elapsed());
+                assert_eq!(events.len(), 1);
+                assert!(events[0].token == Token(5) && events[0].readiness.readable);
+                reactor.forget(conn.fd());
+            });
+        }
+
+        /// Timeouts round up to the millisecond: a sub-millisecond wait on
+        /// a kernel poller sleeps at least its timeout in one `epoll_wait`
+        /// instead of returning early or spinning on zero-timeout calls.
+        #[test]
+        fn short_timeouts_are_not_cut_short() {
+            let stack = stack();
+            let (poller, _listener, _client, _server) = kernel_poller(&stack);
+            for micros in [300, 2_500] {
+                let timeout = Duration::from_micros(micros);
+                let start = Instant::now();
+                assert!(poller.wait(timeout).is_empty());
+                assert!(start.elapsed() >= timeout, "{timeout:?} cut short");
+            }
+        }
     }
 
     #[test]

@@ -311,9 +311,7 @@ impl ShardReactor {
                 sweep |= event.readiness.closed || entry.shared.stopped();
                 self.drain_listener(token);
             } else if let Some(watch) = self.watches.get(&token) {
-                if self.scheduler.is_registered(watch.task) {
-                    self.scheduler.schedule(watch.task);
-                } else {
+                if !self.scheduler.schedule(watch.task) {
                     // The watched task already exited: stop watching this
                     // direction only — the connection's other direction
                     // may belong to a live task's watch.

@@ -101,16 +101,17 @@ impl SchedulerInner {
         (id.0.wrapping_mul(0x9e3779b97f4a7c15) >> 32) as usize % self.queues.len()
     }
 
-    fn schedule(&self, id: TaskId) {
+    /// Returns `false` if `id` is not (or no longer) registered.
+    fn schedule(&self, id: TaskId) -> bool {
         let slot = {
             let tasks = self.tasks.read();
             match tasks.get(&id) {
                 Some(slot) => Arc::clone(slot),
-                None => return,
+                None => return false,
             }
         };
         if slot.queued.swap(true, Ordering::AcqRel) {
-            return;
+            return true;
         }
         let worker = self.queue_for(id);
         self.queues[worker].queue.lock().push_back(id);
@@ -126,6 +127,7 @@ impl SchedulerInner {
             let _guard = self.idle_lock.lock();
             self.idle_cond.notify_one();
         }
+        true
     }
 
     fn pop_own(&self, worker: usize) -> Option<TaskId> {
@@ -166,7 +168,9 @@ impl SchedulerInner {
             self.schedule(wake);
         }
         match status {
-            TaskStatus::Runnable => self.schedule(id),
+            TaskStatus::Runnable => {
+                self.schedule(id);
+            }
             TaskStatus::Idle => {}
             TaskStatus::Finished => {
                 self.tasks.write().remove(&id);
@@ -464,8 +468,11 @@ impl Scheduler {
     }
 
     /// Makes a task runnable (it will be dispatched by its worker).
-    pub fn schedule(&self, id: TaskId) {
-        self.inner.schedule(id);
+    /// Returns `false` if the task is not registered (already finished),
+    /// so an event-driven caller needs no separate
+    /// [`Scheduler::is_registered`] probe.
+    pub fn schedule(&self, id: TaskId) -> bool {
+        self.inner.schedule(id)
     }
 
     /// Returns `true` while the task is registered (not yet finished).
@@ -661,7 +668,7 @@ mod tests {
     fn scheduling_unknown_task_is_harmless() {
         let scheduler =
             Scheduler::start(1, SchedulingPolicy::default(), RuntimeMetrics::new_shared());
-        scheduler.schedule(TaskId(999));
+        assert!(!scheduler.schedule(TaskId(999)), "reports the miss");
         assert!(!scheduler.is_registered(TaskId(999)));
     }
 
@@ -673,6 +680,7 @@ mod tests {
         assert!(scheduler.is_registered(TaskId(7)));
         scheduler.remove(TaskId(7));
         assert!(!scheduler.is_registered(TaskId(7)));
+        assert!(!scheduler.schedule(TaskId(7)), "a removed task is a miss");
     }
 
     #[test]
