@@ -2,7 +2,7 @@
 //! non-persistent connections at a fixed concurrency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flick_bench::{run_http_experiment, HttpExperiment, HttpSystem};
+use flick_bench::{run_http_experiment, HttpPoint, HttpSystem};
 use std::time::Duration;
 
 fn bench_http_lb(c: &mut Criterion) {
@@ -14,12 +14,13 @@ fn bench_http_lb(c: &mut Criterion) {
         };
         let mut group = c.benchmark_group(name);
         for system in HttpSystem::all() {
-            let params = HttpExperiment {
+            let params = HttpPoint {
                 concurrency: 8,
                 persistent,
                 duration: Duration::from_millis(200),
                 workers: 2,
                 backends: 2,
+                ..Default::default()
             };
             group.bench_with_input(
                 BenchmarkId::from_parameter(system.label()),

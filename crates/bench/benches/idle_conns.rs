@@ -5,10 +5,10 @@
 //! held to its baseline in CI by the `bench_guard` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flick_net::{Endpoint, SimNetwork, StackModel};
-use flick_runtime::{DeployedService, Platform, PlatformConfig, ServiceSpec};
+use flick_bench::testbed::BODY;
+use flick_bench::{Testbed, Transport};
+use flick_net::{Endpoint, StackModel};
 use flick_services::http::StaticWebServerFactory;
-use std::sync::Arc;
 use std::time::Duration;
 
 const CONNECTIONS: usize = 256;
@@ -16,38 +16,22 @@ const CONNECTIONS: usize = 256;
 struct Setup {
     // Holds the platform, service and idle connections alive for the
     // duration of the measurement.
-    _platform: Platform,
-    _service: DeployedService,
+    _bed: Testbed,
     _idle: Vec<Endpoint>,
     active: Endpoint,
 }
 
 fn setup() -> Setup {
-    let net = SimNetwork::new(StackModel::Kernel);
-    let platform = Platform::with_network(
-        PlatformConfig {
-            workers: 4,
-            stack: StackModel::Kernel,
-            ..Default::default()
-        },
-        Arc::clone(&net),
-    );
-    let service = platform
-        .deploy(ServiceSpec::new(
-            "idle-web",
-            8080,
-            StaticWebServerFactory::new(&[b'x'; 137][..]),
-        ))
-        .expect("deploy static web service");
-    let idle: Vec<Endpoint> = (1..CONNECTIONS)
-        .map(|_| net.connect(8080).expect("idle client connects"))
-        .collect();
-    let active = net.connect(8080).expect("active client connects");
+    let mut bed = Testbed::new(StackModel::Kernel, 4, 0);
+    let web = StaticWebServerFactory::new(&BODY[..]);
+    let web = bed.deploy_http(Transport::Sim, "idle-web", web, 0);
+    let connect = || bed.net().connect(web.port).expect("client connects");
+    let idle: Vec<Endpoint> = (1..CONNECTIONS).map(|_| connect()).collect();
+    let active = connect();
     // Let the dispatcher instantiate every graph before measuring.
     std::thread::sleep(Duration::from_millis(100));
     Setup {
-        _platform: platform,
-        _service: service,
+        _bed: bed,
         _idle: idle,
         active,
     }

@@ -2,19 +2,19 @@
 //! system at a fixed concurrency).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flick_bench::{run_http_experiment, HttpExperiment, HttpSystem};
+use flick_bench::{run_http_experiment, HttpPoint, HttpSystem};
 use std::time::Duration;
 
 fn bench_webserver(c: &mut Criterion) {
     let mut group = c.benchmark_group("webserver_throughput");
     group.sample_size(10);
     for system in HttpSystem::all() {
-        let params = HttpExperiment {
+        let params = HttpPoint {
             concurrency: 8,
-            persistent: true,
             duration: Duration::from_millis(200),
             workers: 2,
             backends: 0,
+            ..Default::default()
         };
         group.bench_with_input(
             BenchmarkId::from_parameter(system.label()),

@@ -42,9 +42,7 @@ use flick_bench::{
     run_hadoop_experiment, run_hostile_goodput_experiment, run_http_experiment,
     run_idle_connections_experiment, run_sharding_ablation, run_stalled_peers_experiment,
     run_tcp_c10k_experiment, run_tcp_lb_experiment, run_tcp_loopback_experiment,
-    run_tcp_sharding_curve, ExecModeDispatchExperiment, FlickVmLbExperiment, HadoopExperiment,
-    HttpExperiment, HttpSystem, IdleConnExperiment, StalledPeersExperiment, TcpC10kExperiment,
-    TcpLbExperiment, TcpLoopbackExperiment,
+    run_tcp_sharding_curve, ExecModeDispatchExperiment, HadoopExperiment, HttpPoint, HttpSystem,
 };
 use std::time::Duration;
 
@@ -175,15 +173,19 @@ impl Checks {
     }
 }
 
+/// The fig4 shape at the guard's scale: 32 persistent clients for 400 ms
+/// against 4 workers and 4 back-ends. Shared by the fig4 point and the
+/// hostile-goodput point.
+fn fig4_point() -> HttpPoint {
+    HttpPoint {
+        concurrency: 32,
+        ..Default::default()
+    }
+}
+
 /// The reduced fig4 point the guard tracks.
 fn run_fig4_point() -> Row {
-    let params = HttpExperiment {
-        concurrency: 32,
-        persistent: true,
-        duration: Duration::from_millis(400),
-        workers: 4,
-        backends: 4,
-    };
+    let params = fig4_point();
     let stats = run_http_experiment(HttpSystem::FlickKernel, &params);
     Row::new(
         params.concurrency,
@@ -208,14 +210,13 @@ fn run_fig6_point() -> Row {
 
 /// The idle-connection point: 8 active clients among 256 connections.
 fn run_idle_point() -> Row {
-    let params = IdleConnExperiment::default();
-    let stats = run_idle_connections_experiment(&params);
-    Row::new(
-        params.connections,
-        "event",
-        stats.requests_per_sec(),
-        "req/s",
-    )
+    const CONNECTIONS: usize = 256;
+    let params = HttpPoint {
+        concurrency: 8,
+        ..Default::default()
+    };
+    let stats = run_idle_connections_experiment(&params, CONNECTIONS);
+    Row::new(CONNECTIONS, "event", stats.requests_per_sec(), "req/s")
 }
 
 /// Back-ends that served at least one request.
@@ -231,12 +232,16 @@ fn guarded(row: &Row) -> bool {
 fn main() {
     let record = std::env::args().any(|a| a == "--record");
     let mut rows = vec![run_idle_point()];
-    // The stalled-peer point: active throughput with 8 peers pinned
-    // against full pipes, two passes.
-    let stalled_params = StalledPeersExperiment::default();
+    // The stalled-peer point: active throughput of 4 clients with 8 peers
+    // pinned against full pipes, two passes.
+    const STALLED: usize = 8;
+    let stalled_params = HttpPoint {
+        concurrency: 4,
+        ..Default::default()
+    };
     let stalled = [
-        run_stalled_peers_experiment(&stalled_params),
-        run_stalled_peers_experiment(&stalled_params),
+        run_stalled_peers_experiment(&stalled_params, STALLED),
+        run_stalled_peers_experiment(&stalled_params, STALLED),
     ];
     let stalled_retries = stalled
         .iter()
@@ -244,13 +249,13 @@ fn main() {
         .min()
         .expect("two passes");
     rows.push(Row::new(
-        stalled_params.stalled,
+        STALLED,
         "output wakeup",
         best(stalled.iter().map(|pass| pass.stats.requests_per_sec())),
         "req/s",
     ));
     rows.push(Row::new(
-        stalled_params.stalled,
+        STALLED,
         "output wakeup retries",
         stalled_retries as f64,
         "retries",
@@ -268,13 +273,7 @@ fn main() {
     // The hostile-goodput point: the same LB shape as fig4, measured
     // clean and then under a 10% malformed-frame storm (two passes —
     // door-slam shedding on a loaded host is noisy).
-    let hostile_params = HttpExperiment {
-        concurrency: 32,
-        persistent: true,
-        duration: Duration::from_millis(400),
-        workers: 4,
-        backends: 4,
-    };
+    let hostile_params = fig4_point();
     let hostile = [
         run_hostile_goodput_experiment(&hostile_params, HOSTILE_SHARE),
         run_hostile_goodput_experiment(&hostile_params, HOSTILE_SHARE),
@@ -293,11 +292,9 @@ fn main() {
     ));
     // The e2e loopback TCP point, two passes (real sockets on a loaded CI
     // host are noisier than the simulated substrate).
-    let tcp_params = TcpLoopbackExperiment {
-        concurrency: 16,
-        duration: Duration::from_millis(400),
-        workers: 4,
+    let tcp_params = HttpPoint {
         shards: 1,
+        ..Default::default()
     };
     let tcp = [
         run_tcp_loopback_experiment(&tcp_params),
@@ -315,14 +312,10 @@ fn main() {
         best(tcp.iter().map(|pass| pass.sim.requests_per_sec())),
         "req/s",
     ));
-    // The all-TCP LB point (kernel client → LB → kernel backend), two
-    // passes like the loopback point.
-    let lb_params = TcpLbExperiment {
-        concurrency: 16,
-        duration: Duration::from_millis(400),
-        workers: 4,
-        backends: 4,
-    };
+    // The all-TCP LB point (kernel client → LB → kernel backend): 16
+    // clients for 400 ms against 4 workers and 4 back-ends, two passes
+    // like the loopback point.
+    let lb_params = HttpPoint::default();
     let lb = [
         run_tcp_lb_experiment(&lb_params),
         run_tcp_lb_experiment(&lb_params),
@@ -365,20 +358,15 @@ fn main() {
     ));
     // The end-to-end compiled-LB point: the FLICK-compiled balancer (the
     // full compiler pipeline, not the hand-written factory) over real
-    // kernel sockets in VM mode, two passes like the other TCP points.
-    let flick_lb_params = FlickVmLbExperiment {
-        concurrency: 16,
-        duration: Duration::from_millis(400),
-        workers: 4,
-        backends: 4,
-    };
+    // kernel sockets in VM mode, at the all-TCP LB point's scale, two
+    // passes like the other TCP points.
     let flick_lb = [
-        run_flick_vm_lb_experiment(&flick_lb_params),
-        run_flick_vm_lb_experiment(&flick_lb_params),
+        run_flick_vm_lb_experiment(&lb_params),
+        run_flick_vm_lb_experiment(&lb_params),
     ];
     let flick_lb_best = best_of(&flick_lb, |pass| pass.stats.requests_per_sec());
     rows.push(Row::new(
-        flick_lb_params.concurrency,
+        lb_params.concurrency,
         "flick vm lb e2e",
         flick_lb_best.stats.requests_per_sec(),
         "req/s",
@@ -413,8 +401,13 @@ fn main() {
     // throughput. One pass — the gates on it are structural (zero-copy
     // laws, connection survival), not throughput-absolute beyond the 30%
     // floor.
-    let c10k_params = TcpC10kExperiment::default();
-    let c10k = run_tcp_c10k_experiment(&c10k_params);
+    let c10k_params = HttpPoint {
+        concurrency: 8,
+        workers: 2,
+        shards: 1,
+        ..Default::default()
+    };
+    let c10k = run_tcp_c10k_experiment(&c10k_params, 10_000);
     rows.push(Row::new(
         "10k",
         "tcp c10k active",
@@ -662,6 +655,13 @@ fn main() {
             "hostile run shed poison as malformed closes ({} sent, {} closed)",
             hostile_best.hostile.malformed_sent, hostile_best.malformed_closes
         ))
+    });
+    // And clean traffic is never flagged, in any pass.
+    let clean_closes: u64 = hostile.iter().map(|pass| pass.clean_malformed_closes).sum();
+    checks.record(if clean_closes == 0 {
+        Ok("clean run drew 0 malformed closes".to_string())
+    } else {
+        Err(format!("clean run drew {clean_closes} malformed closes"))
     });
 
     // Structural, beside the vm/interp gate: the compiled balancer in VM

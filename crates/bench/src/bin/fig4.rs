@@ -7,7 +7,7 @@
 //! connections FLICK (kernel) drops below Apache/Nginx while FLICK mTCP is
 //! the fastest of all.
 
-use flick_bench::{print_table, run_http_experiment, HttpExperiment, HttpSystem, Row};
+use flick_bench::{print_table, run_http_experiment, HttpPoint, HttpSystem, Row};
 use std::time::Duration;
 
 fn main() {
@@ -16,12 +16,13 @@ fn main() {
         let mut rows = Vec::new();
         for &concurrency in &concurrencies {
             for system in HttpSystem::all() {
-                let params = HttpExperiment {
+                let params = HttpPoint {
                     concurrency,
                     persistent,
                     duration: Duration::from_millis(700),
                     workers: 4,
                     backends: 4,
+                    ..Default::default()
                 };
                 let stats = run_http_experiment(system, &params);
                 rows.push(Row::new(

@@ -13,10 +13,7 @@
 //! table reports both series plus the tcp/sim ratio per concurrency.
 
 use flick_bench::{print_table, Row};
-use flick_bench::{
-    run_http_experiment, run_tcp_loopback_experiment, HttpExperiment, HttpSystem,
-    TcpLoopbackExperiment,
-};
+use flick_bench::{run_http_experiment, run_tcp_loopback_experiment, HttpPoint, HttpSystem};
 use std::time::Duration;
 
 /// The `--tcp` mode: real kernel sockets versus the simulated kernel cost
@@ -26,11 +23,12 @@ use std::time::Duration;
 fn run_tcp_mode(shards: usize) {
     let mut rows = Vec::new();
     for concurrency in [4usize, 16, 32] {
-        let result = run_tcp_loopback_experiment(&TcpLoopbackExperiment {
+        let result = run_tcp_loopback_experiment(&HttpPoint {
             concurrency,
             duration: Duration::from_millis(500),
             workers: 4,
             shards,
+            ..Default::default()
         });
         rows.push(Row::new(
             concurrency,
@@ -80,12 +78,13 @@ fn main() {
         let mut rows = Vec::new();
         for &concurrency in &concurrencies {
             for system in HttpSystem::all() {
-                let params = HttpExperiment {
+                let params = HttpPoint {
                     concurrency,
                     persistent,
                     duration: Duration::from_millis(700),
                     workers: 4,
                     backends: 0,
+                    ..Default::default()
                 };
                 let stats = run_http_experiment(system, &params);
                 rows.push(Row::new(

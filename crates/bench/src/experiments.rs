@@ -1,23 +1,22 @@
-//! Experiment runners, one per figure.
+//! Experiment runners, one per figure, each a shape stood up on the
+//! [`Testbed`].
 
+use crate::testbed::{HttpPoint, Testbed, Transport, BODY, HTTP_PORT};
 use flick_net::listener::ConnectOptions;
-use flick_net::{SimNetwork, StackModel};
+use flick_net::StackModel;
 use flick_runtime::scheduler::Scheduler;
 use flick_runtime::task::TaskId;
 use flick_runtime::tasks::SyntheticWorkTask;
 use flick_runtime::RuntimeMetrics;
-use flick_runtime::{Platform, PlatformConfig, SchedulingPolicy, ServiceSpec, ShardStatus};
+use flick_runtime::{GraphFactory, SchedulingPolicy, ServiceSpec, ShardStatus};
 use flick_services::baselines::{ApacheLikeProxy, MoxiLikeProxy, NginxLikeProxy};
 use flick_services::hadoop::hadoop_aggregator;
 use flick_services::http::{HttpLoadBalancerFactory, StaticWebServerFactory};
 use flick_services::memcached::memcached_proxy;
-use flick_workload::backends::{
-    start_http_backend, start_memcached_backend, start_sink_backend, start_tcp_http_backend,
-};
+use flick_workload::backends::{start_memcached_backend, start_sink_backend};
 use flick_workload::hadoop::{run_hadoop_mappers, wait_for_quiescence, HadoopLoadConfig};
-use flick_workload::http::{run_http_load, HttpLoadConfig};
 use flick_workload::memcached::{run_memcached_load, MemcachedLoadConfig};
-use flick_workload::tcp::{run_tcp_http_load, TcpHttpLoadConfig};
+use flick_workload::tcp::{run_tcp_idle_active_load, TcpIdleActiveConfig};
 use flick_workload::RunStats;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -59,103 +58,44 @@ impl HttpSystem {
     }
 }
 
-/// Parameters of one HTTP experiment point.
-#[derive(Debug, Clone)]
-pub struct HttpExperiment {
-    /// Concurrent client connections.
-    pub concurrency: usize,
-    /// Persistent (keep-alive) or one connection per request.
-    pub persistent: bool,
-    /// Measurement duration.
-    pub duration: Duration,
-    /// Worker threads / cores for the middlebox.
-    pub workers: usize,
-    /// Number of backend web servers (0 = static web server mode).
-    pub backends: usize,
-}
-
-impl Default for HttpExperiment {
-    fn default() -> Self {
-        HttpExperiment {
-            concurrency: 64,
-            persistent: true,
-            duration: Duration::from_millis(800),
-            workers: 4,
-            backends: 4,
-        }
-    }
+/// The static web server of §6.3, answering every request with [`BODY`].
+fn static_web() -> Arc<dyn GraphFactory> {
+    StaticWebServerFactory::new(&BODY[..])
 }
 
 /// Runs one HTTP experiment point (Figure 4 when `backends > 0`, the static
 /// web-server experiment when `backends == 0`).
-pub fn run_http_experiment(system: HttpSystem, params: &HttpExperiment) -> RunStats {
-    let stack = match system {
+pub fn run_http_experiment(system: HttpSystem, point: &HttpPoint) -> RunStats {
+    let model = match system {
         HttpSystem::FlickMtcp => StackModel::Mtcp,
         _ => StackModel::Kernel,
     };
-    let net = SimNetwork::new(stack);
-    let service_port = 8080u16;
-    let backend_ports: Vec<u16> = (0..params.backends).map(|i| 8200 + i as u16).collect();
-    let _backends: Vec<_> = backend_ports
-        .iter()
-        .map(|p| start_http_backend(&net, *p, &[b'x'; 137]))
-        .collect();
-
-    // Handles are kept alive in these locals until the load run finishes.
-    let mut _platform = None;
-    let mut _service = None;
-    let mut _proxy = None;
-    let mut _static_backend = None;
-    match system {
+    let mut bed;
+    let service = match system {
         HttpSystem::FlickKernel | HttpSystem::FlickMtcp => {
-            let platform = Platform::with_network(
-                PlatformConfig {
-                    workers: params.workers,
-                    stack,
-                    ..Default::default()
-                },
-                Arc::clone(&net),
-            );
-            let spec = if params.backends == 0 {
-                ServiceSpec::new(
-                    "web",
-                    service_port,
-                    StaticWebServerFactory::new(&[b'x'; 137][..]),
-                )
+            bed = Testbed::new(model, point.workers, point.shards);
+            let factory = if point.backends == 0 {
+                static_web()
             } else {
-                ServiceSpec::new("lb", service_port, HttpLoadBalancerFactory::new())
-                    .with_backends(backend_ports.clone())
+                HttpLoadBalancerFactory::new()
             };
-            _service = Some(platform.deploy(spec).expect("deploy FLICK HTTP service"));
-            _platform = Some(platform);
+            bed.deploy_http(Transport::Sim, "http", factory, point.backends)
         }
         HttpSystem::Apache | HttpSystem::Nginx => {
+            bed = Testbed::baseline(model);
             // In the static web-server experiment the baselines serve the
             // content themselves; here that is modelled by fronting one
             // local content server with the baseline's processing model.
-            let ports = if params.backends == 0 {
-                _static_backend = Some(start_http_backend(&net, 8300, &[b'x'; 137]));
-                vec![8300]
+            let ports = bed.http_backends(point.backends.max(1));
+            let start = if system == HttpSystem::Apache {
+                ApacheLikeProxy::start
             } else {
-                backend_ports.clone()
+                NginxLikeProxy::start
             };
-            _proxy = Some(if system == HttpSystem::Apache {
-                ApacheLikeProxy::start(&net, service_port, ports)
-            } else {
-                NginxLikeProxy::start(&net, service_port, ports)
-            });
+            bed.front_with(HTTP_PORT, |net, port| start(net, port, ports))
         }
-    }
-
-    let config = HttpLoadConfig {
-        port: service_port,
-        concurrency: params.concurrency,
-        duration: params.duration,
-        persistent: params.persistent,
-        timeout: Duration::from_secs(5),
-        ..Default::default()
     };
-    run_http_load(&net, &config)
+    bed.http_load(service, point)
 }
 
 /// Result of the hostile-goodput experiment: the same FLICK kernel-stack
@@ -167,8 +107,10 @@ pub struct HostileGoodputResult {
     /// The run with `hostile_ratio` of the fleet's requests replaced by
     /// poison frames (goodput = its `completed` rate).
     pub hostile: RunStats,
-    /// Malformed closes the platform recorded over both runs (the clean
-    /// run must contribute zero).
+    /// Malformed closes the platform recorded during the clean run (must
+    /// be zero: clean traffic is never flagged).
+    pub clean_malformed_closes: u64,
+    /// Malformed closes the platform recorded over both runs.
     pub malformed_closes: u64,
 }
 
@@ -180,63 +122,25 @@ pub struct HostileGoodputResult {
 /// roughly the hostile share — a collapse means rejection has become
 /// expensive (or, worse, poison is being answered).
 pub fn run_hostile_goodput_experiment(
-    params: &HttpExperiment,
+    point: &HttpPoint,
     hostile_ratio: f64,
 ) -> HostileGoodputResult {
-    let net = SimNetwork::new(StackModel::Kernel);
-    let service_port = 8080u16;
-    let backend_ports: Vec<u16> = (0..params.backends.max(1))
-        .map(|i| 8200 + i as u16)
-        .collect();
-    let _backends: Vec<_> = backend_ports
-        .iter()
-        .map(|p| start_http_backend(&net, *p, &[b'x'; 137]))
-        .collect();
-    let platform = Platform::with_network(
-        PlatformConfig {
-            workers: params.workers,
-            stack: StackModel::Kernel,
-            ..Default::default()
-        },
-        Arc::clone(&net),
+    let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
+    let lb = bed.deploy_http(
+        Transport::Sim,
+        "lb",
+        HttpLoadBalancerFactory::new(),
+        point.backends.max(1),
     );
-    let _service = platform
-        .deploy(
-            ServiceSpec::new("lb", service_port, HttpLoadBalancerFactory::new())
-                .with_backends(backend_ports),
-        )
-        .expect("deploy FLICK HTTP service");
-
-    let clean = run_http_load(
-        &net,
-        &HttpLoadConfig {
-            port: service_port,
-            concurrency: params.concurrency,
-            duration: params.duration,
-            persistent: params.persistent,
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        },
-    );
-    let closes_after_clean = net.stats().snapshot().malformed_closes;
-    let hostile = run_http_load(
-        &net,
-        &HttpLoadConfig {
-            port: service_port,
-            concurrency: params.concurrency,
-            duration: params.duration,
-            persistent: params.persistent,
-            timeout: Duration::from_secs(5),
-            hostile_ratio,
-            ..Default::default()
-        },
-    );
-    let malformed_closes = net.stats().snapshot().malformed_closes;
-    debug_assert_eq!(closes_after_clean, 0, "clean run flagged traffic");
+    let malformed_closes = || bed.net().stats().snapshot().malformed_closes;
+    let clean = bed.http_load(lb, point);
+    let clean_malformed_closes = malformed_closes();
+    let hostile = bed.hostile_http_load(lb.port, point, hostile_ratio);
     HostileGoodputResult {
         clean,
         hostile,
-        malformed_closes,
+        clean_malformed_closes,
+        malformed_closes: malformed_closes(),
     }
 }
 
@@ -312,53 +216,29 @@ pub fn run_memcached_experiment_sharded(
     system: MemcachedSystem,
     params: &MemcachedExperiment,
 ) -> (RunStats, Vec<ShardStatus>) {
-    let stack = match system {
+    const SERVICE_PORT: u16 = 11211;
+    let model = match system {
         MemcachedSystem::FlickMtcp => StackModel::Mtcp,
         _ => StackModel::Kernel,
     };
-    let net = SimNetwork::new(stack);
-    let service_port = 11211u16;
-    let backend_ports: Vec<u16> = (0..params.backends).map(|i| 11300 + i as u16).collect();
-    let _backends: Vec<_> = backend_ports
-        .iter()
-        .map(|p| start_memcached_backend(&net, *p))
-        .collect();
-
-    let mut _platform = None;
-    let mut _service = None;
-    let mut _proxy = None;
-    match system {
-        MemcachedSystem::FlickKernel | MemcachedSystem::FlickMtcp => {
-            let platform = Platform::with_network(
-                PlatformConfig {
-                    workers: params.cores,
-                    shards: params.shards.max(1),
-                    stack,
-                    ..Default::default()
-                },
-                Arc::clone(&net),
-            );
-            _service = Some(
-                platform
-                    .deploy(
-                        ServiceSpec::new("memcached", service_port, memcached_proxy())
-                            .with_backends(backend_ports.clone()),
-                    )
-                    .expect("deploy FLICK memcached proxy"),
-            );
-            _platform = Some(platform);
-        }
-        MemcachedSystem::Moxi => {
-            _proxy = Some(MoxiLikeProxy::start(
-                &net,
-                service_port,
-                backend_ports.clone(),
-            ));
-        }
+    let flick = system != MemcachedSystem::Moxi;
+    let mut bed = if flick {
+        Testbed::new(model, params.cores, params.shards.max(1))
+    } else {
+        Testbed::baseline(model)
+    };
+    let ports = bed.sim_backends(params.backends, 11300, start_memcached_backend);
+    if flick {
+        let spec = ServiceSpec::new("memcached", SERVICE_PORT, memcached_proxy());
+        bed.deploy(Transport::Sim, spec.with_backends(ports));
+    } else {
+        bed.front_with(SERVICE_PORT, |net, port| {
+            MoxiLikeProxy::start(net, port, ports)
+        });
     }
 
     let config = MemcachedLoadConfig {
-        port: service_port,
+        port: SERVICE_PORT,
         clients: params.clients,
         duration: params.duration,
         key_space: 1024,
@@ -366,11 +246,12 @@ pub fn run_memcached_experiment_sharded(
         timeout: Duration::from_secs(5),
         seed: None,
     };
-    let stats = run_memcached_load(&net, &config);
-    let status = _platform
-        .as_ref()
-        .map(|p| p.shard_status())
-        .unwrap_or_default();
+    let stats = run_memcached_load(bed.net(), &config);
+    let status = if flick {
+        bed.platform().shard_status()
+    } else {
+        Vec::new()
+    };
     (stats, status)
 }
 
@@ -449,24 +330,12 @@ impl Default for HadoopExperiment {
 /// Runs one Hadoop aggregation point and returns the end-to-end throughput
 /// in megabits per second (mapper bytes over wall-clock time to drain).
 pub fn run_hadoop_experiment(params: &HadoopExperiment) -> f64 {
-    let net = SimNetwork::new(StackModel::Kernel);
     let reducer_port = 9801u16;
     let service_port = 9800u16;
-    let (_reducer, reducer_bytes) = start_sink_backend(&net, reducer_port);
-    let platform = Platform::with_network(
-        PlatformConfig {
-            workers: params.cores,
-            stack: StackModel::Kernel,
-            ..Default::default()
-        },
-        Arc::clone(&net),
-    );
-    let _service = platform
-        .deploy(
-            ServiceSpec::new("hadoop", service_port, hadoop_aggregator(params.mappers))
-                .with_backends(vec![reducer_port]),
-        )
-        .expect("deploy hadoop aggregator");
+    let mut bed = Testbed::new(StackModel::Kernel, params.cores, 0);
+    let (_reducer, reducer_bytes) = start_sink_backend(bed.net(), reducer_port);
+    let spec = ServiceSpec::new("hadoop", service_port, hadoop_aggregator(params.mappers));
+    bed.deploy(Transport::Sim, spec.with_backends(vec![reducer_port]));
 
     let config = HadoopLoadConfig {
         port: service_port,
@@ -478,113 +347,36 @@ pub fn run_hadoop_experiment(params: &HadoopExperiment) -> f64 {
         seed: None,
     };
     let start = Instant::now();
-    let stats = run_hadoop_mappers(&net, &config);
+    let stats = run_hadoop_mappers(bed.net(), &config);
     let _ = wait_for_quiescence(&reducer_bytes, Duration::from_secs(30));
     let elapsed = start.elapsed().as_secs_f64();
     stats.bytes as f64 * 8.0 / 1_000_000.0 / elapsed.max(1e-9)
 }
 
-/// Parameters of the idle-connection experiment: a static web service
-/// with many connected-but-mostly-idle clients. The reactor pays only for
-/// the active few — the regime that dominates real middlebox deployments
-/// (fig5-style scaling past the paper's core counts).
-#[derive(Debug, Clone)]
-pub struct IdleConnExperiment {
-    /// Total connected clients (idle ones just hold their connection).
-    pub connections: usize,
-    /// How many of them actively issue requests (closed loop).
-    pub active: usize,
-    /// Measurement duration.
-    pub duration: Duration,
-    /// Worker threads for the middlebox.
-    pub workers: usize,
-}
-
-impl Default for IdleConnExperiment {
-    fn default() -> Self {
-        IdleConnExperiment {
-            connections: 256,
-            active: 8,
-            duration: Duration::from_millis(400),
-            workers: 4,
-        }
-    }
-}
-
-/// Runs one idle-connection point: `connections` clients connect to a
-/// FLICK static web server, the first `active` of them issue closed-loop
-/// requests, the rest sit idle for the whole run. Returns the request
-/// statistics of the active clients.
-pub fn run_idle_connections_experiment(params: &IdleConnExperiment) -> RunStats {
-    let net = SimNetwork::new(StackModel::Kernel);
-    let service_port = 8080u16;
-    let platform = Platform::with_network(
-        PlatformConfig {
-            workers: params.workers,
-            stack: StackModel::Kernel,
-            ..Default::default()
-        },
-        Arc::clone(&net),
-    );
-    let _service = platform
-        .deploy(ServiceSpec::new(
-            "idle-web",
-            service_port,
-            StaticWebServerFactory::new(&[b'x'; 137][..]),
-        ))
-        .expect("deploy static web service");
+/// Runs one idle-connection point: a static web service with
+/// `connections` connected clients, of which the `point.concurrency`
+/// active ones issue closed-loop requests while the rest sit idle for the
+/// whole run. The reactor pays only for the active few — the regime that
+/// dominates real middlebox deployments (fig5-style scaling past the
+/// paper's core counts). Returns the request statistics of the active
+/// clients.
+pub fn run_idle_connections_experiment(point: &HttpPoint, connections: usize) -> RunStats {
+    let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
+    let web = bed.deploy_http(Transport::Sim, "idle-web", static_web(), 0);
 
     // Establish the idle population first so every request of the active
     // clients is dispatched while the watcher set is at full size.
-    let idle: Vec<_> = (params.active..params.connections)
-        .map(|_| net.connect(service_port).expect("idle client connects"))
+    let idle: Vec<_> = (point.concurrency..connections)
+        .map(|_| bed.net().connect(web.port).expect("idle client connects"))
         .collect();
     // Give the dispatcher a moment to instantiate all idle graphs.
     std::thread::sleep(Duration::from_millis(50));
 
-    let config = HttpLoadConfig {
-        port: service_port,
-        concurrency: params.active,
-        duration: params.duration,
-        persistent: true,
-        timeout: Duration::from_secs(5),
-        ..Default::default()
-    };
-    let stats = run_http_load(&net, &config);
+    let stats = bed.http_load(web, point);
     for conn in &idle {
         conn.close();
     }
     stats
-}
-
-/// Parameters of the e2e loopback TCP experiment: the same static web
-/// service deployed twice on one platform — once on a real OS socket
-/// (`deploy_tcp`, driven by the blocking loopback client pool) and once on
-/// the simulated substrate with the calibrated kernel cost model (driven
-/// by the in-process fleet). The pair yields a machine-independent
-/// tcp-vs-sim ratio: real kernel sockets against the modelled kernel
-/// stack, same dispatcher, same graphs, same worker budget.
-#[derive(Debug, Clone)]
-pub struct TcpLoopbackExperiment {
-    /// Concurrent client connections per run.
-    pub concurrency: usize,
-    /// Measurement duration per run.
-    pub duration: Duration,
-    /// Worker threads for the middlebox.
-    pub workers: usize,
-    /// Shards (per-shard reactors + `SO_REUSEPORT` accept sockets).
-    pub shards: usize,
-}
-
-impl Default for TcpLoopbackExperiment {
-    fn default() -> Self {
-        TcpLoopbackExperiment {
-            concurrency: 16,
-            duration: Duration::from_millis(400),
-            workers: 4,
-            shards: 1,
-        }
-    }
 }
 
 /// The outcome of one e2e loopback experiment.
@@ -596,56 +388,24 @@ pub struct TcpLoopbackResult {
     pub sim: RunStats,
 }
 
-/// Runs the e2e loopback TCP point: request → kernel socket → event
-/// dispatcher → parse → task graph → reply, plus the simulated twin for
-/// the within-run ratio gate in `bench_guard`.
-pub fn run_tcp_loopback_experiment(params: &TcpLoopbackExperiment) -> TcpLoopbackResult {
-    let net = SimNetwork::new(StackModel::Kernel);
-    let platform = Platform::with_network(
-        PlatformConfig {
-            workers: params.workers,
-            shards: params.shards,
-            stack: StackModel::Kernel,
-            ..Default::default()
-        },
-        Arc::clone(&net),
-    );
-    let body = &[b'x'; 137][..];
-    let tcp_service = platform
-        .deploy_tcp(
-            ServiceSpec::new("tcp-web", 0, StaticWebServerFactory::new(body)),
-            "127.0.0.1:0",
-        )
-        .expect("deploy loopback TCP service");
-    let _sim_service = platform
-        .deploy(ServiceSpec::new(
-            "sim-web",
-            8080,
-            StaticWebServerFactory::new(body),
-        ))
-        .expect("deploy simulated twin");
-
-    let tcp = run_tcp_http_load(
-        &format!("127.0.0.1:{}", tcp_service.port()),
-        &TcpHttpLoadConfig {
-            concurrency: params.concurrency,
-            duration: params.duration,
-            persistent: true,
-            timeout: Duration::from_secs(5),
-        },
-    );
-    let sim = run_http_load(
-        &net,
-        &HttpLoadConfig {
-            port: 8080,
-            concurrency: params.concurrency,
-            duration: params.duration,
-            persistent: true,
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        },
-    );
-    TcpLoopbackResult { tcp, sim }
+/// Runs the e2e loopback TCP point: the same static web service deployed
+/// twice on one platform — once on a real OS socket (request → kernel
+/// socket → event dispatcher → parse → task graph → reply, driven by the
+/// blocking loopback client pool) and once on the simulated substrate with
+/// the calibrated kernel cost model (driven by the in-process fleet). The
+/// pair yields a machine-independent tcp-vs-sim ratio, gated in
+/// `bench_guard`: real kernel sockets against the modelled kernel stack,
+/// same dispatcher, same graphs, same worker budget. `point.shards` runs
+/// the kernel path sharded (per-shard reactors + `SO_REUSEPORT` accept
+/// sockets).
+pub fn run_tcp_loopback_experiment(point: &HttpPoint) -> TcpLoopbackResult {
+    let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
+    let tcp = bed.deploy_http(Transport::Tcp, "tcp-web", static_web(), 0);
+    let sim = bed.deploy_http(Transport::Sim, "sim-web", static_web(), 0);
+    TcpLoopbackResult {
+        tcp: bed.http_load(tcp, point),
+        sim: bed.http_load(sim, point),
+    }
 }
 
 /// One point of the kernel-path sharding curve.
@@ -663,18 +423,14 @@ pub struct TcpShardingPoint {
 /// `SO_REUSEPORT` accept socket. On a single-core host the interesting
 /// gate is the *ratio*: sharding the kernel path must not cost throughput
 /// even when it cannot win any.
-pub fn run_tcp_sharding_curve(
-    base: &TcpLoopbackExperiment,
-    max_shards: usize,
-) -> Vec<TcpShardingPoint> {
+pub fn run_tcp_sharding_curve(base: &HttpPoint, max_shards: usize) -> Vec<TcpShardingPoint> {
     let mut points = Vec::new();
     let mut shards = 1;
     while shards <= max_shards.max(1) {
-        let params = TcpLoopbackExperiment {
+        let result = run_tcp_loopback_experiment(&HttpPoint {
             shards,
             ..base.clone()
-        };
-        let result = run_tcp_loopback_experiment(&params);
+        });
         points.push(TcpShardingPoint {
             shards,
             tcp: result.tcp,
@@ -698,36 +454,6 @@ pub fn max_open_files() -> u64 {
         .unwrap_or(1024)
 }
 
-/// Parameters of the c10k idle+active point: thousands of idle kernel
-/// connections pinned open against the event dispatcher while a small
-/// closed loop measures throughput.
-#[derive(Debug, Clone)]
-pub struct TcpC10kExperiment {
-    /// Idle connections requested (clamped to the fd budget, see
-    /// [`run_tcp_c10k_experiment`]).
-    pub idle_connections: usize,
-    /// Active closed-loop clients.
-    pub concurrency: usize,
-    /// Measurement duration of the active loop.
-    pub duration: Duration,
-    /// Worker threads for the middlebox.
-    pub workers: usize,
-    /// Shard count.
-    pub shards: usize,
-}
-
-impl Default for TcpC10kExperiment {
-    fn default() -> Self {
-        TcpC10kExperiment {
-            idle_connections: 10_000,
-            concurrency: 8,
-            duration: Duration::from_millis(400),
-            workers: 2,
-            shards: 1,
-        }
-    }
-}
-
 /// The outcome of the c10k point.
 #[derive(Debug, Clone)]
 pub struct TcpC10kResult {
@@ -745,41 +471,27 @@ pub struct TcpC10kResult {
     pub output_busy_retries: u64,
 }
 
-/// Runs the c10k idle+active point over real kernel sockets. Each idle
-/// connection costs two fds (client + accepted side) in this process, so
-/// the requested count is clamped to `(fd_limit - 500) / 2` — the slack
+/// Runs the c10k idle+active point over real kernel sockets:
+/// `idle_connections` idle connections pinned open against the event
+/// dispatcher while the closed loop of `point` measures throughput. Each
+/// idle connection costs two fds (client + accepted side) in this process,
+/// so the requested count is clamped to `(fd_limit - 500) / 2` — the slack
 /// covers the active loop, the reactor's own fds and everything else the
 /// process holds open.
-pub fn run_tcp_c10k_experiment(params: &TcpC10kExperiment) -> TcpC10kResult {
+pub fn run_tcp_c10k_experiment(point: &HttpPoint, idle_connections: usize) -> TcpC10kResult {
     let fd_budget = (max_open_files().saturating_sub(500) / 2) as usize;
-    let idle_requested = params.idle_connections.min(fd_budget.max(1));
-    let platform = Platform::new(PlatformConfig {
-        workers: params.workers,
-        shards: params.shards,
-        stack: StackModel::Kernel,
-        ..Default::default()
-    });
-    let body = &[b'x'; 137][..];
-    let service = platform
-        .deploy_tcp(
-            ServiceSpec::new("c10k-web", 0, StaticWebServerFactory::new(body)),
-            "127.0.0.1:0",
-        )
-        .expect("deploy c10k TCP service");
-    let stats = flick_workload::tcp::run_tcp_idle_active_load(
-        &format!("127.0.0.1:{}", service.port()),
-        &flick_workload::tcp::TcpIdleActiveConfig {
+    let idle_requested = idle_connections.min(fd_budget.max(1));
+    let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
+    let web = bed.deploy_http(Transport::Tcp, "c10k-web", static_web(), 0);
+    let stats = run_tcp_idle_active_load(
+        &web.addr(),
+        &TcpIdleActiveConfig {
             idle_connections: idle_requested,
-            active: TcpHttpLoadConfig {
-                concurrency: params.concurrency,
-                duration: params.duration,
-                persistent: true,
-                timeout: Duration::from_secs(10),
-            },
+            active: point.tcp_load(Duration::from_secs(10)),
         },
     );
-    let tcp_stats = platform.tcp_stack().stats().snapshot();
-    let runtime = platform.metrics().snapshot();
+    let tcp_stats = bed.platform().tcp_stack().stats().snapshot();
+    let runtime = bed.platform().metrics().snapshot();
     TcpC10kResult {
         idle_requested,
         idle_connected: stats.idle_connected,
@@ -787,34 +499,6 @@ pub fn run_tcp_c10k_experiment(params: &TcpC10kExperiment) -> TcpC10kResult {
         active: stats.active,
         ingest_copies: tcp_stats.ingest_copies,
         output_busy_retries: runtime.output_busy_retries,
-    }
-}
-
-/// Parameters of the all-TCP load-balancer experiment: kernel clients →
-/// TCP-fronted FLICK load balancer → kernel-socket back-ends. No byte of a
-/// request or response ever rides the simulated fabric; the simulated twin
-/// (same LB graph, simulated clients and back-ends on the kernel cost
-/// model) runs on the same platform for a within-run ratio gate.
-#[derive(Debug, Clone)]
-pub struct TcpLbExperiment {
-    /// Concurrent client connections per run.
-    pub concurrency: usize,
-    /// Measurement duration per run.
-    pub duration: Duration,
-    /// Worker threads for the middlebox.
-    pub workers: usize,
-    /// Number of back-end web servers.
-    pub backends: usize,
-}
-
-impl Default for TcpLbExperiment {
-    fn default() -> Self {
-        TcpLbExperiment {
-            concurrency: 16,
-            duration: Duration::from_millis(400),
-            workers: 4,
-            backends: 4,
-        }
     }
 }
 
@@ -832,98 +516,22 @@ pub struct TcpLbResult {
 /// Runs the all-TCP load-balancer point: every hop of
 /// `client → LB → backend` crosses a real kernel socket — the LB's front
 /// door is `Platform::deploy_tcp`, its [`flick_runtime::BackendPool`]
-/// holds TCP targets — plus the simulated twin for the within-run ratio
-/// gate in `bench_guard`.
-pub fn run_tcp_lb_experiment(params: &TcpLbExperiment) -> TcpLbResult {
-    let net = SimNetwork::new(StackModel::Kernel);
-    let platform = Platform::with_network(
-        PlatformConfig {
-            workers: params.workers,
-            stack: StackModel::Kernel,
-            ..Default::default()
-        },
-        Arc::clone(&net),
-    );
-    let body = &[b'x'; 137][..];
-
-    // The all-TCP leg.
-    let tcp_backends: Vec<_> = (0..params.backends)
-        .map(|_| start_tcp_http_backend(body))
-        .collect();
-    let lb = platform
-        .deploy_tcp(
-            ServiceSpec::new("tcp-lb", 0, HttpLoadBalancerFactory::new())
-                .with_tcp_backends(tcp_backends.iter().map(|b| b.addr().to_string()).collect()),
-            "127.0.0.1:0",
-        )
-        .expect("deploy all-TCP load balancer");
-    let tcp = run_tcp_http_load(
-        &format!("127.0.0.1:{}", lb.port()),
-        &TcpHttpLoadConfig {
-            concurrency: params.concurrency,
-            duration: params.duration,
-            persistent: true,
-            timeout: Duration::from_secs(5),
-        },
-    );
-    let backend_requests = tcp_backends.iter().map(|b| b.requests_served()).collect();
-
-    // The simulated twin: same graph, kernel cost model end to end.
-    let backend_ports: Vec<u16> = (0..params.backends).map(|i| 8200 + i as u16).collect();
-    let _sim_backends: Vec<_> = backend_ports
-        .iter()
-        .map(|p| start_http_backend(&net, *p, body))
-        .collect();
-    let _sim_lb = platform
-        .deploy(
-            ServiceSpec::new("sim-lb", 8080, HttpLoadBalancerFactory::new())
-                .with_backends(backend_ports),
-        )
-        .expect("deploy simulated twin");
-    let sim = run_http_load(
-        &net,
-        &HttpLoadConfig {
-            port: 8080,
-            concurrency: params.concurrency,
-            duration: params.duration,
-            persistent: true,
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        },
-    );
+/// holds TCP targets, and no byte of a request or response ever rides the
+/// simulated fabric — plus the simulated twin (same LB graph, simulated
+/// clients and back-ends on the kernel cost model, same platform) for the
+/// within-run ratio gate in `bench_guard`.
+pub fn run_tcp_lb_experiment(point: &HttpPoint) -> TcpLbResult {
+    let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
+    let balancer = HttpLoadBalancerFactory::new;
+    let lb = bed.deploy_http(Transport::Tcp, "tcp-lb", balancer(), point.backends);
+    let tcp = bed.http_load(lb, point);
+    let backend_requests = bed.tcp_backend_requests();
+    let twin = bed.deploy_http(Transport::Sim, "sim-lb", balancer(), point.backends);
+    let sim = bed.http_load(twin, point);
     TcpLbResult {
         tcp,
         sim,
         backend_requests,
-    }
-}
-
-/// Parameters of the stalled-peer experiment: a static web service with
-/// large responses, a population of *stalled* clients that send pipelined
-/// requests over tiny pipes and never read a byte back, and a set of
-/// active closed-loop clients whose throughput is measured. The stalled
-/// connections' output tasks park on writable readiness and cost the
-/// active clients nothing.
-#[derive(Debug, Clone)]
-pub struct StalledPeersExperiment {
-    /// Connections whose clients never read (their output tasks block).
-    pub stalled: usize,
-    /// Active closed-loop clients (the measured population).
-    pub active: usize,
-    /// Measurement duration.
-    pub duration: Duration,
-    /// Worker threads for the middlebox.
-    pub workers: usize,
-}
-
-impl Default for StalledPeersExperiment {
-    fn default() -> Self {
-        StalledPeersExperiment {
-            stalled: 8,
-            active: 4,
-            duration: Duration::from_millis(400),
-            workers: 4,
-        }
     }
 }
 
@@ -937,33 +545,29 @@ pub struct StalledPeersResult {
     pub busy_retries: u64,
 }
 
-/// Runs one stalled-peer point.
-pub fn run_stalled_peers_experiment(params: &StalledPeersExperiment) -> StalledPeersResult {
-    let net = SimNetwork::new(StackModel::Kernel);
-    let service_port = 8080u16;
-    let platform = Platform::with_network(
-        PlatformConfig {
-            workers: params.workers,
-            stack: StackModel::Kernel,
-            ..Default::default()
-        },
-        Arc::clone(&net),
-    );
+/// Runs one stalled-peer point: a static web service with large
+/// responses, `stalled` clients that send pipelined requests over tiny
+/// pipes and never read a byte back, and the active closed-loop clients of
+/// `point` whose throughput is measured. The stalled connections' output
+/// tasks park on writable readiness and cost the active clients nothing.
+pub fn run_stalled_peers_experiment(point: &HttpPoint, stalled: usize) -> StalledPeersResult {
+    let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
     // 16 KB responses against 4 KB pipes: a stalled client's output task
     // hits WouldBlock with most of the response still buffered.
-    let _service = platform
-        .deploy(ServiceSpec::new(
-            "stall-web",
-            service_port,
-            StaticWebServerFactory::new(vec![b'x'; 16 * 1024]),
-        ))
-        .expect("deploy static web service");
+    let body = vec![b'x'; 16 * 1024];
+    let web = bed.deploy_http(
+        Transport::Sim,
+        "stall-web",
+        StaticWebServerFactory::new(body),
+        0,
+    );
 
-    let stalled: Vec<_> = (0..params.stalled)
+    let stalled: Vec<_> = (0..stalled)
         .map(|_| {
-            let conn = net
+            let conn = bed
+                .net()
                 .connect_with(
-                    service_port,
+                    web.port,
                     &ConnectOptions {
                         capacity: Some(4 * 1024),
                         ..Default::default()
@@ -980,24 +584,11 @@ pub fn run_stalled_peers_experiment(params: &StalledPeersExperiment) -> StalledP
     // Let every stalled graph instantiate and its output task hit the wall
     // before measuring.
     std::thread::sleep(Duration::from_millis(50));
-    let retries_before = platform.metrics().snapshot().output_busy_retries;
+    let busy_retries = || bed.platform().metrics().snapshot().output_busy_retries;
+    let retries_before = busy_retries();
 
-    let stats = run_http_load(
-        &net,
-        &HttpLoadConfig {
-            port: service_port,
-            concurrency: params.active,
-            duration: params.duration,
-            persistent: true,
-            timeout: Duration::from_secs(5),
-            ..Default::default()
-        },
-    );
-    let busy_retries = platform
-        .metrics()
-        .snapshot()
-        .output_busy_retries
-        .saturating_sub(retries_before);
+    let stats = bed.http_load(web, point);
+    let busy_retries = busy_retries().saturating_sub(retries_before);
     for conn in &stalled {
         conn.close();
     }
@@ -1225,32 +816,6 @@ pub fn run_exec_mode_dispatch_experiment(
     }
 }
 
-/// Parameters of the end-to-end compiled-LB point: the FLICK-compiled
-/// HTTP load balancer (not the hand-written factory) deployed over real
-/// kernel sockets in VM mode, measured with the closed-loop TCP driver.
-#[derive(Debug, Clone)]
-pub struct FlickVmLbExperiment {
-    /// Concurrent client connections.
-    pub concurrency: usize,
-    /// Measurement duration.
-    pub duration: Duration,
-    /// Worker threads for the middlebox.
-    pub workers: usize,
-    /// Number of back-end web servers.
-    pub backends: usize,
-}
-
-impl Default for FlickVmLbExperiment {
-    fn default() -> Self {
-        FlickVmLbExperiment {
-            concurrency: 16,
-            duration: Duration::from_millis(400),
-            workers: 4,
-            backends: 4,
-        }
-    }
-}
-
 /// The outcome of the compiled-LB-in-VM-mode experiment.
 #[derive(Debug, Clone)]
 pub struct FlickVmLbResult {
@@ -1266,43 +831,18 @@ pub struct FlickVmLbResult {
 /// [`flick_runtime::ExecMode`]). The same shape as
 /// [`run_tcp_lb_experiment`]'s TCP leg, but through the whole compiler
 /// pipeline instead of the hand-written factory.
-pub fn run_flick_vm_lb_experiment(params: &FlickVmLbExperiment) -> FlickVmLbResult {
-    let platform = Platform::new(PlatformConfig {
-        workers: params.workers,
-        stack: StackModel::Kernel,
-        ..Default::default()
-    });
-    let body = &[b'x'; 137][..];
+pub fn run_flick_vm_lb_experiment(point: &HttpPoint) -> FlickVmLbResult {
+    let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
     let service = flick_compiler::compile_source(
         flick_services::http::HTTP_LB_FLICK_SOURCE,
         "HttpBalancer",
         &flick_compiler::CompileOptions::default(),
     )
     .expect("bundled FLICK balancer compiles");
-    let tcp_backends: Vec<_> = (0..params.backends)
-        .map(|_| start_tcp_http_backend(body))
-        .collect();
-    let lb = platform
-        .deploy_tcp(
-            ServiceSpec::new("flick-vm-lb", 0, service)
-                .with_tcp_backends(tcp_backends.iter().map(|b| b.addr().to_string()).collect())
-                .with_exec_mode(flick_runtime::ExecMode::Vm),
-            "127.0.0.1:0",
-        )
-        .expect("deploy compiled balancer over TCP");
-    let stats = run_tcp_http_load(
-        &format!("127.0.0.1:{}", lb.port()),
-        &TcpHttpLoadConfig {
-            concurrency: params.concurrency,
-            duration: params.duration,
-            persistent: true,
-            timeout: Duration::from_secs(5),
-        },
-    );
-    let backend_requests = tcp_backends.iter().map(|b| b.requests_served()).collect();
+    let lb = bed.deploy_http(Transport::Tcp, "flick-vm-lb", service, point.backends);
     FlickVmLbResult {
-        stats,
-        backend_requests,
+        stats: bed.http_load(lb, point),
+        backend_requests: bed.tcp_backend_requests(),
     }
 }
 
@@ -1331,131 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn http_experiment_smoke() {
-        let params = HttpExperiment {
-            concurrency: 4,
-            persistent: true,
-            duration: Duration::from_millis(150),
-            workers: 2,
-            backends: 2,
-        };
-        let stats = run_http_experiment(HttpSystem::FlickKernel, &params);
-        assert!(stats.completed > 0, "{stats:?}");
-    }
-
-    #[test]
-    fn memcached_experiment_smoke() {
-        let params = MemcachedExperiment {
-            cores: 2,
-            clients: 4,
-            backends: 2,
-            duration: Duration::from_millis(150),
-            ..Default::default()
-        };
-        let stats = run_memcached_experiment(MemcachedSystem::FlickKernel, &params);
-        assert!(stats.completed > 0, "{stats:?}");
-    }
-
-    #[test]
-    fn idle_connections_experiment_smoke() {
-        let params = IdleConnExperiment {
-            connections: 16,
-            active: 2,
-            duration: Duration::from_millis(150),
-            workers: 2,
-        };
-        let stats = run_idle_connections_experiment(&params);
-        assert!(stats.completed > 0, "{stats:?}");
-    }
-
-    #[test]
-    fn tcp_loopback_experiment_smoke() {
-        let params = TcpLoopbackExperiment {
-            concurrency: 2,
-            duration: Duration::from_millis(150),
-            workers: 2,
-            shards: 1,
-        };
-        let result = run_tcp_loopback_experiment(&params);
-        assert!(result.tcp.completed > 0, "tcp: {:?}", result.tcp);
-        assert!(result.sim.completed > 0, "sim: {:?}", result.sim);
-    }
-
-    /// Kernel accept sharding end to end at a reduced scale: two shards,
-    /// two REUSEPORT accept sockets, requests served through both
-    /// reactors' event paths.
-    #[test]
-    fn tcp_loopback_sharded_smoke() {
-        let params = TcpLoopbackExperiment {
-            concurrency: 4,
-            duration: Duration::from_millis(150),
-            workers: 2,
-            shards: 2,
-        };
-        let result = run_tcp_loopback_experiment(&params);
-        assert!(result.tcp.completed > 0, "tcp: {:?}", result.tcp);
-    }
-
-    /// The c10k runner at a reduced scale: the idle mass must connect,
-    /// survive, and leave the zero-copy laws intact.
-    #[test]
-    fn tcp_c10k_experiment_smoke() {
-        let params = TcpC10kExperiment {
-            idle_connections: 64,
-            concurrency: 2,
-            duration: Duration::from_millis(150),
-            workers: 2,
-            shards: 1,
-        };
-        let result = run_tcp_c10k_experiment(&params);
-        assert_eq!(result.idle_connected, 64, "{result:?}");
-        assert_eq!(result.idle_survivors, 64, "{result:?}");
-        assert!(result.active.completed > 0, "{result:?}");
-        assert_eq!(result.ingest_copies, 0, "{result:?}");
-        assert_eq!(result.output_busy_retries, 0, "{result:?}");
-    }
-
-    #[test]
-    fn fd_limit_parses_on_linux() {
-        let limit = max_open_files();
-        assert!(limit >= 256, "implausible fd limit {limit}");
-    }
-
-    #[test]
-    fn tcp_lb_experiment_smoke() {
-        let params = TcpLbExperiment {
-            concurrency: 2,
-            duration: Duration::from_millis(150),
-            workers: 2,
-            backends: 2,
-        };
-        let result = run_tcp_lb_experiment(&params);
-        assert!(result.tcp.completed > 0, "tcp: {:?}", result.tcp);
-        assert!(result.sim.completed > 0, "sim: {:?}", result.sim);
-        assert!(
-            result.backend_requests.iter().sum::<u64>() > 0,
-            "TCP back-ends never saw a request: {:?}",
-            result.backend_requests
-        );
-    }
-
-    #[test]
-    fn stalled_peers_experiment_smoke() {
-        let params = StalledPeersExperiment {
-            stalled: 2,
-            active: 2,
-            duration: Duration::from_millis(150),
-            workers: 2,
-        };
-        let result = run_stalled_peers_experiment(&params);
-        assert!(result.stats.completed > 0, "{:?}", result.stats);
-        assert_eq!(
-            result.busy_retries, 0,
-            "output tasks must not busy-retry against stalled peers"
-        );
-    }
-
-    #[test]
     fn exec_mode_dispatch_experiment_smoke() {
         let result = run_exec_mode_dispatch_experiment(&ExecModeDispatchExperiment {
             messages: 500,
@@ -1467,31 +882,112 @@ mod tests {
     }
 
     #[test]
-    fn flick_vm_lb_experiment_smoke() {
-        let result = run_flick_vm_lb_experiment(&FlickVmLbExperiment {
-            concurrency: 2,
-            duration: Duration::from_millis(150),
-            workers: 2,
-            backends: 2,
-        });
-        assert!(result.stats.completed > 0, "{:?}", result.stats);
-        assert!(
-            result.backend_requests.iter().sum::<u64>() > 0,
-            "compiled LB never reached a TCP back-end: {:?}",
-            result.backend_requests
-        );
+    fn fd_limit_parses_on_linux() {
+        let limit = max_open_files();
+        assert!(limit >= 256, "implausible fd limit {limit}");
     }
 
-    #[test]
-    fn hadoop_experiment_smoke() {
-        let params = HadoopExperiment {
-            cores: 2,
-            word_len: 8,
-            mappers: 2,
-            bytes_per_mapper: 64 * 1024,
-            link_bits_per_sec: None,
-        };
-        let mbps = run_hadoop_experiment(&params);
-        assert!(mbps > 0.0);
+    /// Every shape the [`Testbed`] stands up, one row each, at smoke
+    /// scale: two closed-loop clients for 150 ms against two workers and
+    /// two back-ends. A row is its own `#[test]` so the shapes run in
+    /// parallel and fail by name.
+    macro_rules! testbed_smoke_table {
+        ($($name:ident: |$point:ident| $body:block)*) => {$(
+            #[test]
+            fn $name() {
+                let $point = HttpPoint {
+                    concurrency: 2,
+                    duration: Duration::from_millis(150),
+                    workers: 2,
+                    backends: 2,
+                    ..Default::default()
+                };
+                $body
+            }
+        )*};
+    }
+
+    testbed_smoke_table! {
+        http_experiment_smoke: |point| {
+            let point = HttpPoint { concurrency: 4, ..point };
+            let stats = run_http_experiment(HttpSystem::FlickKernel, &point);
+            assert!(stats.completed > 0, "{stats:?}");
+        }
+        memcached_experiment_smoke: |point| {
+            let params = MemcachedExperiment {
+                cores: point.workers,
+                clients: 4,
+                backends: point.backends,
+                duration: point.duration,
+                ..Default::default()
+            };
+            let stats = run_memcached_experiment(MemcachedSystem::FlickKernel, &params);
+            assert!(stats.completed > 0, "{stats:?}");
+        }
+        idle_connections_experiment_smoke: |point| {
+            let stats = run_idle_connections_experiment(&point, 16);
+            assert!(stats.completed > 0, "{stats:?}");
+        }
+        tcp_loopback_experiment_smoke: |point| {
+            let result = run_tcp_loopback_experiment(&HttpPoint { shards: 1, ..point });
+            assert!(result.tcp.completed > 0, "tcp: {:?}", result.tcp);
+            assert!(result.sim.completed > 0, "sim: {:?}", result.sim);
+        }
+        // Kernel accept sharding end to end: two shards, two REUSEPORT
+        // accept sockets, requests served through both reactors.
+        tcp_loopback_sharded_smoke: |point| {
+            let result = run_tcp_loopback_experiment(&HttpPoint {
+                concurrency: 4,
+                shards: 2,
+                ..point
+            });
+            assert!(result.tcp.completed > 0, "tcp: {:?}", result.tcp);
+        }
+        // The idle mass must connect, survive, and leave the zero-copy
+        // laws intact.
+        tcp_c10k_experiment_smoke: |point| {
+            let result = run_tcp_c10k_experiment(&HttpPoint { shards: 1, ..point }, 64);
+            assert_eq!(result.idle_connected, 64, "{result:?}");
+            assert_eq!(result.idle_survivors, 64, "{result:?}");
+            assert!(result.active.completed > 0, "{result:?}");
+            assert_eq!(result.ingest_copies, 0, "{result:?}");
+            assert_eq!(result.output_busy_retries, 0, "{result:?}");
+        }
+        tcp_lb_experiment_smoke: |point| {
+            let result = run_tcp_lb_experiment(&point);
+            assert!(result.tcp.completed > 0, "tcp: {:?}", result.tcp);
+            assert!(result.sim.completed > 0, "sim: {:?}", result.sim);
+            assert!(
+                result.backend_requests.iter().sum::<u64>() > 0,
+                "TCP back-ends never saw a request: {:?}",
+                result.backend_requests
+            );
+        }
+        stalled_peers_experiment_smoke: |point| {
+            let result = run_stalled_peers_experiment(&point, 2);
+            assert!(result.stats.completed > 0, "{:?}", result.stats);
+            assert_eq!(
+                result.busy_retries, 0,
+                "output tasks must not busy-retry against stalled peers"
+            );
+        }
+        flick_vm_lb_experiment_smoke: |point| {
+            let result = run_flick_vm_lb_experiment(&point);
+            assert!(result.stats.completed > 0, "{:?}", result.stats);
+            assert!(
+                result.backend_requests.iter().sum::<u64>() > 0,
+                "compiled LB never reached a TCP back-end: {:?}",
+                result.backend_requests
+            );
+        }
+        hadoop_experiment_smoke: |point| {
+            let mbps = run_hadoop_experiment(&HadoopExperiment {
+                cores: point.workers,
+                mappers: 2,
+                bytes_per_mapper: 64 * 1024,
+                ..Default::default()
+            });
+            assert!(mbps > 0.0);
+        }
     }
 }

@@ -1,19 +1,24 @@
 //! The FLICK benchmark harness.
 //!
-//! One experiment runner per figure of the paper's evaluation (§6). The
-//! `fig4`, `fig5`, `fig6`, `fig7` and `fig_webserver` binaries call these
-//! runners at a configurable scale and print the same series the paper
-//! reports, next to the paper's reference values; the Criterion benches
-//! under `benches/` wrap reduced versions of the same runners.
+//! One experiment runner per figure of the paper's evaluation (§6), each a
+//! shape stood up on the one [`Testbed`]. The `fig4`, `fig5`, `fig6`,
+//! `fig7` and `fig_webserver` binaries call these runners at a
+//! configurable scale and print the same series the paper reports, next
+//! to the paper's reference values; the Criterion benches under
+//! `benches/` wrap reduced versions of the same runners, and
+//! `bench_guard` holds them to `benches/baseline.json` in CI.
 //!
-//! All experiments run on the simulated substrate: absolute numbers are not
+//! The figure experiments run on the simulated substrate, whose cost
+//! model is the figures' axis; the `tcp …` and `flick vm lb` points cross
+//! real kernel sockets on loopback. Either way absolute numbers are not
 //! comparable with the paper's 16-core 10 GbE testbed, but the *shape*
 //! (which system wins, how throughput scales with cores or concurrency,
-//! where the scheduling policies differ) is, and `EXPERIMENTS.md` records
-//! both.
+//! where the scheduling policies differ) is; DESIGN.md §6 records both.
 
 pub mod experiments;
 pub mod report;
+pub mod testbed;
 
 pub use experiments::*;
 pub use report::{print_table, Row};
+pub use testbed::{HttpPoint, Target, Testbed, Transport};

@@ -29,10 +29,8 @@ use flick_grammar::{
 use flick_lang::TypedProgram;
 use flick_net::Endpoint;
 use flick_runtime::platform::BuiltGraph;
-use flick_runtime::tasks::{ExecMode, InputTask, OutputTask};
-use flick_runtime::{
-    ComputeTask, GraphBuilder, GraphFactory, RuntimeError, ServiceEnv, TaskId, Watch,
-};
+use flick_runtime::tasks::ExecMode;
+use flick_runtime::{ComputeTask, GraphBuilder, GraphFactory, Peer, RuntimeError, ServiceEnv};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -209,104 +207,20 @@ impl GraphFactory for CompiledService {
 
     fn build(&self, clients: Vec<Endpoint>, env: &ServiceEnv) -> Result<BuiltGraph, RuntimeError> {
         let process = &self.program.process;
-        let mut builder = GraphBuilder::new(process.name.clone(), &env.allocator)
-            .with_channel_capacity(env.channel_capacity);
+        let mut builder = GraphBuilder::new(process.name.clone(), &env.allocator);
         let compute_node = builder.declare_node();
 
         let mut bindings = ChannelBindings::default();
         let mut compute_inputs = Vec::new();
         let mut compute_outputs = Vec::new();
-        let mut installs: Vec<(flick_runtime::NodeId, Box<dyn flick_runtime::Task>)> = Vec::new();
-        let mut watchers: Vec<Watch> = Vec::new();
-        let mut client_tasks: Vec<TaskId> = Vec::new();
-
-        // Helper that wires one endpoint to the compute task according to the
-        // parameter's direction, returning the (input, output) indices used.
-        let wire_endpoint =
-            |builder: &mut GraphBuilder<'_>,
-             endpoint: &Endpoint,
-             plan: &ParamPlan,
-             readable: bool,
-             writable: bool,
-             label: &str,
-             is_client: bool,
-             compute_inputs: &mut Vec<flick_runtime::ChannelConsumer>,
-             compute_outputs: &mut Vec<flick_runtime::ChannelProducer>,
-             installs: &mut Vec<(flick_runtime::NodeId, Box<dyn flick_runtime::Task>)>,
-             watchers: &mut Vec<Watch>,
-             client_tasks: &mut Vec<TaskId>|
-             -> (Option<usize>, Option<usize>) {
-                let mut input_idx = None;
-                let mut output_idx = None;
-                if readable {
-                    let node = builder.declare_node();
-                    let (tx, rx) = builder.channel(compute_node);
-                    installs.push((
-                        node,
-                        Box::new(InputTask::new(
-                            format!("{label}-in"),
-                            endpoint.clone(),
-                            Arc::clone(&plan.codec),
-                            Some(plan.projection.clone()),
-                            tx,
-                        )),
-                    ));
-                    watchers.push(Watch::readable(node.task_id(), endpoint.clone()));
-                    if is_client {
-                        client_tasks.push(node.task_id());
-                    }
-                    input_idx = Some(compute_inputs.len());
-                    compute_inputs.push(rx);
-                }
-                if writable {
-                    let node = builder.declare_node();
-                    let (tx, rx) = builder.channel(node);
-                    installs.push((
-                        node,
-                        Box::new(OutputTask::new(
-                            format!("{label}-out"),
-                            endpoint.clone(),
-                            Arc::clone(&plan.codec),
-                            rx,
-                        )),
-                    ));
-                    watchers.push(Watch::writable(node.task_id(), endpoint.clone()));
-                    output_idx = Some(compute_outputs.len());
-                    compute_outputs.push(tx);
-                }
-                (input_idx, output_idx)
-            };
 
         let mut backend_cursor = 0usize;
-        let mut clients = clients;
         for (param_idx, param) in process.params.iter().enumerate() {
             let plan = &self.plans[param_idx];
-            let mut binding = ParamBinding::default();
-            if param_idx == 0 {
+            let is_client = param_idx == 0;
+            let indices: Vec<usize> = if is_client {
                 // Client-facing parameter: one endpoint per accepted connection.
-                let endpoints: Vec<Endpoint> = std::mem::take(&mut clients);
-                for (i, endpoint) in endpoints.iter().enumerate() {
-                    let (inp, out) = wire_endpoint(
-                        &mut builder,
-                        endpoint,
-                        plan,
-                        param.dir.readable,
-                        param.dir.writable,
-                        &format!("{}-{i}", param.name),
-                        true,
-                        &mut compute_inputs,
-                        &mut compute_outputs,
-                        &mut installs,
-                        &mut watchers,
-                        &mut client_tasks,
-                    );
-                    if let Some(i) = inp {
-                        binding.inputs.push(i);
-                    }
-                    if let Some(o) = out {
-                        binding.outputs.push(o);
-                    }
-                }
+                (0..clients.len()).collect()
             } else {
                 // Back-end parameter(s): outbound connections.
                 let indices: Vec<usize> = if param.is_array {
@@ -322,28 +236,44 @@ impl GraphFactory for CompiledService {
                         process.name, param.name
                     )));
                 }
-                for i in indices {
-                    let endpoint = env.backends.checkout(i)?;
-                    let (inp, out) = wire_endpoint(
-                        &mut builder,
-                        &endpoint,
-                        plan,
-                        param.dir.readable,
-                        param.dir.writable,
-                        &format!("{}-{i}", param.name),
-                        false,
-                        &mut compute_inputs,
-                        &mut compute_outputs,
-                        &mut installs,
-                        &mut watchers,
-                        &mut client_tasks,
+                indices
+            };
+            // Wire each endpoint to the compute task according to the
+            // parameter's direction: its input task first, then its output.
+            let mut binding = ParamBinding::default();
+            for i in indices {
+                let endpoint = &if is_client {
+                    clients[i].clone()
+                } else {
+                    env.backends.connect(i)?
+                };
+                if param.dir.readable {
+                    let node = builder.declare_node();
+                    let rx = builder.bind_input(
+                        node,
+                        format!("{}-{i}-in", param.name),
+                        if is_client {
+                            Peer::Client(endpoint)
+                        } else {
+                            Peer::Backend(endpoint)
+                        },
+                        Arc::clone(&plan.codec),
+                        Some(plan.projection.clone()),
+                        compute_node,
                     );
-                    if let Some(i) = inp {
-                        binding.inputs.push(i);
-                    }
-                    if let Some(o) = out {
-                        binding.outputs.push(o);
-                    }
+                    binding.inputs.push(compute_inputs.len());
+                    compute_inputs.push(rx);
+                }
+                if param.dir.writable {
+                    let node = builder.declare_node();
+                    let tx = builder.bind_output(
+                        node,
+                        format!("{}-{i}-out", param.name),
+                        endpoint,
+                        Arc::clone(&plan.codec),
+                    );
+                    binding.outputs.push(compute_outputs.len());
+                    compute_outputs.push(tx);
                 }
             }
             bindings.params.push(binding);
@@ -398,15 +328,7 @@ impl GraphFactory for CompiledService {
                 logic,
             )),
         );
-        for (node, task) in installs {
-            builder.install(node, task);
-        }
-        Ok(BuiltGraph {
-            graph: builder.build(),
-            watchers,
-            initial: vec![],
-            client_tasks,
-        })
+        Ok(builder.build())
     }
 }
 

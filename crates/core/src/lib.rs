@@ -200,7 +200,8 @@ proc Echo: (pkt/pkt client)
 
     #[test]
     fn stack_model_is_exposed() {
-        let flick = Flick::new(PlatformConfig::new(2, StackModel::Mtcp));
+        let flick =
+            Flick::with_network(PlatformConfig::default(), SimNetwork::new(StackModel::Mtcp));
         assert_eq!(flick.stack(), StackModel::Mtcp);
     }
 }

@@ -573,19 +573,6 @@ impl Endpoint {
         }
     }
 
-    /// `true` when this endpoint is a real OS socket.
-    pub fn is_os(&self) -> bool {
-        matches!(self.kind, EndpointKind::Tcp(_))
-    }
-
-    /// A short transport label for diagnostics and bench output.
-    pub fn transport(&self) -> &'static str {
-        match self.kind {
-            EndpointKind::Sim(_) => "sim",
-            EndpointKind::Tcp(_) => "tcp",
-        }
-    }
-
     /// The connection identifier (shared by both simulated endpoints;
     /// unique per socket for the OS transport).
     pub fn id(&self) -> u64 {

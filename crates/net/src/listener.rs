@@ -414,11 +414,6 @@ impl Listener {
         dispatch!(ListenerKind, self, l => l.port())
     }
 
-    /// `true` when this listener is a real OS socket.
-    pub fn is_os(&self) -> bool {
-        matches!(self.kind, ListenerKind::Tcp(_))
-    }
-
     /// Accepts a pending connection without blocking.
     pub fn try_accept(&self) -> Result<Endpoint, NetError> {
         dispatch!(ListenerKind, self, l => l.try_accept())

@@ -415,7 +415,7 @@ impl ShardReactor {
             return;
         };
         let task_ids = built.graph.task_ids().to_vec();
-        self.scheduler.register_graph(built.graph, &built.initial);
+        self.scheduler.register_graph(built.graph);
         service.live_graphs.fetch_add(1, Ordering::Relaxed);
         self.shard.note_graph_built();
 
@@ -627,9 +627,9 @@ impl Drop for DeployedService {
 mod tests {
     use super::*;
     use crate::error::RuntimeError;
-    use crate::graph::GraphBuilder;
+    use crate::graph::{GraphBuilder, Peer};
     use crate::platform::{BuiltGraph, Platform, PlatformConfig, ServiceSpec};
-    use crate::tasks::{ComputeLogic, ComputeTask, InputTask, OutputTask, Outputs};
+    use crate::tasks::{ComputeLogic, ComputeTask, Outputs};
     use crate::value::Value;
     use flick_grammar::http::{self, HttpCodec};
 
@@ -661,23 +661,19 @@ mod tests {
         ) -> Result<BuiltGraph, RuntimeError> {
             let client = clients.pop().expect("one client connection");
             let codec = Arc::new(HttpCodec::new());
-            let mut builder = GraphBuilder::new("static-web", &env.allocator)
-                .with_channel_capacity(env.channel_capacity);
+            let mut builder = GraphBuilder::new("static-web", &env.allocator);
             let input_node = builder.declare_node();
             let compute_node = builder.declare_node();
             let output_node = builder.declare_node();
-            let (req_tx, req_rx) = builder.channel(compute_node);
-            let (resp_tx, resp_rx) = builder.channel(output_node);
-            builder.install(
+            let req_rx = builder.bind_input(
                 input_node,
-                Box::new(InputTask::new(
-                    "http-in",
-                    client.clone(),
-                    codec.clone(),
-                    None,
-                    req_tx,
-                )),
+                "http-in",
+                Peer::Client(&client),
+                codec.clone(),
+                None,
+                compute_node,
             );
+            let resp_tx = builder.bind_output(output_node, "http-out", &client, codec);
             builder.install(
                 compute_node,
                 Box::new(ComputeTask::new(
@@ -687,19 +683,7 @@ mod tests {
                     Box::new(RespondLogic),
                 )),
             );
-            builder.install(
-                output_node,
-                Box::new(OutputTask::new("http-out", client.clone(), codec, resp_rx)),
-            );
-            Ok(BuiltGraph {
-                graph: builder.build(),
-                watchers: vec![
-                    Watch::readable(input_node.task_id(), client.clone()),
-                    Watch::writable(output_node.task_id(), client),
-                ],
-                initial: vec![],
-                client_tasks: vec![input_node.task_id()],
-            })
+            Ok(builder.build())
         }
     }
 
@@ -1024,31 +1008,22 @@ mod tests {
                 },
             )?;
             let codec = Arc::new(HttpCodec::new());
-            let mut builder = GraphBuilder::new("fold", &env.allocator)
-                .with_channel_capacity(env.channel_capacity);
+            let mut builder = GraphBuilder::new("fold", &env.allocator);
             let compute_node = builder.declare_node();
             let output_node = builder.declare_node();
-            let mut watchers = Vec::new();
-            let mut client_tasks = Vec::new();
             let mut inputs = Vec::new();
             for client in clients {
                 let node = builder.declare_node();
-                let (tx, rx) = builder.channel(compute_node);
-                builder.install(
+                inputs.push(builder.bind_input(
                     node,
-                    Box::new(InputTask::new(
-                        "fold-in",
-                        client.clone(),
-                        codec.clone(),
-                        None,
-                        tx,
-                    )),
-                );
-                watchers.push(Watch::readable(node.task_id(), client));
-                client_tasks.push(node.task_id());
-                inputs.push(rx);
+                    "fold-in",
+                    Peer::Client(&client),
+                    codec.clone(),
+                    None,
+                    compute_node,
+                ));
             }
-            let (agg_tx, agg_rx) = builder.channel(output_node);
+            let agg_tx = builder.bind_output(output_node, "fold-out", &sink, codec);
             let open_inputs = inputs.len();
             builder.install(
                 compute_node,
@@ -1059,17 +1034,7 @@ mod tests {
                     Box::new(FoldLogic { open_inputs }),
                 )),
             );
-            builder.install(
-                output_node,
-                Box::new(OutputTask::new("fold-out", sink.clone(), codec, agg_rx)),
-            );
-            watchers.push(Watch::writable(output_node.task_id(), sink));
-            Ok(BuiltGraph {
-                graph: builder.build(),
-                watchers,
-                initial: vec![],
-                client_tasks,
-            })
+            Ok(builder.build())
         }
     }
 

@@ -1,16 +1,22 @@
 //! Task-graph assembly.
 //!
 //! A [`GraphBuilder`] wires tasks together with bounded channels and produces
-//! a [`GraphInstance`]: the set of tasks (with their global [`TaskId`]s)
-//! ready to be registered with the scheduler. Graphs are directed and
-//! acyclic by construction — channels can only be created from an
-//! already-added producer node to an already-added consumer node, and the
-//! builder assigns identifiers in topological insertion order.
+//! a [`BuiltGraph`]: the [`GraphInstance`] (the tasks with their global
+//! [`TaskId`]s, ready to be registered with the scheduler) plus the
+//! readiness watches and client tasks its dispatcher needs. Graphs are
+//! directed and acyclic by construction — channels can only be created
+//! from an already-added producer node to an already-added consumer node,
+//! and the builder assigns identifiers in topological insertion order.
 
 use crate::channel::{ChannelConsumer, ChannelProducer, TaskChannel, DEFAULT_CHANNEL_CAPACITY};
+use crate::platform::{BuiltGraph, Watch};
 use crate::task::{Task, TaskId};
+use crate::tasks::{InputTask, OutputTask};
+use flick_grammar::{Projection, WireCodec};
+use flick_net::Endpoint;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Global task-id allocator shared by all graphs of a platform.
 #[derive(Debug, Default)]
@@ -43,6 +49,17 @@ impl NodeId {
     }
 }
 
+/// The connection an input is bound to, by the side of the service it
+/// faces.
+#[derive(Clone, Copy)]
+pub enum Peer<'a> {
+    /// An accepted client connection. The graph starts draining once
+    /// every client input has finished.
+    Client(&'a Endpoint),
+    /// An outbound back-end connection.
+    Backend(&'a Endpoint),
+}
+
 /// A graph under construction.
 ///
 /// The builder separates *declaring* nodes (which allocates their task ids
@@ -51,16 +68,22 @@ impl NodeId {
 /// time. The typical sequence is:
 ///
 /// 1. [`GraphBuilder::declare_node`] for every task;
-/// 2. [`GraphBuilder::channel`] for every edge, obtaining producer/consumer
-///    halves;
-/// 3. [`GraphBuilder::install`] each constructed task;
+/// 2. [`GraphBuilder::bind_input`] and [`GraphBuilder::bind_output`] for
+///    every connection the graph reads or writes — each installs the edge
+///    task *and* records the readiness watch on the same endpoint, so the
+///    two cannot disagree;
+/// 3. [`GraphBuilder::channel`] for every remaining edge and
+///    [`GraphBuilder::install`] for every remaining task;
 /// 4. [`GraphBuilder::build`].
 pub struct GraphBuilder<'a> {
     allocator: &'a TaskIdAllocator,
     name: String,
     declared: Vec<NodeId>,
     tasks: HashMap<TaskId, Box<dyn Task>>,
-    channel_capacity: usize,
+    /// One per bound direction, in binding order (the order the
+    /// dispatcher registers them with its poller).
+    watchers: Vec<Watch>,
+    client_tasks: Vec<TaskId>,
 }
 
 impl<'a> GraphBuilder<'a> {
@@ -71,14 +94,9 @@ impl<'a> GraphBuilder<'a> {
             name: name.into(),
             declared: Vec::new(),
             tasks: HashMap::new(),
-            channel_capacity: DEFAULT_CHANNEL_CAPACITY,
+            watchers: Vec::new(),
+            client_tasks: Vec::new(),
         }
-    }
-
-    /// Overrides the capacity used for channels created by this builder.
-    pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
-        self.channel_capacity = capacity;
-        self
     }
 
     /// Declares a node, allocating its task id.
@@ -90,7 +108,54 @@ impl<'a> GraphBuilder<'a> {
 
     /// Creates a channel whose consumer is `consumer`.
     pub fn channel(&self, consumer: NodeId) -> (ChannelProducer, ChannelConsumer) {
-        TaskChannel::bounded(self.channel_capacity, consumer.task_id())
+        TaskChannel::bounded(DEFAULT_CHANNEL_CAPACITY, consumer.task_id())
+    }
+
+    /// Binds a connection as an input: installs an [`InputTask`] at `node`
+    /// that parses the peer's endpoint into a new channel consumed by
+    /// `to`, and watches the endpoint for readability. A [`Peer::Client`]
+    /// input also counts among the tasks whose exit starts the graph's
+    /// drain. Returns the channel's consumer half for the task at `to`.
+    pub fn bind_input(
+        &mut self,
+        node: NodeId,
+        label: impl Into<String>,
+        peer: Peer<'_>,
+        codec: Arc<dyn WireCodec>,
+        projection: Option<Projection>,
+        to: NodeId,
+    ) -> ChannelConsumer {
+        let endpoint = match peer {
+            Peer::Client(endpoint) => {
+                self.client_tasks.push(node.task_id());
+                endpoint
+            }
+            Peer::Backend(endpoint) => endpoint,
+        };
+        let (tx, rx) = self.channel(to);
+        let task = InputTask::new(label, endpoint.clone(), codec, projection, tx);
+        self.install(node, Box::new(task));
+        self.watchers
+            .push(Watch::readable(node.task_id(), endpoint.clone()));
+        rx
+    }
+
+    /// Binds a connection as an output: installs an [`OutputTask`] at
+    /// `node` that serialises a new channel onto `endpoint` and watches
+    /// the endpoint for writability. Returns the channel's producer half.
+    pub fn bind_output(
+        &mut self,
+        node: NodeId,
+        label: impl Into<String>,
+        endpoint: &Endpoint,
+        codec: Arc<dyn WireCodec>,
+    ) -> ChannelProducer {
+        let (tx, rx) = self.channel(node);
+        let task = OutputTask::new(label, endpoint.clone(), codec, rx);
+        self.install(node, Box::new(task));
+        self.watchers
+            .push(Watch::writable(node.task_id(), endpoint.clone()));
+        tx
     }
 
     /// Installs the task object for a declared node.
@@ -114,7 +179,7 @@ impl<'a> GraphBuilder<'a> {
     /// # Panics
     ///
     /// Panics if any declared node was never installed.
-    pub fn build(self) -> GraphInstance {
+    pub fn build(self) -> BuiltGraph {
         for node in &self.declared {
             assert!(
                 self.tasks.contains_key(&node.task_id()),
@@ -123,10 +188,14 @@ impl<'a> GraphBuilder<'a> {
                 self.name
             );
         }
-        GraphInstance {
-            name: self.name,
-            tasks: self.tasks.into_iter().collect(),
-            entry_tasks: self.declared.iter().map(|n| n.task_id()).collect(),
+        BuiltGraph {
+            graph: GraphInstance {
+                name: self.name,
+                tasks: self.tasks.into_iter().collect(),
+                entry_tasks: self.declared.iter().map(|n| n.task_id()).collect(),
+            },
+            watchers: self.watchers,
+            client_tasks: self.client_tasks,
         }
     }
 }
@@ -178,6 +247,7 @@ impl GraphInstance {
 mod tests {
     use super::*;
     use crate::task::{TaskContext, TaskStatus};
+    use flick_net::Interest;
 
     struct NopTask;
     impl Task for NopTask {
@@ -198,7 +268,7 @@ mod tests {
         let (_tx, _rx) = builder.channel(b);
         builder.install(a, Box::new(NopTask));
         builder.install(b, Box::new(NopTask));
-        let graph = builder.build();
+        let graph = builder.build().graph;
         assert_eq!(graph.len(), 2);
         assert_eq!(graph.name(), "g");
         assert_eq!(graph.task_ids().len(), 2);
@@ -232,6 +302,71 @@ mod tests {
         let mut b = GraphBuilder::new("g", &alloc);
         let _node = b.declare_node();
         let _ = b.build();
+    }
+
+    /// Binding installs the edge task and records the watch from the same
+    /// endpoint: one readable and one writable watch on it, each naming
+    /// the task bound in that direction, and only the client binding
+    /// counts as a client task.
+    #[test]
+    fn binding_an_endpoint_both_ways_records_both_watches() {
+        use flick_grammar::http::HttpCodec;
+        use flick_net::{SimNetwork, StackModel};
+
+        let net = SimNetwork::new(StackModel::Free);
+        let _client_listener = net.listen(7001).unwrap();
+        let _backend_listener = net.listen(7002).unwrap();
+        let client = net.connect(7001).unwrap();
+        let backend = net.connect(7002).unwrap();
+        let codec = Arc::new(HttpCodec::new());
+
+        let alloc = TaskIdAllocator::new();
+        let mut b = GraphBuilder::new("g", &alloc);
+        let client_in = b.declare_node();
+        let backend_in = b.declare_node();
+        let compute = b.declare_node();
+        let client_out = b.declare_node();
+        let rx = b.bind_input(
+            client_in,
+            "in",
+            Peer::Client(&client),
+            codec.clone(),
+            None,
+            compute,
+        );
+        assert_eq!(rx.consumer(), compute.task_id());
+        let backend_peer = Peer::Backend(&backend);
+        let _ = b.bind_input(
+            backend_in,
+            "bin",
+            backend_peer,
+            codec.clone(),
+            None,
+            compute,
+        );
+        let tx = b.bind_output(client_out, "out", &client, codec);
+        assert_eq!(tx.consumer(), client_out.task_id());
+        b.install(compute, Box::new(NopTask));
+        let built = b.build();
+
+        assert_eq!(built.graph.len(), 4);
+        assert_eq!(built.client_tasks, vec![client_in.task_id()]);
+        let on_client: Vec<_> = built
+            .watchers
+            .iter()
+            .filter(|w| w.endpoint.id() == client.id())
+            .map(|w| (w.task, w.interest))
+            .collect();
+        assert_eq!(
+            on_client,
+            vec![
+                (client_in.task_id(), Interest::READABLE),
+                (client_out.task_id(), Interest::WRITABLE),
+            ]
+        );
+        assert_eq!(built.watchers.len(), 3);
+        assert_eq!(built.watchers[1].task, backend_in.task_id());
+        assert_eq!(built.watchers[1].endpoint.id(), backend.id());
     }
 
     #[test]

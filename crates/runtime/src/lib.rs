@@ -24,7 +24,8 @@
 //!   program instance) and graph dispatcher (connection → task graph);
 //! * [`platform`] — the top-level [`platform::Platform`] that ties the
 //!   shards, the network substrate and deployed services together;
-//! * [`pool`] — pre-allocated backend-connection and buffer pools.
+//! * [`pool`] — a service's back-end targets, their passive health state
+//!   and the routing policy over them.
 //!
 //! Services are described by implementing [`platform::GraphFactory`] (done
 //! automatically for FLICK programs by the compiler crate, or by hand as the
@@ -46,12 +47,12 @@ pub mod value;
 pub use channel::{ChannelConsumer, ChannelProducer, TaskChannel};
 pub use dispatcher::DeployedService;
 pub use error::RuntimeError;
-pub use graph::{GraphBuilder, GraphInstance, NodeId};
+pub use graph::{GraphBuilder, GraphInstance, NodeId, Peer};
 pub use metrics::{MetricsSnapshot, RuntimeMetrics};
 pub use platform::{
     default_shard_count, GraphFactory, Platform, PlatformConfig, ServiceEnv, ServiceSpec, Watch,
 };
-pub use pool::{BackendPolicy, BackendPool, BackendTarget, BufferPool, RoutePolicy};
+pub use pool::{BackendPolicy, BackendPool, BackendTarget, RoutePolicy};
 pub use scheduler::{Scheduler, ShardLoad, StealGroup};
 pub use shard::{
     LeastLoadedPlacement, Placement, PlacementPolicy, RoundRobinPlacement, Shard, ShardStatus,

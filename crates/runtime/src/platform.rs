@@ -35,7 +35,12 @@ pub fn default_shard_count() -> usize {
         .unwrap_or(1)
 }
 
-/// Configuration of a [`Platform`].
+/// Configuration of a [`Platform`]: two sizing fields and the two
+/// policies a deployment selects (DESIGN.md "Policy surface"). Everything
+/// else about the runtime is mechanism and is not configurable — workers
+/// run the paper's cooperative discipline
+/// ([`SchedulingPolicy::default`]), and the transport cost model belongs
+/// to the [`SimNetwork`] the platform is attached to.
 #[derive(Debug, Clone)]
 pub struct PlatformConfig {
     /// Total worker threads, split across the shards (each shard keeps at
@@ -50,14 +55,6 @@ pub struct PlatformConfig {
     pub shards: usize,
     /// How new task graphs are placed onto shards.
     pub placement: Placement,
-    /// Scheduling policy (cooperative with a 10–100 µs timeslice by default).
-    pub policy: SchedulingPolicy,
-    /// Transport-stack cost model for every connection.
-    pub stack: StackModel,
-    /// Capacity of task channels created by graph factories.
-    pub channel_capacity: usize,
-    /// Whether backend connections are drawn from a pre-established pool.
-    pub backend_pooling: bool,
     /// Backend health/routing policy: candidate ordering, passive
     /// ejection thresholds and the per-checkout retry budget.
     pub backend_policy: BackendPolicy,
@@ -69,25 +66,12 @@ impl Default for PlatformConfig {
             workers: 4,
             shards: 0,
             placement: Placement::default(),
-            policy: SchedulingPolicy::default(),
-            stack: StackModel::Free,
-            channel_capacity: 1024,
-            backend_pooling: false,
             backend_policy: BackendPolicy::default(),
         }
     }
 }
 
 impl PlatformConfig {
-    /// Convenience constructor used by the benchmark harness.
-    pub fn new(workers: usize, stack: StackModel) -> Self {
-        PlatformConfig {
-            workers,
-            stack,
-            ..Default::default()
-        }
-    }
-
     /// The shard count this configuration resolves to: the explicit value
     /// if non-zero, otherwise one shard per available core capped at the
     /// worker count (so the configured `workers` total is always honoured
@@ -122,8 +106,6 @@ pub struct ServiceEnv {
     pub backends: Arc<BackendPool>,
     /// Allocator for task ids (pass to [`crate::graph::GraphBuilder`]).
     pub allocator: Arc<TaskIdAllocator>,
-    /// Capacity to use for task channels.
-    pub channel_capacity: usize,
     /// Execution mode compiled-service factories should build their
     /// compute logic for ([`ServiceSpec::exec_mode`]).
     pub exec_mode: ExecMode,
@@ -173,8 +155,6 @@ pub struct BuiltGraph {
     /// Tasks to wake on endpoint readiness transitions (readable for
     /// input tasks, writable for output tasks).
     pub watchers: Vec<Watch>,
-    /// Tasks to schedule immediately after registration.
-    pub initial: Vec<TaskId>,
     /// The input tasks bound to *client* connections; when all of them have
     /// finished the dispatcher tears the remaining tasks of the graph down.
     pub client_tasks: Vec<TaskId>,
@@ -287,10 +267,11 @@ impl std::fmt::Debug for Platform {
 }
 
 impl Platform {
-    /// Starts a platform with its own simulated network.
+    /// Starts a platform with its own simulated network on the free cost
+    /// model. A figure's cost model is a property of the network: build
+    /// `SimNetwork::new(model)` and use [`Platform::with_network`].
     pub fn new(config: PlatformConfig) -> Self {
-        let net = SimNetwork::new(config.stack);
-        Self::with_network(config, net)
+        Self::with_network(config, SimNetwork::new(StackModel::Free))
     }
 
     /// Starts a platform over an existing network (so that workload
@@ -303,7 +284,7 @@ impl Platform {
             .map(|id| {
                 let scheduler = Arc::new(Scheduler::start_sharded(
                     config.workers_for_shard(id),
-                    config.policy,
+                    SchedulingPolicy::default(),
                     Arc::clone(&metrics),
                     &group,
                     id,
@@ -394,8 +375,8 @@ impl Platform {
     /// The OS-socket stack of this platform, created on first use.
     ///
     /// Real sockets pay the real kernel's costs, so the stack runs the
-    /// free cost model regardless of the simulated [`PlatformConfig::stack`]
-    /// — layering the calibrated busy-wait on top of actual syscalls would
+    /// free cost model regardless of the simulated network's — layering
+    /// the calibrated busy-wait on top of actual syscalls would
     /// double-charge. Its [`flick_net::NetStats`] counters account OS
     /// traffic with the same vocabulary as the simulated substrate.
     pub fn tcp_stack(&self) -> Arc<TcpStack> {
@@ -469,7 +450,6 @@ impl Platform {
         }
         let backends = BackendPool::configured(
             targets,
-            self.config.backend_pooling,
             self.config.backend_policy,
             Some(Arc::clone(&self.metrics)),
         );
@@ -478,7 +458,6 @@ impl Platform {
             globals: globals.clone(),
             backends,
             allocator: Arc::clone(&self.allocator),
-            channel_capacity: self.config.channel_capacity,
             exec_mode: spec.exec_mode,
         };
         let id = self.next_service.fetch_add(1, Ordering::Relaxed);
@@ -559,12 +538,28 @@ mod tests {
         assert!(platform.net().listen(4242).is_err());
     }
 
+    /// The policy surface is closed: two sizing fields, two policies. A
+    /// fifth field fails to compile here.
     #[test]
-    fn config_constructor_sets_fields() {
-        let cfg = PlatformConfig::new(8, StackModel::Mtcp);
-        assert_eq!(cfg.workers, 8);
-        assert_eq!(cfg.stack, StackModel::Mtcp);
-        assert!(!cfg.backend_pooling);
+    fn config_is_exactly_sizing_plus_policy() {
+        let PlatformConfig {
+            workers,
+            shards,
+            placement,
+            backend_policy,
+        } = PlatformConfig::default();
+        assert_eq!((workers, shards), (4, 0));
+        assert!(matches!(placement, Placement::RoundRobin));
+        assert_eq!(backend_policy, BackendPolicy::default());
+    }
+
+    /// The cost model is the network's: a platform attached to an mTCP
+    /// fabric runs on it, with no field to say otherwise.
+    #[test]
+    fn the_cost_model_comes_from_the_network() {
+        let platform =
+            Platform::with_network(PlatformConfig::default(), SimNetwork::new(StackModel::Mtcp));
+        assert_eq!(platform.net().model(), StackModel::Mtcp);
     }
 
     #[test]

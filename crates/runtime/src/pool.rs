@@ -1,70 +1,17 @@
-//! Pre-allocated pools: backend connections and byte buffers.
+//! A service's back-ends: targets on either transport, passive health
+//! tracking and the routing policy that orders them (DESIGN.md §14).
 //!
-//! §5 of the paper stresses that the platform avoids dynamic allocation on
-//! the data path: buffers are drawn from a pre-allocated pool, and the graph
-//! dispatcher maintains pre-created resources to avoid per-connection setup
-//! costs. This module provides both pools; the dispatch ablation benchmark
-//! (`benches/dispatch.rs`) measures their effect.
+//! Every connection a [`BackendPool`] hands out is freshly established and
+//! owned by the graph that asked for it; the "pool" is the set of
+//! *targets*, not of idle connections.
 
 use crate::error::RuntimeError;
 use crate::metrics::RuntimeMetrics;
 use flick_net::{Endpoint, SimNetwork, TcpStack};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A pool of reusable byte buffers.
-///
-/// Buffers are handed out with their previous contents cleared and returned
-/// to the pool after use; if the pool is empty a new buffer is allocated (the
-/// pool is an optimisation, not a correctness requirement).
-#[derive(Debug)]
-pub struct BufferPool {
-    buffers: Mutex<Vec<Vec<u8>>>,
-    buffer_capacity: usize,
-    max_pooled: usize,
-}
-
-impl BufferPool {
-    /// Creates a pool that pre-allocates `count` buffers of `buffer_capacity`
-    /// bytes and keeps at most `count` buffers around.
-    pub fn new(count: usize, buffer_capacity: usize) -> Arc<Self> {
-        let buffers = (0..count)
-            .map(|_| Vec::with_capacity(buffer_capacity))
-            .collect();
-        Arc::new(BufferPool {
-            buffers: Mutex::new(buffers),
-            buffer_capacity,
-            max_pooled: count,
-        })
-    }
-
-    /// Takes a buffer from the pool (or allocates one if the pool is empty).
-    pub fn get(&self) -> Vec<u8> {
-        match self.buffers.lock().pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf
-            }
-            None => Vec::with_capacity(self.buffer_capacity),
-        }
-    }
-
-    /// Returns a buffer to the pool.
-    pub fn put(&self, buf: Vec<u8>) {
-        let mut buffers = self.buffers.lock();
-        if buffers.len() < self.max_pooled {
-            buffers.push(buf);
-        }
-    }
-
-    /// Number of buffers currently available.
-    pub fn available(&self) -> usize {
-        self.buffers.lock().len()
-    }
-}
 
 /// One back-end a [`BackendPool`] can connect to: a port on the simulated
 /// fabric or a socket address reached through an OS TCP stack. The pool —
@@ -155,10 +102,10 @@ impl Default for BackendPolicy {
 #[derive(Debug, Default)]
 struct HealthSlot {
     state: Mutex<HealthState>,
-    /// Connections handed out by `checkout_healthy` minus those returned
-    /// via `checkin`/`release` — the least-loaded signal. Callers that
-    /// never return connections degrade it to cumulative-assignment
-    /// balancing, which still spreads load evenly across healthy targets.
+    /// Connections handed out by `checkout_healthy` minus those given
+    /// back through `release` — the least-loaded signal. Callers that
+    /// never release degrade it to cumulative-assignment balancing, which
+    /// still spreads load evenly across healthy targets.
     outstanding: AtomicU64,
 }
 
@@ -173,12 +120,11 @@ struct HealthState {
 
 /// Access to a service's back-end servers, over either transport.
 ///
-/// `connect` always establishes a fresh connection (paying the stack's
-/// connect cost); `checkout`/`checkin` maintain a pool of pre-established
-/// connections per backend, which the dispatch ablation compares against.
-/// Targets may be simulated ports, real TCP addresses, or a mix — a
-/// TCP-fronted service can pool kernel-socket back-ends and complete the
-/// all-TCP `client → LB → backend` path.
+/// [`BackendPool::connect`] establishes a fresh connection to one target
+/// (paying the stack's connect cost). Targets may be simulated ports,
+/// real TCP addresses, or a mix — a TCP-fronted service can reach
+/// kernel-socket back-ends and complete the all-TCP
+/// `client → LB → backend` path.
 ///
 /// [`BackendPool::checkout_healthy`] adds passive failure detection on
 /// top: connect failures are remembered per backend, a backend that fails
@@ -188,8 +134,6 @@ struct HealthState {
 /// set by [`RoutePolicy`].
 pub struct BackendPool {
     targets: Vec<BackendTarget>,
-    pooled: Vec<Mutex<VecDeque<Endpoint>>>,
-    pooling_enabled: bool,
     policy: BackendPolicy,
     health: Vec<HealthSlot>,
     cursor: AtomicUsize,
@@ -203,14 +147,13 @@ impl std::fmt::Debug for BackendPool {
                 "targets",
                 &self.targets.iter().map(|t| t.label()).collect::<Vec<_>>(),
             )
-            .field("pooling", &self.pooling_enabled)
             .finish()
     }
 }
 
 impl BackendPool {
     /// Creates a backend pool over ports of the simulated network.
-    pub fn new(net: Arc<SimNetwork>, ports: Vec<u16>, pooling_enabled: bool) -> Arc<Self> {
+    pub fn new(net: Arc<SimNetwork>, ports: Vec<u16>) -> Arc<Self> {
         let targets = ports
             .into_iter()
             .map(|port| BackendTarget::Sim {
@@ -218,11 +161,11 @@ impl BackendPool {
                 port,
             })
             .collect();
-        Self::over(targets, pooling_enabled)
+        Self::over(targets)
     }
 
     /// Creates a backend pool over real TCP addresses.
-    pub fn new_tcp(stack: Arc<TcpStack>, addrs: Vec<String>, pooling_enabled: bool) -> Arc<Self> {
+    pub fn new_tcp(stack: Arc<TcpStack>, addrs: Vec<String>) -> Arc<Self> {
         let targets = addrs
             .into_iter()
             .map(|addr| BackendTarget::Tcp {
@@ -230,13 +173,13 @@ impl BackendPool {
                 addr,
             })
             .collect();
-        Self::over(targets, pooling_enabled)
+        Self::over(targets)
     }
 
     /// Creates a backend pool over an explicit (possibly mixed-transport)
     /// target list, with the default [`BackendPolicy`] and no metrics.
-    pub fn over(targets: Vec<BackendTarget>, pooling_enabled: bool) -> Arc<Self> {
-        Self::configured(targets, pooling_enabled, BackendPolicy::default(), None)
+    pub fn over(targets: Vec<BackendTarget>) -> Arc<Self> {
+        Self::configured(targets, BackendPolicy::default(), None)
     }
 
     /// Creates a backend pool with an explicit health/routing policy and
@@ -244,19 +187,12 @@ impl BackendPool {
     /// and readmits into.
     pub fn configured(
         targets: Vec<BackendTarget>,
-        pooling_enabled: bool,
         policy: BackendPolicy,
         metrics: Option<Arc<RuntimeMetrics>>,
     ) -> Arc<Self> {
-        let pooled = targets
-            .iter()
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect();
         let health = targets.iter().map(|_| HealthSlot::default()).collect();
         Arc::new(BackendPool {
             targets,
-            pooled,
-            pooling_enabled,
             policy,
             health,
             cursor: AtomicUsize::new(0),
@@ -292,37 +228,6 @@ impl BackendPool {
             .connect()
     }
 
-    /// Obtains a connection to backend `idx`, reusing a pooled one if
-    /// pooling is enabled and one is available.
-    pub fn checkout(&self, idx: usize) -> Result<Endpoint, RuntimeError> {
-        if self.pooling_enabled {
-            if let Some(slot) = self.pooled.get(idx) {
-                if let Some(endpoint) = slot.lock().pop_front() {
-                    if !endpoint.is_closed() && !endpoint.peer_closed() {
-                        return Ok(endpoint);
-                    }
-                }
-            }
-        }
-        self.connect(idx)
-    }
-
-    /// Returns a still-usable connection to the pool.
-    pub fn checkin(&self, idx: usize, endpoint: Endpoint) {
-        self.release(idx);
-        if !self.pooling_enabled || endpoint.is_closed() || endpoint.peer_closed() {
-            return;
-        }
-        if let Some(slot) = self.pooled.get(idx) {
-            slot.lock().push_back(endpoint);
-        }
-    }
-
-    /// Number of pooled connections for backend `idx`.
-    pub fn pooled_count(&self, idx: usize) -> usize {
-        self.pooled.get(idx).map(|s| s.lock().len()).unwrap_or(0)
-    }
-
     // --- passive health -------------------------------------------------
 
     /// Obtains a connection to a *healthy* backend, retrying within the
@@ -348,7 +253,7 @@ impl BackendPool {
     /// on the first request instead of after the longest sit-out.
     ///
     /// Returns the backend index alongside the endpoint so the caller can
-    /// [`BackendPool::checkin`] or [`BackendPool::release`] it later.
+    /// [`BackendPool::release`] it later.
     pub fn checkout_healthy(&self, hint: Option<usize>) -> Result<(usize, Endpoint), RuntimeError> {
         let len = self.targets.len();
         if len == 0 {
@@ -393,7 +298,7 @@ impl BackendPool {
                     RuntimeMetrics::add(&m.backend_retries, 1);
                 }
             }
-            match self.checkout(idx) {
+            match self.connect(idx) {
                 Ok(endpoint) => {
                     self.report_success(idx);
                     if let Some(slot) = self.health.get(idx) {
@@ -412,10 +317,9 @@ impl BackendPool {
         }))
     }
 
-    /// Drops the outstanding-connection count for backend `idx` without
-    /// returning a connection — for callers that close an endpoint
-    /// obtained from [`BackendPool::checkout_healthy`] instead of checking
-    /// it in.
+    /// Drops the outstanding-connection count for backend `idx` — for
+    /// callers that are done with an endpoint obtained from
+    /// [`BackendPool::checkout_healthy`].
     pub fn release(&self, idx: usize) {
         if let Some(slot) = self.health.get(idx) {
             let _ = slot
@@ -504,76 +408,17 @@ mod tests {
     use flick_net::StackModel;
 
     #[test]
-    fn buffer_pool_reuses_buffers() {
-        let pool = BufferPool::new(2, 1024);
-        assert_eq!(pool.available(), 2);
-        let mut a = pool.get();
-        a.extend_from_slice(b"junk");
-        pool.put(a);
-        let b = pool.get();
-        assert!(b.is_empty(), "returned buffers must be cleared");
-        assert!(b.capacity() >= 1024);
-    }
-
-    #[test]
-    fn buffer_pool_caps_pooled_buffers() {
-        let pool = BufferPool::new(1, 64);
-        let a = pool.get();
-        let b = pool.get();
-        pool.put(a);
-        pool.put(b);
-        assert_eq!(pool.available(), 1);
-    }
-
-    #[test]
     fn backend_pool_connects_to_each_port() {
         let net = SimNetwork::new(StackModel::Free);
         let l1 = net.listen(9001).unwrap();
         let l2 = net.listen(9002).unwrap();
-        let pool = BackendPool::new(Arc::clone(&net), vec![9001, 9002], false);
+        let pool = BackendPool::new(Arc::clone(&net), vec![9001, 9002]);
         assert_eq!(pool.len(), 2);
         let _c1 = pool.connect(0).unwrap();
         let _c2 = pool.connect(1).unwrap();
         assert_eq!(l1.backlog(), 1);
         assert_eq!(l2.backlog(), 1);
         assert!(pool.connect(5).is_err());
-    }
-
-    #[test]
-    fn checkout_reuses_checked_in_connections() {
-        let net = SimNetwork::new(StackModel::Free);
-        let _listener = net.listen(9003).unwrap();
-        let pool = BackendPool::new(Arc::clone(&net), vec![9003], true);
-        let conn = pool.checkout(0).unwrap();
-        let id = conn.id();
-        pool.checkin(0, conn);
-        assert_eq!(pool.pooled_count(0), 1);
-        let again = pool.checkout(0).unwrap();
-        assert_eq!(again.id(), id, "pooled connection should be reused");
-        assert_eq!(pool.pooled_count(0), 0);
-    }
-
-    #[test]
-    fn closed_connections_are_not_pooled() {
-        let net = SimNetwork::new(StackModel::Free);
-        let _listener = net.listen(9004).unwrap();
-        let pool = BackendPool::new(Arc::clone(&net), vec![9004], true);
-        let conn = pool.checkout(0).unwrap();
-        conn.close();
-        pool.checkin(0, conn);
-        assert_eq!(pool.pooled_count(0), 0);
-    }
-
-    #[test]
-    fn pooling_disabled_always_connects_fresh() {
-        let net = SimNetwork::new(StackModel::Free);
-        let _listener = net.listen(9005).unwrap();
-        let pool = BackendPool::new(Arc::clone(&net), vec![9005], false);
-        let conn = pool.checkout(0).unwrap();
-        let id = conn.id();
-        pool.checkin(0, conn);
-        let again = pool.checkout(0).unwrap();
-        assert_ne!(again.id(), id);
     }
 
     fn sim_targets(net: &Arc<SimNetwork>, ports: &[u16]) -> Vec<BackendTarget> {
@@ -596,7 +441,6 @@ mod tests {
         let metrics = RuntimeMetrics::new_shared();
         let pool = BackendPool::configured(
             sim_targets(&net, &[9010, 9011]),
-            false,
             BackendPolicy::default(),
             Some(Arc::clone(&metrics)),
         );
@@ -621,7 +465,6 @@ mod tests {
         };
         let pool = BackendPool::configured(
             sim_targets(&net, &[9012, 9013]),
-            false,
             policy,
             Some(Arc::clone(&metrics)),
         );
@@ -660,7 +503,6 @@ mod tests {
         };
         let pool = BackendPool::configured(
             sim_targets(&net, &[9014, 9015]),
-            false,
             policy,
             Some(Arc::clone(&metrics)),
         );
@@ -683,7 +525,7 @@ mod tests {
             retry_budget: 0,
             ..BackendPolicy::default()
         };
-        let pool = BackendPool::configured(sim_targets(&net, &[9016, 9017]), false, policy, None);
+        let pool = BackendPool::configured(sim_targets(&net, &[9016, 9017]), policy, None);
         assert!(
             pool.checkout_healthy(Some(0)).is_err(),
             "budget 0 must not fail over"
@@ -701,7 +543,7 @@ mod tests {
             eject_for: Duration::from_secs(60),
             ..BackendPolicy::default()
         };
-        let pool = BackendPool::configured(sim_targets(&net, &[9018]), false, policy, None);
+        let pool = BackendPool::configured(sim_targets(&net, &[9018]), policy, None);
         assert!(pool.checkout_healthy(None).is_err()); // fails and ejects
         assert!(pool.is_ejected(0));
         // With every target ejected the filter is dropped: the checkout
@@ -724,7 +566,7 @@ mod tests {
             route: RoutePolicy::LeastLoaded,
             ..BackendPolicy::default()
         };
-        let pool = BackendPool::configured(sim_targets(&net, &[9020, 9021]), false, policy, None);
+        let pool = BackendPool::configured(sim_targets(&net, &[9020, 9021]), policy, None);
         let (first, conn_a) = pool.checkout_healthy(None).unwrap();
         assert_eq!(first, 0, "ties break by index");
         let (second, _conn_b) = pool.checkout_healthy(None).unwrap();
@@ -744,7 +586,6 @@ mod tests {
         let _l2 = net.listen(9023).unwrap();
         let pool = BackendPool::configured(
             sim_targets(&net, &[9022, 9023]),
-            false,
             BackendPolicy::default(),
             None,
         );

@@ -456,14 +456,11 @@ impl Scheduler {
         self.inner.tasks.write().insert(id, slot);
     }
 
-    /// Registers every task of a graph and schedules the given initial set.
-    pub fn register_graph(&self, graph: GraphInstance, initial: &[TaskId]) {
+    /// Registers every task of a graph without scheduling any.
+    pub fn register_graph(&self, graph: GraphInstance) {
         RuntimeMetrics::add(&self.inner.metrics.graphs_created, 1);
         for (id, task) in graph.into_tasks() {
             self.register(id, task);
-        }
-        for id in initial {
-            self.schedule(*id);
         }
     }
 
@@ -616,9 +613,8 @@ mod tests {
                 }),
             )),
         );
-        let graph = builder.build();
-        let initial = vec![source_node.task_id()];
-        scheduler.register_graph(graph, &initial);
+        scheduler.register_graph(builder.build().graph);
+        scheduler.schedule(source_node.task_id());
         assert!(
             scheduler.wait_idle(Duration::from_secs(10)),
             "graph should drain"

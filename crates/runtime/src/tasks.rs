@@ -430,7 +430,6 @@ pub struct OutputTask {
     /// leave through one vectored write instead of being concatenated —
     /// the shared allocation goes to the kernel where it sits.
     body: Option<(Bytes, usize)>,
-    close_on_finish: bool,
 }
 
 impl OutputTask {
@@ -448,14 +447,7 @@ impl OutputTask {
             input,
             outbuf: Vec::with_capacity(READ_CHUNK),
             body: None,
-            close_on_finish: true,
         }
-    }
-
-    /// Controls whether the connection is closed when the input channel
-    /// finishes (default `true`).
-    pub fn set_close_on_finish(&mut self, close: bool) {
-        self.close_on_finish = close;
     }
 
     /// The connection this task writes to.
@@ -514,9 +506,7 @@ impl OutputTask {
 
 impl Drop for OutputTask {
     fn drop(&mut self) {
-        if self.close_on_finish {
-            self.endpoint.close();
-        }
+        self.endpoint.close();
     }
 }
 
@@ -575,9 +565,7 @@ impl Task for OutputTask {
                 }
                 None => {
                     if self.input.is_finished() && self.outbuf.is_empty() && self.body.is_none() {
-                        if self.close_on_finish {
-                            self.endpoint.close();
-                        }
+                        self.endpoint.close();
                         return TaskStatus::Finished;
                     }
                     return TaskStatus::Idle;

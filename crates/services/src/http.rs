@@ -10,10 +10,9 @@
 use flick_grammar::http::{self, HttpCodec};
 use flick_net::Endpoint;
 use flick_runtime::platform::BuiltGraph;
-use flick_runtime::tasks::{InputTask, OutputTask};
 use flick_runtime::{
-    ComputeLogic, ComputeTask, GraphBuilder, GraphFactory, Outputs, RuntimeError, ServiceEnv,
-    TaskId, Value, Watch,
+    ComputeLogic, ComputeTask, GraphBuilder, GraphFactory, Outputs, Peer, RuntimeError, ServiceEnv,
+    Value,
 };
 use std::sync::Arc;
 
@@ -75,23 +74,19 @@ impl GraphFactory for StaticWebServerFactory {
             .pop()
             .ok_or_else(|| RuntimeError::Config("no client connection".into()))?;
         let codec: Arc<HttpCodec> = Arc::new(HttpCodec::new());
-        let mut builder = GraphBuilder::new("static-web", &env.allocator)
-            .with_channel_capacity(env.channel_capacity);
+        let mut builder = GraphBuilder::new("static-web", &env.allocator);
         let input_node = builder.declare_node();
         let compute_node = builder.declare_node();
         let output_node = builder.declare_node();
-        let (req_tx, req_rx) = builder.channel(compute_node);
-        let (resp_tx, resp_rx) = builder.channel(output_node);
-        builder.install(
+        let req_rx = builder.bind_input(
             input_node,
-            Box::new(InputTask::new(
-                "http-in",
-                client.clone(),
-                codec.clone(),
-                Some(http::load_balancer_projection()),
-                req_tx,
-            )),
+            "http-in",
+            Peer::Client(&client),
+            codec.clone(),
+            Some(http::load_balancer_projection()),
+            compute_node,
         );
+        let resp_tx = builder.bind_output(output_node, "http-out", &client, codec);
         builder.install(
             compute_node,
             Box::new(ComputeTask::new(
@@ -103,19 +98,7 @@ impl GraphFactory for StaticWebServerFactory {
                 }),
             )),
         );
-        builder.install(
-            output_node,
-            Box::new(OutputTask::new("http-out", client.clone(), codec, resp_rx)),
-        );
-        Ok(BuiltGraph {
-            graph: builder.build(),
-            watchers: vec![
-                Watch::readable(input_node.task_id(), client.clone()),
-                Watch::writable(output_node.task_id(), client),
-            ],
-            initial: vec![],
-            client_tasks: vec![input_node.task_id()],
-        })
+        Ok(builder.build())
     }
 }
 
@@ -132,12 +115,6 @@ impl HttpLoadBalancerFactory {
     /// Creates the factory.
     pub fn new() -> Arc<Self> {
         Arc::new(HttpLoadBalancerFactory)
-    }
-}
-
-impl Default for HttpLoadBalancerFactory {
-    fn default() -> Self {
-        HttpLoadBalancerFactory
     }
 }
 
@@ -184,42 +161,34 @@ impl GraphFactory for HttpLoadBalancerFactory {
         let (_backend_idx, backend) = env.backends.checkout_healthy(Some(client.id() as usize))?;
 
         let codec: Arc<HttpCodec> = Arc::new(HttpCodec::new());
-        let mut builder = GraphBuilder::new("http-lb", &env.allocator)
-            .with_channel_capacity(env.channel_capacity);
+        let mut builder = GraphBuilder::new("http-lb", &env.allocator);
         let client_in = builder.declare_node();
         let backend_in = builder.declare_node();
         let compute_node = builder.declare_node();
         let backend_out = builder.declare_node();
         let client_out = builder.declare_node();
 
-        let (req_tx, req_rx) = builder.channel(compute_node);
-        let (resp_tx, resp_rx) = builder.channel(compute_node);
-        let (fwd_tx, fwd_rx) = builder.channel(backend_out);
-        let (ret_tx, ret_rx) = builder.channel(client_out);
-
-        builder.install(
+        let req_rx = builder.bind_input(
             client_in,
-            Box::new(InputTask::new(
-                "client-in",
-                client.clone(),
-                codec.clone(),
-                Some(http::load_balancer_projection()),
-                req_tx,
-            )),
+            "client-in",
+            Peer::Client(&client),
+            codec.clone(),
+            Some(http::load_balancer_projection()),
+            compute_node,
         );
         // The return path needs no parsing beyond message framing; the raw
         // bytes are forwarded unchanged (projection keeps only framing
         // fields).
-        builder.install(
+        let resp_rx = builder.bind_input(
             backend_in,
-            Box::new(InputTask::new(
-                "backend-in",
-                backend.clone(),
-                codec.clone(),
-                Some(http::load_balancer_projection()),
-                resp_tx,
-            )),
+            "backend-in",
+            Peer::Backend(&backend),
+            codec.clone(),
+            Some(http::load_balancer_projection()),
+            compute_node,
         );
+        let fwd_tx = builder.bind_output(backend_out, "backend-out", &backend, codec.clone());
+        let ret_tx = builder.bind_output(client_out, "client-out", &client, codec);
         builder.install(
             compute_node,
             Box::new(ComputeTask::new(
@@ -229,37 +198,9 @@ impl GraphFactory for HttpLoadBalancerFactory {
                 Box::new(ForwardLogic),
             )),
         );
-        builder.install(
-            backend_out,
-            Box::new(OutputTask::new(
-                "backend-out",
-                backend.clone(),
-                codec.clone(),
-                fwd_rx,
-            )),
-        );
-        builder.install(
-            client_out,
-            Box::new(OutputTask::new("client-out", client.clone(), codec, ret_rx)),
-        );
-
-        Ok(BuiltGraph {
-            graph: builder.build(),
-            watchers: vec![
-                Watch::readable(client_in.task_id(), client.clone()),
-                Watch::readable(backend_in.task_id(), backend.clone()),
-                Watch::writable(backend_out.task_id(), backend),
-                Watch::writable(client_out.task_id(), client),
-            ],
-            initial: vec![],
-            client_tasks: vec![client_in.task_id()],
-        })
+        Ok(builder.build())
     }
 }
-
-/// Convenience: returns the TaskId type used in watcher lists (re-exported
-/// for the benchmark harness's diagnostics).
-pub type WatcherTask = TaskId;
 
 #[cfg(test)]
 mod tests {

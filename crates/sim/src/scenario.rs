@@ -228,7 +228,6 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
         shards: config.shards,
         placement: config.placement.clone(),
         backend_policy: config.backend_policy,
-        ..Default::default()
     });
     let net = platform.net();
     let body = vec![b'x'; config.body_len.max(1)];
