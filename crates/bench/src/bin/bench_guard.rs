@@ -38,12 +38,13 @@
 
 use flick_bench::report::{print_table, rows_from_json, rows_to_json, Row};
 use flick_bench::{
-    max_open_files, run_exec_mode_dispatch_experiment, run_flick_vm_lb_experiment,
-    run_hadoop_experiment, run_hostile_goodput_experiment, run_http_experiment,
-    run_idle_connections_experiment, run_sharding_ablation, run_stalled_peers_experiment,
-    run_tcp_c10k_experiment, run_tcp_lb_experiment, run_tcp_loopback_experiment,
-    run_tcp_sharding_curve, ExecModeDispatchExperiment, HadoopExperiment, HttpPoint, HttpSystem,
+    max_open_files, run_exec_mode_dispatch_experiment, run_hadoop_experiment,
+    run_hostile_goodput_experiment, run_http_experiment, run_idle_connections_experiment,
+    run_sharding_ablation, run_stalled_peers_experiment, run_tcp_c10k_experiment,
+    run_tcp_lb_experiment, run_tcp_lb_leg, run_tcp_loopback_experiment, run_tcp_sharding_curve,
+    ExecModeDispatchExperiment, HadoopExperiment, HttpPoint, HttpSystem,
 };
+use flick_services::http::{http_balancer, http_path_balancer};
 use std::time::Duration;
 
 /// Fraction of the baseline a guarded series may drop to before the
@@ -317,8 +318,8 @@ fn main() {
     // like the loopback point.
     let lb_params = HttpPoint::default();
     let lb = [
-        run_tcp_lb_experiment(&lb_params),
-        run_tcp_lb_experiment(&lb_params),
+        run_tcp_lb_experiment(http_balancer(), &lb_params),
+        run_tcp_lb_experiment(http_balancer(), &lb_params),
     ];
     rows.push(Row::new(
         lb_params.concurrency,
@@ -356,19 +357,20 @@ fn main() {
         dispatch_best.vm_msgs_per_sec,
         "msg/s",
     ));
-    // The end-to-end compiled-LB point: the FLICK-compiled balancer (the
-    // full compiler pipeline, not the hand-written factory) over real
-    // kernel sockets in VM mode, at the all-TCP LB point's scale, two
-    // passes like the other TCP points.
-    let flick_lb = [
-        run_flick_vm_lb_experiment(&lb_params),
-        run_flick_vm_lb_experiment(&lb_params),
+    // The path-hashed balancer at the all-TCP LB point's scale: it binds
+    // a back-end array, so every client graph opens every back-end and
+    // the VM routes request by request. Two passes like the other TCP
+    // points.
+    let path_lb = [
+        run_tcp_lb_leg(http_path_balancer(), &lb_params),
+        run_tcp_lb_leg(http_path_balancer(), &lb_params),
     ];
-    let flick_lb_best = best_of(&flick_lb, |pass| pass.stats.requests_per_sec());
+    let (path_lb_tcp, path_lb_backend_requests) =
+        best_of(path_lb, |(tcp, _)| tcp.requests_per_sec());
     rows.push(Row::new(
         lb_params.concurrency,
         "flick vm lb e2e",
-        flick_lb_best.stats.requests_per_sec(),
+        path_lb_tcp.requests_per_sec(),
         "req/s",
     ));
     // The kernel-path sharding curve: the same loopback service at 1 and
@@ -664,23 +666,23 @@ fn main() {
         Err(format!("clean run drew {clean_closes} malformed closes"))
     });
 
-    // Structural, beside the vm/interp gate: the compiled balancer in VM
-    // mode actually served traffic end to end and spread it over the
+    // Structural, beside the vm/interp gate: the path-hashed balancer in
+    // VM mode actually served traffic end to end and spread it over the
     // kernel back-ends (its absolute rate is additionally under the 30%
     // floor through the `flick vm lb e2e` baseline row).
-    let flick_lb_backends_hit = backends_hit(&flick_lb_best.backend_requests);
-    checks.record(if flick_lb_best.stats.completed == 0 {
+    let path_lb_backends_hit = backends_hit(&path_lb_backend_requests);
+    checks.record(if path_lb_tcp.completed == 0 {
         Err("compiled VM-mode LB completed zero requests".to_string())
-    } else if flick_lb_backends_hit < 2 {
+    } else if path_lb_backends_hit < 2 {
         Err(format!(
-            "compiled VM-mode LB reached only {flick_lb_backends_hit} TCP back-end(s): {:?}",
-            flick_lb_best.backend_requests
+            "compiled VM-mode LB reached only {path_lb_backends_hit} TCP back-end(s): {:?}",
+            path_lb_backend_requests
         ))
     } else {
         Ok(format!(
-            "compiled VM-mode LB spread {} requests over {flick_lb_backends_hit} \
+            "compiled VM-mode LB spread {} requests over {path_lb_backends_hit} \
              kernel-socket back-ends ({:?})",
-            flick_lb_best.stats.completed, flick_lb_best.backend_requests
+            path_lb_tcp.completed, path_lb_backend_requests
         ))
     });
     let gates_passed = checks.passed;

@@ -11,7 +11,7 @@ use flick_runtime::RuntimeMetrics;
 use flick_runtime::{GraphFactory, SchedulingPolicy, ServiceSpec, ShardStatus};
 use flick_services::baselines::{ApacheLikeProxy, MoxiLikeProxy, NginxLikeProxy};
 use flick_services::hadoop::hadoop_aggregator;
-use flick_services::http::{HttpLoadBalancerFactory, StaticWebServerFactory};
+use flick_services::http::{http_balancer, StaticWebServerFactory};
 use flick_services::memcached::memcached_proxy;
 use flick_workload::backends::{start_memcached_backend, start_sink_backend};
 use flick_workload::hadoop::{run_hadoop_mappers, wait_for_quiescence, HadoopLoadConfig};
@@ -77,7 +77,7 @@ pub fn run_http_experiment(system: HttpSystem, point: &HttpPoint) -> RunStats {
             let factory = if point.backends == 0 {
                 static_web()
             } else {
-                HttpLoadBalancerFactory::new()
+                http_balancer()
             };
             bed.deploy_http(Transport::Sim, "http", factory, point.backends)
         }
@@ -126,12 +126,7 @@ pub fn run_hostile_goodput_experiment(
     hostile_ratio: f64,
 ) -> HostileGoodputResult {
     let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
-    let lb = bed.deploy_http(
-        Transport::Sim,
-        "lb",
-        HttpLoadBalancerFactory::new(),
-        point.backends.max(1),
-    );
+    let lb = bed.deploy_http(Transport::Sim, "lb", http_balancer(), point.backends.max(1));
     let malformed_closes = || bed.net().stats().snapshot().malformed_closes;
     let clean = bed.http_load(lb, point);
     let clean_malformed_closes = malformed_closes();
@@ -513,26 +508,43 @@ pub struct TcpLbResult {
     pub backend_requests: Vec<u64>,
 }
 
-/// Runs the all-TCP load-balancer point: every hop of
+/// Runs the all-TCP load-balancer point for `balancer` (the
+/// connection-sticky [`http_balancer`] or the path-hashed
+/// [`flick_services::http::http_path_balancer`]): every hop of
 /// `client → LB → backend` crosses a real kernel socket — the LB's front
 /// door is `Platform::deploy_tcp`, its [`flick_runtime::BackendPool`]
 /// holds TCP targets, and no byte of a request or response ever rides the
 /// simulated fabric — plus the simulated twin (same LB graph, simulated
 /// clients and back-ends on the kernel cost model, same platform) for the
 /// within-run ratio gate in `bench_guard`.
-pub fn run_tcp_lb_experiment(point: &HttpPoint) -> TcpLbResult {
+pub fn run_tcp_lb_experiment(balancer: Arc<dyn GraphFactory>, point: &HttpPoint) -> TcpLbResult {
     let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
-    let balancer = HttpLoadBalancerFactory::new;
-    let lb = bed.deploy_http(Transport::Tcp, "tcp-lb", balancer(), point.backends);
-    let tcp = bed.http_load(lb, point);
-    let backend_requests = bed.tcp_backend_requests();
-    let twin = bed.deploy_http(Transport::Sim, "sim-lb", balancer(), point.backends);
+    let (tcp, backend_requests) = tcp_lb_leg(&mut bed, balancer.clone(), point);
+    let twin = bed.deploy_http(Transport::Sim, "sim-lb", balancer, point.backends);
     let sim = bed.http_load(twin, point);
     TcpLbResult {
         tcp,
         sim,
         backend_requests,
     }
+}
+
+/// The all-TCP leg of [`run_tcp_lb_experiment`] without the simulated
+/// twin, for a series that never reads one (`flick vm lb e2e`): the run's
+/// stats and the requests each TCP back-end served.
+pub fn run_tcp_lb_leg(balancer: Arc<dyn GraphFactory>, point: &HttpPoint) -> (RunStats, Vec<u64>) {
+    let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
+    tcp_lb_leg(&mut bed, balancer, point)
+}
+
+fn tcp_lb_leg(
+    bed: &mut Testbed,
+    balancer: Arc<dyn GraphFactory>,
+    point: &HttpPoint,
+) -> (RunStats, Vec<u64>) {
+    let lb = bed.deploy_http(Transport::Tcp, "tcp-lb", balancer, point.backends);
+    let tcp = bed.http_load(lb, point);
+    (tcp, bed.tcp_backend_requests())
 }
 
 /// The outcome of one stalled-peer point.
@@ -816,39 +828,10 @@ pub fn run_exec_mode_dispatch_experiment(
     }
 }
 
-/// The outcome of the compiled-LB-in-VM-mode experiment.
-#[derive(Debug, Clone)]
-pub struct FlickVmLbResult {
-    /// Stats of the all-TCP run through the compiled balancer.
-    pub stats: RunStats,
-    /// Requests each TCP back-end served (hash distribution sanity).
-    pub backend_requests: Vec<u64>,
-}
-
-/// Runs the end-to-end compiled-LB point: `client → FLICK-compiled LB →
-/// backend`, every hop over a real kernel socket, with the balancer's
-/// routing logic executing on the bytecode VM (the default
-/// [`flick_runtime::ExecMode`]). The same shape as
-/// [`run_tcp_lb_experiment`]'s TCP leg, but through the whole compiler
-/// pipeline instead of the hand-written factory.
-pub fn run_flick_vm_lb_experiment(point: &HttpPoint) -> FlickVmLbResult {
-    let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
-    let service = flick_compiler::compile_source(
-        flick_services::http::HTTP_LB_FLICK_SOURCE,
-        "HttpBalancer",
-        &flick_compiler::CompileOptions::default(),
-    )
-    .expect("bundled FLICK balancer compiles");
-    let lb = bed.deploy_http(Transport::Tcp, "flick-vm-lb", service, point.backends);
-    FlickVmLbResult {
-        stats: bed.http_load(lb, point),
-        backend_requests: bed.tcp_backend_requests(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flick_services::http::http_path_balancer;
 
     #[test]
     fn sharing_experiment_runs_all_policies() {
@@ -954,7 +937,7 @@ mod tests {
             assert_eq!(result.output_busy_retries, 0, "{result:?}");
         }
         tcp_lb_experiment_smoke: |point| {
-            let result = run_tcp_lb_experiment(&point);
+            let result = run_tcp_lb_experiment(http_balancer(), &point);
             assert!(result.tcp.completed > 0, "tcp: {:?}", result.tcp);
             assert!(result.sim.completed > 0, "sim: {:?}", result.sim);
             assert!(
@@ -971,13 +954,14 @@ mod tests {
                 "output tasks must not busy-retry against stalled peers"
             );
         }
+        // The same runner's TCP leg over the path-hashed balancer, which
+        // binds an array: every client graph opens every back-end.
         flick_vm_lb_experiment_smoke: |point| {
-            let result = run_flick_vm_lb_experiment(&point);
-            assert!(result.stats.completed > 0, "{:?}", result.stats);
+            let (tcp, backend_requests) = run_tcp_lb_leg(http_path_balancer(), &point);
+            assert!(tcp.completed > 0, "{tcp:?}");
             assert!(
-                result.backend_requests.iter().sum::<u64>() > 0,
-                "compiled LB never reached a TCP back-end: {:?}",
-                result.backend_requests
+                backend_requests.iter().sum::<u64>() > 0,
+                "compiled LB never reached a TCP back-end: {backend_requests:?}"
             );
         }
         hadoop_experiment_smoke: |point| {

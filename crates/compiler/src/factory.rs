@@ -8,8 +8,20 @@
 //!   first parameter, as in the Hadoop aggregator, binds to
 //!   [`CompileOptions::client_connections`] inbound connections per graph);
 //! * every **subsequent** channel parameter binds to outbound back-end
-//!   connections: an array parameter takes one connection per configured
-//!   back-end, a scalar parameter takes the next back-end in order.
+//!   connections: an **array** parameter takes every member of the
+//!   service's back-end pool, one connection per configured back-end, by
+//!   index (the program routes among them itself); a **scalar** parameter
+//!   takes *one* routed, health-checked member, chosen by the pool's policy
+//!   from a hash of the connection identity — the id of the graph's first
+//!   client connection (§6.1) — so every message of that connection sticks
+//!   to one back-end and an ejected or dead one is passed over. A process
+//!   may declare at most one scalar back-end parameter (a second would be
+//!   keyed to the same member; [`CompiledService::compile`] rejects it) —
+//!   a service that talks to several back-ends declares them as an array.
+//!
+//! Either way the connection is opened by the service's
+//! [`flick_runtime::BackendPool`], which counts the checkout and records
+//! the outcome as passive health (DESIGN.md §14).
 //!
 //! Wire codecs are chosen per record type: synthesised from the type's
 //! serialisation annotations when possible, otherwise taken from the
@@ -118,6 +130,23 @@ impl CompiledService {
         options: &CompileOptions,
     ) -> Result<Self, CompileError> {
         let program = Arc::new(lower(typed, proc_name)?);
+        // One routed pick per graph: every scalar back-end parameter is
+        // keyed by the same client id, so a second one would bind the
+        // same pool member again instead of a distinct back-end.
+        if let Some(second) = program
+            .process
+            .params
+            .iter()
+            .skip(1)
+            .filter(|param| !param.is_array)
+            .nth(1)
+        {
+            return Err(CompileError::Signature(format!(
+                "process `{}` has more than one scalar back-end parameter (`{}`); \
+                 declare the back-ends as one array",
+                program.process.name, second.name
+            )));
+        }
         let globals = CompiledGlobals::for_process(&program.process);
         let mut plans = Vec::new();
         let mut layouts: Vec<(String, Vec<String>)> = Vec::new();
@@ -214,38 +243,39 @@ impl GraphFactory for CompiledService {
         let mut compute_inputs = Vec::new();
         let mut compute_outputs = Vec::new();
 
-        let mut backend_cursor = 0usize;
         for (param_idx, param) in process.params.iter().enumerate() {
             let plan = &self.plans[param_idx];
             let is_client = param_idx == 0;
-            let indices: Vec<usize> = if is_client {
-                // Client-facing parameter: one endpoint per accepted connection.
-                (0..clients.len()).collect()
+            // How many endpoints the parameter binds: one per accepted
+            // connection (client), every member of the pool by index
+            // (back-end array), or one routed healthy member (scalar
+            // back-end).
+            let count = if is_client {
+                clients.len()
+            } else if param.is_array {
+                env.backends.len()
             } else {
-                // Back-end parameter(s): outbound connections.
-                let indices: Vec<usize> = if param.is_array {
-                    (0..env.backends.len()).collect()
-                } else {
-                    let idx = backend_cursor;
-                    backend_cursor += 1;
-                    vec![idx]
-                };
-                if indices.is_empty() || indices.iter().any(|i| *i >= env.backends.len()) {
-                    return Err(RuntimeError::Config(format!(
-                        "process `{}` parameter `{}` needs more back-ends than configured",
-                        process.name, param.name
-                    )));
-                }
-                indices
+                1
             };
+            if count == 0 {
+                return Err(RuntimeError::Config(format!(
+                    "process `{}` parameter `{}` needs more back-ends than configured",
+                    process.name, param.name
+                )));
+            }
             // Wire each endpoint to the compute task according to the
             // parameter's direction: its input task first, then its output.
             let mut binding = ParamBinding::default();
-            for i in indices {
+            for i in 0..count {
                 let endpoint = &if is_client {
                     clients[i].clone()
-                } else {
+                } else if param.is_array {
                     env.backends.connect(i)?
+                } else {
+                    // Keyed by the identity of the graph's first client
+                    // connection, so the connection sticks to its pick.
+                    let hint = clients.first().map(|client| client.id() as usize);
+                    env.backends.checkout_healthy(hint)?.1
                 };
                 if param.dir.readable {
                     let node = builder.declare_node();
@@ -374,6 +404,20 @@ proc P: (custom/custom client)
     }
 
     #[test]
+    fn a_second_scalar_backend_parameter_is_rejected() {
+        let src = r#"
+type cmd: record
+  key : string
+
+proc Tee: (cmd/cmd client, -/cmd left, -/cmd right)
+  client => left
+  client => right
+"#;
+        let err = crate::compile_source(src, "Tee", &CompileOptions::default()).unwrap_err();
+        assert!(matches!(err, CompileError::Signature(msg) if msg.contains("`right`")));
+    }
+
+    #[test]
     fn annotated_types_get_synthesised_codecs() {
         let src = r#"
 type pkt: record
@@ -496,6 +540,31 @@ proc Echo: (pkt/pkt client)
             .unwrap();
         assert_eq!(&buf[..7], &wire);
         drop(deployed);
+    }
+
+    /// An array back-end parameter opens every member of the pool by
+    /// index, and each of those opens is a counted checkout: one graph
+    /// over three back-ends is three checkouts and no retry.
+    #[test]
+    fn array_binding_is_one_counted_checkout_per_backend() {
+        let service =
+            crate::compile_source(PROXY, "Memcached", &CompileOptions::default()).unwrap();
+        let platform = Platform::new(PlatformConfig::default());
+        let net = platform.net();
+        let ports = vec![7211u16, 7212, 7213];
+        let _listeners: Vec<_> = ports.iter().map(|p| net.listen(*p).unwrap()).collect();
+        let deployed = platform
+            .deploy(ServiceSpec::new("memcached", 7210, service).with_backends(ports))
+            .unwrap();
+        let _client = net.connect(7210).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while deployed.live_graphs() < 1 {
+            assert!(std::time::Instant::now() < deadline, "graph never built");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let snap = platform.metrics().snapshot();
+        assert_eq!(snap.backend_checkouts, 3, "{snap:?}");
+        assert_eq!(snap.backend_retries, 0, "{snap:?}");
     }
 
     #[test]

@@ -88,6 +88,17 @@ impl EmitSink for OutputsSink<'_, '_> {
     }
 }
 
+/// The arriving message as one matching rule sees it: the last rule takes
+/// the message itself, so only a program with several rules on one input
+/// pays for copies.
+pub(crate) fn message_for_rule(message: &mut Value, last_rule: bool) -> Value {
+    if last_rule {
+        std::mem::replace(message, Value::Unit)
+    } else {
+        message.clone()
+    }
+}
+
 /// The general compute logic for compiled FLICK processes.
 pub struct InterpreterLogic {
     program: Arc<ProgramIr>,
@@ -135,7 +146,7 @@ impl ComputeLogic for InterpreterLogic {
     fn on_value(
         &mut self,
         input: usize,
-        value: Value,
+        mut value: Value,
         out: &mut Outputs<'_>,
     ) -> Result<(), RuntimeError> {
         let Some(param) = self.bindings.param_of_input(input) else {
@@ -143,13 +154,17 @@ impl ComputeLogic for InterpreterLogic {
         };
         let interp = Interpreter::new(&self.program);
         let mut sink = OutputsSink { outputs: out };
-        for rule in &self.program.process.rules {
-            if rule.source_param != param {
-                continue;
-            }
+        let mut rules = self
+            .program
+            .process
+            .rules
+            .iter()
+            .filter(|rule| rule.source_param == param)
+            .peekable();
+        while let Some(rule) = rules.next() {
             let mut frame = self.base_frame.clone();
             // Thread the arriving message through the rule's stages.
-            let mut current = RtVal::Val(value.clone());
+            let mut current = RtVal::Val(message_for_rule(&mut value, rules.peek().is_none()));
             let mut failed = false;
             for stage in &rule.stages {
                 let mut args = Vec::with_capacity(stage.args.len() + 1);

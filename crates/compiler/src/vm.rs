@@ -25,7 +25,7 @@ use crate::error::{locate, locate_frame};
 use crate::interp::{
     binary, dict_key, eval_builtin, list_items, to_msg_value, unary, EmitSink, RtVal,
 };
-use crate::logic::{ChannelBindings, CompiledGlobals, OutputsSink};
+use crate::logic::{message_for_rule, ChannelBindings, CompiledGlobals, OutputsSink};
 use flick_grammar::{Message, MsgValue};
 use flick_runtime::{ComputeLogic, Outputs, RuntimeError, Value};
 use std::sync::Arc;
@@ -494,7 +494,7 @@ impl ComputeLogic for VmLogic {
     fn on_value(
         &mut self,
         input: usize,
-        value: Value,
+        mut value: Value,
         out: &mut Outputs<'_>,
     ) -> Result<(), RuntimeError> {
         let Some(param) = self.bindings.param_of_input(input) else {
@@ -502,15 +502,17 @@ impl ComputeLogic for VmLogic {
         };
         let compiled = Arc::clone(&self.compiled);
         let mut sink = OutputsSink { outputs: out };
-        for rule in &compiled.rules {
-            if rule.source_param != param {
-                continue;
-            }
+        let mut rules = compiled
+            .rules
+            .iter()
+            .filter(|rule| rule.source_param == param)
+            .peekable();
+        while let Some(rule) = rules.next() {
             let mut frame = self.base_frame.clone();
             if frame.len() < rule.chunk.frame_size {
                 frame.resize(rule.chunk.frame_size, RtVal::Val(Value::Unit));
             }
-            frame[rule.msg_slot] = RtVal::Val(value.clone());
+            frame[rule.msg_slot] = RtVal::Val(message_for_rule(&mut value, rules.peek().is_none()));
             let mut vm = Vm::new(&compiled, &mut self.field_cache);
             vm.run_chunk(&rule.chunk, &mut frame, &mut self.stack, &mut sink)?;
         }
@@ -773,5 +775,60 @@ fun maybe_fwd: (req: cmd) -> (cmd)
         in_tx.push(cmd_msg("go")).unwrap();
         task.run(&mut ctx);
         assert_eq!(out_rx.len(), 1, "matching messages pass the stage");
+    }
+
+    /// Two rules on one input: each gets the message. The last matching
+    /// rule takes it by move, so the earlier one must have had its copy.
+    #[test]
+    fn two_rules_on_one_input_both_receive_the_message() {
+        let src = r#"
+type cmd: record
+  key : string
+
+proc Tee: (cmd/cmd client, -/cmd left, -/cmd right)
+  client => left
+  client => right
+"#;
+        let typed = compile_to_ast(src).unwrap();
+        let program = Arc::new(lower(&typed, "Tee").unwrap());
+        let bind = |inputs, outputs| ParamBinding { inputs, outputs };
+        let bindings = ChannelBindings {
+            params: vec![
+                bind(vec![0], vec![0]),
+                bind(vec![], vec![1]),
+                bind(vec![], vec![2]),
+            ],
+        };
+        let globals = CompiledGlobals::for_process(&program.process);
+        let engines: [Box<dyn ComputeLogic>; 2] = [
+            Box::new(VmLogic::new(
+                Arc::new(compile(&program)),
+                bindings.clone(),
+                Arc::clone(&globals),
+            )),
+            Box::new(crate::logic::InterpreterLogic::new(
+                Arc::clone(&program),
+                bindings,
+                globals,
+            )),
+        ];
+        for logic in engines {
+            let (in_tx, in_rx) = TaskChannel::bounded(8, TaskId(1));
+            let (outputs, sinks): (Vec<_>, Vec<_>) = (0..3)
+                .map(|i| TaskChannel::bounded(8, TaskId(10 + i)))
+                .unzip();
+            let mut task = ComputeTask::new("tee", vec![in_rx], outputs, logic);
+            let mut ctx = TaskContext::new(
+                SchedulingPolicy::NonCooperative,
+                RuntimeMetrics::new_shared(),
+            );
+            in_tx.push(cmd_msg("user:7")).unwrap();
+            task.run(&mut ctx);
+            assert_eq!(sinks[0].len(), 0);
+            for sink in &sinks[1..] {
+                let delivered = sink.pop().unwrap().into_msg().unwrap();
+                assert_eq!(delivered.str_field("key"), Some("user:7"));
+            }
+        }
     }
 }

@@ -26,13 +26,11 @@
 //! * **One registration per socket.** Registering again (from any clone)
 //!   replaces the previous registration, as with [`crate::Endpoint`] pipes.
 //!
-//! Cost and stats accounting mirrors the simulated substrate: every
-//! operation is charged its [`StackCosts`] entry and recorded in the
-//! stack's [`NetStats`] (a real-socket platform normally runs
-//! [`StackModel::Free`], because the real kernel already charges real
-//! costs — the model hook exists for calibration experiments).
+//! Stats accounting mirrors the simulated substrate: every operation is
+//! recorded in the stack's [`NetStats`]. No cost model is charged — the
+//! real kernel already charges real costs; [`crate::StackModel`] is an
+//! axis of the simulated network only.
 
-use crate::costs::{StackCosts, StackModel};
 use crate::error::NetError;
 use crate::poller::{Interest, Poller, Readiness, Token};
 use crate::ratelimit::TokenBucket;
@@ -482,40 +480,25 @@ impl ReactorSlots {
 // ---------------------------------------------------------------------------
 
 /// The OS-socket counterpart of [`crate::SimNetwork`]: owns the stats
-/// block and the cost model shared by every socket it opens.
+/// block shared by every socket it opens.
 pub struct TcpStack {
-    model: StackModel,
-    costs: StackCosts,
     stats: Arc<NetStats>,
     next_conn_id: AtomicU64,
 }
 
 impl std::fmt::Debug for TcpStack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpStack")
-            .field("model", &self.model)
-            .finish()
+        f.debug_struct("TcpStack").finish_non_exhaustive()
     }
 }
 
 impl TcpStack {
-    /// Creates a stack whose sockets are charged according to `model`.
-    ///
-    /// Real sockets already pay the real kernel's costs, so platforms
-    /// normally pass [`StackModel::Free`]; the other models exist to
-    /// layer the calibrated busy-wait on top for calibration runs.
-    pub fn new(model: StackModel) -> Arc<Self> {
+    /// Creates a stack with fresh stats counters.
+    pub fn new() -> Arc<Self> {
         Arc::new(TcpStack {
-            model,
-            costs: model.costs(),
             stats: NetStats::new_shared(),
             next_conn_id: AtomicU64::new(1),
         })
-    }
-
-    /// The stack model sockets of this stack are charged with.
-    pub fn model(&self) -> StackModel {
-        self.model
     }
 
     /// The stack-wide statistics counters (same vocabulary as
@@ -585,7 +568,6 @@ impl TcpStack {
             .next()
             .ok_or(NetError::ConnectionRefused)?;
         let stream = TcpStream::connect(addr).map_err(map_io)?;
-        StackCosts::charge(self.costs.connect);
         self.stats.record_open();
         Ok(crate::Endpoint::from_tcp(
             self.wrap(stream, crate::conn::Side::Client)?,
@@ -605,7 +587,6 @@ impl TcpStack {
                 stream,
                 id: self.next_conn_id.fetch_add(1, Ordering::Relaxed),
                 side,
-                costs: self.costs,
                 stats: Arc::clone(&self.stats),
                 closed: AtomicBool::new(false),
                 reactors: Mutex::new(ReactorSlots::default()),
@@ -670,7 +651,6 @@ impl TcpListener {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 drop(socket);
-                StackCosts::charge(self.inner.stack.costs.accept);
                 self.inner.stack.stats.record_open();
                 let conn = self.inner.stack.wrap(stream, crate::conn::Side::Server)?;
                 Ok(crate::Endpoint::from_tcp(conn))
@@ -780,7 +760,6 @@ struct TcpConnInner {
     stream: TcpStream,
     id: u64,
     side: crate::conn::Side,
-    costs: StackCosts,
     stats: Arc<NetStats>,
     closed: AtomicBool,
     reactors: Mutex<ReactorSlots>,
@@ -863,7 +842,6 @@ impl TcpConn {
                 }
                 Ok(n) => {
                     refund(n);
-                    StackCosts::charge(self.inner.costs.io_cost(true, n));
                     self.inner.stats.record_write(n);
                     return Ok(n);
                 }
@@ -927,7 +905,6 @@ impl TcpConn {
             if rc > 0 {
                 let n = rc as usize;
                 refund(n);
-                StackCosts::charge(self.inner.costs.io_cost(true, n));
                 self.inner.stats.record_write(n);
                 self.inner.stats.record_vectored(iov.len());
                 return Ok(n);
@@ -980,7 +957,6 @@ impl TcpConn {
             match (&self.inner.stream).read(buf) {
                 Ok(0) if !buf.is_empty() => return Err(NetError::Closed),
                 Ok(n) => {
-                    StackCosts::charge(self.inner.costs.io_cost(false, n));
                     self.inner.stats.record_read(n);
                     return Ok(n);
                 }
@@ -1091,7 +1067,6 @@ impl TcpConn {
         if self.inner.closed.swap(true, Ordering::AcqRel) {
             return;
         }
-        StackCosts::charge(self.inner.costs.teardown);
         // Forget *before* shutdown/close: removing the registration entry
         // first is what arms the stale-generation guard against an
         // in-flight epoll batch racing the fd recycle.
@@ -1109,7 +1084,7 @@ mod tests {
     use crate::Endpoint;
 
     fn stack() -> Arc<TcpStack> {
-        TcpStack::new(StackModel::Free)
+        TcpStack::new()
     }
 
     fn local(port: u16) -> String {
@@ -1434,7 +1409,8 @@ mod tests {
         fn sim_pipe_wakers_reach_a_waiter_that_also_watches_a_kernel_socket() {
             let stack = stack();
             let (poller, _listener, tcp_client, tcp_server) = kernel_poller(&stack);
-            let (sim_client, sim_server) = crate::conn::pair(9, StackCosts::free(), None, 4096);
+            let (sim_client, sim_server) =
+                crate::conn::pair(9, crate::costs::StackCosts::free(), None, 4096);
             sim_server.register(&poller, Token(2), Interest::READABLE);
             let _ = poller.wait(Duration::from_millis(50)); // synthetic level-trigger
 

@@ -26,7 +26,6 @@ use crate::platform::{GraphFactory, ServiceEnv, Watch};
 use crate::scheduler::Scheduler;
 use crate::shard::{Shard, ShardCommand, ShardSet, CONTROL_TOKEN};
 use crate::task::TaskId;
-use crate::value::SharedDict;
 use flick_net::{Endpoint, Listener, NetError, Poller, Token};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -408,10 +407,13 @@ impl ShardReactor {
     /// endpoints are registered with this shard's poller —
     /// level-triggered, so bytes that arrived during a cross-shard handoff
     /// post an event immediately. On factory failure the client
-    /// connections are dropped (and closed by the Drop impls of whatever
-    /// tasks did get built).
+    /// connections are closed here: a factory that fails before it built
+    /// a task has nothing whose `Drop` would, and a refused client must
+    /// see the refusal rather than wait out its own patience.
     fn build_graph(&mut self, service: &Arc<ServiceShared>, clients: Vec<Endpoint>) {
+        let refused = clients.clone();
         let Ok(built) = service.factory.build(clients, &service.env) else {
+            refused.iter().for_each(Endpoint::close);
             return;
         };
         let task_ids = built.graph.task_ids().to_vec();
@@ -546,7 +548,6 @@ impl ShardReactor {
 /// every shard.
 pub struct DeployedService {
     port: u16,
-    globals: SharedDict,
     shared: Arc<ServiceShared>,
     set: Arc<ShardSet>,
 }
@@ -563,18 +564,8 @@ impl std::fmt::Debug for DeployedService {
 
 impl DeployedService {
     /// Creates the handle (platform-internal).
-    pub(crate) fn new(
-        port: u16,
-        globals: SharedDict,
-        shared: Arc<ServiceShared>,
-        set: Arc<ShardSet>,
-    ) -> Self {
-        DeployedService {
-            port,
-            globals,
-            shared,
-            set,
-        }
+    pub(crate) fn new(port: u16, shared: Arc<ServiceShared>, set: Arc<ShardSet>) -> Self {
+        DeployedService { port, shared, set }
     }
 
     /// The service name.
@@ -590,11 +581,6 @@ impl DeployedService {
     /// The shard the service's listener is homed on.
     pub fn home_shard(&self) -> usize {
         self.shared.home_shard
-    }
-
-    /// The FLICK `global` shared dictionary of this service.
-    pub fn globals(&self) -> &SharedDict {
-        &self.globals
     }
 
     /// Number of client connections accepted so far.
@@ -858,6 +844,35 @@ mod tests {
             .unwrap();
         assert!(n > 0, "listener must keep serving after the burst");
         assert_eq!(service.connections_accepted(), 2);
+    }
+
+    /// A factory that fails before it built a task: nothing it dropped
+    /// closes the client, so the dispatcher must.
+    struct RefusingFactory;
+
+    impl GraphFactory for RefusingFactory {
+        fn build(
+            &self,
+            _clients: Vec<Endpoint>,
+            _env: &ServiceEnv,
+        ) -> Result<BuiltGraph, RuntimeError> {
+            Err(RuntimeError::Config("refused".into()))
+        }
+    }
+
+    #[test]
+    fn a_refused_client_is_closed_not_left_hanging() {
+        let platform = Platform::new(PlatformConfig::default());
+        let service = platform
+            .deploy(ServiceSpec::new("refuse", 8091, Arc::new(RefusingFactory)))
+            .unwrap();
+        let client = platform.net().connect(8091).unwrap();
+        let mut buf = [0u8; 16];
+        assert_eq!(
+            client.read_timeout(&mut buf, Duration::from_secs(5)),
+            Err(NetError::Closed)
+        );
+        assert_eq!(service.live_graphs(), 0);
     }
 
     #[test]

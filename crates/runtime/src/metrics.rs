@@ -33,9 +33,9 @@ pub struct RuntimeMetrics {
     /// parking on writable readiness. Zero under the wakeup-driven output
     /// mode while a peer is stalled — the stress tests assert it.
     pub output_busy_retries: AtomicU64,
-    /// Health-aware backend checkouts (`BackendPool::checkout_healthy`
-    /// calls), each allowed at most the policy's retry budget of extra
-    /// attempts.
+    /// Backend checkouts: every `BackendPool::connect` by index and every
+    /// routed `BackendPool::checkout_healthy`, the latter allowed at most
+    /// the policy's retry budget of extra attempts.
     pub backend_checkouts: AtomicU64,
     /// Extra connection attempts spent by those checkouts after their
     /// first pick failed. Bounded by `backend_checkouts × retry_budget` —
@@ -169,8 +169,8 @@ impl MetricsSnapshot {
         Ok(())
     }
 
-    /// The no-retry-storm law: every health-aware checkout may spend at
-    /// most `budget` extra attempts, so the retry counter is bounded by
+    /// The no-retry-storm law: every checkout may spend at most `budget`
+    /// extra attempts, so the retry counter is bounded by
     /// the checkout counter. Gated per tick by the sim battery.
     pub fn check_retry_budget(&self, budget: u64) -> Result<(), String> {
         let allowed = self.backend_checkouts.saturating_mul(budget);

@@ -21,7 +21,6 @@ use crate::scheduler::{Scheduler, StealGroup};
 use crate::shard::{Placement, Shard, ShardCommand, ShardSet, ShardStatus};
 use crate::task::{SchedulingPolicy, TaskId};
 use crate::tasks::ExecMode;
-use crate::value::SharedDict;
 use flick_net::{Endpoint, Interest, Listener, SimNetwork, StackModel, TcpStack};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -100,8 +99,6 @@ impl PlatformConfig {
 pub struct ServiceEnv {
     /// The network substrate (for opening backend connections directly).
     pub net: Arc<SimNetwork>,
-    /// The service-wide shared dictionary backing FLICK `global` state.
-    pub globals: SharedDict,
     /// The configured back-ends of the service.
     pub backends: Arc<BackendPool>,
     /// Allocator for task ids (pass to [`crate::graph::GraphBuilder`]).
@@ -374,13 +371,12 @@ impl Platform {
 
     /// The OS-socket stack of this platform, created on first use.
     ///
-    /// Real sockets pay the real kernel's costs, so the stack runs the
-    /// free cost model regardless of the simulated network's — layering
-    /// the calibrated busy-wait on top of actual syscalls would
-    /// double-charge. Its [`flick_net::NetStats`] counters account OS
-    /// traffic with the same vocabulary as the simulated substrate.
+    /// Real sockets pay the real kernel's costs, so the stack charges no
+    /// cost model whatever the simulated network's is. Its
+    /// [`flick_net::NetStats`] counters account OS traffic with the same
+    /// vocabulary as the simulated substrate.
     pub fn tcp_stack(&self) -> Arc<TcpStack> {
-        Arc::clone(self.tcp.get_or_init(|| TcpStack::new(StackModel::Free)))
+        Arc::clone(self.tcp.get_or_init(TcpStack::new))
     }
 
     /// Deploys a service on a real OS socket: binds `addr` (use
@@ -429,7 +425,6 @@ impl Platform {
         listeners: Vec<Listener>,
         port: u16,
     ) -> Result<DeployedService, RuntimeError> {
-        let globals = SharedDict::new();
         // Simulated targets first, then TCP targets, so existing
         // port-indexed services are unaffected and mixed-transport pools
         // keep a stable order.
@@ -455,7 +450,6 @@ impl Platform {
         );
         let env = ServiceEnv {
             net: Arc::clone(&self.net),
-            globals: globals.clone(),
             backends,
             allocator: Arc::clone(&self.allocator),
             exec_mode: spec.exec_mode,
@@ -480,12 +474,7 @@ impl Platform {
             self.set
                 .send(shard, ShardCommand::AddService(Arc::clone(&shared)));
         }
-        Ok(DeployedService::new(
-            port,
-            globals,
-            shared,
-            Arc::clone(&self.set),
-        ))
+        Ok(DeployedService::new(port, shared, Arc::clone(&self.set)))
     }
 }
 

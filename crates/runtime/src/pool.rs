@@ -102,8 +102,8 @@ impl Default for BackendPolicy {
 #[derive(Debug, Default)]
 struct HealthSlot {
     state: Mutex<HealthState>,
-    /// Connections handed out by `checkout_healthy` minus those given
-    /// back through `release` — the least-loaded signal. Callers that
+    /// Connections opened minus those given back through `release` — the
+    /// least-loaded signal. Callers that
     /// never release degrade it to cumulative-assignment balancing, which
     /// still spreads load evenly across healthy targets.
     outstanding: AtomicU64,
@@ -121,17 +121,20 @@ struct HealthState {
 /// Access to a service's back-end servers, over either transport.
 ///
 /// [`BackendPool::connect`] establishes a fresh connection to one target
-/// (paying the stack's connect cost). Targets may be simulated ports,
-/// real TCP addresses, or a mix — a TCP-fronted service can reach
-/// kernel-socket back-ends and complete the all-TCP
+/// (paying the stack's connect cost) and is the one place a back-end
+/// connection is opened and accounted: it counts the checkout and records
+/// the outcome as passive health — connect failures are remembered per
+/// backend, and a backend that fails [`BackendPolicy::eject_after`] times
+/// in a row is ejected for [`BackendPolicy::eject_for`]. Targets may be
+/// simulated ports, real TCP addresses, or a mix — a TCP-fronted service
+/// can reach kernel-socket back-ends and complete the all-TCP
 /// `client → LB → backend` path.
 ///
-/// [`BackendPool::checkout_healthy`] adds passive failure detection on
-/// top: connect failures are remembered per backend, a backend that fails
-/// [`BackendPolicy::eject_after`] times in a row is ejected for
-/// [`BackendPolicy::eject_for`], one checkout spends at most
-/// [`BackendPolicy::retry_budget`] extra attempts, and candidate order is
-/// set by [`RoutePolicy`].
+/// [`BackendPool::checkout_healthy`] is routing on top of it: candidate
+/// order set by [`RoutePolicy`], ejected backends skipped, and at most
+/// [`BackendPolicy::retry_budget`] extra attempts per checkout. Ejection
+/// gates these routed picks only; a caller that names its backend by index
+/// still reaches it, and what it finds there feeds the same health state.
 pub struct BackendPool {
     targets: Vec<BackendTarget>,
     policy: BackendPolicy,
@@ -152,36 +155,6 @@ impl std::fmt::Debug for BackendPool {
 }
 
 impl BackendPool {
-    /// Creates a backend pool over ports of the simulated network.
-    pub fn new(net: Arc<SimNetwork>, ports: Vec<u16>) -> Arc<Self> {
-        let targets = ports
-            .into_iter()
-            .map(|port| BackendTarget::Sim {
-                net: Arc::clone(&net),
-                port,
-            })
-            .collect();
-        Self::over(targets)
-    }
-
-    /// Creates a backend pool over real TCP addresses.
-    pub fn new_tcp(stack: Arc<TcpStack>, addrs: Vec<String>) -> Arc<Self> {
-        let targets = addrs
-            .into_iter()
-            .map(|addr| BackendTarget::Tcp {
-                stack: Arc::clone(&stack),
-                addr,
-            })
-            .collect();
-        Self::over(targets)
-    }
-
-    /// Creates a backend pool over an explicit (possibly mixed-transport)
-    /// target list, with the default [`BackendPolicy`] and no metrics.
-    pub fn over(targets: Vec<BackendTarget>) -> Arc<Self> {
-        Self::configured(targets, BackendPolicy::default(), None)
-    }
-
     /// Creates a backend pool with an explicit health/routing policy and
     /// an optional metrics block to record checkouts, retries, ejections
     /// and readmits into.
@@ -215,17 +188,37 @@ impl BackendPool {
         self.targets.is_empty()
     }
 
-    /// The configured backend targets.
-    pub fn targets(&self) -> &[BackendTarget] {
-        &self.targets
+    /// Establishes a fresh connection to backend `idx`, counted as one
+    /// checkout and recorded into the backend's health state.
+    pub fn connect(&self, idx: usize) -> Result<Endpoint, RuntimeError> {
+        self.open(idx, false)
     }
 
-    /// Establishes a fresh connection to backend `idx`.
-    pub fn connect(&self, idx: usize) -> Result<Endpoint, RuntimeError> {
-        self.targets
+    /// The single open-and-account point: counts the attempt (a checkout,
+    /// or a `retry` within one), connects, and feeds the outcome to passive
+    /// health and the least-loaded signal.
+    fn open(&self, idx: usize, retry: bool) -> Result<Endpoint, RuntimeError> {
+        let target = self
+            .targets
             .get(idx)
-            .ok_or_else(|| RuntimeError::Config(format!("backend index {idx} out of range")))?
-            .connect()
+            .ok_or_else(|| RuntimeError::Config(format!("backend index {idx} out of range")))?;
+        if let Some(m) = &self.metrics {
+            let counter = if retry {
+                &m.backend_retries
+            } else {
+                &m.backend_checkouts
+            };
+            RuntimeMetrics::add(counter, 1);
+        }
+        let opened = target.connect();
+        match &opened {
+            Ok(_) => {
+                self.report_success(idx);
+                self.health[idx].outstanding.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => self.report_failure(idx),
+        }
+        opened
     }
 
     // --- passive health -------------------------------------------------
@@ -259,9 +252,6 @@ impl BackendPool {
         if len == 0 {
             return Err(RuntimeError::Config("no backends configured".into()));
         }
-        if let Some(m) = &self.metrics {
-            RuntimeMetrics::add(&m.backend_checkouts, 1);
-        }
         let order: Vec<usize> = match self.policy.route {
             RoutePolicy::RoundRobin => {
                 let start = hint
@@ -286,30 +276,11 @@ impl BackendPool {
             routable = order;
         }
         let max_attempts = len.min(self.policy.retry_budget as usize + 1);
-        let mut attempts = 0usize;
         let mut last_err = None;
-        for &idx in &routable {
-            if attempts >= max_attempts {
-                break;
-            }
-            attempts += 1;
-            if attempts > 1 {
-                if let Some(m) = &self.metrics {
-                    RuntimeMetrics::add(&m.backend_retries, 1);
-                }
-            }
-            match self.connect(idx) {
-                Ok(endpoint) => {
-                    self.report_success(idx);
-                    if let Some(slot) = self.health.get(idx) {
-                        slot.outstanding.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok((idx, endpoint));
-                }
-                Err(err) => {
-                    self.report_failure(idx);
-                    last_err = Some(err);
-                }
+        for (attempt, &idx) in routable.iter().take(max_attempts).enumerate() {
+            match self.open(idx, attempt > 0) {
+                Ok(endpoint) => return Ok((idx, endpoint)),
+                Err(err) => last_err = Some(err),
             }
         }
         Err(last_err.unwrap_or_else(|| {
@@ -318,8 +289,7 @@ impl BackendPool {
     }
 
     /// Drops the outstanding-connection count for backend `idx` — for
-    /// callers that are done with an endpoint obtained from
-    /// [`BackendPool::checkout_healthy`].
+    /// callers that are done with an endpoint this pool opened.
     pub fn release(&self, idx: usize) {
         if let Some(slot) = self.health.get(idx) {
             let _ = slot
@@ -337,13 +307,10 @@ impl BackendPool {
             .unwrap_or(0)
     }
 
-    /// Records an IO success against backend `idx`, resetting its failure
+    /// Records a successful connect to backend `idx`, resetting its failure
     /// streak and readmitting it if it was ejected.
-    pub fn report_success(&self, idx: usize) {
-        let Some(slot) = self.health.get(idx) else {
-            return;
-        };
-        let mut state = slot.state.lock();
+    fn report_success(&self, idx: usize) {
+        let mut state = self.health[idx].state.lock();
         state.consecutive_failures = 0;
         if state.ejected_until.take().is_some() {
             if let Some(m) = &self.metrics {
@@ -352,15 +319,11 @@ impl BackendPool {
         }
     }
 
-    /// Records a connect/IO failure against backend `idx` — the passive
-    /// detection input. Crossing the policy's threshold ejects the
-    /// backend; a failure while ejected (a failed readmit probe) re-arms
-    /// the ejection deadline.
-    pub fn report_failure(&self, idx: usize) {
-        let Some(slot) = self.health.get(idx) else {
-            return;
-        };
-        let mut state = slot.state.lock();
+    /// Records a failed connect to backend `idx` — the passive detection
+    /// input. Crossing the policy's threshold ejects the backend; a failure
+    /// while ejected (a failed readmit probe) re-arms the ejection deadline.
+    fn report_failure(&self, idx: usize) {
+        let mut state = self.health[idx].state.lock();
         state.consecutive_failures = state.consecutive_failures.saturating_add(1);
         if state.consecutive_failures >= self.policy.eject_after {
             let newly_ejected = state.ejected_until.is_none();
@@ -412,7 +375,11 @@ mod tests {
         let net = SimNetwork::new(StackModel::Free);
         let l1 = net.listen(9001).unwrap();
         let l2 = net.listen(9002).unwrap();
-        let pool = BackendPool::new(Arc::clone(&net), vec![9001, 9002]);
+        let pool = BackendPool::configured(
+            sim_targets(&net, &[9001, 9002]),
+            BackendPolicy::default(),
+            None,
+        );
         assert_eq!(pool.len(), 2);
         let _c1 = pool.connect(0).unwrap();
         let _c2 = pool.connect(1).unwrap();

@@ -53,7 +53,6 @@ pub struct InputTask {
     buf: SharedBuf,
     pending: Option<Value>,
     output: ChannelProducer,
-    eof: bool,
 }
 
 impl InputTask {
@@ -74,7 +73,6 @@ impl InputTask {
             buf: SharedBuf::new(READ_CHUNK),
             pending: None,
             output,
-            eof: false,
         }
     }
 
@@ -182,7 +180,6 @@ impl Task for InputTask {
                     // Peer closed (or the connection failed): drain what we
                     // have and finish. The consumer is woken so that it
                     // observes the end of the stream promptly.
-                    self.eof = true;
                     let _ = self.drain_buffer(ctx);
                     self.output.close();
                     ctx.wake(self.output.consumer());

@@ -1,12 +1,15 @@
 //! The HTTP use case: load balancer and static web server (Figure 3a).
 //!
-//! The load balancer forwards each incoming HTTP request to one of a number
-//! of backend web servers, choosing the backend with a naive hash of the
+//! The load balancer is a FLICK program, compiled like the Memcached and
+//! Hadoop services. [`http_balancer`] forwards each incoming HTTP request to
+//! one of a number of backend web servers, chosen with a naive hash of the
 //! connection identity; subsequent requests on the same connection go to the
-//! same backend, and the return path forwards data without parsing (§6.1).
+//! same backend (§6.1). [`http_path_balancer`] is the variant that opens
+//! every backend per client and routes each request by a hash of its path.
 //! The static-web-server variant answers every request itself with a fixed
 //! payload and is used to exercise the platform without backends.
 
+use flick_compiler::{compile_source, CompileOptions, CompiledService};
 use flick_grammar::http::{self, HttpCodec};
 use flick_net::Endpoint;
 use flick_runtime::platform::BuiltGraph;
@@ -16,10 +19,22 @@ use flick_runtime::{
 };
 use std::sync::Arc;
 
-/// The FLICK program for the HTTP load balancer, as a developer would write
-/// it. The hand-assembled task graph below is exactly the graph the compiler
-/// produces for it, specialised to connect lazily to the single chosen
-/// backend (Figure 3a).
+/// The connection-sticky HTTP load balancer (Figure 3a): two forwarding
+/// rules. The scalar `backend` parameter binds to one routed, healthy
+/// member of the service's back-end pool, picked per client connection —
+/// which back-end serves a connection is the pool's policy, not the
+/// program's.
+pub const HTTP_STICKY_LB_FLICK_SOURCE: &str = r#"
+type request: record
+  path : string
+
+proc HttpStickyBalancer: (request/request client, request/request backend)
+  client => backend
+  backend => client
+"#;
+
+/// The path-hashed HTTP load balancer: every client graph holds a
+/// connection to each back-end and the program routes request by request.
 pub const HTTP_LB_FLICK_SOURCE: &str = r#"
 type request: record
   path : string
@@ -102,104 +117,24 @@ impl GraphFactory for StaticWebServerFactory {
     }
 }
 
-/// The HTTP load balancer of Figure 3a.
-///
-/// Each client connection gets its own task graph. The first request selects
-/// a backend with a hash of the connection identity; the graph then consists
-/// of: client input task → compute task → backend output task on the forward
-/// path, and backend input task → compute task → client output task on the
-/// return path (the return path forwards responses without modification).
-pub struct HttpLoadBalancerFactory;
-
-impl HttpLoadBalancerFactory {
-    /// Creates the factory.
-    pub fn new() -> Arc<Self> {
-        Arc::new(HttpLoadBalancerFactory)
-    }
+/// Compiles the connection-sticky HTTP load balancer.
+pub fn http_balancer() -> Arc<CompiledService> {
+    compile_source(
+        HTTP_STICKY_LB_FLICK_SOURCE,
+        "HttpStickyBalancer",
+        &CompileOptions::default(),
+    )
+    .expect("the embedded sticky balancer program compiles")
 }
 
-/// Forward path: client requests go to the single backend output; return
-/// path: backend responses go back to the client output.
-struct ForwardLogic;
-
-impl ComputeLogic for ForwardLogic {
-    fn on_value(
-        &mut self,
-        input: usize,
-        value: Value,
-        out: &mut Outputs<'_>,
-    ) -> Result<(), RuntimeError> {
-        match input {
-            // Input 0: requests from the client → output 0 (backend).
-            0 => out.emit(0, value),
-            // Input 1: responses from the backend → output 1 (client).
-            _ => out.emit(1, value),
-        }
-        Ok(())
-    }
-}
-
-impl GraphFactory for HttpLoadBalancerFactory {
-    fn build(
-        &self,
-        mut clients: Vec<Endpoint>,
-        env: &ServiceEnv,
-    ) -> Result<BuiltGraph, RuntimeError> {
-        let client = clients
-            .pop()
-            .ok_or_else(|| RuntimeError::Config("no client connection".into()))?;
-        if env.backends.is_empty() {
-            return Err(RuntimeError::Config(
-                "the HTTP load balancer needs at least one backend".into(),
-            ));
-        }
-        // Naive hash of the connection identity seeds the backend pick for
-        // this connection; all requests on the connection stick to it. The
-        // health-aware checkout skips ejected backends and fails over past
-        // a dead target within this same call, so one crashed backend does
-        // not refuse the connection while siblings are up.
-        let (_backend_idx, backend) = env.backends.checkout_healthy(Some(client.id() as usize))?;
-
-        let codec: Arc<HttpCodec> = Arc::new(HttpCodec::new());
-        let mut builder = GraphBuilder::new("http-lb", &env.allocator);
-        let client_in = builder.declare_node();
-        let backend_in = builder.declare_node();
-        let compute_node = builder.declare_node();
-        let backend_out = builder.declare_node();
-        let client_out = builder.declare_node();
-
-        let req_rx = builder.bind_input(
-            client_in,
-            "client-in",
-            Peer::Client(&client),
-            codec.clone(),
-            Some(http::load_balancer_projection()),
-            compute_node,
-        );
-        // The return path needs no parsing beyond message framing; the raw
-        // bytes are forwarded unchanged (projection keeps only framing
-        // fields).
-        let resp_rx = builder.bind_input(
-            backend_in,
-            "backend-in",
-            Peer::Backend(&backend),
-            codec.clone(),
-            Some(http::load_balancer_projection()),
-            compute_node,
-        );
-        let fwd_tx = builder.bind_output(backend_out, "backend-out", &backend, codec.clone());
-        let ret_tx = builder.bind_output(client_out, "client-out", &client, codec);
-        builder.install(
-            compute_node,
-            Box::new(ComputeTask::new(
-                "balance",
-                vec![req_rx, resp_rx],
-                vec![fwd_tx, ret_tx],
-                Box::new(ForwardLogic),
-            )),
-        );
-        Ok(builder.build())
-    }
+/// Compiles the path-hashed HTTP load balancer.
+pub fn http_path_balancer() -> Arc<CompiledService> {
+    compile_source(
+        HTTP_LB_FLICK_SOURCE,
+        "HttpBalancer",
+        &CompileOptions::default(),
+    )
+    .expect("the embedded path-hashed balancer program compiles")
 }
 
 #[cfg(test)]
@@ -207,7 +142,7 @@ mod tests {
     use super::*;
     use flick_net::SimNetwork;
     use flick_net::StackModel;
-    use flick_runtime::{Platform, PlatformConfig, ServiceSpec};
+    use flick_runtime::{ExecMode, Platform, PlatformConfig, ServiceSpec};
     use flick_workload::backends::start_http_backend;
     use flick_workload::http::{run_http_load, HttpLoadConfig};
     use std::time::Duration;
@@ -238,44 +173,49 @@ mod tests {
         assert_eq!(stats.failed, 0);
     }
 
+    /// One request through the balancer and back, on the bytecode VM and
+    /// on its oracle, the interpreter.
     #[test]
     fn load_balancer_forwards_to_backends_and_back() {
-        let net = SimNetwork::new(StackModel::Free);
-        let backend_ports = [8191u16, 8192, 8193];
-        let _backends: Vec<_> = backend_ports
-            .iter()
-            .map(|p| start_http_backend(&net, *p, b"from-backend"))
-            .collect();
-        let platform = Platform::with_network(
-            PlatformConfig {
-                workers: 2,
-                ..Default::default()
-            },
-            Arc::clone(&net),
-        );
-        let _svc = platform
-            .deploy(
-                ServiceSpec::new("lb", 8190, HttpLoadBalancerFactory::new())
-                    .with_backends(backend_ports.to_vec()),
-            )
-            .unwrap();
-        let client = net.connect(8190).unwrap();
-        client
-            .write_all(b"GET /a HTTP/1.1\r\nHost: t\r\n\r\n")
-            .unwrap();
-        let mut buf = [0u8; 1024];
-        let mut collected = Vec::new();
-        loop {
-            let n = client
-                .read_timeout(&mut buf, Duration::from_secs(5))
+        for mode in [ExecMode::Vm, ExecMode::Interp] {
+            let net = SimNetwork::new(StackModel::Free);
+            let backend_ports = [8191u16, 8192, 8193];
+            let _backends: Vec<_> = backend_ports
+                .iter()
+                .map(|p| start_http_backend(&net, *p, b"from-backend"))
+                .collect();
+            let platform = Platform::with_network(
+                PlatformConfig {
+                    workers: 2,
+                    ..Default::default()
+                },
+                Arc::clone(&net),
+            );
+            let _svc = platform
+                .deploy(
+                    ServiceSpec::new("lb", 8190, http_balancer())
+                        .with_backends(backend_ports.to_vec())
+                        .with_exec_mode(mode),
+                )
                 .unwrap();
-            collected.extend_from_slice(&buf[..n]);
-            if collected.windows(12).any(|w| w == b"from-backend") {
-                break;
+            let client = net.connect(8190).unwrap();
+            client
+                .write_all(b"GET /a HTTP/1.1\r\nHost: t\r\n\r\n")
+                .unwrap();
+            let mut buf = [0u8; 1024];
+            let mut collected = Vec::new();
+            loop {
+                let n = client
+                    .read_timeout(&mut buf, Duration::from_secs(5))
+                    .unwrap();
+                collected.extend_from_slice(&buf[..n]);
+                if collected.windows(12).any(|w| w == b"from-backend") {
+                    break;
+                }
             }
+            let text = String::from_utf8_lossy(&collected);
+            assert!(text.starts_with("HTTP/1.1 200 OK"), "{mode:?}: {text}");
         }
-        let text = String::from_utf8_lossy(&collected);
-        assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
     }
 
     #[test]
@@ -295,8 +235,7 @@ mod tests {
         );
         let _svc = platform
             .deploy(
-                ServiceSpec::new("lb", 8290, HttpLoadBalancerFactory::new())
-                    .with_backends(backend_ports.to_vec()),
+                ServiceSpec::new("lb", 8290, http_balancer()).with_backends(backend_ports.to_vec()),
             )
             .unwrap();
         let stats = run_http_load(
@@ -331,10 +270,7 @@ mod tests {
             Arc::clone(&net),
         );
         let _svc = platform
-            .deploy(
-                ServiceSpec::new("lb", 8394, HttpLoadBalancerFactory::new())
-                    .with_backends(vec![8391, 8392]),
-            )
+            .deploy(ServiceSpec::new("lb", 8394, http_balancer()).with_backends(vec![8391, 8392]))
             .unwrap();
         let stats = run_http_load(
             &net,
@@ -360,13 +296,17 @@ mod tests {
     fn lb_requires_backends() {
         let platform = Platform::new(PlatformConfig::default());
         let svc = platform
-            .deploy(ServiceSpec::new("lb", 8390, HttpLoadBalancerFactory::new()))
+            .deploy(ServiceSpec::new("lb", 8390, http_balancer()))
             .unwrap();
-        // A connection arrives but graph construction fails (no backends);
-        // the client connection is simply dropped.
+        // A connection arrives but graph construction fails (no backends):
+        // the client is refused by a prompt close, not left to time out.
         let client = platform.net().connect(8390).unwrap();
-        client.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+        let _ = client.write_all(b"GET / HTTP/1.1\r\n\r\n");
+        let mut buf = [0u8; 16];
+        assert_eq!(
+            client.read_timeout(&mut buf, Duration::from_millis(500)),
+            Err(flick_net::NetError::Closed)
+        );
         assert_eq!(svc.live_graphs(), 0);
     }
 
@@ -374,12 +314,7 @@ mod tests {
     fn flick_source_for_the_lb_compiles() {
         let typed = flick_lang::compile_to_ast(HTTP_LB_FLICK_SOURCE).unwrap();
         assert!(typed.process("HttpBalancer").is_some());
-        let service = flick_compiler::compile(
-            &typed,
-            "HttpBalancer",
-            &flick_compiler::CompileOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(service.process_name(), "HttpBalancer");
+        assert_eq!(http_path_balancer().process_name(), "HttpBalancer");
+        assert_eq!(http_balancer().process_name(), "HttpStickyBalancer");
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Use cases (§2.1 / §6.1):
 //!
-//! * [`http`] — the HTTP load balancer and its static-web-server variant,
-//!   built as explicit task graphs on the FLICK runtime (the shape of
-//!   Figure 3a);
+//! * [`http`] — the HTTP load balancer (Figure 3a), compiled from its
+//!   FLICK source, and the static web server, the one service still built
+//!   as an explicit task graph on the FLICK runtime;
 //! * [`memcached`] — the Memcached proxy (Listing 1) and cache router,
 //!   compiled from their FLICK sources;
 //! * [`hadoop`] — the Hadoop in-network data aggregator (Listing 3),
@@ -18,4 +18,4 @@ pub mod hadoop;
 pub mod http;
 pub mod memcached;
 
-pub use http::{HttpLoadBalancerFactory, StaticWebServerFactory};
+pub use http::StaticWebServerFactory;

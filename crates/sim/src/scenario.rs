@@ -24,15 +24,16 @@ use crate::fault::{FaultOp, ScheduledFault};
 use crate::invariant::{check_tick, TickChecks, Violation};
 use crate::message_mutator::{Delivery, MessageMutator};
 use crate::trace::Trace;
+use flick_compiler::CompiledService;
 use flick_grammar::http::HttpCodec;
 use flick_grammar::{ParseOutcome, WireCodec};
-use flick_net::listener::ConnectOptions;
 use flick_net::ratelimit::TokenBucket;
 use flick_net::stats::StatsSnapshot;
 use flick_net::{Endpoint, NetError, SimNetwork, SimRng};
 use flick_runtime::metrics::MetricsSnapshot;
 use flick_runtime::{BackendPolicy, ExecMode, Placement, Platform, PlatformConfig, ServiceSpec};
-use flick_services::{HttpLoadBalancerFactory, StaticWebServerFactory};
+use flick_services::http::http_balancer;
+use flick_services::StaticWebServerFactory;
 use flick_workload::backends::{start_http_backend, BackendHandle};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,8 +68,6 @@ pub struct ScenarioConfig {
     pub shards: usize,
     /// Graph placement policy.
     pub placement: Placement,
-    /// Response body size served by the backends (or the web server).
-    pub body_len: usize,
     /// The fault schedule.
     pub faults: Vec<ScheduledFault>,
     /// Per-request probability of delivering the request one byte per
@@ -93,21 +92,18 @@ pub struct ScenarioConfig {
     /// `(bits_per_sec, burst_bytes)` — the rate-storm knob. Service
     /// outputs stay unrated so the busy-retry gate remains meaningful.
     pub client_rate: Option<(u64, usize)>,
-    /// Pipe capacity for client connections (small values force
-    /// buffer-full transitions on the response path).
-    pub pipe_capacity: Option<usize>,
     /// Record request outcomes in the trace (keep off for partial-outage
     /// schedules; see the module docs).
     pub trace_outcomes: bool,
     /// Tick-level gates layered over the conservation laws.
     pub checks: TickChecks,
-    /// When set, the service under test is the FLICK-compiled HTTP load
-    /// balancer (`flick_services::http::HTTP_LB_FLICK_SOURCE`) deployed
-    /// under the given execution mode, instead of the hand-written
-    /// factory (which bypasses the compiler's execution engines
-    /// entirely). Requires `backends > 0`. `None` — the default — keeps
-    /// the built-in factories, so pinned traces replay unchanged.
-    pub flick_lb: Option<ExecMode>,
+    /// Compiles the FLICK balancer deployed in front of the back-ends
+    /// when `backends > 0` (the connection-sticky
+    /// [`flick_services::http::http_balancer`] unless a scenario names
+    /// another program).
+    pub balancer: fn() -> Arc<CompiledService>,
+    /// The engine the balancer's logic runs on.
+    pub exec_mode: ExecMode,
 }
 
 impl Default for ScenarioConfig {
@@ -121,7 +117,6 @@ impl Default for ScenarioConfig {
             workers: 2,
             shards: 2,
             placement: Placement::RoundRobin,
-            body_len: 512,
             faults: Vec::new(),
             byte_at_a_time: 0.0,
             churn: 0.0,
@@ -129,10 +124,10 @@ impl Default for ScenarioConfig {
             hostile: 0.0,
             backend_policy: BackendPolicy::default(),
             client_rate: None,
-            pipe_capacity: None,
             trace_outcomes: true,
             checks: TickChecks::default(),
-            flick_lb: None,
+            balancer: http_balancer,
+            exec_mode: ExecMode::default(),
         }
     }
 }
@@ -208,6 +203,8 @@ struct ClientSlot {
     conn: Option<Endpoint>,
 }
 
+/// Response body size served by the backends (or the web server).
+const BODY_LEN: usize = 512;
 const SERVICE_PORT: u16 = 8300;
 const BACKEND_BASE: u16 = 9301;
 
@@ -230,7 +227,7 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
         backend_policy: config.backend_policy,
     });
     let net = platform.net();
-    let body = vec![b'x'; config.body_len.max(1)];
+    let body = vec![b'x'; BODY_LEN];
 
     let mut backends: Vec<BackendSlot> = (0..config.backends)
         .map(|i| {
@@ -243,45 +240,19 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
         })
         .collect();
 
-    let mut service = if let Some(mode) = config.flick_lb {
-        // Compile the bundled FLICK balancer so the scenario exercises
-        // the full compiler pipeline (grammar projection, IR, bytecode)
-        // under the chosen execution engine, not a hand-written factory.
-        assert!(
-            config.backends > 0,
-            "the FLICK-compiled load balancer needs at least one backend"
-        );
-        let compiled = flick_compiler::compile_source(
-            flick_services::http::HTTP_LB_FLICK_SOURCE,
-            "HttpBalancer",
-            &flick_compiler::CompileOptions::default(),
-        )
-        .expect("bundled FLICK balancer compiles");
+    let spec = if config.backends > 0 {
         let ports: Vec<u16> = backends.iter().map(|b| b.port).collect();
-        platform
-            .deploy(
-                ServiceSpec::new(config.name, SERVICE_PORT, compiled)
-                    .with_backends(ports)
-                    .with_exec_mode(mode),
-            )
-            .expect("service deploys")
-    } else if config.backends > 0 {
-        let ports: Vec<u16> = backends.iter().map(|b| b.port).collect();
-        platform
-            .deploy(
-                ServiceSpec::new(config.name, SERVICE_PORT, HttpLoadBalancerFactory::new())
-                    .with_backends(ports),
-            )
-            .expect("service deploys")
+        ServiceSpec::new(config.name, SERVICE_PORT, (config.balancer)())
+            .with_backends(ports)
+            .with_exec_mode(config.exec_mode)
     } else {
-        platform
-            .deploy(ServiceSpec::new(
-                config.name,
-                SERVICE_PORT,
-                StaticWebServerFactory::new(body.clone()),
-            ))
-            .expect("service deploys")
+        ServiceSpec::new(
+            config.name,
+            SERVICE_PORT,
+            StaticWebServerFactory::new(body.clone()),
+        )
     };
+    let mut service = platform.deploy(spec).expect("service deploys");
 
     let root = SimRng::new(seed);
     let mut client_rngs: Vec<SimRng> = (0..config.clients)
@@ -312,12 +283,8 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
     let mut hostile_sent = 0u64;
     let mut hostile_rejected = 0u64;
 
-    let connect_options = ConnectOptions {
-        link_bits_per_sec: None,
-        capacity: config.pipe_capacity,
-    };
     let connect = |net: &Arc<SimNetwork>, buckets: &mut Vec<Arc<TokenBucket>>| {
-        let mut conn = net.connect_with(SERVICE_PORT, &connect_options).ok()?;
+        let mut conn = net.connect(SERVICE_PORT).ok()?;
         if let Some((bits, burst)) = config.client_rate {
             let bucket = Arc::new(TokenBucket::new_bits_per_sec(bits, burst));
             conn.set_write_rate(Arc::clone(&bucket));
@@ -405,6 +372,11 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
 
         // --- Client actions, in index order. ---
         let mut pending: Vec<bool> = vec![false; config.clients];
+        // A refusal is one outcome whichever side of the client's write
+        // the service's close lands on: a failed write is drained below
+        // as the `closed` it already is, in index order like every other
+        // outcome.
+        let mut refused: Vec<bool> = vec![false; config.clients];
         let mut pending_hostile: Vec<bool> = vec![false; config.clients];
         for (i, client) in clients.iter_mut().enumerate() {
             let rng = &mut client_rngs[i];
@@ -493,16 +465,8 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
             } else {
                 conn.write_all(bytes).is_ok()
             };
-            if wrote {
-                pending[i] = true;
-            } else {
-                conn.close();
-                client.conn = None;
-                requests_failed += 1;
-                if config.trace_outcomes {
-                    trace.push(format!("t{tick} c{i} write-err"));
-                }
-            }
+            pending[i] = true;
+            refused[i] = !wrote;
         }
 
         // --- Drain responses, in index order. ---
@@ -567,9 +531,12 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
             }
             let conn = client.conn.as_ref().expect("pending implies connected");
             let deadline = Instant::now() + patience;
-            let mut buf = Vec::with_capacity(config.body_len + 128);
+            let mut buf = Vec::with_capacity(BODY_LEN + 128);
             let mut chunk = [0u8; 8192];
             let outcome = loop {
+                if refused[i] {
+                    break "closed";
+                }
                 if Instant::now() >= deadline {
                     break "timeout";
                 }
@@ -603,8 +570,8 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
                 _ => requests_failed += 1,
             }
             if outcome != "ok" {
-                // Unwedge: a degraded connection may hang off a graph
-                // that never built; reconnect fresh next tick.
+                // Unwedge: a degraded connection may hang off a back-end
+                // that died under it; reconnect fresh next tick.
                 if let Some(conn) = client.conn.take() {
                     conn.close();
                 }

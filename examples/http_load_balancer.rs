@@ -24,7 +24,7 @@
 //! count the platform recorded. Simulated-fabric mode only.
 
 use flick::runtime_crate::Placement;
-use flick::services::http::HttpLoadBalancerFactory;
+use flick::services::http::http_balancer;
 use flick::{Platform, PlatformConfig, ServiceSpec};
 use flick_workload::backends::{start_http_backend, start_tcp_http_backend};
 use flick_workload::http::{run_http_load, HttpLoadConfig};
@@ -65,7 +65,7 @@ fn main() {
             let backends: Vec<_> = (0..10)
                 .map(|_| start_tcp_http_backend(&[b'x'; 137]))
                 .collect();
-            let spec = ServiceSpec::new("http-lb", 0, HttpLoadBalancerFactory::new())
+            let spec = ServiceSpec::new("http-lb", 0, http_balancer())
                 .with_tcp_backends(backends.iter().map(|b| b.addr().to_string()).collect());
             let service = platform.deploy_tcp(spec, addr).expect("deploy over TCP");
             let addr = format!("127.0.0.1:{}", service.port());
@@ -93,7 +93,7 @@ fn main() {
                 .iter()
                 .map(|p| start_http_backend(&net, *p, &[b'x'; 137]))
                 .collect();
-            let spec = ServiceSpec::new("http-lb", 8080, HttpLoadBalancerFactory::new())
+            let spec = ServiceSpec::new("http-lb", 8080, http_balancer())
                 .with_backends(backend_ports.clone());
             let _service = platform.deploy(spec).expect("deploy");
             if hostile_ratio > 0.0 {

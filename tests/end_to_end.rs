@@ -3,7 +3,7 @@
 
 use flick::net_substrate::listener::ConnectOptions;
 use flick::services::hadoop::hadoop_aggregator;
-use flick::services::http::{HttpLoadBalancerFactory, StaticWebServerFactory};
+use flick::services::http::{http_balancer, StaticWebServerFactory};
 use flick::services::memcached::{memcached_proxy, memcached_router};
 use flick::{Flick, Platform, PlatformConfig, ServiceSpec};
 use flick_workload::backends::{start_http_backend, start_memcached_backend, start_sink_backend};
@@ -86,10 +86,7 @@ fn http_lb_and_static_server_serve_traffic() {
         .map(|p| start_http_backend(&net, *p, b"w"))
         .collect();
     let _lb = platform
-        .deploy(
-            ServiceSpec::new("lb", 8600, HttpLoadBalancerFactory::new())
-                .with_backends(backend_ports),
-        )
+        .deploy(ServiceSpec::new("lb", 8600, http_balancer()).with_backends(backend_ports))
         .unwrap();
     let _web = platform
         .deploy(ServiceSpec::new(
@@ -131,10 +128,7 @@ fn shared_buffer_ingest_performs_zero_copies() {
         .map(|p| start_http_backend(&net, *p, b"zero-copy"))
         .collect();
     let _lb = platform
-        .deploy(
-            ServiceSpec::new("lb", 8700, HttpLoadBalancerFactory::new())
-                .with_backends(backend_ports),
-        )
+        .deploy(ServiceSpec::new("lb", 8700, http_balancer()).with_backends(backend_ports))
         .unwrap();
     let stats = run_http_load(
         &net,

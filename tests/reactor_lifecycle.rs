@@ -3,7 +3,7 @@
 //! One test, hence its own process: it counts this process's descriptors
 //! and threads, which tests running beside it would disturb.
 
-use flick::net_substrate::{Interest, Poller, StackModel, TcpStack, Token};
+use flick::net_substrate::{Interest, Poller, TcpStack, Token};
 use flick::services::http::StaticWebServerFactory;
 use flick::{Platform, PlatformConfig, ServiceSpec};
 use flick_workload::tcp::fetch_http;
@@ -39,7 +39,7 @@ fn assert_no_reactor_thread() {
 
 #[test]
 fn the_epoll_set_dies_with_its_users_and_no_reactor_thread_ever_runs() {
-    let stack = TcpStack::new(StackModel::Free);
+    let stack = TcpStack::new();
     let listener = stack.listen("127.0.0.1:0").unwrap();
     let addr = format!("127.0.0.1:{}", listener.port());
     let connect = || {

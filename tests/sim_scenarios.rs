@@ -5,10 +5,11 @@
 //! battery stayed green. Seeds are pinned: a failure prints the seed,
 //! and re-running the same test replays the run bit-identically.
 //!
-//! Run single-threaded for stable wall-clock behaviour:
+//! Run single-threaded for stable wall-clock behaviour (about half a
+//! second a pass; CI runs ten in a row as a flake detector):
 //! `cargo test --release --test sim_scenarios -- --test-threads=1`
 
-use flick_runtime::{BackendPolicy, Placement, RoutePolicy};
+use flick_runtime::{BackendPolicy, ExecMode, Placement, RoutePolicy};
 use flick_sim::{
     run_poller_handoff_scenario, run_scenario, run_stall_park_scenario, FaultOp, ScenarioConfig,
     ScheduledFault, TickChecks,
@@ -76,11 +77,10 @@ fn byte_at_a_time_peers_are_reassembled() {
     assert_eq!(report.requests_ok, 32, "{report:?}");
 }
 
-/// The FLICK-compiled load balancer running on the bytecode VM (the
-/// default execution mode) under churn plus byte-at-a-time delivery: the
-/// whole compiler pipeline — grammar projection, IR, bytecode dispatch —
-/// sits on the data path, and the full invariant battery must stay green
-/// with a pinned seed, exactly as it does for the hand-written factory.
+/// The path-hashed FLICK balancer (every back-end opened per client, the
+/// VM routing request by request) under churn plus byte-at-a-time
+/// delivery: the full invariant battery must stay green with a pinned
+/// seed, exactly as it does for the connection-sticky default.
 #[test]
 fn flick_vm_lb_scenario_with_pinned_seed() {
     let report = run_scenario(&ScenarioConfig {
@@ -91,7 +91,7 @@ fn flick_vm_lb_scenario_with_pinned_seed() {
         backends: 2,
         churn: 0.3,
         byte_at_a_time: 0.5,
-        flick_lb: Some(flick_runtime::ExecMode::Vm),
+        balancer: flick_services::http::http_path_balancer,
         ..Default::default()
     });
     report.assert_clean();
@@ -144,6 +144,39 @@ fn full_backend_outage_recovers() {
     // Ticks 0-2 and 6-9 are healthy (4 clients each), 3-5 are dark.
     assert_eq!(report.requests_ok, 28, "{report:?}");
     assert_eq!(report.requests_failed, 12, "{report:?}");
+}
+
+/// The interpreter is the VM's oracle at system level too: the pinned
+/// full-outage schedule (deterministic outcome classes) must produce the
+/// same counts and the same trace, event for event, under both engines.
+#[test]
+fn full_outage_is_identical_under_interp_and_vm() {
+    let run = |exec_mode| {
+        let report = run_scenario(&ScenarioConfig {
+            name: "full-outage-engines",
+            seed: 0xDEAD_0011,
+            ticks: 8,
+            clients: 4,
+            backends: 2,
+            faults: vec![
+                ScheduledFault::at(3, FaultOp::CrashBackend(0)),
+                ScheduledFault::at(3, FaultOp::CrashBackend(1)),
+                ScheduledFault::at(5, FaultOp::RestartBackend(0)),
+                ScheduledFault::at(5, FaultOp::RestartBackend(1)),
+            ],
+            exec_mode,
+            ..Default::default()
+        });
+        report.assert_clean();
+        report
+    };
+    let vm = run(ExecMode::Vm);
+    let interp = run(ExecMode::Interp);
+    assert_eq!(vm.requests_ok, 24, "{vm:?}");
+    assert_eq!(vm.requests_ok, interp.requests_ok);
+    assert_eq!(vm.requests_failed, interp.requests_failed);
+    assert_eq!(vm.backend_requests_served, interp.backend_requests_served);
+    assert_eq!(vm.trace.events(), interp.trace.events());
 }
 
 /// Mid-message disconnect storm from the service side: every established

@@ -15,8 +15,8 @@
 //! * a real-socket port of the `stress_no_lost_wakeups` poller stress and
 //!   of the cross-poller registration handoff stress.
 
-use flick::net_substrate::{Interest, NetError, Poller, StackModel, TcpStack, Token};
-use flick::services::http::{HttpLoadBalancerFactory, StaticWebServerFactory};
+use flick::net_substrate::{Interest, NetError, Poller, TcpStack, Token};
+use flick::services::http::{http_balancer, StaticWebServerFactory};
 use flick::{Platform, PlatformConfig, ServiceSpec};
 use flick_workload::backends::start_tcp_http_backend;
 use flick_workload::tcp::{fetch_http, run_tcp_http_load, TcpHttpLoadConfig};
@@ -249,7 +249,7 @@ fn all_tcp_lb_path_serves_with_zero_ingest_copies() {
     let platform = tcp_platform(2, 1);
     let service = platform
         .deploy_tcp(
-            ServiceSpec::new("tcp-lb", 0, HttpLoadBalancerFactory::new())
+            ServiceSpec::new("tcp-lb", 0, http_balancer())
                 .with_tcp_backends(backends.iter().map(|b| b.addr().to_string()).collect()),
             "127.0.0.1:0",
         )
@@ -460,7 +460,7 @@ fn stress_no_lost_wakeups_over_tcp() {
     const WRITERS: usize = 4;
     const BYTES_PER_WRITER: usize = 256 * 1024;
 
-    let stack = TcpStack::new(StackModel::Free);
+    let stack = TcpStack::new();
     let listener = stack.listen("127.0.0.1:0").unwrap();
     let addr = format!("127.0.0.1:{}", listener.port());
     let poller = Poller::new();
@@ -527,7 +527,7 @@ fn stress_no_lost_wakeups_over_tcp() {
 fn close_churn_does_not_poison_recycled_fd_tokens() {
     const CHURN_ROUNDS: u64 = 200;
 
-    let stack = TcpStack::new(StackModel::Free);
+    let stack = TcpStack::new();
     let listener = stack.listen("127.0.0.1:0").unwrap();
     let addr = format!("127.0.0.1:{}", listener.port());
     let poller = Poller::new();
@@ -597,7 +597,7 @@ fn event_batches_beyond_max_events_lose_nothing() {
     const ROUNDS: usize = 3;
     const CHUNK: usize = 512;
 
-    let stack = TcpStack::new(StackModel::Free);
+    let stack = TcpStack::new();
     let listener = stack.listen("127.0.0.1:0").unwrap();
     let addr = format!("127.0.0.1:{}", listener.port());
     let poller = Poller::new();
@@ -699,7 +699,7 @@ fn event_batches_beyond_max_events_lose_nothing() {
 fn handoff_between_pollers_loses_no_wakeups_over_tcp() {
     const TOTAL: usize = 1 << 20;
 
-    let stack = TcpStack::new(StackModel::Free);
+    let stack = TcpStack::new();
     let listener = stack.listen("127.0.0.1:0").unwrap();
     let addr = format!("127.0.0.1:{}", listener.port());
     let client = stack.connect(&addr).unwrap();
