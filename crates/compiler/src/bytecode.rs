@@ -23,7 +23,10 @@
 //!   unambiguous; the VM verifies the cached name on each hit and falls
 //!   back to (and re-caches from) a linear lookup, so projections and
 //!   codec-specific field orders stay correct while steady-state reads
-//!   are index ops instead of name scans.
+//!   are index ops instead of name scans. A projection of a frame slot
+//!   (`req.path` on a parameter or binder) compiles to one fused
+//!   `Op::LoadField`, which reads the field in place instead of copying
+//!   the whole message onto the stack first.
 //! * **Jumps are absolute, pre-patched instruction indices** — no offset
 //!   decoding in the dispatch loop; deep nesting and long loop bodies are
 //!   exercised by the jump-width tests below.
@@ -56,6 +59,10 @@ pub enum Op {
     /// Pop a message; push its `names[name]` field. `site` indexes the
     /// per-logic field-offset cache.
     Field { name: u32, site: u32 },
+    /// `Load(slot); Field { name, site }` fused: push the field of the
+    /// message held in `frame[slot]`, read in place — the message itself
+    /// is never copied onto the stack.
+    LoadField { slot: u32, name: u32, site: u32 },
     /// Pop index, pop base; push `base[index]`.
     Index,
     /// Pop value, pop key, pop target; `target[key] := value`.
@@ -414,10 +421,19 @@ impl Compiler<'_> {
                 chunk.emit(Op::Load(*slot as u32));
             }
             IrExpr::Field(base, field) => {
-                self.expr(chunk, base);
+                let slot = match **base {
+                    IrExpr::Load(slot) => Some(slot as u32),
+                    _ => None,
+                };
+                if slot.is_none() {
+                    self.expr(chunk, base);
+                }
                 let name = self.name_of(field);
                 let site = self.field_site(field);
-                chunk.emit(Op::Field { name, site });
+                chunk.emit(match slot {
+                    Some(slot) => Op::LoadField { slot, name, site },
+                    None => Op::Field { name, site },
+                });
             }
             IrExpr::Index(base, index) => {
                 self.expr(chunk, base);
@@ -669,7 +685,12 @@ fun target_backend: ([-/cmd] backends, req: cmd) -> ()
         assert_eq!(program.rules[0].source_param, 1, "backends => client");
         assert_eq!(program.rules[1].source_param, 0, "client => stage");
         let body = &program.functions[0].chunk;
-        assert!(body.code.iter().any(|op| matches!(op, Op::Field { .. })));
+        // `req.key` reads the parameter's slot in place: one fused op.
+        assert!(body
+            .code
+            .iter()
+            .any(|op| matches!(op, Op::LoadField { .. })));
+        assert!(!body.code.iter().any(|op| matches!(op, Op::Field { .. })));
         assert!(matches!(body.code.last(), Some(Op::Return)));
         // The pipeline inside the function uses the strict send; the
         // channel-sink rule uses the lenient one.

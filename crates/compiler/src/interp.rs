@@ -306,7 +306,7 @@ impl<'a> Interpreter<'a> {
                 for a in args {
                     values.push(self.eval(a, frame, sink)?);
                 }
-                eval_builtin(*builtin, values)?
+                eval_builtin(*builtin, &values)?
             }
             IrExpr::MakeRecord(unit, fields, values) => {
                 let mut msg = Message::with_capacity(unit.clone(), fields.len());
@@ -377,8 +377,9 @@ pub(crate) fn list_items(value: RtVal) -> Result<Vec<Value>, RuntimeError> {
 }
 
 /// Evaluates a builtin over already-evaluated arguments. Shared by the
-/// interpreter and the bytecode VM.
-pub(crate) fn eval_builtin(builtin: Builtin, args: Vec<RtVal>) -> Result<RtVal, RuntimeError> {
+/// interpreter and the bytecode VM (which passes its operand stack's top
+/// in place).
+pub(crate) fn eval_builtin(builtin: Builtin, args: &[RtVal]) -> Result<RtVal, RuntimeError> {
     Ok(match builtin {
         Builtin::Hash => {
             let v = args

@@ -11,7 +11,9 @@
 
 use crate::interp::{dict_key, field_value, EmitSink, Interpreter, RtVal};
 use crate::ir::{ProcessIr, ProgramIr};
+use flick_grammar::MsgValue;
 use flick_runtime::{ComputeLogic, Outputs, RuntimeError, SharedDict, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -211,9 +213,8 @@ impl ComputeLogic for InterpreterLogic {
 pub struct FoldtLogic {
     program: Arc<ProgramIr>,
     /// When set, the combine body runs on the bytecode VM
-    /// (`ExecMode::Vm`) with this compiled program and its field-site
-    /// offset cache; otherwise the tree-walking interpreter runs it.
-    vm: Option<(Arc<crate::bytecode::CompiledProgram>, Vec<u32>)>,
+    /// (`ExecMode::Vm`); otherwise the tree-walking interpreter runs it.
+    vm: Option<VmCombine>,
     /// Output index of the reducer channel.
     sink_output: usize,
     /// Number of inputs that have finished.
@@ -223,6 +224,30 @@ pub struct FoldtLogic {
     /// The merged elements, ordered by key.
     merged: BTreeMap<String, Value>,
     emitted: bool,
+}
+
+/// The VM's combine state: the compiled program, its field-site offset
+/// cache, and the frame and operand stack reused across combines.
+struct VmCombine {
+    compiled: Arc<crate::bytecode::CompiledProgram>,
+    cache: Vec<u32>,
+    frame: Vec<RtVal>,
+    stack: Vec<RtVal>,
+}
+
+/// The merge key of a `foldt` element — byte-identical to
+/// `dict_key(&field_value(msg, field))`, but borrowed from the message when
+/// the key field is text (or UTF-8 bytes), so a merge that hits an
+/// existing key allocates no key at all.
+fn merge_key<'v>(value: &'v Value, field: &str) -> Cow<'v, str> {
+    match value {
+        Value::Msg(msg) => match msg.get(field) {
+            Some(MsgValue::Str(s)) => Cow::Borrowed(s),
+            Some(MsgValue::Bytes(b)) => String::from_utf8_lossy(b),
+            _ => Cow::Owned(dict_key(&field_value(msg, field))),
+        },
+        other => Cow::Owned(dict_key(other)),
+    }
 }
 
 impl FoldtLogic {
@@ -250,67 +275,66 @@ impl FoldtLogic {
     ) -> Self {
         let cache = compiled.field_offsets.clone();
         let mut logic = Self::new(program, total_inputs, sink_output);
-        logic.vm = Some((compiled, cache));
+        logic.vm = Some(VmCombine {
+            compiled,
+            cache,
+            frame: Vec::new(),
+            stack: Vec::new(),
+        });
         logic
     }
 
+    /// Runs the combine body over two elements of one key (`key` is the
+    /// key binder's value).
     fn combine(
-        &mut self,
+        program: &ProgramIr,
+        vm: Option<&mut VmCombine>,
         existing: Value,
         incoming: Value,
-        key: &str,
+        key: Value,
     ) -> Result<Value, RuntimeError> {
-        if let Some((compiled, cache)) = &mut self.vm {
-            let foldt = compiled
-                .foldt
-                .as_ref()
-                .ok_or_else(|| RuntimeError::Logic("process has no foldt".into()))?;
-            let mut frame = vec![RtVal::Val(Value::Unit); foldt.chunk.frame_size];
+        let no_foldt = || RuntimeError::Logic("process has no foldt".into());
+        let no_element = || RuntimeError::Logic("foldt body produced no element".into());
+        let mut sink = crate::interp::CollectSink::default();
+        if let Some(VmCombine {
+            compiled,
+            cache,
+            frame,
+            stack,
+        }) = vm
+        {
+            let foldt = compiled.foldt.as_ref().ok_or_else(no_foldt)?;
+            frame.resize(foldt.chunk.frame_size, RtVal::Val(Value::Unit));
             let (s1, s2, sk) = foldt.binder_slots;
             frame[s1] = RtVal::Val(existing);
             frame[s2] = RtVal::Val(incoming);
-            frame[sk] = RtVal::Val(Value::Str(key.to_string()));
-            let mut sink = crate::interp::CollectSink::default();
-            let mut stack = Vec::new();
+            frame[sk] = RtVal::Val(key);
             let mut vm = crate::vm::Vm::new(compiled, cache);
-            let result = vm.run_chunk(&foldt.chunk, &mut frame, &mut stack, &mut sink)?;
+            let result = vm.run_chunk(&foldt.chunk, frame, stack, &mut sink);
+            // Keep the capacity, not the elements (they pin ingest chunks).
+            frame.clear();
+            let result = result?;
             // In the chunk encoding a body whose tail is not an expression
             // yields `Unit`; a well-typed combine body always produces the
             // (non-unit) element, so `Unit` here is the interpreter's
             // "no element" defect.
             return match result {
-                RtVal::Val(Value::Unit) => {
-                    Err(RuntimeError::Logic("foldt body produced no element".into()))
-                }
+                RtVal::Val(Value::Unit) => Err(no_element()),
                 other => other.into_value(),
             };
         }
-        let foldt = self
-            .program
-            .process
-            .foldt
-            .as_ref()
-            .ok_or_else(|| RuntimeError::Logic("process has no foldt".into()))?;
-        let interp = Interpreter::new(&self.program);
+        let foldt = program.process.foldt.as_ref().ok_or_else(no_foldt)?;
+        let interp = Interpreter::new(program);
         let mut frame = vec![RtVal::Val(Value::Unit); foldt.frame_size];
         let (s1, s2, sk) = foldt.binder_slots;
         frame[s1] = RtVal::Val(existing);
         frame[s2] = RtVal::Val(incoming);
-        frame[sk] = RtVal::Val(Value::Str(key.to_string()));
-        let mut sink = crate::interp::CollectSink::default();
+        frame[sk] = RtVal::Val(key);
         let result = interp.exec_block(&foldt.body, &mut frame, &mut sink)?;
         result
             .map(RtVal::into_value)
             .transpose()?
-            .ok_or_else(|| RuntimeError::Logic("foldt body produced no element".into()))
-    }
-
-    fn key_of(&self, value: &Value) -> Option<String> {
-        let foldt = self.program.process.foldt.as_ref()?;
-        match value {
-            Value::Msg(msg) => Some(dict_key(&field_value(msg, &foldt.key_field))),
-            other => Some(dict_key(other)),
-        }
+            .ok_or_else(no_element)
     }
 }
 
@@ -318,18 +342,27 @@ impl ComputeLogic for FoldtLogic {
     fn on_value(
         &mut self,
         _input: usize,
-        value: Value,
+        mut value: Value,
         _out: &mut Outputs<'_>,
     ) -> Result<(), RuntimeError> {
-        let Some(key) = self.key_of(&value) else {
+        let Some(foldt) = self.program.process.foldt.as_ref() else {
             return Ok(());
         };
-        match self.merged.remove(&key) {
-            Some(existing) => {
-                let combined = self.combine(existing, value, &key)?;
-                self.merged.insert(key, combined);
+        // A stored element outlives its ingest chunk (a key seen once is
+        // held until the job ends), so whatever is stored is compacted
+        // first and pins no chunk, as `SharedDict::set` does. A combined
+        // element the body built afresh has nothing to re-own.
+        let key = merge_key(&value, &foldt.key_field);
+        match self.merged.get_mut(key.as_ref()) {
+            Some(slot) => {
+                let key = Value::Str(key.into_owned());
+                let existing = std::mem::replace(slot, Value::Unit);
+                *slot = Self::combine(&self.program, self.vm.as_mut(), existing, value, key)?;
+                slot.compact();
             }
             None => {
+                let key = key.into_owned();
+                value.compact();
                 self.merged.insert(key, value);
             }
         }
@@ -357,6 +390,7 @@ impl ComputeLogic for FoldtLogic {
 mod tests {
     use super::*;
     use crate::ir::lower;
+    use bytes::Bytes;
     use flick_grammar::{Message, MsgValue};
     use flick_lang::compile_to_ast;
     use flick_runtime::channel::TaskChannel;
@@ -367,6 +401,7 @@ mod tests {
 
     fn ctx() -> TaskContext {
         TaskContext::new(
+            TaskId(0),
             SchedulingPolicy::NonCooperative,
             RuntimeMetrics::new_shared(),
         )
@@ -546,11 +581,151 @@ fun combine: (v1: string, v2: string) -> (string)
         let status = task.run(&mut ctx());
         assert_eq!(status, TaskStatus::Finished);
         // Two keys, in order: apple (combined "2"+"3" = "23"), pear.
-        let first = out_rx.pop().unwrap().into_msg().unwrap();
+        let first = out_rx.pop(&mut ctx()).unwrap().into_msg().unwrap();
         assert_eq!(first.str_field("key"), Some("apple"));
         assert_eq!(first.str_field("value"), Some("23"));
-        let second = out_rx.pop().unwrap().into_msg().unwrap();
+        let second = out_rx.pop(&mut ctx()).unwrap().into_msg().unwrap();
         assert_eq!(second.str_field("key"), Some("pear"));
         assert!(out_rx.is_finished());
+    }
+
+    /// The wordcount aggregator of Listing 3, as the services crate ships it.
+    const WORDCOUNT: &str = r#"
+type kv: record
+  key : string
+  value : string
+
+proc hadoop: ([kv/-] mappers, -/kv reducer):
+  if all_ready(mappers):
+    let result = foldt on mappers ordering elem e1, e2 by elem.key as e_key:
+      let v = combine(e1.value, e2.value)
+      kv(e_key, v)
+    result => reducer
+
+fun combine: (v1: string, v2: string) -> (string)
+  str(int(v1) + int(v2))
+"#;
+
+    fn wordcount_logics(inputs: usize) -> [Box<dyn ComputeLogic>; 2] {
+        let program = Arc::new(lower(&compile_to_ast(WORDCOUNT).unwrap(), "hadoop").unwrap());
+        let compiled = Arc::new(crate::bytecode::compile(&program));
+        [
+            Box::new(FoldtLogic::new(Arc::clone(&program), inputs, 0)),
+            Box::new(FoldtLogic::with_vm(program, compiled, inputs, 0)),
+        ]
+    }
+
+    /// Feeds each input's values through a foldt compute task and returns
+    /// what it emits once every input has finished.
+    fn run_foldt(logic: Box<dyn ComputeLogic>, inputs: Vec<Vec<Value>>) -> Vec<Value> {
+        let (producers, consumers): (Vec<_>, Vec<_>) = (0..inputs.len())
+            .map(|i| TaskChannel::bounded(64, TaskId(500 + i as u64)))
+            .unzip();
+        let (out_tx, out_rx) = TaskChannel::bounded(64, TaskId(600));
+        let mut task = ComputeTask::new("foldt", consumers, vec![out_tx], logic);
+        for (producer, values) in producers.iter().zip(inputs) {
+            for value in values {
+                producer.push(value).unwrap();
+            }
+            producer.close();
+        }
+        assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
+        std::iter::from_fn(|| out_rx.pop(&mut ctx())).collect()
+    }
+
+    #[test]
+    fn merge_keys_match_dict_key_of_the_field_value_for_every_kind() {
+        let kinds = [
+            MsgValue::Str("apple".into()),
+            MsgValue::Bytes(Bytes::from_static(b"pear")),
+            MsgValue::Bytes(Bytes::from_static(b"\xffnot utf-8\xfe")),
+            MsgValue::UInt(42),
+            MsgValue::UInt(u64::MAX),
+            MsgValue::Int(-7),
+            MsgValue::Bool(true),
+        ];
+        for kind in kinds {
+            let mut msg = Message::new("kv");
+            msg.set("key", kind.clone());
+            let expected = dict_key(&field_value(&msg, "key"));
+            assert_eq!(merge_key(&Value::Msg(msg), "key"), expected, "{kind:?}");
+        }
+        let missing = Value::Msg(Message::new("kv"));
+        assert_eq!(merge_key(&missing, "key"), dict_key(&Value::None));
+        assert_eq!(merge_key(&Value::Int(3), "key"), dict_key(&Value::Int(3)));
+        // Text keys are read in place, not built.
+        assert!(matches!(
+            merge_key(&kv_msg("apple", "1"), "key"),
+            Cow::Borrowed("apple")
+        ));
+    }
+
+    #[test]
+    fn foldt_output_is_identical_under_both_engines() {
+        let words = ["fig", "apple", "pear", "apple", "kiwi", "fig", "apple"];
+        let inputs = || {
+            (0..3)
+                .map(|m| {
+                    words
+                        .iter()
+                        .enumerate()
+                        .map(|(i, w)| kv_msg(w, &(i + m).to_string()))
+                        .collect()
+                })
+                .collect()
+        };
+        let [interp, vm] = wordcount_logics(3);
+        let interp = run_foldt(interp, inputs());
+        let vm = run_foldt(vm, inputs());
+        assert_eq!(interp, vm);
+        let apple = interp[0].as_msg().unwrap();
+        assert_eq!(apple.str_field("key"), Some("apple"));
+        // apple at 1, 3, 6 in each of three streams offset by 0, 1, 2.
+        assert_eq!(apple.str_field("value"), Some("39"));
+        assert_eq!(interp.len(), 4, "one record per distinct word");
+    }
+
+    /// A key seen once is held until the job ends, so the stored element
+    /// must not pin its connection's ingest chunk (DESIGN.md §11) — the
+    /// same rule `SharedDict::set` follows.
+    #[test]
+    fn foldt_compacts_stored_elements_off_the_ingest_chunk() {
+        use flick_grammar::hadoop::{count_kv, HadoopKvCodec};
+        use flick_grammar::{ParseOutcome, WireCodec};
+        use flick_net::SharedBuf;
+
+        for logic in wordcount_logics(1) {
+            let codec = HadoopKvCodec::new();
+            let mut wire = Vec::new();
+            codec.serialize(&count_kv("once", 1), &mut wire).unwrap();
+            let mut buf = SharedBuf::new(64);
+            let (tail, _) = buf.tail_mut(wire.len());
+            tail[..wire.len()].copy_from_slice(&wire);
+            buf.commit(wire.len());
+            let view = buf.view();
+            let ParseOutcome::Complete { message, consumed } =
+                codec.parse_bytes(&view, None).unwrap()
+            else {
+                panic!("complete record expected");
+            };
+            drop(view);
+            buf.consume(consumed);
+            assert!(buf.is_shared(), "the parsed record pins the chunk");
+
+            let (in_tx, in_rx) = TaskChannel::bounded(4, TaskId(1));
+            let (out_tx, out_rx) = TaskChannel::bounded(4, TaskId(2));
+            let mut task = ComputeTask::new("foldt", vec![in_rx], vec![out_tx], logic);
+            in_tx.push(Value::Msg(message)).unwrap();
+            assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
+            assert!(
+                !buf.is_shared(),
+                "a stored element must be compacted off the ingest chunk"
+            );
+            in_tx.close();
+            assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
+            let out = out_rx.pop(&mut ctx()).unwrap().into_msg().unwrap();
+            assert_eq!(out.str_field("key"), Some("once"));
+            assert_eq!(out.str_field("value"), Some("1"));
+        }
     }
 }

@@ -11,10 +11,12 @@
 //! holds them to that.
 //!
 //! Field projections (`req.key`) execute through per-site inline caches:
-//! each `Op::Field` carries a site id into a per-logic offset table,
-//! seeded from the grammar's record layouts at compile time and verified
-//! (name check) on every hit, so a projection is an index read instead of
-//! a name scan once the first message of a shape has been seen.
+//! each `Op::Field` / `Op::LoadField` carries a site id into a per-logic
+//! offset table, seeded from the grammar's record layouts at compile time
+//! and verified (name check) on every hit, so a projection is an index
+//! read instead of a name scan once the first message of a shape has been
+//! seen. `Op::LoadField` reads a frame slot's message in place, so a
+//! projection of a parameter or binder copies only the field.
 //!
 //! Runtime logic errors are annotated `[at fn \`name\`, pc N]` via the
 //! shared helpers in [`crate::error`], mirroring the interpreter's
@@ -189,6 +191,27 @@ impl<'p> Vm<'p> {
                         ),
                     }
                 }
+                Op::LoadField { slot, name, site } => {
+                    let name = self.program.names[*name as usize].as_str();
+                    let value = match frame.get(*slot as usize) {
+                        Some(RtVal::Val(Value::Msg(msg))) => {
+                            self.project_field(msg, name, *site as usize)
+                        }
+                        Some(other) => vmtry!(
+                            pc,
+                            Err(RuntimeError::Logic(format!(
+                                "cannot read field `{name}` of {other:?}"
+                            )))
+                        ),
+                        None => vmtry!(
+                            pc,
+                            Err(RuntimeError::Logic(format!(
+                                "frame slot {slot} out of range"
+                            )))
+                        ),
+                    };
+                    stack.push(RtVal::Val(value));
+                }
                 Op::Index => {
                     let index = pop(stack);
                     let base = pop(stack);
@@ -232,8 +255,8 @@ impl<'p> Vm<'p> {
                 }
                 Op::Builtin { builtin, argc } => {
                     let at = stack.len() - *argc as usize;
-                    let args = stack.split_off(at);
-                    let result = vmtry!(pc, eval_builtin(*builtin, args));
+                    let result = vmtry!(pc, eval_builtin(*builtin, &stack[at..]));
+                    stack.truncate(at);
                     stack.push(result);
                 }
                 Op::Record { record, argc } => {
@@ -626,6 +649,29 @@ proc P: (cmd/cmd c)
         assert_eq!(v_loc, Some("fn `f`, pc 6"));
     }
 
+    /// The fused slot-field read fails on a non-message exactly as the
+    /// interpreter's `Field` does: same text, same kind of location.
+    #[test]
+    fn fused_field_read_of_a_non_message_keeps_the_error_text() {
+        let program = program(PROXY, "Memcached");
+        let args = vec![RtVal::ChannelArray(vec![1]), RtVal::Val(Value::Int(5))];
+        let (i, v, _, _) = call_both(&program, "target_backend", args);
+        let RuntimeError::Logic(i_msg) = i.unwrap_err() else {
+            panic!("logic error expected");
+        };
+        let RuntimeError::Logic(v_msg) = v.unwrap_err() else {
+            panic!("logic error expected");
+        };
+        let (i_base, _) = crate::error::split_located(&i_msg);
+        let (v_base, v_loc) = crate::error::split_located(&v_msg);
+        assert_eq!(i_base, "cannot read field `key` of Val(Int(5))");
+        assert_eq!(v_base, i_base);
+        assert!(
+            v_loc.is_some_and(|loc| loc.starts_with("fn `target_backend`, pc ")),
+            "{v_msg}"
+        );
+    }
+
     #[test]
     fn deep_loops_and_conditionals_agree() {
         let src = r#"
@@ -719,6 +765,7 @@ proc P: (cmd/cmd c)
             Box::new(logic),
         );
         let mut ctx = TaskContext::new(
+            TaskId(0),
             SchedulingPolicy::NonCooperative,
             RuntimeMetrics::new_shared(),
         );
@@ -766,6 +813,7 @@ fun maybe_fwd: (req: cmd) -> (cmd)
         let (out_tx, out_rx) = TaskChannel::bounded(8, TaskId(2));
         let mut task = ComputeTask::new("drop-vm", vec![in_rx], vec![out_tx], Box::new(logic));
         let mut ctx = TaskContext::new(
+            TaskId(0),
             SchedulingPolicy::NonCooperative,
             RuntimeMetrics::new_shared(),
         );
@@ -819,6 +867,7 @@ proc Tee: (cmd/cmd client, -/cmd left, -/cmd right)
                 .unzip();
             let mut task = ComputeTask::new("tee", vec![in_rx], outputs, logic);
             let mut ctx = TaskContext::new(
+                TaskId(0),
                 SchedulingPolicy::NonCooperative,
                 RuntimeMetrics::new_shared(),
             );
@@ -826,7 +875,7 @@ proc Tee: (cmd/cmd client, -/cmd left, -/cmd right)
             task.run(&mut ctx);
             assert_eq!(sinks[0].len(), 0);
             for sink in &sinks[1..] {
-                let delivered = sink.pop().unwrap().into_msg().unwrap();
+                let delivered = sink.pop(&mut ctx).unwrap().into_msg().unwrap();
                 assert_eq!(delivered.str_field("key"), Some("user:7"));
             }
         }

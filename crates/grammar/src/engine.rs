@@ -30,11 +30,18 @@ use crate::{ParseOutcome, WireCodec};
 use bytes::Bytes;
 use std::collections::HashMap;
 
+/// Parse-time bindings (integer fields and variables) the scan keeps on
+/// the stack; a grammar with more spills to the heap. Every built-in
+/// grammar fits (Memcached's binary header has the most, ten).
+const INLINE_BINDINGS: usize = 16;
+
 /// A [`WireCodec`] driven by a [`UnitGrammar`].
 #[derive(Debug, Clone)]
 pub struct GrammarCodec {
     grammar: UnitGrammar,
     limits: ParseLimits,
+    /// How many names the scan binds: named integer fields plus variables.
+    bindings: usize,
 }
 
 impl GrammarCodec {
@@ -57,7 +64,21 @@ impl GrammarCodec {
                 ),
             ));
         }
-        Ok(GrammarCodec { grammar, limits })
+        let bindings = grammar
+            .items
+            .iter()
+            .filter(|item| match item {
+                GrammarItem::Variable { .. } => true,
+                GrammarItem::Field { name, kind } => {
+                    !name.is_empty() && kind.fixed_width().is_some()
+                }
+            })
+            .count();
+        Ok(GrammarCodec {
+            grammar,
+            limits,
+            bindings,
+        })
     }
 
     /// Returns the underlying grammar.
@@ -106,21 +127,34 @@ impl GrammarCodec {
     /// integer fields (cheap, and length expressions may depend on them)
     /// and recording the byte range of every *required* byte/string field.
     /// No payload byte is copied; an incomplete buffer costs only the walk.
+    ///
+    /// The environment that length expressions read — integer fields and
+    /// variables, in parse order — is a borrowed association list on the
+    /// stack, so the scan itself allocates nothing per message.
     fn scan<'g>(
         &'g self,
         buf: &[u8],
         projection: Option<&Projection>,
     ) -> Result<Scan<'g>, GrammarError> {
         let unit = &self.grammar.name;
-        let mut env: HashMap<String, u64> = HashMap::new();
+        let mut inline = [("", 0u64); INLINE_BINDINGS];
+        let mut spilled = Vec::new();
+        let env: &mut [(&'g str, u64)] = if self.bindings <= INLINE_BINDINGS {
+            &mut inline[..self.bindings]
+        } else {
+            spilled.resize(self.bindings, ("", 0));
+            &mut spilled
+        };
+        let mut bound = 0;
         let mut message = Message::with_capacity(unit.clone(), self.grammar.items.len());
         let mut spans: Vec<FieldSpan<'g>> = Vec::new();
         let mut offset = 0usize;
         for item in &self.grammar.items {
             match item {
                 GrammarItem::Variable { name, parse } => {
-                    let value = parse.eval(&env, unit)?;
-                    env.insert(name.clone(), value);
+                    let value = parse.eval(&env[..bound], unit)?;
+                    env[bound] = (name, value);
+                    bound += 1;
                     if projection.map_or(true, |p| p.requires(name)) {
                         message.set_parsed(name.clone(), MsgValue::UInt(value));
                     }
@@ -142,7 +176,8 @@ impl GrammarCodec {
                             // later length expressions may depend on them
                             // even when the program never reads them.
                             if !name.is_empty() {
-                                env.insert(name.clone(), raw);
+                                env[bound] = (name, raw);
+                                bound += 1;
                             }
                             if required {
                                 let value = if matches!(kind, FieldKind::Int { .. }) {
@@ -159,7 +194,7 @@ impl GrammarCodec {
                             // the transport is asked to buffer `len` bytes:
                             // past the limit the frame is malformed, not
                             // incomplete.
-                            let declared = length.eval(&env, unit)?;
+                            let declared = length.eval(&env[..bound], unit)?;
                             if declared > self.limits.max_body_bytes as u64 {
                                 return Err(GrammarError::malformed(
                                     unit,
@@ -189,9 +224,6 @@ impl GrammarCodec {
                                     end,
                                     text: matches!(kind, FieldKind::Str { .. }),
                                 });
-                            }
-                            if !name.is_empty() {
-                                env.insert(format!("len({name})"), len as u64);
                             }
                             offset = end;
                         }
@@ -230,11 +262,10 @@ impl GrammarCodec {
     /// Parses one message from the front of a shared buffer, zero-copy:
     /// the message's raw bytes — and every required byte field — are
     /// slices of `buf`'s allocation. Fields outside `projection` are never
-    /// copied anywhere. [`WireCodec::parse`] is the borrowed-slice
-    /// fallback, which pays one copy of the consumed range — the path the
-    /// runtime's input tasks still use today (moving their accumulator
-    /// onto this entry point is a ROADMAP item); benches and the codec
-    /// wrappers' `parse_bytes` call this directly.
+    /// copied anywhere. This is the path the runtime's input tasks take
+    /// (through the codec wrappers' `parse_bytes`, on a view of their
+    /// `SharedBuf`); [`WireCodec::parse`] is the borrowed-slice fallback,
+    /// which pays one copy of the consumed range.
     pub fn parse_shared(
         &self,
         buf: &Bytes,
@@ -788,6 +819,60 @@ mod tests {
             },
         )
         .is_err());
+    }
+
+    /// Parse-time lookups see integer fields and variables only: a length
+    /// naming a byte field fails with the same text as ever.
+    #[test]
+    fn length_naming_a_byte_field_is_an_unknown_field_at_parse_time() {
+        let g = UnitGrammar::new("l")
+            .item(GI::field(
+                "a",
+                FieldKind::Bytes {
+                    length: LenExpr::Const(1),
+                },
+            ))
+            .item(GI::field(
+                "b",
+                FieldKind::Bytes {
+                    length: LenExpr::LenOf("a".into()),
+                },
+            ));
+        let codec = GrammarCodec::new(g).unwrap();
+        let err = codec.parse(b"xy", None).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("length expression references unknown field `a`"),
+            "{err}"
+        );
+    }
+
+    /// More bindings than the scan keeps inline still parse (they spill),
+    /// and the latest binding of a repeated name wins.
+    #[test]
+    fn many_integer_bindings_spill_and_shadow() {
+        let mut g = UnitGrammar::new("wide");
+        for i in 0..INLINE_BINDINGS + 4 {
+            g = g.item(GI::field(format!("n{i}"), FieldKind::UInt { width: 1 }));
+        }
+        let g = g
+            .item(GI::variable("n0", LenExpr::Const(2)))
+            .item(GI::field(
+                "body",
+                FieldKind::Bytes {
+                    length: LenExpr::field("n0"),
+                },
+            ));
+        let codec = GrammarCodec::new(g).unwrap();
+        let mut wire = vec![9u8; INLINE_BINDINGS + 4];
+        wire.extend_from_slice(b"ok");
+        match codec.parse(&wire, None).unwrap() {
+            ParseOutcome::Complete { message, consumed } => {
+                assert_eq!(consumed, wire.len());
+                assert_eq!(message.bytes_field("body"), Some(&b"ok"[..]));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -64,17 +64,15 @@ impl LenExpr {
     /// Evaluates the expression against an environment of known values.
     ///
     /// `unit` is used for error reporting only.
-    pub fn eval(&self, env: &HashMap<String, u64>, unit: &str) -> Result<u64, GrammarError> {
+    pub fn eval<E: LenEnv + ?Sized>(&self, env: &E, unit: &str) -> Result<u64, GrammarError> {
         match self {
             LenExpr::Const(v) => Ok(*v),
-            LenExpr::Field(name) | LenExpr::LenOf(name) => {
-                env.get(name).copied().ok_or_else(|| {
-                    GrammarError::invalid(
-                        unit,
-                        format!("length expression references unknown field `{name}`"),
-                    )
-                })
-            }
+            LenExpr::Field(name) | LenExpr::LenOf(name) => env.lookup(name).ok_or_else(|| {
+                GrammarError::invalid(
+                    unit,
+                    format!("length expression references unknown field `{name}`"),
+                )
+            }),
             LenExpr::Add(a, b) => Ok(a.eval(env, unit)?.saturating_add(b.eval(env, unit)?)),
             LenExpr::Sub(a, b) => {
                 let (av, bv) = (a.eval(env, unit)?, b.eval(env, unit)?);
@@ -101,6 +99,27 @@ impl LenExpr {
             }
             _ => {}
         }
+    }
+}
+
+/// The names a [`LenExpr`] can be evaluated against.
+pub trait LenEnv {
+    /// The value bound to `name`, if any.
+    fn lookup(&self, name: &str) -> Option<u64>;
+}
+
+impl LenEnv for HashMap<String, u64> {
+    fn lookup(&self, name: &str) -> Option<u64> {
+        self.get(name).copied()
+    }
+}
+
+/// A borrowed association list, latest binding last (it shadows earlier
+/// ones, as a map insert would): the parse-time environment, which needs
+/// no allocation per message.
+impl LenEnv for [(&str, u64)] {
+    fn lookup(&self, name: &str) -> Option<u64> {
+        self.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| *v)
     }
 }
 

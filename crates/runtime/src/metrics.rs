@@ -33,6 +33,11 @@ pub struct RuntimeMetrics {
     /// parking on writable readiness. Zero under the wakeup-driven output
     /// mode while a peer is stalled — the stress tests assert it.
     pub output_busy_retries: AtomicU64,
+    /// Producer parks: a push refused by a full channel recorded the
+    /// producing task to be woken by the consumer's draining pop, and the
+    /// task went idle instead of re-running. The channel back-pressure of
+    /// DESIGN.md §5, made visible.
+    pub producer_parks: AtomicU64,
     /// Backend checkouts: every `BackendPool::connect` by index and every
     /// routed `BackendPool::checkout_healthy`, the latter allowed at most
     /// the policy's retry budget of extra attempts.
@@ -90,6 +95,7 @@ impl RuntimeMetrics {
             tasks_scavenged: Self::get(&self.tasks_scavenged),
             tasks_stolen: Self::get(&self.tasks_stolen),
             output_busy_retries: Self::get(&self.output_busy_retries),
+            producer_parks: Self::get(&self.producer_parks),
         }
     }
 }
@@ -117,6 +123,8 @@ pub struct MetricsSnapshot {
     pub tasks_stolen: u64,
     /// Output-task busy retries (blocked write + immediate re-run).
     pub output_busy_retries: u64,
+    /// Producers parked on a full channel.
+    pub producer_parks: u64,
     /// Health-aware backend checkouts.
     pub backend_checkouts: u64,
     /// Extra attempts spent after a failed first pick.

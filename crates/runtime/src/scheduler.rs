@@ -161,7 +161,7 @@ impl SchedulerInner {
         };
         RuntimeMetrics::add(&self.metrics.task_runs, 1);
         self.runs.fetch_add(1, Ordering::Relaxed);
-        let mut ctx = TaskContext::new(self.policy, Arc::clone(&self.metrics));
+        let mut ctx = TaskContext::new(id, self.policy, Arc::clone(&self.metrics));
         let status = task.run(&mut ctx);
         drop(guard);
         for wake in ctx.take_wakes() {

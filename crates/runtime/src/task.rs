@@ -73,23 +73,26 @@ pub enum TaskStatus {
 
 /// Per-dispatch execution context handed to [`Task::run`].
 pub struct TaskContext {
+    task: TaskId,
     policy: SchedulingPolicy,
     deadline: Option<Instant>,
     items_this_run: usize,
-    /// Tasks that must be woken because this run pushed data to them.
+    /// Tasks that must be woken because this run pushed data to them (or
+    /// drained a channel they are parked on).
     wake_list: Vec<TaskId>,
     metrics: Arc<RuntimeMetrics>,
     yielded: bool,
 }
 
 impl TaskContext {
-    /// Creates a context for one dispatch under the given policy.
-    pub fn new(policy: SchedulingPolicy, metrics: Arc<RuntimeMetrics>) -> Self {
+    /// Creates a context for one dispatch of `task` under the given policy.
+    pub fn new(task: TaskId, policy: SchedulingPolicy, metrics: Arc<RuntimeMetrics>) -> Self {
         let deadline = match policy {
             SchedulingPolicy::Cooperative { timeslice } => Some(Instant::now() + timeslice),
             _ => None,
         };
         TaskContext {
+            task,
             policy,
             deadline,
             items_this_run: 0,
@@ -97,6 +100,12 @@ impl TaskContext {
             metrics,
             yielded: false,
         }
+    }
+
+    /// The task this dispatch runs — the id a producer parks under when
+    /// its channel is full.
+    pub fn task(&self) -> TaskId {
+        self.task
     }
 
     /// The policy in force.
@@ -170,7 +179,7 @@ mod tests {
     use super::*;
 
     fn ctx(policy: SchedulingPolicy) -> TaskContext {
-        TaskContext::new(policy, RuntimeMetrics::new_shared())
+        TaskContext::new(TaskId(0), policy, RuntimeMetrics::new_shared())
     }
 
     #[test]

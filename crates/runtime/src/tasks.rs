@@ -81,9 +81,10 @@ impl InputTask {
         &self.endpoint
     }
 
-    /// Tries to push a parsed message, stashing it if the channel is full.
+    /// Tries to push a parsed message; on a full channel stashes it and
+    /// parks the task until the consumer drains the channel.
     fn push_out(&mut self, value: Value, ctx: &mut TaskContext) -> bool {
-        match self.output.push(value) {
+        match self.output.push_or_park(value, ctx) {
             Ok(()) => {
                 ctx.wake(self.output.consumer());
                 RuntimeMetrics::add(&ctx.metrics().messages_in, 1);
@@ -99,25 +100,39 @@ impl InputTask {
     /// Parses as many complete messages as possible from the shared
     /// buffer. Each message is parsed zero-copy out of a [`SharedBuf::view`]
     /// — consuming it is an index bump, not a drain-and-shift.
-    fn drain_buffer(&mut self, ctx: &mut TaskContext) -> Result<bool, RuntimeError> {
+    ///
+    /// `Ok(None)`: the buffer holds no further complete message. `Ok(Some)`:
+    /// stop with this status — `Idle` when parked on a full channel,
+    /// `Runnable` when the timeslice ran out.
+    fn drain_buffer(&mut self, ctx: &mut TaskContext) -> Result<Option<TaskStatus>, RuntimeError> {
         loop {
             if self.buf.is_empty() {
-                return Ok(true);
+                return Ok(None);
             }
             let view = self.buf.view();
             match self.codec.parse_bytes(&view, self.projection.as_ref())? {
                 ParseOutcome::Complete { message, consumed } => {
                     self.buf.consume(consumed);
                     if !self.push_out(Value::Msg(message), ctx) {
-                        return Ok(false);
+                        return Ok(Some(TaskStatus::Idle));
                     }
                     if !ctx.can_continue() {
-                        return Ok(false);
+                        return Ok(Some(TaskStatus::Runnable));
                     }
                 }
-                ParseOutcome::Incomplete { .. } => return Ok(true),
+                ParseOutcome::Incomplete { .. } => return Ok(None),
             }
         }
+    }
+
+    /// A malformed stream terminates the connection, as the paper's
+    /// default behaviour for unparseable input. The blast radius is this
+    /// one connection: siblings on the same service keep running, and the
+    /// close is tallied separately so the sim battery can bound it.
+    fn malformed(&mut self) -> TaskStatus {
+        self.endpoint.close_malformed();
+        self.output.close();
+        TaskStatus::Finished
     }
 }
 
@@ -136,26 +151,18 @@ impl Task for InputTask {
     }
 
     fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
-        // First retry any message that did not fit the channel last time.
+        // First retry any message that did not fit the channel last time;
+        // still full means parked again.
         if let Some(value) = self.pending.take() {
             if !self.push_out(value, ctx) {
-                return TaskStatus::Runnable;
+                return TaskStatus::Idle;
             }
         }
         // Parse whatever is already buffered.
         match self.drain_buffer(ctx) {
-            Ok(true) => {}
-            Ok(false) => return TaskStatus::Runnable,
-            Err(_) => {
-                // A malformed stream terminates the connection, as the paper's
-                // default behaviour for unparseable input. The blast radius
-                // is this one connection: siblings on the same service keep
-                // running, and the close is tallied separately so the sim
-                // battery can bound it.
-                self.endpoint.close_malformed();
-                self.output.close();
-                return TaskStatus::Finished;
-            }
+            Ok(None) => {}
+            Ok(Some(status)) => return status,
+            Err(_) => return self.malformed(),
         }
         // Then read more bytes from the connection, straight into the
         // shared buffer — no intermediate stack chunk, no append copy.
@@ -163,13 +170,9 @@ impl Task for InputTask {
             match self.endpoint.read_into(&mut self.buf) {
                 Ok(_) => {
                     match self.drain_buffer(ctx) {
-                        Ok(true) => {}
-                        Ok(false) => return TaskStatus::Runnable,
-                        Err(_) => {
-                            self.endpoint.close_malformed();
-                            self.output.close();
-                            return TaskStatus::Finished;
-                        }
+                        Ok(None) => {}
+                        Ok(Some(status)) => return status,
+                        Err(_) => return self.malformed(),
                     }
                     if !ctx.can_continue() {
                         return TaskStatus::Runnable;
@@ -214,10 +217,16 @@ impl<'a> Outputs<'a> {
 
     /// Emits `value` on output channel `output`.
     ///
-    /// If the channel is full the value is buffered and delivered on a later
-    /// dispatch, so logic never loses data.
+    /// If the channel is full — or earlier emissions are still waiting —
+    /// the value is buffered and delivered, in emission order, once the
+    /// task is woken by its consumers, so logic never loses or reorders
+    /// data.
     pub fn emit(&mut self, output: usize, value: Value) {
         debug_assert!(output < self.producers.len(), "output index out of range");
+        if !self.overflow.is_empty() {
+            self.overflow.push_back((output, value));
+            return;
+        }
         let producer = &self.producers[output];
         let consumer = producer.consumer();
         match producer.push(value) {
@@ -280,9 +289,12 @@ impl ComputeTask {
         }
     }
 
+    /// Delivers buffered emissions in order. Returns `false` when an
+    /// output is still full — the task is then parked on it and must go
+    /// idle until that output's consumer drains it.
     fn flush_overflow(&mut self, ctx: &mut TaskContext) -> bool {
         while let Some((output, value)) = self.overflow.pop_front() {
-            match self.outputs[output].push(value) {
+            match self.outputs[output].push_or_park(value, ctx) {
                 Ok(()) => ctx.wake(self.outputs[output].consumer()),
                 Err(back) => {
                     self.overflow.push_front((output, back));
@@ -292,6 +304,31 @@ impl ComputeTask {
         }
         true
     }
+
+    /// Runs one logic callback, forwarding its wakes. Returns `false` on a
+    /// logic error, after closing the outputs: errors terminate the graph
+    /// instance.
+    fn call_logic(
+        &mut self,
+        ctx: &mut TaskContext,
+        call: impl FnOnce(&mut dyn ComputeLogic, &mut Outputs<'_>) -> Result<(), RuntimeError>,
+    ) -> bool {
+        let mut outputs = Outputs {
+            producers: &self.outputs,
+            overflow: &mut self.overflow,
+            wakes: Vec::new(),
+        };
+        let result = call(self.logic.as_mut(), &mut outputs);
+        for w in std::mem::take(&mut outputs.wakes) {
+            ctx.wake(w);
+        }
+        if result.is_err() {
+            for out in &self.outputs {
+                out.close();
+            }
+        }
+        result.is_ok()
+    }
 }
 
 impl Task for ComputeTask {
@@ -300,34 +337,24 @@ impl Task for ComputeTask {
     }
 
     fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+        // A full output parks the task: it consumes no further input
+        // until the output's consumer drains it and wakes us.
         if !self.flush_overflow(ctx) {
-            return TaskStatus::Runnable;
+            return TaskStatus::Idle;
         }
         let mut made_progress = true;
         while made_progress {
             made_progress = false;
             for input in 0..self.inputs.len() {
-                let value = self.inputs[input].pop();
-                match value {
+                match self.inputs[input].pop(ctx) {
                     Some(value) => {
                         made_progress = true;
                         RuntimeMetrics::add(&ctx.metrics().values_processed, 1);
-                        let mut outputs = Outputs {
-                            producers: &self.outputs,
-                            overflow: &mut self.overflow,
-                            wakes: Vec::new(),
-                        };
-                        let result = self.logic.on_value(input, value, &mut outputs);
-                        let wakes = std::mem::take(&mut outputs.wakes);
-                        for w in wakes {
-                            ctx.wake(w);
-                        }
-                        if result.is_err() {
-                            // Logic errors terminate the graph instance.
-                            for out in &self.outputs {
-                                out.close();
-                            }
+                        if !self.call_logic(ctx, |logic, out| logic.on_value(input, value, out)) {
                             return TaskStatus::Finished;
+                        }
+                        if !self.flush_overflow(ctx) {
+                            return TaskStatus::Idle;
                         }
                         if !ctx.can_continue() {
                             return TaskStatus::Runnable;
@@ -336,21 +363,13 @@ impl Task for ComputeTask {
                     None => {
                         if self.inputs[input].is_finished() && !self.input_finished[input] {
                             self.input_finished[input] = true;
-                            let mut outputs = Outputs {
-                                producers: &self.outputs,
-                                overflow: &mut self.overflow,
-                                wakes: Vec::new(),
-                            };
-                            let result = self.logic.on_input_finished(input, &mut outputs);
-                            let wakes = std::mem::take(&mut outputs.wakes);
-                            for w in wakes {
-                                ctx.wake(w);
-                            }
-                            if result.is_err() {
-                                for out in &self.outputs {
-                                    out.close();
-                                }
+                            if !self
+                                .call_logic(ctx, |logic, out| logic.on_input_finished(input, out))
+                            {
                                 return TaskStatus::Finished;
+                            }
+                            if !self.flush_overflow(ctx) {
+                                return TaskStatus::Idle;
                             }
                             made_progress = true;
                         }
@@ -358,18 +377,14 @@ impl Task for ComputeTask {
                 }
             }
         }
-        if self.input_finished.iter().all(|f| *f) && self.overflow.is_empty() {
+        if self.input_finished.iter().all(|f| *f) {
             for out in &self.outputs {
                 out.close();
                 ctx.wake(out.consumer());
             }
             return TaskStatus::Finished;
         }
-        if !self.overflow.is_empty() {
-            TaskStatus::Runnable
-        } else {
-            TaskStatus::Idle
-        }
+        TaskStatus::Idle
     }
 }
 
@@ -409,6 +424,12 @@ impl ExecMode {
 }
 
 /// A task that serialises values and writes them to one connection.
+///
+/// Output is coalesced: every message queued when the task runs is
+/// serialised into one buffer and leaves in one write. A batch ends early
+/// at a message with a shared body segment (headers and body then leave
+/// together through one vectored write), at [`OUTBUF_RETAIN`] bytes, or
+/// when the timeslice ends.
 ///
 /// A blocked write never spins: the task parks until the dispatcher
 /// delivers writable readiness for its endpoint. The only immediate
@@ -488,16 +509,50 @@ impl OutputTask {
         Ok(true)
     }
 
-    /// Status for a blocked (`WouldBlock`) flush: park on writable
-    /// readiness unless the block is a rate limiter (buffer space exists,
-    /// so no peer transition will ever wake us — the clock has to).
-    fn blocked(&self, ctx: &mut TaskContext) -> TaskStatus {
-        if self.endpoint.writable() {
-            RuntimeMetrics::add(&ctx.metrics().output_busy_retries, 1);
-            TaskStatus::Runnable
-        } else {
-            TaskStatus::Idle
+    /// Flushes pending output. `None` when everything was written;
+    /// otherwise the status to return: a blocked (`WouldBlock`) flush parks
+    /// on writable readiness unless the block is a rate limiter (buffer
+    /// space exists, so no peer transition will ever wake us — the clock
+    /// has to); a failed one means the peer is gone and the remaining
+    /// output is dropped.
+    fn flush_or_stop(&mut self, ctx: &mut TaskContext) -> Option<TaskStatus> {
+        match self.flush() {
+            Ok(true) => None,
+            Ok(false) if self.endpoint.writable() => {
+                RuntimeMetrics::add(&ctx.metrics().output_busy_retries, 1);
+                Some(TaskStatus::Runnable)
+            }
+            Ok(false) => Some(TaskStatus::Idle),
+            Err(_) => {
+                self.endpoint.close();
+                Some(TaskStatus::Finished)
+            }
         }
+    }
+
+    /// Appends one value's wire bytes to `outbuf`, splitting off a
+    /// message's shared body segment into `body`. Must not be called while
+    /// a body segment is pending (it would be written ahead of these
+    /// bytes).
+    fn serialize(&mut self, value: &Value) -> Result<(), RuntimeError> {
+        debug_assert!(self.body.is_none(), "a pending body ends the batch");
+        match value {
+            Value::Msg(msg) => {
+                if let Some(tail) = self.codec.serialize_parts(msg, &mut self.outbuf)? {
+                    if !tail.is_empty() {
+                        self.body = Some((tail, 0));
+                    }
+                }
+            }
+            Value::Bytes(bytes) => self.outbuf.extend_from_slice(bytes),
+            Value::Str(s) => self.outbuf.extend_from_slice(s.as_bytes()),
+            other => {
+                return Err(RuntimeError::Logic(format!(
+                    "output task cannot serialise value {other}"
+                )))
+            }
+        }
+        Ok(())
     }
 }
 
@@ -513,59 +568,36 @@ impl Task for OutputTask {
     }
 
     fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+        // Whether the last pop found the channel empty.
+        let mut drained = false;
         loop {
-            match self.flush() {
-                Ok(true) => {}
-                Ok(false) => return self.blocked(ctx),
-                Err(_) => {
-                    // The peer is gone; drop remaining output.
+            if let Some(status) = self.flush_or_stop(ctx) {
+                return status;
+            }
+            if drained {
+                if self.input.is_finished() {
                     self.endpoint.close();
                     return TaskStatus::Finished;
                 }
+                return TaskStatus::Idle;
             }
-            match self.input.pop() {
-                Some(value) => {
-                    // `flush` ran to completion above, so the outbuf is
-                    // empty and no body segment is pending — the split
-                    // below can never reorder bytes behind earlier output.
-                    let result = match &value {
-                        Value::Msg(msg) => {
-                            match self.codec.serialize_parts(msg, &mut self.outbuf) {
-                                Ok(Some(tail)) if !tail.is_empty() => {
-                                    self.body = Some((tail, 0));
-                                    Ok(())
-                                }
-                                Ok(_) => Ok(()),
-                                Err(e) => Err(RuntimeError::from(e)),
-                            }
-                        }
-                        Value::Bytes(bytes) => {
-                            self.outbuf.extend_from_slice(bytes);
-                            Ok(())
-                        }
-                        Value::Str(s) => {
-                            self.outbuf.extend_from_slice(s.as_bytes());
-                            Ok(())
-                        }
-                        other => Err(RuntimeError::Logic(format!(
-                            "output task cannot serialise value {other}"
-                        ))),
-                    };
-                    if result.is_err() {
-                        self.endpoint.close();
-                        return TaskStatus::Finished;
-                    }
-                    RuntimeMetrics::add(&ctx.metrics().messages_out, 1);
-                    if !ctx.can_continue() {
-                        return TaskStatus::Runnable;
-                    }
+            // Serialise every queued message into one batch, flushed once.
+            // The flush above drained everything, and a batch ends at the
+            // first body segment, so the bytes ahead of a body always leave
+            // before it — with it, in one vectored write.
+            drained = true;
+            while let Some(value) = self.input.pop(ctx) {
+                if self.serialize(&value).is_err() {
+                    self.endpoint.close();
+                    return TaskStatus::Finished;
                 }
-                None => {
-                    if self.input.is_finished() && self.outbuf.is_empty() && self.body.is_none() {
-                        self.endpoint.close();
-                        return TaskStatus::Finished;
-                    }
-                    return TaskStatus::Idle;
+                RuntimeMetrics::add(&ctx.metrics().messages_out, 1);
+                if !ctx.can_continue() {
+                    return self.flush_or_stop(ctx).unwrap_or(TaskStatus::Runnable);
+                }
+                if self.body.is_some() || self.outbuf.len() >= OUTBUF_RETAIN {
+                    drained = false;
+                    break;
                 }
             }
         }
@@ -712,14 +744,21 @@ mod tests {
     use crate::channel::TaskChannel;
     use crate::task::{SchedulingPolicy, TaskId};
     use flick_grammar::http::{self, HttpCodec};
-    use flick_net::{SimNetwork, StackModel};
+    use flick_net::{SimNetwork, StackModel, TcpStack};
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
-    fn ctx() -> TaskContext {
+    /// A dispatch of task `id`, as the scheduler would create it.
+    fn task_ctx(id: u64) -> TaskContext {
         TaskContext::new(
+            TaskId(id),
             SchedulingPolicy::NonCooperative,
             RuntimeMetrics::new_shared(),
         )
+    }
+
+    fn ctx() -> TaskContext {
+        task_ctx(0)
     }
 
     /// Logic that forwards every value to output 0, uppercasing strings.
@@ -751,10 +790,42 @@ mod tests {
         let mut c = ctx();
         assert_eq!(task.run(&mut c), TaskStatus::Idle);
         assert_eq!(rx.len(), 2);
-        let first = rx.pop().unwrap().into_msg().unwrap();
+        let first = rx.pop(&mut ctx()).unwrap().into_msg().unwrap();
         assert_eq!(first.str_field("path"), Some("/a"));
         // The compute task consuming channel 1 must have been woken.
         assert!(c.take_wakes().contains(&TaskId(1)));
+    }
+
+    #[test]
+    fn input_task_parks_on_a_full_channel_until_the_consumer_drains_it() {
+        let net = SimNetwork::new(StackModel::Free);
+        let listener = net.listen(85).unwrap();
+        let client = net.connect(85).unwrap();
+        let server = listener.accept().unwrap();
+        client
+            .write(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\nGET /c HTTP/1.1\r\n\r\n")
+            .unwrap();
+
+        let (tx, rx) = TaskChannel::bounded(2, TaskId(1));
+        let mut task = InputTask::new("in", server, Arc::new(HttpCodec::new()), None, tx);
+        let mut producer = task_ctx(9);
+        assert_eq!(
+            task.run(&mut producer),
+            TaskStatus::Idle,
+            "a full channel parks the input task instead of spinning"
+        );
+        assert_eq!(rx.len(), 2);
+        assert_eq!(RuntimeMetrics::get(&producer.metrics().producer_parks), 1);
+
+        // The consumer's pop that drains the channel to half wakes it.
+        let mut consumer = task_ctx(1);
+        rx.pop(&mut consumer).unwrap();
+        assert_eq!(consumer.take_wakes(), vec![TaskId(9)]);
+        assert_eq!(task.run(&mut task_ctx(9)), TaskStatus::Idle);
+        let paths: Vec<String> = std::iter::from_fn(|| rx.pop(&mut consumer))
+            .map(|v| v.into_msg().unwrap().str_field("path").unwrap().to_string())
+            .collect();
+        assert_eq!(paths, ["/b", "/c"], "the stashed message follows in order");
     }
 
     #[test]
@@ -815,17 +886,22 @@ mod tests {
         in_tx.push(Value::Int(1)).unwrap();
         in_tx.push(Value::Int(2)).unwrap();
         in_tx.push(Value::Int(3)).unwrap();
-        let status = task.run(&mut ctx());
+        let mut compute = task_ctx(2);
+        let status = task.run(&mut compute);
         assert_eq!(
             status,
-            TaskStatus::Runnable,
-            "overflowed values keep the task runnable"
+            TaskStatus::Idle,
+            "an overflowed value parks the task on the full output"
         );
-        assert_eq!(out_rx.pop(), Some(Value::Int(1)));
+        assert_eq!(RuntimeMetrics::get(&compute.metrics().producer_parks), 1);
+        // The output's pop drains the channel and wakes the parked task.
+        let mut output = task_ctx(3);
+        assert_eq!(out_rx.pop(&mut output), Some(Value::Int(1)));
+        assert_eq!(output.take_wakes(), vec![TaskId(2)]);
         // Draining the output lets the retry succeed.
-        let status = task.run(&mut ctx());
-        assert!(matches!(status, TaskStatus::Idle | TaskStatus::Runnable));
-        assert_eq!(out_rx.pop(), Some(Value::Int(2)));
+        let status = task.run(&mut task_ctx(2));
+        assert_eq!(status, TaskStatus::Idle, "parked again, on value 3");
+        assert_eq!(out_rx.pop(&mut output), Some(Value::Int(2)));
     }
 
     #[test]
@@ -866,6 +942,53 @@ mod tests {
         assert_eq!(&buf[..n], b"raw-text");
     }
 
+    /// Queued output is coalesced: everything up to and including a
+    /// message with a shared body segment leaves in one vectored write,
+    /// and what is queued behind the body in one more — two write calls
+    /// for five messages, the bytes unchanged and in order.
+    #[test]
+    fn output_task_coalesces_queued_messages_into_one_write() {
+        let stack = TcpStack::new();
+        let listener = stack.listen("127.0.0.1:0").unwrap();
+        let client = stack
+            .connect(&format!("127.0.0.1:{}", listener.port()))
+            .unwrap();
+        let server = listener.accept_timeout(Duration::from_secs(5)).unwrap();
+
+        let codec = HttpCodec::new();
+        let with_body = http::response(200, b"shared body");
+        let mut expected = b"ab".to_vec();
+        codec.serialize(&with_body, &mut expected).unwrap();
+        expected.extend_from_slice(b"cd");
+
+        let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
+        let mut task = OutputTask::new("out", server, Arc::new(codec), rx);
+        for value in [
+            Value::Str("a".into()),
+            Value::Str("b".into()),
+            Value::Msg(with_body),
+            Value::Str("c".into()),
+            Value::Str("d".into()),
+        ] {
+            tx.push(value).unwrap();
+        }
+        let before = stack.stats().snapshot();
+        assert_eq!(task.run(&mut task_ctx(4)), TaskStatus::Idle);
+        let after = stack.stats().snapshot();
+        assert_eq!(after.write_calls - before.write_calls, 2);
+        assert_eq!(after.vectored_writes - before.vectored_writes, 1);
+
+        let mut got = Vec::new();
+        let mut buf = [0u8; 256];
+        while got.len() < expected.len() {
+            let n = client
+                .read_timeout(&mut buf, Duration::from_secs(5))
+                .unwrap();
+            got.extend_from_slice(&buf[..n]);
+        }
+        assert_eq!(got, expected);
+    }
+
     #[test]
     fn source_task_emits_and_closes() {
         let (tx, rx) = TaskChannel::bounded(64, TaskId(5));
@@ -873,19 +996,20 @@ mod tests {
         assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
         assert_eq!(rx.len(), 10);
         assert!(rx.producers_closed());
-        assert_eq!(rx.pop().unwrap().approx_size(), 32);
+        assert_eq!(rx.pop(&mut ctx()).unwrap().approx_size(), 32);
     }
 
     #[test]
     fn source_task_respects_full_channel() {
         let (tx, rx) = TaskChannel::bounded(4, TaskId(5));
         let mut task = SourceTask::new("src", 10, 8, tx);
-        assert_eq!(task.run(&mut ctx()), TaskStatus::Runnable);
+        let mut c = ctx();
+        assert_eq!(task.run(&mut c), TaskStatus::Runnable);
         assert_eq!(rx.len(), 4);
-        while rx.pop().is_some() {}
-        assert_eq!(task.run(&mut ctx()), TaskStatus::Runnable);
-        while rx.pop().is_some() {}
-        assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
+        while rx.pop(&mut c).is_some() {}
+        assert_eq!(task.run(&mut c), TaskStatus::Runnable);
+        while rx.pop(&mut c).is_some() {}
+        assert_eq!(task.run(&mut c), TaskStatus::Finished);
     }
 
     #[test]
@@ -907,11 +1031,13 @@ mod tests {
     fn synthetic_work_task_round_robin_yields_per_item() {
         let mut task = SyntheticWorkTask::new("work", 3, 16, None);
         let metrics = RuntimeMetrics::new_shared();
-        let mut c1 = TaskContext::new(SchedulingPolicy::RoundRobin, Arc::clone(&metrics));
+        let round_robin =
+            |metrics| TaskContext::new(TaskId(0), SchedulingPolicy::RoundRobin, metrics);
+        let mut c1 = round_robin(Arc::clone(&metrics));
         assert_eq!(task.run(&mut c1), TaskStatus::Runnable);
-        let mut c2 = TaskContext::new(SchedulingPolicy::RoundRobin, Arc::clone(&metrics));
+        let mut c2 = round_robin(Arc::clone(&metrics));
         assert_eq!(task.run(&mut c2), TaskStatus::Runnable);
-        let mut c3 = TaskContext::new(SchedulingPolicy::RoundRobin, metrics);
+        let mut c3 = round_robin(metrics);
         assert_eq!(task.run(&mut c3), TaskStatus::Finished);
     }
 }
