@@ -955,7 +955,7 @@ mod tests {
             );
         }
         // The same runner's TCP leg over the path-hashed balancer, which
-        // binds an array: every client graph opens every back-end.
+        // binds an array: a client graph opens each back-end it routes to.
         flick_vm_lb_experiment_smoke: |point| {
             let (tcp, backend_requests) = run_tcp_lb_leg(http_path_balancer(), &point);
             assert!(tcp.completed > 0, "{tcp:?}");

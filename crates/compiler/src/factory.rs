@@ -8,10 +8,12 @@
 //!   first parameter, as in the Hadoop aggregator, binds to
 //!   [`CompileOptions::client_connections`] inbound connections per graph);
 //! * every **subsequent** channel parameter binds to outbound back-end
-//!   connections: an **array** parameter takes every member of the
-//!   service's back-end pool, one connection per configured back-end, by
-//!   index (the program routes among them itself); a **scalar** parameter
-//!   takes *one* routed, health-checked member, chosen by the pool's policy
+//!   connections: an **array** parameter binds every member of the
+//!   service's back-end pool by index (the program routes among them
+//!   itself), and each member is opened on the first send to it — a graph
+//!   build opens no array member, and a request opens the one it is routed
+//!   to ([`flick_runtime::Link`]); a **scalar** parameter takes *one*
+//!   routed, health-checked member at build, chosen by the pool's policy
 //!   from a hash of the connection identity — the id of the graph's first
 //!   client connection (§6.1) — so every message of that connection sticks
 //!   to one back-end and an ejected or dead one is passed over. A process
@@ -21,7 +23,9 @@
 //!
 //! Either way the connection is opened by the service's
 //! [`flick_runtime::BackendPool`], which counts the checkout and records
-//! the outcome as passive health (DESIGN.md §14).
+//! the outcome as passive health (DESIGN.md §14). A member that fails to
+//! open closes the graph's client connections; requests routed to the
+//! other members are unaffected.
 //!
 //! Wire codecs are chosen per record type: synthesised from the type's
 //! serialisation annotations when possible, otherwise taken from the
@@ -42,7 +46,9 @@ use flick_lang::TypedProgram;
 use flick_net::Endpoint;
 use flick_runtime::platform::BuiltGraph;
 use flick_runtime::tasks::ExecMode;
-use flick_runtime::{ComputeTask, GraphBuilder, GraphFactory, Peer, RuntimeError, ServiceEnv};
+use flick_runtime::{
+    ComputeTask, GraphBuilder, GraphFactory, Link, Peer, RuntimeError, ServiceEnv,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -242,6 +248,9 @@ impl GraphFactory for CompiledService {
         let mut bindings = ChannelBindings::default();
         let mut compute_inputs = Vec::new();
         let mut compute_outputs = Vec::new();
+        // Shared with every array member: a failed open closes them, the
+        // refusal a failed build gives.
+        let clients: Arc<[Endpoint]> = Arc::from(clients);
 
         for (param_idx, param) in process.params.iter().enumerate() {
             let plan = &self.plans[param_idx];
@@ -267,15 +276,16 @@ impl GraphFactory for CompiledService {
             // parameter's direction: its input task first, then its output.
             let mut binding = ParamBinding::default();
             for i in 0..count {
-                let endpoint = &if is_client {
-                    clients[i].clone()
+                let link = if is_client {
+                    Link::from(&clients[i])
                 } else if param.is_array {
-                    env.backends.connect(i)?
+                    // Opened on the first send to it (DESIGN.md §14).
+                    Link::member(Arc::clone(&env.backends), i, Arc::clone(&clients))
                 } else {
                     // Keyed by the identity of the graph's first client
                     // connection, so the connection sticks to its pick.
                     let hint = clients.first().map(|client| client.id() as usize);
-                    env.backends.checkout_healthy(hint)?.1
+                    Link::from(env.backends.checkout_healthy(hint)?.1)
                 };
                 if param.dir.readable {
                     let node = builder.declare_node();
@@ -283,9 +293,9 @@ impl GraphFactory for CompiledService {
                         node,
                         format!("{}-{i}-in", param.name),
                         if is_client {
-                            Peer::Client(endpoint)
+                            Peer::Client(&clients[i])
                         } else {
-                            Peer::Backend(endpoint)
+                            Peer::Backend(&link)
                         },
                         Arc::clone(&plan.codec),
                         Some(plan.projection.clone()),
@@ -299,7 +309,7 @@ impl GraphFactory for CompiledService {
                     let tx = builder.bind_output(
                         node,
                         format!("{}-{i}-out", param.name),
-                        endpoint,
+                        link,
                         Arc::clone(&plan.codec),
                     );
                     binding.outputs.push(compute_outputs.len());
@@ -542,29 +552,65 @@ proc Echo: (pkt/pkt client)
         drop(deployed);
     }
 
-    /// An array back-end parameter opens every member of the pool by
-    /// index, and each of those opens is a counted checkout: one graph
-    /// over three back-ends is three checkouts and no retry.
+    /// An array back-end parameter binds every member of the pool, but a
+    /// member is opened — one counted checkout, one connection — only when
+    /// a request is first routed to it: a graph over three back-ends opens
+    /// nothing at build, one request opens its member, and a second request
+    /// to the same member opens nothing more.
     #[test]
-    fn array_binding_is_one_counted_checkout_per_backend() {
+    fn array_member_is_opened_on_first_send() {
+        use flick_grammar::memcached;
         let service =
             crate::compile_source(PROXY, "Memcached", &CompileOptions::default()).unwrap();
         let platform = Platform::new(PlatformConfig::default());
         let net = platform.net();
         let ports = vec![7211u16, 7212, 7213];
-        let _listeners: Vec<_> = ports.iter().map(|p| net.listen(*p).unwrap()).collect();
+        let listeners: Vec<_> = ports.iter().map(|p| net.listen(*p).unwrap()).collect();
         let deployed = platform
             .deploy(ServiceSpec::new("memcached", 7210, service).with_backends(ports))
             .unwrap();
-        let _client = net.connect(7210).unwrap();
+        let client = net.connect(7210).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while deployed.live_graphs() < 1 {
             assert!(std::time::Instant::now() < deadline, "graph never built");
             std::thread::sleep(Duration::from_millis(1));
         }
+        let backlogs = || listeners.iter().map(|l| l.backlog()).sum::<usize>();
         let snap = platform.metrics().snapshot();
-        assert_eq!(snap.backend_checkouts, 3, "{snap:?}");
+        assert_eq!(snap.backend_checkouts, 0, "{snap:?}");
+        assert_eq!(backlogs(), 0, "no back-end connection at build");
+
+        let codec = memcached::MemcachedCodec::new();
+        let mut wire = Vec::new();
+        let request = memcached::request(memcached::opcode::GETK, b"user:1", b"", b"");
+        codec.serialize(&request, &mut wire).unwrap();
+        let checkouts = |want: u64| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while platform.metrics().snapshot().backend_checkouts < want {
+                assert!(std::time::Instant::now() < deadline, "member never opened");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        client.write_all(&wire).unwrap();
+        checkouts(1);
+        let routed = listeners
+            .iter()
+            .position(|l| l.backlog() == 1)
+            .expect("the routed member is connected");
+        let backend = listeners[routed].accept().unwrap();
+        let mut got = vec![0u8; wire.len()];
+        backend
+            .read_exact_timeout(&mut got, Duration::from_secs(5))
+            .unwrap();
+        // The same key routes to the same member, over the same connection.
+        client.write_all(&wire).unwrap();
+        backend
+            .read_exact_timeout(&mut got, Duration::from_secs(5))
+            .unwrap();
+        let snap = platform.metrics().snapshot();
+        assert_eq!(snap.backend_checkouts, 1, "{snap:?}");
         assert_eq!(snap.backend_retries, 0, "{snap:?}");
+        assert_eq!(backlogs(), 0, "exactly one back-end connection");
     }
 
     #[test]

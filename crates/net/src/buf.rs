@@ -25,6 +25,9 @@
 //!   ([`crate::Endpoint::read_into`] does the accounting), so "the
 //!   shared-buffer path performs zero ingest copies" is a counter the test
 //!   suite asserts, not a comment.
+//! * A chunk is allocated when it is first filled, in one allocation
+//!   zeroed in place. A new buffer holds no chunk, so an idle connection
+//!   costs none.
 
 use bytes::Bytes;
 use std::sync::Arc;
@@ -43,7 +46,8 @@ const READS_PER_CHUNK: usize = 4;
 /// See the module docs for the ownership rules. Not `Clone` on purpose:
 /// exactly one owner writes; consumers only ever hold [`Bytes`] views.
 pub struct SharedBuf {
-    chunk: Arc<[u8]>,
+    /// `None` until the first fill.
+    chunk: Option<Arc<[u8]>>,
     /// First live (unconsumed) byte.
     start: usize,
     /// One past the last filled byte.
@@ -57,8 +61,8 @@ impl std::fmt::Debug for SharedBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedBuf")
             .field("live", &self.len())
-            .field("chunk", &self.chunk.len())
-            .field("shared", &(Arc::strong_count(&self.chunk) > 1))
+            .field("chunk", &self.capacity())
+            .field("shared", &self.is_shared())
             .finish()
     }
 }
@@ -71,13 +75,13 @@ impl Default for SharedBuf {
 
 impl SharedBuf {
     /// Creates a buffer whose fills are sized for `read_size`-byte reads.
+    /// Allocates nothing: the first fill does.
     pub fn new(read_size: usize) -> Self {
-        let read_size = read_size.max(1);
         SharedBuf {
-            chunk: Arc::from(vec![0u8; read_size * READS_PER_CHUNK]),
+            chunk: None,
             start: 0,
             end: 0,
-            read_size,
+            read_size: read_size.max(1),
         }
     }
 
@@ -96,10 +100,17 @@ impl SharedBuf {
         self.read_size
     }
 
+    /// Size of the current chunk; 0 until the first fill.
+    pub(crate) fn capacity(&self) -> usize {
+        self.chunk.as_ref().map_or(0, |chunk| chunk.len())
+    }
+
     /// `true` while downstream consumers hold views into the current chunk
     /// (diagnostics; the write path uses `Arc::get_mut` as the real guard).
     pub fn is_shared(&self) -> bool {
-        Arc::strong_count(&self.chunk) > 1
+        self.chunk
+            .as_ref()
+            .is_some_and(|chunk| Arc::strong_count(chunk) > 1)
     }
 
     /// A zero-copy view of the live bytes, sharing the chunk's allocation.
@@ -108,7 +119,15 @@ impl SharedBuf {
     /// bytes) marks the chunk shared: the owner will fill a fresh chunk
     /// rather than overwrite it.
     pub fn view(&self) -> Bytes {
-        Bytes::from_arc_slice(Arc::clone(&self.chunk), self.start, self.end)
+        match &self.chunk {
+            Some(chunk) => Bytes::from_arc_slice(Arc::clone(chunk), self.start, self.end),
+            None => Bytes::new(),
+        }
+    }
+
+    /// The chunk, if it exists and no view pins it.
+    fn unique_chunk(&mut self) -> Option<&mut [u8]> {
+        self.chunk.as_mut().and_then(Arc::get_mut)
     }
 
     /// Marks the first `n` live bytes consumed (a parser accepted them).
@@ -128,12 +147,12 @@ impl SharedBuf {
     }
 
     /// `true` when at least `min` tail bytes can be filled without
-    /// switching chunks: the allocation is unique (no views pin it) and
+    /// switching chunks: the chunk exists, is unique (no views pin it) and
     /// has the space. When this is `false`, making room costs a fresh
     /// allocation (or a carry), so callers probing an idle source should
     /// check for data first — [`crate::Endpoint::read_into`] does.
     pub fn can_fill_in_place(&mut self, min: usize) -> bool {
-        self.chunk.len() - self.end >= min.max(1) && Arc::get_mut(&mut self.chunk).is_some()
+        self.capacity() - self.end >= min.max(1) && self.unique_chunk().is_some()
     }
 
     /// Returns a writable tail of at least `min` bytes, plus the number of
@@ -147,28 +166,32 @@ impl SharedBuf {
     pub fn tail_mut(&mut self, min: usize) -> (&mut [u8], usize) {
         let min = min.max(1);
         let live = self.len();
-        let has_space = self.chunk.len() - self.end >= min;
-        let unique = Arc::get_mut(&mut self.chunk).is_some();
-        if !(unique && has_space) {
-            let size = (self.read_size * READS_PER_CHUNK).max(live + min);
-            if unique && live + min <= self.chunk.len() {
+        let mut carried = 0;
+        if !self.can_fill_in_place(min) {
+            let (start, end) = (self.start, self.end);
+            let capacity = self.capacity();
+            match self.unique_chunk() {
                 // Unique but out of tail space: compact in place.
-                let (start, end) = (self.start, self.end);
-                let data = Arc::get_mut(&mut self.chunk).expect("checked unique");
-                data.copy_within(start..end, 0);
-            } else {
-                let mut fresh = vec![0u8; size];
-                fresh[..live].copy_from_slice(&self.chunk[self.start..self.end]);
-                self.chunk = Arc::from(fresh);
+                Some(data) if live + min <= capacity => data.copy_within(start..end, 0),
+                _ => {
+                    // Built in place as one allocation, then the live bytes
+                    // (if any) are carried over.
+                    let size = (self.read_size * READS_PER_CHUNK).max(live + min);
+                    let mut fresh: Arc<[u8]> = std::iter::repeat(0u8).take(size).collect();
+                    if let Some(old) = &self.chunk {
+                        Arc::get_mut(&mut fresh).expect("fresh")[..live]
+                            .copy_from_slice(&old[start..end]);
+                    }
+                    self.chunk = Some(fresh);
+                }
             }
             self.start = 0;
             self.end = live;
-            let tail = &mut Arc::get_mut(&mut self.chunk).expect("fresh or unique")[live..];
-            return (tail, live);
+            carried = live;
         }
         let end = self.end;
-        let tail = &mut Arc::get_mut(&mut self.chunk).expect("checked unique")[end..];
-        (tail, 0)
+        let tail = &mut self.unique_chunk().expect("unique with room")[end..];
+        (tail, carried)
     }
 
     /// Marks `n` bytes of the tail returned by [`SharedBuf::tail_mut`] as
@@ -179,7 +202,7 @@ impl SharedBuf {
     /// corrupt the buffer's indices and surface as a confusing bounds
     /// failure far from the faulty caller).
     pub fn commit(&mut self, n: usize) {
-        assert!(self.end + n <= self.chunk.len(), "commit({n}) beyond chunk");
+        assert!(self.end + n <= self.capacity(), "commit({n}) beyond chunk");
         self.end += n;
     }
 }
@@ -193,6 +216,22 @@ mod tests {
         tail[..data.len()].copy_from_slice(data);
         buf.commit(data.len());
         carried
+    }
+
+    /// A new buffer holds no chunk; the first fill allocates one of
+    /// `READS_PER_CHUNK` reads, which later fills reuse.
+    #[test]
+    fn the_chunk_is_allocated_on_the_first_fill() {
+        let mut buf = SharedBuf::new(64);
+        assert_eq!(buf.capacity(), 0);
+        assert!(buf.view().is_empty());
+        assert!(!buf.can_fill_in_place(1));
+        fill(&mut buf, b"abc");
+        assert_eq!(buf.capacity(), 64 * READS_PER_CHUNK);
+        let chunk = buf.view().as_ptr();
+        buf.consume(3);
+        fill(&mut buf, b"def");
+        assert_eq!(buf.view().as_ptr(), chunk, "refilled in place");
     }
 
     #[test]

@@ -637,13 +637,19 @@ impl Endpoint {
     pub fn read_into(&self, buf: &mut crate::SharedBuf) -> Result<usize, NetError> {
         let min = buf.read_size();
         let pending = self.pending();
-        // When filling means switching chunks (views of the current chunk
-        // are still alive downstream, or the tail is out of space), probe
-        // the connection first: a read that would report `WouldBlock`
-        // anyway must not pay a chunk allocation — input tasks probe after
-        // every drained batch.
-        if !buf.can_fill_in_place(min) && pending == 0 && !self.peer_closed() {
-            return Err(NetError::WouldBlock);
+        // When filling means a fresh chunk (none yet, views of the current
+        // one are still alive downstream, or the tail is out of space),
+        // probe the connection first: a read that would report
+        // `WouldBlock` or EOF anyway must not pay a chunk allocation —
+        // input tasks probe after every drained batch, and an idle
+        // connection is probed once on registration. Once the peer is
+        // closed no byte can arrive, so an empty source then is EOF.
+        if !buf.can_fill_in_place(min) && pending == 0 {
+            return Err(if self.peer_closed() && self.pending() == 0 {
+                NetError::Closed
+            } else {
+                NetError::WouldBlock
+            });
         }
         // Coalesce per wakeup: when the source already holds more than one
         // default read's worth, size the tail request to drain it in fewer
@@ -1094,6 +1100,56 @@ mod tests {
             assert_eq!(&pinned[..], b"payload");
             let snap = stats.snapshot();
             assert_eq!(snap.ingest_copies, 0, "no carries on this path");
+        }
+
+        /// Probing an idle connection allocates nothing; the first bytes
+        /// allocate the one chunk.
+        #[test]
+        fn read_into_allocates_on_the_first_fill_only() {
+            let (client, server) = test_pair();
+            let mut buf = crate::SharedBuf::new(64);
+            assert_eq!(server.read_into(&mut buf), Err(NetError::WouldBlock));
+            assert_eq!(buf.capacity(), 0, "an idle probe leaves it unallocated");
+            client.write(b"first").unwrap();
+            assert_eq!(server.read_into(&mut buf), Ok(5));
+            assert_eq!(buf.capacity(), 4 * 64);
+        }
+
+        /// EOF while a view pins the chunk: `Closed`, without switching to
+        /// a fresh chunk just to read it — on both transports.
+        #[test]
+        fn eof_on_a_shared_chunk_costs_no_allocation() {
+            let stack = crate::TcpStack::new();
+            let listener = stack.listen("127.0.0.1:0").unwrap();
+            let tcp_client = stack
+                .connect(&format!("127.0.0.1:{}", listener.port()))
+                .unwrap();
+            let tcp_server = listener.accept_timeout(Duration::from_secs(5)).unwrap();
+            let (sim_client, sim_server) = test_pair();
+            for (client, server) in [(tcp_client, tcp_server), (sim_client, sim_server)] {
+                let mut buf = crate::SharedBuf::new(64);
+                client.write_all(b"last").unwrap();
+                client.close();
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while server.read_into(&mut buf) == Err(NetError::WouldBlock) {
+                    assert!(Instant::now() < deadline, "bytes never arrived");
+                }
+                let pinned = buf.view();
+                buf.consume(pinned.len());
+                let chunk = buf.view().as_ptr();
+                let deadline = Instant::now() + Duration::from_secs(5);
+                let eof = loop {
+                    match server.read_into(&mut buf) {
+                        Err(NetError::WouldBlock) => {
+                            assert!(Instant::now() < deadline, "EOF never observed")
+                        }
+                        other => break other,
+                    }
+                };
+                assert_eq!(eof, Err(NetError::Closed));
+                assert_eq!(buf.view().as_ptr(), chunk, "the same chunk");
+                assert_eq!(&pinned[..], b"last");
+            }
         }
     }
 }

@@ -252,18 +252,7 @@ impl ShardReactor {
     /// The dispatcher loop of one shard; runs on its own thread until the
     /// platform requests a stop.
     pub(crate) fn run(set: Arc<ShardSet>, shard: Arc<Shard>) {
-        let mut reactor = ShardReactor {
-            poller: shard.poller().clone(),
-            scheduler: Arc::clone(shard.scheduler()),
-            set,
-            shard,
-            services: HashMap::new(),
-            graphs: HashMap::new(),
-            watches: HashMap::new(),
-            draining: HashMap::new(),
-            accept_retry: HashMap::new(),
-            next_token: CONTROL_TOKEN.0 + 1,
-        };
+        let mut reactor = ShardReactor::new(set, shard);
         while !reactor.set.stopping() {
             let now = Instant::now();
             let timeout = reactor
@@ -281,6 +270,21 @@ impl ShardReactor {
             reactor.turn(events);
         }
         reactor.teardown_where(|_| true);
+    }
+
+    fn new(set: Arc<ShardSet>, shard: Arc<Shard>) -> Self {
+        ShardReactor {
+            poller: shard.poller().clone(),
+            scheduler: Arc::clone(shard.scheduler()),
+            set,
+            shard,
+            services: HashMap::new(),
+            graphs: HashMap::new(),
+            watches: HashMap::new(),
+            draining: HashMap::new(),
+            accept_retry: HashMap::new(),
+            next_token: CONTROL_TOKEN.0 + 1,
+        }
     }
 
     /// One turn of the loop: inbox, the event batch, then the two timers.
@@ -402,11 +406,12 @@ impl ShardReactor {
 
     /// Graph dispatcher: builds one graph instance over `clients` on this
     /// shard and wires it into the reactor. Its tasks are registered with
-    /// the shard's scheduler, watched tasks get a first chance to run
-    /// (data may already be waiting on the connection), and watched
-    /// endpoints are registered with this shard's poller —
-    /// level-triggered, so bytes that arrived during a cross-shard handoff
-    /// post an event immediately. On factory failure the client
+    /// the shard's scheduler and its watched connections with this shard's
+    /// poller. A registration is level-triggered: it posts the watch's
+    /// token when the connection may already be ready (always, on the OS
+    /// transport), and that post is the watched task's first run — queued
+    /// after the registration itself, so no byte can arrive unobserved
+    /// between the two (DESIGN.md §13). On factory failure the client
     /// connections are closed here: a factory that fails before it built
     /// a task has nothing whose `Drop` would, and a refused client must
     /// see the refusal rather than wait out its own patience.
@@ -421,12 +426,9 @@ impl ShardReactor {
         service.live_graphs.fetch_add(1, Ordering::Relaxed);
         self.shard.note_graph_built();
 
-        // All first runs are queued before the first registration: a
-        // registration is a syscall on the OS transport, and interleaving
-        // them would wake the workers once per watch instead of once.
-        for watch in &built.watchers {
-            self.scheduler.schedule(watch.task);
-        }
+        // The posts queue on this poller and are scheduled together on the
+        // next turn, so the workers are woken once per graph, not once
+        // per watch.
         let graph_id = self.alloc_token().0;
         let first_watch = self.next_token;
         for watch in built.watchers {
@@ -919,6 +921,68 @@ mod tests {
             after.read_calls, before.read_calls,
             "idle dispatcher must not issue reads"
         );
+    }
+
+    /// A watch's first run is its registration's post, delivered on the
+    /// dispatcher's next turn: building a graph over an idle kernel
+    /// connection runs nothing, and the turn after runs its two watched
+    /// tasks once each (the registration posts unconditionally on the OS
+    /// transport) and its compute task not at all. The test drives one
+    /// shard's reactor by hand, so which turn ran what is not a race.
+    #[test]
+    fn each_watched_task_gets_one_first_run() {
+        use crate::scheduler::StealGroup;
+        use crate::shard::Placement;
+        use crate::task::SchedulingPolicy;
+        use flick_net::{SimNetwork, StackModel, TcpStack};
+
+        let metrics = RuntimeMetrics::new_shared();
+        let scheduler = Arc::new(Scheduler::start_sharded(
+            2,
+            SchedulingPolicy::default(),
+            Arc::clone(&metrics),
+            &StealGroup::new(),
+            0,
+        ));
+        let shard = Arc::new(Shard::new(0, scheduler));
+        let set = ShardSet::new(vec![Arc::clone(&shard)], Placement::default().build());
+        let mut reactor = ShardReactor::new(set, shard);
+
+        let stack = TcpStack::new();
+        let listener = stack.listen("127.0.0.1:0").unwrap();
+        let _client = stack
+            .connect(&format!("127.0.0.1:{}", listener.port()))
+            .unwrap();
+        let server = listener.accept_timeout(Duration::from_secs(5)).unwrap();
+        let env = ServiceEnv {
+            net: SimNetwork::new(StackModel::Free),
+            backends: crate::BackendPool::configured(Vec::new(), Default::default(), None),
+            allocator: Arc::new(crate::graph::TaskIdAllocator::new()),
+            exec_mode: Default::default(),
+        };
+        let service = Arc::new(ServiceShared::new(
+            "web".into(),
+            vec![Listener::from(listener)],
+            Arc::new(StaticServerFactory),
+            env,
+            0,
+        ));
+        let runs = || metrics.snapshot().task_runs;
+        let settle = || std::thread::sleep(Duration::from_millis(50));
+
+        reactor.build_graph(&service, vec![server]);
+        settle();
+        assert_eq!(runs(), 0, "the build itself schedules nothing");
+        let events = reactor.poller.wait(Duration::from_secs(1));
+        reactor.turn(events);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while runs() < 2 {
+            assert!(Instant::now() < deadline, "the first runs never happened");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        settle();
+        assert_eq!(runs(), 2, "one first run per watch");
+        reactor.teardown_where(|_| true);
     }
 
     /// `stop` with live traffic: every shard's sweep tears down the

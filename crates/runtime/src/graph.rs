@@ -9,6 +9,7 @@
 //! and the builder assigns identifiers in topological insertion order.
 
 use crate::channel::{ChannelConsumer, ChannelProducer, TaskChannel, DEFAULT_CHANNEL_CAPACITY};
+use crate::link::Link;
 use crate::platform::{BuiltGraph, Watch};
 use crate::task::{Task, TaskId};
 use crate::tasks::{InputTask, OutputTask};
@@ -56,8 +57,9 @@ pub enum Peer<'a> {
     /// An accepted client connection. The graph starts draining once
     /// every client input has finished.
     Client(&'a Endpoint),
-    /// An outbound back-end connection.
-    Backend(&'a Endpoint),
+    /// An outbound back-end connection, possibly an array member that is
+    /// opened on the first send to it.
+    Backend(&'a Link),
 }
 
 /// A graph under construction.
@@ -125,36 +127,35 @@ impl<'a> GraphBuilder<'a> {
         projection: Option<Projection>,
         to: NodeId,
     ) -> ChannelConsumer {
-        let endpoint = match peer {
+        let link = match peer {
             Peer::Client(endpoint) => {
                 self.client_tasks.push(node.task_id());
-                endpoint
+                Link::from(endpoint)
             }
-            Peer::Backend(endpoint) => endpoint,
+            Peer::Backend(link) => link.clone(),
         };
         let (tx, rx) = self.channel(to);
-        let task = InputTask::new(label, endpoint.clone(), codec, projection, tx);
+        let task = InputTask::new(label, link.clone(), codec, projection, tx);
         self.install(node, Box::new(task));
-        self.watchers
-            .push(Watch::readable(node.task_id(), endpoint.clone()));
+        self.watchers.push(Watch::readable(node.task_id(), link));
         rx
     }
 
     /// Binds a connection as an output: installs an [`OutputTask`] at
-    /// `node` that serialises a new channel onto `endpoint` and watches
-    /// the endpoint for writability. Returns the channel's producer half.
+    /// `node` that serialises a new channel onto `link` and watches the
+    /// connection for writability. Returns the channel's producer half.
     pub fn bind_output(
         &mut self,
         node: NodeId,
         label: impl Into<String>,
-        endpoint: &Endpoint,
+        link: impl Into<Link>,
         codec: Arc<dyn WireCodec>,
     ) -> ChannelProducer {
+        let link = link.into();
         let (tx, rx) = self.channel(node);
-        let task = OutputTask::new(label, endpoint.clone(), codec, rx);
+        let task = OutputTask::new(label, link.clone(), codec, rx);
         self.install(node, Box::new(task));
-        self.watchers
-            .push(Watch::writable(node.task_id(), endpoint.clone()));
+        self.watchers.push(Watch::writable(node.task_id(), link));
         tx
     }
 
@@ -335,6 +336,7 @@ mod tests {
             compute,
         );
         assert_eq!(rx.consumer(), compute.task_id());
+        let backend = Link::from(backend);
         let backend_peer = Peer::Backend(&backend);
         let _ = b.bind_input(
             backend_in,
@@ -354,7 +356,7 @@ mod tests {
         let on_client: Vec<_> = built
             .watchers
             .iter()
-            .filter(|w| w.endpoint.id() == client.id())
+            .filter(|w| w.endpoint.open_endpoint().unwrap().id() == client.id())
             .map(|w| (w.task, w.interest))
             .collect();
         assert_eq!(
@@ -366,7 +368,10 @@ mod tests {
         );
         assert_eq!(built.watchers.len(), 3);
         assert_eq!(built.watchers[1].task, backend_in.task_id());
-        assert_eq!(built.watchers[1].endpoint.id(), backend.id());
+        assert_eq!(
+            built.watchers[1].endpoint.open_endpoint().unwrap().id(),
+            backend.open_endpoint().unwrap().id()
+        );
     }
 
     #[test]

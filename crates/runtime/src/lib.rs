@@ -14,6 +14,8 @@
 //! * [`tasks`] — the concrete task kinds: input (deserialise), compute,
 //!   output (serialise), and a synthetic source used by micro-benchmarks;
 //! * [`graph`] — task-graph assembly and instances;
+//! * [`link`] — what an edge task is bound to: a connection opened at build,
+//!   or an array back-end member opened on the first send to it;
 //! * [`scheduler`] — the worker-thread pool with per-worker FIFO queues,
 //!   work scavenging, the timeslice discipline, and the cross-shard
 //!   [`scheduler::steal`] path;
@@ -35,6 +37,7 @@ pub mod channel;
 pub mod dispatcher;
 pub mod error;
 pub mod graph;
+pub mod link;
 pub mod metrics;
 pub mod platform;
 pub mod pool;
@@ -48,6 +51,7 @@ pub use channel::{ChannelConsumer, ChannelProducer, TaskChannel};
 pub use dispatcher::DeployedService;
 pub use error::RuntimeError;
 pub use graph::{GraphBuilder, GraphInstance, NodeId, Peer};
+pub use link::Link;
 pub use metrics::{MetricsSnapshot, RuntimeMetrics};
 pub use platform::{
     default_shard_count, GraphFactory, Platform, PlatformConfig, ServiceEnv, ServiceSpec, Watch,

@@ -15,6 +15,7 @@
 use crate::dispatcher::{DeployedService, ServiceShared, ShardReactor};
 use crate::error::RuntimeError;
 use crate::graph::{GraphInstance, TaskIdAllocator};
+use crate::link::Link;
 use crate::metrics::RuntimeMetrics;
 use crate::pool::{BackendPolicy, BackendPool, BackendTarget};
 use crate::scheduler::{Scheduler, StealGroup};
@@ -114,20 +115,21 @@ pub struct ServiceEnv {
 /// Input tasks watch readable transitions; output tasks watch writable
 /// ones, which is what lets a blocked writer park instead of busy-retrying
 /// — writable interest is a first-class dispatcher event on both
-/// transports.
+/// transports. The watch on an array back-end member takes effect when the
+/// member is opened ([`Link`]).
 #[derive(Clone)]
 pub struct Watch {
     /// The task to schedule.
     pub task: TaskId,
-    /// The endpoint whose transitions are watched.
-    pub endpoint: Endpoint,
+    /// The connection whose transitions are watched.
+    pub endpoint: Link,
     /// Which transitions matter.
     pub interest: Interest,
 }
 
 impl Watch {
     /// A readable watch (input tasks).
-    pub fn readable(task: TaskId, endpoint: Endpoint) -> Self {
+    pub fn readable(task: TaskId, endpoint: Link) -> Self {
         Watch {
             task,
             endpoint,
@@ -136,7 +138,7 @@ impl Watch {
     }
 
     /// A writable watch (output tasks).
-    pub fn writable(task: TaskId, endpoint: Endpoint) -> Self {
+    pub fn writable(task: TaskId, endpoint: Link) -> Self {
         Watch {
             task,
             endpoint,

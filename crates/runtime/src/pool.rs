@@ -3,7 +3,11 @@
 //!
 //! Every connection a [`BackendPool`] hands out is freshly established and
 //! owned by the graph that asked for it; the "pool" is the set of
-//! *targets*, not of idle connections.
+//! *targets*, not of idle connections. A graph asks when it needs one: a
+//! scalar back-end parameter at build ([`BackendPool::checkout_healthy`]),
+//! an array member on the first send routed to it
+//! ([`BackendPool::connect`] through [`crate::Link`]), so the checkout and
+//! its health outcome are recorded when the connection is opened.
 
 use crate::error::RuntimeError;
 use crate::metrics::RuntimeMetrics;

@@ -14,6 +14,7 @@
 
 use crate::channel::{ChannelConsumer, ChannelProducer};
 use crate::error::RuntimeError;
+use crate::link::{Link, Settled};
 use crate::metrics::RuntimeMetrics;
 use crate::task::{Task, TaskContext, TaskStatus};
 use crate::value::Value;
@@ -45,9 +46,12 @@ pub const OUTBUF_RETAIN: usize = READ_CHUNK;
 /// copied into a private accumulator — and an incomplete message costs
 /// nothing at all. [`flick_net::NetStats::ingest_copies`] stays at zero on
 /// this path; the end-to-end suite asserts it.
+///
+/// On an array back-end member the task idles until the member's output
+/// task opens it ([`Link`]), and finishes if the member is closed first.
 pub struct InputTask {
     label: String,
-    endpoint: Endpoint,
+    endpoint: Link,
     codec: Arc<dyn WireCodec>,
     projection: Option<Projection>,
     buf: SharedBuf,
@@ -60,7 +64,7 @@ impl InputTask {
     /// messages into `output`.
     pub fn new(
         label: impl Into<String>,
-        endpoint: Endpoint,
+        endpoint: Link,
         codec: Arc<dyn WireCodec>,
         projection: Option<Projection>,
         output: ChannelProducer,
@@ -77,7 +81,7 @@ impl InputTask {
     }
 
     /// The connection this task reads from.
-    pub fn endpoint(&self) -> &Endpoint {
+    pub fn endpoint(&self) -> &Link {
         &self.endpoint
     }
 
@@ -130,8 +134,18 @@ impl InputTask {
     /// one connection: siblings on the same service keep running, and the
     /// close is tallied separately so the sim battery can bound it.
     fn malformed(&mut self) -> TaskStatus {
-        self.endpoint.close_malformed();
+        if let Some(endpoint) = self.endpoint.open_endpoint() {
+            endpoint.close_malformed();
+        }
         self.output.close();
+        TaskStatus::Finished
+    }
+
+    /// Ends the stream: the consumer is woken so that it observes the end
+    /// promptly.
+    fn finish(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+        self.output.close();
+        ctx.wake(self.output.consumer());
         TaskStatus::Finished
     }
 }
@@ -151,6 +165,11 @@ impl Task for InputTask {
     }
 
     fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+        match self.endpoint.settle() {
+            Settled::Open => {}
+            Settled::Unbound => return TaskStatus::Idle,
+            Settled::Closed => return self.finish(ctx),
+        }
         // First retry any message that did not fit the channel last time;
         // still full means parked again.
         if let Some(value) = self.pending.take() {
@@ -167,7 +186,8 @@ impl Task for InputTask {
         // Then read more bytes from the connection, straight into the
         // shared buffer — no intermediate stack chunk, no append copy.
         loop {
-            match self.endpoint.read_into(&mut self.buf) {
+            let endpoint = self.endpoint.open_endpoint().expect("settled above");
+            match endpoint.read_into(&mut self.buf) {
                 Ok(_) => {
                     match self.drain_buffer(ctx) {
                         Ok(None) => {}
@@ -181,12 +201,9 @@ impl Task for InputTask {
                 Err(NetError::WouldBlock) => return TaskStatus::Idle,
                 Err(_) => {
                     // Peer closed (or the connection failed): drain what we
-                    // have and finish. The consumer is woken so that it
-                    // observes the end of the stream promptly.
+                    // have and finish.
                     let _ = self.drain_buffer(ctx);
-                    self.output.close();
-                    ctx.wake(self.output.consumer());
-                    return TaskStatus::Finished;
+                    return self.finish(ctx);
                 }
             }
         }
@@ -436,9 +453,12 @@ impl ExecMode {
 /// retries are rate-limiter stalls — time-based, so no peer transition
 /// will ever announce them — and those are counted in
 /// [`RuntimeMetrics::output_busy_retries`].
+///
+/// On an array back-end member the first flush with bytes to send opens
+/// the member ([`Link`]); a failed open finishes the task.
 pub struct OutputTask {
     label: String,
-    endpoint: Endpoint,
+    endpoint: Link,
     codec: Arc<dyn WireCodec>,
     input: ChannelConsumer,
     outbuf: Vec<u8>,
@@ -454,7 +474,7 @@ impl OutputTask {
     /// Creates an output task writing to `endpoint`.
     pub fn new(
         label: impl Into<String>,
-        endpoint: Endpoint,
+        endpoint: Link,
         codec: Arc<dyn WireCodec>,
         input: ChannelConsumer,
     ) -> Self {
@@ -469,21 +489,23 @@ impl OutputTask {
     }
 
     /// The connection this task writes to.
-    pub fn endpoint(&self) -> &Endpoint {
+    pub fn endpoint(&self) -> &Link {
         &self.endpoint
     }
 
     fn flush(&mut self) -> Result<bool, RuntimeError> {
         while !self.outbuf.is_empty() || self.body.is_some() {
+            // An unopened array member is opened by its first bytes.
+            let endpoint = self.endpoint.connect()?;
             // Headers and body segment leave together through the vectored
             // path when both are pending — one `writev` on the OS
             // transport, no staging concatenation.
             let wrote = match &self.body {
-                Some((bytes, off)) if !self.outbuf.is_empty() => self
-                    .endpoint
-                    .write_vectored(&[&self.outbuf, &bytes[*off..]]),
-                Some((bytes, off)) => self.endpoint.write(&bytes[*off..]),
-                None => self.endpoint.write(&self.outbuf),
+                Some((bytes, off)) if !self.outbuf.is_empty() => {
+                    endpoint.write_vectored(&[&self.outbuf, &bytes[*off..]])
+                }
+                Some((bytes, off)) => endpoint.write(&bytes[*off..]),
+                None => endpoint.write(&self.outbuf),
             };
             match wrote {
                 Ok(mut n) => {
@@ -518,7 +540,12 @@ impl OutputTask {
     fn flush_or_stop(&mut self, ctx: &mut TaskContext) -> Option<TaskStatus> {
         match self.flush() {
             Ok(true) => None,
-            Ok(false) if self.endpoint.writable() => {
+            Ok(false)
+                if self
+                    .endpoint
+                    .open_endpoint()
+                    .is_some_and(Endpoint::writable) =>
+            {
                 RuntimeMetrics::add(&ctx.metrics().output_busy_retries, 1);
                 Some(TaskStatus::Runnable)
             }
@@ -786,7 +813,7 @@ mod tests {
             .unwrap();
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
-        let mut task = InputTask::new("in", server, Arc::new(HttpCodec::new()), None, tx);
+        let mut task = InputTask::new("in", server.into(), Arc::new(HttpCodec::new()), None, tx);
         let mut c = ctx();
         assert_eq!(task.run(&mut c), TaskStatus::Idle);
         assert_eq!(rx.len(), 2);
@@ -807,7 +834,7 @@ mod tests {
             .unwrap();
 
         let (tx, rx) = TaskChannel::bounded(2, TaskId(1));
-        let mut task = InputTask::new("in", server, Arc::new(HttpCodec::new()), None, tx);
+        let mut task = InputTask::new("in", server.into(), Arc::new(HttpCodec::new()), None, tx);
         let mut producer = task_ctx(9);
         assert_eq!(
             task.run(&mut producer),
@@ -838,7 +865,7 @@ mod tests {
         client.close();
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
-        let mut task = InputTask::new("in", server, Arc::new(HttpCodec::new()), None, tx);
+        let mut task = InputTask::new("in", server.into(), Arc::new(HttpCodec::new()), None, tx);
         assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
         assert_eq!(rx.len(), 1);
         assert!(rx.producers_closed());
@@ -852,7 +879,7 @@ mod tests {
         let server = listener.accept().unwrap();
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
-        let mut task = InputTask::new("in", server, Arc::new(HttpCodec::new()), None, tx);
+        let mut task = InputTask::new("in", server.into(), Arc::new(HttpCodec::new()), None, tx);
         client.write(b"GET /part HTTP/1.1\r\nHo").unwrap();
         assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
         assert_eq!(rx.len(), 0);
@@ -912,7 +939,7 @@ mod tests {
         let server = listener.accept().unwrap();
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
-        let mut task = OutputTask::new("out", server, Arc::new(HttpCodec::new()), rx);
+        let mut task = OutputTask::new("out", server.into(), Arc::new(HttpCodec::new()), rx);
         tx.push(Value::Msg(http::response(200, b"hello"))).unwrap();
         assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
         let mut buf = [0u8; 256];
@@ -933,7 +960,7 @@ mod tests {
         let client = net.connect(84).unwrap();
         let server = listener.accept().unwrap();
         let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
-        let mut task = OutputTask::new("out", server, Arc::new(HttpCodec::new()), rx);
+        let mut task = OutputTask::new("out", server.into(), Arc::new(HttpCodec::new()), rx);
         tx.push(Value::Bytes(Bytes::from_static(b"raw-"))).unwrap();
         tx.push(Value::Str("text".into())).unwrap();
         task.run(&mut ctx());
@@ -962,7 +989,7 @@ mod tests {
         expected.extend_from_slice(b"cd");
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
-        let mut task = OutputTask::new("out", server, Arc::new(codec), rx);
+        let mut task = OutputTask::new("out", server.into(), Arc::new(codec), rx);
         for value in [
             Value::Str("a".into()),
             Value::Str("b".into()),

@@ -4,8 +4,9 @@
 //! Hadoop services. [`http_balancer`] forwards each incoming HTTP request to
 //! one of a number of backend web servers, chosen with a naive hash of the
 //! connection identity; subsequent requests on the same connection go to the
-//! same backend (§6.1). [`http_path_balancer`] is the variant that opens
-//! every backend per client and routes each request by a hash of its path.
+//! same backend (§6.1). [`http_path_balancer`] is the variant that binds
+//! every backend per client and routes each request by a hash of its path,
+//! opening a backend when the first request is routed to it.
 //! The static-web-server variant answers every request itself with a fixed
 //! payload and is used to exercise the platform without backends.
 
@@ -33,8 +34,9 @@ proc HttpStickyBalancer: (request/request client, request/request backend)
   backend => client
 "#;
 
-/// The path-hashed HTTP load balancer: every client graph holds a
-/// connection to each back-end and the program routes request by request.
+/// The path-hashed HTTP load balancer: every client graph binds each
+/// back-end and the program routes request by request; a back-end is
+/// connected when the first request is routed to it.
 pub const HTTP_LB_FLICK_SOURCE: &str = r#"
 type request: record
   path : string
@@ -290,6 +292,103 @@ mod tests {
         snap.check_conservation().unwrap();
         snap.check_retry_budget(flick_runtime::BackendPolicy::default().retry_budget as u64)
             .unwrap();
+    }
+
+    /// One dead member of the path-hashed balancer's array fails only the
+    /// requests routed to it. A graph opens a member on the first request
+    /// routed there, so a path that hashes to the live member is served
+    /// and one that hashes to the dead member sees its connection closed
+    /// promptly. Every failed open is one counted checkout fed to passive
+    /// health, so the dead member is ejected. Over both transports.
+    #[test]
+    fn a_dead_array_member_fails_only_the_requests_routed_to_it() {
+        use flick_compiler::interp::hash_value;
+        use flick_runtime::Value;
+        use flick_workload::backends::start_tcp_http_backend;
+        use flick_workload::tcp::fetch_http;
+        use std::time::Instant;
+
+        let patience = Duration::from_secs(1);
+        let (live, dead): (Vec<String>, Vec<String>) = (0..12)
+            .map(|i| format!("/p{i}"))
+            .partition(|path| hash_value(&Value::Str(path.clone())) % 2 == 0);
+        assert!(!live.is_empty() && !dead.is_empty(), "{live:?} {dead:?}");
+        let check = |platform: &Platform, get: &dyn Fn(&str) -> Option<Vec<u8>>| {
+            for path in live.iter().chain(&dead) {
+                let started = Instant::now();
+                let response = get(path);
+                if live.contains(path) {
+                    let text = String::from_utf8_lossy(response.as_deref().unwrap_or_default());
+                    assert!(text.ends_with("alive"), "{path} on the live member: {text}");
+                } else {
+                    assert!(response.is_none(), "{path} on the dead member was answered");
+                    assert!(
+                        started.elapsed() < patience,
+                        "{path} was not refused promptly"
+                    );
+                }
+            }
+            let snap = platform.metrics().snapshot();
+            let requests = (live.len() + dead.len()) as u64;
+            assert_eq!(snap.backend_checkouts, requests, "one open per request");
+            assert!(snap.backend_ejections >= 1, "the dead member is ejected");
+            snap.check_conservation().unwrap();
+            snap.check_retry_budget(flick_runtime::BackendPolicy::default().retry_budget as u64)
+                .unwrap();
+        };
+        let config = PlatformConfig {
+            workers: 2,
+            ..Default::default()
+        };
+
+        // The simulated fabric: member 0 listens on 8491, nothing on 8492.
+        let net = SimNetwork::new(StackModel::Free);
+        let _live = start_http_backend(&net, 8491, b"alive");
+        let platform = Platform::with_network(config.clone(), Arc::clone(&net));
+        let _svc = platform
+            .deploy(
+                ServiceSpec::new("lb", 8490, http_path_balancer()).with_backends(vec![8491, 8492]),
+            )
+            .unwrap();
+        let sim_get = |path: &str| {
+            let conn = net.connect(8490).unwrap();
+            let request = format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n");
+            conn.write_all(request.as_bytes()).unwrap();
+            let mut response = Vec::new();
+            let mut buf = [0u8; 1024];
+            while !response.ends_with(b"alive") {
+                match conn.read_timeout(&mut buf, patience) {
+                    Ok(n) => response.extend_from_slice(&buf[..n]),
+                    Err(flick_net::NetError::Closed) => return None,
+                    Err(e) => panic!("{path}: neither served nor refused: {e}"),
+                }
+            }
+            Some(response)
+        };
+        check(&platform, &sim_get);
+
+        // Kernel sockets: a live back-end, and a port nothing listens on.
+        let live_backend = start_tcp_http_backend(b"alive");
+        let dead_addr = {
+            let vacated = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            vacated.local_addr().unwrap().to_string()
+        };
+        let platform = Platform::new(config);
+        let svc = platform
+            .deploy_tcp(
+                ServiceSpec::new("lb", 0, http_path_balancer())
+                    .with_tcp_backends(vec![live_backend.addr().to_string(), dead_addr]),
+                "127.0.0.1:0",
+            )
+            .unwrap();
+        let addr = format!("127.0.0.1:{}", svc.port());
+        let tcp_get = |path: &str| match fetch_http(&addr, path, patience) {
+            Ok(response) if response.is_empty() => None,
+            Ok(response) => Some(response),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => None,
+            Err(e) => panic!("{path}: neither served nor refused: {e}"),
+        };
+        check(&platform, &tcp_get);
     }
 
     #[test]

@@ -1,13 +1,27 @@
-//! Lifecycle of the dispatcher-owned epoll set (DESIGN.md §13).
+//! Lifecycle of the dispatcher-owned epoll set (DESIGN.md §13) and of the
+//! sockets a graph opens.
 //!
-//! One test, hence its own process: it counts this process's descriptors
-//! and threads, which tests running beside it would disturb.
+//! Its own process, because the tests count this process's descriptors and
+//! threads, which tests running beside them would disturb; the tests here
+//! take turns through [`CENSUS`].
 
 use flick::net_substrate::{Interest, Poller, TcpStack, Token};
-use flick::services::http::StaticWebServerFactory;
+use flick::services::http::{http_path_balancer, StaticWebServerFactory};
 use flick::{Platform, PlatformConfig, ServiceSpec};
+use flick_workload::backends::start_tcp_http_backend;
 use flick_workload::tcp::fetch_http;
+use std::io::{Read, Write};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Held by each test for its whole run: the census is process-wide.
+static CENSUS: Mutex<()> = Mutex::new(());
+
+fn census() -> MutexGuard<'static, ()> {
+    CENSUS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Open descriptors of this process (plus the one the listing itself
 /// holds — a constant offset).
@@ -39,6 +53,7 @@ fn assert_no_reactor_thread() {
 
 #[test]
 fn the_epoll_set_dies_with_its_users_and_no_reactor_thread_ever_runs() {
+    let _census = census();
     let stack = TcpStack::new();
     let listener = stack.listen("127.0.0.1:0").unwrap();
     let addr = format!("127.0.0.1:{}", listener.port());
@@ -119,4 +134,109 @@ fn the_epoll_set_dies_with_its_users_and_no_reactor_thread_ever_runs() {
         ["flick-dispatch-", "flick-worker-0-", "flick-worker-0-"],
         "dispatch-0, worker-0-0 and worker-0-1, as `comm` cuts them"
     );
+}
+
+/// Polls `done` every millisecond for up to five seconds.
+fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Clients of the path-hashed balancer hang up at every point of a graph's
+/// life: right after sending a request, without sending one, and a few
+/// microseconds after the request went out — while the compute task routes
+/// it and the array member it picked is being opened, as the graph starts
+/// to drain. Whichever way the race goes, no member may be opened after
+/// its graph drained or left registered past teardown: every graph is torn
+/// down, every socket the service opened is closed, and the process holds
+/// exactly the descriptors it held before.
+#[test]
+fn members_opened_as_clients_hang_up_leak_no_socket() {
+    const ROUNDS: usize = 2_000;
+    let _census = census();
+    let backends = [
+        start_tcp_http_backend(b"served"),
+        start_tcp_http_backend(b"served"),
+    ];
+    let platform = Platform::new(PlatformConfig {
+        workers: 2,
+        shards: 1,
+        ..Default::default()
+    });
+    let service = platform
+        .deploy_tcp(
+            ServiceSpec::new("lb", 0, http_path_balancer()).with_tcp_backends(
+                backends
+                    .iter()
+                    .map(|backend| backend.addr().to_string())
+                    .collect(),
+            ),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+    let addr = format!("127.0.0.1:{}", service.port());
+    let served = |path: &str| {
+        let response = fetch_http(&addr, path, Duration::from_secs(5)).unwrap();
+        assert!(response.ends_with(b"served"), "{path}");
+    };
+    // The epoll set is created lazily: it exists before the baseline.
+    served("/warm");
+    let stats = platform.tcp_stack().stats().clone();
+    let quiesce = || {
+        eventually("graphs never torn down", || service.live_graphs() == 0);
+        eventually("service sockets left open", || {
+            let snap = stats.snapshot();
+            snap.connections_closed == snap.connections_opened
+        });
+    };
+    quiesce();
+    // The back-ends' connection threads close their ends on the EOF that
+    // follows: the baseline is the count once it stops moving.
+    let mut baseline = open_fds();
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = open_fds();
+        if now == baseline {
+            break;
+        }
+        baseline = now;
+    }
+
+    for round in 0..ROUNDS {
+        let mut client = std::net::TcpStream::connect(&addr).unwrap();
+        let request = format!("GET /r{round} HTTP/1.1\r\nHost: churn\r\n\r\n");
+        match round % 4 {
+            0 => client.write_all(request.as_bytes()).unwrap(),
+            1 => {}
+            2 => {
+                client.write_all(request.as_bytes()).unwrap();
+                let spin = Instant::now();
+                while spin.elapsed() < Duration::from_micros((round % 97) as u64) {
+                    std::hint::spin_loop();
+                }
+            }
+            _ => {
+                // A request served in full, so the hang-ups race live
+                // members too.
+                client.write_all(request.as_bytes()).unwrap();
+                client
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .unwrap();
+                let mut response = Vec::new();
+                let mut buf = [0u8; 1024];
+                while !response.ends_with(b"served") {
+                    let n = client.read(&mut buf).unwrap();
+                    assert!(n > 0, "round {round}: closed before the response");
+                    response.extend_from_slice(&buf[..n]);
+                }
+            }
+        }
+        drop(client);
+    }
+    quiesce();
+    eventually("descriptors leaked", || open_fds() == baseline);
+    served("/after");
 }

@@ -77,7 +77,7 @@ fn byte_at_a_time_peers_are_reassembled() {
     assert_eq!(report.requests_ok, 32, "{report:?}");
 }
 
-/// The path-hashed FLICK balancer (every back-end opened per client, the
+/// The path-hashed FLICK balancer (every back-end bound per client, the
 /// VM routing request by request) under churn plus byte-at-a-time
 /// delivery: the full invariant battery must stay green with a pinned
 /// seed, exactly as it does for the connection-sticky default.
