@@ -50,162 +50,6 @@ pub fn rows_to_json(rows: &[Row]) -> String {
     json
 }
 
-/// Parses a JSON array produced by [`rows_to_json`] back into rows (the CI
-/// bench-regression guard reads the checked-in baseline with this). Only
-/// the four-field flat schema is supported; anything else is an error.
-pub fn rows_from_json(json: &str) -> Result<Vec<Row>, String> {
-    let mut parser = Parser {
-        bytes: json.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    parser.expect(b'[')?;
-    let mut rows = Vec::new();
-    parser.skip_ws();
-    if parser.peek() == Some(b']') {
-        return Ok(rows);
-    }
-    loop {
-        rows.push(parser.parse_row()?);
-        parser.skip_ws();
-        match parser.next() {
-            Some(b',') => continue,
-            Some(b']') => return Ok(rows),
-            other => return Err(format!("expected ',' or ']', got {other:?}")),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            other => Err(format!("expected {:?}, got {other:?}", want as char)),
-        }
-    }
-
-    fn parse_row(&mut self) -> Result<Row, String> {
-        self.skip_ws();
-        self.expect(b'{')?;
-        let mut x = None;
-        let mut series = None;
-        let mut value = None;
-        let mut unit = None;
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            match key.as_str() {
-                "x" => x = Some(self.parse_string()?),
-                "series" => series = Some(self.parse_string()?),
-                "unit" => unit = Some(self.parse_string()?),
-                "value" => value = Some(self.parse_number()?),
-                other => return Err(format!("unknown key {other:?}")),
-            }
-            self.skip_ws();
-            match self.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-        Ok(Row {
-            x: x.ok_or("row missing \"x\"")?,
-            series: series.ok_or("row missing \"series\"")?,
-            value: value.ok_or("row missing \"value\"")?,
-            unit: unit.ok_or("row missing \"unit\"")?,
-        })
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next().ok_or("truncated \\u escape")? as char;
-                            code = code * 16 + d.to_digit(16).ok_or("bad \\u escape")?;
-                        }
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(b) => {
-                    // Multi-byte UTF-8: copy the raw bytes through.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    self.pos = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..self.pos)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(
-                        std::str::from_utf8(chunk).map_err(|e| format!("invalid UTF-8: {e}"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<f64, String> {
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            return Ok(f64::NAN);
-        }
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| "invalid number".to_string())
-    }
-}
-
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -273,33 +117,5 @@ mod tests {
             rows_to_json(&rows),
             r#"[{"x":"a\"b\n","series":"s\\t","value":null,"unit":"u"}]"#
         );
-    }
-
-    #[test]
-    fn rows_roundtrip_through_json() {
-        let rows = vec![
-            Row::new(256, "event", 18234.5, "req/s"),
-            Row::new(256, "poll scans", 5.1e6, "polls/s"),
-            Row::new("a\"b\n", "süß", -0.25, "u"),
-        ];
-        let parsed = rows_from_json(&rows_to_json(&rows)).unwrap();
-        assert_eq!(parsed.len(), rows.len());
-        for (a, b) in rows.iter().zip(&parsed) {
-            assert_eq!(a.x, b.x);
-            assert_eq!(a.series, b.series);
-            assert_eq!(a.unit, b.unit);
-            assert!((a.value - b.value).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn parse_handles_empty_null_and_errors() {
-        assert!(rows_from_json("[]").unwrap().is_empty());
-        assert!(rows_from_json("  [ ]").unwrap().is_empty());
-        let parsed = rows_from_json(r#"[{"x":"1","series":"s","value":null,"unit":"u"}]"#).unwrap();
-        assert!(parsed[0].value.is_nan());
-        assert!(rows_from_json("{}").is_err());
-        assert!(rows_from_json(r#"[{"x":"1"}]"#).is_err());
-        assert!(rows_from_json(r#"[{"x":"1","series":"s","value":1,"unit":"u"}"#).is_err());
     }
 }
