@@ -21,11 +21,12 @@
 //!   keyed to the same member; [`CompiledService::compile`] rejects it) —
 //!   a service that talks to several back-ends declares them as an array.
 //!
-//! Either way the connection is opened by the service's
-//! [`flick_runtime::BackendPool`], which counts the checkout and records
-//! the outcome as passive health (DESIGN.md §14). A member that fails to
-//! open closes the graph's client connections; requests routed to the
-//! other members are unaffected.
+//! Either way the connection comes from the service's
+//! [`flick_runtime::BackendPool`], which counts the checkout, hands out an
+//! idle connection an earlier graph parked if it has one, and records a
+//! fresh connect's outcome as passive health (DESIGN.md §14). A member that
+//! fails to open closes the graph's client connections; requests routed to
+//! the other members are unaffected.
 //!
 //! Wire codecs are chosen per record type: synthesised from the type's
 //! serialisation annotations when possible, otherwise taken from the
@@ -285,7 +286,7 @@ impl GraphFactory for CompiledService {
                     // Keyed by the identity of the graph's first client
                     // connection, so the connection sticks to its pick.
                     let hint = clients.first().map(|client| client.id() as usize);
-                    Link::from(env.backends.checkout_healthy(hint)?.1)
+                    Link::checkout(Arc::clone(&env.backends), hint)?
                 };
                 if param.dir.readable {
                     let node = builder.declare_node();

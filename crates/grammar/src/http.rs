@@ -112,9 +112,10 @@ fn parse_headers(
         if name.eq_ignore_ascii_case("host") && projection.map_or(true, |p| p.requires("host")) {
             message.set_parsed("host", MsgValue::Str(value.to_string()));
         }
-        if name.eq_ignore_ascii_case("connection")
-            && projection.map_or(true, |p| p.requires("connection"))
-        {
+        // Whatever the projection: connection management is framing, like
+        // `content_length` — forwarding strips the header and decides reuse
+        // by it.
+        if name.eq_ignore_ascii_case("connection") {
             message.set_parsed("connection", MsgValue::Str(value.to_ascii_lowercase()));
         }
         header_lines.push(line);
@@ -258,7 +259,8 @@ impl WireCodec for HttpCodec {
 
     fn serialize(&self, msg: &Message, out: &mut Vec<u8>) -> Result<(), GrammarError> {
         if let Some(raw) = msg.raw() {
-            out.extend_from_slice(raw);
+            let body = strip_hop_by_hop(msg, raw, out).unwrap_or(0);
+            out.extend_from_slice(&raw[body..]);
             return Ok(());
         }
         let body = msg.bytes_field("body").unwrap_or(&[]);
@@ -274,9 +276,14 @@ impl WireCodec for HttpCodec {
     ) -> Result<Option<Bytes>, GrammarError> {
         // Pass-through: the unmodified raw wire bytes leave as one shared
         // segment — nothing appended, nothing copied (the LB forwarding
-        // path stays zero-copy all the way into `writev`).
+        // path stays zero-copy all the way into `writev`). A request that
+        // names connection options leaves as its rewritten head plus its
+        // body, still shared.
         if let Some(raw) = msg.raw() {
-            return Ok(Some(raw.clone()));
+            return Ok(match strip_hop_by_hop(msg, raw, out) {
+                Some(body) => Some(raw.slice(body..)).filter(|body| !body.is_empty()),
+                None => Some(raw.clone()),
+            });
         }
         match msg.shared_bytes_field("body") {
             Some(body) if !body.is_empty() => {
@@ -292,6 +299,64 @@ impl WireCodec for HttpCodec {
             }
         }
     }
+
+    /// HTTP/1.1 on both messages and no `Connection: close` on the
+    /// response. A request's own `Connection` header never reaches the
+    /// back-end (see [`WireCodec::serialize`]), so only its version counts.
+    fn keeps_alive(&self, msg: &Message) -> bool {
+        msg.str_field("version") == Some("HTTP/1.1")
+            && (msg.unit == REQUEST_UNIT || !wants_close(msg))
+    }
+}
+
+/// The name of a header line (`Name: value`).
+fn header_name(line: &str) -> &str {
+    line.split(':').next().unwrap_or_default().trim()
+}
+
+/// The header lines of a head's header block that are forwarded. For a
+/// request that is every line but `Connection` and the headers it names —
+/// those are hop-by-hop (RFC 9110 §7.6.1) and belong to the client's
+/// connection, not to the one the request is forwarded on. A response
+/// keeps every line.
+fn forwarded_headers(block: &str, request: bool) -> impl Iterator<Item = &str> {
+    let lines = block.split("\r\n").filter(|line| !line.is_empty());
+    let mut hop_by_hop: Vec<&str> = Vec::new();
+    if request {
+        for line in lines.clone() {
+            if header_name(line).eq_ignore_ascii_case("connection") {
+                let options = line.split_once(':').map_or("", |(_, value)| value);
+                hop_by_hop.extend(options.split(',').map(str::trim));
+                hop_by_hop.push("connection");
+            }
+        }
+    }
+    lines.filter(move |line| {
+        let name = header_name(line);
+        !hop_by_hop.iter().any(|hop| hop.eq_ignore_ascii_case(name))
+    })
+}
+
+/// Writes a parsed request's head without its hop-by-hop headers to `out`
+/// and returns where its body starts in `raw`. `None`, and nothing
+/// written, for a response or a request without a `Connection` header:
+/// those are forwarded as their raw bytes.
+fn strip_hop_by_hop(msg: &Message, raw: &[u8], out: &mut Vec<u8>) -> Option<usize> {
+    if msg.unit != REQUEST_UNIT || msg.get("connection").is_none() {
+        return None;
+    }
+    let head_len = header_end(raw)?;
+    // The parser accepted this head, so it is UTF-8 with a request line.
+    let head = std::str::from_utf8(&raw[..head_len - 4]).ok()?;
+    let (request_line, block) = head.split_once("\r\n").unwrap_or((head, ""));
+    out.extend_from_slice(request_line.as_bytes());
+    out.extend_from_slice(b"\r\n");
+    for line in forwarded_headers(block, true) {
+        out.extend_from_slice(line.as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+    Some(head_len)
 }
 
 impl HttpCodec {
@@ -327,7 +392,7 @@ impl HttpCodec {
         }
         let mut wrote_content_length = false;
         if let Some(headers) = msg.str_field("headers") {
-            for line in headers.split("\r\n").filter(|l| !l.is_empty()) {
+            for line in forwarded_headers(headers, msg.unit == REQUEST_UNIT) {
                 if line.to_ascii_lowercase().starts_with("content-length") {
                     wrote_content_length = true;
                     out.extend_from_slice(format!("Content-Length: {body_len}\r\n").as_bytes());
@@ -497,13 +562,105 @@ mod tests {
     #[test]
     fn serialisation_roundtrip_and_passthrough() {
         let codec = HttpCodec::new();
-        let wire = b"GET /a HTTP/1.1\r\nHost: h\r\nConnection: keep-alive\r\n\r\n".to_vec();
-        let (msg, _) = parse_ok(&codec, &wire);
+        for wire in [
+            &b"GET /a HTTP/1.1\r\nHost: h\r\nX-Req: 7\r\n\r\n"[..],
+            b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok",
+        ] {
+            let (msg, _) = parse_ok(&codec, wire);
+            let mut out = Vec::new();
+            codec.serialize(&msg, &mut out).unwrap();
+            assert_eq!(
+                out, wire,
+                "unmodified messages must be forwarded byte-for-byte"
+            );
+        }
+    }
+
+    /// `Connection` is hop-by-hop: a forwarded request loses it and every
+    /// header it names, on both serialisation paths, and keeps the rest.
+    #[test]
+    fn forwarded_requests_lose_their_connection_headers() {
+        let codec = HttpCodec::new();
+        let cases: [(&[u8], &[u8]); 2] = [
+            (
+                b"GET /a HTTP/1.1\r\nHost: h\r\nConnection: close\r\nX-Req: 1\r\n\r\n",
+                b"GET /a HTTP/1.1\r\nHost: h\r\nX-Req: 1\r\n\r\n",
+            ),
+            (
+                b"POST /b HTTP/1.1\r\nconnection: keep-alive, X-Foo\r\nX-Foo: bar\r\n\
+                  Keep-Alive: timeout=5\r\nContent-Length: 4\r\n\r\nbody",
+                b"POST /b HTTP/1.1\r\nContent-Length: 4\r\n\r\nbody",
+            ),
+        ];
+        for (wire, forwarded) in cases {
+            let (msg, _) = parse_ok(&codec, wire);
+            let mut out = Vec::new();
+            codec.serialize(&msg, &mut out).unwrap();
+            assert_eq!(out, forwarded, "{}", String::from_utf8_lossy(wire));
+            let mut head = Vec::new();
+            if let Some(tail) = codec.serialize_parts(&msg, &mut head).unwrap() {
+                head.extend_from_slice(&tail);
+            }
+            assert_eq!(head, forwarded);
+        }
+    }
+
+    /// Without a `Connection` header a request still leaves as its raw
+    /// bytes: the very segment the ingest buffer holds, nothing copied.
+    #[test]
+    fn a_request_without_connection_leaves_as_its_raw_segment() {
+        let codec = HttpCodec::new();
+        let wire = Bytes::from_static(b"GET /a HTTP/1.1\r\nHost: h\r\n\r\n");
+        let ParseOutcome::Complete { message, .. } = codec.parse_bytes(&wire, None).unwrap() else {
+            panic!("a complete request");
+        };
+        let mut head = Vec::new();
+        let tail = codec.serialize_parts(&message, &mut head).unwrap().unwrap();
+        assert!(head.is_empty());
+        assert_eq!(tail.as_ptr(), wire.as_ptr());
+        assert_eq!(tail.len(), wire.len());
+    }
+
+    /// Stripping rewrites the head only: a 1 MiB body still leaves as one
+    /// shared segment of the ingest buffer.
+    #[test]
+    fn a_stripped_request_keeps_its_body_shared() {
+        let codec = HttpCodec::new();
+        let head = b"POST /up HTTP/1.1\r\nConnection: close\r\nContent-Length: 1048576\r\n\r\n";
+        let mut wire = head.to_vec();
+        wire.resize(head.len() + (1 << 20), b'b');
+        let wire = Bytes::from(wire);
+        let ParseOutcome::Complete { message, .. } = codec
+            .parse_bytes(&wire, Some(&load_balancer_projection()))
+            .unwrap()
+        else {
+            panic!("a complete request");
+        };
         let mut out = Vec::new();
-        codec.serialize(&msg, &mut out).unwrap();
-        assert_eq!(
-            out, wire,
-            "unmodified messages must be forwarded byte-for-byte"
+        let body = codec.serialize_parts(&message, &mut out).unwrap().unwrap();
+        assert_eq!(out, b"POST /up HTTP/1.1\r\nContent-Length: 1048576\r\n\r\n");
+        assert_eq!(body.len(), 1 << 20);
+        assert_eq!(body.as_ptr(), wire[head.len()..].as_ptr());
+    }
+
+    /// Reuse needs HTTP/1.1 on both sides and no `Connection: close` on
+    /// the response; a request's own `Connection` header is stripped, so
+    /// it does not count.
+    #[test]
+    fn keep_alive_verdicts() {
+        let codec = HttpCodec::new();
+        let verdict = |wire: &[u8]| codec.keeps_alive(&parse_ok(&codec, wire).0);
+        assert!(verdict(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n"));
+        assert!(!verdict(b"GET / HTTP/1.0\r\n\r\n"));
+        assert!(verdict(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"));
+        assert!(!verdict(
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 0\r\n\r\n"
+        ));
+        assert!(!verdict(b"HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n"));
+        let kv = crate::hadoop::HadoopKvCodec::new();
+        assert!(
+            !kv.keeps_alive(&response(200, b"")),
+            "the default never reuses"
         );
     }
 

@@ -130,6 +130,17 @@ pub trait WireCodec: Send + Sync {
         self.serialize(msg, out)?;
         Ok(None)
     }
+
+    /// Whether the connection `msg` crossed — written by this codec or
+    /// parsed by it — stays open for another exchange, as far as `msg`
+    /// has a say. The runtime returns a back-end connection to its pool
+    /// only when the last message written and the last one read on it both
+    /// say so. The default, `false`, never lets a connection be reused: a
+    /// codec that does not know its protocol's connection semantics keeps
+    /// one connection per graph, closed (EOF at the peer) at teardown.
+    fn keeps_alive(&self, _msg: &Message) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -485,6 +485,15 @@ impl SimEndpoint {
         self.closed.load(Ordering::Acquire)
     }
 
+    /// `true` when neither side has closed and nothing waits to be read.
+    pub fn is_idle(&self) -> bool {
+        if self.is_closed() {
+            return false;
+        }
+        let state = self.in_pipe().state.lock();
+        state.buf.is_empty() && !state.writer_closed
+    }
+
     /// Closes this endpoint: the peer will observe EOF after draining.
     ///
     /// Closing is idempotent; only the first call pays the teardown cost.
@@ -743,6 +752,13 @@ impl Endpoint {
         dispatch!(EndpointKind, self, ep => ep.is_closed())
     }
 
+    /// `true` when the connection is open at both ends and nothing waits
+    /// to be read — one `recv(MSG_PEEK)` on the OS transport. What a
+    /// connection must be to carry a fresh exchange.
+    pub fn is_idle(&self) -> bool {
+        dispatch!(EndpointKind, self, ep => ep.is_idle())
+    }
+
     /// Closes this endpoint: the peer will observe EOF after draining.
     /// Idempotent on both transports.
     pub fn close(&self) {
@@ -810,6 +826,22 @@ mod tests {
         assert_eq!(server.read(&mut buf).unwrap(), 3);
         assert_eq!(server.read(&mut buf), Err(NetError::Closed));
         assert!(server.peer_closed());
+    }
+
+    /// Idle means open at both ends with nothing to read.
+    #[test]
+    fn idle_needs_both_ends_open_and_nothing_pending() {
+        let (client, server) = test_pair();
+        assert!(client.is_idle());
+        server.write(b"late").unwrap();
+        assert!(!client.is_idle(), "pending bytes");
+        client.read(&mut [0u8; 4]).unwrap();
+        assert!(client.is_idle());
+        server.close();
+        assert!(!client.is_idle(), "peer closed");
+        let (client, _server) = test_pair();
+        client.close();
+        assert!(!client.is_idle(), "closed here");
     }
 
     #[test]

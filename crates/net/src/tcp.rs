@@ -1027,6 +1027,17 @@ impl TcpConn {
         self.inner.closed.load(Ordering::Acquire)
     }
 
+    /// One peek: open, not peer-closed, nothing pending — only EAGAIN.
+    pub(crate) fn is_idle(&self) -> bool {
+        if self.is_closed() {
+            return false;
+        }
+        let mut probe = 0u8;
+        // SAFETY: `probe` is a live one-byte buffer and the length passed is 1.
+        let rc = unsafe { sys::recv(self.fd(), &mut probe, 1, sys::MSG_PEEK | sys::MSG_DONTWAIT) };
+        rc < 0 && sys::errno() == sys::EAGAIN
+    }
+
     pub(crate) fn register(&self, poller: &Poller, token: Token, interest: Interest) {
         let reactor = poller.os_reactor();
         // A cross-shard handoff re-registers on the new shard's poller —
@@ -1133,6 +1144,29 @@ mod tests {
             }
         }
         assert_eq!(seen, b"bye");
+    }
+
+    /// The one-peek probe a parked connection must pass to be reused.
+    #[test]
+    fn idle_means_open_with_nothing_pending() {
+        let stack = stack();
+        let (_listener, client, server) = pair(&stack);
+        assert!(client.is_idle());
+        server.write_all(b"x").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while client.is_idle() {
+            assert!(Instant::now() < deadline, "pending byte never seen");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        client
+            .read_timeout(&mut [0u8; 1], Duration::from_secs(5))
+            .unwrap();
+        assert!(client.is_idle());
+        server.close();
+        while client.is_idle() {
+            assert!(Instant::now() < deadline, "peer close never seen");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]

@@ -123,12 +123,14 @@ impl ServiceShared {
         }
     }
 
-    /// Closes every accept socket. Idempotent, so the stop path and each
-    /// shard's teardown may all call it.
-    fn close_listeners(&self) {
+    /// Closes every accept socket and every idle back-end connection; a
+    /// connection parked later is closed too. Idempotent, so the stop path
+    /// and each shard's teardown may all call it.
+    fn close(&self) {
         for listener in &self.listeners {
             listener.close();
         }
+        self.env.backends.close_idle();
     }
 
     fn stopped(&self) -> bool {
@@ -460,9 +462,11 @@ impl ShardReactor {
     /// Advances one graph's drain/teardown lifecycle, run when one of its
     /// tasks exited or its drain deadline passed. Once every *client* task
     /// has finished the graph starts draining: the remaining read-side
-    /// connections are closed (their input tasks observe EOF), every task
-    /// gets a final chance to flush, and [`DRAIN_GRACE`] bounds a
-    /// non-quiescent graph. It is torn down when all tasks are gone or the
+    /// client connections are closed (their input tasks observe EOF), the
+    /// back-end members are released (their input tasks finish without
+    /// closing them, and an unopened one is never opened), every task gets
+    /// a final chance to flush, and [`DRAIN_GRACE`] bounds a non-quiescent
+    /// graph. It is torn down when all tasks are gone, or by force when the
     /// grace expired.
     fn advance_graph(&mut self, graph_id: u64) {
         let Some(graph) = self.graphs.get(&graph_id) else {
@@ -474,14 +478,14 @@ impl ShardReactor {
             return;
         }
         let deadline = *self.draining.entry(graph_id).or_insert_with(|| {
-            // Close only the *readable* watches; writable ones must stay
-            // open — their output tasks may still be flushing (e.g. the
-            // aggregate a foldt service emits when its inputs finish), and
-            // each output task closes its own connection once drained.
+            // Release only the *readable* watches; a write-only connection
+            // must stay open — its output task may still be flushing (e.g.
+            // the aggregate a foldt service emits when its inputs finish),
+            // and closes it once drained.
             for token in graph.watch_tokens.clone() {
                 if let Some(watch) = self.watches.get(&Token(token)) {
                     if watch.interest.is_readable() {
-                        watch.endpoint.close();
+                        watch.endpoint.release();
                     }
                 }
             }
@@ -490,28 +494,39 @@ impl ShardReactor {
             }
             Instant::now() + DRAIN_GRACE
         });
-        if graph.task_ids.iter().all(gone) || Instant::now() >= deadline {
-            self.teardown_graph(graph_id);
+        if graph.task_ids.iter().all(gone) {
+            self.teardown_graph(graph_id, false);
+        } else if Instant::now() >= deadline {
+            self.teardown_graph(graph_id, true);
         }
     }
 
     /// Removes a graph from the reactor and the scheduler and settles its
     /// counters — the one teardown path, whether the graph drained, its
     /// grace expired, its service stopped or the platform is shutting down.
-    fn teardown_graph(&mut self, graph_id: u64) {
+    /// Its back-end members are retired once their watches are gone: a
+    /// cleanly framed one is parked in its pool, any other closed, and
+    /// every one closed when the teardown is `forced` (any but a drained
+    /// graph's).
+    fn teardown_graph(&mut self, graph_id: u64, forced: bool) {
         let Some(graph) = self.graphs.remove(&graph_id) else {
             return;
         };
         self.draining.remove(&graph_id);
+        let mut links = Vec::new();
         for token in graph.watch_tokens {
             if let Some(watch) = self.watches.remove(&Token(token)) {
                 watch
                     .endpoint
                     .deregister_interest(&self.poller, watch.interest);
+                links.push(watch.endpoint);
             }
         }
         for task in &graph.task_ids {
             self.scheduler.remove(*task);
+        }
+        for link in links {
+            link.retire(forced);
         }
         RuntimeMetrics::add(&self.scheduler.metrics().graphs_destroyed, 1);
         graph.service.live_graphs.fetch_sub(1, Ordering::Relaxed);
@@ -531,7 +546,7 @@ impl ShardReactor {
             if let Some(listener) = entry.shared.listener_on(shard) {
                 listener.deregister(&self.poller);
             }
-            entry.shared.close_listeners();
+            entry.shared.close();
             false
         });
         let graph_ids: Vec<u64> = self
@@ -541,7 +556,7 @@ impl ShardReactor {
             .map(|(id, _)| *id)
             .collect();
         for graph_id in graph_ids {
-            self.teardown_graph(graph_id);
+            self.teardown_graph(graph_id, true);
         }
     }
 }
@@ -596,11 +611,12 @@ impl DeployedService {
     }
 
     /// Stops the service: closes its listener immediately (new connections
-    /// are refused from this call on) and asks every shard to tear down
-    /// the service's graphs on its next control event.
+    /// are refused from this call on) and its idle back-end connections,
+    /// and asks every shard to tear down the service's graphs — closing
+    /// their back-end connections too — on its next control event.
     pub fn stop(&mut self) {
         self.shared.stopped.store(true, Ordering::Release);
-        self.shared.close_listeners();
+        self.shared.close();
         self.set.post_control_all();
     }
 }

@@ -14,8 +14,9 @@
 //! * [`tasks`] — the concrete task kinds: input (deserialise), compute,
 //!   output (serialise), and a synthetic source used by micro-benchmarks;
 //! * [`graph`] — task-graph assembly and instances;
-//! * [`link`] — what an edge task is bound to: a connection opened at build,
-//!   or an array back-end member opened on the first send to it;
+//! * [`link`] — what an edge task is bound to: a client connection, or a
+//!   back-end pool member — checked out at build or on the first send to
+//!   it, and parked back in the pool at teardown when cleanly framed;
 //! * [`scheduler`] — the worker-thread pool with per-worker FIFO queues,
 //!   work scavenging, the timeslice discipline, and the cross-shard
 //!   [`scheduler::steal`] path;
@@ -26,8 +27,8 @@
 //!   program instance) and graph dispatcher (connection → task graph);
 //! * [`platform`] — the top-level [`platform::Platform`] that ties the
 //!   shards, the network substrate and deployed services together;
-//! * [`pool`] — a service's back-end targets, their passive health state
-//!   and the routing policy over them.
+//! * [`pool`] — a service's back-end targets, their idle connections,
+//!   their passive health state and the routing policy over them.
 //!
 //! Services are described by implementing [`platform::GraphFactory`] (done
 //! automatically for FLICK programs by the compiler crate, or by hand as the

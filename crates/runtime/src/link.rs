@@ -1,18 +1,32 @@
-//! What a graph's edge task is bound to: a connection opened when the graph
-//! was built, or a member of an array back-end parameter, opened on the
-//! first send to it (DESIGN.md §14).
+//! What a graph's edge task is bound to: a client connection, or a member
+//! of the service's back-end pool (DESIGN.md §14).
 //!
-//! An array back-end parameter binds every member of the service's
-//! [`BackendPool`] by index, but a request usually reaches one. So a member
-//! starts without a socket. Its input task, its output task and their two
-//! readiness watches share one slot, `Unbound | Bound(Endpoint) | Closed`,
-//! plus the `(poller, token, interest)` the dispatcher recorded for each
-//! watch at build. The output task's first non-empty flush opens the member
-//! through [`BackendPool::connect`] — the one open-and-account point, so the
-//! checkout and its health outcome are recorded then — and registers the
-//! recorded watches, both under the slot's lock. The dispatcher's drain and
-//! teardown close and deregister under the same lock. A member is therefore
-//! never opened after its graph began draining and never registered twice.
+//! A back-end link is a *member*: one index of the service's
+//! [`BackendPool`], with one slot its input task, its output task and
+//! their two readiness watches share — `Unbound | Bound(Endpoint) |
+//! Closed`, plus the `(poller, token, interest)` the dispatcher recorded
+//! for each watch at build. A scalar back-end parameter is bound at build
+//! ([`Link::checkout`]). An array member starts unbound, because a request
+//! usually reaches one member: the output task's first non-empty flush
+//! opens it through [`BackendPool::checkout`] — the one open-and-account
+//! point, so the checkout and its health outcome are recorded then — and
+//! registers the recorded watches, both under the slot's lock.
+//!
+//! A graph ends its members in two steps, under the same lock. Drain
+//! *releases* a member ([`Link::release`]): an unopened one is closed and
+//! never opened, an opened one stays open while its tasks finish. Each
+//! task then records how its side ended ([`Link::finish`]): how many
+//! messages the output task wrote in full, how many the input task parsed,
+//! and whether the codec says the last of each keeps the connection open —
+//! `Unclean` if the task left bytes unflushed or half-parsed. Teardown
+//! *retires* the member ([`Link::retire`]) once no task is left: a released
+//! connection whose every request has its response, on which both tasks
+//! ended clean, goes back to the pool for the next checkout
+//! ([`BackendPool::park`]); any other is closed. A task that fails — an I/O
+//! error, EOF, a malformed stream — closes the member instead, and a
+//! forced teardown closes whatever was recorded. So a member is never
+//! opened after its graph began draining, never registered twice, and
+//! never parked unless it is cleanly framed.
 //!
 //! A failed open refuses the graph's clients: their connections are closed,
 //! as when a graph fails to build, so a request routed to a dead member
@@ -23,6 +37,7 @@ use crate::error::RuntimeError;
 use crate::pool::BackendPool;
 use flick_net::{Endpoint, Interest, NetError, Poller, Token};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The connection an input or output task reads or writes, as handed to
@@ -33,10 +48,11 @@ pub struct Link(Kind);
 
 #[derive(Clone)]
 enum Kind {
-    /// Opened at build: a client, or a scalar back-end.
+    /// A connection the graph owns outright: a client.
     Open(Endpoint),
-    /// An array back-end member, opened on the first send to it.
-    Member(Arc<Member>),
+    /// A member of the service's back-end pool, with its connection once
+    /// this clone adopted it.
+    Member(Arc<Member>, Option<Endpoint>),
 }
 
 struct Member {
@@ -44,6 +60,9 @@ struct Member {
     index: usize,
     /// The graph's client connections, closed when the open fails.
     clients: Arc<[Endpoint]>,
+    /// Raised by [`Link::release`] under the slot lock; an input task reads
+    /// it on every run without taking the lock.
+    released: AtomicBool,
     slot: Mutex<Slot>,
 }
 
@@ -51,12 +70,16 @@ struct Slot {
     state: State,
     /// Watches recorded while unbound; the open registers them.
     watches: Vec<(Poller, Token, Interest)>,
+    /// Messages the output task wrote, recorded if it ended clean.
+    sent: Option<u64>,
+    /// Messages the input task parsed, recorded if it ended clean.
+    received: Option<u64>,
 }
 
 enum State {
     Unbound,
     Bound(Endpoint),
-    /// Closed (drain, teardown) or failed before it was ever opened.
+    /// Closed, parked, or never opened before the graph drained.
     Closed,
 }
 
@@ -66,8 +89,24 @@ pub(crate) enum Settled {
     Open,
     /// A member nobody has sent to yet.
     Unbound,
-    /// A member closed (or failed) before it was opened.
+    /// Closed (or failed) — the task finishes.
     Closed,
+    /// Released by the graph's drain: the input task records how it ended
+    /// ([`Link::finish`]) and finishes without reading on.
+    Released,
+}
+
+/// How a task's side of a member ended, recorded by [`Link::finish`].
+#[derive(Clone, Copy)]
+pub(crate) enum Ended {
+    /// The output task wrote this many messages in full; its codec says
+    /// the last one keeps the connection open.
+    Sent(u64),
+    /// The input task parsed this many messages and holds no partial one;
+    /// its codec says the last one keeps the connection open.
+    Received(u64),
+    /// Anything else: the connection is closed at teardown.
+    Unclean,
 }
 
 impl From<Endpoint> for Link {
@@ -86,15 +125,48 @@ impl Link {
     /// Member `index` of `pool`, opened on the first send to it. A failed
     /// open closes `clients`, the connections of the graph it belongs to.
     pub fn member(pool: Arc<BackendPool>, index: usize, clients: Arc<[Endpoint]>) -> Self {
-        Link(Kind::Member(Arc::new(Member {
+        Self::with_state(pool, index, clients, State::Unbound)
+    }
+
+    /// A routed, healthy member of `pool`, checked out now
+    /// ([`BackendPool::checkout_healthy`] with `hint`).
+    pub fn checkout(pool: Arc<BackendPool>, hint: Option<usize>) -> Result<Self, RuntimeError> {
+        let (index, endpoint) = pool.checkout_healthy(hint)?;
+        Ok(Self::with_state(
             pool,
             index,
-            clients,
-            slot: Mutex::new(Slot {
-                state: State::Unbound,
-                watches: Vec::new(),
+            Arc::from([]),
+            State::Bound(endpoint),
+        ))
+    }
+
+    fn with_state(
+        pool: Arc<BackendPool>,
+        index: usize,
+        clients: Arc<[Endpoint]>,
+        state: State,
+    ) -> Self {
+        Link(Kind::Member(
+            Arc::new(Member {
+                pool,
+                index,
+                clients,
+                released: AtomicBool::new(false),
+                slot: Mutex::new(Slot {
+                    state,
+                    watches: Vec::new(),
+                    sent: None,
+                    received: None,
+                }),
             }),
-        })))
+            None,
+        ))
+    }
+
+    /// `true` for a member of a back-end pool, whose connection may outlive
+    /// the graph.
+    pub(crate) fn is_member(&self) -> bool {
+        matches!(self.0, Kind::Member(..))
     }
 
     /// Watches the connection per [`Endpoint::register`]; an unopened
@@ -102,7 +174,7 @@ impl Link {
     pub(crate) fn register(&self, poller: &Poller, token: Token, interest: Interest) {
         match &self.0 {
             Kind::Open(endpoint) => endpoint.register(poller, token, interest),
-            Kind::Member(member) => {
+            Kind::Member(member, _) => {
                 let mut slot = member.slot.lock();
                 match &slot.state {
                     State::Bound(endpoint) => endpoint.register(poller, token, interest),
@@ -120,7 +192,7 @@ impl Link {
     pub(crate) fn deregister_interest(&self, poller: &Poller, interest: Interest) {
         match &self.0 {
             Kind::Open(endpoint) => endpoint.deregister_interest(poller, interest),
-            Kind::Member(member) => {
+            Kind::Member(member, _) => {
                 let mut slot = member.slot.lock();
                 match &slot.state {
                     State::Bound(endpoint) => endpoint.deregister_interest(poller, interest),
@@ -132,22 +204,86 @@ impl Link {
         }
     }
 
-    /// Closes the connection. An unopened member is never opened after
-    /// this.
+    /// Closes the connection: a failure, or a graph that is done with it.
+    /// An unopened member is never opened after this.
     pub(crate) fn close(&self) {
         match &self.0 {
             Kind::Open(endpoint) => endpoint.close(),
-            Kind::Member(member) => {
+            Kind::Member(member, _) => member.slot.lock().retire(member, false),
+        }
+    }
+
+    /// Closes the connection because its byte stream failed to parse
+    /// ([`Endpoint::close_malformed`]).
+    pub(crate) fn close_malformed(&self) {
+        match &self.0 {
+            Kind::Open(endpoint) => endpoint.close_malformed(),
+            Kind::Member(member, _) => {
                 let mut slot = member.slot.lock();
-                match &slot.state {
-                    State::Bound(endpoint) => endpoint.close(),
-                    State::Unbound => {
-                        slot.state = State::Closed;
-                        slot.watches.clear();
-                    }
-                    State::Closed => {}
+                if let State::Bound(endpoint) = &slot.state {
+                    endpoint.close_malformed();
+                }
+                slot.retire(member, false);
+            }
+        }
+    }
+
+    /// What a task's `Drop` does: closes the connection, unless it is a
+    /// released member, which its graph's teardown parks or closes.
+    pub(crate) fn close_unless_released(&self) {
+        if let Kind::Member(member, _) = &self.0 {
+            if member.released.load(Ordering::Acquire) {
+                return;
+            }
+        }
+        self.close();
+    }
+
+    /// The graph's drain: a client connection is closed (its input task
+    /// observes EOF); a member is released — never opened if it was not
+    /// yet, left open for its tasks to finish on if it was.
+    pub(crate) fn release(&self) {
+        match &self.0 {
+            Kind::Open(endpoint) => endpoint.close(),
+            Kind::Member(member, _) => {
+                let mut slot = member.slot.lock();
+                member.released.store(true, Ordering::Release);
+                if matches!(slot.state, State::Unbound) {
+                    slot.retire(member, false);
                 }
             }
+        }
+    }
+
+    /// A task is done with the link. On a released member it records how
+    /// the task's side ended, for the teardown to judge; anything else is
+    /// closed.
+    pub(crate) fn finish(&self, ended: Ended) {
+        match &self.0 {
+            Kind::Member(member, _) if member.released.load(Ordering::Acquire) => {
+                let mut slot = member.slot.lock();
+                match ended {
+                    Ended::Sent(n) => slot.sent = Some(n),
+                    Ended::Received(n) => slot.received = Some(n),
+                    Ended::Unclean => slot.retire(member, false),
+                }
+            }
+            _ => self.close(),
+        }
+    }
+
+    /// The graph's teardown, once no task is left: parks a released member
+    /// whose every message written has its answer parsed, both tasks having
+    /// ended clean — unless `force`d — and closes any other. A client
+    /// connection is left to its tasks.
+    pub(crate) fn retire(&self, force: bool) {
+        if let Kind::Member(member, _) = &self.0 {
+            let mut slot = member.slot.lock();
+            let clean = !force
+                && member.released.load(Ordering::Acquire)
+                && slot.sent.is_some()
+                && slot.sent == slot.received;
+            slot.retire(member, clean);
         }
     }
 
@@ -156,34 +292,40 @@ impl Link {
     pub(crate) fn open_endpoint(&self) -> Option<&Endpoint> {
         match &self.0 {
             Kind::Open(endpoint) => Some(endpoint),
-            Kind::Member(_) => None,
+            Kind::Member(_, adopted) => adopted.as_ref(),
         }
     }
 
-    /// The input side: adopts a member's connection once someone opened
-    /// it, so later runs skip the slot.
+    /// The input side: whether the task reads on, and a member's
+    /// connection adopted once someone opened it, so later runs skip the
+    /// slot. One atomic load per run once adopted.
     pub(crate) fn settle(&mut self) -> Settled {
-        let Kind::Member(member) = &self.0 else {
+        let Kind::Member(member, adopted) = &mut self.0 else {
             return Settled::Open;
         };
-        let bound = match &member.slot.lock().state {
-            State::Bound(endpoint) => endpoint.clone(),
+        if member.released.load(Ordering::Acquire) {
+            return Settled::Released;
+        }
+        if adopted.is_some() {
+            return Settled::Open;
+        }
+        match &member.slot.lock().state {
+            State::Bound(endpoint) => *adopted = Some(endpoint.clone()),
             State::Unbound => return Settled::Unbound,
             State::Closed => return Settled::Closed,
-        };
-        self.0 = Kind::Open(bound);
+        }
         Settled::Open
     }
 
     /// The output side: the connection to send on, opening an unbound
     /// member first.
     pub(crate) fn connect(&mut self) -> Result<&Endpoint, RuntimeError> {
-        if let Kind::Member(member) = &self.0 {
-            self.0 = Kind::Open(member.open()?);
-        }
-        match &self.0 {
+        match &mut self.0 {
             Kind::Open(endpoint) => Ok(endpoint),
-            Kind::Member(_) => unreachable!("a member is adopted once opened"),
+            Kind::Member(member, adopted) => match adopted {
+                Some(endpoint) => Ok(endpoint),
+                None => Ok(adopted.insert(member.open()?)),
+            },
         }
     }
 }
@@ -194,9 +336,11 @@ impl Member {
         match &slot.state {
             State::Bound(endpoint) => return Ok(endpoint.clone()),
             State::Closed => return Err(NetError::Closed.into()),
+            // Drain releases an unbound member into `Closed` under this
+            // lock, so an unbound member here is not draining.
             State::Unbound => {}
         }
-        match self.pool.connect(self.index) {
+        match self.pool.checkout(self.index) {
             Ok(endpoint) => {
                 for (poller, token, interest) in slot.watches.drain(..) {
                     endpoint.register(&poller, token, interest);
@@ -205,12 +349,40 @@ impl Member {
                 Ok(endpoint)
             }
             Err(err) => {
-                slot.state = State::Closed;
-                slot.watches.clear();
+                slot.retire(self, false);
                 drop(slot);
                 self.clients.iter().for_each(Endpoint::close);
                 Err(err)
             }
+        }
+    }
+}
+
+impl Slot {
+    /// Ends the member's connection — parked in the pool when `park`,
+    /// closed otherwise — and gives the pool back its load share. Nothing
+    /// opens the member after this.
+    fn retire(&mut self, member: &Member, park: bool) {
+        self.watches.clear();
+        if let State::Bound(endpoint) = std::mem::replace(&mut self.state, State::Closed) {
+            if park {
+                member.pool.park(member.index, endpoint);
+            } else {
+                endpoint.close();
+            }
+            member.pool.release(member.index);
+        }
+    }
+}
+
+impl Drop for Member {
+    /// A member nothing refers to any more was never torn down — its
+    /// graph failed to build after checking it out: it is closed.
+    fn drop(&mut self) {
+        let slot = self.slot.get_mut();
+        if let State::Bound(endpoint) = std::mem::replace(&mut slot.state, State::Closed) {
+            endpoint.close();
+            self.pool.release(self.index);
         }
     }
 }
@@ -270,7 +442,7 @@ mod tests {
         assert_eq!(metrics.snapshot().backend_checkouts, 1);
     }
 
-    /// Closed before the first send (the graph began draining): the
+    /// Released before the first send (the graph began draining): the
     /// member is never opened, and its input side finishes.
     #[test]
     fn a_member_closed_before_its_first_send_is_never_opened() {
@@ -278,9 +450,9 @@ mod tests {
         let listener = net.listen(9402).unwrap();
         let (pool, metrics) = pool(&net, &[9402]);
         let mut link = Link::member(pool, 0, Arc::from([]));
-        link.close();
+        link.release();
         assert!(link.connect().is_err());
-        assert!(matches!(link.settle(), Settled::Closed));
+        assert!(matches!(link.settle(), Settled::Released));
         assert_eq!(listener.backlog(), 0);
         assert_eq!(metrics.snapshot().backend_checkouts, 0);
     }
@@ -304,5 +476,44 @@ mod tests {
         let mut again = Link::member(Arc::clone(&pool), 0, Arc::from([]));
         assert!(again.connect().is_err());
         assert!(pool.is_ejected(0), "eject_after (2) failures eject it");
+    }
+
+    /// A member opened and released, as a graph drains it: its two tasks
+    /// record how their sides ended, and `finish` closes nothing.
+    fn released_member(net: &Arc<SimNetwork>, port: u16) -> (Link, Endpoint, Arc<BackendPool>) {
+        let listener = net.listen(port).unwrap();
+        let (pool, _) = pool(net, &[port]);
+        let mut link = Link::member(Arc::clone(&pool), 0, Arc::from([]));
+        let endpoint = link.connect().unwrap().clone();
+        listener.accept().unwrap();
+        link.release();
+        link.close_unless_released();
+        assert!(!endpoint.is_closed(), "a task's drop leaves it open");
+        (link, endpoint, pool)
+    }
+
+    /// Teardown parks a released member whose every request has its
+    /// response and closes any other: one left unanswered, an unclean
+    /// side, or a forced teardown.
+    #[test]
+    fn teardown_parks_only_a_cleanly_framed_member() {
+        let net = SimNetwork::new(StackModel::Free);
+        let cases: [(&[Ended], bool, bool); 5] = [
+            (&[Ended::Sent(2), Ended::Received(2)], false, true),
+            (&[Ended::Sent(2), Ended::Received(1)], false, false),
+            (&[Ended::Sent(1), Ended::Unclean], false, false),
+            (&[Ended::Received(0)], false, false),
+            (&[Ended::Sent(1), Ended::Received(1)], true, false),
+        ];
+        for (port, (ends, force, parked)) in (9405..).zip(cases) {
+            let (link, endpoint, pool) = released_member(&net, port);
+            for ended in ends {
+                link.finish(*ended);
+            }
+            link.retire(force);
+            assert_eq!(pool.idle(0) == 1, parked, "port {port}");
+            assert_eq!(endpoint.is_closed(), !parked, "port {port}");
+            assert_eq!(pool.outstanding(0), 0, "released either way");
+        }
     }
 }

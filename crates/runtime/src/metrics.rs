@@ -38,9 +38,10 @@ pub struct RuntimeMetrics {
     /// task went idle instead of re-running. The channel back-pressure of
     /// DESIGN.md §5, made visible.
     pub producer_parks: AtomicU64,
-    /// Backend checkouts: every `BackendPool::connect` by index and every
+    /// Backend checkouts: every `BackendPool::checkout` by index and every
     /// routed `BackendPool::checkout_healthy`, the latter allowed at most
-    /// the policy's retry budget of extra attempts.
+    /// the policy's retry budget of extra attempts. A parked connection
+    /// taken again counts as one, as a fresh connect does.
     pub backend_checkouts: AtomicU64,
     /// Extra connection attempts spent by those checkouts after their
     /// first pick failed. Bounded by `backend_checkouts × retry_budget` —

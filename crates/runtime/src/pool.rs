@@ -1,21 +1,29 @@
-//! A service's back-ends: targets on either transport, passive health
-//! tracking and the routing policy that orders them (DESIGN.md §14).
+//! A service's back-ends: targets on either transport, the idle
+//! connections finished graphs handed back, passive health tracking and
+//! the routing policy that orders them (DESIGN.md §14).
 //!
-//! Every connection a [`BackendPool`] hands out is freshly established and
-//! owned by the graph that asked for it; the "pool" is the set of
-//! *targets*, not of idle connections. A graph asks when it needs one: a
-//! scalar back-end parameter at build ([`BackendPool::checkout_healthy`]),
-//! an array member on the first send routed to it
-//! ([`BackendPool::connect`] through [`crate::Link`]), so the checkout and
-//! its health outcome are recorded when the connection is opened.
+//! A graph asks for a back-end connection when it needs one: a scalar
+//! back-end parameter at build ([`BackendPool::checkout_healthy`]), an
+//! array member on the first send routed to it ([`BackendPool::checkout`]
+//! through [`crate::Link`]). The graph owns the connection until its
+//! teardown, which hands it back ([`BackendPool::park`]) when its last
+//! exchange framed cleanly and closes it otherwise. A checkout takes an
+//! idle connection of its back-end before it connects afresh, so a client
+//! that opens a connection per request costs the back-end no connection
+//! per request.
 
 use crate::error::RuntimeError;
 use crate::metrics::RuntimeMetrics;
 use flick_net::{Endpoint, SimNetwork, TcpStack};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Idle connections one back-end keeps; a connection parked beyond this is
+/// closed. Mechanism, not policy: room for every connection a closed-loop
+/// client fleet has in flight to one back-end.
+pub const IDLE_PER_BACKEND: usize = 32;
 
 /// One back-end a [`BackendPool`] can connect to: a port on the simulated
 /// fabric or a socket address reached through an OS TCP stack. The pool —
@@ -102,15 +110,30 @@ impl Default for BackendPolicy {
     }
 }
 
-/// Per-backend passive health state.
+/// Per-backend state: passive health, load and idle connections.
 #[derive(Debug, Default)]
-struct HealthSlot {
-    state: Mutex<HealthState>,
-    /// Connections opened minus those given back through `release` — the
-    /// least-loaded signal. Callers that
-    /// never release degrade it to cumulative-assignment balancing, which
-    /// still spreads load evenly across healthy targets.
+struct TargetSlot {
+    health: Mutex<HealthState>,
+    /// Connections checked out minus those given back through `release`
+    /// — the least-loaded signal.
     outstanding: AtomicU64,
+    /// Parked connections, the most recent last. Nothing watches them.
+    idle: Mutex<Vec<Endpoint>>,
+}
+
+impl TargetSlot {
+    /// The most recently parked connection that one peek finds idle.
+    /// Stale ones — the back-end closed them, or sent something
+    /// unasked — are closed on the way; that is no health failure.
+    fn take_idle(&self) -> Option<Endpoint> {
+        loop {
+            let endpoint = self.idle.lock().pop()?;
+            if endpoint.is_idle() {
+                return Some(endpoint);
+            }
+            endpoint.close();
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -124,15 +147,19 @@ struct HealthState {
 
 /// Access to a service's back-end servers, over either transport.
 ///
-/// [`BackendPool::connect`] establishes a fresh connection to one target
-/// (paying the stack's connect cost) and is the one place a back-end
-/// connection is opened and accounted: it counts the checkout and records
+/// [`BackendPool::checkout`] is the one place a back-end connection is
+/// handed out and accounted: it counts the checkout, and takes the
+/// target's most recently parked connection that is still idle (one peek)
+/// or else connects afresh (paying the stack's connect cost) and records
 /// the outcome as passive health — connect failures are remembered per
 /// backend, and a backend that fails [`BackendPolicy::eject_after`] times
-/// in a row is ejected for [`BackendPolicy::eject_for`]. Targets may be
-/// simulated ports, real TCP addresses, or a mix — a TCP-fronted service
-/// can reach kernel-socket back-ends and complete the all-TCP
-/// `client → LB → backend` path.
+/// in a row is ejected for [`BackendPolicy::eject_for`]. A reused
+/// connection proves nothing new about its back-end, so it feeds no
+/// health. Every connection handed out is given back once: parked
+/// ([`BackendPool::park`]) or closed, then [`BackendPool::release`]d.
+/// Targets may be simulated ports, real TCP addresses, or a mix — a
+/// TCP-fronted service can reach kernel-socket back-ends and complete the
+/// all-TCP `client → LB → backend` path.
 ///
 /// [`BackendPool::checkout_healthy`] is routing on top of it: candidate
 /// order set by [`RoutePolicy`], ejected backends skipped, and at most
@@ -142,9 +169,11 @@ struct HealthState {
 pub struct BackendPool {
     targets: Vec<BackendTarget>,
     policy: BackendPolicy,
-    health: Vec<HealthSlot>,
+    slots: Vec<TargetSlot>,
     cursor: AtomicUsize,
     metrics: Option<Arc<RuntimeMetrics>>,
+    /// Set by [`BackendPool::close_idle`]: parking closes from then on.
+    closed: AtomicBool,
 }
 
 impl std::fmt::Debug for BackendPool {
@@ -167,13 +196,14 @@ impl BackendPool {
         policy: BackendPolicy,
         metrics: Option<Arc<RuntimeMetrics>>,
     ) -> Arc<Self> {
-        let health = targets.iter().map(|_| HealthSlot::default()).collect();
+        let slots = targets.iter().map(|_| TargetSlot::default()).collect();
         Arc::new(BackendPool {
             targets,
             policy,
-            health,
+            slots,
             cursor: AtomicUsize::new(0),
             metrics,
+            closed: AtomicBool::new(false),
         })
     }
 
@@ -192,15 +222,16 @@ impl BackendPool {
         self.targets.is_empty()
     }
 
-    /// Establishes a fresh connection to backend `idx`, counted as one
-    /// checkout and recorded into the backend's health state.
-    pub fn connect(&self, idx: usize) -> Result<Endpoint, RuntimeError> {
+    /// A connection to backend `idx` — an idle one if it has one, else a
+    /// fresh connect — counted as one checkout.
+    pub fn checkout(&self, idx: usize) -> Result<Endpoint, RuntimeError> {
         self.open(idx, false)
     }
 
     /// The single open-and-account point: counts the attempt (a checkout,
-    /// or a `retry` within one), connects, and feeds the outcome to passive
-    /// health and the least-loaded signal.
+    /// or a `retry` within one), reuses or connects, feeds a connect's
+    /// outcome to passive health, and counts the connection handed out
+    /// towards the least-loaded signal.
     fn open(&self, idx: usize, retry: bool) -> Result<Endpoint, RuntimeError> {
         let target = self
             .targets
@@ -214,15 +245,53 @@ impl BackendPool {
             };
             RuntimeMetrics::add(counter, 1);
         }
-        let opened = target.connect();
-        match &opened {
-            Ok(_) => {
-                self.report_success(idx);
-                self.health[idx].outstanding.fetch_add(1, Ordering::Relaxed);
+        let slot = &self.slots[idx];
+        let opened = match slot.take_idle() {
+            Some(endpoint) => Ok(endpoint),
+            None => {
+                let opened = target.connect();
+                match &opened {
+                    Ok(_) => self.report_success(idx),
+                    Err(_) => self.report_failure(idx),
+                }
+                opened
             }
-            Err(_) => self.report_failure(idx),
+        };
+        if opened.is_ok() {
+            slot.outstanding.fetch_add(1, Ordering::Relaxed);
         }
         opened
+    }
+
+    /// Hands back a connection to backend `idx` whose graph finished with
+    /// it cleanly framed: it waits, unwatched, for the next checkout of
+    /// `idx`. Closed instead when the back-end already keeps
+    /// [`IDLE_PER_BACKEND`] or the pool is closed. The caller still
+    /// [`BackendPool::release`]s it, parked or closed.
+    pub fn park(&self, idx: usize, endpoint: Endpoint) {
+        if let Some(slot) = self.slots.get(idx) {
+            let mut idle = slot.idle.lock();
+            if !self.closed.load(Ordering::Acquire) && idle.len() < IDLE_PER_BACKEND {
+                idle.push(endpoint);
+                return;
+            }
+        }
+        endpoint.close();
+    }
+
+    /// Closes every idle connection, and every one parked from now on: the
+    /// service is stopping.
+    pub fn close_idle(&self) {
+        self.closed.store(true, Ordering::Release);
+        for slot in &self.slots {
+            let idle = std::mem::take(&mut *slot.idle.lock());
+            idle.iter().for_each(Endpoint::close);
+        }
+    }
+
+    /// Idle connections backend `idx` keeps.
+    pub fn idle(&self, idx: usize) -> usize {
+        self.slots.get(idx).map_or(0, |slot| slot.idle.lock().len())
     }
 
     // --- passive health -------------------------------------------------
@@ -292,10 +361,10 @@ impl BackendPool {
         }))
     }
 
-    /// Drops the outstanding-connection count for backend `idx` — for
-    /// callers that are done with an endpoint this pool opened.
+    /// Drops the outstanding-connection count for backend `idx`: a
+    /// connection a checkout handed out was parked or closed.
     pub fn release(&self, idx: usize) {
-        if let Some(slot) = self.health.get(idx) {
+        if let Some(slot) = self.slots.get(idx) {
             let _ = slot
                 .outstanding
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
@@ -305,7 +374,7 @@ impl BackendPool {
     /// Outstanding checked-out connections for backend `idx` (the
     /// least-loaded routing signal).
     pub fn outstanding(&self, idx: usize) -> u64 {
-        self.health
+        self.slots
             .get(idx)
             .map(|s| s.outstanding.load(Ordering::Relaxed))
             .unwrap_or(0)
@@ -314,7 +383,7 @@ impl BackendPool {
     /// Records a successful connect to backend `idx`, resetting its failure
     /// streak and readmitting it if it was ejected.
     fn report_success(&self, idx: usize) {
-        let mut state = self.health[idx].state.lock();
+        let mut state = self.slots[idx].health.lock();
         state.consecutive_failures = 0;
         if state.ejected_until.take().is_some() {
             if let Some(m) = &self.metrics {
@@ -327,7 +396,7 @@ impl BackendPool {
     /// input. Crossing the policy's threshold ejects the backend; a failure
     /// while ejected (a failed readmit probe) re-arms the ejection deadline.
     fn report_failure(&self, idx: usize) {
-        let mut state = self.health[idx].state.lock();
+        let mut state = self.slots[idx].health.lock();
         state.consecutive_failures = state.consecutive_failures.saturating_add(1);
         if state.consecutive_failures >= self.policy.eject_after {
             let newly_ejected = state.ejected_until.is_none();
@@ -343,10 +412,10 @@ impl BackendPool {
     /// Returns `true` if backend `idx` is currently ejected (its sit-out
     /// period has not expired).
     pub fn is_ejected(&self, idx: usize) -> bool {
-        self.health
+        self.slots
             .get(idx)
             .map(|slot| {
-                slot.state
+                slot.health
                     .lock()
                     .ejected_until
                     .is_some_and(|until| until > Instant::now())
@@ -357,10 +426,10 @@ impl BackendPool {
     /// Regular traffic goes to non-ejected backends; an expired ejection
     /// makes the backend a probe candidate again.
     fn may_route_to(&self, idx: usize, now: Instant) -> bool {
-        self.health
+        self.slots
             .get(idx)
             .map(|slot| {
-                slot.state
+                slot.health
                     .lock()
                     .ejected_until
                     .map_or(true, |until| until <= now)
@@ -385,11 +454,90 @@ mod tests {
             None,
         );
         assert_eq!(pool.len(), 2);
-        let _c1 = pool.connect(0).unwrap();
-        let _c2 = pool.connect(1).unwrap();
+        let _c1 = pool.checkout(0).unwrap();
+        let _c2 = pool.checkout(1).unwrap();
         assert_eq!(l1.backlog(), 1);
         assert_eq!(l2.backlog(), 1);
-        assert!(pool.connect(5).is_err());
+        assert!(pool.checkout(5).is_err());
+    }
+
+    /// A parked connection is the next checkout's, before any connect: one
+    /// more counted checkout, no new connection, the load share back.
+    #[test]
+    fn a_parked_connection_is_checked_out_before_connecting() {
+        let net = SimNetwork::new(StackModel::Free);
+        let listener = net.listen(9031).unwrap();
+        let metrics = RuntimeMetrics::new_shared();
+        let pool = BackendPool::configured(
+            sim_targets(&net, &[9031]),
+            BackendPolicy::default(),
+            Some(Arc::clone(&metrics)),
+        );
+        let first = pool.checkout(0).unwrap();
+        let _server = listener.accept().unwrap();
+        pool.park(0, first.clone());
+        pool.release(0);
+        assert_eq!((pool.idle(0), pool.outstanding(0)), (1, 0));
+        let again = pool.checkout(0).unwrap();
+        assert_eq!(again.id(), first.id());
+        assert_eq!(listener.backlog(), 0, "no second connect");
+        assert_eq!((pool.idle(0), pool.outstanding(0)), (0, 1));
+        assert_eq!(metrics.snapshot().backend_checkouts, 2);
+    }
+
+    /// A back-end that crashed while its connection was parked: the next
+    /// checkout skips the dead connection and connects afresh, and the
+    /// stale connection is no health failure.
+    #[test]
+    fn a_stale_parked_connection_is_skipped_without_a_health_failure() {
+        let net = SimNetwork::new(StackModel::Free);
+        let listener = net.listen(9032).unwrap();
+        let metrics = RuntimeMetrics::new_shared();
+        let policy = BackendPolicy {
+            eject_after: 1,
+            ..BackendPolicy::default()
+        };
+        let pool = BackendPool::configured(
+            sim_targets(&net, &[9032]),
+            policy,
+            Some(Arc::clone(&metrics)),
+        );
+        let stale = pool.checkout(0).unwrap();
+        listener.accept().unwrap().close();
+        pool.park(0, stale.clone());
+        pool.release(0);
+        let fresh = pool.checkout(0).unwrap();
+        assert_ne!(fresh.id(), stale.id());
+        assert!(stale.is_closed(), "the stale connection is closed");
+        assert_eq!(listener.backlog(), 1, "served over a fresh connect");
+        assert!(!pool.is_ejected(0), "one failure would have ejected it");
+        let snap = metrics.snapshot();
+        assert_eq!((snap.backend_checkouts, snap.backend_retries), (2, 0));
+    }
+
+    /// A back-end keeps at most [`IDLE_PER_BACKEND`] idle connections, and
+    /// closing the pool closes them and every one parked after.
+    #[test]
+    fn idle_connections_are_bounded_and_closed_with_the_pool() {
+        let net = SimNetwork::new(StackModel::Free);
+        let _listener = net.listen(9033).unwrap();
+        let pool =
+            BackendPool::configured(sim_targets(&net, &[9033]), BackendPolicy::default(), None);
+        let conns: Vec<Endpoint> = (0..=IDLE_PER_BACKEND)
+            .map(|_| pool.checkout(0).unwrap())
+            .collect();
+        for conn in &conns {
+            pool.park(0, conn.clone());
+            pool.release(0);
+        }
+        assert_eq!(pool.idle(0), IDLE_PER_BACKEND);
+        assert!(conns[IDLE_PER_BACKEND].is_closed(), "one over the bound");
+        pool.close_idle();
+        assert_eq!(pool.idle(0), 0);
+        assert!(conns.iter().all(Endpoint::is_closed));
+        let late = net.connect(9033).unwrap();
+        pool.park(0, late.clone());
+        assert!(late.is_closed() && pool.idle(0) == 0);
     }
 
     fn sim_targets(net: &Arc<SimNetwork>, ports: &[u16]) -> Vec<BackendTarget> {
@@ -544,7 +692,7 @@ mod tests {
         assert_eq!(second, 1, "the loaded backend is passed over");
         assert_eq!(pool.outstanding(0), 1);
         // Returning the first connection makes backend 0 least loaded again.
-        drop(conn_a);
+        conn_a.close();
         pool.release(0);
         let (third, _conn_c) = pool.checkout_healthy(None).unwrap();
         assert_eq!(third, 0);

@@ -14,7 +14,7 @@
 
 use crate::channel::{ChannelConsumer, ChannelProducer};
 use crate::error::RuntimeError;
-use crate::link::{Link, Settled};
+use crate::link::{Ended, Link, Settled};
 use crate::metrics::RuntimeMetrics;
 use crate::task::{Task, TaskContext, TaskStatus};
 use crate::value::Value;
@@ -49,6 +49,8 @@ pub const OUTBUF_RETAIN: usize = READ_CHUNK;
 ///
 /// On an array back-end member the task idles until the member's output
 /// task opens it ([`Link`]), and finishes if the member is closed first.
+/// On a member its graph's drain released, it finishes without reading on
+/// and records whether it ended cleanly framed ([`Link::finish`]).
 pub struct InputTask {
     label: String,
     endpoint: Link,
@@ -57,6 +59,11 @@ pub struct InputTask {
     buf: SharedBuf,
     pending: Option<Value>,
     output: ChannelProducer,
+    /// Messages parsed so far.
+    received: u64,
+    /// Whether the codec says the last one keeps the connection open
+    /// (asked on back-end members only).
+    keeps_alive: bool,
 }
 
 impl InputTask {
@@ -77,6 +84,8 @@ impl InputTask {
             buf: SharedBuf::new(READ_CHUNK),
             pending: None,
             output,
+            received: 0,
+            keeps_alive: false,
         }
     }
 
@@ -117,6 +126,10 @@ impl InputTask {
             match self.codec.parse_bytes(&view, self.projection.as_ref())? {
                 ParseOutcome::Complete { message, consumed } => {
                     self.buf.consume(consumed);
+                    self.received += 1;
+                    if self.endpoint.is_member() {
+                        self.keeps_alive = self.codec.keeps_alive(&message);
+                    }
                     if !self.push_out(Value::Msg(message), ctx) {
                         return Ok(Some(TaskStatus::Idle));
                     }
@@ -134,9 +147,7 @@ impl InputTask {
     /// one connection: siblings on the same service keep running, and the
     /// close is tallied separately so the sim battery can bound it.
     fn malformed(&mut self) -> TaskStatus {
-        if let Some(endpoint) = self.endpoint.open_endpoint() {
-            endpoint.close_malformed();
-        }
+        self.endpoint.close_malformed();
         self.output.close();
         TaskStatus::Finished
     }
@@ -153,8 +164,9 @@ impl InputTask {
 impl Drop for InputTask {
     fn drop(&mut self) {
         // Dropping a task (graph teardown) must release the connection so
-        // that the peer observes EOF instead of a hung socket.
-        self.endpoint.close();
+        // that the peer observes EOF instead of a hung socket — unless its
+        // graph's teardown decides, on a released member.
+        self.endpoint.close_unless_released();
         self.output.close();
     }
 }
@@ -169,6 +181,15 @@ impl Task for InputTask {
             Settled::Open => {}
             Settled::Unbound => return TaskStatus::Idle,
             Settled::Closed => return self.finish(ctx),
+            Settled::Released => {
+                self.endpoint
+                    .finish(if self.buf.is_empty() && self.keeps_alive {
+                        Ended::Received(self.received)
+                    } else {
+                        Ended::Unclean
+                    });
+                return self.finish(ctx);
+            }
         }
         // First retry any message that did not fit the channel last time;
         // still full means parked again.
@@ -455,12 +476,17 @@ impl ExecMode {
 /// [`RuntimeMetrics::output_busy_retries`].
 ///
 /// On an array back-end member the first flush with bytes to send opens
-/// the member ([`Link`]); a failed open finishes the task.
+/// the member ([`Link`]); a failed open finishes the task. On a member its
+/// graph's drain released, the task finishes without closing it and
+/// records whether it ended cleanly framed ([`Link::finish`]).
 pub struct OutputTask {
     label: String,
     endpoint: Link,
     codec: Arc<dyn WireCodec>,
     input: ChannelConsumer,
+    /// Reserved at [`OUTBUF_RETAIN`] by the first serialise that writes
+    /// into it, so an output task that never sends, or only forwards raw
+    /// messages as their own segments, costs no buffer.
     outbuf: Vec<u8>,
     /// A refcounted trailing segment (message body or raw pass-through
     /// bytes) plus the offset already written. Split off by
@@ -468,6 +494,11 @@ pub struct OutputTask {
     /// leave through one vectored write instead of being concatenated —
     /// the shared allocation goes to the kernel where it sits.
     body: Option<(Bytes, usize)>,
+    /// Messages serialised so far.
+    sent: u64,
+    /// Whether the codec says the last one keeps the connection open
+    /// (asked on back-end members only).
+    keeps_alive: bool,
 }
 
 impl OutputTask {
@@ -483,8 +514,10 @@ impl OutputTask {
             endpoint,
             codec,
             input,
-            outbuf: Vec::with_capacity(READ_CHUNK),
+            outbuf: Vec::new(),
             body: None,
+            sent: 0,
+            keeps_alive: false,
         }
     }
 
@@ -563,8 +596,20 @@ impl OutputTask {
     /// bytes).
     fn serialize(&mut self, value: &Value) -> Result<(), RuntimeError> {
         debug_assert!(self.body.is_none(), "a pending body ends the batch");
+        // A raw message mostly leaves as its own shared segment, writing
+        // little or nothing here: let those grow the buffer as they need.
+        // Anything else reserves it in one allocation instead of
+        // reallocating its way up.
+        if self.outbuf.capacity() == 0 && !matches!(value, Value::Msg(msg) if msg.raw().is_some()) {
+            self.outbuf.reserve(OUTBUF_RETAIN);
+        }
+        self.sent += 1;
+        self.keeps_alive = false;
         match value {
             Value::Msg(msg) => {
+                if self.endpoint.is_member() {
+                    self.keeps_alive = self.codec.keeps_alive(msg);
+                }
                 if let Some(tail) = self.codec.serialize_parts(msg, &mut self.outbuf)? {
                     if !tail.is_empty() {
                         self.body = Some((tail, 0));
@@ -585,7 +630,7 @@ impl OutputTask {
 
 impl Drop for OutputTask {
     fn drop(&mut self) {
-        self.endpoint.close();
+        self.endpoint.close_unless_released();
     }
 }
 
@@ -603,7 +648,13 @@ impl Task for OutputTask {
             }
             if drained {
                 if self.input.is_finished() {
-                    self.endpoint.close();
+                    // Everything serialised was written: the flush above
+                    // left nothing behind.
+                    self.endpoint.finish(if self.keeps_alive {
+                        Ended::Sent(self.sent)
+                    } else {
+                        Ended::Unclean
+                    });
                     return TaskStatus::Finished;
                 }
                 return TaskStatus::Idle;
@@ -951,6 +1002,31 @@ mod tests {
         tx.close();
         assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
         assert!(client.peer_closed());
+    }
+
+    /// An output task holds no buffer until it writes into one: forwarding
+    /// a raw message as its own segment allocates none, and the first
+    /// serialise that writes reserves the retained capacity.
+    #[test]
+    fn output_buffer_is_reserved_by_the_first_serialise_that_writes() {
+        let net = SimNetwork::new(StackModel::Free);
+        let listener = net.listen(86).unwrap();
+        let _client = net.connect(86).unwrap();
+        let server = listener.accept().unwrap();
+        let codec = HttpCodec::new();
+        let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
+        let mut task = OutputTask::new("out", server.into(), Arc::new(codec.clone()), rx);
+        assert_eq!(task.outbuf.capacity(), 0);
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
+        let Ok(ParseOutcome::Complete { message, .. }) = codec.parse(wire, None) else {
+            panic!("a complete response");
+        };
+        tx.push(Value::Msg(message)).unwrap();
+        task.run(&mut ctx());
+        assert_eq!(task.outbuf.capacity(), 0, "a raw message leaves as is");
+        tx.push(Value::Str("text".into())).unwrap();
+        task.run(&mut ctx());
+        assert!(task.outbuf.capacity() >= OUTBUF_RETAIN);
     }
 
     #[test]

@@ -96,4 +96,51 @@ mod tests {
         // with a generous counter width.
         assert!(forwarded <= (32 * wire::record_wire_len("12345678", "99999999")) as u64);
     }
+
+    /// The reducer connection is never handed back for reuse — the kv
+    /// codec does not say keep-alive — so every job ends with EOF at the
+    /// reducer, and the next job gets a connection of its own.
+    #[test]
+    fn every_job_ends_with_eof_at_the_reducer() {
+        let net = SimNetwork::new(StackModel::Free);
+        let reducer = net.listen(9711).unwrap();
+        let platform = Platform::with_network(
+            PlatformConfig {
+                workers: 2,
+                ..Default::default()
+            },
+            Arc::clone(&net),
+        );
+        let _svc = platform
+            .deploy(
+                ServiceSpec::new("hadoop", 9710, hadoop_aggregator(2)).with_backends(vec![9711]),
+            )
+            .unwrap();
+        let config = HadoopLoadConfig {
+            port: 9710,
+            mappers: 2,
+            word_len: 8,
+            distinct_words: 8,
+            bytes_per_mapper: 4 * 1024,
+            link_bits_per_sec: None,
+            seed: None,
+        };
+        let mut connections = Vec::new();
+        for job in 0..2 {
+            assert_eq!(run_hadoop_mappers(&net, &config).failed, 0);
+            let conn = reducer.accept_timeout(Duration::from_secs(5)).unwrap();
+            let mut received = 0;
+            let mut buf = [0u8; 4096];
+            loop {
+                match conn.read_timeout(&mut buf, Duration::from_secs(5)) {
+                    Ok(n) => received += n,
+                    Err(flick_net::NetError::Closed) => break,
+                    Err(e) => panic!("job {job}: no EOF after {received} bytes: {e}"),
+                }
+            }
+            assert!(received > 0, "job {job}: an empty aggregate");
+            connections.push(conn.id());
+        }
+        assert_ne!(connections[0], connections[1]);
+    }
 }

@@ -142,8 +142,7 @@ pub fn http_path_balancer() -> Arc<CompiledService> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flick_net::SimNetwork;
-    use flick_net::StackModel;
+    use flick_net::{SimListener, SimNetwork, StackModel};
     use flick_runtime::{ExecMode, Platform, PlatformConfig, ServiceSpec};
     use flick_workload::backends::start_http_backend;
     use flick_workload::http::{run_http_load, HttpLoadConfig};
@@ -389,6 +388,262 @@ mod tests {
             Err(e) => panic!("{path}: neither served nor refused: {e}"),
         };
         check(&platform, &tcp_get);
+    }
+
+    /// The path-hashed balancer on `port` in front of one back-end on
+    /// `port + 1` whose connections the test accepts and answers itself.
+    fn scripted_backend(port: u16) -> (Platform, flick_runtime::DeployedService, SimListener) {
+        let net = SimNetwork::new(StackModel::Free);
+        let backend = net.listen(port + 1).unwrap();
+        let platform = Platform::with_network(
+            PlatformConfig {
+                workers: 2,
+                ..Default::default()
+            },
+            net,
+        );
+        let service = platform
+            .deploy(
+                ServiceSpec::new("lb", port, http_path_balancer()).with_backends(vec![port + 1]),
+            )
+            .unwrap();
+        (platform, service, backend)
+    }
+
+    /// Reads from `conn` until `done` holds of everything read so far.
+    fn read_until(conn: &Endpoint, done: impl Fn(&[u8]) -> bool) -> String {
+        let mut seen = Vec::new();
+        let mut buf = [0u8; 1024];
+        while !done(&seen) {
+            let n = conn.read_timeout(&mut buf, Duration::from_secs(5)).unwrap();
+            seen.extend_from_slice(&buf[..n]);
+        }
+        String::from_utf8(seen).unwrap()
+    }
+
+    fn read_head(conn: &Endpoint) -> String {
+        read_until(conn, |seen| seen.ends_with(b"\r\n\r\n"))
+    }
+
+    /// One client through the balancer: a request per entry of
+    /// `responses`, each answered by the back-end with it, then — when
+    /// `hang_up_early` — one more request that the client does not wait
+    /// for. The client closes, and the back-end's end (`server`, or the
+    /// connection the balancer opens) is returned once the graph is torn
+    /// down.
+    fn one_client(
+        platform: &Platform,
+        service: &flick_runtime::DeployedService,
+        backend: &SimListener,
+        mut server: Option<Endpoint>,
+        responses: &[&[u8]],
+        hang_up_early: bool,
+    ) -> Endpoint {
+        let client = platform.net().connect(service.port()).unwrap();
+        for i in 0..responses.len() + usize::from(hang_up_early) {
+            client
+                .write_all(b"GET /a HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            let server = server
+                .get_or_insert_with(|| backend.accept_timeout(Duration::from_secs(5)).unwrap());
+            let head = read_head(server);
+            assert!(
+                !head.contains("onnection"),
+                "hop-by-hop header forwarded: {head}"
+            );
+            if let Some(response) = responses.get(i) {
+                server.write_all(response).unwrap();
+                read_until(&client, |seen| seen.ends_with(b"ok"));
+            }
+        }
+        client.close();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while service.live_graphs() > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "graph never torn down"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.expect("the balancer connected")
+    }
+
+    const KEEP_ALIVE: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
+
+    /// A closing client leaves its cleanly framed back-end connection to
+    /// the next client: the second request arrives on the same connection.
+    #[test]
+    fn a_closing_client_leaves_its_back_end_connection_to_the_next() {
+        let (platform, service, backend) = scripted_backend(8590);
+        let server = one_client(&platform, &service, &backend, None, &[KEEP_ALIVE], false);
+        let again = one_client(
+            &platform,
+            &service,
+            &backend,
+            Some(server.clone()),
+            &[KEEP_ALIVE],
+            false,
+        );
+        assert_eq!(again.id(), server.id());
+        assert_eq!(backend.backlog(), 0, "no second back-end connection");
+        let snap = platform.metrics().snapshot();
+        assert_eq!((snap.backend_checkouts, snap.backend_retries), (2, 0));
+    }
+
+    /// A response that asks to close is never reused: the back-end sees
+    /// EOF once the graph is gone.
+    #[test]
+    fn a_connection_close_response_closes_the_back_end_connection() {
+        let (platform, service, backend) = scripted_backend(8592);
+        let response = b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok";
+        let server = one_client(&platform, &service, &backend, None, &[response], false);
+        let mut buf = [0u8; 16];
+        assert_eq!(
+            server.read_timeout(&mut buf, Duration::from_secs(5)),
+            Err(flick_net::NetError::Closed)
+        );
+    }
+
+    /// A client that hangs up before its second response arrived leaves
+    /// two requests and one response on the back-end connection, each of
+    /// them cleanly framed: it is closed, so the late response can never
+    /// reach the next client.
+    #[test]
+    fn a_client_gone_before_its_response_closes_the_back_end_connection() {
+        let (platform, service, backend) = scripted_backend(8594);
+        let server = one_client(&platform, &service, &backend, None, &[KEEP_ALIVE], true);
+        let mut buf = [0u8; 16];
+        assert_eq!(
+            server.read_timeout(&mut buf, Duration::from_secs(5)),
+            Err(flick_net::NetError::Closed)
+        );
+    }
+
+    /// A back-end that crashed while its connection was parked: the next
+    /// request skips the dead connection and is served over a fresh
+    /// connect, and the stale connection feeds no health failure — one
+    /// would eject the back-end under this policy.
+    #[test]
+    fn a_back_end_crashed_while_parked_is_reconnected_without_a_health_failure() {
+        let net = SimNetwork::new(StackModel::Free);
+        let mut first = start_http_backend(&net, 8597, b"ok");
+        let platform = Platform::with_network(
+            PlatformConfig {
+                workers: 2,
+                backend_policy: flick_runtime::BackendPolicy {
+                    eject_after: 1,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            Arc::clone(&net),
+        );
+        let service = platform
+            .deploy(ServiceSpec::new("lb", 8596, http_path_balancer()).with_backends(vec![8597]))
+            .unwrap();
+        let get = || {
+            let client = net.connect(8596).unwrap();
+            client
+                .write_all(b"GET /a HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            read_until(&client, |seen| seen.ends_with(b"ok"));
+            client.close();
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while service.live_graphs() > 0 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "graph never torn down"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        get();
+        net.sever_port(8597);
+        net.unlisten(8597);
+        first.stop();
+        let second = start_http_backend(&net, 8597, b"ok");
+        get();
+        assert_eq!(second.requests_served(), 1);
+        let snap = platform.metrics().snapshot();
+        assert_eq!((snap.backend_checkouts, snap.backend_retries), (2, 0));
+        assert_eq!(
+            snap.backend_ejections, 0,
+            "the stale connection is no failure"
+        );
+    }
+
+    /// Hands the compiled balancer its environment and keeps the pool.
+    struct PoolSpy {
+        balancer: Arc<CompiledService>,
+        pool: parking_lot::Mutex<Option<Arc<flick_runtime::BackendPool>>>,
+    }
+
+    impl GraphFactory for PoolSpy {
+        fn build(
+            &self,
+            clients: Vec<Endpoint>,
+            env: &ServiceEnv,
+        ) -> Result<BuiltGraph, RuntimeError> {
+            *self.pool.lock() = Some(Arc::clone(&env.backends));
+            self.balancer.build(clients, env)
+        }
+    }
+
+    /// Least-loaded routing sees live load: every graph's teardown gives
+    /// its back-end's load share back, parked or closed, so once 100
+    /// churned graphs — served, or gone before sending — have quiesced,
+    /// no back-end counts a connection.
+    #[test]
+    fn least_loaded_load_returns_to_zero_after_churn() {
+        let net = SimNetwork::new(StackModel::Free);
+        let _backends: Vec<_> = [8691u16, 8692]
+            .iter()
+            .map(|p| start_http_backend(&net, *p, b"ok"))
+            .collect();
+        let platform = Platform::with_network(
+            PlatformConfig {
+                workers: 2,
+                backend_policy: flick_runtime::BackendPolicy {
+                    route: flick_runtime::RoutePolicy::LeastLoaded,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            Arc::clone(&net),
+        );
+        let spy = Arc::new(PoolSpy {
+            balancer: http_balancer(),
+            pool: Default::default(),
+        });
+        let service = platform
+            .deploy(ServiceSpec::new("lb", 8690, spy.clone()).with_backends(vec![8691, 8692]))
+            .unwrap();
+        for i in 0..100 {
+            let client = net.connect(8690).unwrap();
+            if i % 3 != 0 {
+                client
+                    .write_all(b"GET /a HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+                    .unwrap();
+                read_until(&client, |seen| seen.ends_with(b"ok"));
+            }
+            client.close();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while service.live_graphs() > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "graphs never torn down"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let pool = spy.pool.lock().clone().expect("a graph was built");
+        for i in 0..pool.len() {
+            assert_eq!(pool.outstanding(i), 0, "back-end {i}");
+        }
+        assert!(
+            pool.idle(0) + pool.idle(1) > 0,
+            "clean connections were parked"
+        );
     }
 
     #[test]

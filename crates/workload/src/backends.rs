@@ -271,6 +271,7 @@ pub struct TcpBackendHandle {
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     requests: Arc<AtomicU64>,
+    connections: Arc<AtomicU64>,
     addr: String,
 }
 
@@ -291,6 +292,11 @@ impl TcpBackendHandle {
     /// Number of requests served so far.
     pub fn requests_served(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
+    }
+
+    /// Number of connections accepted so far.
+    pub fn connections_accepted(&self) -> u64 {
+        self.connections.load(Ordering::Relaxed)
     }
 
     /// Stops the server and joins the acceptor thread.
@@ -322,8 +328,10 @@ pub fn start_tcp_http_backend(body: &[u8]) -> TcpBackendHandle {
     let stop = Arc::new(AtomicBool::new(false));
     let requests = Arc::new(AtomicU64::new(0));
     let body = body.to_vec();
+    let connections = Arc::new(AtomicU64::new(0));
     let accept_stop = Arc::clone(&stop);
     let accept_requests = Arc::clone(&requests);
+    let accepted = Arc::clone(&connections);
     let acceptor = std::thread::spawn(move || {
         let codec = HttpCodec::new();
         let mut response = Vec::new();
@@ -336,6 +344,7 @@ pub fn start_tcp_http_backend(body: &[u8]) -> TcpBackendHandle {
                 break;
             }
             let Ok(mut stream) = stream else { continue };
+            accepted.fetch_add(1, Ordering::Relaxed);
             let _ = stream.set_nodelay(true);
             let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
             let requests = Arc::clone(&accept_requests);
@@ -385,6 +394,7 @@ pub fn start_tcp_http_backend(body: &[u8]) -> TcpBackendHandle {
         stop,
         acceptor: Some(acceptor),
         requests,
+        connections,
         addr,
     }
 }

@@ -1,5 +1,6 @@
 //! Lifecycle of the dispatcher-owned epoll set (DESIGN.md §13) and of the
-//! sockets a graph opens.
+//! sockets a graph opens, including the back-end connections its teardown
+//! parks for reuse (DESIGN.md §14).
 //!
 //! Its own process, because the tests count this process's descriptors and
 //! threads, which tests running beside them would disturb; the tests here
@@ -8,7 +9,9 @@
 use flick::net_substrate::{Interest, Poller, TcpStack, Token};
 use flick::services::http::{http_path_balancer, StaticWebServerFactory};
 use flick::{Platform, PlatformConfig, ServiceSpec};
-use flick_workload::backends::start_tcp_http_backend;
+use flick_runtime::pool::IDLE_PER_BACKEND;
+use flick_runtime::DeployedService;
+use flick_workload::backends::{start_tcp_http_backend, TcpBackendHandle};
 use flick_workload::tcp::fetch_http;
 use std::io::{Read, Write};
 use std::sync::{Mutex, MutexGuard};
@@ -145,22 +148,9 @@ fn eventually(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-/// Clients of the path-hashed balancer hang up at every point of a graph's
-/// life: right after sending a request, without sending one, and a few
-/// microseconds after the request went out — while the compute task routes
-/// it and the array member it picked is being opened, as the graph starts
-/// to drain. Whichever way the race goes, no member may be opened after
-/// its graph drained or left registered past teardown: every graph is torn
-/// down, every socket the service opened is closed, and the process holds
-/// exactly the descriptors it held before.
-#[test]
-fn members_opened_as_clients_hang_up_leak_no_socket() {
-    const ROUNDS: usize = 2_000;
-    let _census = census();
-    let backends = [
-        start_tcp_http_backend(b"served"),
-        start_tcp_http_backend(b"served"),
-    ];
+/// The path-hashed balancer over two kernel-socket back-ends, as the
+/// benchmark deploys it.
+fn path_balancer(backends: &[TcpBackendHandle]) -> (Platform, DeployedService, String) {
     let platform = Platform::new(PlatformConfig {
         workers: 2,
         shards: 1,
@@ -178,32 +168,48 @@ fn members_opened_as_clients_hang_up_leak_no_socket() {
         )
         .unwrap();
     let addr = format!("127.0.0.1:{}", service.port());
-    let served = |path: &str| {
-        let response = fetch_http(&addr, path, Duration::from_secs(5)).unwrap();
-        assert!(response.ends_with(b"served"), "{path}");
-    };
-    // The epoll set is created lazily: it exists before the baseline.
-    served("/warm");
-    let stats = platform.tcp_stack().stats().clone();
-    let quiesce = || {
-        eventually("graphs never torn down", || service.live_graphs() == 0);
-        eventually("service sockets left open", || {
-            let snap = stats.snapshot();
-            snap.connections_closed == snap.connections_opened
-        });
-    };
-    quiesce();
-    // The back-ends' connection threads close their ends on the EOF that
-    // follows: the baseline is the count once it stops moving.
-    let mut baseline = open_fds();
+    (platform, service, addr)
+}
+
+/// The descriptor count once it stops moving: the back-ends' connection
+/// threads close their ends on the EOF they are sent.
+fn settled_fds() -> usize {
+    let mut fds = open_fds();
     loop {
         std::thread::sleep(Duration::from_millis(50));
         let now = open_fds();
-        if now == baseline {
-            break;
+        if now == fds {
+            return fds;
         }
-        baseline = now;
+        fds = now;
     }
+}
+
+/// Clients of the path-hashed balancer hang up at every point of a graph's
+/// life: right after sending a request, without sending one, and a few
+/// microseconds after the request went out — while the compute task routes
+/// it and the array member it picked is being opened, as the graph starts
+/// to drain. Whichever way the race goes, no member may be opened after
+/// its graph drained or left registered past teardown: every graph is torn
+/// down, and the only sockets left open are back-end connections parked
+/// for reuse, at most the idle bound per member. Stopping the service
+/// closes those too, and once the platform is gone the process holds
+/// exactly the descriptors it held before.
+#[test]
+fn members_opened_as_clients_hang_up_leak_no_socket() {
+    const ROUNDS: usize = 2_000;
+    let _census = census();
+    let backends = [
+        start_tcp_http_backend(b"served"),
+        start_tcp_http_backend(b"served"),
+    ];
+    let baseline = settled_fds();
+    let (platform, mut service, addr) = path_balancer(&backends);
+    let stats = platform.tcp_stack().stats().clone();
+    let open_sockets = || {
+        let snap = stats.snapshot();
+        snap.connections_opened - snap.connections_closed
+    };
 
     for round in 0..ROUNDS {
         let mut client = std::net::TcpStream::connect(&addr).unwrap();
@@ -236,7 +242,58 @@ fn members_opened_as_clients_hang_up_leak_no_socket() {
         }
         drop(client);
     }
-    quiesce();
+    eventually("graphs never torn down", || service.live_graphs() == 0);
+    let parked = open_sockets();
+    assert!(
+        parked <= (backends.len() * IDLE_PER_BACKEND) as u64,
+        "{parked} sockets open with no graph left"
+    );
+    let response = fetch_http(&addr, "/after", Duration::from_secs(5)).unwrap();
+    assert!(response.ends_with(b"served"));
+    service.stop();
+    eventually("service sockets left open after stop", || {
+        open_sockets() == 0
+    });
+    drop((service, platform));
     eventually("descriptors leaked", || open_fds() == baseline);
-    served("/after");
+}
+
+/// One connection per request, as HTTP/1.0-era clients and `lb_churn`
+/// open them: 500 sequential `Connection: close` clients, every response
+/// verified, cost the back-ends one connection per member — a closing
+/// client leaves its back-end connection to the next one. Each client
+/// arrives once the previous one's graph is gone, so the count does not
+/// hang on how fast a loaded host tears graphs down (overlapping graphs
+/// each hold a connection of their own).
+#[test]
+fn sequential_closing_clients_reuse_back_end_connections() {
+    const CLIENTS: usize = 500;
+    let _census = census();
+    let backends = [
+        start_tcp_http_backend(b"served"),
+        start_tcp_http_backend(b"served"),
+    ];
+    let (platform, service, addr) = path_balancer(&backends);
+    for i in 0..CLIENTS {
+        let response = fetch_http(&addr, &format!("/p{i}"), Duration::from_secs(5)).unwrap();
+        let text = String::from_utf8_lossy(&response);
+        assert!(
+            text.starts_with("HTTP/1.1 200 OK") && text.ends_with("served"),
+            "client {i}: {text}"
+        );
+        eventually("graph never torn down", || service.live_graphs() == 0);
+    }
+    let accepted: u64 = backends.iter().map(|b| b.connections_accepted()).sum();
+    assert!(
+        accepted <= backends.len() as u64,
+        "{accepted} back-end connections for {CLIENTS} clients"
+    );
+    let served: u64 = backends.iter().map(|b| b.requests_served()).sum();
+    assert_eq!(served, CLIENTS as u64);
+    assert_eq!(
+        platform.metrics().snapshot().backend_checkouts,
+        CLIENTS as u64,
+        "a reuse is a checkout"
+    );
+    drop(service);
 }
