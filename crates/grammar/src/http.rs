@@ -44,6 +44,10 @@ impl HttpCodec {
     }
 }
 
+/// Headers that frame a message or route it; a `Connection` header that
+/// names one is malformed.
+const FRAMING_HEADERS: [&str; 3] = ["content-length", "transfer-encoding", "host"];
+
 /// Finds the end of the header block (the index just past `\r\n\r\n`).
 fn header_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
@@ -116,6 +120,20 @@ fn parse_headers(
         // `content_length` — forwarding strips the header and decides reuse
         // by it.
         if name.eq_ignore_ascii_case("connection") {
+            // Forwarding strips every header `Connection` names. Naming a
+            // framing header would strip it from the forwarded head while
+            // the body still follows, and the next hop would frame the
+            // stream differently (request smuggling). Reject outright.
+            if let Some(framing) = value.split(',').map(str::trim).find(|option| {
+                FRAMING_HEADERS
+                    .iter()
+                    .any(|h| h.eq_ignore_ascii_case(option))
+            }) {
+                return Err(GrammarError::malformed(
+                    "http",
+                    format!("Connection names the framing header {framing:?}"),
+                ));
+            }
             message.set_parsed("connection", MsgValue::Str(value.to_ascii_lowercase()));
         }
         header_lines.push(line);
@@ -602,6 +620,32 @@ mod tests {
                 head.extend_from_slice(&tail);
             }
             assert_eq!(head, forwarded);
+        }
+    }
+
+    /// Stripping a framing header the `Connection` header names would
+    /// leave the body to be read as a second request downstream, so such
+    /// a message is malformed, whatever the case or position of the option.
+    #[test]
+    fn connection_naming_a_framing_header_is_malformed() {
+        let codec = HttpCodec::new();
+        for option in [
+            "content-length",
+            "close, Content-Length",
+            "Transfer-Encoding",
+            "keep-alive,  HOST ",
+        ] {
+            let wire = format!(
+                "POST / HTTP/1.1\r\nHost: h\r\nConnection: {option}\r\nContent-Length: 26\r\n\r\n\
+                 GET /smuggled HTTP/1.1\r\n\r\n"
+            );
+            assert!(
+                matches!(
+                    codec.parse(wire.as_bytes(), Some(&load_balancer_projection())),
+                    Err(GrammarError::Malformed { .. })
+                ),
+                "Connection: {option}"
+            );
         }
     }
 

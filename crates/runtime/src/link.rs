@@ -213,21 +213,6 @@ impl Link {
         }
     }
 
-    /// Closes the connection because its byte stream failed to parse
-    /// ([`Endpoint::close_malformed`]).
-    pub(crate) fn close_malformed(&self) {
-        match &self.0 {
-            Kind::Open(endpoint) => endpoint.close_malformed(),
-            Kind::Member(member, _) => {
-                let mut slot = member.slot.lock();
-                if let State::Bound(endpoint) = &slot.state {
-                    endpoint.close_malformed();
-                }
-                slot.retire(member, false);
-            }
-        }
-    }
-
     /// What a task's `Drop` does: closes the connection, unless it is a
     /// released member, which its graph's teardown parks or closes.
     pub(crate) fn close_unless_released(&self) {

@@ -124,7 +124,10 @@ struct TargetSlot {
 impl TargetSlot {
     /// The most recently parked connection that one peek finds idle.
     /// Stale ones — the back-end closed them, or sent something
-    /// unasked — are closed on the way; that is no health failure.
+    /// unasked — are closed on the way; that is no health failure. The
+    /// peek is the only check: a back-end that closes the connection just
+    /// after it fails the request written on it, with no resend (a known
+    /// limit, DESIGN.md §14).
     fn take_idle(&self) -> Option<Endpoint> {
         loop {
             let endpoint = self.idle.lock().pop()?;

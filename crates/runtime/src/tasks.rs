@@ -147,7 +147,9 @@ impl InputTask {
     /// one connection: siblings on the same service keep running, and the
     /// close is tallied separately so the sim battery can bound it.
     fn malformed(&mut self) -> TaskStatus {
-        self.endpoint.close_malformed();
+        if let Some(endpoint) = self.endpoint.open_endpoint() {
+            endpoint.close_malformed();
+        }
         self.output.close();
         TaskStatus::Finished
     }

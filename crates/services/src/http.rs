@@ -572,6 +572,44 @@ mod tests {
         );
     }
 
+    /// A request whose `Connection` header names `Content-Length` is
+    /// refused: stripping the header it names would leave its body to be
+    /// read downstream as a second request. The back-end sees exactly one
+    /// request, the next client's.
+    #[test]
+    fn a_connection_header_naming_a_framing_header_never_reaches_the_back_end() {
+        let net = SimNetwork::new(StackModel::Free);
+        let backend = start_http_backend(&net, 8599, b"ok");
+        let platform = Platform::with_network(
+            PlatformConfig {
+                workers: 2,
+                ..Default::default()
+            },
+            Arc::clone(&net),
+        );
+        let _service = platform
+            .deploy(ServiceSpec::new("lb", 8598, http_path_balancer()).with_backends(vec![8599]))
+            .unwrap();
+        let hostile = net.connect(8598).unwrap();
+        hostile
+            .write_all(
+                b"POST /a HTTP/1.1\r\nHost: t\r\nConnection: content-length\r\n\
+                  Content-Length: 26\r\n\r\nGET /smuggled HTTP/1.1\r\n\r\n",
+            )
+            .unwrap();
+        let mut buf = [0u8; 64];
+        assert_eq!(
+            hostile.read_timeout(&mut buf, Duration::from_secs(5)),
+            Err(flick_net::NetError::Closed)
+        );
+        let client = net.connect(8598).unwrap();
+        client
+            .write_all(b"GET /a HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        read_until(&client, |seen| seen.ends_with(b"ok"));
+        assert_eq!(backend.requests_served(), 1);
+    }
+
     /// Hands the compiled balancer its environment and keeps the pool.
     struct PoolSpy {
         balancer: Arc<CompiledService>,
