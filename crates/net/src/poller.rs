@@ -63,8 +63,8 @@ use std::time::{Duration, Instant};
 
 /// Identifies one registered event source within a [`Poller`].
 ///
-/// Tokens are chosen by the consumer (the dispatcher uses them as keys into
-/// its watcher map); the poller never interprets them.
+/// Tokens are chosen by the consumer (the dispatcher registers a watch
+/// under its task's id); the poller never interprets them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Token(pub u64);
 
@@ -346,7 +346,8 @@ impl Poller {
     }
 
     /// Enqueues a user-generated event (the dispatcher uses this for
-    /// task-exit notifications that do not originate in the substrate).
+    /// graph-lifecycle notifications that do not originate in the
+    /// substrate).
     pub fn post(&self, token: Token, readiness: Readiness) {
         self.inner.post(token, readiness);
     }

@@ -23,12 +23,11 @@
 
 use crate::metrics::RuntimeMetrics;
 use crate::platform::{GraphFactory, ServiceEnv, Watch};
-use crate::scheduler::Scheduler;
+use crate::scheduler::{GraphLife, Scheduler};
 use crate::shard::{Shard, ShardCommand, ShardSet, CONTROL_TOKEN};
 use crate::task::TaskId;
 use flick_net::{Endpoint, Listener, NetError, Poller, Token};
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -204,26 +203,33 @@ struct HomedService {
     pending_clients: Vec<Endpoint>,
 }
 
+/// Set in every listener and graph token. A watch posts its task's id,
+/// and task ids count up from 1 without reaching this bit, so one bit
+/// tells a watch from the rest; [`CONTROL_TOKEN`] (0) is neither.
+const TAGGED: u64 = 1 << 63;
+
 /// One graph instance owned by this shard.
 struct Graph {
     service: Arc<ServiceShared>,
     task_ids: Vec<TaskId>,
-    /// The input tasks bound to client connections; the graph starts
-    /// draining once all of them have exited.
-    client_tasks: Vec<TaskId>,
-    /// Keys of this graph's entries in [`ShardReactor::watches`]
-    /// (allocated contiguously, right after the graph's own token).
-    watch_tokens: Range<u64>,
+    /// How many of its tasks, and of its client tasks, are left.
+    life: Arc<GraphLife>,
+    /// Every readiness watch of the graph. One lives as long as its graph,
+    /// even after its task exited: drain still has to release its
+    /// endpoint, and teardown to deregister it.
+    watches: Vec<Watch>,
 }
 
 /// The state of one shard's reactor. The thread blocks in
 /// [`Poller::wait`]; every state transition anywhere on the shard — a new
-/// pending accept, bytes arriving on a watched connection, EOF, a task
-/// exiting the scheduler, a command from another shard — arrives as an
-/// [`flick_net::Event`] and is handled by token.
+/// pending accept, bytes arriving on a watched connection, EOF, a graph's
+/// last client or last task exiting the scheduler, a command from another
+/// shard — arrives as an [`flick_net::Event`] and is handled by token.
 ///
-/// Listener, graph and watch tokens come from one allocator, so a token
-/// names exactly one of the three maps.
+/// A watch's token is its task's id, so its event schedules the task
+/// with no lookup. Listener and graph tokens come from one allocator and
+/// carry [`TAGGED`], so they collide neither with a task id nor with each
+/// other.
 pub(crate) struct ShardReactor {
     set: Arc<ShardSet>,
     shard: Arc<Shard>,
@@ -231,13 +237,9 @@ pub(crate) struct ShardReactor {
     scheduler: Arc<Scheduler>,
     /// Services accepting on this shard, keyed by listener token.
     services: HashMap<Token, HomedService>,
-    /// Graphs owned by this shard, keyed by the token value their task
-    /// exits post under.
+    /// Graphs owned by this shard, keyed by the token value their
+    /// lifecycle record posts under.
     graphs: HashMap<u64, Graph>,
-    /// Every readiness watch of every graph on this shard. An entry lives
-    /// as long as its graph, even after its task exited: drain still has
-    /// to close its endpoint.
-    watches: HashMap<Token, Watch>,
     /// Graphs whose client tasks have all exited (id → forced-teardown
     /// deadline). Only these can expire, so the wait timeout never scans
     /// the full graph map.
@@ -282,10 +284,9 @@ impl ShardReactor {
             shard,
             services: HashMap::new(),
             graphs: HashMap::new(),
-            watches: HashMap::new(),
             draining: HashMap::new(),
             accept_retry: HashMap::new(),
-            next_token: CONTROL_TOKEN.0 + 1,
+            next_token: 0,
         }
     }
 
@@ -312,20 +313,16 @@ impl ShardReactor {
                 // Inbox already drained above; a control event may also
                 // announce a service stop.
                 sweep = true;
+            } else if token.0 & TAGGED == 0 {
+                // A watch: schedule its task. A miss (the task already
+                // exited) is a spurious event and is dropped; the graph's
+                // teardown deregisters the watch.
+                self.scheduler.schedule(TaskId(token.0));
             } else if let Some(entry) = self.services.get(&token) {
                 sweep |= event.readiness.closed || entry.shared.stopped();
                 self.drain_listener(token);
-            } else if let Some(watch) = self.watches.get(&token) {
-                if !self.scheduler.schedule(watch.task) {
-                    // The watched task already exited: stop watching this
-                    // direction only — the connection's other direction
-                    // may belong to a live task's watch.
-                    watch
-                        .endpoint
-                        .deregister_interest(&self.poller, watch.interest);
-                }
             } else if self.graphs.contains_key(&token.0) {
-                // A task of this graph exited.
+                // The graph's last client task, or its last task, exited.
                 dirty_graphs.push(token.0);
             }
         }
@@ -343,7 +340,7 @@ impl ShardReactor {
     }
 
     fn alloc_token(&mut self) -> Token {
-        let token = Token(self.next_token);
+        let token = Token(TAGGED | self.next_token);
         self.next_token += 1;
         token
     }
@@ -408,73 +405,66 @@ impl ShardReactor {
 
     /// Graph dispatcher: builds one graph instance over `clients` on this
     /// shard and wires it into the reactor. Its tasks are registered with
-    /// the shard's scheduler and its watched connections with this shard's
-    /// poller. A registration is level-triggered: it posts the watch's
-    /// token when the connection may already be ready (always, on the OS
-    /// transport), and that post is the watched task's first run — queued
-    /// after the registration itself, so no byte can arrive unobserved
-    /// between the two (DESIGN.md §13). On factory failure the client
-    /// connections are closed here: a factory that fails before it built
-    /// a task has nothing whose `Drop` would, and a refused client must
-    /// see the refusal rather than wait out its own patience.
+    /// the shard's scheduler under one lifecycle record posting the
+    /// graph's token, and its watched connections with this shard's
+    /// poller under their tasks' ids. A registration is level-triggered:
+    /// it posts the watch's token when the connection may already be
+    /// ready (always, on the OS transport), and that post is the watched
+    /// task's first run — queued after the registration itself, so no
+    /// byte can arrive unobserved between the two (DESIGN.md §13). On
+    /// factory failure the client connections are closed here: a factory
+    /// that fails before it built a task has nothing whose `Drop` would,
+    /// and a refused client must see the refusal rather than wait out its
+    /// own patience.
     fn build_graph(&mut self, service: &Arc<ServiceShared>, clients: Vec<Endpoint>) {
         let refused = clients.clone();
         let Ok(built) = service.factory.build(clients, &service.env) else {
             refused.iter().for_each(Endpoint::close);
             return;
         };
-        let task_ids = built.graph.task_ids().to_vec();
-        self.scheduler.register_graph(built.graph);
+        let token = self.alloc_token();
+        let task_ids = built.tasks.iter().map(|(id, _)| *id).collect();
+        let life = self.scheduler.register_graph(
+            built.tasks,
+            &built.client_tasks,
+            self.poller.clone(),
+            token,
+        );
         service.live_graphs.fetch_add(1, Ordering::Relaxed);
         self.shard.note_graph_built();
 
         // The posts queue on this poller and are scheduled together on the
         // next turn, so the workers are woken once per graph, not once
         // per watch.
-        let graph_id = self.alloc_token().0;
-        let first_watch = self.next_token;
-        for watch in built.watchers {
-            let token = self.alloc_token();
+        for watch in &built.watchers {
+            let token = Token(watch.task.0);
             watch.endpoint.register(&self.poller, token, watch.interest);
-            self.watches.insert(token, watch);
-        }
-        // Every task exit posts the graph's token, so client-side
-        // completion (begin draining) and full quiescence (teardown) are
-        // events, not scans.
-        for task in &task_ids {
-            let exit_poller = self.poller.clone();
-            self.scheduler.watch_exit(
-                *task,
-                Box::new(move |_| exit_poller.post(Token(graph_id), Default::default())),
-            );
         }
         self.graphs.insert(
-            graph_id,
+            token.0,
             Graph {
                 service: Arc::clone(service),
                 task_ids,
-                client_tasks: built.client_tasks,
-                watch_tokens: first_watch..self.next_token,
+                life,
+                watches: built.watchers,
             },
         );
     }
 
-    /// Advances one graph's drain/teardown lifecycle, run when one of its
-    /// tasks exited or its drain deadline passed. Once every *client* task
-    /// has finished the graph starts draining: the remaining read-side
-    /// client connections are closed (their input tasks observe EOF), the
-    /// back-end members are released (their input tasks finish without
-    /// closing them, and an unopened one is never opened), every task gets
-    /// a final chance to flush, and [`DRAIN_GRACE`] bounds a non-quiescent
-    /// graph. It is torn down when all tasks are gone, or by force when the
-    /// grace expired.
+    /// Advances one graph's drain/teardown lifecycle, run when its last
+    /// client task or its last task exited, or its drain deadline passed.
+    /// Once every *client* task has finished the graph starts draining:
+    /// the remaining read-side client connections are closed (their input
+    /// tasks observe EOF), the back-end members are released (their input
+    /// tasks finish without closing them, and an unopened one is never
+    /// opened), every task gets a final chance to flush, and
+    /// [`DRAIN_GRACE`] bounds a non-quiescent graph. It is torn down when
+    /// all tasks are gone, or by force when the grace expired.
     fn advance_graph(&mut self, graph_id: u64) {
         let Some(graph) = self.graphs.get(&graph_id) else {
             return;
         };
-        let scheduler = &self.scheduler;
-        let gone = |task: &TaskId| !scheduler.is_registered(*task);
-        if !graph.client_tasks.iter().all(gone) {
+        if graph.life.clients_left() > 0 {
             return;
         }
         let deadline = *self.draining.entry(graph_id).or_insert_with(|| {
@@ -482,19 +472,17 @@ impl ShardReactor {
             // must stay open — its output task may still be flushing (e.g.
             // the aggregate a foldt service emits when its inputs finish),
             // and closes it once drained.
-            for token in graph.watch_tokens.clone() {
-                if let Some(watch) = self.watches.get(&Token(token)) {
-                    if watch.interest.is_readable() {
-                        watch.endpoint.release();
-                    }
+            for watch in &graph.watches {
+                if watch.interest.is_readable() {
+                    watch.endpoint.release();
                 }
             }
             for task in &graph.task_ids {
-                scheduler.schedule(*task);
+                self.scheduler.schedule(*task);
             }
             Instant::now() + DRAIN_GRACE
         });
-        if graph.task_ids.iter().all(gone) {
+        if graph.life.tasks_left() == 0 {
             self.teardown_graph(graph_id, false);
         } else if Instant::now() >= deadline {
             self.teardown_graph(graph_id, true);
@@ -513,20 +501,18 @@ impl ShardReactor {
             return;
         };
         self.draining.remove(&graph_id);
-        let mut links = Vec::new();
-        for token in graph.watch_tokens {
-            if let Some(watch) = self.watches.remove(&Token(token)) {
-                watch
-                    .endpoint
-                    .deregister_interest(&self.poller, watch.interest);
-                links.push(watch.endpoint);
-            }
+        for watch in &graph.watches {
+            watch
+                .endpoint
+                .deregister_interest(&self.poller, watch.interest);
         }
+        // A removal counts the task out, and may post the graph's token
+        // once more: it finds no graph and is dropped.
         for task in &graph.task_ids {
             self.scheduler.remove(*task);
         }
-        for link in links {
-            link.retire(forced);
+        for watch in graph.watches {
+            watch.endpoint.retire(forced);
         }
         RuntimeMetrics::add(&self.scheduler.metrics().graphs_destroyed, 1);
         graph.service.live_graphs.fetch_sub(1, Ordering::Relaxed);
@@ -945,12 +931,16 @@ mod tests {
     /// tasks once each (the registration posts unconditionally on the OS
     /// transport) and its compute task not at all. The test drives one
     /// shard's reactor by hand, so which turn ran what is not a race.
-    #[test]
-    fn each_watched_task_gets_one_first_run() {
+    /// One shard's reactor, driven by the test thread instead of its own,
+    /// with `factory` deployed on `listener` over `net`.
+    fn hand_driven(
+        listener: Listener,
+        net: Arc<flick_net::SimNetwork>,
+        factory: Arc<dyn GraphFactory>,
+    ) -> (ShardReactor, Arc<ServiceShared>, Arc<RuntimeMetrics>) {
         use crate::scheduler::StealGroup;
         use crate::shard::Placement;
         use crate::task::SchedulingPolicy;
-        use flick_net::{SimNetwork, StackModel, TcpStack};
 
         let metrics = RuntimeMetrics::new_shared();
         let scheduler = Arc::new(Scheduler::start_sharded(
@@ -962,7 +952,25 @@ mod tests {
         ));
         let shard = Arc::new(Shard::new(0, scheduler));
         let set = ShardSet::new(vec![Arc::clone(&shard)], Placement::default().build());
-        let mut reactor = ShardReactor::new(set, shard);
+        let env = ServiceEnv {
+            net,
+            backends: crate::BackendPool::configured(Vec::new(), Default::default(), None),
+            allocator: Arc::new(crate::graph::TaskIdAllocator::new()),
+            exec_mode: Default::default(),
+        };
+        let service = Arc::new(ServiceShared::new(
+            "hand".into(),
+            vec![listener],
+            factory,
+            env,
+            0,
+        ));
+        (ShardReactor::new(set, shard), service, metrics)
+    }
+
+    #[test]
+    fn each_watched_task_gets_one_first_run() {
+        use flick_net::{SimNetwork, StackModel, TcpStack};
 
         let stack = TcpStack::new();
         let listener = stack.listen("127.0.0.1:0").unwrap();
@@ -970,19 +978,11 @@ mod tests {
             .connect(&format!("127.0.0.1:{}", listener.port()))
             .unwrap();
         let server = listener.accept_timeout(Duration::from_secs(5)).unwrap();
-        let env = ServiceEnv {
-            net: SimNetwork::new(StackModel::Free),
-            backends: crate::BackendPool::configured(Vec::new(), Default::default(), None),
-            allocator: Arc::new(crate::graph::TaskIdAllocator::new()),
-            exec_mode: Default::default(),
-        };
-        let service = Arc::new(ServiceShared::new(
-            "web".into(),
-            vec![Listener::from(listener)],
+        let (mut reactor, service, metrics) = hand_driven(
+            Listener::from(listener),
+            SimNetwork::new(StackModel::Free),
             Arc::new(StaticServerFactory),
-            env,
-            0,
-        ));
+        );
         let runs = || metrics.snapshot().task_runs;
         let settle = || std::thread::sleep(Duration::from_millis(50));
 
@@ -999,6 +999,127 @@ mod tests {
         settle();
         assert_eq!(runs(), 2, "one first run per watch");
         reactor.teardown_where(|_| true);
+    }
+
+    /// Two client inputs into a compute task with nothing to answer on
+    /// (no request ever arrives, so `RespondLogic` never emits).
+    struct PairFactory;
+
+    impl GraphFactory for PairFactory {
+        fn connections_per_graph(&self) -> usize {
+            2
+        }
+
+        fn build(
+            &self,
+            clients: Vec<Endpoint>,
+            env: &ServiceEnv,
+        ) -> Result<BuiltGraph, RuntimeError> {
+            let codec = Arc::new(HttpCodec::new());
+            let mut builder = GraphBuilder::new("pair", &env.allocator);
+            let compute_node = builder.declare_node();
+            let mut inputs = Vec::new();
+            for client in &clients {
+                let node = builder.declare_node();
+                inputs.push(builder.bind_input(
+                    node,
+                    "pair-in",
+                    Peer::Client(client),
+                    codec.clone(),
+                    None,
+                    compute_node,
+                ));
+            }
+            builder.install(
+                compute_node,
+                Box::new(ComputeTask::new(
+                    "respond",
+                    inputs,
+                    vec![],
+                    Box::new(RespondLogic),
+                )),
+            );
+            Ok(builder.build())
+        }
+    }
+
+    /// A watch's token is its task's id, so an event for a task that has
+    /// exited is a scheduling miss: it runs nothing, and the graph still
+    /// drains and tears down when its last client goes. A teardown's own
+    /// removals post the gone graph's token, which the next turn drops.
+    #[test]
+    fn an_event_for_an_exited_task_runs_nothing() {
+        use flick_net::{Readiness, SimNetwork, StackModel};
+
+        let net = SimNetwork::new(StackModel::Free);
+        let listener = Listener::from(net.listen(8092).unwrap());
+        let (mut reactor, service, metrics) =
+            hand_driven(listener, Arc::clone(&net), Arc::new(PairFactory));
+        let front = net.listen(8093).unwrap();
+        let pair = || {
+            let client = net.connect(8093).unwrap();
+            (client, front.accept().unwrap())
+        };
+        let runs = || metrics.snapshot().task_runs;
+        let settle = || std::thread::sleep(Duration::from_millis(50));
+        let drive_until =
+            |reactor: &mut ShardReactor, what: &str, done: &dyn Fn(&ShardReactor) -> bool| {
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while !done(reactor) {
+                    assert!(Instant::now() < deadline, "{what}");
+                    let events = reactor.poller.wait(Duration::from_millis(10));
+                    reactor.turn(events);
+                }
+            };
+
+        let (first, first_server) = pair();
+        let (second, second_server) = pair();
+        reactor.build_graph(&service, vec![first_server, second_server]);
+        let graph_id = *reactor.graphs.keys().next().expect("the graph was built");
+        let first_input = reactor.graphs[&graph_id].watches[0].task;
+        let tasks_left = |reactor: &ShardReactor| reactor.graphs[&graph_id].life.tasks_left();
+
+        // The first client leaves: its input task exits, one client is left.
+        first.close();
+        drive_until(&mut reactor, "the first input never exited", &|r| {
+            tasks_left(r) == 2
+        });
+        settle();
+        let before = runs();
+        reactor
+            .poller
+            .post(Token(first_input.0), Readiness::readable());
+        let events = reactor.poller.wait(Duration::from_secs(1));
+        assert!(events.iter().any(|e| e.token == Token(first_input.0)));
+        reactor.turn(events);
+        settle();
+        assert_eq!(runs(), before, "an exited task's event runs nothing");
+        assert!(!reactor.draining.contains_key(&graph_id));
+
+        // The second client leaves: the graph drains and tears down.
+        second.close();
+        drive_until(&mut reactor, "the graph never tore down", &|r| {
+            r.graphs.is_empty()
+        });
+        assert_eq!(service.live_graphs.load(Ordering::Relaxed), 0);
+        assert_eq!(reactor.scheduler.task_count(), 0);
+
+        // A forced teardown removes live tasks, and each removal counts
+        // out of the record that is gone with its graph.
+        let (_third, third_server) = pair();
+        let (_fourth, fourth_server) = pair();
+        reactor.build_graph(&service, vec![third_server, fourth_server]);
+        reactor.teardown_where(|_| true);
+        settle();
+        let before = runs();
+        let events = reactor.poller.wait(Duration::from_millis(10));
+        reactor.turn(events);
+        settle();
+        assert_eq!(runs(), before);
+        assert!(reactor.graphs.is_empty());
+        assert_eq!(reactor.scheduler.task_count(), 0);
+        let metrics = metrics.snapshot();
+        assert_eq!((metrics.graphs_created, metrics.graphs_destroyed), (2, 2));
     }
 
     /// `stop` with live traffic: every shard's sweep tears down the

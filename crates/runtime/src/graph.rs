@@ -1,12 +1,12 @@
 //! Task-graph assembly.
 //!
 //! A [`GraphBuilder`] wires tasks together with bounded channels and produces
-//! a [`BuiltGraph`]: the [`GraphInstance`] (the tasks with their global
-//! [`TaskId`]s, ready to be registered with the scheduler) plus the
-//! readiness watches and client tasks its dispatcher needs. Graphs are
-//! directed and acyclic by construction — channels can only be created
-//! from an already-added producer node to an already-added consumer node,
-//! and the builder assigns identifiers in topological insertion order.
+//! a [`BuiltGraph`]: the tasks with their global [`TaskId`]s, ready to be
+//! registered with the scheduler, plus the readiness watches and client
+//! tasks its dispatcher needs. Graphs are directed and acyclic by
+//! construction — channels can only be created from an already-added
+//! producer node to an already-added consumer node, and the builder
+//! assigns identifiers in topological insertion order.
 
 use crate::channel::{ChannelConsumer, ChannelProducer, TaskChannel, DEFAULT_CHANNEL_CAPACITY};
 use crate::link::Link;
@@ -190,57 +190,10 @@ impl<'a> GraphBuilder<'a> {
             );
         }
         BuiltGraph {
-            graph: GraphInstance {
-                name: self.name,
-                tasks: self.tasks.into_iter().collect(),
-                entry_tasks: self.declared.iter().map(|n| n.task_id()).collect(),
-            },
+            tasks: self.tasks.into_iter().collect(),
             watchers: self.watchers,
             client_tasks: self.client_tasks,
         }
-    }
-}
-
-/// A fully assembled task graph, ready to hand to the scheduler.
-pub struct GraphInstance {
-    name: String,
-    tasks: Vec<(TaskId, Box<dyn Task>)>,
-    entry_tasks: Vec<TaskId>,
-}
-
-impl std::fmt::Debug for GraphInstance {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GraphInstance")
-            .field("name", &self.name)
-            .field("tasks", &self.entry_tasks)
-            .finish()
-    }
-}
-
-impl GraphInstance {
-    /// The graph's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The ids of every task in the graph.
-    pub fn task_ids(&self) -> &[TaskId] {
-        &self.entry_tasks
-    }
-
-    /// Number of tasks in the graph.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Returns `true` if the graph has no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Consumes the graph, yielding its tasks for registration.
-    pub fn into_tasks(self) -> Vec<(TaskId, Box<dyn Task>)> {
-        self.tasks
     }
 }
 
@@ -269,11 +222,9 @@ mod tests {
         let (_tx, _rx) = builder.channel(b);
         builder.install(a, Box::new(NopTask));
         builder.install(b, Box::new(NopTask));
-        let graph = builder.build().graph;
-        assert_eq!(graph.len(), 2);
-        assert_eq!(graph.name(), "g");
-        assert_eq!(graph.task_ids().len(), 2);
-        assert!(!graph.is_empty());
+        let mut ids: Vec<TaskId> = builder.build().tasks.iter().map(|(id, _)| *id).collect();
+        ids.sort();
+        assert_eq!(ids, vec![a.task_id(), b.task_id()]);
     }
 
     #[test]
@@ -351,7 +302,7 @@ mod tests {
         b.install(compute, Box::new(NopTask));
         let built = b.build();
 
-        assert_eq!(built.graph.len(), 4);
+        assert_eq!(built.tasks.len(), 4);
         assert_eq!(built.client_tasks, vec![client_in.task_id()]);
         let on_client: Vec<_> = built
             .watchers

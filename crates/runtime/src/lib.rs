@@ -13,7 +13,7 @@
 //!   [`task::TaskContext`] and the three scheduling policies of §6.4;
 //! * [`tasks`] — the concrete task kinds: input (deserialise), compute,
 //!   output (serialise), and a synthetic source used by micro-benchmarks;
-//! * [`graph`] — task-graph assembly and instances;
+//! * [`graph`] — task-graph assembly;
 //! * [`link`] — what an edge task is bound to: a client connection, or a
 //!   back-end pool member — checked out at build or on the first send to
 //!   it, and parked back in the pool at teardown when cleanly framed;
@@ -51,7 +51,7 @@ pub mod value;
 pub use channel::{ChannelConsumer, ChannelProducer, TaskChannel};
 pub use dispatcher::DeployedService;
 pub use error::RuntimeError;
-pub use graph::{GraphBuilder, GraphInstance, NodeId, Peer};
+pub use graph::{GraphBuilder, NodeId, Peer};
 pub use link::Link;
 pub use metrics::{MetricsSnapshot, RuntimeMetrics};
 pub use platform::{

@@ -14,13 +14,13 @@
 
 use crate::dispatcher::{DeployedService, ServiceShared, ShardReactor};
 use crate::error::RuntimeError;
-use crate::graph::{GraphInstance, TaskIdAllocator};
+use crate::graph::TaskIdAllocator;
 use crate::link::Link;
 use crate::metrics::RuntimeMetrics;
 use crate::pool::{BackendPolicy, BackendPool, BackendTarget};
 use crate::scheduler::{Scheduler, StealGroup};
 use crate::shard::{Placement, Shard, ShardCommand, ShardSet, ShardStatus};
-use crate::task::{SchedulingPolicy, TaskId};
+use crate::task::{SchedulingPolicy, Task, TaskId};
 use crate::tasks::ExecMode;
 use flick_net::{Endpoint, Interest, Listener, SimNetwork, StackModel, TcpStack};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,16 +147,19 @@ impl Watch {
     }
 }
 
-/// A graph produced by a factory, plus the bookkeeping the dispatcher needs.
+/// A graph produced by a factory ([`crate::GraphBuilder::build`]): its
+/// tasks, ready to register with the scheduler, plus the bookkeeping the
+/// dispatcher needs.
 pub struct BuiltGraph {
-    /// The assembled graph.
-    pub graph: GraphInstance,
-    /// Tasks to wake on endpoint readiness transitions (readable for
-    /// input tasks, writable for output tasks).
-    pub watchers: Vec<Watch>,
-    /// The input tasks bound to *client* connections; when all of them have
-    /// finished the dispatcher tears the remaining tasks of the graph down.
-    pub client_tasks: Vec<TaskId>,
+    /// Every task of the graph with its global id.
+    pub(crate) tasks: Vec<(TaskId, Box<dyn Task>)>,
+    /// One per bound direction: the task to wake on the endpoint's
+    /// readiness transitions (readable for input tasks, writable for
+    /// output tasks), in binding order.
+    pub(crate) watchers: Vec<Watch>,
+    /// The input tasks bound to *client* connections; once all of them
+    /// have finished the dispatcher drains the rest of the graph.
+    pub(crate) client_tasks: Vec<TaskId>,
 }
 
 /// Builds task-graph instances for one service.

@@ -11,12 +11,12 @@
 //! additionally pull runnable tasks from their siblings through the
 //! [`steal`] path (see [`steal::StealGroup`]). A stolen task is executed
 //! *through the owning shard's scheduler state* — its task slot, its
-//! follow-on wakes, its exit watchers — so waker registrations in the
+//! follow-on wakes, its graph's exit count — so waker registrations in the
 //! owning shard's poller stay valid no matter which shard's worker ran it.
 
-use crate::graph::GraphInstance;
 use crate::metrics::RuntimeMetrics;
 use crate::task::{SchedulingPolicy, Task, TaskContext, TaskId, TaskStatus};
+use flick_net::{Poller, Readiness, Token};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -33,11 +33,65 @@ struct WorkerQueue {
 struct TaskSlot {
     task: Mutex<Option<Box<dyn Task>>>,
     queued: AtomicBool,
+    /// The graph the task belongs to, and whether its exit counts towards
+    /// the drain; `None` for a task registered on its own.
+    graph: Option<(Arc<GraphLife>, bool)>,
 }
 
-/// Callback invoked (once) when a task exits the scheduler — it finished,
-/// or was removed during graph teardown.
-pub type ExitWatcher = Box<dyn Fn(TaskId) + Send + Sync>;
+impl TaskSlot {
+    fn new(task: Box<dyn Task>, graph: Option<(Arc<GraphLife>, bool)>) -> Arc<Self> {
+        Arc::new(TaskSlot {
+            task: Mutex::new(Some(task)),
+            queued: AtomicBool::new(false),
+            graph,
+        })
+    }
+}
+
+/// One graph's lifecycle record, shared by the slots of its tasks. A task
+/// counts itself out once it has left the task map — it finished, or was
+/// removed — so a count read as zero means every such task is gone. The
+/// record posts `token` to `poller` twice: when the last client task
+/// exits (start the drain) and when the last task exits (tear down).
+pub(crate) struct GraphLife {
+    /// Tasks still registered.
+    tasks: AtomicUsize,
+    /// Client input tasks still registered. It never goes below zero: a
+    /// graph with no client input counts every task here against one, so
+    /// its first exit starts the drain.
+    clients: AtomicUsize,
+    poller: Poller,
+    token: Token,
+}
+
+impl GraphLife {
+    /// Client input tasks still registered.
+    pub(crate) fn clients_left(&self) -> usize {
+        self.clients.load(Ordering::Acquire)
+    }
+
+    /// Tasks still registered.
+    pub(crate) fn tasks_left(&self) -> usize {
+        self.tasks.load(Ordering::Acquire)
+    }
+
+    fn count_out(&self, client: bool) {
+        let last_client = client
+            && self
+                .clients
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+                == Ok(1);
+        let last_task = self.tasks.fetch_sub(1, Ordering::AcqRel) == 1;
+        // Both counts are settled before either post, so the reader the
+        // post wakes sees this exit in both.
+        if last_client {
+            self.poller.post(self.token, Readiness::default());
+        }
+        if last_task {
+            self.poller.post(self.token, Readiness::default());
+        }
+    }
+}
 
 struct SchedulerInner {
     queues: Vec<WorkerQueue>,
@@ -45,7 +99,6 @@ struct SchedulerInner {
     policy: SchedulingPolicy,
     metrics: Arc<RuntimeMetrics>,
     shutdown: AtomicBool,
-    exit_watchers: Mutex<HashMap<TaskId, Vec<ExitWatcher>>>,
     /// Which shard this scheduler belongs to (0 outside sharded platforms).
     shard: usize,
     /// The cross-shard steal set, if this scheduler is part of one.
@@ -172,20 +225,17 @@ impl SchedulerInner {
                 self.schedule(id);
             }
             TaskStatus::Idle => {}
-            TaskStatus::Finished => {
-                self.tasks.write().remove(&id);
-                self.notify_exit(id);
-            }
+            TaskStatus::Finished => self.exit(id),
         }
     }
 
-    /// Fires (and removes) the exit watchers of `id`, if any.
-    fn notify_exit(&self, id: TaskId) {
-        let watchers = self.exit_watchers.lock().remove(&id);
-        if let Some(watchers) = watchers {
-            for watcher in watchers {
-                watcher(id);
-            }
+    /// Takes `id` out of the task map and counts it out of its graph. Only
+    /// the caller that removed the slot counts, so a task that finishes
+    /// while its graph's teardown removes it is counted once.
+    fn exit(&self, id: TaskId) {
+        let slot = self.tasks.write().remove(&id);
+        if let Some((graph, client)) = slot.as_ref().and_then(|slot| slot.graph.as_ref()) {
+            graph.count_out(*client);
         }
     }
 
@@ -233,10 +283,10 @@ impl SchedulerInner {
 ///
 /// The safety guard: a stolen task is executed via the **owning** shard's
 /// [`SchedulerInner`] (`run_one` on the victim), so the task slot, the
-/// follow-on wakes of its [`TaskContext`], and its exit watchers all stay
-/// in the owning shard. Waker registrations that the owning shard's
-/// dispatcher installed in its poller therefore remain valid — the thief
-/// only donates CPU, it never migrates state.
+/// follow-on wakes of its [`TaskContext`], and its exit's count in its
+/// graph's record all stay in the owning shard. Waker registrations that
+/// the owning shard's dispatcher installed in its poller therefore remain
+/// valid — the thief only donates CPU, it never migrates state.
 pub mod steal {
     use super::*;
     use std::sync::Weak;
@@ -318,7 +368,7 @@ pub mod steal {
                         thief.stolen_in.fetch_add(1, Ordering::Relaxed);
                         RuntimeMetrics::add(&thief.metrics.tasks_stolen, 1);
                         // Run through the *owning* scheduler: wakes and
-                        // exit watchers stay in the owning shard.
+                        // the exit count stay in the owning shard.
                         victim.run_one(id);
                         return true;
                     }
@@ -358,7 +408,7 @@ impl Scheduler {
     /// runnable tasks from the group's other members (and vice versa).
     ///
     /// Stolen tasks are executed through the owning scheduler's state, so
-    /// their queues, exit watchers and poller registrations stay with the
+    /// their queues, exit counts and poller registrations stay with the
     /// owning shard; see [`steal`].
     pub fn start_sharded(
         workers: usize,
@@ -388,7 +438,6 @@ impl Scheduler {
             policy,
             metrics,
             shutdown: AtomicBool::new(false),
-            exit_watchers: Mutex::new(HashMap::new()),
             shard,
             group,
             work_seq: AtomicU64::new(0),
@@ -449,32 +498,43 @@ impl Scheduler {
 
     /// Registers a task without scheduling it.
     pub fn register(&self, id: TaskId, task: Box<dyn Task>) {
-        let slot = Arc::new(TaskSlot {
-            task: Mutex::new(Some(task)),
-            queued: AtomicBool::new(false),
-        });
-        self.inner.tasks.write().insert(id, slot);
+        self.inner
+            .tasks
+            .write()
+            .insert(id, TaskSlot::new(task, None));
     }
 
-    /// Registers every task of a graph without scheduling any.
-    pub fn register_graph(&self, graph: GraphInstance) {
+    /// Registers every task of a graph without scheduling any, under one
+    /// lifecycle record that posts `token` to `poller` when the last of
+    /// `clients` exits and when the last task exits. The record exists
+    /// before any of the tasks can run, so no exit goes uncounted.
+    pub(crate) fn register_graph(
+        &self,
+        tasks: Vec<(TaskId, Box<dyn Task>)>,
+        clients: &[TaskId],
+        poller: Poller,
+        token: Token,
+    ) -> Arc<GraphLife> {
         RuntimeMetrics::add(&self.inner.metrics.graphs_created, 1);
-        for (id, task) in graph.into_tasks() {
-            self.register(id, task);
+        let graph = Arc::new(GraphLife {
+            tasks: AtomicUsize::new(tasks.len()),
+            clients: AtomicUsize::new(clients.len().max(1)),
+            poller,
+            token,
+        });
+        let mut map = self.inner.tasks.write();
+        for (id, task) in tasks {
+            let client = clients.is_empty() || clients.contains(&id);
+            map.insert(id, TaskSlot::new(task, Some((Arc::clone(&graph), client))));
         }
+        drop(map);
+        graph
     }
 
     /// Makes a task runnable (it will be dispatched by its worker).
-    /// Returns `false` if the task is not registered (already finished),
-    /// so an event-driven caller needs no separate
-    /// [`Scheduler::is_registered`] probe.
+    /// Returns `false` if the task is not registered (already finished).
     pub fn schedule(&self, id: TaskId) -> bool {
         self.inner.schedule(id)
-    }
-
-    /// Returns `true` while the task is registered (not yet finished).
-    pub fn is_registered(&self, id: TaskId) -> bool {
-        self.inner.tasks.read().contains_key(&id)
     }
 
     /// Number of currently registered tasks.
@@ -483,33 +543,9 @@ impl Scheduler {
     }
 
     /// Removes a task outright (used when tearing down a graph whose
-    /// connection vanished).
+    /// connection vanished); it counts as the task's exit.
     pub fn remove(&self, id: TaskId) {
-        self.inner.tasks.write().remove(&id);
-        self.inner.notify_exit(id);
-    }
-
-    /// Registers `watcher` to run once when task `id` exits the scheduler
-    /// (finishes or is removed). If the task is already gone the watcher
-    /// fires immediately on this thread.
-    ///
-    /// This is the event-driven dispatcher's replacement for polling
-    /// [`Scheduler::is_registered`] every tick: graph teardown becomes an
-    /// event (the watcher posts to the dispatcher's poller) instead of a
-    /// scan.
-    pub fn watch_exit(&self, id: TaskId, watcher: ExitWatcher) {
-        self.inner
-            .exit_watchers
-            .lock()
-            .entry(id)
-            .or_default()
-            .push(watcher);
-        // Re-check after installing: if the task exited between the
-        // caller's decision and the insert, fire now (`notify_exit` removes
-        // the entry, so a concurrent exit cannot double-fire it).
-        if !self.is_registered(id) {
-            self.inner.notify_exit(id);
-        }
+        self.inner.exit(id);
     }
 
     /// Blocks until every registered task has finished or the timeout
@@ -613,7 +649,8 @@ mod tests {
                 }),
             )),
         );
-        scheduler.register_graph(builder.build().graph);
+        let built = builder.build();
+        scheduler.register_graph(built.tasks, &built.client_tasks, Poller::new(), Token(0));
         scheduler.schedule(source_node.task_id());
         assert!(
             scheduler.wait_idle(Duration::from_secs(10)),
@@ -665,7 +702,7 @@ mod tests {
         let scheduler =
             Scheduler::start(1, SchedulingPolicy::default(), RuntimeMetrics::new_shared());
         assert!(!scheduler.schedule(TaskId(999)), "reports the miss");
-        assert!(!scheduler.is_registered(TaskId(999)));
+        assert_eq!(scheduler.task_count(), 0);
     }
 
     #[test]
@@ -673,61 +710,121 @@ mod tests {
         let scheduler =
             Scheduler::start(1, SchedulingPolicy::default(), RuntimeMetrics::new_shared());
         scheduler.register(TaskId(7), Box::new(SyntheticWorkTask::new("t", 1, 1, None)));
-        assert!(scheduler.is_registered(TaskId(7)));
+        assert_eq!(scheduler.task_count(), 1);
         scheduler.remove(TaskId(7));
-        assert!(!scheduler.is_registered(TaskId(7)));
+        assert_eq!(scheduler.task_count(), 0);
         assert!(!scheduler.schedule(TaskId(7)), "a removed task is a miss");
     }
 
+    const GRAPH_TOKEN: Token = Token(1 << 63);
+
+    fn quick_task() -> Box<dyn Task> {
+        Box::new(SyntheticWorkTask::new("t", 1, 1, None))
+    }
+
+    /// The tokens `poller` delivers within `timeout`.
+    fn posted(poller: &Poller, timeout: Duration) -> Vec<Token> {
+        poller
+            .wait(timeout)
+            .iter()
+            .map(|event| event.token)
+            .collect()
+    }
+
+    /// Polls `done` until it holds, failing after ten seconds.
+    fn await_true(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A two-client graph posts its token exactly twice: once its second
+    /// client task has exited (not its first), and once its last task has.
     #[test]
-    fn watch_exit_fires_when_a_task_finishes() {
+    fn a_graph_posts_after_its_last_client_and_its_last_task() {
         let scheduler =
             Scheduler::start(2, SchedulingPolicy::default(), RuntimeMetrics::new_shared());
-        let fired = Arc::new(AtomicBool::new(false));
-        let fired2 = Arc::clone(&fired);
-        let id = TaskId(11);
-        scheduler.register(id, Box::new(SyntheticWorkTask::new("t", 10, 64, None)));
-        scheduler.watch_exit(
-            id,
-            Box::new(move |exited| {
-                assert_eq!(exited, TaskId(11));
-                fired2.store(true, Ordering::SeqCst);
-            }),
+        let poller = Poller::new();
+        let (a, b, c) = (TaskId(1), TaskId(2), TaskId(3));
+        let graph = scheduler.register_graph(
+            vec![(a, quick_task()), (b, quick_task()), (c, quick_task())],
+            &[a, b],
+            poller.clone(),
+            GRAPH_TOKEN,
         );
-        scheduler.schedule(id);
-        assert!(scheduler.wait_idle(Duration::from_secs(5)));
-        let deadline = std::time::Instant::now() + Duration::from_secs(1);
-        while !fired.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_micros(100));
+        assert_eq!((graph.clients_left(), graph.tasks_left()), (2, 3));
+
+        scheduler.schedule(a);
+        await_true("the first client never exited", || graph.tasks_left() == 2);
+        assert_eq!(graph.clients_left(), 1);
+        let quiet = Duration::from_millis(20);
+        assert!(posted(&poller, quiet).is_empty(), "one client is left");
+
+        scheduler.schedule(b);
+        assert_eq!(posted(&poller, Duration::from_secs(5)), [GRAPH_TOKEN]);
+        assert_eq!((graph.clients_left(), graph.tasks_left()), (0, 1));
+
+        scheduler.schedule(c);
+        assert_eq!(posted(&poller, Duration::from_secs(5)), [GRAPH_TOKEN]);
+        assert_eq!(graph.tasks_left(), 0);
+        assert!(posted(&poller, quiet).is_empty(), "at most two posts");
+    }
+
+    /// Teardown's removals count each task out once: removing a task
+    /// twice, or scheduling it after, counts nothing more, and the posts
+    /// stop once every task is gone.
+    #[test]
+    fn removal_counts_each_task_out_once() {
+        let scheduler =
+            Scheduler::start(1, SchedulingPolicy::default(), RuntimeMetrics::new_shared());
+        let poller = Poller::new();
+        let (a, b, c) = (TaskId(1), TaskId(2), TaskId(3));
+        let graph = scheduler.register_graph(
+            vec![(a, quick_task()), (b, quick_task()), (c, quick_task())],
+            &[a, b],
+            poller.clone(),
+            GRAPH_TOKEN,
+        );
+        scheduler.remove(a);
+        scheduler.remove(a);
+        assert!(!scheduler.schedule(a));
+        assert_eq!((graph.clients_left(), graph.tasks_left()), (1, 2));
+        let quiet = Duration::from_millis(20);
+        assert!(posted(&poller, quiet).is_empty());
+
+        for id in [b, c, b, c] {
+            scheduler.remove(id);
         }
-        assert!(fired.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn watch_exit_on_unknown_task_fires_immediately() {
-        let scheduler =
-            Scheduler::start(1, SchedulingPolicy::default(), RuntimeMetrics::new_shared());
-        let fired = Arc::new(AtomicBool::new(false));
-        let fired2 = Arc::clone(&fired);
-        scheduler.watch_exit(
-            TaskId(404),
-            Box::new(move |_| fired2.store(true, Ordering::SeqCst)),
+        assert_eq!((graph.clients_left(), graph.tasks_left()), (0, 0));
+        assert_eq!(
+            posted(&poller, quiet),
+            [GRAPH_TOKEN],
+            "the two posts coalesce"
         );
-        assert!(fired.load(Ordering::SeqCst));
+        assert!(posted(&poller, quiet).is_empty());
     }
 
+    /// A graph with no client task starts its drain on its first exit.
     #[test]
-    fn watch_exit_fires_on_remove() {
+    fn a_graph_without_clients_drains_on_its_first_exit() {
         let scheduler =
             Scheduler::start(1, SchedulingPolicy::default(), RuntimeMetrics::new_shared());
-        let id = TaskId(21);
-        scheduler.register(id, Box::new(SyntheticWorkTask::new("t", 1, 1, None)));
-        let fired = Arc::new(AtomicBool::new(false));
-        let fired2 = Arc::clone(&fired);
-        scheduler.watch_exit(id, Box::new(move |_| fired2.store(true, Ordering::SeqCst)));
-        assert!(!fired.load(Ordering::SeqCst));
-        scheduler.remove(id);
-        assert!(fired.load(Ordering::SeqCst));
+        let poller = Poller::new();
+        let (a, b) = (TaskId(1), TaskId(2));
+        let graph = scheduler.register_graph(
+            vec![(a, quick_task()), (b, quick_task())],
+            &[],
+            poller.clone(),
+            GRAPH_TOKEN,
+        );
+        scheduler.remove(a);
+        assert_eq!((graph.clients_left(), graph.tasks_left()), (0, 1));
+        assert_eq!(posted(&poller, Duration::from_millis(20)), [GRAPH_TOKEN]);
+        scheduler.remove(b);
+        assert_eq!((graph.clients_left(), graph.tasks_left()), (0, 0));
+        assert_eq!(posted(&poller, Duration::from_millis(20)), [GRAPH_TOKEN]);
     }
 
     #[test]
@@ -951,7 +1048,7 @@ mod tests {
     }
 
     #[test]
-    fn stolen_tasks_fire_exit_watchers_in_the_owning_shard() {
+    fn a_stolen_task_is_counted_out_in_its_owners_record() {
         let metrics = RuntimeMetrics::new_shared();
         let group = StealGroup::new();
         let shards = [
@@ -976,24 +1073,22 @@ mod tests {
         let (pinned_shard, _) = GateTask::await_entered(&entered);
         let owner = &shards[pinned_shard];
 
-        // The task is registered (and watched) in the pinned shard, so only
-        // the sibling's steal path can run it — yet the watcher, which
-        // lives in the owning shard's scheduler, must still fire.
-        let fired = Arc::new(AtomicBool::new(false));
-        let fired2 = Arc::clone(&fired);
+        // The graph is registered in the pinned shard, so only the
+        // sibling's steal path can run its task — and the exit must still
+        // be counted in the record the owning shard's slot holds.
+        let poller = Poller::new();
         let id = TaskId(42);
-        owner.register(id, Box::new(SyntheticWorkTask::new("t", 5, 64, None)));
-        owner.watch_exit(id, Box::new(move |_| fired2.store(true, Ordering::SeqCst)));
+        let graph = owner.register_graph(
+            vec![(id, Box::new(SyntheticWorkTask::new("t", 5, 64, None)))],
+            &[id],
+            poller.clone(),
+            GRAPH_TOKEN,
+        );
         owner.schedule(id);
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !fired.load(Ordering::SeqCst) {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "exit watcher of a stolen task never fired"
-            );
-            std::thread::yield_now();
-        }
+        assert_eq!(posted(&poller, Duration::from_secs(10)), [GRAPH_TOKEN]);
+        assert_eq!((graph.clients_left(), graph.tasks_left()), (0, 0));
         assert!(RuntimeMetrics::get(&metrics.tasks_stolen) >= 1);
+        assert!(owner.load().stolen_out >= 1);
         GateTask::release(&release);
         assert!(owner.wait_idle(Duration::from_secs(10)));
     }

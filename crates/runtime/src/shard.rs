@@ -27,8 +27,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The token a shard's control-plane events (inbox notifications, service
-/// stop sweeps) post under. Listener, watcher and graph tokens are
-/// allocated from `1` upwards, so the namespaces never collide.
+/// stop sweeps) post under. A watch posts its task's id (from `1`
+/// upwards) and listener and graph tokens carry a tag bit, so the
+/// namespaces never collide.
 pub(crate) const CONTROL_TOKEN: Token = Token(0);
 
 /// Chooses the shard each new task graph is placed on.

@@ -154,8 +154,10 @@ pub struct ScenarioReport {
     /// Mutated frames sent (hostile traffic is accounted separately from
     /// clean requests — a rejected poison frame is a success story).
     pub hostile_sent: u64,
-    /// Mutated frames the service answered by closing the connection —
-    /// the observed malformed rejections.
+    /// Mutated frames the service answered by closing the connection in a
+    /// tick with every backend healthy — the observed malformed
+    /// rejections. (In a degraded tick a close may be the balancer
+    /// refusing the connection, so it is not counted.)
     pub hostile_rejected: u64,
     /// Runtime counters at teardown (backend ejections/readmits, retry
     /// totals — what the acceptance assertions read).
@@ -481,6 +483,11 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
                 // is a closed connection. A parsed response means the
                 // bounded parser waved poison through; a healthy-mode
                 // timeout means the connection (and its buffer) leaked.
+                // In a degraded tick a close is not evidence of a parser's
+                // rejection: the balancer may have refused the graph for
+                // want of a healthy back-end before any parser saw the
+                // frame. Such a close is `hostile-refused` and is not
+                // counted as a rejection.
                 let conn = client.conn.as_ref().expect("pending implies connected");
                 let deadline = Instant::now() + patience;
                 let mut buf = Vec::with_capacity(256);
@@ -498,6 +505,7 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
                             }
                         }
                         Err(NetError::TimedOut) => continue,
+                        Err(_) if degraded => break "hostile-refused",
                         Err(_) => break "hostile-rejected",
                     }
                 };

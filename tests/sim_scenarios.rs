@@ -539,14 +539,12 @@ fn hostile_storm_replays_byte_identically() {
     );
 }
 
-/// Randomized mutator sweep for CI: fresh seeds drive the hostile storm
-/// (plus churn and a full crash/restart cycle) and every failing seed is
-/// printed for pinning. Ignored by default; CI runs it with
-/// `-- --ignored`. `SIM_SWEEP_SEEDS` / `SIM_SWEEP_BASE` as for the
-/// clean-traffic sweep.
-#[test]
-#[ignore = "mutator sweep — run explicitly or from CI"]
-fn randomized_mutator_sweep() {
+/// The seeds of one randomized sweep: `SIM_SWEEP_SEEDS` of them (4 by
+/// default), stepping from `SIM_SWEEP_BASE`. Without a base one is
+/// derived from the clock (the seconds times `clock_factor`); the base in
+/// use is printed either way, so a red run replays as a whole with
+/// `SIM_SWEEP_BASE=<printed value>`.
+fn sweep_seeds(sweep: &str, clock_factor: u64) -> Vec<u64> {
     let count: u64 = std::env::var("SIM_SWEEP_SEEDS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -559,27 +557,66 @@ fn randomized_mutator_sweep() {
                 .duration_since(std::time::UNIX_EPOCH)
                 .expect("clock after epoch")
                 .as_secs()
-                .wrapping_mul(0xA57)
+                .wrapping_mul(clock_factor)
         });
+    println!("{sweep}: SIM_SWEEP_BASE={base} SIM_SWEEP_SEEDS={count}");
+    (0..count)
+        .map(|i| base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        .collect()
+}
+
+/// The mutator sweep's schedule: a 30% hostile storm with churn, and
+/// both back-ends down for ticks 3 and 4.
+fn mutator_sweep_config(seed: u64) -> ScenarioConfig {
+    ScenarioConfig {
+        name: "mutator-sweep",
+        seed,
+        ticks: 8,
+        clients: 4,
+        backends: 2,
+        hostile: 0.3,
+        churn: 0.3,
+        faults: vec![
+            ScheduledFault::at(3, FaultOp::CrashBackend(0)),
+            ScheduledFault::at(3, FaultOp::CrashBackend(1)),
+            ScheduledFault::at(5, FaultOp::RestartBackend(0)),
+            ScheduledFault::at(5, FaultOp::RestartBackend(1)),
+        ],
+        ..Default::default()
+    }
+}
+
+/// A mutator-sweep seed that observed 7 closes of hostile frames but
+/// recorded 6 malformed closes: with both back-ends down, the sticky
+/// balancer refused a reconnecting client's graph, so its poison frame's
+/// connection closed before any parser saw the frame. That close is a
+/// refusal, not a rejection, and the run is clean.
+#[test]
+fn a_refused_hostile_frame_is_no_malformed_rejection() {
+    let report = run_scenario(&mutator_sweep_config(0x0450_7a61_b114));
+    report.assert_clean();
+    assert!(
+        report
+            .trace
+            .events()
+            .iter()
+            .any(|event| event.ends_with("hostile-refused")),
+        "the pinned seed refuses a hostile frame in a dark tick: {report:?}"
+    );
+    assert!(report.hostile_rejected > 0, "{report:?}");
+}
+
+/// Randomized mutator sweep for CI: fresh seeds drive the hostile storm
+/// (plus churn and a full crash/restart cycle) and every failing seed is
+/// printed for pinning. Ignored by default; CI runs it with
+/// `-- --ignored`. `SIM_SWEEP_SEEDS` / `SIM_SWEEP_BASE` as for the
+/// clean-traffic sweep.
+#[test]
+#[ignore = "mutator sweep — run explicitly or from CI"]
+fn randomized_mutator_sweep() {
     let mut failing = Vec::new();
-    for i in 0..count {
-        let seed = base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let report = run_scenario(&ScenarioConfig {
-            name: "mutator-sweep",
-            seed,
-            ticks: 8,
-            clients: 4,
-            backends: 2,
-            hostile: 0.3,
-            churn: 0.3,
-            faults: vec![
-                ScheduledFault::at(3, FaultOp::CrashBackend(0)),
-                ScheduledFault::at(3, FaultOp::CrashBackend(1)),
-                ScheduledFault::at(5, FaultOp::RestartBackend(0)),
-                ScheduledFault::at(5, FaultOp::RestartBackend(1)),
-            ],
-            ..Default::default()
-        });
+    for seed in sweep_seeds("mutator sweep", 0xA57) {
+        let report = run_scenario(&mutator_sweep_config(seed));
         if report.violations.is_empty() {
             println!(
                 "mutator seed {seed:#018x}: clean ({} ok, {} hostile, {} rejected)",
@@ -603,26 +640,12 @@ fn randomized_mutator_sweep() {
 /// batch of fresh seeds and print every failing seed (each failure is
 /// replayable by pinning that seed in a test above). Ignored by default;
 /// CI runs it with `-- --ignored`. `SIM_SWEEP_SEEDS` controls the batch
-/// size, `SIM_SWEEP_BASE` the first seed.
+/// size, `SIM_SWEEP_BASE` the first seed (see `sweep_seeds`).
 #[test]
 #[ignore = "seed sweep — run explicitly or from CI"]
 fn randomized_seed_sweep() {
-    let count: u64 = std::env::var("SIM_SWEEP_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let base: u64 = std::env::var("SIM_SWEEP_BASE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .expect("clock after epoch")
-                .as_secs()
-        });
     let mut failing = Vec::new();
-    for i in 0..count {
-        let seed = base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    for seed in sweep_seeds("seed sweep", 1) {
         let report = run_scenario(&ScenarioConfig {
             name: "sweep",
             seed,

@@ -11,7 +11,8 @@
 //!   event backend, with **zero** endpoint scans while idle (the
 //!   acceptance bar of the OS transport);
 //! * partial reads/writes: bodies far larger than a socket buffer;
-//! * EOF teardown driven by `watch_exit` task-exit events;
+//! * EOF teardown driven by the graph's counted exits (its lifecycle
+//!   record posts when the last client task and the last task exit);
 //! * a real-socket port of the `stress_no_lost_wakeups` poller stress and
 //!   of the cross-poller registration handoff stress.
 
@@ -146,7 +147,7 @@ fn large_bodies_survive_partial_reads_and_writes() {
 }
 
 /// Closing the client socket drives EOF through the input task; the
-/// `watch_exit` chain must tear the graph down without any polling.
+/// graph's counted exits must tear it down without any polling.
 #[test]
 fn client_eof_tears_the_graph_down() {
     let platform = tcp_platform(2, 1);
