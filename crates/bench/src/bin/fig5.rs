@@ -10,13 +10,13 @@
 //!
 //! * `--shards=N` — shard count for the FLICK systems (default 1, the
 //!   pre-sharding single-reactor runtime). With `N > 1` the platform runs
-//!   one scheduler pool + dispatcher + poller per shard, places graphs
-//!   round-robin and steals across shards.
+//!   one scheduler pool + dispatcher + poller per shard, builds each graph
+//!   on the shard that accepted it and steals across shards.
 //! * `--no-ablation` — skip the sharding-on/off ablation table printed
 //!   after the main figure.
 //!
 //! The sharding ablation reports **per-shard** utilization (each shard's
-//! share of task executions) rather than a single aggregate, so placement
+//! share of task executions) rather than a single aggregate, so accept
 //! imbalance — and the steal traffic correcting it — is visible directly
 //! in the table.
 

@@ -254,7 +254,7 @@ pub fn run_memcached_experiment_sharded(
 /// a single-shard platform and against each of `shard_counts`, reporting
 /// aggregate throughput plus **per-shard** utilization (each shard's share
 /// of task executions) and cross-shard steal counts — the per-shard rows
-/// make placement imbalance visible instead of hiding it in an aggregate.
+/// make accept imbalance visible instead of hiding it in an aggregate.
 pub fn run_sharding_ablation(
     shard_counts: &[usize],
     duration: Duration,

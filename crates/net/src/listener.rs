@@ -1,8 +1,9 @@
 //! The simulated network fabric: listeners, ports and connection setup.
 //!
 //! [`SimNetwork`] stands in for the data-centre switch fabric of the paper's
-//! testbed. Services bind listeners to ports ([`SimNetwork::listen`]) and
-//! clients connect to them ([`SimNetwork::connect`]); each established
+//! testbed. Services bind listeners to ports ([`SimNetwork::listen`], or
+//! one per shard with [`SimNetwork::listen_group`]) and clients connect to
+//! them ([`SimNetwork::connect`]); each established
 //! connection is a pair of [`Endpoint`]s, with connection setup and accept
 //! charged according to the configured [`StackModel`].
 
@@ -14,18 +15,35 @@ use crate::ratelimit::TokenBucket;
 use crate::stats::NetStats;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-struct ListenerInner {
+/// One member of a port's listen group: its own backlog, and the waker of
+/// the dispatcher that drains it.
+struct Member {
     pending: Mutex<VecDeque<Endpoint>>,
     cond: Condvar,
-    closed: AtomicBool,
-    port: u16,
     /// Registered by the accepting dispatcher; woken on every new pending
     /// connection and on close.
     waker: Mutex<Option<WakerSlot>>,
+}
+
+impl Member {
+    fn wake(&self, readiness: Readiness) {
+        if let Some(waker) = self.waker.lock().as_ref() {
+            waker.wake(readiness);
+        }
+    }
+}
+
+struct ListenerInner {
+    /// One per listener of the group ([`SimNetwork::listen_group`]).
+    members: Vec<Member>,
+    /// The member the next connect lands on, modulo the group size.
+    next: AtomicUsize,
+    closed: AtomicBool,
+    port: u16,
     /// Server-side endpoints of every connection routed to this port,
     /// including ones already accepted. This is the fault-injection hook:
     /// [`SimNetwork::sever_port`] closes them all at once, modelling the
@@ -40,17 +58,23 @@ struct ListenerInner {
 }
 
 impl ListenerInner {
-    fn wake(&self, readiness: Readiness) {
-        if let Some(waker) = self.waker.lock().as_ref() {
-            waker.wake(readiness);
+    /// Closes the whole group: every member's accepts fail from now on,
+    /// and every member's registration is woken with closed readiness.
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        for member in &self.members {
+            member.cond.notify_all();
+            member.wake(Readiness::readable().with_closed());
         }
     }
 }
 
-/// A listening socket bound to a port of the simulated network.
+/// A listening socket bound to a port of the simulated network: one
+/// member of the port's listen group.
 #[derive(Clone)]
 pub struct SimListener {
     inner: Arc<ListenerInner>,
+    member: usize,
     costs: StackCosts,
 }
 
@@ -58,11 +82,16 @@ impl std::fmt::Debug for SimListener {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimListener")
             .field("port", &self.inner.port)
+            .field("member", &self.member)
             .finish()
     }
 }
 
 impl SimListener {
+    fn member(&self) -> &Member {
+        &self.inner.members[self.member]
+    }
+
     /// The port this listener is bound to.
     pub fn port(&self) -> u16 {
         self.inner.port
@@ -76,7 +105,7 @@ impl SimListener {
         if self.consume_accept_fault() {
             return Err(NetError::Resources);
         }
-        let mut queue = self.inner.pending.lock();
+        let mut queue = self.member().pending.lock();
         match queue.pop_front() {
             Some(endpoint) => {
                 drop(queue);
@@ -112,7 +141,8 @@ impl SimListener {
     /// Accepts a pending connection, blocking up to `timeout`.
     pub fn accept_timeout(&self, timeout: Duration) -> Result<Endpoint, NetError> {
         let deadline = Instant::now() + timeout;
-        let mut queue = self.inner.pending.lock();
+        let member = self.member();
+        let mut queue = member.pending.lock();
         loop {
             if let Some(endpoint) = queue.pop_front() {
                 drop(queue);
@@ -126,13 +156,13 @@ impl SimListener {
             if now >= deadline {
                 return Err(NetError::TimedOut);
             }
-            self.inner.cond.wait_for(&mut queue, deadline - now);
+            member.cond.wait_for(&mut queue, deadline - now);
         }
     }
 
-    /// Number of connections waiting to be accepted.
+    /// Number of connections waiting to be accepted by this listener.
     pub fn backlog(&self) -> usize {
-        self.inner.pending.lock().len()
+        self.member().pending.lock().len()
     }
 
     /// Registers this listener with `poller`: every new pending connection
@@ -143,8 +173,9 @@ impl SimListener {
     pub fn register(&self, poller: &Poller, token: Token) {
         // Take the backlog lock around the slot install + level check so a
         // concurrent connect cannot slip between them unnoticed.
-        let pending = self.inner.pending.lock();
-        *self.inner.waker.lock() = Some(poller.slot(token));
+        let member = self.member();
+        let pending = member.pending.lock();
+        *member.waker.lock() = Some(poller.slot(token));
         let closed = self.inner.closed.load(Ordering::Acquire);
         if !pending.is_empty() || closed {
             let mut readiness = Readiness::readable();
@@ -155,17 +186,16 @@ impl SimListener {
 
     /// Removes this listener's registration in `poller`, if any.
     pub fn deregister(&self, poller: &Poller) {
-        let mut waker = self.inner.waker.lock();
+        let mut waker = self.member().waker.lock();
         if waker.as_ref().is_some_and(|w| w.belongs_to(poller)) {
             *waker = None;
         }
     }
 
-    /// Closes the listener; pending and future accepts fail.
+    /// Closes the listener, with every other member of its group;
+    /// pending and future accepts fail.
     pub fn close(&self) {
-        self.inner.closed.store(true, Ordering::Release);
-        self.inner.cond.notify_all();
-        self.inner.wake(Readiness::readable().with_closed());
+        self.inner.close();
     }
 
     /// Returns `true` after the listener was closed.
@@ -224,34 +254,50 @@ impl SimNetwork {
         &self.stats
     }
 
-    /// Binds a listener to `port`.
+    /// Binds a listener to `port`: a listen group of one.
     pub fn listen(&self, port: u16) -> Result<SimListener, NetError> {
+        self.listen_group(port, 1).map(|mut group| group.remove(0))
+    }
+
+    /// Binds `count` listeners to one `port`, the simulated twin of
+    /// [`crate::TcpStack::listen_group`]: each listener has its own
+    /// backlog, and connects rotate over them, so with one listener per
+    /// shard every shard accepts its share of the port's connections.
+    /// Closing any member closes the group.
+    pub fn listen_group(&self, port: u16, count: usize) -> Result<Vec<SimListener>, NetError> {
+        assert!(count > 0, "listen_group needs at least one listener");
         let mut listeners = self.listeners.lock();
         if listeners.contains_key(&port) {
             return Err(NetError::AddrInUse);
         }
         let inner = Arc::new(ListenerInner {
-            pending: Mutex::new(VecDeque::new()),
-            cond: Condvar::new(),
+            members: (0..count)
+                .map(|_| Member {
+                    pending: Mutex::new(VecDeque::new()),
+                    cond: Condvar::new(),
+                    waker: Mutex::new(None),
+                })
+                .collect(),
+            next: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
             port,
-            waker: Mutex::new(None),
             established: Mutex::new(Vec::new()),
             accept_faults: AtomicU64::new(0),
         });
         listeners.insert(port, Arc::clone(&inner));
-        Ok(SimListener {
-            inner,
-            costs: self.costs,
-        })
+        Ok((0..count)
+            .map(|member| SimListener {
+                inner: Arc::clone(&inner),
+                member,
+                costs: self.costs,
+            })
+            .collect())
     }
 
-    /// Removes the listener bound to `port`, closing it.
+    /// Removes the listener group bound to `port`, closing it.
     pub fn unlisten(&self, port: u16) {
         if let Some(inner) = self.listeners.lock().remove(&port) {
-            inner.closed.store(true, Ordering::Release);
-            inner.cond.notify_all();
-            inner.wake(Readiness::readable().with_closed());
+            inner.close();
         }
     }
 
@@ -288,10 +334,12 @@ impl SimNetwork {
             established.push(server.clone());
         }
         {
-            let mut queue = listener.pending.lock();
+            let next = listener.next.fetch_add(1, Ordering::Relaxed);
+            let member = &listener.members[next % listener.members.len()];
+            let mut queue = member.pending.lock();
             queue.push_back(server);
-            listener.cond.notify_one();
-            listener.wake(Readiness::readable());
+            member.cond.notify_one();
+            member.wake(Readiness::readable());
         }
         Ok(client)
     }
@@ -664,6 +712,28 @@ mod tests {
         // The next connect prunes the dead entry from the registry.
         let _second = net.connect(94).unwrap();
         assert_eq!(net.established_count(94), 1);
+    }
+
+    #[test]
+    fn a_listen_group_rotates_connects_over_its_members() {
+        let net = SimNetwork::new(StackModel::Free);
+        let group = net.listen_group(95, 2).unwrap();
+        assert_eq!(net.listen(95).unwrap_err(), NetError::AddrInUse);
+        let poller = Poller::new();
+        group[1].register(&poller, Token(5));
+        let _clients: Vec<_> = (0..5).map(|_| net.connect(95).unwrap()).collect();
+        assert_eq!((group[0].backlog(), group[1].backlog()), (3, 2));
+        let events = poller.wait(Duration::from_secs(1));
+        assert!(events.iter().all(|e| e.token == Token(5)));
+        // The port stays one unit for fault injection and teardown.
+        assert_eq!(net.established_count(95), 5);
+        net.inject_accept_faults(95, 1);
+        assert_eq!(group[1].try_accept().unwrap_err(), NetError::Resources);
+        assert!(group[0].try_accept().is_ok());
+        group[0].close();
+        assert!(group[1].is_closed());
+        assert_eq!(net.connect(95).unwrap_err(), NetError::ConnectionRefused);
+        assert_eq!(net.sever_port(95), 5);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic seeded randomness for the simulation harness.
 //!
 //! Every random choice in a simulated run — workload mixes, fault timing,
-//! placement decisions — must derive from one `u64` scenario seed, so that
+//! routing decisions — must derive from one `u64` scenario seed, so that
 //! a failing run replays bit-identically from its seed alone. [`SimRng`] is
 //! that derivation point: a splitmix64 generator (the same stream as the
 //! `rand` shim's `StdRng`, so swapping it into existing generators changes

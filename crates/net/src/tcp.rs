@@ -1,6 +1,6 @@
 //! The OS socket transport: real TCP behind the readiness layer.
 //!
-//! Everything above the substrate — dispatchers, task graphs, placement —
+//! Everything above the substrate — dispatchers, task graphs, shards —
 //! speaks [`crate::Endpoint`] + [`crate::Poller`]. This module provides the
 //! second implementation of that contract (DESIGN.md §10): nonblocking
 //! `std::net` sockets registered in a per-poller [`OsReactor`] — an epoll

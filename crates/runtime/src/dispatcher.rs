@@ -5,26 +5,25 @@
 //! indicates connection closes; the *graph dispatcher* assigns connections
 //! to task graphs, instantiating a new one when needed. Both run on **one
 //! dispatcher thread per shard** (not per service): a shard's
-//! `ShardReactor` multiplexes every service homed on it plus every graph
-//! placed on it, and blocks on the shard's [`Poller`].
+//! `ShardReactor` multiplexes every listener it accepts on plus every
+//! graph built on it, and blocks on the shard's [`Poller`].
 //!
-//! Graphs are *placed*: when a service's home shard has accepted enough
-//! connections for a graph instance, the platform's
-//! [`crate::shard::PlacementPolicy`] picks the shard the graph runs on.
-//! A graph placed on a remote shard is handed off through that shard's
-//! inbox ([`ShardCommand::BuildGraph`]); the client endpoints are only
-//! ever registered with the *owning* shard's poller, and registration is
-//! level-triggered, so bytes arriving during the handoff cannot be lost.
+//! A graph runs on the shard that accepted it. A service whose graph
+//! serves one connection has one listener per shard, and each shard builds
+//! a graph for each connection it accepts; one whose graph groups several
+//! connections (the Hadoop aggregator) has a single listener on its home
+//! shard, so every group completes where it was accepted. No graph is
+//! handed to another shard.
 //!
-//! The reactor is wakeup-driven throughout. Accepts, task wakeups,
-//! cross-shard handoffs, drain and teardown are all event handlers keyed
-//! by [`Token`]; between events the thread blocks in [`Poller::wait`] and
-//! touches no endpoint, so thousands of idle connections cost nothing.
+//! The reactor is wakeup-driven throughout. Accepts, task wakeups, drain
+//! and teardown are all event handlers keyed by [`Token`]; between events
+//! the thread blocks in [`Poller::wait`] and touches no endpoint, so
+//! thousands of idle connections cost nothing.
 
 use crate::metrics::RuntimeMetrics;
 use crate::platform::{GraphFactory, ServiceEnv, Watch};
 use crate::scheduler::{GraphLife, Scheduler};
-use crate::shard::{Shard, ShardCommand, ShardSet, CONTROL_TOKEN};
+use crate::shard::{Shard, ShardSet, CONTROL_TOKEN};
 use crate::task::TaskId;
 use flick_net::{Endpoint, Listener, NetError, Poller, Token};
 use std::collections::HashMap;
@@ -51,12 +50,11 @@ const IDLE_HEARTBEAT: Duration = Duration::from_millis(50);
 /// and the service handle.
 pub struct ServiceShared {
     name: String,
-    /// The service's accept sockets. A single listener (the common case,
-    /// and all of the simulated transport) is homed on `home_shard`. With
-    /// kernel accept sharding ([`flick_net::TcpStack::listen_group`])
-    /// there is one `SO_REUSEPORT` listener per shard and listener `i` is
+    /// The service's accept sockets: a listen group with one listener per
+    /// shard ([`flick_net::SimNetwork::listen_group`],
+    /// [`flick_net::TcpStack::listen_group`]), where listener `i` is
     /// owned — registered, drained and closed — by shard `i`'s
-    /// dispatcher, so accepts never funnel through one thread.
+    /// dispatcher, or a single listener homed on `home_shard`.
     listeners: Vec<Listener>,
     factory: Arc<dyn GraphFactory>,
     env: ServiceEnv,
@@ -105,15 +103,15 @@ impl ServiceShared {
         &self.name
     }
 
-    /// The shard the service's listener lives on.
+    /// The shard a single-listener service accepts on; a service with a
+    /// listen group accepts on every shard.
     pub fn home_shard(&self) -> usize {
         self.home_shard
     }
 
     /// The accept socket `shard`'s dispatcher owns, if any: the single
-    /// listener when `shard` is the home shard, or the shard's own
-    /// `SO_REUSEPORT` socket under accept sharding (listener `i` ↔
-    /// shard `i`).
+    /// listener when `shard` is the home shard, or the shard's own member
+    /// of a listen group (listener `i` ↔ shard `i`).
     pub(crate) fn listener_on(&self, shard: usize) -> Option<&Listener> {
         if self.listeners.len() == 1 {
             (shard == self.home_shard).then(|| &self.listeners[0])
@@ -223,8 +221,8 @@ struct Graph {
 /// The state of one shard's reactor. The thread blocks in
 /// [`Poller::wait`]; every state transition anywhere on the shard — a new
 /// pending accept, bytes arriving on a watched connection, EOF, a graph's
-/// last client or last task exiting the scheduler, a command from another
-/// shard — arrives as an [`flick_net::Event`] and is handled by token.
+/// last client or last task exiting the scheduler, a newly deployed
+/// service — arrives as an [`flick_net::Event`] and is handled by token.
 ///
 /// A watch's token is its task's id, so its event schedules the task
 /// with no lookup. Listener and graph tokens come from one allocator and
@@ -292,17 +290,8 @@ impl ShardReactor {
 
     /// One turn of the loop: inbox, the event batch, then the two timers.
     fn turn(&mut self, events: Vec<flick_net::Event>) {
-        // Shard inbox first: a BuildGraph handoff may concern endpoints
-        // whose readiness events are already queued behind it.
-        for command in self.shard.drain_inbox() {
-            match command {
-                ShardCommand::AddService(shared) => self.add_service(shared),
-                ShardCommand::BuildGraph { service, clients } => {
-                    if !service.stopped() {
-                        self.build_graph(&service, clients);
-                    }
-                }
-            }
+        for service in self.shard.drain_inbox() {
+            self.add_service(service);
         }
 
         let mut sweep = false;
@@ -346,9 +335,9 @@ impl ShardReactor {
     }
 
     /// Homes a newly deployed service: registers this shard's own accept
-    /// socket (the home listener, or this shard's REUSEPORT socket under
-    /// accept sharding). Level-triggered, so accepts that raced the deploy
-    /// are caught by the registration itself.
+    /// socket (the home listener, or this shard's member of the listen
+    /// group). Level-triggered, so accepts that raced the deploy are
+    /// caught by the registration itself.
     fn add_service(&mut self, shared: Arc<ServiceShared>) {
         if let Some(listener) = shared.listener_on(self.shard.id()) {
             let token = self.alloc_token();
@@ -364,8 +353,9 @@ impl ShardReactor {
     }
 
     /// Application dispatcher: accepts everything pending on one listener,
-    /// arms (or clears) its backoff retry, and places every complete
-    /// connection group. Runs on a listener event and on the retry timer.
+    /// arms (or clears) its backoff retry, and builds a graph on this shard
+    /// for every complete connection group. Runs on a listener event and
+    /// on the retry timer.
     fn drain_listener(&mut self, token: Token) {
         let Some(entry) = self.services.get_mut(&token) else {
             return;
@@ -392,14 +382,7 @@ impl ShardReactor {
             groups.push(entry.pending_clients.drain(..per_graph).collect());
         }
         for clients in groups {
-            let target = self.set.place();
-            if target == self.shard.id() {
-                self.build_graph(&service, clients);
-            } else {
-                let service = Arc::clone(&service);
-                self.set
-                    .send(target, ShardCommand::BuildGraph { service, clients });
-            }
+            self.build_graph(&service, clients);
         }
     }
 
@@ -581,7 +564,9 @@ impl DeployedService {
         self.port
     }
 
-    /// The shard the service's listener is homed on.
+    /// The shard a single-listener service accepts on (one whose graph
+    /// groups several connections); a service with one listener per shard
+    /// accepts on every shard.
     pub fn home_shard(&self) -> usize {
         self.shared.home_shard
     }
@@ -758,9 +743,9 @@ mod tests {
         assert_eq!(service.live_graphs(), 0);
     }
 
-    /// The same connection fan as above, but over many shards: graphs are
-    /// placed round-robin, served correctly, and torn down no matter which
-    /// shard owns them.
+    /// The same connection fan as above, but over many shards: the accept
+    /// rotation spreads the graphs, which are served correctly and torn
+    /// down no matter which shard owns them.
     #[test]
     fn connections_are_served_across_shards() {
         let platform = Platform::new(PlatformConfig {
@@ -782,12 +767,12 @@ mod tests {
             let n = c.read_timeout(&mut buf, Duration::from_secs(5)).unwrap();
             assert!(n > 0);
         }
-        // With 8 graphs over 4 round-robin shards, every shard built some.
+        // 8 connects rotate over 4 listeners: every shard built 2 graphs.
         let status = platform.shard_status();
         assert_eq!(status.len(), 4);
         assert!(
-            status.iter().all(|s| s.graphs_built >= 1),
-            "round-robin placement must reach every shard: {status:?}"
+            status.iter().all(|s| s.graphs_built == 2),
+            "the accept rotation must reach every shard evenly: {status:?}"
         );
         for c in &clients {
             c.close();
@@ -939,7 +924,6 @@ mod tests {
         factory: Arc<dyn GraphFactory>,
     ) -> (ShardReactor, Arc<ServiceShared>, Arc<RuntimeMetrics>) {
         use crate::scheduler::StealGroup;
-        use crate::shard::Placement;
         use crate::task::SchedulingPolicy;
 
         let metrics = RuntimeMetrics::new_shared();
@@ -951,7 +935,7 @@ mod tests {
             0,
         ));
         let shard = Arc::new(Shard::new(0, scheduler));
-        let set = ShardSet::new(vec![Arc::clone(&shard)], Placement::default().build());
+        let set = ShardSet::new(vec![Arc::clone(&shard)]);
         let env = ServiceEnv {
             net,
             backends: crate::BackendPool::configured(Vec::new(), Default::default(), None),

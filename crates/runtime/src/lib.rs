@@ -20,9 +20,8 @@
 //! * [`scheduler`] — the worker-thread pool with per-worker FIFO queues,
 //!   work scavenging, the timeslice discipline, and the cross-shard
 //!   [`scheduler::steal`] path;
-//! * [`shard`] — per-core shards (scheduler pool + dispatcher + poller)
-//!   and the pluggable [`shard::PlacementPolicy`] that distributes task
-//!   graphs over them;
+//! * [`shard`] — per-core shards (scheduler pool + dispatcher + poller);
+//!   a task graph runs on the shard that accepted its connections;
 //! * [`dispatcher`] — the per-shard application dispatcher (connection →
 //!   program instance) and graph dispatcher (connection → task graph);
 //! * [`platform`] — the top-level [`platform::Platform`] that ties the
@@ -59,9 +58,7 @@ pub use platform::{
 };
 pub use pool::{BackendPolicy, BackendPool, BackendTarget, RoutePolicy};
 pub use scheduler::{Scheduler, ShardLoad, StealGroup};
-pub use shard::{
-    LeastLoadedPlacement, Placement, PlacementPolicy, RoundRobinPlacement, Shard, ShardStatus,
-};
+pub use shard::{Shard, ShardStatus};
 pub use task::{SchedulingPolicy, Task, TaskContext, TaskId, TaskStatus};
 pub use tasks::{ComputeLogic, ComputeTask, ExecMode, InputTask, OutputTask, Outputs, SourceTask};
 pub use value::{SharedDict, Value};

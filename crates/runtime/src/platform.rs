@@ -7,9 +7,10 @@
 //! by a shard dispatcher whenever enough client connections have arrived
 //! to instantiate a new task graph (one connection for the HTTP and
 //! Memcached services, all the mapper connections for the Hadoop
-//! aggregator). Which shard a graph lands on is decided by the configured
-//! [`Placement`] policy; idle shards additionally steal runnable tasks
-//! from loaded ones through the scheduler's
+//! aggregator). A graph runs on the shard that accepted its connections:
+//! a service whose graph serves one connection listens on every shard, one
+//! whose graph groups several listens on its home shard only. Idle shards
+//! steal runnable tasks from loaded ones through the scheduler's
 //! [`steal`](crate::scheduler::steal) path.
 
 use crate::dispatcher::{DeployedService, ServiceShared, ShardReactor};
@@ -19,7 +20,7 @@ use crate::link::Link;
 use crate::metrics::RuntimeMetrics;
 use crate::pool::{BackendPolicy, BackendPool, BackendTarget};
 use crate::scheduler::{Scheduler, StealGroup};
-use crate::shard::{Placement, Shard, ShardCommand, ShardSet, ShardStatus};
+use crate::shard::{Shard, ShardSet, ShardStatus};
 use crate::task::{SchedulingPolicy, Task, TaskId};
 use crate::tasks::ExecMode;
 use flick_net::{Endpoint, Interest, Listener, SimNetwork, StackModel, TcpStack};
@@ -35,8 +36,8 @@ pub fn default_shard_count() -> usize {
         .unwrap_or(1)
 }
 
-/// Configuration of a [`Platform`]: two sizing fields and the two
-/// policies a deployment selects (DESIGN.md "Policy surface"). Everything
+/// Configuration of a [`Platform`]: two sizing fields and the one policy
+/// a deployment selects (DESIGN.md "Policy surface"). Everything
 /// else about the runtime is mechanism and is not configurable — workers
 /// run the paper's cooperative discipline
 /// ([`SchedulingPolicy::default`]), and the transport cost model belongs
@@ -53,8 +54,6 @@ pub struct PlatformConfig {
     /// on a 16-core host runs 2 shards of 1 worker, not 16. See
     /// [`PlatformConfig::resolved_shards`].
     pub shards: usize,
-    /// How new task graphs are placed onto shards.
-    pub placement: Placement,
     /// Backend health/routing policy: candidate ordering, passive
     /// ejection thresholds and the per-checkout retry budget.
     pub backend_policy: BackendPolicy,
@@ -65,7 +64,6 @@ impl Default for PlatformConfig {
         PlatformConfig {
             workers: 4,
             shards: 0,
-            placement: Placement::default(),
             backend_policy: BackendPolicy::default(),
         }
     }
@@ -294,7 +292,7 @@ impl Platform {
                 Arc::new(Shard::new(id, scheduler))
             })
             .collect();
-        let set = ShardSet::new(shards, config.placement.build());
+        let set = ShardSet::new(shards);
         let dispatchers = set
             .shards()
             .iter()
@@ -386,22 +384,23 @@ impl Platform {
 
     /// Deploys a service on a real OS socket: binds `addr` (use
     /// `127.0.0.1:0` for an ephemeral port, then read it back from
-    /// [`DeployedService::port`]), homes the listener on a shard and starts
-    /// accepting kernel connections. Everything past the listener — graph
-    /// placement, readiness, teardown — is shared with [`Platform::deploy`];
-    /// OS and simulated sources multiplex on the same shard pollers, so a
-    /// single service may read from a TCP client while talking to
-    /// simulated back-ends.
+    /// [`DeployedService::port`]) and starts accepting kernel connections:
+    /// on every shard when each of the service's graphs serves one
+    /// connection, on its home shard when a graph groups several.
+    /// Everything past the listener — graph building, readiness, teardown
+    /// — is shared with [`Platform::deploy`]; OS and simulated sources
+    /// multiplex on the same shard pollers, so a single service may read
+    /// from a TCP client while talking to simulated back-ends.
     pub fn deploy_tcp(
         &self,
         spec: ServiceSpec,
         addr: &str,
     ) -> Result<DeployedService, RuntimeError> {
-        // Kernel accept sharding: one SO_REUSEPORT socket per shard, so
-        // every shard's dispatcher drains its own kernel accept queue and
-        // new connections never funnel through a single thread. On one
-        // shard this degenerates to a plain listener.
-        let listeners = self.tcp_stack().listen_group(addr, self.set.len())?;
+        // Kernel accept sharding: one SO_REUSEPORT socket per accepting
+        // shard, so every shard's dispatcher drains its own kernel accept
+        // queue and the kernel's hash spreads the connections.
+        let width = self.accept_width(&spec);
+        let listeners = self.tcp_stack().listen_group(addr, width)?;
         let port = listeners[0].port();
         self.deploy_on_listeners(
             spec,
@@ -410,20 +409,37 @@ impl Platform {
         )
     }
 
-    /// Deploys a service: binds its simulated port, homes its listener on
-    /// a shard and starts accepting. Task graphs instantiated for the
-    /// service are placed across shards by the configured [`Placement`]
-    /// policy.
+    /// Deploys a service: binds its simulated port and starts accepting, on
+    /// the same shards as [`Platform::deploy_tcp`]. Connects rotate over
+    /// the port's listeners, so a service's graphs spread over the shards
+    /// in connection order.
     pub fn deploy(&self, spec: ServiceSpec) -> Result<DeployedService, RuntimeError> {
-        let listener = self.net.listen(spec.port)?;
+        let width = self.accept_width(&spec);
+        let listeners = self.net.listen_group(spec.port, width)?;
         let port = spec.port;
-        self.deploy_on_listeners(spec, vec![Listener::from(listener)], port)
+        self.deploy_on_listeners(
+            spec,
+            listeners.into_iter().map(Listener::from).collect(),
+            port,
+        )
+    }
+
+    /// How many listeners a service binds: one per shard when each of its
+    /// graphs serves one connection, so every shard accepts and builds its
+    /// own graphs; one, on the home shard, when a graph groups several
+    /// connections, so every group is accepted — and completed — by one
+    /// shard.
+    fn accept_width(&self, spec: &ServiceSpec) -> usize {
+        if spec.factory.connections_per_graph() <= 1 {
+            self.set.len()
+        } else {
+            1
+        }
     }
 
     /// The transport-independent tail of service deployment. One listener
-    /// is homed on a single shard; a listener *group* (accept sharding)
-    /// assigns listener `i` to shard `i` and announces the service to
-    /// every one of those shards.
+    /// is homed on a single shard; a listen group assigns listener `i` to
+    /// shard `i` and announces the service to every one of those shards.
     fn deploy_on_listeners(
         &self,
         spec: ServiceSpec,
@@ -466,7 +482,7 @@ impl Platform {
         let accept_shards: Vec<usize> = if listeners.len() == 1 {
             vec![home_shard]
         } else {
-            (0..listeners.len().min(self.set.len())).collect()
+            (0..listeners.len()).collect()
         };
         let shared = Arc::new(ServiceShared::new(
             spec.name.clone(),
@@ -476,8 +492,7 @@ impl Platform {
             home_shard,
         ));
         for shard in accept_shards {
-            self.set
-                .send(shard, ShardCommand::AddService(Arc::clone(&shared)));
+            self.set.add_service(shard, Arc::clone(&shared));
         }
         Ok(DeployedService::new(port, shared, Arc::clone(&self.set)))
     }
@@ -532,18 +547,16 @@ mod tests {
         assert!(platform.net().listen(4242).is_err());
     }
 
-    /// The policy surface is closed: two sizing fields, two policies. A
-    /// fifth field fails to compile here.
+    /// The policy surface is closed: two sizing fields, one policy. A
+    /// fourth field fails to compile here.
     #[test]
     fn config_is_exactly_sizing_plus_policy() {
         let PlatformConfig {
             workers,
             shards,
-            placement,
             backend_policy,
         } = PlatformConfig::default();
         assert_eq!((workers, shards), (4, 0));
-        assert!(matches!(placement, Placement::RoundRobin));
         assert_eq!(backend_policy, BackendPolicy::default());
     }
 
@@ -607,8 +620,13 @@ mod tests {
             ..Default::default()
         });
 
+        // A graph over two connections: a single-listener service.
         struct NeverFactory;
         impl GraphFactory for NeverFactory {
+            fn connections_per_graph(&self) -> usize {
+                2
+            }
+
             fn build(
                 &self,
                 _clients: Vec<Endpoint>,

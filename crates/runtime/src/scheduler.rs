@@ -127,17 +127,12 @@ struct SchedulerInner {
     stolen_in: AtomicU64,
 }
 
-/// Point-in-time load description of one shard's scheduler, consumed by
-/// the least-loaded placement policy and the fig5 per-shard utilization
-/// report.
+/// Point-in-time run and steal counters of one shard's scheduler, consumed
+/// by the fig5 per-shard utilization report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardLoad {
     /// The shard id this scheduler serves.
     pub shard: usize,
-    /// Tasks currently registered (alive graphs' tasks).
-    pub registered: usize,
-    /// Tasks currently queued runnable.
-    pub queued: usize,
     /// Task executions attributed to this shard (its own tasks, wherever
     /// they ran).
     pub runs: u64,
@@ -275,11 +270,11 @@ impl SchedulerInner {
 
 /// The cross-shard work-stealing path.
 ///
-/// A [`StealGroup`] is the *mechanism*: a set of sibling schedulers (one
-/// per shard) whose idle workers pull runnable tasks from each other's
-/// queues. Placement *policy* — which shard a task graph lands on in the
-/// first place — lives in [`crate::shard::PlacementPolicy`], keeping the
-/// two separable as in warehouse-scale scheduler designs.
+/// A [`StealGroup`] is a set of sibling schedulers (one per shard) whose
+/// idle workers pull runnable tasks from each other's queues. It is the
+/// only thing that moves work between shards: a task graph runs on the
+/// shard that accepted its connections, and stealing absorbs the skew
+/// that the accept spread leaves.
 ///
 /// The safety guard: a stolen task is executed via the **owning** shard's
 /// [`SchedulerInner`] (`run_one` on the victim), so the task slot, the
@@ -476,15 +471,12 @@ impl Scheduler {
         self.inner.shard
     }
 
-    /// A point-in-time load snapshot (queue depth, registered tasks, runs
-    /// and steal counters), as consumed by placement policies and the
-    /// fig5 per-shard utilization report.
+    /// A point-in-time snapshot of the run and steal counters, as
+    /// consumed by the fig5 per-shard utilization report. Reads atomics
+    /// only; no queue is locked.
     pub fn load(&self) -> ShardLoad {
-        let queued = self.inner.queues.iter().map(|q| q.queue.lock().len()).sum();
         ShardLoad {
             shard: self.inner.shard,
-            registered: self.task_count(),
-            queued,
             runs: self.inner.runs.load(Ordering::Relaxed),
             stolen_out: self.inner.stolen_out.load(Ordering::Relaxed),
             stolen_in: self.inner.stolen_in.load(Ordering::Relaxed),
@@ -974,40 +966,33 @@ mod tests {
         assert!(scheduler.wait_idle(Duration::from_secs(10)));
     }
 
+    /// Stealing, deterministically: shard 0 starts alone, so its only
+    /// worker is the one that enters the gate, and the burst queued behind
+    /// it can only run on the sibling started afterwards — every task of
+    /// it, through the steal path, before the gate opens.
     #[test]
     fn idle_sibling_shard_steals_queued_tasks() {
-        // The shard whose only worker is gated queues a burst; the burst
-        // can complete only through the sibling shard's steal path.
         let metrics = RuntimeMetrics::new_shared();
         let group = StealGroup::new();
-        let shards = [
+        let start = |shard| {
             Scheduler::start_sharded(
                 1,
                 SchedulingPolicy::RoundRobin,
                 Arc::clone(&metrics),
                 &group,
-                0,
-            ),
-            Scheduler::start_sharded(
-                1,
-                SchedulingPolicy::RoundRobin,
-                Arc::clone(&metrics),
-                &group,
-                1,
-            ),
-        ];
+                shard,
+            )
+        };
+        let owner = start(0);
+        let (gate, entered, release) = GateTask::new();
+        owner.register(TaskId(1), Box::new(gate));
+        owner.schedule(TaskId(1));
+        assert_eq!(GateTask::await_entered(&entered), (0, 0));
+        let thief = start(1);
         assert_eq!(group.len(), 2);
 
-        let (gate, entered, release) = GateTask::new();
-        shards[0].register(TaskId(1), Box::new(gate));
-        shards[0].schedule(TaskId(1));
-        // The gate itself may be stolen; the burst targets whichever shard's
-        // worker is actually pinned.
-        let (pinned_shard, _) = GateTask::await_entered(&entered);
-        let owner = &shards[pinned_shard];
-
+        // One item each: a task runs once, so it is stolen once.
         const BURST: usize = 12;
-        let stolen_before = RuntimeMetrics::get(&metrics.tasks_stolen);
         let completed = Arc::new(AtomicUsize::new(0));
         for i in 0..BURST {
             let completed = Arc::clone(&completed);
@@ -1016,7 +1001,7 @@ mod tests {
                 id,
                 Box::new(SyntheticWorkTask::new(
                     format!("t{i}"),
-                    10,
+                    1,
                     256,
                     Some(Box::new(move || {
                         completed.fetch_add(1, Ordering::SeqCst);
@@ -1034,17 +1019,19 @@ mod tests {
             );
             std::thread::yield_now();
         }
-        let stolen = RuntimeMetrics::get(&metrics.tasks_stolen) - stolen_before;
-        assert!(
-            stolen >= BURST as u64,
-            "every burst task must have crossed the shard boundary, saw {stolen}"
-        );
-        let load = owner.load();
-        assert!(load.stolen_out >= BURST as u64, "{load:?}");
-        // Runs are attributed to the owning shard even when a thief ran them.
-        assert!(load.runs >= BURST as u64, "{load:?}");
+        let (owner_load, thief_load) = (owner.load(), thief.load());
+        let stolen = RuntimeMetrics::get(&metrics.tasks_stolen);
+        // Open the gate before asserting: a failed assertion must not
+        // leave the owner's worker parked in it while the test unwinds.
         GateTask::release(&release);
         assert!(owner.wait_idle(Duration::from_secs(10)));
+        assert_eq!(thief_load.stolen_in, BURST as u64, "{thief_load:?}");
+        assert_eq!(owner_load.stolen_out, BURST as u64, "{owner_load:?}");
+        assert_eq!(stolen, BURST as u64);
+        // Runs are attributed to the owning shard even when a thief ran
+        // them: the burst, and the gate its own worker entered.
+        assert_eq!(owner_load.runs, BURST as u64 + 1, "{owner_load:?}");
+        assert_eq!(thief_load.runs, 0, "{thief_load:?}");
     }
 
     #[test]

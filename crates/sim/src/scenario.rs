@@ -31,7 +31,7 @@ use flick_net::ratelimit::TokenBucket;
 use flick_net::stats::StatsSnapshot;
 use flick_net::{Endpoint, NetError, SimNetwork, SimRng};
 use flick_runtime::metrics::MetricsSnapshot;
-use flick_runtime::{BackendPolicy, ExecMode, Placement, Platform, PlatformConfig, ServiceSpec};
+use flick_runtime::{BackendPolicy, ExecMode, Platform, PlatformConfig, ServiceSpec};
 use flick_services::http::http_balancer;
 use flick_services::StaticWebServerFactory;
 use flick_workload::backends::{start_http_backend, BackendHandle};
@@ -66,8 +66,6 @@ pub struct ScenarioConfig {
     pub workers: usize,
     /// Platform shards (`0` = auto).
     pub shards: usize,
-    /// Graph placement policy.
-    pub placement: Placement,
     /// The fault schedule.
     pub faults: Vec<ScheduledFault>,
     /// Per-request probability of delivering the request one byte per
@@ -116,7 +114,6 @@ impl Default for ScenarioConfig {
             backends: 2,
             workers: 2,
             shards: 2,
-            placement: Placement::RoundRobin,
             faults: Vec::new(),
             byte_at_a_time: 0.0,
             churn: 0.0,
@@ -225,7 +222,6 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
     let platform = Platform::new(PlatformConfig {
         workers: config.workers,
         shards: config.shards,
-        placement: config.placement.clone(),
         backend_policy: config.backend_policy,
     });
     let net = platform.net();

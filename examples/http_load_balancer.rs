@@ -2,8 +2,9 @@
 //! middlebox, driven by a closed-loop client fleet.
 //!
 //! The platform runs sharded: one scheduler pool + dispatcher + poller per
-//! shard, connection graphs placed round-robin, idle shards stealing
-//! runnable tasks across shard boundaries. The run report prints the
+//! shard, each shard accepting on its own listener and building the graphs
+//! of the connections it accepted, idle shards stealing runnable tasks
+//! across shard boundaries. The run report prints the
 //! per-shard utilization and steal counters next to the throughput.
 //!
 //! Run with: `cargo run --example http_load_balancer`
@@ -23,7 +24,6 @@
 //! shows the goodput the clean requests kept next to the malformed-close
 //! count the platform recorded. Simulated-fabric mode only.
 
-use flick::runtime_crate::Placement;
 use flick::services::http::http_balancer;
 use flick::{Platform, PlatformConfig, ServiceSpec};
 use flick_workload::backends::{start_http_backend, start_tcp_http_backend};
@@ -53,7 +53,6 @@ fn main() {
     let platform = Platform::new(PlatformConfig {
         workers: 4,
         shards: 2,
-        placement: Placement::RoundRobin,
         ..Default::default()
     });
     let net = platform.net();

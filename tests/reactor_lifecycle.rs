@@ -132,10 +132,13 @@ fn the_epoll_set_dies_with_its_users_and_no_reactor_thread_ever_runs() {
     let addr = format!("127.0.0.1:{}", service.port());
     let response = fetch_http(&addr, "/", Duration::from_secs(5)).unwrap();
     assert!(response.ends_with(b"served"));
-    assert_eq!(
-        flick_threads(),
-        ["flick-dispatch-", "flick-worker-0-", "flick-worker-0-"],
-        "dispatch-0, worker-0-0 and worker-0-1, as `comm` cuts them"
+    // A worker names itself, so a census taken before it ran that far
+    // reads the unnamed thread: poll until all three have their names.
+    // dispatch-0, worker-0-0 and worker-0-1, as `comm` cuts them.
+    let expected = ["flick-dispatch-", "flick-worker-0-", "flick-worker-0-"];
+    eventually(
+        "the census never read exactly one dispatcher and two workers",
+        || flick_threads() == expected,
     );
 }
 

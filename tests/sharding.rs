@@ -1,10 +1,11 @@
-//! Integration suite for the sharded runtime: placement determinism,
-//! stealing under skew, and no lost wakeups across the cross-shard graph
-//! handoff (the sharding acceptance gates; run with
-//! `cargo test -q sharding -- --test-threads=1` in a loop for stress
-//! evidence).
+//! Integration suite for the sharded runtime: every shard accepts and
+//! builds the graphs of the connections it accepted — deterministically
+//! spread on the simulated transport, multi-connection graphs complete on
+//! one shard, and no wakeup is lost across shards (the sharding
+//! acceptance gates; run with `cargo test -q sharding -- --test-threads=1`
+//! in a loop for stress evidence). Stealing is tested at scheduler level.
 
-use flick::runtime_crate::{Placement, PlacementPolicy, RuntimeMetrics, ShardLoad, ShardStatus};
+use flick::runtime_crate::ShardStatus;
 use flick::services::hadoop::hadoop_aggregator;
 use flick::services::http::StaticWebServerFactory;
 use flick::{Platform, PlatformConfig, ServiceSpec};
@@ -13,11 +14,10 @@ use flick_workload::hadoop::{run_hadoop_mappers, wait_for_quiescence, HadoopLoad
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn web_platform(shards: usize, placement: Placement) -> Platform {
+fn web_platform(shards: usize) -> Platform {
     Platform::new(PlatformConfig {
         workers: shards, // one worker per shard
         shards,
-        placement,
         ..Default::default()
     })
 }
@@ -41,11 +41,13 @@ fn connect_and_wait_for_graph(
     client
 }
 
-/// Round-robin placement is deterministic: with 4 shards and 8 graphs
-/// instantiated one at a time, every shard builds exactly 2.
+/// The simulated accept rotation places connections round-robin over the
+/// shards' listeners, and each graph is built where it was accepted: with
+/// 4 shards and 8 graphs instantiated one at a time, every shard builds
+/// exactly 2.
 #[test]
 fn sharding_round_robin_placement_is_deterministic() {
-    let platform = web_platform(4, Placement::RoundRobin);
+    let platform = web_platform(4);
     let service = platform
         .deploy(ServiceSpec::new(
             "web",
@@ -53,8 +55,8 @@ fn sharding_round_robin_placement_is_deterministic() {
             StaticWebServerFactory::new(&b"ok"[..]),
         ))
         .unwrap();
-    // Connect sequentially, waiting for each graph: placement decisions
-    // then happen in connection order, so the rotation is reproducible.
+    // Connect sequentially, waiting for each graph: the rotation then
+    // follows connection order, so it is reproducible.
     let _clients: Vec<_> = (0..8)
         .map(|i| connect_and_wait_for_graph(&platform, &service, 8800, i + 1))
         .collect();
@@ -63,108 +65,22 @@ fn sharding_round_robin_placement_is_deterministic() {
     assert_eq!(
         built,
         vec![2, 2, 2, 2],
-        "8 graphs over 4 round-robin shards must land 2-2-2-2: {status:?}"
+        "8 graphs over 4 accepting shards must land 2-2-2-2: {status:?}"
     );
-}
-
-/// The least-loaded policy sends sequentially arriving graphs to distinct
-/// shards: each placed graph raises its shard's registered-task count, so
-/// the next placement must pick a different (still empty) shard.
-#[test]
-fn sharding_least_loaded_spreads_sequential_graphs() {
-    let platform = web_platform(2, Placement::LeastLoaded);
-    let service = platform
-        .deploy(ServiceSpec::new(
-            "web",
-            8801,
-            StaticWebServerFactory::new(&b"ok"[..]),
-        ))
-        .unwrap();
-    let _clients: Vec<_> = (0..4)
-        .map(|i| connect_and_wait_for_graph(&platform, &service, 8801, i + 1))
-        .collect();
-    let status = platform.shard_status();
-    assert!(
-        status.iter().all(|s| s.graphs_built >= 1),
-        "least-loaded placement must not pile sequential graphs onto one \
-         shard: {status:?}"
-    );
-}
-
-/// A placement policy that pins every graph to one shard — the skew
-/// generator for the steal test.
-#[derive(Debug)]
-struct PinTo(usize);
-
-impl PlacementPolicy for PinTo {
-    fn label(&self) -> &'static str {
-        "pin"
-    }
-    fn place(&self, _loads: &[ShardLoad]) -> usize {
-        self.0
-    }
-}
-
-/// Steal under skew: every graph is deliberately placed on shard 0, so
-/// shard 1's worker can contribute only through the cross-shard steal
-/// path — and under sustained load it must.
-#[test]
-fn sharding_steal_under_skew() {
-    let platform = web_platform(2, Placement::Custom(Arc::new(PinTo(0))));
-    let service = platform
-        .deploy(ServiceSpec::new(
-            "web",
-            8802,
-            StaticWebServerFactory::new(&b"ok"[..]),
-        ))
-        .unwrap();
-    let net = platform.net();
-    let clients: Vec<_> = (0..8).map(|_| net.connect(8802).unwrap()).collect();
-    // Sustained closed-loop load: 8 connections served by shard 0's single
-    // worker leave a queue for shard 1 to steal from.
-    for round in 0..30 {
-        for c in &clients {
-            c.write_all(format!("GET /{round} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
-                .unwrap();
-        }
-        for c in &clients {
-            let mut buf = [0u8; 1024];
-            let mut seen = 0;
-            while seen == 0 {
-                seen = c
-                    .read_timeout(&mut buf, Duration::from_secs(10))
-                    .expect("response arrives");
-            }
-        }
-    }
-    let status = platform.shard_status();
-    assert_eq!(
-        status[1].graphs_built, 0,
-        "the pin policy must have kept every graph on shard 0: {status:?}"
-    );
-    let stolen = RuntimeMetrics::get(&platform.metrics().tasks_stolen);
-    assert!(
-        stolen > 0,
-        "shard 1 must have stolen work from the skewed shard 0 \
-         (status: {status:?})"
-    );
-    assert_eq!(status[0].load.stolen_out, status[1].load.stolen_in);
-    drop(clients);
-    drop(service);
 }
 
 /// The cross-shard extension of `stress_no_lost_wakeups`: client threads
-/// hammer a sharded service with request/response cycles while graphs are
-/// placed round-robin across 4 shards (accept on the home shard, register
-/// on the placed shard). A wakeup lost anywhere in the accept → place →
-/// register → schedule chain shows up as a response timeout; a teardown
-/// event lost across shards shows up as a graph that never dies.
+/// hammer a sharded service with request/response cycles while 4 shards
+/// accept, build and serve graphs side by side, and steal each other's
+/// tasks. A wakeup lost anywhere in the accept → build → register →
+/// schedule chain shows up as a response timeout; a teardown event lost
+/// across shards shows up as a graph that never dies.
 #[test]
-fn sharding_stress_no_lost_wakeups_across_handoff() {
+fn sharding_stress_no_lost_wakeups_across_shards() {
     const CLIENTS: usize = 12;
     const ROUNDS: usize = 25;
 
-    let platform = web_platform(4, Placement::RoundRobin);
+    let platform = web_platform(4);
     let service = platform
         .deploy(ServiceSpec::new(
             "web",
@@ -186,8 +102,7 @@ fn sharding_stress_no_lost_wakeups_across_handoff() {
                         )
                         .expect("request");
                     // Read until the response body shows up; a lost wakeup
-                    // anywhere in the handoff chain turns into a timeout
-                    // here.
+                    // anywhere in the chain turns into a timeout here.
                     let mut response = Vec::new();
                     let mut buf = [0u8; 1024];
                     while !response.windows(11).any(|w| w == b"stress-body") {
@@ -209,11 +124,11 @@ fn sharding_stress_no_lost_wakeups_across_handoff() {
     }
 
     assert_eq!(service.connections_accepted(), CLIENTS as u64);
-    // Every shard participated (round-robin over 12 graphs and 4 shards).
+    // Every shard participated (12 connects rotate over 4 listeners).
     let status = platform.shard_status();
     assert!(
-        status.iter().all(|s| s.graphs_built >= 1),
-        "placement must have reached every shard: {status:?}"
+        status.iter().all(|s| s.graphs_built == 3),
+        "the accept rotation must have reached every shard: {status:?}"
     );
     // All closes observed: every graph dies, on whichever shard it lived.
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -229,8 +144,8 @@ fn sharding_stress_no_lost_wakeups_across_handoff() {
 
 /// Multi-connection services (the Hadoop aggregator groups all mapper
 /// connections into one graph) keep working when the platform is sharded:
-/// the home shard accumulates the connection group, the placed shard runs
-/// the whole graph.
+/// the service listens on its home shard only, which accumulates the
+/// connection group and runs the whole graph.
 #[test]
 fn sharding_multi_connection_graphs_survive_placement() {
     let platform = Platform::new(PlatformConfig {
@@ -265,5 +180,50 @@ fn sharding_multi_connection_graphs_survive_placement() {
         forwarded < stats.bytes,
         "aggregation must reduce traffic: {} -> {forwarded}",
         stats.bytes
+    );
+}
+
+/// The simulated twin of `tcp_transport`'s stranding test: a service
+/// whose graph groups two connections listens on its home shard only, so
+/// on a 2-shard platform ten sequential pairs each build one graph, all
+/// of them there.
+#[test]
+fn sharding_connection_groups_complete_on_one_shard() {
+    let platform = Platform::new(PlatformConfig {
+        workers: 2,
+        shards: 2,
+        ..Default::default()
+    });
+    let net = platform.net();
+    let (_reducer, _) = start_sink_backend(&net, 9953);
+    let service = platform
+        .deploy(ServiceSpec::new("hadoop", 9952, hadoop_aggregator(2)).with_backends(vec![9953]))
+        .unwrap();
+    let built = || -> u64 { platform.shard_status().iter().map(|s| s.graphs_built).sum() };
+    for trial in 1..=10 {
+        let mappers: Vec<_> = (0..2).map(|_| net.connect(9952).unwrap()).collect();
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while built() < trial {
+            assert!(
+                Instant::now() < deadline,
+                "trial {trial}: no graph built for the pair within 1 s ({:?})",
+                platform.shard_status()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        mappers.iter().for_each(|m| m.close());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while service.live_graphs() > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "trial {trial}: graph never tore down"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    assert_eq!(service.connections_accepted(), 20);
+    assert_eq!(
+        platform.shard_status()[service.home_shard()].graphs_built,
+        10
     );
 }

@@ -9,7 +9,7 @@
 //! second a pass; CI runs ten in a row as a flake detector):
 //! `cargo test --release --test sim_scenarios -- --test-threads=1`
 
-use flick_runtime::{BackendPolicy, ExecMode, Placement, RoutePolicy};
+use flick_runtime::{BackendPolicy, ExecMode, RoutePolicy};
 use flick_sim::{
     run_poller_handoff_scenario, run_scenario, run_stall_park_scenario, FaultOp, ScenarioConfig,
     ScheduledFault, TickChecks,
@@ -217,9 +217,9 @@ fn rate_limit_storm_conserves_tokens() {
     assert_eq!(report.requests_ok, 24, "{report:?}");
 }
 
-/// Cross-shard churn: four shards, least-loaded placement, heavy churn —
-/// graph placement and work stealing race constantly while connections
-/// come and go.
+/// Cross-shard churn: four shards, heavy churn — every shard accepts and
+/// builds graphs while work stealing races the teardowns of connections
+/// that come and go.
 #[test]
 fn cross_shard_churn_with_stealing_stays_clean() {
     let report = run_scenario(&ScenarioConfig {
@@ -230,7 +230,6 @@ fn cross_shard_churn_with_stealing_stays_clean() {
         backends: 2,
         workers: 4,
         shards: 4,
-        placement: Placement::LeastLoaded,
         churn: 0.4,
         byte_at_a_time: 0.2,
         ..Default::default()
@@ -369,7 +368,7 @@ fn injected_violation_is_caught_and_reports_its_seed() {
 }
 
 /// Satellite: a backend vanishing mid-run and rejoining must not leak
-/// tasks or wedge the load-balancer graph — round-robin placement.
+/// tasks or wedge the load-balancer graph — round-robin back-end routing.
 /// Partial outage routes nondeterministically (connection-id hash), so
 /// outcome tracing is off; the leak/conservation checks are the test.
 #[test]
@@ -380,7 +379,10 @@ fn backend_vanishing_and_rejoining_round_robin() {
         ticks: 10,
         clients: 6,
         backends: 3,
-        placement: Placement::RoundRobin,
+        backend_policy: BackendPolicy {
+            route: RoutePolicy::RoundRobin,
+            ..Default::default()
+        },
         faults: vec![
             ScheduledFault::at(2, FaultOp::CrashBackend(1)),
             ScheduledFault::at(6, FaultOp::RestartBackend(1)),
@@ -396,8 +398,9 @@ fn backend_vanishing_and_rejoining_round_robin() {
     );
 }
 
-/// Satellite: the same vanish/rejoin schedule under least-loaded
-/// placement (the placement policy sees load shift as graphs die).
+/// Satellite: the same vanish/rejoin schedule under least-loaded back-end
+/// routing (the route policy sees load shift as the back-end dies and
+/// comes back).
 #[test]
 fn backend_vanishing_and_rejoining_least_loaded() {
     let report = run_scenario(&ScenarioConfig {
@@ -406,7 +409,10 @@ fn backend_vanishing_and_rejoining_least_loaded() {
         ticks: 10,
         clients: 6,
         backends: 3,
-        placement: Placement::LeastLoaded,
+        backend_policy: BackendPolicy {
+            route: RoutePolicy::LeastLoaded,
+            ..Default::default()
+        },
         faults: vec![
             ScheduledFault::at(2, FaultOp::CrashBackend(1)),
             ScheduledFault::at(6, FaultOp::RestartBackend(1)),

@@ -13,13 +13,16 @@
 //! * partial reads/writes: bodies far larger than a socket buffer;
 //! * EOF teardown driven by the graph's counted exits (its lifecycle
 //!   record posts when the last client task and the last task exit);
+//! * accept sharding: every shard accepts on its own `SO_REUSEPORT`
+//!   socket, and a multi-connection service's groups never strand;
 //! * a real-socket port of the `stress_no_lost_wakeups` poller stress and
 //!   of the cross-poller registration handoff stress.
 
 use flick::net_substrate::{Interest, NetError, Poller, TcpStack, Token};
+use flick::services::hadoop::hadoop_aggregator;
 use flick::services::http::{http_balancer, StaticWebServerFactory};
 use flick::{Platform, PlatformConfig, ServiceSpec};
-use flick_workload::backends::start_tcp_http_backend;
+use flick_workload::backends::{start_sink_backend, start_tcp_http_backend};
 use flick_workload::tcp::{fetch_http, run_tcp_http_load, TcpHttpLoadConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -178,16 +181,18 @@ fn client_eof_tears_the_graph_down() {
     );
 }
 
-/// Connections land on every shard: the placement path (accept on the home
-/// shard, build via the target shard's inbox, register with the target's
-/// poller) works when the bytes come from the kernel.
+/// Connections land on every shard: each shard accepts on its own
+/// `SO_REUSEPORT` socket and builds the graphs of what it accepted, so the
+/// kernel's hash decides the spread. With 64 connections over 4 shards an
+/// empty shard has odds of about 4·(3/4)^64 ≈ 4·10⁻⁸.
 #[test]
 fn connections_are_served_across_shards_over_tcp() {
+    const CONNECTIONS: usize = 64;
     let platform = tcp_platform(4, 4);
     let service = deploy_web(&platform, b"sharded tcp");
     let addr = format!("127.0.0.1:{}", service.port());
 
-    let mut streams: Vec<TcpStream> = (0..8)
+    let mut streams: Vec<TcpStream> = (0..CONNECTIONS)
         .map(|_| {
             let s = TcpStream::connect(&addr).unwrap();
             s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -207,7 +212,62 @@ fn connections_are_served_across_shards_over_tcp() {
     assert_eq!(status.len(), platform.shard_count());
     assert!(
         status.iter().all(|s| s.graphs_built >= 1),
-        "round-robin placement must reach every shard: {status:?}"
+        "the kernel's accept spread must reach every shard: {status:?}"
+    );
+    let built: u64 = status.iter().map(|s| s.graphs_built).sum();
+    assert_eq!(service.connections_accepted(), CONNECTIONS as u64);
+    assert_eq!(built, service.connections_accepted(), "{status:?}");
+}
+
+/// A service whose graph groups two connections listens on its home shard
+/// only, so both connections of a group are accepted — and the group
+/// completes — on one shard. Were it to listen on both shards, the
+/// kernel's hash would split a pair about half the time, and each shard
+/// would hold one connection of a group that never builds. Ten sequential
+/// pairs on an explicit 2-shard platform must each build one graph within
+/// a second.
+#[test]
+fn connection_groups_are_never_stranded_across_shards() {
+    let platform = Platform::new(PlatformConfig {
+        workers: 2,
+        shards: 2,
+        ..Default::default()
+    });
+    let net = platform.net();
+    let (_reducer, _) = start_sink_backend(&net, 9961);
+    let service = platform
+        .deploy_tcp(
+            ServiceSpec::new("hadoop", 0, hadoop_aggregator(2)).with_backends(vec![9961]),
+            "127.0.0.1:0",
+        )
+        .expect("deploy the aggregator over a loopback socket");
+    let addr = format!("127.0.0.1:{}", service.port());
+    let built = || -> u64 { platform.shard_status().iter().map(|s| s.graphs_built).sum() };
+    for trial in 1..=10 {
+        let mappers: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(&addr).unwrap()).collect();
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while built() < trial {
+            assert!(
+                Instant::now() < deadline,
+                "trial {trial}: no graph built for the pair within 1 s ({:?})",
+                platform.shard_status()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(mappers);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while service.live_graphs() > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "trial {trial}: graph never tore down"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    assert_eq!(service.connections_accepted(), 20);
+    assert_eq!(
+        platform.shard_status()[service.home_shard()].graphs_built,
+        10
     );
 }
 
