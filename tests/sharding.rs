@@ -3,9 +3,10 @@
 //! spread on the simulated transport, multi-connection graphs complete on
 //! one shard, and no wakeup is lost across shards (the sharding
 //! acceptance gates; run with `cargo test -q sharding -- --test-threads=1`
-//! in a loop for stress evidence). Stealing is tested at scheduler level.
+//! in a loop for stress evidence). An idle shard steals from a skewed
+//! one; exact steal counts are tested at scheduler level.
 
-use flick::runtime_crate::ShardStatus;
+use flick::runtime_crate::{RuntimeMetrics, ShardStatus};
 use flick::services::hadoop::hadoop_aggregator;
 use flick::services::http::StaticWebServerFactory;
 use flick::{Platform, PlatformConfig, ServiceSpec};
@@ -66,6 +67,114 @@ fn sharding_round_robin_placement_is_deterministic() {
         built,
         vec![2, 2, 2, 2],
         "8 graphs over 4 accepting shards must land 2-2-2-2: {status:?}"
+    );
+}
+
+/// Steal under skew: the accept rotation alternates between the two
+/// shards, and every connection shard 1 accepted is closed before the load
+/// starts, so every live graph is on shard 0 and shard 1's worker can
+/// contribute only through the cross-shard steal path — under sustained
+/// load it must.
+#[test]
+fn sharding_steal_under_skew() {
+    const LOADED: usize = 8;
+    let platform = web_platform(2);
+    let service = platform
+        .deploy(ServiceSpec::new(
+            "web",
+            8802,
+            StaticWebServerFactory::new(&b"skew-body"[..]),
+        ))
+        .unwrap();
+    let net = platform.net();
+    // Connects rotate over the listeners from member 0: even-numbered
+    // connects land on shard 0, odd-numbered ones on shard 1.
+    let mut clients = Vec::new();
+    for i in 0..2 * LOADED {
+        let client = net.connect(8802).unwrap();
+        if i % 2 == 0 {
+            clients.push(client);
+        } else {
+            client.close();
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while platform
+        .shard_status()
+        .iter()
+        .map(|s| s.graphs_built)
+        .sum::<u64>()
+        < 2 * LOADED as u64
+        || service.live_graphs() > LOADED as u64
+    {
+        assert!(
+            Instant::now() < deadline,
+            "shard 1's closed graphs never tore down: {} alive ({:?})",
+            service.live_graphs(),
+            platform.shard_status()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let built: Vec<u64> = platform
+        .shard_status()
+        .iter()
+        .map(|s| s.graphs_built)
+        .collect();
+    assert_eq!(built, vec![LOADED as u64; 2]);
+    // Shard 1 owns no task from here on, so its attributed runs are frozen.
+    let idle_runs = platform.shard_status()[1].load.runs;
+
+    // Sustained closed-loop load on shard 0's single worker, until shard 1
+    // has stolen from the queue it leaves.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut round = 0;
+    while platform.shard_status()[1].load.stolen_in == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "shard 1 never stole from the skewed shard 0 in {round} rounds \
+             ({:?})",
+            platform.shard_status()
+        );
+        for c in &clients {
+            c.write_all(format!("GET /{round} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+                .unwrap();
+        }
+        for c in &clients {
+            let mut response = Vec::new();
+            let mut buf = [0u8; 1024];
+            while !response.windows(9).any(|w| w == b"skew-body") {
+                let n = c
+                    .read_timeout(&mut buf, Duration::from_secs(10))
+                    .expect("response arrives");
+                response.extend_from_slice(&buf[..n]);
+            }
+        }
+        round += 1;
+    }
+
+    // Tear the loaded graphs down so no task is left to steal and the
+    // counters below are final.
+    clients.iter().for_each(|c| c.close());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.live_graphs() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{} graphs never tore down",
+            service.live_graphs()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let status = platform.shard_status();
+    assert_eq!(
+        status[1].load.runs, idle_runs,
+        "shard 1 owned no live graph, so none of the load may be counted \
+         as its own: {status:?}"
+    );
+    assert!(status[1].load.stolen_in > 0, "{status:?}");
+    assert_eq!(status[0].load.stolen_out, status[1].load.stolen_in);
+    assert_eq!(
+        RuntimeMetrics::get(&platform.metrics().tasks_stolen),
+        status[0].load.stolen_in + status[1].load.stolen_in
     );
 }
 
