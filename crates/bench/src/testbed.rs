@@ -120,11 +120,7 @@ impl Testbed {
     pub fn new(model: StackModel, workers: usize, shards: usize) -> Self {
         let mut bed = Testbed::baseline(model);
         bed.platform = Some(Platform::with_network(
-            PlatformConfig {
-                workers,
-                shards,
-                ..Default::default()
-            },
+            PlatformConfig { workers, shards },
             Arc::clone(&bed.net),
         ));
         bed

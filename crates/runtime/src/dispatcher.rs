@@ -751,7 +751,6 @@ mod tests {
         let platform = Platform::new(PlatformConfig {
             workers: 4,
             shards: 4,
-            ..Default::default()
         });
         let service = platform
             .deploy(ServiceSpec::new("web", 8085, Arc::new(StaticServerFactory)))
@@ -938,7 +937,7 @@ mod tests {
         let set = ShardSet::new(vec![Arc::clone(&shard)]);
         let env = ServiceEnv {
             net,
-            backends: crate::BackendPool::configured(Vec::new(), Default::default(), None),
+            backends: crate::BackendPool::new(Vec::new(), Arc::clone(&metrics)),
             allocator: Arc::new(crate::graph::TaskIdAllocator::new()),
             exec_mode: Default::default(),
         };
@@ -1114,7 +1113,6 @@ mod tests {
         let platform = Platform::new(PlatformConfig {
             workers: 2,
             shards: 2,
-            ..Default::default()
         });
         let mut service = platform
             .deploy(ServiceSpec::new("web", 8088, Arc::new(StaticServerFactory)))

@@ -27,7 +27,7 @@
 //! * [`platform`] — the top-level [`platform::Platform`] that ties the
 //!   shards, the network substrate and deployed services together;
 //! * [`pool`] — a service's back-end targets, their idle connections,
-//!   their passive health state and the routing policy over them.
+//!   their passive health state and the rotation routed checkouts follow.
 //!
 //! Services are described by implementing [`platform::GraphFactory`] (done
 //! automatically for FLICK programs by the compiler crate, or by hand as the
@@ -56,7 +56,7 @@ pub use metrics::{MetricsSnapshot, RuntimeMetrics};
 pub use platform::{
     default_shard_count, GraphFactory, Platform, PlatformConfig, ServiceEnv, ServiceSpec, Watch,
 };
-pub use pool::{BackendPolicy, BackendPool, BackendTarget, RoutePolicy};
+pub use pool::{BackendPool, BackendTarget};
 pub use scheduler::{Scheduler, ShardLoad, StealGroup};
 pub use shard::{Shard, ShardStatus};
 pub use task::{SchedulingPolicy, Task, TaskContext, TaskId, TaskStatus};

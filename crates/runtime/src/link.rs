@@ -345,8 +345,7 @@ impl Member {
 
 impl Slot {
     /// Ends the member's connection — parked in the pool when `park`,
-    /// closed otherwise — and gives the pool back its load share. Nothing
-    /// opens the member after this.
+    /// closed otherwise. Nothing opens the member after this.
     fn retire(&mut self, member: &Member, park: bool) {
         self.watches.clear();
         if let State::Bound(endpoint) = std::mem::replace(&mut self.state, State::Closed) {
@@ -355,7 +354,6 @@ impl Slot {
             } else {
                 endpoint.close();
             }
-            member.pool.release(member.index);
         }
     }
 }
@@ -367,7 +365,6 @@ impl Drop for Member {
         let slot = self.slot.get_mut();
         if let State::Bound(endpoint) = std::mem::replace(&mut slot.state, State::Closed) {
             endpoint.close();
-            self.pool.release(self.index);
         }
     }
 }
@@ -376,7 +373,7 @@ impl Drop for Member {
 mod tests {
     use super::*;
     use crate::metrics::RuntimeMetrics;
-    use crate::pool::{BackendPolicy, BackendTarget};
+    use crate::pool::{BackendTarget, EJECT_AFTER};
     use flick_net::{SimNetwork, StackModel};
     use std::time::Duration;
 
@@ -389,12 +386,7 @@ mod tests {
                 port,
             })
             .collect();
-        let pool = BackendPool::configured(
-            targets,
-            BackendPolicy::default(),
-            Some(Arc::clone(&metrics)),
-        );
-        (pool, metrics)
+        (BackendPool::new(targets, Arc::clone(&metrics)), metrics)
     }
 
     /// A recorded watch is registered by the open, so bytes the back-end
@@ -458,9 +450,11 @@ mod tests {
         // The slot stays closed: a second send does not connect again.
         assert!(link.clone().connect().is_err());
         assert_eq!(metrics.snapshot().backend_checkouts, 1);
-        let mut again = Link::member(Arc::clone(&pool), 0, Arc::from([]));
-        assert!(again.connect().is_err());
-        assert!(pool.is_ejected(0), "eject_after (2) failures eject it");
+        for _ in 1..EJECT_AFTER {
+            let mut again = Link::member(Arc::clone(&pool), 0, Arc::from([]));
+            assert!(again.connect().is_err());
+        }
+        assert!(pool.is_ejected(0), "EJECT_AFTER failures eject it");
     }
 
     /// A member opened and released, as a graph drains it: its two tasks
@@ -498,7 +492,6 @@ mod tests {
             link.retire(force);
             assert_eq!(pool.idle(0) == 1, parked, "port {port}");
             assert_eq!(endpoint.is_closed(), !parked, "port {port}");
-            assert_eq!(pool.outstanding(0), 0, "released either way");
         }
     }
 }

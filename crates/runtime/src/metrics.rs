@@ -1,5 +1,6 @@
 //! Runtime-wide metrics.
 
+use crate::pool::RETRY_BUDGET;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,11 +41,11 @@ pub struct RuntimeMetrics {
     pub producer_parks: AtomicU64,
     /// Backend checkouts: every `BackendPool::checkout` by index and every
     /// routed `BackendPool::checkout_healthy`, the latter allowed at most
-    /// the policy's retry budget of extra attempts. A parked connection
-    /// taken again counts as one, as a fresh connect does.
+    /// [`RETRY_BUDGET`] extra attempts. A parked connection taken again
+    /// counts as one, as a fresh connect does.
     pub backend_checkouts: AtomicU64,
     /// Extra connection attempts spent by those checkouts after their
-    /// first pick failed. Bounded by `backend_checkouts × retry_budget` —
+    /// first pick failed. Bounded by `backend_checkouts × RETRY_BUDGET` —
     /// the no-retry-storm law the sim battery gates.
     pub backend_retries: AtomicU64,
     /// Healthy→ejected transitions: a backend crossed its consecutive-
@@ -178,15 +179,17 @@ impl MetricsSnapshot {
         Ok(())
     }
 
-    /// The no-retry-storm law: every checkout may spend at most `budget`
-    /// extra attempts, so the retry counter is bounded by
+    /// The no-retry-storm law: every checkout may spend at most
+    /// [`RETRY_BUDGET`] extra attempts, so the retry counter is bounded by
     /// the checkout counter. Gated per tick by the sim battery.
-    pub fn check_retry_budget(&self, budget: u64) -> Result<(), String> {
-        let allowed = self.backend_checkouts.saturating_mul(budget);
+    pub fn check_retry_budget(&self) -> Result<(), String> {
+        let allowed = self
+            .backend_checkouts
+            .saturating_mul(u64::from(RETRY_BUDGET));
         if self.backend_retries > allowed {
             return Err(format!(
-                "retry budget exceeded: {} retries > {} checkouts × budget {}",
-                self.backend_retries, self.backend_checkouts, budget
+                "retry budget exceeded: {} retries > {} checkouts × budget {RETRY_BUDGET}",
+                self.backend_retries, self.backend_checkouts
             ));
         }
         Ok(())
@@ -256,13 +259,14 @@ mod tests {
 
     #[test]
     fn retry_budget_gate() {
-        let snap = MetricsSnapshot {
+        let mut snap = MetricsSnapshot {
             backend_checkouts: 10,
-            backend_retries: 20,
+            backend_retries: 10 * u64::from(RETRY_BUDGET),
             ..Default::default()
         };
-        snap.check_retry_budget(2).unwrap();
-        let err = snap.check_retry_budget(1).unwrap_err();
+        snap.check_retry_budget().unwrap();
+        snap.backend_retries += 1;
+        let err = snap.check_retry_budget().unwrap_err();
         assert!(err.contains("retry budget exceeded"), "{err}");
     }
 }

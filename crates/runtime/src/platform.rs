@@ -18,7 +18,7 @@ use crate::error::RuntimeError;
 use crate::graph::TaskIdAllocator;
 use crate::link::Link;
 use crate::metrics::RuntimeMetrics;
-use crate::pool::{BackendPolicy, BackendPool, BackendTarget};
+use crate::pool::{BackendPool, BackendTarget};
 use crate::scheduler::{Scheduler, StealGroup};
 use crate::shard::{Shard, ShardSet, ShardStatus};
 use crate::task::{SchedulingPolicy, Task, TaskId};
@@ -36,12 +36,12 @@ pub fn default_shard_count() -> usize {
         .unwrap_or(1)
 }
 
-/// Configuration of a [`Platform`]: two sizing fields and the one policy
-/// a deployment selects (DESIGN.md "Policy surface"). Everything
-/// else about the runtime is mechanism and is not configurable — workers
-/// run the paper's cooperative discipline
-/// ([`SchedulingPolicy::default`]), and the transport cost model belongs
-/// to the [`SimNetwork`] the platform is attached to.
+/// Configuration of a [`Platform`]: two sizing fields (DESIGN.md "Policy
+/// surface"). Everything else about the runtime is mechanism and is not
+/// configurable — workers run the paper's cooperative discipline
+/// ([`SchedulingPolicy::default`]), back-ends are routed, ejected and
+/// retried by the constants in [`crate::pool`], and the transport cost
+/// model belongs to the [`SimNetwork`] the platform is attached to.
 #[derive(Debug, Clone)]
 pub struct PlatformConfig {
     /// Total worker threads, split across the shards (each shard keeps at
@@ -54,9 +54,6 @@ pub struct PlatformConfig {
     /// on a 16-core host runs 2 shards of 1 worker, not 16. See
     /// [`PlatformConfig::resolved_shards`].
     pub shards: usize,
-    /// Backend health/routing policy: candidate ordering, passive
-    /// ejection thresholds and the per-checkout retry budget.
-    pub backend_policy: BackendPolicy,
 }
 
 impl Default for PlatformConfig {
@@ -64,7 +61,6 @@ impl Default for PlatformConfig {
         PlatformConfig {
             workers: 4,
             shards: 0,
-            backend_policy: BackendPolicy::default(),
         }
     }
 }
@@ -464,11 +460,7 @@ impl Platform {
                 addr: addr.clone(),
             }));
         }
-        let backends = BackendPool::configured(
-            targets,
-            self.config.backend_policy,
-            Some(Arc::clone(&self.metrics)),
-        );
+        let backends = BackendPool::new(targets, Arc::clone(&self.metrics));
         let env = ServiceEnv {
             net: Arc::clone(&self.net),
             backends,
@@ -547,17 +539,12 @@ mod tests {
         assert!(platform.net().listen(4242).is_err());
     }
 
-    /// The policy surface is closed: two sizing fields, one policy. A
-    /// fourth field fails to compile here.
+    /// The configuration is closed: two sizing fields. A third field
+    /// fails to compile here.
     #[test]
-    fn config_is_exactly_sizing_plus_policy() {
-        let PlatformConfig {
-            workers,
-            shards,
-            backend_policy,
-        } = PlatformConfig::default();
+    fn config_is_exactly_sizing() {
+        let PlatformConfig { workers, shards } = PlatformConfig::default();
         assert_eq!((workers, shards), (4, 0));
-        assert_eq!(backend_policy, BackendPolicy::default());
     }
 
     /// The cost model is the network's: a platform attached to an mTCP
@@ -574,7 +561,6 @@ mod tests {
         let cfg = PlatformConfig {
             workers: 8,
             shards: 4,
-            ..Default::default()
         };
         assert_eq!(cfg.resolved_shards(), 4);
         assert!((0..4).all(|i| cfg.workers_for_shard(i) == 2));
@@ -582,7 +568,6 @@ mod tests {
         let cfg = PlatformConfig {
             workers: 5,
             shards: 4,
-            ..Default::default()
         };
         let split: Vec<usize> = (0..4).map(|i| cfg.workers_for_shard(i)).collect();
         assert_eq!(split, vec![2, 1, 1, 1]);
@@ -590,7 +575,6 @@ mod tests {
         let cfg = PlatformConfig {
             workers: 2,
             shards: 8,
-            ..Default::default()
         };
         assert!((0..8).all(|i| cfg.workers_for_shard(i) == 1));
     }

@@ -1,6 +1,6 @@
 //! A service's back-ends: targets on either transport, the idle
 //! connections finished graphs handed back, passive health tracking and
-//! the routing policy that orders them (DESIGN.md §14).
+//! the one candidate order routed checkouts follow (DESIGN.md §14).
 //!
 //! A graph asks for a back-end connection when it needs one: a scalar
 //! back-end parameter at build ([`BackendPool::checkout_healthy`]), an
@@ -16,7 +16,7 @@ use crate::error::RuntimeError;
 use crate::metrics::RuntimeMetrics;
 use flick_net::{Endpoint, SimNetwork, TcpStack};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,6 +24,20 @@ use std::time::{Duration, Instant};
 /// closed. Mechanism, not policy: room for every connection a closed-loop
 /// client fleet has in flight to one back-end.
 pub const IDLE_PER_BACKEND: usize = 32;
+
+/// Consecutive connect failures after which a back-end is ejected from
+/// routed checkouts.
+pub const EJECT_AFTER: u32 = 2;
+
+/// How long an ejected back-end sits out before a routed checkout may
+/// probe it again.
+pub const EJECT_FOR: Duration = Duration::from_millis(250);
+
+/// Extra connection attempts, against further back-ends, one
+/// [`BackendPool::checkout_healthy`] may spend after its first pick fails.
+/// The sim battery checks `backend_retries ≤ backend_checkouts ×
+/// RETRY_BUDGET` on every tick.
+pub const RETRY_BUDGET: u32 = 2;
 
 /// One back-end a [`BackendPool`] can connect to: a port on the simulated
 /// fabric or a socket address reached through an OS TCP stack. The pool —
@@ -64,59 +78,10 @@ impl BackendTarget {
     }
 }
 
-/// How a [`BackendPool`] orders candidate back-ends for a checkout.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RoutePolicy {
-    /// Rotate over the targets, starting from the caller's hint (the
-    /// connection-hash distribution) or an internal cursor.
-    #[default]
-    RoundRobin,
-    /// Start from the target with the fewest outstanding checked-out
-    /// connections (ties broken by index).
-    LeastLoaded,
-}
-
-/// Backend health and retry policy.
-///
-/// Following the policy/mechanism separation argument, everything here is
-/// *policy*: which backend to try first, how many failures eject one, how
-/// long it sits out, and how many extra attempts a single checkout may
-/// spend. The parsing bounds ([`flick_grammar::ParseLimits`]-style hard
-/// mechanism limits) are enforced elsewhere regardless of this policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendPolicy {
-    /// Candidate ordering.
-    pub route: RoutePolicy,
-    /// Consecutive connect/IO failures after which a backend is ejected
-    /// from rotation.
-    pub eject_after: u32,
-    /// How long an ejected backend sits out before a readmit probe may
-    /// try it again.
-    pub eject_for: Duration,
-    /// Extra connection attempts (against further targets) one
-    /// [`BackendPool::checkout_healthy`] call may spend after its first
-    /// pick fails. `0` fails fast.
-    pub retry_budget: u32,
-}
-
-impl Default for BackendPolicy {
-    fn default() -> Self {
-        BackendPolicy {
-            route: RoutePolicy::RoundRobin,
-            eject_after: 2,
-            eject_for: Duration::from_millis(250),
-            retry_budget: 2,
-        }
-    }
-}
-
-/// Per-backend state: passive health, load and idle connections.
+/// Per-backend state: passive health and idle connections.
 #[derive(Debug, Default)]
 struct TargetSlot {
     health: Mutex<HealthState>,
-    /// Connections checked out minus those given back through `release`
-    /// — the least-loaded signal.
-    outstanding: AtomicU64,
     /// Parked connections, the most recent last. Nothing watches them.
     idle: Mutex<Vec<Endpoint>>,
 }
@@ -155,26 +120,24 @@ struct HealthState {
 /// target's most recently parked connection that is still idle (one peek)
 /// or else connects afresh (paying the stack's connect cost) and records
 /// the outcome as passive health — connect failures are remembered per
-/// backend, and a backend that fails [`BackendPolicy::eject_after`] times
-/// in a row is ejected for [`BackendPolicy::eject_for`]. A reused
-/// connection proves nothing new about its back-end, so it feeds no
-/// health. Every connection handed out is given back once: parked
-/// ([`BackendPool::park`]) or closed, then [`BackendPool::release`]d.
+/// backend, and a backend that fails [`EJECT_AFTER`] times in a row is
+/// ejected for [`EJECT_FOR`]. A reused connection proves nothing new about
+/// its back-end, so it feeds no health. Every connection handed out is
+/// given back once: parked ([`BackendPool::park`]) or closed.
 /// Targets may be simulated ports, real TCP addresses, or a mix — a
 /// TCP-fronted service can reach kernel-socket back-ends and complete the
 /// all-TCP `client → LB → backend` path.
 ///
-/// [`BackendPool::checkout_healthy`] is routing on top of it: candidate
-/// order set by [`RoutePolicy`], ejected backends skipped, and at most
-/// [`BackendPolicy::retry_budget`] extra attempts per checkout. Ejection
-/// gates these routed picks only; a caller that names its backend by index
-/// still reaches it, and what it finds there feeds the same health state.
+/// [`BackendPool::checkout_healthy`] is routing on top of it: a rotation
+/// over the targets, ejected backends skipped, and at most [`RETRY_BUDGET`]
+/// extra attempts per checkout. Ejection gates these routed picks only; a
+/// caller that names its backend by index still reaches it, and what it
+/// finds there feeds the same health state.
 pub struct BackendPool {
     targets: Vec<BackendTarget>,
-    policy: BackendPolicy,
     slots: Vec<TargetSlot>,
     cursor: AtomicUsize,
-    metrics: Option<Arc<RuntimeMetrics>>,
+    metrics: Arc<RuntimeMetrics>,
     /// Set by [`BackendPool::close_idle`]: parking closes from then on.
     closed: AtomicBool,
 }
@@ -191,28 +154,17 @@ impl std::fmt::Debug for BackendPool {
 }
 
 impl BackendPool {
-    /// Creates a backend pool with an explicit health/routing policy and
-    /// an optional metrics block to record checkouts, retries, ejections
-    /// and readmits into.
-    pub fn configured(
-        targets: Vec<BackendTarget>,
-        policy: BackendPolicy,
-        metrics: Option<Arc<RuntimeMetrics>>,
-    ) -> Arc<Self> {
+    /// Creates a backend pool that records checkouts, retries, ejections
+    /// and readmits into `metrics`.
+    pub fn new(targets: Vec<BackendTarget>, metrics: Arc<RuntimeMetrics>) -> Arc<Self> {
         let slots = targets.iter().map(|_| TargetSlot::default()).collect();
         Arc::new(BackendPool {
             targets,
-            policy,
             slots,
             cursor: AtomicUsize::new(0),
             metrics,
             closed: AtomicBool::new(false),
         })
-    }
-
-    /// The health/routing policy in effect.
-    pub fn policy(&self) -> &BackendPolicy {
-        &self.policy
     }
 
     /// Number of configured back-ends.
@@ -232,36 +184,26 @@ impl BackendPool {
     }
 
     /// The single open-and-account point: counts the attempt (a checkout,
-    /// or a `retry` within one), reuses or connects, feeds a connect's
-    /// outcome to passive health, and counts the connection handed out
-    /// towards the least-loaded signal.
+    /// or a `retry` within one), reuses or connects, and feeds a connect's
+    /// outcome to passive health.
     fn open(&self, idx: usize, retry: bool) -> Result<Endpoint, RuntimeError> {
         let target = self
             .targets
             .get(idx)
             .ok_or_else(|| RuntimeError::Config(format!("backend index {idx} out of range")))?;
-        if let Some(m) = &self.metrics {
-            let counter = if retry {
-                &m.backend_retries
-            } else {
-                &m.backend_checkouts
-            };
-            RuntimeMetrics::add(counter, 1);
-        }
-        let slot = &self.slots[idx];
-        let opened = match slot.take_idle() {
-            Some(endpoint) => Ok(endpoint),
-            None => {
-                let opened = target.connect();
-                match &opened {
-                    Ok(_) => self.report_success(idx),
-                    Err(_) => self.report_failure(idx),
-                }
-                opened
-            }
+        let counter = if retry {
+            &self.metrics.backend_retries
+        } else {
+            &self.metrics.backend_checkouts
         };
-        if opened.is_ok() {
-            slot.outstanding.fetch_add(1, Ordering::Relaxed);
+        RuntimeMetrics::add(counter, 1);
+        if let Some(endpoint) = self.slots[idx].take_idle() {
+            return Ok(endpoint);
+        }
+        let opened = target.connect();
+        match &opened {
+            Ok(_) => self.report_success(idx),
+            Err(_) => self.report_failure(idx),
         }
         opened
     }
@@ -269,8 +211,7 @@ impl BackendPool {
     /// Hands back a connection to backend `idx` whose graph finished with
     /// it cleanly framed: it waits, unwatched, for the next checkout of
     /// `idx`. Closed instead when the back-end already keeps
-    /// [`IDLE_PER_BACKEND`] or the pool is closed. The caller still
-    /// [`BackendPool::release`]s it, parked or closed.
+    /// [`IDLE_PER_BACKEND`] or the pool is closed.
     pub fn park(&self, idx: usize, endpoint: Endpoint) {
         if let Some(slot) = self.slots.get(idx) {
             let mut idle = slot.idle.lock();
@@ -299,15 +240,15 @@ impl BackendPool {
 
     // --- passive health -------------------------------------------------
 
-    /// Obtains a connection to a *healthy* backend, retrying within the
-    /// policy's budget.
+    /// Obtains a connection to a *healthy* backend, retrying within
+    /// [`RETRY_BUDGET`].
     ///
-    /// Candidates are ordered by [`RoutePolicy`] (round-robin starts at
-    /// `hint % len` when a hint is given — the connection-hash
-    /// distribution — or at an internal cursor otherwise), backends under
-    /// an unexpired ejection are skipped, and a failed connect advances to
-    /// the next candidate *within this same call*, so one dead backend
-    /// never turns into a failed request while a sibling is up. Each extra
+    /// Candidates rotate over the targets, starting at `hint % len` when a
+    /// hint is given — the connection-hash distribution — or at an
+    /// internal cursor otherwise; backends under an unexpired ejection
+    /// are skipped, and a failed connect advances to the next candidate
+    /// *within this same call*, so one dead backend never turns into a
+    /// failed request while a sibling is up. Each extra
     /// attempt after the first consumes retry budget; when the budget (or
     /// the candidate list) is exhausted the last error is returned.
     ///
@@ -321,26 +262,17 @@ impl BackendPool {
     /// doubles as a probe, and a fleet that has come back is rediscovered
     /// on the first request instead of after the longest sit-out.
     ///
-    /// Returns the backend index alongside the endpoint so the caller can
-    /// [`BackendPool::release`] it later.
+    /// Returns the backend index alongside the endpoint, so the caller can
+    /// [`BackendPool::park`] it later.
     pub fn checkout_healthy(&self, hint: Option<usize>) -> Result<(usize, Endpoint), RuntimeError> {
         let len = self.targets.len();
         if len == 0 {
             return Err(RuntimeError::Config("no backends configured".into()));
         }
-        let order: Vec<usize> = match self.policy.route {
-            RoutePolicy::RoundRobin => {
-                let start = hint
-                    .map(|h| h % len)
-                    .unwrap_or_else(|| self.cursor.fetch_add(1, Ordering::Relaxed) % len);
-                (0..len).map(|i| (start + i) % len).collect()
-            }
-            RoutePolicy::LeastLoaded => {
-                let mut idxs: Vec<usize> = (0..len).collect();
-                idxs.sort_by_key(|&i| (self.outstanding(i), i));
-                idxs
-            }
-        };
+        let start = hint
+            .map(|h| h % len)
+            .unwrap_or_else(|| self.cursor.fetch_add(1, Ordering::Relaxed) % len);
+        let order: Vec<usize> = (0..len).map(|i| (start + i) % len).collect();
         let now = Instant::now();
         let mut routable: Vec<usize> = order
             .iter()
@@ -351,7 +283,7 @@ impl BackendPool {
             // All ejected: last-resort probing over the full order.
             routable = order;
         }
-        let max_attempts = len.min(self.policy.retry_budget as usize + 1);
+        let max_attempts = len.min(RETRY_BUDGET as usize + 1);
         let mut last_err = None;
         for (attempt, &idx) in routable.iter().take(max_attempts).enumerate() {
             match self.open(idx, attempt > 0) {
@@ -364,50 +296,27 @@ impl BackendPool {
         }))
     }
 
-    /// Drops the outstanding-connection count for backend `idx`: a
-    /// connection a checkout handed out was parked or closed.
-    pub fn release(&self, idx: usize) {
-        if let Some(slot) = self.slots.get(idx) {
-            let _ = slot
-                .outstanding
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
-        }
-    }
-
-    /// Outstanding checked-out connections for backend `idx` (the
-    /// least-loaded routing signal).
-    pub fn outstanding(&self, idx: usize) -> u64 {
-        self.slots
-            .get(idx)
-            .map(|s| s.outstanding.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
     /// Records a successful connect to backend `idx`, resetting its failure
     /// streak and readmitting it if it was ejected.
     fn report_success(&self, idx: usize) {
         let mut state = self.slots[idx].health.lock();
         state.consecutive_failures = 0;
         if state.ejected_until.take().is_some() {
-            if let Some(m) = &self.metrics {
-                RuntimeMetrics::add(&m.backend_readmits, 1);
-            }
+            RuntimeMetrics::add(&self.metrics.backend_readmits, 1);
         }
     }
 
     /// Records a failed connect to backend `idx` — the passive detection
-    /// input. Crossing the policy's threshold ejects the backend; a failure
+    /// input. Crossing [`EJECT_AFTER`] ejects the backend; a failure
     /// while ejected (a failed readmit probe) re-arms the ejection deadline.
     fn report_failure(&self, idx: usize) {
         let mut state = self.slots[idx].health.lock();
         state.consecutive_failures = state.consecutive_failures.saturating_add(1);
-        if state.consecutive_failures >= self.policy.eject_after {
+        if state.consecutive_failures >= EJECT_AFTER {
             let newly_ejected = state.ejected_until.is_none();
-            state.ejected_until = Some(Instant::now() + self.policy.eject_for);
+            state.ejected_until = Some(Instant::now() + EJECT_FOR);
             if newly_ejected {
-                if let Some(m) = &self.metrics {
-                    RuntimeMetrics::add(&m.backend_ejections, 1);
-                }
+                RuntimeMetrics::add(&self.metrics.backend_ejections, 1);
             }
         }
     }
@@ -446,16 +355,30 @@ mod tests {
     use super::*;
     use flick_net::StackModel;
 
+    /// A pool over simulated `ports` on `net`, with its metrics block.
+    fn pool(net: &Arc<SimNetwork>, ports: &[u16]) -> (Arc<BackendPool>, Arc<RuntimeMetrics>) {
+        let targets = ports
+            .iter()
+            .map(|&port| BackendTarget::Sim {
+                net: Arc::clone(net),
+                port,
+            })
+            .collect();
+        let metrics = RuntimeMetrics::new_shared();
+        (BackendPool::new(targets, Arc::clone(&metrics)), metrics)
+    }
+
+    /// Sleeps until an ejection armed now has expired.
+    fn wait_out_ejection() {
+        std::thread::sleep(EJECT_FOR + Duration::from_millis(10));
+    }
+
     #[test]
     fn backend_pool_connects_to_each_port() {
         let net = SimNetwork::new(StackModel::Free);
         let l1 = net.listen(9001).unwrap();
         let l2 = net.listen(9002).unwrap();
-        let pool = BackendPool::configured(
-            sim_targets(&net, &[9001, 9002]),
-            BackendPolicy::default(),
-            None,
-        );
+        let (pool, _) = pool(&net, &[9001, 9002]);
         assert_eq!(pool.len(), 2);
         let _c1 = pool.checkout(0).unwrap();
         let _c2 = pool.checkout(1).unwrap();
@@ -465,57 +388,49 @@ mod tests {
     }
 
     /// A parked connection is the next checkout's, before any connect: one
-    /// more counted checkout, no new connection, the load share back.
+    /// more counted checkout, no new connection.
     #[test]
     fn a_parked_connection_is_checked_out_before_connecting() {
         let net = SimNetwork::new(StackModel::Free);
         let listener = net.listen(9031).unwrap();
-        let metrics = RuntimeMetrics::new_shared();
-        let pool = BackendPool::configured(
-            sim_targets(&net, &[9031]),
-            BackendPolicy::default(),
-            Some(Arc::clone(&metrics)),
-        );
+        let (pool, metrics) = pool(&net, &[9031]);
         let first = pool.checkout(0).unwrap();
         let _server = listener.accept().unwrap();
         pool.park(0, first.clone());
-        pool.release(0);
-        assert_eq!((pool.idle(0), pool.outstanding(0)), (1, 0));
+        assert_eq!(pool.idle(0), 1);
         let again = pool.checkout(0).unwrap();
         assert_eq!(again.id(), first.id());
         assert_eq!(listener.backlog(), 0, "no second connect");
-        assert_eq!((pool.idle(0), pool.outstanding(0)), (0, 1));
+        assert_eq!(pool.idle(0), 0);
         assert_eq!(metrics.snapshot().backend_checkouts, 2);
     }
 
-    /// A back-end that crashed while its connection was parked: the next
-    /// checkout skips the dead connection and connects afresh, and the
-    /// stale connection is no health failure.
+    /// A back-end that crashed while two of its connections were parked:
+    /// the next checkout skips both dead connections and connects afresh,
+    /// and neither is a health failure — [`EJECT_AFTER`] of them in a row
+    /// would eject the back-end.
     #[test]
     fn a_stale_parked_connection_is_skipped_without_a_health_failure() {
         let net = SimNetwork::new(StackModel::Free);
         let listener = net.listen(9032).unwrap();
-        let metrics = RuntimeMetrics::new_shared();
-        let policy = BackendPolicy {
-            eject_after: 1,
-            ..BackendPolicy::default()
-        };
-        let pool = BackendPool::configured(
-            sim_targets(&net, &[9032]),
-            policy,
-            Some(Arc::clone(&metrics)),
-        );
-        let stale = pool.checkout(0).unwrap();
-        listener.accept().unwrap().close();
-        pool.park(0, stale.clone());
-        pool.release(0);
+        let (pool, metrics) = pool(&net, &[9032]);
+        let stale: Vec<Endpoint> = (0..EJECT_AFTER)
+            .map(|_| pool.checkout(0).unwrap())
+            .collect();
+        for conn in &stale {
+            listener.accept().unwrap().close();
+            pool.park(0, conn.clone());
+        }
         let fresh = pool.checkout(0).unwrap();
-        assert_ne!(fresh.id(), stale.id());
-        assert!(stale.is_closed(), "the stale connection is closed");
+        assert!(stale.iter().all(|conn| conn.id() != fresh.id()));
+        assert!(stale.iter().all(Endpoint::is_closed), "stale ones closed");
         assert_eq!(listener.backlog(), 1, "served over a fresh connect");
-        assert!(!pool.is_ejected(0), "one failure would have ejected it");
         let snap = metrics.snapshot();
-        assert_eq!((snap.backend_checkouts, snap.backend_retries), (2, 0));
+        assert_eq!((snap.backend_checkouts, snap.backend_retries), (3, 0));
+        assert_eq!(
+            snap.backend_ejections, 0,
+            "stale connections are no failure"
+        );
     }
 
     /// A back-end keeps at most [`IDLE_PER_BACKEND`] idle connections, and
@@ -524,14 +439,12 @@ mod tests {
     fn idle_connections_are_bounded_and_closed_with_the_pool() {
         let net = SimNetwork::new(StackModel::Free);
         let _listener = net.listen(9033).unwrap();
-        let pool =
-            BackendPool::configured(sim_targets(&net, &[9033]), BackendPolicy::default(), None);
+        let (pool, _) = pool(&net, &[9033]);
         let conns: Vec<Endpoint> = (0..=IDLE_PER_BACKEND)
             .map(|_| pool.checkout(0).unwrap())
             .collect();
         for conn in &conns {
             pool.park(0, conn.clone());
-            pool.release(0);
         }
         assert_eq!(pool.idle(0), IDLE_PER_BACKEND);
         assert!(conns[IDLE_PER_BACKEND].is_closed(), "one over the bound");
@@ -543,16 +456,6 @@ mod tests {
         assert!(late.is_closed() && pool.idle(0) == 0);
     }
 
-    fn sim_targets(net: &Arc<SimNetwork>, ports: &[u16]) -> Vec<BackendTarget> {
-        ports
-            .iter()
-            .map(|&port| BackendTarget::Sim {
-                net: Arc::clone(net),
-                port,
-            })
-            .collect()
-    }
-
     /// The satellite fix: a failed connect advances past the dead target
     /// *within the same request* — the caller gets a sibling's connection,
     /// not an error.
@@ -560,38 +463,22 @@ mod tests {
     fn failed_connect_advances_past_dead_backend_in_the_same_call() {
         let net = SimNetwork::new(StackModel::Free);
         let _live = net.listen(9011).unwrap(); // 9010 has no listener
-        let metrics = RuntimeMetrics::new_shared();
-        let pool = BackendPool::configured(
-            sim_targets(&net, &[9010, 9011]),
-            BackendPolicy::default(),
-            Some(Arc::clone(&metrics)),
-        );
+        let (pool, metrics) = pool(&net, &[9010, 9011]);
         let (idx, _conn) = pool.checkout_healthy(Some(0)).unwrap();
         assert_eq!(idx, 1, "checkout must advance past the dead target");
         let snap = metrics.snapshot();
         assert_eq!(snap.backend_checkouts, 1);
         assert_eq!(snap.backend_retries, 1);
-        snap.check_retry_budget(pool.policy().retry_budget as u64)
-            .unwrap();
+        snap.check_retry_budget().unwrap();
     }
 
     #[test]
     fn repeated_failures_eject_then_probe_readmits() {
         let net = SimNetwork::new(StackModel::Free);
         let _live = net.listen(9013).unwrap();
-        let metrics = RuntimeMetrics::new_shared();
-        let policy = BackendPolicy {
-            eject_after: 2,
-            eject_for: Duration::from_millis(40),
-            ..BackendPolicy::default()
-        };
-        let pool = BackendPool::configured(
-            sim_targets(&net, &[9012, 9013]),
-            policy,
-            Some(Arc::clone(&metrics)),
-        );
-        // Two failed picks of backend 0 cross the threshold.
-        for _ in 0..2 {
+        let (pool, metrics) = pool(&net, &[9012, 9013]);
+        // EJECT_AFTER failed picks of backend 0 cross the threshold.
+        for _ in 0..EJECT_AFTER {
             let (idx, _conn) = pool.checkout_healthy(Some(0)).unwrap();
             assert_eq!(idx, 1);
         }
@@ -603,7 +490,7 @@ mod tests {
         assert_eq!(idx, 1);
         assert_eq!(metrics.snapshot().backend_retries, before);
         // After the sit-out the backend comes back up; the probe readmits.
-        std::thread::sleep(Duration::from_millis(50));
+        wait_out_ejection();
         let _revived = net.listen(9012).unwrap();
         let (idx, _conn) = pool.checkout_healthy(Some(0)).unwrap();
         assert_eq!(idx, 0);
@@ -617,20 +504,12 @@ mod tests {
     fn failed_probe_rearms_ejection_without_a_new_transition() {
         let net = SimNetwork::new(StackModel::Free);
         let _live = net.listen(9015).unwrap();
-        let metrics = RuntimeMetrics::new_shared();
-        let policy = BackendPolicy {
-            eject_after: 1,
-            eject_for: Duration::from_millis(20),
-            ..BackendPolicy::default()
-        };
-        let pool = BackendPool::configured(
-            sim_targets(&net, &[9014, 9015]),
-            policy,
-            Some(Arc::clone(&metrics)),
-        );
-        let _ = pool.checkout_healthy(Some(0)).unwrap();
+        let (pool, metrics) = pool(&net, &[9014, 9015]);
+        for _ in 0..EJECT_AFTER {
+            let _ = pool.checkout_healthy(Some(0)).unwrap();
+        }
         assert!(pool.is_ejected(0));
-        std::thread::sleep(Duration::from_millis(25));
+        wait_out_ejection();
         // Probe fails (still no listener): the deadline re-arms but the
         // ejection count stays at one.
         let (idx, _conn) = pool.checkout_healthy(Some(0)).unwrap();
@@ -639,40 +518,45 @@ mod tests {
         assert_eq!(metrics.snapshot().backend_ejections, 1);
     }
 
+    /// A routed checkout tries its first pick and [`RETRY_BUDGET`] more,
+    /// never one more: with the first `RETRY_BUDGET + 1` of the back-ends
+    /// dead a hinted checkout fails having spent exactly the budget, and
+    /// with only the first `RETRY_BUDGET` dead it reaches the next one.
     #[test]
-    fn zero_retry_budget_fails_fast() {
-        let net = SimNetwork::new(StackModel::Free);
-        let _live = net.listen(9017).unwrap();
-        let policy = BackendPolicy {
-            retry_budget: 0,
-            ..BackendPolicy::default()
-        };
-        let pool = BackendPool::configured(sim_targets(&net, &[9016, 9017]), policy, None);
-        assert!(
-            pool.checkout_healthy(Some(0)).is_err(),
-            "budget 0 must not fail over"
-        );
-        // But a hint pointing at the live backend still succeeds.
-        let (idx, _conn) = pool.checkout_healthy(Some(1)).unwrap();
-        assert_eq!(idx, 1);
+    fn a_checkout_spends_exactly_the_retry_budget() {
+        let budget = RETRY_BUDGET as usize;
+        let ports: Vec<u16> = (9040..).take(budget + 2).collect();
+        for dead in [budget + 1, budget] {
+            let net = SimNetwork::new(StackModel::Free);
+            let _live: Vec<_> = ports[dead..]
+                .iter()
+                .map(|&port| net.listen(port).unwrap())
+                .collect();
+            let (pool, metrics) = pool(&net, &ports);
+            let picked = pool.checkout_healthy(Some(0)).ok().map(|(idx, _)| idx);
+            assert_eq!(picked, (dead == budget).then_some(budget), "{dead} dead");
+            let snap = metrics.snapshot();
+            assert_eq!(
+                (snap.backend_checkouts, snap.backend_retries),
+                (1, u64::from(RETRY_BUDGET)),
+                "{dead} dead"
+            );
+        }
     }
 
     #[test]
     fn all_backends_ejected_falls_back_to_probing() {
         let net = SimNetwork::new(StackModel::Free);
-        let policy = BackendPolicy {
-            eject_after: 1,
-            eject_for: Duration::from_secs(60),
-            ..BackendPolicy::default()
-        };
-        let pool = BackendPool::configured(sim_targets(&net, &[9018]), policy, None);
-        assert!(pool.checkout_healthy(None).is_err()); // fails and ejects
+        let (pool, _) = pool(&net, &[9018]);
+        for _ in 0..EJECT_AFTER {
+            assert!(pool.checkout_healthy(None).is_err());
+        }
         assert!(pool.is_ejected(0));
         // With every target ejected the filter is dropped: the checkout
         // probes the dead backend (and still fails)...
         assert!(pool.checkout_healthy(None).is_err());
         // ...but the same last-resort probe rediscovers a revived fleet
-        // immediately, without waiting out the 60s ejection.
+        // immediately, without waiting out the ejection.
         let _revived = net.listen(9018).unwrap();
         let (idx, _conn) = pool.checkout_healthy(None).unwrap();
         assert_eq!(idx, 0);
@@ -680,37 +564,11 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_routes_to_the_idle_backend() {
-        let net = SimNetwork::new(StackModel::Free);
-        let _l1 = net.listen(9020).unwrap();
-        let _l2 = net.listen(9021).unwrap();
-        let policy = BackendPolicy {
-            route: RoutePolicy::LeastLoaded,
-            ..BackendPolicy::default()
-        };
-        let pool = BackendPool::configured(sim_targets(&net, &[9020, 9021]), policy, None);
-        let (first, conn_a) = pool.checkout_healthy(None).unwrap();
-        assert_eq!(first, 0, "ties break by index");
-        let (second, _conn_b) = pool.checkout_healthy(None).unwrap();
-        assert_eq!(second, 1, "the loaded backend is passed over");
-        assert_eq!(pool.outstanding(0), 1);
-        // Returning the first connection makes backend 0 least loaded again.
-        conn_a.close();
-        pool.release(0);
-        let (third, _conn_c) = pool.checkout_healthy(None).unwrap();
-        assert_eq!(third, 0);
-    }
-
-    #[test]
     fn round_robin_without_hint_rotates() {
         let net = SimNetwork::new(StackModel::Free);
         let _l1 = net.listen(9022).unwrap();
         let _l2 = net.listen(9023).unwrap();
-        let pool = BackendPool::configured(
-            sim_targets(&net, &[9022, 9023]),
-            BackendPolicy::default(),
-            None,
-        );
+        let (pool, _) = pool(&net, &[9022, 9023]);
         let (a, _ca) = pool.checkout_healthy(None).unwrap();
         let (b, _cb) = pool.checkout_healthy(None).unwrap();
         assert_ne!(a, b, "cursor must rotate across calls");

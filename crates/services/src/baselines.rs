@@ -6,12 +6,13 @@
 //! (see `DESIGN.md` §3, substitution 3). Each baseline below is a real
 //! concurrent server running on the same simulated substrate:
 //!
-//! * [`ApacheLikeProxy`] — one thread per client connection (the prefork/
-//!   worker MPM shape) with a comparatively heavy per-request processing
-//!   cost and persistent backend connections;
-//! * [`NginxLikeProxy`] — a fixed set of event-loop workers, each owning a
-//!   share of the client connections, lighter per-request cost, persistent
-//!   backend connections;
+//! * [`ApacheLikeProxy`] and [`NginxLikeProxy`] — the same HTTP proxy: one
+//!   thread per client connection (the prefork/worker MPM shape), which
+//!   polls its client and back-end in turn and sleeps 20 µs whenever the
+//!   back-end has nothing to read, and one back-end connection per client,
+//!   opened at accept and closed with the client. They differ only in the per-request
+//!   processing cost, [`APACHE_REQUEST_COST`] against the lighter
+//!   [`NGINX_REQUEST_COST`]; neither models Nginx's event loop;
 //! * [`MoxiLikeProxy`] — a multi-threaded Memcached proxy whose workers
 //!   share one lock-protected table of backend connections, which is what
 //!   limits its scaling beyond a few cores (Figure 5).
@@ -139,8 +140,8 @@ impl ApacheLikeProxy {
     }
 }
 
-/// The Nginx-like baseline: it also relies on OS threads here, but with a
-/// lighter per-request cost, reflecting its event-driven request path.
+/// The Nginx-like baseline: the Apache-like proxy's thread per client
+/// connection, charged the lighter [`NGINX_REQUEST_COST`] per request.
 pub struct NginxLikeProxy;
 
 impl NginxLikeProxy {

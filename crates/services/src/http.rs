@@ -289,8 +289,7 @@ mod tests {
         let snap = platform.metrics().snapshot();
         assert!(snap.backend_checkouts > 0);
         snap.check_conservation().unwrap();
-        snap.check_retry_budget(flick_runtime::BackendPolicy::default().retry_budget as u64)
-            .unwrap();
+        snap.check_retry_budget().unwrap();
     }
 
     /// One dead member of the path-hashed balancer's array fails only the
@@ -332,8 +331,7 @@ mod tests {
             assert_eq!(snap.backend_checkouts, requests, "one open per request");
             assert!(snap.backend_ejections >= 1, "the dead member is ejected");
             snap.check_conservation().unwrap();
-            snap.check_retry_budget(flick_runtime::BackendPolicy::default().retry_budget as u64)
-                .unwrap();
+            snap.check_retry_budget().unwrap();
         };
         let config = PlatformConfig {
             workers: 2,
@@ -519,10 +517,11 @@ mod tests {
         );
     }
 
-    /// A back-end that crashed while its connection was parked: the next
-    /// request skips the dead connection and is served over a fresh
-    /// connect, and the stale connection feeds no health failure — one
-    /// would eject the back-end under this policy.
+    /// A back-end that crashed while two of its connections were parked:
+    /// the next request skips both dead connections and is served over a
+    /// fresh connect, and neither stale connection feeds a health failure
+    /// — [`EJECT_AFTER`](flick_runtime::pool::EJECT_AFTER) of them in a
+    /// row would eject the back-end.
     #[test]
     fn a_back_end_crashed_while_parked_is_reconnected_without_a_health_failure() {
         let net = SimNetwork::new(StackModel::Free);
@@ -530,10 +529,6 @@ mod tests {
         let platform = Platform::with_network(
             PlatformConfig {
                 workers: 2,
-                backend_policy: flick_runtime::BackendPolicy {
-                    eject_after: 1,
-                    ..Default::default()
-                },
                 ..Default::default()
             },
             Arc::clone(&net),
@@ -541,13 +536,18 @@ mod tests {
         let service = platform
             .deploy(ServiceSpec::new("lb", 8596, http_path_balancer()).with_backends(vec![8597]))
             .unwrap();
-        let get = || {
-            let client = net.connect(8596).unwrap();
-            client
-                .write_all(b"GET /a HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-                .unwrap();
-            read_until(&client, |seen| seen.ends_with(b"ok"));
-            client.close();
+        // Keep-alive clients served one after another each hold their own
+        // back-end connection until they hang up together; then all of
+        // those connections are parked.
+        let serve = |clients: u32| {
+            let clients: Vec<Endpoint> = (0..clients).map(|_| net.connect(8596).unwrap()).collect();
+            for client in &clients {
+                client
+                    .write_all(b"GET /a HTTP/1.1\r\nHost: t\r\n\r\n")
+                    .unwrap();
+                read_until(client, |seen| seen.ends_with(b"ok"));
+            }
+            clients.iter().for_each(Endpoint::close);
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             while service.live_graphs() > 0 {
                 assert!(
@@ -557,18 +557,22 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         };
-        get();
+        let stale = flick_runtime::pool::EJECT_AFTER;
+        serve(stale);
         net.sever_port(8597);
         net.unlisten(8597);
         first.stop();
         let second = start_http_backend(&net, 8597, b"ok");
-        get();
+        serve(1);
         assert_eq!(second.requests_served(), 1);
         let snap = platform.metrics().snapshot();
-        assert_eq!((snap.backend_checkouts, snap.backend_retries), (2, 0));
+        assert_eq!(
+            (snap.backend_checkouts, snap.backend_retries),
+            (u64::from(stale) + 1, 0)
+        );
         assert_eq!(
             snap.backend_ejections, 0,
-            "the stale connection is no failure"
+            "the stale connections are no failure"
         );
     }
 
@@ -608,80 +612,6 @@ mod tests {
             .unwrap();
         read_until(&client, |seen| seen.ends_with(b"ok"));
         assert_eq!(backend.requests_served(), 1);
-    }
-
-    /// Hands the compiled balancer its environment and keeps the pool.
-    struct PoolSpy {
-        balancer: Arc<CompiledService>,
-        pool: parking_lot::Mutex<Option<Arc<flick_runtime::BackendPool>>>,
-    }
-
-    impl GraphFactory for PoolSpy {
-        fn build(
-            &self,
-            clients: Vec<Endpoint>,
-            env: &ServiceEnv,
-        ) -> Result<BuiltGraph, RuntimeError> {
-            *self.pool.lock() = Some(Arc::clone(&env.backends));
-            self.balancer.build(clients, env)
-        }
-    }
-
-    /// Least-loaded routing sees live load: every graph's teardown gives
-    /// its back-end's load share back, parked or closed, so once 100
-    /// churned graphs — served, or gone before sending — have quiesced,
-    /// no back-end counts a connection.
-    #[test]
-    fn least_loaded_load_returns_to_zero_after_churn() {
-        let net = SimNetwork::new(StackModel::Free);
-        let _backends: Vec<_> = [8691u16, 8692]
-            .iter()
-            .map(|p| start_http_backend(&net, *p, b"ok"))
-            .collect();
-        let platform = Platform::with_network(
-            PlatformConfig {
-                workers: 2,
-                backend_policy: flick_runtime::BackendPolicy {
-                    route: flick_runtime::RoutePolicy::LeastLoaded,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-            Arc::clone(&net),
-        );
-        let spy = Arc::new(PoolSpy {
-            balancer: http_balancer(),
-            pool: Default::default(),
-        });
-        let service = platform
-            .deploy(ServiceSpec::new("lb", 8690, spy.clone()).with_backends(vec![8691, 8692]))
-            .unwrap();
-        for i in 0..100 {
-            let client = net.connect(8690).unwrap();
-            if i % 3 != 0 {
-                client
-                    .write_all(b"GET /a HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-                    .unwrap();
-                read_until(&client, |seen| seen.ends_with(b"ok"));
-            }
-            client.close();
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while service.live_graphs() > 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "graphs never torn down"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let pool = spy.pool.lock().clone().expect("a graph was built");
-        for i in 0..pool.len() {
-            assert_eq!(pool.outstanding(i), 0, "back-end {i}");
-        }
-        assert!(
-            pool.idle(0) + pool.idle(1) > 0,
-            "clean connections were parked"
-        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * [`hadoop`] — the Hadoop in-network data aggregator (Listing 3),
 //!   compiled from its FLICK source;
 //! * [`baselines`] — behavioural models of the systems the paper compares
-//!   against: Apache (thread-per-connection proxy), Nginx (event-loop proxy)
-//!   and Moxi (multi-threaded Memcached proxy with shared state).
+//!   against: Apache and Nginx (the same thread-per-connection HTTP proxy
+//!   at two per-request costs) and Moxi (multi-threaded Memcached proxy
+//!   with shared state).
 
 pub mod baselines;
 pub mod hadoop;

@@ -45,19 +45,14 @@ impl std::fmt::Display for Violation {
 }
 
 /// Which optional gates the tick battery applies on top of the always-on
-/// conservation laws.
+/// conservation laws and the no-retry-storm law
+/// ([`MetricsSnapshot::check_retry_budget`]).
 #[derive(Debug, Clone, Copy)]
 pub struct TickChecks {
     /// Require `ingest_copies == 0` (the zero-copy data-plane gate).
     pub expect_zero_copy: bool,
     /// Require `output_busy_retries == 0` (wakeup-driven output mode).
     pub expect_no_busy_retries: bool,
-    /// Gate the no-retry-storm law: backend retries must stay within
-    /// `checkouts × budget`. `None` here means "use the scenario's own
-    /// backend policy budget" — the scenario driver resolves it before
-    /// the first tick, so the gate is always on under `run_scenario`;
-    /// only direct `check_tick` callers can opt out by leaving `None`.
-    pub retry_budget: Option<u64>,
 }
 
 impl Default for TickChecks {
@@ -65,7 +60,6 @@ impl Default for TickChecks {
         TickChecks {
             expect_zero_copy: false,
             expect_no_busy_retries: true,
-            retry_budget: None,
         }
     }
 }
@@ -101,10 +95,8 @@ pub fn check_tick(
             ),
         ));
     }
-    if let Some(budget) = checks.retry_budget {
-        if let Err(what) = runtime.check_retry_budget(budget) {
-            violations.push(Violation::new(seed, tick, what));
-        }
+    if let Err(what) = runtime.check_retry_budget() {
+        violations.push(Violation::new(seed, tick, what));
     }
     violations
 }
@@ -202,38 +194,30 @@ mod tests {
         let lax = TickChecks {
             expect_zero_copy: false,
             expect_no_busy_retries: false,
-            retry_budget: None,
         };
         assert!(check_tick(1, 0, &net, &runtime, lax).is_empty());
         let strict = TickChecks {
             expect_zero_copy: true,
             expect_no_busy_retries: true,
-            retry_budget: None,
         };
         assert_eq!(check_tick(1, 0, &net, &runtime, strict).len(), 2);
     }
 
-    /// The no-retry-storm law flows into the tick battery when a budget is
-    /// set: retries within `checkouts × budget` pass, a storm fires.
+    /// The no-retry-storm law is part of every tick's battery: retries
+    /// within `checkouts × RETRY_BUDGET` pass, one more fires.
     #[test]
     fn retry_budget_gate_flows_into_the_tick_battery() {
         let net = StatsSnapshot::default();
-        let runtime = MetricsSnapshot {
+        let mut runtime = MetricsSnapshot {
             task_runs: 10,
             backend_checkouts: 4,
-            backend_retries: 8,
+            backend_retries: 4 * u64::from(flick_runtime::pool::RETRY_BUDGET),
             ..Default::default()
         };
-        let gated = TickChecks {
-            retry_budget: Some(2),
-            ..TickChecks::default()
-        };
-        assert!(check_tick(9, 1, &net, &runtime, gated).is_empty());
-        let tight = TickChecks {
-            retry_budget: Some(1),
-            ..TickChecks::default()
-        };
-        let violations = check_tick(9, 2, &net, &runtime, tight);
+        let checks = TickChecks::default();
+        assert!(check_tick(9, 1, &net, &runtime, checks).is_empty());
+        runtime.backend_retries += 1;
+        let violations = check_tick(9, 2, &net, &runtime, checks);
         assert_eq!(violations.len(), 1);
         assert!(
             violations[0].what.contains("retry budget"),

@@ -31,7 +31,7 @@ use flick_net::ratelimit::TokenBucket;
 use flick_net::stats::StatsSnapshot;
 use flick_net::{Endpoint, NetError, SimNetwork, SimRng};
 use flick_runtime::metrics::MetricsSnapshot;
-use flick_runtime::{BackendPolicy, ExecMode, Platform, PlatformConfig, ServiceSpec};
+use flick_runtime::{ExecMode, Platform, PlatformConfig, ServiceSpec};
 use flick_services::http::http_balancer;
 use flick_services::StaticWebServerFactory;
 use flick_workload::backends::{start_http_backend, BackendHandle};
@@ -83,9 +83,6 @@ pub struct ScenarioConfig {
     /// mutation decision draws from its own per-client RNG fork, so
     /// turning the knob never shifts the churn/byte-wise/abort streams.
     pub hostile: f64,
-    /// Backend health/routing policy the platform runs with (ejection
-    /// threshold, sit-out, retry budget).
-    pub backend_policy: BackendPolicy,
     /// Write-rate limit applied to every client connection as
     /// `(bits_per_sec, burst_bytes)` — the rate-storm knob. Service
     /// outputs stay unrated so the busy-retry gate remains meaningful.
@@ -119,7 +116,6 @@ impl Default for ScenarioConfig {
             churn: 0.0,
             abort_mid_message: 0.0,
             hostile: 0.0,
-            backend_policy: BackendPolicy::default(),
             client_rate: None,
             trace_outcomes: true,
             checks: TickChecks::default(),
@@ -222,7 +218,6 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
     let platform = Platform::new(PlatformConfig {
         workers: config.workers,
         shards: config.shards,
-        backend_policy: config.backend_policy,
     });
     let net = platform.net();
     let body = vec![b'x'; BODY_LEN];
@@ -267,13 +262,6 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
     let mut buckets: Vec<Arc<TokenBucket>> = Vec::new();
     let codec = HttpCodec::new();
     let metrics = platform.metrics();
-
-    // Resolve the retry-budget gate against the policy actually deployed
-    // (None in the config means "gate at the scenario's own budget").
-    let mut checks = config.checks;
-    if checks.retry_budget.is_none() {
-        checks.retry_budget = Some(config.backend_policy.retry_budget as u64);
-    }
 
     let mut requests_ok = 0u64;
     let mut requests_failed = 0u64;
@@ -591,7 +579,7 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
             tick,
             &net.stats().snapshot(),
             &metrics.snapshot(),
-            checks,
+            config.checks,
         ));
         for bucket in &buckets {
             if let Err(what) = bucket.check_conservation() {

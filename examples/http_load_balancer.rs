@@ -53,7 +53,6 @@ fn main() {
     let platform = Platform::new(PlatformConfig {
         workers: 4,
         shards: 2,
-        ..Default::default()
     });
     let net = platform.net();
 

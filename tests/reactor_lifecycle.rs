@@ -121,7 +121,6 @@ fn the_epoll_set_dies_with_its_users_and_no_reactor_thread_ever_runs() {
     let platform = Platform::new(PlatformConfig {
         workers: 2,
         shards: 1,
-        ..Default::default()
     });
     let service = platform
         .deploy_tcp(
@@ -157,7 +156,6 @@ fn path_balancer(backends: &[TcpBackendHandle]) -> (Platform, DeployedService, S
     let platform = Platform::new(PlatformConfig {
         workers: 2,
         shards: 1,
-        ..Default::default()
     });
     let service = platform
         .deploy_tcp(

@@ -19,7 +19,6 @@ fn web_platform(shards: usize) -> Platform {
     Platform::new(PlatformConfig {
         workers: shards, // one worker per shard
         shards,
-        ..Default::default()
     })
 }
 
@@ -260,7 +259,6 @@ fn sharding_multi_connection_graphs_survive_placement() {
     let platform = Platform::new(PlatformConfig {
         workers: 4,
         shards: 2,
-        ..Default::default()
     });
     let net = platform.net();
     let (_reducer, reducer_bytes) = start_sink_backend(&net, 9951);
@@ -301,7 +299,6 @@ fn sharding_connection_groups_complete_on_one_shard() {
     let platform = Platform::new(PlatformConfig {
         workers: 2,
         shards: 2,
-        ..Default::default()
     });
     let net = platform.net();
     let (_reducer, _) = start_sink_backend(&net, 9953);

@@ -9,12 +9,11 @@
 //! second a pass; CI runs ten in a row as a flake detector):
 //! `cargo test --release --test sim_scenarios -- --test-threads=1`
 
-use flick_runtime::{BackendPolicy, ExecMode, RoutePolicy};
+use flick_runtime::ExecMode;
 use flick_sim::{
     run_poller_handoff_scenario, run_scenario, run_stall_park_scenario, FaultOp, ScenarioConfig,
     ScheduledFault, TickChecks,
 };
-use std::time::Duration;
 
 /// Steady traffic against the static web server: the baseline scenario
 /// must be conserving, zero-copy, busy-retry-free and leak-free.
@@ -29,7 +28,6 @@ fn steady_web_traffic_is_clean_and_zero_copy() {
         checks: TickChecks {
             expect_zero_copy: true,
             expect_no_busy_retries: true,
-            retry_budget: None,
         },
         ..Default::default()
     });
@@ -349,7 +347,6 @@ fn injected_violation_is_caught_and_reports_its_seed() {
         checks: TickChecks {
             expect_zero_copy: true,
             expect_no_busy_retries: true,
-            retry_budget: None,
         },
         ..Default::default()
     });
@@ -368,9 +365,9 @@ fn injected_violation_is_caught_and_reports_its_seed() {
 }
 
 /// Satellite: a backend vanishing mid-run and rejoining must not leak
-/// tasks or wedge the load-balancer graph — round-robin back-end routing.
-/// Partial outage routes nondeterministically (connection-id hash), so
-/// outcome tracing is off; the leak/conservation checks are the test.
+/// tasks or wedge the load-balancer graph. Partial outage routes
+/// nondeterministically (connection-id hash), so outcome tracing is off;
+/// the leak/conservation checks are the test.
 #[test]
 fn backend_vanishing_and_rejoining_round_robin() {
     let report = run_scenario(&ScenarioConfig {
@@ -379,10 +376,6 @@ fn backend_vanishing_and_rejoining_round_robin() {
         ticks: 10,
         clients: 6,
         backends: 3,
-        backend_policy: BackendPolicy {
-            route: RoutePolicy::RoundRobin,
-            ..Default::default()
-        },
         faults: vec![
             ScheduledFault::at(2, FaultOp::CrashBackend(1)),
             ScheduledFault::at(6, FaultOp::RestartBackend(1)),
@@ -398,45 +391,15 @@ fn backend_vanishing_and_rejoining_round_robin() {
     );
 }
 
-/// Satellite: the same vanish/rejoin schedule under least-loaded back-end
-/// routing (the route policy sees load shift as the back-end dies and
-/// comes back).
-#[test]
-fn backend_vanishing_and_rejoining_least_loaded() {
-    let report = run_scenario(&ScenarioConfig {
-        name: "partial-outage-ll",
-        seed: 0x9A47_000E,
-        ticks: 10,
-        clients: 6,
-        backends: 3,
-        backend_policy: BackendPolicy {
-            route: RoutePolicy::LeastLoaded,
-            ..Default::default()
-        },
-        faults: vec![
-            ScheduledFault::at(2, FaultOp::CrashBackend(1)),
-            ScheduledFault::at(6, FaultOp::RestartBackend(1)),
-        ],
-        trace_outcomes: false,
-        ..Default::default()
-    });
-    report.assert_clean();
-    assert!(report.requests_ok > 0, "{report:?}");
-}
-
 /// The headline hostile scenario (ISSUE 8 acceptance): a quarter of all
 /// frames are grammar-aware mutations switched on via
 /// [`FaultOp::HostileTraffic`], one backend crashes and comes back
-/// mid-storm, and the ejection clock gets a quiet window to expire so a
-/// readmit probe must fire. The full tick battery (conservation,
-/// busy-retry, always-on retry budget) runs every tick; on top the test
-/// pins the malformed accounting and the eject/readmit cycle.
+/// mid-storm, and the ejection clock gets a quiet window longer than
+/// `EJECT_FOR` so a readmit probe must fire. The full tick battery
+/// (conservation, busy-retry, always-on retry budget) runs every tick; on
+/// top the test pins the malformed accounting and the eject/readmit cycle.
 #[test]
 fn hostile_traffic_with_backend_crash_cycle() {
-    let policy = BackendPolicy {
-        eject_for: Duration::from_millis(50),
-        ..Default::default()
-    };
     let report = run_scenario(&ScenarioConfig {
         name: "hostile-crash-cycle",
         seed: 0x4057_11E0_000F,
@@ -447,20 +410,19 @@ fn hostile_traffic_with_backend_crash_cycle() {
             ScheduledFault::at(1, FaultOp::HostileTraffic { permille: 250 }),
             ScheduledFault::at(4, FaultOp::CrashBackend(0)),
             ScheduledFault::at(8, FaultOp::RestartBackend(0)),
-            // Let the shortened ejection sit-out expire so tick 9's
-            // checkouts may probe (and readmit) the revived backend. The
-            // window is for the clock, not for quietness: hostile
-            // connections torn down at the end of tick 8 are still
-            // draining into it, so the run allowance stays loose.
+            // Let the ejection sit-out (`EJECT_FOR`, 250 ms) expire so
+            // tick 9's checkouts may probe (and readmit) the revived
+            // backend. The window is for the clock, not for quietness:
+            // hostile connections torn down at the end of tick 8 are
+            // still draining into it, so the run allowance stays loose.
             ScheduledFault::at(
                 9,
                 FaultOp::QuietCheck {
-                    ms: 100,
+                    ms: 300,
                     max_extra_task_runs: 64,
                 },
             ),
         ],
-        backend_policy: policy,
         // Partial outage routes by connection id — outcomes off.
         trace_outcomes: false,
         ..Default::default()
@@ -495,7 +457,7 @@ fn hostile_traffic_with_backend_crash_cycle() {
     );
     report
         .final_metrics
-        .check_retry_budget(u64::from(BackendPolicy::default().retry_budget))
+        .check_retry_budget()
         .expect("retry budget exceeded");
     assert!(report.requests_ok > 0, "{report:?}");
 }
@@ -503,8 +465,7 @@ fn hostile_traffic_with_backend_crash_cycle() {
 /// Hostile replay contract: with every backend healthy, a mutation storm
 /// has deterministic outcome classes, so two runs of the same seed must
 /// produce identical traces, identical hostile accounting, and matching
-/// substrate-side malformed-close counters — under least-loaded routing
-/// for good measure.
+/// substrate-side malformed-close counters.
 #[test]
 fn hostile_storm_replays_byte_identically() {
     let config = ScenarioConfig {
@@ -516,10 +477,6 @@ fn hostile_storm_replays_byte_identically() {
         hostile: 0.3,
         churn: 0.2,
         byte_at_a_time: 0.2,
-        backend_policy: BackendPolicy {
-            route: RoutePolicy::LeastLoaded,
-            ..Default::default()
-        },
         trace_outcomes: true,
         ..Default::default()
     };

@@ -38,11 +38,7 @@ fn tcp_platform(workers: usize, shards: usize) -> Platform {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(shards);
-    Platform::new(PlatformConfig {
-        workers,
-        shards,
-        ..Default::default()
-    })
+    Platform::new(PlatformConfig { workers, shards })
 }
 
 fn deploy_web(platform: &Platform, body: &'static [u8]) -> flick::runtime_crate::DeployedService {
@@ -231,7 +227,6 @@ fn connection_groups_are_never_stranded_across_shards() {
     let platform = Platform::new(PlatformConfig {
         workers: 2,
         shards: 2,
-        ..Default::default()
     });
     let net = platform.net();
     let (_reducer, _) = start_sink_backend(&net, 9961);
