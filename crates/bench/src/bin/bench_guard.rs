@@ -10,11 +10,16 @@
 //!   on a real kernel socket against its simulated twin (`tcp/sim`), the
 //!   all-TCP load balancer against its twin (`all-TCP lb/sim`), goodput
 //!   under a 10% malformed-frame storm against the clean run
-//!   (`hostile/clean`), and the bytecode VM against the tree-walking
-//!   interpreter on per-message dispatch (`vm/interp`).
+//!   (`hostile/clean`), the bytecode VM against the tree-walking
+//!   interpreter on per-message dispatch (`vm/interp`), and the light
+//!   balancer's p90 alone against its p90 beside the streaming Hadoop
+//!   aggregator on the same two workers (`light p90 alone/beside
+//!   aggregator`, the platform fairness law).
 //! * **Structural checks** riding on those runs: the LB spreads requests
 //!   over at least two kernel-socket back-ends, poison is shed as
-//!   malformed closes, and clean traffic draws none.
+//!   malformed closes, clean traffic draws none, and the aggregator
+//!   finished at least one job beside the light service in every
+//!   fairness pass.
 //! * **The c10k point**: ten thousand idle kernel connections (clamped to
 //!   the fd limit) connect and survive an active run, with zero ingest
 //!   copies and zero output busy retries.
@@ -23,10 +28,12 @@
 //! non-zero on any failed check.
 
 use flick_bench::{
-    run_exec_mode_dispatch_experiment, run_hostile_goodput_experiment, run_tcp_c10k_experiment,
-    run_tcp_lb_experiment, run_tcp_loopback_experiment, ExecModeDispatchExperiment, HttpPoint,
+    run_exec_mode_dispatch_experiment, run_fairness_experiment, run_hostile_goodput_experiment,
+    run_tcp_c10k_experiment, run_tcp_lb_experiment, run_tcp_loopback_experiment,
+    ExecModeDispatchExperiment, FairnessExperiment, HttpPoint,
 };
 use flick_services::http::http_balancer;
+use flick_workload::RunStats;
 
 /// The tcp-vs-sim ratio floor: the service on a real kernel socket must
 /// not fall below this fraction of its simulated twin (kernel cost model)
@@ -68,6 +75,18 @@ const HOSTILE_GOODPUT_RATIO_FLOOR: f64 = 0.40;
 /// enum-tree walking); the gate only requires the VM to win at all,
 /// best-of-three so a noisy pass cannot fail CI.
 const EXEC_MODE_RATIO_FLOOR: f64 = 1.0;
+
+/// The platform fairness floor (§5, Figure 7's claim on the platform):
+/// the light balancer's p90 alone over its p90 beside the streaming
+/// aggregator, within the run, must reach this — the neighbour may slow
+/// the light service's p90 by at most 1/0.15 ≈ 6.7×. Set from 20 runs of
+/// this binary on 2 vCPUs before the LIFO slot landed, whose gated
+/// (best-of-two) ratios were 0.37 0.28 0.34 0.32 0.44 0.40 0.44 0.35 0.65
+/// 0.34 0.33 0.44 0.40 0.40 0.37 0.33 0.38 0.39 0.36 0.35 (min 0.28,
+/// median 0.37): the floor is about half the minimum. Tasks that ignore
+/// the timeslice (`TaskContext::can_continue` always `true`) measured
+/// 0.023–0.028.
+const FAIRNESS_P90_RATIO_FLOOR: f64 = 0.15;
 
 /// The pass with the highest `score`. Every gate takes the best of its
 /// passes, so a single noisy interval on a loaded CI host cannot fail it.
@@ -181,6 +200,10 @@ fn main() {
         ..Default::default()
     };
     let c10k = run_tcp_c10k_experiment(&c10k_params, 10_000);
+    // The platform fairness point: the light balancer alone, then beside
+    // the aggregator streaming jobs on the same two workers; two passes.
+    let fairness_params = FairnessExperiment::default();
+    let fairness: [_; 2] = std::array::from_fn(|_| run_fairness_experiment(&fairness_params));
 
     let mut checks = Checks::default();
     let gates = [
@@ -227,6 +250,19 @@ fn main() {
             passes: dispatch
                 .iter()
                 .map(|pass| (pass.vm_msgs_per_sec, pass.interp_msgs_per_sec))
+                .collect(),
+        },
+        Gate {
+            name: "light p90 alone/beside aggregator",
+            lost: "the aggregator starved the light service",
+            floor: FAIRNESS_P90_RATIO_FLOOR,
+            strict: false,
+            passes: fairness
+                .iter()
+                .map(|pass| {
+                    let p90_us = |stats: &RunStats| stats.latency.p90.as_secs_f64() * 1e6;
+                    (p90_us(&pass.alone), p90_us(&pass.shared))
+                })
                 .collect(),
         },
     ];
@@ -322,6 +358,20 @@ fn main() {
         Ok("clean run drew 0 malformed closes".to_string())
     } else {
         Err(format!("clean run drew {clean_closes} malformed closes"))
+    });
+
+    // Structural, beside the fairness gate: the neighbour really streamed
+    // in every pass, or the gate would compare the light service with
+    // itself.
+    let jobs: Vec<u64> = fairness.iter().map(|pass| pass.jobs).collect();
+    checks.record(if jobs.contains(&0) {
+        Err(format!(
+            "fairness point: the aggregator finished no job beside the light service ({jobs:?} per pass)"
+        ))
+    } else {
+        Ok(format!(
+            "the aggregator finished {jobs:?} jobs beside the light service"
+        ))
     });
 
     if !checks.failures.is_empty() {

@@ -11,14 +11,19 @@ use flick_runtime::RuntimeMetrics;
 use flick_runtime::{GraphFactory, SchedulingPolicy, ServiceSpec, ShardStatus};
 use flick_services::baselines::{ApacheLikeProxy, MoxiLikeProxy, NginxLikeProxy};
 use flick_services::hadoop::hadoop_aggregator;
-use flick_services::http::{http_balancer, StaticWebServerFactory};
+use flick_services::http::{http_balancer, StaticWebServerFactory, HTTP_LB_FLICK_SOURCE};
 use flick_services::memcached::memcached_proxy;
-use flick_workload::backends::{start_memcached_backend, start_sink_backend};
-use flick_workload::hadoop::{run_hadoop_mappers, wait_for_quiescence, HadoopLoadConfig};
+use flick_workload::backends::{
+    start_memcached_backend, start_sink_backend, start_tcp_sink_backend,
+};
+use flick_workload::hadoop::{
+    mapper_streams, run_hadoop_mappers, run_tcp_hadoop_job, wait_for_quiescence, HadoopLoadConfig,
+};
 use flick_workload::memcached::{run_memcached_load, MemcachedLoadConfig};
 use flick_workload::tcp::{run_tcp_idle_active_load, TcpIdleActiveConfig};
 use flick_workload::RunStats;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -616,6 +621,106 @@ pub fn run_sharing_experiment(
     }
 }
 
+/// Parameters of the platform fairness point: a light HTTP balancer next
+/// to a heavy Hadoop aggregator on one platform's workers.
+#[derive(Debug, Clone)]
+pub struct FairnessExperiment {
+    /// The light service's closed-loop keep-alive clients.
+    pub light_clients: usize,
+    /// How long the light fleet runs in each phase.
+    pub duration: Duration,
+    /// Mapper connections per aggregation job.
+    pub mappers: usize,
+    /// Bytes each mapper streams per job.
+    pub bytes_per_mapper: usize,
+}
+
+impl Default for FairnessExperiment {
+    fn default() -> Self {
+        FairnessExperiment {
+            light_clients: 4,
+            duration: Duration::from_millis(400),
+            mappers: 2,
+            bytes_per_mapper: 256 * 1024,
+        }
+    }
+}
+
+/// The outcome of one fairness point.
+#[derive(Debug, Clone)]
+pub struct FairnessResult {
+    /// The light service's fleet with the platform to itself.
+    pub alone: RunStats,
+    /// The same fleet while the aggregator streams jobs beside it.
+    pub shared: RunStats,
+    /// Aggregation jobs the reducer saw finish during the shared phase.
+    pub jobs: u64,
+}
+
+/// Runs the fairness point of §5 on the platform rather than beside it:
+/// one kernel-socket platform (2 workers, 1 shard, every worker
+/// cooperative) serves the compiled `lb_small` balancer and the Hadoop
+/// aggregator. The light fleet runs once alone and once while mappers
+/// stream aggregation jobs back to back, each job's `foldt` runs cut by
+/// the cooperative timeslice. The light p90 of the two phases is the
+/// within-run law `bench_guard` gates.
+pub fn run_fairness_experiment(params: &FairnessExperiment) -> FairnessResult {
+    let reducer = start_tcp_sink_backend();
+    let mut bed = Testbed::new(StackModel::Kernel, 2, 1);
+    let balancer = flick_compiler::compile_source(
+        HTTP_LB_FLICK_SOURCE,
+        "HttpBalancer",
+        &flick_compiler::CompileOptions::default(),
+    )
+    .expect("the bundled balancer compiles");
+    let light = bed.deploy_http(Transport::Tcp, "light-lb", balancer, 2);
+    let spec = ServiceSpec::new("heavy-agg", 0, hadoop_aggregator(params.mappers))
+        .with_tcp_backends(vec![reducer.addr().to_string()]);
+    let heavy = bed.deploy(Transport::Tcp, spec).addr();
+    let point = HttpPoint {
+        concurrency: params.light_clients,
+        duration: params.duration,
+        ..Default::default()
+    };
+    let streams = mapper_streams(&HadoopLoadConfig {
+        mappers: params.mappers,
+        bytes_per_mapper: params.bytes_per_mapper,
+        link_bits_per_sec: None,
+        ..Default::default()
+    });
+
+    let alone = bed.http_load(light, &point);
+    let stop = AtomicBool::new(false);
+    let jobs_before = reducer.requests_served();
+    let shared = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            // Jobs run back to back: the next starts once the reducer has
+            // seen this one's end, so no job queues behind another.
+            let mut started = reducer.requests_served();
+            while !stop.load(Ordering::Acquire) {
+                if run_tcp_hadoop_job(&heavy, &streams).failed > 0 {
+                    break;
+                }
+                started += 1;
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while reducer.requests_served() < started && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            }
+        });
+        // Let the first job reach its stride before the light fleet starts.
+        std::thread::sleep(Duration::from_millis(20));
+        let shared = bed.http_load(light, &point);
+        stop.store(true, Ordering::Release);
+        shared
+    });
+    FairnessResult {
+        alone,
+        shared,
+        jobs: reducer.requests_served() - jobs_before,
+    }
+}
+
 /// The FLICK program measured by the execution-mode dispatch ablation: a
 /// weighted router whose per-message work — a field read, a hash, a
 /// 16-step accumulation loop, a modulo route and a send — is typical of
@@ -852,6 +957,19 @@ mod tests {
                 ..point
             });
             assert!(result.tcp.completed > 0, "tcp: {:?}", result.tcp);
+        }
+        // The light balancer is served alone and beside the aggregator,
+        // and the aggregator finished a job beside it.
+        fairness_experiment_smoke: |point| {
+            let result = run_fairness_experiment(&FairnessExperiment {
+                light_clients: point.concurrency,
+                duration: point.duration,
+                bytes_per_mapper: 16 * 1024,
+                ..Default::default()
+            });
+            assert!(result.alone.completed > 0, "alone: {:?}", result.alone);
+            assert!(result.shared.completed > 0, "shared: {:?}", result.shared);
+            assert!(result.jobs > 0, "{result:?}");
         }
         // The idle mass must connect, survive, and leave the zero-copy
         // laws intact.

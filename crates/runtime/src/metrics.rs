@@ -26,6 +26,9 @@ pub struct RuntimeMetrics {
     pub graphs_destroyed: AtomicU64,
     /// Tasks stolen from another worker's queue ("scavenged").
     pub tasks_scavenged: AtomicU64,
+    /// Task executions taken from a worker's LIFO slot: the last task a
+    /// run woke, run next on the same worker (a subset of `task_runs`).
+    pub slot_runs: AtomicU64,
     /// Tasks stolen *across shard boundaries*: an idle shard's worker
     /// executed a runnable task belonging to a sibling shard's scheduler.
     pub tasks_stolen: AtomicU64,
@@ -95,6 +98,7 @@ impl RuntimeMetrics {
             graphs_created: Self::get(&self.graphs_created),
             graphs_destroyed: Self::get(&self.graphs_destroyed),
             tasks_scavenged: Self::get(&self.tasks_scavenged),
+            slot_runs: Self::get(&self.slot_runs),
             tasks_stolen: Self::get(&self.tasks_stolen),
             output_busy_retries: Self::get(&self.output_busy_retries),
             producer_parks: Self::get(&self.producer_parks),
@@ -121,6 +125,8 @@ pub struct MetricsSnapshot {
     pub graphs_destroyed: u64,
     /// Tasks scavenged from other workers.
     pub tasks_scavenged: u64,
+    /// Task executions taken from a worker's LIFO slot.
+    pub slot_runs: u64,
     /// Tasks stolen across shard boundaries.
     pub tasks_stolen: u64,
     /// Output-task busy retries (blocked write + immediate re-run).

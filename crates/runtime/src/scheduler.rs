@@ -1,11 +1,19 @@
 //! The cooperative task scheduler.
 //!
 //! §5 of the paper: tasks are cooperatively scheduled onto a fixed pool of
-//! worker threads. Each worker owns a FIFO task queue; a task is always
-//! hashed to the same worker's queue (to reduce cache misses), workers
-//! scavenge work from other queues when their own is empty, and a running
-//! task yields control when it exceeds the timeslice threshold (enforced by
-//! [`crate::task::TaskContext`] inside every task implementation).
+//! worker threads. Each worker owns a FIFO task queue; a queued task is
+//! always hashed to the same worker's queue (to reduce cache misses),
+//! workers scavenge work from other queues when their own is empty, and a
+//! running task yields control when it exceeds the timeslice threshold
+//! (enforced by [`crate::task::TaskContext`] inside every task
+//! implementation).
+//!
+//! Wake affinity: the last task a run woke does not go to a queue. It goes
+//! to the running worker's one-entry LIFO slot and runs next on the same
+//! thread, so the input → compute → output tasks of one request stay on
+//! one worker. At most [`LIFO_RUNS`] slot runs follow one another; the
+//! entry after them goes to its hashed queue. A yielding task never takes
+//! the slot, and a stolen run uses none.
 //!
 //! In a sharded platform every shard runs its own scheduler; idle shards
 //! additionally pull runnable tasks from their siblings through the
@@ -25,6 +33,22 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 pub use steal::StealGroup;
+
+/// Slot runs one worker may take back to back before the entry goes to
+/// its hashed queue — the bound Tokio's LIFO slot uses. It keeps two tasks
+/// that wake each other from starving the queue behind them.
+pub const LIFO_RUNS: usize = 3;
+
+/// How a worker came to run a task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pick {
+    /// Popped from a queue of this scheduler.
+    Queued,
+    /// Taken from the worker's LIFO slot.
+    Slot,
+    /// Stolen by a sibling shard's worker, which lends CPU and no slot.
+    Stolen,
+}
 
 struct WorkerQueue {
     queue: Mutex<VecDeque<TaskId>>,
@@ -158,9 +182,15 @@ impl SchedulerInner {
                 None => return false,
             }
         };
-        if slot.queued.swap(true, Ordering::AcqRel) {
-            return true;
+        if !slot.queued.swap(true, Ordering::AcqRel) {
+            self.push(id);
         }
+        true
+    }
+
+    /// Appends `id`, whose `queued` flag the caller has set, to its hashed
+    /// queue and wakes an idle worker for it.
+    fn push(&self, id: TaskId) {
         let worker = self.queue_for(id);
         self.queues[worker].queue.lock().push_back(id);
         // Publish the new work, then wake one idle worker — but only if
@@ -175,7 +205,16 @@ impl SchedulerInner {
             let _guard = self.idle_lock.lock();
             self.idle_cond.notify_one();
         }
-        true
+    }
+
+    /// Claims `id` for the calling worker's slot: sets its `queued` flag
+    /// and pushes it nowhere. `false` if it is unregistered or already
+    /// queued (it then runs from where it is).
+    fn claim(&self, id: TaskId) -> bool {
+        self.tasks
+            .read()
+            .get(&id)
+            .is_some_and(|slot| !slot.queued.swap(true, Ordering::AcqRel))
     }
 
     fn pop_own(&self, worker: usize) -> Option<TaskId> {
@@ -194,27 +233,47 @@ impl SchedulerInner {
         None
     }
 
-    fn run_one(&self, id: TaskId) {
+    /// Runs `id` once, with a fresh timeslice. Unless the run was stolen,
+    /// the last task it woke is claimed for the worker's slot and
+    /// returned; every other wake is scheduled.
+    fn run_one(&self, id: TaskId, pick: Pick) -> Option<TaskId> {
         let slot = {
             let tasks = self.tasks.read();
-            match tasks.get(&id) {
-                Some(slot) => Arc::clone(slot),
-                None => return,
-            }
+            Arc::clone(tasks.get(&id)?)
         };
         slot.queued.store(false, Ordering::Release);
+        // A slot entry woken mid-run waits here for that run to end. It is
+        // deliberate: handing it to its queue instead measured slower on
+        // the aggregator (DESIGN.md §5).
         let mut guard = slot.task.lock();
-        let Some(task) = guard.as_mut() else {
-            return;
-        };
+        let task = guard.as_mut()?;
         RuntimeMetrics::add(&self.metrics.task_runs, 1);
+        if pick == Pick::Slot {
+            RuntimeMetrics::add(&self.metrics.slot_runs, 1);
+        }
         self.runs.fetch_add(1, Ordering::Relaxed);
         let mut ctx = TaskContext::new(id, self.policy, Arc::clone(&self.metrics));
         let status = task.run(&mut ctx);
         drop(guard);
-        for wake in ctx.take_wakes() {
+        let mut wakes = ctx.take_wakes();
+        let last = if pick == Pick::Stolen {
+            None
+        } else {
+            wakes.pop()
+        };
+        for wake in wakes {
             self.schedule(wake);
         }
+        let entry = match last {
+            // The running task itself never takes the slot: woken or
+            // yielding, it goes behind its queue.
+            Some(wake) if wake != id && self.claim(wake) => Some(wake),
+            Some(wake) => {
+                self.schedule(wake);
+                None
+            }
+            None => None,
+        };
         match status {
             TaskStatus::Runnable => {
                 self.schedule(id);
@@ -222,6 +281,7 @@ impl SchedulerInner {
             TaskStatus::Idle => {}
             TaskStatus::Finished => self.exit(id),
         }
+        entry
     }
 
     /// Takes `id` out of the task map and counts it out of its graph. Only
@@ -235,15 +295,29 @@ impl SchedulerInner {
     }
 
     fn worker_loop(&self, worker: usize) {
+        // The LIFO slot: filled when a run returns, drained at the top of
+        // the next iteration, so a worker holding an entry never parks.
+        let mut slot = None;
+        let mut slot_runs = 0;
         loop {
             if self.shutdown.load(Ordering::Acquire) {
                 return;
             }
+            if let Some(id) = slot.take() {
+                if slot_runs < LIFO_RUNS {
+                    slot_runs += 1;
+                    slot = self.run_one(id, Pick::Slot);
+                    continue;
+                }
+                // Its `queued` flag is already set: `schedule` would drop it.
+                self.push(id);
+            }
+            slot_runs = 0;
             // Snapshot the work sequence *before* scanning so a schedule
             // that races the scan is caught by the re-check below.
             let seq = self.work_seq.load(Ordering::Acquire);
             if let Some(id) = self.pop_own(worker).or_else(|| self.scavenge(worker)) {
-                self.run_one(id);
+                slot = self.run_one(id, Pick::Queued);
                 continue;
             }
             if let Some(group) = &self.group {
@@ -364,7 +438,7 @@ pub mod steal {
                         RuntimeMetrics::add(&thief.metrics.tasks_stolen, 1);
                         // Run through the *owning* scheduler: wakes and
                         // the exit count stay in the owning shard.
-                        victim.run_one(id);
+                        victim.run_one(id, Pick::Stolen);
                         return true;
                     }
                 }
@@ -1078,5 +1152,225 @@ mod tests {
         assert!(owner.load().stolen_out >= 1);
         GateTask::release(&release);
         assert!(owner.wait_idle(Duration::from_secs(10)));
+    }
+
+    /// A task scripted by a closure, for pinning wake patterns.
+    struct FnTask<F>(F);
+
+    impl<F: FnMut(&mut TaskContext) -> TaskStatus + Send> Task for FnTask<F> {
+        fn label(&self) -> &str {
+            "scripted"
+        }
+
+        fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+            (self.0)(ctx)
+        }
+    }
+
+    /// Which task ran, in order, and on which worker thread.
+    type RunLog = Arc<Mutex<Vec<(TaskId, String)>>>;
+
+    /// A task that logs each run, then does what `script` says.
+    fn logged(
+        log: &RunLog,
+        mut script: impl FnMut(&mut TaskContext) -> TaskStatus + Send + 'static,
+    ) -> Box<dyn Task> {
+        let log = Arc::clone(log);
+        Box::new(FnTask(move |ctx: &mut TaskContext| {
+            let thread = std::thread::current().name().unwrap_or("?").to_string();
+            log.lock().push((ctx.task(), thread));
+            script(ctx)
+        }))
+    }
+
+    fn order(log: &RunLog) -> Vec<TaskId> {
+        log.lock().iter().map(|(id, _)| *id).collect()
+    }
+
+    /// A → B → C, each woken by the run before: B and C run from the
+    /// slot of the worker that ran A. They hash to the other worker, which
+    /// is pinned in a gate, so without the slot the free worker could only
+    /// reach them by scavenging.
+    #[test]
+    fn lifo_chain_runs_on_the_waking_worker() {
+        let metrics = RuntimeMetrics::new_shared();
+        let scheduler = Scheduler::start(2, SchedulingPolicy::default(), Arc::clone(&metrics));
+        let (gate, entered, release) = GateTask::new();
+        scheduler.register(TaskId(1), Box::new(gate));
+        scheduler.schedule(TaskId(1));
+        let (_, pinned) = GateTask::await_entered(&entered);
+        let a = ids_hashed_to(1 - pinned, 2, 1, 100)[0];
+        let [b, c] = ids_hashed_to(pinned, 2, 2, 200)[..] else {
+            unreachable!("two ids asked for")
+        };
+        let log = RunLog::default();
+        for (id, next) in [(a, Some(b)), (b, Some(c)), (c, None)] {
+            scheduler.register(
+                id,
+                logged(&log, move |ctx| {
+                    if let Some(next) = next {
+                        ctx.wake(next);
+                    }
+                    TaskStatus::Finished
+                }),
+            );
+        }
+        let before = metrics.snapshot();
+        scheduler.schedule(a);
+        await_true("the chain never finished", || log.lock().len() == 3);
+        let after = metrics.snapshot();
+        GateTask::release(&release);
+        assert!(scheduler.wait_idle(Duration::from_secs(10)));
+
+        let runs = log.lock().clone();
+        assert_eq!(order(&log), [a, b, c]);
+        assert!(
+            runs.iter().all(|(_, thread)| *thread == runs[0].1),
+            "{runs:?}"
+        );
+        assert_eq!(after.tasks_scavenged - before.tasks_scavenged, 0);
+        assert_eq!(after.slot_runs - before.slot_runs, 2);
+    }
+
+    /// On one worker, P and Q wake each other while R waits in the queue:
+    /// after `LIFO_RUNS` slot runs the entry goes behind R, so R runs after
+    /// at most `LIFO_RUNS + 1` P/Q runs, and the handed-off entry is not
+    /// lost — the ping-pong still completes every round.
+    #[test]
+    fn lifo_ping_pong_yields_to_the_queue_after_the_cap() {
+        const ROUNDS: usize = 20;
+        let metrics = RuntimeMetrics::new_shared();
+        let scheduler = Scheduler::start(1, SchedulingPolicy::default(), Arc::clone(&metrics));
+        let (gate, entered, release) = GateTask::new();
+        scheduler.register(TaskId(1), Box::new(gate));
+        scheduler.schedule(TaskId(1));
+        GateTask::await_entered(&entered);
+
+        let (p, q, r) = (TaskId(10), TaskId(11), TaskId(12));
+        let log = RunLog::default();
+        let left = Arc::new(AtomicUsize::new(ROUNDS));
+        for (id, other) in [(p, q), (q, p)] {
+            let left = Arc::clone(&left);
+            scheduler.register(
+                id,
+                logged(&log, move |ctx| {
+                    if left.fetch_sub(1, Ordering::Relaxed) > 1 {
+                        ctx.wake(other);
+                    }
+                    TaskStatus::Idle
+                }),
+            );
+        }
+        scheduler.register(r, logged(&log, |_| TaskStatus::Finished));
+        scheduler.schedule(p);
+        scheduler.schedule(r);
+        GateTask::release(&release);
+        await_true("the ping-pong lost a task", || {
+            log.lock().len() == ROUNDS + 1
+        });
+
+        let order = order(&log);
+        let before_r = order.iter().position(|id| *id == r).expect("R ran");
+        assert!(
+            before_r <= LIFO_RUNS + 1,
+            "R waited behind {before_r} runs: {order:?}"
+        );
+        assert_eq!(order.iter().filter(|id| **id != r).count(), ROUNDS);
+    }
+
+    /// A task that wakes itself and yields re-queues behind the queue: it
+    /// never takes the slot, so R runs between its first two runs.
+    #[test]
+    fn lifo_a_yielding_task_never_takes_the_slot() {
+        let metrics = RuntimeMetrics::new_shared();
+        let scheduler = Scheduler::start(1, SchedulingPolicy::default(), Arc::clone(&metrics));
+        let (gate, entered, release) = GateTask::new();
+        scheduler.register(TaskId(1), Box::new(gate));
+        scheduler.schedule(TaskId(1));
+        GateTask::await_entered(&entered);
+
+        let (y, r) = (TaskId(10), TaskId(11));
+        let log = RunLog::default();
+        let mut runs = 0;
+        scheduler.register(
+            y,
+            logged(&log, move |ctx| {
+                runs += 1;
+                ctx.wake(ctx.task());
+                if runs < 3 {
+                    TaskStatus::Runnable
+                } else {
+                    TaskStatus::Finished
+                }
+            }),
+        );
+        scheduler.register(r, logged(&log, |_| TaskStatus::Finished));
+        scheduler.schedule(y);
+        scheduler.schedule(r);
+        GateTask::release(&release);
+        assert!(scheduler.wait_idle(Duration::from_secs(10)));
+
+        assert_eq!(order(&log), [y, r, y, y]);
+        assert_eq!(RuntimeMetrics::get(&metrics.slot_runs), 0);
+    }
+
+    /// A slot entry whose task teardown removed between the claim and the
+    /// slot run is skipped: nothing runs, nothing is counted twice, and the
+    /// scheduler carries on. The steps run on the test thread while the
+    /// only worker is pinned, so the interleaving is exact.
+    #[test]
+    fn lifo_a_removed_slot_entry_is_skipped() {
+        let metrics = RuntimeMetrics::new_shared();
+        let scheduler = Scheduler::start(1, SchedulingPolicy::default(), Arc::clone(&metrics));
+        let (gate, entered, release) = GateTask::new();
+        scheduler.register(TaskId(1), Box::new(gate));
+        scheduler.schedule(TaskId(1));
+        GateTask::await_entered(&entered);
+
+        let (a, b) = (TaskId(10), TaskId(11));
+        let log = RunLog::default();
+        let poller = Poller::new();
+        let mut a_runs = 0;
+        let graph = scheduler.register_graph(
+            vec![
+                (
+                    a,
+                    logged(&log, move |ctx| {
+                        a_runs += 1;
+                        ctx.wake(b);
+                        if a_runs < 2 {
+                            TaskStatus::Idle
+                        } else {
+                            TaskStatus::Finished
+                        }
+                    }),
+                ),
+                (b, logged(&log, |_| TaskStatus::Finished)),
+            ],
+            &[a],
+            poller.clone(),
+            GRAPH_TOKEN,
+        );
+        let inner = &scheduler.inner;
+        let claimed = inner.run_one(a, Pick::Queued);
+        scheduler.remove(b);
+        let next = inner.run_one(b, Pick::Slot);
+        // Open the gate before asserting, or a failure would leave the
+        // worker parked in it while the test unwinds.
+        GateTask::release(&release);
+        assert_eq!(claimed, Some(b), "B is claimed");
+        assert_eq!(next, None);
+        assert_eq!(order(&log), [a], "the removed entry did not run");
+        assert_eq!((graph.clients_left(), graph.tasks_left()), (1, 1));
+        assert_eq!(RuntimeMetrics::get(&metrics.slot_runs), 0);
+
+        // The worker carries on: A's second run wakes the gone B (a miss)
+        // and finishes, which drains the graph.
+        scheduler.schedule(a);
+        assert_eq!(posted(&poller, Duration::from_secs(5)), [GRAPH_TOKEN]);
+        assert!(scheduler.wait_idle(Duration::from_secs(10)));
+        assert_eq!(order(&log), [a, a]);
+        assert_eq!((graph.clients_left(), graph.tasks_left()), (0, 0));
+        assert_eq!(RuntimeMetrics::get(&metrics.task_runs), 3, "gate, A, A");
     }
 }

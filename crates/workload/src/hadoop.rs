@@ -83,14 +83,7 @@ pub fn word_dictionary_seeded(seed: u64, word_len: usize, distinct_words: usize)
 /// drain and forward the combined stream.
 pub fn run_hadoop_mappers(net: &Arc<SimNetwork>, config: &HadoopLoadConfig) -> RunStats {
     let codec = hadoop::HadoopKvCodec::new();
-    let words = match config.seed {
-        Some(seed) => word_dictionary_seeded(
-            SimRng::new(seed).fork("hadoop-dict").seed(),
-            config.word_len,
-            config.distinct_words,
-        ),
-        None => word_dictionary(config.word_len, config.distinct_words),
-    };
+    let words = dictionary(config);
     let sent_bytes = Arc::new(AtomicU64::new(0));
     let sent_records = Arc::new(AtomicU64::new(0));
     let failed = Arc::new(AtomicU64::new(0));
@@ -113,22 +106,19 @@ pub fn run_hadoop_mappers(net: &Arc<SimNetwork>, config: &HadoopLoadConfig) -> R
                 failed.fetch_add(1, Ordering::Relaxed);
                 return;
             };
-            let mut rng = match config.seed {
-                Some(seed) => SimRng::new(seed).fork_indexed(mapper as u64),
-                None => SimRng::new(1000 + mapper as u64),
-            };
+            let mut rng = mapper_rng(&config, mapper);
             let mut sent = 0usize;
             let mut batch = Vec::with_capacity(32 * 1024);
             while sent < config.bytes_per_mapper {
                 batch.clear();
-                while batch.len() < 16 * 1024 && sent + batch.len() < config.bytes_per_mapper {
-                    let word = &words[rng.gen_range(0..words.len())];
-                    let record = hadoop::count_kv(word, rng.gen_range(1..100));
-                    if codec.serialize(&record, &mut batch).is_err() {
-                        break;
-                    }
-                    sent_records.fetch_add(1, Ordering::Relaxed);
-                }
+                let records = fill_batch(
+                    &codec,
+                    &words,
+                    &mut rng,
+                    &mut batch,
+                    config.bytes_per_mapper - sent,
+                );
+                sent_records.fetch_add(records, Ordering::Relaxed);
                 if conn.write_all(&batch).is_err() {
                     failed.fetch_add(1, Ordering::Relaxed);
                     break;
@@ -148,6 +138,105 @@ pub fn run_hadoop_mappers(net: &Arc<SimNetwork>, config: &HadoopLoadConfig) -> R
         elapsed: start.elapsed(),
         latency: Default::default(),
         bytes: sent_bytes.load(Ordering::Relaxed),
+        malformed_sent: 0,
+    }
+}
+
+/// The mappers' dictionary: the historic one, or one drawn from the
+/// configured seed.
+fn dictionary(config: &HadoopLoadConfig) -> Vec<String> {
+    match config.seed {
+        Some(seed) => word_dictionary_seeded(
+            SimRng::new(seed).fork("hadoop-dict").seed(),
+            config.word_len,
+            config.distinct_words,
+        ),
+        None => word_dictionary(config.word_len, config.distinct_words),
+    }
+}
+
+/// Mapper `mapper`'s word/count draws.
+fn mapper_rng(config: &HadoopLoadConfig, mapper: usize) -> SimRng {
+    match config.seed {
+        Some(seed) => SimRng::new(seed).fork_indexed(mapper as u64),
+        None => SimRng::new(1000 + mapper as u64),
+    }
+}
+
+/// Appends records to `batch` until it holds 16 KiB or would exceed
+/// `budget` bytes; returns the records appended.
+fn fill_batch(
+    codec: &hadoop::HadoopKvCodec,
+    words: &[String],
+    rng: &mut SimRng,
+    batch: &mut Vec<u8>,
+    budget: usize,
+) -> u64 {
+    let mut records = 0;
+    while batch.len() < 16 * 1024 && batch.len() < budget {
+        let word = &words[rng.gen_range(0..words.len())];
+        let record = hadoop::count_kv(word, rng.gen_range(1..100));
+        if codec.serialize(&record, batch).is_err() {
+            break;
+        }
+        records += 1;
+    }
+    records
+}
+
+/// Each mapper's whole record stream for one job, built up front: the
+/// bytes [`run_hadoop_mappers`] would send under `config`, so a job over
+/// kernel sockets spends its mapper threads on writes alone.
+pub fn mapper_streams(config: &HadoopLoadConfig) -> Vec<Vec<u8>> {
+    let codec = hadoop::HadoopKvCodec::new();
+    let words = dictionary(config);
+    (0..config.mappers)
+        .map(|mapper| {
+            let mut rng = mapper_rng(config, mapper);
+            let mut stream = Vec::with_capacity(config.bytes_per_mapper + 64);
+            let mut batch = Vec::with_capacity(16 * 1024 + 64);
+            while stream.len() < config.bytes_per_mapper {
+                batch.clear();
+                let budget = config.bytes_per_mapper - stream.len();
+                if fill_batch(&codec, &words, &mut rng, &mut batch, budget) == 0 {
+                    break;
+                }
+                stream.extend_from_slice(&batch);
+            }
+            stream
+        })
+        .collect()
+}
+
+/// Runs one job over kernel sockets: one mapper thread per stream
+/// connects to `addr`, writes its stream and closes. Returns once every
+/// mapper has closed; `failed` counts mappers that could not connect or
+/// write.
+pub fn run_tcp_hadoop_job(addr: &str, streams: &[Vec<u8>]) -> RunStats {
+    let start = Instant::now();
+    let outcomes: Vec<std::io::Result<usize>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = streams
+            .iter()
+            .map(|stream| {
+                scope.spawn(move || {
+                    let mut conn = std::net::TcpStream::connect(addr)?;
+                    conn.set_nodelay(true)?;
+                    std::io::Write::write_all(&mut conn, stream)?;
+                    Ok(stream.len())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("mapper thread panicked"))
+            .collect()
+    });
+    RunStats {
+        completed: outcomes.iter().filter(|o| o.is_ok()).count() as u64,
+        failed: outcomes.iter().filter(|o| o.is_err()).count() as u64,
+        elapsed: start.elapsed(),
+        latency: Default::default(),
+        bytes: outcomes.iter().flatten().map(|n| *n as u64).sum(),
         malformed_sent: 0,
     }
 }

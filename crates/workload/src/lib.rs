@@ -14,7 +14,7 @@
 //!   rate-limited (1 Gbps) links;
 //! * [`tcp`] — the same closed-loop HTTP fleet over **real** loopback
 //!   sockets, for services deployed on the OS transport;
-//! * [`metrics`] — throughput/latency recorders (mean, p50/p95/p99).
+//! * [`metrics`] — throughput/latency recorders (mean, p50/p90/p95/p99).
 
 pub mod backends;
 pub mod hadoop;

@@ -48,6 +48,7 @@ impl LatencyRecorder {
             count,
             mean: Duration::from_nanos((sum / count as u128) as u64),
             p50: pct(0.50),
+            p90: pct(0.90),
             p95: pct(0.95),
             p99: pct(0.99),
             max: Duration::from_nanos(*samples.last().expect("non-empty")),
@@ -64,6 +65,8 @@ pub struct LatencyStats {
     pub mean: Duration,
     /// Median latency.
     pub p50: Duration,
+    /// 90th percentile.
+    pub p90: Duration,
     /// 95th percentile.
     pub p95: Duration,
     /// 99th percentile.
@@ -123,7 +126,8 @@ mod tests {
         }
         let stats = rec.stats();
         assert_eq!(stats.count, 100);
-        assert!(stats.p50 <= stats.p95);
+        assert!(stats.p50 <= stats.p90);
+        assert!(stats.p90 <= stats.p95);
         assert!(stats.p95 <= stats.p99);
         assert!(stats.p99 <= stats.max);
         assert_eq!(stats.max, Duration::from_micros(100));
