@@ -12,8 +12,8 @@
 //!   under a 10% malformed-frame storm against the clean run
 //!   (`hostile/clean`), the bytecode VM against the tree-walking
 //!   interpreter on per-message dispatch (`vm/interp`), and the light
-//!   balancer's p90 alone against its p90 beside the streaming Hadoop
-//!   aggregator on the same two workers (`light p90 alone/beside
+//!   balancer's p90 alone against its p90 beside two streaming Hadoop
+//!   aggregator jobs on the same two workers (`light p90 alone/beside
 //!   aggregator`, the platform fairness law).
 //! * **Structural checks** riding on those runs: the LB spreads requests
 //!   over at least two kernel-socket back-ends, poison is shed as
@@ -77,15 +77,18 @@ const HOSTILE_GOODPUT_RATIO_FLOOR: f64 = 0.40;
 const EXEC_MODE_RATIO_FLOOR: f64 = 1.0;
 
 /// The platform fairness floor (§5, Figure 7's claim on the platform):
-/// the light balancer's p90 alone over its p90 beside the streaming
-/// aggregator, within the run, must reach this — the neighbour may slow
-/// the light service's p90 by at most 1/0.15 ≈ 6.7×. Set from 20 runs of
-/// this binary on 2 vCPUs before the LIFO slot landed, whose gated
-/// (best-of-two) ratios were 0.37 0.28 0.34 0.32 0.44 0.40 0.44 0.35 0.65
-/// 0.34 0.33 0.44 0.40 0.40 0.37 0.33 0.38 0.39 0.36 0.35 (min 0.28,
-/// median 0.37): the floor is about half the minimum. Tasks that ignore
-/// the timeslice (`TaskContext::can_continue` always `true`) measured
-/// 0.023–0.028.
+/// the light balancer's p90 alone over its p90 beside two aggregator
+/// jobs, within the run, must reach this — the neighbour may slow the
+/// light service's p90 by at most 1/0.15 ≈ 6.7×. Set from 20 runs of
+/// this binary on 2 vCPUs with the scheduler from before the LIFO slot,
+/// whose gated (best-of-three) ratios were 0.26 0.34 0.27 0.27 0.31 0.28
+/// 0.28 0.31 0.28 0.29 0.33 0.29 0.32 0.28 0.43 0.32 0.26 0.25 0.29 0.29
+/// (min 0.25, median 0.29); the slot build, interleaved with them, read
+/// 0.26–0.36. Tasks that ignore the timeslice
+/// (`TaskContext::can_continue` always `true`) read 0.01 in 10 of 10
+/// runs of the slot build and 0.008–0.010 per pass without the slot: the
+/// light p90 beside the jobs climbs to 25–56 ms. The floor sits at 0.6 of
+/// the healthy minimum and 15× above that.
 const FAIRNESS_P90_RATIO_FLOOR: f64 = 0.15;
 
 /// The pass with the highest `score`. Every gate takes the best of its
@@ -201,9 +204,10 @@ fn main() {
     };
     let c10k = run_tcp_c10k_experiment(&c10k_params, 10_000);
     // The platform fairness point: the light balancer alone, then beside
-    // the aggregator streaming jobs on the same two workers; two passes.
+    // two aggregator jobs streaming on the same two workers; three passes
+    // (its p90 on a loaded host is the noisiest number here).
     let fairness_params = FairnessExperiment::default();
-    let fairness: [_; 2] = std::array::from_fn(|_| run_fairness_experiment(&fairness_params));
+    let fairness: [_; 3] = std::array::from_fn(|_| run_fairness_experiment(&fairness_params));
 
     let mut checks = Checks::default();
     let gates = [

@@ -13,9 +13,7 @@ use flick_services::baselines::{ApacheLikeProxy, MoxiLikeProxy, NginxLikeProxy};
 use flick_services::hadoop::hadoop_aggregator;
 use flick_services::http::{http_balancer, StaticWebServerFactory, HTTP_LB_FLICK_SOURCE};
 use flick_services::memcached::memcached_proxy;
-use flick_workload::backends::{
-    start_memcached_backend, start_sink_backend, start_tcp_sink_backend,
-};
+use flick_workload::backends::{start_memcached_backend, start_sink_backend};
 use flick_workload::hadoop::{
     mapper_streams, run_hadoop_mappers, run_tcp_hadoop_job, wait_for_quiescence, HadoopLoadConfig,
 };
@@ -621,6 +619,13 @@ pub fn run_sharing_experiment(
     }
 }
 
+/// Mapper connections per aggregation job of the fairness point.
+const FAIRNESS_MAPPERS: usize = 2;
+
+/// Aggregation jobs the fairness point keeps in flight beside the light
+/// service.
+const FAIRNESS_STREAMS: usize = 2;
+
 /// Parameters of the platform fairness point: a light HTTP balancer next
 /// to a heavy Hadoop aggregator on one platform's workers.
 #[derive(Debug, Clone)]
@@ -629,8 +634,6 @@ pub struct FairnessExperiment {
     pub light_clients: usize,
     /// How long the light fleet runs in each phase.
     pub duration: Duration,
-    /// Mapper connections per aggregation job.
-    pub mappers: usize,
     /// Bytes each mapper streams per job.
     pub bytes_per_mapper: usize,
 }
@@ -640,7 +643,6 @@ impl Default for FairnessExperiment {
         FairnessExperiment {
             light_clients: 4,
             duration: Duration::from_millis(400),
-            mappers: 2,
             bytes_per_mapper: 256 * 1024,
         }
     }
@@ -653,19 +655,23 @@ pub struct FairnessResult {
     pub alone: RunStats,
     /// The same fleet while the aggregator streams jobs beside it.
     pub shared: RunStats,
-    /// Aggregation jobs the reducer saw finish during the shared phase.
+    /// Aggregation jobs that finished during the shared phase.
     pub jobs: u64,
 }
 
 /// Runs the fairness point of §5 on the platform rather than beside it:
 /// one kernel-socket platform (2 workers, 1 shard, every worker
 /// cooperative) serves the compiled `lb_small` balancer and the Hadoop
-/// aggregator. The light fleet runs once alone and once while mappers
-/// stream aggregation jobs back to back, each job's `foldt` runs cut by
-/// the cooperative timeslice. The light p90 of the two phases is the
-/// within-run law `bench_guard` gates.
+/// aggregator, whose reducers are sinks on the fabric. The light fleet
+/// runs once alone and once while mappers stream aggregation jobs, two
+/// in flight and each stream's back to back, every job's `foldt` runs cut
+/// by the cooperative timeslice. Two jobs, not one: a single job's
+/// pipeline can hold only one worker at a time when the producer it wakes
+/// is still running on the other, so tasks that ignore the timeslice
+/// would leave the light service a free worker and go unseen. The light
+/// p90 of the two phases is the within-run law `bench_guard` gates.
 pub fn run_fairness_experiment(params: &FairnessExperiment) -> FairnessResult {
-    let reducer = start_tcp_sink_backend();
+    const REDUCER_PORT: u16 = 9801;
     let mut bed = Testbed::new(StackModel::Kernel, 2, 1);
     let balancer = flick_compiler::compile_source(
         HTTP_LB_FLICK_SOURCE,
@@ -674,16 +680,27 @@ pub fn run_fairness_experiment(params: &FairnessExperiment) -> FairnessResult {
     )
     .expect("the bundled balancer compiles");
     let light = bed.deploy_http(Transport::Tcp, "light-lb", balancer, 2);
-    let spec = ServiceSpec::new("heavy-agg", 0, hadoop_aggregator(params.mappers))
-        .with_tcp_backends(vec![reducer.addr().to_string()]);
-    let heavy = bed.deploy(Transport::Tcp, spec).addr();
+    // One aggregator deployment, reducer and job stream per job in flight,
+    // so each stream can tell its own job's end.
+    let reducers: Vec<_> = (0..FAIRNESS_STREAMS)
+        .map(|i| start_sink_backend(bed.net(), REDUCER_PORT + i as u16))
+        .collect();
+    let heavies: Vec<_> = (0..FAIRNESS_STREAMS)
+        .map(|i| {
+            let spec = ServiceSpec::new("heavy-agg", 0, hadoop_aggregator(FAIRNESS_MAPPERS))
+                .with_backends(vec![REDUCER_PORT + i as u16]);
+            bed.platform()
+                .deploy_tcp(spec, "127.0.0.1:0")
+                .expect("deploy the aggregator over a loopback socket")
+        })
+        .collect();
     let point = HttpPoint {
         concurrency: params.light_clients,
         duration: params.duration,
         ..Default::default()
     };
     let streams = mapper_streams(&HadoopLoadConfig {
-        mappers: params.mappers,
+        mappers: FAIRNESS_MAPPERS,
         bytes_per_mapper: params.bytes_per_mapper,
         link_bits_per_sec: None,
         ..Default::default()
@@ -691,33 +708,53 @@ pub fn run_fairness_experiment(params: &FairnessExperiment) -> FairnessResult {
 
     let alone = bed.http_load(light, &point);
     let stop = AtomicBool::new(false);
-    let jobs_before = reducer.requests_served();
-    let shared = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            // Jobs run back to back: the next starts once the reducer has
-            // seen this one's end, so no job queues behind another.
-            let mut started = reducer.requests_served();
-            while !stop.load(Ordering::Acquire) {
-                if run_tcp_hadoop_job(&heavy, &streams).failed > 0 {
-                    break;
-                }
-                started += 1;
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while reducer.requests_served() < started && Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-        });
-        // Let the first job reach its stride before the light fleet starts.
+    let (shared, jobs) = std::thread::scope(|scope| {
+        let streamers: Vec<_> = heavies
+            .iter()
+            .zip(&reducers)
+            .map(|(heavy, (_, reducer_bytes))| {
+                let (stop, streams) = (&stop, &streams);
+                scope.spawn(move || {
+                    // Jobs run back to back: the next starts once this
+                    // one's output reached the reducer and its graph is
+                    // gone, so no job queues behind another.
+                    let addr = format!("127.0.0.1:{}", heavy.port());
+                    let mut jobs = 0;
+                    while !stop.load(Ordering::Acquire) {
+                        let before = reducer_bytes.load(Ordering::Relaxed);
+                        if run_tcp_hadoop_job(&addr, streams).failed > 0 {
+                            break;
+                        }
+                        let deadline = Instant::now() + Duration::from_secs(10);
+                        while reducer_bytes.load(Ordering::Relaxed) == before
+                            || heavy.live_graphs() > 0
+                        {
+                            if Instant::now() >= deadline {
+                                return jobs;
+                            }
+                            std::thread::sleep(Duration::from_micros(200));
+                        }
+                        jobs += 1;
+                    }
+                    jobs
+                })
+            })
+            .collect();
+        // Let the first jobs reach their stride before the light fleet
+        // starts.
         std::thread::sleep(Duration::from_millis(20));
         let shared = bed.http_load(light, &point);
         stop.store(true, Ordering::Release);
-        shared
+        let jobs = streamers
+            .into_iter()
+            .map(|streamer| streamer.join().expect("a job streamer panicked"))
+            .sum();
+        (shared, jobs)
     });
     FairnessResult {
         alone,
         shared,
-        jobs: reducer.requests_served() - jobs_before,
+        jobs,
     }
 }
 
@@ -965,7 +1002,6 @@ mod tests {
                 light_clients: point.concurrency,
                 duration: point.duration,
                 bytes_per_mapper: 16 * 1024,
-                ..Default::default()
             });
             assert!(result.alone.completed > 0, "alone: {:?}", result.alone);
             assert!(result.shared.completed > 0, "shared: {:?}", result.shared);

@@ -264,10 +264,9 @@ pub fn start_sink_backend(net: &Arc<SimNetwork>, port: u16) -> (BackendHandle, A
 
 /// Handle to a running loopback TCP back-end; dropping it stops the server.
 ///
-/// The kernel-socket counterpart of [`start_http_backend`] and
-/// [`start_sink_backend`]: a blocking `std::net` server used behind a
-/// TCP-fronted service so the whole `client → service → backend` path
-/// traverses real sockets.
+/// The kernel-socket counterpart of [`start_http_backend`]: a blocking
+/// `std::net` HTTP server used behind a TCP-fronted load balancer so the
+/// whole `client → LB → backend` path traverses real sockets.
 pub struct TcpBackendHandle {
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
@@ -317,12 +316,10 @@ impl Drop for TcpBackendHandle {
     }
 }
 
-/// Binds an ephemeral loopback port and serves every accepted connection
-/// on a thread of its own with `serve(stream, stop, requests)`; `serve`
-/// returns when the connection ends or `stop` is raised.
-fn start_tcp_backend(
-    serve: impl Fn(std::net::TcpStream, &AtomicBool, &AtomicU64) + Send + Sync + 'static,
-) -> TcpBackendHandle {
+/// Starts a static HTTP back-end on a real loopback socket, serving `body`
+/// for every request. Binds an ephemeral port; read it back with
+/// [`TcpBackendHandle::addr`].
+pub fn start_tcp_http_backend(body: &[u8]) -> TcpBackendHandle {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback backend");
     let addr = format!(
         "127.0.0.1:{}",
@@ -330,25 +327,67 @@ fn start_tcp_backend(
     );
     let stop = Arc::new(AtomicBool::new(false));
     let requests = Arc::new(AtomicU64::new(0));
+    let body = body.to_vec();
     let connections = Arc::new(AtomicU64::new(0));
     let accept_stop = Arc::clone(&stop);
     let accept_requests = Arc::clone(&requests);
     let accepted = Arc::clone(&connections);
-    let serve = Arc::new(serve);
     let acceptor = std::thread::spawn(move || {
+        let codec = HttpCodec::new();
+        let mut response = Vec::new();
+        codec
+            .serialize(&flick_grammar::http::response(200, &body), &mut response)
+            .expect("static response serialises");
+        let response = Arc::new(response);
         for stream in listener.incoming() {
             if accept_stop.load(Ordering::Acquire) {
                 break;
             }
-            let Ok(stream) = stream else { continue };
+            let Ok(mut stream) = stream else { continue };
             accepted.fetch_add(1, Ordering::Relaxed);
+            let _ = stream.set_nodelay(true);
             let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-            let (serve, stop, requests) = (
-                Arc::clone(&serve),
-                Arc::clone(&accept_stop),
-                Arc::clone(&accept_requests),
-            );
-            std::thread::spawn(move || serve(stream, &stop, &requests));
+            let requests = Arc::clone(&accept_requests);
+            let stop = Arc::clone(&accept_stop);
+            let response = Arc::clone(&response);
+            std::thread::spawn(move || {
+                use std::io::{Read, Write};
+                let codec = HttpCodec::new();
+                let mut buf = Vec::new();
+                let mut chunk = [0u8; 8 * 1024];
+                while !stop.load(Ordering::Acquire) {
+                    match stream.read(&mut chunk) {
+                        Ok(0) => return,
+                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                        Err(e)
+                            if matches!(
+                                e.kind(),
+                                std::io::ErrorKind::WouldBlock
+                                    | std::io::ErrorKind::TimedOut
+                                    | std::io::ErrorKind::Interrupted
+                            ) =>
+                        {
+                            continue
+                        }
+                        Err(_) => return,
+                    }
+                    loop {
+                        match codec.parse(&buf, None) {
+                            Ok(ParseOutcome::Complete { message, consumed }) => {
+                                buf.drain(..consumed);
+                                requests.fetch_add(1, Ordering::Relaxed);
+                                if stream.write_all(&response).is_err()
+                                    || flick_grammar::http::wants_close(&message)
+                                {
+                                    return;
+                                }
+                            }
+                            Ok(ParseOutcome::Incomplete { .. }) => break,
+                            Err(_) => return,
+                        }
+                    }
+                }
+            });
         }
     });
     TcpBackendHandle {
@@ -358,78 +397,6 @@ fn start_tcp_backend(
         connections,
         addr,
     }
-}
-
-/// A read that timed out or was interrupted: poll `stop` and read again.
-fn read_again(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock
-            | std::io::ErrorKind::TimedOut
-            | std::io::ErrorKind::Interrupted
-    )
-}
-
-/// Starts a static HTTP back-end on a real loopback socket, serving `body`
-/// for every request. Binds an ephemeral port; read it back with
-/// [`TcpBackendHandle::addr`].
-pub fn start_tcp_http_backend(body: &[u8]) -> TcpBackendHandle {
-    let codec = HttpCodec::new();
-    let mut response = Vec::new();
-    codec
-        .serialize(&flick_grammar::http::response(200, body), &mut response)
-        .expect("static response serialises");
-    start_tcp_backend(move |mut stream, stop, requests| {
-        use std::io::{Read, Write};
-        let _ = stream.set_nodelay(true);
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 8 * 1024];
-        while !stop.load(Ordering::Acquire) {
-            match stream.read(&mut chunk) {
-                Ok(0) => return,
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(e) if read_again(&e) => continue,
-                Err(_) => return,
-            }
-            loop {
-                match codec.parse(&buf, None) {
-                    Ok(ParseOutcome::Complete { message, consumed }) => {
-                        buf.drain(..consumed);
-                        requests.fetch_add(1, Ordering::Relaxed);
-                        if stream.write_all(&response).is_err()
-                            || flick_grammar::http::wants_close(&message)
-                        {
-                            return;
-                        }
-                    }
-                    Ok(ParseOutcome::Incomplete { .. }) => break,
-                    Err(_) => return,
-                }
-            }
-        }
-    })
-}
-
-/// Starts a byte-sink back-end (the Hadoop reducer) on a real loopback
-/// socket: it drains every connection to its end. Here
-/// [`TcpBackendHandle::requests_served`] counts the connections that
-/// reached EOF — one per finished aggregation job.
-pub fn start_tcp_sink_backend() -> TcpBackendHandle {
-    start_tcp_backend(|mut stream, stop, finished| {
-        use std::io::Read;
-        let mut chunk = vec![0u8; 64 * 1024];
-        while !stop.load(Ordering::Acquire) {
-            match stream.read(&mut chunk) {
-                Ok(0) => {
-                    finished.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                Ok(_) => {}
-                Err(e) if read_again(&e) => {}
-                Err(_) => return,
-            }
-        }
-    })
 }
 
 #[cfg(test)]
