@@ -29,9 +29,9 @@
 //! the other members are unaffected.
 //!
 //! Wire codecs are chosen per record type: synthesised from the type's
-//! serialisation annotations when possible, otherwise taken from the
-//! [`CompileOptions::codecs`] registry (pre-populated with the framework's
-//! reusable HTTP, Memcached and Hadoop grammars).
+//! serialisation annotations when possible, otherwise the framework's
+//! reusable Memcached, Hadoop or HTTP grammar, by the conventional record
+//! type name (`cmd`, `kv`, `http`/`request`).
 
 use crate::bytecode::{self, CompiledProgram};
 use crate::error::CompileError;
@@ -50,58 +50,43 @@ use flick_runtime::tasks::ExecMode;
 use flick_runtime::{
     ComputeTask, GraphBuilder, GraphFactory, Link, Peer, RuntimeError, ServiceEnv,
 };
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Options controlling compilation and deployment binding.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct CompileOptions {
-    /// Registry mapping record type names to protocol codecs, consulted when
-    /// a type carries no serialisation annotations.
-    pub codecs: HashMap<String, Arc<dyn WireCodec>>,
     /// Number of inbound client connections per graph when the first channel
     /// parameter is an array (e.g. the number of Hadoop mappers).
     pub client_connections: usize,
 }
 
-impl std::fmt::Debug for CompileOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompileOptions")
-            .field("codecs", &self.codecs.keys().collect::<Vec<_>>())
-            .field("client_connections", &self.client_connections)
-            .finish()
-    }
-}
-
 impl Default for CompileOptions {
     fn default() -> Self {
-        let mut codecs: HashMap<String, Arc<dyn WireCodec>> = HashMap::new();
-        // The framework provides reusable grammars for common protocols
-        // (§4.2); the conventional FLICK type names map onto them.
-        codecs.insert("cmd".into(), Arc::new(MemcachedCodec::new()));
-        codecs.insert("kv".into(), Arc::new(HadoopKvCodec::new()));
-        codecs.insert("http".into(), Arc::new(HttpCodec::new()));
-        codecs.insert("request".into(), Arc::new(HttpCodec::new()));
         CompileOptions {
-            codecs,
             client_connections: 1,
         }
     }
 }
 
 impl CompileOptions {
-    /// Registers (or overrides) the codec used for a record type.
-    pub fn with_codec(mut self, type_name: impl Into<String>, codec: Arc<dyn WireCodec>) -> Self {
-        self.codecs.insert(type_name.into(), codec);
-        self
-    }
-
     /// Sets the number of inbound connections per graph for array-typed
     /// client parameters.
     pub fn with_client_connections(mut self, n: usize) -> Self {
         self.client_connections = n.max(1);
         self
     }
+}
+
+/// The framework's reusable grammar for common protocols (§4.2) that the
+/// conventional FLICK record type `name` maps onto, for a record without
+/// serialisation annotations.
+fn builtin_codec(name: &str) -> Option<Arc<dyn WireCodec>> {
+    Some(match name {
+        "cmd" => Arc::new(MemcachedCodec::new()),
+        "kv" => Arc::new(HadoopKvCodec::new()),
+        "http" | "request" => Arc::new(HttpCodec::new()),
+        _ => return None,
+    })
 }
 
 /// Per-parameter compiled artefacts.
@@ -163,8 +148,8 @@ impl CompiledService {
                 .ok_or_else(|| CompileError::MissingCodec(param.record.clone()))?;
             let codec: Arc<dyn WireCodec> = if grammar_gen::can_synthesise(record) {
                 Arc::new(grammar_gen::synthesise(record)?)
-            } else if let Some(codec) = options.codecs.get(&param.record) {
-                Arc::clone(codec)
+            } else if let Some(codec) = builtin_codec(&param.record) {
+                codec
             } else {
                 return Err(CompileError::MissingCodec(param.record.clone()));
             };

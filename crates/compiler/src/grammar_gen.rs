@@ -9,8 +9,8 @@
 //!
 //! Types without annotations (such as Listing 1's two-line `cmd` or Listing
 //! 3's `kv`) do not describe a full wire format; for those the compiler
-//! falls back to a registered protocol codec (see
-//! [`crate::factory::CompileOptions::codecs`]).
+//! falls back to the framework's protocol codec for the type name (see
+//! [`crate::factory`]).
 
 use crate::error::CompileError;
 use flick_grammar::model::{FieldKind, GrammarItem, LenExpr, UnitGrammar};

@@ -410,9 +410,15 @@ impl SimEndpoint {
     /// drains to `WouldBlock` after each event never misses a wakeup.
     ///
     /// Each direction holds one waker slot per pipe end: registering again
-    /// (from any clone of this endpoint) replaces the previous
-    /// registration.
+    /// on the same poller (from any clone of this endpoint) replaces the
+    /// previous registration. An endpoint is registered with at most one
+    /// poller at a time (debug-checked); moving to another takes a full
+    /// deregistration first.
     pub fn register(&self, poller: &Poller, token: Token, interest: Interest) {
+        debug_assert!(
+            !self.watched_elsewhere(poller),
+            "an endpoint is registered with at most one poller"
+        );
         if interest.is_readable() {
             let pipe = self.in_pipe();
             let mut state = pipe.state.lock();
@@ -435,38 +441,32 @@ impl SimEndpoint {
         }
     }
 
-    /// Removes any registration this endpoint holds in `poller` (both
-    /// directions). Registrations in other pollers are left in place;
-    /// already-queued events are not retracted (consumers must tolerate
+    /// `true` if either direction is registered with a poller other than
+    /// `poller` (the one-poller check of [`SimEndpoint::register`]).
+    fn watched_elsewhere(&self, poller: &Poller) -> bool {
+        let elsewhere =
+            |waker: &Option<WakerSlot>| waker.as_ref().is_some_and(|w| !w.belongs_to(poller));
+        elsewhere(&self.in_pipe().state.lock().read_waker)
+            || elsewhere(&self.out_pipe().state.lock().write_waker)
+    }
+
+    /// Removes this endpoint's registration (both directions).
+    /// Already-queued events are not retracted (consumers must tolerate
     /// events for deregistered tokens).
-    pub fn deregister(&self, poller: &Poller) {
-        self.deregister_interest(poller, Interest::BOTH);
+    pub fn deregister(&self) {
+        self.deregister_interest(Interest::BOTH);
     }
 
     /// Removes only the `interest` direction(s) of this endpoint's
-    /// registration in `poller`. Used by dispatchers that register one
-    /// connection twice — readable for the input task, writable for the
-    /// output task — so retiring one watcher leaves the other live.
-    pub fn deregister_interest(&self, poller: &Poller, interest: Interest) {
+    /// registration. Used by dispatchers that register one connection
+    /// twice — readable for the input task, writable for the output task —
+    /// so retiring one watcher leaves the other live.
+    pub fn deregister_interest(&self, interest: Interest) {
         if interest.is_readable() {
-            let mut state = self.in_pipe().state.lock();
-            if state
-                .read_waker
-                .as_ref()
-                .is_some_and(|w| w.belongs_to(poller))
-            {
-                state.read_waker = None;
-            }
+            self.in_pipe().state.lock().read_waker = None;
         }
         if interest.is_writable() {
-            let mut state = self.out_pipe().state.lock();
-            if state
-                .write_waker
-                .as_ref()
-                .is_some_and(|w| w.belongs_to(poller))
-            {
-                state.write_waker = None;
-            }
+            self.out_pipe().state.lock().write_waker = None;
         }
     }
 
@@ -720,21 +720,24 @@ impl Endpoint {
     /// Registers this endpoint with `poller`: transitions matching
     /// `interest` enqueue `token` until [`Endpoint::deregister`].
     /// Level-triggered at the moment of the call, edge-triggered
-    /// afterwards, on both transports.
+    /// afterwards, on both transports. An endpoint is registered with at
+    /// most one poller at a time; registering on another while either
+    /// direction is still registered is a bug (a `debug_assert!`).
     pub fn register(&self, poller: &Poller, token: Token, interest: Interest) {
         dispatch!(EndpointKind, self, ep => ep.register(poller, token, interest))
     }
 
-    /// Removes any registration this endpoint holds in `poller`.
-    pub fn deregister(&self, poller: &Poller) {
-        dispatch!(EndpointKind, self, ep => ep.deregister(poller))
+    /// Removes this endpoint's registration, both directions. Once it is
+    /// gone the endpoint may register with another poller.
+    pub fn deregister(&self) {
+        dispatch!(EndpointKind, self, ep => ep.deregister())
     }
 
     /// Removes only the `interest` direction(s) of this endpoint's
-    /// registration in `poller`, leaving the other direction's watcher (a
-    /// different task on the same connection) in place.
-    pub fn deregister_interest(&self, poller: &Poller, interest: Interest) {
-        dispatch!(EndpointKind, self, ep => ep.deregister_interest(poller, interest))
+    /// registration, leaving the other direction's watcher (a different
+    /// task on the same connection) in place.
+    pub fn deregister_interest(&self, interest: Interest) {
+        dispatch!(EndpointKind, self, ep => ep.deregister_interest(interest))
     }
 
     /// Number of bytes currently buffered for reading.
@@ -990,88 +993,22 @@ mod tests {
             let (client, server) = test_pair();
             let poller = Poller::new();
             server.register(&poller, Token(5), Interest::READABLE);
-            server.deregister(&poller);
+            server.deregister();
             client.write(b"unseen").unwrap();
             assert!(poller.wait(Duration::from_millis(20)).is_empty());
         }
 
+        /// The one-poller rule is checked: a direction still registered
+        /// with one poller keeps the endpoint from registering with another.
+        #[cfg(debug_assertions)]
         #[test]
-        fn deregister_only_clears_the_matching_poller() {
-            let (client, server) = test_pair();
-            let kept = Poller::new();
-            let other = Poller::new();
-            server.register(&kept, Token(6), Interest::READABLE);
-            // Deregistering a poller the endpoint is not registered with
-            // must leave the live registration alone.
-            server.deregister(&other);
-            client.write(b"still seen").unwrap();
-            assert_eq!(kept.wait(Duration::from_secs(1)).len(), 1);
-        }
-
-        /// Registration handoff between pollers (the sharded dispatcher's
-        /// accept → place → register path, and any future graph
-        /// migration): while a writer races at full speed, the consumer
-        /// repeatedly re-registers the endpoint with a *fresh* poller and
-        /// drains through it. Because `register` installs the new waker
-        /// and performs the level-triggered check under the pipe lock, no
-        /// byte and no EOF can fall between the old and the new
-        /// registration — the stress fails by timing out if one does.
-        #[test]
-        fn handoff_between_pollers_loses_no_wakeups() {
-            const TOTAL: usize = 256 * 1024;
-            // A small pipe forces many buffer-full / drained transitions,
-            // maximising the chance of a transition racing the handoff.
-            let (client, server) = pair(77, StackCosts::free(), None, 2 * 1024);
-            let writer = std::thread::spawn(move || {
-                let chunk = [0xa5u8; 613];
-                let mut sent = 0usize;
-                while sent < TOTAL {
-                    let n = (TOTAL - sent).min(chunk.len());
-                    client.write_all(&chunk[..n]).expect("peer stays open");
-                    sent += n;
-                }
-                client.close();
-            });
-
-            let mut received = 0usize;
-            let mut eof = false;
-            let mut buf = [0u8; 1500];
-            let mut handoffs = 0u32;
-            let deadline = Instant::now() + Duration::from_secs(30);
-            while !eof {
-                assert!(
-                    Instant::now() < deadline,
-                    "lost wakeup across poller handoff: {received} of {TOTAL} \
-                     bytes after {handoffs} handoffs"
-                );
-                // Hand the registration to a brand-new poller mid-stream.
-                let poller = Poller::new();
-                server.register(&poller, Token(u64::from(handoffs)), Interest::READABLE);
-                handoffs += 1;
-                // Consume a few events through this poller, then hand off
-                // again while the writer keeps racing.
-                for _ in 0..4 {
-                    if eof {
-                        break;
-                    }
-                    for _event in poller.wait(Duration::from_millis(100)) {
-                        loop {
-                            match server.read(&mut buf) {
-                                Ok(n) => received += n,
-                                Err(NetError::WouldBlock) => break,
-                                Err(NetError::Closed) => {
-                                    eof = true;
-                                    break;
-                                }
-                                Err(e) => panic!("unexpected error: {e}"),
-                            }
-                        }
-                    }
-                }
-            }
-            writer.join().unwrap();
-            assert_eq!(received, TOTAL);
-            assert!(handoffs >= 2, "the stream must survive several handoffs");
+        #[should_panic(expected = "at most one poller")]
+        fn registering_with_a_second_poller_is_refused() {
+            let (_client, server) = test_pair();
+            let (first, second) = (Poller::new(), Poller::new());
+            server.register(&first, Token(8), Interest::BOTH);
+            server.deregister_interest(Interest::READABLE);
+            server.register(&second, Token(9), Interest::READABLE);
         }
 
         #[test]

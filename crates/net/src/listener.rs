@@ -169,13 +169,20 @@ impl SimListener {
     /// (and the close of the listener) enqueues `token` as a readable
     /// event. Level-triggered at the moment of the call — an already
     /// non-empty backlog queues an event immediately. Registering again
-    /// replaces the previous registration.
+    /// replaces the previous registration; a listener watched by another
+    /// poller must be deregistered first.
     pub fn register(&self, poller: &Poller, token: Token) {
         // Take the backlog lock around the slot install + level check so a
         // concurrent connect cannot slip between them unnoticed.
         let member = self.member();
         let pending = member.pending.lock();
-        *member.waker.lock() = Some(poller.slot(token));
+        let mut waker = member.waker.lock();
+        debug_assert!(
+            waker.as_ref().map_or(true, |w| w.belongs_to(poller)),
+            "a listener is registered with at most one poller"
+        );
+        *waker = Some(poller.slot(token));
+        drop(waker);
         let closed = self.inner.closed.load(Ordering::Acquire);
         if !pending.is_empty() || closed {
             let mut readiness = Readiness::readable();
@@ -184,12 +191,9 @@ impl SimListener {
         }
     }
 
-    /// Removes this listener's registration in `poller`, if any.
-    pub fn deregister(&self, poller: &Poller) {
-        let mut waker = self.member().waker.lock();
-        if waker.as_ref().is_some_and(|w| w.belongs_to(poller)) {
-            *waker = None;
-        }
+    /// Removes this listener's registration, if any.
+    pub fn deregister(&self) {
+        *self.member().waker.lock() = None;
     }
 
     /// Closes the listener, with every other member of its group;
@@ -479,9 +483,9 @@ impl Listener {
         dispatch!(ListenerKind, self, l => l.register(poller, token))
     }
 
-    /// Removes this listener's registration in `poller`, if any.
-    pub fn deregister(&self, poller: &Poller) {
-        dispatch!(ListenerKind, self, l => l.deregister(poller))
+    /// Removes this listener's registration, if any.
+    pub fn deregister(&self) {
+        dispatch!(ListenerKind, self, l => l.deregister())
     }
 
     /// Closes the listener; pending and future accepts fail, and for the
@@ -636,7 +640,7 @@ mod tests {
         let listener = net.listen(91).unwrap();
         let poller = Poller::new();
         listener.register(&poller, Token(4));
-        listener.deregister(&poller);
+        listener.deregister();
         let _client = net.connect(91).unwrap();
         assert!(poller.wait(Duration::from_millis(20)).is_empty());
     }

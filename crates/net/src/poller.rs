@@ -24,17 +24,17 @@
 //!   the consumer must be prepared for the source to yield `WouldBlock`.
 //! * **Coalescing.** A token is queued at most once until delivered; the
 //!   readiness flags of coalesced events are OR-ed together.
-//! * **Handoff safety.** Re-registering a source with a different poller
-//!   (the sharded runtime's accept → place → register path) installs the
-//!   new waker and re-runs the level-triggered readiness check under the
-//!   *source's* lock, so a transition racing the handoff lands in the old
-//!   poller or the new one — never in neither. A consumer that drains to
-//!   `WouldBlock` after taking over a registration therefore observes
-//!   every byte and the final EOF, no matter how often the registration
-//!   moves (see `handoff_between_pollers_loses_no_wakeups` in the conn
-//!   tests). Events already queued in the old poller are not retracted;
-//!   stale consumers must tolerate spurious events, per the second
-//!   invariant.
+//! * **One poller per source.** A source is registered with at most one
+//!   poller at a time: each connection is watched by the one dispatcher
+//!   whose shard owns its graph, and a connection that outlives its graph
+//!   (a back-end connection parked for reuse) is deregistered before it is
+//!   parked, so the next graph to check it out — on any shard — makes a
+//!   fresh level-triggered registration. Registering with a second poller
+//!   while the first still holds a registration is a bug, caught by a
+//!   `debug_assert!` on both transports; re-registering with the same
+//!   poller replaces the registration. Events already queued when a
+//!   registration is dropped are not retracted; consumers tolerate them,
+//!   per the second invariant.
 //!
 //! # Examples
 //!
@@ -227,7 +227,7 @@ impl WakerSlot {
         self.inner.post(self.token, readiness);
     }
 
-    /// `true` if this slot posts into `poller` (used by deregistration).
+    /// `true` if this slot posts into `poller` (the one-poller check).
     pub(crate) fn belongs_to(&self, poller: &Poller) -> bool {
         Arc::ptr_eq(&self.inner, &poller.inner)
     }
@@ -294,11 +294,6 @@ impl Poller {
         reactor
     }
 
-    /// The kernel reactor, if an OS socket ever registered here.
-    pub(crate) fn started_os_reactor(&self) -> Option<&Arc<crate::tcp::OsReactor>> {
-        self.inner.os_reactor.get()
-    }
-
     /// Blocks until at least one event (or a manual [`Poller::wake`])
     /// arrives, or `timeout` elapses. Returns every queued event, oldest
     /// first; an empty vector means the wait timed out or was woken.
@@ -358,11 +353,6 @@ impl Poller {
         let mut state = self.inner.state.lock();
         state.wakeups += 1;
         self.inner.notify(&mut state);
-    }
-
-    /// Number of events currently queued (diagnostics).
-    pub fn queued(&self) -> usize {
-        self.inner.state.lock().queue.len()
     }
 
     pub(crate) fn slot(&self, token: Token) -> WakerSlot {

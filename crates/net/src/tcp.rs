@@ -20,11 +20,15 @@
 //! * **Level-triggered at registration.** [`TcpConn::register`] and
 //!   [`TcpListener::register`] post a synthetic event for the current
 //!   state, so data (or a backlog) that arrived before the registration —
-//!   including during a cross-shard handoff that moves the registration to
-//!   a different poller — is never missed. Spurious events are allowed by
-//!   the poller contract, so the synthetic post is unconditional.
-//! * **One registration per socket.** Registering again (from any clone)
-//!   replaces the previous registration, as with [`crate::Endpoint`] pipes.
+//!   while the socket sat unwatched in a back-end pool, say — is never
+//!   missed. Spurious events are allowed by the poller contract, so the
+//!   synthetic post is unconditional.
+//! * **One poller per socket.** A socket is registered with at most one
+//!   poller at a time, and so lives in at most one reactor (debug-checked
+//!   at registration). Registering a direction again on the same poller
+//!   (from any clone) replaces the previous registration, as with
+//!   [`crate::Endpoint`] pipes; moving to another poller takes a full
+//!   deregistration first.
 //!
 //! Stats accounting mirrors the simulated substrate: every operation is
 //! recorded in the stack's [`NetStats`]. No cost model is charged — the
@@ -176,11 +180,11 @@ impl FdSlots {
 /// Each [`Poller`] — one per shard dispatcher — lazily creates its own
 /// epoll instance, and the thread in [`Poller::wait`] blocks in
 /// `epoll_wait` on it, so kernel event demultiplexing shards with the
-/// runtime topology: a registration lives on the reactor of the poller
-/// that watches it and never moves off the owning shard (re-registering on
-/// a different shard's poller migrates it explicitly). `epoll_ctl` is safe
-/// to call concurrently with `epoll_wait`, so registration changes take
-/// effect immediately without waking the waiter.
+/// runtime topology: a registration lives on the reactor of the one poller
+/// that watches it, and a socket is registered here only while no other
+/// reactor holds it. `epoll_ctl` is safe to call concurrently with
+/// `epoll_wait`, so registration changes take effect immediately without
+/// waking the waiter.
 ///
 /// The descriptors close when the last `Arc` (the poller, or a socket
 /// still registered here) goes away.
@@ -355,12 +359,13 @@ impl OsReactor {
         );
     }
 
-    /// Removes the direction(s) in `interest` of `fd`'s registration;
-    /// drops the epoll entry once no direction is left.
-    fn forget_interest(&self, fd: RawFd, interest: Interest) {
+    /// Removes the direction(s) in `interest` of `fd`'s registration and
+    /// drops the epoll entry once no direction is left. Returns `true` when
+    /// `fd` is no longer registered here.
+    fn forget_interest(&self, fd: RawFd, interest: Interest) -> bool {
         let mut registrations = self.registrations.lock();
         let Some(slots) = registrations.get_mut(&fd) else {
-            return;
+            return true;
         };
         if interest.is_readable() {
             slots.read = None;
@@ -368,25 +373,18 @@ impl OsReactor {
         if interest.is_writable() {
             slots.write = None;
         }
-        Self::apply_slots(self.epfd, &mut registrations, fd);
-    }
-
-    /// Syncs `fd`'s epoll entry with its (possibly emptied) slots.
-    fn apply_slots(epfd: RawFd, registrations: &mut HashMap<RawFd, FdSlots>, fd: RawFd) {
-        let Some(slots) = registrations.get(&fd) else {
-            return;
-        };
         if slots.is_empty() {
             registrations.remove(&fd);
             let mut event = sys::epoll_event { events: 0, u64: 0 };
-            unsafe { sys::epoll_ctl(epfd, sys::EPOLL_CTL_DEL, fd, &mut event) };
-        } else {
-            let mut event = sys::epoll_event {
-                events: slots.epoll_bits(),
-                u64: pack_userdata(slots.gen, fd),
-            };
-            unsafe { sys::epoll_ctl(epfd, sys::EPOLL_CTL_MOD, fd, &mut event) };
+            unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, &mut event) };
+            return true;
         }
+        let mut event = sys::epoll_event {
+            events: slots.epoll_bits(),
+            u64: pack_userdata(slots.gen, fd),
+        };
+        unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_MOD, fd, &mut event) };
+        false
     }
 
     /// Removes any registration for `fd` (socket teardown). The kernel
@@ -411,67 +409,6 @@ impl Drop for OsReactor {
             sys::close(self.wake_read);
             sys::close(self.wake_write);
         }
-    }
-}
-
-/// The per-direction reactor handles a socket is currently registered
-/// with. Input and output tasks may watch from different shards, so the
-/// two directions can live on two different reactors; close/Drop must
-/// forget the socket from each, and re-registering a direction on a new
-/// shard's poller must first remove it from the old reactor.
-#[derive(Default)]
-struct ReactorSlots {
-    read: Option<Arc<OsReactor>>,
-    write: Option<Arc<OsReactor>>,
-}
-
-impl ReactorSlots {
-    /// Replaces the tracked reactor for the direction(s) in `interest`
-    /// with `new`, forgetting that direction from any different old one.
-    fn migrate(&mut self, fd: RawFd, interest: Interest, new: &Arc<OsReactor>) {
-        if interest.is_readable() {
-            if let Some(old) = self.read.replace(Arc::clone(new)) {
-                if !Arc::ptr_eq(&old, new) {
-                    old.forget_interest(fd, Interest::READABLE);
-                }
-            }
-        }
-        if interest.is_writable() {
-            if let Some(old) = self.write.replace(Arc::clone(new)) {
-                if !Arc::ptr_eq(&old, new) {
-                    old.forget_interest(fd, Interest::WRITABLE);
-                }
-            }
-        }
-    }
-
-    /// Drops the direction(s) in `interest` that are registered on
-    /// `reactor`; another reactor's registration is left alone.
-    fn clear(&mut self, fd: RawFd, interest: Interest, reactor: &Arc<OsReactor>) {
-        let mut owned = Interest::default();
-        if interest.is_readable() && self.read.as_ref().is_some_and(|r| Arc::ptr_eq(r, reactor)) {
-            self.read = None;
-            owned.readable = true;
-        }
-        if interest.is_writable() && self.write.as_ref().is_some_and(|r| Arc::ptr_eq(r, reactor)) {
-            self.write = None;
-            owned.writable = true;
-        }
-        if owned != Interest::default() {
-            reactor.forget_interest(fd, owned);
-        }
-    }
-
-    /// Takes the distinct reactors still holding a registration (for
-    /// teardown: forget once per reactor, not once per direction).
-    fn take_distinct(&mut self) -> Vec<Arc<OsReactor>> {
-        let mut out: Vec<Arc<OsReactor>> = Vec::new();
-        for slot in [self.read.take(), self.write.take()].into_iter().flatten() {
-            if !out.iter().any(|r| Arc::ptr_eq(r, &slot)) {
-                out.push(slot);
-            }
-        }
-        out
     }
 }
 
@@ -589,7 +526,7 @@ impl TcpStack {
                 side,
                 stats: Arc::clone(&self.stats),
                 closed: AtomicBool::new(false),
-                reactors: Mutex::new(ReactorSlots::default()),
+                reactor: Mutex::new(None),
             }),
             rate: None,
         })
@@ -607,8 +544,7 @@ struct TcpListenerInner {
     local_addr: SocketAddr,
     closed: AtomicBool,
     stack: Arc<TcpStack>,
-    /// The shard reactor currently watching this listener (accept
-    /// readiness is a single direction, so one slot suffices).
+    /// The reactor of the one poller watching this listener, if any.
     reactor: Mutex<Option<Arc<OsReactor>>>,
 }
 
@@ -695,32 +631,26 @@ impl TcpListener {
     /// Registers this listener with `poller`: every new pending connection
     /// enqueues `token` as a readable event. Level-triggered at the moment
     /// of the call via a synthetic post (spurious events are allowed).
+    /// Registering again replaces the registration; a listener watched by
+    /// another poller must be deregistered first.
     pub fn register(&self, poller: &Poller, token: Token) {
         if let Some(fd) = self.raw_fd() {
             let reactor = poller.os_reactor();
-            {
-                let mut tracked = self.inner.reactor.lock();
-                if let Some(old) = tracked.replace(Arc::clone(reactor)) {
-                    if !Arc::ptr_eq(&old, reactor) {
-                        old.forget_interest(fd, Interest::READABLE);
-                    }
-                }
-            }
+            let mut tracked = self.inner.reactor.lock();
+            claim(&mut tracked, reactor);
             reactor.register(fd, token, Interest::READABLE);
+            drop(tracked);
             poller.post(token, Readiness::readable());
         } else {
             poller.post(token, Readiness::readable().with_closed());
         }
     }
 
-    /// Removes this listener's registration in `poller`, if any.
-    pub fn deregister(&self, poller: &Poller) {
-        if let (Some(fd), Some(reactor)) = (self.raw_fd(), poller.started_os_reactor()) {
-            let mut tracked = self.inner.reactor.lock();
-            if tracked.as_ref().is_some_and(|r| Arc::ptr_eq(r, reactor)) {
-                *tracked = None;
-                reactor.forget_interest(fd, Interest::READABLE);
-            }
+    /// Removes this listener's registration, if any.
+    pub fn deregister(&self) {
+        let mut tracked = self.inner.reactor.lock();
+        if let (Some(fd), Some(reactor)) = (self.raw_fd(), tracked.take()) {
+            reactor.forget_interest(fd, Interest::READABLE);
         }
     }
 
@@ -762,16 +692,28 @@ struct TcpConnInner {
     side: crate::conn::Side,
     stats: Arc<NetStats>,
     closed: AtomicBool,
-    reactors: Mutex<ReactorSlots>,
+    /// The reactor of the one poller watching either direction, if any;
+    /// cleared when the last direction is deregistered.
+    reactor: Mutex<Option<Arc<OsReactor>>>,
 }
 
 impl Drop for TcpConnInner {
     fn drop(&mut self) {
-        let fd = self.stream.as_raw_fd();
-        for reactor in self.reactors.get_mut().take_distinct() {
-            reactor.forget(fd);
+        if let Some(reactor) = self.reactor.get_mut().take() {
+            reactor.forget(self.stream.as_raw_fd());
         }
     }
+}
+
+/// Records `reactor` as the one watching a socket. The one-poller rule: a
+/// socket still registered with another poller's reactor must be
+/// deregistered before it registers here.
+fn claim(tracked: &mut Option<Arc<OsReactor>>, reactor: &Arc<OsReactor>) {
+    debug_assert!(
+        tracked.as_ref().map_or(true, |r| Arc::ptr_eq(r, reactor)),
+        "a socket is registered with at most one poller"
+    );
+    *tracked = Some(Arc::clone(reactor));
 }
 
 /// One end of an OS TCP connection, implementing the same non-blocking +
@@ -1040,19 +982,14 @@ impl TcpConn {
 
     pub(crate) fn register(&self, poller: &Poller, token: Token, interest: Interest) {
         let reactor = poller.os_reactor();
-        // A cross-shard handoff re-registers on the new shard's poller —
-        // and therefore a different reactor: move the direction(s) off the
-        // old reactor first so a socket is never watched twice.
-        self.inner
-            .reactors
-            .lock()
-            .migrate(self.fd(), interest, reactor);
+        let mut tracked = self.inner.reactor.lock();
+        claim(&mut tracked, reactor);
         reactor.register(self.fd(), token, interest);
+        drop(tracked);
         // Level-triggered at registration: post the current state so bytes
-        // that arrived before (or during) the registration — e.g. across a
-        // cross-shard handoff — are observed. Writable interest is posted
-        // unconditionally (a fresh socket is almost always writable, and
-        // spurious events are allowed).
+        // that arrived before (or during) the registration are observed.
+        // Writable interest is posted unconditionally (a fresh socket is
+        // almost always writable, and spurious events are allowed).
         let mut readiness = Readiness::default();
         if interest.is_readable() {
             readiness.readable = true;
@@ -1063,14 +1000,18 @@ impl TcpConn {
         poller.post(token, readiness);
     }
 
-    pub(crate) fn deregister(&self, poller: &Poller) {
-        self.deregister_interest(poller, Interest::BOTH);
+    pub(crate) fn deregister(&self) {
+        self.deregister_interest(Interest::BOTH);
     }
 
-    pub(crate) fn deregister_interest(&self, poller: &Poller, interest: Interest) {
-        if let Some(reactor) = poller.started_os_reactor() {
-            let mut tracked = self.inner.reactors.lock();
-            tracked.clear(self.fd(), interest, reactor);
+    /// Forgets the `interest` direction(s); once no direction is left the
+    /// socket is free to register with any poller.
+    pub(crate) fn deregister_interest(&self, interest: Interest) {
+        let mut tracked = self.inner.reactor.lock();
+        if let Some(reactor) = tracked.as_ref() {
+            if reactor.forget_interest(self.fd(), interest) {
+                *tracked = None;
+            }
         }
     }
 
@@ -1081,7 +1022,7 @@ impl TcpConn {
         // Forget *before* shutdown/close: removing the registration entry
         // first is what arms the stale-generation guard against an
         // in-flight epoll batch racing the fd recycle.
-        for reactor in self.inner.reactors.lock().take_distinct() {
+        if let Some(reactor) = self.inner.reactor.lock().take() {
             reactor.forget(self.fd());
         }
         let _ = self.inner.stream.shutdown(std::net::Shutdown::Both);
@@ -1194,6 +1135,55 @@ mod tests {
         }
         let mut buf = [0u8; 8];
         assert_eq!(server.read(&mut buf).unwrap(), 4);
+    }
+
+    /// A connected kernel socket wrapped directly, so a test can read the
+    /// module-private registration state; the peer end comes with it.
+    fn raw_pair(stack: &Arc<TcpStack>) -> (TcpConn, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        (stack.wrap(stream, crate::conn::Side::Client).unwrap(), peer)
+    }
+
+    /// A socket moves to another poller only once its last direction is
+    /// deregistered: one direction left keeps it on its reactor, and the
+    /// new poller alone sees it after the move.
+    #[test]
+    fn a_socket_leaves_its_reactor_with_its_last_direction() {
+        let stack = stack();
+        let (conn, mut peer) = raw_pair(&stack);
+        let (old, new) = (Poller::new(), Poller::new());
+        conn.register(&old, Token(1), Interest::BOTH);
+        let _ = old.wait(Duration::from_millis(50)); // synthetic level-trigger
+        conn.deregister_interest(Interest::WRITABLE);
+        assert!(
+            conn.inner.reactor.lock().is_some(),
+            "readable is still live"
+        );
+        conn.deregister_interest(Interest::READABLE);
+        assert!(conn.inner.reactor.lock().is_none());
+        conn.register(&new, Token(2), Interest::READABLE);
+        let _ = new.wait(Duration::from_millis(50)); // synthetic level-trigger
+        peer.write_all(b"moved").unwrap();
+        let events = new.wait(Duration::from_secs(5));
+        assert!(events
+            .iter()
+            .any(|e| e.token == Token(2) && e.readiness.readable));
+        assert!(old.wait(Duration::from_millis(20)).is_empty());
+    }
+
+    /// The one-poller rule is checked on sockets too.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "at most one poller")]
+    fn registering_a_socket_with_a_second_poller_is_refused() {
+        let stack = stack();
+        let (conn, _peer) = raw_pair(&stack);
+        let (first, second) = (Poller::new(), Poller::new());
+        conn.register(&first, Token(1), Interest::BOTH);
+        conn.deregister_interest(Interest::READABLE);
+        conn.register(&second, Token(2), Interest::READABLE);
     }
 
     #[test]

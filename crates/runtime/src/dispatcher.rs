@@ -484,10 +484,11 @@ impl ShardReactor {
             return;
         };
         self.draining.remove(&graph_id);
+        // Deregistered before a member is parked: a parked connection is
+        // registered with no poller, so a graph on any shard may check it
+        // out and register it with its own.
         for watch in &graph.watches {
-            watch
-                .endpoint
-                .deregister_interest(&self.poller, watch.interest);
+            watch.endpoint.deregister_interest(watch.interest);
         }
         // A removal counts the task out, and may post the graph's token
         // once more: it finds no graph and is dropped.
@@ -513,7 +514,7 @@ impl ShardReactor {
             }
             self.accept_retry.remove(token);
             if let Some(listener) = entry.shared.listener_on(shard) {
-                listener.deregister(&self.poller);
+                listener.deregister();
             }
             entry.shared.close();
             false

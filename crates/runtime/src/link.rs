@@ -189,13 +189,13 @@ impl Link {
     /// [`Endpoint::deregister_interest`]; an unopened member forgets the
     /// recorded watch, so a later open cannot register it. A member's
     /// watches all come from the one dispatcher that owns its graph.
-    pub(crate) fn deregister_interest(&self, poller: &Poller, interest: Interest) {
+    pub(crate) fn deregister_interest(&self, interest: Interest) {
         match &self.0 {
-            Kind::Open(endpoint) => endpoint.deregister_interest(poller, interest),
+            Kind::Open(endpoint) => endpoint.deregister_interest(interest),
             Kind::Member(member, _) => {
                 let mut slot = member.slot.lock();
                 match &slot.state {
-                    State::Bound(endpoint) => endpoint.deregister_interest(poller, interest),
+                    State::Bound(endpoint) => endpoint.deregister_interest(interest),
                     State::Unbound | State::Closed => {
                         slot.watches.retain(|(_, _, watched)| *watched != interest)
                     }

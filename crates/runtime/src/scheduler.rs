@@ -535,11 +535,6 @@ impl Scheduler {
         }
     }
 
-    /// The scheduling policy in force.
-    pub fn policy(&self) -> SchedulingPolicy {
-        self.inner.policy
-    }
-
     /// The shard this scheduler serves (0 outside sharded platforms).
     pub fn shard(&self) -> usize {
         self.inner.shard

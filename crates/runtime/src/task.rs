@@ -110,11 +110,6 @@ impl TaskContext {
         self.task
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> SchedulingPolicy {
-        self.policy
-    }
-
     /// Records that one item was processed and reports whether the task may
     /// continue with another item in this dispatch.
     ///

@@ -89,11 +89,6 @@ impl InputTask {
         }
     }
 
-    /// The connection this task reads from.
-    pub fn endpoint(&self) -> &Link {
-        &self.endpoint
-    }
-
     /// Tries to push a parsed message; on a full channel stashes it and
     /// parks the task until the consumer drains the channel.
     fn push_out(&mut self, value: Value, ctx: &mut TaskContext) -> bool {
@@ -521,11 +516,6 @@ impl OutputTask {
             sent: 0,
             keeps_alive: false,
         }
-    }
-
-    /// The connection this task writes to.
-    pub fn endpoint(&self) -> &Link {
-        &self.endpoint
     }
 
     fn flush(&mut self) -> Result<bool, RuntimeError> {

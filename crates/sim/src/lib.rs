@@ -23,5 +23,5 @@ pub use fault::{FaultOp, ScheduledFault};
 pub use invariant::{check_tick, TickChecks, Violation};
 pub use message_mutator::{Delivery, MessageMutator, MutatedFrame, MutationKind};
 pub use scenario::{run_scenario, wait_until, ScenarioConfig, ScenarioReport};
-pub use stress::{run_poller_handoff_scenario, run_stall_park_scenario};
+pub use stress::run_stall_park_scenario;
 pub use trace::Trace;

@@ -7,9 +7,8 @@ use crate::scenario::{wait_until, ScenarioReport};
 use crate::trace::Trace;
 use flick_grammar::http::HttpCodec;
 use flick_grammar::{ParseOutcome, WireCodec};
-use flick_net::conn::pair;
 use flick_net::listener::ConnectOptions;
-use flick_net::{Interest, NetError, Poller, SimRng, StackCosts, Token};
+use flick_net::{NetError, SimRng};
 use flick_runtime::{Platform, PlatformConfig, ServiceSpec};
 use flick_services::StaticWebServerFactory;
 use std::time::{Duration, Instant};
@@ -162,135 +161,4 @@ pub fn run_stall_park_scenario(seed: u64) -> ScenarioReport {
         final_metrics: Default::default(),
         final_net: Default::default(),
     }
-}
-
-/// The poller-handoff stress as a harness scenario: while a writer races
-/// at full speed through a tiny pipe, the consumer repeatedly re-registers
-/// the endpoint with a fresh poller. `register` installs the new waker
-/// and performs the level-triggered check under the pipe lock, so no byte
-/// and no EOF may fall between the old and the new registration — a lost
-/// wakeup shows up as the reader timing out short of the total.
-///
-/// The writer's chunk plan derives from the seed (and is what the trace
-/// hashes); the reader's handoff cadence draws from an independent fork
-/// so its timing-dependent draw count cannot skew the writer's stream.
-pub fn run_poller_handoff_scenario(seed: u64) -> ScenarioReport {
-    const TOTAL: usize = 192 * 1024;
-    let mut trace = Trace::new();
-    let mut violations: Vec<Violation> = Vec::new();
-    let root = SimRng::new(seed);
-    let mut writer_rng = root.fork("handoff-writer");
-    let mut reader_rng = root.fork("handoff-reader");
-    trace.push(format!("poller-handoff seed {seed:#018x} total {TOTAL}"));
-
-    // A small pipe forces many buffer-full / drained transitions,
-    // maximising the chance of a transition racing a handoff.
-    let (client, server) = pair(seed, StackCosts::free(), None, 2 * 1024);
-
-    // Seeded chunk plan, fixed before any racing begins.
-    let mut chunks: Vec<usize> = Vec::new();
-    let mut planned = 0usize;
-    while planned < TOTAL {
-        let chunk = 64 + rng_span(&mut writer_rng, 1400);
-        let chunk = chunk.min(TOTAL - planned);
-        planned += chunk;
-        chunks.push(chunk);
-    }
-    trace.push(format!("plan {} chunks", chunks.len()));
-
-    let writer = std::thread::spawn(move || {
-        let payload = [0xa5u8; 1500];
-        for chunk in &chunks {
-            client
-                .write_all(&payload[..*chunk])
-                .expect("peer stays open");
-        }
-        client.close();
-    });
-
-    let mut received = 0usize;
-    let mut eof = false;
-    let mut buf = [0u8; 1500];
-    let mut handoffs = 0u32;
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !eof {
-        if Instant::now() >= deadline {
-            violations.push(Violation::new(
-                seed,
-                0,
-                format!(
-                    "lost wakeup across poller handoff: {received} of {TOTAL} \
-                     bytes after {handoffs} handoffs"
-                ),
-            ));
-            break;
-        }
-        // Hand the registration to a brand-new poller mid-stream.
-        let poller = Poller::new();
-        server.register(&poller, Token(u64::from(handoffs)), Interest::READABLE);
-        handoffs += 1;
-        // Consume a seeded number of event rounds through this poller,
-        // then hand off again while the writer keeps racing.
-        let rounds = 1 + rng_span(&mut reader_rng, 5);
-        for _ in 0..rounds {
-            if eof {
-                break;
-            }
-            for _event in poller.wait(Duration::from_millis(100)) {
-                loop {
-                    match server.read(&mut buf) {
-                        Ok(n) => received += n,
-                        Err(NetError::WouldBlock) => break,
-                        Err(NetError::Closed) => {
-                            eof = true;
-                            break;
-                        }
-                        Err(e) => {
-                            violations.push(Violation::new(seed, 0, format!("read error: {e}")));
-                            eof = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let _ = writer.join();
-    if eof && received != TOTAL {
-        violations.push(Violation::new(
-            seed,
-            0,
-            format!("stream truncated: {received} of {TOTAL} bytes"),
-        ));
-    }
-    if handoffs < 2 {
-        violations.push(Violation::new(
-            seed,
-            0,
-            format!("stream must survive several handoffs, saw {handoffs}"),
-        ));
-    }
-    trace.push(format!("received {TOTAL} planned bytes"));
-
-    let ok = violations.is_empty();
-    let trace_hash = trace.hash();
-    ScenarioReport {
-        name: "poller-handoff",
-        seed,
-        trace,
-        trace_hash,
-        violations,
-        requests_ok: u64::from(ok),
-        requests_failed: u64::from(!ok),
-        backend_requests_served: 0,
-        hostile_sent: 0,
-        hostile_rejected: 0,
-        final_metrics: Default::default(),
-        final_net: Default::default(),
-    }
-}
-
-/// `0..n` draw on a [`SimRng`] (kept local so both stresses share it).
-fn rng_span(rng: &mut SimRng, n: usize) -> usize {
-    rng.pick(n)
 }

@@ -96,7 +96,7 @@ fn the_epoll_set_dies_with_its_users_and_no_reactor_thread_ever_runs() {
     // A socket that is still registered keeps the set alive past its
     // poller (closing must be able to forget the registration); a
     // deregistered one does not.
-    server.deregister(&poller);
+    server.deregister();
     drop(poller);
     assert_eq!(open_fds(), baseline + 3);
     drop(short_lived);

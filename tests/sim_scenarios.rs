@@ -11,8 +11,7 @@
 
 use flick_runtime::ExecMode;
 use flick_sim::{
-    run_poller_handoff_scenario, run_scenario, run_stall_park_scenario, FaultOp, ScenarioConfig,
-    ScheduledFault, TickChecks,
+    run_scenario, run_stall_park_scenario, FaultOp, ScenarioConfig, ScheduledFault, TickChecks,
 };
 
 /// Steady traffic against the static web server: the baseline scenario
@@ -244,15 +243,6 @@ fn stall_park_scenario_with_pinned_seed() {
     let report = run_stall_park_scenario(0x57A1_1009);
     report.assert_clean();
     assert_eq!(report.requests_ok, 1);
-}
-
-/// Satellite: the poller-handoff stress as a harness scenario with a
-/// pinned regression seed — no byte and no EOF may fall between an old
-/// and a new poller registration while a writer races.
-#[test]
-fn poller_handoff_scenario_with_pinned_seed() {
-    let report = run_poller_handoff_scenario(0x4A4D_000A);
-    report.assert_clean();
 }
 
 /// The replay contract: the same seed produces byte-identical traces

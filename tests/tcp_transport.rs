@@ -15,14 +15,17 @@
 //!   record posts when the last client task and the last task exit);
 //! * accept sharding: every shard accepts on its own `SO_REUSEPORT`
 //!   socket, and a multi-connection service's groups never strand;
-//! * a real-socket port of the `stress_no_lost_wakeups` poller stress and
-//!   of the cross-poller registration handoff stress.
+//! * back-end reuse across shards: a socket is registered with one poller
+//!   at a time, so a parked back-end connection leaves its shard's reactor
+//!   at teardown and the next graph, on the other shard, registers it
+//!   afresh (with a sim-back-end twin of the same test);
+//! * a real-socket port of the `stress_no_lost_wakeups` poller stress.
 
 use flick::net_substrate::{Interest, NetError, Poller, TcpStack, Token};
 use flick::services::hadoop::hadoop_aggregator;
-use flick::services::http::{http_balancer, StaticWebServerFactory};
+use flick::services::http::{http_balancer, http_path_balancer, StaticWebServerFactory};
 use flick::{Platform, PlatformConfig, ServiceSpec};
-use flick_workload::backends::{start_sink_backend, start_tcp_http_backend};
+use flick_workload::backends::{start_http_backend, start_sink_backend, start_tcp_http_backend};
 use flick_workload::tcp::{fetch_http, run_tcp_http_load, TcpHttpLoadConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -264,6 +267,107 @@ fn connection_groups_are_never_stranded_across_shards() {
         platform.shard_status()[service.home_shard()].graphs_built,
         10
     );
+}
+
+const REUSE_CLIENTS: u64 = 20;
+
+/// Back-end reuse across shards, the one way a connection moves from one
+/// shard's poller to another's. On a 2-shard platform on the simulated
+/// fabric, whose accept rotation alternates the shards, the path-hashed
+/// balancer fronts one back-end, and sequential clients each close after
+/// one response. Each graph's teardown deregisters the back-end connection
+/// and parks it, so the next graph — on the other shard — checks it out and
+/// registers it with its own poller: every response is served, yet the
+/// back-end sees one connection. `backend_connections` reads how many it
+/// accepted.
+fn reuse_back_end_connection_across_shards(
+    platform: &Platform,
+    service: &flick::runtime_crate::DeployedService,
+    backend_connections: impl Fn() -> u64,
+) {
+    let built = || -> Vec<u64> {
+        platform
+            .shard_status()
+            .iter()
+            .map(|s| s.graphs_built)
+            .collect()
+    };
+    for i in 0..REUSE_CLIENTS {
+        let mut expected = built();
+        expected[i as usize % 2] += 1;
+        let client = platform.net().connect(service.port()).unwrap();
+        client
+            .write_all(format!("GET /r{i} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+            .unwrap();
+        let mut response = Vec::new();
+        let mut buf = [0u8; 1024];
+        while !response.ends_with(b"served") {
+            let n = client
+                .read_timeout(&mut buf, Duration::from_secs(5))
+                .unwrap_or_else(|e| panic!("client {i}: no response: {e}"));
+            response.extend_from_slice(&buf[..n]);
+        }
+        assert!(
+            response.starts_with(b"HTTP/1.1 200 OK"),
+            "client {i}: {}",
+            String::from_utf8_lossy(&response)
+        );
+        client.close();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while service.live_graphs() > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "client {i}: graph never tore down"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(built(), expected, "client {i} lands on shard {}", i % 2);
+    }
+    let snap = platform.metrics().snapshot();
+    assert_eq!(
+        snap.backend_checkouts, REUSE_CLIENTS,
+        "a reuse is a checkout"
+    );
+    assert_eq!(
+        backend_connections(),
+        1,
+        "every graph reused the connection parked on the other shard"
+    );
+}
+
+fn two_shards() -> Platform {
+    Platform::new(PlatformConfig {
+        workers: 2,
+        shards: 2,
+    })
+}
+
+#[test]
+fn a_parked_kernel_back_end_connection_is_reused_across_shards() {
+    let backend = start_tcp_http_backend(b"served");
+    let platform = two_shards();
+    let service = platform
+        .deploy(
+            ServiceSpec::new("lb", 8500, http_path_balancer())
+                .with_tcp_backends(vec![backend.addr().to_string()]),
+        )
+        .unwrap();
+    reuse_back_end_connection_across_shards(&platform, &service, || backend.connections_accepted());
+}
+
+#[test]
+fn a_parked_sim_back_end_connection_is_reused_across_shards() {
+    let platform = two_shards();
+    let net = platform.net();
+    let _backend = start_http_backend(&net, 8501, b"served");
+    let service = platform
+        .deploy(ServiceSpec::new("lb", 8500, http_path_balancer()).with_backends(vec![8501]))
+        .unwrap();
+    // The fabric counts every connection opened on it: the clients', and
+    // the balancer's to the back-end.
+    reuse_back_end_connection_across_shards(&platform, &service, || {
+        net.stats().snapshot().connections_opened - REUSE_CLIENTS
+    });
 }
 
 /// The blocking loopback workload driver measures real throughput and
@@ -744,83 +848,4 @@ fn event_batches_beyond_max_events_lose_nothing() {
     for (i, n) in received.iter().enumerate() {
         assert_eq!(*n, ROUNDS * CHUNK, "conn {i}: bytes appeared after EOF");
     }
-}
-
-/// Real-socket port of the cross-poller handoff stress: while a writer
-/// races at full speed, the consumer repeatedly re-registers the socket
-/// with a fresh poller (the sharded runtime's accept → place → register
-/// path). The `EPOLL_CTL_MOD` re-arm plus the synthetic level-trigger at
-/// registration must never lose a byte or the final EOF.
-#[test]
-fn handoff_between_pollers_loses_no_wakeups_over_tcp() {
-    const TOTAL: usize = 1 << 20;
-
-    let stack = TcpStack::new();
-    let listener = stack.listen("127.0.0.1:0").unwrap();
-    let addr = format!("127.0.0.1:{}", listener.port());
-    let client = stack.connect(&addr).unwrap();
-    let server = listener.accept_timeout(Duration::from_secs(5)).unwrap();
-
-    let writer = std::thread::spawn(move || {
-        let chunk = [0xa5u8; 613];
-        let mut sent = 0usize;
-        while sent < TOTAL {
-            let n = (TOTAL - sent).min(chunk.len());
-            client.write_all(&chunk[..n]).expect("peer stays open");
-            sent += n;
-        }
-        client.close();
-    });
-
-    // Each handoff round drains at most `ROUND_BUDGET` bytes before moving
-    // the registration again. Stopping mid-drain is deliberate: with
-    // edge-triggered epoll no further kernel event will fire for the bytes
-    // left behind, so the *next* registration's synthetic level-trigger
-    // post is what must resume the stream — precisely the handoff-safety
-    // property under test.
-    const ROUND_BUDGET: usize = 128 * 1024;
-    let mut received = 0usize;
-    let mut eof = false;
-    let mut buf = [0u8; 1500];
-    let mut handoffs = 0u32;
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !eof {
-        assert!(
-            Instant::now() < deadline,
-            "lost wakeup across poller handoff: {received} of {TOTAL} bytes \
-             after {handoffs} handoffs"
-        );
-        let poller = Poller::new();
-        server.register(&poller, Token(u64::from(handoffs)), Interest::READABLE);
-        handoffs += 1;
-        let mut round = 0usize;
-        'round: while !eof && round < ROUND_BUDGET {
-            assert!(
-                Instant::now() < deadline,
-                "lost wakeup mid-round: {received} of {TOTAL} bytes"
-            );
-            for _event in poller.wait(Duration::from_millis(100)) {
-                loop {
-                    match server.read(&mut buf) {
-                        Ok(n) => {
-                            received += n;
-                            round += n;
-                            if round >= ROUND_BUDGET {
-                                break 'round;
-                            }
-                        }
-                        Err(NetError::WouldBlock) => break,
-                        Err(NetError::Closed) => {
-                            eof = true;
-                            break;
-                        }
-                        Err(e) => panic!("unexpected error: {e}"),
-                    }
-                }
-            }
-        }
-    }
-    writer.join().unwrap();
-    assert_eq!(received, TOTAL);
-    assert!(handoffs >= 2, "the stream must survive several handoffs");
 }
