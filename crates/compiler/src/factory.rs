@@ -153,7 +153,7 @@ impl CompiledService {
             } else {
                 return Err(CompileError::MissingCodec(param.record.clone()));
             };
-            let proj = projection::derive(typed, &param.record);
+            let proj = projection::for_input(typed, proc_name, &param.name, &param.record);
             if !layouts.iter().any(|(name, _)| *name == param.record) {
                 // The grammar's field layout for this record, restricted
                 // to the fields the projection materialises — the parse
@@ -181,6 +181,34 @@ impl CompiledService {
             plans,
             client_connections: options.client_connections,
         })
+    }
+
+    /// This service with `body` in every input's projection, so every body
+    /// is read into user space and forwarded from there instead of
+    /// streaming through a kernel pipe. The oracle the streamed path is
+    /// checked against byte for byte, not a deployment option.
+    #[doc(hidden)]
+    pub fn with_bodies_buffered(&self) -> Arc<CompiledService> {
+        Arc::new(CompiledService {
+            program: Arc::clone(&self.program),
+            compiled: Arc::clone(&self.compiled),
+            globals: CompiledGlobals::for_process(&self.program.process),
+            plans: self
+                .plans
+                .iter()
+                .map(|plan| ParamPlan {
+                    codec: Arc::clone(&plan.codec),
+                    projection: plan.projection.clone().with("body"),
+                })
+                .collect(),
+            client_connections: self.client_connections,
+        })
+    }
+
+    /// The projection each input parses its messages with, in parameter
+    /// order.
+    pub fn projections(&self) -> impl Iterator<Item = &Projection> {
+        self.plans.iter().map(|plan| &plan.projection)
     }
 
     /// The name of the compiled process.

@@ -8,6 +8,10 @@
 //! incremental parsing (a partial header or body yields
 //! [`ParseOutcome::Incomplete`]) and keeps the raw bytes of each message so
 //! that the HTTP load balancer can forward traffic without re-serialisation.
+//! Under a projection without `body`, a partial body does not hold the
+//! message back: the complete head is reported with the body bytes still
+//! unread ([`Message::unread_body`]), for the runtime to forward them
+//! without reading them.
 
 use crate::error::GrammarError;
 use crate::limits::ParseLimits;
@@ -233,12 +237,25 @@ impl HttpCodec {
         let total = head_len.checked_add(content_length).ok_or_else(|| {
             GrammarError::malformed("http", "Content-Length overflows the frame size")
         })?;
+        let reads_body = || projection.map_or(true, |p| p.requires("body"));
         if buf.len() < total {
-            return Ok(ParseOutcome::Incomplete {
-                needed: total - buf.len(),
+            if reads_body() {
+                return Ok(ParseOutcome::Incomplete {
+                    needed: total - buf.len(),
+                });
+            }
+            // Nobody reads this body, so nothing waits for it: the head is
+            // the message, with the buffered body prefix as the tail of
+            // its raw bytes and the rest left in the connection for the
+            // forwarder to move (`Message::unread_body`).
+            message.set_raw(bind(0..buf.len()));
+            message.set_unread_body((total - buf.len()) as u64);
+            return Ok(ParseOutcome::Complete {
+                message,
+                consumed: buf.len(),
             });
         }
-        if content_length > 0 && projection.map_or(true, |p| p.requires("body")) {
+        if content_length > 0 && reads_body() {
             message.set_parsed("body", MsgValue::Bytes(bind(head_len..total)));
         }
         message.set_raw(bind(0..total));
@@ -759,6 +776,60 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Under a projection without `body`, a complete head with a partial
+    /// body is a message: its raw bytes are the head and the buffered
+    /// prefix, and the rest of the body is reported unread. With `body`
+    /// projected (or no projection) the same bytes stay incomplete.
+    #[test]
+    fn an_unprojected_body_does_not_hold_its_head_back() {
+        let codec = HttpCodec::new();
+        let wire = b"POST /up HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+        let projection = Projection::of(["path"]);
+        match codec.parse(wire, Some(&projection)).unwrap() {
+            ParseOutcome::Complete { message, consumed } => {
+                assert_eq!(consumed, wire.len());
+                assert_eq!(message.raw().map(|r| &r[..]), Some(&wire[..]));
+                assert_eq!(message.unread_body(), 7);
+                assert_eq!(message.str_field("path"), Some("/up"));
+                assert_eq!(message.uint_field("content_length"), Some(10));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // The whole frame buffered: nothing unread, as before.
+        let whole = b"POST /up HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcGET";
+        match codec.parse(whole, Some(&projection)).unwrap() {
+            ParseOutcome::Complete { message, consumed } => {
+                assert_eq!(consumed, whole.len() - 3);
+                assert_eq!(message.unread_body(), 0);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        for reads_body in [None, Some(projection.clone().with("body"))] {
+            assert!(matches!(
+                codec.parse(wire, reads_body.as_ref()).unwrap(),
+                ParseOutcome::Incomplete { needed: 7 }
+            ));
+        }
+        // The head alone, not one body byte buffered yet.
+        let head = b"POST /up HTTP/1.1\r\nContent-Length: 10\r\n\r\n";
+        match codec.parse(head, Some(&projection)).unwrap() {
+            ParseOutcome::Complete { message, .. } => assert_eq!(message.unread_body(), 10),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// `Content-Length` is checked against `max_body_bytes` at the head,
+    /// streamed or not: a streamed body is bounded in framing too.
+    #[test]
+    fn an_unprojected_body_over_the_limit_is_refused_at_its_head() {
+        let codec = HttpCodec::with_limits(ParseLimits {
+            max_body_bytes: 100,
+            ..ParseLimits::default()
+        });
+        let wire = b"POST / HTTP/1.1\r\nContent-Length: 101\r\n\r\nab";
+        assert!(codec.parse(wire, Some(&Projection::of(["path"]))).is_err());
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! never pay for re-serialisation.
 
 use bytes::Bytes;
+use std::any::Any;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single field value inside a [`Message`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,6 +92,35 @@ pub struct Message {
     /// unmodified since. Cleared by [`Message::set`] so that serialisation
     /// rebuilds the wire representation.
     raw: Option<Bytes>,
+    /// Body bytes that follow `raw` on the wire but were not read with
+    /// it, and what carries them (see [`Message::unread_body`]). Boxed:
+    /// few messages have any, and every message pays for the field.
+    unread: Option<Box<Unread>>,
+}
+
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Unread {
+    len: u64,
+    /// Attached by the runtime once it moves the bytes.
+    rest: Option<Rest>,
+}
+
+/// An opaque carrier for the unread part of a message's body, attached by
+/// whoever moves those bytes (the runtime attaches a kernel body pipe).
+/// Clones share it; two messages are equal only if they share one.
+#[derive(Clone)]
+pub struct Rest(pub Arc<dyn Any + Send + Sync>);
+
+impl PartialEq for Rest {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl fmt::Debug for Rest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Rest(..)")
+    }
 }
 
 impl Message {
@@ -99,6 +130,7 @@ impl Message {
             unit: unit.into(),
             fields: Vec::new(),
             raw: None,
+            unread: None,
         }
     }
 
@@ -108,6 +140,7 @@ impl Message {
             unit: unit.into(),
             fields: Vec::with_capacity(n),
             raw: None,
+            unread: None,
         }
     }
 
@@ -219,6 +252,31 @@ impl Message {
     /// Returns the raw wire bytes if the message is still unmodified.
     pub fn raw(&self) -> Option<&Bytes> {
         self.raw.as_ref()
+    }
+
+    /// How many body bytes follow [`Message::raw`] on the wire unread. Zero
+    /// for a message parsed whole. A codec parsing under a projection
+    /// without `body` may report a message as soon as its head is
+    /// complete: `raw` is then the head plus whatever body prefix was
+    /// buffered, and this many bytes are still in the connection. Whoever
+    /// forwards the message moves them ([`Message::rest`]).
+    pub fn unread_body(&self) -> u64 {
+        self.unread.as_ref().map_or(0, |unread| unread.len)
+    }
+
+    /// Records that `n` body bytes follow the raw bytes unread (codecs).
+    pub fn set_unread_body(&mut self, n: u64) {
+        self.unread.get_or_insert_with(Box::default).len = n;
+    }
+
+    /// The carrier of the unread body bytes, if one is attached.
+    pub fn rest(&self) -> Option<&Rest> {
+        self.unread.as_ref()?.rest.as_ref()
+    }
+
+    /// Attaches the carrier of the unread body bytes.
+    pub fn attach_rest(&mut self, rest: Rest) {
+        self.unread.get_or_insert_with(Box::default).rest = Some(rest);
     }
 
     /// Total byte length of the raw representation, if known.

@@ -21,6 +21,7 @@ const MAX_COALESCED_READ: usize = 256 * 1024;
 
 use crate::costs::StackCosts;
 use crate::error::NetError;
+use crate::pipe::BodyPipe;
 use crate::poller::{Interest, Poller, Readiness, Token, WakerSlot};
 use crate::ratelimit::TokenBucket;
 use crate::stats::NetStats;
@@ -319,6 +320,21 @@ impl SimEndpoint {
         Ok(total)
     }
 
+    /// Copies up to `max` bytes from this connection into `pipe` (see
+    /// [`Endpoint::fill_pipe`]); counted as reads.
+    pub fn fill_pipe(&self, pipe: &BodyPipe, max: usize) -> Result<usize, NetError> {
+        pipe.copy_in(max, |buf| self.read(buf))
+    }
+
+    /// Copies up to `max` bytes from `pipe` into this connection (see
+    /// [`Endpoint::drain_pipe`]); counted as writes.
+    pub fn drain_pipe(&self, pipe: &BodyPipe, max: usize) -> Result<usize, NetError> {
+        if self.is_closed() {
+            return Err(NetError::Closed);
+        }
+        pipe.copy_out(max, |buf| self.write(buf))
+    }
+
     /// Reads available bytes into `buf` without blocking.
     ///
     /// Returns the number of bytes read, [`NetError::WouldBlock`] when no
@@ -332,7 +348,8 @@ impl SimEndpoint {
         let pipe = self.in_pipe();
         let mut state = pipe.state.lock();
         if state.buf.is_empty() {
-            return if state.writer_closed {
+            // EOF from the peer, or this end closed: no byte will come.
+            return if state.writer_closed || state.reader_closed {
                 Err(NetError::Closed)
             } else {
                 Err(NetError::WouldBlock)
@@ -506,16 +523,20 @@ impl SimEndpoint {
             let pipe = self.out_pipe();
             let mut state = pipe.state.lock();
             state.writer_closed = true;
-            // The peer's reader can now observe EOF (after draining).
+            // The peer's reader can now observe EOF (after draining), and
+            // this end's own writer that it may write no more.
             state.wake_reader(Readiness::readable().with_closed());
+            state.wake_writer(Readiness::writable().with_closed());
             pipe.cond.notify_all();
         }
         {
             let pipe = self.in_pipe();
             let mut state = pipe.state.lock();
             state.reader_closed = true;
-            // The peer's writer will fail fast from now on.
+            // The peer's writer will fail fast from now on, and this end's
+            // own reader sees the close.
             state.wake_writer(Readiness::writable().with_closed());
+            state.wake_reader(Readiness::readable().with_closed());
             pipe.cond.notify_all();
         }
         if let Some(stats) = &self.stats {
@@ -594,11 +615,12 @@ impl Endpoint {
     }
 
     /// Attaches a token-bucket rate limit to this endpoint's writes,
-    /// modelling the bandwidth of the link behind it.
+    /// modelling the bandwidth of the link behind it. Simulated links
+    /// only: a kernel socket's bandwidth is the kernel's, and this leaves
+    /// one unchanged.
     pub fn set_write_rate(&mut self, bucket: Arc<TokenBucket>) {
-        match &mut self.kind {
-            EndpointKind::Sim(sim) => sim.set_write_rate(bucket),
-            EndpointKind::Tcp(tcp) => tcp.set_write_rate(bucket),
+        if let EndpointKind::Sim(sim) = &mut self.kind {
+            sim.set_write_rate(bucket);
         }
     }
 
@@ -631,6 +653,24 @@ impl Endpoint {
         dispatch!(EndpointKind, self, ep => ep.read(buf))
     }
 
+    /// Moves up to `max` bytes of this connection's input into `pipe`
+    /// without blocking: `splice(2)` on the OS transport, so the bytes
+    /// never enter user space; a copy on the sim transport. Returns the
+    /// bytes moved, [`NetError::WouldBlock`] when the connection has none
+    /// or the pipe is full, and [`NetError::Closed`] at EOF.
+    pub fn fill_pipe(&self, pipe: &BodyPipe, max: usize) -> Result<usize, NetError> {
+        dispatch!(EndpointKind, self, ep => ep.fill_pipe(pipe, max))
+    }
+
+    /// Moves up to `max` bytes out of `pipe` onto this connection without
+    /// blocking, the other half of [`Endpoint::fill_pipe`]. Returns the
+    /// bytes the connection took, [`NetError::WouldBlock`] when the pipe
+    /// is empty or the connection full, and [`NetError::Closed`] when the
+    /// connection is gone.
+    pub fn drain_pipe(&self, pipe: &BodyPipe, max: usize) -> Result<usize, NetError> {
+        dispatch!(EndpointKind, self, ep => ep.drain_pipe(pipe, max))
+    }
+
     /// Reads available bytes directly into a [`SharedBuf`] without
     /// blocking — the zero-copy ingest entry point.
     ///
@@ -641,9 +681,14 @@ impl Endpoint {
     /// pinned by earlier messages still alive downstream), the carry is
     /// recorded in [`NetStats::ingest_copies`] — zero on the fast path.
     ///
+    /// One call reads at most `max` bytes, and never fewer than the
+    /// buffer's read size. An input whose bodies may stream passes that
+    /// read size: whatever it reads past a head is body that then crosses
+    /// user space instead of a body pipe. Others pass `usize::MAX`.
+    ///
     /// [`SharedBuf`]: crate::SharedBuf
     /// [`SharedBuf::view`]: crate::SharedBuf::view
-    pub fn read_into(&self, buf: &mut crate::SharedBuf) -> Result<usize, NetError> {
+    pub fn read_into(&self, buf: &mut crate::SharedBuf, max: usize) -> Result<usize, NetError> {
         let min = buf.read_size();
         let pending = self.pending();
         // When filling means a fresh chunk (none yet, views of the current
@@ -654,11 +699,13 @@ impl Endpoint {
         // connection is probed once on registration. Once the peer is
         // closed no byte can arrive, so an empty source then is EOF.
         if !buf.can_fill_in_place(min) && pending == 0 {
-            return Err(if self.peer_closed() && self.pending() == 0 {
-                NetError::Closed
-            } else {
-                NetError::WouldBlock
-            });
+            return Err(
+                if (self.peer_closed() || self.is_closed()) && self.pending() == 0 {
+                    NetError::Closed
+                } else {
+                    NetError::WouldBlock
+                },
+            );
         }
         // Coalesce per wakeup: when the source already holds more than one
         // default read's worth, size the tail request to drain it in fewer
@@ -666,7 +713,7 @@ impl Endpoint {
         // chunk). Never at the price of a carry: if the larger request
         // would force a chunk switch that the default size avoids, keep
         // the default — the zero-copy law outranks the syscall count.
-        let mut want = min.max(pending.min(MAX_COALESCED_READ));
+        let mut want = min.max(pending.min(max).min(MAX_COALESCED_READ));
         if want > min && buf.can_fill_in_place(min) && !buf.can_fill_in_place(want) {
             want = min;
         }
@@ -676,7 +723,8 @@ impl Endpoint {
                 stats.record_ingest_copy(carried);
             }
         }
-        let n = self.read(tail)?;
+        let take = tail.len().min(max.max(min));
+        let n = self.read(&mut tail[..take])?;
         buf.commit(n);
         Ok(n)
     }
@@ -1055,16 +1103,19 @@ mod tests {
             let stats = NetStats::new_shared();
             let (client, server) = pair(13, StackCosts::free(), Some(Arc::clone(&stats)), 1024);
             let mut buf = crate::SharedBuf::new(64);
-            assert_eq!(server.read_into(&mut buf), Err(NetError::WouldBlock));
+            assert_eq!(
+                server.read_into(&mut buf, usize::MAX),
+                Err(NetError::WouldBlock)
+            );
             client.write(b"payload").unwrap();
-            assert_eq!(server.read_into(&mut buf).unwrap(), 7);
+            assert_eq!(server.read_into(&mut buf, usize::MAX).unwrap(), 7);
             assert_eq!(&buf.view()[..], b"payload");
             let pinned = buf.view();
             buf.consume(7);
             // A second roundtrip while a view pins the old chunk: the fill
             // switches chunks, but carries zero live bytes — no copy.
             client.write(b"more").unwrap();
-            assert_eq!(server.read_into(&mut buf).unwrap(), 4);
+            assert_eq!(server.read_into(&mut buf, usize::MAX).unwrap(), 4);
             assert_eq!(&buf.view()[..], b"more");
             assert_eq!(&pinned[..], b"payload");
             let snap = stats.snapshot();
@@ -1077,10 +1128,13 @@ mod tests {
         fn read_into_allocates_on_the_first_fill_only() {
             let (client, server) = test_pair();
             let mut buf = crate::SharedBuf::new(64);
-            assert_eq!(server.read_into(&mut buf), Err(NetError::WouldBlock));
+            assert_eq!(
+                server.read_into(&mut buf, usize::MAX),
+                Err(NetError::WouldBlock)
+            );
             assert_eq!(buf.capacity(), 0, "an idle probe leaves it unallocated");
             client.write(b"first").unwrap();
-            assert_eq!(server.read_into(&mut buf), Ok(5));
+            assert_eq!(server.read_into(&mut buf, usize::MAX), Ok(5));
             assert_eq!(buf.capacity(), 4 * 64);
         }
 
@@ -1100,7 +1154,7 @@ mod tests {
                 client.write_all(b"last").unwrap();
                 client.close();
                 let deadline = Instant::now() + Duration::from_secs(5);
-                while server.read_into(&mut buf) == Err(NetError::WouldBlock) {
+                while server.read_into(&mut buf, usize::MAX) == Err(NetError::WouldBlock) {
                     assert!(Instant::now() < deadline, "bytes never arrived");
                 }
                 let pinned = buf.view();
@@ -1108,7 +1162,7 @@ mod tests {
                 let chunk = buf.view().as_ptr();
                 let deadline = Instant::now() + Duration::from_secs(5);
                 let eof = loop {
-                    match server.read_into(&mut buf) {
+                    match server.read_into(&mut buf, usize::MAX) {
                         Err(NetError::WouldBlock) => {
                             assert!(Instant::now() < deadline, "EOF never observed")
                         }

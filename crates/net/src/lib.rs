@@ -50,6 +50,7 @@ pub mod conn;
 pub mod costs;
 pub mod error;
 pub mod listener;
+pub mod pipe;
 pub mod poller;
 pub mod ratelimit;
 pub mod rng;
@@ -62,6 +63,7 @@ pub use conn::{Endpoint, SimEndpoint};
 pub use costs::{StackCosts, StackModel};
 pub use error::NetError;
 pub use listener::{Listener, SimListener, SimNetwork};
+pub use pipe::{BodyPipe, BODY_PIPE_BYTES};
 pub use poller::{Event, Interest, Poller, Readiness, Token};
 pub use ratelimit::TokenBucket;
 pub use rng::SimRng;

@@ -46,6 +46,15 @@ pub struct NetStats {
     /// blast radius so the sim battery can assert it stays confined to
     /// the offending connections.
     pub malformed_closes: AtomicU64,
+    /// `splice(2)` calls that moved body bytes between a socket and a
+    /// body pipe ([`crate::BodyPipe`]), either direction; a call refused
+    /// with `EAGAIN` is not counted. Neither the calls nor their bytes are in
+    /// `read_calls`/`write_calls` or the byte counters: those count what
+    /// crossed user space.
+    pub splice_calls: AtomicU64,
+    /// Bytes those calls moved. A body spliced in and out again counts
+    /// twice.
+    pub spliced_bytes: AtomicU64,
 }
 
 impl NetStats {
@@ -97,6 +106,12 @@ impl NetStats {
             .fetch_add(n as u64, Ordering::Relaxed);
     }
 
+    /// Records one `splice(2)` call that moved `n` bytes.
+    pub fn record_splice(&self, n: usize) {
+        self.splice_calls.fetch_add(1, Ordering::Relaxed);
+        self.spliced_bytes.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
     /// Records one connection close caused by a malformed stream. Call
     /// *after* the close itself has been recorded, so a snapshot (which
     /// loads this counter before `connections_closed`) can never observe
@@ -134,6 +149,8 @@ impl NetStats {
             vectored_segments: self.vectored_segments.load(Ordering::Relaxed),
             ingest_copies: self.ingest_copies.load(Ordering::Relaxed),
             ingest_copied_bytes: self.ingest_copied_bytes.load(Ordering::Relaxed),
+            splice_calls: self.splice_calls.load(Ordering::Relaxed),
+            spliced_bytes: self.spliced_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -166,6 +183,10 @@ pub struct StatsSnapshot {
     /// Connections closed due to malformed input (see
     /// [`NetStats::malformed_closes`]).
     pub malformed_closes: u64,
+    /// `splice(2)` calls (see [`NetStats::splice_calls`]).
+    pub splice_calls: u64,
+    /// Bytes moved by `splice(2)`.
+    pub spliced_bytes: u64,
 }
 
 impl StatsSnapshot {

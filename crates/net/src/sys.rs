@@ -12,8 +12,10 @@
 //! behind [`crate::Endpoint::readable`]), `ioctl(FIONREAD)`, raw
 //! `socket`/`setsockopt`/`bind`/`listen` (needed because std cannot set
 //! `SO_REUSEPORT` before binding — the accept-sharding path), `writev`
-//! (vectored header+body responses) and a `pipe2` self-pipe per reactor
-//! (a cross-thread post ends the dispatcher's `epoll_wait` through it).
+//! (vectored header+body responses), a `pipe2` self-pipe per reactor
+//! (a cross-thread post ends the dispatcher's `epoll_wait` through it),
+//! and `splice` with `fcntl(F_SETPIPE_SZ)` for the body pipes
+//! ([`crate::BodyPipe`]) that carry unprojected bodies kernel to kernel.
 
 #![allow(non_camel_case_types)]
 
@@ -97,6 +99,19 @@ pub(crate) const SO_REUSEPORT: c_int = 15;
 pub(crate) const O_NONBLOCK: c_int = 0o4000;
 pub(crate) const O_CLOEXEC: c_int = 0o2000000;
 
+/// `fcntl` commands resizing / reading a pipe's capacity.
+pub(crate) const F_SETPIPE_SZ: c_int = 1031;
+pub(crate) const F_GETPIPE_SZ: c_int = 1032;
+
+/// `splice(2)` flags: move pages instead of copying where the kernel can,
+/// and never block on the pipe (the socket is non-blocking already).
+pub(crate) const SPLICE_F_MOVE: u32 = 1;
+pub(crate) const SPLICE_F_NONBLOCK: u32 = 2;
+
+/// Atomic-write bound of a pipe: a write of at most this many bytes is
+/// all or nothing.
+pub(crate) const PIPE_BUF: usize = 4096;
+
 pub(crate) const EINTR: c_int = 4;
 pub(crate) const EAGAIN: c_int = 11;
 /// Out of memory (kernel buffers) — treated as transient accept pressure.
@@ -135,6 +150,15 @@ extern "C" {
     pub(crate) fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
     pub(crate) fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
     pub(crate) fn close(fd: c_int) -> c_int;
+    pub(crate) fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+    pub(crate) fn splice(
+        fd_in: c_int,
+        off_in: *mut i64,
+        fd_out: c_int,
+        off_out: *mut i64,
+        len: usize,
+        flags: u32,
+    ) -> isize;
 }
 
 /// The current thread's `errno` value (via std, so no binding to the

@@ -36,8 +36,8 @@
 //! axis of the simulated network only.
 
 use crate::error::NetError;
+use crate::pipe::BodyPipe;
 use crate::poller::{Interest, Poller, Readiness, Token};
-use crate::ratelimit::TokenBucket;
 use crate::stats::NetStats;
 use crate::sys;
 use parking_lot::Mutex;
@@ -67,7 +67,7 @@ fn map_io(err: std::io::Error) -> NetError {
 }
 
 /// The error for the most recent failed syscall.
-fn last_os_error() -> NetError {
+pub(crate) fn last_os_error() -> NetError {
     map_io(std::io::Error::last_os_error())
 }
 
@@ -528,7 +528,6 @@ impl TcpStack {
                 closed: AtomicBool::new(false),
                 reactor: Mutex::new(None),
             }),
-            rate: None,
         })
     }
 }
@@ -722,7 +721,6 @@ fn claim(tracked: &mut Option<Arc<OsReactor>>, reactor: &Arc<OsReactor>) {
 #[derive(Clone)]
 pub struct TcpConn {
     inner: Arc<TcpConnInner>,
-    rate: Option<Arc<TokenBucket>>,
 }
 
 impl std::fmt::Debug for TcpConn {
@@ -747,10 +745,6 @@ impl TcpConn {
         self.inner.side
     }
 
-    pub(crate) fn set_write_rate(&mut self, bucket: Arc<TokenBucket>) {
-        self.rate = Some(bucket);
-    }
-
     pub(crate) fn write(&self, data: &[u8]) -> Result<usize, NetError> {
         if data.is_empty() {
             return Ok(0);
@@ -758,40 +752,15 @@ impl TcpConn {
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(NetError::Closed);
         }
-        // The kernel's appetite is unknowable up front (unlike the sim
-        // pipes, which check free space under the pipe lock), so acquire
-        // link budget for the attempt and refund whatever the socket does
-        // not take — a full send buffer must not burn tokens.
-        let wanted = match &self.rate {
-            Some(bucket) => bucket.try_acquire(data.len()),
-            None => data.len(),
-        };
-        if wanted == 0 {
-            return Err(NetError::WouldBlock);
-        }
-        let refund = |sent: usize| {
-            if let Some(bucket) = &self.rate {
-                if sent < wanted {
-                    bucket.refund(wanted - sent);
-                }
-            }
-        };
         loop {
-            match (&self.inner.stream).write(&data[..wanted]) {
-                Ok(0) => {
-                    refund(0);
-                    return Err(NetError::Closed);
-                }
+            match (&self.inner.stream).write(data) {
+                Ok(0) => return Err(NetError::Closed),
                 Ok(n) => {
-                    refund(n);
                     self.inner.stats.record_write(n);
                     return Ok(n);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    refund(0);
-                    return Err(map_io(e));
-                }
+                Err(e) => return Err(map_io(e)),
             }
         }
     }
@@ -800,67 +769,36 @@ impl TcpConn {
     /// header+body response leaves in a single syscall without
     /// concatenating into a staging buffer, preserving the zero-copy laws
     /// (the body `Bytes` is handed to the kernel where it sits). Same
-    /// contract as [`TcpConn::write`]: returns the bytes the kernel took
-    /// (possibly a prefix), rate budget is acquired up front and refunded
-    /// for whatever the socket refuses.
+    /// contract as [`TcpConn::write`]: returns the bytes the kernel took,
+    /// possibly a prefix.
     pub(crate) fn write_vectored(&self, bufs: &[&[u8]]) -> Result<usize, NetError> {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        if total == 0 {
+        let iov: Vec<sys::iovec> = bufs
+            .iter()
+            .filter(|buf| !buf.is_empty())
+            .map(|buf| sys::iovec {
+                iov_base: buf.as_ptr(),
+                iov_len: buf.len(),
+            })
+            .collect();
+        if iov.is_empty() {
             return Ok(0);
         }
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(NetError::Closed);
         }
-        let wanted = match &self.rate {
-            Some(bucket) => bucket.try_acquire(total),
-            None => total,
-        };
-        if wanted == 0 {
-            return Err(NetError::WouldBlock);
-        }
-        // Truncate the segment list to the acquired budget so a tight
-        // bucket still sends a prefix, as the scalar path does.
-        let mut iov: Vec<sys::iovec> = Vec::with_capacity(bufs.len());
-        let mut budget = wanted;
-        for buf in bufs {
-            let take = buf.len().min(budget);
-            if take > 0 {
-                iov.push(sys::iovec {
-                    iov_base: buf.as_ptr(),
-                    iov_len: take,
-                });
-                budget -= take;
-            }
-            if budget == 0 {
-                break;
-            }
-        }
-        let refund = |sent: usize| {
-            if let Some(bucket) = &self.rate {
-                if sent < wanted {
-                    bucket.refund(wanted - sent);
-                }
-            }
-        };
         loop {
             let rc = unsafe { sys::writev(self.fd(), iov.as_ptr(), iov.len() as sys::c_int) };
             if rc > 0 {
                 let n = rc as usize;
-                refund(n);
                 self.inner.stats.record_write(n);
                 self.inner.stats.record_vectored(iov.len());
                 return Ok(n);
             }
             if rc == 0 {
-                refund(0);
                 return Err(NetError::Closed);
             }
-            match sys::errno() {
-                sys::EINTR => continue,
-                _ => {
-                    refund(0);
-                    return Err(last_os_error());
-                }
+            if sys::errno() != sys::EINTR {
+                return Err(last_os_error());
             }
         }
     }
@@ -870,28 +808,64 @@ impl TcpConn {
             match self.write(data) {
                 Ok(n) => data = &data[n..],
                 Err(NetError::WouldBlock) => {
-                    // Two distinct reasons to be blocked: an empty token
-                    // bucket (sleep out the refill interval) or a full
-                    // kernel send buffer (poll for POLLOUT). A rate-limited
-                    // endpoint can hit the latter with a full bucket —
-                    // `write` refunds tokens on EAGAIN — so a zero refill
-                    // wait must still fall through to the POLLOUT wait, or
-                    // this loop would spin hot until the peer drains.
-                    let refill = self
-                        .rate
-                        .as_ref()
-                        .map(|bucket| bucket.next_available(data.len()))
-                        .unwrap_or(Duration::ZERO);
-                    if refill.is_zero() {
-                        sys::wait_ready(self.fd(), sys::POLLOUT, Duration::from_millis(100));
-                    } else {
-                        std::thread::sleep(refill.min(Duration::from_millis(5)));
-                    }
+                    sys::wait_ready(self.fd(), sys::POLLOUT, Duration::from_millis(100));
                 }
                 Err(e) => return Err(e),
             }
         }
         Ok(())
+    }
+
+    /// Splices up to `max` bytes from this socket into `pipe`. EOF is
+    /// [`NetError::Closed`]; a full pipe and an empty socket are both
+    /// [`NetError::WouldBlock`].
+    pub(crate) fn fill_pipe(&self, pipe: &BodyPipe, max: usize) -> Result<usize, NetError> {
+        match self.splice(self.fd(), pipe.write_fd(), max)? {
+            0 => Err(NetError::Closed),
+            n => Ok(n),
+        }
+    }
+
+    /// Splices up to `max` bytes from `pipe` into this socket. An empty
+    /// pipe and a full socket are both [`NetError::WouldBlock`].
+    pub(crate) fn drain_pipe(&self, pipe: &BodyPipe, max: usize) -> Result<usize, NetError> {
+        debug_assert!(pipe.spill().is_empty(), "a spliced pipe never spills");
+        if self.inner.closed.load(Ordering::Acquire) {
+            return Err(NetError::Closed);
+        }
+        match self.splice(pipe.read_fd(), self.fd(), max)? {
+            // Our pipe keeps its write end open, so 0 is an empty pipe.
+            0 => Err(NetError::WouldBlock),
+            n => Ok(n),
+        }
+    }
+
+    fn splice(&self, from: RawFd, to: RawFd, max: usize) -> Result<usize, NetError> {
+        if max == 0 {
+            return Ok(0);
+        }
+        loop {
+            // SAFETY: both descriptors are live for the call; null offsets
+            // mean "the descriptors' own positions", as pipes and sockets
+            // require.
+            let rc = unsafe {
+                sys::splice(
+                    from,
+                    std::ptr::null_mut(),
+                    to,
+                    std::ptr::null_mut(),
+                    max,
+                    sys::SPLICE_F_MOVE | sys::SPLICE_F_NONBLOCK,
+                )
+            };
+            if rc >= 0 {
+                self.inner.stats.record_splice(rc as usize);
+                return Ok(rc as usize);
+            }
+            if sys::errno() != sys::EINTR {
+                return Err(last_os_error());
+            }
+        }
     }
 
     pub(crate) fn read(&self, buf: &mut [u8]) -> Result<usize, NetError> {
@@ -929,9 +903,8 @@ impl TcpConn {
     }
 
     /// `true` if a write could make progress: kernel send-buffer space
-    /// (`POLLOUT` with a zero timeout) or a fail-fast close. Matches the
-    /// simulated pipes' contract — a rate limiter alone never makes this
-    /// `false`.
+    /// (`POLLOUT` with a zero timeout) or a fail-fast close, as on the
+    /// simulated pipes.
     pub(crate) fn writable(&self) -> bool {
         self.inner.stats.record_writable_poll();
         if self.inner.closed.load(Ordering::Acquire) {
@@ -1015,15 +988,14 @@ impl TcpConn {
         }
     }
 
+    /// Shuts the socket down both ways. Its registration stays until it is
+    /// deregistered or the socket drops, so the kernel's hang-up event
+    /// reaches this end's own watchers, as a sim close does; the
+    /// descriptor closes only when the last clone drops, which forgets the
+    /// registration first (the stale-generation guard).
     pub(crate) fn close(&self) {
         if self.inner.closed.swap(true, Ordering::AcqRel) {
             return;
-        }
-        // Forget *before* shutdown/close: removing the registration entry
-        // first is what arms the stale-generation guard against an
-        // in-flight epoll batch racing the fd recycle.
-        if let Some(reactor) = self.inner.reactor.lock().take() {
-            reactor.forget(self.fd());
         }
         let _ = self.inner.stream.shutdown(std::net::Shutdown::Both);
         self.inner.stats.record_close();
@@ -1218,37 +1190,6 @@ mod tests {
         );
         // The port can be bound again.
         let _second = stack.listen(&local(port)).unwrap();
-    }
-
-    /// A rate-limited endpoint whose kernel send buffer fills must block
-    /// in the POLLOUT wait (not spin on acquire/EAGAIN/refund) and still
-    /// deliver every byte once the reader drains.
-    #[test]
-    fn rate_limited_write_all_survives_a_full_send_buffer() {
-        const TOTAL: usize = 4 * 1024 * 1024;
-        let stack = stack();
-        let (_listener, mut client, server) = pair(&stack);
-        // Generous rate and burst: the bottleneck is the stalled reader,
-        // not the bucket — the regression this test pins down.
-        client.set_write_rate(Arc::new(TokenBucket::new_bits_per_sec(
-            10_000_000_000,
-            1 << 20,
-        )));
-        let reader = std::thread::spawn(move || {
-            // Let the writer slam into a full send buffer first.
-            std::thread::sleep(Duration::from_millis(50));
-            let mut buf = [0u8; 64 * 1024];
-            let mut total = 0usize;
-            while total < TOTAL {
-                match server.read_timeout(&mut buf, Duration::from_secs(10)) {
-                    Ok(n) => total += n,
-                    Err(e) => panic!("reader failed after {total} bytes: {e}"),
-                }
-            }
-            total
-        });
-        client.write_all(&vec![0x42u8; TOTAL]).unwrap();
-        assert_eq!(reader.join().unwrap(), TOTAL);
     }
 
     /// The stale-token guard, deterministically: an epoll event carrying a

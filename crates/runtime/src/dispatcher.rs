@@ -498,6 +498,11 @@ impl ShardReactor {
         for watch in graph.watches {
             watch.endpoint.retire(forced);
         }
+        // Wakes deferred by what the removed tasks held; their targets
+        // were in this graph, so most are gone already.
+        for task in crate::task::take_deferred_wakes() {
+            self.scheduler.schedule(task);
+        }
         RuntimeMetrics::add(&self.scheduler.metrics().graphs_destroyed, 1);
         graph.service.live_graphs.fetch_sub(1, Ordering::Relaxed);
     }

@@ -43,6 +43,7 @@ pub mod platform;
 pub mod pool;
 pub mod scheduler;
 pub mod shard;
+mod stream;
 pub mod task;
 pub mod tasks;
 pub mod value;

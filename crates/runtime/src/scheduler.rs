@@ -279,7 +279,14 @@ impl SchedulerInner {
                 self.schedule(id);
             }
             TaskStatus::Idle => {}
-            TaskStatus::Finished => self.exit(id),
+            TaskStatus::Finished => {
+                self.exit(id);
+                // Dropping the task may have dropped what it held (a
+                // message whose body still streams): wake whom that told.
+                for wake in crate::task::take_deferred_wakes() {
+                    self.schedule(wake);
+                }
+            }
         }
         entry
     }

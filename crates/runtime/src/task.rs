@@ -9,6 +9,7 @@
 //! which every task implementation consults between items.
 
 use crate::metrics::RuntimeMetrics;
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -150,8 +151,12 @@ impl TaskContext {
         }
     }
 
-    /// Drains the accumulated wake list (scheduler-internal).
+    /// Drains the accumulated wake list (scheduler-internal), with the
+    /// wakes [`wake_after_run`] deferred on this thread.
     pub fn take_wakes(&mut self) -> Vec<TaskId> {
+        for task in take_deferred_wakes() {
+            self.wake(task);
+        }
         std::mem::take(&mut self.wake_list)
     }
 
@@ -159,6 +164,24 @@ impl TaskContext {
     pub fn metrics(&self) -> &Arc<RuntimeMetrics> {
         &self.metrics
     }
+}
+
+thread_local! {
+    static DEFERRED_WAKES: RefCell<Vec<TaskId>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Wakes `task` from code that holds no [`TaskContext`]: a `Drop` impl
+/// running inside some task's run (a message dropped there) or after it.
+/// The wake joins the wake list of the run on this thread
+/// ([`TaskContext::take_wakes`]); the scheduler also collects it after a
+/// finished task is dropped, and the dispatcher after a teardown.
+pub(crate) fn wake_after_run(task: TaskId) {
+    DEFERRED_WAKES.with(|wakes| wakes.borrow_mut().push(task));
+}
+
+/// The wakes deferred on this thread so far.
+pub(crate) fn take_deferred_wakes() -> Vec<TaskId> {
+    DEFERRED_WAKES.with(|wakes| std::mem::take(&mut *wakes.borrow_mut()))
 }
 
 /// A schedulable unit of computation.

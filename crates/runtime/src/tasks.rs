@@ -16,7 +16,8 @@ use crate::channel::{ChannelConsumer, ChannelProducer};
 use crate::error::RuntimeError;
 use crate::link::{Ended, Link, Settled};
 use crate::metrics::RuntimeMetrics;
-use crate::task::{Task, TaskContext, TaskStatus};
+use crate::stream::{BodyStream, Draining, Moved};
+use crate::task::{wake_after_run, Task, TaskContext, TaskId, TaskStatus};
 use crate::value::Value;
 use bytes::Bytes;
 use flick_grammar::{ParseOutcome, Projection, WireCodec};
@@ -47,6 +48,11 @@ pub const OUTBUF_RETAIN: usize = READ_CHUNK;
 /// nothing at all. [`flick_net::NetStats::ingest_copies`] stays at zero on
 /// this path; the end-to-end suite asserts it.
 ///
+/// A message whose body the codec left unread (a projection without
+/// `body`) is pushed as soon as its head is parsed, with a body pipe
+/// attached; the task then fills the pipe from its connection, and
+/// parses on only once the whole body is in it (`crate::stream`).
+///
 /// On an array back-end member the task idles until the member's output
 /// task opens it ([`Link`]), and finishes if the member is closed first.
 /// On a member its graph's drain released, it finishes without reading on
@@ -64,6 +70,13 @@ pub struct InputTask {
     /// Whether the codec says the last one keeps the connection open
     /// (asked on back-end members only).
     keeps_alive: bool,
+    /// The body of the last message pushed, still being moved from this
+    /// connection into its pipe.
+    streaming: Option<Arc<BodyStream>>,
+    /// The most one read takes: one [`READ_CHUNK`] when bodies may stream
+    /// (the projection leaves `body` out), so little of a body is read
+    /// with its head; the endpoint's coalescing bound otherwise.
+    read_max: usize,
 }
 
 impl InputTask {
@@ -80,12 +93,17 @@ impl InputTask {
             label: label.into(),
             endpoint,
             codec,
-            projection,
             buf: SharedBuf::new(READ_CHUNK),
             pending: None,
             output,
             received: 0,
             keeps_alive: false,
+            streaming: None,
+            read_max: match &projection {
+                Some(projection) if !projection.requires("body") => READ_CHUNK,
+                _ => usize::MAX,
+            },
+            projection,
         }
     }
 
@@ -119,14 +137,32 @@ impl InputTask {
             }
             let view = self.buf.view();
             match self.codec.parse_bytes(&view, self.projection.as_ref())? {
-                ParseOutcome::Complete { message, consumed } => {
+                ParseOutcome::Complete {
+                    mut message,
+                    consumed,
+                } => {
                     self.buf.consume(consumed);
                     self.received += 1;
                     if self.endpoint.is_member() {
                         self.keeps_alive = self.codec.keeps_alive(&message);
                     }
+                    if message.unread_body() > 0 {
+                        let source = self.endpoint.open_endpoint().expect("parsed from it");
+                        let Ok((stream, carrier)) =
+                            BodyStream::open(source, ctx.task(), message.unread_body())
+                        else {
+                            return Ok(Some(self.close(ctx)));
+                        };
+                        message.attach_rest(carrier);
+                        self.streaming = Some(stream);
+                    }
                     if !self.push_out(Value::Msg(message), ctx) {
                         return Ok(Some(TaskStatus::Idle));
+                    }
+                    // The body follows its head before anything else is
+                    // parsed; the buffer holds nothing past its prefix.
+                    if let Some(status) = self.pump(ctx) {
+                        return Ok(Some(status));
                     }
                     if !ctx.can_continue() {
                         return Ok(Some(TaskStatus::Runnable));
@@ -135,6 +171,38 @@ impl InputTask {
                 ParseOutcome::Incomplete { .. } => return Ok(None),
             }
         }
+    }
+
+    /// Moves the streamed body, if any, from the connection into its pipe.
+    /// `None` once it is all in (or there is none): parsing goes on.
+    fn pump(&mut self, ctx: &mut TaskContext) -> Option<TaskStatus> {
+        let stream = self.streaming.as_ref()?;
+        if stream.is_abandoned() {
+            // Nothing will take the rest of this body, so the stream
+            // behind it can no longer be framed.
+            return Some(self.close(ctx));
+        }
+        let source = self
+            .endpoint
+            .open_endpoint()
+            .expect("streams start settled");
+        match stream.fill(source, ctx) {
+            Ok(Moved::Done) => {
+                self.streaming = None;
+                None
+            }
+            Ok(Moved::Blocked | Moved::Dry) => Some(TaskStatus::Idle),
+            Ok(Moved::Yield) => Some(TaskStatus::Runnable),
+            // The source ended mid-body; its consumer was told.
+            Err(_) => Some(self.finish(ctx)),
+        }
+    }
+
+    /// Closes the connection and ends the stream: a member is retired,
+    /// never parked.
+    fn close(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+        self.endpoint.close();
+        self.finish(ctx)
     }
 
     /// A malformed stream terminates the connection, as the paper's
@@ -150,8 +218,11 @@ impl InputTask {
     }
 
     /// Ends the stream: the consumer is woken so that it observes the end
-    /// promptly.
+    /// promptly, and so is the consumer of a body left half filled.
     fn finish(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+        if let Some(consumer) = self.streaming.take().and_then(|stream| stream.fail()) {
+            ctx.wake(consumer);
+        }
         self.output.close();
         ctx.wake(self.output.consumer());
         TaskStatus::Finished
@@ -165,6 +236,9 @@ impl Drop for InputTask {
         // graph's teardown decides, on a released member.
         self.endpoint.close_unless_released();
         self.output.close();
+        if let Some(consumer) = self.streaming.take().and_then(|stream| stream.fail()) {
+            wake_after_run(consumer);
+        }
     }
 }
 
@@ -179,12 +253,12 @@ impl Task for InputTask {
             Settled::Unbound => return TaskStatus::Idle,
             Settled::Closed => return self.finish(ctx),
             Settled::Released => {
-                self.endpoint
-                    .finish(if self.buf.is_empty() && self.keeps_alive {
-                        Ended::Received(self.received)
-                    } else {
-                        Ended::Unclean
-                    });
+                let framed = self.buf.is_empty() && self.streaming.is_none();
+                self.endpoint.finish(if framed && self.keeps_alive {
+                    Ended::Received(self.received)
+                } else {
+                    Ended::Unclean
+                });
                 return self.finish(ctx);
             }
         }
@@ -194,6 +268,10 @@ impl Task for InputTask {
             if !self.push_out(value, ctx) {
                 return TaskStatus::Idle;
             }
+        }
+        // Then move the rest of a streamed body.
+        if let Some(status) = self.pump(ctx) {
+            return status;
         }
         // Parse whatever is already buffered.
         match self.drain_buffer(ctx) {
@@ -205,7 +283,7 @@ impl Task for InputTask {
         // shared buffer — no intermediate stack chunk, no append copy.
         loop {
             let endpoint = self.endpoint.open_endpoint().expect("settled above");
-            match endpoint.read_into(&mut self.buf) {
+            match endpoint.read_into(&mut self.buf, self.read_max) {
                 Ok(_) => {
                     match self.drain_buffer(ctx) {
                         Ok(None) => {}
@@ -219,8 +297,13 @@ impl Task for InputTask {
                 Err(NetError::WouldBlock) => return TaskStatus::Idle,
                 Err(_) => {
                     // Peer closed (or the connection failed): drain what we
-                    // have and finish.
+                    // have and finish. A back-end that hung up takes no
+                    // further request either, so its member is closed now,
+                    // before its output task writes into it.
                     let _ = self.drain_buffer(ctx);
+                    if self.endpoint.is_member() {
+                        return self.close(ctx);
+                    }
                     return self.finish(ctx);
                 }
             }
@@ -472,6 +555,10 @@ impl ExecMode {
 /// will ever announce them — and those are counted in
 /// [`RuntimeMetrics::output_busy_retries`].
 ///
+/// A message with a streamed body leaves as its head and buffered prefix,
+/// then as its body pipe drained onto the connection; nothing queued
+/// behind it is written before it is all out (`crate::stream`).
+///
 /// On an array back-end member the first flush with bytes to send opens
 /// the member ([`Link`]); a failed open finishes the task. On a member its
 /// graph's drain released, the task finishes without closing it and
@@ -491,6 +578,9 @@ pub struct OutputTask {
     /// leave through one vectored write instead of being concatenated —
     /// the shared allocation goes to the kernel where it sits.
     body: Option<(Bytes, usize)>,
+    /// The streamed rest of the body, drained from its pipe once `outbuf`
+    /// and `body` are out.
+    rest: Option<Draining>,
     /// Messages serialised so far.
     sent: u64,
     /// Whether the codec says the last one keeps the connection open
@@ -513,12 +603,13 @@ impl OutputTask {
             input,
             outbuf: Vec::new(),
             body: None,
+            rest: None,
             sent: 0,
             keeps_alive: false,
         }
     }
 
-    fn flush(&mut self) -> Result<bool, RuntimeError> {
+    fn flush(&mut self, ctx: &mut TaskContext) -> Result<Moved, RuntimeError> {
         while !self.outbuf.is_empty() || self.body.is_some() {
             // An unopened array member is opened by its first bytes.
             let endpoint = self.endpoint.connect()?;
@@ -544,8 +635,14 @@ impl OutputTask {
                         }
                     }
                 }
-                Err(NetError::WouldBlock) => return Ok(false),
+                Err(NetError::WouldBlock) => return Ok(Moved::Blocked),
                 Err(e) => return Err(e.into()),
+            }
+        }
+        if let Some(rest) = &self.rest {
+            match rest.drain(self.endpoint.connect()?, ctx)? {
+                Moved::Done => self.rest = None,
+                unfinished => return Ok(unfinished),
             }
         }
         // Fully drained: a one-off large response must not pin its
@@ -553,19 +650,20 @@ impl OutputTask {
         if self.outbuf.capacity() > OUTBUF_RETAIN {
             self.outbuf.shrink_to(OUTBUF_RETAIN);
         }
-        Ok(true)
+        Ok(Moved::Done)
     }
 
     /// Flushes pending output. `None` when everything was written;
-    /// otherwise the status to return: a blocked (`WouldBlock`) flush parks
-    /// on writable readiness unless the block is a rate limiter (buffer
-    /// space exists, so no peer transition will ever wake us — the clock
-    /// has to); a failed one means the peer is gone and the remaining
+    /// otherwise the status to return: a full connection parks on writable
+    /// readiness unless the block is a rate limiter (buffer space exists,
+    /// so no peer transition will ever wake us — the clock has to); a dry
+    /// body pipe parks until its producer fills it; a failed flush means
+    /// the peer (or a streamed body's source) is gone, and the remaining
     /// output is dropped.
     fn flush_or_stop(&mut self, ctx: &mut TaskContext) -> Option<TaskStatus> {
-        match self.flush() {
-            Ok(true) => None,
-            Ok(false)
+        match self.flush(ctx) {
+            Ok(Moved::Done) => None,
+            Ok(Moved::Blocked)
                 if self
                     .endpoint
                     .open_endpoint()
@@ -574,8 +672,15 @@ impl OutputTask {
                 RuntimeMetrics::add(&ctx.metrics().output_busy_retries, 1);
                 Some(TaskStatus::Runnable)
             }
-            Ok(false) => Some(TaskStatus::Idle),
+            Ok(Moved::Blocked | Moved::Dry) => Some(TaskStatus::Idle),
+            Ok(Moved::Yield) => Some(TaskStatus::Runnable),
             Err(_) => {
+                // A body still streaming towards us has nowhere to go:
+                // its producer closes its side. Queued messages go too.
+                if let Some(rest) = self.rest.take() {
+                    rest.abandon(ctx);
+                }
+                while self.input.pop(ctx).is_some() {}
                 self.endpoint.close();
                 Some(TaskStatus::Finished)
             }
@@ -583,11 +688,15 @@ impl OutputTask {
     }
 
     /// Appends one value's wire bytes to `outbuf`, splitting off a
-    /// message's shared body segment into `body`. Must not be called while
+    /// message's shared body segment into `body` and claiming its streamed
+    /// rest into `rest` for the task `consumer`. Must not be called while
     /// a body segment is pending (it would be written ahead of these
     /// bytes).
-    fn serialize(&mut self, value: &Value) -> Result<(), RuntimeError> {
-        debug_assert!(self.body.is_none(), "a pending body ends the batch");
+    fn serialize(&mut self, value: &Value, consumer: TaskId) -> Result<(), RuntimeError> {
+        debug_assert!(
+            self.body.is_none() && self.rest.is_none(),
+            "a pending body ends the batch"
+        );
         // A raw message mostly leaves as its own shared segment, writing
         // little or nothing here: let those grow the buffer as they need.
         // Anything else reserves it in one allocation instead of
@@ -601,6 +710,19 @@ impl OutputTask {
             Value::Msg(msg) => {
                 if self.endpoint.is_member() {
                     self.keeps_alive = self.codec.keeps_alive(msg);
+                }
+                if msg.unread_body() > 0 {
+                    // Only the unmodified raw head and prefix can precede
+                    // the rest of the body on the wire.
+                    self.rest = msg
+                        .rest()
+                        .filter(|_| msg.raw().is_some())
+                        .and_then(|rest| Draining::claim(rest.clone(), consumer));
+                    if self.rest.is_none() {
+                        return Err(RuntimeError::Logic(
+                            "a message with an unread body lost its raw bytes or its pipe".into(),
+                        ));
+                    }
                 }
                 if let Some(tail) = self.codec.serialize_parts(msg, &mut self.outbuf)? {
                     if !tail.is_empty() {
@@ -657,7 +779,7 @@ impl Task for OutputTask {
             // before it — with it, in one vectored write.
             drained = true;
             while let Some(value) = self.input.pop(ctx) {
-                if self.serialize(&value).is_err() {
+                if self.serialize(&value, ctx.task()).is_err() {
                     self.endpoint.close();
                     return TaskStatus::Finished;
                 }
@@ -665,7 +787,8 @@ impl Task for OutputTask {
                 if !ctx.can_continue() {
                     return self.flush_or_stop(ctx).unwrap_or(TaskStatus::Runnable);
                 }
-                if self.body.is_some() || self.outbuf.len() >= OUTBUF_RETAIN {
+                if self.body.is_some() || self.rest.is_some() || self.outbuf.len() >= OUTBUF_RETAIN
+                {
                     drained = false;
                     break;
                 }

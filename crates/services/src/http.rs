@@ -100,7 +100,9 @@ impl GraphFactory for StaticWebServerFactory {
             "http-in",
             Peer::Client(&client),
             codec.clone(),
-            Some(http::load_balancer_projection()),
+            // It answers requests instead of forwarding them, so a body
+            // is read and dropped here, never streamed.
+            Some(http::load_balancer_projection().with("body")),
             compute_node,
         );
         let resp_tx = builder.bind_output(output_node, "http-out", &client, codec);
@@ -172,6 +174,18 @@ mod tests {
         );
         assert!(stats.completed > 10, "{stats:?}");
         assert_eq!(stats.failed, 0);
+    }
+
+    /// Both balancers forward every message whole, so no input projects
+    /// `body`: a body the buffer does not hold yet streams through a pipe.
+    /// Their buffered twins project it everywhere.
+    #[test]
+    fn both_balancers_stream_their_bodies() {
+        for balancer in [http_balancer(), http_path_balancer()] {
+            assert!(balancer.projections().all(|p| !p.requires("body")));
+            let buffered = balancer.with_bodies_buffered();
+            assert!(buffered.projections().all(|p| p.requires("body")));
+        }
     }
 
     /// One request through the balancer and back, on the bytecode VM and
