@@ -16,7 +16,15 @@
 //! * **Stack ops over frame slots** — expressions evaluate on an operand
 //!   stack shared across nested calls; locals live in the same frame
 //!   slots the IR lowering assigned, so `Load`/`Store` indices match the
-//!   interpreter's frames exactly.
+//!   interpreter's frames exactly. A chunk's frame is sized to cover
+//!   every slot its ops name, so the VM can keep it as a window of the
+//!   operand stack.
+//! * **Last-use moves** — a `Load` of a slot that no later op reads on
+//!   any path becomes an `Op::Move`, which takes the value instead of
+//!   copying it (a message, a string). Backward liveness over the chunk's
+//!   jumps decides it, so a slot read in a later loop iteration is never
+//!   moved; a rule's process frame (channel parameters, globals) outlives
+//!   the chunk and is never moved either.
 //! * **Field sites** — every `msg.field` projection gets a *site* id into
 //!   a per-logic offset cache. The compiler seeds the site with the
 //!   grammar-declared field offset when the record layouts make it
@@ -36,6 +44,7 @@
 //! touches the IR.
 
 use crate::ir::{Builtin, IrCall, IrExpr, IrSink, IrStmt, ProcessIr, ProgramIr};
+use flick_grammar::intern;
 use flick_lang::ast::{BinOp, UnOp};
 use flick_runtime::Value;
 use std::collections::HashMap;
@@ -50,9 +59,13 @@ pub enum Op {
     Const(u32),
     /// Push `Unit`.
     Unit,
-    /// Push `frame[slot]`.
+    /// Push a copy of `frame[slot]`.
     Load(u32),
-    /// Pop into `frame[slot]` (growing the frame like the interpreter).
+    /// Push `frame[slot]`, leaving `Unit` behind: a [`Op::Load`] that no
+    /// later op on any path reads the slot after (a last use), rewritten
+    /// when the chunk is finished.
+    Move(u32),
+    /// Pop into `frame[slot]`.
     Store(u32),
     /// Discard the top of stack.
     Pop,
@@ -166,13 +179,15 @@ pub struct CompiledProcess {
     pub frame_size: usize,
 }
 
-/// The field-name template `Op::Record` instantiates.
+/// The field-name template `Op::Record` instantiates. Its names are
+/// interned when the program is lowered, so a constructed message borrows
+/// them instead of copying them.
 #[derive(Debug, Clone)]
 pub struct RecordTemplate {
     /// The record/unit name of the constructed message.
-    pub unit: String,
+    pub unit: &'static str,
     /// Field names in construction order.
-    pub fields: Vec<String>,
+    pub fields: Vec<&'static str>,
 }
 
 /// A whole program lowered to bytecode.
@@ -247,7 +262,7 @@ pub fn compile_with_layouts(
             CompiledFunction {
                 name: function.name.clone(),
                 params: function.params,
-                chunk: chunk.finish(),
+                chunk: chunk.finish(0),
             }
         })
         .collect();
@@ -263,7 +278,7 @@ pub fn compile_with_layouts(
         chunk.emit(Op::Return);
         CompiledFoldt {
             binder_slots: foldt.binder_slots,
-            chunk: chunk.finish(),
+            chunk: chunk.finish(0),
         }
     });
     CompiledProgram {
@@ -324,11 +339,99 @@ impl ChunkGen {
         slot
     }
 
-    fn finish(self) -> Chunk {
+    /// Finishes the chunk: its frame covers every slot an op names, and
+    /// every `Load` that is a last use becomes a `Move`. Slots below
+    /// `live_at_exit` are read after the chunk returns (a rule's process
+    /// frame, kept across messages) and are never moved.
+    fn finish(mut self, live_at_exit: usize) -> Chunk {
+        for op in &self.code {
+            let (read, written) = slot_effects(op);
+            let var = match op {
+                Op::ForNext { var_slot, .. } => Some(*var_slot),
+                _ => None,
+            };
+            for slot in [read, written, var].into_iter().flatten() {
+                self.frame_size = self.frame_size.max(slot as usize + 1);
+            }
+        }
+        mark_last_uses(&mut self.code, self.frame_size, live_at_exit);
         Chunk {
             code: self.code,
             frame_size: self.frame_size,
         }
+    }
+}
+
+/// The frame slot `op` reads and the one it overwrites. `ForNext` writes
+/// its loop variable only on the edge into the body (see
+/// [`mark_last_uses`]).
+fn slot_effects(op: &Op) -> (Option<u32>, Option<u32>) {
+    match *op {
+        Op::Load(slot) | Op::Move(slot) | Op::LoadField { slot, .. } => (Some(slot), None),
+        Op::ForNext { list_slot, .. } => (Some(list_slot), None),
+        Op::Store(slot) | Op::ForPrep { list_slot: slot } => (None, Some(slot)),
+        _ => (None, None),
+    }
+}
+
+/// Turns each `Load` whose slot no later op reads, on any path, into a
+/// `Move` (the last-use rule). Backward liveness over the chunk's jumps
+/// to a fixpoint, one bit per frame slot: a slot read again in a later
+/// loop iteration is live around the back edge, so a slot defined outside
+/// a loop is never moved inside it. Frames wider than the bit set keep
+/// their copies.
+fn mark_last_uses(code: &mut [Op], frame_size: usize, live_at_exit: usize) {
+    if frame_size > 128 {
+        return;
+    }
+    let exit = (0..live_at_exit.min(frame_size)).fold(0, |live, slot| live | bit(slot as u32));
+    let mut live_in = vec![0u128; code.len()];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for pc in (0..code.len()).rev() {
+            let (read, written) = slot_effects(&code[pc]);
+            let mut live = live_out(code, &live_in, exit, pc);
+            if let Some(slot) = written {
+                live &= !bit(slot);
+            }
+            if let Some(slot) = read {
+                live |= bit(slot);
+            }
+            if live != live_in[pc] {
+                live_in[pc] = live;
+                changed = true;
+            }
+        }
+    }
+    for pc in 0..code.len() {
+        if let Op::Load(slot) = code[pc] {
+            if live_out(code, &live_in, exit, pc) & bit(slot) == 0 {
+                code[pc] = Op::Move(slot);
+            }
+        }
+    }
+}
+
+fn bit(slot: u32) -> u128 {
+    1 << slot
+}
+
+/// The slots live after the op at `pc`: live into one of its successors
+/// (`exit` past a `Return` or the end of the chunk).
+fn live_out(code: &[Op], live_in: &[u128], exit: u128, pc: usize) -> u128 {
+    let at = |target: u32| live_in.get(target as usize).copied().unwrap_or(exit);
+    let next = pc as u32 + 1;
+    match code[pc] {
+        Op::Return => exit,
+        Op::Jump(target) => at(target),
+        Op::JumpIfFalse(target) | Op::JumpIfUnit(target) => at(next) | at(target),
+        Op::ForNext {
+            var_slot,
+            exit: done,
+            ..
+        } => (at(next) & !bit(var_slot)) | at(done),
+        _ => at(next),
     }
 }
 
@@ -388,13 +491,13 @@ impl Compiler<'_> {
         if let Some(idx) = self
             .records
             .iter()
-            .position(|r| r.unit == unit && r.fields == fields)
+            .position(|r| r.unit == unit && r.fields.iter().eq(fields))
         {
             return idx as u32;
         }
         self.records.push(RecordTemplate {
-            unit: unit.to_string(),
-            fields: fields.to_vec(),
+            unit: intern(unit),
+            fields: fields.iter().map(|field| intern(field)).collect(),
         });
         (self.records.len() - 1) as u32
     }
@@ -649,7 +752,7 @@ impl Compiler<'_> {
         CompiledRule {
             source_param: rule.source_param,
             msg_slot,
-            chunk: chunk.finish(),
+            chunk: chunk.finish(process.frame_size),
         }
     }
 }

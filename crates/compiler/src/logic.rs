@@ -227,11 +227,11 @@ pub struct FoldtLogic {
 }
 
 /// The VM's combine state: the compiled program, its field-site offset
-/// cache, and the frame and operand stack reused across combines.
+/// cache, and the operand stack (the combine frame and every call's frame)
+/// reused across combines.
 struct VmCombine {
     compiled: Arc<crate::bytecode::CompiledProgram>,
     cache: Vec<u32>,
-    frame: Vec<RtVal>,
     stack: Vec<RtVal>,
 }
 
@@ -278,7 +278,6 @@ impl FoldtLogic {
         logic.vm = Some(VmCombine {
             compiled,
             cache,
-            frame: Vec::new(),
             stack: Vec::new(),
         });
         logic
@@ -299,20 +298,19 @@ impl FoldtLogic {
         if let Some(VmCombine {
             compiled,
             cache,
-            frame,
             stack,
         }) = vm
         {
             let foldt = compiled.foldt.as_ref().ok_or_else(no_foldt)?;
-            frame.resize(foldt.chunk.frame_size, RtVal::Val(Value::Unit));
+            stack.resize(foldt.chunk.frame_size, RtVal::Val(Value::Unit));
             let (s1, s2, sk) = foldt.binder_slots;
-            frame[s1] = RtVal::Val(existing);
-            frame[s2] = RtVal::Val(incoming);
-            frame[sk] = RtVal::Val(key);
+            stack[s1] = RtVal::Val(existing);
+            stack[s2] = RtVal::Val(incoming);
+            stack[sk] = RtVal::Val(key);
             let mut vm = crate::vm::Vm::new(compiled, cache);
-            let result = vm.run_chunk(&foldt.chunk, frame, stack, &mut sink);
+            let result = vm.run_chunk(&foldt.chunk, 0, stack, &mut sink);
             // Keep the capacity, not the elements (they pin ingest chunks).
-            frame.clear();
+            stack.clear();
             let result = result?;
             // In the chunk encoding a body whose tail is not an expression
             // yields `Unit`; a well-typed combine body always produces the

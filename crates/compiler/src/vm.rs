@@ -18,6 +18,11 @@
 //! seen. `Op::LoadField` reads a frame slot's message in place, so a
 //! projection of a parameter or binder copies only the field.
 //!
+//! Calls allocate nothing: a callee's frame is a window of the operand
+//! stack (its arguments, already pushed, become its first slots), and an
+//! `Op::Move` — a load the compiler proved is a slot's last use — takes
+//! the value instead of copying it.
+//!
 //! Runtime logic errors are annotated `[at fn \`name\`, pc N]` via the
 //! shared helpers in [`crate::error`], mirroring the interpreter's
 //! `[at fn \`name\`, stmt N]` so diagnostics stay comparable.
@@ -52,9 +57,17 @@ fn msg_field_value(value: &MsgValue) -> Value {
 /// A bytecode executor borrowing the program and a mutable field-site
 /// offset cache (owned by the logic instance so it warms up across
 /// messages).
+///
+/// Frames live on the operand stack: a call's arguments, already on the
+/// stack, become the first slots of its frame, the rest of the frame is
+/// pushed above them, and the callee's operands go on top. A call
+/// therefore allocates nothing once the stack has grown to the program's
+/// depth, and returning is a truncation.
 pub struct Vm<'p> {
     program: &'p CompiledProgram,
     field_cache: &'p mut [u32],
+    /// The operand stack [`Vm::call_function`] runs on, kept across calls.
+    stack: Vec<RtVal>,
 }
 
 impl<'p> Vm<'p> {
@@ -66,6 +79,7 @@ impl<'p> Vm<'p> {
         Vm {
             program,
             field_cache,
+            stack: Vec::new(),
         }
     }
 
@@ -79,11 +93,16 @@ impl<'p> Vm<'p> {
         sink: &mut dyn EmitSink,
     ) -> Result<RtVal, RuntimeError> {
         let argc = args.len();
-        let mut stack = Vec::with_capacity(argc + 8);
+        let mut stack = std::mem::take(&mut self.stack);
         stack.extend(args);
-        self.call_indexed(index, argc, &mut stack, sink)
+        let result = self.call_indexed(index, argc, &mut stack, sink);
+        self.stack = stack;
+        result
     }
 
+    /// Calls function `index` over the `argc` arguments on top of the
+    /// stack, which become the first slots of its frame. The stack is back
+    /// below the arguments when the call returns, also on error.
     fn call_indexed(
         &mut self,
         index: usize,
@@ -91,50 +110,53 @@ impl<'p> Vm<'p> {
         stack: &mut Vec<RtVal>,
         sink: &mut dyn EmitSink,
     ) -> Result<RtVal, RuntimeError> {
+        let fp = stack.len() - argc;
         let function = self
             .program
             .functions
             .get(index)
-            .ok_or_else(|| RuntimeError::Logic(format!("unknown function index {index}")))?;
-        if argc != function.params {
-            // Drop the staged arguments so the caller's stack stays
-            // balanced past the error.
-            stack.truncate(stack.len() - argc);
-            return Err(RuntimeError::Logic(format!(
+            .ok_or_else(|| RuntimeError::Logic(format!("unknown function index {index}")));
+        let result = match function {
+            Ok(function) if argc == function.params => self
+                .run_chunk(&function.chunk, fp, stack, sink)
+                .map_err(|e| locate_frame(e, &function.name)),
+            Ok(function) => Err(RuntimeError::Logic(format!(
                 "function `{}` expects {} arguments, got {}",
                 function.name, function.params, argc
-            )));
-        }
-        let mut frame = vec![RtVal::Val(Value::Unit); function.chunk.frame_size.max(argc)];
-        for i in (0..argc).rev() {
-            frame[i] = pop(stack);
-        }
-        self.run_chunk(&function.chunk, &mut frame, stack, sink)
-            .map_err(|e| locate_frame(e, &function.name))
-    }
-
-    /// Runs one chunk to its `Return`, leaving the operand stack at its
-    /// entry depth (also on error).
-    pub fn run_chunk(
-        &mut self,
-        chunk: &Chunk,
-        frame: &mut Vec<RtVal>,
-        stack: &mut Vec<RtVal>,
-        sink: &mut dyn EmitSink,
-    ) -> Result<RtVal, RuntimeError> {
-        let base = stack.len();
-        let result = self.dispatch(chunk, frame, stack, sink);
-        stack.truncate(base);
+            ))),
+            Err(e) => Err(e),
+        };
+        stack.truncate(fp);
         result
     }
 
-    /// The dispatch loop. Failing ops annotate the error with the program
-    /// counter (innermost location wins); the enclosing call adds the
-    /// function name.
+    /// Runs one chunk to its `Return` over the frame at `stack[fp..]`:
+    /// whatever the caller put there fills the first slots, and the rest
+    /// of the chunk's frame is filled with `Unit`. The stack is left
+    /// holding exactly the frame (also on error), so the caller decides
+    /// what happens to it.
+    pub fn run_chunk(
+        &mut self,
+        chunk: &Chunk,
+        fp: usize,
+        stack: &mut Vec<RtVal>,
+        sink: &mut dyn EmitSink,
+    ) -> Result<RtVal, RuntimeError> {
+        let top = fp + chunk.frame_size;
+        debug_assert!(stack.len() <= top, "a frame holds no operands");
+        stack.resize(top, RtVal::Val(Value::Unit));
+        let result = self.dispatch(chunk, fp, stack, sink);
+        stack.truncate(top);
+        result
+    }
+
+    /// The dispatch loop over the frame at `stack[fp..fp + frame_size]`.
+    /// Failing ops annotate the error with the program counter (innermost
+    /// location wins); the enclosing call adds the function name.
     fn dispatch(
         &mut self,
         chunk: &Chunk,
-        frame: &mut Vec<RtVal>,
+        fp: usize,
         stack: &mut Vec<RtVal>,
         sink: &mut dyn EmitSink,
     ) -> Result<RtVal, RuntimeError> {
@@ -148,6 +170,7 @@ impl<'p> Vm<'p> {
             };
         }
         let code = &chunk.code;
+        let top = fp + chunk.frame_size;
         let mut pc = 0usize;
         loop {
             match &code[pc] {
@@ -156,21 +179,17 @@ impl<'p> Vm<'p> {
                 }
                 Op::Unit => stack.push(RtVal::Val(Value::Unit)),
                 Op::Load(slot) => {
-                    let value = vmtry!(
-                        pc,
-                        frame.get(*slot as usize).cloned().ok_or_else(|| {
-                            RuntimeError::Logic(format!("frame slot {slot} out of range"))
-                        })
-                    );
+                    let value = stack[fp + *slot as usize].clone();
+                    stack.push(value);
+                }
+                Op::Move(slot) => {
+                    let value =
+                        std::mem::replace(&mut stack[fp + *slot as usize], RtVal::Val(Value::Unit));
                     stack.push(value);
                 }
                 Op::Store(slot) => {
-                    let slot = *slot as usize;
                     let value = pop(stack);
-                    if slot >= frame.len() {
-                        frame.resize(slot + 1, RtVal::Val(Value::Unit));
-                    }
-                    frame[slot] = value;
+                    stack[fp + *slot as usize] = value;
                 }
                 Op::Pop => {
                     pop(stack);
@@ -193,20 +212,14 @@ impl<'p> Vm<'p> {
                 }
                 Op::LoadField { slot, name, site } => {
                     let name = self.program.names[*name as usize].as_str();
-                    let value = match frame.get(*slot as usize) {
-                        Some(RtVal::Val(Value::Msg(msg))) => {
+                    let value = match &stack[fp + *slot as usize] {
+                        RtVal::Val(Value::Msg(msg)) => {
                             self.project_field(msg, name, *site as usize)
                         }
-                        Some(other) => vmtry!(
+                        other => vmtry!(
                             pc,
                             Err(RuntimeError::Logic(format!(
                                 "cannot read field `{name}` of {other:?}"
-                            )))
-                        ),
-                        None => vmtry!(
-                            pc,
-                            Err(RuntimeError::Logic(format!(
-                                "frame slot {slot} out of range"
                             )))
                         ),
                     };
@@ -262,11 +275,10 @@ impl<'p> Vm<'p> {
                 Op::Record { record, argc } => {
                     let template = &self.program.records[*record as usize];
                     let at = stack.len() - *argc as usize;
-                    let values = stack.split_off(at);
-                    let mut msg = Message::with_capacity(template.unit.clone(), values.len());
-                    for (name, value) in template.fields.iter().zip(values) {
+                    let mut msg = Message::with_capacity(template.unit, template.fields.len());
+                    for (name, value) in template.fields.iter().zip(stack.drain(at..)) {
                         let value = vmtry!(pc, value.into_value());
-                        msg.set(name.clone(), to_msg_value(value));
+                        msg.set(*name, to_msg_value(value));
                     }
                     stack.push(RtVal::Val(Value::Msg(msg)));
                 }
@@ -274,14 +286,9 @@ impl<'p> Vm<'p> {
                     let items = vmtry!(pc, list_items(pop(stack)));
                     let mut acc = pop(stack);
                     for item in items {
-                        acc = vmtry!(
-                            pc,
-                            self.call_function(
-                                *function as usize,
-                                vec![acc, RtVal::Val(item)],
-                                sink
-                            )
-                        );
+                        stack.push(acc);
+                        stack.push(RtVal::Val(item));
+                        acc = vmtry!(pc, self.call_indexed(*function as usize, 2, stack, sink));
                     }
                     stack.push(acc);
                 }
@@ -289,10 +296,9 @@ impl<'p> Vm<'p> {
                     let items = vmtry!(pc, list_items(pop(stack)));
                     let mut out = Vec::with_capacity(items.len());
                     for item in items {
-                        let mapped = vmtry!(
-                            pc,
-                            self.call_function(*function as usize, vec![RtVal::Val(item)], sink)
-                        );
+                        stack.push(RtVal::Val(item));
+                        let mapped =
+                            vmtry!(pc, self.call_indexed(*function as usize, 1, stack, sink));
                         out.push(vmtry!(pc, mapped.into_value()));
                     }
                     stack.push(RtVal::Val(Value::List(out)));
@@ -301,14 +307,9 @@ impl<'p> Vm<'p> {
                     let items = vmtry!(pc, list_items(pop(stack)));
                     let mut out = Vec::with_capacity(items.len());
                     for item in items {
-                        let keep = vmtry!(
-                            pc,
-                            self.call_function(
-                                *function as usize,
-                                vec![RtVal::Val(item.clone())],
-                                sink
-                            )
-                        );
+                        stack.push(RtVal::Val(item.clone()));
+                        let keep =
+                            vmtry!(pc, self.call_indexed(*function as usize, 1, stack, sink));
                         if vmtry!(pc, keep.into_value()).truthy() {
                             out.push(item);
                         }
@@ -333,41 +334,29 @@ impl<'p> Vm<'p> {
                         continue;
                     }
                 }
-                Op::ForPrep { list_slot } => {
-                    let slot = *list_slot as usize;
-                    match pop(stack) {
-                        RtVal::Val(Value::List(mut items)) => {
-                            items.reverse();
-                            if slot >= frame.len() {
-                                frame.resize(slot + 1, RtVal::Val(Value::Unit));
-                            }
-                            frame[slot] = RtVal::Val(Value::List(items));
-                        }
-                        other => vmtry!(
-                            pc,
-                            Err(RuntimeError::Logic(format!(
-                                "`for` expects a list, found {other:?}"
-                            )))
-                        ),
+                Op::ForPrep { list_slot } => match pop(stack) {
+                    RtVal::Val(Value::List(mut items)) => {
+                        items.reverse();
+                        stack[fp + *list_slot as usize] = RtVal::Val(Value::List(items));
                     }
-                }
+                    other => vmtry!(
+                        pc,
+                        Err(RuntimeError::Logic(format!(
+                            "`for` expects a list, found {other:?}"
+                        )))
+                    ),
+                },
                 Op::ForNext {
                     list_slot,
                     var_slot,
                     exit,
                 } => {
-                    let item = match &mut frame[*list_slot as usize] {
+                    let item = match &mut stack[fp + *list_slot as usize] {
                         RtVal::Val(Value::List(items)) => items.pop(),
                         _ => None,
                     };
                     match item {
-                        Some(item) => {
-                            let slot = *var_slot as usize;
-                            if slot >= frame.len() {
-                                frame.resize(slot + 1, RtVal::Val(Value::Unit));
-                            }
-                            frame[slot] = RtVal::Val(item);
-                        }
+                        Some(item) => stack[fp + *var_slot as usize] = RtVal::Val(item),
                         None => {
                             pc = *exit as usize;
                             continue;
@@ -399,7 +388,13 @@ impl<'p> Vm<'p> {
                         _ => {}
                     }
                 }
-                Op::Return => return Ok(stack.pop().unwrap_or(RtVal::Val(Value::Unit))),
+                Op::Return => {
+                    return Ok(if stack.len() > top {
+                        pop(stack)
+                    } else {
+                        RtVal::Val(Value::Unit)
+                    })
+                }
             }
             pc += 1;
         }
@@ -454,20 +449,20 @@ fn index_value(base: RtVal, index: RtVal) -> Result<RtVal, RuntimeError> {
 /// The VM-backed compute logic for compiled FLICK processes — the
 /// drop-in [`ExecMode::Vm`](flick_runtime::ExecMode) counterpart of
 /// `InterpreterLogic`, with identical rule dispatch: every rule whose
-/// source parameter owns the arriving input runs over a clone of the
-/// base frame, a unit-returning stage consumes the message, and the
-/// rule-level send is lenient.
+/// source parameter owns the arriving input runs over the process frame,
+/// a unit-returning stage consumes the message, and the rule-level send
+/// is lenient.
 pub struct VmLogic {
     compiled: Arc<CompiledProgram>,
     bindings: ChannelBindings,
     globals: Arc<CompiledGlobals>,
-    /// The process frame: channel parameters, then globals.
-    base_frame: Vec<RtVal>,
     /// Per-site field offsets, seeded from the grammar layouts and warmed
     /// by execution.
     field_cache: Vec<u32>,
-    /// The operand stack, reused across messages so the steady-state
-    /// per-message path does not allocate it.
+    /// The operand stack, reused across messages. Its bottom entries are
+    /// the process frame (channel parameters, then globals), built once:
+    /// a rule never writes them and never moves them out, so each rule
+    /// runs its locals above them and is truncated back to them.
     stack: Vec<RtVal>,
 }
 
@@ -479,10 +474,10 @@ impl VmLogic {
         globals: Arc<CompiledGlobals>,
     ) -> Self {
         let process = &compiled.process;
-        let mut base_frame = Vec::with_capacity(process.frame_size);
+        let mut stack = Vec::with_capacity(process.frame_size + 16);
         for (idx, is_array) in process.param_is_array.iter().enumerate() {
             let binding = &bindings.params[idx];
-            base_frame.push(if *is_array {
+            stack.push(if *is_array {
                 RtVal::ChannelArray(binding.outputs.clone())
             } else {
                 RtVal::Channel(binding.outputs.first().copied().unwrap_or(usize::MAX))
@@ -490,20 +485,16 @@ impl VmLogic {
         }
         for name in &process.globals {
             let dict = globals.dict(name).cloned().unwrap_or_default();
-            base_frame.push(RtVal::Dict(dict));
+            stack.push(RtVal::Dict(dict));
         }
-        base_frame.resize(
-            process.frame_size.max(base_frame.len()),
-            RtVal::Val(Value::Unit),
-        );
+        stack.resize(process.frame_size.max(stack.len()), RtVal::Val(Value::Unit));
         let field_cache = compiled.field_offsets.clone();
         VmLogic {
             compiled,
             bindings,
             globals,
-            base_frame,
             field_cache,
-            stack: Vec::with_capacity(16),
+            stack,
         }
     }
 
@@ -524,6 +515,7 @@ impl ComputeLogic for VmLogic {
             return Ok(());
         };
         let compiled = Arc::clone(&self.compiled);
+        let process_frame = self.stack.len();
         let mut sink = OutputsSink { outputs: out };
         let mut rules = compiled
             .rules
@@ -531,13 +523,14 @@ impl ComputeLogic for VmLogic {
             .filter(|rule| rule.source_param == param)
             .peekable();
         while let Some(rule) = rules.next() {
-            let mut frame = self.base_frame.clone();
-            if frame.len() < rule.chunk.frame_size {
-                frame.resize(rule.chunk.frame_size, RtVal::Val(Value::Unit));
-            }
-            frame[rule.msg_slot] = RtVal::Val(message_for_rule(&mut value, rules.peek().is_none()));
+            self.stack
+                .resize(rule.chunk.frame_size, RtVal::Val(Value::Unit));
+            self.stack[rule.msg_slot] =
+                RtVal::Val(message_for_rule(&mut value, rules.peek().is_none()));
             let mut vm = Vm::new(&compiled, &mut self.field_cache);
-            vm.run_chunk(&rule.chunk, &mut frame, &mut self.stack, &mut sink)?;
+            let result = vm.run_chunk(&rule.chunk, 0, &mut self.stack, &mut sink);
+            self.stack.truncate(process_frame);
+            result?;
         }
         Ok(())
     }
@@ -879,5 +872,204 @@ proc Tee: (cmd/cmd client, -/cmd left, -/cmd right)
                 assert_eq!(delivered.str_field("key"), Some("user:7"));
             }
         }
+    }
+
+    /// Source of the last-use cases: each function reads some slot again
+    /// after a load a careless last-use rule would turn into a move.
+    const LAST_USES: &str = r#"
+type cmd: record
+  key : string
+
+proc P: (cmd/cmd c)
+  c => c
+
+fun in_loop: (xs: [integer], k: string) -> (string)
+  let acc = ""
+  for x in xs:
+    acc := acc + k
+  acc
+
+fun one_branch: (x: integer, s: string) -> (string)
+  let t = s + "!"
+  if x > 0:
+    t + s
+  else:
+    t
+
+fun after_join: (x: integer, s: string) -> (string)
+  let r = ""
+  if x > 0:
+    r := s + "+"
+  else:
+    r := "-"
+  r + s
+
+fun twice: (s: string) -> (string)
+  pair(s, s) + s
+
+fun pair: (a: string, b: string) -> (string)
+  a + b
+
+fun then_field: (req: cmd) -> (string)
+  let copy = req
+  req.key + copy.key
+"#;
+
+    /// Runs `name` on both engines and returns the agreed result.
+    fn agreed(program: &ProgramIr, name: &str, args: Vec<RtVal>) -> Value {
+        let (i, v, i_sent, v_sent) = call_both(program, name, args);
+        assert_eq!(i_sent, v_sent);
+        let i = i.and_then(RtVal::into_value);
+        let v = v.and_then(RtVal::into_value);
+        let i = i.unwrap_or_else(|e| panic!("interp `{name}`: {e}"));
+        let v = v.unwrap_or_else(|e| panic!("vm `{name}`: {e}"));
+        assert_eq!(i, v, "`{name}` diverges");
+        v
+    }
+
+    fn text(s: &str) -> RtVal {
+        RtVal::Val(Value::Str(s.into()))
+    }
+
+    /// `k`'s only load is in the loop body, and every later iteration
+    /// reads it again: it is live around the back edge.
+    #[test]
+    fn last_use_a_slot_read_again_by_a_later_iteration_is_copied() {
+        let program = program(LAST_USES, "P");
+        let xs = RtVal::Val(Value::List((0..3).map(Value::Int).collect()));
+        let got = agreed(&program, "in_loop", vec![xs, text("ab")]);
+        assert_eq!(got, Value::Str("ababab".into()));
+        let empty = RtVal::Val(Value::List(Vec::new()));
+        assert_eq!(
+            agreed(&program, "in_loop", vec![empty, text("ab")]),
+            Value::Str(String::new())
+        );
+    }
+
+    /// A slot one branch reads and the other does not, and a slot read
+    /// after the branches join, on either path.
+    #[test]
+    fn last_use_branches_agree_on_every_path() {
+        let program = program(LAST_USES, "P");
+        for x in [-1, 1] {
+            let int = RtVal::Val(Value::Int(x));
+            let one = agreed(&program, "one_branch", vec![int.clone(), text("s")]);
+            assert_eq!(one, Value::Str(if x > 0 { "s!s" } else { "s!" }.into()));
+            let join = agreed(&program, "after_join", vec![int, text("s")]);
+            assert_eq!(join, Value::Str(if x > 0 { "s+s" } else { "-s" }.into()));
+        }
+    }
+
+    /// A parameter loaded three times: copied twice, moved once.
+    #[test]
+    fn last_use_a_parameter_loaded_twice_is_copied_first() {
+        let program = program(LAST_USES, "P");
+        assert_eq!(
+            agreed(&program, "twice", vec![text("xy")]),
+            Value::Str("xyxyxy".into())
+        );
+        let compiled = compile(&program);
+        let twice = &compiled.functions[3];
+        assert_eq!(twice.name, "twice");
+        let loads = |moved: bool| {
+            twice
+                .chunk
+                .code
+                .iter()
+                .filter(|op| match op {
+                    Op::Load(0) => !moved,
+                    Op::Move(0) => moved,
+                    _ => false,
+                })
+                .count()
+        };
+        assert_eq!((loads(false), loads(true)), (2, 1));
+    }
+
+    /// `copy = req` is not `req`'s last use: the fused field read after
+    /// it reads the slot too.
+    #[test]
+    fn last_use_a_field_read_keeps_its_message() {
+        let program = program(LAST_USES, "P");
+        let got = agreed(&program, "then_field", vec![RtVal::Val(cmd_msg("k"))]);
+        assert_eq!(got, Value::Str("kk".into()));
+    }
+
+    /// Listing 3 moves what it reads for the last time: both counters
+    /// into `int`, and the key and the sum into the new record.
+    #[test]
+    fn last_use_the_wordcount_combine_moves_its_operands() {
+        let src = r#"
+type kv: record
+  key : string
+  value : string
+
+proc hadoop: ([kv/-] mappers, -/kv reducer):
+  if all_ready(mappers):
+    let result = foldt on mappers ordering elem e1, e2 by elem.key as e_key:
+      let v = combine(e1.value, e2.value)
+      kv(e_key, v)
+    result => reducer
+
+fun combine: (v1: string, v2: string) -> (string)
+  str(int(v1) + int(v2))
+"#;
+        let compiled = compile(&program(src, "hadoop"));
+        let combine = &compiled.functions[0].chunk.code;
+        assert!(combine.contains(&Op::Move(0)) && combine.contains(&Op::Move(1)));
+        assert!(!combine.iter().any(|op| matches!(op, Op::Load(_))));
+        let foldt = compiled.foldt.as_ref().unwrap();
+        let (_, _, key) = foldt.binder_slots;
+        let record = foldt
+            .chunk
+            .code
+            .iter()
+            .position(|op| matches!(op, Op::Record { .. }))
+            .unwrap();
+        assert!(matches!(
+            foldt.chunk.code[record - 2..record],
+            [Op::Move(k), Op::Move(_)] if k as usize == key
+        ));
+    }
+
+    /// A rule never moves the process frame (its channel parameters and
+    /// globals are kept across messages), but it hands the arriving
+    /// message to its last reader instead of copying it.
+    #[test]
+    fn last_use_rules_keep_the_process_frame_and_move_the_message() {
+        let program = program(PROXY, "Memcached");
+        let compiled = compile(&program);
+        let rule = &compiled.rules[1];
+        assert!(rule.chunk.code.contains(&Op::Load(1)), "backends is copied");
+        assert!(rule.chunk.code.contains(&Op::Move(rule.msg_slot as u32)));
+        let bindings = ChannelBindings {
+            params: vec![
+                ParamBinding {
+                    inputs: vec![0],
+                    outputs: vec![0],
+                },
+                ParamBinding {
+                    inputs: vec![],
+                    outputs: vec![1, 2],
+                },
+            ],
+        };
+        let globals = CompiledGlobals::for_process(&program.process);
+        let logic = VmLogic::new(Arc::new(compiled), bindings, globals);
+        let (in_tx, in_rx) = TaskChannel::bounded(8, TaskId(1));
+        let (outputs, sinks): (Vec<_>, Vec<_>) = (0..3)
+            .map(|i| TaskChannel::bounded(8, TaskId(10 + i)))
+            .unzip();
+        let mut task = ComputeTask::new("proxy", vec![in_rx], outputs, Box::new(logic));
+        let mut ctx = TaskContext::new(
+            TaskId(0),
+            SchedulingPolicy::NonCooperative,
+            RuntimeMetrics::new_shared(),
+        );
+        for key in ["a", "b", "c", "d"] {
+            in_tx.push(cmd_msg(key)).unwrap();
+        }
+        task.run(&mut ctx);
+        assert_eq!(sinks[1].len() + sinks[2].len(), 4, "every message routed");
     }
 }

@@ -23,7 +23,7 @@
 
 use crate::error::GrammarError;
 use crate::limits::ParseLimits;
-use crate::message::{Message, MsgValue};
+use crate::message::{intern, Message, MsgValue};
 use crate::model::{ByteOrder, FieldKind, GrammarItem, UnitGrammar};
 use crate::projection::Projection;
 use crate::{ParseOutcome, WireCodec};
@@ -35,13 +35,38 @@ use std::collections::HashMap;
 /// grammar fits (Memcached's binary header has the most, ten).
 const INLINE_BINDINGS: usize = 16;
 
+/// Byte/string field spans the scan keeps on the stack, spilling like the
+/// bindings (Memcached has the most variable-length fields, three).
+const INLINE_SPANS: usize = 8;
+
+/// Runs `f` over `n` slots set to `fill`: an array on the stack
+/// when `n <= INLINE`, a heap vector otherwise.
+fn with_slots<T: Copy, R, const INLINE: usize>(
+    n: usize,
+    fill: T,
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    if n <= INLINE {
+        f(&mut [fill; INLINE][..n])
+    } else {
+        f(&mut vec![fill; n])
+    }
+}
+
 /// A [`WireCodec`] driven by a [`UnitGrammar`].
 #[derive(Debug, Clone)]
 pub struct GrammarCodec {
     grammar: UnitGrammar,
     limits: ParseLimits,
+    /// The grammar's unit name, interned.
+    unit: &'static str,
+    /// The name of each grammar item, interned, index-aligned with
+    /// `grammar.items` (empty for anonymous fields).
+    names: Vec<&'static str>,
     /// How many names the scan binds: named integer fields plus variables.
     bindings: usize,
+    /// How many byte/string fields the scan can record a span for.
+    spans: usize,
 }
 
 impl GrammarCodec {
@@ -51,7 +76,8 @@ impl GrammarCodec {
         Self::with_limits(grammar, ParseLimits::default())
     }
 
-    /// Creates a codec with explicit parse bounds.
+    /// Creates a codec with explicit parse bounds. The grammar's names
+    /// are interned here, once, so that a parsed message borrows them.
     pub fn with_limits(grammar: UnitGrammar, limits: ParseLimits) -> Result<Self, GrammarError> {
         grammar.validate()?;
         if grammar.items.len() > limits.max_fields {
@@ -64,26 +90,35 @@ impl GrammarCodec {
                 ),
             ));
         }
-        let bindings = grammar
+        let mut bindings = 0;
+        let mut spans = 0;
+        let names = grammar
             .items
             .iter()
-            .filter(|item| match item {
-                GrammarItem::Variable { .. } => true,
+            .map(|item| match item {
+                GrammarItem::Variable { name, .. } => {
+                    bindings += 1;
+                    intern(name)
+                }
                 GrammarItem::Field { name, kind } => {
-                    !name.is_empty() && kind.fixed_width().is_some()
+                    if !name.is_empty() {
+                        match kind.fixed_width() {
+                            Some(_) => bindings += 1,
+                            None => spans += 1,
+                        }
+                    }
+                    intern(name)
                 }
             })
-            .count();
+            .collect();
         Ok(GrammarCodec {
+            unit: intern(&grammar.name),
             grammar,
             limits,
+            names,
             bindings,
+            spans,
         })
-    }
-
-    /// Returns the underlying grammar.
-    pub fn grammar(&self) -> &UnitGrammar {
-        &self.grammar
     }
 
     /// Returns the parse bounds this codec enforces.
@@ -129,37 +164,32 @@ impl GrammarCodec {
     /// No payload byte is copied; an incomplete buffer costs only the walk.
     ///
     /// The environment that length expressions read — integer fields and
-    /// variables, in parse order — is a borrowed association list on the
-    /// stack, so the scan itself allocates nothing per message.
-    fn scan<'g>(
-        &'g self,
+    /// variables, in parse order — and the recorded spans are slots the
+    /// caller lends (on the stack for every built-in grammar), so the scan
+    /// allocates only the message's field vector.
+    fn scan(
+        &self,
         buf: &[u8],
         projection: Option<&Projection>,
-    ) -> Result<Scan<'g>, GrammarError> {
-        let unit = &self.grammar.name;
-        let mut inline = [("", 0u64); INLINE_BINDINGS];
-        let mut spilled = Vec::new();
-        let env: &mut [(&'g str, u64)] = if self.bindings <= INLINE_BINDINGS {
-            &mut inline[..self.bindings]
-        } else {
-            spilled.resize(self.bindings, ("", 0));
-            &mut spilled
-        };
+        env: &mut [(&'static str, u64)],
+        spans: &mut [FieldSpan],
+    ) -> Result<Scan, GrammarError> {
+        let unit = self.unit;
         let mut bound = 0;
-        let mut message = Message::with_capacity(unit.clone(), self.grammar.items.len());
-        let mut spans: Vec<FieldSpan<'g>> = Vec::new();
+        let mut spanned = 0;
+        let mut message = Message::with_capacity(unit, self.grammar.items.len());
         let mut offset = 0usize;
-        for item in &self.grammar.items {
+        for (item, &name) in self.grammar.items.iter().zip(&self.names) {
             match item {
-                GrammarItem::Variable { name, parse } => {
+                GrammarItem::Variable { parse, .. } => {
                     let value = parse.eval(&env[..bound], unit)?;
                     env[bound] = (name, value);
                     bound += 1;
                     if projection.map_or(true, |p| p.requires(name)) {
-                        message.set_parsed(name.clone(), MsgValue::UInt(value));
+                        message.set_parsed(name, MsgValue::UInt(value));
                     }
                 }
-                GrammarItem::Field { name, kind } => {
+                GrammarItem::Field { kind, .. } => {
                     let required =
                         !name.is_empty() && projection.map_or(true, |p| p.requires(name));
                     match kind {
@@ -186,7 +216,7 @@ impl GrammarCodec {
                                 } else {
                                     MsgValue::UInt(raw)
                                 };
-                                message.set_parsed(name.clone(), value);
+                                message.set_parsed(name, value);
                             }
                         }
                         FieldKind::Bytes { length } | FieldKind::Str { length } => {
@@ -218,12 +248,13 @@ impl GrammarCodec {
                                 });
                             }
                             if required {
-                                spans.push(FieldSpan {
+                                spans[spanned] = FieldSpan {
                                     name,
                                     start: offset,
                                     end,
                                     text: matches!(kind, FieldKind::Str { .. }),
-                                });
+                                };
+                                spanned += 1;
                             }
                             offset = end;
                         }
@@ -233,7 +264,7 @@ impl GrammarCodec {
         }
         Ok(Scan::Complete {
             message,
-            spans,
+            spans: spanned,
             consumed: offset,
         })
     }
@@ -242,7 +273,7 @@ impl GrammarCodec {
     /// the first `consumed` bytes of the scanned buffer; required byte
     /// fields become zero-copy slices of it, string fields are UTF-8
     /// validated and copied into owned `String`s.
-    fn materialize(mut message: Message, spans: Vec<FieldSpan<'_>>, raw: Bytes) -> Message {
+    fn materialize(mut message: Message, spans: &[FieldSpan], raw: Bytes) -> Message {
         for span in spans {
             let slice = raw.slice(span.start..span.end);
             let value = if span.text {
@@ -253,10 +284,35 @@ impl GrammarCodec {
             } else {
                 MsgValue::Bytes(slice)
             };
-            message.set_parsed(span.name.to_string(), value);
+            message.set_parsed(span.name, value);
         }
         message.set_raw(raw);
         message
+    }
+
+    /// Scans `buf` and, on a complete message, materialises it over
+    /// `raw(consumed)`: the bytes the message keeps.
+    fn parse_with(
+        &self,
+        buf: &[u8],
+        projection: Option<&Projection>,
+        raw: impl FnOnce(usize) -> Bytes,
+    ) -> Result<ParseOutcome, GrammarError> {
+        with_slots::<_, _, INLINE_BINDINGS>(self.bindings, ("", 0), |env| {
+            with_slots::<_, _, INLINE_SPANS>(self.spans, FieldSpan::EMPTY, |spans| {
+                Ok(match self.scan(buf, projection, env, spans)? {
+                    Scan::Incomplete { needed } => ParseOutcome::Incomplete { needed },
+                    Scan::Complete {
+                        message,
+                        spans: spanned,
+                        consumed,
+                    } => ParseOutcome::Complete {
+                        message: Self::materialize(message, &spans[..spanned], raw(consumed)),
+                        consumed,
+                    },
+                })
+            })
+        })
     }
 
     /// Parses one message from the front of a shared buffer, zero-copy:
@@ -271,32 +327,32 @@ impl GrammarCodec {
         buf: &Bytes,
         projection: Option<&Projection>,
     ) -> Result<ParseOutcome, GrammarError> {
-        match self.scan(buf, projection)? {
-            Scan::Incomplete { needed } => Ok(ParseOutcome::Incomplete { needed }),
-            Scan::Complete {
-                message,
-                spans,
-                consumed,
-            } => Ok(ParseOutcome::Complete {
-                message: Self::materialize(message, spans, buf.slice(..consumed)),
-                consumed,
-            }),
-        }
+        self.parse_with(buf, projection, |consumed| buf.slice(..consumed))
     }
 }
 
 /// The byte range of one required variable-length field, recorded by the
 /// scan phase and bound to the raw buffer during materialisation.
-struct FieldSpan<'g> {
-    name: &'g str,
+#[derive(Clone, Copy)]
+struct FieldSpan {
+    name: &'static str,
     start: usize,
     end: usize,
     /// `true` for [`FieldKind::Str`] fields (UTF-8 validation applies).
     text: bool,
 }
 
+impl FieldSpan {
+    const EMPTY: FieldSpan = FieldSpan {
+        name: "",
+        start: 0,
+        end: 0,
+        text: false,
+    };
+}
+
 /// Outcome of the scan phase.
-enum Scan<'g> {
+enum Scan {
     Incomplete {
         needed: usize,
     },
@@ -304,8 +360,9 @@ enum Scan<'g> {
         /// Variables and integer fields, already materialised (they cost
         /// nothing to copy).
         message: Message,
-        /// Required byte/string fields, not yet bound to the wire bytes.
-        spans: Vec<FieldSpan<'g>>,
+        /// How many spans the scan recorded: required byte/string fields,
+        /// not yet bound to the wire bytes.
+        spans: usize,
         consumed: usize,
     },
 }
@@ -320,22 +377,11 @@ impl WireCodec for GrammarCodec {
         buf: &[u8],
         projection: Option<&Projection>,
     ) -> Result<ParseOutcome, GrammarError> {
-        match self.scan(buf, projection)? {
-            Scan::Incomplete { needed } => Ok(ParseOutcome::Incomplete { needed }),
-            Scan::Complete {
-                message,
-                spans,
-                consumed,
-            } => {
-                // A borrowed slice cannot be shared, so the consumed range
-                // is copied once; field values then slice that copy.
-                let raw = Bytes::copy_from_slice(&buf[..consumed]);
-                Ok(ParseOutcome::Complete {
-                    message: Self::materialize(message, spans, raw),
-                    consumed,
-                })
-            }
-        }
+        // A borrowed slice cannot be shared, so the consumed range is
+        // copied once; field values then slice that copy.
+        self.parse_with(buf, projection, |consumed| {
+            Bytes::copy_from_slice(&buf[..consumed])
+        })
     }
 
     fn parse_bytes(
@@ -873,6 +919,34 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// More byte fields than the scan keeps spans for inline still parse
+    /// (the spans spill), each bound to its own bytes, and every name of
+    /// the parsed message is the codec's interned copy.
+    #[test]
+    fn many_byte_fields_spill_their_spans() {
+        let mut g = UnitGrammar::new("spans");
+        for i in 0..INLINE_SPANS + 3 {
+            g = g.item(GI::field(
+                format!("f{i}"),
+                FieldKind::Bytes {
+                    length: LenExpr::Const(1),
+                },
+            ));
+        }
+        let codec = GrammarCodec::new(g).unwrap();
+        let wire: Vec<u8> = (0..INLINE_SPANS as u8 + 3).collect();
+        let ParseOutcome::Complete { message, .. } = codec.parse(&wire, None).unwrap() else {
+            panic!("a complete message expected");
+        };
+        assert_eq!(message.len(), wire.len());
+        for (i, (name, value)) in message.iter().enumerate() {
+            assert_eq!(name, format!("f{i}"));
+            assert!(std::ptr::eq(name, intern(name)), "{name} is interned");
+            assert_eq!(value.as_bytes(), Some(&wire[i..=i]));
+        }
+        assert!(std::ptr::eq(&*message.unit, intern("spans")));
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod projection;
 pub use engine::GrammarCodec;
 pub use error::GrammarError;
 pub use limits::ParseLimits;
-pub use message::{Message, MsgValue, Rest};
+pub use message::{intern, interned_names, Message, MsgValue, Name, Rest};
 pub use projection::Projection;
 
 /// The result of attempting to parse one message from a byte buffer.

@@ -9,8 +9,43 @@
 
 use bytes::Bytes;
 use std::any::Any;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// The name of a unit or field. Interned names (grammars, compiled record
+/// templates) and literals are borrowed and cost nothing to copy into a
+/// message; only a name built at run time is owned.
+pub type Name = Cow<'static, str>;
+
+/// Every name [`intern`] has returned, once each.
+static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+
+/// Returns the process-wide copy of `name`, leaking one allocation the
+/// first time a name is seen. Codecs intern their grammar's names when
+/// they are built and the bytecode compiler interns record templates when
+/// it lowers a program, never per message, so the set is bounded by the
+/// distinct names of the grammars and programs a process builds.
+pub fn intern(name: &str) -> &'static str {
+    let mut interned = INTERNED
+        .lock()
+        .expect("nothing panics while holding the name interner");
+    if let Some(name) = interned.get(name) {
+        return name;
+    }
+    let name: &'static str = Box::leak(name.into());
+    interned.insert(name);
+    name
+}
+
+/// How many distinct names have been interned.
+pub fn interned_names() -> usize {
+    INTERNED
+        .lock()
+        .expect("nothing panics while holding the name interner")
+        .len()
+}
 
 /// A single field value inside a [`Message`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,12 +117,14 @@ impl fmt::Display for MsgValue {
 /// Fields are stored in parse order in a small vector; lookups are linear,
 /// which is faster than hashing for the handful of fields real protocol
 /// messages carry and avoids any per-message allocation beyond the vector.
+/// Names are [`Name`]s: a parsed or compiled message borrows them, so it
+/// owns only its field vector and its values.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Message {
     /// The unit (grammar) name this message was parsed with.
-    pub unit: String,
+    pub unit: Name,
     /// Field name/value pairs in wire order.
-    fields: Vec<(String, MsgValue)>,
+    fields: Vec<(Name, MsgValue)>,
     /// The raw wire bytes of the message, when parsed from the network and
     /// unmodified since. Cleared by [`Message::set`] so that serialisation
     /// rebuilds the wire representation.
@@ -125,7 +162,7 @@ impl fmt::Debug for Rest {
 
 impl Message {
     /// Creates an empty message for the given unit.
-    pub fn new(unit: impl Into<String>) -> Self {
+    pub fn new(unit: impl Into<Name>) -> Self {
         Message {
             unit: unit.into(),
             fields: Vec::new(),
@@ -135,7 +172,7 @@ impl Message {
     }
 
     /// Creates a message with pre-allocated space for `n` fields.
-    pub fn with_capacity(unit: impl Into<String>, n: usize) -> Self {
+    pub fn with_capacity(unit: impl Into<Name>, n: usize) -> Self {
         Message {
             unit: unit.into(),
             fields: Vec::with_capacity(n),
@@ -157,7 +194,7 @@ impl Message {
     /// Sets a field, replacing any previous value of the same name.
     ///
     /// Mutating a field invalidates the cached raw wire bytes.
-    pub fn set(&mut self, name: impl Into<String>, value: MsgValue) -> &mut Self {
+    pub fn set(&mut self, name: impl Into<Name>, value: MsgValue) -> &mut Self {
         let name = name.into();
         self.raw = None;
         if let Some(slot) = self.fields.iter_mut().find(|(n, _)| *n == name) {
@@ -172,7 +209,7 @@ impl Message {
     ///
     /// This is used by parsers, which populate fields that by definition
     /// agree with the raw representation.
-    pub(crate) fn set_parsed(&mut self, name: impl Into<String>, value: MsgValue) {
+    pub(crate) fn set_parsed(&mut self, name: impl Into<Name>, value: MsgValue) {
         self.fields.push((name.into(), value));
     }
 
@@ -188,7 +225,7 @@ impl Message {
     /// bytecode VM's field-site caches) can re-read by index and merely
     /// verify the name still matches.
     pub fn field_at(&self, idx: usize) -> Option<(&str, &MsgValue)> {
-        self.fields.get(idx).map(|(n, v)| (n.as_str(), v))
+        self.fields.get(idx).map(|(n, v)| (n.as_ref(), v))
     }
 
     /// Returns a numeric field as `u64`.
@@ -219,7 +256,7 @@ impl Message {
 
     /// Iterates over `(name, value)` pairs in wire order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MsgValue)> {
-        self.fields.iter().map(|(n, v)| (n.as_str(), v))
+        self.fields.iter().map(|(n, v)| (n.as_ref(), v))
     }
 
     /// Re-owns every shared byte region of the message: the raw wire
@@ -364,6 +401,35 @@ mod tests {
         );
         assert_eq!(MsgValue::Bytes(Bytes::from_static(b"ok")).byte_len(), 2);
         assert_eq!(MsgValue::Bool(true).as_u64(), None);
+    }
+
+    #[test]
+    fn interned_names_are_one_copy_each() {
+        let first = intern("interned_names_are_one_copy_each");
+        let again = intern(&String::from("interned_names_are_one_copy_each"));
+        assert!(std::ptr::eq(first, again));
+        let count = interned_names();
+        intern("interned_names_are_one_copy_each");
+        assert_eq!(interned_names(), count);
+    }
+
+    /// Literal and interned names are borrowed, and a message built from
+    /// them owns no name; a name built at run time stays owned. Either
+    /// way the message compares by content.
+    #[test]
+    fn borrowed_and_owned_names_compare_by_content() {
+        let mut borrowed = Message::new("kv");
+        borrowed.set(intern("key"), MsgValue::Str("a".into()));
+        assert!(matches!(borrowed.unit, Cow::Borrowed(_)));
+        assert!(borrowed
+            .fields
+            .iter()
+            .all(|(n, _)| matches!(n, Cow::Borrowed(_))));
+        let mut owned = Message::new(String::from("kv"));
+        owned.set(format!("{}ey", 'k'), MsgValue::Str("a".into()));
+        assert!(matches!(owned.unit, Cow::Owned(_)));
+        assert_eq!(borrowed, owned);
+        assert_eq!(owned.str_field("key"), Some("a"));
     }
 
     #[test]

@@ -399,16 +399,19 @@ fn gen_condition(g: &mut ByteGen, vars: &[&str]) -> String {
 /// let-bindings, local reassignment, statement- and tail-position
 /// `if`/`else`, a `for` accumulation loop, a nested helper call, and the
 /// `/`, `mod` and overflow error arms — all shaped by the byte stream.
+/// The local `k` is bound before the loop, read in every iteration and
+/// after it: its textually last load in the body is not its last use.
 fn gen_differential_program(bytes: &[u8]) -> String {
     let g = &mut ByteGen { bytes, pos: 0 };
     let helper_tail = gen_int_expr(g, &["a", "b"], 2);
-    let seed = gen_int_expr(g, &["x", "y"], 2);
-    let step = gen_int_expr(g, &["x", "y", "v", "acc"], 2);
-    let cond = gen_condition(g, &["x", "y", "acc"]);
-    let then_arg = gen_int_expr(g, &["x", "y", "acc"], 2);
+    let keep = gen_int_expr(g, &["x", "y"], 1);
+    let seed = gen_int_expr(g, &["x", "y", "k"], 2);
+    let step = gen_int_expr(g, &["x", "y", "v", "acc", "k"], 2);
+    let cond = gen_condition(g, &["x", "y", "acc", "k"]);
+    let then_arg = gen_int_expr(g, &["x", "y", "acc", "k"], 2);
     let else_arg = gen_int_expr(g, &["x", "y", "acc"], 2);
-    let tail_cond = gen_condition(g, &["x", "acc"]);
-    let tail_then = gen_int_expr(g, &["x", "y", "acc"], 2);
+    let tail_cond = gen_condition(g, &["x", "acc", "k"]);
+    let tail_then = gen_int_expr(g, &["x", "y", "acc", "k"], 2);
     let tail_else = gen_int_expr(g, &["x", "y", "acc"], 2);
     format!(
         "type cmd: record\n  key : string\n\n\
@@ -419,9 +422,10 @@ fn gen_differential_program(bytes: &[u8]) -> String {
          else:\n    \
          (a / b) + {helper_tail}\n\n\
          fun main_f: (x: integer, y: integer, xs: [integer]) -> (integer)\n  \
+         let k = {keep}\n  \
          let acc = {seed}\n  \
          for v in xs:\n    \
-         acc := (acc + {step})\n  \
+         acc := ((acc + {step}) - k)\n  \
          if {cond}:\n    \
          acc := (acc + helper({then_arg}, y))\n  \
          else:\n    \
@@ -429,7 +433,7 @@ fn gen_differential_program(bytes: &[u8]) -> String {
          if {tail_cond}:\n    \
          (acc * 3) + {tail_then}\n  \
          else:\n    \
-         (acc * 5) - {tail_else}\n"
+         ((acc * 5) - {tail_else}) + k\n"
     )
 }
 
