@@ -73,10 +73,10 @@ fn bench_projection_multikb(c: &mut Criterion) {
             b.iter(|| codec.parse(&wire, Some(&projection)).unwrap())
         });
         group.bench_function(format!("full_shared_{body_kb}kb"), |b| {
-            b.iter(|| codec.parse_shared(&shared, None).unwrap())
+            b.iter(|| codec.parse_bytes(&shared, None).unwrap())
         });
         group.bench_function(format!("projected_shared_{body_kb}kb"), |b| {
-            b.iter(|| codec.parse_shared(&shared, Some(&projection)).unwrap())
+            b.iter(|| codec.parse_bytes(&shared, Some(&projection)).unwrap())
         });
     }
     group.finish();

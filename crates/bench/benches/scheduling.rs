@@ -1,9 +1,9 @@
-//! Criterion bench for Figure 7 (scheduling policies) plus the cooperative
-//! timeslice ablation called out in DESIGN.md.
+//! Criterion bench for Figure 7 (scheduling policies, each a timeslice)
+//! plus the cooperative timeslice ablation called out in DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flick_bench::{run_sharing_experiment, SharingExperiment};
-use flick_runtime::SchedulingPolicy;
+use flick_runtime::{NO_DEADLINE, TIMESLICE};
 use std::time::Duration;
 
 fn bench_scheduling(c: &mut Criterion) {
@@ -13,30 +13,27 @@ fn bench_scheduling(c: &mut Criterion) {
         workers: 2,
     };
     let mut group = c.benchmark_group("scheduling_policies");
-    for (label, policy) in [
-        (
-            "cooperative",
-            SchedulingPolicy::Cooperative {
-                timeslice: Duration::from_micros(50),
-            },
-        ),
-        ("non-cooperative", SchedulingPolicy::NonCooperative),
-        ("round-robin", SchedulingPolicy::RoundRobin),
+    for (label, timeslice) in [
+        ("cooperative", TIMESLICE),
+        ("non-cooperative", NO_DEADLINE),
+        ("round-robin", Duration::ZERO),
     ] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &policy, |b, policy| {
-            b.iter(|| run_sharing_experiment(*policy, &params))
-        });
+        group.bench_with_input(
+            BenchmarkId::from_parameter(label),
+            &timeslice,
+            |b, slice| b.iter(|| run_sharing_experiment(*slice, &params)),
+        );
     }
     group.finish();
 
     let mut group = c.benchmark_group("timeslice_ablation");
     for micros in [10u64, 100, 1000] {
-        let policy = SchedulingPolicy::Cooperative {
-            timeslice: Duration::from_micros(micros),
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(micros), &policy, |b, policy| {
-            b.iter(|| run_sharing_experiment(*policy, &params))
-        });
+        let timeslice = Duration::from_micros(micros);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(micros),
+            &timeslice,
+            |b, slice| b.iter(|| run_sharing_experiment(*slice, &params)),
+        );
     }
     group.finish();
 }

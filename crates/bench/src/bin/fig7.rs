@@ -8,7 +8,7 @@
 //! scheduling order (light and heavy finish together, late).
 
 use flick_bench::{print_table, run_sharing_experiment, Row, SharingExperiment};
-use flick_runtime::SchedulingPolicy;
+use flick_runtime::{NO_DEADLINE, TIMESLICE};
 use std::time::Duration;
 
 fn main() {
@@ -18,17 +18,13 @@ fn main() {
         workers: 2,
     };
     let mut rows = Vec::new();
-    for (label, policy) in [
-        (
-            "Cooperative",
-            SchedulingPolicy::Cooperative {
-                timeslice: Duration::from_micros(50),
-            },
-        ),
-        ("Non cooperative", SchedulingPolicy::NonCooperative),
-        ("Round robin", SchedulingPolicy::RoundRobin),
+    // Each policy is a timeslice: FLICK's, none, and one item per dispatch.
+    for (label, timeslice) in [
+        ("Cooperative", TIMESLICE),
+        ("Non cooperative", NO_DEADLINE),
+        ("Round robin", Duration::ZERO),
     ] {
-        let result = run_sharing_experiment(policy, &params);
+        let result = run_sharing_experiment(timeslice, &params);
         rows.push(Row::new(
             label,
             "Light",

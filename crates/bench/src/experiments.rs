@@ -8,7 +8,7 @@ use flick_runtime::scheduler::Scheduler;
 use flick_runtime::task::TaskId;
 use flick_runtime::tasks::SyntheticWorkTask;
 use flick_runtime::RuntimeMetrics;
-use flick_runtime::{GraphFactory, SchedulingPolicy, ServiceSpec, ShardStatus};
+use flick_runtime::{GraphFactory, ServiceSpec, ShardStatus};
 use flick_services::baselines::{ApacheLikeProxy, MoxiLikeProxy, NginxLikeProxy};
 use flick_services::hadoop::hadoop_aggregator;
 use flick_services::http::{http_balancer, StaticWebServerFactory, HTTP_LB_FLICK_SOURCE};
@@ -570,13 +570,11 @@ impl Default for SharingExperiment {
 }
 
 /// Runs the scheduling-policy micro-benchmark: 50% light tasks (1 KB items)
-/// and 50% heavy tasks (16 KB items), returning per-class completion times.
-pub fn run_sharing_experiment(
-    policy: SchedulingPolicy,
-    params: &SharingExperiment,
-) -> SharingResult {
+/// and 50% heavy tasks (16 KB items) under one `timeslice`, returning
+/// per-class completion times.
+pub fn run_sharing_experiment(timeslice: Duration, params: &SharingExperiment) -> SharingResult {
     let metrics = RuntimeMetrics::new_shared();
-    let scheduler = Scheduler::start(params.workers, policy, metrics);
+    let scheduler = Scheduler::start(params.workers, timeslice, metrics);
     let start = Instant::now();
     let light_done: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
     let heavy_done: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
@@ -908,14 +906,12 @@ mod tests {
             items_per_task: 50,
             workers: 2,
         };
-        for policy in [
-            SchedulingPolicy::Cooperative {
-                timeslice: Duration::from_micros(50),
-            },
-            SchedulingPolicy::NonCooperative,
-            SchedulingPolicy::RoundRobin,
+        for timeslice in [
+            flick_runtime::TIMESLICE,
+            flick_runtime::NO_DEADLINE,
+            Duration::ZERO,
         ] {
-            let result = run_sharing_experiment(policy, &params);
+            let result = run_sharing_experiment(timeslice, &params);
             assert!(result.light_completion > Duration::ZERO);
             assert!(result.heavy_completion >= result.light_completion / 50);
         }

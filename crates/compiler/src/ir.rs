@@ -235,13 +235,6 @@ pub struct ProcessIr {
     pub foldt: Option<FoldtIr>,
 }
 
-impl ProcessIr {
-    /// Frame slot of global `i`.
-    pub fn global_slot(&self, i: usize) -> usize {
-        self.params.len() + i
-    }
-}
-
 /// A fully lowered program: every function plus one process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramIr {

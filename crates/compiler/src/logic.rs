@@ -392,17 +392,13 @@ mod tests {
     use flick_grammar::{Message, MsgValue};
     use flick_lang::compile_to_ast;
     use flick_runtime::channel::TaskChannel;
-    use flick_runtime::task::{SchedulingPolicy, TaskId, TaskStatus};
+    use flick_runtime::task::{TaskId, TaskStatus, NO_DEADLINE};
     use flick_runtime::tasks::ComputeTask;
     use flick_runtime::Task as _;
     use flick_runtime::{RuntimeMetrics, TaskContext};
 
     fn ctx() -> TaskContext {
-        TaskContext::new(
-            TaskId(0),
-            SchedulingPolicy::NonCooperative,
-            RuntimeMetrics::new_shared(),
-        )
+        TaskContext::new(TaskId(0), NO_DEADLINE, RuntimeMetrics::new_shared())
     }
 
     fn kv_msg(key: &str, value: &str) -> Value {

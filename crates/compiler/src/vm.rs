@@ -546,7 +546,7 @@ mod tests {
     use flick_grammar::{Message, MsgValue};
     use flick_lang::compile_to_ast;
     use flick_runtime::channel::TaskChannel;
-    use flick_runtime::task::{SchedulingPolicy, TaskId};
+    use flick_runtime::task::{TaskId, NO_DEADLINE};
     use flick_runtime::tasks::ComputeTask;
     use flick_runtime::Task as _;
     use flick_runtime::{RuntimeMetrics, TaskContext};
@@ -757,11 +757,7 @@ proc P: (cmd/cmd c)
             output_producers,
             Box::new(logic),
         );
-        let mut ctx = TaskContext::new(
-            TaskId(0),
-            SchedulingPolicy::NonCooperative,
-            RuntimeMetrics::new_shared(),
-        );
+        let mut ctx = TaskContext::new(TaskId(0), NO_DEADLINE, RuntimeMetrics::new_shared());
 
         input_producers[0].push(cmd_msg("user:7")).unwrap();
         task.run(&mut ctx);
@@ -805,11 +801,7 @@ fun maybe_fwd: (req: cmd) -> (cmd)
         let (in_tx, in_rx) = TaskChannel::bounded(8, TaskId(1));
         let (out_tx, out_rx) = TaskChannel::bounded(8, TaskId(2));
         let mut task = ComputeTask::new("drop-vm", vec![in_rx], vec![out_tx], Box::new(logic));
-        let mut ctx = TaskContext::new(
-            TaskId(0),
-            SchedulingPolicy::NonCooperative,
-            RuntimeMetrics::new_shared(),
-        );
+        let mut ctx = TaskContext::new(TaskId(0), NO_DEADLINE, RuntimeMetrics::new_shared());
         in_tx.push(cmd_msg("stop")).unwrap();
         task.run(&mut ctx);
         assert_eq!(out_rx.len(), 0, "consumed messages must not be forwarded");
@@ -859,11 +851,7 @@ proc Tee: (cmd/cmd client, -/cmd left, -/cmd right)
                 .map(|i| TaskChannel::bounded(8, TaskId(10 + i)))
                 .unzip();
             let mut task = ComputeTask::new("tee", vec![in_rx], outputs, logic);
-            let mut ctx = TaskContext::new(
-                TaskId(0),
-                SchedulingPolicy::NonCooperative,
-                RuntimeMetrics::new_shared(),
-            );
+            let mut ctx = TaskContext::new(TaskId(0), NO_DEADLINE, RuntimeMetrics::new_shared());
             in_tx.push(cmd_msg("user:7")).unwrap();
             task.run(&mut ctx);
             assert_eq!(sinks[0].len(), 0);
@@ -1061,11 +1049,7 @@ fun combine: (v1: string, v2: string) -> (string)
             .map(|i| TaskChannel::bounded(8, TaskId(10 + i)))
             .unzip();
         let mut task = ComputeTask::new("proxy", vec![in_rx], outputs, Box::new(logic));
-        let mut ctx = TaskContext::new(
-            TaskId(0),
-            SchedulingPolicy::NonCooperative,
-            RuntimeMetrics::new_shared(),
-        );
+        let mut ctx = TaskContext::new(TaskId(0), NO_DEADLINE, RuntimeMetrics::new_shared());
         for key in ["a", "b", "c", "d"] {
             in_tx.push(cmd_msg(key)).unwrap();
         }

@@ -36,9 +36,7 @@ pub use flick_grammar as grammar;
 pub use flick_lang as lang;
 pub use flick_net as net;
 pub use flick_runtime as runtime;
-pub use flick_runtime::{
-    GraphFactory, Platform, PlatformConfig, RuntimeError, SchedulingPolicy, ServiceSpec,
-};
+pub use flick_runtime::{GraphFactory, Platform, PlatformConfig, RuntimeError, ServiceSpec};
 
 use flick_net::{SimNetwork, StackModel};
 use flick_runtime::dispatcher::DeployedService;
@@ -79,7 +77,6 @@ impl From<RuntimeError> for FlickError {
 /// The FLICK framework: a running platform plus the compiler entry points.
 pub struct Flick {
     platform: Platform,
-    compile_options: CompileOptions,
 }
 
 impl std::fmt::Debug for Flick {
@@ -95,7 +92,6 @@ impl Flick {
     pub fn new(config: PlatformConfig) -> Self {
         Flick {
             platform: Platform::new(config),
-            compile_options: CompileOptions::default(),
         }
     }
 
@@ -104,13 +100,7 @@ impl Flick {
     pub fn with_network(config: PlatformConfig, net: Arc<SimNetwork>) -> Self {
         Flick {
             platform: Platform::with_network(config, net),
-            compile_options: CompileOptions::default(),
         }
-    }
-
-    /// Overrides the compile options used by [`Flick::compile`].
-    pub fn set_compile_options(&mut self, options: CompileOptions) {
-        self.compile_options = options;
     }
 
     /// The underlying platform.
@@ -128,9 +118,10 @@ impl Flick {
         self.platform.net().model()
     }
 
-    /// Compiles FLICK source for the named process.
+    /// Compiles FLICK source for the named process with the default
+    /// [`CompileOptions`].
     pub fn compile(&self, source: &str, process: &str) -> Result<Arc<CompiledService>, FlickError> {
-        Ok(compile_source(source, process, &self.compile_options)?)
+        Ok(compile_source(source, process, &CompileOptions::default())?)
     }
 
     /// Deploys any graph factory (compiled FLICK program or hand-written

@@ -10,29 +10,30 @@
 //! Parsing runs in two phases. A **scan** walks the grammar computing field
 //! offsets and integer values only — an incomplete buffer returns without a
 //! single byte copied. **Materialisation** then binds the message to the
-//! wire bytes exactly once: through [`GrammarCodec::parse_bytes`] the raw
-//! bytes are a zero-copy [`Bytes`] slice of the caller's buffer, and
-//! through the borrowed-slice [`WireCodec::parse`] they are copied once.
-//! Required byte fields are `Bytes` slices *of that raw buffer* (no second
-//! copy); string fields are UTF-8 validated and copied (a `String` must own
-//! its bytes); and fields outside the projection are never copied into the
-//! message at all — they exist only as a sub-range of the shared raw
-//! buffer, which pass-through serialisation emits verbatim. This is what
-//! makes projection pay off at multi-KB body sizes (see the
-//! `projection_multikb` bench group).
+//! wire bytes: its raw bytes are a zero-copy [`Bytes`] slice of the
+//! caller's buffer, and so are required byte fields; string fields are
+//! UTF-8 validated and copied (a `String` must own its bytes); and fields
+//! outside the projection are never copied into the message at all — they
+//! exist only as a sub-range of the shared raw buffer, which pass-through
+//! serialisation emits verbatim. This is what makes projection pay off at
+//! multi-KB body sizes (see the `projection_multikb` bench group).
+//!
+//! Serialisation evaluates length expressions over the same kind of
+//! environment the scan uses: `(name, value)` slots lent from the stack,
+//! latest binding last. A built message serialises without allocating.
 
 use crate::error::GrammarError;
-use crate::limits::ParseLimits;
+use crate::limits::{MAX_BODY_BYTES, MAX_FIELDS};
 use crate::message::{intern, Message, MsgValue};
-use crate::model::{ByteOrder, FieldKind, GrammarItem, UnitGrammar};
+use crate::model::{lookup, ByteOrder, FieldKind, GrammarItem, UnitGrammar};
 use crate::projection::Projection;
 use crate::{ParseOutcome, WireCodec};
 use bytes::Bytes;
-use std::collections::HashMap;
 
-/// Parse-time bindings (integer fields and variables) the scan keeps on
-/// the stack; a grammar with more spills to the heap. Every built-in
-/// grammar fits (Memcached's binary header has the most, ten).
+/// Name/value bindings (integer fields and variables while parsing; named
+/// fields and serialisation rules while serialising) kept on the stack; a
+/// grammar with more spills to the heap. Every built-in grammar fits
+/// (Memcached has the most: nine while parsing, fifteen while serialising).
 const INLINE_BINDINGS: usize = 16;
 
 /// Byte/string field spans the scan keeps on the stack, spilling like the
@@ -57,12 +58,14 @@ fn with_slots<T: Copy, R, const INLINE: usize>(
 #[derive(Debug, Clone)]
 pub struct GrammarCodec {
     grammar: UnitGrammar,
-    limits: ParseLimits,
     /// The grammar's unit name, interned.
     unit: &'static str,
     /// The name of each grammar item, interned, index-aligned with
     /// `grammar.items` (empty for anonymous fields).
     names: Vec<&'static str>,
+    /// The field each serialisation rule sets, interned, index-aligned
+    /// with `grammar.ser_rules`.
+    rule_fields: Vec<&'static str>,
     /// How many names the scan binds: named integer fields plus variables.
     bindings: usize,
     /// How many byte/string fields the scan can record a span for.
@@ -70,23 +73,17 @@ pub struct GrammarCodec {
 }
 
 impl GrammarCodec {
-    /// Creates a codec from a grammar, validating it first. Parsing is
-    /// bounded by [`ParseLimits::default`].
+    /// Creates a codec from a grammar, validating it first. The grammar's
+    /// names are interned here, once, so that a parsed message borrows
+    /// them.
     pub fn new(grammar: UnitGrammar) -> Result<Self, GrammarError> {
-        Self::with_limits(grammar, ParseLimits::default())
-    }
-
-    /// Creates a codec with explicit parse bounds. The grammar's names
-    /// are interned here, once, so that a parsed message borrows them.
-    pub fn with_limits(grammar: UnitGrammar, limits: ParseLimits) -> Result<Self, GrammarError> {
         grammar.validate()?;
-        if grammar.items.len() > limits.max_fields {
+        if grammar.items.len() > MAX_FIELDS {
             return Err(GrammarError::invalid(
                 &grammar.name,
                 format!(
-                    "grammar has {} items, more than the {}-field parse limit",
-                    grammar.items.len(),
-                    limits.max_fields
+                    "grammar has {} items, more than the {MAX_FIELDS}-field parse limit",
+                    grammar.items.len()
                 ),
             ));
         }
@@ -113,17 +110,12 @@ impl GrammarCodec {
             .collect();
         Ok(GrammarCodec {
             unit: intern(&grammar.name),
+            rule_fields: grammar.ser_rules.iter().map(|r| intern(&r.field)).collect(),
             grammar,
-            limits,
             names,
             bindings,
             spans,
         })
-    }
-
-    /// Returns the parse bounds this codec enforces.
-    pub fn limits(&self) -> &ParseLimits {
-        &self.limits
     }
 
     fn read_uint(&self, buf: &[u8], offset: usize, width: usize) -> u64 {
@@ -161,7 +153,8 @@ impl GrammarCodec {
     /// Phase 1: walks the grammar over `buf`, evaluating variables and
     /// integer fields (cheap, and length expressions may depend on them)
     /// and recording the byte range of every *required* byte/string field.
-    /// No payload byte is copied; an incomplete buffer costs only the walk.
+    /// No payload byte is copied; an incomplete buffer costs only the walk
+    /// and returns `None`.
     ///
     /// The environment that length expressions read — integer fields and
     /// variables, in parse order — and the recorded spans are slots the
@@ -173,7 +166,7 @@ impl GrammarCodec {
         projection: Option<&Projection>,
         env: &mut [(&'static str, u64)],
         spans: &mut [FieldSpan],
-    ) -> Result<Scan, GrammarError> {
+    ) -> Result<Option<Scan>, GrammarError> {
         let unit = self.unit;
         let mut bound = 0;
         let mut spanned = 0;
@@ -196,9 +189,7 @@ impl GrammarCodec {
                         FieldKind::UInt { width } | FieldKind::Int { width } => {
                             let width = *width as usize;
                             if buf.len() < offset + width {
-                                return Ok(Scan::Incomplete {
-                                    needed: offset + width - buf.len(),
-                                });
+                                return Ok(None);
                             }
                             let raw = self.read_uint(buf, offset, width);
                             offset += width;
@@ -225,13 +216,12 @@ impl GrammarCodec {
                             // past the limit the frame is malformed, not
                             // incomplete.
                             let declared = length.eval(&env[..bound], unit)?;
-                            if declared > self.limits.max_body_bytes as u64 {
+                            if declared > MAX_BODY_BYTES as u64 {
                                 return Err(GrammarError::malformed(
                                     unit,
                                     format!(
                                         "field {name:?} declares {declared} bytes, over the \
-                                         {}-byte parse limit",
-                                        self.limits.max_body_bytes
+                                         {MAX_BODY_BYTES}-byte parse limit"
                                     ),
                                 ));
                             }
@@ -243,9 +233,7 @@ impl GrammarCodec {
                                 )
                             })?;
                             if buf.len() < end {
-                                return Ok(Scan::Incomplete {
-                                    needed: end - buf.len(),
-                                });
+                                return Ok(None);
                             }
                             if required {
                                 spans[spanned] = FieldSpan {
@@ -262,11 +250,11 @@ impl GrammarCodec {
                 }
             }
         }
-        Ok(Scan::Complete {
+        Ok(Some(Scan {
             message,
             spans: spanned,
             consumed: offset,
-        })
+        }))
     }
 
     /// Phase 2: binds the scanned message to its wire bytes. `raw` must be
@@ -290,44 +278,88 @@ impl GrammarCodec {
         message
     }
 
-    /// Scans `buf` and, on a complete message, materialises it over
-    /// `raw(consumed)`: the bytes the message keeps.
-    fn parse_with(
+    /// Writes every field of a built (or modified) message to `out`. The
+    /// environment holds each named field's value — an integer's own, a
+    /// byte/string field's length — then each serialisation rule's result,
+    /// bound after them so that it shadows the message's value.
+    fn serialize_fields(
         &self,
-        buf: &[u8],
-        projection: Option<&Projection>,
-        raw: impl FnOnce(usize) -> Bytes,
-    ) -> Result<ParseOutcome, GrammarError> {
-        with_slots::<_, _, INLINE_BINDINGS>(self.bindings, ("", 0), |env| {
-            with_slots::<_, _, INLINE_SPANS>(self.spans, FieldSpan::EMPTY, |spans| {
-                Ok(match self.scan(buf, projection, env, spans)? {
-                    Scan::Incomplete { needed } => ParseOutcome::Incomplete { needed },
-                    Scan::Complete {
-                        message,
-                        spans: spanned,
-                        consumed,
-                    } => ParseOutcome::Complete {
-                        message: Self::materialize(message, &spans[..spanned], raw(consumed)),
-                        consumed,
-                    },
-                })
-            })
-        })
-    }
-
-    /// Parses one message from the front of a shared buffer, zero-copy:
-    /// the message's raw bytes — and every required byte field — are
-    /// slices of `buf`'s allocation. Fields outside `projection` are never
-    /// copied anywhere. This is the path the runtime's input tasks take
-    /// (through the codec wrappers' `parse_bytes`, on a view of their
-    /// `SharedBuf`); [`WireCodec::parse`] is the borrowed-slice fallback,
-    /// which pays one copy of the consumed range.
-    pub fn parse_shared(
-        &self,
-        buf: &Bytes,
-        projection: Option<&Projection>,
-    ) -> Result<ParseOutcome, GrammarError> {
-        self.parse_with(buf, projection, |consumed| buf.slice(..consumed))
+        msg: &Message,
+        out: &mut Vec<u8>,
+        env: &mut [(&'static str, u64)],
+    ) -> Result<(), GrammarError> {
+        let unit = &self.grammar.name;
+        let mut bound = 0;
+        for (item, &name) in self.grammar.items.iter().zip(&self.names) {
+            let GrammarItem::Field { kind, .. } = item else {
+                continue;
+            };
+            if name.is_empty() {
+                continue;
+            }
+            let value = match kind {
+                FieldKind::UInt { .. } | FieldKind::Int { .. } => msg.uint_field(name),
+                FieldKind::Bytes { .. } | FieldKind::Str { .. } => {
+                    Some(msg.get(name).map_or(0, MsgValue::byte_len) as u64)
+                }
+            };
+            if let Some(value) = value {
+                env[bound] = (name, value);
+                bound += 1;
+            }
+        }
+        let fields = bound;
+        for (rule, &field) in self.grammar.ser_rules.iter().zip(&self.rule_fields) {
+            env[bound] = (field, rule.expr.eval(&env[..bound], unit)?);
+            bound += 1;
+        }
+        let (env, rules) = (&env[..bound], &env[fields..bound]);
+        for (item, &name) in self.grammar.items.iter().zip(&self.names) {
+            let GrammarItem::Field { kind, .. } = item else {
+                continue;
+            };
+            match kind {
+                FieldKind::UInt { width } | FieldKind::Int { width } => {
+                    let width = *width as usize;
+                    let value = lookup(rules, name)
+                        .or_else(|| msg.uint_field(name))
+                        .or_else(|| match msg.get(name) {
+                            Some(MsgValue::Int(i)) => Some(*i as u64),
+                            _ => None,
+                        })
+                        .unwrap_or(0);
+                    let max = if width == 8 {
+                        u64::MAX
+                    } else {
+                        (1u64 << (8 * width)) - 1
+                    };
+                    if value > max && !name.is_empty() {
+                        return Err(GrammarError::FieldOverflow {
+                            unit: unit.clone(),
+                            field: name.to_string(),
+                            value,
+                            max,
+                        });
+                    }
+                    self.write_uint(out, value & max, width);
+                }
+                FieldKind::Bytes { length } | FieldKind::Str { length } => match msg.get(name) {
+                    Some(v) => out.extend_from_slice(v.as_bytes().unwrap_or(&[])),
+                    None if name.is_empty() => {
+                        // Anonymous padding: emit zero bytes of the declared length.
+                        let len = length.eval(env, unit).unwrap_or(0) as usize;
+                        out.extend(std::iter::repeat(0u8).take(len));
+                    }
+                    None => {
+                        return Err(GrammarError::MissingField {
+                            unit: unit.clone(),
+                            field: name.to_string(),
+                        })
+                    }
+                },
+            }
+        }
+        Ok(())
     }
 }
 
@@ -351,20 +383,15 @@ impl FieldSpan {
     };
 }
 
-/// Outcome of the scan phase.
-enum Scan {
-    Incomplete {
-        needed: usize,
-    },
-    Complete {
-        /// Variables and integer fields, already materialised (they cost
-        /// nothing to copy).
-        message: Message,
-        /// How many spans the scan recorded: required byte/string fields,
-        /// not yet bound to the wire bytes.
-        spans: usize,
-        consumed: usize,
-    },
+/// A complete scan.
+struct Scan {
+    /// Variables and integer fields, already materialised (they cost
+    /// nothing to copy).
+    message: Message,
+    /// How many spans the scan recorded: required byte/string fields, not
+    /// yet bound to the wire bytes.
+    spans: usize,
+    consumed: usize,
 }
 
 impl WireCodec for GrammarCodec {
@@ -372,132 +399,44 @@ impl WireCodec for GrammarCodec {
         &self.grammar.name
     }
 
-    fn parse(
-        &self,
-        buf: &[u8],
-        projection: Option<&Projection>,
-    ) -> Result<ParseOutcome, GrammarError> {
-        // A borrowed slice cannot be shared, so the consumed range is
-        // copied once; field values then slice that copy.
-        self.parse_with(buf, projection, |consumed| {
-            Bytes::copy_from_slice(&buf[..consumed])
-        })
-    }
-
+    /// Zero-copy: the message's raw bytes — and every required byte field
+    /// — are slices of `buf`'s allocation. Fields outside `projection` are
+    /// never copied anywhere.
     fn parse_bytes(
         &self,
         buf: &Bytes,
         projection: Option<&Projection>,
     ) -> Result<ParseOutcome, GrammarError> {
-        self.parse_shared(buf, projection)
+        with_slots::<_, _, INLINE_BINDINGS>(self.bindings, ("", 0), |env| {
+            with_slots::<_, _, INLINE_SPANS>(self.spans, FieldSpan::EMPTY, |spans| {
+                let Some(scan) = self.scan(buf, projection, env, spans)? else {
+                    return Ok(ParseOutcome::Incomplete);
+                };
+                let raw = buf.slice(..scan.consumed);
+                Ok(ParseOutcome::Complete {
+                    message: Self::materialize(scan.message, &spans[..scan.spans], raw),
+                    consumed: scan.consumed,
+                })
+            })
+        })
     }
 
+    /// An unmodified parsed message leaves as its raw bytes, one shared
+    /// segment; anything else is written field by field into `out` (no
+    /// split worth making there).
     fn serialize_parts(
         &self,
         msg: &Message,
         out: &mut Vec<u8>,
     ) -> Result<Option<Bytes>, GrammarError> {
-        // Pass-through messages ship their raw bytes as one shared
-        // vectored segment; anything modified goes through the full
-        // field-by-field serialisation (no split worth making there).
         if let Some(raw) = msg.raw() {
             return Ok(Some(raw.clone()));
         }
-        self.serialize(msg, out)?;
+        let slots = self.bindings + self.spans + self.grammar.ser_rules.len();
+        with_slots::<_, _, INLINE_BINDINGS>(slots, ("", 0), |env| {
+            self.serialize_fields(msg, out, env)
+        })?;
         Ok(None)
-    }
-
-    fn serialize(&self, msg: &Message, out: &mut Vec<u8>) -> Result<(), GrammarError> {
-        let unit = &self.grammar.name;
-        // Fast path: an unmodified parsed message is copied through verbatim.
-        if let Some(raw) = msg.raw() {
-            out.extend_from_slice(raw);
-            return Ok(());
-        }
-        // Build the serialisation environment: integer field values from the
-        // message plus `LenOf` entries for byte/string fields.
-        let mut env: HashMap<String, u64> = HashMap::new();
-        for item in &self.grammar.items {
-            if let GrammarItem::Field { name, kind } = item {
-                if name.is_empty() {
-                    continue;
-                }
-                match kind {
-                    FieldKind::UInt { .. } | FieldKind::Int { .. } => {
-                        if let Some(v) = msg.uint_field(name) {
-                            env.insert(name.clone(), v);
-                        }
-                    }
-                    FieldKind::Bytes { .. } | FieldKind::Str { .. } => {
-                        let len = msg.get(name).map(MsgValue::byte_len).unwrap_or(0) as u64;
-                        env.insert(name.clone(), len);
-                    }
-                }
-            }
-        }
-        // Apply serialisation rules (length recomputation) in order.
-        let mut overrides: HashMap<String, u64> = HashMap::new();
-        for rule in &self.grammar.ser_rules {
-            let value = rule.expr.eval(&env, unit)?;
-            env.insert(rule.field.clone(), value);
-            overrides.insert(rule.field.clone(), value);
-        }
-        // Emit each item.
-        for item in &self.grammar.items {
-            match item {
-                GrammarItem::Variable { .. } => {}
-                GrammarItem::Field { name, kind } => match kind {
-                    FieldKind::UInt { width } | FieldKind::Int { width } => {
-                        let width = *width as usize;
-                        let value = overrides
-                            .get(name)
-                            .copied()
-                            .or_else(|| msg.uint_field(name))
-                            .or_else(|| {
-                                msg.get(name).and_then(|v| match v {
-                                    MsgValue::Int(i) => Some(*i as u64),
-                                    _ => None,
-                                })
-                            })
-                            .unwrap_or(0);
-                        let max = if width == 8 {
-                            u64::MAX
-                        } else {
-                            (1u64 << (8 * width)) - 1
-                        };
-                        if value > max && !name.is_empty() {
-                            return Err(GrammarError::FieldOverflow {
-                                unit: unit.clone(),
-                                field: name.clone(),
-                                value,
-                                max,
-                            });
-                        }
-                        self.write_uint(out, value & max, width);
-                    }
-                    FieldKind::Bytes { length } | FieldKind::Str { length } => {
-                        match msg.get(name) {
-                            Some(v) => {
-                                let bytes = v.as_bytes().unwrap_or(&[]);
-                                out.extend_from_slice(bytes);
-                            }
-                            None if name.is_empty() => {
-                                // Anonymous padding: emit zero bytes of the declared length.
-                                let len = length.eval(&env, unit).unwrap_or(0) as usize;
-                                out.extend(std::iter::repeat(0u8).take(len));
-                            }
-                            None => {
-                                return Err(GrammarError::MissingField {
-                                    unit: unit.clone(),
-                                    field: name.clone(),
-                                })
-                            }
-                        }
-                    }
-                },
-            }
-        }
-        Ok(())
     }
 }
 
@@ -558,16 +497,19 @@ mod tests {
         codec
             .serialize(&demo_message(1, b"abcdef"), &mut wire)
             .unwrap();
-        // Header only.
-        match codec.parse(&wire[..2], None).unwrap() {
-            ParseOutcome::Incomplete { needed } => assert_eq!(needed, 1),
-            other => panic!("unexpected {other:?}"),
+        // Every proper prefix — a partial header, the header alone, the
+        // header plus a partial body — is incomplete; the whole is not.
+        for end in 0..wire.len() {
+            assert_eq!(
+                codec.parse(&wire[..end], None).unwrap(),
+                ParseOutcome::Incomplete,
+                "prefix of {end} bytes"
+            );
         }
-        // Header plus a partial body.
-        match codec.parse(&wire[..5], None).unwrap() {
-            ParseOutcome::Incomplete { needed } => assert_eq!(needed, 4),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(matches!(
+            codec.parse(&wire, None).unwrap(),
+            ParseOutcome::Complete { .. }
+        ));
     }
 
     #[test]
@@ -722,7 +664,7 @@ mod tests {
         }
     }
 
-    /// `parse_shared` binds the message to the caller's allocation: the
+    /// `parse_bytes` binds the message to the caller's allocation: the
     /// raw bytes and every required byte field are views of the input
     /// buffer, not copies.
     #[test]
@@ -734,7 +676,7 @@ mod tests {
             .unwrap();
         let wire = Bytes::from(wire);
         let wire_ptr = wire.as_ref().as_ptr();
-        match codec.parse_shared(&wire, None).unwrap() {
+        match codec.parse_bytes(&wire, None).unwrap() {
             ParseOutcome::Complete { message, consumed } => {
                 assert_eq!(consumed, wire.len());
                 // The raw buffer is a slice of the input allocation...
@@ -749,8 +691,8 @@ mod tests {
         }
     }
 
-    /// The borrowed-slice path copies the consumed range exactly once:
-    /// byte-field values are slices of that single raw copy.
+    /// The borrowed-slice path copies its input exactly once: byte-field
+    /// values are slices of that single raw copy.
     #[test]
     fn slice_parse_slices_fields_from_the_single_raw_copy() {
         let codec = demo_codec();
@@ -781,7 +723,7 @@ mod tests {
             .unwrap();
         let wire = Bytes::from(wire);
         let projection = Projection::of(["tag"]);
-        let message = match codec.parse_shared(&wire, Some(&projection)).unwrap() {
+        let message = match codec.parse_bytes(&wire, Some(&projection)).unwrap() {
             ParseOutcome::Complete { message, .. } => message,
             other => panic!("unexpected {other:?}"),
         };
@@ -797,24 +739,32 @@ mod tests {
         assert_eq!(&rewire[..], &wire[..]);
     }
 
-    /// A declared length over `max_body_bytes` is malformed immediately —
-    /// not `Incomplete` — so the transport never buffers toward it.
+    /// A `len:u32, body:bytes[len]` grammar.
+    fn u32_prefixed() -> GrammarCodec {
+        let g = UnitGrammar::new("huge")
+            .item(GI::field("len", FieldKind::UInt { width: 4 }))
+            .item(GI::field(
+                "body",
+                FieldKind::Bytes {
+                    length: LenExpr::field("len"),
+                },
+            ));
+        GrammarCodec::new(g).unwrap()
+    }
+
+    /// A declared length over `MAX_BODY_BYTES` is malformed immediately —
+    /// not `Incomplete` — so the transport never buffers toward it, while
+    /// the bound itself still waits for its bytes.
     #[test]
     fn oversized_length_field_is_malformed_not_incomplete() {
-        let codec = GrammarCodec::with_limits(
-            demo_grammar(),
-            ParseLimits {
-                max_body_bytes: 100,
-                ..ParseLimits::default()
-            },
-        )
-        .unwrap();
-        // len = 0x0101 = 257 > 100, tag = 1, no body bytes at all.
-        let wire = [0x01u8, 0x01, 1];
+        let codec = u32_prefixed();
+        let over = (MAX_BODY_BYTES as u32 + 1).to_be_bytes();
         assert!(matches!(
-            codec.parse(&wire, None),
+            codec.parse(&over, None),
             Err(GrammarError::Malformed { .. })
         ));
+        let at = (MAX_BODY_BYTES as u32).to_be_bytes();
+        assert_eq!(codec.parse(&at, None).unwrap(), ParseOutcome::Incomplete);
     }
 
     /// Within the limit, a large-but-legal declared length still reports
@@ -823,14 +773,11 @@ mod tests {
     fn in_bounds_length_still_reports_incomplete() {
         let codec = demo_codec();
         let wire = [0x01u8, 0x00, 1]; // len = 256, no body yet
-        match codec.parse(&wire, None).unwrap() {
-            ParseOutcome::Incomplete { needed } => assert_eq!(needed, 256),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(codec.parse(&wire, None).unwrap(), ParseOutcome::Incomplete);
     }
 
-    /// With bounds removed, a length near `usize::MAX` must not wrap the
-    /// offset arithmetic into a bogus `Complete`.
+    /// A length near `u64::MAX` is malformed, never an offset wrapped
+    /// into a bogus `Complete`.
     #[test]
     fn unbounded_huge_length_does_not_overflow_offset() {
         let g = UnitGrammar::new("huge")
@@ -841,7 +788,7 @@ mod tests {
                     length: LenExpr::field("len"),
                 },
             ));
-        let codec = GrammarCodec::with_limits(g, ParseLimits::unbounded()).unwrap();
+        let codec = GrammarCodec::new(g).unwrap();
         let mut wire = u64::MAX.to_be_bytes().to_vec();
         wire.extend_from_slice(b"xx");
         assert!(matches!(
@@ -850,21 +797,16 @@ mod tests {
         ));
     }
 
-    /// A grammar with more items than `max_fields` is rejected up front.
+    /// A grammar with more items than `MAX_FIELDS` is rejected up front.
     #[test]
     fn field_count_limit_applies_to_the_grammar() {
-        let mut g = UnitGrammar::new("wide");
-        for i in 0..4 {
-            g = g.item(GI::field(format!("f{i}"), FieldKind::UInt { width: 1 }));
-        }
-        assert!(GrammarCodec::with_limits(
-            g,
-            ParseLimits {
-                max_fields: 3,
-                ..ParseLimits::default()
-            },
-        )
-        .is_err());
+        let wide = |n: usize| {
+            (0..n).fold(UnitGrammar::new("wide"), |g, i| {
+                g.item(GI::field(format!("f{i}"), FieldKind::UInt { width: 1 }))
+            })
+        };
+        assert!(GrammarCodec::new(wide(MAX_FIELDS)).is_ok());
+        assert!(GrammarCodec::new(wide(MAX_FIELDS + 1)).is_err());
     }
 
     /// Parse-time lookups see integer fields and variables only: a length
@@ -912,13 +854,19 @@ mod tests {
         let codec = GrammarCodec::new(g).unwrap();
         let mut wire = vec![9u8; INLINE_BINDINGS + 4];
         wire.extend_from_slice(b"ok");
-        match codec.parse(&wire, None).unwrap() {
+        let mut message = match codec.parse(&wire, None).unwrap() {
             ParseOutcome::Complete { message, consumed } => {
                 assert_eq!(consumed, wire.len());
                 assert_eq!(message.bytes_field("body"), Some(&b"ok"[..]));
+                message
             }
             other => panic!("unexpected {other:?}"),
-        }
+        };
+        // Serialising it again spills its slots the same way.
+        message.set("body", MsgValue::Bytes(Bytes::from_static(b"ok")));
+        let mut rewire = Vec::new();
+        codec.serialize(&message, &mut rewire).unwrap();
+        assert_eq!(rewire, wire);
     }
 
     /// More byte fields than the scan keeps spans for inline still parse
@@ -947,6 +895,36 @@ mod tests {
             assert_eq!(value.as_bytes(), Some(&wire[i..=i]));
         }
         assert!(std::ptr::eq(&*message.unit, intern("spans")));
+    }
+
+    /// A serialisation rule's result shadows the message's own value of
+    /// its target, both where it is written and for every later rule:
+    /// `total` is computed from `len`'s recomputed value, not the stale one
+    /// the message carries.
+    #[test]
+    fn a_rule_reads_an_earlier_rule_over_stale_message_values() {
+        let g = UnitGrammar::new("chained")
+            .item(GI::field("len", FieldKind::UInt { width: 1 }))
+            .item(GI::field("total", FieldKind::UInt { width: 1 }))
+            .item(GI::field(
+                "body",
+                FieldKind::Bytes {
+                    length: LenExpr::field("len"),
+                },
+            ))
+            .ser_rule("len", LenExpr::LenOf("body".into()))
+            .ser_rule(
+                "total",
+                LenExpr::add(LenExpr::field("len"), LenExpr::Const(2)),
+            );
+        let codec = GrammarCodec::new(g).unwrap();
+        let mut m = Message::new("chained");
+        m.set("len", MsgValue::UInt(99));
+        m.set("total", MsgValue::UInt(99));
+        m.set("body", MsgValue::Bytes(Bytes::from_static(b"xyz")));
+        let mut out = Vec::new();
+        codec.serialize(&m, &mut out).unwrap();
+        assert_eq!(out, [3, 5, b'x', b'y', b'z']);
     }
 
     #[test]

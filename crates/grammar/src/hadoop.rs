@@ -19,6 +19,7 @@ use crate::message::{Message, MsgValue};
 use crate::model::{FieldKind, GrammarItem, LenExpr, UnitGrammar};
 use crate::projection::Projection;
 use crate::{ParseOutcome, WireCodec};
+use bytes::Bytes;
 
 /// Builds the `kv` unit grammar for Hadoop intermediate records.
 pub fn grammar() -> UnitGrammar {
@@ -57,13 +58,6 @@ impl HadoopKvCodec {
             inner: GrammarCodec::new(grammar()).expect("built-in grammar is valid"),
         }
     }
-
-    /// Creates the codec with explicit parse bounds.
-    pub fn with_limits(limits: crate::ParseLimits) -> Self {
-        HadoopKvCodec {
-            inner: GrammarCodec::with_limits(grammar(), limits).expect("built-in grammar is valid"),
-        }
-    }
 }
 
 impl Default for HadoopKvCodec {
@@ -77,24 +71,20 @@ impl WireCodec for HadoopKvCodec {
         "hadoop-kv"
     }
 
-    fn parse(
-        &self,
-        buf: &[u8],
-        projection: Option<&Projection>,
-    ) -> Result<ParseOutcome, GrammarError> {
-        self.inner.parse(buf, projection)
-    }
-
     fn parse_bytes(
         &self,
-        buf: &bytes::Bytes,
+        buf: &Bytes,
         projection: Option<&Projection>,
     ) -> Result<ParseOutcome, GrammarError> {
-        self.inner.parse_shared(buf, projection)
+        self.inner.parse_bytes(buf, projection)
     }
 
-    fn serialize(&self, msg: &Message, out: &mut Vec<u8>) -> Result<(), GrammarError> {
-        self.inner.serialize(msg, out)
+    fn serialize_parts(
+        &self,
+        msg: &Message,
+        out: &mut Vec<u8>,
+    ) -> Result<Option<Bytes>, GrammarError> {
+        self.inner.serialize_parts(msg, out)
     }
 }
 
@@ -129,16 +119,18 @@ pub fn serialize_batch(
     Ok(out)
 }
 
-/// Parses every record in a byte stream.
-pub fn parse_batch(codec: &HadoopKvCodec, mut buf: &[u8]) -> Result<Vec<Message>, GrammarError> {
+/// Parses every record in a byte stream, copied once: each record slices
+/// that copy.
+pub fn parse_batch(codec: &HadoopKvCodec, buf: &[u8]) -> Result<Vec<Message>, GrammarError> {
+    let mut buf = Bytes::copy_from_slice(buf);
     let mut out = Vec::new();
     while !buf.is_empty() {
-        match codec.parse(buf, None)? {
+        match codec.parse_bytes(&buf, None)? {
             ParseOutcome::Complete { message, consumed } => {
                 out.push(message);
-                buf = &buf[consumed..];
+                buf = buf.slice(consumed..);
             }
-            ParseOutcome::Incomplete { .. } => {
+            ParseOutcome::Incomplete => {
                 return Err(GrammarError::malformed(
                     "kv",
                     "truncated record at end of stream",

@@ -14,7 +14,7 @@
 //! without reading them.
 
 use crate::error::GrammarError;
-use crate::limits::ParseLimits;
+use crate::limits::{MAX_BODY_BYTES, MAX_FIELDS, MAX_HEAD_BYTES};
 use crate::message::{Message, MsgValue};
 use crate::projection::Projection;
 use crate::{ParseOutcome, WireCodec};
@@ -27,24 +27,12 @@ pub const RESPONSE_UNIT: &str = "http_response";
 
 /// A [`WireCodec`] for HTTP/1.1 requests and responses.
 #[derive(Debug, Clone, Default)]
-pub struct HttpCodec {
-    limits: ParseLimits,
-}
+pub struct HttpCodec;
 
 impl HttpCodec {
-    /// Creates the codec, bounded by [`ParseLimits::default`].
+    /// Creates the codec.
     pub fn new() -> Self {
-        HttpCodec::default()
-    }
-
-    /// Creates the codec with explicit parse bounds.
-    pub fn with_limits(limits: ParseLimits) -> Self {
-        HttpCodec { limits }
-    }
-
-    /// Returns the parse bounds this codec enforces.
-    pub fn limits(&self) -> &ParseLimits {
-        &self.limits
+        HttpCodec
     }
 }
 
@@ -74,19 +62,23 @@ fn parse_content_length(value: &str) -> Result<usize, GrammarError> {
         .map_err(|_| GrammarError::malformed("http", format!("invalid Content-Length {value:?}")))
 }
 
+/// Reads the header lines of `head` (its first line is the request or
+/// status line), counting them against `MAX_FIELDS`. `connection` and
+/// `content_length` are set whatever the projection — forwarding and
+/// reuse read them, as they read the head's `version` — and the `headers`
+/// text only when it is projected.
 fn parse_headers(
-    block: &str,
+    head: &str,
     message: &mut Message,
     projection: Option<&Projection>,
-    limits: &ParseLimits,
 ) -> Result<usize, GrammarError> {
     let mut content_length: Option<usize> = None;
-    let mut header_lines = Vec::new();
-    for line in block.split("\r\n").skip(1).filter(|l| !l.is_empty()) {
-        if header_lines.len() >= limits.max_fields {
+    let (_, block) = head.split_once("\r\n").unwrap_or((head, ""));
+    for (count, line) in block.split("\r\n").filter(|l| !l.is_empty()).enumerate() {
+        if count >= MAX_FIELDS {
             return Err(GrammarError::malformed(
                 "http",
-                format!("more than {} header lines", limits.max_fields),
+                format!("more than {MAX_FIELDS} header lines"),
             ));
         }
         let (name, value) = line.split_once(':').ok_or_else(|| {
@@ -106,12 +98,11 @@ fn parse_headers(
                 ));
             }
             let parsed = parse_content_length(value)?;
-            if parsed > limits.max_body_bytes {
+            if parsed > MAX_BODY_BYTES {
                 return Err(GrammarError::malformed(
                     "http",
                     format!(
-                        "Content-Length {parsed} exceeds the {}-byte parse limit",
-                        limits.max_body_bytes
+                        "Content-Length {parsed} exceeds the {MAX_BODY_BYTES}-byte parse limit"
                     ),
                 ));
             }
@@ -140,51 +131,48 @@ fn parse_headers(
             }
             message.set_parsed("connection", MsgValue::Str(value.to_ascii_lowercase()));
         }
-        header_lines.push(line);
     }
     let content_length = content_length.unwrap_or(0);
     if projection.map_or(true, |p| p.requires("headers")) {
-        message.set_parsed("headers", MsgValue::Str(header_lines.join("\r\n")));
+        // The block holds no empty line: the head ends at the first one.
+        message.set_parsed("headers", MsgValue::Str(block.to_string()));
     }
     message.set_parsed("content_length", MsgValue::UInt(content_length as u64));
     Ok(content_length)
 }
 
-impl HttpCodec {
-    /// The parse engine shared by the borrowed-slice and shared-buffer
-    /// entry points: `bind` turns a byte range of `buf` into the [`Bytes`]
-    /// the message keeps (its raw wire bytes and its body field).
-    /// [`WireCodec::parse`] binds by copying, [`WireCodec::parse_bytes`]
-    /// binds by slicing the caller's refcounted allocation — zero-copy.
-    fn parse_with(
+impl WireCodec for HttpCodec {
+    fn name(&self) -> &str {
+        "http"
+    }
+
+    /// The message's raw bytes and its body are slices of `buf`'s
+    /// allocation — no copy on the ingest path.
+    fn parse_bytes(
         &self,
-        buf: &[u8],
+        buf: &Bytes,
         projection: Option<&Projection>,
-        bind: &dyn Fn(std::ops::Range<usize>) -> Bytes,
     ) -> Result<ParseOutcome, GrammarError> {
         let Some(head_len) = header_end(buf) else {
             // Without the blank-line terminator the head is incomplete —
             // but only up to the head limit. Past it the peer is either
             // broken or hostile (a slowloris trickling header bytes
             // forever), and the buffer must not keep growing.
-            if buf.len() > self.limits.max_head_bytes {
+            if buf.len() > MAX_HEAD_BYTES {
                 return Err(GrammarError::malformed(
                     "http",
                     format!(
-                        "header block exceeds the {}-byte parse limit without terminating",
-                        self.limits.max_head_bytes
+                        "header block exceeds the {MAX_HEAD_BYTES}-byte parse limit without \
+                         terminating"
                     ),
                 ));
             }
-            return Ok(ParseOutcome::Incomplete { needed: 0 });
+            return Ok(ParseOutcome::Incomplete);
         };
-        if head_len > self.limits.max_head_bytes {
+        if head_len > MAX_HEAD_BYTES {
             return Err(GrammarError::malformed(
                 "http",
-                format!(
-                    "header block of {head_len} bytes exceeds the {}-byte parse limit",
-                    self.limits.max_head_bytes
-                ),
+                format!("header block of {head_len} bytes exceeds the {MAX_HEAD_BYTES}-byte parse limit"),
             ));
         }
         let head = std::str::from_utf8(&buf[..head_len - 4])
@@ -231,7 +219,7 @@ impl HttpCodec {
             message.set_parsed("path", MsgValue::Str(path.to_string()));
             message.set_parsed("version", MsgValue::Str(version.to_string()));
         }
-        let content_length = parse_headers(head, &mut message, projection, &self.limits)?;
+        let content_length = parse_headers(head, &mut message, projection)?;
         // checked: a Content-Length near usize::MAX would wrap this sum in
         // release builds and slice out of bounds.
         let total = head_len.checked_add(content_length).ok_or_else(|| {
@@ -240,15 +228,13 @@ impl HttpCodec {
         let reads_body = || projection.map_or(true, |p| p.requires("body"));
         if buf.len() < total {
             if reads_body() {
-                return Ok(ParseOutcome::Incomplete {
-                    needed: total - buf.len(),
-                });
+                return Ok(ParseOutcome::Incomplete);
             }
             // Nobody reads this body, so nothing waits for it: the head is
             // the message, with the buffered body prefix as the tail of
             // its raw bytes and the rest left in the connection for the
             // forwarder to move (`Message::unread_body`).
-            message.set_raw(bind(0..buf.len()));
+            message.set_raw(buf.clone());
             message.set_unread_body((total - buf.len()) as u64);
             return Ok(ParseOutcome::Complete {
                 message,
@@ -256,80 +242,41 @@ impl HttpCodec {
             });
         }
         if content_length > 0 && reads_body() {
-            message.set_parsed("body", MsgValue::Bytes(bind(head_len..total)));
+            message.set_parsed("body", MsgValue::Bytes(buf.slice(head_len..total)));
         }
-        message.set_raw(bind(0..total));
+        message.set_raw(buf.slice(..total));
         Ok(ParseOutcome::Complete {
             message,
             consumed: total,
         })
     }
-}
 
-impl WireCodec for HttpCodec {
-    fn name(&self) -> &str {
-        "http"
-    }
-
-    fn parse(
-        &self,
-        buf: &[u8],
-        projection: Option<&Projection>,
-    ) -> Result<ParseOutcome, GrammarError> {
-        // A borrowed slice cannot be shared, so bound ranges are copied.
-        self.parse_with(buf, projection, &|range| {
-            Bytes::copy_from_slice(&buf[range])
-        })
-    }
-
-    fn parse_bytes(
-        &self,
-        buf: &Bytes,
-        projection: Option<&Projection>,
-    ) -> Result<ParseOutcome, GrammarError> {
-        // Shared input: the message's raw bytes and its body become slices
-        // of the caller's allocation — no copy on the ingest path.
-        self.parse_with(buf, projection, &|range| buf.slice(range))
-    }
-
-    fn serialize(&self, msg: &Message, out: &mut Vec<u8>) -> Result<(), GrammarError> {
-        if let Some(raw) = msg.raw() {
-            let body = strip_hop_by_hop(msg, raw, out).unwrap_or(0);
-            out.extend_from_slice(&raw[body..]);
-            return Ok(());
-        }
-        let body = msg.bytes_field("body").unwrap_or(&[]);
-        self.serialize_head(msg, out, body.len())?;
-        out.extend_from_slice(body);
-        Ok(())
-    }
-
+    /// Pass-through: the unmodified raw wire bytes leave as one shared
+    /// segment — nothing appended, nothing copied (the LB forwarding path
+    /// stays zero-copy all the way into `writev`). A request that names
+    /// connection options leaves as its rewritten head plus its body,
+    /// still shared. A built message's head is written to `out` and a
+    /// non-empty byte body comes back as the shared tail.
     fn serialize_parts(
         &self,
         msg: &Message,
         out: &mut Vec<u8>,
     ) -> Result<Option<Bytes>, GrammarError> {
-        // Pass-through: the unmodified raw wire bytes leave as one shared
-        // segment — nothing appended, nothing copied (the LB forwarding
-        // path stays zero-copy all the way into `writev`). A request that
-        // names connection options leaves as its rewritten head plus its
-        // body, still shared.
         if let Some(raw) = msg.raw() {
             return Ok(match strip_hop_by_hop(msg, raw, out) {
                 Some(body) => Some(raw.slice(body..)).filter(|body| !body.is_empty()),
                 None => Some(raw.clone()),
             });
         }
-        match msg.shared_bytes_field("body") {
-            Some(body) if !body.is_empty() => {
-                let body = body.clone();
+        match msg.get("body") {
+            Some(MsgValue::Bytes(body)) if !body.is_empty() => {
                 self.serialize_head(msg, out, body.len())?;
-                Ok(Some(body))
+                Ok(Some(body.clone()))
             }
-            // No refcounted body to split off; the scalar path is already
-            // optimal.
-            _ => {
-                self.serialize(msg, out)?;
+            body => {
+                let body = body.and_then(MsgValue::as_bytes).unwrap_or(&[]);
+                self.serialize_head(msg, out, body.len())?;
+                out.extend_from_slice(body);
                 Ok(None)
             }
         }
@@ -396,9 +343,9 @@ fn strip_hop_by_hop(msg: &Message, raw: &[u8], out: &mut Vec<u8>) -> Option<usiz
 
 impl HttpCodec {
     /// Serialises everything up to (and including) the blank line — the
-    /// status/request line and headers — leaving the body to the caller,
-    /// which either appends it ([`WireCodec::serialize`]) or ships it as a
-    /// shared vectored segment ([`WireCodec::serialize_parts`]).
+    /// status/request line and headers — leaving the body to
+    /// [`WireCodec::serialize_parts`], which either appends it or ships it
+    /// as a shared vectored segment.
     fn serialize_head(
         &self,
         msg: &Message,
@@ -519,9 +466,9 @@ mod tests {
         }
     }
 
-    /// `serialize_parts` must produce byte-for-byte the same stream as
-    /// `serialize` (as `out ++ tail`) in every shape: constructed response
-    /// with a shared body, raw pass-through, and bodyless request.
+    /// The provided `serialize` writes byte-for-byte `out ++ tail` of
+    /// `serialize_parts` in every shape: constructed response with a
+    /// shared body, raw pass-through, and bodyless request.
     #[test]
     fn serialize_parts_matches_serialize() {
         let codec = HttpCodec::new();
@@ -585,13 +532,13 @@ mod tests {
         let codec = HttpCodec::new();
         assert!(matches!(
             codec.parse(b"GET / HTTP/1.1\r\nHost: a", None).unwrap(),
-            ParseOutcome::Incomplete { .. }
+            ParseOutcome::Incomplete
         ));
         let partial_body = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc";
-        match codec.parse(partial_body, None).unwrap() {
-            ParseOutcome::Incomplete { needed } => assert_eq!(needed, 7),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            codec.parse(partial_body, None).unwrap(),
+            ParseOutcome::Incomplete
+        );
     }
 
     #[test]
@@ -807,10 +754,10 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         for reads_body in [None, Some(projection.clone().with("body"))] {
-            assert!(matches!(
+            assert_eq!(
                 codec.parse(wire, reads_body.as_ref()).unwrap(),
-                ParseOutcome::Incomplete { needed: 7 }
-            ));
+                ParseOutcome::Incomplete
+            );
         }
         // The head alone, not one body byte buffered yet.
         let head = b"POST /up HTTP/1.1\r\nContent-Length: 10\r\n\r\n";
@@ -820,16 +767,17 @@ mod tests {
         }
     }
 
-    /// `Content-Length` is checked against `max_body_bytes` at the head,
+    /// `Content-Length` is checked against `MAX_BODY_BYTES` at the head,
     /// streamed or not: a streamed body is bounded in framing too.
     #[test]
     fn an_unprojected_body_over_the_limit_is_refused_at_its_head() {
-        let codec = HttpCodec::with_limits(ParseLimits {
-            max_body_bytes: 100,
-            ..ParseLimits::default()
-        });
-        let wire = b"POST / HTTP/1.1\r\nContent-Length: 101\r\n\r\nab";
-        assert!(codec.parse(wire, Some(&Projection::of(["path"]))).is_err());
+        let codec = HttpCodec::new();
+        let wire = format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\nab",
+            MAX_BODY_BYTES + 1
+        );
+        let projection = Projection::of(["path"]);
+        assert!(codec.parse(wire.as_bytes(), Some(&projection)).is_err());
     }
 
     #[test]
@@ -853,12 +801,12 @@ mod tests {
         assert_eq!(reason_phrase(999), "Unknown");
     }
 
-    /// Regression: with bounds removed, a Content-Length near `usize::MAX`
-    /// must not wrap `head_len + content_length` into a bogus `Complete`
-    /// that slices out of bounds.
+    /// Regression: a Content-Length near `usize::MAX` is malformed, never
+    /// a `head_len + content_length` wrapped into a bogus `Complete` that
+    /// slices out of bounds.
     #[test]
     fn huge_content_length_does_not_overflow() {
-        let codec = HttpCodec::with_limits(ParseLimits::unbounded());
+        let codec = HttpCodec::new();
         let wire = format!(
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\nxx",
             usize::MAX
@@ -904,49 +852,46 @@ mod tests {
 
     #[test]
     fn content_length_over_body_limit_is_malformed() {
-        let codec = HttpCodec::with_limits(ParseLimits {
-            max_body_bytes: 100,
-            ..ParseLimits::default()
-        });
-        let wire = b"POST / HTTP/1.1\r\nContent-Length: 101\r\n\r\n";
-        assert!(codec.parse(wire, None).is_err());
+        let codec = HttpCodec::new();
+        let head = |len: usize| format!("POST / HTTP/1.1\r\nContent-Length: {len}\r\n\r\n");
+        assert!(codec
+            .parse(head(MAX_BODY_BYTES + 1).as_bytes(), None)
+            .is_err());
         // At the limit it is still a legal (incomplete) frame.
-        let wire = b"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\n";
-        assert!(matches!(
-            codec.parse(wire, None).unwrap(),
-            ParseOutcome::Incomplete { needed: 100 }
-        ));
+        assert_eq!(
+            codec.parse(head(MAX_BODY_BYTES).as_bytes(), None).unwrap(),
+            ParseOutcome::Incomplete
+        );
     }
 
     /// A head that never terminates stops being `Incomplete` once it blows
     /// the head limit — the ingest buffer must not grow forever.
     #[test]
     fn unterminated_head_past_limit_is_malformed() {
-        let codec = HttpCodec::with_limits(ParseLimits {
-            max_head_bytes: 64,
-            ..ParseLimits::default()
-        });
+        let codec = HttpCodec::new();
         let mut wire = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
-        wire.extend(std::iter::repeat(b'a').take(100));
+        wire.resize(MAX_HEAD_BYTES, b'a');
+        assert_eq!(codec.parse(&wire, None).unwrap(), ParseOutcome::Incomplete);
+        wire.push(b'a');
         assert!(codec.parse(&wire, None).is_err());
         // A *terminated* head over the limit is rejected too.
-        let mut wire = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
-        wire.extend(std::iter::repeat(b'a').take(100));
         wire.extend_from_slice(b"\r\n\r\n");
         assert!(codec.parse(&wire, None).is_err());
     }
 
     #[test]
     fn too_many_header_lines_is_malformed() {
-        let codec = HttpCodec::with_limits(ParseLimits {
-            max_fields: 4,
-            ..ParseLimits::default()
-        });
-        let mut wire = String::from("GET / HTTP/1.1\r\n");
-        for i in 0..5 {
-            wire.push_str(&format!("X-H{i}: v\r\n"));
-        }
-        wire.push_str("\r\n");
-        assert!(codec.parse(wire.as_bytes(), None).is_err());
+        let codec = HttpCodec::new();
+        let request = |lines: usize| {
+            let mut wire = String::from("GET / HTTP/1.1\r\n");
+            for i in 0..lines {
+                wire.push_str(&format!("X-H{i}: v\r\n"));
+            }
+            wire + "\r\n"
+        };
+        assert!(codec.parse(request(MAX_FIELDS).as_bytes(), None).is_ok());
+        assert!(codec
+            .parse(request(MAX_FIELDS + 1).as_bytes(), None)
+            .is_err());
     }
 }

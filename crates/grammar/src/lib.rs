@@ -15,6 +15,12 @@
 //!   ([`memcached`]), HTTP/1.1 ([`http`]) and Hadoop intermediate key/value
 //!   records ([`hadoop`]).
 //!
+//! Every codec meets one contract, [`WireCodec`]: one zero-copy parse over
+//! a shared buffer ([`WireCodec::parse_bytes`]) and one vectored
+//! serialisation ([`WireCodec::serialize_parts`]); the borrowed-slice parse
+//! and the contiguous serialisation are provided on top of them. Parsing
+//! is bounded by the constants of [`limits`], which no caller tunes.
+//!
 //! # Examples
 //!
 //! ```
@@ -46,19 +52,16 @@ pub mod projection;
 
 pub use engine::GrammarCodec;
 pub use error::GrammarError;
-pub use limits::ParseLimits;
 pub use message::{intern, interned_names, Message, MsgValue, Name, Rest};
 pub use projection::Projection;
+
+use bytes::Bytes;
 
 /// The result of attempting to parse one message from a byte buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParseOutcome {
     /// The buffer does not yet contain a complete message.
-    Incomplete {
-        /// A lower bound on how many further bytes are needed, or 0 if the
-        /// parser cannot tell yet.
-        needed: usize,
-    },
+    Incomplete,
     /// A complete message was parsed.
     Complete {
         /// The parsed message.
@@ -68,7 +71,11 @@ pub enum ParseOutcome {
     },
 }
 
-/// A parser/serialiser pair for one wire format.
+/// A parser/serialiser pair for one wire format: one parse on the way in,
+/// one serialisation on the way out (§4.2). A codec implements exactly
+/// [`WireCodec::parse_bytes`] and [`WireCodec::serialize_parts`]; the
+/// borrowed-slice [`WireCodec::parse`] and the contiguous
+/// [`WireCodec::serialize`] are derived from them.
 ///
 /// Implementations must be cheap to share across threads: the FLICK runtime
 /// clones one codec per input/output task.
@@ -76,59 +83,56 @@ pub trait WireCodec: Send + Sync {
     /// The name of the format (used in diagnostics and task labels).
     fn name(&self) -> &str;
 
-    /// Attempts to parse one message from the front of `buf`.
+    /// Attempts to parse one message from the front of a shared buffer.
     ///
     /// `projection`, when given, names the fields the caller will access;
     /// the codec may skip materialising any other field as long as the raw
     /// bytes of the message are preserved for pass-through forwarding.
-    fn parse(
-        &self,
-        buf: &[u8],
-        projection: Option<&Projection>,
-    ) -> Result<ParseOutcome, GrammarError>;
-
-    /// Attempts to parse one message from the front of a *shared* buffer.
-    ///
-    /// Like [`WireCodec::parse`], but the input is a refcounted
-    /// [`bytes::Bytes`], so codecs can bind the message (its raw
-    /// pass-through bytes and its byte-field values) to the caller's
-    /// allocation without copying — fields outside the projection are then
-    /// never copied at all. The default implementation falls back to the
-    /// borrowed-slice path; [`engine::GrammarCodec`] overrides it
-    /// zero-copy, and wrapper codecs forward it.
+    /// The input is a refcounted [`Bytes`], so the message (its raw
+    /// pass-through bytes and its byte-field values) is bound to the
+    /// caller's allocation without copying — fields outside the projection
+    /// are never copied at all. Parsing is bounded by the constants of
+    /// [`limits`]: past one the frame is malformed, not incomplete.
     fn parse_bytes(
         &self,
-        buf: &bytes::Bytes,
+        buf: &Bytes,
         projection: Option<&Projection>,
-    ) -> Result<ParseOutcome, GrammarError> {
-        self.parse(buf, projection)
-    }
-
-    /// Serialises `msg` to `out`, appending to it.
-    ///
-    /// If the message still carries its raw wire bytes and no field has been
-    /// modified, implementations should copy those bytes through unchanged.
-    fn serialize(&self, msg: &Message, out: &mut Vec<u8>) -> Result<(), GrammarError>;
+    ) -> Result<ParseOutcome, GrammarError>;
 
     /// Serialises `msg` for a vectored (`writev`-style) output path:
     /// appends the leading part (headers, framing) to `out` and returns
     /// the trailing part — a refcounted body or the unmodified raw wire
-    /// bytes — as a separate [`bytes::Bytes`] segment, so the transport
-    /// can hand both to the kernel in one syscall without concatenating.
+    /// bytes — as a separate [`Bytes`] segment, so the transport can hand
+    /// both to the kernel in one syscall without concatenating.
     ///
-    /// Returning `Ok(None)` means everything was appended to `out` (the
-    /// default, which simply falls back to [`WireCodec::serialize`]).
-    /// Returning `Ok(Some(tail))` means the wire form is `out ++ tail`;
-    /// in particular a pass-through message may leave `out` untouched and
-    /// come back entirely as the shared segment. Implementations must
-    /// produce byte-for-byte the same stream as `serialize`.
+    /// `Ok(None)` means everything was appended to `out`; `Ok(Some(tail))`
+    /// means the wire form is `out ++ tail` — in particular a pass-through
+    /// message may leave `out` untouched and come back entirely as the
+    /// shared segment.
     fn serialize_parts(
         &self,
         msg: &Message,
         out: &mut Vec<u8>,
-    ) -> Result<Option<bytes::Bytes>, GrammarError> {
-        self.serialize(msg, out)?;
-        Ok(None)
+    ) -> Result<Option<Bytes>, GrammarError>;
+
+    /// [`WireCodec::parse_bytes`] over a borrowed slice, which is copied
+    /// once, whole: a caller that parses repeatedly from a growing buffer
+    /// should hold it as [`Bytes`] instead.
+    fn parse(
+        &self,
+        buf: &[u8],
+        projection: Option<&Projection>,
+    ) -> Result<ParseOutcome, GrammarError> {
+        self.parse_bytes(&Bytes::copy_from_slice(buf), projection)
+    }
+
+    /// [`WireCodec::serialize_parts`] into one contiguous buffer: the tail
+    /// segment, if any, is appended to `out`.
+    fn serialize(&self, msg: &Message, out: &mut Vec<u8>) -> Result<(), GrammarError> {
+        if let Some(tail) = self.serialize_parts(msg, out)? {
+            out.extend_from_slice(&tail);
+        }
+        Ok(())
     }
 
     /// Whether the connection `msg` crossed — written by this codec or

@@ -1,62 +1,29 @@
 //! Hard resource bounds for wire parsing.
 //!
-//! Every codec carries a [`ParseLimits`]: the parsing *mechanism* enforces
-//! these bounds unconditionally, regardless of what routing or retry
-//! *policy* sits above it. A frame that exceeds a limit is rejected as
+//! Every codec enforces these bounds unconditionally: they are parsing
+//! *mechanism*, not a policy that routing or retry logic above may tune.
+//! A frame that exceeds one is rejected as
 //! [`GrammarError::Malformed`](crate::GrammarError) immediately — the
-//! parser never asks the transport to buffer more bytes than the limit
+//! parser never asks the transport to buffer more bytes than a bound
 //! allows, so a hostile length field cannot make an ingest buffer grow
-//! without bound.
+//! without bound. The values are generous for the built-in workloads while
+//! still finite: a garbled or adversarial frame fails fast instead of
+//! accumulating.
 
-/// Per-codec parsing bounds.
-///
-/// The defaults are deliberately generous for the built-in workloads
-/// (64 KiB of headers, 16 MiB of body, 256 fields) while still finite:
-/// a garbled or adversarial frame fails fast instead of accumulating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParseLimits {
-    /// Maximum size of the message head (for HTTP: the request/status line
-    /// plus headers including the blank-line terminator; for binary
-    /// grammars: the fixed-size prefix is always far below this). A buffer
-    /// that grows past this without completing a head is malformed.
-    pub max_head_bytes: usize,
-    /// Maximum size any single variable-length field (or an HTTP body) may
-    /// declare. Length fields above this are malformed, even though the
-    /// declared length itself fit in the wire integer.
-    pub max_body_bytes: usize,
-    /// Maximum number of fields (HTTP header lines, grammar items) one
-    /// message may carry.
-    pub max_fields: usize,
-}
+/// Maximum size of a message head: for HTTP, the request/status line plus
+/// headers including the blank-line terminator (binary grammars' fixed
+/// prefixes are far below it). A buffer that grows past this without
+/// completing a head is malformed.
+pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 
-impl ParseLimits {
-    /// The default head bound: 64 KiB.
-    pub const DEFAULT_MAX_HEAD_BYTES: usize = 64 * 1024;
-    /// The default per-field/body bound: 16 MiB.
-    pub const DEFAULT_MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
-    /// The default field-count bound.
-    pub const DEFAULT_MAX_FIELDS: usize = 256;
+/// Maximum size any single variable-length field (or an HTTP body) may
+/// declare. Length fields above this are malformed, even though the
+/// declared length itself fit in the wire integer.
+pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
-    /// Limits that never reject (every bound at `usize::MAX`). Only for
-    /// tests that exercise the arithmetic past the bounds.
-    pub fn unbounded() -> Self {
-        ParseLimits {
-            max_head_bytes: usize::MAX,
-            max_body_bytes: usize::MAX,
-            max_fields: usize::MAX,
-        }
-    }
-}
-
-impl Default for ParseLimits {
-    fn default() -> Self {
-        ParseLimits {
-            max_head_bytes: Self::DEFAULT_MAX_HEAD_BYTES,
-            max_body_bytes: Self::DEFAULT_MAX_BODY_BYTES,
-            max_fields: Self::DEFAULT_MAX_FIELDS,
-        }
-    }
-}
+/// Maximum number of fields (HTTP header lines, grammar items) one message
+/// may carry.
+pub const MAX_FIELDS: usize = 256;
 
 #[cfg(test)]
 mod tests {
@@ -64,15 +31,8 @@ mod tests {
 
     #[test]
     fn defaults_are_finite_and_generous() {
-        let limits = ParseLimits::default();
-        assert_eq!(limits.max_head_bytes, 64 * 1024);
-        assert_eq!(limits.max_body_bytes, 16 * 1024 * 1024);
-        assert_eq!(limits.max_fields, 256);
-    }
-
-    #[test]
-    fn unbounded_never_clamps() {
-        let limits = ParseLimits::unbounded();
-        assert_eq!(limits.max_body_bytes, usize::MAX);
+        assert_eq!(MAX_HEAD_BYTES, 64 * 1024);
+        assert_eq!(MAX_BODY_BYTES, 16 * 1024 * 1024);
+        assert_eq!(MAX_FIELDS, 256);
     }
 }

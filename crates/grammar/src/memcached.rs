@@ -120,13 +120,6 @@ impl MemcachedCodec {
             inner: GrammarCodec::new(grammar()).expect("built-in grammar is valid"),
         }
     }
-
-    /// Creates the codec with explicit parse bounds.
-    pub fn with_limits(limits: crate::ParseLimits) -> Self {
-        MemcachedCodec {
-            inner: GrammarCodec::with_limits(grammar(), limits).expect("built-in grammar is valid"),
-        }
-    }
 }
 
 impl Default for MemcachedCodec {
@@ -140,24 +133,20 @@ impl WireCodec for MemcachedCodec {
         "memcached"
     }
 
-    fn parse(
-        &self,
-        buf: &[u8],
-        projection: Option<&Projection>,
-    ) -> Result<ParseOutcome, GrammarError> {
-        self.inner.parse(buf, projection)
-    }
-
     fn parse_bytes(
         &self,
-        buf: &bytes::Bytes,
+        buf: &Bytes,
         projection: Option<&Projection>,
     ) -> Result<ParseOutcome, GrammarError> {
-        self.inner.parse_shared(buf, projection)
+        self.inner.parse_bytes(buf, projection)
     }
 
-    fn serialize(&self, msg: &Message, out: &mut Vec<u8>) -> Result<(), GrammarError> {
-        self.inner.serialize(msg, out)
+    fn serialize_parts(
+        &self,
+        msg: &Message,
+        out: &mut Vec<u8>,
+    ) -> Result<Option<Bytes>, GrammarError> {
+        self.inner.serialize_parts(msg, out)
     }
 }
 
@@ -245,7 +234,7 @@ mod tests {
     fn partial_header_is_incomplete() {
         let codec = MemcachedCodec::new();
         match codec.parse(&[0x80, 0x0c, 0x00], None).unwrap() {
-            ParseOutcome::Incomplete { .. } => {}
+            ParseOutcome::Incomplete => {}
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -257,10 +246,18 @@ mod tests {
         codec
             .serialize(&request(opcode::GET, b"abcd", b"", b""), &mut wire)
             .unwrap();
-        match codec.parse(&wire[..26], None).unwrap() {
-            ParseOutcome::Incomplete { needed } => assert_eq!(needed, 2),
-            other => panic!("unexpected {other:?}"),
+        // Incomplete until the last key byte, complete on it.
+        assert_eq!(wire.len(), 28);
+        for end in [24, 26, 27] {
+            assert_eq!(
+                codec.parse(&wire[..end], None).unwrap(),
+                ParseOutcome::Incomplete
+            );
         }
+        assert!(matches!(
+            codec.parse(&wire, None).unwrap(),
+            ParseOutcome::Complete { consumed: 28, .. }
+        ));
     }
 
     /// A header whose `total_len` is maxed out (4 GiB value) is rejected as

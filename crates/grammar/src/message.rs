@@ -263,7 +263,7 @@ impl Message {
     /// bytes and each byte field are copied into allocations of exactly
     /// their own size.
     ///
-    /// Messages parsed zero-copy (`parse_bytes`/`parse_shared`) slice the
+    /// Messages parsed zero-copy (`WireCodec::parse_bytes`) slice the
     /// input task's refcounted ingest chunk, which is the right shape for
     /// a message that lives for one request — but *retaining* one pins
     /// the whole chunk for its lifetime and forces the connection onto

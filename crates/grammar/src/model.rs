@@ -7,7 +7,6 @@
 //! fields and a unit-wide byte order.
 
 use crate::error::GrammarError;
-use std::collections::HashMap;
 
 /// Byte order of multi-byte integer fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,13 +60,15 @@ impl LenExpr {
         LenExpr::Field(name.into())
     }
 
-    /// Evaluates the expression against an environment of known values.
+    /// Evaluates the expression against an environment of known values:
+    /// an association list, latest binding last (it shadows earlier ones,
+    /// as a map insert would), which the codec lends from its stack.
     ///
     /// `unit` is used for error reporting only.
-    pub fn eval<E: LenEnv + ?Sized>(&self, env: &E, unit: &str) -> Result<u64, GrammarError> {
+    pub fn eval(&self, env: &[(&str, u64)], unit: &str) -> Result<u64, GrammarError> {
         match self {
             LenExpr::Const(v) => Ok(*v),
-            LenExpr::Field(name) | LenExpr::LenOf(name) => env.lookup(name).ok_or_else(|| {
+            LenExpr::Field(name) | LenExpr::LenOf(name) => lookup(env, name).ok_or_else(|| {
                 GrammarError::invalid(
                     unit,
                     format!("length expression references unknown field `{name}`"),
@@ -102,25 +103,9 @@ impl LenExpr {
     }
 }
 
-/// The names a [`LenExpr`] can be evaluated against.
-pub trait LenEnv {
-    /// The value bound to `name`, if any.
-    fn lookup(&self, name: &str) -> Option<u64>;
-}
-
-impl LenEnv for HashMap<String, u64> {
-    fn lookup(&self, name: &str) -> Option<u64> {
-        self.get(name).copied()
-    }
-}
-
-/// A borrowed association list, latest binding last (it shadows earlier
-/// ones, as a map insert would): the parse-time environment, which needs
-/// no allocation per message.
-impl LenEnv for [(&str, u64)] {
-    fn lookup(&self, name: &str) -> Option<u64> {
-        self.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| *v)
-    }
+/// The latest binding of `name` in an association list.
+pub(crate) fn lookup(env: &[(&str, u64)], name: &str) -> Option<u64> {
+    env.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| *v)
 }
 
 /// The wire representation of a single field.
@@ -371,10 +356,6 @@ impl UnitGrammar {
 mod tests {
     use super::*;
 
-    fn env(pairs: &[(&str, u64)]) -> HashMap<String, u64> {
-        pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
-    }
-
     #[test]
     fn len_expr_arithmetic() {
         let e = LenExpr::sub(
@@ -383,7 +364,7 @@ mod tests {
         );
         let v = e
             .eval(
-                &env(&[("total_len", 30), ("extras_len", 4), ("key_len", 6)]),
+                &[("total_len", 30), ("extras_len", 4), ("key_len", 6)],
                 "cmd",
             )
             .unwrap();
@@ -393,7 +374,7 @@ mod tests {
     #[test]
     fn len_expr_underflow_is_malformed() {
         let e = LenExpr::sub(LenExpr::field("a"), LenExpr::field("b"));
-        let err = e.eval(&env(&[("a", 1), ("b", 5)]), "cmd").unwrap_err();
+        let err = e.eval(&[("a", 1), ("b", 5)], "cmd").unwrap_err();
         assert!(matches!(err, GrammarError::Malformed { .. }));
     }
 
@@ -401,7 +382,7 @@ mod tests {
     fn len_expr_unknown_field() {
         let e = LenExpr::field("missing");
         assert!(matches!(
-            e.eval(&env(&[]), "cmd"),
+            e.eval(&[], "cmd"),
             Err(GrammarError::InvalidGrammar { .. })
         ));
     }

@@ -10,27 +10,14 @@
 use std::collections::BTreeSet;
 
 /// The set of message fields a service requires.
+///
+/// A codec given no projection (`None`) materialises every field.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Projection {
     fields: BTreeSet<String>,
-    /// When `true`, every field is required (equivalent to no projection).
-    all: bool,
 }
 
 impl Projection {
-    /// A projection that requires every field.
-    pub fn all() -> Self {
-        Projection {
-            fields: BTreeSet::new(),
-            all: true,
-        }
-    }
-
-    /// An empty projection; fields can be added with [`Projection::with`].
-    pub fn none() -> Self {
-        Projection::default()
-    }
-
     /// Builds a projection from an iterator of field names.
     pub fn of<I, S>(names: I) -> Self
     where
@@ -39,7 +26,6 @@ impl Projection {
     {
         Projection {
             fields: names.into_iter().map(Into::into).collect(),
-            all: false,
         }
     }
 
@@ -51,20 +37,20 @@ impl Projection {
 
     /// Returns `true` if the named field must be materialised.
     pub fn requires(&self, name: &str) -> bool {
-        self.all || self.fields.contains(name)
+        self.fields.contains(name)
     }
 
-    /// Returns `true` if no specific fields are required (and not `all`).
+    /// Returns `true` if no field is required.
     pub fn is_empty(&self) -> bool {
-        !self.all && self.fields.is_empty()
+        self.fields.is_empty()
     }
 
-    /// Number of explicitly required fields.
+    /// Number of required fields.
     pub fn len(&self) -> usize {
         self.fields.len()
     }
 
-    /// Iterates over explicitly required field names.
+    /// Iterates over required field names.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
         self.fields.iter().map(String::as_str)
     }
@@ -73,16 +59,6 @@ impl Projection {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_requires_everything() {
-        let p = Projection::all();
-        assert!(p.requires("anything"));
-        // `all()` is not "empty" (it requires everything) yet names no
-        // explicit fields.
-        assert!(!p.is_empty());
-        assert_eq!(p.len(), 0);
-    }
 
     #[test]
     fn explicit_projection_filters() {
@@ -94,7 +70,7 @@ mod tests {
 
     #[test]
     fn with_adds_fields() {
-        let p = Projection::none().with("key");
+        let p = Projection::default().with("key");
         assert!(p.requires("key"));
         assert!(!p.requires("opcode"));
         assert!(!p.is_empty());

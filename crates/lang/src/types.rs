@@ -98,14 +98,6 @@ impl Type {
         }
     }
 
-    /// Returns the element type of a channel or channel array, if any.
-    pub fn channel_value(&self) -> Option<&Type> {
-        match self {
-            Type::Channel { value, .. } | Type::ChannelArray { value, .. } => Some(value),
-            _ => None,
-        }
-    }
-
     /// Returns `true` if this type is a channel or channel array.
     pub fn is_channel_like(&self) -> bool {
         matches!(self, Type::Channel { .. } | Type::ChannelArray { .. })

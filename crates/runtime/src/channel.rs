@@ -232,14 +232,10 @@ impl ChannelConsumer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::SchedulingPolicy;
+    use crate::task::NO_DEADLINE;
 
     fn ctx(task: u64) -> TaskContext {
-        TaskContext::new(
-            TaskId(task),
-            SchedulingPolicy::NonCooperative,
-            RuntimeMetrics::new_shared(),
-        )
+        TaskContext::new(TaskId(task), NO_DEADLINE, RuntimeMetrics::new_shared())
     }
 
     #[test]
@@ -377,11 +373,7 @@ mod tests {
         let producer = std::thread::spawn(move || {
             let mut next = 0;
             while next < ROUNDS {
-                let mut c = TaskContext::new(
-                    TaskId(7),
-                    SchedulingPolicy::NonCooperative,
-                    Arc::clone(&producer_metrics),
-                );
+                let mut c = TaskContext::new(TaskId(7), NO_DEADLINE, Arc::clone(&producer_metrics));
                 while next < ROUNDS {
                     match tx.push_or_park(Value::Int(next), &mut c) {
                         Ok(()) => next += 1,
@@ -399,11 +391,7 @@ mod tests {
         });
         let deadline = Instant::now() + Duration::from_secs(60);
         let mut expected = 0;
-        let mut consumer = TaskContext::new(
-            TaskId(1),
-            SchedulingPolicy::NonCooperative,
-            Arc::clone(&metrics),
-        );
+        let mut consumer = TaskContext::new(TaskId(1), NO_DEADLINE, Arc::clone(&metrics));
         while !rx.is_finished() {
             assert!(Instant::now() < deadline, "stalled at {expected}");
             match rx.pop(&mut consumer) {

@@ -929,12 +929,12 @@ mod tests {
         factory: Arc<dyn GraphFactory>,
     ) -> (ShardReactor, Arc<ServiceShared>, Arc<RuntimeMetrics>) {
         use crate::scheduler::StealGroup;
-        use crate::task::SchedulingPolicy;
+        use crate::task::TIMESLICE;
 
         let metrics = RuntimeMetrics::new_shared();
         let scheduler = Arc::new(Scheduler::start_sharded(
             2,
-            SchedulingPolicy::default(),
+            TIMESLICE,
             Arc::clone(&metrics),
             &StealGroup::new(),
             0,

@@ -10,7 +10,8 @@
 //!   (parsed application messages, integers, strings, lists);
 //! * [`channel`] — bounded single-consumer task channels;
 //! * [`task`] — the [`task::Task`] trait, the cooperative
-//!   [`task::TaskContext`] and the three scheduling policies of §6.4;
+//!   [`task::TaskContext`] and the timeslice that expresses the three
+//!   scheduling policies of §6.4;
 //! * [`tasks`] — the concrete task kinds: input (deserialise), compute,
 //!   output (serialise), and a synthetic source used by micro-benchmarks;
 //! * [`graph`] — task-graph assembly;
@@ -60,6 +61,6 @@ pub use platform::{
 pub use pool::{BackendPool, BackendTarget};
 pub use scheduler::{Scheduler, ShardLoad, StealGroup};
 pub use shard::{Shard, ShardStatus};
-pub use task::{SchedulingPolicy, Task, TaskContext, TaskId, TaskStatus};
+pub use task::{Task, TaskContext, TaskId, TaskStatus, NO_DEADLINE, TIMESLICE};
 pub use tasks::{ComputeLogic, ComputeTask, ExecMode, InputTask, OutputTask, Outputs, SourceTask};
 pub use value::{SharedDict, Value};

@@ -21,7 +21,7 @@ use crate::metrics::RuntimeMetrics;
 use crate::pool::{BackendPool, BackendTarget};
 use crate::scheduler::{Scheduler, StealGroup};
 use crate::shard::{Shard, ShardSet, ShardStatus};
-use crate::task::{SchedulingPolicy, Task, TaskId};
+use crate::task::{Task, TaskId, TIMESLICE};
 use crate::tasks::ExecMode;
 use flick_net::{Endpoint, Interest, Listener, SimNetwork, StackModel, TcpStack};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,7 +39,7 @@ pub fn default_shard_count() -> usize {
 /// Configuration of a [`Platform`]: two sizing fields (DESIGN.md "Policy
 /// surface"). Everything else about the runtime is mechanism and is not
 /// configurable — workers run the paper's cooperative discipline
-/// ([`SchedulingPolicy::default`]), back-ends are routed, ejected and
+/// ([`TIMESLICE`]), back-ends are routed, ejected and
 /// retried by the constants in [`crate::pool`], and the transport cost
 /// model belongs to the [`SimNetwork`] the platform is attached to.
 #[derive(Debug, Clone)]
@@ -280,7 +280,7 @@ impl Platform {
             .map(|id| {
                 let scheduler = Arc::new(Scheduler::start_sharded(
                     config.workers_for_shard(id),
-                    SchedulingPolicy::default(),
+                    TIMESLICE,
                     Arc::clone(&metrics),
                     &group,
                     id,

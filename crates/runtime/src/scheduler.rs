@@ -23,7 +23,7 @@
 //! owning shard's poller stay valid no matter which shard's worker ran it.
 
 use crate::metrics::RuntimeMetrics;
-use crate::task::{SchedulingPolicy, Task, TaskContext, TaskId, TaskStatus};
+use crate::task::{Task, TaskContext, TaskId, TaskStatus};
 use flick_net::{Poller, Readiness, Token};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
@@ -120,7 +120,8 @@ impl GraphLife {
 struct SchedulerInner {
     queues: Vec<WorkerQueue>,
     tasks: RwLock<HashMap<TaskId, Arc<TaskSlot>>>,
-    policy: SchedulingPolicy,
+    /// How long one dispatch of a task may run ([`crate::task::TIMESLICE`]).
+    timeslice: Duration,
     metrics: Arc<RuntimeMetrics>,
     shutdown: AtomicBool,
     /// Which shard this scheduler belongs to (0 outside sharded platforms).
@@ -252,7 +253,7 @@ impl SchedulerInner {
             RuntimeMetrics::add(&self.metrics.slot_runs, 1);
         }
         self.runs.fetch_add(1, Ordering::Relaxed);
-        let mut ctx = TaskContext::new(id, self.policy, Arc::clone(&self.metrics));
+        let mut ctx = TaskContext::new(id, self.timeslice, Arc::clone(&self.metrics));
         let status = task.run(&mut ctx);
         drop(guard);
         let mut wakes = ctx.take_wakes();
@@ -471,12 +472,13 @@ impl std::fmt::Debug for Scheduler {
 }
 
 impl Scheduler {
-    /// Starts a scheduler with `workers` worker threads under `policy`.
+    /// Starts a scheduler with `workers` worker threads whose task
+    /// dispatches may each run for `timeslice`.
     ///
     /// The paper sets the number of workers to the number of CPU cores; the
     /// benchmark harness passes the core count being evaluated.
-    pub fn start(workers: usize, policy: SchedulingPolicy, metrics: Arc<RuntimeMetrics>) -> Self {
-        Self::start_inner(workers, policy, metrics, None, 0)
+    pub fn start(workers: usize, timeslice: Duration, metrics: Arc<RuntimeMetrics>) -> Self {
+        Self::start_inner(workers, timeslice, metrics, None, 0)
     }
 
     /// Starts the scheduler of shard `shard` and joins it to `group`:
@@ -488,17 +490,17 @@ impl Scheduler {
     /// owning shard; see [`steal`].
     pub fn start_sharded(
         workers: usize,
-        policy: SchedulingPolicy,
+        timeslice: Duration,
         metrics: Arc<RuntimeMetrics>,
         group: &Arc<StealGroup>,
         shard: usize,
     ) -> Self {
-        Self::start_inner(workers, policy, metrics, Some(Arc::clone(group)), shard)
+        Self::start_inner(workers, timeslice, metrics, Some(Arc::clone(group)), shard)
     }
 
     fn start_inner(
         workers: usize,
-        policy: SchedulingPolicy,
+        timeslice: Duration,
         metrics: Arc<RuntimeMetrics>,
         group: Option<Arc<StealGroup>>,
         shard: usize,
@@ -511,7 +513,7 @@ impl Scheduler {
                 })
                 .collect(),
             tasks: RwLock::new(HashMap::new()),
-            policy,
+            timeslice,
             metrics,
             shutdown: AtomicBool::new(false),
             shard,
@@ -652,6 +654,7 @@ impl Drop for Scheduler {
 mod tests {
     use super::*;
     use crate::graph::{GraphBuilder, TaskIdAllocator};
+    use crate::task::{NO_DEADLINE, TIMESLICE};
     use crate::tasks::{ComputeLogic, ComputeTask, Outputs, SourceTask, SyntheticWorkTask};
     use crate::value::Value;
     use crate::RuntimeError;
@@ -660,7 +663,7 @@ mod tests {
     #[test]
     fn runs_a_single_task_to_completion() {
         let metrics = RuntimeMetrics::new_shared();
-        let scheduler = Scheduler::start(2, SchedulingPolicy::default(), Arc::clone(&metrics));
+        let scheduler = Scheduler::start(2, TIMESLICE, Arc::clone(&metrics));
         let done = Arc::new(AtomicBool::new(false));
         let done2 = Arc::clone(&done);
         let id = TaskId(1);
@@ -698,7 +701,7 @@ mod tests {
     #[test]
     fn source_feeds_compute_across_workers() {
         let metrics = RuntimeMetrics::new_shared();
-        let scheduler = Scheduler::start(4, SchedulingPolicy::default(), Arc::clone(&metrics));
+        let scheduler = Scheduler::start(4, TIMESLICE, Arc::clone(&metrics));
         let alloc = TaskIdAllocator::new();
         let mut builder = GraphBuilder::new("pipeline", &alloc);
         let source_node = builder.declare_node();
@@ -730,15 +733,9 @@ mod tests {
 
     #[test]
     fn many_tasks_complete_under_all_policies() {
-        for policy in [
-            SchedulingPolicy::Cooperative {
-                timeslice: Duration::from_micros(50),
-            },
-            SchedulingPolicy::NonCooperative,
-            SchedulingPolicy::RoundRobin,
-        ] {
+        for timeslice in [TIMESLICE, NO_DEADLINE, Duration::ZERO] {
             let metrics = RuntimeMetrics::new_shared();
-            let scheduler = Scheduler::start(4, policy, metrics);
+            let scheduler = Scheduler::start(4, timeslice, metrics);
             let completed = Arc::new(AtomicUsize::new(0));
             for i in 0..40 {
                 let completed = Arc::clone(&completed);
@@ -758,25 +755,26 @@ mod tests {
             }
             assert!(
                 scheduler.wait_idle(Duration::from_secs(10)),
-                "policy {:?} stalled",
-                policy
+                "timeslice {timeslice:?} stalled"
             );
-            assert_eq!(completed.load(Ordering::SeqCst), 40, "policy {policy:?}");
+            assert_eq!(
+                completed.load(Ordering::SeqCst),
+                40,
+                "timeslice {timeslice:?}"
+            );
         }
     }
 
     #[test]
     fn scheduling_unknown_task_is_harmless() {
-        let scheduler =
-            Scheduler::start(1, SchedulingPolicy::default(), RuntimeMetrics::new_shared());
+        let scheduler = Scheduler::start(1, TIMESLICE, RuntimeMetrics::new_shared());
         assert!(!scheduler.schedule(TaskId(999)), "reports the miss");
         assert_eq!(scheduler.task_count(), 0);
     }
 
     #[test]
     fn remove_discards_a_registered_task() {
-        let scheduler =
-            Scheduler::start(1, SchedulingPolicy::default(), RuntimeMetrics::new_shared());
+        let scheduler = Scheduler::start(1, TIMESLICE, RuntimeMetrics::new_shared());
         scheduler.register(TaskId(7), Box::new(SyntheticWorkTask::new("t", 1, 1, None)));
         assert_eq!(scheduler.task_count(), 1);
         scheduler.remove(TaskId(7));
@@ -812,8 +810,7 @@ mod tests {
     /// client task has exited (not its first), and once its last task has.
     #[test]
     fn a_graph_posts_after_its_last_client_and_its_last_task() {
-        let scheduler =
-            Scheduler::start(2, SchedulingPolicy::default(), RuntimeMetrics::new_shared());
+        let scheduler = Scheduler::start(2, TIMESLICE, RuntimeMetrics::new_shared());
         let poller = Poller::new();
         let (a, b, c) = (TaskId(1), TaskId(2), TaskId(3));
         let graph = scheduler.register_graph(
@@ -845,8 +842,7 @@ mod tests {
     /// stop once every task is gone.
     #[test]
     fn removal_counts_each_task_out_once() {
-        let scheduler =
-            Scheduler::start(1, SchedulingPolicy::default(), RuntimeMetrics::new_shared());
+        let scheduler = Scheduler::start(1, TIMESLICE, RuntimeMetrics::new_shared());
         let poller = Poller::new();
         let (a, b, c) = (TaskId(1), TaskId(2), TaskId(3));
         let graph = scheduler.register_graph(
@@ -877,8 +873,7 @@ mod tests {
     /// A graph with no client task starts its drain on its first exit.
     #[test]
     fn a_graph_without_clients_drains_on_its_first_exit() {
-        let scheduler =
-            Scheduler::start(1, SchedulingPolicy::default(), RuntimeMetrics::new_shared());
+        let scheduler = Scheduler::start(1, TIMESLICE, RuntimeMetrics::new_shared());
         let poller = Poller::new();
         let (a, b) = (TaskId(1), TaskId(2));
         let graph = scheduler.register_graph(
@@ -897,8 +892,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_joins_workers() {
-        let mut scheduler =
-            Scheduler::start(3, SchedulingPolicy::default(), RuntimeMetrics::new_shared());
+        let mut scheduler = Scheduler::start(3, TIMESLICE, RuntimeMetrics::new_shared());
         scheduler.shutdown();
         scheduler.shutdown();
         assert_eq!(scheduler.task_count(), 0);
@@ -997,7 +991,7 @@ mod tests {
         // the gate is held is for the free worker to scavenge the pinned
         // queue, so the metric must observe every burst task.
         let metrics = RuntimeMetrics::new_shared();
-        let scheduler = Scheduler::start(2, SchedulingPolicy::RoundRobin, Arc::clone(&metrics));
+        let scheduler = Scheduler::start(2, Duration::ZERO, Arc::clone(&metrics));
         let (gate, entered, release) = GateTask::new();
         scheduler.register(TaskId(1), Box::new(gate));
         scheduler.schedule(TaskId(1));
@@ -1051,13 +1045,7 @@ mod tests {
         let metrics = RuntimeMetrics::new_shared();
         let group = StealGroup::new();
         let start = |shard| {
-            Scheduler::start_sharded(
-                1,
-                SchedulingPolicy::RoundRobin,
-                Arc::clone(&metrics),
-                &group,
-                shard,
-            )
+            Scheduler::start_sharded(1, Duration::ZERO, Arc::clone(&metrics), &group, shard)
         };
         let owner = start(0);
         let (gate, entered, release) = GateTask::new();
@@ -1115,20 +1103,8 @@ mod tests {
         let metrics = RuntimeMetrics::new_shared();
         let group = StealGroup::new();
         let shards = [
-            Scheduler::start_sharded(
-                1,
-                SchedulingPolicy::RoundRobin,
-                Arc::clone(&metrics),
-                &group,
-                0,
-            ),
-            Scheduler::start_sharded(
-                1,
-                SchedulingPolicy::RoundRobin,
-                Arc::clone(&metrics),
-                &group,
-                1,
-            ),
+            Scheduler::start_sharded(1, Duration::ZERO, Arc::clone(&metrics), &group, 0),
+            Scheduler::start_sharded(1, Duration::ZERO, Arc::clone(&metrics), &group, 1),
         ];
         let (gate, entered, release) = GateTask::new();
         shards[0].register(TaskId(1), Box::new(gate));
@@ -1196,7 +1172,7 @@ mod tests {
     #[test]
     fn lifo_chain_runs_on_the_waking_worker() {
         let metrics = RuntimeMetrics::new_shared();
-        let scheduler = Scheduler::start(2, SchedulingPolicy::default(), Arc::clone(&metrics));
+        let scheduler = Scheduler::start(2, TIMESLICE, Arc::clone(&metrics));
         let (gate, entered, release) = GateTask::new();
         scheduler.register(TaskId(1), Box::new(gate));
         scheduler.schedule(TaskId(1));
@@ -1242,7 +1218,7 @@ mod tests {
     fn lifo_ping_pong_yields_to_the_queue_after_the_cap() {
         const ROUNDS: usize = 20;
         let metrics = RuntimeMetrics::new_shared();
-        let scheduler = Scheduler::start(1, SchedulingPolicy::default(), Arc::clone(&metrics));
+        let scheduler = Scheduler::start(1, TIMESLICE, Arc::clone(&metrics));
         let (gate, entered, release) = GateTask::new();
         scheduler.register(TaskId(1), Box::new(gate));
         scheduler.schedule(TaskId(1));
@@ -1285,7 +1261,7 @@ mod tests {
     #[test]
     fn lifo_a_yielding_task_never_takes_the_slot() {
         let metrics = RuntimeMetrics::new_shared();
-        let scheduler = Scheduler::start(1, SchedulingPolicy::default(), Arc::clone(&metrics));
+        let scheduler = Scheduler::start(1, TIMESLICE, Arc::clone(&metrics));
         let (gate, entered, release) = GateTask::new();
         scheduler.register(TaskId(1), Box::new(gate));
         scheduler.schedule(TaskId(1));
@@ -1323,7 +1299,7 @@ mod tests {
     #[test]
     fn lifo_a_removed_slot_entry_is_skipped() {
         let metrics = RuntimeMetrics::new_shared();
-        let scheduler = Scheduler::start(1, SchedulingPolicy::default(), Arc::clone(&metrics));
+        let scheduler = Scheduler::start(1, TIMESLICE, Arc::clone(&metrics));
         let (gate, entered, release) = GateTask::new();
         scheduler.register(TaskId(1), Box::new(gate));
         scheduler.schedule(TaskId(1));

@@ -265,15 +265,11 @@ impl Draining {
 mod tests {
     use super::*;
     use crate::metrics::RuntimeMetrics;
-    use crate::task::SchedulingPolicy;
+    use crate::task::{NO_DEADLINE, TIMESLICE};
     use flick_net::{SimNetwork, StackModel};
 
     fn ctx(id: u64) -> TaskContext {
-        TaskContext::new(
-            TaskId(id),
-            SchedulingPolicy::NonCooperative,
-            RuntimeMetrics::new_shared(),
-        )
+        TaskContext::new(TaskId(id), NO_DEADLINE, RuntimeMetrics::new_shared())
     }
 
     /// A connected sim pair: (writer, reader).
@@ -450,11 +446,8 @@ mod tests {
                 while finished < ROUNDS {
                     park(TaskId(id));
                     loop {
-                        let mut ctx = TaskContext::new(
-                            TaskId(id),
-                            SchedulingPolicy::default(),
-                            RuntimeMetrics::new_shared(),
-                        );
+                        let mut ctx =
+                            TaskContext::new(TaskId(id), TIMESLICE, RuntimeMetrics::new_shared());
                         let moved = step(&mut ctx);
                         ctx.take_wakes().into_iter().for_each(&wake);
                         match moved {

@@ -1,4 +1,4 @@
-//! The task abstraction and the scheduling policies.
+//! The task abstraction and the timeslice that schedules it.
 //!
 //! A task is the schedulable unit of computation (§3.2 of the paper): it
 //! consumes a stream of input values, produces a stream of output values, and
@@ -28,40 +28,19 @@ impl std::fmt::Display for TaskId {
     }
 }
 
-/// The scheduling discipline applied to task execution (§6.4, Figure 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulingPolicy {
-    /// FLICK's policy: a task runs for at most the timeslice threshold, then
-    /// yields and re-queues itself if it still has work.
-    Cooperative {
-        /// The timeslice threshold (the paper uses 10–100 µs).
-        timeslice: Duration,
-    },
-    /// A scheduled task runs to completion of all the work it will ever
-    /// have; the OS may still preempt the worker thread.
-    NonCooperative,
-    /// A task processes exactly one data item per dispatch.
-    RoundRobin,
-}
+/// FLICK's timeslice threshold (§3.2; the paper uses 10–100 µs): a task
+/// runs for at most this long per dispatch, then yields and re-queues
+/// itself if it still has work. The platform always runs it.
+///
+/// The timeslice is the one scheduling parameter (§6.4, Figure 7): with
+/// [`NO_DEADLINE`] a scheduled task runs until it has no work left (the OS
+/// may still preempt the worker thread), and with [`Duration::ZERO`] it
+/// processes one item per dispatch (round-robin) — its deadline has passed
+/// once that item is done, which counts as a cooperative yield.
+pub const TIMESLICE: Duration = Duration::from_micros(50);
 
-impl Default for SchedulingPolicy {
-    fn default() -> Self {
-        SchedulingPolicy::Cooperative {
-            timeslice: Duration::from_micros(50),
-        }
-    }
-}
-
-impl SchedulingPolicy {
-    /// A short label for benchmark output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedulingPolicy::Cooperative { .. } => "cooperative",
-            SchedulingPolicy::NonCooperative => "non-cooperative",
-            SchedulingPolicy::RoundRobin => "round-robin",
-        }
-    }
-}
+/// A timeslice that never expires (no deadline can be that far away).
+pub const NO_DEADLINE: Duration = Duration::MAX;
 
 /// What a task reports back to the scheduler after running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +56,7 @@ pub enum TaskStatus {
 /// Per-dispatch execution context handed to [`Task::run`].
 pub struct TaskContext {
     task: TaskId,
-    policy: SchedulingPolicy,
+    /// `None` for a timeslice too long to end.
     deadline: Option<Instant>,
     items_this_run: usize,
     /// Tasks that must be woken because this run pushed data to them (or
@@ -88,16 +67,12 @@ pub struct TaskContext {
 }
 
 impl TaskContext {
-    /// Creates a context for one dispatch of `task` under the given policy.
-    pub fn new(task: TaskId, policy: SchedulingPolicy, metrics: Arc<RuntimeMetrics>) -> Self {
-        let deadline = match policy {
-            SchedulingPolicy::Cooperative { timeslice } => Some(Instant::now() + timeslice),
-            _ => None,
-        };
+    /// Creates a context for one dispatch of `task` that may run for
+    /// `timeslice` ([`TIMESLICE`]).
+    pub fn new(task: TaskId, timeslice: Duration, metrics: Arc<RuntimeMetrics>) -> Self {
         TaskContext {
             task,
-            policy,
-            deadline,
+            deadline: Instant::now().checked_add(timeslice),
             items_this_run: 0,
             wake_list: Vec::new(),
             metrics,
@@ -112,25 +87,16 @@ impl TaskContext {
     }
 
     /// Records that one item was processed and reports whether the task may
-    /// continue with another item in this dispatch.
-    ///
-    /// * Cooperative: continue until the timeslice deadline passes.
-    /// * Non-cooperative: always continue.
-    /// * Round-robin: stop after a single item.
+    /// continue with another item in this dispatch: until the timeslice
+    /// deadline passes, which a zero timeslice's has after the first item.
     pub fn can_continue(&mut self) -> bool {
         self.items_this_run += 1;
-        match self.policy {
-            SchedulingPolicy::Cooperative { .. } => {
-                let expired = self.deadline.map(|d| Instant::now() >= d).unwrap_or(false);
-                if expired {
-                    self.yielded = true;
-                    RuntimeMetrics::add(&self.metrics.cooperative_yields, 1);
-                }
-                !expired
-            }
-            SchedulingPolicy::NonCooperative => true,
-            SchedulingPolicy::RoundRobin => false,
+        let expired = self.deadline.is_some_and(|d| Instant::now() >= d);
+        if expired {
+            self.yielded = true;
+            RuntimeMetrics::add(&self.metrics.cooperative_yields, 1);
         }
+        !expired
     }
 
     /// Number of items processed so far in this dispatch.
@@ -198,20 +164,24 @@ pub trait Task: Send {
 mod tests {
     use super::*;
 
-    fn ctx(policy: SchedulingPolicy) -> TaskContext {
-        TaskContext::new(TaskId(0), policy, RuntimeMetrics::new_shared())
+    fn ctx(timeslice: Duration) -> TaskContext {
+        TaskContext::new(TaskId(0), timeslice, RuntimeMetrics::new_shared())
     }
 
+    /// Round-robin is a zero timeslice: one item per dispatch, after which
+    /// the deadline has passed and the task yields.
     #[test]
     fn round_robin_allows_exactly_one_item() {
-        let mut c = ctx(SchedulingPolicy::RoundRobin);
+        let mut c = ctx(Duration::ZERO);
         assert!(!c.can_continue());
         assert_eq!(c.items_this_run(), 1);
+        assert!(c.yielded());
+        assert_eq!(RuntimeMetrics::get(&c.metrics().cooperative_yields), 1);
     }
 
     #[test]
     fn non_cooperative_never_stops() {
-        let mut c = ctx(SchedulingPolicy::NonCooperative);
+        let mut c = ctx(NO_DEADLINE);
         for _ in 0..10_000 {
             assert!(c.can_continue());
         }
@@ -220,9 +190,7 @@ mod tests {
 
     #[test]
     fn cooperative_yields_after_timeslice() {
-        let mut c = ctx(SchedulingPolicy::Cooperative {
-            timeslice: Duration::from_micros(100),
-        });
+        let mut c = ctx(Duration::from_micros(100));
         // Burn through the timeslice.
         let start = Instant::now();
         let mut continued = true;
@@ -236,19 +204,12 @@ mod tests {
 
     #[test]
     fn wake_list_deduplicates() {
-        let mut c = ctx(SchedulingPolicy::NonCooperative);
+        let mut c = ctx(NO_DEADLINE);
         c.wake(TaskId(5));
         c.wake(TaskId(5));
         c.wake(TaskId(6));
         let wakes = c.take_wakes();
         assert_eq!(wakes, vec![TaskId(5), TaskId(6)]);
         assert!(c.take_wakes().is_empty());
-    }
-
-    #[test]
-    fn policy_labels() {
-        assert_eq!(SchedulingPolicy::default().label(), "cooperative");
-        assert_eq!(SchedulingPolicy::NonCooperative.label(), "non-cooperative");
-        assert_eq!(SchedulingPolicy::RoundRobin.label(), "round-robin");
     }
 }

@@ -168,7 +168,7 @@ impl InputTask {
                         return Ok(Some(TaskStatus::Runnable));
                     }
                 }
-                ParseOutcome::Incomplete { .. } => return Ok(None),
+                ParseOutcome::Incomplete => return Ok(None),
             }
         }
     }
@@ -935,7 +935,7 @@ impl Task for SyntheticWorkTask {
 mod tests {
     use super::*;
     use crate::channel::TaskChannel;
-    use crate::task::{SchedulingPolicy, TaskId};
+    use crate::task::{TaskId, NO_DEADLINE};
     use flick_grammar::http::{self, HttpCodec};
     use flick_net::{SimNetwork, StackModel, TcpStack};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -943,11 +943,7 @@ mod tests {
 
     /// A dispatch of task `id`, as the scheduler would create it.
     fn task_ctx(id: u64) -> TaskContext {
-        TaskContext::new(
-            TaskId(id),
-            SchedulingPolicy::NonCooperative,
-            RuntimeMetrics::new_shared(),
-        )
+        TaskContext::new(TaskId(id), NO_DEADLINE, RuntimeMetrics::new_shared())
     }
 
     fn ctx() -> TaskContext {
@@ -1249,8 +1245,7 @@ mod tests {
     fn synthetic_work_task_round_robin_yields_per_item() {
         let mut task = SyntheticWorkTask::new("work", 3, 16, None);
         let metrics = RuntimeMetrics::new_shared();
-        let round_robin =
-            |metrics| TaskContext::new(TaskId(0), SchedulingPolicy::RoundRobin, metrics);
+        let round_robin = |metrics| TaskContext::new(TaskId(0), Duration::ZERO, metrics);
         let mut c1 = round_robin(Arc::clone(&metrics));
         assert_eq!(task.run(&mut c1), TaskStatus::Runnable);
         let mut c2 = round_robin(Arc::clone(&metrics));

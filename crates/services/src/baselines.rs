@@ -301,7 +301,7 @@ fn moxi_worker(
                         resp.extend_from_slice(&rchunk[..n]);
                         match codec.parse(&resp, None) {
                             Ok(ParseOutcome::Complete { consumed, .. }) => break consumed > 0,
-                            Ok(ParseOutcome::Incomplete { .. }) => continue,
+                            Ok(ParseOutcome::Incomplete) => continue,
                             Err(_) => break false,
                         }
                     }

@@ -21,9 +21,9 @@
 use flick_net::SimRng;
 
 /// Bytes of unterminated header stream the head-flood mutation emits.
-/// Deliberately past the default 64 KiB `ParseLimits::max_head_bytes`, so
-/// a default-bounded parser must reject the flood mid-stream instead of
-/// buffering it forever.
+/// Deliberately past the 64 KiB `flick_grammar::limits::MAX_HEAD_BYTES`,
+/// so a parser must reject the flood mid-stream instead of buffering it
+/// forever.
 pub const HEAD_FLOOD_BYTES: usize = 80 * 1024;
 
 /// The grammar-aware damage a [`MessageMutator`] can do to a valid frame.
@@ -291,7 +291,7 @@ mod tests {
                 );
             } else {
                 assert!(
-                    matches!(outcome, Ok(ParseOutcome::Incomplete { .. })),
+                    matches!(outcome, Ok(ParseOutcome::Incomplete)),
                     "{} must stay incomplete, parsed to {outcome:?}",
                     mutated.kind.name()
                 );
@@ -320,7 +320,7 @@ mod tests {
         // A prefix under the bound is still (correctly) incomplete…
         assert!(matches!(
             codec.parse(&flood.bytes[..32 * 1024], None),
-            Ok(ParseOutcome::Incomplete { .. })
+            Ok(ParseOutcome::Incomplete)
         ));
         // …but past the bound the parser must give up rather than buffer.
         assert!(codec.parse(&flood.bytes, None).is_err());

@@ -537,7 +537,7 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
                         buf.extend_from_slice(&chunk[..n]);
                         match codec.parse(&buf, None) {
                             Ok(ParseOutcome::Complete { .. }) => break "ok",
-                            Ok(ParseOutcome::Incomplete { .. }) => continue,
+                            Ok(ParseOutcome::Incomplete) => continue,
                             Err(_) => break "garbled",
                         }
                     }

@@ -111,7 +111,7 @@ pub fn run_stall_park_scenario(seed: u64) -> ScenarioReport {
                         requests_ok = 1;
                         break;
                     }
-                    Ok(ParseOutcome::Incomplete { .. }) => continue,
+                    Ok(ParseOutcome::Incomplete) => continue,
                     Err(e) => {
                         violations.push(Violation::new(seed, 1, format!("garbled response: {e}")));
                         break;

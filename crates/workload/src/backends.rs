@@ -127,7 +127,7 @@ pub fn start_http_backend(net: &Arc<SimNetwork>, port: u16, body: &[u8]) -> Back
                             return;
                         }
                     }
-                    Ok(ParseOutcome::Incomplete { .. }) => break,
+                    Ok(ParseOutcome::Incomplete) => break,
                     Err(_) => {
                         conn.close();
                         return;
@@ -200,7 +200,7 @@ pub fn start_memcached_backend(net: &Arc<SimNetwork>, port: u16) -> BackendHandl
                             return;
                         }
                     }
-                    Ok(ParseOutcome::Incomplete { .. }) => break,
+                    Ok(ParseOutcome::Incomplete) => break,
                     Err(_) => {
                         conn.close();
                         return;
@@ -382,7 +382,7 @@ pub fn start_tcp_http_backend(body: &[u8]) -> TcpBackendHandle {
                                     return;
                                 }
                             }
-                            Ok(ParseOutcome::Incomplete { .. }) => break,
+                            Ok(ParseOutcome::Incomplete) => break,
                             Err(_) => return,
                         }
                     }

@@ -148,7 +148,7 @@ pub fn run_http_load(net: &Arc<SimNetwork>, config: &HttpLoadConfig) -> RunStats
                                     ok = true;
                                     break;
                                 }
-                                Ok(ParseOutcome::Incomplete { .. }) => continue,
+                                Ok(ParseOutcome::Incomplete) => continue,
                                 Err(_) => break,
                             }
                         }

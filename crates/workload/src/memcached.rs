@@ -103,7 +103,7 @@ pub fn run_memcached_load(net: &Arc<SimNetwork>, config: &MemcachedLoadConfig) -
                                     ok = true;
                                     break;
                                 }
-                                Ok(ParseOutcome::Incomplete { .. }) => continue,
+                                Ok(ParseOutcome::Incomplete) => continue,
                                 Err(_) => break,
                             }
                         }

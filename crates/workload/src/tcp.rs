@@ -141,7 +141,7 @@ pub fn run_tcp_http_load(addr: &str, config: &TcpHttpLoadConfig) -> RunStats {
                                     ok = true;
                                     break;
                                 }
-                                Ok(ParseOutcome::Incomplete { .. }) => continue,
+                                Ok(ParseOutcome::Incomplete) => continue,
                                 Err(_) => break,
                             }
                         }

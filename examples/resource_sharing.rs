@@ -1,19 +1,20 @@
 //! The resource-sharing micro-benchmark of §6.4 (Figure 7): 200 tasks split
 //! into "light" (1 KB items) and "heavy" (16 KB items) classes, run under
-//! the cooperative, non-cooperative and round-robin scheduling policies.
+//! the cooperative, non-cooperative and round-robin scheduling policies —
+//! each a timeslice: FLICK's, none, and one item per dispatch.
 //!
 //! Run with: `cargo run --example resource_sharing`
 
 use flick::runtime_crate::scheduler::Scheduler;
 use flick::runtime_crate::task::TaskId;
 use flick::runtime_crate::tasks::SyntheticWorkTask;
-use flick::runtime_crate::{RuntimeMetrics, SchedulingPolicy};
+use flick::runtime_crate::{RuntimeMetrics, NO_DEADLINE, TIMESLICE};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn run(policy: SchedulingPolicy) -> (Duration, Duration) {
-    let scheduler = Scheduler::start(2, policy, RuntimeMetrics::new_shared());
+fn run(timeslice: Duration) -> (Duration, Duration) {
+    let scheduler = Scheduler::start(2, timeslice, RuntimeMetrics::new_shared());
     let start = Instant::now();
     let light: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
     let heavy: Arc<Mutex<Duration>> = Arc::new(Mutex::new(Duration::ZERO));
@@ -43,17 +44,12 @@ fn run(policy: SchedulingPolicy) -> (Duration, Duration) {
 }
 
 fn main() {
-    for (label, policy) in [
-        (
-            "cooperative",
-            SchedulingPolicy::Cooperative {
-                timeslice: Duration::from_micros(50),
-            },
-        ),
-        ("non-cooperative", SchedulingPolicy::NonCooperative),
-        ("round-robin", SchedulingPolicy::RoundRobin),
+    for (label, timeslice) in [
+        ("cooperative", TIMESLICE),
+        ("non-cooperative", NO_DEADLINE),
+        ("round-robin", Duration::ZERO),
     ] {
-        let (light, heavy) = run(policy);
+        let (light, heavy) = run(timeslice);
         println!("{label:<16} light tasks done after {light:>10.2?}   heavy tasks done after {heavy:>10.2?}");
     }
     println!("under the cooperative policy the light class finishes well before the heavy class");

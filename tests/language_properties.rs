@@ -109,7 +109,7 @@ proptest! {
         let cut = cut.min(wire.len() - 1);
         let truncated = &wire[..wire.len() - cut];
         match codec.parse(truncated, None) {
-            Ok(ParseOutcome::Incomplete { .. }) | Err(_) => {}
+            Ok(ParseOutcome::Incomplete) | Err(_) => {}
             Ok(ParseOutcome::Complete { consumed, .. }) => {
                 prop_assert!(consumed <= truncated.len());
                 // A complete parse of a truncated buffer can only happen if
@@ -567,5 +567,115 @@ fn interp_and_vm_report_the_same_overflow_errors() {
                 assert_eq!(located_function(location.unwrap()), "fn `f`");
             }
         }
+    }
+}
+
+/// The codec contract: the provided borrowed-slice `parse` is `parse_bytes`
+/// over a copy, so both return equal messages (fields, raw bytes, unread
+/// body) and equal `consumed` — for every codec, a grammar synthesised from
+/// a FLICK `type`, and HTTP with and without `body` projected; on a
+/// complete frame followed by the next one, and on a proper prefix.
+#[test]
+fn provided_parse_agrees_with_parse_bytes_for_every_codec() {
+    use flick::grammar::engine::GrammarCodec;
+    use flick::grammar::http::{self, HttpCodec};
+    use flick::grammar::model::{FieldKind, GrammarItem, LenExpr, UnitGrammar};
+    use flick::grammar::{Message, MsgValue, Projection};
+
+    fn wire_of(codec: &dyn WireCodec, messages: &[Message]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for message in messages {
+            codec.serialize(message, &mut wire).unwrap();
+        }
+        wire
+    }
+
+    let signed = GrammarCodec::new(
+        UnitGrammar::new("signed")
+            .item(GrammarItem::field("delta", FieldKind::Int { width: 2 }))
+            .item(GrammarItem::field("len", FieldKind::UInt { width: 1 }))
+            .item(GrammarItem::variable(
+                "twice",
+                LenExpr::add(LenExpr::field("len"), LenExpr::field("len")),
+            ))
+            .item(GrammarItem::field(
+                "body",
+                FieldKind::Bytes {
+                    length: LenExpr::field("len"),
+                },
+            ))
+            .ser_rule("len", LenExpr::LenOf("body".into())),
+    )
+    .unwrap();
+    // Two frames of `delta = -7` (sign-extended on parse), 3-byte body.
+    let signed_wire = [0xff, 0xf9, 3, b'a', b'b', b'c'].repeat(2);
+
+    let typed = flick::lang::compile_to_ast(
+        "type cmd: record\n  opcode : integer {signed=false, size=1}\n  \
+         keylen : integer {signed=false, size=2}\n  key : string {size=keylen}\n\n\
+         fun touch: (c: cmd) -> (string)\n  c.key\n",
+    )
+    .unwrap();
+    let synthesised =
+        flick::compiler::grammar_gen::synthesise(typed.record("cmd").unwrap()).unwrap();
+    let mut cmd = Message::new("cmd");
+    cmd.set("opcode", MsgValue::UInt(12));
+    cmd.set("key", MsgValue::Str("user:1".into()));
+    let synthesised_wire = wire_of(&synthesised, &[cmd.clone(), cmd]);
+
+    let memcached_codec = memcached::MemcachedCodec::new();
+    let get = memcached::request(memcached::opcode::GETK, b"user:42", b"", b"");
+    let set = memcached::request(memcached::opcode::SET, b"k", b"xtra", b"value");
+    let memcached_wire = wire_of(&memcached_codec, &[get, set]);
+
+    let kv_codec = hadoop::HadoopKvCodec::new();
+    let kv_wire = wire_of(
+        &kv_codec,
+        &[hadoop::count_kv("word", 3), hadoop::kv("", "")],
+    );
+
+    let http_codec = HttpCodec::new();
+    let http_wire = b"POST /up HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\
+                      Content-Length: 4\r\n\r\nbodyGET /next HTTP/1.1\r\n\r\n"
+        .to_vec();
+    let without_body = http::load_balancer_projection();
+    let with_body = without_body.clone().with("body");
+
+    type Case<'a> = (&'a str, &'a dyn WireCodec, &'a [u8], Option<&'a Projection>);
+    let cases: [Case; 8] = [
+        ("grammar", &signed, &signed_wire, None),
+        ("grammar_gen", &synthesised, &synthesised_wire, None),
+        ("memcached", &memcached_codec, &memcached_wire, None),
+        (
+            "memcached router",
+            &memcached_codec,
+            &memcached_wire,
+            Some(&memcached::router_projection()),
+        ),
+        ("hadoop", &kv_codec, &kv_wire, None),
+        ("http", &http_codec, &http_wire, None),
+        ("http with body", &http_codec, &http_wire, Some(&with_body)),
+        (
+            "http without body",
+            &http_codec,
+            &http_wire,
+            Some(&without_body),
+        ),
+    ];
+    for (label, codec, wire, projection) in cases {
+        // The whole stream (a frame and the next), half of it, a short
+        // prefix, and (for HTTP) the head with half its body.
+        for end in [wire.len(), wire.len() / 2, 20, 70].map(|end| end.min(wire.len())) {
+            let slice = &wire[..end];
+            let borrowed = codec.parse(slice, projection).unwrap();
+            let shared = codec
+                .parse_bytes(&bytes::Bytes::copy_from_slice(slice), projection)
+                .unwrap();
+            assert_eq!(borrowed, shared, "{label}, {end} bytes");
+        }
+        let ParseOutcome::Complete { consumed, .. } = codec.parse(wire, projection).unwrap() else {
+            panic!("{label}: the whole stream holds a complete frame");
+        };
+        assert!(consumed < wire.len(), "{label}: two frames in the stream");
     }
 }

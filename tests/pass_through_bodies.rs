@@ -442,7 +442,7 @@ fn a_post_and_a_get_in_one_write_are_answered_in_order() {
     }
 }
 
-/// A `Content-Length` above `max_body_bytes` is refused at its head,
+/// A `Content-Length` above `MAX_BODY_BYTES` is refused at its head,
 /// streamed or not, and costs only its own connection.
 #[test]
 fn a_content_length_over_the_limit_closes_only_its_own_connection() {
