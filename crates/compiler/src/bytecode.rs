@@ -150,8 +150,7 @@ pub struct CompiledFunction {
 /// A compiled routing rule, index-aligned with [`ProcessIr::rules`].
 #[derive(Debug, Clone)]
 pub struct CompiledRule {
-    /// The channel parameter whose arrivals trigger this rule
-    /// (`usize::MAX` for dropped value-pipelines, as in the IR).
+    /// The channel parameter whose arrivals trigger this rule.
     pub source_param: usize,
     /// Hidden frame slot holding the message as it threads the stages.
     pub msg_slot: usize,
@@ -677,7 +676,6 @@ impl Compiler<'_> {
                         self.call(chunk, call, Some(piped));
                         chunk.emit(Op::Pop);
                     }
-                    IrSink::Discard => {}
                 }
                 if want_value {
                     chunk.emit(Op::Unit);
@@ -742,7 +740,6 @@ impl Compiler<'_> {
                 self.call(&mut chunk, call, Some(msg_slot));
                 chunk.emit(Op::Pop);
             }
-            IrSink::Discard => {}
         }
         for jump in consumed_jumps {
             chunk.patch_here(jump);

@@ -33,12 +33,12 @@
 //! reusable Memcached, Hadoop or HTTP grammar, by the conventional record
 //! type name (`cmd`, `kv`, `http`/`request`).
 
+use crate::analysis;
 use crate::bytecode::{self, CompiledProgram};
 use crate::error::CompileError;
 use crate::grammar_gen;
 use crate::ir::{lower, ProgramIr};
 use crate::logic::{ChannelBindings, CompiledGlobals, FoldtLogic, InterpreterLogic, ParamBinding};
-use crate::projection;
 use crate::vm::VmLogic;
 use flick_grammar::{
     hadoop::HadoopKvCodec, http::HttpCodec, memcached::MemcachedCodec, Projection, WireCodec,
@@ -142,7 +142,7 @@ impl CompiledService {
         let globals = CompiledGlobals::for_process(&program.process);
         let mut plans = Vec::new();
         let mut layouts: Vec<(String, Vec<String>)> = Vec::new();
-        for param in &program.process.params {
+        for (idx, param) in program.process.params.iter().enumerate() {
             let record = typed
                 .record(&param.record)
                 .ok_or_else(|| CompileError::MissingCodec(param.record.clone()))?;
@@ -153,19 +153,15 @@ impl CompiledService {
             } else {
                 return Err(CompileError::MissingCodec(param.record.clone()));
             };
-            let proj = projection::for_input(typed, proc_name, &param.name, &param.record);
+            let declared = record.fields.iter().filter_map(|f| f.name.clone());
+            let proj = analysis::projection(&program, idx, declared.clone());
             if !layouts.iter().any(|(name, _)| *name == param.record) {
                 // The grammar's field layout for this record, restricted
                 // to the fields the projection materialises — the parse
                 // order messages of this unit carry at run time. Seeds the
                 // VM's field-offset sites (verified per message, so codecs
                 // with a different emission order stay correct).
-                let fields: Vec<String> = record
-                    .fields
-                    .iter()
-                    .filter_map(|f| f.name.clone())
-                    .filter(|name| proj.requires(name))
-                    .collect();
+                let fields: Vec<String> = declared.filter(|name| proj.requires(name)).collect();
                 layouts.push((param.record.clone(), fields));
             }
             plans.push(ParamPlan {
@@ -230,11 +226,6 @@ impl CompiledService {
     /// The per-service globals.
     pub fn globals(&self) -> &Arc<CompiledGlobals> {
         &self.globals
-    }
-
-    /// Whether this service aggregates with `foldt`.
-    pub fn is_foldt(&self) -> bool {
-        self.program.process.foldt.is_some()
     }
 }
 
@@ -410,7 +401,7 @@ fun target_backend: ([-/cmd] backends, req: cmd) -> ()
         let service =
             crate::compile_source(PROXY, "Memcached", &CompileOptions::default()).unwrap();
         assert_eq!(service.process_name(), "Memcached");
-        assert!(!service.is_foldt());
+        assert!(service.program().process.foldt.is_none());
         assert_eq!(service.connections_per_graph(), 1);
     }
 

@@ -190,7 +190,6 @@ impl<'a> Interpreter<'a> {
                         self.run_call(call, Some(value), frame, sink)?;
                         Ok(None)
                     }
-                    IrSink::Discard => Ok(None),
                 }
             }
             IrStmt::If { cond, then, els } => {

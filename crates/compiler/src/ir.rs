@@ -149,9 +149,6 @@ pub enum IrSink {
     Channel(IrExpr),
     /// A consuming function call (the piped value is its final argument).
     Call(IrCall),
-    /// The pipeline result is discarded (used when lowering degenerate
-    /// pipelines).
-    Discard,
 }
 
 /// A lowered user-defined function.
@@ -376,73 +373,95 @@ impl<'a> Lowerer<'a> {
             ));
         }
 
+        let mut process = ProcessIr {
+            name: decl.name.clone(),
+            params,
+            globals: Vec::new(),
+            frame_size: 0,
+            rules: Vec::new(),
+            foldt: None,
+        };
         // Frame: channel params first, then globals.
         let mut scope = Scope::new();
-        for p in &params {
+        for p in &process.params {
             scope.declare(&p.name);
         }
-        let mut globals = Vec::new();
-        let mut rules = Vec::new();
-        let mut foldt = None;
-        self.lower_proc_block(
-            &decl.body,
-            &params,
-            &mut scope,
-            &mut globals,
-            &mut rules,
-            &mut foldt,
-        )?;
-        Ok(ProcessIr {
-            name: decl.name.clone(),
-            frame_size: scope.next,
-            params,
-            globals,
-            rules,
-            foldt,
-        })
+        self.lower_proc_block(&decl.body, false, &mut process, &mut scope)?;
+        process.frame_size = scope.next;
+        Ok(process)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Lowers the statements of a process body (`nested` inside an `if`)
+    /// into `process`. A rule runs on every message of its channel, so one
+    /// nested in an `if` or `else` would run unconditionally: it is
+    /// rejected, as is every statement that would lower to nothing that
+    /// runs. The one guard that compiles is Listing 3's: the `foldt`
+    /// logic subsumes `all_ready(mappers)`, and routes the result itself.
     fn lower_proc_block(
         &self,
         block: &Block,
-        params: &[ChannelParam],
+        nested: bool,
+        process: &mut ProcessIr,
         scope: &mut Scope,
-        globals: &mut Vec<String>,
-        rules: &mut Vec<RouteRule>,
-        foldt: &mut Option<FoldtIr>,
     ) -> Result<(), CompileError> {
+        // The `foldt` result bound in this block, if any.
+        let mut folded = None;
         for stmt in &block.stmts {
+            let unsupported =
+                |what: String| CompileError::Unsupported(format!("{}: {what}", stmt.span()));
             match stmt {
                 Stmt::Global { name, .. } => {
                     scope.declare(name);
-                    globals.push(name.clone());
+                    process.globals.push(name.clone());
                 }
                 Stmt::Pipeline { stages, .. } => {
-                    rules.push(self.lower_rule(stages, params, scope)?);
+                    let source = stages[0].as_ident().unwrap_or("an expression");
+                    match process.params.iter().position(|p| p.name == source) {
+                        Some(param) if !nested => {
+                            let rule = self.lower_rule(param, stages, scope)?;
+                            process.rules.push(rule);
+                        }
+                        Some(_) => {
+                            return Err(unsupported(format!(
+                                "the rule `{source} => …` is inside a process-level `if` \
+                                 or `else`, but a rule runs on every message of its channel"
+                            )))
+                        }
+                        None if folded == Some(source) => {}
+                        None => {
+                            return Err(unsupported(format!(
+                                "the process-level pipeline from `{source}` starts from \
+                                 neither a channel parameter nor the `foldt` result"
+                            )))
+                        }
+                    }
                 }
                 Stmt::If { then, els, .. } => {
-                    // Guards such as `all_ready(mappers)` wrap the foldt
-                    // aggregation; the runtime's merge logic subsumes them.
-                    self.lower_proc_block(then, params, scope, globals, rules, foldt)?;
+                    self.lower_proc_block(then, true, process, scope)?;
                     if let Some(els) = els {
-                        self.lower_proc_block(els, params, scope, globals, rules, foldt)?;
+                        self.lower_proc_block(els, true, process, scope)?;
                     }
                 }
                 Stmt::Let { name, value, .. } => {
-                    if let ExprKind::Foldt { channels, order_key, binders, key_name, body, .. } = &value.kind {
-                        let slot = scope.declare(name);
-                        *foldt = Some(self.lower_foldt(
-                            channels, order_key, binders, key_name, body, params, scope,
-                        )?);
-                        // The result binding is recorded so that a following
-                        // `result => reducer` pipeline resolves; the actual
-                        // routing is performed by the foldt logic itself.
-                        let _ = slot;
-                    } else {
-                        let slot = scope.declare(name);
-                        let _ = slot;
-                    }
+                    let ExprKind::Foldt {
+                        channels,
+                        order_key,
+                        binders,
+                        key_name,
+                        body,
+                        ..
+                    } = &value.kind
+                    else {
+                        return Err(unsupported(format!(
+                            "the process-level `let {name}` binds no `foldt`, and nothing \
+                             would store it; keep state in a `global`"
+                        )));
+                    };
+                    let params = &process.params;
+                    let foldt =
+                        self.lower_foldt(channels, order_key, binders, key_name, body, params)?;
+                    process.foldt = Some(foldt);
+                    folded = Some(name.as_str());
                 }
                 other => {
                     return Err(CompileError::Unsupported(format!(
@@ -456,25 +475,10 @@ impl<'a> Lowerer<'a> {
 
     fn lower_rule(
         &self,
+        source_param: usize,
         stages: &[Expr],
-        params: &[ChannelParam],
         scope: &mut Scope,
     ) -> Result<RouteRule, CompileError> {
-        let source = &stages[0];
-        let source_name = source.as_ident().ok_or_else(|| {
-            CompileError::Unsupported("a routing rule must start from a channel parameter".into())
-        })?;
-        let source_param = params.iter().position(|p| p.name == source_name);
-        let Some(source_param) = source_param else {
-            // Not a channel source: this is a value pipeline such as
-            // `result => reducer` following a foldt; the foldt logic already
-            // routes its output, so the rule is dropped here.
-            return Ok(RouteRule {
-                source_param: usize::MAX,
-                stages: Vec::new(),
-                sink: IrSink::Discard,
-            });
-        };
         let mut calls = Vec::new();
         for stage in &stages[1..stages.len() - 1] {
             calls.push(self.lower_stage_call(stage, scope)?);
@@ -509,7 +513,6 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn lower_foldt(
         &self,
         channels: &Expr,
@@ -518,7 +521,6 @@ impl<'a> Lowerer<'a> {
         key_name: &str,
         body: &Block,
         params: &[ChannelParam],
-        scope: &mut Scope,
     ) -> Result<FoldtIr, CompileError> {
         let source_name = channels.as_ident().ok_or_else(|| {
             CompileError::Unsupported("foldt must aggregate over a channel-array parameter".into())
@@ -550,7 +552,6 @@ impl<'a> Lowerer<'a> {
         let b2 = body_scope.declare(&binders.1);
         let key = body_scope.declare(key_name);
         let body = self.lower_block(body, &mut body_scope)?;
-        let _ = scope;
         Ok(FoldtIr {
             source_param,
             sink_param,
@@ -854,6 +855,73 @@ fun combine: (v1: string, v2: string) -> (string)
             foldt.body.last(),
             Some(IrStmt::Expr(IrExpr::MakeRecord(_, _, _)))
         ));
+    }
+
+    /// Lowers process `P` of `src`, whose body must be rejected, and
+    /// returns the error message.
+    fn rejected(src: &str) -> String {
+        let typed = compile_to_ast(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        match lower(&typed, "P") {
+            Err(err @ CompileError::Unsupported(_)) => err.to_string(),
+            other => panic!("expected an unsupported construct, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_channel_rule_inside_a_process_level_if_is_rejected() {
+        let err = rejected(
+            r#"
+type cmd: record
+  key : string
+
+proc P: (cmd/cmd client, [cmd/cmd] backends)
+  if 1 = 2:
+    client => backends[0]
+  else:
+    client => backends[1]
+  backends => client
+"#,
+        );
+        assert!(err.contains("the rule `client => …` is inside"), "{err}");
+        assert!(err.starts_with("unsupported construct: 7:5:"), "{err}");
+    }
+
+    #[test]
+    fn a_process_level_let_of_a_value_is_rejected() {
+        let err = rejected(
+            r#"
+type cmd: record
+  key : string
+
+proc P: (cmd/cmd client, [cmd/cmd] backends)
+  let n = 1
+  client => backends[n]
+  backends => client
+"#,
+        );
+        assert!(err.contains("`let n` binds no `foldt`"), "{err}");
+    }
+
+    #[test]
+    fn a_process_level_pipeline_from_a_global_is_rejected() {
+        let err = rejected(
+            r#"
+type cmd: record
+  key : string
+
+proc P: (cmd/cmd client, [cmd/cmd] backends)
+  global cache := empty_dict
+  cache => flush(client)
+  backends => client
+
+fun flush: (-/cmd client, cache: ref dict<string*cmd>) -> ()
+  cache["k"] => client
+"#,
+        );
+        assert!(
+            err.contains("pipeline from `cache` starts from neither"),
+            "{err}"
+        );
     }
 
     #[test]

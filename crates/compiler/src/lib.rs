@@ -8,11 +8,12 @@
 //!   serialisation annotations of a FLICK `type` declaration (Listing 1,
 //!   lines 1–9), so that input/output tasks get parsers specialised to the
 //!   program's data types;
-//! * [`projection`] derives the field projection — the set of message fields
-//!   the program actually accesses — so parsers skip everything else;
 //! * [`ir`] lowers function and process bodies to a slot-resolved expression
 //!   IR (all variable references are resolved to frame indices at compile
 //!   time; no name lookups happen on the data path);
+//! * [`analysis`] derives from that IR each input's field projection — the
+//!   message fields the program reads, and `body` unless it forwards every
+//!   message whole — so parsers skip everything else;
 //! * [`bytecode`] lowers the IR once more into compact chunks of
 //!   pre-decoded ops (constants pool, absolute jumps, grammar-seeded
 //!   field-offset sites);
@@ -48,6 +49,7 @@
 //! assert_eq!(service.process_name(), "Memcached");
 //! ```
 
+pub mod analysis;
 pub mod bytecode;
 pub mod error;
 pub mod factory;
@@ -55,7 +57,6 @@ pub mod grammar_gen;
 pub mod interp;
 pub mod ir;
 pub mod logic;
-pub mod projection;
 pub mod vm;
 
 pub use error::CompileError;

@@ -202,7 +202,6 @@ impl ComputeLogic for InterpreterLogic {
                     args.push(current);
                     interp.call_function(call.function, args, &mut sink)?;
                 }
-                crate::ir::IrSink::Discard => {}
             }
         }
         Ok(())

@@ -320,28 +320,29 @@ impl GrammarCodec {
             };
             match kind {
                 FieldKind::UInt { width } | FieldKind::Int { width } => {
-                    let width = *width as usize;
-                    let value = lookup(rules, name)
-                        .or_else(|| msg.uint_field(name))
-                        .or_else(|| match msg.get(name) {
-                            Some(MsgValue::Int(i)) => Some(*i as u64),
-                            _ => None,
-                        })
-                        .unwrap_or(0);
-                    let max = if width == 8 {
-                        u64::MAX
-                    } else {
-                        (1u64 << (8 * width)) - 1
+                    let value = match (lookup(rules, name), msg.get(name)) {
+                        (Some(value), _) | (None, Some(&MsgValue::UInt(value))) => value.into(),
+                        (None, Some(&MsgValue::Int(value))) => value.into(),
+                        _ => 0i128,
                     };
-                    if value > max && !name.is_empty() {
+                    // A signed field holds the signed range and is written
+                    // as its two's-complement low bytes, which the parse
+                    // sign-extends back.
+                    let bits = 8 * u32::from(*width);
+                    let (min, max) = match kind {
+                        FieldKind::Int { .. } => (-1i128 << (bits - 1), (1i128 << (bits - 1)) - 1),
+                        _ => (0, (1i128 << bits) - 1),
+                    };
+                    if !(min..=max).contains(&value) && !name.is_empty() {
                         return Err(GrammarError::FieldOverflow {
                             unit: unit.clone(),
                             field: name.to_string(),
                             value,
+                            min,
                             max,
                         });
                     }
-                    self.write_uint(out, value & max, width);
+                    self.write_uint(out, value as u64, *width as usize);
                 }
                 FieldKind::Bytes { length } | FieldKind::Str { length } => match msg.get(name) {
                     Some(v) => out.extend_from_slice(v.as_bytes().unwrap_or(&[])),
@@ -925,6 +926,56 @@ mod tests {
         let mut out = Vec::new();
         codec.serialize(&m, &mut out).unwrap();
         assert_eq!(out, [3, 5, b'x', b'y', b'z']);
+    }
+
+    /// Regression: a negative value was cast to `u64` before the range
+    /// check, so `-7` overflowed a two-byte signed field.
+    #[test]
+    fn a_negative_signed_field_serialises_as_twos_complement() {
+        let g = UnitGrammar::new("s").item(GI::field("x", FieldKind::Int { width: 2 }));
+        let codec = GrammarCodec::new(g).unwrap();
+        let mut m = Message::new("s");
+        m.set("x", MsgValue::Int(-7));
+        let mut out = Vec::new();
+        codec.serialize(&m, &mut out).unwrap();
+        assert_eq!(out, [0xff, 0xf9]);
+        m.set("x", MsgValue::Int(-32769));
+        assert!(matches!(
+            codec.serialize(&m, &mut out),
+            Err(GrammarError::FieldOverflow {
+                value: -32769,
+                min: -32768,
+                max: 32767,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn signed_fields_round_trip_at_their_bounds() {
+        for width in [1u8, 2, 4, 8] {
+            let g = UnitGrammar::new("s")
+                .item(GI::field("x", FieldKind::Int { width }))
+                .item(GI::field("y", FieldKind::UInt { width: 1 }));
+            let codec = GrammarCodec::new(g).unwrap();
+            let bits = 8 * u32::from(width);
+            let (min, max) = (i64::MIN >> (64 - bits), i64::MAX >> (64 - bits));
+            for value in [min, -1, max] {
+                let mut m = Message::new("s");
+                m.set("x", MsgValue::Int(value)).set("y", MsgValue::UInt(7));
+                let mut wire = Vec::new();
+                assert!(codec.serialize_parts(&m, &mut wire).unwrap().is_none());
+                let wire = Bytes::from(wire);
+                let ParseOutcome::Complete { message, consumed } =
+                    codec.parse_bytes(&wire, None).unwrap()
+                else {
+                    panic!("width {width}, {value}: incomplete");
+                };
+                assert_eq!(consumed, usize::from(width) + 1);
+                m.set_raw(wire);
+                assert_eq!(message, m, "width {width}, {value}");
+            }
+        }
     }
 
     #[test]

@@ -27,9 +27,11 @@ pub enum GrammarError {
         /// The offending field.
         field: String,
         /// The value that did not fit.
-        value: u64,
+        value: i128,
+        /// The minimum representable value.
+        min: i128,
         /// The maximum representable value.
-        max: u64,
+        max: i128,
     },
     /// A declared grammar is internally inconsistent (e.g. a length
     /// expression references an unknown field).
@@ -72,9 +74,10 @@ impl fmt::Display for GrammarError {
                 unit,
                 field,
                 value,
+                min,
                 max,
             } => {
-                write!(f, "field `{field}` of `{unit}` holds {value}, which exceeds the wire maximum {max}")
+                write!(f, "field `{field}` of `{unit}` holds {value}, outside the wire range {min}..={max}")
             }
             GrammarError::InvalidGrammar { unit, reason } => {
                 write!(f, "invalid grammar `{unit}`: {reason}")
@@ -95,6 +98,7 @@ mod tests {
             unit: "cmd".into(),
             field: "key_len".into(),
             value: 70000,
+            min: 0,
             max: 65535,
         };
         let s = e.to_string();

@@ -39,21 +39,6 @@ impl Projection {
     pub fn requires(&self, name: &str) -> bool {
         self.fields.contains(name)
     }
-
-    /// Returns `true` if no field is required.
-    pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
-    }
-
-    /// Number of required fields.
-    pub fn len(&self) -> usize {
-        self.fields.len()
-    }
-
-    /// Iterates over required field names.
-    pub fn iter(&self) -> impl Iterator<Item = &str> {
-        self.fields.iter().map(String::as_str)
-    }
 }
 
 #[cfg(test)]
@@ -65,7 +50,7 @@ mod tests {
         let p = Projection::of(["opcode", "key"]);
         assert!(p.requires("key"));
         assert!(!p.requires("value"));
-        assert_eq!(p.len(), 2);
+        assert_eq!(p, Projection::of(["key", "opcode"]));
     }
 
     #[test]
@@ -73,13 +58,14 @@ mod tests {
         let p = Projection::default().with("key");
         assert!(p.requires("key"));
         assert!(!p.requires("opcode"));
-        assert!(!p.is_empty());
+        assert_ne!(p, Projection::default());
     }
 
+    /// The order and repeats of the names given do not matter.
     #[test]
     fn iter_is_sorted_and_deduplicated() {
         let p = Projection::of(["b", "a", "b"]);
-        let v: Vec<&str> = p.iter().collect();
-        assert_eq!(v, vec!["a", "b"]);
+        assert_eq!(p, Projection::of(["a", "b"]));
+        assert!(p.requires("a") && p.requires("b"));
     }
 }

@@ -425,7 +425,7 @@ impl<'a> Checker<'a> {
                 None
             }
             Stmt::Pipeline { stages, span } => {
-                self.check_pipeline(stages, scope, *span);
+                self.check_pipeline(stages, scope, *span, fun.is_some());
                 None
             }
             Stmt::If {
@@ -484,8 +484,16 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// Checks a routing pipeline `src => f(args) => ... => sink`.
-    fn check_pipeline(&mut self, stages: &[Expr], scope: &mut Scope, span: Span) {
+    /// Checks a routing pipeline `src => f(args) => ... => sink`. Only a
+    /// process-level rule receives from a channel: a function's pipeline
+    /// runs over a value it was handed (`in_function`).
+    fn check_pipeline(
+        &mut self,
+        stages: &[Expr],
+        scope: &mut Scope,
+        span: Span,
+        in_function: bool,
+    ) {
         if stages.len() < 2 {
             self.error("a pipeline needs a source and a destination", span);
             return;
@@ -501,11 +509,19 @@ impl<'a> Checker<'a> {
                 | Type::ChannelArray {
                     value, can_read, ..
                 } => {
+                    let name = first.as_ident().unwrap_or("<expr>");
                     if !can_read {
                         self.error(
                             format!(
-                                "channel `{}` is write-only and cannot be a pipeline source",
-                                first.as_ident().unwrap_or("<expr>")
+                                "channel `{name}` is write-only and cannot be a pipeline source"
+                            ),
+                            first.span,
+                        );
+                    } else if in_function {
+                        self.error(
+                            format!(
+                                "a function cannot receive from channel `{name}`: \
+                                 only a process-level rule reads a channel"
                             ),
                             first.span,
                         );
@@ -1133,6 +1149,27 @@ proc P: (-/cmd out, cmd/- inp)
 "#;
         let err = compile_to_ast(src).unwrap_err();
         assert!(format!("{err}").contains("write-only"), "got {err}");
+    }
+
+    /// Only a process-level rule receives from a channel; a function's
+    /// pipeline from one would fail on every message at run time.
+    #[test]
+    fn rejects_a_function_pipeline_from_a_channel() {
+        let src = r#"
+type cmd: record
+  key : string
+
+proc P: (cmd/cmd client, [cmd/cmd] backends)
+  client => relay(client, backends)
+
+fun relay: (cmd/cmd from, [-/cmd] backends, req: cmd) -> ()
+  from => backends[0]
+"#;
+        let err = compile_to_ast(src).unwrap_err();
+        assert!(
+            format!("{err}").contains("cannot receive from channel `from`"),
+            "got {err}"
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod tests {
     #[test]
     fn aggregator_compiles_and_uses_foldt() {
         let svc = hadoop_aggregator(8);
-        assert!(svc.is_foldt());
+        assert!(svc.program().process.foldt.is_some());
         assert_eq!(svc.connections_per_graph(), 8);
     }
 
