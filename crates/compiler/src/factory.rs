@@ -28,6 +28,13 @@
 //! fails to open closes the graph's client connections; requests routed to
 //! the other members are unaffected.
 //!
+//! A process that keeps no state between messages
+//! ([`analysis::is_stateless`]) builds no compute task: each input task
+//! runs the rules on its own messages, with its own logic instance, and
+//! writes to the output connections itself while they are idle (DESIGN.md
+//! §5, "Stateless graphs"). A process with a `global` or a `foldt` keeps
+//! one compute task behind channels.
+//!
 //! Wire codecs are chosen per record type: synthesised from the type's
 //! serialisation annotations when possible, otherwise the framework's
 //! reusable Memcached, Hadoop or HTTP grammar, by the conventional record
@@ -48,7 +55,7 @@ use flick_net::Endpoint;
 use flick_runtime::platform::BuiltGraph;
 use flick_runtime::tasks::ExecMode;
 use flick_runtime::{
-    ComputeTask, GraphBuilder, GraphFactory, Link, Peer, RuntimeError, ServiceEnv,
+    ComputeLogic, ComputeTask, GraphBuilder, GraphFactory, Link, Peer, RuntimeError, ServiceEnv,
 };
 use std::sync::Arc;
 
@@ -104,6 +111,9 @@ pub struct CompiledService {
     globals: Arc<CompiledGlobals>,
     plans: Vec<ParamPlan>,
     client_connections: usize,
+    /// The process keeps no state between messages
+    /// ([`analysis::is_stateless`]): each input task runs the rules itself.
+    stateless: bool,
 }
 
 impl std::fmt::Debug for CompiledService {
@@ -171,6 +181,7 @@ impl CompiledService {
         }
         let compiled = Arc::new(bytecode::compile_with_layouts(&program, &layouts));
         Ok(CompiledService {
+            stateless: analysis::is_stateless(&program),
             program,
             compiled,
             globals,
@@ -198,7 +209,32 @@ impl CompiledService {
                 })
                 .collect(),
             client_connections: self.client_connections,
+            stateless: self.stateless,
         })
+    }
+
+    /// Whether each input task runs the rules on its own messages, with no
+    /// compute task in the graph ([`analysis::is_stateless`]).
+    pub fn is_stateless(&self) -> bool {
+        self.stateless
+    }
+
+    /// The per-message rules over `bindings`, on the engine `mode` selects
+    /// (`ExecMode::Vm` bytecode by default, `ExecMode::Interp` tree-walking
+    /// as the ablation baseline).
+    fn rules(&self, bindings: &ChannelBindings, mode: ExecMode) -> Box<dyn ComputeLogic> {
+        match mode {
+            ExecMode::Vm => Box::new(VmLogic::new(
+                Arc::clone(&self.compiled),
+                bindings.clone(),
+                Arc::clone(&self.globals),
+            )),
+            ExecMode::Interp => Box::new(InterpreterLogic::new(
+                Arc::clone(&self.program),
+                bindings.clone(),
+                Arc::clone(&self.globals),
+            )),
+        }
     }
 
     /// The projection each input parses its messages with, in parameter
@@ -247,40 +283,58 @@ impl GraphFactory for CompiledService {
 
     fn build(&self, clients: Vec<Endpoint>, env: &ServiceEnv) -> Result<BuiltGraph, RuntimeError> {
         let process = &self.program.process;
-        let mut builder = GraphBuilder::new(process.name.clone(), &env.allocator);
-        let compute_node = builder.declare_node();
-
+        // How many endpoints each parameter binds: one per accepted
+        // connection (client), every member of the pool by index (back-end
+        // array), or one routed healthy member (scalar back-end).
+        let counts = process
+            .params
+            .iter()
+            .enumerate()
+            .map(|(idx, param)| match idx {
+                0 => clients.len(),
+                _ if param.is_array => env.backends.len(),
+                _ => 1,
+            })
+            .collect::<Vec<_>>();
+        if let Some(param) = process.params.iter().zip(&counts).find(|(_, n)| **n == 0) {
+            return Err(RuntimeError::Config(format!(
+                "process `{}` parameter `{}` needs more back-ends than configured",
+                process.name, param.0.name
+            )));
+        }
+        // The logic's inputs and outputs, numbered in binding order: each
+        // endpoint's input first, then its output.
         let mut bindings = ChannelBindings::default();
+        let (mut inputs, mut outputs) = (0, 0);
+        for (param, count) in process.params.iter().zip(&counts) {
+            let mut binding = ParamBinding::default();
+            for _ in 0..*count {
+                if param.dir.readable {
+                    binding.inputs.push(inputs);
+                    inputs += 1;
+                }
+                if param.dir.writable {
+                    binding.outputs.push(outputs);
+                    outputs += 1;
+                }
+            }
+            bindings.params.push(binding);
+        }
+
+        let mut builder = GraphBuilder::new(process.name.clone(), &env.allocator);
+        // A stateful process runs its rules in one compute task behind
+        // channels; a stateless one in each input task (DESIGN.md §5).
+        let compute_node = (!self.stateless).then(|| builder.declare_node());
         let mut compute_inputs = Vec::new();
         let mut compute_outputs = Vec::new();
         // Shared with every array member: a failed open closes them, the
         // refusal a failed build gives.
         let clients: Arc<[Endpoint]> = Arc::from(clients);
 
-        for (param_idx, param) in process.params.iter().enumerate() {
+        for (param_idx, (param, count)) in process.params.iter().zip(&counts).enumerate() {
             let plan = &self.plans[param_idx];
             let is_client = param_idx == 0;
-            // How many endpoints the parameter binds: one per accepted
-            // connection (client), every member of the pool by index
-            // (back-end array), or one routed healthy member (scalar
-            // back-end).
-            let count = if is_client {
-                clients.len()
-            } else if param.is_array {
-                env.backends.len()
-            } else {
-                1
-            };
-            if count == 0 {
-                return Err(RuntimeError::Config(format!(
-                    "process `{}` parameter `{}` needs more back-ends than configured",
-                    process.name, param.name
-                )));
-            }
-            // Wire each endpoint to the compute task according to the
-            // parameter's direction: its input task first, then its output.
-            let mut binding = ParamBinding::default();
-            for i in 0..count {
+            for i in 0..*count {
                 let link = if is_client {
                     Link::from(&clients[i])
                 } else if param.is_array {
@@ -294,85 +348,80 @@ impl GraphFactory for CompiledService {
                 };
                 if param.dir.readable {
                     let node = builder.declare_node();
-                    let rx = builder.bind_input(
-                        node,
-                        format!("{}-{i}-in", param.name),
-                        if is_client {
-                            Peer::Client(&clients[i])
-                        } else {
-                            Peer::Backend(&link)
-                        },
-                        Arc::clone(&plan.codec),
-                        Some(plan.projection.clone()),
-                        compute_node,
-                    );
-                    binding.inputs.push(compute_inputs.len());
-                    compute_inputs.push(rx);
+                    let label = format!("{}-{i}-in", param.name);
+                    let peer = if is_client {
+                        Peer::Client(&clients[i])
+                    } else {
+                        Peer::Backend(&link)
+                    };
+                    let codec = Arc::clone(&plan.codec);
+                    let projection = Some(plan.projection.clone());
+                    match compute_node {
+                        Some(compute) => compute_inputs.push(
+                            builder.bind_input(node, label, peer, codec, projection, compute),
+                        ),
+                        None => builder.bind_inline_input(
+                            node,
+                            label,
+                            peer,
+                            codec,
+                            projection,
+                            self.rules(&bindings, env.exec_mode),
+                            bindings.params[param_idx].inputs[i],
+                        ),
+                    }
                 }
                 if param.dir.writable {
                     let node = builder.declare_node();
-                    let tx = builder.bind_output(
-                        node,
-                        format!("{}-{i}-out", param.name),
-                        link,
-                        Arc::clone(&plan.codec),
-                    );
-                    binding.outputs.push(compute_outputs.len());
-                    compute_outputs.push(tx);
+                    let label = format!("{}-{i}-out", param.name);
+                    let codec = Arc::clone(&plan.codec);
+                    match compute_node {
+                        Some(_) => {
+                            compute_outputs.push(builder.bind_output(node, label, link, codec))
+                        }
+                        None => {
+                            let output = builder.bind_destination(node, label, link, codec);
+                            debug_assert_eq!(output, bindings.params[param_idx].outputs[i]);
+                        }
+                    }
                 }
             }
-            bindings.params.push(binding);
         }
 
-        // Build the compute logic: the specialised foldt merge or the
-        // general per-rule dispatch, each executing on the engine the
-        // environment selects (`ExecMode::Vm` bytecode by default,
-        // `ExecMode::Interp` tree-walking as the ablation baseline).
-        let logic: Box<dyn flick_runtime::ComputeLogic> = if let Some(foldt) = &process.foldt {
-            let total_inputs = bindings.params[foldt.source_param].inputs.len();
-            let sink_output = bindings.params[foldt.sink_param]
-                .outputs
-                .first()
-                .copied()
-                .ok_or_else(|| {
-                    RuntimeError::Config("foldt output channel is not writable".into())
-                })?;
-            match env.exec_mode {
-                ExecMode::Vm => Box::new(FoldtLogic::with_vm(
-                    Arc::clone(&self.program),
-                    Arc::clone(&self.compiled),
-                    total_inputs,
-                    sink_output,
+        if let Some(compute) = compute_node {
+            // The specialised foldt merge, or the general per-rule dispatch.
+            let logic: Box<dyn ComputeLogic> = match &process.foldt {
+                Some(foldt) => {
+                    let total_inputs = bindings.params[foldt.source_param].inputs.len();
+                    // The lowering checked that the sink is one writable
+                    // channel.
+                    let sink_output = bindings.params[foldt.sink_param].outputs[0];
+                    match env.exec_mode {
+                        ExecMode::Vm => Box::new(FoldtLogic::with_vm(
+                            Arc::clone(&self.program),
+                            Arc::clone(&self.compiled),
+                            total_inputs,
+                            sink_output,
+                        )),
+                        ExecMode::Interp => Box::new(FoldtLogic::new(
+                            Arc::clone(&self.program),
+                            total_inputs,
+                            sink_output,
+                        )),
+                    }
+                }
+                None => self.rules(&bindings, env.exec_mode),
+            };
+            builder.install(
+                compute,
+                Box::new(ComputeTask::new(
+                    format!("{}-compute", process.name),
+                    compute_inputs,
+                    compute_outputs,
+                    logic,
                 )),
-                ExecMode::Interp => Box::new(FoldtLogic::new(
-                    Arc::clone(&self.program),
-                    total_inputs,
-                    sink_output,
-                )),
-            }
-        } else {
-            match env.exec_mode {
-                ExecMode::Vm => Box::new(VmLogic::new(
-                    Arc::clone(&self.compiled),
-                    bindings,
-                    Arc::clone(&self.globals),
-                )),
-                ExecMode::Interp => Box::new(InterpreterLogic::new(
-                    Arc::clone(&self.program),
-                    bindings,
-                    Arc::clone(&self.globals),
-                )),
-            }
-        };
-        builder.install(
-            compute_node,
-            Box::new(ComputeTask::new(
-                format!("{}-compute", process.name),
-                compute_inputs,
-                compute_outputs,
-                logic,
-            )),
-        );
+            );
+        }
         Ok(builder.build())
     }
 }

@@ -396,7 +396,9 @@ impl<'a> Lowerer<'a> {
     /// nested in an `if` or `else` would run unconditionally: it is
     /// rejected, as is every statement that would lower to nothing that
     /// runs. The one guard that compiles is Listing 3's: the `foldt`
-    /// logic subsumes `all_ready(mappers)`, and routes the result itself.
+    /// logic subsumes `all_ready(mappers)`, and routes the result itself
+    /// to the channel its `result => channel` pipeline names. A process
+    /// has at most one `foldt`, and its result must be sent.
     fn lower_proc_block(
         &self,
         block: &Block,
@@ -404,8 +406,9 @@ impl<'a> Lowerer<'a> {
         process: &mut ProcessIr,
         scope: &mut Scope,
     ) -> Result<(), CompileError> {
-        // The `foldt` result bound in this block, if any.
-        let mut folded = None;
+        // The `foldt` bound in this block and not yet sent: its name and
+        // its value, lowered once its pipeline names the sink.
+        let mut folded: Option<(&str, &Expr)> = None;
         for stmt in &block.stmts {
             let unsupported =
                 |what: String| CompileError::Unsupported(format!("{}: {what}", stmt.span()));
@@ -427,7 +430,21 @@ impl<'a> Lowerer<'a> {
                                  or `else`, but a rule runs on every message of its channel"
                             )))
                         }
-                        None if folded == Some(source) => {}
+                        None if folded.is_some_and(|(name, _)| name == source) => {
+                            let (_, foldt) = folded.take().expect("matched above");
+                            let sink = match stages.as_slice() {
+                                [_, sink] => sink.as_ident(),
+                                _ => None,
+                            }
+                            .and_then(|sink| process.params.iter().position(|p| p.name == sink))
+                            .ok_or_else(|| {
+                                unsupported(format!(
+                                    "the `foldt` result `{source}` can only be sent \
+                                     straight to a channel parameter"
+                                ))
+                            })?;
+                            process.foldt = Some(self.lower_foldt(foldt, sink, &process.params)?);
+                        }
                         None => {
                             return Err(unsupported(format!(
                                 "the process-level pipeline from `{source}` starts from \
@@ -443,25 +460,18 @@ impl<'a> Lowerer<'a> {
                     }
                 }
                 Stmt::Let { name, value, .. } => {
-                    let ExprKind::Foldt {
-                        channels,
-                        order_key,
-                        binders,
-                        key_name,
-                        body,
-                        ..
-                    } = &value.kind
-                    else {
+                    if !matches!(value.kind, ExprKind::Foldt { .. }) {
                         return Err(unsupported(format!(
                             "the process-level `let {name}` binds no `foldt`, and nothing \
                              would store it; keep state in a `global`"
                         )));
-                    };
-                    let params = &process.params;
-                    let foldt =
-                        self.lower_foldt(channels, order_key, binders, key_name, body, params)?;
-                    process.foldt = Some(foldt);
-                    folded = Some(name.as_str());
+                    }
+                    if process.foldt.is_some() || folded.is_some() {
+                        return Err(unsupported(format!(
+                            "`let {name}` is a second `foldt`; a process aggregates once"
+                        )));
+                    }
+                    folded = Some((name.as_str(), value));
                 }
                 other => {
                     return Err(CompileError::Unsupported(format!(
@@ -470,7 +480,13 @@ impl<'a> Lowerer<'a> {
                 }
             }
         }
-        Ok(())
+        match folded {
+            Some((name, value)) => Err(CompileError::Unsupported(format!(
+                "{}: the `foldt` result `{name}` is never sent to a channel",
+                value.span
+            ))),
+            None => Ok(()),
+        }
     }
 
     fn lower_rule(
@@ -513,15 +529,31 @@ impl<'a> Lowerer<'a> {
         }
     }
 
+    /// Lowers the `foldt` expression `value`, whose result goes to channel
+    /// parameter `sink_param`.
     fn lower_foldt(
         &self,
-        channels: &Expr,
-        order_key: &Expr,
-        binders: &(String, String),
-        key_name: &str,
-        body: &Block,
+        value: &Expr,
+        sink_param: usize,
         params: &[ChannelParam],
     ) -> Result<FoldtIr, CompileError> {
+        let ExprKind::Foldt {
+            channels,
+            order_key,
+            binders,
+            key_name,
+            body,
+            ..
+        } = &value.kind
+        else {
+            unreachable!("only a `foldt` is lowered here");
+        };
+        if params[sink_param].is_array || !params[sink_param].dir.writable {
+            return Err(CompileError::Signature(format!(
+                "the foldt result goes to `{}`, which is not one writable channel",
+                params[sink_param].name
+            )));
+        }
         let source_name = channels.as_ident().ok_or_else(|| {
             CompileError::Unsupported("foldt must aggregate over a channel-array parameter".into())
         })?;
@@ -530,13 +562,6 @@ impl<'a> Lowerer<'a> {
             .position(|p| p.name == source_name)
             .ok_or_else(|| {
                 CompileError::Unsupported(format!("unknown channel array `{source_name}`"))
-            })?;
-        // The sink is the (single) writable scalar channel parameter.
-        let sink_param = params
-            .iter()
-            .position(|p| !p.is_array && p.dir.writable)
-            .ok_or_else(|| {
-                CompileError::Signature("foldt needs a writable output channel".into())
             })?;
         let key_field = match &order_key.kind {
             ExprKind::Field(_, field) => field.clone(),
@@ -855,6 +880,62 @@ fun combine: (v1: string, v2: string) -> (string)
             foldt.body.last(),
             Some(IrStmt::Expr(IrExpr::MakeRecord(_, _, _)))
         ));
+    }
+
+    /// An aggregator with a writable channel ahead of its reducer: the
+    /// result goes where `result => reducer` sends it, not to the first
+    /// writable channel.
+    #[test]
+    fn a_foldt_result_goes_to_the_channel_its_pipeline_names() {
+        let src = r#"
+type kv: record
+  key : string
+  value : string
+
+proc P: (-/kv out, [kv/-] mappers, -/kv reducer)
+  if all_ready(mappers):
+    let result = foldt on mappers ordering elem e1, e2 by elem.key as e_key:
+      kv(e_key, e1.value)
+    result => reducer
+"#;
+        let ir = lower(&compile_to_ast(src).unwrap(), "P").unwrap();
+        let foldt = ir.process.foldt.expect("foldt lowered");
+        assert_eq!((foldt.source_param, foldt.sink_param), (1, 2));
+    }
+
+    /// A second process-level `foldt` used to replace the first without a
+    /// word; one whose result is never sent lowered to a sink nothing
+    /// named.
+    #[test]
+    fn a_second_or_unsent_foldt_is_rejected() {
+        let program = |block: &str| {
+            format!(
+                r#"
+type kv: record
+  key : string
+  value : string
+
+proc P: ([kv/-] mappers, -/kv reducer)
+  if all_ready(mappers):
+{block}
+"#
+            )
+        };
+        let fold = |name: &str| {
+            format!(
+                "    let {name} = foldt on mappers ordering elem e1, e2 by elem.key as e_key:\n      \
+                 kv(e_key, e1.value)\n"
+            )
+        };
+        let twice = program(&format!(
+            "{}    first => reducer\n{}    second => reducer",
+            fold("first"),
+            fold("second")
+        ));
+        let err = rejected(&twice);
+        assert!(err.contains("`let second` is a second `foldt`"), "{err}");
+        let unsent = rejected(&program(&fold("result")));
+        assert!(unsent.contains("`result` is never sent"), "{unsent}");
     }
 
     /// Lowers process `P` of `src`, whose body must be rejected, and

@@ -298,7 +298,15 @@ impl GrammarCodec {
                 continue;
             }
             let value = match kind {
-                FieldKind::UInt { .. } | FieldKind::Int { .. } => msg.uint_field(name),
+                FieldKind::UInt { .. } => msg.uint_field(name),
+                // Bound as the parse binds it: the raw bits of its width,
+                // so a negative value is its two's complement.
+                FieldKind::Int { width } => match msg.get(name) {
+                    Some(&MsgValue::Int(value)) => {
+                        Some(value as u64 & (u64::MAX >> (64 - 8 * u32::from(*width))))
+                    }
+                    other => other.and_then(MsgValue::as_u64),
+                },
                 FieldKind::Bytes { .. } | FieldKind::Str { .. } => {
                     Some(msg.get(name).map_or(0, MsgValue::byte_len) as u64)
                 }
@@ -976,6 +984,40 @@ mod tests {
                 assert_eq!(message, m, "width {width}, {value}");
             }
         }
+    }
+
+    /// A serialisation rule and a length expression that name a negative
+    /// signed field see its raw bits, as the parse binds them: `-3` in one
+    /// byte is 253, so `echo` is written as 253 and `data` is 253 − 250
+    /// bytes long. The serialiser used to leave the field unbound.
+    #[test]
+    fn a_negative_signed_field_is_bound_as_its_raw_bits() {
+        let g = UnitGrammar::new("s")
+            .item(GI::field("x", FieldKind::Int { width: 1 }))
+            .item(GI::field("echo", FieldKind::UInt { width: 1 }))
+            .item(GI::field(
+                "data",
+                FieldKind::Bytes {
+                    length: LenExpr::sub(LenExpr::field("x"), LenExpr::Const(250)),
+                },
+            ))
+            .ser_rule("echo", LenExpr::field("x"));
+        let codec = GrammarCodec::new(g).unwrap();
+        let mut m = Message::new("s");
+        m.set("x", MsgValue::Int(-3))
+            .set("echo", MsgValue::UInt(0))
+            .set("data", MsgValue::Bytes(Bytes::from_static(b"abc")));
+        let mut wire = Vec::new();
+        assert!(codec.serialize_parts(&m, &mut wire).unwrap().is_none());
+        assert_eq!(wire, [0xfd, 253, b'a', b'b', b'c']);
+        let wire = Bytes::from(wire);
+        let ParseOutcome::Complete { message, consumed } = codec.parse_bytes(&wire, None).unwrap()
+        else {
+            panic!("incomplete");
+        };
+        assert_eq!(consumed, wire.len());
+        m.set("echo", MsgValue::UInt(253)).set_raw(wire);
+        assert_eq!(message, m);
     }
 
     #[test]

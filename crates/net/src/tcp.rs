@@ -23,6 +23,12 @@
 //!   while the socket sat unwatched in a back-end pool, say — is never
 //!   missed. Spurious events are allowed by the poller contract, so the
 //!   synthetic post is unconditional.
+//! * **`EPOLLOUT` on demand.** A writer's entry asks for `EPOLLOUT` only
+//!   after one of its writes returned `EAGAIN`, and the event that reports
+//!   the space disarms it again, so a writable socket does not wake its
+//!   writer with every readable event (DESIGN.md §13). Re-arming with
+//!   `EPOLL_CTL_MOD` makes the kernel re-check readiness, so space freed
+//!   before the arm is still reported.
 //! * **One poller per socket.** A socket is registered with at most one
 //!   poller at a time, and so lives in at most one reactor (debug-checked
 //!   at registration). Registering a direction again on the same poller
@@ -147,6 +153,14 @@ struct FdSlots {
     gen: u32,
     read: Option<Token>,
     write: Option<Token>,
+    /// Whether the writer is waiting for send-buffer space: raised when a
+    /// write returned `EAGAIN` ([`OsReactor::arm_writable`]), lowered by
+    /// the event that reports the space ([`OsReactor::resolve_batch`]).
+    /// `EPOLLOUT` is asked for only while it is up, because an edge-
+    /// triggered entry reports its whole ready mask with every edge: a
+    /// socket watched for `EPOLLOUT` and almost always writable would
+    /// wake its writer with every readable event.
+    write_armed: bool,
 }
 
 impl FdSlots {
@@ -155,6 +169,7 @@ impl FdSlots {
             gen,
             read: None,
             write: None,
+            write_armed: false,
         }
     }
 
@@ -164,10 +179,20 @@ impl FdSlots {
         if self.read.is_some() {
             bits |= sys::EPOLLIN;
         }
-        if self.write.is_some() {
+        if self.write.is_some() && self.write_armed {
             bits |= sys::EPOLLOUT;
         }
         bits
+    }
+
+    /// Re-asks the kernel for this entry's current mask.
+    fn modify(&self, epfd: RawFd, fd: RawFd) {
+        let mut event = sys::epoll_event {
+            events: self.epoll_bits(),
+            u64: pack_userdata(self.gen, fd),
+        };
+        // SAFETY: a live event struct for an fd registered in `epfd`.
+        unsafe { sys::epoll_ctl(epfd, sys::EPOLL_CTL_MOD, fd, &mut event) };
     }
 
     fn is_empty(&self) -> bool {
@@ -279,9 +304,12 @@ impl OsReactor {
     /// longer matches the live registration raced a close — the fd was
     /// forgotten and the number recycled while the batch was in flight —
     /// and must not wake the new owner with the old socket's state.
+    ///
+    /// An `EPOLLOUT` event disarms its entry's write interest (one-shot):
+    /// the writer it wakes re-arms it if it meets `EAGAIN` again.
     fn resolve_batch(&self, batch: &[sys::epoll_event]) -> Vec<(Token, Readiness)> {
         let mut wakes: Vec<(Token, Readiness)> = Vec::with_capacity(batch.len());
-        let registrations = self.registrations.lock();
+        let mut registrations = self.registrations.lock();
         for event in batch {
             let user = event.u64;
             if user == WAKE_TOKEN {
@@ -289,13 +317,17 @@ impl OsReactor {
             }
             let fd = (user & 0xFFFF_FFFF) as u32 as RawFd;
             let gen = (user >> 32) as u32;
-            let Some(slots) = registrations.get(&fd) else {
+            let Some(slots) = registrations.get_mut(&fd) else {
                 continue; // Deregistered while the event was in flight.
             };
             if slots.gen != gen {
                 continue; // Recycled fd; the event belongs to a dead socket.
             }
             let bits = event.events;
+            if bits & sys::EPOLLOUT != 0 && slots.write_armed {
+                slots.write_armed = false;
+                slots.modify(self.epfd, fd);
+            }
             let closed = bits & (sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0;
             // Fan out per direction: a close wakes both watchers (a
             // parked writer must fail fast, a reader must observe
@@ -379,12 +411,22 @@ impl OsReactor {
             unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, &mut event) };
             return true;
         }
-        let mut event = sys::epoll_event {
-            events: slots.epoll_bits(),
-            u64: pack_userdata(slots.gen, fd),
-        };
-        unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_MOD, fd, &mut event) };
+        slots.modify(self.epfd, fd);
         false
+    }
+
+    /// Asks for `fd`'s next `EPOLLOUT`: a write to it returned `EAGAIN`.
+    /// `EPOLL_CTL_MOD` makes the kernel re-check the socket's readiness,
+    /// so space that freed up between the `EAGAIN` and this call is still
+    /// reported. A no-op while armed, or when no writer watches `fd`.
+    fn arm_writable(&self, fd: RawFd) {
+        let mut registrations = self.registrations.lock();
+        if let Some(slots) = registrations.get_mut(&fd) {
+            if slots.write.is_some() && !slots.write_armed {
+                slots.write_armed = true;
+                slots.modify(self.epfd, fd);
+            }
+        }
     }
 
     /// Removes any registration for `fd` (socket teardown). The kernel
@@ -760,9 +802,20 @@ impl TcpConn {
                     return Ok(n);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(map_io(e)),
+                Err(e) => return Err(self.blocked(map_io(e))),
             }
         }
+    }
+
+    /// A write failed with `err`: on `EAGAIN` the writer now waits for
+    /// space, so its reactor is asked for the next `EPOLLOUT`.
+    fn blocked(&self, err: NetError) -> NetError {
+        if err == NetError::WouldBlock {
+            if let Some(reactor) = self.inner.reactor.lock().as_ref() {
+                reactor.arm_writable(self.fd());
+            }
+        }
+        err
     }
 
     /// Writes the segments in `bufs` with one `writev(2)` call — a
@@ -798,7 +851,7 @@ impl TcpConn {
                 return Err(NetError::Closed);
             }
             if sys::errno() != sys::EINTR {
-                return Err(last_os_error());
+                return Err(self.blocked(last_os_error()));
             }
         }
     }
@@ -833,10 +886,16 @@ impl TcpConn {
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(NetError::Closed);
         }
-        match self.splice(pipe.read_fd(), self.fd(), max)? {
+        match self.splice(pipe.read_fd(), self.fd(), max) {
             // Our pipe keeps its write end open, so 0 is an empty pipe.
-            0 => Err(NetError::WouldBlock),
-            n => Ok(n),
+            Ok(0) => Err(NetError::WouldBlock),
+            Ok(n) => Ok(n),
+            // `EAGAIN` is a full socket only while the pipe holds bytes; a
+            // dry pipe waits for its producer, not for `EPOLLOUT`.
+            Err(NetError::WouldBlock) if pipe.queued() > 0 => {
+                Err(self.blocked(NetError::WouldBlock))
+            }
+            Err(err) => Err(err),
         }
     }
 

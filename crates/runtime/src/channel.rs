@@ -156,16 +156,24 @@ impl ChannelProducer {
             && self.inner.queue.lock().values.len() < self.inner.capacity
     }
 
+    /// Returns `true` if no value is queued.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.inner.queue.lock().values.is_empty()
+    }
+
     /// Marks this producer as finished. When the last producer closes, the
     /// consumer observes end-of-stream after draining. Closing the same
-    /// handle more than once is a no-op.
-    pub fn close(&self) {
+    /// handle more than once is a no-op. Returns `true` for the close that
+    /// ended the stream.
+    pub fn close(&self) -> bool {
         if self.handle_closed.swap(true, Ordering::AcqRel) {
-            return;
+            return false;
         }
         if self.inner.producers.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.inner.closed.store(true, Ordering::Release);
+            return true;
         }
+        false
     }
 }
 

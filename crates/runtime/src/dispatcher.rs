@@ -440,9 +440,13 @@ impl ShardReactor {
     /// the remaining read-side client connections are closed (their input
     /// tasks observe EOF), the back-end members are released (their input
     /// tasks finish without closing them, and an unopened one is never
-    /// opened), every task gets a final chance to flush, and
-    /// [`DRAIN_GRACE`] bounds a non-quiescent graph. It is torn down when
-    /// all tasks are gone, or by force when the grace expired.
+    /// opened), every task but the output tasks is scheduled once more,
+    /// and [`DRAIN_GRACE`] bounds a non-quiescent graph. An output task is
+    /// left to what feeds it: the close that ends its channel wakes it
+    /// (the last of its producers to finish), and so does a hang-up of its
+    /// connection; woken earlier, it would find its channel still open and
+    /// run again later. The graph is torn down when all tasks are gone, or
+    /// by force when the grace expired.
     fn advance_graph(&mut self, graph_id: u64) {
         let Some(graph) = self.graphs.get(&graph_id) else {
             return;
@@ -460,7 +464,13 @@ impl ShardReactor {
                     watch.endpoint.release();
                 }
             }
-            for task in &graph.task_ids {
+            let writes = |task: &TaskId| {
+                graph
+                    .watches
+                    .iter()
+                    .any(|watch| watch.task == *task && watch.interest.is_writable())
+            };
+            for task in graph.task_ids.iter().filter(|task| !writes(task)) {
                 self.scheduler.schedule(*task);
             }
             Instant::now() + DRAIN_GRACE

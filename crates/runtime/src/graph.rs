@@ -12,7 +12,7 @@ use crate::channel::{ChannelConsumer, ChannelProducer, TaskChannel, DEFAULT_CHAN
 use crate::link::Link;
 use crate::platform::{BuiltGraph, Watch};
 use crate::task::{Task, TaskId};
-use crate::tasks::{InputTask, OutputTask};
+use crate::tasks::{ComputeLogic, Destination, InlineRules, InputTask, OutputTask};
 use flick_grammar::{Projection, WireCodec};
 use flick_net::Endpoint;
 use std::collections::HashMap;
@@ -77,6 +77,10 @@ pub enum Peer<'a> {
 /// 3. [`GraphBuilder::channel`] for every remaining edge and
 ///    [`GraphBuilder::install`] for every remaining task;
 /// 4. [`GraphBuilder::build`].
+///
+/// A graph without a compute task binds [`GraphBuilder::bind_destination`]
+/// and [`GraphBuilder::bind_inline_input`] instead: every inline input runs
+/// its own logic and writes to every destination of the graph.
 pub struct GraphBuilder<'a> {
     allocator: &'a TaskIdAllocator,
     name: String,
@@ -86,6 +90,22 @@ pub struct GraphBuilder<'a> {
     /// dispatcher registers them with its poller).
     watchers: Vec<Watch>,
     client_tasks: Vec<TaskId>,
+    /// The outputs inline inputs write to, in binding order.
+    destinations: Vec<Destination>,
+    /// Inline inputs, built by [`GraphBuilder::build`] once every
+    /// destination is bound.
+    inline_inputs: Vec<InlineInput>,
+}
+
+/// An inline input bound but not yet built.
+struct InlineInput {
+    node: NodeId,
+    label: String,
+    link: Link,
+    codec: Arc<dyn WireCodec>,
+    projection: Option<Projection>,
+    logic: Box<dyn ComputeLogic>,
+    input: usize,
 }
 
 impl<'a> GraphBuilder<'a> {
@@ -98,6 +118,8 @@ impl<'a> GraphBuilder<'a> {
             tasks: HashMap::new(),
             watchers: Vec::new(),
             client_tasks: Vec::new(),
+            destinations: Vec::new(),
+            inline_inputs: Vec::new(),
         }
     }
 
@@ -127,6 +149,44 @@ impl<'a> GraphBuilder<'a> {
         projection: Option<Projection>,
         to: NodeId,
     ) -> ChannelConsumer {
+        let link = self.watch_input(node, peer);
+        let (tx, rx) = self.channel(to);
+        let task = InputTask::new(label, link, codec, projection, tx);
+        self.install(node, Box::new(task));
+        rx
+    }
+
+    /// Binds a connection as an input whose task runs `logic` itself on
+    /// every message, as logic input `input`, emitting to the graph's
+    /// destinations ([`InlineRules`]). Watched and counted like
+    /// [`GraphBuilder::bind_input`]; the task is built by
+    /// [`GraphBuilder::build`], once every destination is bound.
+    #[allow(clippy::too_many_arguments)]
+    pub fn bind_inline_input(
+        &mut self,
+        node: NodeId,
+        label: impl Into<String>,
+        peer: Peer<'_>,
+        codec: Arc<dyn WireCodec>,
+        projection: Option<Projection>,
+        logic: Box<dyn ComputeLogic>,
+        input: usize,
+    ) {
+        let link = self.watch_input(node, peer);
+        self.inline_inputs.push(InlineInput {
+            node,
+            label: label.into(),
+            link,
+            codec,
+            projection,
+            logic,
+            input,
+        });
+    }
+
+    /// The link an input at `node` reads, watched for readability; a
+    /// client input counts among the tasks whose exit starts the drain.
+    fn watch_input(&mut self, node: NodeId, peer: Peer<'_>) -> Link {
         let link = match peer {
             Peer::Client(endpoint) => {
                 self.client_tasks.push(node.task_id());
@@ -134,11 +194,9 @@ impl<'a> GraphBuilder<'a> {
             }
             Peer::Backend(link) => link.clone(),
         };
-        let (tx, rx) = self.channel(to);
-        let task = InputTask::new(label, link.clone(), codec, projection, tx);
-        self.install(node, Box::new(task));
-        self.watchers.push(Watch::readable(node.task_id(), link));
-        rx
+        self.watchers
+            .push(Watch::readable(node.task_id(), link.clone()));
+        link
     }
 
     /// Binds a connection as an output: installs an [`OutputTask`] at
@@ -151,12 +209,38 @@ impl<'a> GraphBuilder<'a> {
         link: impl Into<Link>,
         codec: Arc<dyn WireCodec>,
     ) -> ChannelProducer {
-        let link = link.into();
-        let (tx, rx) = self.channel(node);
+        self.output(node, label, link.into(), codec).producer
+    }
+
+    /// Binds a connection as an output of the graph's inline inputs: an
+    /// [`OutputTask`] as [`GraphBuilder::bind_output`] installs, whose side
+    /// every inline input writes to directly. Returns the destination's
+    /// index, the logic's output number for it.
+    pub fn bind_destination(
+        &mut self,
+        node: NodeId,
+        label: impl Into<String>,
+        link: impl Into<Link>,
+        codec: Arc<dyn WireCodec>,
+    ) -> usize {
+        let destination = self.output(node, label, link.into(), codec);
+        self.destinations.push(destination);
+        self.destinations.len() - 1
+    }
+
+    fn output(
+        &mut self,
+        node: NodeId,
+        label: impl Into<String>,
+        link: Link,
+        codec: Arc<dyn WireCodec>,
+    ) -> Destination {
+        let (producer, rx) = self.channel(node);
         let task = OutputTask::new(label, link.clone(), codec, rx);
+        let side = Arc::clone(task.side());
         self.install(node, Box::new(task));
         self.watchers.push(Watch::writable(node.task_id(), link));
-        tx
+        Destination { producer, side }
     }
 
     /// Installs the task object for a declared node.
@@ -180,7 +264,23 @@ impl<'a> GraphBuilder<'a> {
     /// # Panics
     ///
     /// Panics if any declared node was never installed.
-    pub fn build(self) -> BuiltGraph {
+    pub fn build(mut self) -> BuiltGraph {
+        for pending in std::mem::take(&mut self.inline_inputs) {
+            let rules = InlineRules::new(pending.logic, pending.input, &self.destinations);
+            let task = InputTask::inline(
+                pending.label,
+                pending.link,
+                pending.codec,
+                pending.projection,
+                rules,
+            );
+            self.install(pending.node, Box::new(task));
+        }
+        // Each inline input holds its own handle on every destination: a
+        // destination's channel closes once all of them have finished.
+        for destination in &self.destinations {
+            destination.producer.close();
+        }
         for node in &self.declared {
             assert!(
                 self.tasks.contains_key(&node.task_id()),

@@ -156,6 +156,13 @@ pub struct BuiltGraph {
     pub(crate) client_tasks: Vec<TaskId>,
 }
 
+impl BuiltGraph {
+    /// Every task's label, in no particular order: what a factory built.
+    pub fn task_labels(&self) -> impl Iterator<Item = &str> {
+        self.tasks.iter().map(|(_, task)| task.label())
+    }
+}
+
 /// Builds task-graph instances for one service.
 ///
 /// Implemented by the compiler crate for FLICK programs and by hand for the

@@ -5,10 +5,13 @@
 //!
 //! * [`InputTask`] — owns one network connection, performs incremental
 //!   deserialisation using a [`WireCodec`] and a field [`Projection`], and
-//!   pushes parsed messages into the graph;
+//!   pushes parsed messages into the graph, or runs the rules on them
+//!   itself when they keep no state ([`InlineRules`]);
 //! * [`ComputeTask`] — runs a [`ComputeLogic`] over values arriving on any
 //!   number of input channels, emitting to any number of output channels;
-//! * [`OutputTask`] — serialises values and writes them to a connection;
+//! * [`OutputTask`] — serialises values and writes them to a connection,
+//!   through an [`OutputSide`] that inline rules write to directly while
+//!   it is idle;
 //! * [`SourceTask`] and [`SyntheticWorkTask`] — synthetic producers used by
 //!   tests and by the resource-sharing micro-benchmark of §6.4.
 
@@ -22,6 +25,7 @@ use crate::value::Value;
 use bytes::Bytes;
 use flick_grammar::{ParseOutcome, Projection, WireCodec};
 use flick_net::{Endpoint, NetError, SharedBuf};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -54,17 +58,20 @@ pub const OUTBUF_RETAIN: usize = READ_CHUNK;
 /// parses on only once the whole body is in it (`crate::stream`).
 ///
 /// On an array back-end member the task idles until the member's output
-/// task opens it ([`Link`]), and finishes if the member is closed first.
+/// side opens it ([`Link`]), and finishes if the member is closed first.
 /// On a member its graph's drain released, it finishes without reading on
 /// and records whether it ended cleanly framed ([`Link::finish`]).
+///
+/// A task built [`InputTask::inline`] runs its process's rules on each
+/// message itself, instead of pushing it to a compute task: the rules'
+/// emissions go straight to their destinations' [`OutputSide`]s.
 pub struct InputTask {
     label: String,
     endpoint: Link,
     codec: Arc<dyn WireCodec>,
     projection: Option<Projection>,
     buf: SharedBuf,
-    pending: Option<Value>,
-    output: ChannelProducer,
+    deliver: Deliver,
     /// Messages parsed so far.
     received: u64,
     /// Whether the codec says the last one keeps the connection open
@@ -79,6 +86,55 @@ pub struct InputTask {
     read_max: usize,
 }
 
+/// Where an input task's messages go.
+enum Deliver {
+    /// Into the channel of the task that runs the rules, with the message
+    /// a full channel refused.
+    Channel(ChannelProducer, Option<Value>),
+    /// Through the rules, run by the input task itself.
+    Inline(Box<InlineRules>),
+}
+
+impl Deliver {
+    /// Closes this task's end of every channel it feeds, and hands `wake`
+    /// each consumer that should look at its channel again.
+    fn close(&self, mut wake: impl FnMut(TaskId)) {
+        match self {
+            Deliver::Channel(output, _) => {
+                output.close();
+                wake(output.consumer());
+            }
+            Deliver::Inline(rules) => {
+                for producer in &rules.producers {
+                    if producer.close() {
+                        wake(producer.consumer());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Pushes `value` into `output`, or keeps it in `pending` and parks the
+/// task on the full channel (`false`).
+fn push_or_keep(
+    output: &ChannelProducer,
+    pending: &mut Option<Value>,
+    value: Value,
+    ctx: &mut TaskContext,
+) -> bool {
+    match output.push_or_park(value, ctx) {
+        Ok(()) => {
+            ctx.wake(output.consumer());
+            true
+        }
+        Err(back) => {
+            *pending = Some(back);
+            false
+        }
+    }
+}
+
 impl InputTask {
     /// Creates an input task reading from `endpoint` and pushing parsed
     /// messages into `output`.
@@ -89,13 +145,46 @@ impl InputTask {
         projection: Option<Projection>,
         output: ChannelProducer,
     ) -> Self {
+        Self::with(
+            label,
+            endpoint,
+            codec,
+            projection,
+            Deliver::Channel(output, None),
+        )
+    }
+
+    /// Creates an input task reading from `endpoint` and running `rules`
+    /// on every message it parses.
+    pub(crate) fn inline(
+        label: impl Into<String>,
+        endpoint: Link,
+        codec: Arc<dyn WireCodec>,
+        projection: Option<Projection>,
+        rules: InlineRules,
+    ) -> Self {
+        Self::with(
+            label,
+            endpoint,
+            codec,
+            projection,
+            Deliver::Inline(Box::new(rules)),
+        )
+    }
+
+    fn with(
+        label: impl Into<String>,
+        endpoint: Link,
+        codec: Arc<dyn WireCodec>,
+        projection: Option<Projection>,
+        deliver: Deliver,
+    ) -> Self {
         InputTask {
             label: label.into(),
             endpoint,
             codec,
             buf: SharedBuf::new(READ_CHUNK),
-            pending: None,
-            output,
+            deliver,
             received: 0,
             keeps_alive: false,
             streaming: None,
@@ -107,19 +196,37 @@ impl InputTask {
         }
     }
 
-    /// Tries to push a parsed message; on a full channel stashes it and
-    /// parks the task until the consumer drains the channel.
-    fn push_out(&mut self, value: Value, ctx: &mut TaskContext) -> bool {
-        match self.output.push_or_park(value, ctx) {
-            Ok(()) => {
-                ctx.wake(self.output.consumer());
-                RuntimeMetrics::add(&ctx.metrics().messages_in, 1);
-                true
+    /// Hands on a parsed message: pushes it, or runs the rules on it.
+    /// `None` when it was delivered; `Idle` when the task parked on a full
+    /// channel, with what it could not deliver kept for its next run;
+    /// `Finished` when a rule failed.
+    fn push_out(&mut self, value: Value, ctx: &mut TaskContext) -> Option<TaskStatus> {
+        RuntimeMetrics::add(&ctx.metrics().messages_in, 1);
+        match &mut self.deliver {
+            Deliver::Channel(output, pending) => {
+                return (!push_or_keep(output, pending, value, ctx)).then_some(TaskStatus::Idle)
             }
-            Err(back) => {
-                self.pending = Some(back);
-                false
+            Deliver::Inline(rules) => {
+                if rules.run(value, ctx).is_ok() {
+                    return (!rules.flush_overflow(ctx)).then_some(TaskStatus::Idle);
+                }
+                // A failed rule ends the graph instance, as a failed
+                // compute task does: every connection it writes to is
+                // closed, and its own.
+                rules.fail_all();
             }
+        }
+        Some(self.close(ctx))
+    }
+
+    /// Delivers what a full channel refused last run. `false` when a
+    /// channel is still full (parked again).
+    fn retry(&mut self, ctx: &mut TaskContext) -> bool {
+        match &mut self.deliver {
+            Deliver::Channel(output, pending) => pending
+                .take()
+                .map_or(true, |value| push_or_keep(output, pending, value, ctx)),
+            Deliver::Inline(rules) => rules.flush_overflow(ctx),
         }
     }
 
@@ -156,8 +263,8 @@ impl InputTask {
                         message.attach_rest(carrier);
                         self.streaming = Some(stream);
                     }
-                    if !self.push_out(Value::Msg(message), ctx) {
-                        return Ok(Some(TaskStatus::Idle));
+                    if let Some(status) = self.push_out(Value::Msg(message), ctx) {
+                        return Ok(Some(status));
                     }
                     // The body follows its head before anything else is
                     // parsed; the buffer holds nothing past its prefix.
@@ -209,11 +316,11 @@ impl InputTask {
     /// default behaviour for unparseable input. The blast radius is this
     /// one connection: siblings on the same service keep running, and the
     /// close is tallied separately so the sim battery can bound it.
-    fn malformed(&mut self) -> TaskStatus {
+    fn malformed(&mut self, ctx: &mut TaskContext) -> TaskStatus {
         if let Some(endpoint) = self.endpoint.open_endpoint() {
             endpoint.close_malformed();
         }
-        self.output.close();
+        self.deliver.close(|consumer| ctx.wake(consumer));
         TaskStatus::Finished
     }
 
@@ -223,8 +330,7 @@ impl InputTask {
         if let Some(consumer) = self.streaming.take().and_then(|stream| stream.fail()) {
             ctx.wake(consumer);
         }
-        self.output.close();
-        ctx.wake(self.output.consumer());
+        self.deliver.close(|consumer| ctx.wake(consumer));
         TaskStatus::Finished
     }
 }
@@ -235,7 +341,7 @@ impl Drop for InputTask {
         // that the peer observes EOF instead of a hung socket — unless its
         // graph's teardown decides, on a released member.
         self.endpoint.close_unless_released();
-        self.output.close();
+        self.deliver.close(|_| {});
         if let Some(consumer) = self.streaming.take().and_then(|stream| stream.fail()) {
             wake_after_run(consumer);
         }
@@ -262,12 +368,10 @@ impl Task for InputTask {
                 return self.finish(ctx);
             }
         }
-        // First retry any message that did not fit the channel last time;
-        // still full means parked again.
-        if let Some(value) = self.pending.take() {
-            if !self.push_out(value, ctx) {
-                return TaskStatus::Idle;
-            }
+        // First retry whatever did not fit a channel last time; still full
+        // means parked again.
+        if !self.retry(ctx) {
+            return TaskStatus::Idle;
         }
         // Then move the rest of a streamed body.
         if let Some(status) = self.pump(ctx) {
@@ -277,7 +381,7 @@ impl Task for InputTask {
         match self.drain_buffer(ctx) {
             Ok(None) => {}
             Ok(Some(status)) => return status,
-            Err(_) => return self.malformed(),
+            Err(_) => return self.malformed(ctx),
         }
         // Then read more bytes from the connection, straight into the
         // shared buffer — no intermediate stack chunk, no append copy.
@@ -288,7 +392,7 @@ impl Task for InputTask {
                     match self.drain_buffer(ctx) {
                         Ok(None) => {}
                         Ok(Some(status)) => return status,
-                        Err(_) => return self.malformed(),
+                        Err(_) => return self.malformed(ctx),
                     }
                     if !ctx.can_continue() {
                         return TaskStatus::Runnable;
@@ -318,8 +422,13 @@ impl Task for InputTask {
 /// Emission interface handed to [`ComputeLogic::on_value`].
 pub struct Outputs<'a> {
     producers: &'a [ChannelProducer],
+    /// On the inline path, the output side behind each producer, which an
+    /// emission writes to directly while it is idle; empty otherwise.
+    sides: &'a [Arc<OutputSide>],
     overflow: &'a mut VecDeque<(usize, Value)>,
     wakes: Vec<crate::task::TaskId>,
+    /// Values serialised onto an output side inline.
+    written: u64,
 }
 
 impl<'a> Outputs<'a> {
@@ -335,6 +444,9 @@ impl<'a> Outputs<'a> {
 
     /// Emits `value` on output channel `output`.
     ///
+    /// On the inline path the value is first offered to the output's side,
+    /// which serialises and writes it on the spot when nothing is queued
+    /// ahead of it ([`OutputSide`]). Otherwise it goes into the channel.
     /// If the channel is full — or earlier emissions are still waiting —
     /// the value is buffered and delivered, in emission order, once the
     /// task is woken by its consumers, so logic never loses or reorders
@@ -347,13 +459,35 @@ impl<'a> Outputs<'a> {
         }
         let producer = &self.producers[output];
         let consumer = producer.consumer();
-        match producer.push(value) {
-            Ok(()) => {
-                if !self.wakes.contains(&consumer) {
-                    self.wakes.push(consumer);
+        let value = match self.sides.get(output) {
+            Some(side) => match side.write_inline(value, producer) {
+                Inline::Written => {
+                    self.written += 1;
+                    return;
                 }
-            }
+                Inline::Unfinished => {
+                    self.written += 1;
+                    self.wake(consumer);
+                    return;
+                }
+                Inline::Failed => {
+                    self.wake(consumer);
+                    return;
+                }
+                Inline::Dropped => return,
+                Inline::Queue(value) => value,
+            },
+            None => value,
+        };
+        match producer.push(value) {
+            Ok(()) => self.wake(consumer),
             Err(back) => self.overflow.push_back((output, back)),
+        }
+    }
+
+    fn wake(&mut self, task: TaskId) {
+        if !self.wakes.contains(&task) {
+            self.wakes.push(task);
         }
     }
 }
@@ -433,8 +567,10 @@ impl ComputeTask {
     ) -> bool {
         let mut outputs = Outputs {
             producers: &self.outputs,
+            sides: &[],
             overflow: &mut self.overflow,
             wakes: Vec::new(),
+            written: 0,
         };
         let result = call(self.logic.as_mut(), &mut outputs);
         for w in std::mem::take(&mut outputs.wakes) {
@@ -443,6 +579,7 @@ impl ComputeTask {
         if result.is_err() {
             for out in &self.outputs {
                 out.close();
+                ctx.wake(out.consumer());
             }
         }
         result.is_ok()
@@ -506,6 +643,101 @@ impl Task for ComputeTask {
     }
 }
 
+/// The rules of a process that keeps no state between messages, run by an
+/// input task on each message it parses ([`InputTask::inline`]) instead of
+/// by a compute task behind a channel.
+///
+/// The task holds its own `logic` instance and one [`Destination`] per
+/// output the logic may emit to, in the logic's output order. A value
+/// emitted to a destination is written by the emitting task itself when
+/// the destination's side is idle, and queued to its output task
+/// otherwise ([`OutputSide`]); a full queue parks the task like a full
+/// channel parks any producer, with the values behind it kept in order.
+/// Each destination's channel closes once every input task of the graph
+/// has finished, as a compute task closes its outputs once all its inputs
+/// have.
+///
+/// Logic that acts when an input ends ([`ComputeLogic::on_input_finished`],
+/// a fold) does not belong here: it runs in a [`ComputeTask`].
+pub(crate) struct InlineRules {
+    logic: Box<dyn ComputeLogic>,
+    /// The logic's input index of the task's messages.
+    input: usize,
+    producers: Vec<ChannelProducer>,
+    sides: Vec<Arc<OutputSide>>,
+    overflow: VecDeque<(usize, Value)>,
+}
+
+/// One output of a graph whose input tasks run the rules inline: the
+/// channel into its [`OutputTask`] and the side that task shares
+/// ([`crate::GraphBuilder::bind_destination`]).
+pub(crate) struct Destination {
+    pub(crate) producer: ChannelProducer,
+    pub(crate) side: Arc<OutputSide>,
+}
+
+impl InlineRules {
+    /// Runs `logic` on the messages of its input `input`, emitting to
+    /// `destinations` (each cloned: this task's own channel handles).
+    pub(crate) fn new(
+        logic: Box<dyn ComputeLogic>,
+        input: usize,
+        destinations: &[Destination],
+    ) -> Self {
+        InlineRules {
+            logic,
+            input,
+            producers: destinations.iter().map(|d| d.producer.clone()).collect(),
+            sides: destinations.iter().map(|d| Arc::clone(&d.side)).collect(),
+            overflow: VecDeque::new(),
+        }
+    }
+
+    /// Runs the rules on one message.
+    fn run(&mut self, value: Value, ctx: &mut TaskContext) -> Result<(), RuntimeError> {
+        RuntimeMetrics::add(&ctx.metrics().values_processed, 1);
+        let mut outputs = Outputs {
+            producers: &self.producers,
+            sides: &self.sides,
+            overflow: &mut self.overflow,
+            wakes: Vec::new(),
+            written: 0,
+        };
+        let result = self.logic.on_value(self.input, value, &mut outputs);
+        RuntimeMetrics::add(&ctx.metrics().messages_out, outputs.written);
+        for task in std::mem::take(&mut outputs.wakes) {
+            ctx.wake(task);
+        }
+        result
+    }
+
+    /// Delivers emissions a full channel refused, in order. `false` when a
+    /// channel is still full: the task is parked on it.
+    fn flush_overflow(&mut self, ctx: &mut TaskContext) -> bool {
+        while let Some((output, value)) = self.overflow.pop_front() {
+            let producer = &self.producers[output];
+            match producer.push_or_park(value, ctx) {
+                Ok(()) => ctx.wake(producer.consumer()),
+                Err(back) => {
+                    self.overflow.push_front((output, back));
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Closes every connection the rules write to; their output tasks are
+    /// woken to finish.
+    fn fail_all(&mut self) {
+        self.overflow.clear();
+        for side in &self.sides {
+            side.writer.lock().fail();
+            wake_after_run(side.task);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Output task
 // ---------------------------------------------------------------------------
@@ -563,13 +795,61 @@ impl ExecMode {
 /// the member ([`Link`]); a failed open finishes the task. On a member its
 /// graph's drain released, the task finishes without closing it and
 /// records whether it ended cleanly framed ([`Link::finish`]).
+///
+/// The serialise-and-flush state is the task's [`OutputSide`], which
+/// input tasks running their rules inline write to directly while it is
+/// idle; the task holds the side's lock for the whole of each run.
 pub struct OutputTask {
     label: String,
+    side: Arc<OutputSide>,
+    input: ChannelConsumer,
+}
+
+/// The write side of one connection: what an [`OutputTask`] serialises
+/// and has still to flush, behind one lock, so one writer at a time
+/// writes the socket.
+///
+/// An input task running its rules inline ([`InlineRules`]) offers each
+/// value it emits here first. When the side holds nothing unflushed and
+/// nothing is queued in the output task's channel, it serialises the value
+/// and writes it on the spot, opening an unopened array member first; so
+/// every earlier value to this connection is already on the wire, and
+/// values leave in the order they were emitted. Whatever the write leaves
+/// unflushed (a full socket) stays here for the output task, which the
+/// emitter wakes. Three cases go through the output task's channel
+/// instead: a busy side (locked, unflushed bytes, or values queued), a
+/// message whose body streams through a pipe (the output task drains the
+/// pipe), and everything an emitter queued behind a full channel.
+pub(crate) struct OutputSide {
+    writer: Mutex<Writer>,
+    /// The output task: the task to wake, and the consumer of a streamed
+    /// body.
+    task: TaskId,
+}
+
+/// What an inline write did with a value.
+enum Inline {
+    /// Serialised and written in full.
+    Written,
+    /// Serialised, but not all written: the output task is to be woken
+    /// to finish.
+    Unfinished,
+    /// The write failed and the connection is closed: the output task is
+    /// to be woken to finish.
+    Failed,
+    /// The connection failed earlier: the value goes with it, as values
+    /// queued to a failed output task do.
+    Dropped,
+    /// The side is busy: the value goes into the channel, behind what is
+    /// queued.
+    Queue(Value),
+}
+
+struct Writer {
     endpoint: Link,
     codec: Arc<dyn WireCodec>,
-    input: ChannelConsumer,
     /// Reserved at [`OUTBUF_RETAIN`] by the first serialise that writes
-    /// into it, so an output task that never sends, or only forwards raw
+    /// into it, so an output side that never sends, or only forwards raw
     /// messages as their own segments, costs no buffer.
     outbuf: Vec<u8>,
     /// A refcounted trailing segment (message body or raw pass-through
@@ -586,10 +866,14 @@ pub struct OutputTask {
     /// Whether the codec says the last one keeps the connection open
     /// (asked on back-end members only).
     keeps_alive: bool,
+    /// The connection failed under an inline write and was closed: the
+    /// output task drops what is queued and finishes.
+    failed: bool,
 }
 
 impl OutputTask {
-    /// Creates an output task writing to `endpoint`.
+    /// Creates an output task writing to `endpoint`. Its side's task is
+    /// `input`'s consumer: the task must run under that id.
     pub fn new(
         label: impl Into<String>,
         endpoint: Link,
@@ -598,18 +882,68 @@ impl OutputTask {
     ) -> Self {
         OutputTask {
             label: label.into(),
-            endpoint,
-            codec,
+            side: Arc::new(OutputSide {
+                writer: Mutex::new(Writer {
+                    endpoint,
+                    codec,
+                    outbuf: Vec::new(),
+                    body: None,
+                    rest: None,
+                    sent: 0,
+                    keeps_alive: false,
+                    failed: false,
+                }),
+                task: input.consumer(),
+            }),
             input,
-            outbuf: Vec::new(),
-            body: None,
-            rest: None,
-            sent: 0,
-            keeps_alive: false,
         }
     }
 
-    fn flush(&mut self, ctx: &mut TaskContext) -> Result<Moved, RuntimeError> {
+    /// The side inline writers share with this task.
+    pub(crate) fn side(&self) -> &Arc<OutputSide> {
+        &self.side
+    }
+}
+
+impl OutputSide {
+    /// Serialises and writes `value` now, if the side is idle and nothing
+    /// is queued in `queue`, the channel into its output task.
+    fn write_inline(&self, value: Value, queue: &ChannelProducer) -> Inline {
+        if matches!(&value, Value::Msg(msg) if msg.unread_body() > 0) {
+            return Inline::Queue(value);
+        }
+        let Some(mut writer) = self.writer.try_lock() else {
+            return Inline::Queue(value);
+        };
+        if writer.failed {
+            return Inline::Dropped;
+        }
+        if !writer.is_idle() || !queue.is_empty() {
+            return Inline::Queue(value);
+        }
+        match writer
+            .serialize(&value, self.task)
+            .and_then(|()| writer.write_out())
+        {
+            Ok(Moved::Done) => Inline::Written,
+            Ok(_) => Inline::Unfinished,
+            Err(_) => {
+                writer.fail();
+                Inline::Failed
+            }
+        }
+    }
+}
+
+impl Writer {
+    /// Nothing serialised is left unflushed.
+    fn is_idle(&self) -> bool {
+        self.outbuf.is_empty() && self.body.is_none() && self.rest.is_none()
+    }
+
+    /// Writes `outbuf` and `body` until both are out or the connection
+    /// is full.
+    fn write_out(&mut self) -> Result<Moved, RuntimeError> {
         while !self.outbuf.is_empty() || self.body.is_some() {
             // An unopened array member is opened by its first bytes.
             let endpoint = self.endpoint.connect()?;
@@ -639,16 +973,24 @@ impl OutputTask {
                 Err(e) => return Err(e.into()),
             }
         }
+        // Fully written: a one-off large response must not pin its
+        // capacity forever.
+        if self.outbuf.capacity() > OUTBUF_RETAIN {
+            self.outbuf.shrink_to(OUTBUF_RETAIN);
+        }
+        Ok(Moved::Done)
+    }
+
+    fn flush(&mut self, ctx: &mut TaskContext) -> Result<Moved, RuntimeError> {
+        match self.write_out()? {
+            Moved::Done => {}
+            unfinished => return Ok(unfinished),
+        }
         if let Some(rest) = &self.rest {
             match rest.drain(self.endpoint.connect()?, ctx)? {
                 Moved::Done => self.rest = None,
                 unfinished => return Ok(unfinished),
             }
-        }
-        // Fully drained: a one-off large response must not pin its
-        // capacity forever.
-        if self.outbuf.capacity() > OUTBUF_RETAIN {
-            self.outbuf.shrink_to(OUTBUF_RETAIN);
         }
         Ok(Moved::Done)
     }
@@ -660,7 +1002,11 @@ impl OutputTask {
     /// body pipe parks until its producer fills it; a failed flush means
     /// the peer (or a streamed body's source) is gone, and the remaining
     /// output is dropped.
-    fn flush_or_stop(&mut self, ctx: &mut TaskContext) -> Option<TaskStatus> {
+    fn flush_or_stop(
+        &mut self,
+        input: &ChannelConsumer,
+        ctx: &mut TaskContext,
+    ) -> Option<TaskStatus> {
         match self.flush(ctx) {
             Ok(Moved::Done) => None,
             Ok(Moved::Blocked)
@@ -680,11 +1026,22 @@ impl OutputTask {
                 if let Some(rest) = self.rest.take() {
                     rest.abandon(ctx);
                 }
-                while self.input.pop(ctx).is_some() {}
+                while input.pop(ctx).is_some() {}
                 self.endpoint.close();
                 Some(TaskStatus::Finished)
             }
         }
+    }
+
+    /// Closes the connection after a failed inline write (or a failed
+    /// rule), dropping what is unflushed.
+    fn fail(&mut self) {
+        self.outbuf.clear();
+        self.body = None;
+        // A streamed body's producer learns from the dropped carrier.
+        self.rest = None;
+        self.failed = true;
+        self.endpoint.close();
     }
 
     /// Appends one value's wire bytes to `outbuf`, splitting off a
@@ -740,28 +1097,23 @@ impl OutputTask {
         }
         Ok(())
     }
-}
 
-impl Drop for OutputTask {
-    fn drop(&mut self) {
-        self.endpoint.close_unless_released();
-    }
-}
-
-impl Task for OutputTask {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+    /// One run of the output task: flush, then serialise and flush every
+    /// queued message in batches, then finish once the channel has closed
+    /// and everything is out.
+    fn run(&mut self, input: &ChannelConsumer, ctx: &mut TaskContext) -> TaskStatus {
+        if self.failed {
+            while input.pop(ctx).is_some() {}
+            return TaskStatus::Finished;
+        }
         // Whether the last pop found the channel empty.
         let mut drained = false;
         loop {
-            if let Some(status) = self.flush_or_stop(ctx) {
+            if let Some(status) = self.flush_or_stop(input, ctx) {
                 return status;
             }
             if drained {
-                if self.input.is_finished() {
+                if input.is_finished() {
                     // Everything serialised was written: the flush above
                     // left nothing behind.
                     self.endpoint.finish(if self.keeps_alive {
@@ -778,14 +1130,16 @@ impl Task for OutputTask {
             // first body segment, so the bytes ahead of a body always leave
             // before it — with it, in one vectored write.
             drained = true;
-            while let Some(value) = self.input.pop(ctx) {
+            while let Some(value) = input.pop(ctx) {
                 if self.serialize(&value, ctx.task()).is_err() {
                     self.endpoint.close();
                     return TaskStatus::Finished;
                 }
                 RuntimeMetrics::add(&ctx.metrics().messages_out, 1);
                 if !ctx.can_continue() {
-                    return self.flush_or_stop(ctx).unwrap_or(TaskStatus::Runnable);
+                    return self
+                        .flush_or_stop(input, ctx)
+                        .unwrap_or(TaskStatus::Runnable);
                 }
                 if self.body.is_some() || self.rest.is_some() || self.outbuf.len() >= OUTBUF_RETAIN
                 {
@@ -794,6 +1148,22 @@ impl Task for OutputTask {
                 }
             }
         }
+    }
+}
+
+impl Drop for OutputTask {
+    fn drop(&mut self) {
+        self.side.writer.lock().endpoint.close_unless_released();
+    }
+}
+
+impl Task for OutputTask {
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+        self.side.writer.lock().run(&self.input, ctx)
     }
 }
 
@@ -1127,17 +1497,65 @@ mod tests {
         let codec = HttpCodec::new();
         let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
         let mut task = OutputTask::new("out", server.into(), Arc::new(codec.clone()), rx);
-        assert_eq!(task.outbuf.capacity(), 0);
+        assert_eq!(task.side.writer.lock().outbuf.capacity(), 0);
         let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
         let Ok(ParseOutcome::Complete { message, .. }) = codec.parse(wire, None) else {
             panic!("a complete response");
         };
         tx.push(Value::Msg(message)).unwrap();
         task.run(&mut ctx());
-        assert_eq!(task.outbuf.capacity(), 0, "a raw message leaves as is");
+        assert_eq!(
+            task.side.writer.lock().outbuf.capacity(),
+            0,
+            "a raw message leaves as is"
+        );
         tx.push(Value::Str("text".into())).unwrap();
         task.run(&mut ctx());
-        assert!(task.outbuf.capacity() >= OUTBUF_RETAIN);
+        assert!(task.side.writer.lock().outbuf.capacity() >= OUTBUF_RETAIN);
+    }
+
+    /// The inline path's protocol, hand-driven: an idle side is written by
+    /// the emitter with no output task run; a locked side (its output task
+    /// running) sends the value into the channel and wakes the task, and
+    /// a later value queues behind it even once the side is free, so the
+    /// bytes leave in emission order.
+    #[test]
+    fn an_inline_write_goes_out_at_once_on_an_idle_side_and_queues_behind_a_busy_one() {
+        let net = SimNetwork::new(StackModel::Free);
+        let listener = net.listen(87).unwrap();
+        let client = net.connect(87).unwrap();
+        let server = listener.accept().unwrap();
+        let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
+        let mut output = OutputTask::new("out", server.into(), Arc::new(HttpCodec::new()), rx);
+        let destination = Destination {
+            producer: tx,
+            side: Arc::clone(output.side()),
+        };
+        let mut rules = InlineRules::new(Box::new(Passthrough), 0, &[destination]);
+        let read = || {
+            let mut buf = [0u8; 16];
+            match client.read(&mut buf) {
+                Ok(n) => buf[..n].to_vec(),
+                Err(_) => Vec::new(),
+            }
+        };
+
+        let mut input = task_ctx(1);
+        rules.run(Value::Str("a".into()), &mut input).unwrap();
+        assert_eq!(read(), b"a", "written by the emitter");
+        assert!(input.take_wakes().is_empty(), "no output task run");
+
+        let busy = output.side().writer.lock();
+        rules.run(Value::Str("b".into()), &mut input).unwrap();
+        drop(busy);
+        rules.run(Value::Str("c".into()), &mut input).unwrap();
+        assert_eq!(read(), b"", "both queued for the output task");
+        assert_eq!(input.take_wakes(), vec![TaskId(4)]);
+        assert_eq!(output.run(&mut task_ctx(4)), TaskStatus::Idle);
+        assert_eq!(read(), b"bc");
+        let metrics = input.metrics();
+        assert_eq!(RuntimeMetrics::get(&metrics.values_processed), 3);
+        assert_eq!(RuntimeMetrics::get(&metrics.messages_out), 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use flick_grammar::http::HttpCodec;
 use flick_grammar::{memcached, ParseOutcome, WireCodec};
-use flick_net::{Endpoint, NetError, SimNetwork, StackCosts};
+use flick_net::{Endpoint, NetError, SharedBuf, SimNetwork, StackCosts};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,6 +39,9 @@ pub const NGINX_REQUEST_COST: Duration = Duration::from_micros(4);
 pub const MOXI_REQUEST_COST: Duration = Duration::from_micros(5);
 /// Time the Moxi-like proxy holds its shared backend-table lock per request.
 pub const MOXI_LOCK_HOLD: Duration = Duration::from_micros(4);
+
+/// How many bytes a baseline reads per socket call.
+const READ_SIZE: usize = 8192;
 
 /// Handle to a running baseline; dropping it stops the server.
 pub struct BaselineHandle {
@@ -87,24 +90,28 @@ fn proxy_http_connection(
     requests: &AtomicU64,
 ) {
     let codec = HttpCodec::new();
-    let mut inbuf = Vec::new();
+    // Requests are parsed out of a zero-copy view of what has arrived, so
+    // a request that arrives in several reads is not copied per read.
+    let mut inbuf = SharedBuf::new(READ_SIZE);
     let mut outbuf = Vec::new();
-    let mut chunk = [0u8; 8192];
+    let mut chunk = [0u8; READ_SIZE];
     loop {
         if stop.load(Ordering::Acquire) {
             break;
         }
         // Client -> backend (whole requests).
-        match client.read(&mut chunk) {
+        match client.read(inbuf.tail_mut(READ_SIZE).0) {
             Ok(n) => {
-                inbuf.extend_from_slice(&chunk[..n]);
-                while let Ok(ParseOutcome::Complete { consumed, .. }) = codec.parse(&inbuf, None) {
+                inbuf.commit(n);
+                while let Ok(ParseOutcome::Complete { consumed, .. }) =
+                    codec.parse_bytes(&inbuf.view(), None)
+                {
                     StackCosts::charge(per_request_cost);
-                    if backend.write_all(&inbuf[..consumed]).is_err() {
+                    if backend.write_all(&inbuf.view()[..consumed]).is_err() {
                         client.close();
                         return;
                     }
-                    inbuf.drain(..consumed);
+                    inbuf.consume(consumed);
                     requests.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -262,23 +269,24 @@ fn moxi_worker(
     requests: &AtomicU64,
 ) {
     let codec = memcached::MemcachedCodec::new();
-    let mut inbuf = Vec::new();
-    let mut chunk = [0u8; 8192];
+    let mut inbuf = SharedBuf::new(READ_SIZE);
     loop {
         if stop.load(Ordering::Acquire) {
             break;
         }
-        match client.read_timeout(&mut chunk, Duration::from_millis(20)) {
-            Ok(n) => inbuf.extend_from_slice(&chunk[..n]),
+        match client.read_timeout(inbuf.tail_mut(READ_SIZE).0, Duration::from_millis(20)) {
+            Ok(n) => inbuf.commit(n),
             Err(NetError::TimedOut) => continue,
             Err(_) => break,
         }
-        while let Ok(ParseOutcome::Complete { message, consumed }) = codec.parse(&inbuf, None) {
+        while let Ok(ParseOutcome::Complete { message, consumed }) =
+            codec.parse_bytes(&inbuf.view(), None)
+        {
             StackCosts::charge(MOXI_REQUEST_COST);
             let key = message.str_field("key").unwrap_or("");
             let idx = (fxhash(key.as_bytes()) as usize) % backend_ports.len().max(1);
-            let request_bytes = inbuf[..consumed].to_vec();
-            inbuf.drain(..consumed);
+            let request_bytes = inbuf.view().slice(..consumed);
+            inbuf.consume(consumed);
             // The shared-table lock is held across the whole backend exchange.
             let mut slot = backends[idx].lock();
             StackCosts::charge(MOXI_LOCK_HOLD);
@@ -293,13 +301,12 @@ fn moxi_worker(
                 continue;
             }
             // Read one response from the backend and relay it.
-            let mut resp = Vec::new();
-            let mut rchunk = [0u8; 8192];
+            let mut resp = SharedBuf::new(READ_SIZE);
             let ok = loop {
-                match backend.read_timeout(&mut rchunk, Duration::from_secs(2)) {
+                match backend.read_timeout(resp.tail_mut(READ_SIZE).0, Duration::from_secs(2)) {
                     Ok(n) => {
-                        resp.extend_from_slice(&rchunk[..n]);
-                        match codec.parse(&resp, None) {
+                        resp.commit(n);
+                        match codec.parse_bytes(&resp.view(), None) {
                             Ok(ParseOutcome::Complete { consumed, .. }) => break consumed > 0,
                             Ok(ParseOutcome::Incomplete) => continue,
                             Err(_) => break false,
@@ -311,7 +318,7 @@ fn moxi_worker(
             drop(slot);
             if ok {
                 requests.fetch_add(1, Ordering::Relaxed);
-                if client.write_all(&resp).is_err() {
+                if client.write_all(&resp.view()).is_err() {
                     client.close();
                     return;
                 }

@@ -7,8 +7,10 @@
 //! These counts move only when code changes a path, not when the host is
 //! busy, so each is pinned as a two-sided band (the budget ± 2 %): a change
 //! that saves a run has to update its line here, as one that costs a run
-//! does. Task runs are counted net of `cooperative_yields`, because a
-//! loaded host expires timeslices and each expiry is one more run.
+//! does. A loaded host expires timeslices, and each expiry is one more
+//! run, unless the re-run merges with the task's next wake: so task runs
+//! must not fall below the band, and task runs net of `cooperative_yields`
+//! must not rise above it.
 //!
 //! A measurement is 100 ms of warm-up (the keep-alive client opens both
 //! back-end members there), then 400 ms of closed-loop requests; the
@@ -51,8 +53,8 @@ enum Client {
 #[derive(Clone, Copy, Debug)]
 struct PerOp {
     ops: u64,
-    /// Task runs minus cooperative yields.
     task_runs: f64,
+    yields: f64,
     reads: f64,
     writes: f64,
     checkouts: f64,
@@ -176,9 +178,8 @@ fn measure(transport: Transport, client: Client) -> PerOp {
     let per_op = |delta: u64| delta as f64 / ops as f64;
     PerOp {
         ops,
-        task_runs: per_op(
-            (r1.task_runs - r0.task_runs) - (r1.cooperative_yields - r0.cooperative_yields),
-        ),
+        task_runs: per_op(r1.task_runs - r0.task_runs),
+        yields: per_op(r1.cooperative_yields - r0.cooperative_yields),
         reads: per_op(n1.read_calls - n0.read_calls),
         writes: per_op(n1.write_calls - n0.write_calls),
         checkouts: per_op(r1.backend_checkouts - r0.backend_checkouts),
@@ -200,6 +201,8 @@ fn keep_alive(transport: Transport) -> PerOp {
 /// What one request may cost.
 struct Budget {
     task_runs: f64,
+    /// The band of `task_runs`; every other count keeps [`BAND`].
+    runs_band: f64,
     reads: f64,
     writes: f64,
     checkouts: f64,
@@ -211,21 +214,32 @@ fn assert_within(measured: PerOp, budget: Budget) {
         measured.ops >= 50,
         "too few requests to count: {measured:?}"
     );
-    for (what, got, want) in [
-        ("task runs", measured.task_runs, budget.task_runs),
-        ("reads", measured.reads, budget.reads),
-        ("writes", measured.writes, budget.writes),
-        ("back-end checkouts", measured.checkouts, budget.checkouts),
+    // Each count as (its least, its most): task runs with and without the
+    // runs their yields added; every other count is exact.
+    let exact = |count: f64| (count, count);
+    let runs = (measured.task_runs - measured.yields, measured.task_runs);
+    for (what, (least, most), want, band) in [
+        ("task runs", runs, budget.task_runs, budget.runs_band),
+        ("reads", exact(measured.reads), budget.reads, BAND),
+        ("writes", exact(measured.writes), budget.writes, BAND),
+        (
+            "back-end checkouts",
+            exact(measured.checkouts),
+            budget.checkouts,
+            BAND,
+        ),
         (
             "connections opened",
-            measured.connections,
+            exact(measured.connections),
             budget.connections,
+            BAND,
         ),
     ] {
-        let (low, high) = (want * (1.0 - BAND), want * (1.0 + BAND));
+        let (low, high) = (want * (1.0 - band), want * (1.0 + band));
         assert!(
-            (low..=high).contains(&got),
-            "{what} per request: {got:.3}, budget {want} (band {low:.3}..={high:.3}); {measured:?}"
+            most >= low && least <= high,
+            "{what} per request: {least:.3}..={most:.3}, budget {want} \
+             (band {low:.3}..={high:.3}); {measured:?}"
         );
     }
 }
@@ -235,7 +249,8 @@ fn a_keep_alive_request_on_kernel_sockets() {
     assert_within(
         keep_alive(Transport::Kernel),
         Budget {
-            task_runs: 8.0,
+            task_runs: 2.0,
+            runs_band: BAND,
             reads: 2.0,
             writes: 2.0,
             checkouts: 0.0,
@@ -249,7 +264,8 @@ fn a_keep_alive_request_on_the_sim() {
     assert_within(
         keep_alive(Transport::Sim),
         Budget {
-            task_runs: 6.0,
+            task_runs: 2.0,
+            runs_band: BAND,
             reads: 4.0,
             writes: 4.0,
             checkouts: 0.0,
@@ -263,7 +279,12 @@ fn a_closing_request_on_kernel_sockets() {
     assert_within(
         measure(Transport::Kernel, Client::Closing),
         Budget {
-            task_runs: 21.4,
+            task_runs: 11.0,
+            // Timing decides a few runs of a closing request on kernel
+            // sockets (10.7-11.0 per request in release, 11.2-11.3 in a
+            // debug build on two cores), as it decided 20.9-21.9 before
+            // the rules ran in the input tasks.
+            runs_band: 0.04,
             reads: 2.0,
             writes: 2.0,
             checkouts: 1.0,
@@ -277,7 +298,8 @@ fn a_closing_request_on_the_sim() {
     assert_within(
         measure(Transport::Sim, Client::Closing),
         Budget {
-            task_runs: 20.55,
+            task_runs: 11.9,
+            runs_band: BAND,
             reads: 4.0,
             writes: 4.0,
             checkouts: 1.0,
@@ -286,15 +308,19 @@ fn a_closing_request_on_the_sim() {
     );
 }
 
-/// Kernel minus sim task runs per keep-alive request. The kernel reports
-/// a socket writable with every readable event, so each request also runs
-/// the two output tasks with nothing to send; the sim wakes a writer only
-/// when its buffer stops being full.
+/// Kernel minus sim task runs per keep-alive request: none. Each request
+/// runs the client's input task and the back-end's, which write to the
+/// other side themselves; a writer is woken only after a write met a full
+/// socket, on the kernel (`EPOLLOUT` is armed on demand) as on the sim.
 #[test]
-fn kernel_and_sim_differ_by_two_runs_per_keep_alive_request() {
-    let difference = keep_alive(Transport::Kernel).task_runs - keep_alive(Transport::Sim).task_runs;
+fn kernel_and_sim_run_the_same_tasks_per_keep_alive_request() {
+    let net = |transport| {
+        let measured = keep_alive(transport);
+        measured.task_runs - measured.yields
+    };
+    let difference = net(Transport::Kernel) - net(Transport::Sim);
     assert!(
-        (difference - 2.0).abs() <= 0.1,
+        difference.abs() <= 0.1,
         "kernel minus sim task runs per request: {difference:.3}"
     );
 }
