@@ -281,9 +281,8 @@ fn a_closing_request_on_kernel_sockets() {
         Budget {
             task_runs: 11.0,
             // Timing decides a few runs of a closing request on kernel
-            // sockets (10.7-11.0 per request in release, 11.2-11.3 in a
-            // debug build on two cores), as it decided 20.9-21.9 before
-            // the rules ran in the input tasks.
+            // sockets: 10.7-11.0 per request in release, 11.2-11.3 in a
+            // debug build, on two cores.
             runs_band: 0.04,
             reads: 2.0,
             writes: 2.0,
