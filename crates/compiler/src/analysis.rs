@@ -10,10 +10,6 @@
 //! slot-resolved IR that the interpreter and the VM execute, so a `let`
 //! that rebinds a parameter's name is seen as the store into the
 //! parameter's slot that it is.
-//!
-//! The same walks say whether the process keeps state between messages
-//! ([`is_stateless`]): if not, each input task runs the rules on its own
-//! messages, and the graph has no compute task (DESIGN.md §5).
 
 use crate::ir::{IrCall, IrExpr, IrSink, IrStmt, ProgramIr};
 use flick_grammar::Projection;
@@ -85,27 +81,6 @@ pub fn forwards_whole(program: &ProgramIr, param: usize) -> bool {
                 && sends_once(&function.body, function.params - 1)
         }
     }
-}
-
-/// Whether the process keeps no state between messages: it has no `foldt`,
-/// and no rule hands a `global` to what it runs. A rule's stages and sink
-/// see the process frame only through their arguments, and functions see
-/// globals only as arguments, so a rule that loads no global slot reads
-/// and writes none. The lowering makes every rule `channel => …`, so the
-/// rules of a stateless process are functions of the message alone, and
-/// any task may run them on any message, each with its own frame.
-pub fn is_stateless(program: &ProgramIr) -> bool {
-    let process = &program.process;
-    let globals = process.params.len()..process.params.len() + process.globals.len();
-    let mut touches_global = false;
-    for rule in &process.rules {
-        walk_pipeline(&rule.stages, &rule.sink, &mut |node| {
-            if let Node::Expr(IrExpr::Load(slot)) = node {
-                touches_global |= globals.contains(slot);
-            }
-        });
-    }
-    process.foldt.is_none() && !touches_global
 }
 
 /// Whether `body` sends slot `msg` to a channel in one top-level pipeline
@@ -373,46 +348,5 @@ proc P: (kv/kv client)
         let projection = projection(&program, client, []);
         // The program's own field names are still present via the kv decl uses.
         assert!(!projection.requires("cas"));
-    }
-
-    /// Stateless: both bundled balancers' shape, a global declared but
-    /// never used, and a function that builds a dictionary of its own.
-    /// Not stateless: a rule that hands a global to its stage or its sink,
-    /// and a `foldt`.
-    #[test]
-    fn a_process_is_stateless_unless_a_rule_reaches_a_global_or_it_folds() {
-        let stateless = |src: &str| is_stateless(&lowered(src, "client").0);
-        let route = "  let target = hash(req.path) mod len(backends)\n  req => backends[target]";
-        assert!(!stateless(&balancer(route)), "the sink call takes `seen`");
-        let unused = balancer(route).replace("route(backends, seen)", "pick(backends)")
-            + "\nfun pick: ([-/request] backends, req: request) -> ()\n"
-            + "  let own = empty_dict\n  own[req.path] := req\n  req => backends[0]\n";
-        assert!(stateless(&unused), "`seen` is declared and never reached");
-        let staged = r#"
-type request: record
-  path : string
-
-proc P: (request/request client, [request/request] backends)
-  global seen := empty_dict
-  client => note(seen) => backends[0]
-  backends => client
-
-fun note: (seen: ref dict<string*request>, req: request) -> (request)
-  seen[req.path] := req
-  req
-"#;
-        assert!(!stateless(staged), "a stage takes `seen`");
-        let folding = r#"
-type kv: record
-  key : string
-  value : string
-
-proc P: ([kv/-] client, -/kv reducer):
-  if all_ready(client):
-    let result = foldt on client ordering elem e1, e2 by elem.key as e_key:
-      kv(e_key, e1.value)
-    result => reducer
-"#;
-        assert!(!stateless(folding));
     }
 }

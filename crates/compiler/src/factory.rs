@@ -28,12 +28,12 @@
 //! fails to open closes the graph's client connections; requests routed to
 //! the other members are unaffected.
 //!
-//! A process that keeps no state between messages
-//! ([`analysis::is_stateless`]) builds no compute task: each input task
-//! runs the rules on its own messages, with its own logic instance, and
-//! writes to the output connections itself while they are idle (DESIGN.md
-//! §5, "Stateless graphs"). A process with a `global` or a `foldt` keeps
-//! one compute task behind channels.
+//! Every rule runs in the input task that parsed its message, with that
+//! task's own logic instance, and writes to the output connections itself
+//! while they are idle (DESIGN.md §5, "Rules run in the input task"). A
+//! `global` is one dictionary per service, shared by every logic instance
+//! of every graph. The one compute task is a `foldt`'s: it runs
+//! [`FoldtLogic`], fed by the connections of the array it folds alone.
 //!
 //! Wire codecs are chosen per record type: synthesised from the type's
 //! serialisation annotations when possible, otherwise the framework's
@@ -111,9 +111,6 @@ pub struct CompiledService {
     globals: Arc<CompiledGlobals>,
     plans: Vec<ParamPlan>,
     client_connections: usize,
-    /// The process keeps no state between messages
-    /// ([`analysis::is_stateless`]): each input task runs the rules itself.
-    stateless: bool,
 }
 
 impl std::fmt::Debug for CompiledService {
@@ -181,7 +178,6 @@ impl CompiledService {
         }
         let compiled = Arc::new(bytecode::compile_with_layouts(&program, &layouts));
         Ok(CompiledService {
-            stateless: analysis::is_stateless(&program),
             program,
             compiled,
             globals,
@@ -209,14 +205,7 @@ impl CompiledService {
                 })
                 .collect(),
             client_connections: self.client_connections,
-            stateless: self.stateless,
         })
-    }
-
-    /// Whether each input task runs the rules on its own messages, with no
-    /// compute task in the graph ([`analysis::is_stateless`]).
-    pub fn is_stateless(&self) -> bool {
-        self.stateless
     }
 
     /// The per-message rules over `bindings`, on the engine `mode` selects
@@ -322,11 +311,14 @@ impl GraphFactory for CompiledService {
         }
 
         let mut builder = GraphBuilder::new(process.name.clone(), &env.allocator);
-        // A stateful process runs its rules in one compute task behind
-        // channels; a stateless one in each input task (DESIGN.md §5).
-        let compute_node = (!self.stateless).then(|| builder.declare_node());
-        let mut compute_inputs = Vec::new();
-        let mut compute_outputs = Vec::new();
+        // A fold runs in one compute task, fed by the array it folds; every
+        // rule runs in the input task that parsed its message (DESIGN.md §5).
+        let fold = process
+            .foldt
+            .as_ref()
+            .map(|foldt| (foldt, builder.declare_node()));
+        let mut fold_inputs = Vec::new();
+        let mut fold_outputs = Vec::new();
         // Shared with every array member: a failed open closes them, the
         // refusal a failed build gives.
         let clients: Arc<[Endpoint]> = Arc::from(clients);
@@ -356,10 +348,15 @@ impl GraphFactory for CompiledService {
                     };
                     let codec = Arc::clone(&plan.codec);
                     let projection = Some(plan.projection.clone());
-                    match compute_node {
-                        Some(compute) => compute_inputs.push(
-                            builder.bind_input(node, label, peer, codec, projection, compute),
-                        ),
+                    match fold {
+                        Some((foldt, compute)) => {
+                            // The lowering lets a process that folds read
+                            // its array alone.
+                            debug_assert_eq!(param_idx, foldt.source_param);
+                            fold_inputs.push(
+                                builder.bind_input(node, label, peer, codec, projection, compute),
+                            )
+                        }
                         None => builder.bind_inline_input(
                             node,
                             label,
@@ -375,10 +372,8 @@ impl GraphFactory for CompiledService {
                     let node = builder.declare_node();
                     let label = format!("{}-{i}-out", param.name);
                     let codec = Arc::clone(&plan.codec);
-                    match compute_node {
-                        Some(_) => {
-                            compute_outputs.push(builder.bind_output(node, label, link, codec))
-                        }
+                    match fold {
+                        Some(_) => fold_outputs.push(builder.bind_output(node, label, link, codec)),
                         None => {
                             let output = builder.bind_destination(node, label, link, codec);
                             debug_assert_eq!(output, bindings.params[param_idx].outputs[i]);
@@ -388,36 +383,28 @@ impl GraphFactory for CompiledService {
             }
         }
 
-        if let Some(compute) = compute_node {
-            // The specialised foldt merge, or the general per-rule dispatch.
-            let logic: Box<dyn ComputeLogic> = match &process.foldt {
-                Some(foldt) => {
-                    let total_inputs = bindings.params[foldt.source_param].inputs.len();
-                    // The lowering checked that the sink is one writable
-                    // channel.
-                    let sink_output = bindings.params[foldt.sink_param].outputs[0];
-                    match env.exec_mode {
-                        ExecMode::Vm => Box::new(FoldtLogic::with_vm(
-                            Arc::clone(&self.program),
-                            Arc::clone(&self.compiled),
-                            total_inputs,
-                            sink_output,
-                        )),
-                        ExecMode::Interp => Box::new(FoldtLogic::new(
-                            Arc::clone(&self.program),
-                            total_inputs,
-                            sink_output,
-                        )),
-                    }
-                }
-                None => self.rules(&bindings, env.exec_mode),
+        if let Some((foldt, compute)) = fold {
+            // The lowering checked that the sink is one writable channel.
+            let sink_output = bindings.params[foldt.sink_param].outputs[0];
+            let logic: Box<dyn ComputeLogic> = match env.exec_mode {
+                ExecMode::Vm => Box::new(FoldtLogic::with_vm(
+                    Arc::clone(&self.program),
+                    Arc::clone(&self.compiled),
+                    fold_inputs.len(),
+                    sink_output,
+                )),
+                ExecMode::Interp => Box::new(FoldtLogic::new(
+                    Arc::clone(&self.program),
+                    fold_inputs.len(),
+                    sink_output,
+                )),
             };
             builder.install(
                 compute,
                 Box::new(ComputeTask::new(
                     format!("{}-compute", process.name),
-                    compute_inputs,
-                    compute_outputs,
+                    fold_inputs,
+                    fold_outputs,
                     logic,
                 )),
             );

@@ -1,8 +1,8 @@
-//! The IR interpreter executed inside compute tasks.
+//! The IR interpreter, the `ExecMode::Interp` engine.
 //!
 //! The interpreter evaluates [`IrExpr`]/[`IrStmt`] over a pre-sized frame of
 //! [`RtVal`] slots. Channel references are plain output indices into the
-//! compute task's output channels; sends are delivered through the
+//! running task's outputs; sends are delivered through the
 //! [`EmitSink`] callback so the interpreter itself has no dependency on the
 //! task machinery.
 

@@ -388,6 +388,24 @@ impl<'a> Lowerer<'a> {
         }
         self.lower_proc_block(&decl.body, false, &mut process, &mut scope)?;
         process.frame_size = scope.next;
+        // A fold's task is fed by the array it folds alone: the messages of
+        // any other input would be folded with it.
+        if let Some(foldt) = &process.foldt {
+            let folded = &process.params[foldt.source_param].name;
+            if let Some(param) = process
+                .params
+                .iter()
+                .enumerate()
+                .find(|(idx, param)| *idx != foldt.source_param && param.dir.readable)
+                .and_then(|(_, param)| decl.params.iter().find(|p| p.name == param.name))
+            {
+                return Err(CompileError::Unsupported(format!(
+                    "{}: the process folds `{folded}` and also reads `{}`, whose messages \
+                     the fold would take in; declare `{}` write-only",
+                    param.span, param.name, param.name
+                )));
+            }
+        }
         Ok(process)
     }
 
@@ -398,7 +416,8 @@ impl<'a> Lowerer<'a> {
     /// runs. The one guard that compiles is Listing 3's: the `foldt`
     /// logic subsumes `all_ready(mappers)`, and routes the result itself
     /// to the channel its `result => channel` pipeline names. A process
-    /// has at most one `foldt`, and its result must be sent.
+    /// has at most one `foldt`, and its result must be sent. A process
+    /// that folds runs the fold alone, so it has no rule either.
     fn lower_proc_block(
         &self,
         block: &Block,
@@ -419,7 +438,14 @@ impl<'a> Lowerer<'a> {
                 }
                 Stmt::Pipeline { stages, .. } => {
                     let source = stages[0].as_ident().unwrap_or("an expression");
+                    let folds = process.foldt.is_some() || folded.is_some();
                     match process.params.iter().position(|p| p.name == source) {
+                        Some(_) if folds => {
+                            return Err(unsupported(format!(
+                                "the rule `{source} => …` is beside the process's `foldt`, \
+                                 and a process that folds runs the fold alone"
+                            )))
+                        }
                         Some(param) if !nested => {
                             let rule = self.lower_rule(param, stages, scope)?;
                             process.rules.push(rule);
@@ -431,6 +457,13 @@ impl<'a> Lowerer<'a> {
                             )))
                         }
                         None if folded.is_some_and(|(name, _)| name == source) => {
+                            if let Some(rule) = process.rules.first() {
+                                return Err(unsupported(format!(
+                                    "the `foldt` result `{source}` is sent beside the rule \
+                                     `{} => …`, and a process that folds runs the fold alone",
+                                    process.params[rule.source_param].name
+                                )));
+                            }
                             let (_, foldt) = folded.take().expect("matched above");
                             let sink = match stages.as_slice() {
                                 [_, sink] => sink.as_ident(),
@@ -936,6 +969,65 @@ proc P: ([kv/-] mappers, -/kv reducer)
         assert!(err.contains("`let second` is a second `foldt`"), "{err}");
         let unsent = rejected(&program(&fold("result")));
         assert!(unsent.contains("`result` is never sent"), "{unsent}");
+    }
+
+    /// Listing 3's aggregator, with `signature`, and `before` and `after`
+    /// its fold.
+    fn aggregator(signature: &str, before: &str, after: &str) -> String {
+        format!(
+            r#"
+type kv: record
+  key : string
+  value : string
+
+proc P: ({signature})
+{before}  if all_ready(mappers):
+    let result = foldt on mappers ordering elem e1, e2 by elem.key as e_key:
+      kv(e_key, e1.value)
+    result => reducer
+{after}"#
+        )
+    }
+
+    /// A process that folds builds one compute task, which runs the fold
+    /// alone: a channel rule beside it, on either side, would never run
+    /// (the reducer got only the aggregate).
+    #[test]
+    fn a_channel_rule_beside_a_foldt_is_rejected() {
+        let signature = "[kv/-] mappers, -/kv reducer";
+        let after = rejected(&aggregator(signature, "", "  mappers => reducer\n"));
+        assert!(
+            after.contains("the rule `mappers => …` is beside the process's `foldt`"),
+            "{after}"
+        );
+        assert!(after.starts_with("unsupported construct: 11:3:"), "{after}");
+        let before = rejected(&aggregator(signature, "  mappers => reducer\n", ""));
+        assert!(
+            before.contains("`result` is sent beside the rule `mappers => …`"),
+            "{before}"
+        );
+        assert!(
+            before.starts_with("unsupported construct: 11:5:"),
+            "{before}"
+        );
+    }
+
+    /// A fold's task is fed by the array it folds alone: a `kv/kv` reducer
+    /// fed its own records into the fold (its `("a","10")` came back in
+    /// the aggregate).
+    #[test]
+    fn a_foldt_process_that_reads_another_parameter_is_rejected() {
+        let err = rejected(&aggregator("[kv/-] mappers, kv/kv reducer", "", ""));
+        assert!(
+            err.contains("folds `mappers` and also reads `reducer`"),
+            "{err}"
+        );
+        assert!(err.starts_with("unsupported construct: 6:"), "{err}");
+        lower(
+            &compile_to_ast(&aggregator("[kv/-] mappers, -/kv reducer", "", "")).unwrap(),
+            "P",
+        )
+        .expect("a write-only reducer compiles");
     }
 
     /// Lowers process `P` of `src`, whose body must be rejected, and

@@ -19,8 +19,8 @@
 //!   field-offset sites);
 //! * [`vm`] executes those chunks with a direct-threaded dispatch loop —
 //!   the default execution mode (`ExecMode::Vm`);
-//! * [`interp`] evaluates the tree-shaped IR inside compute tasks from a
-//!   pre-sized frame of values — kept as the `ExecMode::Interp` ablation
+//! * [`interp`] evaluates the tree-shaped IR from a pre-sized frame of
+//!   values — kept as the `ExecMode::Interp` ablation
 //!   baseline and as the semantic reference the VM is tested against;
 //! * [`logic`] wraps the interpreter in the runtime's `ComputeLogic` trait,
 //!   including the specialised `foldt` merge logic;

@@ -1,4 +1,4 @@
-//! Compute-task logic generated from FLICK programs.
+//! Task logic generated from FLICK programs.
 //!
 //! [`InterpreterLogic`] implements the runtime's `ComputeLogic` trait by
 //! dispatching arriving messages to the routing rules of the lowered
@@ -17,8 +17,8 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Describes how the process's channel parameters map onto the compute
-/// task's input and output channel indices.
+/// Describes how the process's channel parameters map onto the logic's
+/// input and output indices.
 #[derive(Debug, Clone, Default)]
 pub struct ChannelBindings {
     /// One entry per process channel parameter.
@@ -28,17 +28,17 @@ pub struct ChannelBindings {
 /// The runtime binding of one channel parameter.
 #[derive(Debug, Clone, Default)]
 pub struct ParamBinding {
-    /// Compute-task input indices delivering messages from this parameter
+    /// Logic input indices delivering messages from this parameter
     /// (one per connection for array parameters; empty for write-only
     /// channels).
     pub inputs: Vec<usize>,
-    /// Compute-task output indices for sends to this parameter (empty for
+    /// Logic output indices for sends to this parameter (empty for
     /// read-only channels).
     pub outputs: Vec<usize>,
 }
 
 impl ChannelBindings {
-    /// Finds the parameter owning a given compute-task input index.
+    /// Finds the parameter owning a given logic input index.
     pub fn param_of_input(&self, input: usize) -> Option<usize> {
         self.params.iter().position(|p| p.inputs.contains(&input))
     }

@@ -78,8 +78,9 @@ pub enum Peer<'a> {
 ///    [`GraphBuilder::install`] for every remaining task;
 /// 4. [`GraphBuilder::build`].
 ///
-/// A graph without a compute task binds [`GraphBuilder::bind_destination`]
-/// and [`GraphBuilder::bind_inline_input`] instead: every inline input runs
+/// A graph whose input tasks run the rules (every graph but a fold's)
+/// binds [`GraphBuilder::bind_destination`] and
+/// [`GraphBuilder::bind_inline_input`] instead: every inline input runs
 /// its own logic and writes to every destination of the graph.
 pub struct GraphBuilder<'a> {
     allocator: &'a TaskIdAllocator,

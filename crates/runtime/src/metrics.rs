@@ -14,7 +14,8 @@ pub struct RuntimeMetrics {
     pub task_runs: AtomicU64,
     /// Times a task voluntarily yielded because its timeslice expired.
     pub cooperative_yields: AtomicU64,
-    /// Values processed by compute tasks.
+    /// Values the logic processed: rule runs in input tasks, and values
+    /// a compute task popped.
     pub values_processed: AtomicU64,
     /// Application messages deserialised by input tasks.
     pub messages_in: AtomicU64,
@@ -113,7 +114,7 @@ pub struct MetricsSnapshot {
     pub task_runs: u64,
     /// Cooperative yields.
     pub cooperative_yields: u64,
-    /// Values processed by compute tasks.
+    /// Values the logic processed.
     pub values_processed: u64,
     /// Messages deserialised.
     pub messages_in: u64,

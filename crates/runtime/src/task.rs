@@ -90,13 +90,27 @@ impl TaskContext {
     /// continue with another item in this dispatch: until the timeslice
     /// deadline passes, which a zero timeslice's has after the first item.
     pub fn can_continue(&mut self) -> bool {
-        self.items_this_run += 1;
-        let expired = self.deadline.is_some_and(|d| Instant::now() >= d);
-        if expired {
-            self.yielded = true;
-            RuntimeMetrics::add(&self.metrics.cooperative_yields, 1);
+        if self.spent() {
+            self.yield_now();
+            return false;
         }
-        !expired
+        true
+    }
+
+    /// Records that one item was processed and reports whether the
+    /// timeslice has run out, leaving the yield to the task: one that then
+    /// finds no more work goes idle instead, and has not yielded.
+    pub fn spent(&mut self) -> bool {
+        self.items_this_run += 1;
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    /// Yields the rest of this dispatch, counted as a cooperative yield:
+    /// the status that re-queues the task.
+    pub fn yield_now(&mut self) -> TaskStatus {
+        self.yielded = true;
+        RuntimeMetrics::add(&self.metrics.cooperative_yields, 1);
+        TaskStatus::Runnable
     }
 
     /// Number of items processed so far in this dispatch.

@@ -5,10 +5,11 @@
 //!
 //! * [`InputTask`] — owns one network connection, performs incremental
 //!   deserialisation using a [`WireCodec`] and a field [`Projection`], and
-//!   pushes parsed messages into the graph, or runs the rules on them
-//!   itself when they keep no state ([`InlineRules`]);
+//!   runs the rules on each message it parses ([`InlineRules`]), or pushes
+//!   it into a channel;
 //! * [`ComputeTask`] — runs a [`ComputeLogic`] over values arriving on any
-//!   number of input channels, emitting to any number of output channels;
+//!   number of input channels, emitting to any number of output channels:
+//!   in a compiled graph, a `foldt` fed by the array it folds;
 //! * [`OutputTask`] — serialises values and writes them to a connection,
 //!   through an [`OutputSide`] that inline rules write to directly while
 //!   it is idle;
@@ -63,8 +64,9 @@ pub const OUTBUF_RETAIN: usize = READ_CHUNK;
 /// and records whether it ended cleanly framed ([`Link::finish`]).
 ///
 /// A task built [`InputTask::inline`] runs its process's rules on each
-/// message itself, instead of pushing it to a compute task: the rules'
-/// emissions go straight to their destinations' [`OutputSide`]s.
+/// message itself: the rules' emissions go straight to their
+/// destinations' [`OutputSide`]s. One built [`InputTask::new`] pushes its
+/// messages into a channel, as a fold's inputs do.
 pub struct InputTask {
     label: String,
     endpoint: Link,
@@ -104,13 +106,7 @@ impl Deliver {
                 output.close();
                 wake(output.consumer());
             }
-            Deliver::Inline(rules) => {
-                for producer in &rules.producers {
-                    if producer.close() {
-                        wake(producer.consumer());
-                    }
-                }
-            }
+            Deliver::Inline(rules) => rules.emitter.close(wake),
         }
     }
 }
@@ -208,11 +204,10 @@ impl InputTask {
             }
             Deliver::Inline(rules) => {
                 if rules.run(value, ctx).is_ok() {
-                    return (!rules.flush_overflow(ctx)).then_some(TaskStatus::Idle);
+                    return (!rules.emitter.flush(ctx)).then_some(TaskStatus::Idle);
                 }
-                // A failed rule ends the graph instance, as a failed
-                // compute task does: every connection it writes to is
-                // closed, and its own.
+                // A failed rule ends the graph instance: every connection
+                // it writes to is closed, and its own.
                 rules.fail_all();
             }
         }
@@ -226,7 +221,7 @@ impl InputTask {
             Deliver::Channel(output, pending) => pending
                 .take()
                 .map_or(true, |value| push_or_keep(output, pending, value, ctx)),
-            Deliver::Inline(rules) => rules.flush_overflow(ctx),
+            Deliver::Inline(rules) => rules.emitter.flush(ctx),
         }
     }
 
@@ -235,8 +230,9 @@ impl InputTask {
     /// — consuming it is an index bump, not a drain-and-shift.
     ///
     /// `Ok(None)`: the buffer holds no further complete message. `Ok(Some)`:
-    /// stop with this status — `Idle` when parked on a full channel,
-    /// `Runnable` when the timeslice ran out.
+    /// stop with this status — `Idle` when parked on a full channel or
+    /// when the timeslice ran out with nothing to read, `Runnable` when it
+    /// ran out with work left.
     fn drain_buffer(&mut self, ctx: &mut TaskContext) -> Result<Option<TaskStatus>, RuntimeError> {
         loop {
             if self.buf.is_empty() {
@@ -271,8 +267,12 @@ impl InputTask {
                     if let Some(status) = self.pump(ctx) {
                         return Ok(Some(status));
                     }
-                    if !ctx.can_continue() {
-                        return Ok(Some(TaskStatus::Runnable));
+                    if ctx.spent() {
+                        return Ok(Some(if self.buf.is_empty() {
+                            self.idle_or_yield(ctx)
+                        } else {
+                            ctx.yield_now()
+                        }));
                     }
                 }
                 ParseOutcome::Incomplete => return Ok(None),
@@ -302,6 +302,21 @@ impl InputTask {
             Ok(Moved::Yield) => Some(TaskStatus::Runnable),
             // The source ended mid-body; its consumer was told.
             Err(_) => Some(self.finish(ctx)),
+        }
+    }
+
+    /// Once the timeslice is spent with nothing left to parse: idle if the
+    /// connection is open with nothing to read, instead of being run again
+    /// only to find it so, and yield otherwise. It never idles with bytes
+    /// in the socket, whose readiness is edge-triggered. The socket is
+    /// peeked, not read: bytes read now would be parsed cold by the next
+    /// run.
+    fn idle_or_yield(&self, ctx: &mut TaskContext) -> TaskStatus {
+        let endpoint = self.endpoint.open_endpoint().expect("settled");
+        if endpoint.is_idle() {
+            TaskStatus::Idle
+        } else {
+            ctx.yield_now()
         }
     }
 
@@ -377,27 +392,21 @@ impl Task for InputTask {
         if let Some(status) = self.pump(ctx) {
             return status;
         }
-        // Parse whatever is already buffered.
-        match self.drain_buffer(ctx) {
-            Ok(None) => {}
-            Ok(Some(status)) => return status,
-            Err(_) => return self.malformed(ctx),
-        }
-        // Then read more bytes from the connection, straight into the
-        // shared buffer — no intermediate stack chunk, no append copy.
+        // Parse whatever is already buffered, then read more bytes from
+        // the connection, straight into the shared buffer — no
+        // intermediate stack chunk, no append copy — and parse those,
+        // until the socket is empty or the timeslice is spent.
+        let mut read = false;
         loop {
+            match self.drain_buffer(ctx) {
+                Ok(None) if read && ctx.spent() => return self.idle_or_yield(ctx),
+                Ok(None) => {}
+                Ok(Some(status)) => return status,
+                Err(_) => return self.malformed(ctx),
+            }
             let endpoint = self.endpoint.open_endpoint().expect("settled above");
             match endpoint.read_into(&mut self.buf, self.read_max) {
-                Ok(_) => {
-                    match self.drain_buffer(ctx) {
-                        Ok(None) => {}
-                        Ok(Some(status)) => return status,
-                        Err(_) => return self.malformed(ctx),
-                    }
-                    if !ctx.can_continue() {
-                        return TaskStatus::Runnable;
-                    }
-                }
+                Ok(_) => read = true,
                 Err(NetError::WouldBlock) => return TaskStatus::Idle,
                 Err(_) => {
                     // Peer closed (or the connection failed): drain what we
@@ -421,27 +430,11 @@ impl Task for InputTask {
 
 /// Emission interface handed to [`ComputeLogic::on_value`].
 pub struct Outputs<'a> {
-    producers: &'a [ChannelProducer],
-    /// On the inline path, the output side behind each producer, which an
-    /// emission writes to directly while it is idle; empty otherwise.
-    sides: &'a [Arc<OutputSide>],
-    overflow: &'a mut VecDeque<(usize, Value)>,
-    wakes: Vec<crate::task::TaskId>,
-    /// Values serialised onto an output side inline.
-    written: u64,
+    emitter: &'a mut Emitter,
+    ctx: &'a mut TaskContext,
 }
 
-impl<'a> Outputs<'a> {
-    /// Number of output channels available.
-    pub fn len(&self) -> usize {
-        self.producers.len()
-    }
-
-    /// Returns `true` if the task has no output channels.
-    pub fn is_empty(&self) -> bool {
-        self.producers.is_empty()
-    }
-
+impl Outputs<'_> {
     /// Emits `value` on output channel `output`.
     ///
     /// On the inline path the value is first offered to the output's side,
@@ -452,26 +445,31 @@ impl<'a> Outputs<'a> {
     /// task is woken by its consumers, so logic never loses or reorders
     /// data.
     pub fn emit(&mut self, output: usize, value: Value) {
-        debug_assert!(output < self.producers.len(), "output index out of range");
-        if !self.overflow.is_empty() {
-            self.overflow.push_back((output, value));
+        let Emitter {
+            producers,
+            sides,
+            overflow,
+        } = &mut *self.emitter;
+        debug_assert!(output < producers.len(), "output index out of range");
+        if !overflow.is_empty() {
+            overflow.push_back((output, value));
             return;
         }
-        let producer = &self.producers[output];
+        let producer = &producers[output];
         let consumer = producer.consumer();
-        let value = match self.sides.get(output) {
+        let value = match sides.get(output) {
             Some(side) => match side.write_inline(value, producer) {
                 Inline::Written => {
-                    self.written += 1;
+                    RuntimeMetrics::add(&self.ctx.metrics().messages_out, 1);
                     return;
                 }
                 Inline::Unfinished => {
-                    self.written += 1;
-                    self.wake(consumer);
+                    RuntimeMetrics::add(&self.ctx.metrics().messages_out, 1);
+                    self.ctx.wake(consumer);
                     return;
                 }
                 Inline::Failed => {
-                    self.wake(consumer);
+                    self.ctx.wake(consumer);
                     return;
                 }
                 Inline::Dropped => return,
@@ -480,19 +478,15 @@ impl<'a> Outputs<'a> {
             None => value,
         };
         match producer.push(value) {
-            Ok(()) => self.wake(consumer),
-            Err(back) => self.overflow.push_back((output, back)),
-        }
-    }
-
-    fn wake(&mut self, task: TaskId) {
-        if !self.wakes.contains(&task) {
-            self.wakes.push(task);
+            Ok(()) => self.ctx.wake(consumer),
+            Err(back) => overflow.push_back((output, back)),
         }
     }
 }
 
-/// User-supplied (or compiler-generated) processing logic for a compute task.
+/// User-supplied (or compiler-generated) processing logic, run by an input
+/// task on each message it parses ([`InlineRules`]) or by a compute task
+/// on the values of its input channels.
 pub trait ComputeLogic: Send {
     /// Called for every value arriving on input channel `input`.
     fn on_value(
@@ -512,13 +506,61 @@ pub trait ComputeLogic: Send {
     }
 }
 
-/// A task running [`ComputeLogic`] over its input channels.
+/// What a task's logic emits to, and the emissions full channels refused:
+/// the one emission path of a compute task and of an input task's inline
+/// rules.
+struct Emitter {
+    producers: Vec<ChannelProducer>,
+    /// On the inline path, the output side behind each producer, which an
+    /// emission writes to directly while it is idle; empty otherwise.
+    sides: Vec<Arc<OutputSide>>,
+    overflow: VecDeque<(usize, Value)>,
+}
+
+impl Emitter {
+    fn new(producers: Vec<ChannelProducer>, sides: Vec<Arc<OutputSide>>) -> Self {
+        Emitter {
+            producers,
+            sides,
+            overflow: VecDeque::new(),
+        }
+    }
+
+    /// Delivers emissions a full channel refused, in order. `false` when a
+    /// channel is still full: the task is parked on it, and must go idle
+    /// until that channel's consumer drains it.
+    fn flush(&mut self, ctx: &mut TaskContext) -> bool {
+        while let Some((output, value)) = self.overflow.pop_front() {
+            let producer = &self.producers[output];
+            match producer.push_or_park(value, ctx) {
+                Ok(()) => ctx.wake(producer.consumer()),
+                Err(back) => {
+                    self.overflow.push_front((output, back));
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Closes this task's end of every output channel, and hands `wake`
+    /// each consumer whose channel that ended.
+    fn close(&self, mut wake: impl FnMut(TaskId)) {
+        for producer in &self.producers {
+            if producer.close() {
+                wake(producer.consumer());
+            }
+        }
+    }
+}
+
+/// A task running [`ComputeLogic`] over its input channels: a fold's, fed
+/// by the connections of the array it folds.
 pub struct ComputeTask {
     label: String,
     inputs: Vec<ChannelConsumer>,
-    outputs: Vec<ChannelProducer>,
+    emitter: Emitter,
     logic: Box<dyn ComputeLogic>,
-    overflow: VecDeque<(usize, Value)>,
     input_finished: Vec<bool>,
 }
 
@@ -534,53 +576,23 @@ impl ComputeTask {
         ComputeTask {
             label: label.into(),
             inputs,
-            outputs,
+            emitter: Emitter::new(outputs, Vec::new()),
             logic,
-            overflow: VecDeque::new(),
             input_finished: vec![false; n],
         }
     }
 
-    /// Delivers buffered emissions in order. Returns `false` when an
-    /// output is still full — the task is then parked on it and must go
-    /// idle until that output's consumer drains it.
-    fn flush_overflow(&mut self, ctx: &mut TaskContext) -> bool {
-        while let Some((output, value)) = self.overflow.pop_front() {
-            match self.outputs[output].push_or_park(value, ctx) {
-                Ok(()) => ctx.wake(self.outputs[output].consumer()),
-                Err(back) => {
-                    self.overflow.push_front((output, back));
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Runs one logic callback, forwarding its wakes. Returns `false` on a
-    /// logic error, after closing the outputs: errors terminate the graph
-    /// instance.
+    /// Runs one logic callback. Returns `false` on a logic error, after
+    /// closing the outputs: errors terminate the graph instance.
     fn call_logic(
         &mut self,
         ctx: &mut TaskContext,
         call: impl FnOnce(&mut dyn ComputeLogic, &mut Outputs<'_>) -> Result<(), RuntimeError>,
     ) -> bool {
-        let mut outputs = Outputs {
-            producers: &self.outputs,
-            sides: &[],
-            overflow: &mut self.overflow,
-            wakes: Vec::new(),
-            written: 0,
-        };
-        let result = call(self.logic.as_mut(), &mut outputs);
-        for w in std::mem::take(&mut outputs.wakes) {
-            ctx.wake(w);
-        }
+        let emitter = &mut self.emitter;
+        let result = call(self.logic.as_mut(), &mut Outputs { emitter, ctx });
         if result.is_err() {
-            for out in &self.outputs {
-                out.close();
-                ctx.wake(out.consumer());
-            }
+            self.emitter.close(|consumer| ctx.wake(consumer));
         }
         result.is_ok()
     }
@@ -594,7 +606,7 @@ impl Task for ComputeTask {
     fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
         // A full output parks the task: it consumes no further input
         // until the output's consumer drains it and wakes us.
-        if !self.flush_overflow(ctx) {
+        if !self.emitter.flush(ctx) {
             return TaskStatus::Idle;
         }
         let mut made_progress = true;
@@ -608,7 +620,7 @@ impl Task for ComputeTask {
                         if !self.call_logic(ctx, |logic, out| logic.on_value(input, value, out)) {
                             return TaskStatus::Finished;
                         }
-                        if !self.flush_overflow(ctx) {
+                        if !self.emitter.flush(ctx) {
                             return TaskStatus::Idle;
                         }
                         if !ctx.can_continue() {
@@ -623,7 +635,7 @@ impl Task for ComputeTask {
                             {
                                 return TaskStatus::Finished;
                             }
-                            if !self.flush_overflow(ctx) {
+                            if !self.emitter.flush(ctx) {
                                 return TaskStatus::Idle;
                             }
                             made_progress = true;
@@ -633,19 +645,15 @@ impl Task for ComputeTask {
             }
         }
         if self.input_finished.iter().all(|f| *f) {
-            for out in &self.outputs {
-                out.close();
-                ctx.wake(out.consumer());
-            }
+            self.emitter.close(|consumer| ctx.wake(consumer));
             return TaskStatus::Finished;
         }
         TaskStatus::Idle
     }
 }
 
-/// The rules of a process that keeps no state between messages, run by an
-/// input task on each message it parses ([`InputTask::inline`]) instead of
-/// by a compute task behind a channel.
+/// The rules of a process, run by an input task on each message it parses
+/// ([`InputTask::inline`]).
 ///
 /// The task holds its own `logic` instance and one [`Destination`] per
 /// output the logic may emit to, in the logic's output order. A value
@@ -654,8 +662,7 @@ impl Task for ComputeTask {
 /// otherwise ([`OutputSide`]); a full queue parks the task like a full
 /// channel parks any producer, with the values behind it kept in order.
 /// Each destination's channel closes once every input task of the graph
-/// has finished, as a compute task closes its outputs once all its inputs
-/// have.
+/// has finished.
 ///
 /// Logic that acts when an input ends ([`ComputeLogic::on_input_finished`],
 /// a fold) does not belong here: it runs in a [`ComputeTask`].
@@ -663,9 +670,7 @@ pub(crate) struct InlineRules {
     logic: Box<dyn ComputeLogic>,
     /// The logic's input index of the task's messages.
     input: usize,
-    producers: Vec<ChannelProducer>,
-    sides: Vec<Arc<OutputSide>>,
-    overflow: VecDeque<(usize, Value)>,
+    emitter: Emitter,
 }
 
 /// One output of a graph whose input tasks run the rules inline: the
@@ -687,51 +692,26 @@ impl InlineRules {
         InlineRules {
             logic,
             input,
-            producers: destinations.iter().map(|d| d.producer.clone()).collect(),
-            sides: destinations.iter().map(|d| Arc::clone(&d.side)).collect(),
-            overflow: VecDeque::new(),
+            emitter: Emitter::new(
+                destinations.iter().map(|d| d.producer.clone()).collect(),
+                destinations.iter().map(|d| Arc::clone(&d.side)).collect(),
+            ),
         }
     }
 
     /// Runs the rules on one message.
     fn run(&mut self, value: Value, ctx: &mut TaskContext) -> Result<(), RuntimeError> {
         RuntimeMetrics::add(&ctx.metrics().values_processed, 1);
-        let mut outputs = Outputs {
-            producers: &self.producers,
-            sides: &self.sides,
-            overflow: &mut self.overflow,
-            wakes: Vec::new(),
-            written: 0,
-        };
-        let result = self.logic.on_value(self.input, value, &mut outputs);
-        RuntimeMetrics::add(&ctx.metrics().messages_out, outputs.written);
-        for task in std::mem::take(&mut outputs.wakes) {
-            ctx.wake(task);
-        }
-        result
-    }
-
-    /// Delivers emissions a full channel refused, in order. `false` when a
-    /// channel is still full: the task is parked on it.
-    fn flush_overflow(&mut self, ctx: &mut TaskContext) -> bool {
-        while let Some((output, value)) = self.overflow.pop_front() {
-            let producer = &self.producers[output];
-            match producer.push_or_park(value, ctx) {
-                Ok(()) => ctx.wake(producer.consumer()),
-                Err(back) => {
-                    self.overflow.push_front((output, back));
-                    return false;
-                }
-            }
-        }
-        true
+        let emitter = &mut self.emitter;
+        self.logic
+            .on_value(self.input, value, &mut Outputs { emitter, ctx })
     }
 
     /// Closes every connection the rules write to; their output tasks are
     /// woken to finish.
     fn fail_all(&mut self) {
-        self.overflow.clear();
-        for side in &self.sides {
+        self.emitter.overflow.clear();
+        for side in &self.emitter.sides {
             side.writer.lock().fail();
             wake_after_run(side.task);
         }
@@ -742,10 +722,11 @@ impl InlineRules {
 // Output task
 // ---------------------------------------------------------------------------
 
-/// How compiled service logic executes inside compute tasks.
+/// How compiled service logic executes, in input tasks and in a fold's
+/// compute task.
 ///
 /// The runtime only carries the switch; the compiler crate interprets it
-/// when it builds the compute logic for a graph. Both modes run the same
+/// when it builds the logic for a graph. Both modes run the same
 /// lowered program — the tree-walking interpreter stays available as the
 /// ablation baseline for the bytecode VM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1418,6 +1399,46 @@ mod tests {
         client.write(b"st: h\r\n\r\n").unwrap();
         assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
         assert_eq!(rx.len(), 1);
+    }
+
+    /// An input task whose timeslice runs out looks at its socket before
+    /// it asks to run again: an empty one lets it go idle (a run that
+    /// would only read `WouldBlock` is saved), and bytes waiting in it
+    /// make it yield. Each request fills one read ([`READ_CHUNK`]:
+    /// the projection lets bodies stream), so the second one is still in
+    /// the socket after the first is parsed.
+    #[test]
+    fn an_input_task_whose_slice_ran_out_idles_only_on_an_empty_socket() {
+        let request = |path: &str| {
+            let head = format!("GET {path} HTTP/1.1\r\nX-Pad: ");
+            let pad = "p".repeat(READ_CHUNK - head.len() - 4);
+            format!("{head}{pad}\r\n\r\n")
+        };
+        for waiting in [1, 2] {
+            let net = SimNetwork::new(StackModel::Free);
+            let listener = net.listen(88).unwrap();
+            let client = net.connect(88).unwrap();
+            let server = listener.accept().unwrap();
+            for n in 0..waiting {
+                client
+                    .write_all(request(&format!("/{n}")).as_bytes())
+                    .unwrap();
+            }
+            let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
+            let projection = Some(http::load_balancer_projection());
+            let codec = Arc::new(HttpCodec::new());
+            let mut task = InputTask::new("in", server.into(), codec, projection, tx);
+            let mut round_robin =
+                TaskContext::new(TaskId(0), Duration::ZERO, RuntimeMetrics::new_shared());
+            let (status, yields) = match waiting {
+                1 => (TaskStatus::Idle, 0),
+                _ => (TaskStatus::Runnable, 1),
+            };
+            assert_eq!(task.run(&mut round_robin), status, "{waiting} waiting");
+            assert_eq!(rx.len(), 1, "one message per round-robin run");
+            let metrics = round_robin.metrics();
+            assert_eq!(RuntimeMetrics::get(&metrics.cooperative_yields), yields);
+        }
     }
 
     #[test]

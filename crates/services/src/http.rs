@@ -15,8 +15,7 @@ use flick_grammar::http::{self, HttpCodec};
 use flick_net::Endpoint;
 use flick_runtime::platform::BuiltGraph;
 use flick_runtime::{
-    ComputeLogic, ComputeTask, GraphBuilder, GraphFactory, Outputs, Peer, RuntimeError, ServiceEnv,
-    Value,
+    ComputeLogic, GraphBuilder, GraphFactory, Outputs, Peer, RuntimeError, ServiceEnv, Value,
 };
 use std::sync::Arc;
 
@@ -93,29 +92,21 @@ impl GraphFactory for StaticWebServerFactory {
         let codec: Arc<HttpCodec> = Arc::new(HttpCodec::new());
         let mut builder = GraphBuilder::new("static-web", &env.allocator);
         let input_node = builder.declare_node();
-        let compute_node = builder.declare_node();
         let output_node = builder.declare_node();
-        let req_rx = builder.bind_input(
+        // Destination 0: the logic answers each request on it.
+        builder.bind_destination(output_node, "http-out", &client, codec.clone());
+        builder.bind_inline_input(
             input_node,
             "http-in",
             Peer::Client(&client),
-            codec.clone(),
+            codec,
             // It answers requests instead of forwarding them, so a body
             // is read and dropped here, never streamed.
             Some(http::load_balancer_projection().with("body")),
-            compute_node,
-        );
-        let resp_tx = builder.bind_output(output_node, "http-out", &client, codec);
-        builder.install(
-            compute_node,
-            Box::new(ComputeTask::new(
-                "respond",
-                vec![req_rx],
-                vec![resp_tx],
-                Box::new(RespondLogic {
-                    body: self.body.clone(),
-                }),
-            )),
+            Box::new(RespondLogic {
+                body: self.body.clone(),
+            }),
+            0,
         );
         Ok(builder.build())
     }

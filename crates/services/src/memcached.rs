@@ -74,6 +74,7 @@ mod tests {
     use flick_grammar::{memcached as wire, ParseOutcome, WireCodec};
     use flick_net::SimNetwork;
     use flick_net::StackModel;
+    use flick_runtime::tasks::ExecMode;
     use flick_runtime::{Platform, PlatformConfig, ServiceSpec};
     use flick_workload::backends::start_memcached_backend;
     use flick_workload::memcached::{run_memcached_load, MemcachedLoadConfig};
@@ -91,6 +92,7 @@ mod tests {
         service: Arc<CompiledService>,
         port: u16,
         backend_ports: &[u16],
+        mode: ExecMode,
     ) -> (
         Arc<SimNetwork>,
         Platform,
@@ -111,7 +113,9 @@ mod tests {
         );
         let svc = platform
             .deploy(
-                ServiceSpec::new("memcached", port, service).with_backends(backend_ports.to_vec()),
+                ServiceSpec::new("memcached", port, service)
+                    .with_backends(backend_ports.to_vec())
+                    .with_exec_mode(mode),
             )
             .unwrap();
         (net, platform, backends, svc)
@@ -120,7 +124,7 @@ mod tests {
     #[test]
     fn proxy_round_trips_requests_through_backends() {
         let (net, _platform, backends, _svc) =
-            deploy_proxy(memcached_proxy(), 11300, &[11301, 11302]);
+            deploy_proxy(memcached_proxy(), 11300, &[11301, 11302], ExecMode::Vm);
         let stats = run_memcached_load(
             &net,
             &MemcachedLoadConfig {
@@ -140,9 +144,18 @@ mod tests {
 
     #[test]
     fn router_caches_getk_responses() {
-        let (net, _platform, backends, _svc) = deploy_proxy(memcached_router(), 11400, &[11401]);
+        // Both engines, each running the rules in the input tasks beside
+        // the service's one shared cache.
+        for (mode, port) in ExecMode::all().into_iter().zip([11400, 11410]) {
+            router_caches_getk_responses_in(mode, port);
+        }
+    }
+
+    fn router_caches_getk_responses_in(mode: ExecMode, port: u16) {
+        let (net, _platform, backends, _svc) =
+            deploy_proxy(memcached_router(), port, &[port + 1], mode);
         let codec = wire::MemcachedCodec::new();
-        let client = net.connect(11400).unwrap();
+        let client = net.connect(port).unwrap();
         let ask = |key: &str| {
             let mut out = Vec::new();
             codec

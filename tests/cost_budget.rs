@@ -287,10 +287,13 @@ fn a_closing_request_on_kernel_sockets() {
     assert_within(
         measure(Transport::Kernel, Client::Closing),
         Budget {
-            task_runs: 11.0,
+            task_runs: 11.1,
             // Timing decides a few runs of a closing request on kernel
-            // sockets: 10.7-11.0 per request in release, 11.2-11.3 in a
-            // debug build, on two cores.
+            // sockets: 10.80-11.15 per request in release, 11.30-11.47 in
+            // a debug build, on two cores. A debug build spends more
+            // slices, and an input task that spends its slice with its
+            // socket empty goes idle, so the drain's run of the back-end
+            // input is a run of its own, not a yield's re-run.
             runs_band: 0.04,
             reads: 2.0,
             writes: 2.0,

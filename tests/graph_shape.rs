@@ -1,23 +1,26 @@
-//! The shape of the graph a compiled service builds (DESIGN.md §5): a
-//! process that keeps no state between messages runs its rules in each
-//! input task and builds no compute task, whichever engine runs them; one
-//! with a `global` or a `foldt` keeps its compute task behind channels.
+//! The shape of the graph a service builds (DESIGN.md §5): every rule runs
+//! in the input task that parsed its message, whichever engine runs it, so
+//! a graph has no compute task unless its process folds; a `foldt` runs in
+//! one compute task fed by the connections of the array it folds alone.
 
-use flick::compiler::CompiledService;
 use flick::net_substrate::{Endpoint, SimNetwork, StackModel};
 use flick::runtime_crate::graph::TaskIdAllocator;
 use flick::runtime_crate::tasks::ExecMode;
 use flick::runtime_crate::{BackendPool, BackendTarget, GraphFactory, RuntimeMetrics, ServiceEnv};
 use flick::services::hadoop::hadoop_aggregator;
-use flick::services::http::{http_balancer, http_path_balancer};
+use flick::services::http::{http_balancer, http_path_balancer, StaticWebServerFactory};
 use flick::services::memcached::{memcached_proxy, memcached_router};
 use flick::{Platform, PlatformConfig, ServiceSpec};
-use flick_workload::backends::start_http_backend;
+use flick_grammar::hadoop::{count_kv, HadoopKvCodec};
+use flick_grammar::WireCodec;
+use flick_workload::backends::{start_http_backend, start_sink_backend};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The labels of the tasks `service` builds for one graph on the sim.
-fn labels(service: &CompiledService, mode: ExecMode) -> Vec<String> {
+/// The labels of the tasks `service` builds for one graph on the sim,
+/// sorted.
+fn labels(service: &dyn GraphFactory, mode: ExecMode) -> Vec<String> {
     let net = SimNetwork::new(StackModel::Free);
     let _backends = [net.listen(9001).unwrap(), net.listen(9002).unwrap()];
     let targets = [9001, 9002]
@@ -37,28 +40,47 @@ fn labels(service: &CompiledService, mode: ExecMode) -> Vec<String> {
         .map(|_| net.connect(9000).unwrap())
         .collect();
     let graph = service.build(clients, &env).expect("the graph builds");
-    graph.task_labels().map(str::to_string).collect()
+    let mut labels: Vec<String> = graph.task_labels().map(str::to_string).collect();
+    labels.sort();
+    labels
 }
 
 #[test]
-fn only_a_process_with_state_builds_a_compute_task() {
-    for (name, service, stateless) in [
-        ("HTTP_LB", http_path_balancer(), true),
-        ("HTTP_STICKY_LB", http_balancer(), true),
-        ("MEMCACHED_PROXY", memcached_proxy(), true),
-        ("MEMCACHED_ROUTER", memcached_router(), false),
-        ("HADOOP_AGGREGATOR", hadoop_aggregator(2), false),
-    ] {
-        assert_eq!(service.is_stateless(), stateless, "{name}");
+fn only_a_process_that_folds_builds_a_compute_task() {
+    let services: [(&str, Arc<dyn GraphFactory>); 5] = [
+        ("HTTP_LB", http_path_balancer()),
+        ("HTTP_STICKY_LB", http_balancer()),
+        ("MEMCACHED_PROXY", memcached_proxy()),
+        ("MEMCACHED_ROUTER", memcached_router()),
+        (
+            "STATIC_WEB",
+            StaticWebServerFactory::new(b"static".to_vec()),
+        ),
+    ];
+    for (name, service) in services {
         for mode in ExecMode::all() {
-            let labels = labels(&service, mode);
-            let computes = labels.iter().filter(|l| l.ends_with("-compute")).count();
-            assert_eq!(
-                computes,
-                usize::from(!stateless),
-                "{name}, {mode:?}: {labels:?}"
+            let labels = labels(service.as_ref(), mode);
+            assert!(
+                labels
+                    .iter()
+                    .all(|l| l.ends_with("-in") || l.ends_with("-out")),
+                "{name}, {mode:?}: only input and output tasks, {labels:?}"
             );
         }
+    }
+    // The aggregator's one compute task takes its two mapper connections,
+    // the only connections it reads.
+    for mode in ExecMode::all() {
+        assert_eq!(
+            labels(hadoop_aggregator(2).as_ref(), mode),
+            [
+                "hadoop-compute",
+                "mappers-0-in",
+                "mappers-1-in",
+                "reducer-0-out"
+            ],
+            "{mode:?}"
+        );
     }
 }
 
@@ -118,43 +140,42 @@ fn both_exec_modes_run_the_rules_in_the_input_task() {
     }
 }
 
-/// A rule that fails ends its graph instance on either shape: the client
-/// is closed unanswered and the graph torn down well inside the drain
-/// grace (2 s), with every output task woken by the close that ended its
-/// channel.
+/// A rule that fails ends its graph instance on either shape: in an input
+/// task (a routing function that divides by zero) and in a fold's compute
+/// task (a combine that does). The client is closed unanswered, or the
+/// reducer gets no aggregate, and the graph is torn down well inside the
+/// drain grace (2 s), with every output task woken by the close that
+/// ended its channel.
 #[test]
 fn a_failing_rule_ends_its_graph_on_either_shape() {
-    let program = |stateful: bool| {
-        let (global, arg, param) = if stateful {
-            (
-                "  global seen := empty_dict\n",
-                ", seen",
-                ", seen: ref dict<string*request>",
-            )
-        } else {
-            ("", "", "")
-        };
-        format!(
-            r#"
+    const BALANCER: &str = r#"
 type request: record
   path : string
 
 proc P: (request/request client, [request/request] backends)
-{global}  client => pick(backends{arg})
+  client => pick(backends)
   backends => client
 
-fun pick: ([-/request] backends{param}, req: request) -> ()
+fun pick: ([-/request] backends, req: request) -> ()
   let target = 1 mod (len(req.path) - len(req.path))
   req => backends[target]
-"#
-        )
-    };
-    for stateful in [false, true] {
-        let service =
-            flick::compiler::compile_source(&program(stateful), "P", &Default::default()).unwrap();
-        assert_eq!(service.is_stateless(), !stateful);
+"#;
+    const AGGREGATOR: &str = r#"
+type kv: record
+  key : string
+  value : string
+
+proc P: ([kv/-] mappers, -/kv reducer):
+  if all_ready(mappers):
+    let result = foldt on mappers ordering elem e1, e2 by elem.key as e_key:
+      kv(e_key, str(1 mod (len(e1.value) - len(e2.value))))
+    result => reducer
+"#;
+    for fold in [false, true] {
+        let source = if fold { AGGREGATOR } else { BALANCER };
+        let service = flick::compiler::compile_source(source, "P", &Default::default()).unwrap();
         let net = SimNetwork::new(StackModel::Free);
-        let _backend = start_http_backend(&net, 9201, b"never");
+        let (_backend, reduced) = start_sink_backend(&net, 9201);
         let platform = Platform::with_network(
             PlatformConfig {
                 workers: 2,
@@ -165,24 +186,38 @@ fun pick: ([-/request] backends{param}, req: request) -> ()
         let spec = ServiceSpec::new("failing", 9200, service).with_backends(vec![9201]);
         let _service = platform.deploy(spec).expect("deploy");
         let client = net.connect(9200).unwrap();
-        client
-            .write_all(b"GET /x HTTP/1.1\r\nHost: f\r\n\r\n")
-            .unwrap();
-        let mut chunk = [0u8; 64];
-        assert!(
+        if fold {
+            // Two records of one key: their combine fails. The second
+            // comes once every task has had its first run, so only the
+            // failure's close can wake the reducer's output task.
+            let codec = HadoopKvCodec::new();
+            for count in [1, 2] {
+                let mut wire = Vec::new();
+                codec.serialize(&count_kv("k", count), &mut wire).unwrap();
+                client.write_all(&wire).unwrap();
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        } else {
             client
-                .read_timeout(&mut chunk, Duration::from_secs(1))
-                .is_err(),
-            "stateful {stateful}: closed unanswered"
-        );
+                .write_all(b"GET /x HTTP/1.1\r\nHost: f\r\n\r\n")
+                .unwrap();
+            let mut chunk = [0u8; 64];
+            assert!(
+                client
+                    .read_timeout(&mut chunk, Duration::from_secs(1))
+                    .is_err(),
+                "closed unanswered"
+            );
+        }
         client.close();
         let started = std::time::Instant::now();
         while platform.metrics().snapshot().live_graphs() > 0 {
             assert!(
                 started.elapsed() < Duration::from_millis(1500),
-                "stateful {stateful}: the graph outlived its rule"
+                "fold {fold}: the graph outlived its rule"
             );
             std::thread::sleep(Duration::from_millis(5));
         }
+        assert_eq!(reduced.load(Ordering::Relaxed), 0, "fold {fold}");
     }
 }
