@@ -28,12 +28,14 @@
 //! fails to open closes the graph's client connections; requests routed to
 //! the other members are unaffected.
 //!
-//! Every rule runs in the input task that parsed its message, with that
-//! task's own logic instance, and writes to the output connections itself
-//! while they are idle (DESIGN.md §5, "Rules run in the input task"). A
-//! `global` is one dictionary per service, shared by every logic instance
-//! of every graph. The one compute task is a `foldt`'s: it runs
-//! [`FoldtLogic`], fed by the connections of the array it folds alone.
+//! Every graph is input tasks and output tasks only. Every rule runs in the
+//! input task that parsed its message, with that task's own logic
+//! instance, and writes to the output connections itself while they are
+//! idle (DESIGN.md §5, "Rules run in the input task"). A `global` is one
+//! dictionary per service, shared by every logic instance of every graph.
+//! A `foldt` is the same shape: each connection of the folded array runs
+//! its own [`FoldtLogic`], and the graph's [`Fold`] merges them as they
+//! end.
 //!
 //! Wire codecs are chosen per record type: synthesised from the type's
 //! serialisation annotations when possible, otherwise the framework's
@@ -45,7 +47,9 @@ use crate::bytecode::{self, CompiledProgram};
 use crate::error::CompileError;
 use crate::grammar_gen;
 use crate::ir::{lower, ProgramIr};
-use crate::logic::{ChannelBindings, CompiledGlobals, FoldtLogic, InterpreterLogic, ParamBinding};
+use crate::logic::{
+    ChannelBindings, CompiledGlobals, Fold, FoldtLogic, InterpreterLogic, ParamBinding,
+};
 use crate::vm::VmLogic;
 use flick_grammar::{
     hadoop::HadoopKvCodec, http::HttpCodec, memcached::MemcachedCodec, Projection, WireCodec,
@@ -55,7 +59,7 @@ use flick_net::Endpoint;
 use flick_runtime::platform::BuiltGraph;
 use flick_runtime::tasks::ExecMode;
 use flick_runtime::{
-    ComputeLogic, ComputeTask, GraphBuilder, GraphFactory, Link, Peer, RuntimeError, ServiceEnv,
+    ComputeLogic, GraphBuilder, GraphFactory, Link, Peer, RuntimeError, ServiceEnv,
 };
 use std::sync::Arc;
 
@@ -208,10 +212,21 @@ impl CompiledService {
         })
     }
 
-    /// The per-message rules over `bindings`, on the engine `mode` selects
+    /// The logic of one input over `bindings`, on the engine `mode` selects
     /// (`ExecMode::Vm` bytecode by default, `ExecMode::Interp` tree-walking
-    /// as the ablation baseline).
-    fn rules(&self, bindings: &ChannelBindings, mode: ExecMode) -> Box<dyn ComputeLogic> {
+    /// as the ablation baseline): the per-message rules, or one input's
+    /// share of the graph's fold.
+    fn logic(
+        &self,
+        bindings: &ChannelBindings,
+        fold: Option<&(Arc<Fold>, usize)>,
+        mode: ExecMode,
+    ) -> Box<dyn ComputeLogic> {
+        if let Some((fold, sink)) = fold {
+            let program = Arc::clone(&self.program);
+            let compiled = (mode == ExecMode::Vm).then(|| Arc::clone(&self.compiled));
+            return Box::new(FoldtLogic::new(program, compiled, Arc::clone(fold), *sink));
+        }
         match mode {
             ExecMode::Vm => Box::new(VmLogic::new(
                 Arc::clone(&self.compiled),
@@ -311,14 +326,14 @@ impl GraphFactory for CompiledService {
         }
 
         let mut builder = GraphBuilder::new(process.name.clone(), &env.allocator);
-        // A fold runs in one compute task, fed by the array it folds; every
-        // rule runs in the input task that parsed its message (DESIGN.md §5).
-        let fold = process
-            .foldt
-            .as_ref()
-            .map(|foldt| (foldt, builder.declare_node()));
-        let mut fold_inputs = Vec::new();
-        let mut fold_outputs = Vec::new();
+        // Every rule runs in the input task that parsed its message
+        // (DESIGN.md §5); so does a fold, over the array it folds alone (the
+        // lowering checked that), and into the one writable channel the
+        // lowering checked its sink is.
+        let fold = process.foldt.as_ref().map(|foldt| {
+            let sink = bindings.params[foldt.sink_param].outputs[0];
+            (Fold::new(counts[foldt.source_param]), sink)
+        });
         // Shared with every array member: a failed open closes them, the
         // refusal a failed build gives.
         let clients: Arc<[Endpoint]> = Arc::from(clients);
@@ -340,74 +355,28 @@ impl GraphFactory for CompiledService {
                 };
                 if param.dir.readable {
                     let node = builder.declare_node();
-                    let label = format!("{}-{i}-in", param.name);
                     let peer = if is_client {
                         Peer::Client(&clients[i])
                     } else {
                         Peer::Backend(&link)
                     };
-                    let codec = Arc::clone(&plan.codec);
-                    let projection = Some(plan.projection.clone());
-                    match fold {
-                        Some((foldt, compute)) => {
-                            // The lowering lets a process that folds read
-                            // its array alone.
-                            debug_assert_eq!(param_idx, foldt.source_param);
-                            fold_inputs.push(
-                                builder.bind_input(node, label, peer, codec, projection, compute),
-                            )
-                        }
-                        None => builder.bind_inline_input(
-                            node,
-                            label,
-                            peer,
-                            codec,
-                            projection,
-                            self.rules(&bindings, env.exec_mode),
-                            bindings.params[param_idx].inputs[i],
-                        ),
-                    }
+                    builder.bind_input(
+                        node,
+                        format!("{}-{i}-in", param.name),
+                        peer,
+                        Arc::clone(&plan.codec),
+                        Some(plan.projection.clone()),
+                        self.logic(&bindings, fold.as_ref(), env.exec_mode),
+                        bindings.params[param_idx].inputs[i],
+                    );
                 }
                 if param.dir.writable {
                     let node = builder.declare_node();
                     let label = format!("{}-{i}-out", param.name);
-                    let codec = Arc::clone(&plan.codec);
-                    match fold {
-                        Some(_) => fold_outputs.push(builder.bind_output(node, label, link, codec)),
-                        None => {
-                            let output = builder.bind_destination(node, label, link, codec);
-                            debug_assert_eq!(output, bindings.params[param_idx].outputs[i]);
-                        }
-                    }
+                    let output = builder.bind_output(node, label, link, Arc::clone(&plan.codec));
+                    debug_assert_eq!(output, bindings.params[param_idx].outputs[i]);
                 }
             }
-        }
-
-        if let Some((foldt, compute)) = fold {
-            // The lowering checked that the sink is one writable channel.
-            let sink_output = bindings.params[foldt.sink_param].outputs[0];
-            let logic: Box<dyn ComputeLogic> = match env.exec_mode {
-                ExecMode::Vm => Box::new(FoldtLogic::with_vm(
-                    Arc::clone(&self.program),
-                    Arc::clone(&self.compiled),
-                    fold_inputs.len(),
-                    sink_output,
-                )),
-                ExecMode::Interp => Box::new(FoldtLogic::new(
-                    Arc::clone(&self.program),
-                    fold_inputs.len(),
-                    sink_output,
-                )),
-            };
-            builder.install(
-                compute,
-                Box::new(ComputeTask::new(
-                    format!("{}-compute", process.name),
-                    fold_inputs,
-                    fold_outputs,
-                    logic,
-                )),
-            );
         }
         Ok(builder.build())
     }

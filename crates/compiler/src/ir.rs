@@ -989,9 +989,9 @@ proc P: ({signature})
         )
     }
 
-    /// A process that folds builds one compute task, which runs the fold
-    /// alone: a channel rule beside it, on either side, would never run
-    /// (the reducer got only the aggregate).
+    /// A process that folds runs the fold alone in the input tasks of its
+    /// array: a channel rule beside it, on either side, would never run
+    /// (the reducer gets only the aggregate).
     #[test]
     fn a_channel_rule_beside_a_foldt_is_rejected() {
         let signature = "[kv/-] mappers, -/kv reducer";

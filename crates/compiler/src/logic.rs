@@ -4,10 +4,12 @@
 //! dispatching arriving messages to the routing rules of the lowered
 //! process and interpreting them. [`FoldtLogic`] is the specialised
 //! implementation of the `foldt` primitive (the paper notes that `foldt` has
-//! a custom platform implementation for performance): it performs an ordered
-//! merge of the key/value streams arriving on its input channels, combining
-//! values of equal keys with the program's combine body, and emits the
-//! aggregated stream when its inputs complete.
+//! a custom platform implementation for performance), a two-level tree: the
+//! input task of each connection of the folded array folds its own stream
+//! into a map ordered by key, combining values of equal keys with the
+//! program's combine body, and merges that map into its graph's [`Fold`]
+//! when its input ends; the last input to end emits the aggregated stream
+//! in key order.
 
 use crate::interp::{dict_key, field_value, EmitSink, Interpreter, RtVal};
 use crate::ir::{ProcessIr, ProgramIr};
@@ -15,7 +17,7 @@ use flick_grammar::MsgValue;
 use flick_runtime::{ComputeLogic, Outputs, RuntimeError, SharedDict, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Describes how the process's channel parameters map onto the logic's
 /// input and output indices.
@@ -208,7 +210,16 @@ impl ComputeLogic for InterpreterLogic {
     }
 }
 
-/// The specialised merge logic for `foldt` (Listing 3 / Figure 3c).
+/// The specialised merge logic for `foldt` (Listing 3 / Figure 3c), one
+/// instance per input of the folded array.
+///
+/// Each instance folds its own input's stream into its own map, with no
+/// lock per record. When its input ends it merges that map into the
+/// graph's [`Fold`], and the last input to end emits the merged elements
+/// in key order. The combine sees the elements of one key in stream order
+/// within an input, and across inputs in the order the inputs ended: a
+/// combine that is not commutative yields an order-dependent aggregate, as
+/// it would on any schedule of the streams.
 pub struct FoldtLogic {
     program: Arc<ProgramIr>,
     /// When set, the combine body runs on the bytecode VM
@@ -216,13 +227,21 @@ pub struct FoldtLogic {
     vm: Option<VmCombine>,
     /// Output index of the reducer channel.
     sink_output: usize,
-    /// Number of inputs that have finished.
-    finished_inputs: usize,
-    /// Total number of inputs feeding this combine node.
-    total_inputs: usize,
-    /// The merged elements, ordered by key.
+    /// This input's elements, ordered by key.
     merged: BTreeMap<String, Value>,
-    emitted: bool,
+    fold: Arc<Fold>,
+}
+
+/// The fold of one graph: the elements of the inputs that have ended,
+/// merged, and how many inputs are still open.
+#[derive(Debug)]
+pub struct Fold(Mutex<(BTreeMap<String, Value>, usize)>);
+
+impl Fold {
+    /// The fold of a graph whose folded array has `inputs` connections.
+    pub fn new(inputs: usize) -> Arc<Self> {
+        Arc::new(Fold(Mutex::new((BTreeMap::new(), inputs))))
+    }
 }
 
 /// The VM's combine state: the compiled program, its field-site offset
@@ -250,36 +269,26 @@ fn merge_key<'v>(value: &'v Value, field: &str) -> Cow<'v, str> {
 }
 
 impl FoldtLogic {
-    /// Creates the merge logic with the interpreter executing the combine
-    /// body.
-    pub fn new(program: Arc<ProgramIr>, total_inputs: usize, sink_output: usize) -> Self {
-        FoldtLogic {
-            program,
-            vm: None,
-            sink_output,
-            finished_inputs: 0,
-            total_inputs,
-            merged: BTreeMap::new(),
-            emitted: false,
-        }
-    }
-
-    /// Creates the merge logic with the bytecode VM executing the combine
-    /// body.
-    pub fn with_vm(
+    /// Creates the merge logic of one input of `fold`, emitting to output
+    /// `sink_output`: the bytecode VM runs the combine body over
+    /// `compiled` when it is given, the interpreter otherwise.
+    pub fn new(
         program: Arc<ProgramIr>,
-        compiled: Arc<crate::bytecode::CompiledProgram>,
-        total_inputs: usize,
+        compiled: Option<Arc<crate::bytecode::CompiledProgram>>,
+        fold: Arc<Fold>,
         sink_output: usize,
     ) -> Self {
-        let cache = compiled.field_offsets.clone();
-        let mut logic = Self::new(program, total_inputs, sink_output);
-        logic.vm = Some(VmCombine {
-            compiled,
-            cache,
-            stack: Vec::new(),
-        });
-        logic
+        FoldtLogic {
+            program,
+            vm: compiled.map(|compiled| VmCombine {
+                cache: compiled.field_offsets.clone(),
+                compiled,
+                stack: Vec::new(),
+            }),
+            sink_output,
+            merged: BTreeMap::new(),
+            fold,
+        }
     }
 
     /// Runs the combine body over two elements of one key (`key` is the
@@ -348,7 +357,10 @@ impl ComputeLogic for FoldtLogic {
         // A stored element outlives its ingest chunk (a key seen once is
         // held until the job ends), so whatever is stored is compacted
         // first and pins no chunk, as `SharedDict::set` does. A combined
-        // element the body built afresh has nothing to re-own.
+        // element the body built afresh has nothing to re-own. Nor does
+        // a stored one keep its raw bytes: it is serialised from its
+        // fields, as a combined one is, so the aggregate leaves in a few
+        // coalesced writes instead of one per raw record.
         let key = merge_key(&value, &foldt.key_field);
         match self.merged.get_mut(key.as_ref()) {
             Some(slot) => {
@@ -359,6 +371,9 @@ impl ComputeLogic for FoldtLogic {
             }
             None => {
                 let key = key.into_owned();
+                if let Value::Msg(msg) = &mut value {
+                    msg.forget_raw();
+                }
                 value.compact();
                 self.merged.insert(key, value);
             }
@@ -366,18 +381,46 @@ impl ComputeLogic for FoldtLogic {
         Ok(())
     }
 
+    /// Merges this input's elements into the graph's fold: the first input
+    /// to end moves its map in whole; a later one combines each of its
+    /// elements into the stored one of its key. The last to end emits the
+    /// fold in key order.
     fn on_input_finished(
         &mut self,
         _input: usize,
         out: &mut Outputs<'_>,
     ) -> Result<(), RuntimeError> {
-        self.finished_inputs += 1;
-        if self.finished_inputs >= self.total_inputs && !self.emitted {
-            self.emitted = true;
-            // Emit the aggregated stream in key order.
-            for (_key, value) in std::mem::take(&mut self.merged) {
-                out.emit(self.sink_output, value);
+        let mut fold = self
+            .fold
+            .0
+            .lock()
+            .expect("no merge panics holding the fold");
+        let (elements, open) = &mut *fold;
+        if elements.is_empty() {
+            std::mem::swap(elements, &mut self.merged);
+        }
+        for (key, incoming) in std::mem::take(&mut self.merged) {
+            match elements.get_mut(&key) {
+                Some(slot) => {
+                    let existing = std::mem::replace(slot, Value::Unit);
+                    let key = Value::Str(key);
+                    *slot =
+                        Self::combine(&self.program, self.vm.as_mut(), existing, incoming, key)?;
+                    slot.compact();
+                }
+                None => {
+                    elements.insert(key, incoming);
+                }
             }
+        }
+        *open -= 1;
+        if *open > 0 {
+            return Ok(());
+        }
+        let elements = std::mem::take(elements);
+        drop(fold);
+        for value in elements.into_values() {
+            out.emit(self.sink_output, value);
         }
         Ok(())
     }
@@ -391,10 +434,8 @@ mod tests {
     use flick_grammar::{Message, MsgValue};
     use flick_lang::compile_to_ast;
     use flick_runtime::channel::TaskChannel;
-    use flick_runtime::task::{TaskId, TaskStatus, NO_DEADLINE};
-    use flick_runtime::tasks::ComputeTask;
-    use flick_runtime::Task as _;
-    use flick_runtime::{RuntimeMetrics, TaskContext};
+    use flick_runtime::task::{TaskId, NO_DEADLINE};
+    use flick_runtime::{LogicHarness, RuntimeMetrics, TaskContext};
 
     fn ctx() -> TaskContext {
         TaskContext::new(TaskId(0), NO_DEADLINE, RuntimeMetrics::new_shared())
@@ -443,28 +484,16 @@ fun target_backend: ([-/cmd] backends, req: cmd) -> ()
     #[test]
     fn proxy_routes_requests_to_backends_and_responses_to_client() {
         let (_program, logic) = proxy_logic(3);
-        // Assemble a compute task with 4 inputs (client + 3 backends) and 4
-        // matching outputs.
-        let mut input_producers = Vec::new();
-        let mut input_consumers = Vec::new();
-        let mut output_producers = Vec::new();
-        let mut output_consumers = Vec::new();
-        for i in 0..4 {
-            let (tx, rx) = TaskChannel::bounded(64, TaskId(100 + i));
-            input_producers.push(tx);
-            input_consumers.push(rx);
-            let (tx, rx) = TaskChannel::bounded(64, TaskId(200 + i));
-            output_producers.push(tx);
-            output_consumers.push(rx);
-        }
-        let mut task =
-            ComputeTask::new("proxy", input_consumers, output_producers, Box::new(logic));
+        // 4 inputs (client + 3 backends) and 4 matching outputs.
+        let (output_producers, output_consumers): (Vec<_>, Vec<_>) = (0..4)
+            .map(|i| TaskChannel::bounded(64, TaskId(200 + i)))
+            .unzip();
+        let mut logic = LogicHarness::new(Box::new(logic), output_producers);
 
         // A client request is routed to exactly one backend output (1..=3).
         let mut m = Message::new("cmd");
         m.set("key", MsgValue::Str("user:7".into()));
-        input_producers[0].push(Value::Msg(m)).unwrap();
-        task.run(&mut ctx());
+        logic.on_value(0, Value::Msg(m), &mut ctx()).unwrap();
         let routed: Vec<usize> = (1..4).filter(|i| output_consumers[*i].len() == 1).collect();
         assert_eq!(
             routed.len(),
@@ -476,8 +505,9 @@ fun target_backend: ([-/cmd] backends, req: cmd) -> ()
         // A backend response goes back to the client output 0.
         let mut resp = Message::new("cmd");
         resp.set("key", MsgValue::Str("user:7".into()));
-        input_producers[routed[0]].push(Value::Msg(resp)).unwrap();
-        task.run(&mut ctx());
+        logic
+            .on_value(routed[0], Value::Msg(resp), &mut ctx())
+            .unwrap();
         assert_eq!(output_consumers[0].len(), 1);
     }
 
@@ -547,32 +577,35 @@ fun combine: (v1: string, v2: string) -> (string)
 "#;
         let typed = compile_to_ast(src).unwrap();
         let program = Arc::new(lower(&typed, "hadoop").unwrap());
-        let logic = FoldtLogic::new(program, 2, 0);
-
-        let mut input_producers = Vec::new();
-        let mut input_consumers = Vec::new();
-        for i in 0..2 {
-            let (tx, rx) = TaskChannel::bounded(64, TaskId(300 + i));
-            input_producers.push(tx);
-            input_consumers.push(rx);
-        }
+        let fold = Fold::new(2);
         let (out_tx, out_rx) = TaskChannel::bounded(64, TaskId(400));
-        let mut task = ComputeTask::new("foldt", input_consumers, vec![out_tx], Box::new(logic));
+        let mut inputs: Vec<LogicHarness> = (0..2)
+            .map(|_| {
+                let logic = FoldtLogic::new(Arc::clone(&program), None, Arc::clone(&fold), 0);
+                LogicHarness::new(Box::new(logic), vec![out_tx.clone()])
+            })
+            .collect();
+        out_tx.close();
 
-        input_producers[0].push(kv_msg("apple", "2")).unwrap();
-        input_producers[0].push(kv_msg("pear", "1")).unwrap();
-        input_producers[1].push(kv_msg("apple", "3")).unwrap();
-        task.run(&mut ctx());
+        inputs[0]
+            .on_value(0, kv_msg("apple", "2"), &mut ctx())
+            .unwrap();
+        inputs[0]
+            .on_value(0, kv_msg("pear", "1"), &mut ctx())
+            .unwrap();
+        inputs[1]
+            .on_value(1, kv_msg("apple", "3"), &mut ctx())
+            .unwrap();
         assert_eq!(
             out_rx.len(),
             0,
             "nothing is emitted until the inputs finish"
         );
 
-        input_producers[0].close();
-        input_producers[1].close();
-        let status = task.run(&mut ctx());
-        assert_eq!(status, TaskStatus::Finished);
+        inputs[0].on_input_finished(0, &mut ctx()).unwrap();
+        assert_eq!(out_rx.len(), 0, "nor until the last one does");
+        inputs[1].on_input_finished(1, &mut ctx()).unwrap();
+        inputs.iter().for_each(LogicHarness::close);
         // Two keys, in order: apple (combined "2"+"3" = "23"), pear.
         let first = out_rx.pop(&mut ctx()).unwrap().into_msg().unwrap();
         assert_eq!(first.str_field("key"), Some("apple"));
@@ -599,30 +632,27 @@ fun combine: (v1: string, v2: string) -> (string)
   str(int(v1) + int(v2))
 "#;
 
-    fn wordcount_logics(inputs: usize) -> [Box<dyn ComputeLogic>; 2] {
+    /// One input's share of a wordcount `fold`, its combine run on the VM
+    /// or on the interpreter.
+    fn wordcount_logic(vm: bool, fold: &Arc<Fold>) -> Box<dyn ComputeLogic> {
         let program = Arc::new(lower(&compile_to_ast(WORDCOUNT).unwrap(), "hadoop").unwrap());
-        let compiled = Arc::new(crate::bytecode::compile(&program));
-        [
-            Box::new(FoldtLogic::new(Arc::clone(&program), inputs, 0)),
-            Box::new(FoldtLogic::with_vm(program, compiled, inputs, 0)),
-        ]
+        let compiled = vm.then(|| Arc::new(crate::bytecode::compile(&program)));
+        Box::new(FoldtLogic::new(program, compiled, Arc::clone(fold), 0))
     }
 
-    /// Feeds each input's values through a foldt compute task and returns
-    /// what it emits once every input has finished.
-    fn run_foldt(logic: Box<dyn ComputeLogic>, inputs: Vec<Vec<Value>>) -> Vec<Value> {
-        let (producers, consumers): (Vec<_>, Vec<_>) = (0..inputs.len())
-            .map(|i| TaskChannel::bounded(64, TaskId(500 + i as u64)))
-            .unzip();
+    /// Folds each input's values in its own logic, ends the inputs in
+    /// order, and returns what the last one emits.
+    fn run_foldt(vm: bool, inputs: Vec<Vec<Value>>) -> Vec<Value> {
+        let fold = Fold::new(inputs.len());
         let (out_tx, out_rx) = TaskChannel::bounded(64, TaskId(600));
-        let mut task = ComputeTask::new("foldt", consumers, vec![out_tx], logic);
-        for (producer, values) in producers.iter().zip(inputs) {
+        for (input, values) in inputs.into_iter().enumerate() {
+            let logic = wordcount_logic(vm, &fold);
+            let mut logic = LogicHarness::new(logic, vec![out_tx.clone()]);
             for value in values {
-                producer.push(value).unwrap();
+                logic.on_value(input, value, &mut ctx()).unwrap();
             }
-            producer.close();
+            logic.on_input_finished(input, &mut ctx()).unwrap();
         }
-        assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
         std::iter::from_fn(|| out_rx.pop(&mut ctx())).collect()
     }
 
@@ -667,9 +697,8 @@ fun combine: (v1: string, v2: string) -> (string)
                 })
                 .collect()
         };
-        let [interp, vm] = wordcount_logics(3);
-        let interp = run_foldt(interp, inputs());
-        let vm = run_foldt(vm, inputs());
+        let interp = run_foldt(false, inputs());
+        let vm = run_foldt(true, inputs());
         assert_eq!(interp, vm);
         let apple = interp[0].as_msg().unwrap();
         assert_eq!(apple.str_field("key"), Some("apple"));
@@ -687,7 +716,7 @@ fun combine: (v1: string, v2: string) -> (string)
         use flick_grammar::{ParseOutcome, WireCodec};
         use flick_net::SharedBuf;
 
-        for logic in wordcount_logics(1) {
+        for vm in [false, true] {
             let codec = HadoopKvCodec::new();
             let mut wire = Vec::new();
             codec.serialize(&count_kv("once", 1), &mut wire).unwrap();
@@ -705,18 +734,17 @@ fun combine: (v1: string, v2: string) -> (string)
             buf.consume(consumed);
             assert!(buf.is_shared(), "the parsed record pins the chunk");
 
-            let (in_tx, in_rx) = TaskChannel::bounded(4, TaskId(1));
             let (out_tx, out_rx) = TaskChannel::bounded(4, TaskId(2));
-            let mut task = ComputeTask::new("foldt", vec![in_rx], vec![out_tx], logic);
-            in_tx.push(Value::Msg(message)).unwrap();
-            assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
+            let logic = wordcount_logic(vm, &Fold::new(1));
+            let mut logic = LogicHarness::new(logic, vec![out_tx]);
+            logic.on_value(0, Value::Msg(message), &mut ctx()).unwrap();
             assert!(
                 !buf.is_shared(),
                 "a stored element must be compacted off the ingest chunk"
             );
-            in_tx.close();
-            assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
+            logic.on_input_finished(0, &mut ctx()).unwrap();
             let out = out_rx.pop(&mut ctx()).unwrap().into_msg().unwrap();
+            assert!(out.raw().is_none(), "serialised from its fields");
             assert_eq!(out.str_field("key"), Some("once"));
             assert_eq!(out.str_field("value"), Some("1"));
         }

@@ -547,9 +547,7 @@ mod tests {
     use flick_lang::compile_to_ast;
     use flick_runtime::channel::TaskChannel;
     use flick_runtime::task::{TaskId, NO_DEADLINE};
-    use flick_runtime::tasks::ComputeTask;
-    use flick_runtime::Task as _;
-    use flick_runtime::{RuntimeMetrics, TaskContext};
+    use flick_runtime::{LogicHarness, RuntimeMetrics, TaskContext};
 
     fn program(src: &str, proc_name: &str) -> ProgramIr {
         lower(&compile_to_ast(src).unwrap(), proc_name).unwrap()
@@ -739,34 +737,20 @@ proc P: (cmd/cmd c)
         let globals = CompiledGlobals::for_process(&program.process);
         let logic = VmLogic::new(compiled, bindings, globals);
 
-        let mut input_producers = Vec::new();
-        let mut input_consumers = Vec::new();
-        let mut output_producers = Vec::new();
-        let mut output_consumers = Vec::new();
-        for i in 0..4 {
-            let (tx, rx) = TaskChannel::bounded(64, TaskId(100 + i));
-            input_producers.push(tx);
-            input_consumers.push(rx);
-            let (tx, rx) = TaskChannel::bounded(64, TaskId(200 + i));
-            output_producers.push(tx);
-            output_consumers.push(rx);
-        }
-        let mut task = ComputeTask::new(
-            "proxy-vm",
-            input_consumers,
-            output_producers,
-            Box::new(logic),
-        );
+        let (output_producers, output_consumers): (Vec<_>, Vec<_>) = (0..4)
+            .map(|i| TaskChannel::bounded(64, TaskId(200 + i)))
+            .unzip();
+        let mut logic = LogicHarness::new(Box::new(logic), output_producers);
         let mut ctx = TaskContext::new(TaskId(0), NO_DEADLINE, RuntimeMetrics::new_shared());
 
-        input_producers[0].push(cmd_msg("user:7")).unwrap();
-        task.run(&mut ctx);
+        logic.on_value(0, cmd_msg("user:7"), &mut ctx).unwrap();
         let routed: Vec<usize> = (1..4).filter(|i| output_consumers[*i].len() == 1).collect();
         assert_eq!(routed.len(), 1, "exactly one backend gets the request");
         assert_eq!(output_consumers[0].len(), 0);
 
-        input_producers[routed[0]].push(cmd_msg("user:7")).unwrap();
-        task.run(&mut ctx);
+        logic
+            .on_value(routed[0], cmd_msg("user:7"), &mut ctx)
+            .unwrap();
         assert_eq!(
             output_consumers[0].len(),
             1,
@@ -798,15 +782,12 @@ fun maybe_fwd: (req: cmd) -> (cmd)
         };
         let globals = CompiledGlobals::for_process(&program.process);
         let logic = VmLogic::new(compiled, bindings, globals);
-        let (in_tx, in_rx) = TaskChannel::bounded(8, TaskId(1));
         let (out_tx, out_rx) = TaskChannel::bounded(8, TaskId(2));
-        let mut task = ComputeTask::new("drop-vm", vec![in_rx], vec![out_tx], Box::new(logic));
+        let mut logic = LogicHarness::new(Box::new(logic), vec![out_tx]);
         let mut ctx = TaskContext::new(TaskId(0), NO_DEADLINE, RuntimeMetrics::new_shared());
-        in_tx.push(cmd_msg("stop")).unwrap();
-        task.run(&mut ctx);
+        logic.on_value(0, cmd_msg("stop"), &mut ctx).unwrap();
         assert_eq!(out_rx.len(), 0, "consumed messages must not be forwarded");
-        in_tx.push(cmd_msg("go")).unwrap();
-        task.run(&mut ctx);
+        logic.on_value(0, cmd_msg("go"), &mut ctx).unwrap();
         assert_eq!(out_rx.len(), 1, "matching messages pass the stage");
     }
 
@@ -846,14 +827,12 @@ proc Tee: (cmd/cmd client, -/cmd left, -/cmd right)
             )),
         ];
         for logic in engines {
-            let (in_tx, in_rx) = TaskChannel::bounded(8, TaskId(1));
             let (outputs, sinks): (Vec<_>, Vec<_>) = (0..3)
                 .map(|i| TaskChannel::bounded(8, TaskId(10 + i)))
                 .unzip();
-            let mut task = ComputeTask::new("tee", vec![in_rx], outputs, logic);
+            let mut logic = LogicHarness::new(logic, outputs);
             let mut ctx = TaskContext::new(TaskId(0), NO_DEADLINE, RuntimeMetrics::new_shared());
-            in_tx.push(cmd_msg("user:7")).unwrap();
-            task.run(&mut ctx);
+            logic.on_value(0, cmd_msg("user:7"), &mut ctx).unwrap();
             assert_eq!(sinks[0].len(), 0);
             for sink in &sinks[1..] {
                 let delivered = sink.pop(&mut ctx).unwrap().into_msg().unwrap();
@@ -1044,16 +1023,14 @@ fun combine: (v1: string, v2: string) -> (string)
         };
         let globals = CompiledGlobals::for_process(&program.process);
         let logic = VmLogic::new(Arc::new(compiled), bindings, globals);
-        let (in_tx, in_rx) = TaskChannel::bounded(8, TaskId(1));
         let (outputs, sinks): (Vec<_>, Vec<_>) = (0..3)
             .map(|i| TaskChannel::bounded(8, TaskId(10 + i)))
             .unzip();
-        let mut task = ComputeTask::new("proxy", vec![in_rx], outputs, Box::new(logic));
+        let mut logic = LogicHarness::new(Box::new(logic), outputs);
         let mut ctx = TaskContext::new(TaskId(0), NO_DEADLINE, RuntimeMetrics::new_shared());
         for key in ["a", "b", "c", "d"] {
-            in_tx.push(cmd_msg(key)).unwrap();
+            logic.on_value(0, cmd_msg(key), &mut ctx).unwrap();
         }
-        task.run(&mut ctx);
         assert_eq!(sinks[1].len() + sinks[2].len(), 4, "every message routed");
     }
 }

@@ -286,6 +286,12 @@ impl Message {
         self.raw = Some(raw);
     }
 
+    /// Drops the raw wire bytes: the message is serialised from its fields
+    /// from now on, as a modified one is.
+    pub fn forget_raw(&mut self) {
+        self.raw = None;
+    }
+
     /// Returns the raw wire bytes if the message is still unmodified.
     pub fn raw(&self) -> Option<&Bytes> {
         self.raw.as_ref()

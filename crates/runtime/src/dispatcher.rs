@@ -620,9 +620,10 @@ mod tests {
     use crate::error::RuntimeError;
     use crate::graph::{GraphBuilder, Peer};
     use crate::platform::{BuiltGraph, Platform, PlatformConfig, ServiceSpec};
-    use crate::tasks::{ComputeLogic, ComputeTask, Outputs};
+    use crate::tasks::{ComputeLogic, Outputs};
     use crate::value::Value;
     use flick_grammar::http::{self, HttpCodec};
+    use std::sync::atomic::AtomicUsize;
 
     /// A tiny static web server: replies 200 with a fixed body to every
     /// request (the paper's "static web server" variant of the HTTP use
@@ -654,25 +655,16 @@ mod tests {
             let codec = Arc::new(HttpCodec::new());
             let mut builder = GraphBuilder::new("static-web", &env.allocator);
             let input_node = builder.declare_node();
-            let compute_node = builder.declare_node();
             let output_node = builder.declare_node();
-            let req_rx = builder.bind_input(
+            builder.bind_output(output_node, "http-out", &client, codec.clone());
+            builder.bind_input(
                 input_node,
                 "http-in",
                 Peer::Client(&client),
-                codec.clone(),
+                codec,
                 None,
-                compute_node,
-            );
-            let resp_tx = builder.bind_output(output_node, "http-out", &client, codec);
-            builder.install(
-                compute_node,
-                Box::new(ComputeTask::new(
-                    "respond",
-                    vec![req_rx],
-                    vec![resp_tx],
-                    Box::new(RespondLogic),
-                )),
+                Box::new(RespondLogic),
+                0,
             );
             Ok(builder.build())
         }
@@ -929,7 +921,7 @@ mod tests {
     /// dispatcher's next turn: building a graph over an idle kernel
     /// connection runs nothing, and the turn after runs its two watched
     /// tasks once each (the registration posts unconditionally on the OS
-    /// transport) and its compute task not at all. The test drives one
+    /// transport), and there is no other task. The test drives one
     /// shard's reactor by hand, so which turn ran what is not a race.
     /// One shard's reactor, driven by the test thread instead of its own,
     /// with `factory` deployed on `listener` over `net`.
@@ -1000,8 +992,8 @@ mod tests {
         reactor.teardown_where(|_| true);
     }
 
-    /// Two client inputs into a compute task with nothing to answer on
-    /// (no request ever arrives, so `RespondLogic` never emits).
+    /// Two client inputs with nothing to answer on (no request ever
+    /// arrives, so `RespondLogic` never emits).
     struct PairFactory;
 
     impl GraphFactory for PairFactory {
@@ -1016,28 +1008,18 @@ mod tests {
         ) -> Result<BuiltGraph, RuntimeError> {
             let codec = Arc::new(HttpCodec::new());
             let mut builder = GraphBuilder::new("pair", &env.allocator);
-            let compute_node = builder.declare_node();
-            let mut inputs = Vec::new();
-            for client in &clients {
+            for (input, client) in clients.iter().enumerate() {
                 let node = builder.declare_node();
-                inputs.push(builder.bind_input(
+                builder.bind_input(
                     node,
                     "pair-in",
                     Peer::Client(client),
                     codec.clone(),
                     None,
-                    compute_node,
-                ));
-            }
-            builder.install(
-                compute_node,
-                Box::new(ComputeTask::new(
-                    "respond",
-                    inputs,
-                    vec![],
                     Box::new(RespondLogic),
-                )),
-            );
+                    input,
+                );
+            }
             Ok(builder.build())
         }
     }
@@ -1081,7 +1063,7 @@ mod tests {
         // The first client leaves: its input task exits, one client is left.
         first.close();
         drive_until(&mut reactor, "the first input never exited", &|r| {
-            tasks_left(r) == 2
+            tasks_left(r) == 1
         });
         settle();
         let before = runs();
@@ -1170,15 +1152,16 @@ mod tests {
 
     const AGGREGATE_LEN: usize = 16 * 1024;
 
-    /// A foldt-shaped service: two client inputs feed one compute task
-    /// that emits a single aggregate once both have finished, written to
-    /// a sink connection whose pipe is a quarter of the aggregate.
+    /// A foldt-shaped service: two client inputs, the last of which to
+    /// finish emits a single aggregate, written to a sink connection whose
+    /// pipe is a quarter of the aggregate.
     struct FoldToSinkFactory {
         sink_port: u16,
     }
 
+    /// One input's share of the fold: the inputs still open, shared.
     struct FoldLogic {
-        open_inputs: usize,
+        open_inputs: Arc<AtomicUsize>,
     }
 
     impl ComputeLogic for FoldLogic {
@@ -1196,8 +1179,7 @@ mod tests {
             _input: usize,
             out: &mut Outputs<'_>,
         ) -> Result<(), RuntimeError> {
-            self.open_inputs -= 1;
-            if self.open_inputs == 0 {
+            if self.open_inputs.fetch_sub(1, Ordering::AcqRel) == 1 {
                 out.emit(0, Value::Bytes(vec![b'a'; AGGREGATE_LEN].into()));
             }
             Ok(())
@@ -1223,31 +1205,24 @@ mod tests {
             )?;
             let codec = Arc::new(HttpCodec::new());
             let mut builder = GraphBuilder::new("fold", &env.allocator);
-            let compute_node = builder.declare_node();
             let output_node = builder.declare_node();
-            let mut inputs = Vec::new();
-            for client in clients {
+            builder.bind_output(output_node, "fold-out", &sink, codec.clone());
+            let open_inputs = Arc::new(AtomicUsize::new(clients.len()));
+            for (input, client) in clients.iter().enumerate() {
                 let node = builder.declare_node();
-                inputs.push(builder.bind_input(
+                let logic = FoldLogic {
+                    open_inputs: Arc::clone(&open_inputs),
+                };
+                builder.bind_input(
                     node,
                     "fold-in",
-                    Peer::Client(&client),
+                    Peer::Client(client),
                     codec.clone(),
                     None,
-                    compute_node,
-                ));
+                    Box::new(logic),
+                    input,
+                );
             }
-            let agg_tx = builder.bind_output(output_node, "fold-out", &sink, codec);
-            let open_inputs = inputs.len();
-            builder.install(
-                compute_node,
-                Box::new(ComputeTask::new(
-                    "fold",
-                    inputs,
-                    vec![agg_tx],
-                    Box::new(FoldLogic { open_inputs }),
-                )),
-            );
             Ok(builder.build())
         }
     }

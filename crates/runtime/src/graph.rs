@@ -1,12 +1,13 @@
 //! Task-graph assembly.
 //!
-//! A [`GraphBuilder`] wires tasks together with bounded channels and produces
-//! a [`BuiltGraph`]: the tasks with their global [`TaskId`]s, ready to be
-//! registered with the scheduler, plus the readiness watches and client
-//! tasks its dispatcher needs. Graphs are directed and acyclic by
-//! construction — channels can only be created from an already-added
-//! producer node to an already-added consumer node, and the builder
-//! assigns identifiers in topological insertion order.
+//! A [`GraphBuilder`] binds a graph's connections — an input task per
+//! connection the graph reads, an output task per connection it writes —
+//! and produces a [`BuiltGraph`]: the tasks with their global [`TaskId`]s,
+//! ready to be registered with the scheduler, plus the readiness watches
+//! and client tasks its dispatcher needs. Every graph has that one shape:
+//! each input runs the rules on what it parses and writes to the outputs,
+//! through a bounded channel into each output task when it cannot write
+//! itself, so graphs are acyclic by construction.
 
 use crate::channel::{ChannelConsumer, ChannelProducer, TaskChannel, DEFAULT_CHANNEL_CAPACITY};
 use crate::link::Link;
@@ -62,26 +63,21 @@ pub enum Peer<'a> {
     Backend(&'a Link),
 }
 
-/// A graph under construction.
+/// A graph under construction: an [`InputTask`] per connection the
+/// graph reads, each running its own instance of the process's logic on
+/// what it parses, and an [`OutputTask`] per connection it writes, which
+/// every input writes to directly.
 ///
-/// The builder separates *declaring* nodes (which allocates their task ids
-/// and channels) from *installing* the task objects, because a task object
-/// usually needs its input consumers and output producers at construction
-/// time. The typical sequence is:
+/// The builder separates *declaring* nodes (which allocates their task ids)
+/// from *installing* the task objects. The typical sequence is:
 ///
 /// 1. [`GraphBuilder::declare_node`] for every task;
 /// 2. [`GraphBuilder::bind_input`] and [`GraphBuilder::bind_output`] for
-///    every connection the graph reads or writes — each installs the edge
+///    every connection the graph reads or writes — each binds the edge
 ///    task *and* records the readiness watch on the same endpoint, so the
 ///    two cannot disagree;
-/// 3. [`GraphBuilder::channel`] for every remaining edge and
-///    [`GraphBuilder::install`] for every remaining task;
-/// 4. [`GraphBuilder::build`].
-///
-/// A graph whose input tasks run the rules (every graph but a fold's)
-/// binds [`GraphBuilder::bind_destination`] and
-/// [`GraphBuilder::bind_inline_input`] instead: every inline input runs
-/// its own logic and writes to every destination of the graph.
+/// 3. [`GraphBuilder::build`], which builds the input tasks once every
+///    output is bound.
 pub struct GraphBuilder<'a> {
     allocator: &'a TaskIdAllocator,
     name: String,
@@ -91,15 +87,15 @@ pub struct GraphBuilder<'a> {
     /// dispatcher registers them with its poller).
     watchers: Vec<Watch>,
     client_tasks: Vec<TaskId>,
-    /// The outputs inline inputs write to, in binding order.
-    destinations: Vec<Destination>,
-    /// Inline inputs, built by [`GraphBuilder::build`] once every
-    /// destination is bound.
-    inline_inputs: Vec<InlineInput>,
+    /// The outputs every input writes to, in binding order.
+    outputs: Vec<Destination>,
+    /// The inputs, built by [`GraphBuilder::build`] once every output is
+    /// bound.
+    inputs: Vec<PendingInput>,
 }
 
-/// An inline input bound but not yet built.
-struct InlineInput {
+/// An input bound but not yet built.
+struct PendingInput {
     node: NodeId,
     label: String,
     link: Link,
@@ -119,8 +115,8 @@ impl<'a> GraphBuilder<'a> {
             tasks: HashMap::new(),
             watchers: Vec::new(),
             client_tasks: Vec::new(),
-            destinations: Vec::new(),
-            inline_inputs: Vec::new(),
+            outputs: Vec::new(),
+            inputs: Vec::new(),
         }
     }
 
@@ -132,38 +128,19 @@ impl<'a> GraphBuilder<'a> {
     }
 
     /// Creates a channel whose consumer is `consumer`.
-    pub fn channel(&self, consumer: NodeId) -> (ChannelProducer, ChannelConsumer) {
+    fn channel(&self, consumer: NodeId) -> (ChannelProducer, ChannelConsumer) {
         TaskChannel::bounded(DEFAULT_CHANNEL_CAPACITY, consumer.task_id())
     }
 
-    /// Binds a connection as an input: installs an [`InputTask`] at `node`
-    /// that parses the peer's endpoint into a new channel consumed by
-    /// `to`, and watches the endpoint for readability. A [`Peer::Client`]
-    /// input also counts among the tasks whose exit starts the graph's
-    /// drain. Returns the channel's consumer half for the task at `to`.
-    pub fn bind_input(
-        &mut self,
-        node: NodeId,
-        label: impl Into<String>,
-        peer: Peer<'_>,
-        codec: Arc<dyn WireCodec>,
-        projection: Option<Projection>,
-        to: NodeId,
-    ) -> ChannelConsumer {
-        let link = self.watch_input(node, peer);
-        let (tx, rx) = self.channel(to);
-        let task = InputTask::new(label, link, codec, projection, tx);
-        self.install(node, Box::new(task));
-        rx
-    }
-
-    /// Binds a connection as an input whose task runs `logic` itself on
-    /// every message, as logic input `input`, emitting to the graph's
-    /// destinations ([`InlineRules`]). Watched and counted like
-    /// [`GraphBuilder::bind_input`]; the task is built by
-    /// [`GraphBuilder::build`], once every destination is bound.
+    /// Binds a connection as an input: an [`InputTask`] at `node` that
+    /// parses the peer's endpoint and runs `logic` itself on every message,
+    /// as logic input `input`, emitting to the graph's outputs
+    /// ([`InlineRules`]). The endpoint is watched for readability, and a
+    /// [`Peer::Client`] input also counts among the tasks whose exit starts
+    /// the graph's drain. The task is built by [`GraphBuilder::build`],
+    /// once every output is bound.
     #[allow(clippy::too_many_arguments)]
-    pub fn bind_inline_input(
+    pub fn bind_input(
         &mut self,
         node: NodeId,
         label: impl Into<String>,
@@ -173,8 +150,16 @@ impl<'a> GraphBuilder<'a> {
         logic: Box<dyn ComputeLogic>,
         input: usize,
     ) {
-        let link = self.watch_input(node, peer);
-        self.inline_inputs.push(InlineInput {
+        let link = match peer {
+            Peer::Client(endpoint) => {
+                self.client_tasks.push(node.task_id());
+                Link::from(endpoint)
+            }
+            Peer::Backend(link) => link.clone(),
+        };
+        self.watchers
+            .push(Watch::readable(node.task_id(), link.clone()));
+        self.inputs.push(PendingInput {
             node,
             label: label.into(),
             link,
@@ -185,63 +170,26 @@ impl<'a> GraphBuilder<'a> {
         });
     }
 
-    /// The link an input at `node` reads, watched for readability; a
-    /// client input counts among the tasks whose exit starts the drain.
-    fn watch_input(&mut self, node: NodeId, peer: Peer<'_>) -> Link {
-        let link = match peer {
-            Peer::Client(endpoint) => {
-                self.client_tasks.push(node.task_id());
-                Link::from(endpoint)
-            }
-            Peer::Backend(link) => link.clone(),
-        };
-        self.watchers
-            .push(Watch::readable(node.task_id(), link.clone()));
-        link
-    }
-
     /// Binds a connection as an output: installs an [`OutputTask`] at
-    /// `node` that serialises a new channel onto `link` and watches the
-    /// connection for writability. Returns the channel's producer half.
+    /// `node` that serialises what the graph's inputs emit to it onto
+    /// `link`, and watches the connection for writability. Every input
+    /// writes to its side directly while it is idle. Returns the output's
+    /// index, the logic's output number for it.
     pub fn bind_output(
         &mut self,
         node: NodeId,
         label: impl Into<String>,
         link: impl Into<Link>,
         codec: Arc<dyn WireCodec>,
-    ) -> ChannelProducer {
-        self.output(node, label, link.into(), codec).producer
-    }
-
-    /// Binds a connection as an output of the graph's inline inputs: an
-    /// [`OutputTask`] as [`GraphBuilder::bind_output`] installs, whose side
-    /// every inline input writes to directly. Returns the destination's
-    /// index, the logic's output number for it.
-    pub fn bind_destination(
-        &mut self,
-        node: NodeId,
-        label: impl Into<String>,
-        link: impl Into<Link>,
-        codec: Arc<dyn WireCodec>,
     ) -> usize {
-        let destination = self.output(node, label, link.into(), codec);
-        self.destinations.push(destination);
-        self.destinations.len() - 1
-    }
-
-    fn output(
-        &mut self,
-        node: NodeId,
-        label: impl Into<String>,
-        link: Link,
-        codec: Arc<dyn WireCodec>,
-    ) -> Destination {
+        let link = link.into();
         let (producer, rx) = self.channel(node);
         let task = OutputTask::new(label, link.clone(), codec, rx);
         let side = Arc::clone(task.side());
         self.install(node, Box::new(task));
         self.watchers.push(Watch::writable(node.task_id(), link));
-        Destination { producer, side }
+        self.outputs.push(Destination { producer, side });
+        self.outputs.len() - 1
     }
 
     /// Installs the task object for a declared node.
@@ -266,9 +214,9 @@ impl<'a> GraphBuilder<'a> {
     ///
     /// Panics if any declared node was never installed.
     pub fn build(mut self) -> BuiltGraph {
-        for pending in std::mem::take(&mut self.inline_inputs) {
-            let rules = InlineRules::new(pending.logic, pending.input, &self.destinations);
-            let task = InputTask::inline(
+        for pending in std::mem::take(&mut self.inputs) {
+            let rules = InlineRules::new(pending.logic, pending.input, &self.outputs);
+            let task = InputTask::new(
                 pending.label,
                 pending.link,
                 pending.codec,
@@ -277,10 +225,10 @@ impl<'a> GraphBuilder<'a> {
             );
             self.install(pending.node, Box::new(task));
         }
-        // Each inline input holds its own handle on every destination: a
-        // destination's channel closes once all of them have finished.
-        for destination in &self.destinations {
-            destination.producer.close();
+        // Each input holds its own handle on every output: an output's
+        // channel closes once all of them have finished.
+        for output in &self.outputs {
+            output.producer.close();
         }
         for node in &self.declared {
             assert!(
@@ -357,10 +305,23 @@ mod tests {
         let _ = b.build();
     }
 
-    /// Binding installs the edge task and records the watch from the same
-    /// endpoint: one readable and one writable watch on it, each naming
-    /// the task bound in that direction, and only the client binding
-    /// counts as a client task.
+    /// Logic that never emits.
+    struct Quiet;
+    impl ComputeLogic for Quiet {
+        fn on_value(
+            &mut self,
+            _input: usize,
+            _value: crate::value::Value,
+            _out: &mut crate::tasks::Outputs<'_>,
+        ) -> Result<(), crate::RuntimeError> {
+            Ok(())
+        }
+    }
+
+    /// Binding records the watch from the endpoint the edge task uses: one
+    /// readable and one writable watch on it, each naming the task bound
+    /// in that direction, and only the client binding counts as a client
+    /// task. Outputs are numbered in binding order.
     #[test]
     fn binding_an_endpoint_both_ways_records_both_watches() {
         use flick_grammar::http::HttpCodec;
@@ -377,30 +338,34 @@ mod tests {
         let mut b = GraphBuilder::new("g", &alloc);
         let client_in = b.declare_node();
         let backend_in = b.declare_node();
-        let compute = b.declare_node();
         let client_out = b.declare_node();
-        let rx = b.bind_input(
+        let backend_out = b.declare_node();
+        let peer = Peer::Client(&client);
+        b.bind_input(
             client_in,
             "in",
-            Peer::Client(&client),
+            peer,
             codec.clone(),
             None,
-            compute,
+            Box::new(Quiet),
+            0,
         );
-        assert_eq!(rx.consumer(), compute.task_id());
         let backend = Link::from(backend);
         let backend_peer = Peer::Backend(&backend);
-        let _ = b.bind_input(
+        b.bind_input(
             backend_in,
             "bin",
             backend_peer,
             codec.clone(),
             None,
-            compute,
+            Box::new(Quiet),
+            1,
         );
-        let tx = b.bind_output(client_out, "out", &client, codec);
-        assert_eq!(tx.consumer(), client_out.task_id());
-        b.install(compute, Box::new(NopTask));
+        assert_eq!(b.bind_output(client_out, "out", &client, codec.clone()), 0);
+        assert_eq!(
+            b.bind_output(backend_out, "bout", backend.clone(), codec),
+            1
+        );
         let built = b.build();
 
         assert_eq!(built.tasks.len(), 4);
@@ -418,7 +383,7 @@ mod tests {
                 (client_out.task_id(), Interest::WRITABLE),
             ]
         );
-        assert_eq!(built.watchers.len(), 3);
+        assert_eq!(built.watchers.len(), 4);
         assert_eq!(built.watchers[1].task, backend_in.task_id());
         assert_eq!(
             built.watchers[1].endpoint.open_endpoint().unwrap().id(),

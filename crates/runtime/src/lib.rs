@@ -12,8 +12,9 @@
 //! * [`task`] — the [`task::Task`] trait, the cooperative
 //!   [`task::TaskContext`] and the timeslice that expresses the three
 //!   scheduling policies of §6.4;
-//! * [`tasks`] — the concrete task kinds: input (deserialise), compute,
-//!   output (serialise), and a synthetic source used by micro-benchmarks;
+//! * [`tasks`] — the concrete task kinds: input (deserialise, and run the
+//!   rules on each message) and output (serialise), plus the synthetic
+//!   task of the resource-sharing micro-benchmark;
 //! * [`graph`] — task-graph assembly;
 //! * [`link`] — what an edge task is bound to: a client connection, or a
 //!   back-end pool member — checked out at build or on the first send to
@@ -62,5 +63,5 @@ pub use pool::{BackendPool, BackendTarget};
 pub use scheduler::{Scheduler, ShardLoad, StealGroup};
 pub use shard::{Shard, ShardStatus};
 pub use task::{Task, TaskContext, TaskId, TaskStatus, NO_DEADLINE, TIMESLICE};
-pub use tasks::{ComputeLogic, ComputeTask, ExecMode, InputTask, OutputTask, Outputs, SourceTask};
+pub use tasks::{ComputeLogic, ExecMode, InputTask, LogicHarness, OutputTask, Outputs};
 pub use value::{SharedDict, Value};

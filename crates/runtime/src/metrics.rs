@@ -14,8 +14,7 @@ pub struct RuntimeMetrics {
     pub task_runs: AtomicU64,
     /// Times a task voluntarily yielded because its timeslice expired.
     pub cooperative_yields: AtomicU64,
-    /// Values the logic processed: rule runs in input tasks, and values
-    /// a compute task popped.
+    /// Values the logic processed: rule runs in input tasks.
     pub values_processed: AtomicU64,
     /// Application messages deserialised by input tasks.
     pub messages_in: AtomicU64,

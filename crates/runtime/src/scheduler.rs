@@ -653,11 +653,11 @@ impl Drop for Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::{ChannelConsumer, ChannelProducer, TaskChannel};
     use crate::graph::{GraphBuilder, TaskIdAllocator};
     use crate::task::{NO_DEADLINE, TIMESLICE};
-    use crate::tasks::{ComputeLogic, ComputeTask, Outputs, SourceTask, SyntheticWorkTask};
+    use crate::tasks::SyntheticWorkTask;
     use crate::value::Value;
-    use crate::RuntimeError;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -682,22 +682,59 @@ mod tests {
         assert!(RuntimeMetrics::get(&metrics.task_runs) >= 1);
     }
 
-    /// Counts the values that flow through it and forwards nothing.
-    struct Counter {
-        seen: Arc<AtomicUsize>,
+    /// Pushes `remaining` values into `output`, parking while it is full,
+    /// then closes it.
+    struct Source {
+        remaining: usize,
+        output: ChannelProducer,
     }
-    impl ComputeLogic for Counter {
-        fn on_value(
-            &mut self,
-            _input: usize,
-            _value: Value,
-            _out: &mut Outputs<'_>,
-        ) -> Result<(), RuntimeError> {
-            self.seen.fetch_add(1, Ordering::Relaxed);
-            Ok(())
+    impl Task for Source {
+        fn label(&self) -> &str {
+            "source"
+        }
+        fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+            while self.remaining > 0 {
+                if self.output.push_or_park(Value::Int(1), ctx).is_err() {
+                    return TaskStatus::Idle;
+                }
+                ctx.wake(self.output.consumer());
+                self.remaining -= 1;
+                if !ctx.can_continue() {
+                    return TaskStatus::Runnable;
+                }
+            }
+            self.output.close();
+            ctx.wake(self.output.consumer());
+            TaskStatus::Finished
         }
     }
 
+    /// Counts the values that flow into it until its source closes.
+    struct Counter {
+        input: ChannelConsumer,
+        seen: Arc<AtomicUsize>,
+    }
+    impl Task for Counter {
+        fn label(&self) -> &str {
+            "count"
+        }
+        fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+            while self.input.pop(ctx).is_some() {
+                self.seen.fetch_add(1, Ordering::Relaxed);
+                if !ctx.can_continue() {
+                    return TaskStatus::Runnable;
+                }
+            }
+            if self.input.is_finished() {
+                TaskStatus::Finished
+            } else {
+                TaskStatus::Idle
+            }
+        }
+    }
+
+    /// A producer and its consumer across workers, through a channel small
+    /// enough that the producer parks on it and the consumer's pops wake it.
     #[test]
     fn source_feeds_compute_across_workers() {
         let metrics = RuntimeMetrics::new_shared();
@@ -706,20 +743,18 @@ mod tests {
         let mut builder = GraphBuilder::new("pipeline", &alloc);
         let source_node = builder.declare_node();
         let compute_node = builder.declare_node();
-        let (tx, rx) = builder.channel(compute_node);
+        let (tx, rx) = TaskChannel::bounded(16, compute_node.task_id());
         let seen = Arc::new(AtomicUsize::new(0));
-        builder.install(source_node, Box::new(SourceTask::new("src", 500, 64, tx)));
-        builder.install(
-            compute_node,
-            Box::new(ComputeTask::new(
-                "count",
-                vec![rx],
-                vec![],
-                Box::new(Counter {
-                    seen: Arc::clone(&seen),
-                }),
-            )),
-        );
+        let source = Source {
+            remaining: 500,
+            output: tx,
+        };
+        builder.install(source_node, Box::new(source));
+        let counter = Counter {
+            input: rx,
+            seen: Arc::clone(&seen),
+        };
+        builder.install(compute_node, Box::new(counter));
         let built = builder.build();
         scheduler.register_graph(built.tasks, &built.client_tasks, Poller::new(), Token(0));
         scheduler.schedule(source_node.task_id());

@@ -1,20 +1,20 @@
-//! Concrete task kinds: input, compute, output, and synthetic tasks.
+//! Concrete task kinds: input, output, and synthetic tasks.
 //!
 //! These are the building blocks the FLICK compiler (and hand-written
-//! services) assemble into task graphs:
+//! services) assemble into task graphs, every one of them the same shape:
+//! an input task per connection read, an output task per connection
+//! written.
 //!
 //! * [`InputTask`] — owns one network connection, performs incremental
-//!   deserialisation using a [`WireCodec`] and a field [`Projection`], and
-//!   runs the rules on each message it parses ([`InlineRules`]), or pushes
-//!   it into a channel;
-//! * [`ComputeTask`] — runs a [`ComputeLogic`] over values arriving on any
-//!   number of input channels, emitting to any number of output channels:
-//!   in a compiled graph, a `foldt` fed by the array it folds;
+//!   deserialisation using a [`WireCodec`] and a field [`Projection`], runs
+//!   the rules ([`ComputeLogic`]) on each message it parses, and tells them
+//!   when its input ends ([`InlineRules`]); a `foldt` folds its own stream
+//!   there and merges it at that end;
 //! * [`OutputTask`] — serialises values and writes them to a connection,
 //!   through an [`OutputSide`] that inline rules write to directly while
 //!   it is idle;
-//! * [`SourceTask`] and [`SyntheticWorkTask`] — synthetic producers used by
-//!   tests and by the resource-sharing micro-benchmark of §6.4.
+//! * [`SyntheticWorkTask`] — the synthetic task of the resource-sharing
+//!   micro-benchmark of §6.4.
 
 use crate::channel::{ChannelConsumer, ChannelProducer};
 use crate::error::RuntimeError;
@@ -63,17 +63,20 @@ pub const OUTBUF_RETAIN: usize = READ_CHUNK;
 /// On a member its graph's drain released, it finishes without reading on
 /// and records whether it ended cleanly framed ([`Link::finish`]).
 ///
-/// A task built [`InputTask::inline`] runs its process's rules on each
-/// message itself: the rules' emissions go straight to their
-/// destinations' [`OutputSide`]s. One built [`InputTask::new`] pushes its
-/// messages into a channel, as a fold's inputs do.
+/// The task runs its process's rules on each message itself: the rules'
+/// emissions go straight to their destinations' [`OutputSide`]s. When its
+/// input ends (end of stream, hang-up or a malformed close) it tells the
+/// rules so, and delivers what they emit then before it finishes.
 pub struct InputTask {
     label: String,
     endpoint: Link,
     codec: Arc<dyn WireCodec>,
     projection: Option<Projection>,
     buf: SharedBuf,
-    deliver: Deliver,
+    rules: InlineRules,
+    /// The rules were told the input ended, or failed: all that is left
+    /// is to deliver what they emitted and finish.
+    ended: bool,
     /// Messages parsed so far.
     received: u64,
     /// Whether the codec says the last one keeps the connection open
@@ -88,99 +91,23 @@ pub struct InputTask {
     read_max: usize,
 }
 
-/// Where an input task's messages go.
-enum Deliver {
-    /// Into the channel of the task that runs the rules, with the message
-    /// a full channel refused.
-    Channel(ChannelProducer, Option<Value>),
-    /// Through the rules, run by the input task itself.
-    Inline(Box<InlineRules>),
-}
-
-impl Deliver {
-    /// Closes this task's end of every channel it feeds, and hands `wake`
-    /// each consumer that should look at its channel again.
-    fn close(&self, mut wake: impl FnMut(TaskId)) {
-        match self {
-            Deliver::Channel(output, _) => {
-                output.close();
-                wake(output.consumer());
-            }
-            Deliver::Inline(rules) => rules.emitter.close(wake),
-        }
-    }
-}
-
-/// Pushes `value` into `output`, or keeps it in `pending` and parks the
-/// task on the full channel (`false`).
-fn push_or_keep(
-    output: &ChannelProducer,
-    pending: &mut Option<Value>,
-    value: Value,
-    ctx: &mut TaskContext,
-) -> bool {
-    match output.push_or_park(value, ctx) {
-        Ok(()) => {
-            ctx.wake(output.consumer());
-            true
-        }
-        Err(back) => {
-            *pending = Some(back);
-            false
-        }
-    }
-}
-
 impl InputTask {
-    /// Creates an input task reading from `endpoint` and pushing parsed
-    /// messages into `output`.
-    pub fn new(
-        label: impl Into<String>,
-        endpoint: Link,
-        codec: Arc<dyn WireCodec>,
-        projection: Option<Projection>,
-        output: ChannelProducer,
-    ) -> Self {
-        Self::with(
-            label,
-            endpoint,
-            codec,
-            projection,
-            Deliver::Channel(output, None),
-        )
-    }
-
     /// Creates an input task reading from `endpoint` and running `rules`
     /// on every message it parses.
-    pub(crate) fn inline(
+    pub(crate) fn new(
         label: impl Into<String>,
         endpoint: Link,
         codec: Arc<dyn WireCodec>,
         projection: Option<Projection>,
         rules: InlineRules,
     ) -> Self {
-        Self::with(
-            label,
-            endpoint,
-            codec,
-            projection,
-            Deliver::Inline(Box::new(rules)),
-        )
-    }
-
-    fn with(
-        label: impl Into<String>,
-        endpoint: Link,
-        codec: Arc<dyn WireCodec>,
-        projection: Option<Projection>,
-        deliver: Deliver,
-    ) -> Self {
         InputTask {
             label: label.into(),
             endpoint,
             codec,
             buf: SharedBuf::new(READ_CHUNK),
-            deliver,
+            rules,
+            ended: false,
             received: 0,
             keeps_alive: false,
             streaming: None,
@@ -192,37 +119,20 @@ impl InputTask {
         }
     }
 
-    /// Hands on a parsed message: pushes it, or runs the rules on it.
-    /// `None` when it was delivered; `Idle` when the task parked on a full
-    /// channel, with what it could not deliver kept for its next run;
-    /// `Finished` when a rule failed.
+    /// Runs the rules on a parsed message. `None` when it was delivered;
+    /// `Idle` when the task parked on a full channel, with what it could
+    /// not deliver kept for its next run; `Finished` when a rule failed.
     fn push_out(&mut self, value: Value, ctx: &mut TaskContext) -> Option<TaskStatus> {
         RuntimeMetrics::add(&ctx.metrics().messages_in, 1);
-        match &mut self.deliver {
-            Deliver::Channel(output, pending) => {
-                return (!push_or_keep(output, pending, value, ctx)).then_some(TaskStatus::Idle)
-            }
-            Deliver::Inline(rules) => {
-                if rules.run(value, ctx).is_ok() {
-                    return (!rules.emitter.flush(ctx)).then_some(TaskStatus::Idle);
-                }
-                // A failed rule ends the graph instance: every connection
-                // it writes to is closed, and its own.
-                rules.fail_all();
-            }
+        if self.rules.run(value, ctx).is_ok() {
+            return (!self.rules.emitter.flush(ctx)).then_some(TaskStatus::Idle);
         }
+        // A failed rule ends the graph instance: every connection it
+        // writes to is closed, and its own; the rules are not told their
+        // input ended.
+        self.rules.fail_all();
+        self.ended = true;
         Some(self.close(ctx))
-    }
-
-    /// Delivers what a full channel refused last run. `false` when a
-    /// channel is still full (parked again).
-    fn retry(&mut self, ctx: &mut TaskContext) -> bool {
-        match &mut self.deliver {
-            Deliver::Channel(output, pending) => pending
-                .take()
-                .map_or(true, |value| push_or_keep(output, pending, value, ctx)),
-            Deliver::Inline(rules) => rules.emitter.flush(ctx),
-        }
     }
 
     /// Parses as many complete messages as possible from the shared
@@ -331,21 +241,32 @@ impl InputTask {
     /// default behaviour for unparseable input. The blast radius is this
     /// one connection: siblings on the same service keep running, and the
     /// close is tallied separately so the sim battery can bound it.
+    /// The input it read still ends, as it does at end of stream: a fold
+    /// merges what it folded from this connection up to the bad frame.
     fn malformed(&mut self, ctx: &mut TaskContext) -> TaskStatus {
         if let Some(endpoint) = self.endpoint.open_endpoint() {
             endpoint.close_malformed();
         }
-        self.deliver.close(|consumer| ctx.wake(consumer));
-        TaskStatus::Finished
+        self.finish(ctx)
     }
 
-    /// Ends the stream: the consumer is woken so that it observes the end
-    /// promptly, and so is the consumer of a body left half filled.
+    /// Ends the stream. The consumer of a body left half filled is woken,
+    /// and the rules are told their input ended (a fold merges its stream
+    /// then). What they emit is delivered before the task finishes: a full
+    /// channel parks it, and its next run resumes here. Last, the task
+    /// closes its end of every output channel, waking the consumers, so
+    /// that they observe the end promptly.
     fn finish(&mut self, ctx: &mut TaskContext) -> TaskStatus {
         if let Some(consumer) = self.streaming.take().and_then(|stream| stream.fail()) {
             ctx.wake(consumer);
         }
-        self.deliver.close(|consumer| ctx.wake(consumer));
+        if !std::mem::replace(&mut self.ended, true) && self.rules.end(ctx).is_err() {
+            self.rules.fail_all();
+        }
+        if !self.rules.emitter.flush(ctx) {
+            return TaskStatus::Idle;
+        }
+        self.rules.emitter.close(|consumer| ctx.wake(consumer));
         TaskStatus::Finished
     }
 }
@@ -356,7 +277,7 @@ impl Drop for InputTask {
         // that the peer observes EOF instead of a hung socket — unless its
         // graph's teardown decides, on a released member.
         self.endpoint.close_unless_released();
-        self.deliver.close(|_| {});
+        self.rules.emitter.close(|_| {});
         if let Some(consumer) = self.streaming.take().and_then(|stream| stream.fail()) {
             wake_after_run(consumer);
         }
@@ -369,6 +290,10 @@ impl Task for InputTask {
     }
 
     fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+        if self.ended {
+            // Parked on what the rules emitted when the input ended.
+            return self.finish(ctx);
+        }
         match self.endpoint.settle() {
             Settled::Open => {}
             Settled::Unbound => return TaskStatus::Idle,
@@ -385,7 +310,7 @@ impl Task for InputTask {
         }
         // First retry whatever did not fit a channel last time; still full
         // means parked again.
-        if !self.retry(ctx) {
+        if !self.rules.emitter.flush(ctx) {
             return TaskStatus::Idle;
         }
         // Then move the rest of a streamed body.
@@ -425,13 +350,17 @@ impl Task for InputTask {
 }
 
 // ---------------------------------------------------------------------------
-// Compute task
+// Rules
 // ---------------------------------------------------------------------------
 
-/// Emission interface handed to [`ComputeLogic::on_value`].
+/// Emission interface handed to [`ComputeLogic`].
 pub struct Outputs<'a> {
     emitter: &'a mut Emitter,
     ctx: &'a mut TaskContext,
+    /// Whether an emission may be written by the emitting task itself. Not
+    /// at the end of an input: what is emitted there (a fold's aggregate)
+    /// is queued to the output tasks, which coalesce it into few writes.
+    inline: bool,
 }
 
 impl Outputs<'_> {
@@ -457,7 +386,7 @@ impl Outputs<'_> {
         }
         let producer = &producers[output];
         let consumer = producer.consumer();
-        let value = match sides.get(output) {
+        let value = match sides.get(output).filter(|_| self.inline) {
             Some(side) => match side.write_inline(value, producer) {
                 Inline::Written => {
                     RuntimeMetrics::add(&self.ctx.metrics().messages_out, 1);
@@ -485,10 +414,9 @@ impl Outputs<'_> {
 }
 
 /// User-supplied (or compiler-generated) processing logic, run by an input
-/// task on each message it parses ([`InlineRules`]) or by a compute task
-/// on the values of its input channels.
+/// task on each message it parses ([`InlineRules`]).
 pub trait ComputeLogic: Send {
-    /// Called for every value arriving on input channel `input`.
+    /// Called for every value arriving on input `input`.
     fn on_value(
         &mut self,
         input: usize,
@@ -496,7 +424,7 @@ pub trait ComputeLogic: Send {
         out: &mut Outputs<'_>,
     ) -> Result<(), RuntimeError>;
 
-    /// Called once when input channel `input` will deliver no further values.
+    /// Called once when input `input` will deliver no further values.
     fn on_input_finished(
         &mut self,
         _input: usize,
@@ -507,12 +435,12 @@ pub trait ComputeLogic: Send {
 }
 
 /// What a task's logic emits to, and the emissions full channels refused:
-/// the one emission path of a compute task and of an input task's inline
-/// rules.
+/// the one emission path of an input task's inline rules.
 struct Emitter {
     producers: Vec<ChannelProducer>,
-    /// On the inline path, the output side behind each producer, which an
-    /// emission writes to directly while it is idle; empty otherwise.
+    /// The output side behind each producer, which an emission writes to
+    /// directly while it is idle; empty when the logic emits into bare
+    /// channels ([`LogicHarness`]).
     sides: Vec<Arc<OutputSide>>,
     overflow: VecDeque<(usize, Value)>,
 }
@@ -554,106 +482,8 @@ impl Emitter {
     }
 }
 
-/// A task running [`ComputeLogic`] over its input channels: a fold's, fed
-/// by the connections of the array it folds.
-pub struct ComputeTask {
-    label: String,
-    inputs: Vec<ChannelConsumer>,
-    emitter: Emitter,
-    logic: Box<dyn ComputeLogic>,
-    input_finished: Vec<bool>,
-}
-
-impl ComputeTask {
-    /// Creates a compute task.
-    pub fn new(
-        label: impl Into<String>,
-        inputs: Vec<ChannelConsumer>,
-        outputs: Vec<ChannelProducer>,
-        logic: Box<dyn ComputeLogic>,
-    ) -> Self {
-        let n = inputs.len();
-        ComputeTask {
-            label: label.into(),
-            inputs,
-            emitter: Emitter::new(outputs, Vec::new()),
-            logic,
-            input_finished: vec![false; n],
-        }
-    }
-
-    /// Runs one logic callback. Returns `false` on a logic error, after
-    /// closing the outputs: errors terminate the graph instance.
-    fn call_logic(
-        &mut self,
-        ctx: &mut TaskContext,
-        call: impl FnOnce(&mut dyn ComputeLogic, &mut Outputs<'_>) -> Result<(), RuntimeError>,
-    ) -> bool {
-        let emitter = &mut self.emitter;
-        let result = call(self.logic.as_mut(), &mut Outputs { emitter, ctx });
-        if result.is_err() {
-            self.emitter.close(|consumer| ctx.wake(consumer));
-        }
-        result.is_ok()
-    }
-}
-
-impl Task for ComputeTask {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
-        // A full output parks the task: it consumes no further input
-        // until the output's consumer drains it and wakes us.
-        if !self.emitter.flush(ctx) {
-            return TaskStatus::Idle;
-        }
-        let mut made_progress = true;
-        while made_progress {
-            made_progress = false;
-            for input in 0..self.inputs.len() {
-                match self.inputs[input].pop(ctx) {
-                    Some(value) => {
-                        made_progress = true;
-                        RuntimeMetrics::add(&ctx.metrics().values_processed, 1);
-                        if !self.call_logic(ctx, |logic, out| logic.on_value(input, value, out)) {
-                            return TaskStatus::Finished;
-                        }
-                        if !self.emitter.flush(ctx) {
-                            return TaskStatus::Idle;
-                        }
-                        if !ctx.can_continue() {
-                            return TaskStatus::Runnable;
-                        }
-                    }
-                    None => {
-                        if self.inputs[input].is_finished() && !self.input_finished[input] {
-                            self.input_finished[input] = true;
-                            if !self
-                                .call_logic(ctx, |logic, out| logic.on_input_finished(input, out))
-                            {
-                                return TaskStatus::Finished;
-                            }
-                            if !self.emitter.flush(ctx) {
-                                return TaskStatus::Idle;
-                            }
-                            made_progress = true;
-                        }
-                    }
-                }
-            }
-        }
-        if self.input_finished.iter().all(|f| *f) {
-            self.emitter.close(|consumer| ctx.wake(consumer));
-            return TaskStatus::Finished;
-        }
-        TaskStatus::Idle
-    }
-}
-
 /// The rules of a process, run by an input task on each message it parses
-/// ([`InputTask::inline`]).
+/// ([`InputTask`]).
 ///
 /// The task holds its own `logic` instance and one [`Destination`] per
 /// output the logic may emit to, in the logic's output order. A value
@@ -664,8 +494,10 @@ impl Task for ComputeTask {
 /// Each destination's channel closes once every input task of the graph
 /// has finished.
 ///
-/// Logic that acts when an input ends ([`ComputeLogic::on_input_finished`],
-/// a fold) does not belong here: it runs in a [`ComputeTask`].
+/// Logic that acts when an input ends ([`ComputeLogic::on_input_finished`])
+/// runs in the input task whose stream ended: a `foldt` merges the stream
+/// it folded into its graph's fold there, and the last input to end emits
+/// the aggregate, queued to the output task.
 pub(crate) struct InlineRules {
     logic: Box<dyn ComputeLogic>,
     /// The logic's input index of the task's messages.
@@ -673,9 +505,8 @@ pub(crate) struct InlineRules {
     emitter: Emitter,
 }
 
-/// One output of a graph whose input tasks run the rules inline: the
-/// channel into its [`OutputTask`] and the side that task shares
-/// ([`crate::GraphBuilder::bind_destination`]).
+/// One output of a graph: the channel into its [`OutputTask`] and the side
+/// that task shares ([`crate::GraphBuilder::bind_output`]).
 pub(crate) struct Destination {
     pub(crate) producer: ChannelProducer,
     pub(crate) side: Arc<OutputSide>,
@@ -703,8 +534,23 @@ impl InlineRules {
     fn run(&mut self, value: Value, ctx: &mut TaskContext) -> Result<(), RuntimeError> {
         RuntimeMetrics::add(&ctx.metrics().values_processed, 1);
         let emitter = &mut self.emitter;
-        self.logic
-            .on_value(self.input, value, &mut Outputs { emitter, ctx })
+        let out = &mut Outputs {
+            emitter,
+            ctx,
+            inline: true,
+        };
+        self.logic.on_value(self.input, value, out)
+    }
+
+    /// Tells the rules their input ended.
+    fn end(&mut self, ctx: &mut TaskContext) -> Result<(), RuntimeError> {
+        let emitter = &mut self.emitter;
+        let out = &mut Outputs {
+            emitter,
+            ctx,
+            inline: false,
+        };
+        self.logic.on_input_finished(self.input, out)
     }
 
     /// Closes every connection the rules write to; their output tasks are
@@ -718,12 +564,58 @@ impl InlineRules {
     }
 }
 
+/// Runs a [`ComputeLogic`] outside any task, emitting into bare channel
+/// producers: no value is written inline. For tests of logic, which size
+/// the channels for everything the logic emits.
+#[doc(hidden)]
+pub struct LogicHarness(InlineRules);
+
+impl LogicHarness {
+    /// `logic`, emitting output `i` into `outputs[i]`.
+    pub fn new(logic: Box<dyn ComputeLogic>, outputs: Vec<ChannelProducer>) -> Self {
+        LogicHarness(InlineRules {
+            logic,
+            input: 0,
+            emitter: Emitter::new(outputs, Vec::new()),
+        })
+    }
+
+    /// Runs the logic on `value`, arriving on input `input`.
+    pub fn on_value(
+        &mut self,
+        input: usize,
+        value: Value,
+        ctx: &mut TaskContext,
+    ) -> Result<(), RuntimeError> {
+        self.0.input = input;
+        let result = self.0.run(value, ctx);
+        assert!(self.0.emitter.overflow.is_empty(), "an output filled");
+        result
+    }
+
+    /// Tells the logic input `input` ended.
+    pub fn on_input_finished(
+        &mut self,
+        input: usize,
+        ctx: &mut TaskContext,
+    ) -> Result<(), RuntimeError> {
+        self.0.input = input;
+        let result = self.0.end(ctx);
+        assert!(self.0.emitter.overflow.is_empty(), "an output filled");
+        result
+    }
+
+    /// Closes the harness's end of every output, as a finished task does.
+    pub fn close(&self) {
+        self.0.emitter.close(|_| {});
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Output task
 // ---------------------------------------------------------------------------
 
-/// How compiled service logic executes, in input tasks and in a fold's
-/// compute task.
+/// How compiled service logic executes in input tasks.
 ///
 /// The runtime only carries the switch; the compiler crate interprets it
 /// when it builds the logic for a graph. Both modes run the same
@@ -1149,67 +1041,8 @@ impl Task for OutputTask {
 }
 
 // ---------------------------------------------------------------------------
-// Synthetic tasks
+// Synthetic task
 // ---------------------------------------------------------------------------
-
-/// A task that emits a fixed number of synthetic values then finishes.
-pub struct SourceTask {
-    label: String,
-    remaining: usize,
-    item_size: usize,
-    output: ChannelProducer,
-}
-
-impl SourceTask {
-    /// Creates a source emitting `count` byte values of `item_size` bytes.
-    pub fn new(
-        label: impl Into<String>,
-        count: usize,
-        item_size: usize,
-        output: ChannelProducer,
-    ) -> Self {
-        SourceTask {
-            label: label.into(),
-            remaining: count,
-            item_size,
-            output,
-        }
-    }
-}
-
-impl Task for SourceTask {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
-        while self.remaining > 0 {
-            let value = Value::Bytes(Bytes::from(vec![1u8; self.item_size]));
-            match self.output.push(value) {
-                Ok(()) => {
-                    ctx.wake(self.output.consumer());
-                    self.remaining -= 1;
-                }
-                Err(_) => return TaskStatus::Runnable,
-            }
-            if !ctx.can_continue() {
-                return if self.remaining == 0 {
-                    self.finish()
-                } else {
-                    TaskStatus::Runnable
-                };
-            }
-        }
-        self.finish()
-    }
-}
-
-impl SourceTask {
-    fn finish(&mut self) -> TaskStatus {
-        self.output.close();
-        TaskStatus::Finished
-    }
-}
 
 /// A self-contained task owning a finite list of data items, used by the
 /// §6.4 resource-sharing micro-benchmark.
@@ -1301,6 +1134,10 @@ mod tests {
         task_ctx(0)
     }
 
+    fn codec() -> Arc<HttpCodec> {
+        Arc::new(HttpCodec::new())
+    }
+
     /// Logic that forwards every value to output 0, uppercasing strings.
     struct Passthrough;
     impl ComputeLogic for Passthrough {
@@ -1315,6 +1152,16 @@ mod tests {
         }
     }
 
+    /// [`Passthrough`] emitting into `output` alone, with no output side:
+    /// every value goes into the channel.
+    fn into_channel(output: ChannelProducer) -> InlineRules {
+        InlineRules {
+            logic: Box::new(Passthrough),
+            input: 0,
+            emitter: Emitter::new(vec![output], Vec::new()),
+        }
+    }
+
     #[test]
     fn input_task_parses_http_requests_from_connection() {
         let net = SimNetwork::new(StackModel::Free);
@@ -1326,13 +1173,13 @@ mod tests {
             .unwrap();
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
-        let mut task = InputTask::new("in", server.into(), Arc::new(HttpCodec::new()), None, tx);
+        let mut task = InputTask::new("in", server.into(), codec(), None, into_channel(tx));
         let mut c = ctx();
         assert_eq!(task.run(&mut c), TaskStatus::Idle);
         assert_eq!(rx.len(), 2);
         let first = rx.pop(&mut ctx()).unwrap().into_msg().unwrap();
         assert_eq!(first.str_field("path"), Some("/a"));
-        // The compute task consuming channel 1 must have been woken.
+        // The output task consuming channel 1 must have been woken.
         assert!(c.take_wakes().contains(&TaskId(1)));
     }
 
@@ -1347,7 +1194,7 @@ mod tests {
             .unwrap();
 
         let (tx, rx) = TaskChannel::bounded(2, TaskId(1));
-        let mut task = InputTask::new("in", server.into(), Arc::new(HttpCodec::new()), None, tx);
+        let mut task = InputTask::new("in", server.into(), codec(), None, into_channel(tx));
         let mut producer = task_ctx(9);
         assert_eq!(
             task.run(&mut producer),
@@ -1378,10 +1225,12 @@ mod tests {
         client.close();
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
-        let mut task = InputTask::new("in", server.into(), Arc::new(HttpCodec::new()), None, tx);
-        assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
-        assert_eq!(rx.len(), 1);
-        assert!(rx.producers_closed());
+        let mut task = InputTask::new("in", server.into(), codec(), None, into_channel(tx));
+        let mut c = ctx();
+        assert_eq!(task.run(&mut c), TaskStatus::Finished);
+        assert_eq!(rx.len(), 1, "the rules ran on the message");
+        assert!(rx.producers_closed(), "finishing closes the outputs");
+        assert_eq!(c.take_wakes(), vec![TaskId(1)]);
     }
 
     #[test]
@@ -1392,7 +1241,7 @@ mod tests {
         let server = listener.accept().unwrap();
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
-        let mut task = InputTask::new("in", server.into(), Arc::new(HttpCodec::new()), None, tx);
+        let mut task = InputTask::new("in", server.into(), codec(), None, into_channel(tx));
         client.write(b"GET /part HTTP/1.1\r\nHo").unwrap();
         assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
         assert_eq!(rx.len(), 0);
@@ -1426,8 +1275,8 @@ mod tests {
             }
             let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
             let projection = Some(http::load_balancer_projection());
-            let codec = Arc::new(HttpCodec::new());
-            let mut task = InputTask::new("in", server.into(), codec, projection, tx);
+            let rules = into_channel(tx);
+            let mut task = InputTask::new("in", server.into(), codec(), projection, rules);
             let mut round_robin =
                 TaskContext::new(TaskId(0), Duration::ZERO, RuntimeMetrics::new_shared());
             let (status, yields) = match waiting {
@@ -1441,47 +1290,81 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compute_task_passthrough_and_finish() {
-        let (in_tx, in_rx) = TaskChannel::bounded(16, TaskId(2));
-        let (out_tx, out_rx) = TaskChannel::bounded(16, TaskId(3));
-        let mut task =
-            ComputeTask::new("compute", vec![in_rx], vec![out_tx], Box::new(Passthrough));
-        in_tx.push(Value::Int(1)).unwrap();
-        in_tx.push(Value::Int(2)).unwrap();
-        assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
-        assert_eq!(out_rx.len(), 2);
-        in_tx.close();
-        assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
-        assert!(out_rx.producers_closed());
+    /// Logic that emits `count` numbered strings when its input ends.
+    struct EmitAtEnd {
+        count: usize,
+    }
+    impl ComputeLogic for EmitAtEnd {
+        fn on_value(
+            &mut self,
+            _input: usize,
+            _value: Value,
+            _out: &mut Outputs<'_>,
+        ) -> Result<(), RuntimeError> {
+            Ok(())
+        }
+
+        fn on_input_finished(
+            &mut self,
+            _input: usize,
+            out: &mut Outputs<'_>,
+        ) -> Result<(), RuntimeError> {
+            for n in 0..self.count {
+                out.emit(0, Value::Str(format!("{n:05},")));
+            }
+            Ok(())
+        }
     }
 
+    /// What an input emits when it ends is queued to the output task, not
+    /// written inline, even to an idle side. More than a channel's worth
+    /// parks the ending task on the full channel; the output task's
+    /// draining pop wakes it, and it finishes once the last value is
+    /// delivered, with every value in order on the wire.
     #[test]
-    fn compute_task_overflow_is_retried() {
-        let (in_tx, in_rx) = TaskChannel::bounded(16, TaskId(2));
-        // Output capacity 1 forces overflow.
-        let (out_tx, out_rx) = TaskChannel::bounded(1, TaskId(3));
-        let mut task =
-            ComputeTask::new("compute", vec![in_rx], vec![out_tx], Box::new(Passthrough));
-        in_tx.push(Value::Int(1)).unwrap();
-        in_tx.push(Value::Int(2)).unwrap();
-        in_tx.push(Value::Int(3)).unwrap();
-        let mut compute = task_ctx(2);
-        let status = task.run(&mut compute);
-        assert_eq!(
-            status,
-            TaskStatus::Idle,
-            "an overflowed value parks the task on the full output"
-        );
-        assert_eq!(RuntimeMetrics::get(&compute.metrics().producer_parks), 1);
-        // The output's pop drains the channel and wakes the parked task.
-        let mut output = task_ctx(3);
-        assert_eq!(out_rx.pop(&mut output), Some(Value::Int(1)));
-        assert_eq!(output.take_wakes(), vec![TaskId(2)]);
-        // Draining the output lets the retry succeed.
-        let status = task.run(&mut task_ctx(2));
-        assert_eq!(status, TaskStatus::Idle, "parked again, on value 3");
-        assert_eq!(out_rx.pop(&mut output), Some(Value::Int(2)));
+    fn an_ending_input_whose_emission_overflows_its_channel_parks_until_drained() {
+        use crate::channel::DEFAULT_CHANNEL_CAPACITY;
+
+        let net = SimNetwork::new(StackModel::Free);
+        let listener = net.listen(89).unwrap();
+        let mapper = net.connect(89).unwrap();
+        let input_end = listener.accept().unwrap();
+        let reducer = net.connect(89).unwrap();
+        let output_end = listener.accept().unwrap();
+        mapper.close();
+
+        let count = DEFAULT_CHANNEL_CAPACITY + 10;
+        let (tx, rx) = TaskChannel::bounded(DEFAULT_CHANNEL_CAPACITY, TaskId(4));
+        let mut output = OutputTask::new("out", output_end.into(), codec(), rx);
+        let destination = Destination {
+            producer: tx,
+            side: Arc::clone(output.side()),
+        };
+        let logic = Box::new(EmitAtEnd { count });
+        let rules = InlineRules::new(logic, 0, std::slice::from_ref(&destination));
+        // The builder's own handle, closed once the inputs hold theirs.
+        destination.producer.close();
+        let mut input = InputTask::new("in", input_end.into(), codec(), None, rules);
+
+        let mut ending = task_ctx(9);
+        assert_eq!(input.run(&mut ending), TaskStatus::Idle, "parked");
+        assert_eq!(RuntimeMetrics::get(&ending.metrics().producer_parks), 1);
+        assert_eq!(ending.take_wakes(), vec![TaskId(4)]);
+        assert_eq!(reducer.pending(), 0, "nothing written inline");
+
+        let mut writer = task_ctx(4);
+        assert_eq!(output.run(&mut writer), TaskStatus::Idle);
+        assert_eq!(writer.take_wakes(), vec![TaskId(9)], "the draining pop");
+        assert_eq!(input.run(&mut task_ctx(9)), TaskStatus::Finished);
+        assert_eq!(output.run(&mut task_ctx(4)), TaskStatus::Finished);
+
+        let mut wire = Vec::new();
+        let mut buf = [0u8; 4096];
+        while let Ok(n) = reducer.read(&mut buf) {
+            wire.extend_from_slice(&buf[..n]);
+        }
+        let expected: String = (0..count).map(|n| format!("{n:05},")).collect();
+        assert_eq!(String::from_utf8(wire).unwrap(), expected);
     }
 
     #[test]
@@ -1640,29 +1523,6 @@ mod tests {
             got.extend_from_slice(&buf[..n]);
         }
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn source_task_emits_and_closes() {
-        let (tx, rx) = TaskChannel::bounded(64, TaskId(5));
-        let mut task = SourceTask::new("src", 10, 32, tx);
-        assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
-        assert_eq!(rx.len(), 10);
-        assert!(rx.producers_closed());
-        assert_eq!(rx.pop(&mut ctx()).unwrap().approx_size(), 32);
-    }
-
-    #[test]
-    fn source_task_respects_full_channel() {
-        let (tx, rx) = TaskChannel::bounded(4, TaskId(5));
-        let mut task = SourceTask::new("src", 10, 8, tx);
-        let mut c = ctx();
-        assert_eq!(task.run(&mut c), TaskStatus::Runnable);
-        assert_eq!(rx.len(), 4);
-        while rx.pop(&mut c).is_some() {}
-        assert_eq!(task.run(&mut c), TaskStatus::Runnable);
-        while rx.pop(&mut c).is_some() {}
-        assert_eq!(task.run(&mut c), TaskStatus::Finished);
     }
 
     #[test]

@@ -38,10 +38,13 @@ pub fn hadoop_aggregator(mappers: usize) -> Arc<CompiledService> {
 mod tests {
     use super::*;
     use flick_grammar::hadoop as wire;
+    use flick_grammar::WireCodec;
     use flick_net::{SimNetwork, StackModel};
     use flick_runtime::{GraphFactory, Platform, PlatformConfig, ServiceSpec};
     use flick_workload::backends::start_sink_backend;
-    use flick_workload::hadoop::{run_hadoop_mappers, wait_for_quiescence, HadoopLoadConfig};
+    use flick_workload::hadoop::{
+        mapper_streams, run_hadoop_mappers, wait_for_quiescence, HadoopLoadConfig,
+    };
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -52,49 +55,153 @@ mod tests {
         assert_eq!(svc.connections_per_graph(), 8);
     }
 
+    /// The reducer's bytes for `config`'s streams: one record per distinct
+    /// word, carrying the word's total.
+    fn aggregate_len(config: &HadoopLoadConfig) -> u64 {
+        let codec = wire::HadoopKvCodec::new();
+        let mut totals = std::collections::BTreeMap::<String, u64>::new();
+        for stream in mapper_streams(config) {
+            for record in wire::parse_batch(&codec, &stream).unwrap() {
+                let word = record.str_field("key").unwrap().to_string();
+                *totals.entry(word).or_default() += wire::count_of(&record).unwrap();
+            }
+        }
+        let lens = totals
+            .iter()
+            .map(|(word, total)| wire::record_wire_len(word, &total.to_string()));
+        lens.sum::<usize>() as u64
+    }
+
+    /// 32 distinct words, and then more distinct words than the reducer's
+    /// channel holds (1024): the last mapper to end emits the aggregate
+    /// through that channel, parked on it while it is full, and every
+    /// record of it reaches the reducer.
     #[test]
     fn aggregator_combines_wordcounts_before_the_reducer() {
+        for (port, distinct_words, bytes_per_mapper) in
+            [(9700, 32, 64 * 1024), (9702, 2048, 256 * 1024)]
+        {
+            let net = SimNetwork::new(StackModel::Free);
+            let (_reducer, reducer_bytes) = start_sink_backend(&net, port + 1);
+            let platform = Platform::with_network(
+                PlatformConfig {
+                    workers: 4,
+                    ..Default::default()
+                },
+                Arc::clone(&net),
+            );
+            let _svc = platform
+                .deploy(
+                    ServiceSpec::new("hadoop", port, hadoop_aggregator(2))
+                        .with_backends(vec![port + 1]),
+                )
+                .unwrap();
+
+            let config = HadoopLoadConfig {
+                port,
+                mappers: 2,
+                word_len: 8,
+                distinct_words,
+                bytes_per_mapper,
+                link_bits_per_sec: None,
+                seed: None,
+            };
+            let stats = run_hadoop_mappers(&net, &config);
+            assert_eq!(stats.failed, 0);
+            let forwarded = wait_for_quiescence(&reducer_bytes, Duration::from_secs(10));
+            assert!(
+                forwarded > 0,
+                "the reducer must receive the aggregated stream"
+            );
+            // The workload has a high reduction ratio, so the aggregated
+            // stream must be much smaller than the mapper volume.
+            assert!(
+                forwarded < stats.bytes / 4,
+                "expected in-network reduction: sent {} bytes, reducer got {forwarded}",
+                stats.bytes
+            );
+            // An upper bound on the aggregated size: one record per
+            // distinct word with a generous counter width.
+            let widest = wire::record_wire_len("12345678", "99999999");
+            assert!(forwarded <= (distinct_words * widest) as u64);
+            assert_eq!(forwarded, aggregate_len(&config), "{distinct_words} words");
+        }
+    }
+
+    /// A mapper whose stream turns malformed still ends its input in the
+    /// fold: the connection is closed as malformed, what it sent before the
+    /// bad frame is merged with the other mapper's records, the reducer
+    /// gets the aggregate and the graph ends.
+    #[test]
+    fn a_malformed_mapper_still_ends_its_input_in_the_fold() {
         let net = SimNetwork::new(StackModel::Free);
-        let (_reducer, reducer_bytes) = start_sink_backend(&net, 9701);
+        let reducer = net.listen(9721).unwrap();
         let platform = Platform::with_network(
             PlatformConfig {
-                workers: 4,
+                workers: 2,
                 ..Default::default()
             },
             Arc::clone(&net),
         );
         let _svc = platform
             .deploy(
-                ServiceSpec::new("hadoop", 9700, hadoop_aggregator(2)).with_backends(vec![9701]),
+                ServiceSpec::new("hadoop", 9720, hadoop_aggregator(2)).with_backends(vec![9721]),
             )
             .unwrap();
-
-        let config = HadoopLoadConfig {
-            port: 9700,
-            mappers: 2,
-            word_len: 8,
-            distinct_words: 32,
-            bytes_per_mapper: 64 * 1024,
-            link_bits_per_sec: None,
-            seed: None,
+        let codec = wire::HadoopKvCodec::new();
+        let records = |counts: &[(&str, u64)]| {
+            let mut stream = Vec::new();
+            for (word, count) in counts {
+                codec
+                    .serialize(&wire::count_kv(word, *count), &mut stream)
+                    .unwrap();
+            }
+            stream
         };
-        let stats = run_hadoop_mappers(&net, &config);
-        assert_eq!(stats.failed, 0);
-        let forwarded = wait_for_quiescence(&reducer_bytes, Duration::from_secs(10));
-        assert!(
-            forwarded > 0,
-            "the reducer must receive the aggregated stream"
-        );
-        // The workload has a high reduction ratio (32 distinct words), so the
-        // aggregated stream must be much smaller than the mapper volume.
-        assert!(
-            forwarded < stats.bytes / 4,
-            "expected in-network reduction: sent {} bytes, reducer got {forwarded}",
-            stats.bytes
-        );
-        // An upper bound on the aggregated size: one record per distinct word
-        // with a generous counter width.
-        assert!(forwarded <= (32 * wire::record_wire_len("12345678", "99999999")) as u64);
+        let malformed = net.connect(9720).unwrap();
+        let mut stream = records(&[("apple", 2), ("pear", 1)]);
+        // A key length of 4 GiB: malformed, not a record to wait for.
+        let mut bad = records(&[("fig", 1)]);
+        bad[0..4].copy_from_slice(&u32::MAX.to_be_bytes());
+        stream.extend_from_slice(&bad);
+        malformed.write_all(&stream).unwrap();
+        let clean = net.connect(9720).unwrap();
+        clean
+            .write_all(&records(&[("apple", 3), ("fig", 4)]))
+            .unwrap();
+        clean.close();
+
+        let conn = reducer.accept_timeout(Duration::from_secs(5)).unwrap();
+        let mut received = Vec::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            match conn.read_timeout(&mut buf, Duration::from_secs(5)) {
+                Ok(n) => received.extend_from_slice(&buf[..n]),
+                Err(flick_net::NetError::Closed) => break,
+                Err(e) => panic!("no EOF after {} bytes: {e}", received.len()),
+            }
+        }
+        let aggregate: Vec<(String, u64)> = wire::parse_batch(&codec, &received)
+            .unwrap()
+            .iter()
+            .map(|r| {
+                (
+                    r.str_field("key").unwrap().into(),
+                    wire::count_of(r).unwrap(),
+                )
+            })
+            .collect();
+        let expected = [("apple", 5), ("fig", 4), ("pear", 1)].map(|(w, n)| (w.to_string(), n));
+        assert_eq!(aggregate, expected);
+        assert!(net.stats().snapshot().malformed_closes >= 1);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while platform.metrics().snapshot().live_graphs() > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the graph outlived its inputs"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// The reducer connection is never handed back for reuse — the kv

@@ -93,9 +93,9 @@ impl GraphFactory for StaticWebServerFactory {
         let mut builder = GraphBuilder::new("static-web", &env.allocator);
         let input_node = builder.declare_node();
         let output_node = builder.declare_node();
-        // Destination 0: the logic answers each request on it.
-        builder.bind_destination(output_node, "http-out", &client, codec.clone());
-        builder.bind_inline_input(
+        // Output 0: the logic answers each request on it.
+        builder.bind_output(output_node, "http-out", &client, codec.clone());
+        builder.bind_input(
             input_node,
             "http-in",
             Peer::Client(&client),

@@ -17,13 +17,12 @@
 //! allocation that a debug build keeps, and the budget holds in both.
 
 use bytes::Bytes;
-use flick::compiler::logic::FoldtLogic;
+use flick::compiler::logic::{Fold, FoldtLogic};
 use flick::grammar::hadoop::{count_kv, HadoopKvCodec};
 use flick::grammar::http::HttpCodec;
 use flick::grammar::{interned_names, Message, ParseOutcome, Projection, WireCodec};
 use flick::runtime_crate::{
-    ComputeTask, RuntimeMetrics, Task, TaskChannel, TaskContext, TaskId, TaskStatus, Value,
-    NO_DEADLINE,
+    LogicHarness, RuntimeMetrics, TaskChannel, TaskContext, TaskId, Value, NO_DEADLINE,
 };
 use flick::services::hadoop::hadoop_aggregator;
 use flick::services::http::http_path_balancer;
@@ -132,14 +131,17 @@ fn a_kv_parse_allocates_its_fields_and_its_two_strings() {
 /// Merging a parsed record into a stored one on the VM: the merge key,
 /// the two projected counters, the sum's decimal text and the new
 /// record's field vector (was 14: the names, a frame per call, and a copy
-/// of every local the body read for the last time).
+/// of every local the body read for the last time). And the end of the
+/// first of two inputs allocates nothing: its map moves into the graph's
+/// fold whole.
 #[test]
 fn a_vm_foldt_merge_allocates_five_times() {
-    let service = hadoop_aggregator(1);
-    let logic = FoldtLogic::with_vm(service.program().clone(), service.compiled().clone(), 1, 0);
-    let (input, input_rx) = TaskChannel::bounded(RECORDS, TaskId(1));
-    let (output, _output_rx) = TaskChannel::bounded(RECORDS, TaskId(2));
-    let mut task = ComputeTask::new("foldt", vec![input_rx], vec![output], Box::new(logic));
+    let service = hadoop_aggregator(2);
+    let fold = Fold::new(2);
+    let (program, compiled) = (service.program().clone(), service.compiled().clone());
+    let logic = FoldtLogic::new(program, Some(compiled), fold, 0);
+    let (output, output_rx) = TaskChannel::bounded(RECORDS, TaskId(2));
+    let mut logic = LogicHarness::new(Box::new(logic), vec![output]);
     let mut ctx = TaskContext::new(TaskId(0), NO_DEADLINE, RuntimeMetrics::new_shared());
     let mut records = Vec::with_capacity(RECORDS);
     parse_all(&HadoopKvCodec::new(), &kv_stream(), &mut records);
@@ -147,21 +149,22 @@ fn a_vm_foldt_merge_allocates_five_times() {
     // merges grow the VM's operand stack to its depth.
     let mut records = records.into_iter();
     for record in records.by_ref().take(2 * WORDS) {
-        input.push(Value::Msg(record)).unwrap();
+        logic.on_value(0, Value::Msg(record), &mut ctx).unwrap();
     }
-    assert_eq!(task.run(&mut ctx), TaskStatus::Idle);
     let merges = records.len() as u64;
-    for record in records {
-        input.push(Value::Msg(record)).unwrap();
-    }
-    let (status, allocations) = counted(|| task.run(&mut ctx));
-    assert_eq!(status, TaskStatus::Idle);
+    let (merged, allocations) =
+        counted(|| records.try_for_each(|record| logic.on_value(0, Value::Msg(record), &mut ctx)));
+    merged.unwrap();
     assert_eq!(
         allocations,
         5 * merges,
         "allocations per VM foldt merge: {}",
         allocations as f64 / merges as f64
     );
+    let (ended, allocations) = counted(|| logic.on_input_finished(0, &mut ctx));
+    ended.unwrap();
+    assert_eq!(allocations, 0, "allocations when the first input ends");
+    assert!(output_rx.is_empty(), "the other input has not ended");
 }
 
 fn parse_http(wire: &'static [u8]) -> u64 {

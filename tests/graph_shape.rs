@@ -1,7 +1,7 @@
 //! The shape of the graph a service builds (DESIGN.md §5): every rule runs
-//! in the input task that parsed its message, whichever engine runs it, so
-//! a graph has no compute task unless its process folds; a `foldt` runs in
-//! one compute task fed by the connections of the array it folds alone.
+//! in the input task that parsed its message, whichever engine runs it, and
+//! so does a `foldt`, in the input tasks of the array it folds, so every
+//! graph is input tasks and output tasks only.
 
 use flick::net_substrate::{Endpoint, SimNetwork, StackModel};
 use flick::runtime_crate::graph::TaskIdAllocator;
@@ -46,7 +46,7 @@ fn labels(service: &dyn GraphFactory, mode: ExecMode) -> Vec<String> {
 }
 
 #[test]
-fn only_a_process_that_folds_builds_a_compute_task() {
+fn every_graph_is_input_and_output_tasks() {
     let services: [(&str, Arc<dyn GraphFactory>); 5] = [
         ("HTTP_LB", http_path_balancer()),
         ("HTTP_STICKY_LB", http_balancer()),
@@ -68,17 +68,12 @@ fn only_a_process_that_folds_builds_a_compute_task() {
             );
         }
     }
-    // The aggregator's one compute task takes its two mapper connections,
-    // the only connections it reads.
+    // The aggregator folds in the input tasks of its two mapper
+    // connections, the only connections it reads.
     for mode in ExecMode::all() {
         assert_eq!(
             labels(hadoop_aggregator(2).as_ref(), mode),
-            [
-                "hadoop-compute",
-                "mappers-0-in",
-                "mappers-1-in",
-                "reducer-0-out"
-            ],
+            ["mappers-0-in", "mappers-1-in", "reducer-0-out"],
             "{mode:?}"
         );
     }
@@ -128,9 +123,9 @@ fn both_exec_modes_run_the_rules_in_the_input_task() {
             after.values_processed - before.values_processed,
         );
         assert_eq!(counts, (200, 200), "{mode:?}: parsed, rule runs");
-        // Two runs per request, within `tests/cost_budget.rs`'s band: a
-        // compute task behind channels would make it six. An expired
-        // timeslice adds a run, or merges with the task's next wake.
+        // Two runs per request, within `tests/cost_budget.rs`'s band: one
+        // per socket event. An expired timeslice adds a run, or merges
+        // with the task's next wake.
         let runs = after.task_runs - before.task_runs;
         let yields = after.cooperative_yields - before.cooperative_yields;
         assert!(
@@ -140,12 +135,12 @@ fn both_exec_modes_run_the_rules_in_the_input_task() {
     }
 }
 
-/// A rule that fails ends its graph instance on either shape: in an input
-/// task (a routing function that divides by zero) and in a fold's compute
-/// task (a combine that does). The client is closed unanswered, or the
-/// reducer gets no aggregate, and the graph is torn down well inside the
-/// drain grace (2 s), with every output task woken by the close that
-/// ended its channel.
+/// A rule that fails ends its graph instance, whether it routes or folds:
+/// a routing function that divides by zero, and a fold's combine that
+/// does, both in the input task that parsed the message. The client is
+/// closed unanswered, or the reducer gets no aggregate, and the graph is
+/// torn down well inside the drain grace (2 s), with every output task
+/// woken by the close that ended its channel.
 #[test]
 fn a_failing_rule_ends_its_graph_on_either_shape() {
     const BALANCER: &str = r#"

@@ -188,7 +188,7 @@ fn settled_fds() -> usize {
 
 /// Clients of the path-hashed balancer hang up at every point of a graph's
 /// life: right after sending a request, without sending one, and a few
-/// microseconds after the request went out — while the compute task routes
+/// microseconds after the request went out — while the input task routes
 /// it and the array member it picked is being opened, as the graph starts
 /// to drain. Whichever way the race goes, no member may be opened after
 /// its graph drained or left registered past teardown: every graph is torn
