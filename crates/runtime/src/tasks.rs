@@ -1226,9 +1226,33 @@ mod tests {
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
         let mut task = InputTask::new("in", server.into(), codec(), None, into_channel(tx));
+        assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
+        assert_eq!(rx.len(), 1);
+        assert!(rx.producers_closed());
+    }
+
+    /// The rules of an input task pass each message on to the output
+    /// channel while the connection stays open, and the task finishes
+    /// once it closes: its outputs close and their consumer is woken.
+    #[test]
+    fn input_task_passthrough_and_finish() {
+        let net = SimNetwork::new(StackModel::Free);
+        let listener = net.listen(90).unwrap();
+        let client = net.connect(90).unwrap();
+        let server = listener.accept().unwrap();
+        client
+            .write(b"GET /1 HTTP/1.1\r\n\r\nGET /2 HTTP/1.1\r\n\r\n")
+            .unwrap();
+
+        let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
+        let mut task = InputTask::new("in", server.into(), codec(), None, into_channel(tx));
+        assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
+        assert_eq!(rx.len(), 2, "the rules ran on both messages");
+        assert!(!rx.producers_closed());
+        client.close();
         let mut c = ctx();
         assert_eq!(task.run(&mut c), TaskStatus::Finished);
-        assert_eq!(rx.len(), 1, "the rules ran on the message");
+        assert_eq!(rx.len(), 2);
         assert!(rx.producers_closed(), "finishing closes the outputs");
         assert_eq!(c.take_wakes(), vec![TaskId(1)]);
     }
