@@ -80,15 +80,16 @@ const EXEC_MODE_RATIO_FLOOR: f64 = 1.0;
 /// the light balancer's p90 alone over its p90 beside two aggregator
 /// jobs, within the run, must reach this — the neighbour may slow the
 /// light service's p90 by at most 1/0.15 ≈ 6.7×. Set from 20 runs of
-/// this binary on 2 vCPUs with the scheduler from before the LIFO slot,
-/// whose gated (best-of-three) ratios were 0.26 0.34 0.27 0.27 0.31 0.28
-/// 0.28 0.31 0.28 0.29 0.33 0.29 0.32 0.28 0.43 0.32 0.26 0.25 0.29 0.29
-/// (min 0.25, median 0.29); the slot build, interleaved with them, read
-/// 0.26–0.36. Tasks that ignore the timeslice
-/// (`TaskContext::can_continue` always `true`) read 0.01 in 10 of 10
-/// runs of the slot build and 0.008–0.010 per pass without the slot: the
-/// light p90 beside the jobs climbs to 25–56 ms. The floor sits at 0.6 of
-/// the healthy minimum and 15× above that.
+/// this binary on 2 vCPUs with a scheduler that queues every wake, as
+/// this one does, whose gated (best-of-three) ratios were 0.26 0.34 0.27
+/// 0.27 0.31 0.28 0.28 0.31 0.28 0.29 0.33 0.29 0.32 0.28 0.43 0.32 0.26
+/// 0.25 0.29 0.29 (min 0.25, median 0.29); a build that ran the last task
+/// a run woke next on the same worker (a LIFO slot), interleaved with
+/// them, read 0.26–0.36. Tasks that ignore the timeslice
+/// (`TaskContext::can_continue` always `true`) read 0.008–0.010 per pass
+/// with either scheduler: the light p90 beside the jobs climbs to
+/// 25–56 ms. The floor sits at 0.6 of the healthy minimum and 15× above
+/// that.
 const FAIRNESS_P90_RATIO_FLOOR: f64 = 0.15;
 
 /// The pass with the highest `score`. Every gate takes the best of its

@@ -16,9 +16,7 @@ use std::time::{Duration, Instant};
 /// A globally unique task identifier.
 ///
 /// The scheduler hashes the identifier to pick the worker queue a task is
-/// always queued on (reducing cache misses, as in §5); a task woken by a
-/// running task may instead run next on that task's worker, from its LIFO
-/// slot.
+/// always queued on (reducing cache misses, as in §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u64);
 
