@@ -28,10 +28,11 @@
 //! fails to open closes the graph's client connections; requests routed to
 //! the other members are unaffected.
 //!
-//! Every graph is input tasks and output tasks only. Every rule runs in the
-//! input task that parsed its message, with that task's own logic
-//! instance, and writes to the output connections itself while they are
-//! idle (DESIGN.md §5, "Rules run in the input task"). A `global` is one
+//! Every graph is one task per connection, bound with one
+//! `GraphBuilder::bind` call. Every rule runs in the task of the
+//! connection that parsed its message, with that task's own logic
+//! instance, and writes to the graph's connections itself while they are
+//! idle (DESIGN.md §5, "Rules run in the reading task"). A `global` is one
 //! dictionary per service, shared by every logic instance of every graph.
 //! A `foldt` is the same shape: each connection of the folded array runs
 //! its own [`FoldtLogic`], and the graph's [`Fold`] merges them as they
@@ -59,7 +60,7 @@ use flick_net::Endpoint;
 use flick_runtime::platform::BuiltGraph;
 use flick_runtime::tasks::ExecMode;
 use flick_runtime::{
-    ComputeLogic, GraphBuilder, GraphFactory, Link, Peer, RuntimeError, ServiceEnv,
+    ComputeLogic, GraphBuilder, GraphFactory, Link, Peer, Reads, RuntimeError, ServiceEnv,
 };
 use std::sync::Arc;
 
@@ -306,8 +307,8 @@ impl GraphFactory for CompiledService {
                 process.name, param.0.name
             )));
         }
-        // The logic's inputs and outputs, numbered in binding order: each
-        // endpoint's input first, then its output.
+        // The logic's inputs and outputs, numbered in binding order, the
+        // inputs and the outputs each on their own count.
         let mut bindings = ChannelBindings::default();
         let (mut inputs, mut outputs) = (0, 0);
         for (param, count) in process.params.iter().zip(&counts) {
@@ -326,10 +327,10 @@ impl GraphFactory for CompiledService {
         }
 
         let mut builder = GraphBuilder::new(process.name.clone(), &env.allocator);
-        // Every rule runs in the input task that parsed its message
-        // (DESIGN.md §5); so does a fold, over the array it folds alone (the
-        // lowering checked that), and into the one writable channel the
-        // lowering checked its sink is.
+        // Every rule runs in the task of the connection that parsed its
+        // message (DESIGN.md §5); so does a fold, over the array it folds
+        // alone (the lowering checked that), and into the one writable
+        // channel the lowering checked its sink is.
         let fold = process.foldt.as_ref().map(|foldt| {
             let sink = bindings.params[foldt.sink_param].outputs[0];
             (Fold::new(counts[foldt.source_param]), sink)
@@ -342,40 +343,36 @@ impl GraphFactory for CompiledService {
             let plan = &self.plans[param_idx];
             let is_client = param_idx == 0;
             for i in 0..*count {
-                let link = if is_client {
-                    Link::from(&clients[i])
-                } else if param.is_array {
-                    // Opened on the first send to it (DESIGN.md §14).
-                    Link::member(Arc::clone(&env.backends), i, Arc::clone(&clients))
+                let backend;
+                let peer = if is_client {
+                    Peer::Client(&clients[i])
                 } else {
-                    // Keyed by the identity of the graph's first client
-                    // connection, so the connection sticks to its pick.
-                    let hint = clients.first().map(|client| client.id() as usize);
-                    Link::checkout(Arc::clone(&env.backends), hint)?
-                };
-                if param.dir.readable {
-                    let node = builder.declare_node();
-                    let peer = if is_client {
-                        Peer::Client(&clients[i])
+                    backend = if param.is_array {
+                        // Opened on the first send to it (DESIGN.md §14).
+                        Link::member(Arc::clone(&env.backends), i, Arc::clone(&clients))
                     } else {
-                        Peer::Backend(&link)
+                        // Keyed by the identity of the graph's first client
+                        // connection, so the connection sticks to its pick.
+                        let hint = clients.first().map(|client| client.id() as usize);
+                        Link::checkout(Arc::clone(&env.backends), hint)?
                     };
-                    builder.bind_input(
-                        node,
-                        format!("{}-{i}-in", param.name),
-                        peer,
-                        Arc::clone(&plan.codec),
-                        Some(plan.projection.clone()),
-                        self.logic(&bindings, fold.as_ref(), env.exec_mode),
-                        bindings.params[param_idx].inputs[i],
-                    );
-                }
-                if param.dir.writable {
-                    let node = builder.declare_node();
-                    let label = format!("{}-{i}-out", param.name);
-                    let output = builder.bind_output(node, label, link, Arc::clone(&plan.codec));
-                    debug_assert_eq!(output, bindings.params[param_idx].outputs[i]);
-                }
+                    Peer::Backend(&backend)
+                };
+                let reads = param.dir.readable.then(|| Reads {
+                    projection: Some(plan.projection.clone()),
+                    logic: self.logic(&bindings, fold.as_ref(), env.exec_mode),
+                    input: bindings.params[param_idx].inputs[i],
+                });
+                let node = builder.declare_node();
+                let output = builder.bind(
+                    node,
+                    format!("{}-{i}", param.name),
+                    peer,
+                    Arc::clone(&plan.codec),
+                    reads,
+                    param.dir.writable,
+                );
+                debug_assert_eq!(output, bindings.params[param_idx].outputs.get(i).copied());
             }
         }
         Ok(builder.build())

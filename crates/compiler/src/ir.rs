@@ -989,7 +989,7 @@ proc P: ({signature})
         )
     }
 
-    /// A process that folds runs the fold alone in the input tasks of its
+    /// A process that folds runs the fold alone in the reading tasks of its
     /// array: a channel rule beside it, on either side, would never run
     /// (the reducer gets only the aggregate).
     #[test]

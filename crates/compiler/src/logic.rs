@@ -5,7 +5,7 @@
 //! process and interpreting them. [`FoldtLogic`] is the specialised
 //! implementation of the `foldt` primitive (the paper notes that `foldt` has
 //! a custom platform implementation for performance), a two-level tree: the
-//! input task of each connection of the folded array folds its own stream
+//! task of each connection of the folded array folds its own stream
 //! into a map ordered by key, combining values of equal keys with the
 //! program's combine body, and merges that map into its graph's [`Fold`]
 //! when its input ends; the last input to end emits the aggregated stream

@@ -78,7 +78,7 @@ pub enum ParseOutcome {
 /// [`WireCodec::serialize`] are derived from them.
 ///
 /// Implementations must be cheap to share across threads: the FLICK runtime
-/// clones one codec per input/output task.
+/// clones one codec per connection task.
 pub trait WireCodec: Send + Sync {
     /// The name of the format (used in diagnostics and task labels).
     fn name(&self) -> &str;

@@ -475,9 +475,7 @@ impl SimEndpoint {
     }
 
     /// Removes only the `interest` direction(s) of this endpoint's
-    /// registration. Used by dispatchers that register one connection
-    /// twice — readable for the input task, writable for the output task —
-    /// so retiring one watcher leaves the other live.
+    /// registration; the other direction, if registered, stays live.
     pub fn deregister_interest(&self, interest: Interest) {
         if interest.is_readable() {
             self.in_pipe().state.lock().read_waker = None;

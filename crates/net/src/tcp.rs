@@ -138,9 +138,8 @@ fn pack_userdata(gen: u32, fd: RawFd) -> u64 {
 }
 
 /// The tokens one socket's epoll registration fans out to: one slot per
-/// direction, because a single connection may be watched by two different
-/// tasks — the input task (readable) and the output task (writable) — each
-/// under its own token. A bare [`Token`] suffices: every slot of a reactor
+/// direction, each a token of its own (the runtime registers both
+/// directions of a connection under its one task's token). A bare [`Token`] suffices: every slot of a reactor
 /// posts into the one poller that owns it. Mirrors the simulated pipes,
 /// which hold a `read_waker` and a `write_waker` per direction.
 struct FdSlots {

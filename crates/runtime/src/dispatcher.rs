@@ -210,7 +210,7 @@ const TAGGED: u64 = 1 << 63;
 struct Graph {
     service: Arc<ServiceShared>,
     task_ids: Vec<TaskId>,
-    /// How many of its tasks, and of its client tasks, are left.
+    /// How many of its tasks, and of its client inputs, are left.
     life: Arc<GraphLife>,
     /// Every readiness watch of the graph. One lives as long as its graph,
     /// even after its task exited: drain still has to release its
@@ -221,8 +221,8 @@ struct Graph {
 /// The state of one shard's reactor. The thread blocks in
 /// [`Poller::wait`]; every state transition anywhere on the shard — a new
 /// pending accept, bytes arriving on a watched connection, EOF, a graph's
-/// last client or last task exiting the scheduler, a newly deployed
-/// service — arrives as an [`flick_net::Event`] and is handled by token.
+/// last client input ending or its last task exiting the scheduler, a
+/// newly deployed service — arrives as an [`flick_net::Event`] and is handled by token.
 ///
 /// A watch's token is its task's id, so its event schedules the task
 /// with no lookup. Listener and graph tokens come from one allocator and
@@ -238,7 +238,7 @@ pub(crate) struct ShardReactor {
     /// Graphs owned by this shard, keyed by the token value their
     /// lifecycle record posts under.
     graphs: HashMap<u64, Graph>,
-    /// Graphs whose client tasks have all exited (id → forced-teardown
+    /// Graphs whose client inputs have all ended (id → forced-teardown
     /// deadline). Only these can expire, so the wait timeout never scans
     /// the full graph map.
     draining: HashMap<u64, Instant>,
@@ -311,7 +311,8 @@ impl ShardReactor {
                 sweep |= event.readiness.closed || entry.shared.stopped();
                 self.drain_listener(token);
             } else if self.graphs.contains_key(&token.0) {
-                // The graph's last client task, or its last task, exited.
+                // The graph's last client input ended, or its last task
+                // exited.
                 dirty_graphs.push(token.0);
             }
         }
@@ -389,11 +390,12 @@ impl ShardReactor {
     /// Graph dispatcher: builds one graph instance over `clients` on this
     /// shard and wires it into the reactor. Its tasks are registered with
     /// the shard's scheduler under one lifecycle record posting the
-    /// graph's token, and its watched connections with this shard's
-    /// poller under their tasks' ids. A registration is level-triggered:
-    /// it posts the watch's token when the connection may already be
-    /// ready (always, on the OS transport), and that post is the watched
-    /// task's first run — queued after the registration itself, so no
+    /// graph's token, and each connection with this shard's poller under
+    /// its task's id — one watch, one registration per connection, for
+    /// every direction the task uses it in. A registration is
+    /// level-triggered: it posts the watch's token when the connection may
+    /// already be ready (always, on the OS transport), and that post is
+    /// the task's first run — queued after the registration itself, so no
     /// byte can arrive unobserved between the two (DESIGN.md §13). On
     /// factory failure the client connections are closed here: a factory
     /// that fails before it built a task has nothing whose `Drop` would,
@@ -435,18 +437,16 @@ impl ShardReactor {
     }
 
     /// Advances one graph's drain/teardown lifecycle, run when its last
-    /// client task or its last task exited, or its drain deadline passed.
-    /// Once every *client* task has finished the graph starts draining:
-    /// the remaining read-side client connections are closed (their input
-    /// tasks observe EOF), the back-end members are released (their input
-    /// tasks finish without closing them, and an unopened one is never
-    /// opened), every task but the output tasks is scheduled once more,
-    /// and [`DRAIN_GRACE`] bounds a non-quiescent graph. An output task is
-    /// left to what feeds it: the close that ends its channel wakes it
-    /// (the last of its producers to finish), and so does a hang-up of its
-    /// connection; woken earlier, it would find its channel still open and
-    /// run again later. The graph is torn down when all tasks are gone, or
-    /// by force when the grace expired.
+    /// client input ended or its last task exited, or its drain deadline
+    /// passed. Once the input of every client connection has ended the
+    /// graph starts draining: its back-end members are released — an
+    /// unopened one is never opened, and the task of an opened one stops
+    /// reading, so it is scheduled once more — and [`DRAIN_GRACE`] bounds
+    /// a non-quiescent graph. The other tasks are left to what they wait
+    /// for: a released member's task finishes its read side, and the close
+    /// that ends a connection's channel (the last read side's) wakes the
+    /// task that writes it, which flushes and finishes. The graph is torn
+    /// down when all tasks are gone, or by force when the grace expired.
     fn advance_graph(&mut self, graph_id: u64) {
         let Some(graph) = self.graphs.get(&graph_id) else {
             return;
@@ -455,23 +455,10 @@ impl ShardReactor {
             return;
         }
         let deadline = *self.draining.entry(graph_id).or_insert_with(|| {
-            // Release only the *readable* watches; a write-only connection
-            // must stay open — its output task may still be flushing (e.g.
-            // the aggregate a foldt service emits when its inputs finish),
-            // and closes it once drained.
             for watch in &graph.watches {
-                if watch.interest.is_readable() {
-                    watch.endpoint.release();
+                if watch.endpoint.release() && watch.interest.is_readable() {
+                    self.scheduler.schedule(watch.task);
                 }
-            }
-            let writes = |task: &TaskId| {
-                graph
-                    .watches
-                    .iter()
-                    .any(|watch| watch.task == *task && watch.interest.is_writable())
-            };
-            for task in graph.task_ids.iter().filter(|task| !writes(task)) {
-                self.scheduler.schedule(*task);
             }
             Instant::now() + DRAIN_GRACE
         });
@@ -618,7 +605,8 @@ impl Drop for DeployedService {
 mod tests {
     use super::*;
     use crate::error::RuntimeError;
-    use crate::graph::{GraphBuilder, Peer};
+    use crate::graph::{GraphBuilder, Peer, Reads};
+    use crate::link::Link;
     use crate::platform::{BuiltGraph, Platform, PlatformConfig, ServiceSpec};
     use crate::tasks::{ComputeLogic, Outputs};
     use crate::value::Value;
@@ -654,17 +642,19 @@ mod tests {
             let client = clients.pop().expect("one client connection");
             let codec = Arc::new(HttpCodec::new());
             let mut builder = GraphBuilder::new("static-web", &env.allocator);
-            let input_node = builder.declare_node();
-            let output_node = builder.declare_node();
-            builder.bind_output(output_node, "http-out", &client, codec.clone());
-            builder.bind_input(
-                input_node,
-                "http-in",
+            let node = builder.declare_node();
+            let reads = Reads {
+                projection: None,
+                logic: Box::new(RespondLogic),
+                input: 0,
+            };
+            builder.bind(
+                node,
+                "http",
                 Peer::Client(&client),
                 codec,
-                None,
-                Box::new(RespondLogic),
-                0,
+                Some(reads),
+                true,
             );
             Ok(builder.build())
         }
@@ -898,7 +888,7 @@ mod tests {
         let net = platform.net();
         let client = net.connect(8083).unwrap();
         // One request/response round-trip so the graph is fully
-        // instantiated and its input task has drained to WouldBlock.
+        // instantiated and its task has drained to WouldBlock.
         client
             .write_all(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n")
             .unwrap();
@@ -917,12 +907,6 @@ mod tests {
         );
     }
 
-    /// A watch's first run is its registration's post, delivered on the
-    /// dispatcher's next turn: building a graph over an idle kernel
-    /// connection runs nothing, and the turn after runs its two watched
-    /// tasks once each (the registration posts unconditionally on the OS
-    /// transport), and there is no other task. The test drives one
-    /// shard's reactor by hand, so which turn ran what is not a race.
     /// One shard's reactor, driven by the test thread instead of its own,
     /// with `factory` deployed on `listener` over `net`.
     fn hand_driven(
@@ -959,6 +943,13 @@ mod tests {
         (ShardReactor::new(set, shard), service, metrics)
     }
 
+    /// A watch's first run is its registration's post, delivered on the
+    /// dispatcher's next turn: building a graph over an idle kernel
+    /// connection runs nothing, and the turn after runs the connection's
+    /// one task once (the registration of its one watch, for both
+    /// directions, posts unconditionally on the OS transport), and there is
+    /// no other task. The test drives one shard's reactor by hand, so
+    /// which turn ran what is not a race.
     #[test]
     fn each_watched_task_gets_one_first_run() {
         use flick_net::{SimNetwork, StackModel, TcpStack};
@@ -983,12 +974,12 @@ mod tests {
         let events = reactor.poller.wait(Duration::from_secs(1));
         reactor.turn(events);
         let deadline = Instant::now() + Duration::from_secs(5);
-        while runs() < 2 {
-            assert!(Instant::now() < deadline, "the first runs never happened");
+        while runs() < 1 {
+            assert!(Instant::now() < deadline, "the first run never happened");
             std::thread::sleep(Duration::from_millis(1));
         }
         settle();
-        assert_eq!(runs(), 2, "one first run per watch");
+        assert_eq!(runs(), 1, "one first run per watch");
         reactor.teardown_where(|_| true);
     }
 
@@ -1010,15 +1001,13 @@ mod tests {
             let mut builder = GraphBuilder::new("pair", &env.allocator);
             for (input, client) in clients.iter().enumerate() {
                 let node = builder.declare_node();
-                builder.bind_input(
-                    node,
-                    "pair-in",
-                    Peer::Client(client),
-                    codec.clone(),
-                    None,
-                    Box::new(RespondLogic),
+                let reads = Reads {
+                    projection: None,
+                    logic: Box::new(RespondLogic),
                     input,
-                );
+                };
+                let peer = Peer::Client(client);
+                builder.bind(node, "pair", peer, codec.clone(), Some(reads), false);
             }
             Ok(builder.build())
         }
@@ -1060,7 +1049,7 @@ mod tests {
         let first_input = reactor.graphs[&graph_id].watches[0].task;
         let tasks_left = |reactor: &ShardReactor| reactor.graphs[&graph_id].life.tasks_left();
 
-        // The first client leaves: its input task exits, one client is left.
+        // The first client leaves: its task exits, one client is left.
         first.close();
         drive_until(&mut reactor, "the first input never exited", &|r| {
             tasks_left(r) == 1
@@ -1205,33 +1194,32 @@ mod tests {
             )?;
             let codec = Arc::new(HttpCodec::new());
             let mut builder = GraphBuilder::new("fold", &env.allocator);
-            let output_node = builder.declare_node();
-            builder.bind_output(output_node, "fold-out", &sink, codec.clone());
+            let sink_node = builder.declare_node();
+            let sink = Link::from(sink);
+            let peer = Peer::Backend(&sink);
+            builder.bind(sink_node, "sink", peer, codec.clone(), None, true);
             let open_inputs = Arc::new(AtomicUsize::new(clients.len()));
             for (input, client) in clients.iter().enumerate() {
                 let node = builder.declare_node();
-                let logic = FoldLogic {
-                    open_inputs: Arc::clone(&open_inputs),
-                };
-                builder.bind_input(
-                    node,
-                    "fold-in",
-                    Peer::Client(client),
-                    codec.clone(),
-                    None,
-                    Box::new(logic),
+                let reads = Reads {
+                    projection: None,
+                    logic: Box::new(FoldLogic {
+                        open_inputs: Arc::clone(&open_inputs),
+                    }),
                     input,
-                );
+                };
+                let peer = Peer::Client(client);
+                builder.bind(node, "mapper", peer, codec.clone(), Some(reads), false);
             }
             Ok(builder.build())
         }
     }
 
-    /// Drain closes *readable* watches only. The client inputs finish
-    /// while the sink's peer is stalled against a full pipe, so the graph
-    /// starts draining with its aggregate still unflushed; the sink
-    /// connection has to survive that and deliver every byte once the
-    /// peer reads.
+    /// The drain leaves a written connection to its task. The client
+    /// inputs finish while the sink's peer is stalled against a full pipe,
+    /// so the graph starts draining with its aggregate still unflushed;
+    /// the sink connection has to survive that and deliver every byte once
+    /// the peer reads.
     #[test]
     fn draining_graph_still_flushes_to_a_stalled_sink() {
         let platform = Platform::new(PlatformConfig {
@@ -1257,7 +1245,7 @@ mod tests {
         let sink = sink_listener
             .accept_timeout(Duration::from_secs(5))
             .unwrap();
-        // Both inputs have finished and the output task has filled the
+        // Both inputs have finished and the sink's task has filled the
         // pipe; nobody reads the sink yet.
         let deadline = Instant::now() + Duration::from_secs(5);
         while sink.pending() < AGGREGATE_LEN / 4 {

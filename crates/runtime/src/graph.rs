@@ -1,21 +1,21 @@
 //! Task-graph assembly.
 //!
-//! A [`GraphBuilder`] binds a graph's connections — an input task per
-//! connection the graph reads, an output task per connection it writes —
-//! and produces a [`BuiltGraph`]: the tasks with their global [`TaskId`]s,
+//! A [`GraphBuilder`] binds a graph's connections — one
+//! [`ConnectionTask`] per connection the graph reads or writes — and
+//! produces a [`BuiltGraph`]: the tasks with their global [`TaskId`]s,
 //! ready to be registered with the scheduler, plus the readiness watches
 //! and client tasks its dispatcher needs. Every graph has that one shape:
-//! each input runs the rules on what it parses and writes to the outputs,
-//! through a bounded channel into each output task when it cannot write
-//! itself, so graphs are acyclic by construction.
+//! each task runs the rules on what it reads and writes to the graph's
+//! connections, through a bounded channel into the connection's task when
+//! it cannot write itself, so graphs are acyclic by construction.
 
 use crate::channel::{ChannelConsumer, ChannelProducer, TaskChannel, DEFAULT_CHANNEL_CAPACITY};
 use crate::link::Link;
 use crate::platform::{BuiltGraph, Watch};
 use crate::task::{Task, TaskId};
-use crate::tasks::{ComputeLogic, Destination, InlineRules, InputTask, OutputTask};
+use crate::tasks::{ComputeLogic, ConnectionTask, Destination, InlineRules, ReadSide, WriteSide};
 use flick_grammar::{Projection, WireCodec};
-use flick_net::Endpoint;
+use flick_net::{Endpoint, Interest};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,58 +51,66 @@ impl NodeId {
     }
 }
 
-/// The connection an input is bound to, by the side of the service it
-/// faces.
+/// A connection a graph binds, by the side of the service it faces.
 #[derive(Clone, Copy)]
 pub enum Peer<'a> {
-    /// An accepted client connection. The graph starts draining once
-    /// every client input has finished.
+    /// An accepted client connection. The graph starts draining once the
+    /// input of every client connection it reads has ended.
     Client(&'a Endpoint),
     /// An outbound back-end connection, possibly an array member that is
     /// opened on the first send to it.
     Backend(&'a Link),
 }
 
-/// A graph under construction: an [`InputTask`] per connection the
-/// graph reads, each running its own instance of the process's logic on
-/// what it parses, and an [`OutputTask`] per connection it writes, which
-/// every input writes to directly.
+/// What a graph does with the messages it reads from a connection: the
+/// process's rules, run on each message as logic input `input`.
+pub struct Reads {
+    /// The fields the codec parses; `None` for every field.
+    pub projection: Option<Projection>,
+    /// This connection's own logic instance.
+    pub logic: Box<dyn ComputeLogic>,
+    /// The logic's input number for the connection.
+    pub input: usize,
+}
+
+/// A graph under construction: one [`ConnectionTask`] per connection the
+/// graph reads or writes. A connection's task runs its own instance of the
+/// process's logic on what it parses, and every task writes to the
+/// graph's connections directly.
 ///
 /// The builder separates *declaring* nodes (which allocates their task ids)
 /// from *installing* the task objects. The typical sequence is:
 ///
-/// 1. [`GraphBuilder::declare_node`] for every task;
-/// 2. [`GraphBuilder::bind_input`] and [`GraphBuilder::bind_output`] for
-///    every connection the graph reads or writes — each binds the edge
-///    task *and* records the readiness watch on the same endpoint, so the
-///    two cannot disagree;
-/// 3. [`GraphBuilder::build`], which builds the input tasks once every
-///    output is bound.
+/// 1. [`GraphBuilder::declare_node`] for every connection;
+/// 2. [`GraphBuilder::bind`] for every connection the graph reads or
+///    writes — it binds the connection's task *and* records the one
+///    readiness watch on the same endpoint, so the two cannot disagree;
+/// 3. [`GraphBuilder::build`], which builds the tasks once every output is
+///    bound.
 pub struct GraphBuilder<'a> {
     allocator: &'a TaskIdAllocator,
     name: String,
     declared: Vec<NodeId>,
     tasks: HashMap<TaskId, Box<dyn Task>>,
-    /// One per bound direction, in binding order (the order the
+    /// One per bound connection, in binding order (the order the
     /// dispatcher registers them with its poller).
     watchers: Vec<Watch>,
     client_tasks: Vec<TaskId>,
-    /// The outputs every input writes to, in binding order.
+    /// The outputs every read side writes to, in binding order.
     outputs: Vec<Destination>,
-    /// The inputs, built by [`GraphBuilder::build`] once every output is
-    /// bound.
-    inputs: Vec<PendingInput>,
+    /// The connections, built by [`GraphBuilder::build`] once every output
+    /// is bound.
+    pending: Vec<Pending>,
 }
 
-/// An input bound but not yet built.
-struct PendingInput {
+/// A connection bound but not yet built.
+struct Pending {
     node: NodeId,
     label: String,
     link: Link,
     codec: Arc<dyn WireCodec>,
-    projection: Option<Projection>,
-    logic: Box<dyn ComputeLogic>,
-    input: usize,
+    reads: Option<Reads>,
+    writes: Option<WriteSide>,
 }
 
 impl<'a> GraphBuilder<'a> {
@@ -116,7 +124,7 @@ impl<'a> GraphBuilder<'a> {
             watchers: Vec::new(),
             client_tasks: Vec::new(),
             outputs: Vec::new(),
-            inputs: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -132,64 +140,67 @@ impl<'a> GraphBuilder<'a> {
         TaskChannel::bounded(DEFAULT_CHANNEL_CAPACITY, consumer.task_id())
     }
 
-    /// Binds a connection as an input: an [`InputTask`] at `node` that
-    /// parses the peer's endpoint and runs `logic` itself on every message,
-    /// as logic input `input`, emitting to the graph's outputs
-    /// ([`InlineRules`]). The endpoint is watched for readability, and a
-    /// [`Peer::Client`] input also counts among the tasks whose exit starts
-    /// the graph's drain. The task is built by [`GraphBuilder::build`],
-    /// once every output is bound.
-    #[allow(clippy::too_many_arguments)]
-    pub fn bind_input(
+    /// Binds a connection: a [`ConnectionTask`] at `node` that, if the
+    /// graph `reads` the peer's endpoint, parses it and runs the logic
+    /// itself on every message, emitting to the graph's outputs
+    /// ([`InlineRules`]), and, if it `writes` it, serialises onto it what
+    /// the graph's rules emit to it. The endpoint is watched for the
+    /// directions bound, under one watch, and a [`Peer::Client`] read
+    /// counts among the inputs whose end starts the graph's drain. The
+    /// task is built by [`GraphBuilder::build`], once every output is
+    /// bound. Returns the output's index — the logic's output number for
+    /// the connection — when it `writes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the connection is neither read nor written.
+    pub fn bind(
         &mut self,
         node: NodeId,
         label: impl Into<String>,
         peer: Peer<'_>,
         codec: Arc<dyn WireCodec>,
-        projection: Option<Projection>,
-        logic: Box<dyn ComputeLogic>,
-        input: usize,
-    ) {
+        reads: Option<Reads>,
+        writes: bool,
+    ) -> Option<usize> {
         let link = match peer {
             Peer::Client(endpoint) => {
-                self.client_tasks.push(node.task_id());
+                if reads.is_some() {
+                    self.client_tasks.push(node.task_id());
+                }
                 Link::from(endpoint)
             }
             Peer::Backend(link) => link.clone(),
         };
-        self.watchers
-            .push(Watch::readable(node.task_id(), link.clone()));
-        self.inputs.push(PendingInput {
+        let interest = match (reads.is_some(), writes) {
+            (true, true) => Interest::BOTH,
+            (true, false) => Interest::READABLE,
+            (false, true) => Interest::WRITABLE,
+            (false, false) => panic!("node {node:?} neither reads nor writes its connection"),
+        };
+        self.watchers.push(Watch {
+            task: node.task_id(),
+            endpoint: link.clone(),
+            interest,
+        });
+        let output = writes.then(|| {
+            let (producer, queue) = self.channel(node);
+            let side = WriteSide::new(link.clone(), Arc::clone(&codec), queue);
+            self.outputs.push(Destination {
+                producer,
+                side: Arc::clone(side.side()),
+            });
+            side
+        });
+        self.pending.push(Pending {
             node,
             label: label.into(),
             link,
             codec,
-            projection,
-            logic,
-            input,
+            reads,
+            writes: output,
         });
-    }
-
-    /// Binds a connection as an output: installs an [`OutputTask`] at
-    /// `node` that serialises what the graph's inputs emit to it onto
-    /// `link`, and watches the connection for writability. Every input
-    /// writes to its side directly while it is idle. Returns the output's
-    /// index, the logic's output number for it.
-    pub fn bind_output(
-        &mut self,
-        node: NodeId,
-        label: impl Into<String>,
-        link: impl Into<Link>,
-        codec: Arc<dyn WireCodec>,
-    ) -> usize {
-        let link = link.into();
-        let (producer, rx) = self.channel(node);
-        let task = OutputTask::new(label, link.clone(), codec, rx);
-        let side = Arc::clone(task.side());
-        self.install(node, Box::new(task));
-        self.watchers.push(Watch::writable(node.task_id(), link));
-        self.outputs.push(Destination { producer, side });
-        self.outputs.len() - 1
+        writes.then(|| self.outputs.len() - 1)
     }
 
     /// Installs the task object for a declared node.
@@ -214,18 +225,15 @@ impl<'a> GraphBuilder<'a> {
     ///
     /// Panics if any declared node was never installed.
     pub fn build(mut self) -> BuiltGraph {
-        for pending in std::mem::take(&mut self.inputs) {
-            let rules = InlineRules::new(pending.logic, pending.input, &self.outputs);
-            let task = InputTask::new(
-                pending.label,
-                pending.link,
-                pending.codec,
-                pending.projection,
-                rules,
-            );
+        for pending in std::mem::take(&mut self.pending) {
+            let input = pending.reads.map(|reads| {
+                let rules = InlineRules::new(reads.logic, reads.input, &self.outputs);
+                ReadSide::new(pending.link, pending.codec, reads.projection, rules)
+            });
+            let task = ConnectionTask::new(pending.label, input, pending.writes);
             self.install(pending.node, Box::new(task));
         }
-        // Each input holds its own handle on every output: an output's
+        // Each read side holds its own handle on every output: an output's
         // channel closes once all of them have finished.
         for output in &self.outputs {
             output.producer.close();
@@ -318,10 +326,11 @@ mod tests {
         }
     }
 
-    /// Binding records the watch from the endpoint the edge task uses: one
-    /// readable and one writable watch on it, each naming the task bound
-    /// in that direction, and only the client binding counts as a client
-    /// task. Outputs are numbered in binding order.
+    /// Binding records the watch from the endpoint the connection's task
+    /// uses: an endpoint bound both ways gets its readable and its
+    /// writable watch as one, naming its one task, and only the client
+    /// binding counts as a client task. Outputs are numbered in binding
+    /// order.
     #[test]
     fn binding_an_endpoint_both_ways_records_both_watches() {
         use flick_grammar::http::HttpCodec;
@@ -333,61 +342,42 @@ mod tests {
         let client = net.connect(7001).unwrap();
         let backend = net.connect(7002).unwrap();
         let codec = Arc::new(HttpCodec::new());
+        let reads = |input| Reads {
+            projection: None,
+            logic: Box::new(Quiet),
+            input,
+        };
 
         let alloc = TaskIdAllocator::new();
         let mut b = GraphBuilder::new("g", &alloc);
-        let client_in = b.declare_node();
-        let backend_in = b.declare_node();
-        let client_out = b.declare_node();
-        let backend_out = b.declare_node();
+        let client_node = b.declare_node();
+        let backend_node = b.declare_node();
         let peer = Peer::Client(&client);
-        b.bind_input(
-            client_in,
-            "in",
-            peer,
-            codec.clone(),
-            None,
-            Box::new(Quiet),
-            0,
-        );
+        let bound = b.bind(client_node, "c", peer, codec.clone(), Some(reads(0)), true);
+        assert_eq!(bound, Some(0));
         let backend = Link::from(backend);
-        let backend_peer = Peer::Backend(&backend);
-        b.bind_input(
-            backend_in,
-            "bin",
-            backend_peer,
-            codec.clone(),
-            None,
-            Box::new(Quiet),
-            1,
-        );
-        assert_eq!(b.bind_output(client_out, "out", &client, codec.clone()), 0);
-        assert_eq!(
-            b.bind_output(backend_out, "bout", backend.clone(), codec),
-            1
-        );
+        let peer = Peer::Backend(&backend);
+        let bound = b.bind(backend_node, "b", peer, codec, Some(reads(1)), true);
+        assert_eq!(bound, Some(1));
         let built = b.build();
 
-        assert_eq!(built.tasks.len(), 4);
-        assert_eq!(built.client_tasks, vec![client_in.task_id()]);
-        let on_client: Vec<_> = built
+        assert_eq!(built.tasks.len(), 2);
+        assert_eq!(built.client_tasks, vec![client_node.task_id()]);
+        let watches: Vec<_> = built
             .watchers
             .iter()
-            .filter(|w| w.endpoint.open_endpoint().unwrap().id() == client.id())
-            .map(|w| (w.task, w.interest))
+            .map(|w| (w.task, w.endpoint.open_endpoint().unwrap().id(), w.interest))
             .collect();
         assert_eq!(
-            on_client,
+            watches,
             vec![
-                (client_in.task_id(), Interest::READABLE),
-                (client_out.task_id(), Interest::WRITABLE),
+                (client_node.task_id(), client.id(), Interest::BOTH),
+                (
+                    backend_node.task_id(),
+                    backend.open_endpoint().unwrap().id(),
+                    Interest::BOTH
+                ),
             ]
-        );
-        assert_eq!(built.watchers.len(), 4);
-        assert_eq!(built.watchers[1].task, backend_in.task_id());
-        assert_eq!(
-            built.watchers[1].endpoint.open_endpoint().unwrap().id(),
-            backend.open_endpoint().unwrap().id()
         );
     }
 

@@ -12,11 +12,12 @@
 //! * [`task`] — the [`task::Task`] trait, the cooperative
 //!   [`task::TaskContext`] and the timeslice that expresses the three
 //!   scheduling policies of §6.4;
-//! * [`tasks`] — the concrete task kinds: input (deserialise, and run the
-//!   rules on each message) and output (serialise), plus the synthetic
-//!   task of the resource-sharing micro-benchmark;
+//! * [`tasks`] — the concrete task kinds: one per connection (deserialise
+//!   and run the rules on each message it reads, serialise what is written
+//!   to it), plus the synthetic task of the resource-sharing
+//!   micro-benchmark;
 //! * [`graph`] — task-graph assembly;
-//! * [`link`] — what an edge task is bound to: a client connection, or a
+//! * [`link`] — what a connection task is bound to: a client connection, or a
 //!   back-end pool member — checked out at build or on the first send to
 //!   it, and parked back in the pool at teardown when cleanly framed;
 //! * [`scheduler`] — the worker-thread pool with per-worker FIFO queues,
@@ -53,7 +54,7 @@ pub mod value;
 pub use channel::{ChannelConsumer, ChannelProducer, TaskChannel};
 pub use dispatcher::DeployedService;
 pub use error::RuntimeError;
-pub use graph::{GraphBuilder, NodeId, Peer};
+pub use graph::{GraphBuilder, NodeId, Peer, Reads};
 pub use link::Link;
 pub use metrics::{MetricsSnapshot, RuntimeMetrics};
 pub use platform::{
@@ -63,5 +64,5 @@ pub use pool::{BackendPool, BackendTarget};
 pub use scheduler::{Scheduler, ShardLoad, StealGroup};
 pub use shard::{Shard, ShardStatus};
 pub use task::{Task, TaskContext, TaskId, TaskStatus, NO_DEADLINE, TIMESLICE};
-pub use tasks::{ComputeLogic, ExecMode, InputTask, LogicHarness, OutputTask, Outputs};
+pub use tasks::{ComputeLogic, ConnectionTask, ExecMode, LogicHarness, Outputs};
 pub use value::{SharedDict, Value};

@@ -1,32 +1,33 @@
-//! What a graph's edge task is bound to: a client connection, or a member
-//! of the service's back-end pool (DESIGN.md §14).
+//! What a graph's connection task is bound to: a client connection, or a
+//! member of the service's back-end pool (DESIGN.md §14).
 //!
 //! A back-end link is a *member*: one index of the service's
-//! [`BackendPool`], with one slot its input task, its output task and
-//! their two readiness watches share — `Unbound | Bound(Endpoint) |
-//! Closed`, plus the `(poller, token, interest)` the dispatcher recorded
-//! for each watch at build. A scalar back-end parameter is bound at build
+//! [`BackendPool`], with one slot its connection task and its one
+//! readiness watch share — `Unbound | Bound(Endpoint) | Closed`, plus the
+//! `(poller, token, interest)` the dispatcher recorded for the watch at
+//! build. A scalar back-end parameter is bound at build
 //! ([`Link::checkout`]). An array member starts unbound, because a request
-//! usually reaches one member: the output task's first non-empty flush
-//! opens it through [`BackendPool::checkout`] — the one open-and-account
-//! point, so the checkout and its health outcome are recorded then — and
-//! registers the recorded watches, both under the slot's lock.
+//! usually reaches one member: the first non-empty flush to it (another
+//! task's inline write, or its own task's write side) opens it through
+//! [`BackendPool::checkout`] — the one open-and-account point, so the
+//! checkout and its health outcome are recorded then — and registers the
+//! recorded watch, both under the slot's lock.
 //!
 //! A graph ends its members in two steps, under the same lock. Drain
 //! *releases* a member ([`Link::release`]): an unopened one is closed and
-//! never opened, an opened one stays open while its tasks finish. Each
-//! task then records how its side ended ([`Link::finish`]): how many
-//! messages the output task wrote in full, how many the input task parsed,
-//! and whether the codec says the last of each keeps the connection open —
-//! `Unclean` if the task left bytes unflushed or half-parsed. Teardown
-//! *retires* the member ([`Link::retire`]) once no task is left: a released
-//! connection whose every request has its response, on which both tasks
-//! ended clean, goes back to the pool for the next checkout
-//! ([`BackendPool::park`]); any other is closed. A task that fails — an I/O
-//! error, EOF, a malformed stream — closes the member instead, and a
-//! forced teardown closes whatever was recorded. So a member is never
-//! opened after its graph began draining, never registered twice, and
-//! never parked unless it is cleanly framed.
+//! never opened, an opened one stays open while its task finishes. The
+//! task then records how its two sides ended, in one call
+//! ([`Link::finish`]): how many messages its write side wrote in full, how
+//! many its read side parsed, and whether the codec says the last of each
+//! keeps the connection open — `Unclean` if it left bytes unflushed or
+//! half-parsed. Teardown *retires* the member ([`Link::retire`]) once no
+//! task is left: a released connection whose every request has its
+//! response, on which the task ended clean, goes back to the pool for the
+//! next checkout ([`BackendPool::park`]); any other is closed. A task that
+//! fails — an I/O error, EOF, a malformed stream — closes the member
+//! instead, and a forced teardown closes whatever was recorded. So a
+//! member is never opened after its graph began draining, never
+//! registered twice, and never parked unless it is cleanly framed.
 //!
 //! A failed open refuses the graph's clients: their connections are closed,
 //! as when a graph fails to build, so a request routed to a dead member
@@ -40,7 +41,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// The connection an input or output task reads or writes, as handed to
+/// The connection a connection task reads or writes, as handed to
 /// [`crate::GraphBuilder`] and recorded in a [`crate::Watch`]. Cheap to
 /// clone; clones share the connection (and a member's slot).
 #[derive(Clone)]
@@ -60,7 +61,7 @@ struct Member {
     index: usize,
     /// The graph's client connections, closed when the open fails.
     clients: Arc<[Endpoint]>,
-    /// Raised by [`Link::release`] under the slot lock; an input task reads
+    /// Raised by [`Link::release`] under the slot lock; a read side reads
     /// it on every run without taking the lock.
     released: AtomicBool,
     slot: Mutex<Slot>,
@@ -70,10 +71,9 @@ struct Slot {
     state: State,
     /// Watches recorded while unbound; the open registers them.
     watches: Vec<(Poller, Token, Interest)>,
-    /// Messages the output task wrote, recorded if it ended clean.
-    sent: Option<u64>,
-    /// Messages the input task parsed, recorded if it ended clean.
-    received: Option<u64>,
+    /// Recorded by a task that ended cleanly framed with every message it
+    /// wrote answered: teardown may park the connection.
+    parkable: bool,
 }
 
 enum State {
@@ -91,21 +91,19 @@ pub(crate) enum Settled {
     Unbound,
     /// Closed (or failed) — the task finishes.
     Closed,
-    /// Released by the graph's drain: the input task records how it ended
-    /// ([`Link::finish`]) and finishes without reading on.
+    /// Released by the graph's drain: the read side finishes without
+    /// reading on.
     Released,
 }
 
-/// How a task's side of a member ended, recorded by [`Link::finish`].
+/// How a task's two sides of a member ended, recorded by [`Link::finish`].
 #[derive(Clone, Copy)]
 pub(crate) enum Ended {
-    /// The output task wrote this many messages in full; its codec says
-    /// the last one keeps the connection open.
-    Sent(u64),
-    /// The input task parsed this many messages and holds no partial one;
-    /// its codec says the last one keeps the connection open.
-    Received(u64),
-    /// Anything else: the connection is closed at teardown.
+    /// The task wrote `sent` messages in full and parsed `received`,
+    /// holding no partial one; its codec says the last of each keeps the
+    /// connection open.
+    Framed { sent: u64, received: u64 },
+    /// Anything else: the connection is closed.
     Unclean,
 }
 
@@ -155,8 +153,7 @@ impl Link {
                 slot: Mutex::new(Slot {
                     state,
                     watches: Vec::new(),
-                    sent: None,
-                    received: None,
+                    parkable: false,
                 }),
             }),
             None,
@@ -213,61 +210,56 @@ impl Link {
         }
     }
 
+    /// `true` for a member its graph's drain released: nothing written to
+    /// it from now on could be answered.
+    pub(crate) fn is_released(&self) -> bool {
+        matches!(&self.0, Kind::Member(member, _) if member.released.load(Ordering::Acquire))
+    }
+
     /// What a task's `Drop` does: closes the connection, unless it is a
     /// released member, which its graph's teardown parks or closes.
     pub(crate) fn close_unless_released(&self) {
-        if let Kind::Member(member, _) = &self.0 {
-            if member.released.load(Ordering::Acquire) {
-                return;
-            }
+        if !self.is_released() {
+            self.close();
         }
-        self.close();
     }
 
-    /// The graph's drain: a client connection is closed (its input task
-    /// observes EOF); a member is released — never opened if it was not
-    /// yet, left open for its tasks to finish on if it was.
-    pub(crate) fn release(&self) {
-        match &self.0 {
-            Kind::Open(endpoint) => endpoint.close(),
-            Kind::Member(member, _) => {
-                let mut slot = member.slot.lock();
-                member.released.store(true, Ordering::Release);
-                if matches!(slot.state, State::Unbound) {
-                    slot.retire(member, false);
-                }
-            }
+    /// The graph's drain: a member is released — never opened if it was
+    /// not yet, left open for its task to finish on if it was — and its
+    /// reader must look (`true`). A client connection is left to its task,
+    /// which closes it when it ends.
+    pub(crate) fn release(&self) -> bool {
+        let Kind::Member(member, _) = &self.0 else {
+            return false;
+        };
+        let mut slot = member.slot.lock();
+        member.released.store(true, Ordering::Release);
+        if matches!(slot.state, State::Unbound) {
+            slot.retire(member, false);
         }
+        true
     }
 
     /// A task is done with the link. On a released member it records how
-    /// the task's side ended, for the teardown to judge; anything else is
-    /// closed.
+    /// the task's two sides ended, for the teardown to judge; anything else
+    /// is closed.
     pub(crate) fn finish(&self, ended: Ended) {
-        match &self.0 {
-            Kind::Member(member, _) if member.released.load(Ordering::Acquire) => {
-                let mut slot = member.slot.lock();
-                match ended {
-                    Ended::Sent(n) => slot.sent = Some(n),
-                    Ended::Received(n) => slot.received = Some(n),
-                    Ended::Unclean => slot.retire(member, false),
-                }
+        match (&self.0, ended) {
+            (Kind::Member(member, _), Ended::Framed { sent, received }) if self.is_released() => {
+                member.slot.lock().parkable = sent == received;
             }
             _ => self.close(),
         }
     }
 
     /// The graph's teardown, once no task is left: parks a released member
-    /// whose every message written has its answer parsed, both tasks having
+    /// whose every message written has its answer parsed, its task having
     /// ended clean — unless `force`d — and closes any other. A client
-    /// connection is left to its tasks.
+    /// connection is left to its task.
     pub(crate) fn retire(&self, force: bool) {
         if let Kind::Member(member, _) = &self.0 {
             let mut slot = member.slot.lock();
-            let clean = !force
-                && member.released.load(Ordering::Acquire)
-                && slot.sent.is_some()
-                && slot.sent == slot.received;
+            let clean = !force && self.is_released() && slot.parkable;
             slot.retire(member, clean);
         }
     }
@@ -281,7 +273,7 @@ impl Link {
         }
     }
 
-    /// The input side: whether the task reads on, and a member's
+    /// The read side: whether the task reads on, and a member's
     /// connection adopted once someone opened it, so later runs skip the
     /// slot. One atomic load per run once adopted.
     pub(crate) fn settle(&mut self) -> Settled {
@@ -302,7 +294,7 @@ impl Link {
         Settled::Open
     }
 
-    /// The output side: the connection to send on, opening an unbound
+    /// The write side: the connection to send on, opening an unbound
     /// member first.
     pub(crate) fn connect(&mut self) -> Result<&Endpoint, RuntimeError> {
         match &mut self.0 {
@@ -457,15 +449,15 @@ mod tests {
         assert!(pool.is_ejected(0), "EJECT_AFTER failures eject it");
     }
 
-    /// A member opened and released, as a graph drains it: its two tasks
-    /// record how their sides ended, and `finish` closes nothing.
+    /// A member opened and released, as a graph drains it: its task
+    /// records how its two sides ended, and `finish` closes nothing.
     fn released_member(net: &Arc<SimNetwork>, port: u16) -> (Link, Endpoint, Arc<BackendPool>) {
         let listener = net.listen(port).unwrap();
         let (pool, _) = pool(net, &[port]);
         let mut link = Link::member(Arc::clone(&pool), 0, Arc::from([]));
         let endpoint = link.connect().unwrap().clone();
         listener.accept().unwrap();
-        link.release();
+        assert!(link.release(), "a released member's reader must look");
         link.close_unless_released();
         assert!(!endpoint.is_closed(), "a task's drop leaves it open");
         (link, endpoint, pool)
@@ -473,21 +465,22 @@ mod tests {
 
     /// Teardown parks a released member whose every request has its
     /// response and closes any other: one left unanswered, an unclean
-    /// side, or a forced teardown.
+    /// end, a member whose task never finished, or a forced teardown.
     #[test]
     fn teardown_parks_only_a_cleanly_framed_member() {
         let net = SimNetwork::new(StackModel::Free);
-        let cases: [(&[Ended], bool, bool); 5] = [
-            (&[Ended::Sent(2), Ended::Received(2)], false, true),
-            (&[Ended::Sent(2), Ended::Received(1)], false, false),
-            (&[Ended::Sent(1), Ended::Unclean], false, false),
-            (&[Ended::Received(0)], false, false),
-            (&[Ended::Sent(1), Ended::Received(1)], true, false),
+        let framed = |sent, received| Some(Ended::Framed { sent, received });
+        let cases: [(Option<Ended>, bool, bool); 5] = [
+            (framed(2, 2), false, true),
+            (framed(2, 1), false, false),
+            (Some(Ended::Unclean), false, false),
+            (None, false, false),
+            (framed(1, 1), true, false),
         ];
-        for (port, (ends, force, parked)) in (9405..).zip(cases) {
+        for (port, (ended, force, parked)) in (9405..).zip(cases) {
             let (link, endpoint, pool) = released_member(&net, port);
-            for ended in ends {
-                link.finish(*ended);
+            if let Some(ended) = ended {
+                link.finish(ended);
             }
             link.retire(force);
             assert_eq!(pool.idle(0) == 1, parked, "port {port}");

@@ -14,11 +14,11 @@ pub struct RuntimeMetrics {
     pub task_runs: AtomicU64,
     /// Times a task voluntarily yielded because its timeslice expired.
     pub cooperative_yields: AtomicU64,
-    /// Values the logic processed: rule runs in input tasks.
+    /// Values the logic processed: rule runs in read sides.
     pub values_processed: AtomicU64,
-    /// Application messages deserialised by input tasks.
+    /// Application messages deserialised by read sides.
     pub messages_in: AtomicU64,
-    /// Application messages serialised by output tasks.
+    /// Application messages serialised by write sides (or written inline).
     pub messages_out: AtomicU64,
     /// Task graphs instantiated.
     pub graphs_created: AtomicU64,
@@ -29,7 +29,7 @@ pub struct RuntimeMetrics {
     /// Tasks stolen *across shard boundaries*: an idle shard's worker
     /// executed a runnable task belonging to a sibling shard's scheduler.
     pub tasks_stolen: AtomicU64,
-    /// Output-task dispatches that ended in a busy retry: the write
+    /// Write-side rounds that ended in a busy retry: the write
     /// blocked and the task asked to be re-run immediately instead of
     /// parking on writable readiness. Zero under the wakeup-driven output
     /// mode while a peer is stalled — the stress tests assert it.

@@ -106,11 +106,12 @@ pub struct ServiceEnv {
 /// One readiness watch a graph asks its dispatcher to maintain: when
 /// `endpoint` transitions per `interest`, schedule `task`.
 ///
-/// Input tasks watch readable transitions; output tasks watch writable
-/// ones, which is what lets a blocked writer park instead of busy-retrying
-/// — writable interest is a first-class dispatcher event on both
-/// transports. The watch on an array back-end member takes effect when the
-/// member is opened ([`Link`]).
+/// A graph has one watch per connection, for the directions its task uses
+/// it in: readable transitions for a connection it reads, writable ones
+/// for one it writes, which is what lets a blocked writer park instead of
+/// busy-retrying — writable interest is a first-class dispatcher event on
+/// both transports. The watch on an array back-end member takes effect
+/// when the member is opened ([`Link`]).
 #[derive(Clone)]
 pub struct Watch {
     /// The task to schedule.
@@ -121,38 +122,17 @@ pub struct Watch {
     pub interest: Interest,
 }
 
-impl Watch {
-    /// A readable watch (input tasks).
-    pub fn readable(task: TaskId, endpoint: Link) -> Self {
-        Watch {
-            task,
-            endpoint,
-            interest: Interest::READABLE,
-        }
-    }
-
-    /// A writable watch (output tasks).
-    pub fn writable(task: TaskId, endpoint: Link) -> Self {
-        Watch {
-            task,
-            endpoint,
-            interest: Interest::WRITABLE,
-        }
-    }
-}
-
 /// A graph produced by a factory ([`crate::GraphBuilder::build`]): its
 /// tasks, ready to register with the scheduler, plus the bookkeeping the
 /// dispatcher needs.
 pub struct BuiltGraph {
     /// Every task of the graph with its global id.
     pub(crate) tasks: Vec<(TaskId, Box<dyn Task>)>,
-    /// One per bound direction: the task to wake on the endpoint's
-    /// readiness transitions (readable for input tasks, writable for
-    /// output tasks), in binding order.
+    /// One per bound connection: the task to wake on the endpoint's
+    /// readiness transitions, in binding order.
     pub(crate) watchers: Vec<Watch>,
-    /// The input tasks bound to *client* connections; once all of them
-    /// have finished the dispatcher drains the rest of the graph.
+    /// The tasks reading *client* connections; once the input of every
+    /// one of them has ended the dispatcher drains the rest of the graph.
     pub(crate) client_tasks: Vec<TaskId>,
 }
 

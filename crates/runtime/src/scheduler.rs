@@ -38,39 +38,57 @@ struct WorkerQueue {
 struct TaskSlot {
     task: Mutex<Option<Box<dyn Task>>>,
     queued: AtomicBool,
-    /// The graph the task belongs to, and whether its exit counts towards
-    /// the drain; `None` for a task registered on its own.
-    graph: Option<(Arc<GraphLife>, bool)>,
+    /// The graph the task belongs to; `None` for a task registered on its
+    /// own.
+    graph: Option<Arc<GraphLife>>,
+    /// The task reads a client connection whose input has not ended yet:
+    /// its graph's drain waits for it.
+    reading: AtomicBool,
 }
 
 impl TaskSlot {
-    fn new(task: Box<dyn Task>, graph: Option<(Arc<GraphLife>, bool)>) -> Arc<Self> {
+    fn new(task: Box<dyn Task>, graph: Option<Arc<GraphLife>>, reading: bool) -> Arc<Self> {
         Arc::new(TaskSlot {
             task: Mutex::new(Some(task)),
             queued: AtomicBool::new(false),
             graph,
+            reading: AtomicBool::new(reading),
         })
+    }
+
+    /// Counts the task's client input out of its graph, once: `true` when
+    /// it was the graph's last.
+    fn end_input(&self) -> bool {
+        match &self.graph {
+            Some(graph) if self.reading.swap(false, Ordering::AcqRel) => graph
+                .clients
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+                .is_ok_and(|n| n == 1),
+            _ => false,
+        }
     }
 }
 
 /// One graph's lifecycle record, shared by the slots of its tasks. A task
 /// counts itself out once it has left the task map — it finished, or was
 /// removed — so a count read as zero means every such task is gone. The
-/// record posts `token` to `poller` twice: when the last client task
-/// exits (start the drain) and when the last task exits (tear down).
+/// record posts `token` to `poller` twice: when the last client input ends
+/// (start the drain) and when the last task exits (tear down).
 pub(crate) struct GraphLife {
     /// Tasks still registered.
     tasks: AtomicUsize,
-    /// Client input tasks still registered. It never goes below zero: a
-    /// graph with no client input counts every task here against one, so
-    /// its first exit starts the drain.
+    /// Client inputs that have not ended. A task's input ends when its run
+    /// says so ([`TaskContext::end_input`]) or when it exits, whichever
+    /// comes first. It never goes below zero: a graph with no client input
+    /// counts every task here against one, so its first input end or exit
+    /// starts the drain.
     clients: AtomicUsize,
     poller: Poller,
     token: Token,
 }
 
 impl GraphLife {
-    /// Client input tasks still registered.
+    /// Client inputs that have not ended.
     pub(crate) fn clients_left(&self) -> usize {
         self.clients.load(Ordering::Acquire)
     }
@@ -80,20 +98,17 @@ impl GraphLife {
         self.tasks.load(Ordering::Acquire)
     }
 
-    fn count_out(&self, client: bool) {
-        let last_client = client
-            && self
-                .clients
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
-                == Ok(1);
+    fn post(&self) {
+        self.poller.post(self.token, Readiness::default());
+    }
+
+    /// Counts a task out; `last_client` when its exit also ended the
+    /// graph's last client input. Both counts are settled before the one
+    /// post, so the reader it wakes sees this exit in both.
+    fn count_out(&self, last_client: bool) {
         let last_task = self.tasks.fetch_sub(1, Ordering::AcqRel) == 1;
-        // Both counts are settled before either post, so the reader the
-        // post wakes sees this exit in both.
-        if last_client {
-            self.poller.post(self.token, Readiness::default());
-        }
-        if last_task {
-            self.poller.post(self.token, Readiness::default());
+        if last_client || last_task {
+            self.post();
         }
     }
 }
@@ -211,7 +226,17 @@ impl SchedulerInner {
         self.runs.fetch_add(1, Ordering::Relaxed);
         let mut ctx = TaskContext::new(id, self.timeslice, Arc::clone(&self.metrics));
         let status = task.run(&mut ctx);
+        if status == TaskStatus::Finished {
+            // Dropped here, so a worker that took the slot before the exit
+            // below removes it finds no task to run a second time.
+            guard.take();
+        }
         drop(guard);
+        if ctx.input_ended() && slot.end_input() {
+            if let Some(graph) = &slot.graph {
+                graph.post();
+            }
+        }
         for wake in ctx.take_wakes() {
             self.schedule(wake);
         }
@@ -235,9 +260,10 @@ impl SchedulerInner {
     /// the caller that removed the slot counts, so a task that finishes
     /// while its graph's teardown removes it is counted once.
     fn exit(&self, id: TaskId) {
-        let slot = self.tasks.write().remove(&id);
-        if let Some((graph, client)) = slot.as_ref().and_then(|slot| slot.graph.as_ref()) {
-            graph.count_out(*client);
+        if let Some(slot) = self.tasks.write().remove(&id) {
+            if let Some(graph) = &slot.graph {
+                graph.count_out(slot.end_input());
+            }
         }
     }
 
@@ -496,13 +522,13 @@ impl Scheduler {
         self.inner
             .tasks
             .write()
-            .insert(id, TaskSlot::new(task, None));
+            .insert(id, TaskSlot::new(task, None, false));
     }
 
     /// Registers every task of a graph without scheduling any, under one
-    /// lifecycle record that posts `token` to `poller` when the last of
-    /// `clients` exits and when the last task exits. The record exists
-    /// before any of the tasks can run, so no exit goes uncounted.
+    /// lifecycle record that posts `token` to `poller` when the input of
+    /// the last of `clients` ends and when the last task exits. The record
+    /// exists before any of the tasks can run, so no exit goes uncounted.
     pub(crate) fn register_graph(
         &self,
         tasks: Vec<(TaskId, Box<dyn Task>)>,
@@ -519,8 +545,8 @@ impl Scheduler {
         });
         let mut map = self.inner.tasks.write();
         for (id, task) in tasks {
-            let client = clients.is_empty() || clients.contains(&id);
-            map.insert(id, TaskSlot::new(task, Some((Arc::clone(&graph), client))));
+            let reading = clients.is_empty() || clients.contains(&id);
+            map.insert(id, TaskSlot::new(task, Some(Arc::clone(&graph)), reading));
         }
         drop(map);
         graph

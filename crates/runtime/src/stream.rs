@@ -4,11 +4,13 @@
 //!
 //! A codec parsing under a projection without `body` reports a message as
 //! soon as its head is complete, with `n` body bytes still in the
-//! connection ([`flick_grammar::Message::unread_body`]). The input task
+//! connection ([`flick_grammar::Message::unread_body`]). The read side
 //! that parsed it opens a [`BodyStream`], attaches the consumer's handle
 //! ([`BodyTail`]) to the message and fills the pipe from its connection;
-//! the output task that writes the message drains the pipe into its own
-//! connection after the head and buffered prefix. The compiler streams
+//! the task whose write side writes the message drains the pipe into its
+//! own connection after the head and buffered prefix. One task may be the
+//! producer of one stream and the consumer of another at once (an upload
+//! and a download on one client connection). The compiler streams
 //! only inputs whose messages are forwarded exactly once and unmodified,
 //! so one message, one pipe, one producer and one consumer.
 //!
@@ -40,7 +42,8 @@ use std::sync::Arc;
 const UNCLAIMED: u64 = u64::MAX;
 
 /// One streamed body: its pipe, the bytes it must carry, and how far each
-/// side got. Shared by the producer (an [`crate::InputTask`]) and the
+/// side got. Shared by the producer (a [`crate::ConnectionTask`]'s read
+/// side) and the
 /// consumer handle riding on the message.
 pub(crate) struct BodyStream {
     pipe: BodyPipe,
@@ -60,8 +63,8 @@ pub(crate) struct BodyStream {
     abandoned: AtomicBool,
 }
 
-/// How far a round of moving bytes got: a fill or drain here, or an
-/// output task's whole flush.
+/// How far a round of moving bytes got: a fill or drain here, or a write
+/// side's whole flush.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Moved {
     /// Everything this side had to move is through.
@@ -192,7 +195,8 @@ impl Drop for BodyTail {
 }
 
 /// The consumer's side: a claimed stream being drained onto one
-/// connection, held by an [`crate::OutputTask`] with the message's
+/// connection, held by a [`crate::ConnectionTask`]'s write side with the
+/// message's
 /// carrier (which keeps the stream claimed while it is alive).
 pub(crate) struct Draining {
     stream: Arc<BodyStream>,

@@ -62,6 +62,7 @@ pub struct TaskContext {
     wake_list: Vec<TaskId>,
     metrics: Arc<RuntimeMetrics>,
     yielded: bool,
+    input_ended: bool,
 }
 
 impl TaskContext {
@@ -75,6 +76,7 @@ impl TaskContext {
             wake_list: Vec::new(),
             metrics,
             yielded: false,
+            input_ended: false,
         }
     }
 
@@ -136,6 +138,18 @@ impl TaskContext {
             self.wake(task);
         }
         std::mem::take(&mut self.wake_list)
+    }
+
+    /// Records that the task's input ended in this run. On a client
+    /// connection that is what its graph's drain waits for: the drain
+    /// starts once every client connection's input has ended.
+    pub fn end_input(&mut self) {
+        self.input_ended = true;
+    }
+
+    /// Whether the task's input ended in this run ([`Self::end_input`]).
+    pub fn input_ended(&self) -> bool {
+        self.input_ended
     }
 
     /// The runtime metrics block, for task implementations to update.

@@ -1,18 +1,17 @@
-//! Concrete task kinds: input, output, and synthetic tasks.
+//! Concrete task kinds: the connection task, and a synthetic task.
 //!
 //! These are the building blocks the FLICK compiler (and hand-written
 //! services) assemble into task graphs, every one of them the same shape:
-//! an input task per connection read, an output task per connection
-//! written.
+//! one task per connection the graph reads or writes.
 //!
-//! * [`InputTask`] — owns one network connection, performs incremental
-//!   deserialisation using a [`WireCodec`] and a field [`Projection`], runs
-//!   the rules ([`ComputeLogic`]) on each message it parses, and tells them
-//!   when its input ends ([`InlineRules`]); a `foldt` folds its own stream
-//!   there and merges it at that end;
-//! * [`OutputTask`] — serialises values and writes them to a connection,
-//!   through an [`OutputSide`] that inline rules write to directly while
-//!   it is idle;
+//! * [`ConnectionTask`] — owns one network connection. Its read side
+//!   performs incremental deserialisation using a [`WireCodec`] and a field
+//!   [`Projection`], runs the rules ([`ComputeLogic`]) on each message it
+//!   parses, and tells them when its input ends ([`InlineRules`]); a
+//!   `foldt` folds its own stream there and merges it at that end. Its
+//!   write side serialises values and writes them to the connection,
+//!   through an [`OutputSide`] that other tasks' rules write to directly
+//!   while it is idle;
 //! * [`SyntheticWorkTask`] — the synthetic task of the resource-sharing
 //!   micro-benchmark of §6.4.
 
@@ -30,20 +29,168 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// How many bytes an input task reads per socket call.
+/// How many bytes a read side reads per socket call.
 pub const READ_CHUNK: usize = 16 * 1024;
 
-/// Capacity an output task retains for its serialisation buffer across
+/// Capacity a write side retains for its serialisation buffer across
 /// responses; a one-off larger response shrinks back to this once flushed,
 /// so a single 16 KB body does not pin its capacity forever.
 pub const OUTBUF_RETAIN: usize = READ_CHUNK;
 
 // ---------------------------------------------------------------------------
-// Input task
+// Connection task
 // ---------------------------------------------------------------------------
 
-/// A task that reads bytes from one connection and deserialises them into
-/// application messages.
+/// The one task of a connection: it reads what the graph reads from the
+/// connection and writes what the graph's rules emit to it.
+///
+/// A run first flushes the write side ([`WriteSide`]): what other tasks
+/// queued to this connection, or a write left unflushed on a full socket.
+/// Then it reads and parses ([`ReadSide`]). It takes the side's lock only
+/// while it flushes, so another connection's task that emits to this one
+/// meanwhile finds the side idle and writes inline. A read side that ends
+/// in the run may have closed the last producer of the task's own queue,
+/// so the write side is flushed once more then.
+///
+/// The task finishes once both of its sides have: the read side at the end
+/// of its input, the write side once every read side of the graph has
+/// finished (its queue is closed) and everything is flushed, or when the
+/// connection failed. It then closes the connection, or, on an array
+/// back-end member its graph's drain released, records whether both sides
+/// ended cleanly framed ([`Link::finish`]). The end of a client
+/// connection's input is what its graph's drain waits for
+/// ([`TaskContext::end_input`]), not the end of its task, which writes on
+/// until the back-end tasks the drain releases have finished.
+pub struct ConnectionTask {
+    label: String,
+    input: Option<ReadSide>,
+    output: Option<WriteSide>,
+}
+
+impl ConnectionTask {
+    /// A task reading `input` and writing `output`; at least one is bound.
+    pub(crate) fn new(
+        label: impl Into<String>,
+        input: Option<ReadSide>,
+        output: Option<WriteSide>,
+    ) -> Self {
+        assert!(
+            input.is_some() || output.is_some(),
+            "a connection task reads or writes its connection"
+        );
+        ConnectionTask {
+            label: label.into(),
+            input,
+            output,
+        }
+    }
+
+    /// One round of the write side; `Finished` once it is done, or when
+    /// the task does not write.
+    fn write(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+        let Some(output) = &self.output else {
+            return TaskStatus::Finished;
+        };
+        let mut writer = output.side.writer.lock();
+        if writer.done {
+            return TaskStatus::Finished;
+        }
+        let status = writer.run(&output.queue, ctx);
+        writer.done = status == TaskStatus::Finished;
+        status
+    }
+
+    /// One round of the read side; `Finished` once it is done, or when the
+    /// task does not read.
+    fn read(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+        let Some(input) = self.input.as_mut().filter(|input| !input.done) else {
+            return TaskStatus::Finished;
+        };
+        let status = input.run(ctx);
+        if status == TaskStatus::Finished {
+            input.done = true;
+            ctx.end_input();
+            if input.dead {
+                // A closed member: nothing written to it can ever leave.
+                if let Some(output) = &self.output {
+                    output.side.writer.lock().fail();
+                }
+            }
+        }
+        status
+    }
+
+    /// Both sides are done: closes the connection, or records how a
+    /// released member's two sides ended for its teardown.
+    fn end(&mut self) -> TaskStatus {
+        let received = self.input.as_ref().and_then(|input| input.framed);
+        let sent = self
+            .output
+            .as_ref()
+            .and_then(|output| output.side.writer.lock().framed());
+        let ended = match (sent, received) {
+            (Some(sent), Some(received)) => Ended::Framed { sent, received },
+            _ => Ended::Unclean,
+        };
+        match &self.input {
+            Some(input) => input.endpoint.finish(ended),
+            None => {
+                let output = self.output.as_ref().expect("a task reads or writes");
+                output.side.writer.lock().endpoint.finish(ended);
+            }
+        }
+        TaskStatus::Finished
+    }
+}
+
+impl Drop for ConnectionTask {
+    fn drop(&mut self) {
+        // Dropping a task (graph teardown) must release the connection so
+        // that the peer observes EOF instead of a hung socket — unless its
+        // graph's teardown decides, on a released member.
+        if let Some(input) = &mut self.input {
+            input.endpoint.close_unless_released();
+            input.rules.emitter.close(|_| {});
+            if let Some(consumer) = input.streaming.take().and_then(|stream| stream.fail()) {
+                wake_after_run(consumer);
+            }
+        }
+        if let Some(output) = &self.output {
+            output.side.writer.lock().endpoint.close_unless_released();
+        }
+    }
+}
+
+impl Task for ConnectionTask {
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
+        let mut wrote = self.write(ctx);
+        if wrote == TaskStatus::Runnable {
+            // The next run reads; the readiness it would miss is not lost.
+            return wrote;
+        }
+        let was_reading = self.input.as_ref().is_some_and(|input| !input.done);
+        let read = self.read(ctx);
+        if was_reading && read == TaskStatus::Finished && wrote == TaskStatus::Idle {
+            wrote = self.write(ctx);
+        }
+        match (read, wrote) {
+            (TaskStatus::Finished, TaskStatus::Finished) => self.end(),
+            (TaskStatus::Runnable, _) | (_, TaskStatus::Runnable) => TaskStatus::Runnable,
+            _ => TaskStatus::Idle,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Read side
+// ---------------------------------------------------------------------------
+
+/// What a connection task reads: bytes from its connection, deserialised
+/// into application messages that the rules run on.
 ///
 /// Ingest is zero-copy: the socket fills a refcounted [`SharedBuf`] in
 /// place ([`Endpoint::read_into`]) and messages are parsed straight out of
@@ -55,20 +202,19 @@ pub const OUTBUF_RETAIN: usize = READ_CHUNK;
 ///
 /// A message whose body the codec left unread (a projection without
 /// `body`) is pushed as soon as its head is parsed, with a body pipe
-/// attached; the task then fills the pipe from its connection, and
-/// parses on only once the whole body is in it (`crate::stream`).
+/// attached; the side then fills the pipe from its connection, and parses
+/// on only once the whole body is in it (`crate::stream`).
 ///
-/// On an array back-end member the task idles until the member's output
-/// side opens it ([`Link`]), and finishes if the member is closed first.
-/// On a member its graph's drain released, it finishes without reading on
-/// and records whether it ended cleanly framed ([`Link::finish`]).
+/// On an array back-end member the side idles until the member is opened
+/// ([`Link`]), and finishes if the member is closed first. On a member its
+/// graph's drain released, it finishes without reading on and notes
+/// whether it ended cleanly framed.
 ///
-/// The task runs its process's rules on each message itself: the rules'
+/// The side runs its process's rules on each message itself: the rules'
 /// emissions go straight to their destinations' [`OutputSide`]s. When its
 /// input ends (end of stream, hang-up or a malformed close) it tells the
 /// rules so, and delivers what they emit then before it finishes.
-pub struct InputTask {
-    label: String,
+pub(crate) struct ReadSide {
     endpoint: Link,
     codec: Arc<dyn WireCodec>,
     projection: Option<Projection>,
@@ -77,6 +223,16 @@ pub struct InputTask {
     /// The rules were told the input ended, or failed: all that is left
     /// is to deliver what they emitted and finish.
     ended: bool,
+    /// Finished: the rules' emissions are delivered and the side's channel
+    /// handles are closed.
+    done: bool,
+    /// The side found its member closed: the connection is gone both
+    /// ways.
+    dead: bool,
+    /// Messages parsed, once a released member's side ended cleanly framed
+    /// (no partial message, and the codec says the last one keeps the
+    /// connection open).
+    framed: Option<u64>,
     /// Messages parsed so far.
     received: u64,
     /// Whether the codec says the last one keeps the connection open
@@ -91,23 +247,24 @@ pub struct InputTask {
     read_max: usize,
 }
 
-impl InputTask {
-    /// Creates an input task reading from `endpoint` and running `rules`
-    /// on every message it parses.
+impl ReadSide {
+    /// A read side on `endpoint`, running `rules` on every message it
+    /// parses.
     pub(crate) fn new(
-        label: impl Into<String>,
         endpoint: Link,
         codec: Arc<dyn WireCodec>,
         projection: Option<Projection>,
         rules: InlineRules,
     ) -> Self {
-        InputTask {
-            label: label.into(),
+        ReadSide {
             endpoint,
             codec,
             buf: SharedBuf::new(READ_CHUNK),
             rules,
             ended: false,
+            done: false,
+            dead: false,
+            framed: None,
             received: 0,
             keeps_alive: false,
             streaming: None,
@@ -134,7 +291,6 @@ impl InputTask {
         self.ended = true;
         Some(self.close(ctx))
     }
-
     /// Parses as many complete messages as possible from the shared
     /// buffer. Each message is parsed zero-copy out of a [`SharedBuf::view`]
     /// — consuming it is an index bump, not a drain-and-shift.
@@ -231,9 +387,10 @@ impl InputTask {
     }
 
     /// Closes the connection and ends the stream: a member is retired,
-    /// never parked.
+    /// never parked, and nothing more is written to the connection.
     fn close(&mut self, ctx: &mut TaskContext) -> TaskStatus {
         self.endpoint.close();
+        self.dead = true;
         self.finish(ctx)
     }
 
@@ -247,15 +404,16 @@ impl InputTask {
         if let Some(endpoint) = self.endpoint.open_endpoint() {
             endpoint.close_malformed();
         }
+        self.dead = true;
         self.finish(ctx)
     }
 
     /// Ends the stream. The consumer of a body left half filled is woken,
     /// and the rules are told their input ended (a fold merges its stream
-    /// then). What they emit is delivered before the task finishes: a full
-    /// channel parks it, and its next run resumes here. Last, the task
-    /// closes its end of every output channel, waking the consumers, so
-    /// that they observe the end promptly.
+    /// then). What they emit is delivered before the side finishes: a full
+    /// channel parks the task, and its next run resumes here. Last, the
+    /// side closes its end of every output channel, waking the consumers,
+    /// so that they observe the end promptly.
     fn finish(&mut self, ctx: &mut TaskContext) -> TaskStatus {
         if let Some(consumer) = self.streaming.take().and_then(|stream| stream.fail()) {
             ctx.wake(consumer);
@@ -269,26 +427,9 @@ impl InputTask {
         self.rules.emitter.close(|consumer| ctx.wake(consumer));
         TaskStatus::Finished
     }
-}
 
-impl Drop for InputTask {
-    fn drop(&mut self) {
-        // Dropping a task (graph teardown) must release the connection so
-        // that the peer observes EOF instead of a hung socket — unless its
-        // graph's teardown decides, on a released member.
-        self.endpoint.close_unless_released();
-        self.rules.emitter.close(|_| {});
-        if let Some(consumer) = self.streaming.take().and_then(|stream| stream.fail()) {
-            wake_after_run(consumer);
-        }
-    }
-}
-
-impl Task for InputTask {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
+    /// One round of the read side: reads and parses until the socket is
+    /// empty, the timeslice is spent, or the input ends.
     fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
         if self.ended {
             // Parked on what the rules emitted when the input ended.
@@ -297,14 +438,13 @@ impl Task for InputTask {
         match self.endpoint.settle() {
             Settled::Open => {}
             Settled::Unbound => return TaskStatus::Idle,
-            Settled::Closed => return self.finish(ctx),
+            Settled::Closed => {
+                self.dead = true;
+                return self.finish(ctx);
+            }
             Settled::Released => {
                 let framed = self.buf.is_empty() && self.streaming.is_none();
-                self.endpoint.finish(if framed && self.keeps_alive {
-                    Ended::Received(self.received)
-                } else {
-                    Ended::Unclean
-                });
+                self.framed = (framed && self.keeps_alive).then_some(self.received);
                 return self.finish(ctx);
             }
         }
@@ -337,7 +477,7 @@ impl Task for InputTask {
                     // Peer closed (or the connection failed): drain what we
                     // have and finish. A back-end that hung up takes no
                     // further request either, so its member is closed now,
-                    // before its output task writes into it.
+                    // before anything more is written to it.
                     let _ = self.drain_buffer(ctx);
                     if self.endpoint.is_member() {
                         return self.close(ctx);
@@ -359,7 +499,8 @@ pub struct Outputs<'a> {
     ctx: &'a mut TaskContext,
     /// Whether an emission may be written by the emitting task itself. Not
     /// at the end of an input: what is emitted there (a fold's aggregate)
-    /// is queued to the output tasks, which coalesce it into few writes.
+    /// is queued to the destinations' tasks, which coalesce it into few
+    /// writes.
     inline: bool,
 }
 
@@ -413,8 +554,9 @@ impl Outputs<'_> {
     }
 }
 
-/// User-supplied (or compiler-generated) processing logic, run by an input
-/// task on each message it parses ([`InlineRules`]).
+/// User-supplied (or compiler-generated) processing logic, run by a
+/// connection task's read side on each message it parses
+/// ([`InlineRules`]).
 pub trait ComputeLogic: Send {
     /// Called for every value arriving on input `input`.
     fn on_value(
@@ -435,7 +577,7 @@ pub trait ComputeLogic: Send {
 }
 
 /// What a task's logic emits to, and the emissions full channels refused:
-/// the one emission path of an input task's inline rules.
+/// the one emission path of a read side's inline rules.
 struct Emitter {
     producers: Vec<ChannelProducer>,
     /// The output side behind each producer, which an emission writes to
@@ -482,22 +624,22 @@ impl Emitter {
     }
 }
 
-/// The rules of a process, run by an input task on each message it parses
-/// ([`InputTask`]).
+/// The rules of a process, run by a read side on each message it parses
+/// ([`ReadSide`]).
 ///
-/// The task holds its own `logic` instance and one [`Destination`] per
+/// The side holds its own `logic` instance and one [`Destination`] per
 /// output the logic may emit to, in the logic's output order. A value
 /// emitted to a destination is written by the emitting task itself when
-/// the destination's side is idle, and queued to its output task
+/// the destination's side is idle, and queued to the destination's task
 /// otherwise ([`OutputSide`]); a full queue parks the task like a full
 /// channel parks any producer, with the values behind it kept in order.
-/// Each destination's channel closes once every input task of the graph
+/// Each destination's channel closes once every read side of the graph
 /// has finished.
 ///
 /// Logic that acts when an input ends ([`ComputeLogic::on_input_finished`])
-/// runs in the input task whose stream ended: a `foldt` merges the stream
+/// runs in the read side whose stream ended: a `foldt` merges the stream
 /// it folded into its graph's fold there, and the last input to end emits
-/// the aggregate, queued to the output task.
+/// the aggregate, queued to the destination's task.
 pub(crate) struct InlineRules {
     logic: Box<dyn ComputeLogic>,
     /// The logic's input index of the task's messages.
@@ -505,8 +647,9 @@ pub(crate) struct InlineRules {
     emitter: Emitter,
 }
 
-/// One output of a graph: the channel into its [`OutputTask`] and the side
-/// that task shares ([`crate::GraphBuilder::bind_output`]).
+/// One output of a graph: the channel into the write side of its
+/// connection's task and the [`OutputSide`] that side shares
+/// ([`crate::GraphBuilder::bind`]).
 pub(crate) struct Destination {
     pub(crate) producer: ChannelProducer,
     pub(crate) side: Arc<OutputSide>,
@@ -553,8 +696,8 @@ impl InlineRules {
         self.logic.on_input_finished(self.input, out)
     }
 
-    /// Closes every connection the rules write to; their output tasks are
-    /// woken to finish.
+    /// Closes every connection the rules write to; their tasks are woken
+    /// to finish.
     fn fail_all(&mut self) {
         self.emitter.overflow.clear();
         for side in &self.emitter.sides {
@@ -612,10 +755,10 @@ impl LogicHarness {
 }
 
 // ---------------------------------------------------------------------------
-// Output task
+// Write side
 // ---------------------------------------------------------------------------
 
-/// How compiled service logic executes in input tasks.
+/// How compiled service logic executes in read sides.
 ///
 /// The runtime only carries the switch; the compiler crate interprets it
 /// when it builds the logic for a graph. Both modes run the same
@@ -646,9 +789,10 @@ impl ExecMode {
     }
 }
 
-/// A task that serialises values and writes them to one connection.
+/// What a connection task writes: the values the graph's rules emit to its
+/// connection, serialised.
 ///
-/// Output is coalesced: every message queued when the task runs is
+/// Output is coalesced: every message queued when the side runs is
 /// serialised into one buffer and leaves in one write. A batch ends early
 /// at a message with a shared body segment (headers and body then leave
 /// together through one vectored write), at [`OUTBUF_RETAIN`] bytes, or
@@ -665,38 +809,64 @@ impl ExecMode {
 /// behind it is written before it is all out (`crate::stream`).
 ///
 /// On an array back-end member the first flush with bytes to send opens
-/// the member ([`Link`]); a failed open finishes the task. On a member its
-/// graph's drain released, the task finishes without closing it and
-/// records whether it ended cleanly framed ([`Link::finish`]).
-///
-/// The serialise-and-flush state is the task's [`OutputSide`], which
-/// input tasks running their rules inline write to directly while it is
-/// idle; the task holds the side's lock for the whole of each run.
-pub struct OutputTask {
-    label: String,
+/// the member ([`Link`]); a failed open ends the side. The side's
+/// serialise-and-flush state is its [`OutputSide`], which other tasks'
+/// rules write to directly while it is idle; the task holds the side's
+/// lock while it flushes.
+pub(crate) struct WriteSide {
     side: Arc<OutputSide>,
-    input: ChannelConsumer,
+    /// The channel into this side: what the rules queued to it.
+    queue: ChannelConsumer,
 }
 
-/// The write side of one connection: what an [`OutputTask`] serialises
-/// and has still to flush, behind one lock, so one writer at a time
-/// writes the socket.
+impl WriteSide {
+    /// A write side serialising onto `endpoint` what arrives on `queue`.
+    /// Its task is `queue`'s consumer: the task must run under that id.
+    pub(crate) fn new(endpoint: Link, codec: Arc<dyn WireCodec>, queue: ChannelConsumer) -> Self {
+        WriteSide {
+            side: Arc::new(OutputSide {
+                writer: Mutex::new(Writer {
+                    endpoint,
+                    codec,
+                    outbuf: Vec::new(),
+                    body: None,
+                    rest: None,
+                    sent: 0,
+                    keeps_alive: false,
+                    failed: false,
+                    done: false,
+                }),
+                task: queue.consumer(),
+            }),
+            queue,
+        }
+    }
+
+    /// The side other tasks' rules write to.
+    pub(crate) fn side(&self) -> &Arc<OutputSide> {
+        &self.side
+    }
+}
+
+/// The write side of one connection: what its task serialises and has
+/// still to flush, behind one lock, so one writer at a time writes the
+/// socket.
 ///
-/// An input task running its rules inline ([`InlineRules`]) offers each
+/// A read side running its rules inline ([`InlineRules`]) offers each
 /// value it emits here first. When the side holds nothing unflushed and
-/// nothing is queued in the output task's channel, it serialises the value
-/// and writes it on the spot, opening an unopened array member first; so
-/// every earlier value to this connection is already on the wire, and
-/// values leave in the order they were emitted. Whatever the write leaves
-/// unflushed (a full socket) stays here for the output task, which the
-/// emitter wakes. Three cases go through the output task's channel
-/// instead: a busy side (locked, unflushed bytes, or values queued), a
-/// message whose body streams through a pipe (the output task drains the
-/// pipe), and everything an emitter queued behind a full channel.
+/// nothing is queued in its channel, it serialises the value and writes
+/// it on the spot, opening an unopened array member first; so every
+/// earlier value to this connection is already on the wire, and values
+/// leave in the order they were emitted. Whatever the write leaves
+/// unflushed (a full socket) stays here for the connection's task, which
+/// the emitter wakes. Three cases go through the channel instead: a busy
+/// side (locked, unflushed bytes, or values queued), a message whose body
+/// streams through a pipe (the connection's task drains the pipe), and
+/// everything an emitter queued behind a full channel.
 pub(crate) struct OutputSide {
     writer: Mutex<Writer>,
-    /// The output task: the task to wake, and the consumer of a streamed
-    /// body.
+    /// The connection's task: the task to wake, and the consumer of a
+    /// streamed body.
     task: TaskId,
 }
 
@@ -704,14 +874,14 @@ pub(crate) struct OutputSide {
 enum Inline {
     /// Serialised and written in full.
     Written,
-    /// Serialised, but not all written: the output task is to be woken
-    /// to finish.
+    /// Serialised, but not all written: the connection's task is to be
+    /// woken to finish.
     Unfinished,
-    /// The write failed and the connection is closed: the output task is
-    /// to be woken to finish.
+    /// The write failed and the connection is closed: the connection's
+    /// task is to be woken to finish.
     Failed,
-    /// The connection failed earlier: the value goes with it, as values
-    /// queued to a failed output task do.
+    /// The connection failed earlier, or the side is done writing: the
+    /// value goes, as values queued to a finished side do.
     Dropped,
     /// The side is busy: the value goes into the channel, behind what is
     /// queued.
@@ -739,48 +909,19 @@ struct Writer {
     /// Whether the codec says the last one keeps the connection open
     /// (asked on back-end members only).
     keeps_alive: bool,
-    /// The connection failed under an inline write and was closed: the
-    /// output task drops what is queued and finishes.
+    /// The connection failed (under a write, or its task's read side
+    /// found it closed) and was closed: the side drops what is queued
+    /// until its channel closes.
     failed: bool,
-}
-
-impl OutputTask {
-    /// Creates an output task writing to `endpoint`. Its side's task is
-    /// `input`'s consumer: the task must run under that id.
-    pub fn new(
-        label: impl Into<String>,
-        endpoint: Link,
-        codec: Arc<dyn WireCodec>,
-        input: ChannelConsumer,
-    ) -> Self {
-        OutputTask {
-            label: label.into(),
-            side: Arc::new(OutputSide {
-                writer: Mutex::new(Writer {
-                    endpoint,
-                    codec,
-                    outbuf: Vec::new(),
-                    body: None,
-                    rest: None,
-                    sent: 0,
-                    keeps_alive: false,
-                    failed: false,
-                }),
-                task: input.consumer(),
-            }),
-            input,
-        }
-    }
-
-    /// The side inline writers share with this task.
-    pub(crate) fn side(&self) -> &Arc<OutputSide> {
-        &self.side
-    }
+    /// The side finished: its queue was closed and drained, or its member
+    /// was released with nothing left to send. Nothing more is written
+    /// through it.
+    done: bool,
 }
 
 impl OutputSide {
     /// Serialises and writes `value` now, if the side is idle and nothing
-    /// is queued in `queue`, the channel into its output task.
+    /// is queued in `queue`, the channel into it.
     fn write_inline(&self, value: Value, queue: &ChannelProducer) -> Inline {
         if matches!(&value, Value::Msg(msg) if msg.unread_body() > 0) {
             return Inline::Queue(value);
@@ -788,7 +929,7 @@ impl OutputSide {
         let Some(mut writer) = self.writer.try_lock() else {
             return Inline::Queue(value);
         };
-        if writer.failed {
+        if writer.failed || writer.done {
             return Inline::Dropped;
         }
         if !writer.is_idle() || !queue.is_empty() {
@@ -899,15 +1040,15 @@ impl Writer {
                 if let Some(rest) = self.rest.take() {
                     rest.abandon(ctx);
                 }
-                while input.pop(ctx).is_some() {}
+                self.failed = true;
                 self.endpoint.close();
-                Some(TaskStatus::Finished)
+                Some(self.drop_queued(input, ctx))
             }
         }
     }
 
-    /// Closes the connection after a failed inline write (or a failed
-    /// rule), dropping what is unflushed.
+    /// Closes the connection after a failed inline write, a failed rule or
+    /// a closed member, dropping what is unflushed.
     fn fail(&mut self) {
         self.outbuf.clear();
         self.body = None;
@@ -964,20 +1105,45 @@ impl Writer {
             Value::Str(s) => self.outbuf.extend_from_slice(s.as_bytes()),
             other => {
                 return Err(RuntimeError::Logic(format!(
-                    "output task cannot serialise value {other}"
+                    "a write side cannot serialise value {other}"
                 )))
             }
         }
         Ok(())
     }
 
-    /// One run of the output task: flush, then serialise and flush every
+    /// A failed side's round: drops what is queued — a streamed body's
+    /// producer learns from the dropped carrier — until the channel closes,
+    /// so nothing queued later waits for a writer that is gone.
+    fn drop_queued(&mut self, input: &ChannelConsumer, ctx: &mut TaskContext) -> TaskStatus {
+        while input.pop(ctx).is_some() {}
+        self.end_or_idle(input)
+    }
+
+    /// `Finished` once nothing more will be written: the channel is closed
+    /// (and drained), or the member released, after which nothing written
+    /// could be answered.
+    fn end_or_idle(&self, input: &ChannelConsumer) -> TaskStatus {
+        if input.is_finished() || self.endpoint.is_released() {
+            TaskStatus::Finished
+        } else {
+            TaskStatus::Idle
+        }
+    }
+
+    /// How many messages the side wrote in full, if it ended cleanly
+    /// framed: it did not fail, and the codec says the last one keeps the
+    /// connection open.
+    fn framed(&self) -> Option<u64> {
+        (!self.failed && self.keeps_alive).then_some(self.sent)
+    }
+
+    /// One round of the write side: flush, then serialise and flush every
     /// queued message in batches, then finish once the channel has closed
     /// and everything is out.
     fn run(&mut self, input: &ChannelConsumer, ctx: &mut TaskContext) -> TaskStatus {
         if self.failed {
-            while input.pop(ctx).is_some() {}
-            return TaskStatus::Finished;
+            return self.drop_queued(input, ctx);
         }
         // Whether the last pop found the channel empty.
         let mut drained = false;
@@ -986,17 +1152,9 @@ impl Writer {
                 return status;
             }
             if drained {
-                if input.is_finished() {
-                    // Everything serialised was written: the flush above
-                    // left nothing behind.
-                    self.endpoint.finish(if self.keeps_alive {
-                        Ended::Sent(self.sent)
-                    } else {
-                        Ended::Unclean
-                    });
-                    return TaskStatus::Finished;
-                }
-                return TaskStatus::Idle;
+                // Everything serialised was written: the flush above left
+                // nothing behind.
+                return self.end_or_idle(input);
             }
             // Serialise every queued message into one batch, flushed once.
             // The flush above drained everything, and a batch ends at the
@@ -1005,8 +1163,8 @@ impl Writer {
             drained = true;
             while let Some(value) = input.pop(ctx) {
                 if self.serialize(&value, ctx.task()).is_err() {
-                    self.endpoint.close();
-                    return TaskStatus::Finished;
+                    self.fail();
+                    return self.drop_queued(input, ctx);
                 }
                 RuntimeMetrics::add(&ctx.metrics().messages_out, 1);
                 if !ctx.can_continue() {
@@ -1021,22 +1179,6 @@ impl Writer {
                 }
             }
         }
-    }
-}
-
-impl Drop for OutputTask {
-    fn drop(&mut self) {
-        self.side.writer.lock().endpoint.close_unless_released();
-    }
-}
-
-impl Task for OutputTask {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn run(&mut self, ctx: &mut TaskContext) -> TaskStatus {
-        self.side.writer.lock().run(&self.input, ctx)
     }
 }
 
@@ -1122,6 +1264,7 @@ mod tests {
     use crate::task::{TaskId, NO_DEADLINE};
     use flick_grammar::http::{self, HttpCodec};
     use flick_net::{SimNetwork, StackModel, TcpStack};
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
@@ -1152,6 +1295,35 @@ mod tests {
         }
     }
 
+    /// A task reading `endpoint` and running `rules`, writing nothing.
+    fn reader(
+        endpoint: impl Into<Link>,
+        projection: Option<Projection>,
+        rules: InlineRules,
+    ) -> ConnectionTask {
+        let input = ReadSide::new(endpoint.into(), codec(), projection, rules);
+        ConnectionTask::new("in", Some(input), None)
+    }
+
+    /// A task writing onto `endpoint` what arrives on `queue`, reading
+    /// nothing.
+    fn writer(
+        endpoint: impl Into<Link>,
+        codec: Arc<dyn WireCodec>,
+        queue: ChannelConsumer,
+    ) -> ConnectionTask {
+        ConnectionTask::new(
+            "out",
+            None,
+            Some(WriteSide::new(endpoint.into(), codec, queue)),
+        )
+    }
+
+    /// The side other tasks write to of a task that writes.
+    fn side(task: &ConnectionTask) -> &Arc<OutputSide> {
+        task.output.as_ref().expect("the task writes").side()
+    }
+
     /// [`Passthrough`] emitting into `output` alone, with no output side:
     /// every value goes into the channel.
     fn into_channel(output: ChannelProducer) -> InlineRules {
@@ -1173,7 +1345,7 @@ mod tests {
             .unwrap();
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
-        let mut task = InputTask::new("in", server.into(), codec(), None, into_channel(tx));
+        let mut task = reader(server, None, into_channel(tx));
         let mut c = ctx();
         assert_eq!(task.run(&mut c), TaskStatus::Idle);
         assert_eq!(rx.len(), 2);
@@ -1194,7 +1366,7 @@ mod tests {
             .unwrap();
 
         let (tx, rx) = TaskChannel::bounded(2, TaskId(1));
-        let mut task = InputTask::new("in", server.into(), codec(), None, into_channel(tx));
+        let mut task = reader(server, None, into_channel(tx));
         let mut producer = task_ctx(9);
         assert_eq!(
             task.run(&mut producer),
@@ -1225,7 +1397,7 @@ mod tests {
         client.close();
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
-        let mut task = InputTask::new("in", server.into(), codec(), None, into_channel(tx));
+        let mut task = reader(server, None, into_channel(tx));
         assert_eq!(task.run(&mut ctx()), TaskStatus::Finished);
         assert_eq!(rx.len(), 1);
         assert!(rx.producers_closed());
@@ -1245,7 +1417,7 @@ mod tests {
             .unwrap();
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
-        let mut task = InputTask::new("in", server.into(), codec(), None, into_channel(tx));
+        let mut task = reader(server, None, into_channel(tx));
         assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
         assert_eq!(rx.len(), 2, "the rules ran on both messages");
         assert!(!rx.producers_closed());
@@ -1265,7 +1437,7 @@ mod tests {
         let server = listener.accept().unwrap();
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
-        let mut task = InputTask::new("in", server.into(), codec(), None, into_channel(tx));
+        let mut task = reader(server, None, into_channel(tx));
         client.write(b"GET /part HTTP/1.1\r\nHo").unwrap();
         assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
         assert_eq!(rx.len(), 0);
@@ -1300,7 +1472,7 @@ mod tests {
             let (tx, rx) = TaskChannel::bounded(16, TaskId(1));
             let projection = Some(http::load_balancer_projection());
             let rules = into_channel(tx);
-            let mut task = InputTask::new("in", server.into(), codec(), projection, rules);
+            let mut task = reader(server, projection, rules);
             let mut round_robin =
                 TaskContext::new(TaskId(0), Duration::ZERO, RuntimeMetrics::new_shared());
             let (status, yields) = match waiting {
@@ -1359,16 +1531,16 @@ mod tests {
 
         let count = DEFAULT_CHANNEL_CAPACITY + 10;
         let (tx, rx) = TaskChannel::bounded(DEFAULT_CHANNEL_CAPACITY, TaskId(4));
-        let mut output = OutputTask::new("out", output_end.into(), codec(), rx);
+        let mut output = writer(output_end, codec(), rx);
         let destination = Destination {
             producer: tx,
-            side: Arc::clone(output.side()),
+            side: Arc::clone(side(&output)),
         };
         let logic = Box::new(EmitAtEnd { count });
         let rules = InlineRules::new(logic, 0, std::slice::from_ref(&destination));
         // The builder's own handle, closed once the inputs hold theirs.
         destination.producer.close();
-        let mut input = InputTask::new("in", input_end.into(), codec(), None, rules);
+        let mut input = reader(input_end, None, rules);
 
         let mut ending = task_ctx(9);
         assert_eq!(input.run(&mut ending), TaskStatus::Idle, "parked");
@@ -1399,7 +1571,7 @@ mod tests {
         let server = listener.accept().unwrap();
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
-        let mut task = OutputTask::new("out", server.into(), Arc::new(HttpCodec::new()), rx);
+        let mut task = writer(server, Arc::new(HttpCodec::new()), rx);
         tx.push(Value::Msg(http::response(200, b"hello"))).unwrap();
         assert_eq!(task.run(&mut ctx()), TaskStatus::Idle);
         let mut buf = [0u8; 256];
@@ -1424,8 +1596,8 @@ mod tests {
         let server = listener.accept().unwrap();
         let codec = HttpCodec::new();
         let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
-        let mut task = OutputTask::new("out", server.into(), Arc::new(codec.clone()), rx);
-        assert_eq!(task.side.writer.lock().outbuf.capacity(), 0);
+        let mut task = writer(server, Arc::new(codec.clone()), rx);
+        assert_eq!(side(&task).writer.lock().outbuf.capacity(), 0);
         let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
         let Ok(ParseOutcome::Complete { message, .. }) = codec.parse(wire, None) else {
             panic!("a complete response");
@@ -1433,13 +1605,13 @@ mod tests {
         tx.push(Value::Msg(message)).unwrap();
         task.run(&mut ctx());
         assert_eq!(
-            task.side.writer.lock().outbuf.capacity(),
+            side(&task).writer.lock().outbuf.capacity(),
             0,
             "a raw message leaves as is"
         );
         tx.push(Value::Str("text".into())).unwrap();
         task.run(&mut ctx());
-        assert!(task.side.writer.lock().outbuf.capacity() >= OUTBUF_RETAIN);
+        assert!(side(&task).writer.lock().outbuf.capacity() >= OUTBUF_RETAIN);
     }
 
     /// The inline path's protocol, hand-driven: an idle side is written by
@@ -1454,10 +1626,10 @@ mod tests {
         let client = net.connect(87).unwrap();
         let server = listener.accept().unwrap();
         let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
-        let mut output = OutputTask::new("out", server.into(), Arc::new(HttpCodec::new()), rx);
+        let mut output = writer(server, Arc::new(HttpCodec::new()), rx);
         let destination = Destination {
             producer: tx,
-            side: Arc::clone(output.side()),
+            side: Arc::clone(side(&output)),
         };
         let mut rules = InlineRules::new(Box::new(Passthrough), 0, &[destination]);
         let read = || {
@@ -1473,7 +1645,7 @@ mod tests {
         assert_eq!(read(), b"a", "written by the emitter");
         assert!(input.take_wakes().is_empty(), "no output task run");
 
-        let busy = output.side().writer.lock();
+        let busy = side(&output).writer.lock();
         rules.run(Value::Str("b".into()), &mut input).unwrap();
         drop(busy);
         rules.run(Value::Str("c".into()), &mut input).unwrap();
@@ -1493,7 +1665,7 @@ mod tests {
         let client = net.connect(84).unwrap();
         let server = listener.accept().unwrap();
         let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
-        let mut task = OutputTask::new("out", server.into(), Arc::new(HttpCodec::new()), rx);
+        let mut task = writer(server, Arc::new(HttpCodec::new()), rx);
         tx.push(Value::Bytes(Bytes::from_static(b"raw-"))).unwrap();
         tx.push(Value::Str("text".into())).unwrap();
         task.run(&mut ctx());
@@ -1522,7 +1694,7 @@ mod tests {
         expected.extend_from_slice(b"cd");
 
         let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
-        let mut task = OutputTask::new("out", server.into(), Arc::new(codec), rx);
+        let mut task = writer(server, Arc::new(codec), rx);
         for value in [
             Value::Str("a".into()),
             Value::Str("b".into()),
@@ -1547,6 +1719,264 @@ mod tests {
             got.extend_from_slice(&buf[..n]);
         }
         assert_eq!(got, expected);
+    }
+
+    /// Protocol 10, the output side, hand-driven on one connection task
+    /// that reads its connection and writes it (it echoes what it reads).
+    /// Another task's inline write fills the socket; what it leaves
+    /// unflushed, that task's next emission (queued behind the busy side)
+    /// and the echo of a request a readable event brings all wait; a
+    /// writable event (the peer drained the socket) flushes them in
+    /// emission order; once the side is idle, another inline write goes
+    /// out at once, one that meets the side locked by a flush queues, and
+    /// the next one queues behind it although the side is free by then.
+    /// No value is written twice, and the task ends idle with nothing
+    /// unflushed and nothing queued.
+    #[test]
+    fn output_side_protocol_hand_driven() {
+        use flick_net::listener::ConnectOptions;
+
+        let net = SimNetwork::new(StackModel::Free);
+        let listener = net.listen(91).unwrap();
+        let options = ConnectOptions {
+            capacity: Some(32),
+            ..Default::default()
+        };
+        let peer = net.connect_with(91, &options).unwrap();
+        let end = listener.accept().unwrap();
+        let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
+        let output = WriteSide::new(Link::from(&end), codec(), rx);
+        let destination = Destination {
+            producer: tx,
+            side: Arc::clone(output.side()),
+        };
+        let echo = InlineRules::new(Box::new(Passthrough), 0, std::slice::from_ref(&destination));
+        let mut other =
+            InlineRules::new(Box::new(Passthrough), 0, std::slice::from_ref(&destination));
+        // The builder's own handle, closed once the read sides hold theirs.
+        destination.producer.close();
+        let input = ReadSide::new(Link::from(&end), codec(), None, echo);
+        let mut task = ConnectionTask::new("conn", Some(input), Some(output));
+        let side = Arc::clone(side(&task));
+        let mut wire = Vec::new();
+        let drain = |wire: &mut Vec<u8>| {
+            let mut buf = [0u8; 64];
+            while let Ok(n) = peer.read(&mut buf) {
+                wire.extend_from_slice(&buf[..n]);
+            }
+        };
+        let a = "a".repeat(40);
+        let request = "GET /c HTTP/1.1\r\n\r\n";
+
+        // Another task writes inline and fills the socket: 32 of 40 bytes.
+        let mut writer = task_ctx(7);
+        other.run(Value::Str(a.clone()), &mut writer).unwrap();
+        assert_eq!(writer.take_wakes(), vec![TaskId(4)], "the rest is left");
+        other.run(Value::Str("bb".into()), &mut writer).unwrap();
+        assert_eq!(writer.take_wakes(), vec![TaskId(4)], "queued: busy side");
+
+        // Readable: the task flushes first (the socket is still full),
+        // then reads and echoes the request behind what is queued.
+        peer.write_all(request.as_bytes()).unwrap();
+        assert_eq!(task.run(&mut task_ctx(4)), TaskStatus::Idle);
+        assert_eq!(peer.pending(), 32, "nothing more fits");
+        assert_eq!(rx_len(&task), 2, "\"bb\" and the echo wait in order");
+
+        // Writable: the peer drains, and one run flushes all of it.
+        drain(&mut wire);
+        assert_eq!(task.run(&mut task_ctx(4)), TaskStatus::Idle);
+        drain(&mut wire);
+        assert_eq!(wire, format!("{a}bb{request}").as_bytes());
+
+        // Idle again: an inline write goes out at once; one that meets the
+        // side locked by a flush queues and wakes the task.
+        other.run(Value::Str("dd".into()), &mut writer).unwrap();
+        assert!(writer.take_wakes().is_empty(), "written by the emitter");
+        let flushing = side.writer.lock();
+        other.run(Value::Str("ee".into()), &mut writer).unwrap();
+        drop(flushing);
+        assert_eq!(writer.take_wakes(), vec![TaskId(4)]);
+        // The side is free again, but "ee" waits in the channel: the next
+        // value queues behind it instead of overtaking it.
+        other.run(Value::Str("ff".into()), &mut writer).unwrap();
+        assert_eq!(rx_len(&task), 2);
+        assert_eq!(task.run(&mut task_ctx(4)), TaskStatus::Idle);
+        drain(&mut wire);
+        assert_eq!(wire, format!("{a}bb{request}ddeeff").as_bytes());
+        assert!(side.writer.lock().is_idle(), "nothing unflushed");
+        assert_eq!(rx_len(&task), 0, "nothing queued");
+    }
+
+    /// Values queued to a task's write side.
+    fn rx_len(task: &ConnectionTask) -> usize {
+        task.output.as_ref().expect("the task writes").queue.len()
+    }
+
+    /// Logic that forwards what one connection reads to the other:
+    /// input 0 (the client) to output 1 (the back-end) and back.
+    struct Crossover;
+    impl ComputeLogic for Crossover {
+        fn on_value(
+            &mut self,
+            input: usize,
+            value: Value,
+            out: &mut Outputs<'_>,
+        ) -> Result<(), RuntimeError> {
+            out.emit(1 - input, value);
+            Ok(())
+        }
+    }
+
+    /// Everything up to the end of the next HTTP message on `conn`, read
+    /// into `carry` (its head only, with `head_only`); the message's wire
+    /// bytes are drained from `carry` when it is whole.
+    fn read_http(conn: &Endpoint, carry: &mut Vec<u8>, head_only: bool) -> Vec<u8> {
+        let mut buf = vec![0u8; 64 * 1024];
+        loop {
+            if head_only && carry.windows(4).any(|w| w == b"\r\n\r\n") {
+                return Vec::new();
+            }
+            if let Ok(ParseOutcome::Complete { consumed, .. }) = HttpCodec::new().parse(carry, None)
+            {
+                return carry.drain(..consumed).collect();
+            }
+            let n = conn
+                .read_timeout(&mut buf, Duration::from_secs(10))
+                .unwrap();
+            carry.extend_from_slice(&buf[..n]);
+        }
+    }
+
+    /// Protocol 9 on one task: a client's connection task streams an
+    /// upload's body into one pipe (its producer) while it drains a
+    /// download's body from another into its connection (its consumer),
+    /// and the back-end's task does the reverse. Two exchanges on the same
+    /// connections: a 4 MiB upload beside a 64 KiB download, then a
+    /// 64 KiB upload beside a 4 MiB download. The client writes both
+    /// requests at once into a socket with room for them, so its socket
+    /// stays quiet after; the back-end's socket holds 64 KiB, so the
+    /// upload's consumer blocks on it and its pipe fills until the
+    /// producer parks, and only the consumer's drain can wake it again.
+    /// The tasks are run on their sockets' events and on each other's
+    /// wakes only, one at a time, so a pipe wake that moved the wrong
+    /// direction (or none) leaves a side parked: every body must arrive
+    /// whole, in order.
+    #[test]
+    fn one_task_produces_one_body_pipe_and_consumes_another() {
+        use crate::graph::{GraphBuilder, Peer, Reads, TaskIdAllocator};
+        use crate::task::TIMESLICE;
+        use flick_net::{Poller, Token};
+        use std::collections::BTreeSet;
+        use std::time::Instant;
+
+        const LONG: usize = 4 << 20;
+        const SHORT: usize = 64 * 1024 + 1;
+        let body = |len: usize, seed: usize| -> Vec<u8> {
+            (0..len).map(|i| ((i + seed) % 251) as u8).collect()
+        };
+        let message = |head: &str, body: &[u8]| {
+            let mut wire = format!("{head}\r\nContent-Length: {}\r\n\r\n", body.len()).into_bytes();
+            wire.extend_from_slice(body);
+            wire
+        };
+        let uploads = [body(LONG, 1), body(SHORT, 2)];
+        let downloads = [body(SHORT, 3), body(LONG, 4)];
+        let requests: Vec<Vec<u8>> = uploads
+            .iter()
+            .map(|b| message("POST /up HTTP/1.1", b))
+            .collect();
+        let responses: Vec<Vec<u8>> = downloads
+            .iter()
+            .map(|b| message("HTTP/1.1 200 OK", b))
+            .collect();
+
+        let net = SimNetwork::new(StackModel::Free);
+        let front = net.listen(92).unwrap();
+        let back = net.listen(93).unwrap();
+        let sized = |capacity| flick_net::listener::ConnectOptions {
+            capacity: Some(capacity),
+            ..Default::default()
+        };
+        let client = net.connect_with(92, &sized(4 * LONG)).unwrap();
+        let client_end = front.accept().unwrap();
+        let backend_end = net.connect_with(93, &sized(64 * 1024)).unwrap();
+        let backend = back.accept().unwrap();
+
+        let allocator = TaskIdAllocator::new();
+        let mut builder = GraphBuilder::new("bulk", &allocator);
+        let reads = |input| Reads {
+            projection: Some(http::load_balancer_projection()),
+            logic: Box::new(Crossover),
+            input,
+        };
+        let (c, b) = (builder.declare_node(), builder.declare_node());
+        builder.bind(
+            c,
+            "client",
+            Peer::Client(&client_end),
+            codec(),
+            Some(reads(0)),
+            true,
+        );
+        let backend_link = Link::from(backend_end);
+        let peer = Peer::Backend(&backend_link);
+        builder.bind(b, "backend", peer, codec(), Some(reads(1)), true);
+        let built = builder.build();
+        let poller = Poller::new();
+        for watch in &built.watchers {
+            watch
+                .endpoint
+                .register(&poller, Token(watch.task.0), watch.interest);
+        }
+        let mut tasks: HashMap<TaskId, Box<dyn Task>> = built.tasks.into_iter().collect();
+
+        // The peers: the client writes both requests at once; the back-end
+        // answers each as soon as its head is in, so each exchange's two
+        // bodies cross the tasks at once.
+        client.write_all(&requests.concat()).unwrap();
+        let server = {
+            let (backend, responses) = (backend.clone(), responses.clone());
+            std::thread::spawn(move || {
+                let mut carry = Vec::new();
+                responses
+                    .iter()
+                    .map(|response| {
+                        read_http(&backend, &mut carry, true);
+                        backend.write_all(response).unwrap();
+                        read_http(&backend, &mut carry, false)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        };
+        let reader = std::thread::spawn(move || {
+            let mut carry = Vec::new();
+            [(); 2].map(|()| read_http(&client, &mut carry, false))
+        });
+
+        // The scheduler: every event and every wake runs its task once.
+        let metrics = RuntimeMetrics::new_shared();
+        let mut runnable: BTreeSet<TaskId> = tasks.keys().copied().collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !reader.is_finished() {
+            assert!(Instant::now() < deadline, "a pipe wake was lost");
+            for event in poller.wait(Duration::from_millis(1)) {
+                runnable.insert(TaskId(event.token.0));
+            }
+            while let Some(id) = runnable.pop_first() {
+                let mut ctx = TaskContext::new(id, TIMESLICE, Arc::clone(&metrics));
+                let status = tasks.get_mut(&id).expect("both live").run(&mut ctx);
+                assert_ne!(status, TaskStatus::Finished, "{id}: nothing ended");
+                runnable.extend(ctx.take_wakes());
+                if status == TaskStatus::Runnable {
+                    runnable.insert(id);
+                }
+            }
+        }
+        assert!(server.join().unwrap() == requests, "the uploads, whole");
+        assert!(
+            reader.join().unwrap().to_vec() == responses,
+            "the downloads, whole"
+        );
     }
 
     #[test]

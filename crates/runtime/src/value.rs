@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 /// A dynamically typed value flowing through a task graph.
 ///
-/// Application messages parsed by input tasks travel as [`Value::Msg`];
+/// Application messages parsed by read sides travel as [`Value::Msg`];
 /// FLICK-level primitives (integers, strings, booleans, lists) appear when
 /// compute logic builds intermediate results.
 #[derive(Debug, Clone, PartialEq)]

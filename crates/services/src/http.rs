@@ -15,7 +15,7 @@ use flick_grammar::http::{self, HttpCodec};
 use flick_net::Endpoint;
 use flick_runtime::platform::BuiltGraph;
 use flick_runtime::{
-    ComputeLogic, GraphBuilder, GraphFactory, Outputs, Peer, RuntimeError, ServiceEnv, Value,
+    ComputeLogic, GraphBuilder, GraphFactory, Outputs, Peer, Reads, RuntimeError, ServiceEnv, Value,
 };
 use std::sync::Arc;
 
@@ -91,22 +91,24 @@ impl GraphFactory for StaticWebServerFactory {
             .ok_or_else(|| RuntimeError::Config("no client connection".into()))?;
         let codec: Arc<HttpCodec> = Arc::new(HttpCodec::new());
         let mut builder = GraphBuilder::new("static-web", &env.allocator);
-        let input_node = builder.declare_node();
-        let output_node = builder.declare_node();
-        // Output 0: the logic answers each request on it.
-        builder.bind_output(output_node, "http-out", &client, codec.clone());
-        builder.bind_input(
-            input_node,
-            "http-in",
-            Peer::Client(&client),
-            codec,
+        let node = builder.declare_node();
+        // It answers each request on its own connection, output 0.
+        let reads = Reads {
             // It answers requests instead of forwarding them, so a body
             // is read and dropped here, never streamed.
-            Some(http::load_balancer_projection().with("body")),
-            Box::new(RespondLogic {
+            projection: Some(http::load_balancer_projection().with("body")),
+            logic: Box::new(RespondLogic {
                 body: self.body.clone(),
             }),
-            0,
+            input: 0,
+        };
+        builder.bind(
+            node,
+            "http",
+            Peer::Client(&client),
+            codec,
+            Some(reads),
+            true,
         );
         Ok(builder.build())
     }

@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn router_caches_getk_responses() {
-        // Both engines, each running the rules in the input tasks beside
+        // Both engines, each running the rules in the reading tasks beside
         // the service's one shared cache.
         for (mode, port) in ExecMode::all().into_iter().zip([11400, 11410]) {
             router_caches_getk_responses_in(mode, port);

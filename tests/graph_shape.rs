@@ -1,7 +1,7 @@
-//! The shape of the graph a service builds (DESIGN.md §5): every rule runs
-//! in the input task that parsed its message, whichever engine runs it, and
-//! so does a `foldt`, in the input tasks of the array it folds, so every
-//! graph is input tasks and output tasks only.
+//! The shape of the graph a service builds (DESIGN.md §5): one task per
+//! connection, which reads it, writes it, or both. Every rule runs in the
+//! task of the connection that parsed its message, whichever engine runs
+//! it, and so does a `foldt`, in the tasks of the array it folds.
 
 use flick::net_substrate::{Endpoint, SimNetwork, StackModel};
 use flick::runtime_crate::graph::TaskIdAllocator;
@@ -45,42 +45,48 @@ fn labels(service: &dyn GraphFactory, mode: ExecMode) -> Vec<String> {
     labels
 }
 
+/// Each service builds exactly one task per connection of its graph, in
+/// both engines: the client's, and one per back-end it binds (two array
+/// members, or the sticky balancer's one routed back-end). The aggregator
+/// folds in the tasks of its two mapper connections, which it only reads,
+/// and writes through the reducer's, which it only writes: three tasks.
 #[test]
-fn every_graph_is_input_and_output_tasks() {
-    let services: [(&str, Arc<dyn GraphFactory>); 5] = [
-        ("HTTP_LB", http_path_balancer()),
-        ("HTTP_STICKY_LB", http_balancer()),
-        ("MEMCACHED_PROXY", memcached_proxy()),
-        ("MEMCACHED_ROUTER", memcached_router()),
+fn every_graph_is_one_task_per_connection() {
+    let members = ["backends-0", "backends-1", "client-0"];
+    let services: [(&str, Arc<dyn GraphFactory>, &[&str]); 6] = [
+        ("HTTP_LB", http_path_balancer(), &members),
+        (
+            "HTTP_STICKY_LB",
+            http_balancer(),
+            &["backend-0", "client-0"],
+        ),
+        ("MEMCACHED_PROXY", memcached_proxy(), &members),
+        ("MEMCACHED_ROUTER", memcached_router(), &members),
         (
             "STATIC_WEB",
             StaticWebServerFactory::new(b"static".to_vec()),
+            &["http"],
+        ),
+        (
+            "HADOOP_AGGREGATOR",
+            hadoop_aggregator(2),
+            &["mappers-0", "mappers-1", "reducer-0"],
         ),
     ];
-    for (name, service) in services {
+    for (name, service, connections) in services {
         for mode in ExecMode::all() {
-            let labels = labels(service.as_ref(), mode);
-            assert!(
-                labels
-                    .iter()
-                    .all(|l| l.ends_with("-in") || l.ends_with("-out")),
-                "{name}, {mode:?}: only input and output tasks, {labels:?}"
+            assert_eq!(
+                labels(service.as_ref(), mode),
+                connections,
+                "{name}, {mode:?}: one task per connection"
             );
         }
     }
-    // The aggregator folds in the input tasks of its two mapper
-    // connections, the only connections it reads.
-    for mode in ExecMode::all() {
-        assert_eq!(
-            labels(hadoop_aggregator(2).as_ref(), mode),
-            ["mappers-0-in", "mappers-1-in", "reducer-0-out"],
-            "{mode:?}"
-        );
-    }
 }
 
-/// Both engines serve a keep-alive request from the two input tasks alone:
-/// two task runs, two messages parsed and two rule runs per request.
+/// Both engines serve a keep-alive request from the client's task and
+/// the back-end's alone: two task runs, two messages parsed and two rule
+/// runs per request.
 #[test]
 fn both_exec_modes_run_the_rules_in_the_input_task() {
     for mode in ExecMode::all() {
@@ -137,10 +143,10 @@ fn both_exec_modes_run_the_rules_in_the_input_task() {
 
 /// A rule that fails ends its graph instance, whether it routes or folds:
 /// a routing function that divides by zero, and a fold's combine that
-/// does, both in the input task that parsed the message. The client is
-/// closed unanswered, or the reducer gets no aggregate, and the graph is
-/// torn down well inside the drain grace (2 s), with every output task
-/// woken by the close that ended its channel.
+/// does, both in the task of the connection that parsed the message. The
+/// client is closed unanswered, or the reducer gets no aggregate, and the
+/// graph is torn down well inside the drain grace (2 s), with every task
+/// that writes woken by the failure's close.
 #[test]
 fn a_failing_rule_ends_its_graph_on_either_shape() {
     const BALANCER: &str = r#"
@@ -184,7 +190,7 @@ proc P: ([kv/-] mappers, -/kv reducer):
         if fold {
             // Two records of one key: their combine fails. The second
             // comes once every task has had its first run, so only the
-            // failure's close can wake the reducer's output task.
+            // failure's close can wake the reducer's task.
             let codec = HadoopKvCodec::new();
             for count in [1, 2] {
                 let mut wire = Vec::new();
