@@ -485,7 +485,7 @@ impl ShardReactor {
         // registered with no poller, so a graph on any shard may check it
         // out and register it with its own.
         for watch in &graph.watches {
-            watch.endpoint.deregister_interest(watch.interest);
+            watch.endpoint.deregister();
         }
         // A removal counts the task out, and may post the graph's token
         // once more: it finds no graph and is dropped.

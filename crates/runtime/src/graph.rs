@@ -140,16 +140,14 @@ impl<'a> GraphBuilder<'a> {
         TaskChannel::bounded(DEFAULT_CHANNEL_CAPACITY, consumer.task_id())
     }
 
-    /// Binds a connection: a [`ConnectionTask`] at `node` that, if the
-    /// graph `reads` the peer's endpoint, parses it and runs the logic
-    /// itself on every message, emitting to the graph's outputs
-    /// ([`InlineRules`]), and, if it `writes` it, serialises onto it what
-    /// the graph's rules emit to it. The endpoint is watched for the
-    /// directions bound, under one watch, and a [`Peer::Client`] read
-    /// counts among the inputs whose end starts the graph's drain. The
-    /// task is built by [`GraphBuilder::build`], once every output is
-    /// bound. Returns the output's index — the logic's output number for
-    /// the connection — when it `writes`.
+    /// Binds a connection: a [`ConnectionTask`] at `node` that parses the
+    /// peer's endpoint and runs the logic on every message if the graph
+    /// `reads` it ([`InlineRules`]), and serialises onto it what the rules
+    /// emit to it if it `writes` it, under one watch for the directions
+    /// bound. A [`Peer::Client`] read counts among the inputs whose end
+    /// starts the graph's drain. Returns the logic's output number for the
+    /// connection when it `writes`. The task is built by
+    /// [`GraphBuilder::build`].
     ///
     /// # Panics
     ///
@@ -228,9 +226,10 @@ impl<'a> GraphBuilder<'a> {
         for pending in std::mem::take(&mut self.pending) {
             let input = pending.reads.map(|reads| {
                 let rules = InlineRules::new(reads.logic, reads.input, &self.outputs);
-                ReadSide::new(pending.link, pending.codec, reads.projection, rules)
+                let link = pending.link.clone();
+                ReadSide::new(link, pending.codec, reads.projection, rules)
             });
-            let task = ConnectionTask::new(pending.label, input, pending.writes);
+            let task = ConnectionTask::new(pending.label, pending.link, input, pending.writes);
             self.install(pending.node, Box::new(task));
         }
         // Each read side holds its own handle on every output: an output's

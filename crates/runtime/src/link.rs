@@ -182,20 +182,17 @@ impl Link {
         }
     }
 
-    /// Stops watching the `interest` direction(s) per
-    /// [`Endpoint::deregister_interest`]; an unopened member forgets the
-    /// recorded watch, so a later open cannot register it. A member's
-    /// watches all come from the one dispatcher that owns its graph.
-    pub(crate) fn deregister_interest(&self, interest: Interest) {
+    /// Stops watching the connection ([`Endpoint::deregister`]); an
+    /// unopened member forgets its recorded watch, so a later open cannot
+    /// register it.
+    pub(crate) fn deregister(&self) {
         match &self.0 {
-            Kind::Open(endpoint) => endpoint.deregister_interest(interest),
+            Kind::Open(endpoint) => endpoint.deregister(),
             Kind::Member(member, _) => {
                 let mut slot = member.slot.lock();
                 match &slot.state {
-                    State::Bound(endpoint) => endpoint.deregister_interest(interest),
-                    State::Unbound | State::Closed => {
-                        slot.watches.retain(|(_, _, watched)| *watched != interest)
-                    }
+                    State::Bound(endpoint) => endpoint.deregister(),
+                    State::Unbound | State::Closed => slot.watches.clear(),
                 }
             }
         }

@@ -56,15 +56,19 @@ impl TaskSlot {
         })
     }
 
-    /// Counts the task's client input out of its graph, once: `true` when
-    /// it was the graph's last.
-    fn end_input(&self) -> bool {
-        match &self.graph {
-            Some(graph) if self.reading.swap(false, Ordering::AcqRel) => graph
+    /// Counts the task's client input out of its graph, once; the graph's
+    /// last posts its token (start the drain).
+    fn end_input(&self) {
+        let Some(graph) = &self.graph else {
+            return;
+        };
+        if self.reading.swap(false, Ordering::AcqRel)
+            && graph
                 .clients
                 .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
-                .is_ok_and(|n| n == 1),
-            _ => false,
+                == Ok(1)
+        {
+            graph.post();
         }
     }
 }
@@ -102,12 +106,9 @@ impl GraphLife {
         self.poller.post(self.token, Readiness::default());
     }
 
-    /// Counts a task out; `last_client` when its exit also ended the
-    /// graph's last client input. Both counts are settled before the one
-    /// post, so the reader it wakes sees this exit in both.
-    fn count_out(&self, last_client: bool) {
-        let last_task = self.tasks.fetch_sub(1, Ordering::AcqRel) == 1;
-        if last_client || last_task {
+    /// Counts a task out; the last posts the token (tear down).
+    fn count_out(&self) {
+        if self.tasks.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.post();
         }
     }
@@ -232,10 +233,8 @@ impl SchedulerInner {
             guard.take();
         }
         drop(guard);
-        if ctx.input_ended() && slot.end_input() {
-            if let Some(graph) = &slot.graph {
-                graph.post();
-            }
+        if ctx.input_ended {
+            slot.end_input();
         }
         for wake in ctx.take_wakes() {
             self.schedule(wake);
@@ -261,8 +260,9 @@ impl SchedulerInner {
     /// while its graph's teardown removes it is counted once.
     fn exit(&self, id: TaskId) {
         if let Some(slot) = self.tasks.write().remove(&id) {
+            slot.end_input();
             if let Some(graph) = &slot.graph {
-                graph.count_out(slot.end_input());
+                graph.count_out();
             }
         }
     }

@@ -62,7 +62,8 @@ pub struct TaskContext {
     wake_list: Vec<TaskId>,
     metrics: Arc<RuntimeMetrics>,
     yielded: bool,
-    input_ended: bool,
+    /// The task's input ended in this run ([`Self::end_input`]).
+    pub(crate) input_ended: bool,
 }
 
 impl TaskContext {
@@ -145,11 +146,6 @@ impl TaskContext {
     /// starts once every client connection's input has ended.
     pub fn end_input(&mut self) {
         self.input_ended = true;
-    }
-
-    /// Whether the task's input ended in this run ([`Self::end_input`]).
-    pub fn input_ended(&self) -> bool {
-        self.input_ended
     }
 
     /// The runtime metrics block, for task implementations to update.

@@ -44,42 +44,32 @@ pub const OUTBUF_RETAIN: usize = READ_CHUNK;
 /// The one task of a connection: it reads what the graph reads from the
 /// connection and writes what the graph's rules emit to it.
 ///
-/// A run first flushes the write side ([`WriteSide`]): what other tasks
-/// queued to this connection, or a write left unflushed on a full socket.
-/// Then it reads and parses ([`ReadSide`]). It takes the side's lock only
-/// while it flushes, so another connection's task that emits to this one
-/// meanwhile finds the side idle and writes inline. A read side that ends
-/// in the run may have closed the last producer of the task's own queue,
-/// so the write side is flushed once more then.
-///
-/// The task finishes once both of its sides have: the read side at the end
-/// of its input, the write side once every read side of the graph has
-/// finished (its queue is closed) and everything is flushed, or when the
-/// connection failed. It then closes the connection, or, on an array
-/// back-end member its graph's drain released, records whether both sides
-/// ended cleanly framed ([`Link::finish`]). The end of a client
-/// connection's input is what its graph's drain waits for
-/// ([`TaskContext::end_input`]), not the end of its task, which writes on
-/// until the back-end tasks the drain releases have finished.
+/// A run flushes the write side ([`WriteSide`]), then reads and parses
+/// ([`ReadSide`]); it holds the side's lock only while it flushes, so other
+/// tasks emitting to this connection meanwhile write inline. The task
+/// finishes once both sides have, and then closes the connection or, on a
+/// released member, records how both sides ended ([`Link::finish`]). Its
+/// graph's drain waits for the end of a client's input
+/// ([`TaskContext::end_input`]), not of its task, which writes on until
+/// the back-end tasks the drain releases have finished.
 pub struct ConnectionTask {
     label: String,
+    link: Link,
     input: Option<ReadSide>,
     output: Option<WriteSide>,
 }
 
 impl ConnectionTask {
-    /// A task reading `input` and writing `output`; at least one is bound.
+    /// A task on `link` reading `input` and writing `output`.
     pub(crate) fn new(
         label: impl Into<String>,
+        link: Link,
         input: Option<ReadSide>,
         output: Option<WriteSide>,
     ) -> Self {
-        assert!(
-            input.is_some() || output.is_some(),
-            "a connection task reads or writes its connection"
-        );
         ConnectionTask {
             label: label.into(),
+            link,
             input,
             output,
         }
@@ -88,57 +78,26 @@ impl ConnectionTask {
     /// One round of the write side; `Finished` once it is done, or when
     /// the task does not write.
     fn write(&mut self, ctx: &mut TaskContext) -> TaskStatus {
-        let Some(output) = &self.output else {
-            return TaskStatus::Finished;
-        };
-        let mut writer = output.side.writer.lock();
-        if writer.done {
-            return TaskStatus::Finished;
-        }
-        let status = writer.run(&output.queue, ctx);
-        writer.done = status == TaskStatus::Finished;
-        status
+        (self.output.as_ref()).map_or(TaskStatus::Finished, |output| {
+            output.side.writer.lock().run(&output.queue, ctx)
+        })
     }
 
     /// One round of the read side; `Finished` once it is done, or when the
     /// task does not read.
     fn read(&mut self, ctx: &mut TaskContext) -> TaskStatus {
-        let Some(input) = self.input.as_mut().filter(|input| !input.done) else {
-            return TaskStatus::Finished;
-        };
-        let status = input.run(ctx);
-        if status == TaskStatus::Finished {
-            input.done = true;
-            ctx.end_input();
-            if input.dead {
-                // A closed member: nothing written to it can ever leave.
-                if let Some(output) = &self.output {
-                    output.side.writer.lock().fail();
-                }
-            }
-        }
-        status
+        (self.input.as_mut()).map_or(TaskStatus::Finished, |input| input.run(ctx))
     }
 
     /// Both sides are done: closes the connection, or records how a
     /// released member's two sides ended for its teardown.
     fn end(&mut self) -> TaskStatus {
         let received = self.input.as_ref().and_then(|input| input.framed);
-        let sent = self
-            .output
-            .as_ref()
-            .and_then(|output| output.side.writer.lock().framed());
-        let ended = match (sent, received) {
+        let sent = (self.output.as_ref()).and_then(|output| output.side.writer.lock().framed());
+        self.link.finish(match (sent, received) {
             (Some(sent), Some(received)) => Ended::Framed { sent, received },
             _ => Ended::Unclean,
-        };
-        match &self.input {
-            Some(input) => input.endpoint.finish(ended),
-            None => {
-                let output = self.output.as_ref().expect("a task reads or writes");
-                output.side.writer.lock().endpoint.finish(ended);
-            }
-        }
+        });
         TaskStatus::Finished
     }
 }
@@ -148,15 +107,12 @@ impl Drop for ConnectionTask {
         // Dropping a task (graph teardown) must release the connection so
         // that the peer observes EOF instead of a hung socket — unless its
         // graph's teardown decides, on a released member.
+        self.link.close_unless_released();
         if let Some(input) = &mut self.input {
-            input.endpoint.close_unless_released();
             input.rules.emitter.close(|_| {});
             if let Some(consumer) = input.streaming.take().and_then(|stream| stream.fail()) {
                 wake_after_run(consumer);
             }
-        }
-        if let Some(output) = &self.output {
-            output.side.writer.lock().endpoint.close_unless_released();
         }
     }
 }
@@ -172,9 +128,9 @@ impl Task for ConnectionTask {
             // The next run reads; the readiness it would miss is not lost.
             return wrote;
         }
-        let was_reading = self.input.as_ref().is_some_and(|input| !input.done);
         let read = self.read(ctx);
-        if was_reading && read == TaskStatus::Finished && wrote == TaskStatus::Idle {
+        if read == TaskStatus::Finished && wrote == TaskStatus::Idle {
+            // The read side's end may have closed this connection's queue.
             wrote = self.write(ctx);
         }
         match (read, wrote) {
@@ -221,14 +177,9 @@ pub(crate) struct ReadSide {
     buf: SharedBuf,
     rules: InlineRules,
     /// The rules were told the input ended, or failed: all that is left
-    /// is to deliver what they emitted and finish.
+    /// is to deliver what they emitted and finish (again, harmlessly, once
+    /// finished).
     ended: bool,
-    /// Finished: the rules' emissions are delivered and the side's channel
-    /// handles are closed.
-    done: bool,
-    /// The side found its member closed: the connection is gone both
-    /// ways.
-    dead: bool,
     /// Messages parsed, once a released member's side ended cleanly framed
     /// (no partial message, and the codec says the last one keeps the
     /// connection open).
@@ -262,8 +213,6 @@ impl ReadSide {
             buf: SharedBuf::new(READ_CHUNK),
             rules,
             ended: false,
-            done: false,
-            dead: false,
             framed: None,
             received: 0,
             keeps_alive: false,
@@ -387,10 +336,9 @@ impl ReadSide {
     }
 
     /// Closes the connection and ends the stream: a member is retired,
-    /// never parked, and nothing more is written to the connection.
+    /// never parked.
     fn close(&mut self, ctx: &mut TaskContext) -> TaskStatus {
         self.endpoint.close();
-        self.dead = true;
         self.finish(ctx)
     }
 
@@ -404,7 +352,6 @@ impl ReadSide {
         if let Some(endpoint) = self.endpoint.open_endpoint() {
             endpoint.close_malformed();
         }
-        self.dead = true;
         self.finish(ctx)
     }
 
@@ -413,7 +360,8 @@ impl ReadSide {
     /// then). What they emit is delivered before the side finishes: a full
     /// channel parks the task, and its next run resumes here. Last, the
     /// side closes its end of every output channel, waking the consumers,
-    /// so that they observe the end promptly.
+    /// so that they observe the end promptly, and its input has ended
+    /// ([`TaskContext::end_input`]).
     fn finish(&mut self, ctx: &mut TaskContext) -> TaskStatus {
         if let Some(consumer) = self.streaming.take().and_then(|stream| stream.fail()) {
             ctx.wake(consumer);
@@ -425,6 +373,7 @@ impl ReadSide {
             return TaskStatus::Idle;
         }
         self.rules.emitter.close(|consumer| ctx.wake(consumer));
+        ctx.end_input();
         TaskStatus::Finished
     }
 
@@ -438,10 +387,7 @@ impl ReadSide {
         match self.endpoint.settle() {
             Settled::Open => {}
             Settled::Unbound => return TaskStatus::Idle,
-            Settled::Closed => {
-                self.dead = true;
-                return self.finish(ctx);
-            }
+            Settled::Closed => return self.finish(ctx),
             Settled::Released => {
                 let framed = self.buf.is_empty() && self.streaming.is_none();
                 self.framed = (framed && self.keeps_alive).then_some(self.received);
@@ -806,13 +752,10 @@ impl ExecMode {
 ///
 /// A message with a streamed body leaves as its head and buffered prefix,
 /// then as its body pipe drained onto the connection; nothing queued
-/// behind it is written before it is all out (`crate::stream`).
-///
-/// On an array back-end member the first flush with bytes to send opens
-/// the member ([`Link`]); a failed open ends the side. The side's
-/// serialise-and-flush state is its [`OutputSide`], which other tasks'
-/// rules write to directly while it is idle; the task holds the side's
-/// lock while it flushes.
+/// behind it is written before it is all out (`crate::stream`). On an
+/// array back-end member the first flush with bytes to send opens the
+/// member ([`Link`]). The serialise-and-flush state is the side's
+/// [`OutputSide`], which other tasks' rules write to while it is idle.
 pub(crate) struct WriteSide {
     side: Arc<OutputSide>,
     /// The channel into this side: what the rules queued to it.
@@ -834,7 +777,6 @@ impl WriteSide {
                     sent: 0,
                     keeps_alive: false,
                     failed: false,
-                    done: false,
                 }),
                 task: queue.consumer(),
             }),
@@ -852,17 +794,13 @@ impl WriteSide {
 /// still to flush, behind one lock, so one writer at a time writes the
 /// socket.
 ///
-/// A read side running its rules inline ([`InlineRules`]) offers each
-/// value it emits here first. When the side holds nothing unflushed and
-/// nothing is queued in its channel, it serialises the value and writes
-/// it on the spot, opening an unopened array member first; so every
-/// earlier value to this connection is already on the wire, and values
-/// leave in the order they were emitted. Whatever the write leaves
-/// unflushed (a full socket) stays here for the connection's task, which
-/// the emitter wakes. Three cases go through the channel instead: a busy
-/// side (locked, unflushed bytes, or values queued), a message whose body
-/// streams through a pipe (the connection's task drains the pipe), and
-/// everything an emitter queued behind a full channel.
+/// A read side running its rules ([`InlineRules`]) offers each value it
+/// emits here first, and it is written on the spot when nothing is
+/// unflushed and nothing queued, so values leave in emission order; what
+/// the write leaves (a full socket) stays for the connection's task, which
+/// the emitter wakes. A busy side, a message whose body streams through a
+/// pipe and what an emitter queued behind a full channel go through the
+/// channel instead (DESIGN.md §5).
 pub(crate) struct OutputSide {
     writer: Mutex<Writer>,
     /// The connection's task: the task to wake, and the consumer of a
@@ -880,7 +818,7 @@ enum Inline {
     /// The write failed and the connection is closed: the connection's
     /// task is to be woken to finish.
     Failed,
-    /// The connection failed earlier, or the side is done writing: the
+    /// The connection failed earlier, or its member was released: the
     /// value goes, as values queued to a finished side do.
     Dropped,
     /// The side is busy: the value goes into the channel, behind what is
@@ -909,14 +847,9 @@ struct Writer {
     /// Whether the codec says the last one keeps the connection open
     /// (asked on back-end members only).
     keeps_alive: bool,
-    /// The connection failed (under a write, or its task's read side
-    /// found it closed) and was closed: the side drops what is queued
-    /// until its channel closes.
+    /// The connection failed under a write (or a failed rule closed it):
+    /// the side drops what is queued until its channel closes.
     failed: bool,
-    /// The side finished: its queue was closed and drained, or its member
-    /// was released with nothing left to send. Nothing more is written
-    /// through it.
-    done: bool,
 }
 
 impl OutputSide {
@@ -929,7 +862,8 @@ impl OutputSide {
         let Some(mut writer) = self.writer.try_lock() else {
             return Inline::Queue(value);
         };
-        if writer.failed || writer.done {
+        // Nothing written to a released member could be answered.
+        if writer.failed || writer.endpoint.is_released() {
             return Inline::Dropped;
         }
         if !writer.is_idle() || !queue.is_empty() {
@@ -1047,8 +981,8 @@ impl Writer {
         }
     }
 
-    /// Closes the connection after a failed inline write, a failed rule or
-    /// a closed member, dropping what is unflushed.
+    /// Closes the connection after a failed inline write or a failed rule,
+    /// dropping what is unflushed.
     fn fail(&mut self) {
         self.outbuf.clear();
         self.body = None;
@@ -1301,8 +1235,9 @@ mod tests {
         projection: Option<Projection>,
         rules: InlineRules,
     ) -> ConnectionTask {
-        let input = ReadSide::new(endpoint.into(), codec(), projection, rules);
-        ConnectionTask::new("in", Some(input), None)
+        let link = endpoint.into();
+        let input = ReadSide::new(Link::clone(&link), codec(), projection, rules);
+        ConnectionTask::new("in", link, Some(input), None)
     }
 
     /// A task writing onto `endpoint` what arrives on `queue`, reading
@@ -1312,11 +1247,9 @@ mod tests {
         codec: Arc<dyn WireCodec>,
         queue: ChannelConsumer,
     ) -> ConnectionTask {
-        ConnectionTask::new(
-            "out",
-            None,
-            Some(WriteSide::new(endpoint.into(), codec, queue)),
-        )
+        let link = endpoint.into();
+        let output = WriteSide::new(Link::clone(&link), codec, queue);
+        ConnectionTask::new("out", link, None, Some(output))
     }
 
     /// The side other tasks write to of a task that writes.
@@ -1756,7 +1689,7 @@ mod tests {
         // The builder's own handle, closed once the read sides hold theirs.
         destination.producer.close();
         let input = ReadSide::new(Link::from(&end), codec(), None, echo);
-        let mut task = ConnectionTask::new("conn", Some(input), Some(output));
+        let mut task = ConnectionTask::new("conn", Link::from(&end), Some(input), Some(output));
         let side = Arc::clone(side(&task));
         let mut wire = Vec::new();
         let drain = |wire: &mut Vec<u8>| {
