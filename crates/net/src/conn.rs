@@ -421,10 +421,13 @@ impl SimEndpoint {
     /// Registers this endpoint with `poller`: state transitions matching
     /// `interest` will enqueue `token` until [`Endpoint::deregister`].
     ///
-    /// Registration is level-triggered at the moment of the call (if the
-    /// endpoint is already readable/writable an event is queued
-    /// immediately) and edge-triggered afterwards, so a consumer that
-    /// drains to `WouldBlock` after each event never misses a wakeup.
+    /// Registration is level-triggered at the moment of the call for what
+    /// a reader could miss (if bytes or an EOF are already buffered an
+    /// event is queued immediately) and edge-triggered afterwards, so a
+    /// consumer that drains to `WouldBlock` after each event never misses
+    /// a wakeup. Room to write is not reported at registration — nothing
+    /// has been written on a fresh registration, so no writer waits for it
+    /// — only a reader that already closed is.
     ///
     /// Each direction holds one waker slot per pipe end: registering again
     /// on the same poller (from any clone of this endpoint) replaces the
@@ -450,10 +453,8 @@ impl SimEndpoint {
             let pipe = self.out_pipe();
             let mut state = pipe.state.lock();
             state.write_waker = Some(poller.slot(token));
-            if pipe.capacity > state.buf.len() || state.reader_closed {
-                let mut readiness = Readiness::writable();
-                readiness.closed = state.reader_closed;
-                state.wake_writer(readiness);
+            if state.reader_closed {
+                state.wake_writer(Readiness::writable().with_closed());
             }
         }
     }
@@ -471,18 +472,8 @@ impl SimEndpoint {
     /// Already-queued events are not retracted (consumers must tolerate
     /// events for deregistered tokens).
     pub fn deregister(&self) {
-        self.deregister_interest(Interest::BOTH);
-    }
-
-    /// Removes only the `interest` direction(s) of this endpoint's
-    /// registration; the other direction, if registered, stays live.
-    pub fn deregister_interest(&self, interest: Interest) {
-        if interest.is_readable() {
-            self.in_pipe().state.lock().read_waker = None;
-        }
-        if interest.is_writable() {
-            self.out_pipe().state.lock().write_waker = None;
-        }
+        self.in_pipe().state.lock().read_waker = None;
+        self.out_pipe().state.lock().write_waker = None;
     }
 
     /// Number of bytes currently buffered for reading.
@@ -517,25 +508,36 @@ impl SimEndpoint {
             return;
         }
         StackCosts::charge(self.costs.teardown);
-        {
-            let pipe = self.out_pipe();
+        // The peer's reader can now observe EOF (after draining) and its
+        // writer will fail fast; this end's own reader and writer see the
+        // close. Each registration is posted once, after both pipes are
+        // marked: one watching both directions under one token gets one
+        // event, as a kernel hang-up gives it, not two that a dispatcher
+        // turn may split.
+        let mut wakes: Vec<(WakerSlot, Readiness)> = Vec::with_capacity(4);
+        for (pipe, outbound) in [(self.out_pipe(), true), (self.in_pipe(), false)] {
             let mut state = pipe.state.lock();
-            state.writer_closed = true;
-            // The peer's reader can now observe EOF (after draining), and
-            // this end's own writer that it may write no more.
-            state.wake_reader(Readiness::readable().with_closed());
-            state.wake_writer(Readiness::writable().with_closed());
+            if outbound {
+                state.writer_closed = true;
+            } else {
+                state.reader_closed = true;
+            }
+            let watchers = [
+                (&state.read_waker, Readiness::readable()),
+                (&state.write_waker, Readiness::writable()),
+            ];
+            for (waker, readiness) in watchers {
+                let Some(waker) = waker else { continue };
+                let readiness = readiness.with_closed();
+                match wakes.iter_mut().find(|(w, _)| w.same_as(waker)) {
+                    Some((_, merged)) => merged.merge(readiness),
+                    None => wakes.push((waker.clone(), readiness)),
+                }
+            }
             pipe.cond.notify_all();
         }
-        {
-            let pipe = self.in_pipe();
-            let mut state = pipe.state.lock();
-            state.reader_closed = true;
-            // The peer's writer will fail fast from now on, and this end's
-            // own reader sees the close.
-            state.wake_writer(Readiness::writable().with_closed());
-            state.wake_reader(Readiness::readable().with_closed());
-            pipe.cond.notify_all();
+        for (waker, readiness) in wakes {
+            waker.wake(readiness);
         }
         if let Some(stats) = &self.stats {
             stats.record_close();
@@ -777,13 +779,6 @@ impl Endpoint {
     /// gone the endpoint may register with another poller.
     pub fn deregister(&self) {
         dispatch!(EndpointKind, self, ep => ep.deregister())
-    }
-
-    /// Removes only the `interest` direction(s) of this endpoint's
-    /// registration, leaving the other direction's watcher (a different
-    /// task on the same connection) in place.
-    pub fn deregister_interest(&self, interest: Interest) {
-        dispatch!(EndpointKind, self, ep => ep.deregister_interest(interest))
     }
 
     /// Number of bytes currently buffered for reading.
@@ -1044,8 +1039,8 @@ mod tests {
             assert!(poller.wait(Duration::from_millis(20)).is_empty());
         }
 
-        /// The one-poller rule is checked: a direction still registered
-        /// with one poller keeps the endpoint from registering with another.
+        /// The one-poller rule is checked: an endpoint registered with one
+        /// poller cannot register with another.
         #[cfg(debug_assertions)]
         #[test]
         #[should_panic(expected = "at most one poller")]
@@ -1053,7 +1048,6 @@ mod tests {
             let (_client, server) = test_pair();
             let (first, second) = (Poller::new(), Poller::new());
             server.register(&first, Token(8), Interest::BOTH);
-            server.deregister_interest(Interest::READABLE);
             server.register(&second, Token(9), Interest::READABLE);
         }
 
@@ -1082,8 +1076,8 @@ mod tests {
             let (client, server) = pair(12, StackCosts::free(), None, 64);
             let poller = Poller::new();
             client.register(&poller, Token(8), Interest::WRITABLE);
-            // Consume the level-triggered event from registration.
-            assert_eq!(poller.wait(Duration::from_millis(50)).len(), 1);
+            // Room alone is not reported at registration.
+            assert!(poller.wait(Duration::from_millis(20)).is_empty());
             client.write(b"abc").unwrap();
             let mut buf = [0u8; 8];
             server.read(&mut buf).unwrap();

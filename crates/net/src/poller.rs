@@ -17,7 +17,9 @@
 //! * **No lost wakeups.** Every state transition that could unblock a
 //!   registered consumer enqueues that registration's token, and
 //!   registration itself enqueues the token if the source is *already*
-//!   ready (level-triggered at registration, edge-triggered afterwards).
+//!   readable (level-triggered at registration, edge-triggered
+//!   afterwards). Room to write is reported only as a transition: nothing
+//!   has been written on a fresh registration, so no writer waits for it.
 //!   A consumer that drains its source to `WouldBlock` after each event is
 //!   therefore guaranteed to observe all data and the final EOF.
 //! * **Spurious wakeups allowed.** An event only means "worth checking":
@@ -138,7 +140,7 @@ impl Readiness {
         self
     }
 
-    fn merge(&mut self, other: Readiness) {
+    pub(crate) fn merge(&mut self, other: Readiness) {
         self.readable |= other.readable;
         self.writable |= other.writable;
         self.closed |= other.closed;
@@ -225,6 +227,11 @@ pub(crate) struct WakerSlot {
 impl WakerSlot {
     pub(crate) fn wake(&self, readiness: Readiness) {
         self.inner.post(self.token, readiness);
+    }
+
+    /// `true` if both slots post the same token into the same poller.
+    pub(crate) fn same_as(&self, other: &WakerSlot) -> bool {
+        self.token == other.token && Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// `true` if this slot posts into `poller` (the one-poller check).

@@ -17,12 +17,15 @@
 //!   kernel reports transitions, and consumers drain to
 //!   [`NetError::WouldBlock`] — the invariant `crate::poller` already
 //!   imposes.
-//! * **Level-triggered at registration.** [`TcpConn::register`] and
-//!   [`TcpListener::register`] post a synthetic event for the current
-//!   state, so data (or a backlog) that arrived before the registration —
-//!   while the socket sat unwatched in a back-end pool, say — is never
-//!   missed. Spurious events are allowed by the poller contract, so the
-//!   synthetic post is unconditional.
+//! * **Level-triggered at registration.** Adding a socket to the epoll
+//!   set makes the kernel poll it, so data or a hang-up that arrived
+//!   before [`TcpConn::register`] — while the socket sat unwatched in a
+//!   back-end pool, say — is reported as any later transition, and
+//!   nothing is posted for a socket that is not ready. Writable readiness
+//!   is not reported at registration: nothing has been written on a
+//!   fresh registration, so no writer waits for room.
+//!   [`TcpListener::register`] posts one synthetic event (spurious
+//!   events are allowed by the poller contract).
 //! * **`EPOLLOUT` on demand.** A writer's entry asks for `EPOLLOUT` only
 //!   after one of its writes returned `EAGAIN`, and the event that reports
 //!   the space disarms it again, so a writable socket does not wake its
@@ -137,12 +140,10 @@ fn pack_userdata(gen: u32, fd: RawFd) -> u64 {
     ((gen as u64) << 32) | (fd as u32 as u64)
 }
 
-/// The tokens one socket's epoll registration fans out to: one slot per
-/// direction, each a token of its own (the runtime registers both
-/// directions of a connection under its one task's token). A bare [`Token`] suffices: every slot of a reactor
-/// posts into the one poller that owns it. Mirrors the simulated pipes,
-/// which hold a `read_waker` and a `write_waker` per direction.
-struct FdSlots {
+/// One socket's epoll registration: the token its events post and the
+/// directions it watches. The runtime registers a connection once, under
+/// its one task's id, for every direction the task uses it in.
+struct Registration {
     /// Registration generation, packed into the epoll userdata. fd numbers
     /// recycle fast under accept churn, so a batch resolved after the fd
     /// was forgotten and a new socket re-added under the same number
@@ -150,8 +151,8 @@ struct FdSlots {
     /// delivered to the new owner (a stale HUP would otherwise tear down a
     /// healthy connection).
     gen: u32,
-    read: Option<Token>,
-    write: Option<Token>,
+    token: Token,
+    interest: Interest,
     /// Whether the writer is waiting for send-buffer space: raised when a
     /// write returned `EAGAIN` ([`OsReactor::arm_writable`]), lowered by
     /// the event that reports the space ([`OsReactor::resolve_batch`]).
@@ -162,23 +163,14 @@ struct FdSlots {
     write_armed: bool,
 }
 
-impl FdSlots {
-    fn new(gen: u32) -> FdSlots {
-        FdSlots {
-            gen,
-            read: None,
-            write: None,
-            write_armed: false,
-        }
-    }
-
-    /// The epoll event mask the current slots ask for.
+impl Registration {
+    /// The epoll event mask the registration asks for.
     fn epoll_bits(&self) -> u32 {
         let mut bits = sys::EPOLLET | sys::EPOLLRDHUP;
-        if self.read.is_some() {
+        if self.interest.is_readable() {
             bits |= sys::EPOLLIN;
         }
-        if self.write.is_some() && self.write_armed {
+        if self.interest.is_writable() && self.write_armed {
             bits |= sys::EPOLLOUT;
         }
         bits
@@ -192,10 +184,6 @@ impl FdSlots {
         };
         // SAFETY: a live event struct for an fd registered in `epfd`.
         unsafe { sys::epoll_ctl(epfd, sys::EPOLL_CTL_MOD, fd, &mut event) };
-    }
-
-    fn is_empty(&self) -> bool {
-        self.read.is_none() && self.write.is_none()
     }
 }
 
@@ -218,8 +206,8 @@ pub(crate) struct OsReactor {
     wake_read: RawFd,
     /// Write end of the self-pipe; [`OsReactor::poke`] writes it.
     wake_write: RawFd,
-    registrations: Mutex<HashMap<RawFd, FdSlots>>,
-    /// Source of registration generations (see [`FdSlots::gen`]); per
+    registrations: Mutex<HashMap<RawFd, Registration>>,
+    /// Source of registration generations (see [`Registration::gen`]); per
     /// reactor, because userdata only has to be unique within one epoll
     /// instance.
     next_gen: AtomicU64,
@@ -316,45 +304,40 @@ impl OsReactor {
             }
             let fd = (user & 0xFFFF_FFFF) as u32 as RawFd;
             let gen = (user >> 32) as u32;
-            let Some(slots) = registrations.get_mut(&fd) else {
+            let Some(entry) = registrations.get_mut(&fd) else {
                 continue; // Deregistered while the event was in flight.
             };
-            if slots.gen != gen {
+            if entry.gen != gen {
                 continue; // Recycled fd; the event belongs to a dead socket.
             }
             let bits = event.events;
-            if bits & sys::EPOLLOUT != 0 && slots.write_armed {
-                slots.write_armed = false;
-                slots.modify(self.epfd, fd);
+            if bits & sys::EPOLLOUT != 0 && entry.write_armed {
+                entry.write_armed = false;
+                entry.modify(self.epfd, fd);
             }
-            let closed = bits & (sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0;
-            // Fan out per direction: a close wakes both watchers (a
-            // parked writer must fail fast, a reader must observe
-            // EOF), ordinary transitions only their own side.
-            if bits & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
-                if let Some(token) = slots.read {
-                    let mut readiness = Readiness::readable();
-                    readiness.closed = closed;
-                    wakes.push((token, readiness));
-                }
-            }
-            if bits & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0 {
-                if let Some(token) = slots.write {
-                    let mut readiness = Readiness::writable();
-                    readiness.closed = closed;
-                    wakes.push((token, readiness));
-                }
+            // A close is both directions' news (a parked writer must fail
+            // fast, a reader must observe EOF); an ordinary transition is
+            // only its own direction's.
+            let hangup = sys::EPOLLHUP | sys::EPOLLERR;
+            let readiness = Readiness {
+                readable: entry.interest.is_readable()
+                    && bits & (sys::EPOLLIN | sys::EPOLLRDHUP | hangup) != 0,
+                writable: entry.interest.is_writable() && bits & (sys::EPOLLOUT | hangup) != 0,
+                closed: bits & (sys::EPOLLRDHUP | hangup) != 0,
+            };
+            if readiness.readable || readiness.writable {
+                wakes.push((entry.token, readiness));
             }
         }
         wakes
     }
 
-    /// Installs (or replaces) the registration for the direction(s) in
-    /// `interest` of `fd`. Matching events will post `token` into the
-    /// owning poller until the direction is forgotten.
-    /// Each direction holds one slot: registering a direction again (from
-    /// any clone) replaces it, while the other direction's slot — possibly
-    /// a different task's token — is left alone.
+    /// Installs (or replaces) `fd`'s registration: events in the
+    /// direction(s) of `interest` post `token` into the owning poller
+    /// until the socket is forgotten. Adding (or modifying) an entry makes
+    /// the kernel poll the socket, so a socket that is already readable —
+    /// bytes or a hang-up that came while it sat unwatched — reports it at
+    /// once, as any later transition.
     fn register(&self, fd: RawFd, token: Token, interest: Interest) {
         let mut registrations = self.registrations.lock();
         let op = if registrations.contains_key(&fd) {
@@ -362,56 +345,28 @@ impl OsReactor {
         } else {
             sys::EPOLL_CTL_ADD
         };
-        let gen = match registrations.get(&fd) {
-            Some(slots) => slots.gen,
-            None => self.next_gen.fetch_add(1, Ordering::Relaxed) as u32,
-        };
-        let slots = registrations.entry(fd).or_insert_with(|| FdSlots::new(gen));
-        if interest.is_readable() {
-            slots.read = Some(token);
-        }
-        if interest.is_writable() {
-            slots.write = Some(token);
-        }
+        let entry = registrations.entry(fd).or_insert_with(|| Registration {
+            gen: self.next_gen.fetch_add(1, Ordering::Relaxed) as u32,
+            token,
+            interest,
+            write_armed: false,
+        });
+        entry.token = token;
+        entry.interest = interest;
         let mut event = sys::epoll_event {
-            events: slots.epoll_bits(),
-            u64: pack_userdata(gen, fd),
+            events: entry.epoll_bits(),
+            u64: pack_userdata(entry.gen, fd),
         };
         let rc = unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut event) };
         // A failed registration (max_user_watches exhausted, ENOMEM) must
-        // be loud: recording it anyway would deliver the synthetic
-        // level-trigger event and then stall the connection forever — a
-        // silent lost wakeup, the one failure mode this layer exists to
-        // rule out.
+        // be loud: recording it anyway would stall the connection forever
+        // — a silent lost wakeup, the one failure mode this layer exists
+        // to rule out.
         assert!(
             rc == 0,
             "epoll_ctl({op}) for fd {fd} failed: errno {}",
             sys::errno()
         );
-    }
-
-    /// Removes the direction(s) in `interest` of `fd`'s registration and
-    /// drops the epoll entry once no direction is left. Returns `true` when
-    /// `fd` is no longer registered here.
-    fn forget_interest(&self, fd: RawFd, interest: Interest) -> bool {
-        let mut registrations = self.registrations.lock();
-        let Some(slots) = registrations.get_mut(&fd) else {
-            return true;
-        };
-        if interest.is_readable() {
-            slots.read = None;
-        }
-        if interest.is_writable() {
-            slots.write = None;
-        }
-        if slots.is_empty() {
-            registrations.remove(&fd);
-            let mut event = sys::epoll_event { events: 0, u64: 0 };
-            unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, &mut event) };
-            return true;
-        }
-        slots.modify(self.epfd, fd);
-        false
     }
 
     /// Asks for `fd`'s next `EPOLLOUT`: a write to it returned `EAGAIN`.
@@ -420,21 +375,21 @@ impl OsReactor {
     /// reported. A no-op while armed, or when no writer watches `fd`.
     fn arm_writable(&self, fd: RawFd) {
         let mut registrations = self.registrations.lock();
-        if let Some(slots) = registrations.get_mut(&fd) {
-            if slots.write.is_some() && !slots.write_armed {
-                slots.write_armed = true;
-                slots.modify(self.epfd, fd);
+        if let Some(entry) = registrations.get_mut(&fd) {
+            if entry.interest.is_writable() && !entry.write_armed {
+                entry.write_armed = true;
+                entry.modify(self.epfd, fd);
             }
         }
     }
 
-    /// Removes any registration for `fd` (socket teardown). The kernel
-    /// drops the epoll entry itself when the descriptor closes; this keeps
-    /// the slot table from retaining a dead socket's tokens, and
-    /// removing the entry *before* the descriptor closes is what arms the
-    /// generation guard: any in-flight batch now misses the map (or, after
-    /// a re-add recycles the fd, mismatches the generation) instead of
-    /// waking the wrong owner.
+    /// Removes `fd`'s registration, if any: the socket was deregistered or
+    /// tears down. The kernel drops the epoll entry itself when the
+    /// descriptor closes; this keeps the table from retaining a dead
+    /// socket's token, and removing the entry *before* the descriptor
+    /// closes is what arms the generation guard: any in-flight batch now
+    /// misses the map (or, after a re-add recycles the fd, mismatches the
+    /// generation) instead of waking the wrong owner.
     fn forget(&self, fd: RawFd) {
         if self.registrations.lock().remove(&fd).is_some() {
             let mut event = sys::epoll_event { events: 0, u64: 0 };
@@ -690,7 +645,7 @@ impl TcpListener {
     pub fn deregister(&self) {
         let mut tracked = self.inner.reactor.lock();
         if let (Some(fd), Some(reactor)) = (self.raw_fd(), tracked.take()) {
-            reactor.forget_interest(fd, Interest::READABLE);
+            reactor.forget(fd);
         }
     }
 
@@ -1011,38 +966,21 @@ impl TcpConn {
         rc < 0 && sys::errno() == sys::EAGAIN
     }
 
+    /// Watches the socket. No event is posted here: the kernel reports a
+    /// socket that is already readable when it is added, and a fresh
+    /// registration has written nothing, so no writer waits for room.
     pub(crate) fn register(&self, poller: &Poller, token: Token, interest: Interest) {
         let reactor = poller.os_reactor();
         let mut tracked = self.inner.reactor.lock();
         claim(&mut tracked, reactor);
         reactor.register(self.fd(), token, interest);
-        drop(tracked);
-        // Level-triggered at registration: post the current state so bytes
-        // that arrived before (or during) the registration are observed.
-        // Writable interest is posted unconditionally (a fresh socket is
-        // almost always writable, and spurious events are allowed).
-        let mut readiness = Readiness::default();
-        if interest.is_readable() {
-            readiness.readable = true;
-        }
-        if interest.is_writable() {
-            readiness.writable = true;
-        }
-        poller.post(token, readiness);
     }
 
+    /// Forgets the registration; the socket is then free to register with
+    /// any poller.
     pub(crate) fn deregister(&self) {
-        self.deregister_interest(Interest::BOTH);
-    }
-
-    /// Forgets the `interest` direction(s); once no direction is left the
-    /// socket is free to register with any poller.
-    pub(crate) fn deregister_interest(&self, interest: Interest) {
-        let mut tracked = self.inner.reactor.lock();
-        if let Some(reactor) = tracked.as_ref() {
-            if reactor.forget_interest(self.fd(), interest) {
-                *tracked = None;
-            }
+        if let Some(reactor) = self.inner.reactor.lock().take() {
+            reactor.forget(self.fd());
         }
     }
 
@@ -1146,8 +1084,10 @@ mod tests {
         let (_listener, client, server) = pair(&stack);
         let poller = Poller::new();
         server.register(&poller, Token(1), Interest::READABLE);
-        // Drain the synthetic level-trigger event first.
-        let _ = poller.wait(Duration::from_millis(50));
+        assert!(
+            poller.wait(Duration::from_millis(50)).is_empty(),
+            "an idle socket's registration posts nothing"
+        );
         client.write_all(b"ping").unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
@@ -1176,31 +1116,44 @@ mod tests {
         (stack.wrap(stream, crate::conn::Side::Client).unwrap(), peer)
     }
 
-    /// A socket moves to another poller only once its last direction is
-    /// deregistered: one direction left keeps it on its reactor, and the
-    /// new poller alone sees it after the move.
+    /// A socket leaves its reactor when it is deregistered, every
+    /// direction at once, and may then move to another poller, which alone
+    /// sees it after the move. Registering an idle socket posts nothing.
     #[test]
     fn a_socket_leaves_its_reactor_with_its_last_direction() {
         let stack = stack();
         let (conn, mut peer) = raw_pair(&stack);
         let (old, new) = (Poller::new(), Poller::new());
         conn.register(&old, Token(1), Interest::BOTH);
-        let _ = old.wait(Duration::from_millis(50)); // synthetic level-trigger
-        conn.deregister_interest(Interest::WRITABLE);
-        assert!(
-            conn.inner.reactor.lock().is_some(),
-            "readable is still live"
-        );
-        conn.deregister_interest(Interest::READABLE);
+        assert!(old.wait(Duration::from_millis(20)).is_empty());
+        conn.deregister();
         assert!(conn.inner.reactor.lock().is_none());
         conn.register(&new, Token(2), Interest::READABLE);
-        let _ = new.wait(Duration::from_millis(50)); // synthetic level-trigger
         peer.write_all(b"moved").unwrap();
         let events = new.wait(Duration::from_secs(5));
         assert!(events
             .iter()
             .any(|e| e.token == Token(2) && e.readiness.readable));
         assert!(old.wait(Duration::from_millis(20)).is_empty());
+    }
+
+    /// Bytes that arrived before the registration are reported by it,
+    /// once, with both directions under the one token.
+    #[test]
+    fn registration_reports_bytes_that_came_first() {
+        let stack = stack();
+        let (conn, mut peer) = raw_pair(&stack);
+        peer.write_all(b"early").unwrap();
+        while conn.is_idle() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let poller = Poller::new();
+        conn.register(&poller, Token(3), Interest::BOTH);
+        let events = poller.wait(Duration::from_secs(5));
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, Token(3));
+        assert!(events[0].readiness.readable && !events[0].readiness.writable);
+        assert!(poller.wait(Duration::from_millis(20)).is_empty());
     }
 
     /// The one-poller rule is checked on sockets too.
@@ -1212,7 +1165,6 @@ mod tests {
         let (conn, _peer) = raw_pair(&stack);
         let (first, second) = (Poller::new(), Poller::new());
         conn.register(&first, Token(1), Interest::BOTH);
-        conn.deregister_interest(Interest::READABLE);
         conn.register(&second, Token(2), Interest::READABLE);
     }
 
@@ -1267,7 +1219,6 @@ mod tests {
         let conn = stack.wrap(stream, crate::conn::Side::Client).unwrap();
         let poller = Poller::new();
         conn.register(&poller, Token(7), Interest::READABLE);
-        let _ = poller.wait(Duration::from_millis(50)); // synthetic level-trigger
         let reactor = poller.os_reactor();
         let gen = reactor.registrations.lock().get(&conn.fd()).unwrap().gen;
         let live = sys::epoll_event {
@@ -1346,14 +1297,13 @@ mod tests {
         /// Loose on purpose: a lost wake shows as the full 10 s timeout.
         const PROMPT: Duration = Duration::from_millis(500);
 
-        /// A connected kernel pair whose server end is registered under
-        /// `Token(1)` on a fresh poller — which therefore owns a reactor —
-        /// with the synthetic level-trigger event already drained.
+        /// A connected kernel pair whose idle server end is registered
+        /// under `Token(1)` on a fresh poller — which therefore owns a
+        /// reactor.
         fn kernel_poller(stack: &Arc<TcpStack>) -> (Poller, TcpListener, Endpoint, Endpoint) {
             let (listener, client, server) = pair(stack);
             let poller = Poller::new();
             server.register(&poller, Token(1), Interest::READABLE);
-            assert_eq!(poller.wait(Duration::from_secs(5)).len(), 1);
             (poller, listener, client, server)
         }
 
@@ -1435,7 +1385,6 @@ mod tests {
             let (sim_client, sim_server) =
                 crate::conn::pair(9, crate::costs::StackCosts::free(), None, 4096);
             sim_server.register(&poller, Token(2), Interest::READABLE);
-            let _ = poller.wait(Duration::from_millis(50)); // synthetic level-trigger
 
             std::thread::scope(|scope| {
                 let writer = scope.spawn(|| {
@@ -1482,8 +1431,8 @@ mod tests {
 
         /// A thread parked on the condvar when the reactor is created must
         /// move into `epoll_wait`. The registration below goes straight to
-        /// the reactor, without the synthetic post `TcpConn::register`
-        /// adds, so only the creation notify can move the waiter. (If the
+        /// the reactor and posts nothing for the idle socket, so only the
+        /// creation notify can move the waiter. (If the
         /// waiter is slow to park it finds the reactor on its first check
         /// and the test passes for the plainer reason.)
         #[test]

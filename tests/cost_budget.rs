@@ -210,8 +210,6 @@ fn keep_alive(transport: Transport) -> PerOp {
 /// What one request may cost.
 struct Budget {
     task_runs: f64,
-    /// The band of `task_runs`; every other count keeps [`BAND`].
-    runs_band: f64,
     reads: f64,
     writes: f64,
     checkouts: f64,
@@ -227,24 +225,22 @@ fn assert_within(measured: PerOp, budget: Budget) {
     // runs their yields added; every other count is exact.
     let exact = |count: f64| (count, count);
     let runs = (measured.task_runs - measured.yields, measured.task_runs);
-    for (what, (least, most), want, band) in [
-        ("task runs", runs, budget.task_runs, budget.runs_band),
-        ("reads", exact(measured.reads), budget.reads, BAND),
-        ("writes", exact(measured.writes), budget.writes, BAND),
+    for (what, (least, most), want) in [
+        ("task runs", runs, budget.task_runs),
+        ("reads", exact(measured.reads), budget.reads),
+        ("writes", exact(measured.writes), budget.writes),
         (
             "back-end checkouts",
             exact(measured.checkouts),
             budget.checkouts,
-            BAND,
         ),
         (
             "connections opened",
             exact(measured.connections),
             budget.connections,
-            BAND,
         ),
     ] {
-        let (low, high) = (want * (1.0 - band), want * (1.0 + band));
+        let (low, high) = (want * (1.0 - BAND), want * (1.0 + BAND));
         assert!(
             most >= low && least <= high,
             "{what} per request: {least:.3}..={most:.3}, budget {want} \
@@ -259,7 +255,6 @@ fn a_keep_alive_request_on_kernel_sockets() {
         keep_alive(Transport::Kernel),
         Budget {
             task_runs: 2.0,
-            runs_band: BAND,
             reads: 2.0,
             writes: 2.0,
             checkouts: 0.0,
@@ -274,7 +269,6 @@ fn a_keep_alive_request_on_the_sim() {
         keep_alive(Transport::Sim),
         Budget {
             task_runs: 2.0,
-            runs_band: BAND,
             reads: 4.0,
             writes: 4.0,
             checkouts: 0.0,
@@ -283,24 +277,19 @@ fn a_keep_alive_request_on_the_sim() {
     );
 }
 
-/// A closing request is three tasks, one per connection: the client's,
-/// and the two back-end members', of which the request opens one. The
-/// client's task runs for the request (its first run, when the request
-/// is in by then), for the client's hang-up, and once its queue is closed;
-/// the opened member's for its registration, for the response (unless
-/// that first run read it) and for the drain, which its task finishes in;
-/// the unopened member's once, at the drain. Timing decides whether a
-/// first run finds its connection's first bytes.
+/// A closing request is three tasks, one per connection, and six runs:
+/// the client's task runs for the request, for the client's hang-up, and
+/// once its queue is closed; the opened back-end member's for the
+/// response and at the drain, which its task finishes in; the unopened
+/// member's once, at the drain. A registration posts only what is
+/// already readable, and a hang-up is one event on both transports, so
+/// no run depends on timing.
 #[test]
 fn a_closing_request_on_kernel_sockets() {
     assert_within(
         measure(Transport::Kernel, Client::Closing),
         Budget {
-            // 6.25-6.57 per request in release, 6.67-6.95 in a debug build,
-            // on two cores: how often a first run merges with the bytes
-            // that follow it moves with the build's speed.
-            task_runs: if cfg!(debug_assertions) { 6.8 } else { 6.4 },
-            runs_band: 0.04,
+            task_runs: 6.0,
             reads: 2.0,
             writes: 2.0,
             checkouts: 1.0,
@@ -314,13 +303,7 @@ fn a_closing_request_on_the_sim() {
     assert_within(
         measure(Transport::Sim, Client::Closing),
         Budget {
-            task_runs: 6.65,
-            // 6.40-6.89 per request in release, 6.60-6.77 in a debug
-            // build, on two cores. Whether the opened member's first run
-            // (its registration's writable post) finds the response moves
-            // with timing here as on kernel sockets, so the sim takes the
-            // kernel's band.
-            runs_band: 0.04,
+            task_runs: 6.0,
             reads: 4.0,
             writes: 4.0,
             checkouts: 1.0,

@@ -78,7 +78,10 @@ fn the_epoll_set_dies_with_its_users_and_no_reactor_thread_ever_runs() {
         "one epoll descriptor and the two ends of the self-pipe"
     );
     // The waiting thread harvests the set itself.
-    let _ = poller.wait(Duration::from_millis(50)); // synthetic level-trigger
+    assert!(
+        poller.wait(Duration::from_millis(50)).is_empty(),
+        "nothing is ready yet"
+    );
     client.write_all(b"ping").unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
