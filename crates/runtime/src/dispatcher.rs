@@ -441,7 +441,8 @@ impl ShardReactor {
     /// passed. Once the input of every client connection has ended the
     /// graph starts draining: its back-end members are released — an
     /// unopened one is never opened, and the task of an opened one stops
-    /// reading, so it is scheduled once more — and [`DRAIN_GRACE`] bounds
+    /// reading, so it is scheduled once more — a read back-end the graph
+    /// owns outright is closed, and [`DRAIN_GRACE`] bounds
     /// a non-quiescent graph. The other tasks are left to what they wait
     /// for: a released member's task finishes its read side, and the close
     /// that ends a connection's channel (the last read side's) wakes the
@@ -456,7 +457,7 @@ impl ShardReactor {
         }
         let deadline = *self.draining.entry(graph_id).or_insert_with(|| {
             for watch in &graph.watches {
-                if watch.endpoint.release() && watch.interest.is_readable() {
+                if watch.endpoint.release(watch.interest.is_readable()) {
                     self.scheduler.schedule(watch.task);
                 }
             }
@@ -943,20 +944,20 @@ mod tests {
         (ShardReactor::new(set, shard), service, metrics)
     }
 
-    /// A watch's first run is its registration's post, delivered on the
-    /// dispatcher's next turn: building a graph over an idle kernel
-    /// connection runs nothing, and the turn after runs the connection's
-    /// one task once (the registration of its one watch, for both
-    /// directions, posts unconditionally on the OS transport), and there is
-    /// no other task. The test drives one shard's reactor by hand, so
-    /// which turn ran what is not a race.
+    /// A watch's first run is its connection's first readiness, delivered
+    /// on the dispatcher's next turn: building a graph over an idle kernel
+    /// connection runs nothing, not even on the turn after (a registration
+    /// posts only what is ready), and the request's arrival runs the
+    /// connection's one task once, for both directions, and there is no
+    /// other task. The test drives one shard's reactor by hand, so which
+    /// turn ran what is not a race.
     #[test]
     fn each_watched_task_gets_one_first_run() {
         use flick_net::{SimNetwork, StackModel, TcpStack};
 
         let stack = TcpStack::new();
         let listener = stack.listen("127.0.0.1:0").unwrap();
-        let _client = stack
+        let client = stack
             .connect(&format!("127.0.0.1:{}", listener.port()))
             .unwrap();
         let server = listener.accept_timeout(Duration::from_secs(5)).unwrap();
@@ -971,7 +972,12 @@ mod tests {
         reactor.build_graph(&service, vec![server]);
         settle();
         assert_eq!(runs(), 0, "the build itself schedules nothing");
-        let events = reactor.poller.wait(Duration::from_secs(1));
+        let events = reactor.poller.wait(Duration::from_millis(50));
+        assert!(events.is_empty(), "an idle connection posts nothing");
+        client
+            .write_all(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let events = reactor.poller.wait(Duration::from_secs(5));
         reactor.turn(events);
         let deadline = Instant::now() + Duration::from_secs(5);
         while runs() < 1 {
@@ -1137,6 +1143,96 @@ mod tests {
                 "a stopped service must close its client connections"
             );
         }
+    }
+
+    /// Logic that reads and emits nothing.
+    struct QuietLogic;
+
+    impl ComputeLogic for QuietLogic {
+        fn on_value(
+            &mut self,
+            _input: usize,
+            _value: Value,
+            _out: &mut Outputs<'_>,
+        ) -> Result<(), RuntimeError> {
+            Ok(())
+        }
+    }
+
+    /// A client and a back-end connection the graph opens itself and binds
+    /// as a bare endpoint, not a pool member; the graph reads and writes
+    /// both.
+    struct OpenBackendFactory {
+        backend_port: u16,
+    }
+
+    impl GraphFactory for OpenBackendFactory {
+        fn build(
+            &self,
+            clients: Vec<Endpoint>,
+            env: &ServiceEnv,
+        ) -> Result<BuiltGraph, RuntimeError> {
+            let backend = Link::from(env.net.connect(self.backend_port)?);
+            let codec = Arc::new(HttpCodec::new());
+            let mut builder = GraphBuilder::new("open", &env.allocator);
+            let reads = |input| Reads {
+                projection: None,
+                logic: Box::new(QuietLogic),
+                input,
+            };
+            let node = builder.declare_node();
+            let peer = Peer::Client(&clients[0]);
+            builder.bind(node, "client", peer, codec.clone(), Some(reads(0)), true);
+            let node = builder.declare_node();
+            let peer = Peer::Backend(&backend);
+            builder.bind(node, "backend", peer, codec, Some(reads(1)), true);
+            Ok(builder.build())
+        }
+    }
+
+    /// The drain closes a read back-end the graph owns outright: its task
+    /// reads EOF and ends its input, which closes the client's channel, so
+    /// the graph tears down once its client leaves instead of waiting out
+    /// the drain grace with the back-end's input still open.
+    #[test]
+    fn the_drain_closes_a_read_open_back_end() {
+        let platform = Platform::new(PlatformConfig {
+            workers: 2,
+            ..Default::default()
+        });
+        let net = platform.net();
+        let backend_listener = net.listen(8095).unwrap();
+        let service = platform
+            .deploy(ServiceSpec::new(
+                "open",
+                8094,
+                Arc::new(OpenBackendFactory { backend_port: 8095 }),
+            ))
+            .unwrap();
+        let client = net.connect(8094).unwrap();
+        let backend = backend_listener
+            .accept_timeout(Duration::from_secs(5))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while service.live_graphs() == 0 {
+            assert!(Instant::now() < deadline, "the graph was never built");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let left = Instant::now();
+        client.close();
+        let mut buf = [0u8; 16];
+        assert_eq!(
+            backend.read_timeout(&mut buf, Duration::from_secs(5)),
+            Err(NetError::Closed),
+            "the drain closes the back-end"
+        );
+        while service.live_graphs() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            left.elapsed() < DRAIN_GRACE / 2,
+            "the graph waited for its drain grace"
+        );
     }
 
     const AGGREGATE_LEN: usize = 16 * 1024;

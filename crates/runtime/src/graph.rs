@@ -166,7 +166,7 @@ impl<'a> GraphBuilder<'a> {
                 if reads.is_some() {
                     self.client_tasks.push(node.task_id());
                 }
-                Link::from(endpoint)
+                Link::client(endpoint)
             }
             Peer::Backend(link) => link.clone(),
         };

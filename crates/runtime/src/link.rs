@@ -49,7 +49,9 @@ pub struct Link(Kind);
 
 #[derive(Clone)]
 enum Kind {
-    /// A connection the graph owns outright: a client.
+    /// A client connection, left to its task until it ends.
+    Client(Endpoint),
+    /// A back-end connection the graph owns outright.
     Open(Endpoint),
     /// A member of the service's back-end pool, with its connection once
     /// this clone adopted it.
@@ -113,13 +115,12 @@ impl From<Endpoint> for Link {
     }
 }
 
-impl From<&Endpoint> for Link {
-    fn from(endpoint: &Endpoint) -> Self {
-        Link(Kind::Open(endpoint.clone()))
-    }
-}
-
 impl Link {
+    /// A client connection ([`crate::Peer::Client`]).
+    pub(crate) fn client(endpoint: &Endpoint) -> Self {
+        Link(Kind::Client(endpoint.clone()))
+    }
+
     /// Member `index` of `pool`, opened on the first send to it. A failed
     /// open closes `clients`, the connections of the graph it belongs to.
     pub fn member(pool: Arc<BackendPool>, index: usize, clients: Arc<[Endpoint]>) -> Self {
@@ -170,7 +171,7 @@ impl Link {
     /// member records the watch, and its open registers it.
     pub(crate) fn register(&self, poller: &Poller, token: Token, interest: Interest) {
         match &self.0 {
-            Kind::Open(endpoint) => endpoint.register(poller, token, interest),
+            Kind::Client(ep) | Kind::Open(ep) => ep.register(poller, token, interest),
             Kind::Member(member, _) => {
                 let mut slot = member.slot.lock();
                 match &slot.state {
@@ -187,7 +188,7 @@ impl Link {
     /// register it.
     pub(crate) fn deregister(&self) {
         match &self.0 {
-            Kind::Open(endpoint) => endpoint.deregister(),
+            Kind::Client(endpoint) | Kind::Open(endpoint) => endpoint.deregister(),
             Kind::Member(member, _) => {
                 let mut slot = member.slot.lock();
                 match &slot.state {
@@ -202,7 +203,7 @@ impl Link {
     /// An unopened member is never opened after this.
     pub(crate) fn close(&self) {
         match &self.0 {
-            Kind::Open(endpoint) => endpoint.close(),
+            Kind::Client(endpoint) | Kind::Open(endpoint) => endpoint.close(),
             Kind::Member(member, _) => member.slot.lock().retire(member, false),
         }
     }
@@ -213,28 +214,26 @@ impl Link {
         matches!(&self.0, Kind::Member(member, _) if member.released.load(Ordering::Acquire))
     }
 
-    /// What a task's `Drop` does: closes the connection, unless it is a
-    /// released member, which its graph's teardown parks or closes.
-    pub(crate) fn close_unless_released(&self) {
-        if !self.is_released() {
-            self.close();
+    /// The graph's drain, on a connection whose task `reads` it: whether
+    /// that task must look (`true`). A member is released — never opened
+    /// if it was not yet, left open for its task to finish on if it was. A
+    /// back-end the graph owns outright is closed if read, so its reader
+    /// observes EOF, and left to its task if only written. A client
+    /// connection is left to its task, which closes it when it ends.
+    pub(crate) fn release(&self, reads: bool) -> bool {
+        match &self.0 {
+            Kind::Client(_) => return false,
+            Kind::Open(endpoint) if reads => endpoint.close(),
+            Kind::Open(_) => {}
+            Kind::Member(member, _) => {
+                let mut slot = member.slot.lock();
+                member.released.store(true, Ordering::Release);
+                if matches!(slot.state, State::Unbound) {
+                    slot.retire(member, false);
+                }
+            }
         }
-    }
-
-    /// The graph's drain: a member is released — never opened if it was
-    /// not yet, left open for its task to finish on if it was — and its
-    /// reader must look (`true`). A client connection is left to its task,
-    /// which closes it when it ends.
-    pub(crate) fn release(&self) -> bool {
-        let Kind::Member(member, _) = &self.0 else {
-            return false;
-        };
-        let mut slot = member.slot.lock();
-        member.released.store(true, Ordering::Release);
-        if matches!(slot.state, State::Unbound) {
-            slot.retire(member, false);
-        }
-        true
+        reads
     }
 
     /// A task is done with the link. On a released member it records how
@@ -265,7 +264,7 @@ impl Link {
     /// for a member once [`Link::settle`] or [`Link::connect`] adopted it.
     pub(crate) fn open_endpoint(&self) -> Option<&Endpoint> {
         match &self.0 {
-            Kind::Open(endpoint) => Some(endpoint),
+            Kind::Client(endpoint) | Kind::Open(endpoint) => Some(endpoint),
             Kind::Member(_, adopted) => adopted.as_ref(),
         }
     }
@@ -295,7 +294,7 @@ impl Link {
     /// member first.
     pub(crate) fn connect(&mut self) -> Result<&Endpoint, RuntimeError> {
         match &mut self.0 {
-            Kind::Open(endpoint) => Ok(endpoint),
+            Kind::Client(endpoint) | Kind::Open(endpoint) => Ok(endpoint),
             Kind::Member(member, adopted) => match adopted {
                 Some(endpoint) => Ok(endpoint),
                 None => Ok(adopted.insert(member.open()?)),
@@ -416,11 +415,27 @@ mod tests {
         let listener = net.listen(9402).unwrap();
         let (pool, metrics) = pool(&net, &[9402]);
         let mut link = Link::member(pool, 0, Arc::from([]));
-        link.release();
+        link.release(true);
         assert!(link.connect().is_err());
         assert!(matches!(link.settle(), Settled::Released));
         assert_eq!(listener.backlog(), 0);
         assert_eq!(metrics.snapshot().backend_checkouts, 0);
+    }
+
+    /// The drain ends the input of a back-end the graph owns outright: a
+    /// read one is closed and its reader must look; a written-only one and
+    /// a client connection are left to their tasks.
+    #[test]
+    fn the_drain_closes_only_a_read_open_back_end() {
+        let net = SimNetwork::new(StackModel::Free);
+        let listener = net.listen(9406).unwrap();
+        let ends: Vec<_> = (0..3).map(|_| net.connect(9406).unwrap()).collect();
+        let _peers: Vec<_> = ends.iter().map(|_| listener.accept().unwrap()).collect();
+        assert!(Link::from(ends[0].clone()).release(true));
+        assert!(ends[0].is_closed());
+        assert!(!Link::from(ends[1].clone()).release(false));
+        assert!(!Link::client(&ends[2]).release(true));
+        assert!(!ends[1].is_closed() && !ends[2].is_closed());
     }
 
     /// A failed open is one counted checkout fed to passive health, and it
@@ -454,9 +469,9 @@ mod tests {
         let mut link = Link::member(Arc::clone(&pool), 0, Arc::from([]));
         let endpoint = link.connect().unwrap().clone();
         listener.accept().unwrap();
-        assert!(link.release(), "a released member's reader must look");
-        link.close_unless_released();
-        assert!(!endpoint.is_closed(), "a task's drop leaves it open");
+        assert!(link.release(true), "a released member's reader must look");
+        assert!(link.is_released(), "a task's drop leaves it open");
+        assert!(!endpoint.is_closed());
         (link, endpoint, pool)
     }
 

@@ -57,6 +57,8 @@ pub struct ConnectionTask {
     link: Link,
     input: Option<ReadSide>,
     output: Option<WriteSide>,
+    /// The read side finished (or the task has none).
+    read_done: bool,
 }
 
 impl ConnectionTask {
@@ -70,6 +72,7 @@ impl ConnectionTask {
         ConnectionTask {
             label: label.into(),
             link,
+            read_done: input.is_none(),
             input,
             output,
         }
@@ -81,12 +84,6 @@ impl ConnectionTask {
         (self.output.as_ref()).map_or(TaskStatus::Finished, |output| {
             output.side.writer.lock().run(&output.queue, ctx)
         })
-    }
-
-    /// One round of the read side; `Finished` once it is done, or when the
-    /// task does not read.
-    fn read(&mut self, ctx: &mut TaskContext) -> TaskStatus {
-        (self.input.as_mut()).map_or(TaskStatus::Finished, |input| input.run(ctx))
     }
 
     /// Both sides are done: closes the connection, or records how a
@@ -107,7 +104,9 @@ impl Drop for ConnectionTask {
         // Dropping a task (graph teardown) must release the connection so
         // that the peer observes EOF instead of a hung socket — unless its
         // graph's teardown decides, on a released member.
-        self.link.close_unless_released();
+        if !self.link.is_released() {
+            self.link.close();
+        }
         if let Some(input) = &mut self.input {
             input.rules.emitter.close(|_| {});
             if let Some(consumer) = input.streaming.take().and_then(|stream| stream.fail()) {
@@ -128,8 +127,12 @@ impl Task for ConnectionTask {
             // The next run reads; the readiness it would miss is not lost.
             return wrote;
         }
-        let read = self.read(ctx);
-        if read == TaskStatus::Finished && wrote == TaskStatus::Idle {
+        let read = match self.input.as_mut().filter(|_| !self.read_done) {
+            Some(input) => input.run(ctx),
+            None => TaskStatus::Finished,
+        };
+        let ended = read == TaskStatus::Finished && !std::mem::replace(&mut self.read_done, true);
+        if ended && wrote == TaskStatus::Idle {
             // The read side's end may have closed this connection's queue.
             wrote = self.write(ctx);
         }
@@ -177,8 +180,7 @@ pub(crate) struct ReadSide {
     buf: SharedBuf,
     rules: InlineRules,
     /// The rules were told the input ended, or failed: all that is left
-    /// is to deliver what they emitted and finish (again, harmlessly, once
-    /// finished).
+    /// is to deliver what they emitted and finish.
     ended: bool,
     /// Messages parsed, once a released member's side ended cleanly framed
     /// (no partial message, and the codec says the last one keeps the
@@ -1678,7 +1680,7 @@ mod tests {
         let peer = net.connect_with(91, &options).unwrap();
         let end = listener.accept().unwrap();
         let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
-        let output = WriteSide::new(Link::from(&end), codec(), rx);
+        let output = WriteSide::new(Link::from(end.clone()), codec(), rx);
         let destination = Destination {
             producer: tx,
             side: Arc::clone(output.side()),
@@ -1688,8 +1690,9 @@ mod tests {
             InlineRules::new(Box::new(Passthrough), 0, std::slice::from_ref(&destination));
         // The builder's own handle, closed once the read sides hold theirs.
         destination.producer.close();
-        let input = ReadSide::new(Link::from(&end), codec(), None, echo);
-        let mut task = ConnectionTask::new("conn", Link::from(&end), Some(input), Some(output));
+        let input = ReadSide::new(Link::from(end.clone()), codec(), None, echo);
+        let mut task =
+            ConnectionTask::new("conn", Link::from(end.clone()), Some(input), Some(output));
         let side = Arc::clone(side(&task));
         let mut wire = Vec::new();
         let drain = |wire: &mut Vec<u8>| {
