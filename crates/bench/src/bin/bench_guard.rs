@@ -8,7 +8,9 @@
 //!
 //! * **Ratio gates**, each the best of its passes: the static web service
 //!   on a real kernel socket against its simulated twin (`tcp/sim`), the
-//!   all-TCP load balancer against its twin (`all-TCP lb/sim`), goodput
+//!   all-TCP load balancer against its twin (`all-TCP lb/sim`) — each pair
+//!   driven by one client fleet, the same program on both transports —
+//!   goodput
 //!   under a 10% malformed-frame storm against the clean run
 //!   (`hostile/clean`), the bytecode VM against the tree-walking
 //!   interpreter on per-message dispatch (`vm/interp`), and the light
@@ -37,8 +39,9 @@ use flick_workload::RunStats;
 
 /// The tcp-vs-sim ratio floor: the service on a real kernel socket must
 /// not fall below this fraction of its simulated twin (kernel cost model)
-/// within the same run. Loopback measurements put the ratio around
-/// 0.8–0.9; the floor leaves generous headroom for loaded CI hosts while
+/// within the same run, both driven by the same client fleet. Loopback
+/// measurements put the ratio around 0.9–1.0 (DESIGN.md §10); the floor
+/// leaves generous headroom for loaded CI hosts while
 /// still catching a broken OS transport (a lost-wakeup stall collapses
 /// the ratio to near zero).
 const TCP_SIM_RATIO_FLOOR: f64 = 0.25;
@@ -170,8 +173,10 @@ fn main() {
         run_hostile_goodput_experiment(&hostile_params, HOSTILE_SHARE),
         run_hostile_goodput_experiment(&hostile_params, HOSTILE_SHARE),
     ];
-    // The e2e loopback TCP point, two passes (real sockets on a loaded CI
-    // host are noisier than the simulated substrate).
+    // The e2e loopback TCP point: one closed-loop fleet against the web
+    // service on a kernel socket, then against its simulated twin; two
+    // passes (real sockets on a loaded CI host are noisier than the
+    // simulated substrate).
     let tcp_params = HttpPoint {
         shards: 1,
         ..Default::default()

@@ -9,8 +9,8 @@
 //!
 //! `--tcp` switches to the OS transport: the same static web service is
 //! deployed on a real loopback socket (`Platform::deploy_tcp`) next to its
-//! simulated twin, driven by the blocking real-socket client pool, and the
-//! table reports both series plus the tcp/sim ratio per concurrency.
+//! simulated twin, both driven by the same closed-loop client fleet, and
+//! the table reports both series plus the tcp/sim ratio per concurrency.
 
 use flick_bench::{print_table, Row};
 use flick_bench::{run_http_experiment, run_tcp_loopback_experiment, HttpPoint, HttpSystem};

@@ -1,7 +1,7 @@
 //! Experiment runners, one per figure, each a shape stood up on the
 //! [`Testbed`].
 
-use crate::testbed::{HttpPoint, Testbed, Transport, BODY, HTTP_PORT};
+use crate::testbed::{HttpPoint, Testbed, BODY, HTTP_PORT};
 use flick_net::listener::ConnectOptions;
 use flick_net::StackModel;
 use flick_runtime::scheduler::Scheduler;
@@ -15,10 +15,10 @@ use flick_services::http::{http_balancer, StaticWebServerFactory, HTTP_LB_FLICK_
 use flick_services::memcached::memcached_proxy;
 use flick_workload::backends::{start_memcached_backend, start_sink_backend};
 use flick_workload::hadoop::{
-    mapper_streams, run_hadoop_mappers, run_tcp_hadoop_job, wait_for_quiescence, HadoopLoadConfig,
+    mapper_streams, run_hadoop_job, run_hadoop_mappers, wait_for_quiescence, HadoopLoadConfig,
 };
+use flick_workload::http::{run_http_load, run_idle_active_load, HttpLoadConfig, IdleActiveConfig};
 use flick_workload::memcached::{run_memcached_load, MemcachedLoadConfig};
-use flick_workload::tcp::{run_tcp_idle_active_load, TcpIdleActiveConfig};
 use flick_workload::RunStats;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,14 +82,14 @@ pub fn run_http_experiment(system: HttpSystem, point: &HttpPoint) -> RunStats {
             } else {
                 http_balancer()
             };
-            bed.deploy_http(Transport::Sim, "http", factory, point.backends)
+            bed.deploy_http(&bed.sim(), "http", factory, point.backends)
         }
         HttpSystem::Apache | HttpSystem::Nginx => {
             bed = Testbed::baseline(model);
             // In the static web-server experiment the baselines serve the
             // content themselves; here that is modelled by fronting one
             // local content server with the baseline's processing model.
-            let ports = bed.http_backends(point.backends.max(1));
+            let ports = bed.http_backends(&bed.sim(), point.backends.max(1));
             let start = if system == HttpSystem::Apache {
                 ApacheLikeProxy::start
             } else {
@@ -98,7 +98,7 @@ pub fn run_http_experiment(system: HttpSystem, point: &HttpPoint) -> RunStats {
             bed.front_with(HTTP_PORT, |net, port| start(net, port, ports))
         }
     };
-    bed.http_load(service, point)
+    bed.http_load(&service, point)
 }
 
 /// Result of the hostile-goodput experiment: the same FLICK kernel-stack
@@ -129,11 +129,17 @@ pub fn run_hostile_goodput_experiment(
     hostile_ratio: f64,
 ) -> HostileGoodputResult {
     let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
-    let lb = bed.deploy_http(Transport::Sim, "lb", http_balancer(), point.backends.max(1));
+    let lb = bed.deploy_http(&bed.sim(), "lb", http_balancer(), point.backends.max(1));
     let malformed_closes = || bed.net().stats().snapshot().malformed_closes;
-    let clean = bed.http_load(lb, point);
+    let clean = bed.http_load(&lb, point);
     let clean_malformed_closes = malformed_closes();
-    let hostile = bed.hostile_http_load(lb.port, point, hostile_ratio);
+    let hostile = run_http_load(
+        &lb.fabric,
+        &HttpLoadConfig {
+            hostile_ratio,
+            ..point.load(lb.port)
+        },
+    );
     HostileGoodputResult {
         clean,
         hostile,
@@ -225,10 +231,12 @@ pub fn run_memcached_experiment_sharded(
     } else {
         Testbed::baseline(model)
     };
-    let ports = bed.sim_backends(params.backends, 11300, start_memcached_backend);
+    let ports = bed.backends(&bed.sim(), params.backends, 11300, |fabric, port| {
+        start_memcached_backend(fabric, port)
+    });
     if flick {
         let spec = ServiceSpec::new("memcached", SERVICE_PORT, memcached_proxy());
-        bed.deploy(Transport::Sim, spec.with_backends(ports));
+        bed.deploy(&bed.sim(), spec, ports);
     } else {
         bed.front_with(SERVICE_PORT, |net, port| {
             MoxiLikeProxy::start(net, port, ports)
@@ -333,7 +341,7 @@ pub fn run_hadoop_experiment(params: &HadoopExperiment) -> f64 {
     let mut bed = Testbed::new(StackModel::Kernel, params.cores, 0);
     let (_reducer, reducer_bytes) = start_sink_backend(bed.net(), reducer_port);
     let spec = ServiceSpec::new("hadoop", service_port, hadoop_aggregator(params.mappers));
-    bed.deploy(Transport::Sim, spec.with_backends(vec![reducer_port]));
+    bed.deploy(&bed.sim(), spec, vec![reducer_port]);
 
     let config = HadoopLoadConfig {
         port: service_port,
@@ -362,21 +370,21 @@ pub struct TcpLoopbackResult {
 
 /// Runs the e2e loopback TCP point: the same static web service deployed
 /// twice on one platform — once on a real OS socket (request → kernel
-/// socket → event dispatcher → parse → task graph → reply, driven by the
-/// blocking loopback client pool) and once on the simulated substrate with
-/// the calibrated kernel cost model (driven by the in-process fleet). The
-/// pair yields a machine-independent tcp-vs-sim ratio, gated by
-/// `bench_guard`: real kernel sockets against the modelled kernel stack,
-/// same dispatcher, same graphs, same worker budget. `point.shards` runs
-/// the kernel path sharded (per-shard reactors + `SO_REUSEPORT` accept
+/// socket → event dispatcher → parse → task graph → reply) and once on the
+/// simulated substrate with the calibrated kernel cost model — and driven
+/// by the same closed-loop fleet on each. The pair yields a
+/// machine-independent tcp-vs-sim ratio, gated by `bench_guard`: real
+/// kernel sockets against the modelled kernel stack, same clients, same
+/// dispatcher, same graphs, same worker budget. `point.shards` runs the
+/// kernel path sharded (per-shard reactors + `SO_REUSEPORT` accept
 /// sockets).
 pub fn run_tcp_loopback_experiment(point: &HttpPoint) -> TcpLoopbackResult {
     let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
-    let tcp = bed.deploy_http(Transport::Tcp, "tcp-web", static_web(), 0);
-    let sim = bed.deploy_http(Transport::Sim, "sim-web", static_web(), 0);
+    let tcp = bed.deploy_http(&bed.kernel(), "tcp-web", static_web(), 0);
+    let sim = bed.deploy_http(&bed.sim(), "sim-web", static_web(), 0);
     TcpLoopbackResult {
-        tcp: bed.http_load(tcp, point),
-        sim: bed.http_load(sim, point),
+        tcp: bed.http_load(&tcp, point),
+        sim: bed.http_load(&sim, point),
     }
 }
 
@@ -422,12 +430,15 @@ pub fn run_tcp_c10k_experiment(point: &HttpPoint, idle_connections: usize) -> Tc
     let fd_budget = (max_open_files().saturating_sub(500) / 2) as usize;
     let idle_requested = idle_connections.min(fd_budget.max(1));
     let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
-    let web = bed.deploy_http(Transport::Tcp, "c10k-web", static_web(), 0);
-    let stats = run_tcp_idle_active_load(
-        &web.addr(),
-        &TcpIdleActiveConfig {
+    let web = bed.deploy_http(&bed.kernel(), "c10k-web", static_web(), 0);
+    let stats = run_idle_active_load(
+        &web.fabric,
+        &IdleActiveConfig {
             idle_connections: idle_requested,
-            active: point.tcp_load(Duration::from_secs(10)),
+            active: HttpLoadConfig {
+                timeout: Duration::from_secs(10),
+                ..point.load(web.port)
+            },
         },
     );
     let tcp_stats = bed.platform().tcp_stack().stats().snapshot();
@@ -464,11 +475,11 @@ pub struct TcpLbResult {
 /// within-run ratio gate in `bench_guard`.
 pub fn run_tcp_lb_experiment(balancer: Arc<dyn GraphFactory>, point: &HttpPoint) -> TcpLbResult {
     let mut bed = Testbed::new(StackModel::Kernel, point.workers, point.shards);
-    let lb = bed.deploy_http(Transport::Tcp, "tcp-lb", balancer.clone(), point.backends);
-    let tcp = bed.http_load(lb, point);
-    let backend_requests = bed.tcp_backend_requests();
-    let twin = bed.deploy_http(Transport::Sim, "sim-lb", balancer, point.backends);
-    let sim = bed.http_load(twin, point);
+    let lb = bed.deploy_http(&bed.kernel(), "tcp-lb", balancer.clone(), point.backends);
+    let tcp = bed.http_load(&lb, point);
+    let backend_requests = bed.backend_requests();
+    let twin = bed.deploy_http(&bed.sim(), "sim-lb", balancer, point.backends);
+    let sim = bed.http_load(&twin, point);
     TcpLbResult {
         tcp,
         sim,
@@ -497,7 +508,7 @@ pub fn run_stalled_peers_experiment(point: &HttpPoint, stalled: usize) -> Stalle
     // hits WouldBlock with most of the response still buffered.
     let body = vec![b'x'; 16 * 1024];
     let web = bed.deploy_http(
-        Transport::Sim,
+        &bed.sim(),
         "stall-web",
         StaticWebServerFactory::new(body),
         0,
@@ -528,7 +539,7 @@ pub fn run_stalled_peers_experiment(point: &HttpPoint, stalled: usize) -> Stalle
     let busy_retries = || bed.platform().metrics().snapshot().output_busy_retries;
     let retries_before = busy_retries();
 
-    let stats = bed.http_load(web, point);
+    let stats = bed.http_load(&web, point);
     let busy_retries = busy_retries().saturating_sub(retries_before);
     for conn in &stalled {
         conn.close();
@@ -677,7 +688,7 @@ pub fn run_fairness_experiment(params: &FairnessExperiment) -> FairnessResult {
         &flick_compiler::CompileOptions::default(),
     )
     .expect("the bundled balancer compiles");
-    let light = bed.deploy_http(Transport::Tcp, "light-lb", balancer, 2);
+    let light = bed.deploy_http(&bed.kernel(), "light-lb", balancer, 2);
     // One aggregator deployment, reducer and job stream per job in flight,
     // so each stream can tell its own job's end.
     let reducers: Vec<_> = (0..FAIRNESS_STREAMS)
@@ -697,30 +708,35 @@ pub fn run_fairness_experiment(params: &FairnessExperiment) -> FairnessResult {
         duration: params.duration,
         ..Default::default()
     };
-    let streams = mapper_streams(&HadoopLoadConfig {
+    let job = HadoopLoadConfig {
         mappers: FAIRNESS_MAPPERS,
         bytes_per_mapper: params.bytes_per_mapper,
         link_bits_per_sec: None,
         ..Default::default()
-    });
+    };
+    let streams = mapper_streams(&job);
+    let kernel = bed.kernel();
 
-    let alone = bed.http_load(light, &point);
+    let alone = bed.http_load(&light, &point);
     let stop = AtomicBool::new(false);
     let (shared, jobs) = std::thread::scope(|scope| {
         let streamers: Vec<_> = heavies
             .iter()
             .zip(&reducers)
             .map(|(heavy, (_, reducer_bytes))| {
-                let (stop, streams) = (&stop, &streams);
+                let (stop, streams, kernel) = (&stop, &streams, &kernel);
+                let job = HadoopLoadConfig {
+                    port: heavy.port(),
+                    ..job.clone()
+                };
                 scope.spawn(move || {
                     // Jobs run back to back: the next starts once this
                     // one's output reached the reducer and its graph is
                     // gone, so no job queues behind another.
-                    let addr = format!("127.0.0.1:{}", heavy.port());
                     let mut jobs = 0;
                     while !stop.load(Ordering::Acquire) {
                         let before = reducer_bytes.load(Ordering::Relaxed);
-                        if run_tcp_hadoop_job(&addr, streams).failed > 0 {
+                        if run_hadoop_job(kernel, &job, streams).failed > 0 {
                             break;
                         }
                         let deadline = Instant::now() + Duration::from_secs(10);
@@ -741,7 +757,7 @@ pub fn run_fairness_experiment(params: &FairnessExperiment) -> FairnessResult {
         // Let the first jobs reach their stride before the light fleet
         // starts.
         std::thread::sleep(Duration::from_millis(20));
-        let shared = bed.http_load(light, &point);
+        let shared = bed.http_load(&light, &point);
         stop.store(true, Ordering::Release);
         let jobs = streamers
             .into_iter()

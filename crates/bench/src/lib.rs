@@ -22,4 +22,4 @@ pub mod testbed;
 
 pub use experiments::*;
 pub use report::{print_table, Row};
-pub use testbed::{HttpPoint, Target, Testbed, Transport};
+pub use testbed::{HttpPoint, Target, Testbed};

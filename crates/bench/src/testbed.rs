@@ -3,21 +3,22 @@
 //! A [`Testbed`] is one simulated fabric on a chosen cost model with a FLICK
 //! platform attached (or, for the baseline proxies, nothing attached), the
 //! back-ends started behind it and the services deployed on it — on the
-//! fabric, on real kernel sockets, or both at once for a within-run
-//! tcp-vs-sim ratio. [`Testbed::http_load`] is the one closed-loop load
-//! call of the HTTP family and [`HttpPoint`] its one parameter struct;
-//! the experiment runners in [`crate::experiments`] differ only in what
-//! they deploy and which counters they read back.
+//! simulated fabric, on kernel sockets, or both at once for a within-run
+//! tcp-vs-sim ratio. Clients and back-ends are the same programs on either
+//! [`Fabric`]; the kernel ones share a stack of the testbed's own, so the
+//! platform's counters keep counting only the platform.
+//! [`Testbed::http_load`] is the one closed-loop load call of the HTTP
+//! family and [`HttpPoint`] its one parameter struct; the experiment
+//! runners in [`crate::experiments`] differ only in what they deploy and
+//! which counters they read back.
 
-use flick_net::{SimNetwork, StackModel};
+use flick_net::{NetStats, SimNetwork, StackModel, TcpStack};
 use flick_runtime::{GraphFactory, Platform, PlatformConfig, ServiceSpec};
 use flick_services::baselines::BaselineHandle;
-use flick_workload::backends::{
-    start_http_backend, start_tcp_http_backend, BackendHandle, TcpBackendHandle,
-};
+use flick_workload::backends::{start_http_backend, BackendHandle};
+use flick_workload::fabric::loopback;
 use flick_workload::http::{run_http_load, HttpLoadConfig};
-use flick_workload::tcp::{run_tcp_http_load, TcpHttpLoadConfig};
-use flick_workload::RunStats;
+use flick_workload::{Fabric, RunStats};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,29 +31,13 @@ pub const HTTP_PORT: u16 = 8080;
 /// The first fabric port of a service's HTTP back-ends.
 const HTTP_BACKEND_PORT: u16 = 8200;
 
-/// Which wire a leg of an experiment crosses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// The simulated fabric, charged by its cost model.
-    Sim,
-    /// Real kernel sockets on loopback.
-    Tcp,
-}
-
 /// Where clients reach a service on the testbed.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Target {
-    /// The wire the service listens on.
-    pub transport: Transport,
-    /// Its fabric port, or its loopback TCP port.
+    /// The fabric the service listens on.
+    pub fabric: Fabric,
+    /// Its port there.
     pub port: u16,
-}
-
-impl Target {
-    /// The loopback socket address of a [`Transport::Tcp`] target.
-    pub fn addr(&self) -> String {
-        format!("127.0.0.1:{}", self.port)
-    }
 }
 
 /// One point of the closed-loop HTTP family: how the middlebox is sized
@@ -88,19 +73,18 @@ impl Default for HttpPoint {
 }
 
 impl HttpPoint {
-    /// This point's fleet as a kernel-socket load configuration.
-    pub fn tcp_load(&self, timeout: Duration) -> TcpHttpLoadConfig {
-        TcpHttpLoadConfig {
+    /// This point's fleet against `port`, each request given 5 s.
+    pub fn load(&self, port: u16) -> HttpLoadConfig {
+        HttpLoadConfig {
+            port,
             concurrency: self.concurrency,
             duration: self.duration,
             persistent: self.persistent,
-            timeout,
+            timeout: Duration::from_secs(5),
+            ..Default::default()
         }
     }
 }
-
-/// Per-request patience of the closed-loop fleets.
-const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One fabric, the platform attached to it, and everything started on
 /// either. Fields drop in declaration order: services stop before the
@@ -109,9 +93,10 @@ pub struct Testbed {
     services: Vec<flick_runtime::DeployedService>,
     platform: Option<Platform>,
     proxy: Option<BaselineHandle>,
-    sim_backends: Vec<BackendHandle>,
-    tcp_backends: Vec<TcpBackendHandle>,
+    backends: Vec<BackendHandle>,
     net: Arc<SimNetwork>,
+    /// The stack of the kernel clients and back-ends.
+    stack: Arc<TcpStack>,
 }
 
 impl Testbed {
@@ -133,13 +118,23 @@ impl Testbed {
             services: Vec::new(),
             platform: None,
             proxy: None,
-            sim_backends: Vec::new(),
-            tcp_backends: Vec::new(),
+            backends: Vec::new(),
             net: SimNetwork::new(model),
+            stack: TcpStack::new(),
         }
     }
 
     /// The simulated fabric.
+    pub fn sim(&self) -> Fabric {
+        Fabric::Sim(Arc::clone(&self.net))
+    }
+
+    /// Kernel sockets, through the testbed's own stack.
+    pub fn kernel(&self) -> Fabric {
+        Fabric::Kernel(Arc::clone(&self.stack))
+    }
+
+    /// The simulated network.
     pub fn net(&self) -> &Arc<SimNetwork> {
         &self.net
     }
@@ -155,73 +150,91 @@ impl Testbed {
             .expect("a baseline testbed runs no FLICK platform")
     }
 
-    /// Starts `count` back-ends with `start` on consecutive fabric ports
-    /// from `first_port` and returns their ports.
-    pub fn sim_backends(
-        &mut self,
-        count: usize,
-        first_port: u16,
-        start: impl Fn(&Arc<SimNetwork>, u16) -> BackendHandle,
-    ) -> Vec<u16> {
-        let ports: Vec<u16> = (0..count).map(|i| first_port + i as u16).collect();
-        self.sim_backends
-            .extend(ports.iter().map(|port| start(&self.net, *port)));
-        ports
+    /// The counters of the platform's own sockets on `fabric`: on the sim
+    /// they count every endpoint of the network, clients' and back-ends'
+    /// too; on the kernel, the platform's stack alone.
+    pub fn platform_stats(&self, fabric: &Fabric) -> Arc<NetStats> {
+        match fabric {
+            Fabric::Sim(net) => Arc::clone(net.stats()),
+            Fabric::Kernel(_) => Arc::clone(self.platform().tcp_stack().stats()),
+        }
     }
 
-    /// Starts `count` HTTP back-ends serving [`BODY`] on the fabric.
-    pub fn http_backends(&mut self, count: usize) -> Vec<u16> {
-        self.sim_backends(count, HTTP_BACKEND_PORT, |net, port| {
-            start_http_backend(net, port, &BODY)
+    /// Starts `count` back-ends with `start` on `fabric` and returns their
+    /// ports: consecutive from `first_port` on the sim, ephemeral on the
+    /// kernel.
+    pub fn backends(
+        &mut self,
+        fabric: &Fabric,
+        count: usize,
+        first_port: u16,
+        start: impl Fn(&Fabric, u16) -> BackendHandle,
+    ) -> Vec<u16> {
+        (0..count)
+            .map(|i| {
+                let port = if fabric.is_kernel() {
+                    0
+                } else {
+                    first_port + i as u16
+                };
+                let backend = start(fabric, port);
+                let port = backend.port();
+                self.backends.push(backend);
+                port
+            })
+            .collect()
+    }
+
+    /// Starts `count` HTTP back-ends serving [`BODY`] on `fabric`.
+    pub fn http_backends(&mut self, fabric: &Fabric, count: usize) -> Vec<u16> {
+        self.backends(fabric, count, HTTP_BACKEND_PORT, |fabric, port| {
+            start_http_backend(fabric, port, &BODY)
         })
     }
 
-    /// Requests each kernel-socket back-end has served (hash distribution
-    /// sanity).
-    pub fn tcp_backend_requests(&self) -> Vec<u64> {
-        self.tcp_backends
+    /// Requests each back-end has served, in start order (hash
+    /// distribution sanity).
+    pub fn backend_requests(&self) -> Vec<u64> {
+        self.backends
             .iter()
             .map(|backend| backend.requests_served())
             .collect()
     }
 
-    /// Deploys `spec` on `transport` (an ephemeral loopback port for
-    /// [`Transport::Tcp`]) and keeps it running until the testbed drops.
-    pub fn deploy(&mut self, transport: Transport, spec: ServiceSpec) -> Target {
+    /// Deploys `spec` on `fabric` (an ephemeral port on the kernel) in
+    /// front of `backends`, ports on the same fabric, and keeps it running
+    /// until the testbed drops.
+    pub fn deploy(&mut self, fabric: &Fabric, spec: ServiceSpec, backends: Vec<u16>) -> Target {
         let name = spec.name.clone();
-        let service = match transport {
-            Transport::Sim => self.platform().deploy(spec),
-            Transport::Tcp => self.platform().deploy_tcp(spec, "127.0.0.1:0"),
+        let service = match fabric {
+            Fabric::Sim(_) => self.platform().deploy(spec.with_backends(backends)),
+            Fabric::Kernel(_) => {
+                let addrs = backends.into_iter().map(loopback).collect();
+                let spec = spec.with_tcp_backends(addrs);
+                self.platform().deploy_tcp(spec, &loopback(0))
+            }
         }
         .unwrap_or_else(|e| panic!("deploy {name}: {e}"));
         let port = service.port();
         self.services.push(service);
-        Target { transport, port }
+        Target {
+            fabric: fabric.clone(),
+            port,
+        }
     }
 
-    /// Deploys an HTTP service on `transport` in front of `backends` fresh
-    /// HTTP back-ends on the same transport: simulated clients reach
-    /// simulated back-ends, and on [`Transport::Tcp`] every hop of
-    /// `client → service → backend` crosses a real kernel socket.
+    /// Deploys an HTTP service on `fabric` in front of `backends` fresh
+    /// HTTP back-ends on the same fabric: on the kernel every hop of
+    /// `client → service → backend` crosses a real socket.
     pub fn deploy_http(
         &mut self,
-        transport: Transport,
+        fabric: &Fabric,
         name: &str,
         factory: Arc<dyn GraphFactory>,
         backends: usize,
     ) -> Target {
-        let spec = ServiceSpec::new(name, HTTP_PORT, factory);
-        let spec = match transport {
-            Transport::Sim => spec.with_backends(self.http_backends(backends)),
-            Transport::Tcp => {
-                let first = self.tcp_backends.len();
-                self.tcp_backends
-                    .extend((0..backends).map(|_| start_tcp_http_backend(&BODY)));
-                let addrs = self.tcp_backends[first..].iter();
-                spec.with_tcp_backends(addrs.map(|b| b.addr().to_string()).collect())
-            }
-        };
-        self.deploy(transport, spec)
+        let ports = self.http_backends(fabric, backends);
+        self.deploy(fabric, ServiceSpec::new(name, HTTP_PORT, factory), ports)
     }
 
     /// Fronts fabric port `port` with a baseline proxy, started by
@@ -233,35 +246,14 @@ impl Testbed {
     ) -> Target {
         self.proxy = Some(start(&self.net, port));
         Target {
-            transport: Transport::Sim,
+            fabric: self.sim(),
             port,
         }
     }
 
     /// Runs the closed-loop HTTP fleet of `point` against `target`: each
     /// client keeps exactly one request outstanding, as ApacheBench does.
-    pub fn http_load(&self, target: Target, point: &HttpPoint) -> RunStats {
-        match target.transport {
-            Transport::Sim => self.hostile_http_load(target.port, point, 0.0),
-            Transport::Tcp => run_tcp_http_load(&target.addr(), &point.tcp_load(REQUEST_TIMEOUT)),
-        }
-    }
-
-    /// [`Testbed::http_load`] against fabric port `port` with
-    /// `hostile_ratio` of the fleet's requests replaced by malformed
-    /// frames (only the fabric fleet sends them).
-    pub fn hostile_http_load(&self, port: u16, point: &HttpPoint, hostile_ratio: f64) -> RunStats {
-        run_http_load(
-            &self.net,
-            &HttpLoadConfig {
-                port,
-                concurrency: point.concurrency,
-                duration: point.duration,
-                persistent: point.persistent,
-                timeout: REQUEST_TIMEOUT,
-                hostile_ratio,
-                ..Default::default()
-            },
-        )
+    pub fn http_load(&self, target: &Target, point: &HttpPoint) -> RunStats {
+        run_http_load(&target.fabric, &point.load(target.port))
     }
 }

@@ -170,13 +170,19 @@ pub(crate) fn errno() -> c_int {
 /// Blocks until `fd` reports any of `events` (or an error/hangup), up to
 /// `timeout`. Returns `true` if the descriptor is ready, `false` on
 /// timeout. Used by the blocking client helpers, never by dispatchers.
+/// `poll(2)` counts whole milliseconds, so a timeout is rounded up: a
+/// caller that waits out a deadline in a loop must not spin through its
+/// last sub-millisecond remainder with zero-timeout polls.
 pub(crate) fn wait_ready(fd: RawFd, events: i16, timeout: std::time::Duration) -> bool {
     let mut entry = pollfd {
         fd,
         events,
         revents: 0,
     };
-    let millis = timeout.as_millis().min(c_int::MAX as u128) as c_int;
+    let millis = timeout
+        .as_nanos()
+        .div_ceil(1_000_000)
+        .min(c_int::MAX as u128) as c_int;
     loop {
         let rc = unsafe { poll(&mut entry, 1, millis) };
         if rc > 0 {
@@ -279,5 +285,14 @@ mod tests {
             std::time::Duration::from_millis(30)
         ));
         assert!(started.elapsed() >= std::time::Duration::from_millis(25));
+        // A sub-millisecond remainder blocks too, rather than returning at
+        // once.
+        let started = std::time::Instant::now();
+        assert!(!wait_ready(
+            stream.as_raw_fd(),
+            POLLIN,
+            std::time::Duration::from_micros(300)
+        ));
+        assert!(started.elapsed() >= std::time::Duration::from_micros(300));
     }
 }

@@ -441,8 +441,7 @@ impl ShardReactor {
     /// passed. Once the input of every client connection has ended the
     /// graph starts draining: its back-end members are released — an
     /// unopened one is never opened, and the task of an opened one stops
-    /// reading, so it is scheduled once more — a read back-end the graph
-    /// owns outright is closed, and [`DRAIN_GRACE`] bounds
+    /// reading, so it is scheduled once more — and [`DRAIN_GRACE`] bounds
     /// a non-quiescent graph. The other tasks are left to what they wait
     /// for: a released member's task finishes its read side, and the close
     /// that ends a connection's channel (the last read side's) wakes the
@@ -1145,96 +1144,6 @@ mod tests {
         }
     }
 
-    /// Logic that reads and emits nothing.
-    struct QuietLogic;
-
-    impl ComputeLogic for QuietLogic {
-        fn on_value(
-            &mut self,
-            _input: usize,
-            _value: Value,
-            _out: &mut Outputs<'_>,
-        ) -> Result<(), RuntimeError> {
-            Ok(())
-        }
-    }
-
-    /// A client and a back-end connection the graph opens itself and binds
-    /// as a bare endpoint, not a pool member; the graph reads and writes
-    /// both.
-    struct OpenBackendFactory {
-        backend_port: u16,
-    }
-
-    impl GraphFactory for OpenBackendFactory {
-        fn build(
-            &self,
-            clients: Vec<Endpoint>,
-            env: &ServiceEnv,
-        ) -> Result<BuiltGraph, RuntimeError> {
-            let backend = Link::from(env.net.connect(self.backend_port)?);
-            let codec = Arc::new(HttpCodec::new());
-            let mut builder = GraphBuilder::new("open", &env.allocator);
-            let reads = |input| Reads {
-                projection: None,
-                logic: Box::new(QuietLogic),
-                input,
-            };
-            let node = builder.declare_node();
-            let peer = Peer::Client(&clients[0]);
-            builder.bind(node, "client", peer, codec.clone(), Some(reads(0)), true);
-            let node = builder.declare_node();
-            let peer = Peer::Backend(&backend);
-            builder.bind(node, "backend", peer, codec, Some(reads(1)), true);
-            Ok(builder.build())
-        }
-    }
-
-    /// The drain closes a read back-end the graph owns outright: its task
-    /// reads EOF and ends its input, which closes the client's channel, so
-    /// the graph tears down once its client leaves instead of waiting out
-    /// the drain grace with the back-end's input still open.
-    #[test]
-    fn the_drain_closes_a_read_open_back_end() {
-        let platform = Platform::new(PlatformConfig {
-            workers: 2,
-            ..Default::default()
-        });
-        let net = platform.net();
-        let backend_listener = net.listen(8095).unwrap();
-        let service = platform
-            .deploy(ServiceSpec::new(
-                "open",
-                8094,
-                Arc::new(OpenBackendFactory { backend_port: 8095 }),
-            ))
-            .unwrap();
-        let client = net.connect(8094).unwrap();
-        let backend = backend_listener
-            .accept_timeout(Duration::from_secs(5))
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while service.live_graphs() == 0 {
-            assert!(Instant::now() < deadline, "the graph was never built");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let left = Instant::now();
-        client.close();
-        let mut buf = [0u8; 16];
-        assert_eq!(
-            backend.read_timeout(&mut buf, Duration::from_secs(5)),
-            Err(NetError::Closed),
-            "the drain closes the back-end"
-        );
-        while service.live_graphs() > 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(
-            left.elapsed() < DRAIN_GRACE / 2,
-            "the graph waited for its drain grace"
-        );
-    }
-
     const AGGREGATE_LEN: usize = 16 * 1024;
 
     /// A foldt-shaped service: two client inputs, the last of which to
@@ -1291,7 +1200,7 @@ mod tests {
             let codec = Arc::new(HttpCodec::new());
             let mut builder = GraphBuilder::new("fold", &env.allocator);
             let sink_node = builder.declare_node();
-            let sink = Link::from(sink);
+            let sink = Link::checked_out(sink);
             let peer = Peer::Backend(&sink);
             builder.bind(sink_node, "sink", peer, codec.clone(), None, true);
             let open_inputs = Arc::new(AtomicUsize::new(clients.len()));

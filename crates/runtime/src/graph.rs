@@ -354,8 +354,8 @@ mod tests {
         let peer = Peer::Client(&client);
         let bound = b.bind(client_node, "c", peer, codec.clone(), Some(reads(0)), true);
         assert_eq!(bound, Some(0));
-        let backend = Link::from(backend);
-        let peer = Peer::Backend(&backend);
+        let member = Link::checked_out(backend.clone());
+        let peer = Peer::Backend(&member);
         let bound = b.bind(backend_node, "b", peer, codec, Some(reads(1)), true);
         assert_eq!(bound, Some(1));
         let built = b.build();
@@ -365,17 +365,18 @@ mod tests {
         let watches: Vec<_> = built
             .watchers
             .iter()
-            .map(|w| (w.task, w.endpoint.open_endpoint().unwrap().id(), w.interest))
+            .map(|w| {
+                // A member's connection, as its task adopts it.
+                let mut link = w.endpoint.clone();
+                link.settle();
+                (w.task, link.open_endpoint().unwrap().id(), w.interest)
+            })
             .collect();
         assert_eq!(
             watches,
             vec![
                 (client_node.task_id(), client.id(), Interest::BOTH),
-                (
-                    backend_node.task_id(),
-                    backend.open_endpoint().unwrap().id(),
-                    Interest::BOTH
-                ),
+                (backend_node.task_id(), backend.id(), Interest::BOTH),
             ]
         );
     }

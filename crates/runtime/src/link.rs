@@ -51,8 +51,6 @@ pub struct Link(Kind);
 enum Kind {
     /// A client connection, left to its task until it ends.
     Client(Endpoint),
-    /// A back-end connection the graph owns outright.
-    Open(Endpoint),
     /// A member of the service's back-end pool, with its connection once
     /// this clone adopted it.
     Member(Arc<Member>, Option<Endpoint>),
@@ -107,12 +105,6 @@ pub(crate) enum Ended {
     Framed { sent: u64, received: u64 },
     /// Anything else: the connection is closed.
     Unclean,
-}
-
-impl From<Endpoint> for Link {
-    fn from(endpoint: Endpoint) -> Self {
-        Link(Kind::Open(endpoint))
-    }
 }
 
 impl Link {
@@ -171,7 +163,7 @@ impl Link {
     /// member records the watch, and its open registers it.
     pub(crate) fn register(&self, poller: &Poller, token: Token, interest: Interest) {
         match &self.0 {
-            Kind::Client(ep) | Kind::Open(ep) => ep.register(poller, token, interest),
+            Kind::Client(ep) => ep.register(poller, token, interest),
             Kind::Member(member, _) => {
                 let mut slot = member.slot.lock();
                 match &slot.state {
@@ -188,7 +180,7 @@ impl Link {
     /// register it.
     pub(crate) fn deregister(&self) {
         match &self.0 {
-            Kind::Client(endpoint) | Kind::Open(endpoint) => endpoint.deregister(),
+            Kind::Client(endpoint) => endpoint.deregister(),
             Kind::Member(member, _) => {
                 let mut slot = member.slot.lock();
                 match &slot.state {
@@ -203,7 +195,7 @@ impl Link {
     /// An unopened member is never opened after this.
     pub(crate) fn close(&self) {
         match &self.0 {
-            Kind::Client(endpoint) | Kind::Open(endpoint) => endpoint.close(),
+            Kind::Client(endpoint) => endpoint.close(),
             Kind::Member(member, _) => member.slot.lock().retire(member, false),
         }
     }
@@ -217,21 +209,15 @@ impl Link {
     /// The graph's drain, on a connection whose task `reads` it: whether
     /// that task must look (`true`). A member is released — never opened
     /// if it was not yet, left open for its task to finish on if it was. A
-    /// back-end the graph owns outright is closed if read, so its reader
-    /// observes EOF, and left to its task if only written. A client
-    /// connection is left to its task, which closes it when it ends.
+    /// client connection is left to its task, which closes it when it ends.
     pub(crate) fn release(&self, reads: bool) -> bool {
-        match &self.0 {
-            Kind::Client(_) => return false,
-            Kind::Open(endpoint) if reads => endpoint.close(),
-            Kind::Open(_) => {}
-            Kind::Member(member, _) => {
-                let mut slot = member.slot.lock();
-                member.released.store(true, Ordering::Release);
-                if matches!(slot.state, State::Unbound) {
-                    slot.retire(member, false);
-                }
-            }
+        let Kind::Member(member, _) = &self.0 else {
+            return false;
+        };
+        let mut slot = member.slot.lock();
+        member.released.store(true, Ordering::Release);
+        if matches!(slot.state, State::Unbound) {
+            slot.retire(member, false);
         }
         reads
     }
@@ -260,11 +246,11 @@ impl Link {
         }
     }
 
-    /// The connection of a settled link: always for one opened at build,
-    /// for a member once [`Link::settle`] or [`Link::connect`] adopted it.
+    /// The connection of a settled link: always for a client, for a member
+    /// once [`Link::settle`] or [`Link::connect`] adopted it.
     pub(crate) fn open_endpoint(&self) -> Option<&Endpoint> {
         match &self.0 {
-            Kind::Client(endpoint) | Kind::Open(endpoint) => Some(endpoint),
+            Kind::Client(endpoint) => Some(endpoint),
             Kind::Member(_, adopted) => adopted.as_ref(),
         }
     }
@@ -294,7 +280,7 @@ impl Link {
     /// member first.
     pub(crate) fn connect(&mut self) -> Result<&Endpoint, RuntimeError> {
         match &mut self.0 {
-            Kind::Client(endpoint) | Kind::Open(endpoint) => Ok(endpoint),
+            Kind::Client(endpoint) => Ok(endpoint),
             Kind::Member(member, adopted) => match adopted {
                 Some(endpoint) => Ok(endpoint),
                 None => Ok(adopted.insert(member.open()?)),
@@ -343,6 +329,24 @@ impl Slot {
                 endpoint.close();
             }
         }
+    }
+}
+
+/// How a test binds a back-end connection it opened itself, on a link of
+/// its choosing: as member 0 of a pool of its own, bound to it as a
+/// checkout binds a scalar back-end at build.
+#[cfg(test)]
+impl Link {
+    pub(crate) fn checked_out(endpoint: Endpoint) -> Self {
+        use crate::metrics::RuntimeMetrics;
+        use crate::pool::BackendTarget;
+        // Never dialled: the member is bound already.
+        let target = BackendTarget::Sim {
+            net: flick_net::SimNetwork::new(flick_net::StackModel::Free),
+            port: 0,
+        };
+        let pool = BackendPool::new(vec![target], RuntimeMetrics::new_shared());
+        Self::with_state(pool, 0, Arc::from([]), State::Bound(endpoint))
     }
 }
 
@@ -422,20 +426,16 @@ mod tests {
         assert_eq!(metrics.snapshot().backend_checkouts, 0);
     }
 
-    /// The drain ends the input of a back-end the graph owns outright: a
-    /// read one is closed and its reader must look; a written-only one and
-    /// a client connection are left to their tasks.
+    /// The drain leaves a client connection to its task: nothing to look
+    /// at, and the connection stays open.
     #[test]
-    fn the_drain_closes_only_a_read_open_back_end() {
+    fn the_drain_leaves_a_client_connection_to_its_task() {
         let net = SimNetwork::new(StackModel::Free);
         let listener = net.listen(9406).unwrap();
-        let ends: Vec<_> = (0..3).map(|_| net.connect(9406).unwrap()).collect();
-        let _peers: Vec<_> = ends.iter().map(|_| listener.accept().unwrap()).collect();
-        assert!(Link::from(ends[0].clone()).release(true));
-        assert!(ends[0].is_closed());
-        assert!(!Link::from(ends[1].clone()).release(false));
-        assert!(!Link::client(&ends[2]).release(true));
-        assert!(!ends[1].is_closed() && !ends[2].is_closed());
+        let client = net.connect(9406).unwrap();
+        let _peer = listener.accept().unwrap();
+        assert!(!Link::client(&client).release(true));
+        assert!(!client.is_closed());
     }
 
     /// A failed open is one counted checkout fed to passive health, and it

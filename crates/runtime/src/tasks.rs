@@ -1233,11 +1233,11 @@ mod tests {
 
     /// A task reading `endpoint` and running `rules`, writing nothing.
     fn reader(
-        endpoint: impl Into<Link>,
+        endpoint: Endpoint,
         projection: Option<Projection>,
         rules: InlineRules,
     ) -> ConnectionTask {
-        let link = endpoint.into();
+        let link = Link::client(&endpoint);
         let input = ReadSide::new(Link::clone(&link), codec(), projection, rules);
         ConnectionTask::new("in", link, Some(input), None)
     }
@@ -1245,11 +1245,11 @@ mod tests {
     /// A task writing onto `endpoint` what arrives on `queue`, reading
     /// nothing.
     fn writer(
-        endpoint: impl Into<Link>,
+        endpoint: Endpoint,
         codec: Arc<dyn WireCodec>,
         queue: ChannelConsumer,
     ) -> ConnectionTask {
-        let link = endpoint.into();
+        let link = Link::client(&endpoint);
         let output = WriteSide::new(Link::clone(&link), codec, queue);
         ConnectionTask::new("out", link, None, Some(output))
     }
@@ -1680,7 +1680,8 @@ mod tests {
         let peer = net.connect_with(91, &options).unwrap();
         let end = listener.accept().unwrap();
         let (tx, rx) = TaskChannel::bounded(16, TaskId(4));
-        let output = WriteSide::new(Link::from(end.clone()), codec(), rx);
+        let link = Link::client(&end);
+        let output = WriteSide::new(link.clone(), codec(), rx);
         let destination = Destination {
             producer: tx,
             side: Arc::clone(output.side()),
@@ -1690,9 +1691,8 @@ mod tests {
             InlineRules::new(Box::new(Passthrough), 0, std::slice::from_ref(&destination));
         // The builder's own handle, closed once the read sides hold theirs.
         destination.producer.close();
-        let input = ReadSide::new(Link::from(end.clone()), codec(), None, echo);
-        let mut task =
-            ConnectionTask::new("conn", Link::from(end.clone()), Some(input), Some(output));
+        let input = ReadSide::new(link.clone(), codec(), None, echo);
+        let mut task = ConnectionTask::new("conn", link, Some(input), Some(output));
         let side = Arc::clone(side(&task));
         let mut wire = Vec::new();
         let drain = |wire: &mut Vec<u8>| {
@@ -1854,7 +1854,7 @@ mod tests {
             Some(reads(0)),
             true,
         );
-        let backend_link = Link::from(backend_end);
+        let backend_link = Link::checked_out(backend_end);
         let peer = Peer::Backend(&backend_link);
         builder.bind(b, "backend", peer, codec(), Some(reads(1)), true);
         let built = builder.build();

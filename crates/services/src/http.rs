@@ -309,8 +309,8 @@ mod tests {
     fn a_dead_array_member_fails_only_the_requests_routed_to_it() {
         use flick_compiler::interp::hash_value;
         use flick_runtime::Value;
-        use flick_workload::backends::start_tcp_http_backend;
-        use flick_workload::tcp::fetch_http;
+        use flick_workload::http::fetch_http;
+        use flick_workload::Fabric;
         use std::time::Instant;
 
         let patience = Duration::from_secs(1);
@@ -318,10 +318,17 @@ mod tests {
             .map(|i| format!("/p{i}"))
             .partition(|path| hash_value(&Value::Str(path.clone())) % 2 == 0);
         assert!(!live.is_empty() && !dead.is_empty(), "{live:?} {dead:?}");
-        let check = |platform: &Platform, get: &dyn Fn(&str) -> Option<Vec<u8>>| {
+        // Each path on a fresh connection: the response, or `None` for a
+        // connection closed unanswered.
+        let check = |platform: &Platform, fabric: &Fabric, port: u16| {
             for path in live.iter().chain(&dead) {
                 let started = Instant::now();
-                let response = get(path);
+                let response = match fetch_http(fabric, port, path, patience) {
+                    Ok(response) if response.is_empty() => None,
+                    Ok(response) => Some(response),
+                    Err(flick_net::NetError::Closed) => None,
+                    Err(e) => panic!("{path}: neither served nor refused: {e}"),
+                };
                 if live.contains(path) {
                     let text = String::from_utf8_lossy(response.as_deref().unwrap_or_default());
                     assert!(text.ends_with("alive"), "{path} on the live member: {text}");
@@ -354,45 +361,24 @@ mod tests {
                 ServiceSpec::new("lb", 8490, http_path_balancer()).with_backends(vec![8491, 8492]),
             )
             .unwrap();
-        let sim_get = |path: &str| {
-            let conn = net.connect(8490).unwrap();
-            let request = format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n");
-            conn.write_all(request.as_bytes()).unwrap();
-            let mut response = Vec::new();
-            let mut buf = [0u8; 1024];
-            while !response.ends_with(b"alive") {
-                match conn.read_timeout(&mut buf, patience) {
-                    Ok(n) => response.extend_from_slice(&buf[..n]),
-                    Err(flick_net::NetError::Closed) => return None,
-                    Err(e) => panic!("{path}: neither served nor refused: {e}"),
-                }
-            }
-            Some(response)
-        };
-        check(&platform, &sim_get);
+        check(&platform, &Fabric::from(&net), 8490);
 
         // Kernel sockets: a live back-end, and a port nothing listens on.
-        let live_backend = start_tcp_http_backend(b"alive");
-        let dead_addr = {
-            let vacated = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            vacated.local_addr().unwrap().to_string()
-        };
+        let kernel = Fabric::kernel();
+        let live_backend = start_http_backend(&kernel, 0, b"alive");
+        let dead_port = kernel.listen(0).unwrap().port();
         let platform = Platform::new(config);
         let svc = platform
             .deploy_tcp(
-                ServiceSpec::new("lb", 0, http_path_balancer())
-                    .with_tcp_backends(vec![live_backend.addr().to_string(), dead_addr]),
+                ServiceSpec::new("lb", 0, http_path_balancer()).with_tcp_backends(
+                    [live_backend.port(), dead_port]
+                        .map(|port| format!("127.0.0.1:{port}"))
+                        .to_vec(),
+                ),
                 "127.0.0.1:0",
             )
             .unwrap();
-        let addr = format!("127.0.0.1:{}", svc.port());
-        let tcp_get = |path: &str| match fetch_http(&addr, path, patience) {
-            Ok(response) if response.is_empty() => None,
-            Ok(response) => Some(response),
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => None,
-            Err(e) => panic!("{path}: neither served nor refused: {e}"),
-        };
-        check(&platform, &tcp_get);
+        check(&platform, &kernel, svc.port());
     }
 
     /// The path-hashed balancer on `port` in front of one back-end on

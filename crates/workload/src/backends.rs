@@ -2,14 +2,15 @@
 //!
 //! The paper's testbed runs Apache web servers behind the HTTP load balancer
 //! and Memcached servers behind the proxy. These are in-process equivalents:
-//! each back-end accepts connections on the simulated network and serves
-//! requests from a small thread pool (back-ends are never the bottleneck in
+//! each back-end listens on a [`Fabric`] and serves every connection it
+//! accepts from a thread of its own (back-ends are never the bottleneck in
 //! the experiments, mirroring §6.2's "small payloads so the network and the
 //! backends are never the bottleneck").
 
+use crate::fabric::Fabric;
 use flick_grammar::http::HttpCodec;
-use flick_grammar::{memcached, ParseOutcome, WireCodec};
-use flick_net::{NetError, SimListener, SimNetwork};
+use flick_grammar::{memcached, Message, ParseOutcome, WireCodec};
+use flick_net::{Endpoint, NetError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -17,12 +18,29 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// How long the acceptor waits for a connection before it looks at the
+/// stop flag again.
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
+
+/// How long a connection thread waits for bytes before it looks at the
+/// stop flag again.
+const READ_POLL: Duration = Duration::from_millis(50);
+
 /// Handle to a running back-end server; dropping it stops the server.
 pub struct BackendHandle {
-    stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-    requests: Arc<AtomicU64>,
+    shared: Arc<Shared>,
+    acceptor: Option<JoinHandle<()>>,
     port: u16,
+}
+
+/// What a back-end's threads share.
+struct Shared {
+    stop: AtomicBool,
+    requests: AtomicU64,
+    accepted: AtomicU64,
+    /// Each accepted connection still served, with its thread; the
+    /// acceptor drops those whose thread has ended.
+    live: Mutex<Vec<(Endpoint, JoinHandle<()>)>>,
 }
 
 impl std::fmt::Debug for BackendHandle {
@@ -34,21 +52,36 @@ impl std::fmt::Debug for BackendHandle {
 }
 
 impl BackendHandle {
-    /// The port the back-end listens on.
+    /// The port the back-end listens on (on the kernel, the one a port-0
+    /// bind picked).
     pub fn port(&self) -> u16 {
         self.port
     }
 
     /// Number of requests served so far.
     pub fn requests_served(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+        self.shared.requests.load(Ordering::Relaxed)
     }
 
-    /// Stops the server and joins its threads.
+    /// Number of connections accepted so far.
+    pub fn connections_accepted(&self) -> u64 {
+        self.shared.accepted.load(Ordering::Relaxed)
+    }
+
+    /// Stops the server: the listener closes, and every accepted
+    /// connection is closed and its thread joined, so once this returns
+    /// nothing more is served or sent.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        self.shared.stop.store(true, Ordering::Release);
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
+        }
+        let live = std::mem::take(&mut *self.shared.live.lock());
+        for (conn, _) in &live {
+            conn.close();
+        }
+        for (_, thread) in live {
+            let _ = thread.join();
         }
     }
 }
@@ -59,357 +92,191 @@ impl Drop for BackendHandle {
     }
 }
 
-fn acceptor_loop<F>(listener: SimListener, stop: Arc<AtomicBool>, handler: F) -> Vec<JoinHandle<()>>
-where
-    F: Fn(flick_net::Endpoint) + Send + Sync + 'static,
-{
-    let handler = Arc::new(handler);
-    let accept_stop = Arc::clone(&stop);
-    let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let conn_threads_accept = Arc::clone(&conn_threads);
-    let acceptor = std::thread::spawn(move || {
-        while !accept_stop.load(Ordering::Acquire) {
-            match listener.accept_timeout(Duration::from_millis(10)) {
-                Ok(conn) => {
-                    let handler = Arc::clone(&handler);
-                    let t = std::thread::spawn(move || handler(conn));
-                    conn_threads_accept.lock().push(t);
-                }
+impl Shared {
+    /// Reads what `conn` has into `chunk`; `None` once it ended or the
+    /// back-end stopped.
+    fn read(&self, conn: &Endpoint, chunk: &mut [u8]) -> Option<usize> {
+        while !self.stop.load(Ordering::Acquire) {
+            match conn.read_timeout(chunk, READ_POLL) {
+                Ok(n) => return Some(n),
                 Err(NetError::TimedOut) => continue,
-                Err(_) => break,
+                Err(_) => return None,
             }
         }
-        listener.close();
-    });
-    vec![acceptor]
-}
+        None
+    }
 
-/// Starts a static HTTP back-end serving `body` for every request.
-pub fn start_http_backend(net: &Arc<SimNetwork>, port: u16, body: &[u8]) -> BackendHandle {
-    let listener = net.listen(port).expect("backend port free");
-    let stop = Arc::new(AtomicBool::new(false));
-    let requests = Arc::new(AtomicU64::new(0));
-    let body = body.to_vec();
-    let codec = HttpCodec::new();
-    let requests_handler = Arc::clone(&requests);
-    let stop_handler = Arc::clone(&stop);
-    let threads = acceptor_loop(listener, Arc::clone(&stop), move |conn| {
+    /// Serves `conn` until it ends or the back-end stops: each request
+    /// `codec` parses is counted and answered with what `respond` appends,
+    /// and the connection ends after a request `respond` returns `false`
+    /// for, or a malformed one.
+    fn answer(
+        &self,
+        conn: &Endpoint,
+        codec: &dyn WireCodec,
+        respond: impl Fn(&Message, &mut Vec<u8>) -> bool,
+    ) {
         let mut buf = Vec::new();
         let mut chunk = [0u8; 8192];
-        loop {
-            if stop_handler.load(Ordering::Acquire) {
-                conn.close();
-                return;
-            }
-            match conn.read_timeout(&mut chunk, Duration::from_millis(50)) {
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(NetError::TimedOut) => continue,
-                Err(_) => {
-                    conn.close();
-                    return;
-                }
-            }
+        let mut out = Vec::new();
+        while let Some(n) = self.read(conn, &mut chunk) {
+            buf.extend_from_slice(&chunk[..n]);
             loop {
                 match codec.parse(&buf, None) {
                     Ok(ParseOutcome::Complete { message, consumed }) => {
                         buf.drain(..consumed);
-                        requests_handler.fetch_add(1, Ordering::Relaxed);
-                        let mut out = Vec::new();
-                        codec
-                            .serialize(&flick_grammar::http::response(200, &body), &mut out)
-                            .expect("static response serialises");
-                        if conn.write_all(&out).is_err() {
-                            conn.close();
-                            return;
-                        }
-                        if flick_grammar::http::wants_close(&message) {
-                            conn.close();
+                        self.requests.fetch_add(1, Ordering::Relaxed);
+                        out.clear();
+                        let open = respond(&message, &mut out);
+                        if conn.write_all(&out).is_err() || !open {
                             return;
                         }
                     }
                     Ok(ParseOutcome::Incomplete) => break,
-                    Err(_) => {
-                        conn.close();
-                        return;
-                    }
+                    Err(_) => return,
                 }
             }
         }
+    }
+}
+
+/// Listens on `port` of `fabric` and runs `serve` on a thread of its own
+/// for every connection accepted, closing the connection when it returns.
+fn start_backend(
+    fabric: impl Into<Fabric>,
+    port: u16,
+    serve: impl Fn(&Endpoint, &Shared) + Send + Sync + 'static,
+) -> BackendHandle {
+    let listener = fabric.into().listen(port).expect("backend port free");
+    let port = listener.port();
+    let shared = Arc::new(Shared {
+        stop: AtomicBool::new(false),
+        requests: AtomicU64::new(0),
+        accepted: AtomicU64::new(0),
+        live: Mutex::new(Vec::new()),
     });
+    let serve = Arc::new(serve);
+    let acceptor = {
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || {
+            while !shared.stop.load(Ordering::Acquire) {
+                shared
+                    .live
+                    .lock()
+                    .retain(|(_, thread)| !thread.is_finished());
+                match listener.accept_timeout(ACCEPT_POLL) {
+                    Ok(conn) => {
+                        shared.accepted.fetch_add(1, Ordering::Relaxed);
+                        let (serve, served) = (Arc::clone(&serve), Arc::clone(&shared));
+                        let endpoint = conn.clone();
+                        let thread = std::thread::spawn(move || {
+                            serve(&conn, &served);
+                            conn.close();
+                        });
+                        shared.live.lock().push((endpoint, thread));
+                    }
+                    Err(NetError::ListenerClosed) => break,
+                    Err(_) => continue,
+                }
+            }
+            listener.close();
+        })
+    };
     BackendHandle {
-        stop,
-        threads,
-        requests,
+        shared,
+        acceptor: Some(acceptor),
         port,
     }
+}
+
+/// Starts a static HTTP back-end serving `body` for every request.
+pub fn start_http_backend(fabric: impl Into<Fabric>, port: u16, body: &[u8]) -> BackendHandle {
+    let codec = HttpCodec::new();
+    let mut response = Vec::new();
+    codec
+        .serialize(&flick_grammar::http::response(200, body), &mut response)
+        .expect("static response serialises");
+    start_backend(fabric, port, move |conn, shared| {
+        shared.answer(conn, &codec, |request, out| {
+            out.extend_from_slice(&response);
+            !flick_grammar::http::wants_close(request)
+        })
+    })
 }
 
 /// Starts an in-memory Memcached back-end speaking the binary protocol.
 ///
 /// `GETK`/`GET` requests are answered with the stored value (or a fixed
 /// filler value when the key is unknown), `SET` stores the value.
-pub fn start_memcached_backend(net: &Arc<SimNetwork>, port: u16) -> BackendHandle {
-    let listener = net.listen(port).expect("backend port free");
-    let stop = Arc::new(AtomicBool::new(false));
-    let requests = Arc::new(AtomicU64::new(0));
-    let store: Arc<Mutex<HashMap<String, Vec<u8>>>> = Arc::new(Mutex::new(HashMap::new()));
+pub fn start_memcached_backend(fabric: impl Into<Fabric>, port: u16) -> BackendHandle {
+    let store: Mutex<HashMap<String, Vec<u8>>> = Mutex::new(HashMap::new());
     let codec = memcached::MemcachedCodec::new();
-    let requests_handler = Arc::clone(&requests);
-    let stop_handler = Arc::clone(&stop);
-    let threads = acceptor_loop(listener, Arc::clone(&stop), move |conn| {
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 8192];
-        loop {
-            if stop_handler.load(Ordering::Acquire) {
-                conn.close();
-                return;
-            }
-            match conn.read_timeout(&mut chunk, Duration::from_millis(50)) {
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(NetError::TimedOut) => continue,
-                Err(_) => {
-                    conn.close();
-                    return;
-                }
-            }
-            loop {
-                match codec.parse(&buf, None) {
-                    Ok(ParseOutcome::Complete { message, consumed }) => {
-                        buf.drain(..consumed);
-                        requests_handler.fetch_add(1, Ordering::Relaxed);
-                        let key = message.str_field("key").unwrap_or("").to_string();
-                        let opcode = message.uint_field("opcode").unwrap_or(0);
-                        let response = if opcode == memcached::opcode::SET {
-                            let value = message.bytes_field("value").unwrap_or(&[]).to_vec();
-                            store.lock().insert(key.clone(), value);
-                            memcached::response(opcode, 0, b"", b"")
-                        } else {
-                            let value = store
-                                .lock()
-                                .get(&key)
-                                .cloned()
-                                .unwrap_or_else(|| b"default-value-from-backend".to_vec());
-                            memcached::response(opcode, 0, key.as_bytes(), &value)
-                        };
-                        let mut out = Vec::new();
-                        codec
-                            .serialize(&response, &mut out)
-                            .expect("response serialises");
-                        if conn.write_all(&out).is_err() {
-                            conn.close();
-                            return;
-                        }
-                    }
-                    Ok(ParseOutcome::Incomplete) => break,
-                    Err(_) => {
-                        conn.close();
-                        return;
-                    }
-                }
-            }
-        }
-    });
-    BackendHandle {
-        stop,
-        threads,
-        requests,
-        port,
-    }
+    start_backend(fabric, port, move |conn, shared| {
+        shared.answer(conn, &codec, |request, out| {
+            let key = request.str_field("key").unwrap_or("").to_string();
+            let opcode = request.uint_field("opcode").unwrap_or(0);
+            let response = if opcode == memcached::opcode::SET {
+                let value = request.bytes_field("value").unwrap_or(&[]).to_vec();
+                store.lock().insert(key, value);
+                memcached::response(opcode, 0, b"", b"")
+            } else {
+                let value = store
+                    .lock()
+                    .get(&key)
+                    .cloned()
+                    .unwrap_or_else(|| b"default-value-from-backend".to_vec());
+                memcached::response(opcode, 0, key.as_bytes(), &value)
+            };
+            codec
+                .serialize(&response, out)
+                .expect("response serialises");
+            true
+        })
+    })
 }
 
 /// Starts a byte-sink back-end (the Hadoop reducer): it drains everything it
 /// receives and counts records and bytes.
-pub fn start_sink_backend(net: &Arc<SimNetwork>, port: u16) -> (BackendHandle, Arc<AtomicU64>) {
-    let listener = net.listen(port).expect("backend port free");
-    let stop = Arc::new(AtomicBool::new(false));
-    let requests = Arc::new(AtomicU64::new(0));
+pub fn start_sink_backend(fabric: impl Into<Fabric>, port: u16) -> (BackendHandle, Arc<AtomicU64>) {
     let bytes = Arc::new(AtomicU64::new(0));
-    let bytes_handler = Arc::clone(&bytes);
-    let requests_handler = Arc::clone(&requests);
-    let stop_handler = Arc::clone(&stop);
-    let threads = acceptor_loop(listener, Arc::clone(&stop), move |conn| {
+    let received = Arc::clone(&bytes);
+    let handle = start_backend(fabric, port, move |conn, shared| {
         let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if stop_handler.load(Ordering::Acquire) {
-                conn.close();
-                return;
-            }
-            match conn.read_timeout(&mut chunk, Duration::from_millis(50)) {
-                Ok(n) => {
-                    bytes_handler.fetch_add(n as u64, Ordering::Relaxed);
-                    requests_handler.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(NetError::TimedOut) => continue,
-                Err(_) => {
-                    conn.close();
-                    return;
-                }
-            }
+        while let Some(n) = shared.read(conn, &mut chunk) {
+            received.fetch_add(n as u64, Ordering::Relaxed);
+            shared.requests.fetch_add(1, Ordering::Relaxed);
         }
     });
-    (
-        BackendHandle {
-            stop,
-            threads,
-            requests,
-            port,
-        },
-        bytes,
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Real-socket back-ends
-// ---------------------------------------------------------------------------
-
-/// Handle to a running loopback TCP back-end; dropping it stops the server.
-///
-/// The kernel-socket counterpart of [`start_http_backend`]: a blocking
-/// `std::net` HTTP server used behind a TCP-fronted load balancer so the
-/// whole `client → LB → backend` path traverses real sockets.
-pub struct TcpBackendHandle {
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    requests: Arc<AtomicU64>,
-    connections: Arc<AtomicU64>,
-    addr: String,
-}
-
-impl std::fmt::Debug for TcpBackendHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpBackendHandle")
-            .field("addr", &self.addr)
-            .finish()
-    }
-}
-
-impl TcpBackendHandle {
-    /// The socket address the back-end listens on (`127.0.0.1:<port>`).
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Number of requests served so far.
-    pub fn requests_served(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Number of connections accepted so far.
-    pub fn connections_accepted(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
-    }
-
-    /// Stops the server and joins the acceptor thread.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Poke the blocking accept loop so it observes the flag.
-        let _ = std::net::TcpStream::connect(&self.addr);
-        if let Some(t) = self.acceptor.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for TcpBackendHandle {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Starts a static HTTP back-end on a real loopback socket, serving `body`
-/// for every request. Binds an ephemeral port; read it back with
-/// [`TcpBackendHandle::addr`].
-pub fn start_tcp_http_backend(body: &[u8]) -> TcpBackendHandle {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback backend");
-    let addr = format!(
-        "127.0.0.1:{}",
-        listener.local_addr().expect("local addr").port()
-    );
-    let stop = Arc::new(AtomicBool::new(false));
-    let requests = Arc::new(AtomicU64::new(0));
-    let body = body.to_vec();
-    let connections = Arc::new(AtomicU64::new(0));
-    let accept_stop = Arc::clone(&stop);
-    let accept_requests = Arc::clone(&requests);
-    let accepted = Arc::clone(&connections);
-    let acceptor = std::thread::spawn(move || {
-        let codec = HttpCodec::new();
-        let mut response = Vec::new();
-        codec
-            .serialize(&flick_grammar::http::response(200, &body), &mut response)
-            .expect("static response serialises");
-        let response = Arc::new(response);
-        for stream in listener.incoming() {
-            if accept_stop.load(Ordering::Acquire) {
-                break;
-            }
-            let Ok(mut stream) = stream else { continue };
-            accepted.fetch_add(1, Ordering::Relaxed);
-            let _ = stream.set_nodelay(true);
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-            let requests = Arc::clone(&accept_requests);
-            let stop = Arc::clone(&accept_stop);
-            let response = Arc::clone(&response);
-            std::thread::spawn(move || {
-                use std::io::{Read, Write};
-                let codec = HttpCodec::new();
-                let mut buf = Vec::new();
-                let mut chunk = [0u8; 8 * 1024];
-                while !stop.load(Ordering::Acquire) {
-                    match stream.read(&mut chunk) {
-                        Ok(0) => return,
-                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                        Err(e)
-                            if matches!(
-                                e.kind(),
-                                std::io::ErrorKind::WouldBlock
-                                    | std::io::ErrorKind::TimedOut
-                                    | std::io::ErrorKind::Interrupted
-                            ) =>
-                        {
-                            continue
-                        }
-                        Err(_) => return,
-                    }
-                    loop {
-                        match codec.parse(&buf, None) {
-                            Ok(ParseOutcome::Complete { message, consumed }) => {
-                                buf.drain(..consumed);
-                                requests.fetch_add(1, Ordering::Relaxed);
-                                if stream.write_all(&response).is_err()
-                                    || flick_grammar::http::wants_close(&message)
-                                {
-                                    return;
-                                }
-                            }
-                            Ok(ParseOutcome::Incomplete) => break,
-                            Err(_) => return,
-                        }
-                    }
-                }
-            });
-        }
-    });
-    TcpBackendHandle {
-        stop,
-        acceptor: Some(acceptor),
-        requests,
-        connections,
-        addr,
-    }
+    (handle, bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flick_net::StackModel;
+    use flick_net::{SimNetwork, StackModel};
+
+    /// A request to `conn`'s back-end and its whole response.
+    fn get(conn: &Endpoint) -> String {
+        conn.write_all(b"GET /x HTTP/1.1\r\nHost: b\r\n\r\n")
+            .unwrap();
+        let codec = HttpCodec::new();
+        let mut response = Vec::new();
+        let mut buf = [0u8; 512];
+        while !matches!(
+            codec.parse(&response, None),
+            Ok(ParseOutcome::Complete { .. })
+        ) {
+            let n = conn.read_timeout(&mut buf, Duration::from_secs(5)).unwrap();
+            response.extend_from_slice(&buf[..n]);
+        }
+        String::from_utf8_lossy(&response).into_owned()
+    }
 
     #[test]
     fn tcp_http_backend_serves_requests_over_the_kernel() {
-        let backend = start_tcp_http_backend(b"tcp-body");
-        let response =
-            crate::tcp::fetch_http(backend.addr(), "/x", Duration::from_secs(5)).unwrap();
-        let text = String::from_utf8_lossy(&response);
+        let fabric = Fabric::kernel();
+        let backend = start_http_backend(&fabric, 0, b"tcp-body");
+        let text = get(&fabric.connect(backend.port()).unwrap());
         assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
         assert!(text.contains("tcp-body"));
         assert!(backend.requests_served() >= 1);
@@ -419,15 +286,33 @@ mod tests {
     fn http_backend_serves_requests() {
         let net = SimNetwork::new(StackModel::Free);
         let backend = start_http_backend(&net, 9301, b"payload-137-bytes");
-        let conn = net.connect(9301).unwrap();
-        conn.write_all(b"GET /x HTTP/1.1\r\nHost: b\r\n\r\n")
-            .unwrap();
-        let mut buf = [0u8; 512];
-        let n = conn.read_timeout(&mut buf, Duration::from_secs(5)).unwrap();
-        let text = String::from_utf8_lossy(&buf[..n]);
+        let text = get(&net.connect(9301).unwrap());
         assert!(text.starts_with("HTTP/1.1 200 OK"));
         assert!(text.contains("payload-137-bytes"));
         assert!(backend.requests_served() >= 1);
+    }
+
+    /// `stop` is synchronous on both fabrics: a client connected before it
+    /// reads EOF as soon as it returns, and nothing is served after.
+    #[test]
+    fn a_stopped_backend_has_closed_every_connection() {
+        for fabric in [
+            Fabric::from(&SimNetwork::new(StackModel::Free)),
+            Fabric::kernel(),
+        ] {
+            // Port 0: an ephemeral port on the kernel, and a free one on
+            // a fresh sim network.
+            let mut backend = start_http_backend(&fabric, 0, b"ok");
+            let conn = fabric.connect(backend.port()).unwrap();
+            assert!(get(&conn).ends_with("ok"), "{fabric:?}");
+            backend.stop();
+            let mut buf = [0u8; 64];
+            assert_eq!(conn.read(&mut buf), Err(NetError::Closed), "{fabric:?}");
+            let served = backend.requests_served();
+            let _ = conn.write_all(b"GET /late HTTP/1.1\r\nHost: b\r\n\r\n");
+            std::thread::sleep(Duration::from_millis(50));
+            assert_eq!(backend.requests_served(), served, "{fabric:?}");
+        }
     }
 
     #[test]

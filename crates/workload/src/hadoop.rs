@@ -7,11 +7,12 @@
 //! streams length-prefixed `kv` records (word → count) over its own
 //! rate-limited connection until the configured volume has been sent.
 
+use crate::fabric::Fabric;
 use crate::metrics::RunStats;
 use flick_grammar::hadoop;
 use flick_grammar::WireCodec;
 use flick_net::listener::ConnectOptions;
-use flick_net::{SimNetwork, SimRng};
+use flick_net::SimRng;
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -76,70 +77,14 @@ pub fn word_dictionary_seeded(seed: u64, word_len: usize, distinct_words: usize)
         .collect()
 }
 
-/// Runs the mapper fleet and reports the aggregate sending statistics.
+/// Runs the mapper fleet on `fabric` and reports the aggregate sending
+/// statistics: one job of [`mapper_streams`] through [`run_hadoop_job`].
 ///
 /// The run finishes when every mapper has pushed its configured volume and
 /// closed its connection, so the caller can then wait for the aggregator to
 /// drain and forward the combined stream.
-pub fn run_hadoop_mappers(net: &Arc<SimNetwork>, config: &HadoopLoadConfig) -> RunStats {
-    let codec = hadoop::HadoopKvCodec::new();
-    let words = dictionary(config);
-    let sent_bytes = Arc::new(AtomicU64::new(0));
-    let sent_records = Arc::new(AtomicU64::new(0));
-    let failed = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    for mapper in 0..config.mappers {
-        let net = Arc::clone(net);
-        let config = config.clone();
-        let words = words.clone();
-        let codec = codec.clone();
-        let sent_bytes = Arc::clone(&sent_bytes);
-        let sent_records = Arc::clone(&sent_records);
-        let failed = Arc::clone(&failed);
-        handles.push(std::thread::spawn(move || {
-            let options = ConnectOptions {
-                link_bits_per_sec: config.link_bits_per_sec,
-                capacity: Some(512 * 1024),
-            };
-            let Ok(conn) = net.connect_with(config.port, &options) else {
-                failed.fetch_add(1, Ordering::Relaxed);
-                return;
-            };
-            let mut rng = mapper_rng(&config, mapper);
-            let mut sent = 0usize;
-            let mut batch = Vec::with_capacity(32 * 1024);
-            while sent < config.bytes_per_mapper {
-                batch.clear();
-                let records = fill_batch(
-                    &codec,
-                    &words,
-                    &mut rng,
-                    &mut batch,
-                    config.bytes_per_mapper - sent,
-                );
-                sent_records.fetch_add(records, Ordering::Relaxed);
-                if conn.write_all(&batch).is_err() {
-                    failed.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                sent += batch.len();
-            }
-            sent_bytes.fetch_add(sent as u64, Ordering::Relaxed);
-            conn.close();
-        }));
-    }
-    for handle in handles {
-        let _ = handle.join();
-    }
-    RunStats {
-        completed: sent_records.load(Ordering::Relaxed),
-        failed: failed.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
-        latency: Default::default(),
-        bytes: sent_bytes.load(Ordering::Relaxed),
-        malformed_sent: 0,
-    }
+pub fn run_hadoop_mappers(fabric: impl Into<Fabric>, config: &HadoopLoadConfig) -> RunStats {
+    run_hadoop_job(fabric, config, &mapper_streams(config))
 }
 
 /// The mappers' dictionary: the historic one, or one drawn from the
@@ -163,30 +108,8 @@ fn mapper_rng(config: &HadoopLoadConfig, mapper: usize) -> SimRng {
     }
 }
 
-/// Appends records to `batch` until it holds 16 KiB or would exceed
-/// `budget` bytes; returns the records appended.
-fn fill_batch(
-    codec: &hadoop::HadoopKvCodec,
-    words: &[String],
-    rng: &mut SimRng,
-    batch: &mut Vec<u8>,
-    budget: usize,
-) -> u64 {
-    let mut records = 0;
-    while batch.len() < 16 * 1024 && batch.len() < budget {
-        let word = &words[rng.gen_range(0..words.len())];
-        let record = hadoop::count_kv(word, rng.gen_range(1..100));
-        if codec.serialize(&record, batch).is_err() {
-            break;
-        }
-        records += 1;
-    }
-    records
-}
-
-/// Each mapper's whole record stream for one job, built up front: the
-/// bytes [`run_hadoop_mappers`] would send under `config`, so a job over
-/// kernel sockets spends its mapper threads on writes alone.
+/// Each mapper's whole record stream for one job, built up front, so a
+/// job spends its mapper threads on writes alone.
 pub fn mapper_streams(config: &HadoopLoadConfig) -> Vec<Vec<u8>> {
     let codec = hadoop::HadoopKvCodec::new();
     let words = dictionary(config);
@@ -194,51 +117,73 @@ pub fn mapper_streams(config: &HadoopLoadConfig) -> Vec<Vec<u8>> {
         .map(|mapper| {
             let mut rng = mapper_rng(config, mapper);
             let mut stream = Vec::with_capacity(config.bytes_per_mapper + 64);
-            let mut batch = Vec::with_capacity(16 * 1024 + 64);
             while stream.len() < config.bytes_per_mapper {
-                batch.clear();
-                let budget = config.bytes_per_mapper - stream.len();
-                if fill_batch(&codec, &words, &mut rng, &mut batch, budget) == 0 {
+                let word = &words[rng.gen_range(0..words.len())];
+                let record = hadoop::count_kv(word, rng.gen_range(1..100));
+                if codec.serialize(&record, &mut stream).is_err() {
                     break;
                 }
-                stream.extend_from_slice(&batch);
             }
             stream
         })
         .collect()
 }
 
-/// Runs one job over kernel sockets: one mapper thread per stream
-/// connects to `addr`, writes its stream and closes. Returns once every
-/// mapper has closed; `failed` counts mappers that could not connect or
-/// write.
-pub fn run_tcp_hadoop_job(addr: &str, streams: &[Vec<u8>]) -> RunStats {
+/// Runs one job on `fabric`: one mapper thread per stream connects to
+/// `config.port` over a link of `config.link_bits_per_sec`, writes its
+/// stream and closes. Returns once every mapper has closed: `completed`
+/// counts the records of the streams sent whole, `failed` the mappers
+/// that could not connect or write.
+pub fn run_hadoop_job(
+    fabric: impl Into<Fabric>,
+    config: &HadoopLoadConfig,
+    streams: &[Vec<u8>],
+) -> RunStats {
+    let fabric = fabric.into();
+    let options = ConnectOptions {
+        link_bits_per_sec: config.link_bits_per_sec,
+        capacity: Some(512 * 1024),
+    };
     let start = Instant::now();
-    let outcomes: Vec<std::io::Result<usize>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = streams
+    let sent: Vec<Option<&Vec<u8>>> = std::thread::scope(|scope| {
+        let mappers: Vec<_> = streams
             .iter()
             .map(|stream| {
+                let (fabric, options) = (&fabric, &options);
                 scope.spawn(move || {
-                    let mut conn = std::net::TcpStream::connect(addr)?;
-                    conn.set_nodelay(true)?;
-                    std::io::Write::write_all(&mut conn, stream)?;
-                    Ok(stream.len())
+                    let conn = fabric.connect_with(config.port, options).ok()?;
+                    let sent = conn.write_all(stream);
+                    conn.close();
+                    sent.ok().map(|()| stream)
                 })
             })
             .collect();
-        handles
+        mappers
             .into_iter()
-            .map(|h| h.join().expect("mapper thread panicked"))
+            .map(|mapper| mapper.join().expect("mapper thread panicked"))
             .collect()
     });
+    let whole = sent.iter().flatten();
     RunStats {
-        completed: outcomes.iter().filter(|o| o.is_ok()).count() as u64,
-        failed: outcomes.iter().filter(|o| o.is_err()).count() as u64,
+        completed: whole.clone().map(|stream| records(stream)).sum(),
+        failed: sent.iter().filter(|stream| stream.is_none()).count() as u64,
         elapsed: start.elapsed(),
         latency: Default::default(),
-        bytes: outcomes.iter().flatten().map(|n| *n as u64).sum(),
+        bytes: whole.map(|stream| stream.len() as u64).sum(),
         malformed_sent: 0,
     }
+}
+
+/// The records of one mapper's stream: each is `key_len` and `value_len`
+/// (32-bit big-endian), then the key and the value.
+fn records(mut stream: &[u8]) -> u64 {
+    let mut count = 0;
+    while stream.len() >= 8 {
+        let len = |at: usize| u32::from_be_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
+        stream = &stream[8 + len(0) + len(4)..];
+        count += 1;
+    }
+    count
 }
 
 /// Waits until the observed byte counter stops growing (the aggregated
@@ -265,7 +210,7 @@ pub fn wait_for_quiescence(counter: &Arc<AtomicU64>, timeout: Duration) -> u64 {
 mod tests {
     use super::*;
     use crate::backends::start_sink_backend;
-    use flick_net::StackModel;
+    use flick_net::{SimNetwork, StackModel};
 
     #[test]
     fn word_dictionary_has_requested_shape() {

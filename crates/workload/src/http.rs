@@ -1,9 +1,11 @@
-//! Closed-loop HTTP client fleet (the ApacheBench stand-in).
+//! Closed-loop HTTP client fleet (the ApacheBench stand-in), its one-shot
+//! `curl`, and the c10k run that holds an idle mass open beside it.
 
+use crate::fabric::Fabric;
 use crate::metrics::{LatencyRecorder, RunStats};
 use flick_grammar::http::HttpCodec;
 use flick_grammar::{ParseOutcome, WireCodec};
-use flick_net::{NetError, SimNetwork, SimRng};
+use flick_net::{Endpoint, NetError, SimRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -59,9 +61,10 @@ const HOSTILE_FRAMES: [&[u8]; 3] = [
     b"GET /hostile HTTP/1.1\r\nHost: bench\r\nContent-Length: +1\r\n\r\n",
 ];
 
-/// Runs a closed-loop HTTP workload: each client keeps exactly one request
-/// outstanding, as ApacheBench does.
-pub fn run_http_load(net: &Arc<SimNetwork>, config: &HttpLoadConfig) -> RunStats {
+/// Runs a closed-loop HTTP workload on `fabric`: each client keeps exactly
+/// one request outstanding, as ApacheBench does.
+pub fn run_http_load(fabric: impl Into<Fabric>, config: &HttpLoadConfig) -> RunStats {
+    let fabric = fabric.into();
     let recorder = LatencyRecorder::new();
     let completed = Arc::new(AtomicU64::new(0));
     let failed = Arc::new(AtomicU64::new(0));
@@ -71,7 +74,7 @@ pub fn run_http_load(net: &Arc<SimNetwork>, config: &HttpLoadConfig) -> RunStats
     let deadline = start + config.duration;
     let mut handles = Vec::new();
     for client_id in 0..config.concurrency {
-        let net = Arc::clone(net);
+        let fabric = fabric.clone();
         let config = config.clone();
         let recorder = recorder.clone();
         let completed = Arc::clone(&completed);
@@ -86,7 +89,7 @@ pub fn run_http_load(net: &Arc<SimNetwork>, config: &HttpLoadConfig) -> RunStats
             while Instant::now() < deadline {
                 // (Re-)establish the connection as needed.
                 if connection.is_none() {
-                    match net.connect(config.port) {
+                    match fabric.connect(config.port) {
                         Ok(conn) => connection = Some(conn),
                         Err(_) => {
                             failed.fetch_add(1, Ordering::Relaxed);
@@ -187,74 +190,284 @@ pub fn run_http_load(net: &Arc<SimNetwork>, config: &HttpLoadConfig) -> RunStats
     }
 }
 
+/// Issues one GET to `port` and returns the raw response bytes (headers +
+/// body) — the in-process equivalent of a `curl` smoke test.
+pub fn fetch_http(
+    fabric: impl Into<Fabric>,
+    port: u16,
+    path: &str,
+    timeout: Duration,
+) -> Result<Vec<u8>, NetError> {
+    let codec = HttpCodec::new();
+    let conn = fabric.into().connect(port)?;
+    let request = format!("GET {path} HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n\r\n");
+    let mut response = Vec::with_capacity(1024);
+    let mut chunk = [0u8; 4096];
+    let deadline = Instant::now() + timeout;
+    let outcome = conn.write_all(request.as_bytes()).and_then(|()| {
+        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+            match conn.read_timeout(&mut chunk, left) {
+                Ok(n) => response.extend_from_slice(&chunk[..n]),
+                Err(NetError::Closed | NetError::TimedOut) => break,
+                Err(err) => return Err(err),
+            }
+            if matches!(
+                codec.parse(&response, None),
+                Ok(ParseOutcome::Complete { .. })
+            ) {
+                break;
+            }
+        }
+        Ok(())
+    });
+    conn.close();
+    outcome.map(|()| response)
+}
+
+/// Configuration of a c10k-style idle+active run: a large pool of
+/// connected-but-silent clients is held open for the whole run while a
+/// small closed-loop subset drives requests through the same listener.
+#[derive(Debug, Clone)]
+pub struct IdleActiveConfig {
+    /// Connections opened before the run and held idle (no bytes sent)
+    /// until it finishes.
+    pub idle_connections: usize,
+    /// The active closed-loop subset; its port is the idle mass's too.
+    pub active: HttpLoadConfig,
+}
+
+/// Result of [`run_idle_active_load`].
+#[derive(Debug)]
+pub struct IdleActiveStats {
+    /// Idle connections successfully established (may fall short of the
+    /// request under fd pressure).
+    pub idle_connected: usize,
+    /// Idle connections still alive once the active run finished — a
+    /// server that sheds or resets idle connections under load shows up
+    /// as `idle_survivors < idle_connected`.
+    pub idle_survivors: usize,
+    /// The active subset's closed-loop stats.
+    pub active: RunStats,
+}
+
+/// Floor on the warm-up request's patience: accepting and building
+/// graphs for ten thousand idle connections takes a while on small
+/// hosts, and a timed-out warm-up would put the drain back inside the
+/// measured window.
+const WARMUP_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Size of the connect pool used to establish the idle mass. Serial
+/// connects pay one loopback round-trip each — tens of seconds at c10k
+/// scale — while a handful of workers overlap the handshakes without
+/// stampeding the server's accept queue.
+const IDLE_CONNECT_WORKERS: usize = 8;
+
+/// Opens up to `count` idle connections to `port` from `count.min(8)`
+/// worker threads. Each worker stops at its first connect failure (fd
+/// exhaustion, locally or remotely, hits every worker the same way), so
+/// the pool as a whole degrades to "measure with what we got".
+fn connect_idle_pool(fabric: &Fabric, port: u16, count: usize) -> Vec<Endpoint> {
+    let workers = IDLE_CONNECT_WORKERS.min(count.max(1));
+    let mut handles = Vec::with_capacity(workers);
+    for worker in 0..workers {
+        // Spread the remainder over the first `count % workers` workers.
+        let quota = count / workers + usize::from(worker < count % workers);
+        let fabric = fabric.clone();
+        handles.push(std::thread::spawn(move || {
+            let mut opened = Vec::with_capacity(quota);
+            for _ in 0..quota {
+                match fabric.connect(port) {
+                    Ok(conn) => opened.push(conn),
+                    Err(_) => break,
+                }
+            }
+            opened
+        }));
+    }
+    let mut idle = Vec::with_capacity(count);
+    for handle in handles {
+        idle.extend(handle.join().unwrap_or_default());
+    }
+    idle
+}
+
+/// Runs the c10k shape: `idle_connections` silent connections pinned open
+/// while the active closed loop measures throughput/latency. The server
+/// pays whatever its event machinery charges for the idle mass — a
+/// scanning dispatcher degrades with the idle count, a wakeup-based one
+/// must not.
+pub fn run_idle_active_load(
+    fabric: impl Into<Fabric>,
+    config: &IdleActiveConfig,
+) -> IdleActiveStats {
+    let fabric = fabric.into();
+    let port = config.active.port;
+    let idle = connect_idle_pool(&fabric, port, config.idle_connections);
+    let idle_connected = idle.len();
+    // A connect completes as soon as the kernel handshake does — the
+    // server may still be draining a huge accept backlog. One warm-up
+    // request (accepted behind the whole idle pool) settles the race:
+    // once it answers, the server has caught up, and the active loop below
+    // measures steady state rather than the drain.
+    let _ = fetch_http(
+        &fabric,
+        port,
+        "/warmup",
+        config.active.timeout.max(WARMUP_TIMEOUT),
+    );
+    let active = run_http_load(&fabric, &config.active);
+    // An idle connection survived if it still reads as "no data yet"
+    // rather than EOF/reset.
+    let mut probe = [0u8; 1];
+    let idle_survivors = idle
+        .iter()
+        .filter(|conn| matches!(conn.read(&mut probe), Ok(_) | Err(NetError::WouldBlock)))
+        .count();
+    idle.iter().for_each(Endpoint::close);
+    IdleActiveStats {
+        idle_connected,
+        idle_survivors,
+        active,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backends::start_http_backend;
-    use flick_net::StackModel;
+    use flick_net::{SimNetwork, StackModel};
+
+    /// A fresh sim network and a fresh kernel stack. Port 0 is an
+    /// ephemeral port on the kernel and a free one on the fresh sim.
+    fn fabrics() -> [Fabric; 2] {
+        [
+            Fabric::from(&SimNetwork::new(StackModel::Free)),
+            Fabric::kernel(),
+        ]
+    }
 
     #[test]
     fn load_generator_measures_a_direct_backend() {
-        let net = SimNetwork::new(StackModel::Free);
-        let _backend = start_http_backend(&net, 9401, b"ok");
-        let config = HttpLoadConfig {
-            port: 9401,
-            concurrency: 4,
-            duration: Duration::from_millis(200),
-            persistent: true,
-            timeout: Duration::from_secs(2),
-            ..Default::default()
-        };
-        let stats = run_http_load(&net, &config);
-        assert!(
-            stats.completed > 10,
-            "expected some completed requests, got {stats:?}"
-        );
-        assert!(stats.requests_per_sec() > 0.0);
-        assert!(stats.latency.mean > Duration::ZERO);
+        for fabric in fabrics() {
+            let backend = start_http_backend(&fabric, 0, b"ok");
+            let config = HttpLoadConfig {
+                port: backend.port(),
+                concurrency: 4,
+                duration: Duration::from_millis(200),
+                persistent: true,
+                timeout: Duration::from_secs(2),
+                ..Default::default()
+            };
+            let stats = run_http_load(&fabric, &config);
+            assert!(
+                stats.completed > 10,
+                "{fabric:?}: expected some completed requests, got {stats:?}"
+            );
+            assert!(stats.requests_per_sec() > 0.0);
+            assert!(stats.latency.mean > Duration::ZERO);
+        }
     }
 
     #[test]
     fn hostile_ratio_sends_poison_without_sinking_the_run() {
-        let net = SimNetwork::new(StackModel::Free);
-        let _backend = start_http_backend(&net, 9403, b"ok");
-        let config = HttpLoadConfig {
-            port: 9403,
-            concurrency: 4,
-            duration: Duration::from_millis(200),
-            persistent: true,
-            timeout: Duration::from_secs(2),
-            hostile_ratio: 0.25,
-            ..Default::default()
-        };
-        let stats = run_http_load(&net, &config);
-        assert!(stats.malformed_sent > 0, "poison never drawn: {stats:?}");
-        assert!(
-            stats.completed > 10,
-            "clean traffic must keep flowing: {stats:?}"
-        );
+        for fabric in fabrics() {
+            let backend = start_http_backend(&fabric, 0, b"ok");
+            let config = HttpLoadConfig {
+                port: backend.port(),
+                concurrency: 4,
+                duration: Duration::from_millis(200),
+                persistent: true,
+                timeout: Duration::from_secs(2),
+                hostile_ratio: 0.25,
+                ..Default::default()
+            };
+            let stats = run_http_load(&fabric, &config);
+            assert!(
+                stats.malformed_sent > 0,
+                "{fabric:?}: poison never drawn: {stats:?}"
+            );
+            assert!(
+                stats.completed > 10,
+                "{fabric:?}: clean traffic must keep flowing: {stats:?}"
+            );
+        }
     }
 
     #[test]
     fn non_persistent_mode_reconnects_per_request() {
-        let net = SimNetwork::new(StackModel::Free);
-        let _backend = start_http_backend(&net, 9402, b"ok");
-        let config = HttpLoadConfig {
-            port: 9402,
-            concurrency: 2,
-            duration: Duration::from_millis(150),
-            persistent: false,
-            timeout: Duration::from_secs(2),
-            ..Default::default()
-        };
-        let stats = run_http_load(&net, &config);
-        assert!(stats.completed > 5);
-        let opened = net.stats().snapshot().connections_opened;
-        // Roughly one connection per completed request (plus the warm-up).
-        assert!(
-            opened >= stats.completed,
-            "opened {opened}, completed {}",
-            stats.completed
+        for fabric in fabrics() {
+            let backend = start_http_backend(&fabric, 0, b"ok");
+            let config = HttpLoadConfig {
+                port: backend.port(),
+                concurrency: 2,
+                duration: Duration::from_millis(150),
+                persistent: false,
+                timeout: Duration::from_secs(2),
+                ..Default::default()
+            };
+            let stats = run_http_load(&fabric, &config);
+            assert!(stats.completed > 5, "{fabric:?}: {stats:?}");
+            let opened = fabric.stats().snapshot().connections_opened;
+            // Roughly one connection per completed request.
+            assert!(
+                opened >= stats.completed,
+                "{fabric:?}: opened {opened}, completed {}",
+                stats.completed
+            );
+        }
+    }
+
+    #[test]
+    fn idle_active_driver_counts_survivors() {
+        let fabric = Fabric::kernel();
+        let backend = start_http_backend(&fabric, 0, b"tiny");
+        let stats = run_idle_active_load(
+            &fabric,
+            &IdleActiveConfig {
+                idle_connections: 3,
+                active: HttpLoadConfig {
+                    port: backend.port(),
+                    concurrency: 2,
+                    duration: Duration::from_millis(200),
+                    timeout: Duration::from_secs(2),
+                    ..Default::default()
+                },
+            },
         );
+        assert_eq!(stats.idle_connected, 3);
+        assert_eq!(
+            stats.idle_survivors, 3,
+            "idle connections must outlive the run"
+        );
+        assert!(stats.active.completed > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn idle_pool_connects_in_parallel_with_remainder_quotas() {
+        // More connections than workers, not divisible by the pool size:
+        // the per-worker quotas must still sum to the request.
+        let fabric = Fabric::kernel();
+        let listener = fabric.listen(0).unwrap();
+        let port = listener.port();
+        let accepter = std::thread::spawn(move || {
+            (0..19)
+                .map_while(|_| listener.accept_timeout(Duration::from_secs(5)).ok())
+                .collect::<Vec<_>>()
+        });
+        let idle = connect_idle_pool(&fabric, port, 19);
+        assert_eq!(idle.len(), 19);
+        assert_eq!(accepter.join().unwrap().len(), 19);
+    }
+
+    #[test]
+    fn fetch_smoke_returns_a_parsed_response() {
+        for fabric in fabrics() {
+            let backend = start_http_backend(&fabric, 0, b"tiny");
+            let response =
+                fetch_http(&fabric, backend.port(), "/x", Duration::from_secs(2)).unwrap();
+            let text = String::from_utf8_lossy(&response);
+            assert!(text.starts_with("HTTP/1.1 200 OK"), "{fabric:?}: {text}");
+            assert!(text.ends_with("tiny"), "{fabric:?}: {text}");
+        }
     }
 }

@@ -2,9 +2,10 @@
 //! stand-in of §6.2: every client sends a single request and waits for the
 //! response before sending the next).
 
+use crate::fabric::Fabric;
 use crate::metrics::{LatencyRecorder, RunStats};
 use flick_grammar::{memcached, ParseOutcome, WireCodec};
-use flick_net::{NetError, SimNetwork, SimRng};
+use flick_net::{NetError, SimRng};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,8 +48,12 @@ impl Default for MemcachedLoadConfig {
     }
 }
 
-/// Runs the closed-loop Memcached workload and reports throughput/latency.
-pub fn run_memcached_load(net: &Arc<SimNetwork>, config: &MemcachedLoadConfig) -> RunStats {
+/// Runs the closed-loop Memcached workload on `fabric` and reports
+/// throughput/latency. A `GETK` response must carry its request's key: one
+/// that carries another counts as failed, so a proxy that crosses
+/// responses between clients or requests cannot pass.
+pub fn run_memcached_load(fabric: impl Into<Fabric>, config: &MemcachedLoadConfig) -> RunStats {
+    let fabric = fabric.into();
     let recorder = LatencyRecorder::new();
     let completed = Arc::new(AtomicU64::new(0));
     let failed = Arc::new(AtomicU64::new(0));
@@ -57,7 +62,7 @@ pub fn run_memcached_load(net: &Arc<SimNetwork>, config: &MemcachedLoadConfig) -
     let deadline = start + config.duration;
     let mut handles = Vec::new();
     for client_id in 0..config.clients {
-        let net = Arc::clone(net);
+        let fabric = fabric.clone();
         let config = config.clone();
         let recorder = recorder.clone();
         let completed = Arc::clone(&completed);
@@ -69,7 +74,7 @@ pub fn run_memcached_load(net: &Arc<SimNetwork>, config: &MemcachedLoadConfig) -
                 Some(seed) => SimRng::new(seed).fork_indexed(client_id as u64),
                 None => SimRng::new(client_id as u64 + 1),
             };
-            let Ok(conn) = net.connect(config.port) else {
+            let Ok(conn) = fabric.connect(config.port) else {
                 failed.fetch_add(1, Ordering::Relaxed);
                 return;
             };
@@ -98,9 +103,10 @@ pub fn run_memcached_load(net: &Arc<SimNetwork>, config: &MemcachedLoadConfig) -
                         Ok(n) => {
                             buf.extend_from_slice(&chunk[..n]);
                             match codec.parse(&buf, None) {
-                                Ok(ParseOutcome::Complete { consumed, .. }) => {
+                                Ok(ParseOutcome::Complete { message, consumed }) => {
                                     bytes.fetch_add(consumed as u64, Ordering::Relaxed);
-                                    ok = true;
+                                    ok = opcode != memcached::opcode::GETK
+                                        || message.str_field("key") == Some(key.as_str());
                                     break;
                                 }
                                 Ok(ParseOutcome::Incomplete) => continue,
@@ -138,7 +144,7 @@ pub fn run_memcached_load(net: &Arc<SimNetwork>, config: &MemcachedLoadConfig) -
 mod tests {
     use super::*;
     use crate::backends::start_memcached_backend;
-    use flick_net::StackModel;
+    use flick_net::{SimNetwork, StackModel};
 
     #[test]
     fn memcached_load_against_a_direct_backend() {
@@ -157,5 +163,34 @@ mod tests {
         assert!(stats.completed > 10, "{stats:?}");
         assert_eq!(stats.failed, 0);
         assert!(stats.latency.p99 >= stats.latency.p50);
+    }
+
+    /// A `GETK` answered with another key is a failure: a server that
+    /// answers every request with the same response fails every request.
+    #[test]
+    fn a_getk_answered_with_another_key_fails() {
+        let net = SimNetwork::new(StackModel::Free);
+        let listener = net.listen(9502).unwrap();
+        let server = std::thread::spawn(move || {
+            let conn = listener.accept_timeout(Duration::from_secs(5)).unwrap();
+            let mut wire = Vec::new();
+            let response = memcached::response(memcached::opcode::GETK, 0, b"not-yours", b"v");
+            memcached::MemcachedCodec::new()
+                .serialize(&response, &mut wire)
+                .unwrap();
+            let mut buf = [0u8; 512];
+            while conn.read_timeout(&mut buf, Duration::from_secs(5)).is_ok() {
+                let _ = conn.write_all(&wire);
+            }
+        });
+        let config = MemcachedLoadConfig {
+            port: 9502,
+            clients: 1,
+            duration: Duration::from_millis(50),
+            ..Default::default()
+        };
+        let stats = run_memcached_load(&net, &config);
+        assert_eq!((stats.completed, stats.failed), (0, 1), "{stats:?}");
+        server.join().unwrap();
     }
 }

@@ -11,24 +11,25 @@
 //!
 //! With `--tcp [addr]` (default `127.0.0.1:0`) the balancer runs the
 //! **all-TCP path**: the front door is a real OS socket
-//! (`Platform::deploy_tcp`), the ten back-ends are real loopback HTTP
-//! servers, and the balancer's backend pool connects to them through the
-//! kernel — every hop of `client → LB → backend` crosses real sockets,
-//! multiplexed by the same per-shard pollers as the simulated substrate.
-//! The run prints a curl-style smoke response before the load results.
+//! (`Platform::deploy_tcp`), the ten back-ends and the client fleet are
+//! the same programs on kernel sockets, and the balancer's backend pool
+//! connects to them through the kernel — every hop of
+//! `client → LB → backend` crosses real sockets, multiplexed by the same
+//! per-shard pollers as the simulated substrate. The run prints a
+//! curl-style smoke response before the load results.
 //!
 //! With `--hostile [ratio]` (default `0.1`) that fraction of the fleet's
 //! requests is replaced by malformed frames (oversized, duplicate and
 //! garbled `Content-Length` declarations). The strict bounded parser must
 //! close each poisoned connection without answering, and the run report
 //! shows the goodput the clean requests kept next to the malformed-close
-//! count the platform recorded. Simulated-fabric mode only.
+//! count the platform recorded.
 
 use flick::services::http::http_balancer;
 use flick::{Platform, PlatformConfig, ServiceSpec};
-use flick_workload::backends::{start_http_backend, start_tcp_http_backend};
-use flick_workload::http::{run_http_load, HttpLoadConfig};
-use flick_workload::tcp::{fetch_http, run_tcp_http_load, TcpHttpLoadConfig};
+use flick_workload::backends::start_http_backend;
+use flick_workload::http::{fetch_http, run_http_load, HttpLoadConfig};
+use flick_workload::Fabric;
 use std::time::Duration;
 
 fn main() {
@@ -46,76 +47,64 @@ fn main() {
                 .unwrap_or(0.1)
         })
         .unwrap_or(0.0);
-    if hostile_ratio > 0.0 && tcp_addr.is_some() {
-        eprintln!("--hostile runs on the simulated fabric; ignoring it with --tcp");
-    }
 
     let platform = Platform::new(PlatformConfig {
         workers: 4,
         shards: 2,
     });
     let net = platform.net();
-
-    let (stats, served) = match &tcp_addr {
-        Some(addr) => {
-            // All-TCP: kernel-socket back-ends behind a kernel-socket front
-            // door; no request byte ever rides the simulated fabric.
-            let backends: Vec<_> = (0..10)
-                .map(|_| start_tcp_http_backend(&[b'x'; 137]))
-                .collect();
-            let spec = ServiceSpec::new("http-lb", 0, http_balancer())
-                .with_tcp_backends(backends.iter().map(|b| b.addr().to_string()).collect());
-            let service = platform.deploy_tcp(spec, addr).expect("deploy over TCP");
-            let addr = format!("127.0.0.1:{}", service.port());
-            println!("all-TCP path: kernel clients -> http://{addr}/ -> 10 kernel back-ends");
-            // The curl-style smoke: one GET over the kernel's loopback.
-            let response =
-                fetch_http(&addr, "/smoke", Duration::from_secs(5)).expect("smoke request");
-            let head = String::from_utf8_lossy(&response);
-            println!("smoke: {}", head.lines().next().unwrap_or("<empty>"));
-            let stats = run_tcp_http_load(
-                &addr,
-                &TcpHttpLoadConfig {
-                    concurrency: 32,
-                    duration: Duration::from_secs(1),
-                    persistent: true,
-                    timeout: Duration::from_secs(5),
-                },
-            );
-            let served: Vec<u64> = backends.iter().map(|b| b.requests_served()).collect();
-            (stats, served)
-        }
-        None => {
-            let backend_ports: Vec<u16> = (0..10).map(|i| 8100 + i as u16).collect();
-            let backends: Vec<_> = backend_ports
-                .iter()
-                .map(|p| start_http_backend(&net, *p, &[b'x'; 137]))
-                .collect();
-            let spec = ServiceSpec::new("http-lb", 8080, http_balancer())
-                .with_backends(backend_ports.clone());
-            let _service = platform.deploy(spec).expect("deploy");
-            if hostile_ratio > 0.0 {
-                println!(
-                    "hostile mode: {:.0}% of requests are malformed frames",
-                    hostile_ratio * 100.0
-                );
-            }
-            let stats = run_http_load(
-                &net,
-                &HttpLoadConfig {
-                    port: 8080,
-                    concurrency: 32,
-                    duration: Duration::from_secs(1),
-                    persistent: true,
-                    timeout: Duration::from_secs(5),
-                    hostile_ratio,
-                    ..Default::default()
-                },
-            );
-            let served: Vec<u64> = backends.iter().map(|b| b.requests_served()).collect();
-            (stats, served)
-        }
+    // Kernel clients and back-ends get a stack of their own, so the
+    // platform's counters count only the platform.
+    let fabric = match tcp_addr {
+        Some(_) => Fabric::kernel(),
+        None => Fabric::from(&net),
     };
+    let backends: Vec<_> = (0..10)
+        .map(|i| {
+            let port = if fabric.is_kernel() { 0 } else { 8100 + i };
+            start_http_backend(&fabric, port, &[b'x'; 137])
+        })
+        .collect();
+    let ports = backends.iter().map(|b| b.port()).collect();
+    let spec = ServiceSpec::new("http-lb", 8080, http_balancer());
+    let service = match &tcp_addr {
+        Some(addr) => {
+            let addrs = backends.iter().map(|b| format!("127.0.0.1:{}", b.port()));
+            let spec = spec.with_tcp_backends(addrs.collect());
+            platform.deploy_tcp(spec, addr).expect("deploy over TCP")
+        }
+        None => platform.deploy(spec.with_backends(ports)).expect("deploy"),
+    };
+    if fabric.is_kernel() {
+        println!(
+            "all-TCP path: kernel clients -> http://127.0.0.1:{}/ -> 10 kernel back-ends",
+            service.port()
+        );
+        // The curl-style smoke: one GET over the kernel's loopback.
+        let response = fetch_http(&fabric, service.port(), "/smoke", Duration::from_secs(5))
+            .expect("smoke request");
+        let head = String::from_utf8_lossy(&response);
+        println!("smoke: {}", head.lines().next().unwrap_or("<empty>"));
+    }
+    if hostile_ratio > 0.0 {
+        println!(
+            "hostile mode: {:.0}% of requests are malformed frames",
+            hostile_ratio * 100.0
+        );
+    }
+    let stats = run_http_load(
+        &fabric,
+        &HttpLoadConfig {
+            port: service.port(),
+            concurrency: 32,
+            duration: Duration::from_secs(1),
+            persistent: true,
+            timeout: Duration::from_secs(5),
+            hostile_ratio,
+            ..Default::default()
+        },
+    );
+    let served: Vec<u64> = backends.iter().map(|b| b.requests_served()).collect();
     println!(
         "completed {} requests in {:.2}s  ->  {:.0} req/s, mean latency {:.2} ms",
         stats.completed,
@@ -124,7 +113,10 @@ fn main() {
         stats.latency.mean.as_secs_f64() * 1000.0
     );
     if stats.malformed_sent > 0 {
-        let snap = net.stats().snapshot();
+        let snap = match &fabric {
+            Fabric::Sim(net) => net.stats().snapshot(),
+            Fabric::Kernel(_) => platform.tcp_stack().stats().snapshot(),
+        };
         println!(
             "hostile: {} malformed frames sent, {} malformed closes recorded",
             stats.malformed_sent, snap.malformed_closes

@@ -20,19 +20,21 @@
 //! counters are read before and after the 400 ms and divided by the
 //! requests completed in it. The platform is the repo benchmark's: two
 //! workers on one shard. On kernel sockets the counters are the
-//! service's own stack (the client connects through a stack of its own);
+//! service's own stack (its clients and back-ends share one of their own);
 //! the simulated network counts every endpoint on it, so its reads and
 //! writes include the client's and the back-ends'.
 
-use flick::net_substrate::{Endpoint, NetError, SimNetwork, StackModel, StatsSnapshot, TcpStack};
+use flick::net_substrate::{Endpoint, NetError, NetStats, StackModel, StatsSnapshot};
 use flick::runtime_crate::MetricsSnapshot;
 use flick::services::hadoop::hadoop_aggregator;
 use flick::services::http::http_path_balancer;
-use flick::{Platform, PlatformConfig, ServiceSpec};
+use flick::ServiceSpec;
+use flick_bench::{Target, Testbed};
 use flick_grammar::http::HttpCodec;
 use flick_grammar::{ParseOutcome, WireCodec};
-use flick_workload::backends::{start_http_backend, start_sink_backend, start_tcp_http_backend};
-use flick_workload::hadoop::{mapper_streams, run_tcp_hadoop_job, HadoopLoadConfig};
+use flick_workload::backends::{start_http_backend, start_sink_backend};
+use flick_workload::hadoop::{mapper_streams, run_hadoop_job, HadoopLoadConfig};
+use flick_workload::Fabric;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -42,11 +44,9 @@ const BODY: &[u8] = b"a budgeted response";
 /// How far a measured count may stray from its budget, as a share of it.
 const BAND: f64 = 0.02;
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Transport {
-    Kernel,
-    Sim,
-}
+/// Which of a testbed's fabrics a measurement runs on: [`Testbed::sim`]
+/// or [`Testbed::kernel`].
+type On = fn(&Testbed) -> Fabric;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Client {
@@ -66,58 +66,36 @@ struct PerOp {
     connections: f64,
 }
 
-/// A deployed balancer and the way its clients connect to it.
-struct Rig {
-    platform: Platform,
-    connect: Box<dyn Fn() -> Endpoint>,
-    stats: Box<dyn Fn() -> StatsSnapshot>,
-    // Dropped last: the service stops before its back-ends.
-    _keep: Vec<Box<dyn std::any::Any>>,
+/// The repo benchmark's platform (two workers on one shard), with `on`
+/// its fabric.
+fn testbed(on: On) -> (Testbed, Fabric) {
+    let bed = Testbed::new(StackModel::Free, 2, 1);
+    let fabric = on(&bed);
+    (bed, fabric)
 }
 
-fn rig(transport: Transport) -> Rig {
-    let config = PlatformConfig {
-        workers: 2,
-        shards: 1,
-    };
-    let factory = http_path_balancer();
-    match transport {
-        Transport::Kernel => {
-            let backends = [start_tcp_http_backend(BODY), start_tcp_http_backend(BODY)];
-            let platform = Platform::new(config);
-            let spec = ServiceSpec::new("lb", 0, factory)
-                .with_tcp_backends(backends.iter().map(|b| b.addr().to_string()).collect());
-            let service = platform
-                .deploy_tcp(spec, "127.0.0.1:0")
-                .expect("deploy on a loopback socket");
-            let addr = format!("127.0.0.1:{}", service.port());
-            let clients = TcpStack::new();
-            let stack = platform.tcp_stack();
-            Rig {
-                platform,
-                connect: Box::new(move || clients.connect(&addr).expect("connect")),
-                stats: Box::new(move || stack.stats().snapshot()),
-                _keep: vec![Box::new(service), Box::new(backends)],
-            }
-        }
-        Transport::Sim => {
-            let net = SimNetwork::new(StackModel::Free);
-            let backends = [
-                start_http_backend(&net, 8101, BODY),
-                start_http_backend(&net, 8102, BODY),
-            ];
-            let platform = Platform::with_network(config, Arc::clone(&net));
-            let service = platform
-                .deploy(ServiceSpec::new("lb", 8100, factory).with_backends(vec![8101, 8102]))
-                .expect("deploy on the simulated network");
-            let clients = Arc::clone(&net);
-            Rig {
-                platform,
-                connect: Box::new(move || clients.connect(8100).expect("connect")),
-                stats: Box::new(move || net.stats().snapshot()),
-                _keep: vec![Box::new(service), Box::new(backends)],
-            }
-        }
+/// A deployed balancer, its clients' way in, and the counters of the
+/// platform's sockets.
+struct Rig {
+    lb: Target,
+    stats: Arc<NetStats>,
+    bed: Testbed,
+}
+
+fn rig(on: On) -> Rig {
+    let (mut bed, fabric) = testbed(on);
+    let backends = bed.backends(&fabric, 2, 8101, |fabric, port| {
+        start_http_backend(fabric, port, BODY)
+    });
+    let lb = bed.deploy(
+        &fabric,
+        ServiceSpec::new("lb", 8100, http_path_balancer()),
+        backends,
+    );
+    Rig {
+        lb,
+        stats: bed.platform_stats(&fabric),
+        bed,
     }
 }
 
@@ -142,7 +120,10 @@ fn request(conn: &Endpoint, n: u64, closing: bool) {
 }
 
 fn snapshot(rig: &Rig) -> (MetricsSnapshot, StatsSnapshot) {
-    (rig.platform.metrics().snapshot(), (rig.stats)())
+    (
+        rig.bed.platform().metrics().snapshot(),
+        rig.stats.snapshot(),
+    )
 }
 
 /// One measurement at a time: the tests of this file run in parallel,
@@ -155,20 +136,21 @@ fn alone() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn measure(transport: Transport, client: Client) -> PerOp {
+fn measure(on: On, client: Client) -> PerOp {
     let _alone = alone();
-    let rig = rig(transport);
+    let rig = rig(on);
+    let connect = || rig.lb.fabric.connect(rig.lb.port).expect("connect");
     let closing = client == Client::Closing;
     let mut kept: Option<Endpoint> = None;
     let mut next = 0u64;
     let mut one = |next: &mut u64| {
         *next += 1;
         if closing {
-            let conn = (rig.connect)();
+            let conn = connect();
             request(&conn, *next, true);
             conn.close();
         } else {
-            let conn = kept.get_or_insert_with(|| (rig.connect)());
+            let conn = kept.get_or_insert_with(connect);
             request(conn, *next, false);
         }
     };
@@ -196,15 +178,19 @@ fn measure(transport: Transport, client: Client) -> PerOp {
     }
 }
 
-/// The keep-alive measurements, shared with the transport law.
-fn keep_alive(transport: Transport) -> PerOp {
-    static KERNEL: OnceLock<PerOp> = OnceLock::new();
-    static SIM: OnceLock<PerOp> = OnceLock::new();
-    let cell = match transport {
-        Transport::Kernel => &KERNEL,
-        Transport::Sim => &SIM,
-    };
-    *cell.get_or_init(|| measure(transport, Client::KeepAlive))
+/// The keep-alive measurements on both fabrics, shared with the
+/// transport law.
+struct KeepAlive {
+    kernel: PerOp,
+    sim: PerOp,
+}
+
+fn keep_alive() -> &'static KeepAlive {
+    static BOTH: OnceLock<KeepAlive> = OnceLock::new();
+    BOTH.get_or_init(|| KeepAlive {
+        kernel: measure(Testbed::kernel, Client::KeepAlive),
+        sim: measure(Testbed::sim, Client::KeepAlive),
+    })
 }
 
 /// What one request may cost.
@@ -252,7 +238,7 @@ fn assert_within(measured: PerOp, budget: Budget) {
 #[test]
 fn a_keep_alive_request_on_kernel_sockets() {
     assert_within(
-        keep_alive(Transport::Kernel),
+        keep_alive().kernel,
         Budget {
             task_runs: 2.0,
             reads: 2.0,
@@ -266,7 +252,7 @@ fn a_keep_alive_request_on_kernel_sockets() {
 #[test]
 fn a_keep_alive_request_on_the_sim() {
     assert_within(
-        keep_alive(Transport::Sim),
+        keep_alive().sim,
         Budget {
             task_runs: 2.0,
             reads: 4.0,
@@ -287,7 +273,7 @@ fn a_keep_alive_request_on_the_sim() {
 #[test]
 fn a_closing_request_on_kernel_sockets() {
     assert_within(
-        measure(Transport::Kernel, Client::Closing),
+        measure(Testbed::kernel, Client::Closing),
         Budget {
             task_runs: 6.0,
             reads: 2.0,
@@ -301,7 +287,7 @@ fn a_closing_request_on_kernel_sockets() {
 #[test]
 fn a_closing_request_on_the_sim() {
     assert_within(
-        measure(Transport::Sim, Client::Closing),
+        measure(Testbed::sim, Client::Closing),
         Budget {
             task_runs: 6.0,
             reads: 4.0,
@@ -319,11 +305,8 @@ fn a_closing_request_on_the_sim() {
 /// demand) as on the sim.
 #[test]
 fn kernel_and_sim_run_the_same_tasks_per_keep_alive_request() {
-    let net = |transport| {
-        let measured = keep_alive(transport);
-        measured.task_runs - measured.yields
-    };
-    let difference = net(Transport::Kernel) - net(Transport::Sim);
+    let net = |measured: PerOp| measured.task_runs - measured.yields;
+    let difference = net(keep_alive().kernel) - net(keep_alive().sim);
     assert!(
         difference.abs() <= 0.1,
         "kernel minus sim task runs per request: {difference:.3}"
@@ -342,82 +325,35 @@ struct PerJob {
     yields: f64,
 }
 
-/// The records of one mapper's stream (`key_len`, `value_len`, key, value).
-fn records(mut stream: &[u8]) -> u64 {
-    let mut count = 0;
-    while stream.len() >= 8 {
-        let len = |at: usize| u32::from_be_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
-        stream = &stream[8 + len(0) + len(4)..];
-        count += 1;
-    }
-    count
-}
-
 /// Runs [`JOBS`] jobs through `hadoop_aggregator(2)`, each two mappers
 /// sending a fixed stream of `bytes_per_mapper` of wordcount records and
 /// hanging up, and counts the task runs the service spent on them: a job
 /// has ended when its graph is torn down, after the aggregate reached the
 /// reducer.
-fn fold_jobs(transport: Transport, bytes_per_mapper: usize) -> PerJob {
+fn fold_jobs(on: On, bytes_per_mapper: usize) -> PerJob {
     let _alone = alone();
+    let (mut bed, fabric) = testbed(on);
+    let reducer = bed.backends(&fabric, 1, 8201, |fabric, port| {
+        start_sink_backend(fabric, port).0
+    });
+    let aggregator = bed.deploy(
+        &fabric,
+        ServiceSpec::new("hadoop", 8200, hadoop_aggregator(2)),
+        reducer,
+    );
     let config = HadoopLoadConfig {
+        port: aggregator.port,
         mappers: 2,
         bytes_per_mapper,
         link_bits_per_sec: None,
         ..Default::default()
     };
     let streams = mapper_streams(&config);
-    let platform_config = PlatformConfig {
-        workers: 2,
-        shards: 1,
-    };
-    let (platform, job, _keep): (Platform, Box<dyn Fn()>, Box<dyn std::any::Any>) = match transport
-    {
-        Transport::Kernel => {
-            let reducer = std::net::TcpListener::bind("127.0.0.1:0").expect("a reducer port");
-            let reducer_addr = reducer.local_addr().unwrap().to_string();
-            std::thread::spawn(move || {
-                for mut conn in reducer.incoming().flatten() {
-                    std::thread::spawn(move || std::io::copy(&mut conn, &mut std::io::sink()));
-                }
-            });
-            let platform = Platform::new(platform_config);
-            let spec = ServiceSpec::new("hadoop", 0, hadoop_aggregator(2))
-                .with_tcp_backends(vec![reducer_addr]);
-            let service = platform
-                .deploy_tcp(spec, "127.0.0.1:0")
-                .expect("deploy on a loopback socket");
-            let addr = format!("127.0.0.1:{}", service.port());
-            let job = move || {
-                let sent = run_tcp_hadoop_job(&addr, &streams);
-                assert_eq!(sent.failed, 0, "every mapper sends its stream");
-            };
-            (platform, Box::new(job), Box::new(service))
-        }
-        Transport::Sim => {
-            let net = SimNetwork::new(StackModel::Free);
-            let reducer = start_sink_backend(&net, 8201);
-            let platform = Platform::with_network(platform_config, Arc::clone(&net));
-            let service = platform
-                .deploy(
-                    ServiceSpec::new("hadoop", 8200, hadoop_aggregator(2))
-                        .with_backends(vec![8201]),
-                )
-                .expect("deploy on the simulated network");
-            let job = move || {
-                std::thread::scope(|scope| {
-                    for stream in &streams {
-                        let net = &net;
-                        scope.spawn(move || {
-                            let conn = net.connect(8200).expect("connect");
-                            conn.write_all(stream).expect("send the stream");
-                            conn.close();
-                        });
-                    }
-                });
-            };
-            (platform, Box::new(job), Box::new((service, reducer)))
-        }
+    let platform = bed.platform();
+    let job = || {
+        let sent = run_hadoop_job(&fabric, &config, &streams);
+        assert_eq!(sent.failed, 0, "every mapper sends its stream");
+        sent.completed
     };
     let ended = |jobs: u64| {
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -431,14 +367,15 @@ fn fold_jobs(transport: Transport, bytes_per_mapper: usize) -> PerJob {
         ended(done);
     }
     let before = platform.metrics().snapshot();
+    let mut records = 0;
     for done in WARM_UP_JOBS + 1..=WARM_UP_JOBS + JOBS {
-        job();
+        records = job();
         ended(done);
     }
     let after = platform.metrics().snapshot();
     let per_job = |delta: u64| delta as f64 / JOBS as f64;
     PerJob {
-        records: mapper_streams(&config).iter().map(|s| records(s)).sum(),
+        records,
         task_runs: per_job(after.task_runs - before.task_runs),
         yields: per_job(after.cooperative_yields - before.cooperative_yields),
     }
@@ -485,15 +422,15 @@ fn assert_fold_within(small: PerJob, large: PerJob) {
 #[test]
 fn an_aggregator_job_on_kernel_sockets() {
     assert_fold_within(
-        fold_jobs(Transport::Kernel, SMALL_JOB),
-        fold_jobs(Transport::Kernel, LARGE_JOB),
+        fold_jobs(Testbed::kernel, SMALL_JOB),
+        fold_jobs(Testbed::kernel, LARGE_JOB),
     );
 }
 
 #[test]
 fn an_aggregator_job_on_the_sim() {
     assert_fold_within(
-        fold_jobs(Transport::Sim, SMALL_JOB),
-        fold_jobs(Transport::Sim, LARGE_JOB),
+        fold_jobs(Testbed::sim, SMALL_JOB),
+        fold_jobs(Testbed::sim, LARGE_JOB),
     );
 }

@@ -1,46 +1,53 @@
 //! Integration tests spanning the whole stack: FLICK source → compiler →
-//! platform → simulated network → workload generators.
+//! platform → simulated network (or kernel sockets) → workload generators.
 
 use flick::net_substrate::listener::ConnectOptions;
+use flick::net_substrate::StackModel;
 use flick::services::hadoop::hadoop_aggregator;
 use flick::services::http::{http_balancer, StaticWebServerFactory};
 use flick::services::memcached::{memcached_proxy, memcached_router};
 use flick::{Flick, Platform, PlatformConfig, ServiceSpec};
+use flick_bench::Testbed;
 use flick_workload::backends::{start_http_backend, start_memcached_backend, start_sink_backend};
 use flick_workload::hadoop::{run_hadoop_mappers, wait_for_quiescence, HadoopLoadConfig};
 use flick_workload::http::{run_http_load, HttpLoadConfig};
 use flick_workload::memcached::{run_memcached_load, MemcachedLoadConfig};
 use std::time::Duration;
 
+/// Listing 1 on both fabrics, one test body: the Memcached proxy in front
+/// of two back-ends, clients sending `GETK`s drawn from a key space wide
+/// enough that keys rarely repeat. Every response carries its own
+/// request's key (the generator counts a crossed one as failed), both
+/// back-ends serve, and the proxy's ingest never copies.
 #[test]
 fn listing1_memcached_proxy_end_to_end() {
-    let platform = Platform::new(PlatformConfig {
-        workers: 2,
-        ..Default::default()
-    });
-    let net = platform.net();
-    let backend_ports = vec![11501u16, 11502, 11503];
-    let backends: Vec<_> = backend_ports
-        .iter()
-        .map(|p| start_memcached_backend(&net, *p))
-        .collect();
-    let _svc = platform
-        .deploy(ServiceSpec::new("proxy", 11500, memcached_proxy()).with_backends(backend_ports))
-        .unwrap();
-    let stats = run_memcached_load(
-        &net,
-        &MemcachedLoadConfig {
-            port: 11500,
-            clients: 8,
-            duration: Duration::from_millis(400),
-            key_space: 256,
-            ..Default::default()
-        },
-    );
-    assert!(stats.completed > 50, "{stats:?}");
-    assert_eq!(stats.failed, 0);
-    // Hash partitioning spreads keys over every backend.
-    assert!(backends.iter().all(|b| b.requests_served() > 0));
+    for on in [Testbed::sim, Testbed::kernel] {
+        let mut bed = Testbed::new(StackModel::Free, 2, 0);
+        let fabric = on(&bed);
+        let backends = bed.backends(&fabric, 2, 11501, |fabric, port| {
+            start_memcached_backend(fabric, port)
+        });
+        let spec = ServiceSpec::new("proxy", 11500, memcached_proxy());
+        let proxy = bed.deploy(&fabric, spec, backends);
+        let stats = run_memcached_load(
+            &fabric,
+            &MemcachedLoadConfig {
+                port: proxy.port,
+                clients: 8,
+                duration: Duration::from_millis(400),
+                key_space: 1 << 20,
+                getk_fraction: 1.0,
+                ..Default::default()
+            },
+        );
+        assert!(stats.completed > 50, "{fabric:?}: {stats:?}");
+        assert_eq!(stats.failed, 0, "{fabric:?}: lost or crossed: {stats:?}");
+        // Hash partitioning spreads keys over every backend.
+        let served = bed.backend_requests();
+        assert!(served.iter().all(|&n| n > 0), "{fabric:?}: {served:?}");
+        let ingest = bed.platform_stats(&fabric).snapshot().ingest_copies;
+        assert_eq!(ingest, 0, "{fabric:?}");
+    }
 }
 
 #[test]

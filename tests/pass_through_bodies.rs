@@ -13,10 +13,12 @@
 use flick::compiler::CompiledService;
 use flick::grammar::http::HttpCodec;
 use flick::grammar::{Message, ParseOutcome, WireCodec};
-use flick::net_substrate::{Endpoint, Listener, NetError, StatsSnapshot};
-use flick::runtime_crate::{DeployedService, ExecMode};
+use flick::net_substrate::{Endpoint, Listener, NetError, NetStats, StackModel, StatsSnapshot};
+use flick::runtime_crate::ExecMode;
 use flick::services::http::http_path_balancer;
-use flick::{Platform, PlatformConfig, ServiceSpec};
+use flick::ServiceSpec;
+use flick_bench::{Target, Testbed};
+use flick_workload::Fabric;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -32,64 +34,46 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Fabric {
-    Sim,
-    Kernel,
-}
+/// Which of a testbed's fabrics a rig runs on.
+type On = fn(&Testbed) -> Fabric;
 
-const FABRICS: [Fabric; 2] = [Fabric::Sim, Fabric::Kernel];
+const FABRICS: [On; 2] = [Testbed::sim, Testbed::kernel];
 
 /// The balancer in front of one hand-played back-end, on one fabric.
 struct Rig {
-    fabric: Fabric,
+    lb: Target,
     backend: Listener,
-    // Field order is drop order: the service stops before its platform.
-    service: DeployedService,
-    platform: Platform,
+    /// The counters of the platform's sockets on the rig's fabric.
+    stats: Arc<NetStats>,
+    bed: Testbed,
 }
 
 impl Rig {
-    fn new(fabric: Fabric, balancer: Arc<CompiledService>, mode: ExecMode) -> Rig {
+    fn new(on: On, balancer: Arc<CompiledService>, mode: ExecMode) -> Rig {
         let shards = std::env::var("FLICK_TEST_SHARDS")
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(1);
-        let platform = Platform::new(PlatformConfig { workers: 2, shards });
-        let (backend, service) = match fabric {
-            Fabric::Sim => {
-                let backend = platform.net().listen(7101).unwrap();
-                let spec = ServiceSpec::new("lb", 7100, balancer).with_backends(vec![7101]);
-                let service = platform.deploy(spec.with_exec_mode(mode)).unwrap();
-                (Listener::from(backend), service)
-            }
-            Fabric::Kernel => {
-                let backend = platform.tcp_stack().listen("127.0.0.1:0").unwrap();
-                let addr = format!("127.0.0.1:{}", backend.port());
-                let spec = ServiceSpec::new("lb", 0, balancer).with_tcp_backends(vec![addr]);
-                let service = platform
-                    .deploy_tcp(spec.with_exec_mode(mode), "127.0.0.1:0")
-                    .unwrap();
-                (Listener::from(backend), service)
-            }
-        };
+        let mut bed = Testbed::new(StackModel::Free, 2, shards);
+        let fabric = on(&bed);
+        // Port 0: an ephemeral port on the kernel, a free one on the sim.
+        let backend = fabric.listen(0).unwrap();
+        let spec = ServiceSpec::new("lb", 7100, balancer).with_exec_mode(mode);
+        let lb = bed.deploy(&fabric, spec, vec![backend.port()]);
         Rig {
-            fabric,
+            lb,
             backend,
-            service,
-            platform,
+            stats: bed.platform_stats(&fabric),
+            bed,
         }
     }
 
+    fn fabric(&self) -> &Fabric {
+        &self.lb.fabric
+    }
+
     fn client(&self) -> Endpoint {
-        match self.fabric {
-            Fabric::Sim => self.platform.net().connect(self.service.port()).unwrap(),
-            Fabric::Kernel => self
-                .platform
-                .tcp_stack()
-                .connect(&format!("127.0.0.1:{}", self.service.port()))
-                .unwrap(),
-        }
+        self.fabric().connect(self.lb.port).unwrap()
     }
 
     /// The next connection the balancer opens to the back-end.
@@ -100,23 +84,36 @@ impl Rig {
     }
 
     fn stats(&self) -> StatsSnapshot {
-        match self.fabric {
-            Fabric::Sim => self.platform.net().stats().snapshot(),
-            Fabric::Kernel => self.platform.tcp_stack().stats().snapshot(),
+        self.stats.snapshot()
+    }
+
+    /// Connections closed by the balancer and by the test's own ends. The
+    /// sim counts every endpoint in one place; on the kernel the test's
+    /// ends have a stack of their own.
+    fn closed(&self) -> u64 {
+        let own = self.fabric().stats();
+        let mut closed = self.stats().connections_closed;
+        if !Arc::ptr_eq(own, &self.stats) {
+            closed += own.snapshot().connections_closed;
         }
+        closed
     }
 
     fn checkouts(&self) -> u64 {
-        self.platform.metrics().snapshot().backend_checkouts
+        self.bed.platform().metrics().snapshot().backend_checkouts
     }
 
     fn await_teardown(&self) {
         let deadline = Instant::now() + PATIENCE;
-        while self.service.live_graphs() > 0 {
+        let live = || {
+            let metrics = self.bed.platform().metrics().snapshot();
+            metrics.graphs_created - metrics.graphs_destroyed
+        };
+        while live() > 0 {
             assert!(
                 Instant::now() < deadline,
                 "{:?}: a graph never tore down",
-                self.fabric
+                self.fabric()
             );
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -204,15 +201,15 @@ struct Seen {
 
 /// Sends every body of `sizes` as a request and answers each with a body
 /// of the size `sizes` holds one place on, one exchange at a time on one
-/// connection. Returns what the back-end and the client received, and
-/// the bytes the balancer spliced.
+/// connection. Returns what the back-end and the client received, the
+/// bytes the balancer spliced, and the fabric.
 fn route_mix(
-    fabric: Fabric,
+    on: On,
     balancer: Arc<CompiledService>,
     mode: ExecMode,
     sizes: &[usize],
-) -> (Seen, u64) {
-    let rig = Rig::new(fabric, balancer, mode);
+) -> (Seen, u64, Fabric) {
+    let rig = Rig::new(on, balancer, mode);
     let client = rig.client();
     let answers: Vec<usize> = sizes
         .iter()
@@ -240,6 +237,7 @@ fn route_mix(
         client_seen.extend_from_slice(&wire);
     }
     let spliced = rig.stats().spliced_bytes;
+    let fabric = rig.fabric().clone();
     client.close();
     rig.await_teardown();
     // Stopping the service closes the parked back-end connection.
@@ -251,6 +249,7 @@ fn route_mix(
             client: client_seen,
         },
         spliced,
+        fabric,
     )
 }
 
@@ -278,11 +277,11 @@ fn streamed_bodies_are_byte_for_byte_the_buffered_ones() {
         seed ^= seed << 17;
         sizes.swap(i, (seed % (i as u64 + 1)) as usize);
     }
-    for fabric in FABRICS {
+    for on in FABRICS {
         for mode in ExecMode::all() {
-            let (streamed, spliced) = route_mix(fabric, http_path_balancer(), mode, &sizes);
+            let (streamed, spliced, fabric) = route_mix(on, http_path_balancer(), mode, &sizes);
             let buffered = http_path_balancer().with_bodies_buffered();
-            let (oracle, oracle_spliced) = route_mix(fabric, buffered, mode, &sizes);
+            let (oracle, oracle_spliced, _) = route_mix(on, buffered, mode, &sizes);
             assert_eq!(
                 streamed.backend.len(),
                 oracle.backend.len(),
@@ -290,7 +289,7 @@ fn streamed_bodies_are_byte_for_byte_the_buffered_ones() {
             );
             assert!(streamed == oracle, "{fabric:?} {mode:?}: the bytes differ");
             assert_eq!(oracle_spliced, 0, "{fabric:?} {mode:?}: the oracle buffers");
-            if fabric == Fabric::Kernel {
+            if fabric.is_kernel() {
                 assert!(
                     spliced >= 2 * MIB as u64,
                     "{mode:?}: spliced only {spliced} B"
@@ -307,8 +306,9 @@ fn streamed_bodies_are_byte_for_byte_the_buffered_ones() {
 #[test]
 fn a_client_closing_mid_upload_retires_the_member() {
     let _serial = serial();
-    for fabric in FABRICS {
-        let rig = Rig::new(fabric, http_path_balancer(), ExecMode::Vm);
+    for on in FABRICS {
+        let rig = Rig::new(on, http_path_balancer(), ExecMode::Vm);
+        let fabric = rig.fabric();
         let client = rig.client();
         client.write_all(&request("GET", "/same", b"")).unwrap();
         let member = rig.accept();
@@ -349,8 +349,9 @@ fn a_client_closing_mid_upload_retires_the_member() {
 #[test]
 fn a_back_end_closing_mid_download_closes_the_client() {
     let _serial = serial();
-    for fabric in FABRICS {
-        let rig = Rig::new(fabric, http_path_balancer(), ExecMode::Vm);
+    for on in FABRICS {
+        let rig = Rig::new(on, http_path_balancer(), ExecMode::Vm);
+        let fabric = rig.fabric();
         let client = rig.client();
         client.write_all(&request("GET", "/down", b"")).unwrap();
         let member = rig.accept();
@@ -375,19 +376,20 @@ fn a_back_end_closing_mid_download_closes_the_client() {
 #[test]
 fn a_member_closed_before_the_head_leaves_tears_the_graph_down() {
     let _serial = serial();
-    for fabric in FABRICS {
-        let rig = Rig::new(fabric, http_path_balancer(), ExecMode::Vm);
+    for on in FABRICS {
+        let rig = Rig::new(on, http_path_balancer(), ExecMode::Vm);
+        let fabric = rig.fabric();
         let client = rig.client();
         client.write_all(&request("GET", "/same", b"")).unwrap();
         let member = rig.accept();
         read_message(&member, &mut Vec::new()).unwrap();
         member.write_all(&response(b"first")).unwrap();
         read_message(&client, &mut Vec::new()).unwrap();
-        let closed = rig.stats().connections_closed;
+        let closed = rig.closed();
         member.close();
         // The balancer's member input sees the hang-up and closes it.
         let deadline = Instant::now() + PATIENCE;
-        while rig.stats().connections_closed < closed + 2 {
+        while rig.closed() < closed + 2 {
             assert!(
                 Instant::now() < deadline,
                 "{fabric:?}: the member stayed open"
@@ -412,8 +414,9 @@ fn a_member_closed_before_the_head_leaves_tears_the_graph_down() {
 #[test]
 fn a_post_and_a_get_in_one_write_are_answered_in_order() {
     let _serial = serial();
-    for fabric in FABRICS {
-        let rig = Rig::new(fabric, http_path_balancer(), ExecMode::Vm);
+    for on in FABRICS {
+        let rig = Rig::new(on, http_path_balancer(), ExecMode::Vm);
+        let fabric = rig.fabric();
         let client = rig.client();
         let mut both = request("POST", "/same", &pattern(MIB, 4));
         both.extend_from_slice(&request("GET", "/same", b""));
@@ -447,8 +450,9 @@ fn a_post_and_a_get_in_one_write_are_answered_in_order() {
 #[test]
 fn a_content_length_over_the_limit_closes_only_its_own_connection() {
     let _serial = serial();
-    for fabric in FABRICS {
-        let rig = Rig::new(fabric, http_path_balancer(), ExecMode::Vm);
+    for on in FABRICS {
+        let rig = Rig::new(on, http_path_balancer(), ExecMode::Vm);
+        let fabric = rig.fabric();
         let bystander = rig.client();
         bystander.write_all(&request("GET", "/ok", b"")).unwrap();
         let backend = serve(rig.accept(), |_, _| response(b"ok"));
@@ -493,9 +497,10 @@ fn open_descriptors() -> usize {
 #[test]
 fn bulk_bodies_leave_no_descriptor_behind() {
     let _serial = serial();
-    for fabric in FABRICS {
+    for on in FABRICS {
         let baseline = open_descriptors();
-        let rig = Rig::new(fabric, http_path_balancer(), ExecMode::Vm);
+        let rig = Rig::new(on, http_path_balancer(), ExecMode::Vm);
+        let fabric = rig.fabric().clone();
         let client = rig.client();
         let download = Arc::new(response(&pattern(MIB, 6)));
         let upload = request("POST", "/up", &pattern(MIB, 7));

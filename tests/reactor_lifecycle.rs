@@ -11,8 +11,9 @@ use flick::services::http::{http_path_balancer, StaticWebServerFactory};
 use flick::{Platform, PlatformConfig, ServiceSpec};
 use flick_runtime::pool::IDLE_PER_BACKEND;
 use flick_runtime::DeployedService;
-use flick_workload::backends::{start_tcp_http_backend, TcpBackendHandle};
-use flick_workload::tcp::fetch_http;
+use flick_workload::backends::{start_http_backend, BackendHandle};
+use flick_workload::http::fetch_http;
+use flick_workload::Fabric;
 use std::io::{Read, Write};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -131,8 +132,13 @@ fn the_epoll_set_dies_with_its_users_and_no_reactor_thread_ever_runs() {
             "127.0.0.1:0",
         )
         .unwrap();
-    let addr = format!("127.0.0.1:{}", service.port());
-    let response = fetch_http(&addr, "/", Duration::from_secs(5)).unwrap();
+    let response = fetch_http(
+        Fabric::kernel(),
+        service.port(),
+        "/",
+        Duration::from_secs(5),
+    )
+    .unwrap();
     assert!(response.ends_with(b"served"));
     // A worker names itself, so a census taken before it ran that far
     // reads the unnamed thread: poll until all three have their names.
@@ -155,7 +161,7 @@ fn eventually(what: &str, mut done: impl FnMut() -> bool) {
 
 /// The path-hashed balancer over two kernel-socket back-ends, as the
 /// benchmark deploys it.
-fn path_balancer(backends: &[TcpBackendHandle]) -> (Platform, DeployedService, String) {
+fn path_balancer(backends: &[BackendHandle]) -> (Platform, DeployedService, u16) {
     let platform = Platform::new(PlatformConfig {
         workers: 2,
         shards: 1,
@@ -165,14 +171,14 @@ fn path_balancer(backends: &[TcpBackendHandle]) -> (Platform, DeployedService, S
             ServiceSpec::new("lb", 0, http_path_balancer()).with_tcp_backends(
                 backends
                     .iter()
-                    .map(|backend| backend.addr().to_string())
+                    .map(|backend| format!("127.0.0.1:{}", backend.port()))
                     .collect(),
             ),
             "127.0.0.1:0",
         )
         .unwrap();
-    let addr = format!("127.0.0.1:{}", service.port());
-    (platform, service, addr)
+    let port = service.port();
+    (platform, service, port)
 }
 
 /// The descriptor count once it stops moving: the back-ends' connection
@@ -203,12 +209,13 @@ fn settled_fds() -> usize {
 fn members_opened_as_clients_hang_up_leak_no_socket() {
     const ROUNDS: usize = 2_000;
     let _census = census();
+    let kernel = Fabric::kernel();
     let backends = [
-        start_tcp_http_backend(b"served"),
-        start_tcp_http_backend(b"served"),
+        start_http_backend(&kernel, 0, b"served"),
+        start_http_backend(&kernel, 0, b"served"),
     ];
     let baseline = settled_fds();
-    let (platform, mut service, addr) = path_balancer(&backends);
+    let (platform, mut service, port) = path_balancer(&backends);
     let stats = platform.tcp_stack().stats().clone();
     let open_sockets = || {
         let snap = stats.snapshot();
@@ -216,7 +223,7 @@ fn members_opened_as_clients_hang_up_leak_no_socket() {
     };
 
     for round in 0..ROUNDS {
-        let mut client = std::net::TcpStream::connect(&addr).unwrap();
+        let mut client = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
         let request = format!("GET /r{round} HTTP/1.1\r\nHost: churn\r\n\r\n");
         match round % 4 {
             0 => client.write_all(request.as_bytes()).unwrap(),
@@ -252,7 +259,7 @@ fn members_opened_as_clients_hang_up_leak_no_socket() {
         parked <= (backends.len() * IDLE_PER_BACKEND) as u64,
         "{parked} sockets open with no graph left"
     );
-    let response = fetch_http(&addr, "/after", Duration::from_secs(5)).unwrap();
+    let response = fetch_http(&kernel, port, "/after", Duration::from_secs(5)).unwrap();
     assert!(response.ends_with(b"served"));
     service.stop();
     eventually("service sockets left open after stop", || {
@@ -273,13 +280,15 @@ fn members_opened_as_clients_hang_up_leak_no_socket() {
 fn sequential_closing_clients_reuse_back_end_connections() {
     const CLIENTS: usize = 500;
     let _census = census();
+    let kernel = Fabric::kernel();
     let backends = [
-        start_tcp_http_backend(b"served"),
-        start_tcp_http_backend(b"served"),
+        start_http_backend(&kernel, 0, b"served"),
+        start_http_backend(&kernel, 0, b"served"),
     ];
-    let (platform, service, addr) = path_balancer(&backends);
+    let (platform, service, port) = path_balancer(&backends);
     for i in 0..CLIENTS {
-        let response = fetch_http(&addr, &format!("/p{i}"), Duration::from_secs(5)).unwrap();
+        let response =
+            fetch_http(&kernel, port, &format!("/p{i}"), Duration::from_secs(5)).unwrap();
         let text = String::from_utf8_lossy(&response);
         assert!(
             text.starts_with("HTTP/1.1 200 OK") && text.ends_with("served"),

@@ -25,8 +25,9 @@ use flick::net_substrate::{Interest, NetError, Poller, TcpStack, Token};
 use flick::services::hadoop::hadoop_aggregator;
 use flick::services::http::{http_balancer, http_path_balancer, StaticWebServerFactory};
 use flick::{Platform, PlatformConfig, ServiceSpec};
-use flick_workload::backends::{start_http_backend, start_sink_backend, start_tcp_http_backend};
-use flick_workload::tcp::{fetch_http, run_tcp_http_load, TcpHttpLoadConfig};
+use flick_workload::backends::{start_http_backend, start_sink_backend};
+use flick_workload::http::{fetch_http, run_http_load, HttpLoadConfig};
+use flick_workload::Fabric;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -344,12 +345,12 @@ fn two_shards() -> Platform {
 
 #[test]
 fn a_parked_kernel_back_end_connection_is_reused_across_shards() {
-    let backend = start_tcp_http_backend(b"served");
+    let backend = start_http_backend(Fabric::kernel(), 0, b"served");
     let platform = two_shards();
     let service = platform
         .deploy(
             ServiceSpec::new("lb", 8500, http_path_balancer())
-                .with_tcp_backends(vec![backend.addr().to_string()]),
+                .with_tcp_backends(vec![format!("127.0.0.1:{}", backend.port())]),
         )
         .unwrap();
     reuse_back_end_connection_across_shards(&platform, &service, || backend.connections_accepted());
@@ -370,21 +371,22 @@ fn a_parked_sim_back_end_connection_is_reused_across_shards() {
     });
 }
 
-/// The blocking loopback workload driver measures real throughput and
-/// latency against the platform.
+/// The closed-loop workload driver measures real throughput and latency
+/// against the platform over kernel sockets.
 #[test]
 fn tcp_workload_driver_measures_the_service() {
     let platform = tcp_platform(2, 1);
     let service = deploy_web(&platform, b"bench me");
-    let addr = format!("127.0.0.1:{}", service.port());
+    let clients = Fabric::kernel();
 
-    let stats = run_tcp_http_load(
-        &addr,
-        &TcpHttpLoadConfig {
+    let stats = run_http_load(
+        &clients,
+        &HttpLoadConfig {
+            port: service.port(),
             concurrency: 4,
             duration: Duration::from_millis(300),
-            persistent: true,
             timeout: Duration::from_secs(5),
+            ..Default::default()
         },
     );
     assert!(stats.completed > 10, "expected real throughput: {stats:?}");
@@ -392,7 +394,8 @@ fn tcp_workload_driver_measures_the_service() {
     assert!(service.connections_accepted() >= 4);
 
     // The one-shot helper (the curl-style smoke of the README).
-    let response = fetch_http(&addr, "/smoke", Duration::from_secs(5)).expect("fetch");
+    let response =
+        fetch_http(&clients, service.port(), "/smoke", Duration::from_secs(5)).expect("fetch");
     assert!(String::from_utf8_lossy(&response).starts_with("HTTP/1.1 200 OK"));
 }
 
@@ -403,33 +406,35 @@ fn tcp_workload_driver_measures_the_service() {
 /// copies on kernel traffic too.
 #[test]
 fn all_tcp_lb_path_serves_with_zero_ingest_copies() {
+    let kernel = Fabric::kernel();
     let backends: Vec<_> = (0..3)
-        .map(|_| start_tcp_http_backend(b"lb-over-tcp"))
+        .map(|_| start_http_backend(&kernel, 0, b"lb-over-tcp"))
         .collect();
     let platform = tcp_platform(2, 1);
+    let addrs = backends.iter().map(|b| format!("127.0.0.1:{}", b.port()));
     let service = platform
         .deploy_tcp(
-            ServiceSpec::new("tcp-lb", 0, http_balancer())
-                .with_tcp_backends(backends.iter().map(|b| b.addr().to_string()).collect()),
+            ServiceSpec::new("tcp-lb", 0, http_balancer()).with_tcp_backends(addrs.collect()),
             "127.0.0.1:0",
         )
         .expect("deploy the all-TCP load balancer");
-    let addr = format!("127.0.0.1:{}", service.port());
+    let port = service.port();
 
     // The curl-style smoke first: one request end to end through the
     // kernel, forwarded to a kernel back-end and back.
-    let response = fetch_http(&addr, "/smoke", Duration::from_secs(5)).expect("smoke");
+    let response = fetch_http(&kernel, port, "/smoke", Duration::from_secs(5)).expect("smoke");
     let text = String::from_utf8_lossy(&response);
     assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
     assert!(text.contains("lb-over-tcp"), "{text}");
 
-    let stats = run_tcp_http_load(
-        &addr,
-        &TcpHttpLoadConfig {
+    let stats = run_http_load(
+        &kernel,
+        &HttpLoadConfig {
+            port,
             concurrency: 4,
             duration: Duration::from_millis(300),
-            persistent: true,
             timeout: Duration::from_secs(5),
+            ..Default::default()
         },
     );
     assert!(stats.completed > 10, "{stats:?}");
@@ -539,7 +544,13 @@ fn malformed_frames_cost_only_their_own_connection() {
         }
     };
     let sibling_still_served = || {
-        let response = fetch_http(&addr, "/ok", Duration::from_secs(5)).expect("sibling");
+        let response = fetch_http(
+            Fabric::kernel(),
+            service.port(),
+            "/ok",
+            Duration::from_secs(5),
+        )
+        .expect("sibling");
         let text = String::from_utf8_lossy(&response);
         assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
         assert!(text.contains("still alive"), "{text}");
