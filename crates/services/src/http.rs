@@ -372,7 +372,7 @@ mod tests {
             .deploy_tcp(
                 ServiceSpec::new("lb", 0, http_path_balancer()).with_tcp_backends(
                     [live_backend.port(), dead_port]
-                        .map(|port| format!("127.0.0.1:{port}"))
+                        .map(flick_workload::fabric::loopback)
                         .to_vec(),
                 ),
                 "127.0.0.1:0",

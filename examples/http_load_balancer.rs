@@ -28,6 +28,7 @@
 use flick::services::http::http_balancer;
 use flick::{Platform, PlatformConfig, ServiceSpec};
 use flick_workload::backends::start_http_backend;
+use flick_workload::fabric::loopback;
 use flick_workload::http::{fetch_http, run_http_load, HttpLoadConfig};
 use flick_workload::Fabric;
 use std::time::Duration;
@@ -69,7 +70,7 @@ fn main() {
     let spec = ServiceSpec::new("http-lb", 8080, http_balancer());
     let service = match &tcp_addr {
         Some(addr) => {
-            let addrs = backends.iter().map(|b| format!("127.0.0.1:{}", b.port()));
+            let addrs = backends.iter().map(|b| loopback(b.port()));
             let spec = spec.with_tcp_backends(addrs.collect());
             platform.deploy_tcp(spec, addr).expect("deploy over TCP")
         }

@@ -12,6 +12,7 @@ use flick::{Platform, PlatformConfig, ServiceSpec};
 use flick_runtime::pool::IDLE_PER_BACKEND;
 use flick_runtime::DeployedService;
 use flick_workload::backends::{start_http_backend, BackendHandle};
+use flick_workload::fabric::loopback;
 use flick_workload::http::fetch_http;
 use flick_workload::Fabric;
 use std::io::{Read, Write};
@@ -171,7 +172,7 @@ fn path_balancer(backends: &[BackendHandle]) -> (Platform, DeployedService, u16)
             ServiceSpec::new("lb", 0, http_path_balancer()).with_tcp_backends(
                 backends
                     .iter()
-                    .map(|backend| format!("127.0.0.1:{}", backend.port()))
+                    .map(|backend| loopback(backend.port()))
                     .collect(),
             ),
             "127.0.0.1:0",

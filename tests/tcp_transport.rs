@@ -26,6 +26,7 @@ use flick::services::hadoop::hadoop_aggregator;
 use flick::services::http::{http_balancer, http_path_balancer, StaticWebServerFactory};
 use flick::{Platform, PlatformConfig, ServiceSpec};
 use flick_workload::backends::{start_http_backend, start_sink_backend};
+use flick_workload::fabric::loopback;
 use flick_workload::http::{fetch_http, run_http_load, HttpLoadConfig};
 use flick_workload::Fabric;
 use std::io::{Read, Write};
@@ -350,7 +351,7 @@ fn a_parked_kernel_back_end_connection_is_reused_across_shards() {
     let service = platform
         .deploy(
             ServiceSpec::new("lb", 8500, http_path_balancer())
-                .with_tcp_backends(vec![format!("127.0.0.1:{}", backend.port())]),
+                .with_tcp_backends(vec![loopback(backend.port())]),
         )
         .unwrap();
     reuse_back_end_connection_across_shards(&platform, &service, || backend.connections_accepted());
@@ -411,7 +412,7 @@ fn all_tcp_lb_path_serves_with_zero_ingest_copies() {
         .map(|_| start_http_backend(&kernel, 0, b"lb-over-tcp"))
         .collect();
     let platform = tcp_platform(2, 1);
-    let addrs = backends.iter().map(|b| format!("127.0.0.1:{}", b.port()));
+    let addrs = backends.iter().map(|b| loopback(b.port()));
     let service = platform
         .deploy_tcp(
             ServiceSpec::new("tcp-lb", 0, http_balancer()).with_tcp_backends(addrs.collect()),
