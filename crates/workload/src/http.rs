@@ -346,26 +346,34 @@ mod tests {
         ]
     }
 
+    /// Runs the persistent-connection generator against a fresh back-end.
+    fn measure_a_direct_backend(fabric: &Fabric) {
+        let backend = start_http_backend(fabric, 0, b"ok");
+        let config = HttpLoadConfig {
+            port: backend.port(),
+            concurrency: 4,
+            duration: Duration::from_millis(200),
+            persistent: true,
+            timeout: Duration::from_secs(2),
+            ..Default::default()
+        };
+        let stats = run_http_load(fabric, &config);
+        assert!(
+            stats.completed > 10,
+            "{fabric:?}: expected some completed requests, got {stats:?}"
+        );
+        assert!(stats.requests_per_sec() > 0.0);
+        assert!(stats.latency.mean > Duration::ZERO);
+    }
+
     #[test]
     fn load_generator_measures_a_direct_backend() {
-        for fabric in fabrics() {
-            let backend = start_http_backend(&fabric, 0, b"ok");
-            let config = HttpLoadConfig {
-                port: backend.port(),
-                concurrency: 4,
-                duration: Duration::from_millis(200),
-                persistent: true,
-                timeout: Duration::from_secs(2),
-                ..Default::default()
-            };
-            let stats = run_http_load(&fabric, &config);
-            assert!(
-                stats.completed > 10,
-                "{fabric:?}: expected some completed requests, got {stats:?}"
-            );
-            assert!(stats.requests_per_sec() > 0.0);
-            assert!(stats.latency.mean > Duration::ZERO);
-        }
+        measure_a_direct_backend(&Fabric::from(&SimNetwork::new(StackModel::Free)));
+    }
+
+    #[test]
+    fn load_generator_measures_a_tiny_kernel_server() {
+        measure_a_direct_backend(&Fabric::kernel());
     }
 
     #[test]
